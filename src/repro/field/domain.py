@@ -17,7 +17,6 @@ columns in backend representation end to end.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ from repro.field.ntt import (
     ntt,
     power_table,
     scaled_power_table,
-    stage_twiddles,
+    sixstep_min_n,
 )
 from repro.field.prime_field import PrimeField
 from repro.field.vector import vector_backend
@@ -76,13 +75,6 @@ class EvaluationDomain:
         self._part_shifts: Optional[List[int]] = None
         self._part_invs: Optional[List[int]] = None
         self._rotation_cache: Dict[int, int] = {}
-        # transforms this large run through the six-step decomposition
-        try:
-            self._sixstep_min_n = 1 << max(
-                2, int(os.environ.get("ZKML_SIXSTEP_MIN_K", "16"))
-            )
-        except ValueError:
-            self._sixstep_min_n = 1 << 16
 
     @property
     def uses_gl64(self) -> bool:
@@ -95,10 +87,7 @@ class EvaluationDomain:
         key = (root, n)
         cached = self._np_stages.get(key)
         if cached is None:
-            cached = [
-                np.array(tw, dtype=np.uint64)
-                for tw in stage_twiddles(self.field.p, root, n)
-            ]
+            cached = gl64.ntt_stages(root, n)
             self._np_stages[key] = cached
         else:
             STATS.ntt_plan_hits += 1
@@ -164,7 +153,7 @@ class EvaluationDomain:
         n = int(vec.shape[-1])
         if n == 1:
             return vec.copy()
-        if vec.ndim == 1 and n >= self._sixstep_min_n:
+        if vec.ndim == 1 and n >= sixstep_min_n():
             return gl64.sixstep_ntt(vec, self._gl64_sixstep(root, n, 1))
         return gl64.ntt(vec, self._gl64_stages(root, n), self._gl64_rev(n))
 
@@ -174,7 +163,7 @@ class EvaluationDomain:
         n = int(vec.shape[-1])
         if n == 1:
             return vec.copy()
-        if vec.ndim == 1 and n >= self._sixstep_min_n:
+        if vec.ndim == 1 and n >= sixstep_min_n():
             return gl64.sixstep_ntt(vec, self._gl64_sixstep(root, n, shift))
         return gl64.ntt(
             vec,

@@ -18,6 +18,8 @@ list-based path everywhere.
 
 from __future__ import annotations
 
+import math
+import threading
 from typing import List, Sequence
 
 import numpy as np
@@ -50,23 +52,185 @@ def to_ints(vec: np.ndarray) -> List[int]:
     return vec.tolist()
 
 
+# -- in-place kernels --------------------------------------------------------
+#
+# Every elementwise kernel runs as a fixed sequence of numpy passes with
+# ``out=`` on each ufunc, its temporaries drawn from a per-thread scratch
+# block.  The passes themselves cost ~0.3 ns/element; what made the old
+# allocating bodies cost 60-110 ns/element on anything past 4096 elements
+# was the allocator handing each pass's fresh temporary back to the kernel
+# and page-faulting it in again.  Operands larger than ``BLOCK`` elements
+# are walked in C-order chunks of at most ``BLOCK``, so a chunk and its
+# scratch stay cache-resident across the ~30 passes of a multiply.
+
+#: Elements per kernel chunk (and per scratch row).
+BLOCK = 1 << 14
+
+#: Scratch rows: six for a multiply (operand limbs, partial products) and
+#: one holding the twiddled half of an NTT butterfly.
+_SCRATCH_ROWS = 7
+
+_TLS = threading.local()
+
+
+def _scratch():
+    """This thread's ``(rows, mask)`` scratch, created on first use."""
+    try:
+        return _TLS.scratch
+    except AttributeError:
+        _TLS.scratch = (
+            np.empty((_SCRATCH_ROWS, BLOCK), dtype=np.uint64),
+            np.empty(BLOCK, dtype=np.bool_),
+        )
+        return _TLS.scratch
+
+
+def _chunks(shape):
+    """Index tuples tiling ``shape`` in C order, at most ``BLOCK`` elements each."""
+    if math.prod(shape) <= BLOCK:
+        yield Ellipsis
+        return
+    # split the innermost axis whose trailing volume still fits a block
+    ax, inner = len(shape) - 1, 1
+    while inner * shape[ax] <= BLOCK:
+        inner *= shape[ax]
+        ax -= 1
+    step = max(1, BLOCK // inner)
+    for lead in np.ndindex(*shape[:ax]):
+        for lo in range(0, shape[ax], step):
+            yield lead + (slice(lo, lo + step),)
+
+
+def _each_chunk(out, operands, nrows):
+    """Walk ``out`` in chunks alongside its operands and this thread's scratch.
+
+    Yields ``(out chunk, operand chunks, scratch views, mask view)``:
+    array operands are broadcast to ``out`` and cut to the chunk, anything
+    else becomes a ``uint64`` scalar, and the first ``nrows`` scratch rows
+    and the mask come shaped like the chunk.
+    """
+    shape = out.shape
+    ops = [
+        (x if x.shape == shape else np.broadcast_to(x, shape))
+        if isinstance(x, np.ndarray) and x.ndim else np.uint64(x)
+        for x in operands
+    ]
+    rows, mask = _scratch()
+    for idx in _chunks(shape):
+        o = out[idx]
+        yield (
+            o,
+            [x[idx] if x.ndim else x for x in ops],
+            [rows[i, : o.size].reshape(o.shape) for i in range(nrows)],
+            mask[: o.size].reshape(o.shape),
+        )
+
+
+def _limbs(x):
+    """The ``(low, high)`` 32-bit halves of a scalar or array."""
+    return x & _MASK32, x >> _SH32
+
+
+def _sub_chunk(out, a, b, t, mask):
+    # a wrapping difference is short by 2^64 = EPS (mod p) exactly when it
+    # borrowed, and canonical inputs make the corrected value canonical
+    np.less(a, b, out=mask)
+    np.subtract(a, b, out=out)
+    np.multiply(mask, _EPS, out=t)
+    np.subtract(out, t, out=out)
+
+
+def _mul_chunk(out, a, b_lo, b_hi, s0, s1, s2, s3, mask):
+    """``out = a * b mod p`` for one chunk; ``out`` may alias ``a``.
+
+    The 128-bit product ``(x_hi, x_lo)`` is assembled from 32-bit limb
+    products without carry flags (``hl + (ll >> 32)`` and
+    ``lh + (t mod 2^32)`` cannot overflow 64 bits), then folded using
+    ``x ≡ x_lo + (x_hi mod 2^32)(2^32 - 1) - (x_hi >> 32)  (mod p)``.
+    """
+    np.bitwise_and(a, _MASK32, out=s0)          # a_lo
+    np.right_shift(a, _SH32, out=s1)            # a_hi
+    np.multiply(s0, b_lo, out=out)              # ll
+    np.multiply(s1, b_lo, out=s2)               # hl
+    np.right_shift(out, _SH32, out=s3)
+    np.add(s2, s3, out=s2)                      # t = hl + (ll >> 32)
+    np.multiply(s0, b_hi, out=s0)               # lh
+    np.bitwise_and(s2, _MASK32, out=s3)
+    np.add(s0, s3, out=s0)                      # u = lh + (t mod 2^32)
+    np.multiply(s1, b_hi, out=s1)               # hh
+    np.right_shift(s2, _SH32, out=s2)
+    np.add(s1, s2, out=s1)
+    np.right_shift(s0, _SH32, out=s2)
+    np.add(s1, s2, out=s1)                      # x_hi = hh + (t >> 32) + (u >> 32)
+    np.bitwise_and(out, _MASK32, out=out)
+    np.left_shift(s0, _SH32, out=s0)
+    np.bitwise_or(out, s0, out=out)             # x_lo = (u << 32) | (ll mod 2^32)
+    # fold (x_hi, x_lo) mod p
+    np.right_shift(s1, _SH32, out=s0)           # x_hi >> 32
+    np.bitwise_and(s1, _MASK32, out=s1)
+    _sub_chunk(out, out, s0, s2, mask)          # t0 = x_lo - (x_hi >> 32)
+    np.multiply(s1, _EPS, out=s1)               # t1 = (x_hi mod 2^32) * EPS
+    np.add(out, s1, out=out)
+    np.less(out, s1, out=mask)                  # the add wrapped: owe EPS
+    np.multiply(mask, _EPS, out=s0)
+    np.add(out, s0, out=out)
+    # canonicalize: out - p wraps above out exactly when out < p
+    np.subtract(out, _P, out=s0)
+    np.minimum(out, s0, out=out)
+
+
+def mul_into(out: np.ndarray, a: np.ndarray, b) -> None:
+    """``out[...] = (a * b) mod p``; ``out`` may be ``a`` or ``b`` itself."""
+    for o, (a_c, b_c), s, mask in _each_chunk(out, (a, b), 6):
+        if b_c.ndim:
+            b_lo, b_hi = s[4], s[5]
+            np.bitwise_and(b_c, _MASK32, out=b_lo)
+            np.right_shift(b_c, _SH32, out=b_hi)
+        else:
+            b_lo, b_hi = _limbs(b_c)
+        _mul_chunk(o, a_c, b_lo, b_hi, *s[:4], mask)
+
+
+def sub_into(out: np.ndarray, a, b) -> None:
+    """``out[...] = (a - b) mod p``; ``out`` may be ``a`` or ``b`` itself."""
+    for o, (a_c, b_c), (t,), mask in _each_chunk(out, (a, b), 1):
+        _sub_chunk(o, a_c, b_c, t, mask)
+
+
+def add_into(out: np.ndarray, a: np.ndarray, b) -> None:
+    """``out[...] = (a + b) mod p``, computed as ``a - (p - b)``.
+
+    ``p - b`` is in ``[1, p]``; the one non-canonical value (``b = 0``)
+    always borrows against a canonical ``a`` and the correction returns
+    ``a`` unchanged, so no separate canonicalizing pass is needed.
+    """
+    for o, (a_c, b_c), (t, nb), mask in _each_chunk(out, (a, b), 2):
+        if b_c.ndim:
+            np.subtract(_P, b_c, out=nb)
+        else:
+            nb = _P - b_c
+        _sub_chunk(o, a_c, nb, t, mask)
+
+
+def _result(a, b) -> np.ndarray:
+    """An uninitialized array of the operands' broadcast shape."""
+    sa, sb = getattr(a, "shape", ()), getattr(b, "shape", ())
+    shape = sa if sa == sb or not sb else np.broadcast_shapes(sa, sb)
+    return np.empty(shape, dtype=np.uint64)
+
+
 def add(a: np.ndarray, b) -> np.ndarray:
     """Elementwise ``(a + b) mod p``; ``b`` may be an array or a scalar."""
-    if not isinstance(b, np.ndarray):
-        b = np.uint64(b)
-    t = a + b
-    t = t + np.where(t < a, _EPS, _ZERO)
-    return np.where(t >= _P, t - _P, t)
+    out = _result(a, b)
+    add_into(out, a, b)
+    return out
 
 
 def sub(a, b) -> np.ndarray:
     """Elementwise ``(a - b) mod p``; either side may be a scalar."""
-    if not isinstance(a, np.ndarray):
-        a = np.uint64(a)
-    if not isinstance(b, np.ndarray):
-        b = np.uint64(b)
-    d = a - b
-    return d - np.where(a < b, _EPS, _ZERO)
+    out = _result(a, b)
+    sub_into(out, a, b)
+    return out
 
 
 def neg(a: np.ndarray) -> np.ndarray:
@@ -75,41 +239,17 @@ def neg(a: np.ndarray) -> np.ndarray:
 
 
 def mul(a: np.ndarray, b) -> np.ndarray:
-    """Elementwise ``(a * b) mod p`` via 32-bit limb products.
-
-    The 128-bit product ``x`` is assembled as ``(x_hi, x_lo)`` word pairs
-    with explicit carry tracking, then folded using
-    ``x ≡ x_lo + (x_hi mod 2^32)(2^32 - 1) - (x_hi >> 32)  (mod p)``.
-    """
-    if not isinstance(b, np.ndarray):
-        b = np.uint64(b)
-    a_lo = a & _MASK32
-    a_hi = a >> _SH32
-    b_lo = b & _MASK32
-    b_hi = b >> _SH32
-    ll = a_lo * b_lo
-    hl = a_hi * b_lo
-    lh = a_lo * b_hi
-    hh = a_hi * b_hi
-    mid = hl + lh
-    carry_mid = (mid < hl).astype(np.uint64)
-    x_lo = ll + ((mid & _MASK32) << _SH32)
-    carry_lo = (x_lo < ll).astype(np.uint64)
-    x_hi = hh + (mid >> _SH32) + (carry_mid << _SH32) + carry_lo
-    # fold (x_hi, x_lo) mod p
-    x_hi_hi = x_hi >> _SH32
-    x_hi_lo = x_hi & _MASK32
-    t0 = x_lo - x_hi_hi
-    t0 = t0 - np.where(x_lo < x_hi_hi, _EPS, _ZERO)
-    t1 = x_hi_lo * _EPS
-    t2 = t0 + t1
-    t2 = t2 + np.where(t2 < t1, _EPS, _ZERO)
-    return np.where(t2 >= _P, t2 - _P, t2)
+    """Elementwise ``(a * b) mod p``; ``b`` may be an array or a scalar."""
+    out = _result(a, b)
+    mul_into(out, a, b)
+    return out
 
 
 def fold(acc: np.ndarray, y: int, values) -> np.ndarray:
     """``acc * y + values`` elementwise — the constraint-folding step."""
-    return add(mul(acc, y), values)
+    out = mul(acc, y)
+    add_into(out, out, values)
+    return out
 
 
 #: Sequential chain length of the blocked batch inversion.  Each of the
@@ -148,7 +288,7 @@ def batch_inv(values: np.ndarray) -> np.ndarray:
     prefix = np.empty_like(v)
     prefix[0] = v[0]
     for i in range(1, levels):
-        prefix[i] = mul(prefix[i - 1], v[i])
+        mul_into(prefix[i], prefix[i - 1], v[i])
     # invert the chain totals sequentially in Python ints
     totals = prefix[levels - 1].tolist()
     running = 1
@@ -165,8 +305,8 @@ def batch_inv(values: np.ndarray) -> np.ndarray:
     c = np.array(tinv, dtype=np.uint64)
     out = np.empty_like(v)
     for i in range(levels - 1, 0, -1):
-        out[i] = mul(prefix[i - 1], c)
-        c = mul(c, v[i])
+        mul_into(out[i], prefix[i - 1], c)
+        mul_into(c, c, v[i])
     out[0] = c
     return out.reshape(-1)[:n]
 
@@ -194,15 +334,18 @@ def poly_eval_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return acc[:, 0]
 
 
-def serialize_scalars(vec: np.ndarray, width: int = 32) -> bytes:
+def serialize_scalars(values, width: int = 32) -> bytes:
     """Concatenated ``width``-byte little-endian encodings of each element.
 
-    Matches ``b"".join(int(v).to_bytes(width, "little") for v in vec)``
-    without the per-element Python loop.
+    Matches ``b"".join(int(v).to_bytes(width, "little") for v in values)``
+    in one numpy pass when every value fits 64 bits (always, for
+    Goldilocks residues), and with that loop otherwise.
     """
-    n = len(vec)
-    words = width // 8
-    buf = np.zeros((n, words), dtype="<u8")
+    try:
+        vec = np.asarray(values, dtype=np.uint64)
+    except OverflowError:
+        return b"".join(int(v).to_bytes(width, "little") for v in values)
+    buf = np.zeros((len(vec), width // 8), dtype="<u8")
     buf[:, 0] = vec
     return buf.tobytes()
 
@@ -220,49 +363,88 @@ def bit_reverse_indices(n: int) -> np.ndarray:
     return rev
 
 
+def ntt_stages(root: int, n: int) -> List[np.ndarray]:
+    """Per-stage twiddle tables for :func:`ntt`, pre-split into 32-bit limbs.
+
+    Entry ``s`` is a ``(2, 2^s)`` array holding the low and high limbs of
+    the stage's twiddles (see :func:`repro.field.ntt.stage_twiddles`), so
+    the butterfly multiply never re-splits them.  Cache per ``(root, n)``.
+    """
+    from repro.field.ntt import stage_twiddles
+
+    return [
+        np.stack(_limbs(np.array(tw, dtype=np.uint64)))
+        for tw in stage_twiddles(P, root, n)
+    ]
+
+
+#: Butterfly spans up to this many elements are walked block-major: numpy's
+#: inner loop follows the last axis, and a contiguous run of 1-4 elements
+#: costs more in per-loop overhead than the strided walk over every block.
+_STRIDED_SPAN = 4
+
+
+def _butterfly(u, v, w) -> None:
+    """In place ``(u, v) <- (u + w*v, u - w*v)``.
+
+    ``w`` is the twiddles' ``(low, high)`` limb pair, or empty for ``w = 1``.
+    """
+    for vv, (uu, *w_c), s, mask in _each_chunk(v, (u, *w), 7):
+        wv = s[6]
+        if w_c:
+            _mul_chunk(wv, vv, *w_c, *s[:4], mask)
+        else:
+            np.copyto(wv, vv)
+        _sub_chunk(vv, uu, wv, s[0], mask)
+        np.subtract(_P, wv, out=wv)
+        _sub_chunk(uu, uu, wv, s[0], mask)
+
+
 def ntt(
     values: np.ndarray,
     stages: Sequence[np.ndarray],
     rev: np.ndarray,
     scale_rev: np.ndarray = None,
 ) -> np.ndarray:
-    """Iterative radix-2 NTT driven by precomputed per-stage twiddle rows.
+    """Iterative radix-2 NTT driven by precomputed per-stage twiddle tables.
 
-    ``stages[s]`` holds the ``2^s`` twiddles of the stage with butterfly
-    span ``2^s`` (so ``stages[0] == [1]``); ``rev`` is the bit-reversal
-    permutation for the input ordering.  Both come from the caches on
+    ``stages`` comes from :func:`ntt_stages` (``stages[s]`` holds the
+    ``2^s`` limb-split twiddles of the stage with butterfly span ``2^s``,
+    so ``stages[0]`` is ``1``); ``rev`` is the bit-reversal permutation
+    for the input ordering.  Both are cached on
     :class:`repro.field.domain.EvaluationDomain`.
 
     The transform runs along the *last* axis, so a ``(m, n)`` matrix is m
-    independent size-n NTTs in one kernel call — that batching, not the
-    butterfly math, is what removes the per-column numpy dispatch overhead
-    that dominated the prover at bench sizes.
+    independent size-n NTTs in one call.  Rows are processed in blocks of
+    ``2 * BLOCK / n``: a block is gathered into the result and taken
+    through every stage in place before the next block is touched, so it
+    stays cache-resident for the whole transform and the only allocation
+    is the result itself.
 
-    ``scale_rev`` optionally fuses a coset scaling into the initial
-    bit-reversal gather: it must be the per-index scale vector *already
-    permuted by* ``rev`` so ``out = values[rev] * scale[rev]`` happens in
-    the same pass that feeds stage 0, instead of a separate full-width
-    multiply before the gather.  Permuting commutes with elementwise
-    multiplication, so results are bit-identical to the unfused path.
+    ``scale_rev`` optionally fuses a coset scaling into the entry: it
+    must be the per-index scale vector *already permuted by* ``rev`` (or
+    a scalar), applied to each block right after its bit-reversal gather.
+    Permuting commutes with elementwise multiplication, so results are
+    bit-identical to scaling the input first.
     """
-    out = values[..., rev]
-    if scale_rev is not None:
-        out = mul(out, scale_rev)
-    length = 2
-    for tw in stages:
-        half = length >> 1
-        m = out.reshape(out.shape[:-1] + (-1, length))
-        u = m[..., :half]
-        v = m[..., half:]
-        if length > 2:
-            v = mul(v, tw)
-        else:
-            v = v.copy()
-        s = add(u, v)
-        d = sub(u, v)
-        m[..., :half] = s
-        m[..., half:] = d
-        length <<= 1
+    n = values.shape[-1]
+    out = np.empty(values.shape, dtype=np.uint64)
+    src = values.reshape(-1, n)
+    dst = out.reshape(-1, n)
+    step = max(1, 2 * BLOCK // n)
+    for lo in range(0, len(dst), step):
+        blk = dst[lo : lo + step]
+        np.take(src[lo : lo + step], rev, axis=1, out=blk, mode="clip")
+        if scale_rev is not None:
+            mul_into(blk, blk, scale_rev)
+        for tw in stages:
+            half = tw.shape[1]
+            m = blk.reshape(len(blk), -1, 2 * half)
+            u, v = m[..., :half], m[..., half:]
+            if half <= _STRIDED_SPAN:
+                u, v = np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0)
+                tw = tw[:, :, None, None]
+            _butterfly(u, v, tw if half > 1 else ())
     return out
 
 
@@ -307,17 +489,15 @@ def build_sixstep_plan(root: int, n: int, shift: int = 1) -> SixStepPlan:
     """
     if n & (n - 1) or n < 4:
         raise ValueError("six-step NTT needs a power-of-two size >= 4, got %d" % n)
-    from repro.field.ntt import power_table, stage_twiddles
+    from repro.field.ntt import power_table
 
     k = n.bit_length() - 1
     n1 = 1 << (k >> 1)
     n2 = n // n1
     root_inner = pow(root, n1, P)
     root_outer = pow(root, n2, P)
-    stages_inner = [np.array(tw, dtype=np.uint64)
-                    for tw in stage_twiddles(P, root_inner, n2)]
-    stages_outer = [np.array(tw, dtype=np.uint64)
-                    for tw in stage_twiddles(P, root_outer, n1)]
+    stages_inner = ntt_stages(root_inner, n2)
+    stages_outer = ntt_stages(root_outer, n1)
     rev_inner = bit_reverse_indices(n2)
     rev_outer = bit_reverse_indices(n1)
     # middle twiddles w^{i1*j2}, with the coset factor s^{i1} folded in

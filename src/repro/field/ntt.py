@@ -16,7 +16,6 @@ the exact reference path and serves every other field.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Sequence, Tuple
 
 from repro.field.prime_field import PrimeField
@@ -33,12 +32,15 @@ _POWER_CACHE: Dict[Tuple[int, int, int], List[int]] = {}
 _SCALED_POWER_CACHE: Dict[Tuple[int, int, int, int], List[int]] = {}
 
 
-def _sixstep_min_n() -> int:
+#: ``log2`` of the size at which single transforms (here and on
+#: :class:`repro.field.domain.EvaluationDomain`) switch to the six-step
+#: decomposition.
+SIXSTEP_MIN_K = 16
+
+
+def sixstep_min_n() -> int:
     """Size at which transforms switch to the six-step decomposition."""
-    try:
-        return 1 << max(2, int(os.environ.get("ZKML_SIXSTEP_MIN_K", "16")))
-    except ValueError:
-        return 1 << 16
+    return 1 << SIXSTEP_MIN_K
 
 
 def _bit_reverse_permute(values: List[int]) -> None:
@@ -158,7 +160,7 @@ def ntt(field: PrimeField, values: Sequence[int], root: int) -> List[int]:
     out = list(values)
     if n == 1:
         return out
-    if n >= _sixstep_min_n():
+    if n >= sixstep_min_n():
         return sixstep_ntt(field, out, root)
     _bit_reverse_permute(out)
     _ntt_core(out, field.p, stage_twiddles(field.p, root, n))
@@ -235,7 +237,7 @@ def intt(field: PrimeField, values: Sequence[int], root: int) -> List[int]:
 def coset_ntt(field: PrimeField, values: Sequence[int], root: int, shift: int) -> List[int]:
     """Evaluate a coefficient vector on the coset ``shift * <root>``."""
     n = len(values)
-    if n >= _sixstep_min_n():
+    if n >= sixstep_min_n():
         # the shift scaling is folded into the six-step inner stages
         return sixstep_ntt(field, values, root, shift)
     p = field.p

@@ -139,7 +139,7 @@ class GL64Backend(ListBackend):
         return np.roll(vec, -shift, axis=-1)
 
     def batch_inv(self, vec):
-        return gl64.from_ints(self.field.batch_inv(gl64.to_ints(vec)))
+        return gl64.batch_inv(vec)
 
 
 def vector_backend(field: PrimeField) -> ListBackend:

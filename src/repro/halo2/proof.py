@@ -20,6 +20,7 @@ from repro.commit.scheme import (
     CommitmentScheme,
     OpeningProof,
 )
+from repro.field.gl64 import serialize_scalars
 from repro.resilience.errors import ProofFormatError
 
 
@@ -99,8 +100,7 @@ def _write_opening(out: bytearray, opening: OpeningProof) -> None:
     _write_scalar(out, opening.point)
     _write_scalar(out, opening.value)
     _write_u32(out, len(opening.witness))
-    for w in opening.witness:
-        _write_scalar(out, w)
+    out += serialize_scalars(opening.witness)
 
 
 def _read_opening(data: bytes, pos: int):

@@ -24,10 +24,10 @@ every lookup and permutation denominator into a single flat
 numpy searches.  Phase 3 evaluates the quotient per *coset part* —
 ``extension`` interleaved base-width cosets — so no column is ever
 materialized at extended width and the vanishing division is one scalar
-per part; ``ZKML_QUOTIENT_STREAM=1`` processes one part at a time,
-bounding peak memory to one ``(columns, n)`` matrix.  On other fields the
-columnwise list-backend reference path runs instead, and the two produce
-byte-identical proofs (asserted by the equivalence tests).
+per part; column sets past ``QUOTIENT_STREAM_ELEMS`` process one part at
+a time, bounding peak memory to one ``(columns, n)`` matrix.  On other
+fields the columnwise list-backend reference path runs instead, and the
+two produce byte-identical proofs (asserted by the equivalence tests).
 
 Independent column work fans out over worker processes (``jobs`` argument
 or ``ZKML_JOBS``) through :func:`~repro.perf.parallel.parallel_row_map`,
@@ -65,21 +65,15 @@ from repro.resilience.errors import ProvingError
 
 #: Elements (referenced columns x extended width) above which the quotient
 #: streams one coset part at a time instead of holding every column's
-#: (extension, n) part matrix at once.  ``ZKML_QUOTIENT_STREAM=1`` forces
-#: streaming, ``=0`` forces the all-parts fast path.
+#: (extension, n) part matrix at once.  Below it the all-parts batch wins:
+#: the expression evaluator's per-node overhead is paid once, not once per
+#: part (the per-part loop measured 40-60% slower at k=9, 0-8% at k=12).
 QUOTIENT_STREAM_ELEMS = 1 << 25
 
 
 def _sparsity_enabled() -> bool:
     """All-zero column skipping is on unless ``ZKML_SPARSITY`` disables it."""
     return os.environ.get("ZKML_SPARSITY", "1").lower() not in ("0", "false", "off")
-
-
-def _quotient_streaming(num_cols: int, ext_n: int) -> bool:
-    env = os.environ.get("ZKML_QUOTIENT_STREAM")
-    if env:
-        return env.lower() not in ("0", "false", "off")
-    return num_cols * ext_n > QUOTIENT_STREAM_ELEMS
 
 
 # -- multiprocess workers ----------------------------------------------------
@@ -214,14 +208,14 @@ def _prefix_sum_vec(field, h_arr) -> np.ndarray:
     return np.repeat(np.array(levels, dtype=np.uint64), reps)
 
 
-def _batched_inverses(field, denoms: List[np.ndarray]) -> List[np.ndarray]:
+def _batched_inverses(denoms: List[np.ndarray]) -> List[np.ndarray]:
     """One flat ``batch_inv`` over many same-length denominator vectors.
 
     ``gl64.batch_inv`` costs ``2*log2(len)`` full-width passes regardless
     of content, so inverting every helper denominator of the proof in a
     single concatenated call amortizes the scans that would dominate at
-    column width.  A zero denominator falls back to the per-vector
-    reference so the raised index matches the unbatched path.
+    column width.  A zero denominator is re-raised per vector so the
+    reported index matches the unbatched path.
     """
     if not denoms:
         return []
@@ -229,9 +223,7 @@ def _batched_inverses(field, denoms: List[np.ndarray]) -> List[np.ndarray]:
     try:
         inv = gl64.batch_inv(flat)
     except ZeroDivisionError:
-        return [
-            gl64.from_ints(field.batch_inv(gl64.to_ints(d))) for d in denoms
-        ]
+        return [gl64.batch_inv(d) for d in denoms]
     return list(inv.reshape(len(denoms), -1))
 
 
@@ -252,8 +244,8 @@ def _quotient_extended_np(domain, vk, assignment, advice_polys, challenges, y):
     multiply per part (``Z_H`` is constant on a part).
 
     The fast path holds all parts of every referenced column at once;
-    streaming mode (``ZKML_QUOTIENT_STREAM=1`` or a large column set)
-    loops over parts so peak extra memory is one ``(columns, n)`` matrix.
+    past ``QUOTIENT_STREAM_ELEMS`` the streaming mode loops over parts so
+    peak extra memory is one ``(columns, n)`` matrix.
     """
     backend = domain.backend
     n = domain.n
@@ -289,7 +281,7 @@ def _quotient_extended_np(domain, vk, assignment, advice_polys, challenges, y):
     inv_parts = domain.vanishing_part_inverses()
     exprs = [expr for _, expr in vk.constraints]
 
-    if _quotient_streaming(len(cols_order), domain.extended_n):
+    if len(cols_order) * domain.extended_n > QUOTIENT_STREAM_ELEMS:
         q_ext = np.empty(domain.extended_n, dtype=np.uint64)
         for r in range(extension):
             part = np.empty((len(cols_order), n), dtype=np.uint64)
@@ -485,7 +477,7 @@ def create_proof(
                         backend.add(v_vec, backend.mul_scalar(sigmas, beta)), gamma
                     ))
                     perm_helper_cols.append(h_col)
-            invs = _batched_inverses(field, denoms)
+            invs = _batched_inverses(denoms)
             pos = 0
             for helpers, m_vec in lookup_parts:
                 inv_f, inv_t = invs[pos], invs[pos + 1]

@@ -46,6 +46,7 @@ from collections import OrderedDict
 from typing import Optional, Tuple, Union
 
 from repro.commit.scheme import CommitmentScheme
+from repro.field.gl64 import serialize_scalars
 from repro.halo2.circuit import Assignment, ConstraintSystem
 from repro.halo2.column import Column, ColumnType
 from repro.halo2.keygen import ProvingKey, VerifyingKey, keygen
@@ -116,8 +117,7 @@ def _entry_checksum(pk: ProvingKey, vk: VerifyingKey) -> str:
         values = pk.fixed_evals[col]
         h.update(repr(col).encode())
         h.update(len(values).to_bytes(8, "little"))
-        for v in values:
-            h.update(int(v).to_bytes(32, "little"))
+        h.update(serialize_scalars(values))
     return h.hexdigest()
 
 

@@ -4,22 +4,22 @@ The blocked transform is only a legal prover substitution if it is
 *exact* — same canonical Goldilocks values at every index, no
 reassociation drift.  These tests sweep k in {4..14} with seeded random
 inputs and random coset shifts on both implementations (pure python and
-the numpy gl64 kernels), and check the ``ZKML_SIXSTEP_MIN_K`` dispatch
-knob routes ``ntt()`` through the blocked path.
+the numpy gl64 kernels), and check the ``SIXSTEP_MIN_K`` dispatch
+threshold routes ``ntt()`` through the blocked path.
 """
 
+import importlib
 import random
 
 import numpy as np
 import pytest
 
-from repro.field import GOLDILOCKS, gl64
+from repro.field import GOLDILOCKS, EvaluationDomain, gl64
 from repro.field.ntt import (
     coset_ntt,
     ntt,
     power_table,
     sixstep_ntt,
-    stage_twiddles,
 )
 
 F = GOLDILOCKS
@@ -57,8 +57,7 @@ def test_numpy_sixstep_matches_radix2(k):
     n = 1 << k
     root = F.root_of_unity(k)
     values = gl64.from_ints(_random_vector(k, seed=200 + k))
-    stages = [np.array(tw, dtype=np.uint64)
-              for tw in stage_twiddles(F.p, root, n)]
+    stages = gl64.ntt_stages(root, n)
     rev = gl64.bit_reverse_indices(n)
     reference = gl64.ntt(values, stages, rev)
     plan = gl64.build_sixstep_plan(root, n)
@@ -73,8 +72,7 @@ def test_numpy_sixstep_fused_coset_matches_scaled_radix2(k):
     values = gl64.from_ints(_random_vector(k, seed=300 + k))
     # reference: explicit full-width coset scale, then plain radix-2
     scale = np.array(power_table(F.p, shift, n), dtype=np.uint64)
-    stages = [np.array(tw, dtype=np.uint64)
-              for tw in stage_twiddles(F.p, root, n)]
+    stages = gl64.ntt_stages(root, n)
     rev = gl64.bit_reverse_indices(n)
     reference = gl64.ntt(gl64.mul(values, scale), stages, rev)
     plan = gl64.build_sixstep_plan(root, n, shift=shift)
@@ -90,10 +88,21 @@ def test_numpy_plan_rejects_tiny_or_non_power_sizes():
 
 
 def test_ntt_dispatches_to_sixstep_at_threshold(monkeypatch):
-    # Lowering the knob must not change values — only the code path.
+    # Lowering the threshold must not change values — only the code path.
     k = 6
     values = _random_vector(k, seed=42)
     root = F.root_of_unity(k)
     expected = ntt(F, values, root)
-    monkeypatch.setenv("ZKML_SIXSTEP_MIN_K", "4")
+    # repro.field re-exports the ntt *function* under the module's name
+    ntt_module = importlib.import_module("repro.field.ntt")
+    monkeypatch.setattr(ntt_module, "SIXSTEP_MIN_K", 4)
+    calls = []
+
+    def spy(name, real):
+        return lambda *args, **kw: calls.append(name) or real(*args, **kw)
+
+    monkeypatch.setattr(ntt_module, "sixstep_ntt", spy("python", sixstep_ntt))
+    monkeypatch.setattr(gl64, "sixstep_ntt", spy("numpy", gl64.sixstep_ntt))
     assert ntt(F, values, root) == expected
+    assert EvaluationDomain(F, k).coeff_to_lagrange(values) == expected
+    assert calls == ["python", "numpy"]

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.commit import scheme_by_name
+from repro.commit.scheme import OpeningProof
 from repro.field import GOLDILOCKS
 from repro.halo2 import (
+    Proof,
     create_proof,
     keygen,
     proof_from_bytes,
@@ -45,6 +47,18 @@ class TestRoundTrip:
     def test_deterministic(self, proved):
         _, _, proof, _ = proved
         assert proof_to_bytes(proof) == proof_to_bytes(proof)
+
+    @pytest.mark.parametrize(
+        "witness",
+        [(0, 1, 2**32, F.p - 1), (3, 2**64, 2**255 - 19), ()],
+        ids=["packed-64-bit", "wide-per-scalar", "empty"],
+    )
+    def test_witness_bytes_match_per_scalar_encoding(self, witness):
+        opening = OpeningProof(point=5, value=7, witness=witness)
+        data = proof_to_bytes(Proof([], [], [], {}, [opening]))
+        scalars = b"".join(w.to_bytes(32, "little") for w in witness)
+        assert data.endswith(len(witness).to_bytes(4, "little") + scalars)
+        assert proof_from_bytes(data).quotient_openings == [opening]
 
     def test_negative_rotations_survive(self):
         scheme = scheme_by_name("ipa", F)

@@ -5,9 +5,9 @@ helper slots, zero bias rows); the prover skips their transforms and
 reuses the zero-polynomial commitment.  The only observable difference
 allowed is ``STATS.sparsity_skips`` — proof bytes must be identical with
 the optimization on, off (``ZKML_SPARSITY=0``), and against the exact
-list-backend reference.  The streaming quotient path
-(``ZKML_QUOTIENT_STREAM``) gets the same treatment: mode changes may
-never change bytes.
+list-backend reference.  The streaming quotient path (column sets past
+``prover.QUOTIENT_STREAM_ELEMS``) gets the same treatment: which side of
+the threshold a proof lands on may never change bytes.
 """
 
 import pickle
@@ -17,7 +17,7 @@ import pytest
 from repro.commit import scheme_by_name
 from repro.field import GOLDILOCKS
 from repro.field.vector import ListBackend
-from repro.halo2 import create_proof, keygen, verify_proof
+from repro.halo2 import create_proof, keygen, prover, verify_proof
 from repro.obs.stats import STATS
 
 from tests.halo2.circuits import mul_circuit
@@ -105,8 +105,7 @@ def test_sparse_parallel_proof_is_byte_identical():
     assert pickle.dumps(serial) == pickle.dumps(parallel)
 
 
-@pytest.mark.parametrize("mode", ["0", "1"])
-def test_quotient_stream_mode_does_not_change_bytes(monkeypatch, mode):
-    auto = _prove_bytes()
-    forced = _prove_bytes(monkeypatch, env={"ZKML_QUOTIENT_STREAM": mode})
-    assert auto == forced
+def test_quotient_stream_mode_does_not_change_bytes(monkeypatch):
+    all_parts = _prove_bytes()
+    monkeypatch.setattr(prover, "QUOTIENT_STREAM_ELEMS", 0)
+    assert _prove_bytes() == all_parts

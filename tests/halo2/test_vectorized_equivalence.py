@@ -11,6 +11,8 @@ Three layers of equivalence:
 """
 
 import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,36 @@ def test_parallel_proof_is_byte_identical():
     parallel = create_proof(pk, asg, scheme, jobs=2)
     assert pickle.dumps(serial) == pickle.dumps(parallel)
     assert verify_proof(vk, parallel, asg.instance_values(), scheme)
+
+
+def test_concurrent_threads_prove_byte_identically():
+    """The serving layer's in-process executor is a thread pool, and the
+    Goldilocks kernels keep their temporaries in per-thread scratch: two
+    threads proving at once must each produce the serial proof's bytes."""
+    scheme = scheme_by_name("kzg", F)
+    jobs = []
+    for builder, k in ((relu_lookup_circuit, 11), (mul_circuit, 11)):
+        cs, asg = builder(k=k)
+        pk, _ = keygen(cs, asg, scheme)
+        jobs.append((pk, asg, pickle.dumps(create_proof(pk, asg, scheme))))
+    results = {}
+
+    def prove(i):
+        pk, asg, _ = jobs[i % len(jobs)]
+        results[i] = pickle.dumps(create_proof(pk, asg, scheme))
+
+    threads = [threading.Thread(target=prove, args=(i,)) for i in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert [results[i] for i in range(4)] == [jobs[i % 2][2] for i in range(4)]
 
 
 @given(

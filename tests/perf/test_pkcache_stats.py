@@ -11,7 +11,8 @@ import pytest
 
 from repro.commit import scheme_by_name
 from repro.field import GOLDILOCKS
-from repro.perf.pkcache import ProvingKeyCache, circuit_digest
+from repro.halo2 import keygen
+from repro.perf.pkcache import ProvingKeyCache, _entry_checksum, circuit_digest
 from repro.resilience import events
 from repro.resilience.errors import CacheCorruptionError
 
@@ -144,3 +145,16 @@ class TestClearResets:
         cache.get_or_create(cs, asg, _scheme())
         assert (cache.hits, cache.misses, cache.rebuilds) == (1, 1, 0)
         _assert_partition(cache)
+
+
+def test_entry_checksum_digest_is_pinned():
+    # disk-layer entries written by earlier builds must keep validating:
+    # the digest is over vk.digest() and each fixed column's 32-byte LE
+    # scalars, however the implementation packs them
+    for builder, digest in (
+        (mul_circuit, "363efbfec2f4ed2a6497ea2186e99a73"),
+        (range_check_circuit, "c07133502b5f2df0a349b8e780387572"),
+    ):
+        cs, asg = builder()
+        pk, vk = keygen(cs, asg, _scheme())
+        assert _entry_checksum(pk, vk) == digest

@@ -8,7 +8,7 @@ recorded while laying out a circuit.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.field.prime_field import PrimeField
 from repro.halo2.column import Column, ColumnType
@@ -31,7 +31,9 @@ class ConstraintSystem:
         self.num_selectors = 0
         self.gates: List[Gate] = []
         self.lookups: List[LookupArgument] = []
-        self.equality_columns: Set[Column] = set()
+        # a dict used as an insertion-ordered set: a pickled key must not
+        # depend on the process's hash seed
+        self.equality_columns: Dict[Column, None] = {}
 
     # -- column allocation ---------------------------------------------------
 
@@ -81,7 +83,7 @@ class ConstraintSystem:
         """Mark a column as participating in the permutation argument."""
         if column.kind == ColumnType.SELECTOR:
             raise ValueError("selector columns cannot carry copy constraints")
-        self.equality_columns.add(column)
+        self.equality_columns[column] = None
 
     # -- shape statistics (consumed by the optimizer's cost model) -------------
 
@@ -98,8 +100,9 @@ class ConstraintSystem:
         """Maximum constraint degree including lookup/permutation helpers."""
         d = self.gate_degree()
         for lk in self.lookups:
-            # helper constraint: h * (alpha + f) * (alpha + t) - ... (keygen)
-            d = max(d, 1 + lk.input_degree() + lk.table_degree())
+            # helper constraints (keygen): h * (alpha + f) - 1 per lookup,
+            # (s' - s - sum h) * (alpha + t) + m per table
+            d = max(d, 1 + lk.input_degree(), 1 + lk.table_degree())
         if self.equality_columns:
             d = max(d, PERMUTATION_CONSTRAINT_DEGREE)
         return d

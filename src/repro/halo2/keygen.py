@@ -17,7 +17,10 @@ import hashlib
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.commit.scheme import CommitmentScheme
+from repro.field import gl64
 from repro.field.domain import EvaluationDomain
 from repro.field.prime_field import PrimeField
 from repro.halo2.circuit import Assignment, ConstraintSystem
@@ -32,12 +35,21 @@ THETA, BETA, GAMMA, ALPHA = "theta", "beta", "gamma", "alpha"
 
 @dataclass(frozen=True)
 class LookupHelpers:
-    """Helper advice columns for one lookup argument (3 per lookup)."""
+    """Helper advice columns for one lookup *table*.
 
-    argument: LookupArgument
+    Every argument reading the table gets one inverse column; the
+    multiplicity and running-sum columns are shared (``L + 2T`` columns
+    for ``L`` lookups into ``T`` distinct tables).
+    """
+
+    arguments: Tuple[LookupArgument, ...]
+    h_cols: Tuple[Column, ...]
     m_col: Column
-    h_col: Column
     s_col: Column
+
+    @property
+    def table(self) -> Tuple[Expression, ...]:
+        return self.arguments[0].table
 
 
 @dataclass(frozen=True)
@@ -85,8 +97,7 @@ class VerifyingKey:
             h.update(b"vk:%d:%d:%s" % (self.k, self.max_degree, self.scheme_name.encode()))
             for col in sorted(self.fixed_polys, key=lambda c: (c.kind.value, c.index)):
                 h.update(repr(col).encode())
-                for c in self.fixed_polys[col]:
-                    h.update(c.to_bytes(32, "little"))
+                h.update(gl64.serialize_scalars(self.fixed_polys[col]))
             self._digest = h.digest()
         return self._digest
 
@@ -102,10 +113,6 @@ class VerifyingKey:
         """
         cached = getattr(self, "_np_fixed_parts", None)
         if cached is None:
-            import numpy as np
-
-            from repro.field import gl64
-
             cols = sorted(self.fixed_polys, key=lambda c: (c.kind.value, c.index))
             extension = self.domain.extended_n // self.domain.n
             parts = np.empty((len(cols), extension, self.n), dtype=np.uint64)
@@ -227,29 +234,38 @@ def keygen(
             constraints.append(("%s/%d" % (gate.name, i), c))
 
     # ---- lookup helper constraints ----------------------------------------
+    # Lookups are grouped by table (structural equality of the table
+    # expressions, first-appearance order).  Each lookup proves its own
+    # inverse column h_i = 1/(alpha + f_i); the table's running sum then
+    # accumulates sum_i h_i - m/(alpha + t) with ONE multiplicity column.
     theta, alpha = Challenge(THETA), Challenge(ALPHA)
-    lookups: List[LookupHelpers] = []
+    by_table: Dict[Tuple[Expression, ...], List[LookupArgument]] = {}
     for lk in cs.lookups:
+        by_table.setdefault(lk.table, []).append(lk)
+    lookups: List[LookupHelpers] = []
+    for table, arguments in by_table.items():
         helpers = LookupHelpers(
-            argument=lk, m_col=new_advice(), h_col=new_advice(), s_col=new_advice()
+            arguments=tuple(arguments),
+            h_cols=tuple(new_advice() for _ in arguments),
+            m_col=new_advice(),
+            s_col=new_advice(),
         )
-        lookups.append(helpers)
-        f = _compress(lk.inputs, theta)
-        t = _compress(lk.table, theta)
-        h, m, s = Ref(helpers.h_col), Ref(helpers.m_col), Ref(helpers.s_col)
-        s_next = Ref(helpers.s_col, 1)
-        # bind the shifted input/table once so both occurrences are the
-        # *same* node — the prover's evaluator memoizes by node identity
-        alpha_f = alpha + f
-        alpha_t = alpha + t
-        constraints.append(
-            (
-                "lookup:%s/inverse" % lk.name,
-                h * alpha_f * alpha_t - alpha_t + m * alpha_f,
+        s = Ref(helpers.s_col)
+        step = Ref(helpers.s_col, 1) - s  # minus every h_i, below
+        for lk, h_col in zip(arguments, helpers.h_cols):
+            h = Ref(h_col)
+            f = _compress(lk.inputs, theta)
+            constraints.append(
+                ("lookup:%s/inverse" % lk.name, h * (alpha + f) - 1)
             )
+            step = step - h
+        name = "table:%d" % len(lookups)
+        t = _compress(table, theta)
+        constraints.append(
+            ("%s/sum" % name, step * (alpha + t) + Ref(helpers.m_col))
         )
-        constraints.append(("lookup:%s/sum" % lk.name, s_next - s - h))
-        constraints.append(("lookup:%s/init" % lk.name, l0 * s))
+        constraints.append(("%s/init" % name, l0 * s))
+        lookups.append(helpers)
 
     # ---- permutation helper constraints ------------------------------------
     permutation: Optional[PermutationData] = None
@@ -300,9 +316,10 @@ def keygen(
 
     with tracer.span("keygen:fixed_polys", columns=len(fixed_evals),
                      max_degree=max_degree):
+        polys = domain.lagrange_to_coeff_batch(list(fixed_evals.values()))
         fixed_polys = {
-            col: domain.lagrange_to_coeff(evals)
-            for col, evals in fixed_evals.items()
+            col: domain.backend.to_ints(poly)
+            for col, poly in zip(fixed_evals, polys)
         }
 
     advice_queries = sorted(

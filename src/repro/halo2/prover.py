@@ -3,8 +3,9 @@
 Follows the halo2 recipe (paper §3 and §7.4):
 
 1. commit to the user advice columns;
-2. derive ``theta/beta/gamma/alpha`` and build the lookup (m, h, s) and
-   permutation (h_c, s) helper columns; commit to them;
+2. derive ``theta/beta/gamma/alpha`` and build the lookup (one ``h`` per
+   lookup, one ``m`` and ``s`` per table) and permutation (h_c, s) helper
+   columns; commit to them;
 3. derive ``y``, fold every constraint, and divide by the vanishing
    polynomial on the extended coset to obtain the quotient polynomial,
    committed in ``d_max - 1`` pieces of degree < n;
@@ -26,8 +27,10 @@ numpy searches.  Phase 3 evaluates the quotient per *coset part* —
 materialized at extended width and the vanishing division is one scalar
 per part; column sets past ``QUOTIENT_STREAM_ELEMS`` process one part at
 a time, bounding peak memory to one ``(columns, n)`` matrix.  On other
-fields the columnwise list-backend reference path runs instead, and the
-two produce byte-identical proofs (asserted by the equivalence tests).
+fields the columnwise list-backend reference path runs instead (phase 2
+is one construction over either backend, with per-row reference
+kernels in place of the vectorized ones), and the two produce
+byte-identical proofs (asserted by the equivalence tests).
 
 Independent column work fans out over worker processes (``jobs`` argument
 or ``ZKML_JOBS``) through :func:`~repro.perf.parallel.parallel_row_map`,
@@ -41,6 +44,7 @@ breakdown.
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -157,13 +161,16 @@ def _interpolate_commit_rows(domain, scheme, mat: np.ndarray, jobs):
 # -- vectorized helper-column kernels ----------------------------------------
 
 
-def _lookup_multiplicities(field, name: str, f_arr, t_arr) -> np.ndarray:
-    """Vectorized lookup multiplicity counting (the ``m`` column).
+def _lookup_multiplicities(field, names, f_arrs, t_arr) -> np.ndarray:
+    """Vectorized multiplicity counting: one table's shared ``m`` column.
 
-    Matches the reference loop bit for bit: each input row maps to the
-    *first* table row holding its value (stable argsort keeps the lowest
-    original row first among duplicates), and a value missing from the
-    table raises :class:`ProvingError` for the lowest offending row.
+    ``f_arrs`` holds the compressed inputs of every lookup reading the
+    table (``names`` are theirs).  Matches the reference loop bit for
+    bit: each input row maps to the *first* table row holding its value
+    (stable argsort keeps the lowest original row first among
+    duplicates), and a value missing from the table raises
+    :class:`ProvingError` naming the first such lookup and its lowest
+    offending row.
     """
     n = len(t_arr)
     order = np.argsort(t_arr, kind="stable")
@@ -173,39 +180,60 @@ def _lookup_multiplicities(field, name: str, f_arr, t_arr) -> np.ndarray:
     uniq[1:] = sorted_t[1:] != sorted_t[:-1]
     uniq_vals = sorted_t[uniq]
     first_rows = order[uniq]
-    pos = np.searchsorted(uniq_vals, f_arr)
+    f_all = np.concatenate(f_arrs)
+    pos = np.searchsorted(uniq_vals, f_all)
     ok = pos < uniq_vals.size
-    ok &= uniq_vals[np.minimum(pos, uniq_vals.size - 1)] == f_arr
+    ok &= uniq_vals[np.minimum(pos, uniq_vals.size - 1)] == f_all
     if not ok.all():
-        row = int(np.argmax(~ok))
-        raise ProvingError(
-            "lookup %r: input %d at row %d is not in the table"
-            % (name, field.decode_signed(int(f_arr[row])), row),
-            row=row, lookup=name,
-        )
+        which, row = divmod(int(np.argmax(~ok)), n)
+        raise _not_in_table(field, names[which], int(f_arrs[which][row]), row)
     counts = np.bincount(first_rows[pos], minlength=n)
     return counts.astype(np.uint64)
 
 
-def _prefix_sum_vec(field, h_arr) -> np.ndarray:
+def _lookup_multiplicities_ref(field, names, f_vecs, t_vec) -> List[int]:
+    """The per-row reference for :func:`_lookup_multiplicities`."""
+    first_row_of: Dict[int, int] = {}
+    for row, t in enumerate(t_vec):
+        first_row_of.setdefault(t, row)
+    m_vals = [0] * len(t_vec)
+    for name, f_vec in zip(names, f_vecs):
+        for row, f in enumerate(f_vec):
+            target = first_row_of.get(f)
+            if target is None:
+                raise _not_in_table(field, name, f, row)
+            m_vals[target] += 1
+    return m_vals
+
+
+def _not_in_table(field, name: str, value: int, row: int) -> ProvingError:
+    return ProvingError(
+        "lookup %r: input %d at row %d is not in the table"
+        % (name, field.decode_signed(value), row),
+        row=row, lookup=name,
+    )
+
+
+def _prefix_sum_vec(h_arr) -> np.ndarray:
     """The running-sum column: ``s[0] = 0``, ``s[j+1] = s[j] + h[j]``.
 
-    Mod-p prefix sums are inherently sequential, but they only *change* at
-    nonzero ``h`` rows: the values at those change points accumulate in
-    Python ints and ``np.repeat`` expands them back to row granularity.
+    The 32-bit limbs of up to ``2^31`` residues sum without wrapping a
+    64-bit word (each limb sum stays below ``2^63 < p``), so the mod-p
+    prefix sum is two ``np.cumsum`` passes recombined in the field.
     """
-    n = len(h_arr)
-    nz = np.flatnonzero(h_arr[: n - 1])
-    if nz.size == 0:
-        return np.zeros(n, dtype=np.uint64)
-    p = field.p
-    levels = [0]
-    acc = 0
-    for i in nz.tolist():
-        acc = (acc + int(h_arr[i])) % p
-        levels.append(acc)
-    reps = np.diff(np.concatenate(([0], nz + 1, [n])))
-    return np.repeat(np.array(levels, dtype=np.uint64), reps)
+    lo = np.cumsum(h_arr[:-1] & np.uint64(0xFFFFFFFF), dtype=np.uint64)
+    hi = np.cumsum(h_arr[:-1] >> np.uint64(32), dtype=np.uint64)
+    out = np.zeros(len(h_arr), dtype=np.uint64)
+    out[1:] = gl64.add(gl64.mul(hi, 1 << 32), lo)
+    return out
+
+
+def _prefix_sum_ref(field, values) -> List[int]:
+    """The per-row reference for :func:`_prefix_sum_vec`."""
+    out = [0] * len(values)
+    for row in range(len(values) - 1):
+        out[row + 1] = field.add(out[row], values[row])
+    return out
 
 
 def _batched_inverses(denoms: List[np.ndarray]) -> List[np.ndarray]:
@@ -441,122 +469,68 @@ def create_proof(
                 acc = backend.fold(acc, theta, part)
             return acc
 
-        helper_evals: Dict[int, object] = {}
-
+        # One construction for both backends; only the row-sequential
+        # kernels differ.  On Goldilocks every lookup and permutation
+        # denominator of the proof is inverted in ONE flat batch_inv call
+        # and multiplicities / running sums are vectorized; elsewhere the
+        # per-row reference kernels run.
         if use_np:
-            # every lookup and permutation denominator of the proof is
-            # inverted in ONE flat batch_inv call; multiplicities and
-            # running sums run through the vectorized kernels above
-            theta = challenges[THETA]
-            alpha = challenges[ALPHA]
-            beta, gamma = challenges[BETA], challenges[GAMMA]
-            denoms: List[np.ndarray] = []
-            lookup_parts = []
-            for helpers in vk.lookups:
-                STATS.lookup_passes += 1
-                lk = helpers.argument
-                f_vec = compress_columns(lk.inputs, theta)
-                t_vec = compress_columns(lk.table, theta)
-                m_vec = _lookup_multiplicities(field, lk.name, f_vec, t_vec)
-                lookup_parts.append((helpers, m_vec))
-                denoms.append(backend.add_scalar(f_vec, alpha))
-                denoms.append(backend.add_scalar(t_vec, alpha))
-            perm_helper_cols = []
-            if vk.permutation is not None:
-                perm = vk.permutation
-                for col, id_col, sigma_col, h_col in zip(
-                    perm.columns, perm.id_cols, perm.sigma_cols, perm.helper_cols
-                ):
-                    v_vec = read_lagrange(col)
-                    ids = backend.from_ints(pk.fixed_evals[id_col])
-                    sigmas = backend.from_ints(pk.fixed_evals[sigma_col])
-                    denoms.append(backend.add_scalar(
-                        backend.add(v_vec, backend.mul_scalar(ids, beta)), gamma
-                    ))
-                    denoms.append(backend.add_scalar(
-                        backend.add(v_vec, backend.mul_scalar(sigmas, beta)), gamma
-                    ))
-                    perm_helper_cols.append(h_col)
-            invs = _batched_inverses(denoms)
-            pos = 0
-            for helpers, m_vec in lookup_parts:
-                inv_f, inv_t = invs[pos], invs[pos + 1]
-                pos += 2
-                h_vec = backend.sub(inv_f, backend.mul(m_vec, inv_t))
-                helper_evals[helpers.m_col.index] = m_vec
-                helper_evals[helpers.h_col.index] = h_vec
-                helper_evals[helpers.s_col.index] = _prefix_sum_vec(field, h_vec)
-            if vk.permutation is not None:
-                total_h = backend.zeros(n)
-                for h_col in perm_helper_cols:
-                    h_vec = backend.sub(invs[pos], invs[pos + 1])
-                    pos += 2
-                    helper_evals[h_col.index] = h_vec
-                    total_h = backend.add(total_h, h_vec)
-                helper_evals[vk.permutation.sum_col.index] = _prefix_sum_vec(
-                    field, total_h
-                )
+            multiplicities, prefix_sum = _lookup_multiplicities, _prefix_sum_vec
+            inverses = _batched_inverses
         else:
-            for helpers in vk.lookups:
-                STATS.lookup_passes += 1
-                lk = helpers.argument
-                theta = challenges[THETA]
-                f_vec = compress_columns(lk.inputs, theta)
-                t_vec = compress_columns(lk.table, theta)
-                f_vals = backend.to_ints(f_vec)
-                t_vals = backend.to_ints(t_vec)
-                first_row_of = {}
-                for row, t in enumerate(t_vals):
-                    first_row_of.setdefault(t, row)
-                m_vals = [0] * n
-                for row, f in enumerate(f_vals):
-                    target = first_row_of.get(f)
-                    if target is None:
-                        raise ProvingError(
-                            "lookup %r: input %d at row %d is not in the table"
-                            % (lk.name, field.decode_signed(f), row),
-                            row=row, lookup=lk.name,
-                        )
-                    m_vals[target] += 1
-                alpha = challenges[ALPHA]
-                inv_f = backend.batch_inv(backend.add_scalar(f_vec, alpha))
-                inv_t = backend.batch_inv(backend.add_scalar(t_vec, alpha))
-                m_vec = backend.from_ints(m_vals)
-                h_vec = backend.sub(inv_f, backend.mul(m_vec, inv_t))
-                h_vals = backend.to_ints(h_vec)
-                s_vals = [0] * n
-                for row in range(n - 1):
-                    s_vals[row + 1] = field.add(s_vals[row], h_vals[row])
-                helper_evals[helpers.m_col.index] = m_vec
-                helper_evals[helpers.h_col.index] = h_vec
-                helper_evals[helpers.s_col.index] = backend.from_ints(s_vals)
+            multiplicities = _lookup_multiplicities_ref
+            prefix_sum = partial(_prefix_sum_ref, field)
 
-            if vk.permutation is not None:
-                perm = vk.permutation
-                beta, gamma = challenges[BETA], challenges[GAMMA]
-                total_h = backend.zeros(n)
-                for col, id_col, sigma_col, h_col in zip(
-                    perm.columns, perm.id_cols, perm.sigma_cols, perm.helper_cols
-                ):
-                    v_vec = read_lagrange(col)
-                    ids = backend.from_ints(pk.fixed_evals[id_col])
-                    sigmas = backend.from_ints(pk.fixed_evals[sigma_col])
-                    d_id = backend.add_scalar(
-                        backend.add(v_vec, backend.mul_scalar(ids, beta)), gamma
-                    )
-                    d_sigma = backend.add_scalar(
-                        backend.add(v_vec, backend.mul_scalar(sigmas, beta)), gamma
-                    )
-                    h_vec = backend.sub(
-                        backend.batch_inv(d_id), backend.batch_inv(d_sigma)
-                    )
-                    helper_evals[h_col.index] = h_vec
-                    total_h = backend.add(total_h, h_vec)
-                total_vals = backend.to_ints(total_h)
-                s_vals = [0] * n
-                for row in range(n - 1):
-                    s_vals[row + 1] = field.add(s_vals[row], total_vals[row])
-                helper_evals[perm.sum_col.index] = backend.from_ints(s_vals)
+            def inverses(vectors):
+                return [backend.batch_inv(vec) for vec in vectors]
+
+        theta, alpha = challenges[THETA], challenges[ALPHA]
+        beta, gamma = challenges[BETA], challenges[GAMMA]
+        perm = vk.permutation
+        denoms: List[object] = []
+        m_vecs = []
+        for helpers in vk.lookups:
+            STATS.lookup_passes += len(helpers.arguments)
+            f_vecs = [
+                compress_columns(lk.inputs, theta) for lk in helpers.arguments
+            ]
+            t_vec = compress_columns(helpers.table, theta)
+            m_vecs.append(backend.from_ints(multiplicities(
+                field, [lk.name for lk in helpers.arguments], f_vecs, t_vec
+            )))
+            denoms.extend(backend.add_scalar(f_vec, alpha) for f_vec in f_vecs)
+            denoms.append(backend.add_scalar(t_vec, alpha))
+        if perm is not None:
+            for col, id_col, sigma_col in zip(
+                perm.columns, perm.id_cols, perm.sigma_cols
+            ):
+                v_vec = read_lagrange(col)
+                for tag_col in (id_col, sigma_col):
+                    tags = backend.from_ints(pk.fixed_evals[tag_col])
+                    denoms.append(backend.add_scalar(
+                        backend.add(v_vec, backend.mul_scalar(tags, beta)), gamma
+                    ))
+        invs = iter(inverses(denoms))
+
+        helper_evals: Dict[int, object] = {}
+        for helpers, m_vec in zip(vk.lookups, m_vecs):
+            # h_i = 1/(alpha + f_i);  s accumulates sum_i h_i - m/(alpha + t)
+            total = backend.zeros(n)
+            for h_col in helpers.h_cols:
+                h_vec = next(invs)
+                helper_evals[h_col.index] = h_vec
+                total = backend.add(total, h_vec)
+            total = backend.sub(total, backend.mul(m_vec, next(invs)))
+            helper_evals[helpers.m_col.index] = m_vec
+            helper_evals[helpers.s_col.index] = prefix_sum(total)
+        if perm is not None:
+            total = backend.zeros(n)
+            for h_col in perm.helper_cols:
+                inv_id, inv_sigma = next(invs), next(invs)
+                h_vec = backend.sub(inv_id, inv_sigma)
+                helper_evals[h_col.index] = h_vec
+                total = backend.add(total, h_vec)
+            helper_evals[perm.sum_col.index] = prefix_sum(total)
 
         helper_order = sorted(helper_evals)
         if use_np and helper_order:

@@ -123,8 +123,10 @@ def _entry_checksum(pk: ProvingKey, vk: VerifyingKey) -> str:
 
 # -- disk layer ---------------------------------------------------------------
 
-#: Magic prefix of every on-disk pk-cache artifact.
-DISK_MAGIC = b"zkml-pk-cache/v1\n"
+#: Magic prefix of every on-disk pk-cache artifact.  The version covers
+#: what keygen *produces* (constraint list, helper-column layout), which
+#: :func:`circuit_digest` does not: v2 = per-table lookup helpers.
+DISK_MAGIC = b"zkml-pk-cache/v2\n"
 
 _DISK_CHECKSUM_BYTES = 16
 

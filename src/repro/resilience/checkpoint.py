@@ -45,8 +45,9 @@ from repro.resilience.errors import CacheCorruptionError, CheckpointError
 __all__ = ["CheckpointStore", "batch_proving_config_digest",
            "proving_config_digest"]
 
-#: Manifest schema tag.
-SCHEMA = "zkml-checkpoint/v1"
+#: Manifest schema tag.  Stage files pickle keys and proofs, so the tag
+#: moves with their layout: v2 = per-table lookup helpers.
+SCHEMA = "zkml-checkpoint/v2"
 
 #: Pipeline stages, in order.
 STAGES = ("synthesize", "keygen", "prove")

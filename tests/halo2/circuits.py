@@ -81,3 +81,10 @@ def relu_lookup_circuit(k=5, pairs=((3, 3), (0, 0), (-4, 0))):
         asg.assign_advice(y_col, row, y)
     # remaining rows: (0, 0) is in the table
     return cs, asg
+
+
+def opened_column_evals(vk, proof, col):
+    """A helper column's base-domain values, recovered from the witness
+    polynomial its rotation-0 opening carries."""
+    return vk.domain.coeff_to_lagrange(
+        list(proof.advice_openings[(col.index, 0)].witness))

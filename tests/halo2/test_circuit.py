@@ -6,6 +6,7 @@ from repro.commit import scheme_by_name
 from repro.field import GOLDILOCKS
 from repro.halo2 import Assignment, ConstraintSystem, Gate, Ref, keygen
 from repro.halo2.column import Column, ColumnType
+from repro.obs.stats import STATS
 
 from tests.halo2.circuits import mul_circuit, range_check_circuit
 
@@ -54,9 +55,10 @@ class TestMaxDegree:
         a = cs.advice_column()
         t = cs.fixed_column()
         s = cs.selector()
-        # selector-gated input has degree 2 -> helper constraint degree 5
-        cs.add_lookup("rc", inputs=[Ref(s) * Ref(a)], table=[Ref(t)])
-        assert cs.max_degree() == 1 + 2 + 1
+        # selector-gated input has degree 2 -> h * (alpha + f) - 1 has
+        # degree 1 + input_degree; the table only meets s and m (degree 2)
+        lk = cs.add_lookup("rc", inputs=[Ref(s) * Ref(a)], table=[Ref(t)])
+        assert cs.max_degree() == 1 + lk.input_degree() == 3
 
     def test_permutation_sets_floor_three(self):
         cs = ConstraintSystem(F)
@@ -100,7 +102,7 @@ class TestKeygen:
         scheme = scheme_by_name("kzg", F)
         cs, asg = range_check_circuit()
         pk, vk = keygen(cs, asg, scheme)
-        # one lookup -> 3 helper advice columns, no permutation
+        # one lookup into one table -> h + (m, s), no permutation
         assert vk.num_helper_advice == 3
         assert vk.permutation is None
         assert len(vk.lookups) == 1
@@ -113,6 +115,18 @@ class TestKeygen:
         assert vk.permutation is not None
         assert len(vk.permutation.helper_cols) == 2
         assert vk.num_helper_advice == 3
+
+    def test_fixed_columns_cost_one_base_ntt_each(self):
+        # keygen interpolates every fixed/selector/tag column through one
+        # batched call; the op count stays one base NTT per column
+        scheme = scheme_by_name("kzg", F)
+        cs, asg = mul_circuit()
+        before = STATS.snapshot()
+        pk, vk = keygen(cs, asg, scheme)
+        assert STATS.delta(before)["ntt_base"] == len(pk.fixed_evals)
+        assert set(vk.fixed_polys) == set(pk.fixed_evals)
+        for col, evals in pk.fixed_evals.items():
+            assert vk.domain.coeff_to_lagrange(vk.fixed_polys[col]) == evals
 
     def test_vk_digest_stable_and_binding(self):
         scheme = scheme_by_name("kzg", F)

@@ -1,0 +1,297 @@
+"""Soundness and structure of the shared-table LogUp argument.
+
+Lookups are grouped by table: every lookup argument gets one inverse
+column ``h_i`` (``h_i * (alpha + f_i) = 1``) and every distinct table one
+multiplicity column ``m`` and one running sum ``s`` with
+``(s' - s - sum_i h_i) * (alpha + t) + m = 0`` — ``L + 2T`` helper
+columns and, with selector-gated inputs, constraint degree 3.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.commit import scheme_by_name
+from repro.commit.scheme import Commitment
+from repro.compiler import synthesize_model
+from repro.field import GOLDILOCKS
+from repro.halo2 import (
+    Assignment,
+    ConstraintSystem,
+    MockProver,
+    Ref,
+    create_proof,
+    keygen,
+    verify_proof,
+)
+from repro.halo2 import prover
+from repro.halo2.verifier import validate_proof_shape, verify_proof_strict
+from repro.model import get_model
+from repro.obs.stats import STATS
+from repro.resilience.errors import (
+    ProofFormatError,
+    ProvingError,
+    VerificationFailure,
+)
+
+from tests.halo2.circuits import opened_column_evals, range_check_circuit
+
+F = GOLDILOCKS
+
+
+@pytest.fixture
+def scheme():
+    return scheme_by_name("kzg", F)
+
+
+def two_table_circuit(k=4, a1=(3, 3, 7), a2=(3, 5), b1=(20, 30)):
+    """Lookups ``a1``, ``b1``, ``a2`` (in that order) into tables A and B.
+
+    Table A holds 0..7, table B holds 0 and 20..34, so 20 is in B only.
+    Unassigned rows read 0, which both tables contain.
+    """
+    cs = ConstraintSystem(F)
+    x1, x2, y1 = cs.advice_column(), cs.advice_column(), cs.advice_column()
+    table_a, table_b = cs.fixed_column(), cs.fixed_column()
+    cs.add_lookup("a1", inputs=[Ref(x1)], table=[Ref(table_a)])
+    cs.add_lookup("b1", inputs=[Ref(y1)], table=[Ref(table_b)])
+    cs.add_lookup("a2", inputs=[Ref(x2)], table=[Ref(table_a)])
+    asg = Assignment(cs, k)
+    for row in range(asg.n):
+        asg.assign_fixed(table_a, row, row if row < 8 else 0)
+        asg.assign_fixed(table_b, row, 19 + row if row else 0)
+    for col, values in ((x1, a1), (x2, a2), (y1, b1)):
+        for row, v in enumerate(values):
+            asg.assign_advice(col, row, v)
+    return cs, asg
+
+
+class TestSharedMultiplicity:
+    def test_m_sums_the_lookups_of_one_table(self, scheme):
+        cs, asg = two_table_circuit()
+        pk, vk = keygen(cs, asg, scheme)
+        proof = create_proof(pk, asg, scheme)
+        assert verify_proof(vk, proof, asg.instance_values(), scheme)
+        table_a, table_b = vk.lookups
+        assert [lk.name for lk in table_a.arguments] == ["a1", "a2"]
+        assert [lk.name for lk in table_b.arguments] == ["b1"]
+        m = opened_column_evals(vk, proof, table_a.m_col)
+        # a1 hits 3 twice and 7 once, a2 hits 3 and 5 once each; the rest
+        # of both columns reads 0
+        assert m[3] == 2 + 1
+        assert m[7] == 1
+        assert m[5] == 1
+        assert m[0] == (asg.n - 3) + (asg.n - 2)
+        assert sum(m) == 2 * asg.n
+        assert sum(opened_column_evals(vk, proof, table_b.m_col)) == asg.n
+
+
+def _lenient_multiplicities(field, names, f_arrs, t_arr):
+    """``_lookup_multiplicities`` minus the membership check: a value the
+    table does not hold is silently left out of ``m``."""
+    first_row_of = {}
+    for row, t in enumerate(t_arr.tolist()):
+        first_row_of.setdefault(t, row)
+    m = np.zeros(len(t_arr), dtype=np.uint64)
+    for f_arr in f_arrs:
+        for f in f_arr.tolist():
+            if f in first_row_of:
+                m[first_row_of[f]] += np.uint64(1)
+    return m
+
+
+class TestWrongTable:
+    """20 is in table B but not in A; ``a2`` looks it up against A."""
+
+    def circuit(self):
+        return two_table_circuit(a2=(3, 5, 20, 20))
+
+    def test_mock_prover_rejects(self):
+        cs, asg = self.circuit()
+        failures = MockProver(cs, asg).verify()
+        assert {(f.kind, f.name, f.row) for f in failures} == {
+            ("lookup", "a2", 2), ("lookup", "a2", 3)}
+
+    def test_prover_names_lookup_and_lowest_row(self, scheme):
+        cs, asg = self.circuit()
+        pk, vk = keygen(cs, asg, scheme)
+        with pytest.raises(ProvingError, match="'a2'.*20 at row 2") as info:
+            create_proof(pk, asg, scheme)
+        assert info.value.context["lookup"] == "a2"
+        assert info.value.context["row"] == 2
+
+    def test_verifier_rejects_when_the_prover_does_not_check(
+            self, scheme, monkeypatch):
+        cs, asg = self.circuit()
+        pk, vk = keygen(cs, asg, scheme)
+        monkeypatch.setattr(prover, "_lookup_multiplicities",
+                            _lenient_multiplicities)
+        proof = create_proof(pk, asg, scheme)
+        validate_proof_shape(vk, proof, asg.instance_values())
+        with pytest.raises(VerificationFailure):
+            verify_proof_strict(vk, proof, asg.instance_values(), scheme)
+
+
+def prove_with_perturbed_helper(monkeypatch, pk, asg, scheme, col, row):
+    """An honest proof, except ``col`` is off by one at ``row`` when the
+    helper columns are committed (the second interpolate-and-commit)."""
+    real = prover._interpolate_commit_rows
+    target = col.index - pk.vk.cs.num_advice
+    calls = []
+
+    def perturbing(domain, sch, mat, jobs):
+        calls.append(mat.shape)
+        if len(calls) == 2:
+            mat = mat.copy()
+            mat[target, row] = (int(mat[target, row]) + 1) % F.p
+        return real(domain, sch, mat, jobs)
+
+    monkeypatch.setattr(prover, "_interpolate_commit_rows", perturbing)
+    proof = create_proof(pk, asg, scheme)
+    assert calls[1][0] == pk.vk.num_helper_advice
+    return proof
+
+
+class TestPerturbedHelpers:
+    @pytest.mark.parametrize("which", ["h", "m", "s"])
+    def test_one_wrong_cell_is_rejected(self, scheme, monkeypatch, which):
+        cs, asg = two_table_circuit()
+        pk, vk = keygen(cs, asg, scheme)
+        helpers = vk.lookups[0]
+        col = {"h": helpers.h_cols[1], "m": helpers.m_col,
+               "s": helpers.s_col}[which]
+        proof = prove_with_perturbed_helper(monkeypatch, pk, asg, scheme,
+                                            col, row=5)
+        with pytest.raises(VerificationFailure):
+            verify_proof_strict(vk, proof, asg.instance_values(), scheme)
+
+    def test_unperturbed_control_verifies(self, scheme):
+        cs, asg = two_table_circuit()
+        pk, vk = keygen(cs, asg, scheme)
+        proof = create_proof(pk, asg, scheme)
+        verify_proof_strict(vk, proof, asg.instance_values(), scheme)
+
+
+class TestLayout:
+    def test_helper_order_follows_lookup_order(self, scheme):
+        shapes = []
+        for _ in range(2):
+            cs, asg = two_table_circuit()
+            _, vk = keygen(cs, asg, scheme)
+            shapes.append(([name for name, _ in vk.constraints],
+                           vk.advice_queries, vk.num_helper_advice))
+        assert shapes[0] == shapes[1]
+        names, queries, helpers = shapes[0]
+        # tables in first-appearance order, each: inverses, then sum, init
+        assert names == [
+            "lookup:a1/inverse", "lookup:a2/inverse",
+            "table:0/sum", "table:0/init",
+            "lookup:b1/inverse", "table:1/sum", "table:1/init",
+        ]
+        assert helpers == 3 + 2 * 2  # L + 2T
+        first = cs.num_advice
+        table_a, table_b = vk.lookups
+        assert [c.index for c in (*table_a.h_cols, table_a.m_col,
+                                  table_a.s_col, *table_b.h_cols,
+                                  table_b.m_col, table_b.s_col)] == list(
+            range(first, first + helpers))
+        # only the running sums are read at the next row
+        assert [q for q in queries if q[1]] == [
+            (table_a.s_col, 1), (table_b.s_col, 1)]
+
+    def test_old_3l_helper_count_rejected_before_hashing(self, scheme):
+        cs, asg = two_table_circuit()
+        pk, vk = keygen(cs, asg, scheme)
+        proof = create_proof(pk, asg, scheme)
+        old_count = 3 * len(cs.lookups)
+        assert old_count > vk.num_helper_advice
+        proof.helper_commitments += [Commitment(bytes(32))] * (
+            old_count - vk.num_helper_advice)
+        before = STATS.snapshot()
+        with pytest.raises(ProofFormatError, match="helper commitment"):
+            validate_proof_shape(vk, proof, asg.instance_values())
+        assert not any(STATS.delta(before).values())
+
+    @pytest.mark.parametrize("model,helpers", [
+        ("dlrm", 33), ("mnist", 45), ("twitter", 50),
+        ("gpt2", 62), ("mobilenet", 33), ("resnet18", 33),
+    ])
+    def test_zoo_models_are_degree_three(self, scheme, model, helpers):
+        # was 53 / 83 / 92 / 122 / 53 / 53 helper columns at degree 4
+        spec = get_model(model, "mini")
+        rng = np.random.default_rng(0)
+        inputs = {k: rng.uniform(-0.5, 0.5, shape)
+                  for k, shape in spec.inputs.items()}
+        synth = synthesize_model(spec, inputs, num_cols=10, scale_bits=5)
+        for name in spec.outputs:
+            synth.builder.expose(synth.outputs[name].entries())
+        cs = synth.builder.cs
+        _, vk = keygen(cs, synth.builder.asg, scheme)
+        assert vk.max_degree == cs.max_degree() == 3
+        assert vk.domain.extension == 2
+        assert vk.num_quotient_pieces == 2
+        assert vk.num_helper_advice == helpers
+        tables = len({lk.table for lk in cs.lookups})
+        assert len(vk.lookups) == tables
+        assert helpers == (len(cs.lookups) + 2 * tables
+                           + len(vk.permutation.helper_cols) + 1)
+
+
+class TestDegrees:
+    def test_ungated_lookup_is_degree_two(self, scheme):
+        cs, asg = range_check_circuit()
+        pk, vk = keygen(cs, asg, scheme)
+        assert vk.max_degree == cs.max_degree() == 2
+        assert vk.num_quotient_pieces == 1
+        proof = create_proof(pk, asg, scheme)
+        verify_proof_strict(vk, proof, asg.instance_values(), scheme)
+
+    def test_degree_four_user_gate_still_sets_the_bound(self, scheme):
+        cs, asg, b = cube_gate_circuit()
+        MockProver(cs, asg).assert_satisfied()
+        pk, vk = keygen(cs, asg, scheme)
+        assert vk.max_degree == cs.max_degree() == 4
+        assert vk.domain.extension == 4
+        assert vk.num_quotient_pieces == 3
+        proof = create_proof(pk, asg, scheme)
+        verify_proof_strict(vk, proof, asg.instance_values(), scheme)
+        asg.assign_advice(b, 1, 10)
+        bad = create_proof(pk, asg, scheme)
+        with pytest.raises(VerificationFailure):
+            verify_proof_strict(vk, bad, asg.instance_values(), scheme)
+
+    def test_vk_hash_does_not_cover_the_helper_layout(self, scheme):
+        # KNOWN LIMITATION (docs/verification.md, "Keys outlive prover
+        # changes"): the vk digest preimage is k, max_degree, the scheme
+        # and the fixed polynomials, not the constraint list.  On a
+        # circuit whose own gates reach degree 4 the per-lookup build
+        # had the same max_degree, so its key and this build's answer to
+        # one vk_hash in a registry.  `old` stands in for that key: same
+        # preimage, the 3L helper layout.
+        cs, asg, _ = cube_gate_circuit()
+        pk, vk = keygen(cs, asg, scheme)
+        old = dataclasses.replace(
+            vk, constraints=vk.constraints[:-1], _digest=b"",
+            num_helper_advice=vk.num_helper_advice + 2 * len(cs.lookups)
+            - 2 * len(vk.lookups))
+        assert old.digest() == vk.digest()
+        # what the collision costs: a typed rejection, never acceptance
+        proof = create_proof(pk, asg, scheme)
+        with pytest.raises(ProofFormatError, match="helper commitment"):
+            verify_proof_strict(old, proof, asg.instance_values(), scheme)
+
+
+def cube_gate_circuit():
+    """``two_table_circuit`` plus a degree-4 user gate ``s * (a^3 - b*c)``."""
+    cs, asg = two_table_circuit()
+    a, b, c = cs.advice_column(), cs.advice_column(), cs.advice_column()
+    sel = cs.selector()
+    cs.create_gate("cube", [Ref(a) * Ref(a) * Ref(a) - Ref(b) * Ref(c)],
+                   selector=sel)
+    for row, v in enumerate((2, 3, 5)):
+        asg.assign_advice(a, row, v)
+        asg.assign_advice(b, row, v * v)
+        asg.assign_advice(c, row, v)
+        asg.enable_selector(sel, row)
+    return cs, asg, b

@@ -5,15 +5,23 @@ multiplicity identity, the running sums closing to zero over the full
 domain, and the quotient polynomial having the expected degree bound.
 """
 
+import numpy as np
 import pytest
 
 from repro.commit import scheme_by_name
+from repro.commit.transcript import Transcript
 from repro.field import GOLDILOCKS
 from repro.field.poly import poly_eval, poly_trim
 from repro.halo2 import create_proof, keygen
 from repro.halo2.keygen import ALPHA, BETA, GAMMA, THETA
+from repro.halo2.prover import _prefix_sum_ref, _prefix_sum_vec
 
-from tests.halo2.circuits import mul_circuit, range_check_circuit, relu_lookup_circuit
+from tests.halo2.circuits import (
+    mul_circuit,
+    opened_column_evals,
+    range_check_circuit,
+    relu_lookup_circuit,
+)
 
 F = GOLDILOCKS
 
@@ -26,17 +34,42 @@ def proof_for(builder_fn, **kw):
     return cs, asg, pk, vk, proof
 
 
+def replay_challenges(vk, asg, proof):
+    """theta/beta/gamma/alpha as the prover's transcript derived them."""
+    transcript = Transcript(F)
+    transcript.append_message(b"vk", vk.digest())
+    for col_values in asg.instance_values():
+        transcript.append_scalar_vector(b"instance", col_values)
+    for com in proof.advice_commitments:
+        transcript.append_commitment(b"advice", com.digest)
+    return {label: transcript.challenge_scalar(label.encode())
+            for label in (THETA, BETA, GAMMA, ALPHA)}
+
+
+def table_increments(vk, asg, proof, helpers):
+    """Per row, ``sum_i h_i - m / (alpha + t)`` for one table's helpers."""
+    ch = replay_challenges(vk, asg, proof)
+    hs = [opened_column_evals(vk, proof, col) for col in helpers.h_cols]
+    m = opened_column_evals(vk, proof, helpers.m_col)
+    out = []
+    for row in range(asg.n):
+        t = 0
+        for e in reversed(helpers.table):
+            value = e.evaluate(F, lambda col, rot: asg.value(col, row + rot))
+            t = F.add(F.mul(t, ch[THETA]), value)
+        inc = F.neg(F.mul(m[row], F.inv(F.add(ch[ALPHA], t))))
+        for h in hs:
+            inc = F.add(inc, h[row])
+        out.append(inc)
+    return out
+
+
 class TestLookupHelpers:
     def test_multiplicities_count_inputs(self):
         cs, asg, pk, vk, proof = proof_for(
             range_check_circuit, values=(3, 3, 3, 7)
         )
-        helpers = vk.lookups[0]
-        m_index = helpers.m_col.index - cs.num_advice
-        # helper columns are committed in sorted column order; recover the
-        # m column's witness from its opening
-        m_opening = proof.advice_openings[(helpers.m_col.index, 0)]
-        m_evals = vk.domain.coeff_to_lagrange(list(m_opening.witness))
+        m_evals = opened_column_evals(vk, proof, vk.lookups[0].m_col)
         # table row 3 holds value 3 (hit 3 times); row 7 holds 7 (hit once);
         # row 0 holds 0 (hit by all unassigned rows)
         assert m_evals[3] == 3
@@ -45,26 +78,42 @@ class TestLookupHelpers:
 
     def test_lookup_sum_telescopes_to_zero(self):
         cs, asg, pk, vk, proof = proof_for(relu_lookup_circuit)
-        helpers = vk.lookups[0]
-        h_opening = proof.advice_openings[(helpers.h_col.index, 0)]
-        h_evals = vk.domain.coeff_to_lagrange(list(h_opening.witness))
         total = 0
-        for v in h_evals:
-            total = F.add(total, v)
+        for inc in table_increments(vk, asg, proof, vk.lookups[0]):
+            total = F.add(total, inc)
         assert total == 0
 
     def test_s_column_is_prefix_sum(self):
         cs, asg, pk, vk, proof = proof_for(range_check_circuit)
         helpers = vk.lookups[0]
-        h = vk.domain.coeff_to_lagrange(
-            list(proof.advice_openings[(helpers.h_col.index, 0)].witness))
-        s = vk.domain.coeff_to_lagrange(
-            list(proof.advice_openings[(helpers.s_col.index, 0)].witness))
+        incs = table_increments(vk, asg, proof, helpers)
+        s = opened_column_evals(vk, proof, helpers.s_col)
         assert s[0] == 0
         acc = 0
         for row in range(asg.n - 1):
-            acc = F.add(acc, h[row])
+            acc = F.add(acc, incs[row])
             assert s[row + 1] == acc
+
+
+class TestPrefixSumKernel:
+    """The cumsum-over-limbs running sum against the per-row scalar loop."""
+
+    CASES = {
+        "random": lambda n, rng: rng.integers(0, F.p, size=n, dtype=np.uint64),
+        "all_zero": lambda n, rng: np.zeros(n, dtype=np.uint64),
+        "single_nonzero": lambda n, rng: np.where(
+            np.arange(n) == n // 3, np.uint64(F.p - 2), np.uint64(0)),
+        "all_p_minus_1": lambda n, rng: np.full(n, F.p - 1, dtype=np.uint64),
+    }
+
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_scalar_loop(self, case, k):
+        for seed in range(3):
+            h = self.CASES[case](1 << k, np.random.default_rng([k, seed]))
+            got = _prefix_sum_vec(h)
+            assert got.dtype == np.uint64 and got[0] == 0
+            assert got.tolist() == _prefix_sum_ref(F, h.tolist())
 
 
 class TestPermutationHelpers:

@@ -55,7 +55,7 @@ def _column_values(pk, asg):
 def _fill_missing(values, exprs, n):
     """Deterministic pseudo-random data for columns without assignments.
 
-    Helper columns (lookup m/h/s, permutation products) are only computed
+    Helper columns (lookup h/m/s, permutation products) are only computed
     inside the prover; the evaluator equivalences hold for *any* column
     contents, so arbitrary residues are fine here.
     """
@@ -82,8 +82,9 @@ def _helper_expressions(vk):
     """Every expression the prover evaluates columnwise in phase 2."""
     exprs = []
     for helpers in vk.lookups:
-        exprs.extend(helpers.argument.inputs)
-        exprs.extend(helpers.argument.table)
+        for lk in helpers.arguments:
+            exprs.extend(lk.inputs)
+        exprs.extend(helpers.table)
     return exprs
 
 

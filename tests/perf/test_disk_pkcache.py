@@ -147,6 +147,42 @@ class TestCorruptionEviction:
         # and the store repaired the artifact for the next reader
         assert disk.load(digest) is not None
 
+    def test_v1_artifact_is_evicted_and_rebuilt_never_served(
+            self, tmp_path, circuit, scheme, monkeypatch):
+        # circuit_digest hashes what keygen consumes, so a directory
+        # written before the per-table lookup layout answers the same
+        # digest with the old constraint list: the format version in the
+        # magic is what keeps such keys away from the new prover
+        from repro.perf import pkcache
+
+        events.reset()
+        cs, asg = circuit
+        digest, pk, vk = _keys(circuit, scheme, tmp_path)
+        disk = DiskPKCache(str(tmp_path / "disk"))
+        disk.store(digest, pk, vk)
+        with open(disk.path(digest), "rb") as fh:
+            blob = fh.read()
+        v1_magic = b"zkml-pk-cache/v1\n"
+        assert len(v1_magic) == len(DISK_MAGIC) and v1_magic != DISK_MAGIC
+        with open(disk.path(digest), "wb") as fh:
+            fh.write(v1_magic + blob[len(DISK_MAGIC):])  # intact but v1
+
+        keygens = []
+        real_keygen = pkcache.keygen
+
+        def counting_keygen(*args):
+            keygens.append(1)
+            return real_keygen(*args)
+
+        monkeypatch.setattr(pkcache, "keygen", counting_keygen)
+        fresh = ProvingKeyCache(disk=disk)  # cold memory tier
+        _pk, _vk, skipped = fresh.get_or_create(cs, asg, scheme)
+        assert not skipped and len(keygens) == 1
+        assert disk.evictions == 1 and disk.load_hits == 0
+        assert any("pk_disk_evict" in k for k in events.counts())
+        with open(disk.path(digest), "rb") as fh:
+            assert fh.read(len(DISK_MAGIC)) == DISK_MAGIC  # repaired as v2
+
 
 class TestAtomicity:
     def test_reader_never_observes_partial_write(self, tmp_path, circuit,

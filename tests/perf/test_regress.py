@@ -200,3 +200,24 @@ class TestCompareFiles:
         assert "REGRESSED" in fail.stdout
         doc = json.loads(open(out).read())
         assert doc["ok"] is False
+
+
+class TestCommittedServeBaseline:
+    def test_gates_nothing_that_depends_on_the_host_or_the_schedule(self):
+        # every non-timing numeric leaf of a baseline is gated exactly
+        # (an increase or a vanished key fails), so the committed serve
+        # baseline must not carry the runner's cpu_count, the cluster
+        # speedup it allows, or which worker happened to be idle first
+        base = json.load(open("benchmarks/baselines/BENCH_serve.baseline.json"))
+        gated = flatten_metrics(base)
+        assert not [m for m in gated if "cpu_count" in m or "per_worker" in m
+                    or m.endswith("speedup_vs_one_worker")]
+        # the same report from a 4-core runner whose scheduler handed
+        # worker 0 every batch still passes
+        cur = json.load(open("BENCH_serve.json"))
+        cur["config"]["cpu_count"] = cur["cluster"]["cpu_count"] = 4
+        two_workers = cur["cluster"]["runs"][1]
+        two_workers["speedup_vs_one_worker"] = 1.7
+        two_workers["per_worker"] = {"0": two_workers["per_worker"]["0"]}
+        two_workers["per_worker"]["0"]["batches"] = 4
+        assert compare_reports(base, cur, {"time": 4.0}).ok

@@ -53,7 +53,7 @@ class TestCheckpointStore:
         store = CheckpointStore(str(tmp_path), "cfg")
         store.save("keygen", [1, 2, 3])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["schema"] == "zkml-checkpoint/v1"
+        assert manifest["schema"] == "zkml-checkpoint/v2"
         assert manifest["config"] == "cfg"
         assert "keygen" in manifest["stages"]
 
@@ -167,6 +167,19 @@ class TestResume:
                 == proof_to_bytes(resumed.proof))
         assert events.counts().get(
             'recovered{reason="checkpoint_stage_rebuild"}', 0) >= 1
+
+    def test_v1_checkpoint_refused_on_resume(self, mnist_case, tmp_path):
+        # a directory written before the per-table lookup layout holds a
+        # pickled pk with the old constraint list: the run must refuse it
+        # with the typed schema error, never unpickle and prove with it
+        spec, inputs = mnist_case
+        prove(spec, inputs, checkpoint_dir=str(tmp_path))
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["schema"] = "zkml-checkpoint/v1"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="schema 'zkml-checkpoint/v1'"):
+            prove(spec, inputs, checkpoint_dir=str(tmp_path), resume=True)
 
     def test_without_resume_flag_starts_fresh(self, mnist_case, tmp_path):
         spec, inputs = mnist_case

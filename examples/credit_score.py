@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.ml import MLPClassifier
 from repro.model import run_float
+from repro.resilience.errors import VerificationFailure
 from repro.runtime import prove_model, verify_model_proof
 
 
@@ -57,8 +58,12 @@ def main():
     # and a borrower who edits their score is caught
     forged = [list(col) for col in result.instance]
     forged[0][1] = (forged[0][1] + 30) % result.vk.field.p
-    assert not verify_model_proof(result.vk, result.proof, forged, "kzg", strict=False)
-    print("inflated score rejected")
+    try:
+        verify_model_proof(result.vk, result.proof, forged, "kzg")
+    except VerificationFailure:
+        print("inflated score rejected")
+    else:
+        raise AssertionError("inflated score was accepted")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ Run:  python examples/gpt2_inference.py
 import numpy as np
 
 from repro.model import GraphBuilder, run_float
+from repro.resilience.errors import VerificationFailure
 from repro.runtime import prove_model, verify_model_proof
 
 VOCAB, SEQ, DIM, HEADS, MLP = 12, 3, 8, 2, 16
@@ -70,8 +71,12 @@ def main():
     # changing the published logits is caught
     forged = [list(col) for col in result.instance]
     forged[-1][0] = (forged[-1][0] + 9) % result.vk.field.p
-    assert not verify_model_proof(result.vk, result.proof, forged, "kzg", strict=False)
-    print("forged logits rejected")
+    try:
+        verify_model_proof(result.vk, result.proof, forged, "kzg")
+    except VerificationFailure:
+        print("forged logits rejected")
+    else:
+        raise AssertionError("forged logits were accepted")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.model import GraphBuilder
+from repro.resilience.errors import VerificationFailure
 from repro.runtime import prove_model, verify_model_proof
 
 
@@ -31,18 +32,20 @@ def main():
     print("class probabilities (fixed-point):",
           [int(v) for v in result.outputs[out].reshape(-1)])
 
-    # 3. Anyone can verify with the verifying key and public values.
-    ok = verify_model_proof(result.vk, result.proof, result.instance, "kzg")
-    print("verification:", "OK" if ok else "FAILED")
-    assert ok
+    # 3. Anyone can verify with the verifying key and public values
+    #    (verification is strict: a rejection raises, nothing returns False).
+    verify_model_proof(result.vk, result.proof, result.instance, "kzg")
+    print("verification: OK")
 
     # 4. A tampered public output is rejected.
     forged = [list(col) for col in result.instance]
     forged[0][0] += 1
-    ok = verify_model_proof(result.vk, result.proof, forged, "kzg",
-                            strict=False)
-    print("tampered output rejected:", not ok)
-    assert not ok
+    try:
+        verify_model_proof(result.vk, result.proof, forged, "kzg")
+    except VerificationFailure:
+        print("tampered output rejected")
+    else:
+        raise AssertionError("tampered output was accepted")
 
 
 if __name__ == "__main__":

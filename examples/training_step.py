@@ -12,6 +12,7 @@ Run:  python examples/training_step.py
 import numpy as np
 
 from repro.model import GraphBuilder, run_float
+from repro.resilience.errors import VerificationFailure
 from repro.runtime import prove_model, verify_model_proof
 
 
@@ -59,8 +60,12 @@ def main():
     # a dishonest trainer publishing different weights is caught
     forged = [list(col) for col in result.instance]
     forged[0][0] = (forged[0][0] + 5) % result.vk.field.p
-    assert not verify_model_proof(result.vk, result.proof, forged, "kzg", strict=False)
-    print("forged weight update rejected")
+    try:
+        verify_model_proof(result.vk, result.proof, forged, "kzg")
+    except VerificationFailure:
+        print("forged weight update rejected")
+    else:
+        raise AssertionError("forged weight update was accepted")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ Run:  python examples/twitter_audit.py
 import numpy as np
 
 from repro.model import GraphBuilder
+from repro.resilience.errors import VerificationFailure
 from repro.runtime import prove_model, verify_model_proof
 
 
@@ -74,8 +75,12 @@ def main():
     victim = proofs[feed[-1]]
     forged = [list(col) for col in victim.instance]
     forged[0][0] = (forged[0][0] + 50) % victim.vk.field.p
-    assert not verify_model_proof(victim.vk, victim.proof, forged, "kzg", strict=False)
-    print("forged score rejected by the auditor")
+    try:
+        verify_model_proof(victim.vk, victim.proof, forged, "kzg")
+    except VerificationFailure:
+        print("forged score rejected by the auditor")
+    else:
+        raise AssertionError("forged score was accepted")
 
 
 if __name__ == "__main__":

@@ -66,9 +66,9 @@ import time
 import numpy as np
 
 from repro.compiler import build_physical_layout
-from repro.halo2.proof import proof_from_bytes, proof_to_bytes
+from repro.halo2.proof import proof_to_bytes
 from repro.layers.base import LayoutChoices
-from repro.model import get_model, model_names, transpile
+from repro.model import get_model, model_names, seeded_inputs, transpile
 from repro.obs import log as obs_log
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -149,10 +149,9 @@ def _inspect_info(spec, scale: str, num_cols: int, scale_bits: int) -> dict:
             {name: np.zeros(shape) for name, shape in spec.inputs.items()},
             num_cols=num_cols, scale_bits=scale_bits,
         )
-        # expose outputs exactly like prove_model does, so the instance
-        # cell and copy-constraint counters match a prove run's metrics
-        for name in spec.outputs:
-            synthesized.builder.expose(synthesized.outputs[name].entries())
+        # exposed like a prove run, so the instance cell and
+        # copy-constraint counters match its metrics
+        synthesized.expose_outputs()
         registry = MetricsRegistry()
         record_circuit_stats(registry, synthesized, model=spec.name)
         info["metrics"] = registry.as_dict()
@@ -214,11 +213,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_prove(args) -> int:
     spec = get_model(args.model, "mini")
-    rng = np.random.default_rng(args.seed)
-    inputs = {
-        name: rng.uniform(-0.5, 0.5, shape)
-        for name, shape in spec.inputs.items()
-    }
+    inputs = seeded_inputs(spec, args.seed)
     result = prove_model(spec, inputs, scheme_name=args.backend,
                          num_cols=args.columns, scale_bits=args.scale_bits,
                          jobs=args.jobs, metrics=args.obs_registry,
@@ -245,9 +240,9 @@ def _cmd_prove(args) -> int:
     if args.out or args.envelope or args.registry:
         envelope = result.envelope()
     if args.out:
-        # "envelope" is the canonical wire form (`zkml verify` runs it
-        # through the bounds-checked decoder); "proof_bytes"/"proof"
-        # stay for older readers of the loose format
+        # "envelope" is the canonical wire form and the only part `zkml
+        # verify` reads (through the bounds-checked decoder); the loose
+        # "proof_bytes"/"proof" fields stay for other readers
         with open(args.out, "wb") as f:
             pickle.dump(
                 {"vk": result.vk, "proof": result.proof,
@@ -278,11 +273,7 @@ def _cmd_diagnose(args) -> int:
     from repro.obs.diagnose import diagnose_model
 
     spec = get_model(args.model, "mini")
-    rng = np.random.default_rng(args.seed)
-    inputs = {
-        name: rng.uniform(-0.5, 0.5, shape)
-        for name, shape in spec.inputs.items()
-    }
+    inputs = seeded_inputs(spec, args.seed)
     report = diagnose_model(
         spec, inputs, num_cols=args.columns, scale_bits=args.scale_bits,
         tamper_row=args.tamper_row, tamper_col=args.tamper_col,
@@ -303,11 +294,7 @@ def _cmd_profile(args) -> int:
     from repro.obs.profile import profile_model
 
     spec = get_model(args.model, "mini")
-    rng = np.random.default_rng(args.seed)
-    inputs = {
-        name: rng.uniform(-0.5, 0.5, shape)
-        for name, shape in spec.inputs.items()
-    }
+    inputs = seeded_inputs(spec, args.seed)
     report, tracer, _ = profile_model(
         spec, inputs, scheme_name=args.backend, num_cols=args.columns,
         scale_bits=args.scale_bits, jobs=args.jobs,
@@ -450,7 +437,7 @@ def _verify_envelope_file(args) -> int:
 
 
 def _verify_artifact_file(args) -> int:
-    """``zkml verify --artifact FILE``: envelope-carrying or loose."""
+    """``zkml verify --artifact FILE``: verify its embedded envelope."""
     from repro.envelope import decode_envelope, verify_envelope
 
     try:
@@ -469,34 +456,20 @@ def _verify_artifact_file(args) -> int:
         if not isinstance(artifact, dict):
             raise ProofFormatError("artifact is not a mapping",
                                    found=type(artifact).__name__)
-        if artifact.get("envelope"):
-            env = decode_envelope(artifact["envelope"])
-            if args.registry:
-                vk = _registry_vk(args.registry, env)
-            elif "vk" in artifact:
-                vk = artifact["vk"]
-            else:
-                raise ProofFormatError(
-                    "artifact has an envelope but no 'vk'; pass "
-                    "--registry DIR to resolve the key")
-            verify_envelope(env, vk)
+        if not artifact.get("envelope"):
+            raise ProofFormatError(
+                "artifact carries no proof envelope; re-prove with "
+                "'zkml prove --out' to get one")
+        env = decode_envelope(artifact["envelope"])
+        if args.registry:
+            vk = _registry_vk(args.registry, env)
+        elif "vk" in artifact:
+            vk = artifact["vk"]
         else:
-            log.warning("artifact carries no proof envelope — loose-proof "
-                        "verification is deprecated; re-prove with "
-                        "'zkml prove --out' to get one")
-            missing = {"vk", "instance", "scheme"} - set(artifact)
-            if missing:
-                raise ProofFormatError("artifact is missing keys: %s"
-                                       % sorted(missing))
-            if "proof_bytes" in artifact:
-                proof = proof_from_bytes(artifact["proof_bytes"])
-            elif "proof" in artifact:
-                proof = artifact["proof"]
-            else:
-                raise ProofFormatError(
-                    "artifact carries neither 'proof_bytes' nor 'proof'")
-            verify_model_proof(artifact["vk"], proof, artifact["instance"],
-                               artifact["scheme"])
+            raise ProofFormatError(
+                "artifact has an envelope but no 'vk'; pass "
+                "--registry DIR to resolve the key")
+        verify_envelope(env, vk)
     except UnknownVerifyingKeyError:
         raise
     except ResilienceError as exc:
@@ -722,11 +695,7 @@ def _cmd_chaos(args) -> int:
     from repro.resilience.fuzz import run_proof_fuzz
 
     spec = get_model(args.model, "mini")
-    rng = np.random.default_rng(args.seed)
-    inputs = {
-        name: rng.uniform(-0.5, 0.5, shape)
-        for name, shape in spec.inputs.items()
-    }
+    inputs = seeded_inputs(spec, args.seed)
     log.info("chaos: baseline prove (%s, %s, %d cols)", spec.name,
              args.backend, args.columns)
     GLOBAL_PK_CACHE.clear()
@@ -842,9 +811,7 @@ def _serve_smoke(args) -> int:
             failures.extend(_smoke_fault(service, spec, args))
         futures = [
             service.submit(
-                spec,
-                {name: rng.uniform(-0.5, 0.5, shape)
-                 for name, shape in spec.inputs.items()},
+                spec, seeded_inputs(spec, rng),  # the next draw, per request
                 scheme_name=args.backend, num_cols=args.columns,
                 scale_bits=args.scale_bits,
             )

@@ -19,7 +19,6 @@ from repro.compiler.physical import (
 )
 from repro.compiler.visualize import render_breakdown, render_row_map
 from repro.compiler.layouter import (
-    BatchSynthesizedModel,
     SynthesizedModel,
     check_against_reference,
     synthesize_batch,
@@ -36,7 +35,6 @@ __all__ = [
     "MIN_COLUMNS",
     "SynthesizedModel",
     "synthesize_model",
-    "BatchSynthesizedModel",
     "synthesize_batch",
     "check_against_reference",
     "render_breakdown",

@@ -37,6 +37,16 @@ class LayoutPlan:
     base: LayoutChoices
     overrides: Tuple[Tuple[str, LayoutChoices], ...] = ()
 
+    @classmethod
+    def coerce(cls, plan) -> "LayoutPlan":
+        """A plan from what callers pass: ``None`` (the default choices),
+        bare :class:`LayoutChoices` (a uniform plan), or a plan."""
+        if plan is None:
+            return cls(LayoutChoices())
+        if isinstance(plan, LayoutChoices):
+            return cls(plan)
+        return plan
+
     def for_layer(self, layer_name: str) -> LayoutChoices:
         for name, choices in self.overrides:
             if name == layer_name:

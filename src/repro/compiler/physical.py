@@ -105,6 +105,13 @@ def resolve_choices(choices: LayoutChoices, lookup_bits: int) -> LayoutChoices:
     return choices
 
 
+def minimal_k(gadget_rows: int, table_rows: int, lookup_bits: int) -> int:
+    """The smallest grid (log2 rows) holding the gadget rows and the
+    lookup tables (paper §7.3: the row count must be a power of two)."""
+    needed = max(gadget_rows, table_rows, 2)
+    return max(int(math.ceil(math.log2(needed))), lookup_bits + 1)
+
+
 def build_physical_layout(
     spec: ModelSpec,
     plan,
@@ -119,8 +126,7 @@ def build_physical_layout(
     (treated as a uniform plan).  ``max_k`` defaults to the trusted
     setup's 2^28 bound (§4.3).
     """
-    if isinstance(plan, LayoutChoices):
-        plan = LayoutPlan(plan)
+    plan = LayoutPlan.coerce(plan)
     if num_cols < 5:
         raise LayoutError("need at least 5 columns for the gadget set",
                           num_cols=num_cols)
@@ -170,8 +176,7 @@ def build_physical_layout(
     num_selectors = len(gadget_keys)
     d_max = constraint_degree(gadget_keys)
 
-    needed = max(gadget_rows, table_rows, 2)
-    k = max(int(math.ceil(math.log2(needed))), lookup_bits + 1)
+    k = minimal_k(gadget_rows, table_rows, lookup_bits)
     if k > max_k:
         raise LayoutInfeasible(
             "%s needs 2^%d rows at %d columns, beyond the 2^%d setup"

@@ -195,8 +195,9 @@ def encode_envelope(env: ProofEnvelope) -> bytes:
 def is_envelope(data: bytes) -> bool:
     """Cheap sniff: does ``data`` start with the v1 schema id?
 
-    Used to route byte strings between the envelope decoder and the
-    legacy loose-proof decoder without attempting a full parse.
+    Tells an envelope from other byte strings (say, a bare serialized
+    proof) without attempting a full parse; the decoder itself refuses
+    anything else with a typed :class:`EnvelopeSchemaError`.
     """
     prefix = bytes([len(SCHEMA_V1)]) + SCHEMA_V1.encode()
     return bytes(data[: len(prefix)]) == prefix

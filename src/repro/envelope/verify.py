@@ -16,8 +16,8 @@ from repro.resilience.errors import VerificationFailure
 __all__ = ["verify_envelope"]
 
 
-def verify_envelope(env: ProofEnvelope, vk, field: PrimeField = GOLDILOCKS,
-                    strict: bool = True) -> bool:
+def verify_envelope(env: ProofEnvelope, vk,
+                    field: PrimeField = GOLDILOCKS) -> bool:
     """Verify an envelope's proof against ``vk``.
 
     Binding checks come first: the envelope's verifying-key hash must
@@ -25,34 +25,23 @@ def verify_envelope(env: ProofEnvelope, vk, field: PrimeField = GOLDILOCKS,
     a mismatch is a :class:`~repro.resilience.errors.VerificationFailure`
     (the envelope is well-formed; it just isn't a proof *for this key*).
     Only after binding passes do proof deserialization and the strict
-    verifier run.  ``strict=False`` restores the legacy boolean path.
+    verifier run.  Every rejection raises; the only value returned is
+    ``True``.
     """
     from repro.commit import scheme_by_name
     from repro.halo2.proof import proof_from_bytes
     from repro.halo2.verifier import verify_proof_strict
-    from repro.resilience.errors import ProofFormatError
 
     if env.scheme_name != vk.scheme_name:
-        exc = VerificationFailure(
+        raise VerificationFailure(
             "envelope scheme %r does not match verifying key scheme %r"
             % (env.scheme_name, vk.scheme_name), model=env.model)
-        if strict:
-            raise exc
-        return False
     if env.vk_hash != vk.digest():
-        exc = VerificationFailure(
+        raise VerificationFailure(
             "envelope verifying-key hash %s does not match key %s"
             % (env.vk_hash_hex[:16], vk.digest().hex()[:16]),
             model=env.model)
-        if strict:
-            raise exc
-        return False
     scheme = scheme_by_name(env.scheme_name, field)
-    try:
-        proof = proof_from_bytes(env.proof_bytes)
-        verify_proof_strict(vk, proof, env.instance, scheme)
-    except (ProofFormatError, VerificationFailure):
-        if strict:
-            raise
-        return False
+    verify_proof_strict(vk, proof_from_bytes(env.proof_bytes), env.instance,
+                        scheme)
     return True

@@ -43,7 +43,6 @@ breakdown.
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
@@ -73,11 +72,6 @@ from repro.resilience.errors import ProvingError
 #: the expression evaluator's per-node overhead is paid once, not once per
 #: part (the per-part loop measured 40-60% slower at k=9, 0-8% at k=12).
 QUOTIENT_STREAM_ELEMS = 1 << 25
-
-
-def _sparsity_enabled() -> bool:
-    """All-zero column skipping is on unless ``ZKML_SPARSITY`` disables it."""
-    return os.environ.get("ZKML_SPARSITY", "1").lower() not in ("0", "false", "off")
 
 
 # -- multiprocess workers ----------------------------------------------------
@@ -118,10 +112,7 @@ def _interp_commit_rows_chunk(rows: np.ndarray, row_offset: int):
     """
     domain, scheme = _WORKER_DOMAIN, _WORKER_SCHEME
     m = rows.shape[0]
-    if _sparsity_enabled():
-        nonzero = np.flatnonzero(np.any(rows != 0, axis=1))
-    else:
-        nonzero = np.arange(m)
+    nonzero = np.flatnonzero(np.any(rows != 0, axis=1))
     if nonzero.size == m:
         polys = domain.lagrange_to_coeff_rows(rows)
     else:
@@ -401,7 +392,7 @@ def create_proof(
     with timer.phase("commit"):
         advice_vecs: Dict[int, object] = {}
         for i in range(cs.num_advice):
-            if use_np and _sparsity_enabled() and assignment.advice_is_zero(i):
+            if use_np and assignment.advice_is_zero(i):
                 # synthesis never wrote a nonzero value: skip even the
                 # row-by-row grid read; the zero row is then skipped again
                 # at interpolation/commit time by the chunk worker

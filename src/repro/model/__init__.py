@@ -9,7 +9,12 @@ from repro.model.transpiler import (
     export,
     transpile,
 )
-from repro.model.zoo import PAPER_TABLE5, get_model, model_names
+from repro.model.zoo import (
+    PAPER_TABLE5,
+    get_model,
+    model_names,
+    seeded_inputs,
+)
 
 __all__ = [
     "LayerSpec",
@@ -24,5 +29,6 @@ __all__ = [
     "TranspileError",
     "get_model",
     "model_names",
+    "seeded_inputs",
     "PAPER_TABLE5",
 ]

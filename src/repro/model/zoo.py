@@ -15,7 +15,7 @@ The paper's reported parameter/flop counts are kept in
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
@@ -413,3 +413,17 @@ def get_model(name: str, scale: str = "paper") -> ModelSpec:
 
 def model_names() -> List[str]:
     return sorted(MODEL_BUILDERS)
+
+
+def seeded_inputs(spec: ModelSpec, seed=0) -> Dict[str, np.ndarray]:
+    """One uniform(-0.5, 0.5) input set for ``spec``, drawn from ``seed``.
+
+    The statement every seeded surface proves (``zkml prove --seed``, a
+    socket request's ``"seed"``, the calibration probe): routing them all
+    through here is what makes equal seeds mean bit-identical inputs.
+    ``seed`` is anything :func:`numpy.random.default_rng` accepts; passing
+    a ``Generator`` draws the next input set from it.
+    """
+    rng = np.random.default_rng(seed)
+    return {name: rng.uniform(-0.5, 0.5, shape)
+            for name, shape in spec.inputs.items()}

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.field import GOLDILOCKS, PrimeField
 from repro.obs.metrics import MetricsRegistry, record_costmodel_drift
 from repro.optimizer.cost_model import estimate_cost
@@ -201,16 +199,14 @@ def probe_drift(
     (also stored on ``calibration.drift``) says whether calibration
     improved the prediction — the acceptance gate for writing a profile.
     """
-    from repro.model import get_model
+    from repro.model import get_model, seeded_inputs
     from repro.runtime.pipeline import prove_model
 
     scheme_name = scheme_name or calibration.scheme
     spec = get_model(probe_model, "mini")
-    rng = np.random.default_rng(seed)
-    inputs = {n: rng.uniform(-0.5, 0.5, shape)
-              for n, shape in spec.inputs.items()}
-    result = prove_model(spec, inputs, scheme_name=scheme_name,
-                        use_pk_cache=False, keep_synthesized=True)
+    result = prove_model(spec, seeded_inputs(spec, seed),
+                         scheme_name=scheme_name, use_pk_cache=False,
+                         keep_synthesized=True)
     layout = result.synthesized.layout
     actual = result.proving_seconds
 

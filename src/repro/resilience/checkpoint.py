@@ -11,7 +11,7 @@ Layout::
 
     DIR/manifest.json    {"schema", "config", "stages": {name: checksum}}
     DIR/synthesize.pkl   pickled SynthesizedModel (witness grid + layout)
-    DIR/keygen.pkl       pickled (pk, vk, pk_cache_hit)
+    DIR/keygen.pkl       pickled (pk, vk, keygen_cache_hit)
     DIR/prove.pkl        pickled proof + phase timings + op counts
 
 Every stage file carries a blake2b checksum in the manifest; a mismatch
@@ -42,12 +42,13 @@ from repro.obs import log as obs_log
 from repro.resilience import events, faults
 from repro.resilience.errors import CacheCorruptionError, CheckpointError
 
-__all__ = ["CheckpointStore", "batch_proving_config_digest",
-           "proving_config_digest"]
+__all__ = ["CheckpointStore", "proving_config_digest"]
 
-#: Manifest schema tag.  Stage files pickle keys and proofs, so the tag
-#: moves with their layout: v2 = per-table lookup helpers.
-SCHEMA = "zkml-checkpoint/v2"
+#: Manifest schema tag.  Stage files pickle keys, proofs and the
+#: synthesized circuit, so the tag moves with their layout: v2 = per-table
+#: lookup helpers; v3 = one config digest (chained per slot, covers ``k``)
+#: and one ``SynthesizedModel`` shape for every batch size.
+SCHEMA = "zkml-checkpoint/v3"
 
 #: Pipeline stages, in order.
 STAGES = ("synthesize", "keygen", "prove")
@@ -55,37 +56,29 @@ STAGES = ("synthesize", "keygen", "prove")
 _log = obs_log.get_logger("checkpoint")
 
 
-def proving_config_digest(spec, inputs: Dict[str, np.ndarray],
-                          scheme_name: str, num_cols: int, scale_bits: int,
+def proving_config_digest(spec, batch_inputs, scheme_name: str,
+                          num_cols: int, scale_bits: int,
                           lookup_bits: Optional[int], k: Optional[int]) -> str:
-    """A binding digest of everything that determines the proof bytes."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(("%s|%s|%d|%d|%r|%r" % (spec.name, scheme_name, num_cols,
-                                     scale_bits, lookup_bits, k)).encode())
-    for name in sorted(inputs):
-        arr = np.ascontiguousarray(np.asarray(inputs[name], dtype=np.float64))
-        h.update(name.encode())
-        h.update(repr(arr.shape).encode())
-        h.update(arr.tobytes())
-    return h.hexdigest()
+    """A binding digest of everything that determines the proof bytes.
 
-
-def batch_proving_config_digest(spec, batch_inputs, scheme_name: str,
-                                num_cols: int, scale_bits: int,
-                                lookup_bits: Optional[int],
-                                k: Optional[int] = None) -> str:
-    """A binding digest of a whole batch-proving configuration.
-
-    Chains the per-inference :func:`proving_config_digest` values in batch
-    order, so any change to the batch size, ordering, or any single input
-    set produces a different digest.
+    Chains one digest per inference slot in batch order, so any change to
+    the grid parameters (``k`` included), the batch size, the ordering,
+    or any single input set produces a different digest.
     """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(("batch|%d" % len(batch_inputs)).encode())
+    config = ("%s|%s|%d|%d|%r|%r" % (spec.name, scheme_name, num_cols,
+                                     scale_bits, lookup_bits, k)).encode()
+    chain = hashlib.blake2b(digest_size=16)
+    chain.update(("batch|%d" % len(batch_inputs)).encode())
     for inputs in batch_inputs:
-        h.update(proving_config_digest(spec, inputs, scheme_name, num_cols,
-                                       scale_bits, lookup_bits, k).encode())
-    return h.hexdigest()
+        h = hashlib.blake2b(config, digest_size=16)
+        for name in sorted(inputs):
+            arr = np.ascontiguousarray(
+                np.asarray(inputs[name], dtype=np.float64))
+            h.update(name.encode())
+            h.update(repr(arr.shape).encode())
+            h.update(arr.tobytes())
+        chain.update(h.hexdigest().encode())
+    return chain.hexdigest()
 
 
 def _checksum(payload: bytes) -> str:

@@ -227,7 +227,7 @@ def local_envelope_checker(vk, caps=None) -> Callable[[bytes], Dict]:
     def check(data: bytes) -> Dict:
         try:
             env = decode_envelope(data, caps=effective_caps)
-            verify_envelope(env, vk, strict=True)
+            verify_envelope(env, vk)
         except ResilienceError as exc:
             return {"ok": False, "error": type(exc).__name__}
         return {"ok": True}

@@ -1,7 +1,6 @@
 """End-to-end runtime: prove/verify pipeline, estimates, prior-work baselines."""
 
 from repro.runtime.pipeline import (
-    BatchProveResult,
     ProveResult,
     prove_batch,
     prove_model,
@@ -30,7 +29,6 @@ __all__ = [
     "audit",
     "prove_model",
     "prove_batch",
-    "BatchProveResult",
     "verify_model_proof",
     "ProveResult",
     "estimate_model",

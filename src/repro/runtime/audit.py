@@ -25,6 +25,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.model.spec import ModelSpec
+from repro.resilience.errors import ProofFormatError, VerificationFailure
 from repro.runtime.pipeline import ProveResult, prove_model, verify_model_proof
 
 
@@ -144,8 +145,10 @@ def audit(log: AuditLog,
     prev = b"\x00" * 32
     for entry in log.entries:
         result = entry.result
-        if not verify_model_proof(result.vk, result.proof, result.instance,
-                                  log.scheme_name, strict=False):
+        try:
+            verify_model_proof(result.vk, result.proof, result.instance,
+                               log.scheme_name)
+        except (ProofFormatError, VerificationFailure):
             findings.append(AuditFinding(
                 index=entry.index, kind="proof",
                 detail="ZK-SNARK failed verification",

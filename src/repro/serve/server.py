@@ -58,7 +58,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.model import get_model, model_names
+from repro.model import get_model, model_names, seeded_inputs
 from repro.obs import log as obs_log
 from repro.obs.runtime import new_request_id
 from repro.resilience import events
@@ -83,9 +83,9 @@ log = obs_log.get_logger("serve")
 def request_inputs(spec, payload: Dict) -> Dict[str, np.ndarray]:
     """Materialize a request's input arrays.
 
-    Explicit ``inputs`` win; otherwise ``seed`` generates the same
-    uniform(-0.5, 0.5) inputs ``zkml prove --seed`` uses, so a socket
-    client and the CLI prove bit-identical statements.
+    Explicit ``inputs`` win; otherwise ``seed`` goes through the same
+    :func:`~repro.model.seeded_inputs` as ``zkml prove --seed``, so a
+    socket client and the CLI prove bit-identical statements.
     """
     if "inputs" in payload:
         arrays = {}
@@ -100,9 +100,7 @@ def request_inputs(spec, payload: Dict) -> Dict[str, np.ndarray]:
                     % (name, arr.shape, tuple(shape)), model=spec.name)
             arrays[name] = arr
         return arrays
-    rng = np.random.default_rng(int(payload.get("seed", 0)))
-    return {name: rng.uniform(-0.5, 0.5, shape)
-            for name, shape in spec.inputs.items()}
+    return seeded_inputs(spec, int(payload.get("seed", 0)))
 
 
 class PayloadProcessor:

@@ -758,8 +758,8 @@ class ProvingService:
     def _resolve_group(self, key: BatchKey, group: List[ProofRequest],
                        result, verified: bool, padded_size: int,
                        batch_seconds: float, batch_id: str) -> None:
-        # `result` is a BatchProveResult (in-process path: live proof
-        # objects) or a worker's BatchResult (cluster path: bytes already
+        # `result` is a ProveResult (in-process path: live proof objects)
+        # or a worker's BatchResult (cluster path: bytes already
         # serialized on the worker side); both carry the same fields
         if isinstance(result, BatchResult):
             proof_bytes = result.proof_bytes
@@ -818,7 +818,7 @@ class ProvingService:
                 proof_bytes=proof_bytes,
                 envelope_bytes=envelope_bytes,
                 instance=result.instance,
-                outputs=result.outputs[index],
+                outputs=result.slot_outputs[index],
                 batch_index=index,
                 batch_size=len(group),
                 padded_size=padded_size,

@@ -342,7 +342,7 @@ class VerifyService:
         try:
             with self.tracer.span("verify:envelope", model=env.model,
                                   scheme=env.scheme_name):
-                verify_envelope(env, vk, field=self.field, strict=True)
+                verify_envelope(env, vk, field=self.field)
         except ResilienceError as exc:
             return self._reject(idx, exc, env)
         except Exception as exc:  # noqa: BLE001 — a verifier crash must reject, not escape

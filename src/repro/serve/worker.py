@@ -84,8 +84,10 @@ class BatchResult:
     proof_bytes: bytes = b""
     envelope_bytes: bytes = b""
     instance: List[List[int]] = dataclass_field(default_factory=list)
-    #: Per-occupied-slot output arrays (``occupancy`` entries).
-    outputs: List[Dict[str, np.ndarray]] = dataclass_field(
+    #: Per-occupied-slot output arrays (``occupancy`` entries), named as
+    #: on :class:`~repro.runtime.pipeline.ProveResult` so the service
+    #: resolves either result with the same code.
+    slot_outputs: List[Dict[str, np.ndarray]] = dataclass_field(
         default_factory=list)
     proving_seconds: float = 0.0
     keygen_seconds: float = 0.0
@@ -145,7 +147,7 @@ def _prove_job(job: BatchJob, worker_id: int,
             proof_bytes=proof_to_bytes(result.proof),
             envelope_bytes=result.envelope_bytes(),
             instance=result.instance,
-            outputs=result.outputs[:job.occupancy],
+            slot_outputs=result.slot_outputs[:job.occupancy],
             proving_seconds=result.proving_seconds,
             keygen_seconds=result.keygen_seconds,
             keygen_cache_hit=result.keygen_cache_hit,

@@ -3,11 +3,11 @@
 All-zero advice columns are common in padded model circuits (unused
 helper slots, zero bias rows); the prover skips their transforms and
 reuses the zero-polynomial commitment.  The only observable difference
-allowed is ``STATS.sparsity_skips`` — proof bytes must be identical with
-the optimization on, off (``ZKML_SPARSITY=0``), and against the exact
-list-backend reference.  The streaming quotient path (column sets past
-``prover.QUOTIENT_STREAM_ELEMS``) gets the same treatment: which side of
-the threshold a proof lands on may never change bytes.
+allowed is ``STATS.sparsity_skips`` — proof bytes must be identical to
+the exact list-backend reference, which has no skip.  The streaming
+quotient path (column sets past ``prover.QUOTIENT_STREAM_ELEMS``) gets
+the same treatment: which side of the threshold a proof lands on may
+never change bytes.
 """
 
 import pickle
@@ -37,13 +37,10 @@ def _force_list_backend(pk):
     domain._inv_vanishing_vec = None
 
 
-def _prove_bytes(monkeypatch=None, env=None):
+def _prove_bytes():
     cs, asg = _zero_heavy_circuit()
     scheme = scheme_by_name("kzg", F)
     pk, vk = keygen(cs, asg, scheme)
-    if env and monkeypatch:
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
     proof = create_proof(pk, asg, scheme)
     assert verify_proof(vk, proof, asg.instance_values(), scheme)
     return pickle.dumps(proof)
@@ -64,22 +61,6 @@ def test_sparsity_skips_are_counted():
     before = STATS.snapshot()
     create_proof(pk, asg, scheme)
     assert STATS.delta(before)["sparsity_skips"] > 0
-
-
-def test_proof_bytes_identical_with_sparsity_disabled(monkeypatch):
-    with_sparsity = _prove_bytes()
-    without = _prove_bytes(monkeypatch, env={"ZKML_SPARSITY": "0"})
-    assert with_sparsity == without
-
-
-def test_sparsity_disabled_skips_nothing(monkeypatch):
-    cs, asg = _zero_heavy_circuit()
-    scheme = scheme_by_name("kzg", F)
-    pk, _ = keygen(cs, asg, scheme)
-    monkeypatch.setenv("ZKML_SPARSITY", "0")
-    before = STATS.snapshot()
-    create_proof(pk, asg, scheme)
-    assert STATS.delta(before)["sparsity_skips"] == 0
 
 
 def test_sparse_proof_matches_list_backend_reference():

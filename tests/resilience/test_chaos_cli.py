@@ -1,5 +1,6 @@
 """CLI robustness: chaos matrix, hardened verify, typed top-level errors."""
 
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.envelope import decode_envelope
 from repro.halo2.proof import proof_to_bytes
 from repro.model import get_model
 from repro.obs import log as obs_log
@@ -58,12 +60,13 @@ class TestVerifyCommand:
         assert doc["proof_bytes"] == proof_to_bytes(doc["proof"])
 
     def test_truncated_proof_exit_one(self, artifact, tmp_path, capsys):
-        # strip the envelope so the deprecated loose path is what's tested
+        # a well-formed envelope around a truncated proof: the envelope
+        # decoder passes it, the proof deserializer must reject it typed
         with open(artifact, "rb") as f:
             doc = pickle.load(f)
-        doc.pop("envelope", None)
-        doc["proof_bytes"] = doc["proof_bytes"][:40]
-        del doc["proof"]
+        env = decode_envelope(doc["envelope"])
+        doc["envelope"] = dataclasses.replace(
+            env, proof_bytes=env.proof_bytes[:40]).encode()
         bad = str(tmp_path / "truncated.pkl")
         with open(bad, "wb") as f:
             pickle.dump(doc, f)
@@ -74,14 +77,28 @@ class TestVerifyCommand:
     def test_tampered_instance_exit_one(self, artifact, tmp_path, capsys):
         with open(artifact, "rb") as f:
             doc = pickle.load(f)
-        doc.pop("envelope", None)
-        doc["instance"] = [list(col) for col in doc["instance"]]
-        doc["instance"][0][0] += 1
+        env = decode_envelope(doc["envelope"])
+        env.instance[0][0] += 1
+        doc["envelope"] = env.encode()
         bad = str(tmp_path / "tampered.pkl")
         with open(bad, "wb") as f:
             pickle.dump(doc, f)
         assert main(["verify", "--artifact", bad, "-q"]) == 1
         assert "VerificationFailure" in capsys.readouterr().err
+
+    def test_artifact_without_envelope_exit_one(self, artifact, tmp_path,
+                                                capsys):
+        # the loose (vk, proof, instance) fields alone are not a proof
+        # `zkml verify` accepts any more: typed refusal, told to re-prove
+        with open(artifact, "rb") as f:
+            doc = pickle.load(f)
+        del doc["envelope"]
+        bad = str(tmp_path / "loose.pkl")
+        with open(bad, "wb") as f:
+            pickle.dump(doc, f)
+        assert main(["verify", "--artifact", bad, "-q"]) == 1
+        err = capsys.readouterr().err
+        assert "ProofFormatError" in err and "re-prove" in err
 
     def test_garbage_file_exit_one(self, tmp_path, capsys):
         bad = str(tmp_path / "garbage.pkl")

@@ -53,7 +53,7 @@ class TestCheckpointStore:
         store = CheckpointStore(str(tmp_path), "cfg")
         store.save("keygen", [1, 2, 3])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["schema"] == "zkml-checkpoint/v2"
+        assert manifest["schema"] == "zkml-checkpoint/v3"
         assert manifest["config"] == "cfg"
         assert "keygen" in manifest["stages"]
 
@@ -86,14 +86,22 @@ class TestCheckpointStore:
 
     def test_config_digest_binds_inputs(self, mnist_case):
         spec, inputs = mnist_case
-        base = proving_config_digest(spec, inputs, "kzg", 10, 5, None, None)
-        assert base == proving_config_digest(spec, inputs, "kzg", 10, 5,
+        base = proving_config_digest(spec, [inputs], "kzg", 10, 5, None,
+                                     None)
+        assert base == proving_config_digest(spec, [inputs], "kzg", 10, 5,
                                              None, None)
         other = {k: v + 1.0 for k, v in inputs.items()}
-        assert base != proving_config_digest(spec, other, "kzg", 10, 5,
+        assert base != proving_config_digest(spec, [other], "kzg", 10, 5,
                                              None, None)
-        assert base != proving_config_digest(spec, inputs, "ipa", 10, 5,
+        assert base != proving_config_digest(spec, [inputs], "ipa", 10, 5,
                                              None, None)
+        # the batch is part of the configuration: size and order bind
+        assert base != proving_config_digest(spec, [inputs, inputs], "kzg",
+                                             10, 5, None, None)
+        assert proving_config_digest(spec, [inputs, other], "kzg", 10, 5,
+                                     None, None) \
+            != proving_config_digest(spec, [other, inputs], "kzg", 10, 5,
+                                     None, None)
 
 
 class TestResume:
@@ -169,17 +177,21 @@ class TestResume:
             'recovered{reason="checkpoint_stage_rebuild"}', 0) >= 1
 
     def test_v1_checkpoint_refused_on_resume(self, mnist_case, tmp_path):
-        # a directory written before the per-table lookup layout holds a
-        # pickled pk with the old constraint list: the run must refuse it
-        # with the typed schema error, never unpickle and prove with it
+        # a directory written by an older build holds stage pickles this
+        # one must not load (v1: a pk with the old constraint list; v2: a
+        # config digest without k and the pre-unification circuit shape):
+        # the run must refuse it with the typed schema error — not the
+        # misleading "different configuration" — and never unpickle it
         spec, inputs = mnist_case
         prove(spec, inputs, checkpoint_dir=str(tmp_path))
         path = tmp_path / "manifest.json"
         manifest = json.loads(path.read_text())
-        manifest["schema"] = "zkml-checkpoint/v1"
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="schema 'zkml-checkpoint/v1'"):
-            prove(spec, inputs, checkpoint_dir=str(tmp_path), resume=True)
+        for old in ("zkml-checkpoint/v1", "zkml-checkpoint/v2"):
+            manifest["schema"] = old
+            path.write_text(json.dumps(manifest))
+            with pytest.raises(CheckpointError, match="schema '%s'" % old):
+                prove(spec, inputs, checkpoint_dir=str(tmp_path),
+                      resume=True)
 
     def test_without_resume_flag_starts_fresh(self, mnist_case, tmp_path):
         spec, inputs = mnist_case

@@ -209,7 +209,7 @@ class TestDecoderCapEdges:
 
 class TestVerifyEnvelope:
     def test_good_envelope_verifies(self, proven, envelope):
-        verify_envelope(envelope, proven.vk)
+        assert verify_envelope(envelope, proven.vk) is True
 
     def test_vk_hash_mismatch_rejected(self, proven, envelope):
         import dataclasses
@@ -234,15 +234,6 @@ class TestVerifyEnvelope:
         tampered = dataclasses.replace(envelope, instance=instance)
         with pytest.raises(VerificationFailure):
             verify_envelope(tampered, proven.vk)
-
-    def test_non_strict_returns_bool(self, proven, envelope):
-        import dataclasses
-
-        assert verify_envelope(envelope, proven.vk, strict=False)
-        instance = [list(col) for col in envelope.instance]
-        instance[0][0] += 1
-        bad = dataclasses.replace(envelope, instance=instance)
-        assert not verify_envelope(bad, proven.vk, strict=False)
 
 
 class TestEnvelopeFuzz:

@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from repro.cli import main
+from repro.envelope import decode_envelope
 from repro.model import get_model
 from repro.runtime import (
     estimate_model,
@@ -79,10 +80,11 @@ class TestCLI:
         assert main(["prove", "--model", "mnist", "--out", artifact]) == 0
         with open(artifact, "rb") as f:
             data = pickle.load(f)
-        # strip the canonical envelope so the deprecated loose path —
-        # the one reading data["instance"] — is what gets tampered
-        data.pop("envelope", None)
-        data["instance"][0][0] += 1
+        # the envelope is the only part `zkml verify` reads: tamper its
+        # public inputs and re-encode (a fresh, valid checksum)
+        env = decode_envelope(data["envelope"])
+        env.instance[0][0] += 1
+        data["envelope"] = env.encode()
         with open(artifact, "wb") as f:
             pickle.dump(data, f)
         assert main(["verify", "--artifact", artifact]) == 1

@@ -2,7 +2,7 @@
 
 Covers the public surfaces PR-level acceptance names: ``prove_model``/
 ``prove_batch`` emit envelopes, ``verify_model_proof`` accepts them
-(loose bytes only behind a deprecation shim), and ``zkml verify`` exits
+(and refuses bytes that are not one), and ``zkml verify`` exits
 3 — distinctly — when the envelope's key is absent from the registry.
 """
 
@@ -69,10 +69,13 @@ class TestPipelineEnvelopeApi:
     def test_verify_model_proof_accepts_envelope_object(self, proven):
         verify_model_proof(proven.vk, proven.envelope())
 
-    def test_loose_bytes_warn_deprecation(self, proven):
+    def test_loose_bytes_rejected_typed(self, proven):
+        # bytes must be an envelope: the pre-envelope wire format is
+        # refused by the envelope decoder, before any proof parsing
         from repro.halo2.proof import proof_to_bytes
+        from repro.resilience.errors import EnvelopeError
 
-        with pytest.warns(DeprecationWarning, match="envelope"):
+        with pytest.raises(EnvelopeError):
             verify_model_proof(proven.vk, proof_to_bytes(proven.proof),
                                proven.instance, proven.scheme_name)
 
@@ -107,6 +110,18 @@ class TestProveCli:
             data = f.read()
         assert is_envelope(data)
         assert decode_envelope(data).model == "dlrm-mini"
+
+    def test_cli_seed_and_socket_seed_prove_the_same_statement(self,
+                                                                tmp_path):
+        from repro.serve.server import request_inputs
+
+        path = str(tmp_path / "seed7.env")
+        assert main(["prove", "--model", "dlrm", "--seed", "7",
+                     "--envelope", path, "-q"]) == 0
+        spec = get_model("dlrm", "mini")
+        wire = prove_model(spec, request_inputs(spec, {"seed": 7}))
+        with open(path, "rb") as f:
+            assert f.read() == wire.envelope_bytes()
 
     def test_registry_was_populated(self, workspace):
         rc = main(["registry", "list", "--registry", workspace["registry"],

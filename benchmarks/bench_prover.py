@@ -2,15 +2,13 @@
 
 Run from the repo root:
 
-    PYTHONPATH=src python benchmarks/bench_prover.py [--jobs N] [--models ...]
+    PYTHONPATH=src python benchmarks/bench_prover.py [--models ...]
 
 Proves the default mini zoo trio, prints the per-phase breakdown, and
 writes ``BENCH_prover.json`` plus a Chrome trace and a Prometheus
-metrics file next to it.  Each model is additionally re-proved with
-worker processes; the script exits non-zero if the parallel proof bytes
-diverge from the serial ones, or if the run recorded any resilience
-event (retry / degradation / rebuild) — a clean benchmark must not be
-measuring a fallback path.  Same engine as ``zkml bench``.
+metrics file next to it.  The script exits non-zero if the run recorded
+any resilience event (retry / degradation / rebuild) — a clean benchmark
+must not be measuring a fallback path.  Same engine as ``zkml bench``.
 """
 
 from __future__ import annotations
@@ -31,15 +29,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--models", nargs="+", default=list(DEFAULT_MODELS))
     parser.add_argument("--backend", default="kzg", choices=["kzg", "ipa"])
-    parser.add_argument("--jobs", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="BENCH_prover.json")
     parser.add_argument("--trace", default=None,
                         help="Chrome trace output (default: <out>.trace.json)")
     parser.add_argument("--metrics", default=None,
                         help="metrics output (default: <out>.metrics.prom)")
-    parser.add_argument("--no-check-parallel", action="store_true",
-                        help="skip the serial-vs-parallel proof byte check")
     args = parser.parse_args(argv)
     out = args.out or None
     trace_path = args.trace or (out and _sibling(out, ".trace.json"))
@@ -47,17 +42,11 @@ def main(argv=None) -> int:
     report = run_bench(
         models=args.models,
         scheme_name=args.backend,
-        jobs=args.jobs,
         seed=args.seed,
         output_path=out,
         trace_path=trace_path,
         metrics_path=metrics_path,
-        check_parallel=not args.no_check_parallel,
     )
-    if report.get("parallel_proofs_identical") is False:
-        print("FAIL: serial and parallel proof bytes diverge",
-              file=sys.stderr)
-        return 1
     resilience = report.get("resilience", {})
     recoveries = sum(resilience.get(k, 0)
                      for k in ("degraded", "retries", "recovered"))

@@ -216,7 +216,7 @@ def _cmd_prove(args) -> int:
     inputs = seeded_inputs(spec, args.seed)
     result = prove_model(spec, inputs, scheme_name=args.backend,
                          num_cols=args.columns, scale_bits=args.scale_bits,
-                         jobs=args.jobs, metrics=args.obs_registry,
+                         metrics=args.obs_registry,
                          checkpoint_dir=args.checkpoint, resume=args.resume)
     verify_seconds = result.verification_seconds()
     log.info("model:        %s", result.spec_name)
@@ -297,8 +297,7 @@ def _cmd_profile(args) -> int:
     inputs = seeded_inputs(spec, args.seed)
     report, tracer, _ = profile_model(
         spec, inputs, scheme_name=args.backend, num_cols=args.columns,
-        scale_bits=args.scale_bits, jobs=args.jobs,
-        registry=args.obs_registry,
+        scale_bits=args.scale_bits, registry=args.obs_registry,
     )
     for line in report.render(top=args.top).splitlines():
         log.info("%s", line)
@@ -356,16 +355,11 @@ def _cmd_bench(args) -> int:
     report = run_bench(
         models=args.models or default,
         scheme_name=args.backend,
-        jobs=args.jobs,
         seed=args.seed,
         output_path=args.out or None,
-        check_parallel=args.check_parallel,
         registry=args.obs_registry,
         mem=args.mem,
     )
-    if report.get("parallel_proofs_identical") is False:
-        log.error("serial and parallel proof bytes diverge")
-        return 1
     if args.compare:
         diff = compare_reports(
             load_report(args.compare), report,
@@ -651,8 +645,6 @@ def _chaos_site(site, spec, inputs, args, baseline_bytes):
     from repro.perf.pkcache import GLOBAL_PK_CACHE
 
     extra = {}
-    if site == "worker":
-        extra["jobs"] = 2  # the worker site only fires on the parallel path
     if site == "freivalds":
         extra["plan"] = LayoutChoices(linear="freivalds")
     if site == "disk_write":
@@ -755,7 +747,6 @@ def _serve_config(args):
         cluster_workers=max(0, args.workers),
         pk_cache_dir=args.pk_cache_dir,
         max_backlog_batches=args.max_backlog,
-        jobs=args.jobs,
         telemetry=not args.no_telemetry,
         worker_telemetry=not args.no_worker_telemetry,
         flight_path=args.flight_recorder or None,
@@ -1058,9 +1049,6 @@ def build_parser() -> argparse.ArgumentParser:
     prove.add_argument("--registry", default=None, metavar="DIR",
                        help="publish the verifying key into this registry "
                             "after proving")
-    prove.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for the prover "
-                            "(default: ZKML_JOBS env, else serial)")
     prove.add_argument("--profile", action="store_true",
                        help="print the prover's per-phase time breakdown "
                             "and the predicted-vs-actual op counts")
@@ -1095,15 +1083,11 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=model_names(),
                        help="models to prove (default: dlrm mnist twitter)")
     bench.add_argument("--backend", default="kzg", choices=["kzg", "ipa"])
-    bench.add_argument("--jobs", type=int, default=None)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", default="BENCH_prover.json",
                        help="report path ('' to skip writing)")
     bench.add_argument("--quick", action="store_true",
                        help="prove only the smallest model (CI smoke run)")
-    bench.add_argument("--check-parallel", action="store_true",
-                       help="re-prove with workers and fail if the proof "
-                            "bytes diverge from the serial run")
     bench.add_argument("--mem", action="store_true",
                        help="record peak RSS per prover phase (ru_maxrss, "
                             "KB) into the report")
@@ -1125,8 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--columns", type=int, default=10)
     profile.add_argument("--scale-bits", type=int, default=5)
     profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--jobs", type=int, default=None,
-                         help="worker processes for the profiled prove")
     profile.add_argument("--top", type=int, default=12,
                          help="rows of the ranked layer table to print")
     profile.add_argument("--out", default=None,
@@ -1252,8 +1234,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "ops as the socket)")
     serve.add_argument("--http-host", default="127.0.0.1",
                        help="bind address for --http-port")
-    serve.add_argument("--jobs", type=int, default=None,
-                       help="prover worker processes per batch")
     serve.add_argument("--smoke", type=int, default=0, metavar="N",
                        help="submit N in-process requests, assert they all "
                             "verify and actually coalesced, then exit")

@@ -10,14 +10,12 @@ arithmetic happens.
 from __future__ import annotations
 
 from repro.envelope.format import ProofEnvelope
-from repro.field import GOLDILOCKS, PrimeField
 from repro.resilience.errors import VerificationFailure
 
 __all__ = ["verify_envelope"]
 
 
-def verify_envelope(env: ProofEnvelope, vk,
-                    field: PrimeField = GOLDILOCKS) -> bool:
+def verify_envelope(env: ProofEnvelope, vk) -> bool:
     """Verify an envelope's proof against ``vk``.
 
     Binding checks come first: the envelope's verifying-key hash must
@@ -25,8 +23,8 @@ def verify_envelope(env: ProofEnvelope, vk,
     a mismatch is a :class:`~repro.resilience.errors.VerificationFailure`
     (the envelope is well-formed; it just isn't a proof *for this key*).
     Only after binding passes do proof deserialization and the strict
-    verifier run.  Every rejection raises; the only value returned is
-    ``True``.
+    verifier run, over the key's own field (``vk.field``).  Every
+    rejection raises; the only value returned is ``True``.
     """
     from repro.commit import scheme_by_name
     from repro.halo2.proof import proof_from_bytes
@@ -41,7 +39,7 @@ def verify_envelope(env: ProofEnvelope, vk,
             "envelope verifying-key hash %s does not match key %s"
             % (env.vk_hash_hex[:16], vk.digest().hex()[:16]),
             model=env.model)
-    scheme = scheme_by_name(env.scheme_name, field)
+    scheme = scheme_by_name(env.scheme_name, vk.field)
     verify_proof_strict(vk, proof_from_bytes(env.proof_bytes), env.instance,
                         scheme)
     return True

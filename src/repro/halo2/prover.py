@@ -32,35 +32,31 @@ is one construction over either backend, with per-row reference
 kernels in place of the vectorized ones), and the two produce
 byte-identical proofs (asserted by the equivalence tests).
 
-Independent column work fans out over worker processes (``jobs`` argument
-or ``ZKML_JOBS``) through :func:`~repro.perf.parallel.parallel_row_map`,
-which ships the stacked matrix through shared memory instead of the pool
-pipe; chunk results are concatenated in row order, so parallel proofs are
-byte-identical to serial ones.  A :class:`~repro.perf.timer.PhaseTimer`
-may be passed to record the commit / helpers / quotient / openings phase
+The prover is serial: one process, one thread per proof.  More cores are
+used by proving more batches at once (``zkml serve --workers N``), never
+by splitting one proof.  A :class:`~repro.perf.timer.PhaseTimer` may be
+passed to record the commit / helpers / quotient / openings phase
 breakdown.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.commit.scheme import Commitment, CommitmentScheme
 from repro.commit.transcript import Transcript
 from repro.field import gl64
-from repro.field.domain import EvaluationDomain
 from repro.halo2.circuit import Assignment
 from repro.halo2.column import Column, ColumnType
 from repro.halo2.expression import VectorEvaluator, evaluate_on_lagrange
 from repro.halo2.keygen import ALPHA, BETA, GAMMA, THETA, ProvingKey
 from repro.halo2.proof import Proof
 from repro.obs.stats import STATS
-# leaf-module imports: repro.perf's package init pulls in the pk cache,
+# leaf-module import: repro.perf's package init pulls in the pk cache,
 # which imports repro.halo2 and would close an import cycle through here
-from repro.perf.parallel import parallel_map, parallel_row_map, resolve_jobs
 from repro.perf.timer import NULL_TIMER
 # re-exported for callers that import ProvingError from here; the class
 # now lives in the shared taxonomy and carries phase/layer/row context
@@ -74,43 +70,14 @@ from repro.resilience.errors import ProvingError
 QUOTIENT_STREAM_ELEMS = 1 << 25
 
 
-# -- multiprocess workers ----------------------------------------------------
-#
-# Workers get the (domain, scheme) pair once through the pool initializer;
-# row-parallel payloads live in shared memory, so only chunk bounds and
-# commitment digests cross the pipe.  Module level so they pickle by
-# reference.  The serial path runs the same functions in-process.
-
-_WORKER_DOMAIN: Optional[EvaluationDomain] = None
-_WORKER_SCHEME: Optional[CommitmentScheme] = None
-
-
-def _pool_init(domain: EvaluationDomain, scheme: CommitmentScheme) -> None:
-    global _WORKER_DOMAIN, _WORKER_SCHEME
-    _WORKER_DOMAIN = domain
-    _WORKER_SCHEME = scheme
-
-
-def _interpolate_and_commit(evals):
-    """Base-domain column -> (coefficient vector, commitment)."""
-    poly = _WORKER_DOMAIN.lagrange_to_coeff_vec(evals)
-    return poly, _WORKER_SCHEME.commit(poly)
-
-
-def _commit_piece(piece):
-    """Quotient piece (coefficient vector) -> commitment."""
-    return _WORKER_SCHEME.commit(piece)
-
-
-def _interp_commit_rows_chunk(rows: np.ndarray, row_offset: int):
-    """Row-parallel worker: batched interpolation + commits for a chunk.
+def _interpolate_commit_rows(domain, scheme, rows: np.ndarray):
+    """Interpolate + commit the rows of ``rows``; returns (polys, coms).
 
     All-zero rows skip the transform (a zero column interpolates to the
-    zero polynomial) and share one zero-polynomial commitment per chunk;
-    both skips are counted in ``STATS.sparsity_skips``.  The chunk's
-    nonzero rows go through a single batched inverse NTT.
+    zero polynomial) and share one zero-polynomial commitment; both skips
+    are counted in ``STATS.sparsity_skips``.  The nonzero rows go through
+    a single batched inverse NTT.
     """
-    domain, scheme = _WORKER_DOMAIN, _WORKER_SCHEME
     m = rows.shape[0]
     nonzero = np.flatnonzero(np.any(rows != 0, axis=1))
     if nonzero.size == m:
@@ -138,15 +105,13 @@ def _interp_commit_rows_chunk(rows: np.ndarray, row_offset: int):
     return polys, coms
 
 
-def _interpolate_commit_rows(domain, scheme, mat: np.ndarray, jobs):
-    """Interpolate + commit the rows of ``mat``; returns (polys, coms)."""
-    return parallel_row_map(
-        _interp_commit_rows_chunk,
-        mat,
-        jobs=jobs,
-        initializer=_pool_init,
-        initargs=(domain, scheme),
-    )
+def _interpolate_commit(domain, scheme, vecs):
+    """Base-domain columns -> (coefficient vectors, commitments): one
+    batched call on Goldilocks, column by column on the list backend."""
+    if domain.uses_gl64 and vecs:
+        return _interpolate_commit_rows(domain, scheme, np.stack(vecs))
+    polys = [domain.lagrange_to_coeff_vec(vec) for vec in vecs]
+    return polys, [scheme.commit(poly) for poly in polys]
 
 
 # -- vectorized helper-column kernels ----------------------------------------
@@ -353,7 +318,6 @@ def create_proof(
     pk: ProvingKey,
     assignment: Assignment,
     scheme: CommitmentScheme,
-    jobs: Optional[int] = None,
     timer=None,
 ) -> Proof:
     """Produce a proof that ``assignment`` satisfies the circuit.
@@ -362,9 +326,6 @@ def create_proof(
         pk: The proving key from keygen.
         assignment: The witness grid.
         scheme: The commitment backend.
-        jobs: Worker processes for independent column work (default: the
-            ``ZKML_JOBS`` environment variable, else serial).  Any value
-            produces byte-identical proofs.
         timer: An optional :class:`repro.perf.PhaseTimer` that receives the
             commit/helpers/quotient/openings wall-clock breakdown.
     """
@@ -379,7 +340,6 @@ def create_proof(
             assignment_k=assignment.k, key_k=vk.k,
         )
     timer = timer if timer is not None else NULL_TIMER
-    jobs = resolve_jobs(jobs)
     backend = domain.backend
     use_np = domain.uses_gl64
 
@@ -395,32 +355,19 @@ def create_proof(
             if use_np and assignment.advice_is_zero(i):
                 # synthesis never wrote a nonzero value: skip even the
                 # row-by-row grid read; the zero row is then skipped again
-                # at interpolation/commit time by the chunk worker
+                # at interpolation/commit time
                 advice_vecs[i] = np.zeros(n, dtype=np.uint64)
             else:
                 col = Column(ColumnType.ADVICE, i)
                 advice_vecs[i] = backend.from_ints(assignment.column_values(col))
         advice_polys: Dict[int, object] = {}
         advice_commitments = []
-        if use_np and cs.num_advice:
-            mat = np.stack([advice_vecs[i] for i in range(cs.num_advice)])
-            polys, coms = _interpolate_commit_rows(domain, scheme, mat, jobs)
-            for i, com in enumerate(coms):
-                advice_polys[i] = polys[i]
-                advice_commitments.append(com)
-                transcript.append_commitment(b"advice", com.digest)
-        else:
-            results = parallel_map(
-                _interpolate_and_commit,
-                [advice_vecs[i] for i in range(cs.num_advice)],
-                jobs=jobs,
-                initializer=_pool_init,
-                initargs=(domain, scheme),
-            )
-            for i, (poly, com) in enumerate(results):
-                advice_polys[i] = poly
-                advice_commitments.append(com)
-                transcript.append_commitment(b"advice", com.digest)
+        polys, coms = _interpolate_commit(
+            domain, scheme, [advice_vecs[i] for i in range(cs.num_advice)])
+        for i, com in enumerate(coms):
+            advice_polys[i] = polys[i]
+            advice_commitments.append(com)
+            transcript.append_commitment(b"advice", com.digest)
 
     challenges = {
         THETA: transcript.challenge_scalar(b"theta"),
@@ -524,20 +471,10 @@ def create_proof(
             helper_evals[perm.sum_col.index] = prefix_sum(total)
 
         helper_order = sorted(helper_evals)
-        if use_np and helper_order:
-            hmat = np.stack([helper_evals[idx] for idx in helper_order])
-            polys, coms = _interpolate_commit_rows(domain, scheme, hmat, jobs)
-            results = list(zip(polys, coms))
-        else:
-            results = parallel_map(
-                _interpolate_and_commit,
-                [helper_evals[idx] for idx in helper_order],
-                jobs=jobs,
-                initializer=_pool_init,
-                initargs=(domain, scheme),
-            )
+        polys, coms = _interpolate_commit(
+            domain, scheme, [helper_evals[idx] for idx in helper_order])
         helper_commitments = []
-        for idx, (poly, com) in zip(helper_order, results):
+        for idx, poly, com in zip(helper_order, polys, coms):
             advice_polys[idx] = poly
             advice_vecs[idx] = helper_evals[idx]
             helper_commitments.append(com)
@@ -598,14 +535,10 @@ def create_proof(
                 piece = padded
             pieces.append(piece)
 
-        quotient_commitments = parallel_map(
-            _commit_piece,
-            pieces,
-            jobs=jobs,
-            initializer=_pool_init,
-            initargs=(domain, scheme),
-        )
-        for com in quotient_commitments:
+        quotient_commitments = []
+        for piece in pieces:
+            com = scheme.commit(piece)
+            quotient_commitments.append(com)
             transcript.append_commitment(b"quotient", com.digest)
 
     x = transcript.challenge_nonzero(b"x")

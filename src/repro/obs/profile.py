@@ -280,7 +280,6 @@ def profile_model(
     num_cols: int = 10,
     scale_bits: int = 5,
     lookup_bits: Optional[int] = None,
-    jobs: Optional[int] = None,
     registry: Optional[MetricsRegistry] = None,
     use_pk_cache: bool = True,
 ):
@@ -299,9 +298,8 @@ def profile_model(
     with use_tracer(tracer):
         result = prove_model(
             spec, inputs, scheme_name=scheme_name, num_cols=num_cols,
-            scale_bits=scale_bits, lookup_bits=lookup_bits, jobs=jobs,
-            tracer=tracer, metrics=registry, use_pk_cache=use_pk_cache,
-            keep_synthesized=True,
+            scale_bits=scale_bits, lookup_bits=lookup_bits, tracer=tracer,
+            metrics=registry, use_pk_cache=use_pk_cache, keep_synthesized=True,
         )
     builder = result.synthesized.builder
     layers = attribute_layers(builder, tracer=tracer,

@@ -9,10 +9,9 @@ per O(n log n) transform is far below measurement noise, so the counters
 stay on unconditionally and the disabled-observability path needs no
 branching at all.
 
-Counters are per-process: worker processes spawned by
-``repro.perf.parallel`` accumulate into their own copy, so parallel runs
-undercount from the parent's point of view (documented in
-``docs/observability.md``).
+Counters are per-process and a proof runs in one process, so a prove's
+:meth:`ObsStats.delta` is complete; ``zkml serve --workers N`` ships each
+worker's delta back with the batch result (:mod:`repro.obs.cluster`).
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ hierarchy.  Two export formats are supported:
 - **collapsed stacks** (:meth:`Tracer.to_collapsed`): the
   ``flamegraph.pl`` folded format (``a;b;c <self-µs>``).
 
-Spans recorded in ``repro.perf.parallel`` worker *processes* are shipped
-back with each task's result and re-registered here via
+Spans recorded in ``zkml serve --workers N`` worker *processes* are
+shipped back with each batch result and re-registered here via
 :meth:`Tracer.ingest`, keeping the worker's own pid/tid so the exported
 trace shows real parallelism.
 

@@ -1,4 +1,4 @@
-"""Proving-performance toolkit: phase timers, parallel dispatch, caches.
+"""Proving-performance toolkit: phase timers, the keygen cache, benches.
 
 The ROADMAP's north star is a prover that "runs as fast as the hardware
 allows"; this package holds the substrate-level machinery for that:
@@ -6,16 +6,12 @@ allows"; this package holds the substrate-level machinery for that:
 - :class:`PhaseTimer` — per-phase wall-clock accounting the prover
   instruments (commit / helpers / quotient / openings), surfaced through
   ``ProveResult.phase_seconds`` and ``zkml prove --profile``;
-- :func:`parallel_map` — opt-in multiprocess dispatch (``ZKML_JOBS`` or
-  ``jobs=``) with a serial fallback and deterministic ordering, so
-  parallel proofs are byte-identical to serial ones;
 - :class:`ProvingKeyCache` — a keygen cache keyed by circuit digest, so
   repeated proves of the same circuit skip preprocessing;
 - :mod:`repro.perf.bench` — the benchmark harness that records the
   ``BENCH_prover.json`` perf trajectory.
 """
 
-from repro.perf.parallel import parallel_map, resolve_jobs
 from repro.perf.pkcache import ProvingKeyCache, circuit_digest
 from repro.perf.timer import NULL_TIMER, NullTimer, PhaseTimer
 
@@ -23,8 +19,6 @@ __all__ = [
     "PhaseTimer",
     "NullTimer",
     "NULL_TIMER",
-    "parallel_map",
-    "resolve_jobs",
     "ProvingKeyCache",
     "circuit_digest",
 ]

@@ -12,16 +12,12 @@ reports current/baseline per model.
 
 The harness doubles as the observability smoke test: pass ``trace_path``
 / ``metrics_path`` (CLI ``--trace`` / ``--metrics``) to capture the span
-tree and the metrics registry for the whole run, and ``check_parallel``
-to re-prove each model with worker processes and assert the proof bytes
-are identical to the serial run (the report carries
-``parallel_proofs_identical`` so callers can exit non-zero).
+tree and the metrics registry for the whole run.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 import platform
 import sys
 from typing import Dict, Iterable, List, Optional
@@ -64,18 +60,15 @@ def bench_inputs(spec, seed: int = 0) -> Dict[str, np.ndarray]:
 def bench_model(
     name: str,
     scheme_name: str = "kzg",
-    jobs: Optional[int] = None,
     seed: int = 0,
     metrics: Optional[MetricsRegistry] = None,
-    check_parallel: bool = False,
     mem: bool = False,
 ) -> Dict[str, object]:
     """Prove one mini zoo model and return its benchmark record."""
     spec = get_model(name, scale="mini")
     inputs = bench_inputs(spec, seed)
-    result = prove_model(
-        spec, inputs, scheme_name=scheme_name, jobs=jobs, metrics=metrics
-    )
+    result = prove_model(spec, inputs, scheme_name=scheme_name,
+                         metrics=metrics)
     verify_seconds = result.verification_seconds()
     baseline = SEED_BASELINE_SECONDS.get(name)
     record: Dict[str, object] = {
@@ -108,29 +101,17 @@ def bench_model(
             record["speedup_vs_seed"] = round(
                 baseline / result.proving_seconds, 2
             )
-    if check_parallel:
-        # Re-prove with worker processes; the pk cache skips keygen, so
-        # this costs one extra prove.  Proofs must be byte-identical.
-        other_jobs = 2 if not jobs or jobs < 2 else None
-        parallel = prove_model(
-            spec, inputs, scheme_name=scheme_name, jobs=other_jobs
-        )
-        record["parallel_proof_identical"] = (
-            pickle.dumps(result.proof) == pickle.dumps(parallel.proof)
-        )
     return record
 
 
 def run_bench(
     models: Iterable[str] = DEFAULT_MODELS,
     scheme_name: str = "kzg",
-    jobs: Optional[int] = None,
     seed: int = 0,
     output_path: Optional[str] = "BENCH_prover.json",
     stream=None,
     trace_path: Optional[str] = None,
     metrics_path: Optional[str] = None,
-    check_parallel: bool = False,
     registry: Optional[MetricsRegistry] = None,
     mem: bool = False,
 ) -> Dict[str, object]:
@@ -149,8 +130,8 @@ def run_bench(
     def run_all() -> None:
         for name in models:
             record = bench_model(
-                name, scheme_name=scheme_name, jobs=jobs, seed=seed,
-                metrics=registry, check_parallel=check_parallel, mem=mem,
+                name, scheme_name=scheme_name, seed=seed, metrics=registry,
+                mem=mem,
             )
             records.append(record)
             print(
@@ -174,9 +155,6 @@ def run_bench(
             if "peak_rss_kb" in record:
                 print("    peak RSS   %6.1f MB" %
                       (record["peak_rss_kb"] / 1024.0), file=stream)
-            if record.get("parallel_proof_identical") is False:
-                print("    WARNING: parallel proof bytes diverge from serial",
-                      file=stream)
 
     if tracer is not None:
         with use_tracer(tracer):
@@ -188,7 +166,6 @@ def run_bench(
         "schema": SCHEMA,
         "config": {
             "scheme": scheme_name,
-            "jobs": jobs,
             "seed": seed,
             "python": platform.python_version(),
         },
@@ -203,10 +180,6 @@ def run_bench(
     }
     if registry is not None:
         events.merge_into(registry)
-    if check_parallel:
-        report["parallel_proofs_identical"] = all(
-            r.get("parallel_proof_identical", True) for r in records
-        )
     if output_path:
         with open(output_path, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

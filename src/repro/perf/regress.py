@@ -48,7 +48,7 @@ DEFAULT_TIME_THRESHOLD = 0.5
 
 #: Keys never diffed — environment/config noise, not performance.
 SKIP_KEYS = frozenset({
-    "schema", "python", "seed", "jobs", "scheme",
+    "schema", "python", "seed", "scheme",
     "seed_baseline_seconds", "speedup_vs_seed",
 })
 

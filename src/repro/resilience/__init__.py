@@ -9,7 +9,7 @@ stage checkpointing (:mod:`~repro.resilience.checkpoint`), and a
 proof-mutation fuzzer (:mod:`~repro.resilience.fuzz`).
 
 Only the leaf modules (errors / events / faults) are imported eagerly:
-they are referenced from hot modules like ``repro.perf.parallel`` and
+they are referenced from hot modules like ``repro.field.domain`` and
 must not pull the circuit stack into the import graph.  Import
 ``repro.resilience.supervisor`` / ``checkpoint`` / ``fuzz`` explicitly.
 """

@@ -1,11 +1,11 @@
 """Process-wide resilience event counters and their log lines.
 
-Every recovery the pipeline performs — a retry, a degradation (parallel
-prover falling back to serial, Freivalds falling back to direct matmul),
-a cache rebuild — is *visible*: it increments a counter here and emits a
-``warning`` log line.  The counters live in a module-global
+Every recovery the pipeline performs — a retry, a degradation (Freivalds
+falling back to direct matmul), a cache rebuild — is *visible*: it
+increments a counter here and emits a ``warning`` log line.  The
+counters live in a module-global
 :class:`~repro.obs.metrics.MetricsRegistry` so call sites that have no
-per-run registry (e.g. ``repro.perf.parallel``) can still report, and the
+per-run registry (e.g. ``repro.perf.pkcache``) can still report, and the
 benchmark harness can assert a clean run performed **zero** recoveries.
 
 Counter families (Prometheus naming):

@@ -7,8 +7,6 @@ deterministic schedule.  The instrumented sites are:
 ==============  ==============================================================
 site            where it fires
 ==============  ==============================================================
-``worker``      ``repro.perf.parallel.parallel_map`` before spawning the
-                worker pool (simulates a dead/unspawnable pool)
 ``cache_read``  ``ProvingKeyCache.get_or_create`` on a cache hit (simulates
                 a corrupted cache entry; the checksum check then fails)
 ``ntt``         ``EvaluationDomain.lagrange_to_coeff_vec`` (transient
@@ -27,7 +25,7 @@ variable, or ``zkml chaos``)::
     ZKML_FAULTS="ntt"            # fail the first ntt call, succeed after
     ZKML_FAULTS="ntt:3"          # fail the first three calls
     ZKML_FAULTS="cache_read@1"   # let one call pass, then fail once
-    ZKML_FAULTS="ntt:2,worker"   # several sites at once
+    ZKML_FAULTS="ntt:2,transcript"   # several sites at once
 
 The schedule is purely counter-based — same plan, same call sequence,
 same failures — so every chaos run is reproducible.  ``InjectedFault`` is
@@ -55,8 +53,7 @@ __all__ = [
 ]
 
 #: Every instrumented site name (the chaos matrix iterates these).
-FAULT_SITES = ("worker", "cache_read", "ntt", "transcript", "disk_write",
-               "freivalds")
+FAULT_SITES = ("cache_read", "ntt", "transcript", "disk_write", "freivalds")
 
 #: Environment variable holding the default fault spec.
 ENV_VAR = "ZKML_FAULTS"

@@ -49,7 +49,6 @@ from repro.envelope import (
 from repro.compiler import SynthesizedModel, synthesize_batch
 from repro.compiler.layouter import only_slot
 from repro.compiler.logical import LayoutPlan
-from repro.field import GOLDILOCKS, PrimeField
 from repro.halo2 import Proof, VerifyingKey, create_proof, keygen
 from repro.halo2.proof import proof_to_bytes
 from repro.halo2.verifier import verify_proof_strict
@@ -145,24 +144,24 @@ class ProveResult:
         """The canonical serialized envelope (what ``zkml prove`` emits)."""
         return self.envelope().encode()
 
-    def verify(self, field: PrimeField = GOLDILOCKS) -> bool:
+    def verify(self) -> bool:
         """Verify the proof against every slot's public inputs.
 
         Strict, like :func:`verify_model_proof`: a malformed proof raises
         :class:`~repro.resilience.errors.ProofFormatError` and a rejected
         one raises :class:`~repro.resilience.errors.VerificationFailure`.
         """
-        scheme = scheme_by_name(self.scheme_name, field)
+        scheme = scheme_by_name(self.scheme_name, self.vk.field)
         with get_tracer().span("verify", model=self.spec_name,
                                scheme=self.scheme_name,
                                batch_size=self.batch_size):
             verify_proof_strict(self.vk, self.proof, self.instance, scheme)
         return True
 
-    def verification_seconds(self, field: PrimeField = GOLDILOCKS) -> float:
+    def verification_seconds(self) -> float:
         """Wall-clock of one :meth:`verify` (raises if it rejects)."""
         start = time.perf_counter()
-        self.verify(field)
+        self.verify()
         return time.perf_counter() - start
 
     def predicted_vs_actual(self) -> List[Dict[str, object]]:
@@ -192,8 +191,6 @@ def prove_batch(
     scale_bits: int = 5,
     lookup_bits: Optional[int] = None,
     k: Optional[int] = None,
-    field: PrimeField = GOLDILOCKS,
-    jobs: Optional[int] = None,
     use_pk_cache: bool = True,
     tracer=None,
     metrics=None,
@@ -209,12 +206,11 @@ def prove_batch(
     inference's outputs are exposed in its own instance columns.  ``k``
     forces the grid (default: the minimal feasible one for the batch).
 
-    ``jobs`` fans independent prover work over worker processes (see
-    ``repro.perf``); with ``use_pk_cache`` repeated proves of the same
-    circuit skip keygen via the global proving-key cache (the circuit
-    digest covers the batch shape, so equal-occupancy batches share keys
-    — ``keygen_cache_hit`` reports a skip).  ``tracer`` overrides the
-    process tracer for this run; ``metrics`` is an optional
+    With ``use_pk_cache`` repeated proves of the same circuit skip keygen
+    via the global proving-key cache (the circuit digest covers the batch
+    shape, so equal-occupancy batches share keys — ``keygen_cache_hit``
+    reports a skip).  ``tracer`` overrides the process tracer for this
+    run; ``metrics`` is an optional
     :class:`~repro.obs.metrics.MetricsRegistry` that receives circuit
     statistics and prover operation counts.
 
@@ -266,7 +262,7 @@ def prove_batch(
         )
         builder = result.builder
 
-        scheme = scheme_by_name(scheme_name, field)
+        scheme = scheme_by_name(scheme_name, builder.field)
         start = time.perf_counter()
 
         def _keygen():
@@ -291,9 +287,8 @@ def prove_batch(
             counts_before = STATS.snapshot()
             try:
                 with tracer.span("prove", model=spec.name, k=builder.k,
-                                 jobs=jobs or 1, batch_size=slots):
-                    proof = create_proof(pk, builder.asg, scheme,
-                                         jobs=jobs, timer=timer)
+                                 batch_size=slots):
+                    proof = create_proof(pk, builder.asg, scheme, timer=timer)
             except ProvingError as exc:
                 row = exc.context.get("row")
                 if row is not None and exc.region is None:
@@ -366,7 +361,6 @@ def verify_model_proof(
     proof,
     instance: Optional[List[List[int]]] = None,
     scheme_name: str = "kzg",
-    field: PrimeField = GOLDILOCKS,
     caps: EnvelopeCaps = DEFAULT_CAPS,
 ) -> bool:
     """Verify a model proof against its public inputs.
@@ -390,12 +384,12 @@ def verify_model_proof(
     if isinstance(proof, ProofEnvelope):
         with get_tracer().span("verify", scheme=proof.scheme_name,
                                envelope=True):
-            return verify_envelope(proof, vk, field=field)
+            return verify_envelope(proof, vk)
     if instance is None:
         raise ProofFormatError(
             "instance values are required to verify a live Proof object "
             "(envelopes carry their own public inputs)")
-    scheme = scheme_by_name(scheme_name, field)
+    scheme = scheme_by_name(scheme_name, vk.field)
     with get_tracer().span("verify", scheme=scheme_name):
         verify_proof_strict(vk, proof, instance, scheme)
     return True

@@ -51,7 +51,11 @@ from repro.resilience.errors import (
     ServiceShutdownError,
     ServiceTimeoutError,
 )
-from repro.serve.server import MAX_REQUEST_BYTES, PayloadProcessor
+from repro.serve.server import (
+    MAX_REQUEST_BYTES,
+    PayloadProcessor,
+    metrics_text,
+)
 from repro.serve.service import ProvingService
 
 __all__ = ["HttpFrontEnd", "DEFAULT_HTTP_PORT"]
@@ -131,11 +135,17 @@ class _Handler(BaseHTTPRequestHandler):
         if not raw:
             return {}
         try:
-            return json.loads(raw)
+            payload = json.loads(raw)
         except ValueError:
             self._reply(400, {"ok": False, "error": "ServiceError",
                               "detail": "request body is not valid JSON"})
             return None
+        if not isinstance(payload, dict):
+            self._reply(400, {"ok": False, "error": "ServiceError",
+                              "detail": "request payload must be a JSON "
+                                        "object"})
+            return None
+        return payload
 
     def _run(self, payload: Dict) -> None:
         try:
@@ -157,7 +167,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._run({"op": "status"})
         elif self.path in ("/v1/metrics", "/metrics"):
             try:
-                self._reply_text(200, self.processor.metrics_text())
+                self._reply_text(200, metrics_text(self.processor.service))
             except Exception as exc:  # noqa: BLE001
                 self._reply(500, {"ok": False,
                                   "error": type(exc).__name__,

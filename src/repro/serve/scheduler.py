@@ -71,8 +71,7 @@ class _WorkerHandle:
     """One worker process plus its private job queue."""
 
     def __init__(self, worker_id: int, ctx, result_queue,
-                 pk_cache_dir: Optional[str], verify_proofs: bool,
-                 telemetry: bool = False):
+                 pk_cache_dir: Optional[str], telemetry: bool = False):
         self.worker_id = worker_id
         self.job_queue = ctx.Queue()
         self.current: Optional[BatchJob] = None
@@ -81,7 +80,7 @@ class _WorkerHandle:
         self.process = ctx.Process(
             target=worker_main,
             args=(worker_id, self.job_queue, result_queue, pk_cache_dir,
-                  verify_proofs, telemetry),
+                  telemetry),
             name="zkml-prover-%d" % worker_id,
             daemon=True,
         )
@@ -120,7 +119,6 @@ class ClusterScheduler:
                  on_result: Callable[[BatchJob, BatchResult], None],
                  on_shed: Callable[[BatchJob, str], None],
                  pk_cache_dir: Optional[str] = None,
-                 verify_proofs: bool = True,
                  max_backlog_batches: int = 8,
                  redispatch_limit: int = 2,
                  tick_seconds: float = 0.01,
@@ -133,7 +131,6 @@ class ClusterScheduler:
         self.on_result = on_result
         self.on_shed = on_shed
         self.pk_cache_dir = pk_cache_dir
-        self.verify_proofs = verify_proofs
         self.max_backlog_batches = max_backlog_batches
         self.redispatch_limit = redispatch_limit
         self.tick_seconds = tick_seconds
@@ -184,8 +181,7 @@ class ClusterScheduler:
 
     def _spawn(self, worker_id: int) -> _WorkerHandle:
         return _WorkerHandle(worker_id, self._ctx, self._result_queue,
-                             self.pk_cache_dir, self.verify_proofs,
-                             telemetry=self.telemetry)
+                             self.pk_cache_dir, telemetry=self.telemetry)
 
     def shutdown(self, drain: bool = True,
                  timeout: Optional[float] = None) -> None:

@@ -54,7 +54,7 @@ import json
 import os
 import socket
 import threading
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -65,19 +65,14 @@ from repro.resilience import events
 from repro.resilience.errors import ResilienceError, ServiceError
 from repro.serve.service import ProvingService
 
-__all__ = ["ServeServer", "PayloadProcessor", "CONTROL_OPS",
-           "DEFAULT_SOCKET", "request_inputs"]
+__all__ = ["ServeServer", "FramedSocketServer", "PayloadProcessor",
+           "CONTROL_OPS", "control", "metrics_text", "request_inputs"]
 
 #: Operator ops the socket answers without touching the prover.
 CONTROL_OPS = ("health", "status", "metrics", "dump")
 
-#: Default unix socket path (relative to the server's working directory).
-DEFAULT_SOCKET = "zkml-serve.sock"
-
 #: Cap on a single request line (a mini-model input is a few KB).
 MAX_REQUEST_BYTES = 4 << 20
-
-log = obs_log.get_logger("serve")
 
 
 def request_inputs(spec, payload: Dict) -> Dict[str, np.ndarray]:
@@ -118,11 +113,8 @@ class PayloadProcessor:
         self.default_timeout = default_timeout
 
     def process(self, payload: Dict) -> Dict:
-        if not isinstance(payload, dict):
-            raise ServiceError("request payload must be a JSON object",
-                               got=type(payload).__name__)
         if "op" in payload:
-            return self.control(payload)
+            return control(self.service, payload)
         model = payload.get("model")
         if model not in model_names():
             raise ServiceError("unknown model %r" % model)
@@ -171,68 +163,74 @@ class PayloadProcessor:
                 response.envelope_bytes).decode()
         return out
 
-    def control(self, payload: Dict) -> Dict:
-        """Answer an operator op (``health`` / ``status`` / ``metrics`` /
-        ``dump``) from in-memory state — never via the prover."""
-        op = payload["op"]
-        if not isinstance(op, str) or op not in CONTROL_OPS:
-            raise ServiceError(
-                "unknown control op %r (expected one of %s)"
-                % (op, "/".join(CONTROL_OPS)))
-        if op == "health":
-            health = self.service.health()
-            health["ok"] = True  # protocol-level ok; liveness is "accepting"
-            return health
-        if op == "status":
-            return {"ok": True, "status": self.service.status()}
-        if op == "metrics":
-            return {"ok": True, "metrics_text": self.metrics_text()}
-        path = payload.get("path")
-        if path is not None and not isinstance(path, str):
-            raise ServiceError("dump path must be a string",
-                               got=type(path).__name__)
-        artifact = self.service.dump_flight(reason="operator_request",
-                                            path=path)
-        effective = path or self.service.runtime.dump_path
-        out = {"ok": True, "reason": "operator_request",
-               "events_recorded": artifact.get("events_recorded", 0),
-               "checksum": artifact.get("checksum", "")}
-        if effective:
-            out["path"] = effective
-        if not path:
-            out["artifact"] = artifact
-        return out
 
-    def metrics_text(self) -> str:
-        """The Prometheus exposition (service registry + resilience)."""
-        text = self.service.metrics.to_prometheus()
-        resilience = events.EVENTS.to_prometheus()
-        if resilience:
-            text = text + resilience if text.endswith("\n") or not text \
-                else text + "\n" + resilience
-        return text
+def control(service, payload: Dict) -> Dict:
+    """Answer an operator op (``health`` / ``status`` / ``metrics`` /
+    ``dump``) from the in-memory state of ``service`` (proving or
+    verifying) — never via the prover or the verifier."""
+    op = payload["op"]
+    if not isinstance(op, str) or op not in CONTROL_OPS:
+        raise ServiceError(
+            "unknown control op %r (expected one of %s)"
+            % (op, "/".join(CONTROL_OPS)))
+    if op == "health":
+        health = service.health()
+        health["ok"] = True  # protocol-level ok; liveness is "accepting"
+        return health
+    if op == "status":
+        return {"ok": True, "status": service.status()}
+    if op == "metrics":
+        return {"ok": True, "metrics_text": metrics_text(service)}
+    path = payload.get("path")
+    if path is not None and not isinstance(path, str):
+        raise ServiceError("dump path must be a string",
+                           got=type(path).__name__)
+    artifact = service.dump_flight(reason="operator_request", path=path)
+    effective = path or service.runtime.dump_path
+    out = {"ok": True, "reason": "operator_request",
+           "events_recorded": artifact.get("events_recorded", 0),
+           "checksum": artifact.get("checksum", "")}
+    if effective:
+        out["path"] = effective
+    if not path:
+        out["artifact"] = artifact
+    return out
 
 
-class ServeServer:
-    """Accept-loop wrapper: socket connections → ``service.submit``."""
+def metrics_text(service) -> str:
+    """The Prometheus exposition (service registry + resilience); each
+    part is empty or newline-terminated, so they concatenate."""
+    return service.metrics.to_prometheus() + events.EVENTS.to_prometheus()
 
-    def __init__(self, service: ProvingService, socket_path: str,
-                 default_timeout: float = 120.0):
-        self.service = service
+
+class FramedSocketServer:
+    """The accept loop of both socket front ends: one JSON request line
+    per connection in, one JSON reply line out.
+
+    ``process(payload) -> dict`` handles a parsed request; whatever it
+    raises becomes an ``{"ok": false, "error", "detail"}`` reply.  The
+    line is capped at ``max_request_bytes`` before parsing and must hold
+    a JSON object; each violation is a typed ``ServiceError`` reply.
+    """
+
+    def __init__(self, socket_path: str, max_request_bytes: int,
+                 log_name: str, process: Callable[[Dict], Dict]):
         self.socket_path = socket_path
-        self.default_timeout = default_timeout
-        self.processor = PayloadProcessor(service, default_timeout)
+        self.max_request_bytes = max_request_bytes
+        self._log = obs_log.get_logger(log_name)
+        self._process = process
         self._sock: Optional[socket.socket] = None
         self._accepting = False
         self._thread: Optional[threading.Thread] = None
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self) -> "ServeServer":
+    def start(self):
         """Bind the socket and start accepting in a background thread."""
         self._bind()
-        self._thread = threading.Thread(target=self._accept_loop,
-                                        name="zkml-serve-accept", daemon=True)
+        self._thread = threading.Thread(
+            target=self._accept_loop,
+            name="zkml-%s-accept" % self._log.name, daemon=True)
         self._thread.start()
         return self
 
@@ -249,11 +247,11 @@ class ServeServer:
         self._sock.listen(64)
         self._sock.settimeout(0.2)
         self._accepting = True
-        log.info("serving on %s", self.socket_path)
+        self._log.info("serving on %s", self.socket_path)
 
     def stop(self) -> None:
         """Stop accepting and remove the socket (the service keeps its
-        own lifecycle — call ``service.shutdown`` separately)."""
+        own lifecycle — shut it down separately)."""
         self._accepting = False
         if self._thread is not None:
             self._thread.join(timeout=2.0)
@@ -280,8 +278,7 @@ class ServeServer:
     def _handle(self, conn: socket.socket) -> None:
         with conn:
             try:
-                payload = self._read_request(conn)
-                response = self._process(payload)
+                response = self._process(self._read_request(conn))
             except ResilienceError as exc:
                 response = {"ok": False, "error": type(exc).__name__,
                             "detail": str(exc)}
@@ -301,14 +298,28 @@ class ServeServer:
             if not chunk:
                 break
             total += len(chunk)
-            if total > MAX_REQUEST_BYTES:
+            if total > self.max_request_bytes:
                 raise ServiceError("request exceeds %d bytes"
-                                   % MAX_REQUEST_BYTES)
+                                   % self.max_request_bytes)
             chunks.append(chunk)
         line = b"".join(chunks).split(b"\n", 1)[0]
         if not line:
             raise ServiceError("empty request")
-        return json.loads(line)
+        try:
+            payload = json.loads(line)
+        except ValueError:  # JSONDecodeError, or bytes in no JSON encoding
+            raise ServiceError("request line is not valid JSON") from None
+        if not isinstance(payload, dict):
+            raise ServiceError("request payload must be a JSON object",
+                               got=type(payload).__name__)
+        return payload
 
-    def _process(self, payload: Dict) -> Dict:
-        return self.processor.process(payload)
+
+class ServeServer(FramedSocketServer):
+    """Socket connections → ``service.submit`` (via
+    :class:`PayloadProcessor`)."""
+
+    def __init__(self, service: ProvingService, socket_path: str,
+                 default_timeout: float = 120.0):
+        super().__init__(socket_path, MAX_REQUEST_BYTES, "serve",
+                         PayloadProcessor(service, default_timeout).process)

@@ -14,7 +14,7 @@ request-serving loop.  The moving parts:
   reaches ``max_batch`` *or* its oldest request has waited out the flush
   deadline, whichever comes first.  The deadline adapts: it tracks a
   fraction of the exponentially-averaged batch proving time (clamped to
-  ``[min_flush_seconds, max_flush_seconds]``), so queueing never adds
+  ``[MIN_FLUSH_SECONDS, max_flush_seconds]``), so queueing never adds
   more than a sliver of the work it amortizes;
 - **warm proving keys** — partial flushes are padded up to the next
   occupancy bucket (powers of two up to ``max_batch``), so the handful
@@ -27,9 +27,8 @@ request-serving loop.  The moving parts:
   status (every batch is strict-verified before any future resolves);
 - **resilience** — batches prove under the caller's
   :class:`~repro.resilience.supervisor.Supervisor` policy (transient
-  faults retry, a dead worker pool degrades the batch to serial proving
-  via ``repro.perf.parallel`` — queued requests are never lost), and a
-  failed batch fails *only* its own requests, with the typed error;
+  faults retry), and a failed batch fails *only* its own requests, with
+  the typed error;
 - **graceful drain** — ``shutdown(drain=True)`` stops intake, flushes
   every pending group regardless of occupancy, and waits for in-flight
   batches to resolve their futures.
@@ -76,7 +75,6 @@ from repro.obs.cluster import fold_worker_result
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import (
     NULL_RUNTIME,
-    FlightRecorder,
     RuntimeTelemetry,
     new_batch_id,
     new_request_id,
@@ -110,6 +108,20 @@ OCCUPANCY_BUCKETS = (1, 2, 4, 8, 16, 32)
 
 #: Histogram buckets for queueing/flush latencies (seconds).
 LATENCY_BUCKETS = (0.001, 0.005, 0.02, 0.05, 0.1, 0.25, 1.0, 5.0, 30.0)
+
+#: Floor for the adaptive flush deadline (don't busy-flush singletons).
+MIN_FLUSH_SECONDS = 0.005
+
+#: Adaptive flush deadline = this fraction of the EMA batch proving time.
+FLUSH_FRACTION = 0.25
+
+#: Dispatcher poll interval (also bounds flush-deadline resolution).
+TICK_SECONDS = 0.002
+
+#: Threads proving flushed batches in the in-process mode: batches prove
+#: one at a time, in flush order.  Proving several at once is what
+#: ``cluster_workers`` processes are for.
+PROVING_THREADS = 1
 
 _STOP = object()
 
@@ -145,27 +157,10 @@ class ServeConfig:
     max_batch: int = 8
     #: Ceiling on how long the oldest request may wait before a flush.
     max_flush_seconds: float = 0.25
-    #: Floor for the adaptive deadline (don't busy-flush singletons).
-    min_flush_seconds: float = 0.005
-    #: Adaptive deadline = this fraction of the EMA batch proving time.
-    flush_fraction: float = 0.25
-    #: Worker threads proving flushed batches (keys prove concurrently).
-    workers: int = 1
-    #: Prover worker *processes* per batch (``prove_batch(jobs=...)``).
-    jobs: Optional[int] = None
-    #: Pad partial flushes to the next power-of-two occupancy so the few
-    #: distinct batch shapes stay warm in the proving-key cache.
-    pad_to_bucket: bool = True
-    #: Strict-verify every batch proof before resolving its futures.
-    verify_proofs: bool = True
-    #: Dispatcher poll interval (also bounds flush-deadline resolution).
-    tick_seconds: float = 0.002
     #: Record runtime telemetry (SLO windows + flight ring).  Off, the
     #: service uses the inert :data:`~repro.obs.runtime.NULL_RUNTIME`;
     #: proof bytes are identical either way.
     telemetry: bool = True
-    #: Flight-recorder ring capacity (most recent lifecycle events kept).
-    flight_capacity: int = 512
     #: Where automatic flight-recorder dumps land (batch failure,
     #: overload storm).  ``None`` disables automatic dumps; the ring
     #: still records and can be dumped on demand.
@@ -173,11 +168,10 @@ class ServeConfig:
     #: Rejections within one second that count as an overload storm
     #: (each storm auto-dumps the flight recorder, rate-limited).
     overload_dump_threshold: int = 16
-    #: Prover worker *processes* (the cluster).  ``0`` keeps today's
-    #: in-process mode: batches prove on the thread pool above.  ``N>=1``
-    #: spawns N worker processes fed by the cluster scheduler; the thread
-    #: pool is not created and ``workers``/``jobs`` above only shape the
-    #: in-process fallback.
+    #: Prover worker *processes* (the cluster).  ``0`` is the in-process
+    #: mode: batches prove on the service's own proving thread.  ``N>=1``
+    #: spawns N worker processes fed by the cluster scheduler and no
+    #: proving thread is created.
     cluster_workers: int = 0
     #: Directory of the shared disk-backed proving-key cache cluster
     #: workers attach (:class:`~repro.perf.pkcache.DiskPKCache`): keygen
@@ -196,9 +190,6 @@ class ServeConfig:
     #: Chrome-trace lane per worker) and folds deltas into the registry
     #: under per-worker labels.  Proof bytes are identical either way.
     worker_telemetry: bool = True
-    #: Minimum seconds between automatic flight-recorder dumps *per
-    #: reason* — a crash-looping worker cannot write unbounded dumps.
-    auto_dump_interval_seconds: float = 5.0
 
 
 @dataclass
@@ -278,11 +269,8 @@ class ProvingService:
             self.runtime = runtime
         elif self.config.telemetry:
             self.runtime = RuntimeTelemetry(
-                recorder=FlightRecorder(capacity=self.config.flight_capacity),
                 dump_path=self.config.flight_path,
-                overload_threshold=self.config.overload_dump_threshold,
-                auto_dump_interval_seconds=(
-                    self.config.auto_dump_interval_seconds))
+                overload_threshold=self.config.overload_dump_threshold)
         else:
             self.runtime = NULL_RUNTIME
         self._queue: "queue_mod.Queue" = queue_mod.Queue(
@@ -332,7 +320,7 @@ class ProvingService:
         self._started_at = time.monotonic()
         if self.runtime.enabled:
             events.add_listener(self._events_listener)
-        self.runtime.note("service_started", workers=self.config.workers,
+        self.runtime.note("service_started", workers=PROVING_THREADS,
                           cluster_workers=self.config.cluster_workers,
                           max_batch=self.config.max_batch,
                           max_queue=self.config.max_queue)
@@ -343,7 +331,6 @@ class ProvingService:
                 on_result=self._on_cluster_result,
                 on_shed=self._on_cluster_shed,
                 pk_cache_dir=self.config.pk_cache_dir,
-                verify_proofs=self.config.verify_proofs,
                 max_backlog_batches=self.config.max_backlog_batches,
                 redispatch_limit=self.config.redispatch_limit,
                 metrics=self.metrics,
@@ -352,13 +339,13 @@ class ProvingService:
             ).start()
         else:
             self._pool = ThreadPoolExecutor(
-                max_workers=max(1, self.config.workers),
+                max_workers=PROVING_THREADS,
                 thread_name_prefix="zkml-serve")
         self._dispatcher = threading.Thread(target=self._dispatch_loop,
                                             name="zkml-serve-dispatch",
                                             daemon=True)
         self._dispatcher.start()
-        log.debug("service started", workers=self.config.workers,
+        log.debug("service started", workers=PROVING_THREADS,
                   cluster_workers=self.config.cluster_workers,
                   max_batch=self.config.max_batch,
                   max_queue=self.config.max_queue)
@@ -421,7 +408,7 @@ class ProvingService:
                 raise ServiceError("drain timed out",
                                    outstanding=outstanding,
                                    queued=self._queue.qsize())
-            time.sleep(self.config.tick_seconds)
+            time.sleep(TICK_SECONDS)
 
     # -- intake --------------------------------------------------------------
 
@@ -513,14 +500,14 @@ class ProvingService:
         if self._ema_prove_seconds is None:
             return cfg.max_flush_seconds
         return min(cfg.max_flush_seconds,
-                   max(cfg.min_flush_seconds,
-                       cfg.flush_fraction * self._ema_prove_seconds))
+                   max(MIN_FLUSH_SECONDS,
+                       FLUSH_FRACTION * self._ema_prove_seconds))
 
     def _dispatch_loop(self) -> None:
         stopping = False
         while True:
             try:
-                item = self._queue.get(timeout=self.config.tick_seconds)
+                item = self._queue.get(timeout=TICK_SECONDS)
             except queue_mod.Empty:
                 item = None
             if item is _STOP:
@@ -587,7 +574,7 @@ class ProvingService:
         cfg = self.config
         batch_inputs = [r.inputs for r in group]
         padded_size = len(batch_inputs)
-        if cfg.pad_to_bucket and len(group) < cfg.max_batch:
+        if len(group) < cfg.max_batch:
             padded_size = self._bucket(len(group), cfg.max_batch)
             batch_inputs = batch_inputs + [batch_inputs[-1]] * (
                 padded_size - len(batch_inputs))
@@ -595,7 +582,6 @@ class ProvingService:
 
     def _prove_group(self, key: BatchKey, group: List[ProofRequest],
                      batch_id: str) -> None:
-        cfg = self.config
         spec = group[0].spec
         batch_inputs, padded_size = self._padded_inputs(group)
         started = time.monotonic()
@@ -609,14 +595,10 @@ class ProvingService:
                 result = prove_batch(
                     spec, batch_inputs, scheme_name=key.scheme_name,
                     num_cols=key.num_cols, scale_bits=key.scale_bits,
-                    lookup_bits=key.lookup_bits, jobs=cfg.jobs,
-                    tracer=self.tracer, metrics=self.metrics,
-                    supervisor=self._supervisor,
+                    lookup_bits=key.lookup_bits, tracer=self.tracer,
+                    metrics=self.metrics, supervisor=self._supervisor,
                 )
-                verified = False
-                if cfg.verify_proofs:
-                    result.verify()  # strict: raises on any malformation
-                    verified = True
+                result.verify()  # strict: raises on any malformation
         except ResilienceError as exc:
             self._fail_group(key, group, exc, batch_id)
             return
@@ -627,7 +609,7 @@ class ProvingService:
                 model=key.model, occupancy=len(group),
                 batch_id=batch_id), batch_id)
             return
-        self._resolve_group(key, group, result, verified, padded_size,
+        self._resolve_group(key, group, result, True, padded_size,
                             time.monotonic() - started, batch_id)
 
     # -- cluster mode --------------------------------------------------------
@@ -648,7 +630,6 @@ class ProvingService:
             occupancy=len(group),
             padded_size=padded_size,
             priority=key.priority,
-            jobs=self.config.jobs,
         )
         with self._lock:
             # span_start (perf_counter) times the parent serve:batch span
@@ -960,7 +941,7 @@ class ProvingService:
                 "flush_deadline_seconds": round(self._flush_deadline(), 4),
                 "ema_prove_seconds": round(self._ema_prove_seconds, 4)
                 if self._ema_prove_seconds is not None else None,
-                "workers": self.config.workers,
+                "workers": PROVING_THREADS,
             },
             "counters": self.stats(),
             "pk_cache": GLOBAL_PK_CACHE.stats(),

@@ -44,7 +44,6 @@ from typing import Dict, List, Optional
 
 from repro.envelope import DEFAULT_CAPS, EnvelopeCaps, decode_envelope
 from repro.envelope.verify import verify_envelope
-from repro.field import GOLDILOCKS
 from repro.obs import log as obs_log
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import (
@@ -138,12 +137,10 @@ class VerifyService:
 
     def __init__(self, registry=None, config: Optional[VerifyConfig] = None,
                  metrics: Optional[MetricsRegistry] = None, tracer=None,
-                 supervisor: Optional[Supervisor] = None, runtime=None,
-                 field=GOLDILOCKS):
+                 supervisor: Optional[Supervisor] = None, runtime=None):
         self.registry = registry
         self.config = config if config is not None else VerifyConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.field = field
         self._tracer = tracer
         self._supervisor = supervisor if supervisor is not None \
             else Supervisor(tracer=tracer)
@@ -342,7 +339,7 @@ class VerifyService:
         try:
             with self.tracer.span("verify:envelope", model=env.model,
                                   scheme=env.scheme_name):
-                verify_envelope(env, vk, field=self.field)
+                verify_envelope(env, vk)
         except ResilienceError as exc:
             return self._reject(idx, exc, env)
         except Exception as exc:  # noqa: BLE001 — a verifier crash must reject, not escape

@@ -60,7 +60,6 @@ class BatchJob:
     occupancy: int
     padded_size: int
     priority: str = "interactive"
-    jobs: Optional[int] = None
     redispatches: int = 0
     #: ``time.perf_counter`` stamps set by the scheduler (0.0 = unset);
     #: perf_counter is CLOCK_MONOTONIC on Linux, so these are directly
@@ -98,7 +97,6 @@ class BatchResult:
 
 
 def prove_job(job: BatchJob, worker_id: int,
-              verify_proofs: bool = True,
               telemetry: bool = False) -> BatchResult:
     """Prove one batch job and package the outcome (never raises).
 
@@ -115,14 +113,13 @@ def prove_job(job: BatchJob, worker_id: int,
         from repro.obs.cluster import capture_batch
 
         with capture_batch(job, worker_id) as capture:
-            result = _prove_job(job, worker_id, verify_proofs)
+            result = _prove_job(job, worker_id)
         result.telemetry = capture.telemetry
         return result
-    return _prove_job(job, worker_id, verify_proofs)
+    return _prove_job(job, worker_id)
 
 
-def _prove_job(job: BatchJob, worker_id: int,
-               verify_proofs: bool) -> BatchResult:
+def _prove_job(job: BatchJob, worker_id: int) -> BatchResult:
     from repro.halo2.proof import proof_to_bytes
     from repro.runtime.pipeline import prove_batch
 
@@ -131,19 +128,16 @@ def _prove_job(job: BatchJob, worker_id: int,
         result = prove_batch(
             job.spec, job.batch_inputs, scheme_name=job.scheme_name,
             num_cols=job.num_cols, scale_bits=job.scale_bits,
-            lookup_bits=job.lookup_bits, jobs=job.jobs,
+            lookup_bits=job.lookup_bits,
         )
-        verified = False
-        if verify_proofs:
-            result.verify()  # strict: raises on any malformation
-            verified = True
+        result.verify()  # strict: raises on any malformation
         return BatchResult(
             job_id=job.job_id,
             batch_id=job.batch_id,
             ok=True,
             worker_id=worker_id,
             pid=pid,
-            verified=verified,
+            verified=True,
             proof_bytes=proof_to_bytes(result.proof),
             envelope_bytes=result.envelope_bytes(),
             instance=result.instance,
@@ -166,7 +160,6 @@ def _prove_job(job: BatchJob, worker_id: int,
 
 def worker_main(worker_id: int, job_queue, result_queue,
                 pk_cache_dir: Optional[str] = None,
-                verify_proofs: bool = True,
                 telemetry: bool = False) -> None:
     """Entry point of a prover worker process.
 
@@ -189,6 +182,4 @@ def worker_main(worker_id: int, job_queue, result_queue,
         job = job_queue.get()
         if job is STOP:
             return
-        result_queue.put(prove_job(job, worker_id,
-                                   verify_proofs=verify_proofs,
-                                   telemetry=telemetry))
+        result_queue.put(prove_job(job, worker_id, telemetry=telemetry))

@@ -8,6 +8,11 @@ circuit with lookups.
 import pytest
 
 from repro.commit import scheme_by_name
+from repro.envelope import (
+    ProofEnvelope,
+    envelope_config_digest,
+    verify_envelope,
+)
 from repro.field import BN254_FR
 from repro.gadgets import AddGadget, CircuitBuilder, MulGadget, PointwiseGadget
 from repro.halo2 import (
@@ -18,6 +23,8 @@ from repro.halo2 import (
     keygen,
     verify_proof,
 )
+from repro.halo2.proof import proof_to_bytes
+from repro.resilience.errors import VerificationFailure
 from repro.tensor import Entry
 
 
@@ -50,7 +57,8 @@ def test_plain_circuit_over_bn254(backend):
     assert not verify_proof(vk2, bad, asg.instance_values(), scheme)
 
 
-def test_gadget_circuit_with_lookups_over_bn254():
+def _gadget_circuit():
+    """add -> mul -> relu over BN254-Fr, with the result exposed."""
     b = CircuitBuilder(k=7, num_cols=8, scale_bits=4, lookup_bits=6,
                        field=BN254_FR)
     add = b.gadget(AddGadget)
@@ -60,12 +68,38 @@ def test_gadget_circuit_with_lookups_over_bn254():
     (m,) = mul.assign_row([(s, Entry(b.fp.encode(2.0)))])
     (r,) = relu.assign_row([(m,)])
     assert r.value == 0  # relu(-1.0) at any scale
+    b.expose([r])
     b.mock_check()
+    return b
 
+
+def test_gadget_circuit_with_lookups_over_bn254():
+    b = _gadget_circuit()
     scheme = scheme_by_name("kzg", BN254_FR)
     pk, vk = keygen(b.cs, b.asg, scheme)
     proof = create_proof(pk, b.asg, scheme)
     assert verify_proof(vk, proof, b.asg.instance_values(), scheme)
+
+
+def test_envelope_verifies_over_the_keys_field():
+    # the verifier takes its field from the key: nobody has to tell
+    # verify_envelope that this proof lives over BN254-Fr
+    b = _gadget_circuit()
+    scheme = scheme_by_name("kzg", BN254_FR)
+    pk, vk = keygen(b.cs, b.asg, scheme)
+    env = ProofEnvelope(
+        scheme_name="kzg",
+        model="bn254-gadgets",
+        vk_hash=vk.digest(),
+        config_digest=envelope_config_digest(8, 4, 7, 6),
+        instance=b.asg.instance_values(),
+        proof_bytes=proof_to_bytes(create_proof(pk, b.asg, scheme)),
+    )
+    assert verify_envelope(env, vk) is True
+
+    env.instance[0][0] = BN254_FR.add(env.instance[0][0], 1)
+    with pytest.raises(VerificationFailure):
+        verify_envelope(env, vk)
 
 
 def test_field_encoding_differs_but_semantics_agree():

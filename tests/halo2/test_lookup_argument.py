@@ -140,12 +140,12 @@ def prove_with_perturbed_helper(monkeypatch, pk, asg, scheme, col, row):
     target = col.index - pk.vk.cs.num_advice
     calls = []
 
-    def perturbing(domain, sch, mat, jobs):
+    def perturbing(domain, sch, mat):
         calls.append(mat.shape)
         if len(calls) == 2:
             mat = mat.copy()
             mat[target, row] = (int(mat[target, row]) + 1) % F.p
-        return real(domain, sch, mat, jobs)
+        return real(domain, sch, mat)
 
     monkeypatch.setattr(prover, "_interpolate_commit_rows", perturbing)
     proof = create_proof(pk, asg, scheme)

@@ -77,15 +77,6 @@ def test_sparse_proof_matches_list_backend_reference():
     assert pickle.dumps(proof_fast) == pickle.dumps(proof_ref)
 
 
-def test_sparse_parallel_proof_is_byte_identical():
-    cs, asg = _zero_heavy_circuit()
-    scheme = scheme_by_name("kzg", F)
-    pk, _ = keygen(cs, asg, scheme)
-    serial = create_proof(pk, asg, scheme, jobs=1)
-    parallel = create_proof(pk, asg, scheme, jobs=2)
-    assert pickle.dumps(serial) == pickle.dumps(parallel)
-
-
 def test_quotient_stream_mode_does_not_change_bytes(monkeypatch):
     all_parts = _prove_bytes()
     monkeypatch.setattr(prover, "QUOTIENT_STREAM_ELEMS", 0)

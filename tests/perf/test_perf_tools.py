@@ -1,6 +1,5 @@
-"""Unit tests for the perf substrate: timer, parallel map, pk cache."""
+"""Unit tests for the perf substrate: timer, pk cache."""
 
-import os
 import pickle
 
 import pytest
@@ -12,10 +11,7 @@ from repro.perf import (
     PhaseTimer,
     ProvingKeyCache,
     circuit_digest,
-    parallel_map,
-    resolve_jobs,
 )
-from repro.perf.parallel import JOBS_ENV
 
 from tests.halo2.circuits import mul_circuit, range_check_circuit
 
@@ -39,87 +35,6 @@ def test_null_timer_is_inert():
     with NULL_TIMER.phase("anything"):
         pass
     assert NULL_TIMER.total == 0.0
-
-
-def _square(x):
-    return x * x
-
-
-def test_parallel_map_serial_and_parallel_agree():
-    items = list(range(20))
-    expect = [x * x for x in items]
-    assert parallel_map(_square, items, jobs=1) == expect
-    assert parallel_map(_square, items, jobs=2) == expect
-
-
-def test_parallel_map_runs_initializer_in_serial_path():
-    calls = []
-    parallel_map(_square, [1, 2], jobs=1, initializer=calls.append, initargs=(7,))
-    assert calls == [7]
-
-
-def test_parallel_map_ships_worker_spans_back():
-    # with an enabled tracer, each worker task records spans in its own
-    # process and the parent re-ingests them keeping the worker's pid —
-    # a --jobs 2 trace must show real worker lanes, not one main lane
-    from repro.obs.trace import Tracer, use_tracer
-    from repro.resilience import events
-
-    events.reset()
-    tracer = Tracer()
-    with use_tracer(tracer):
-        with tracer.span("dispatch"):
-            out = parallel_map(_square, list(range(8)), jobs=2)
-    assert out == [x * x for x in range(8)]
-    if 'degraded{reason="parallel_pool_unavailable"}' in events.counts():
-        pytest.skip("process pool unavailable in this environment")
-    worker_spans = [s for s in tracer.spans() if s.name == "_square"]
-    assert len(worker_spans) == 8
-    worker_pids = {s.pid for s in worker_spans}
-    assert worker_pids and os.getpid() not in worker_pids
-    # every shipped-back span hangs off the dispatching span
-    dispatch = next(s for s in tracer.spans() if s.name == "dispatch")
-    assert all(s.parent_id == dispatch.span_id for s in worker_spans)
-    # the chrome export keeps the worker pids as separate lanes
-    doc = tracer.to_chrome_trace()
-    x_pids = {e["pid"] for e in doc["traceEvents"] if e["ph"] == "X"}
-    assert x_pids == worker_pids | {os.getpid()}
-
-
-def test_parallel_map_untraced_has_no_wrapping():
-    # NULL_TRACER (the default) must not wrap tasks: results come back
-    # raw, and nothing is recorded anywhere
-    from repro.obs.trace import NULL_TRACER, get_tracer
-
-    assert get_tracer() is NULL_TRACER
-    assert parallel_map(_square, [3, 4], jobs=2) == [9, 16]
-
-
-def test_resolve_jobs_env(monkeypatch):
-    monkeypatch.delenv(JOBS_ENV, raising=False)
-    assert resolve_jobs(None) == 1
-    assert resolve_jobs(3) == 3
-    monkeypatch.setenv(JOBS_ENV, "4")
-    assert resolve_jobs(None) == 4
-    assert resolve_jobs(2) == 2
-    monkeypatch.setenv(JOBS_ENV, "junk")
-    assert resolve_jobs(None) == 1
-
-
-def test_resolve_jobs_malformed_env_counts_a_degradation(monkeypatch):
-    from repro.perf import parallel
-    from repro.resilience import events
-
-    events.reset()
-    parallel._warned_jobs_env.clear()
-    monkeypatch.setenv(JOBS_ENV, "four")
-    assert resolve_jobs(None) == 1
-    assert resolve_jobs(None) == 1  # second call: same value, no re-warn
-    counts = events.counts()
-    assert counts['degraded{reason="invalid_jobs_env"}'] == 1
-    monkeypatch.setenv(JOBS_ENV, "many")  # a *new* bad value warns again
-    assert resolve_jobs(None) == 1
-    assert events.counts()['degraded{reason="invalid_jobs_env"}'] == 2
 
 
 def test_pk_cache_hits_on_same_circuit():

@@ -47,7 +47,7 @@ class TestFlatten:
 
     def test_skip_keys_and_bools_dropped(self):
         flat = flatten_metrics(
-            {"schema": "x", "seed": 7, "jobs": 2, "ok": True, "n": 3})
+            {"schema": "x", "seed": 7, "ok": True, "n": 3})
         assert flat == {"n": 3.0}
 
     def test_positional_lists(self):

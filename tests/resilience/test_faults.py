@@ -25,8 +25,8 @@ class TestPlanParsing:
         assert state.times == 3 and state.after == 2
 
     def test_multiple_sites(self):
-        plan = FaultPlan.parse("ntt:2, worker")
-        assert set(plan.sites) == {"ntt", "worker"}
+        plan = FaultPlan.parse("ntt:2, transcript")
+        assert set(plan.sites) == {"ntt", "transcript"}
 
     def test_unknown_site_rejected(self):
         with pytest.raises(ValueError, match="unknown fault site"):
@@ -82,7 +82,7 @@ class TestInstallation:
 
     def test_use_faults_restores_previous(self):
         outer = faults.install("ntt")
-        with faults.use_faults("worker") as inner:
+        with faults.use_faults("transcript") as inner:
             assert faults.active_plan() is inner
         assert faults.active_plan() is outer
 

@@ -89,6 +89,14 @@ class TestCLI:
             pickle.dump(data, f)
         assert main(["verify", "--artifact", artifact]) == 1
 
+    @pytest.mark.parametrize("command", ["serve", "prove", "bench", "profile"])
+    def test_no_intra_proof_jobs_flag(self, command, capsys):
+        # the prover is serial; processes are `zkml serve --workers N`
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        assert "--jobs" not in capsys.readouterr().out
+
 
 class TestInspectAndTranspileCLI:
     def test_inspect_paper_model(self, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.model import GraphBuilder, run_fixed
 from repro.perf.pkcache import GLOBAL_PK_CACHE
-from repro.resilience import events, faults
 from repro.resilience.errors import (
     ServiceOverloadedError,
     ServiceShutdownError,
@@ -167,21 +166,6 @@ class TestBackpressureAndShutdown:
 
 
 class TestResilience:
-    def test_worker_fault_degrades_batch_without_losing_requests(self):
-        spec = small_model()
-        events.reset()
-        config = ServeConfig(max_batch=4, max_flush_seconds=0.2, jobs=2)
-        with faults.use_faults("worker:1") as plan:
-            with ProvingService(config) as service:
-                futures = [service.submit(spec, an_input(), scale_bits=6)
-                           for _ in range(4)]
-                responses = [f.result(timeout=120) for f in futures]
-        assert plan.report()["worker"]["fired"] == 1
-        assert all(r.verified for r in responses)
-        assert all(r.batch_size == 4 for r in responses)
-        counts = events.counts()
-        assert counts['degraded{reason="parallel_pool_unavailable"}'] >= 1
-
     def test_failed_batch_fails_only_its_own_requests(self):
         spec = small_model()
         bad_spec = small_model("served-bad")

@@ -30,12 +30,14 @@ def test_all_zoo_minis_prove_for_real(benchmark, mini_inputs_for):
             "%.2f s" % result.keygen_seconds,
             "%.2f s" % result.proving_seconds,
             "%.3f s" % verify_s,
+            len(result.envelope().proof_bytes),
             result.modeled_proof_bytes,
         ))
         assert verify_s < result.proving_seconds
     print_table(
         "Real proofs: all eight architectures at mini scale (KZG)",
-        ("model", "grid", "keygen", "prove", "verify", "modeled proof B"),
+        ("model", "grid", "keygen", "prove", "verify", "proof B",
+         "modeled halo2 proof B"),
         rows,
     )
 

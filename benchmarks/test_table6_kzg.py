@@ -67,6 +67,8 @@ def test_table6_kzg_end_to_end(benchmark, kzg_estimates, mini_inputs_for):
     result = benchmark.pedantic(prove_once, rounds=1, iterations=1)
     assert result.verification_seconds() < result.proving_seconds
     print("\nreal mini-scale proof (mnist-mini, KZG): prove %.2fs, "
-          "verify %.4fs, modeled %d bytes"
+          "verify %.4fs, %d proof bytes (a halo2-KZG proof of this "
+          "circuit: %d modeled)"
           % (result.proving_seconds, result.verification_seconds(),
+             len(result.envelope().proof_bytes),
              result.modeled_proof_bytes))

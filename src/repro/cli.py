@@ -11,7 +11,7 @@ Subcommands:
   canonical proof envelope, ``--registry DIR`` to publish the
   verifying key).
 - ``zkml verify``                       — verify a saved proof artifact
-  (``--artifact``) or a raw ``zkml-proof-envelope/v1`` (``--envelope``,
+  (``--artifact``) or a raw ``zkml-proof-envelope/v2`` (``--envelope``,
   resolving the verifying key through ``--registry``); exit 3 = the
   envelope's key is absent from the registry.
 - ``zkml registry publish|list|check``  — the content-addressed,
@@ -1045,7 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
     prove.add_argument("--out", default=None, help="artifact output path")
     prove.add_argument("--envelope", default=None, metavar="PATH",
                        help="also write the canonical proof envelope "
-                            "(zkml-proof-envelope/v1 bytes) to PATH")
+                            "(zkml-proof-envelope/v2 bytes) to PATH")
     prove.add_argument("--registry", default=None, metavar="DIR",
                        help="publish the verifying key into this registry "
                             "after proving")
@@ -1145,7 +1145,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_src.add_argument("--artifact",
                             help="prove artifact pickle (zkml prove --out)")
     verify_src.add_argument("--envelope", metavar="PATH",
-                            help="raw zkml-proof-envelope/v1 bytes "
+                            help="raw zkml-proof-envelope/v2 bytes "
                                  "(needs --registry)")
     verify.add_argument("--registry", default=None, metavar="DIR",
                         help="verifying-key registry resolving the "
@@ -1274,9 +1274,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="concurrent requests before load shedding")
     vserve.add_argument("--deadline", type=float, default=60.0,
                         help="per-request wall-clock budget (seconds)")
-    vserve.add_argument("--max-envelope-mb", type=int, default=64,
+    vserve.add_argument("--max-envelope-mb", type=int, default=16,
                         help="decoder cap on one envelope's total bytes")
-    vserve.add_argument("--max-proof-mb", type=int, default=48,
+    vserve.add_argument("--max-proof-mb", type=int, default=4,
                         help="decoder cap on one envelope's proof bytes")
     vserve.add_argument("--max-instance-columns", type=int, default=64,
                         help="decoder cap on instance columns")

@@ -1,24 +1,46 @@
-"""Binary Merkle tree over byte leaves (blake2b-256)."""
+"""Binary Merkle trees (blake2b-256) over byte leaves and matrix rows.
+
+Every commit round of the prover is one tree: :meth:`MerkleTree.from_rows`
+hashes each row of a matrix of field elements into a leaf, so one
+authentication path opens a whole row — all of a round's columns at one
+position — at once.  Leaves and inner nodes are domain-separated with
+blake2b's ``person`` parameter, so a leaf can never be replayed as a
+node; scalars are encoded little-endian at the field's width
+(:func:`leaf_bytes`), which makes the numpy and list backends hash
+identical bytes.
+"""
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import List, Sequence
+
+import numpy as np
 
 from repro.obs.stats import STATS
 
-_LEAF_PREFIX = b"\x00"
-_NODE_PREFIX = b"\x01"
+DIGEST_BYTES = 32
+
+_LEAF = b"zkml-leaf"
+_NODE = b"zkml-node"
+_blake2b = hashlib.blake2b
 
 
-def _hash_leaf(data: bytes) -> bytes:
-    STATS.merkle_leaf_hashes += 1
-    return hashlib.blake2b(_LEAF_PREFIX + data, digest_size=32).digest()
+def _hash_leaf(data) -> bytes:
+    return _blake2b(data, digest_size=DIGEST_BYTES, person=_LEAF).digest()
 
 
 def _hash_node(left: bytes, right: bytes) -> bytes:
-    STATS.merkle_node_hashes += 1
-    return hashlib.blake2b(_NODE_PREFIX + left + right, digest_size=32).digest()
+    return _blake2b(left + right, digest_size=DIGEST_BYTES,
+                    person=_NODE).digest()
+
+
+def leaf_bytes(values: Sequence[int], scalar_bytes: int) -> bytes:
+    """One matrix row as leaf bytes: ``scalar_bytes`` LE bytes per value."""
+    if scalar_bytes == 8:
+        return struct.pack("<%dQ" % len(values), *values)
+    return b"".join(int(v).to_bytes(scalar_bytes, "little") for v in values)
 
 
 class MerkleTree:
@@ -29,28 +51,49 @@ class MerkleTree:
     """
 
     def __init__(self, leaves: Sequence[bytes]):
-        if not leaves:
+        if not len(leaves):
             raise ValueError("Merkle tree needs at least one leaf")
         self.num_leaves = len(leaves)
+        level = [_hash_leaf(leaf) for leaf in leaves]
+        STATS.merkle_leaf_hashes += len(level)
         n = 1
-        while n < len(leaves):
+        while n < len(level):
             n <<= 1
-        empty = _hash_leaf(b"")
-        level = [empty] * n
-        for i, leaf in enumerate(leaves):
-            level[i] = _hash_leaf(leaf)
+        if n > len(level):
+            STATS.merkle_leaf_hashes += 1
+            level += [_hash_leaf(b"")] * (n - len(level))
         self._levels: List[List[bytes]] = [level]
         while len(level) > 1:
-            half = len(level) >> 1
-            parents = [b""] * half
-            for i in range(half):
-                parents[i] = _hash_node(level[2 * i], level[2 * i + 1])
-            level = parents
+            level = [_hash_node(level[i], level[i + 1])
+                     for i in range(0, len(level), 2)]
+            STATS.merkle_node_hashes += len(level)
             self._levels.append(level)
+
+    @classmethod
+    def from_rows(cls, rows, scalar_bytes: int) -> "MerkleTree":
+        """A tree with one leaf per row of a matrix of field elements.
+
+        ``rows`` is an ``(L, w)`` ``uint64`` array (8-byte scalars only:
+        the whole matrix is serialized in one pass and sliced per leaf)
+        or any sequence of ``L`` equal-length integer sequences.
+        """
+        if isinstance(rows, np.ndarray):
+            if scalar_bytes != 8 or rows.ndim != 2 or not rows.shape[1]:
+                raise ValueError("array rows need 8-byte scalars and a "
+                                 "nonempty (L, w) shape")
+            width = 8 * rows.shape[1]
+            buf = memoryview(np.ascontiguousarray(rows, dtype="<u8")).cast("B")
+            return cls([buf[i : i + width] for i in range(0, len(buf), width)])
+        return cls([leaf_bytes(row, scalar_bytes) for row in rows])
 
     @property
     def root(self) -> bytes:
         return self._levels[-1][0]
+
+    @property
+    def depth(self) -> int:
+        """Length of every authentication path."""
+        return len(self._levels) - 1
 
     def open(self, index: int) -> List[bytes]:
         """Authentication path (sibling hashes, leaf level first)."""
@@ -67,11 +110,11 @@ def verify_merkle_path(
     root: bytes, index: int, leaf: bytes, path: Sequence[bytes]
 ) -> bool:
     """Check an authentication path against a root."""
+    STATS.merkle_leaf_hashes += 1
+    STATS.merkle_node_hashes += len(path)
     node = _hash_leaf(leaf)
     for sibling in path:
-        if index & 1:
-            node = _hash_node(sibling, node)
-        else:
-            node = _hash_node(node, sibling)
+        pair = sibling + node if index & 1 else node + sibling
+        node = _blake2b(pair, digest_size=DIGEST_BYTES, person=_NODE).digest()
         index >>= 1
-    return node == root
+    return index == 0 and node == root

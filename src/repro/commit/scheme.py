@@ -1,67 +1,159 @@
-"""Common polynomial-commitment interface.
+"""The polynomial-commitment scheme: Merkle rounds, one batched DEEP-FRI opening.
 
-Both backends commit by hashing the coefficient vector (binding) and open
-by revealing it (the simulated analogue of a PCS opening witness — see the
-package docstring).  What distinguishes the backends is the *modeled*
-performance envelope: proof bytes per object, MSM counts, and verifier
-work, which follow the paper's halo2 accounting.
+**Commit.**  A *round* is a set of columns committed together (the fixed
+columns at keygen; the advice, helper and quotient rounds of a proof).
+Each column is its evaluations over the extended coset ``D`` (rate
+``1 / extension``) and the round is one Merkle tree whose leaf ``j`` holds
+*every* column of the round at extended positions ``j`` and ``j + N/2`` —
+the points ``z`` and ``-z`` a FRI fold pairs up — so one authentication
+path opens a whole row.
+
+**Open.**  All claimed evaluations ``v = f(omega^rot x)`` of a proof — any
+number of columns from any rounds, at any rotations — are proven by one
+argument.  A transcript challenge ``lambda`` folds them into the DEEP
+quotient
+
+    G(X) = sum_rot  [ sum_j lambda^j (f_j(X) - v_j) ] / (X - omega^rot x)
+
+which has degree below ``n - 1`` exactly when every claim is true;
+:mod:`repro.commit.fri` proves that degree bound, and at each of its
+query positions the verifier opens one row of every round tree and
+recomputes ``G`` there itself.  Nothing else is revealed: a proof carries
+``FRI_QUERIES`` rows per round, not polynomials.
+
+The ``kzg`` and ``ipa`` subclasses share this one real protocol; what
+distinguishes them is the *modeled* performance envelope — proof bytes
+per object, MSM counts, verifier work — which follows the paper's halo2
+accounting and feeds the cost model.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from itertools import groupby
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.field.poly import poly_eval
+from repro.commit import fri
+from repro.commit.merkle import (
+    DIGEST_BYTES,
+    MerkleTree,
+    leaf_bytes,
+    verify_merkle_path,
+)
+from repro.commit.transcript import Transcript
+from repro.field.domain import EvaluationDomain
 from repro.field.prime_field import PrimeField
 from repro.obs.stats import STATS
 
-try:  # serialization fast path for numpy-backed coefficient vectors
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: Size of one commitment (a compressed curve point on BN254) in bytes.
+#: Size of one commitment (a compressed curve point on BN254) in the
+#: *modeled* proof, in bytes.
 COMMITMENT_BYTES = 32
-#: Size of one field element in a serialized proof, in bytes.
+#: Size of one field element in the *modeled* proof, in bytes.
 SCALAR_BYTES = 32
+
+#: One claimed evaluation: ``(round index, column within the round, rotation)``.
+Claim = Tuple[int, int, int]
+
+
+def scalar_bytes(field: PrimeField) -> int:
+    """Bytes per field element in leaves and on the wire (8 or 32)."""
+    return (field.p.bit_length() + 7) // 8
 
 
 @dataclass(frozen=True)
 class Commitment:
-    """A binding commitment to a polynomial (32-byte digest)."""
+    """A binding commitment: the 32-byte root of a round's Merkle tree."""
 
     digest: bytes
 
     def __post_init__(self) -> None:
-        if len(self.digest) != COMMITMENT_BYTES:
+        if len(self.digest) != DIGEST_BYTES:
             raise ValueError("commitment digest must be 32 bytes")
 
 
+@dataclass
+class CommittedRound:
+    """The prover's side of one round: the columns' low-degree extension
+    (in the domain's layout, see ``EvaluationDomain.lde``) and its tree."""
+
+    lde: object
+    tree: MerkleTree
+
+    @property
+    def root(self) -> bytes:
+        return self.tree.root
+
+
 @dataclass(frozen=True)
-class OpeningProof:
-    """An opening of a committed polynomial at a point.
+class RowOpening:
+    """One round's answer to a query: the row's values (every column at
+    ``z``, then every column at ``-z``) and its authentication path."""
 
-    ``witness`` is the revealed coefficient vector — the simulation stand-in
-    for the KZG quotient witness / IPA folding rounds.
+    values: Tuple[int, ...]
+    path: Tuple[bytes, ...]
+
+
+@dataclass(frozen=True)
+class QueryOpening:
+    """Everything one query position opens: a row per (nonempty) round,
+    then a pair per committed fold layer."""
+
+    rows: Tuple[RowOpening, ...]
+    folds: Tuple[fri.FoldOpening, ...]
+
+
+def draw_opening_point(domain: EvaluationDomain, transcript: Transcript) -> int:
+    """The evaluation point ``x``: redrawn until it lies outside both the
+    base domain and the extended coset, so no DEEP denominator vanishes."""
+    f = domain.field
+    shift_inv = f.inv(domain.coset_shift)
+    while True:
+        x = transcript.challenge_nonzero(b"x")
+        if (f.pow(x, domain.n) != 1
+                and f.pow(f.mul(x, shift_inv), domain.extended_n) != 1):
+            return x
+
+
+def _deep_quotient(domain, columns_of, points, claims: Sequence[Claim],
+                   evals: Sequence[int], x: int, lam: int):
+    """``G`` at ``points`` (a backend vector).
+
+    ``columns_of(round, cols)`` returns the named columns of a round as
+    vectors over the same points — whole LDE columns for the prover, the
+    opened rows' values for the verifier; ``claims`` must be sorted by
+    rotation, then round.
     """
-
-    point: int
-    value: int
-    witness: Tuple[int, ...]
-
-
-def _serialize_coeffs(coeffs: Sequence[int]) -> bytes:
-    if _np is not None and isinstance(coeffs, _np.ndarray):
-        from repro.field import gl64
-
-        return gl64.serialize_scalars(coeffs)
-    return b"".join(c.to_bytes(32, "little") for c in coeffs)
+    backend, f = domain.backend, domain.field
+    p = f.p
+    numerators, shifts = [], []
+    weight = 1
+    for rot, group in groupby(enumerate(claims), key=lambda jc: jc[1][2]):
+        numerator, const = None, 0
+        for rnd, sub in groupby(group, key=lambda jc: jc[1][0]):
+            cols, weights = [], []
+            for j, (_, col, _) in sub:
+                cols.append(col)
+                weights.append(weight)
+                const += weight * evals[j]
+                weight = weight * lam % p
+            part = backend.weighted_sum(columns_of(rnd, cols), weights)
+            numerator = part if numerator is None else backend.add(
+                numerator, part)
+        numerators.append(backend.add_scalar(numerator, -const % p))
+        shifts.append(-domain.rotate(x, rot) % p)
+    # every rotation's denominators X - omega^rot x in ONE batched inversion
+    inverses = backend.batch_inv(backend.concat(
+        [backend.add_scalar(points, shift) for shift in shifts]))
+    width = len(points)
+    total = None
+    for i, numerator in enumerate(numerators):
+        term = backend.mul(numerator, inverses[i * width : (i + 1) * width])
+        total = term if total is None else backend.add(total, term)
+    return total
 
 
 class CommitmentScheme:
-    """Base class for the KZG-sim and IPA-sim backends."""
+    """Base class for the KZG and IPA cost profiles over the one protocol."""
 
     #: Backend name used by the CLI, optimizer, and reports.
     name = "abstract"
@@ -70,64 +162,130 @@ class CommitmentScheme:
 
     def __init__(self, field: PrimeField):
         self.field = field
+        self.scalar_bytes = scalar_bytes(field)
+        self._domains: Dict[int, EvaluationDomain] = {}
 
-    # -- real (simulated-crypto) operations --------------------------------
+    # -- commit ---------------------------------------------------------------
+
+    def commit_round(self, domain: EvaluationDomain, lde) -> CommittedRound:
+        """Merkle-commit one round given its columns' LDE (``domain.lde``)."""
+        STATS.commitments += len(lde)
+        self._check_degree(domain.n)
+        if domain.n < 2:
+            raise ValueError("a committed round needs at least two rows")
+        tree = MerkleTree.from_rows(domain.lde_leaf_rows(lde),
+                                    self.scalar_bytes)
+        return CommittedRound(lde=lde, tree=tree)
 
     def commit(self, coeffs: Sequence[int]) -> Commitment:
-        """Commit to a coefficient vector."""
-        STATS.commitments += 1
+        """Commit to one coefficient vector: a round of one column."""
         self._check_degree(len(coeffs))
-        digest = hashlib.blake2b(
-            self.name.encode() + _serialize_coeffs(coeffs), digest_size=32
-        ).digest()
-        return Commitment(digest)
+        k = max(1, (len(coeffs) - 1).bit_length())
+        domain = self._domains.get(k)
+        if domain is None:
+            domain = self._domains[k] = EvaluationDomain(self.field, k)
+        if len(coeffs) < domain.n:
+            coeffs = list(coeffs) + [0] * (domain.n - len(coeffs))
+        poly = domain.backend.from_ints(coeffs)
+        lde = domain.lde(poly[None, :] if domain.uses_gl64 else [poly])
+        return Commitment(self.commit_round(domain, lde).root)
 
-    def open(self, coeffs: Sequence[int], point: int) -> OpeningProof:
-        """Open a committed polynomial at ``point``."""
-        STATS.openings += 1
-        if _np is not None and isinstance(coeffs, _np.ndarray):
-            # Proofs are pickled and compared byte-wise; the witness must
-            # hold plain Python ints regardless of the prover's backend.
-            coeffs = coeffs.tolist()
-        value = poly_eval(self.field, coeffs, point)
-        return OpeningProof(point=point, value=value, witness=tuple(coeffs))
+    # -- open -----------------------------------------------------------------
 
-    def open_rows(self, coeff_rows, points: Sequence[int]) -> list:
-        """Open many same-length committed polynomials, one point per row.
+    def open_batch(
+        self,
+        domain: EvaluationDomain,
+        rounds: Sequence[Optional[CommittedRound]],
+        claims: Sequence[Claim],
+        evals: Sequence[int],
+        x: int,
+        transcript: Transcript,
+    ) -> Tuple[List[bytes], List[int], List[QueryOpening]]:
+        """Prove every claim ``evals[j] = f_j(omega^rot x)`` at once.
 
-        ``coeff_rows`` may be an ``(m, n)`` ``uint64`` matrix (Goldilocks),
-        in which case all ``m`` evaluations run through one vectorized
-        Estrin-style kernel, or any sequence of coefficient vectors, which
-        falls back to per-polynomial :meth:`open`.  Values and proof
-        objects are identical either way.
+        ``rounds`` is indexed by the claims' round numbers (``None`` for a
+        round with no columns); ``claims`` is sorted by rotation, then
+        round.  Returns the fold-layer roots, the final polynomial and
+        one :class:`QueryOpening` per query position.
         """
-        if (
-            _np is not None
-            and isinstance(coeff_rows, _np.ndarray)
-            and coeff_rows.ndim == 2
-        ):
-            from repro.field import gl64
+        STATS.openings += len(claims)
+        transcript.append_scalar_vector(b"evals", evals)
+        lam = transcript.challenge_scalar(b"lambda")
 
-            if gl64.is_goldilocks(self.field.p) and coeff_rows.shape[0]:
-                values = gl64.poly_eval_rows(
-                    coeff_rows, _np.array(points, dtype=_np.uint64)
-                )
-                STATS.openings += len(points)
-                return [
-                    OpeningProof(
-                        point=int(point),
-                        value=int(value),
-                        witness=tuple(row.tolist()),
-                    )
-                    for row, point, value in zip(coeff_rows, points, values)
-                ]
-        return [self.open(row, point) for row, point in zip(coeff_rows, points)]
+        def columns_of(rnd: int, cols: List[int]):
+            lde = rounds[rnd].lde
+            return domain.lde_columns(
+                lde, None if len(cols) == len(lde) else cols)
 
-    def verify_opening(self, commitment: Commitment, proof: OpeningProof) -> bool:
-        """Check that an opening is consistent with the commitment."""
-        if self.commit(proof.witness).digest != commitment.digest:
-            return False
-        return poly_eval(self.field, proof.witness, proof.point) == proof.value
+        g = _deep_quotient(domain, columns_of, domain.lde_points(), claims,
+                           evals, x, lam)
+        prover = fri.FriProver(domain, self.scalar_bytes,
+                               domain.lde_natural(g), transcript)
+        positions = fri.draw_positions(domain, transcript)
+        live = [rnd for rnd in rounds if rnd is not None]
+        opened = [domain.lde_rows(rnd.lde, positions) for rnd in live]
+        queries = [
+            QueryOpening(
+                rows=tuple(
+                    RowOpening(values=tuple(rows[q]),
+                               path=tuple(rnd.tree.open(position)))
+                    for rnd, rows in zip(live, opened)),
+                folds=tuple(prover.open(position)))
+            for q, position in enumerate(positions)]
+        return prover.roots, prover.final_poly, queries
+
+    def verify_batch(
+        self,
+        domain: EvaluationDomain,
+        roots: Sequence[Optional[bytes]],
+        claims: Sequence[Claim],
+        evals: Sequence[int],
+        x: int,
+        fri_roots: Sequence[bytes],
+        final_poly: Sequence[int],
+        queries: Sequence[QueryOpening],
+        transcript: Transcript,
+    ) -> bool:
+        """Check a batched opening against the rounds' roots.
+
+        Shapes (counts, widths, path lengths) must already have been
+        validated; this replays the transcript, checks every path,
+        recomputes ``G`` at all query positions at once from the opened
+        rows, and runs the FRI checks.
+        """
+        f, backend = domain.field, domain.backend
+        transcript.append_scalar_vector(b"evals", evals)
+        lam = transcript.challenge_scalar(b"lambda")
+        verifier = fri.FriVerifier(domain, self.scalar_bytes, fri_roots,
+                                   final_poly, transcript)
+        positions = fri.draw_positions(domain, transcript)
+        live = [i for i, root in enumerate(roots) if root is not None]
+
+        for position, query in zip(positions, queries):
+            for rnd, row in zip(live, query.rows):
+                if not verify_merkle_path(
+                        roots[rnd], position,
+                        leaf_bytes(row.values, self.scalar_bytes), row.path):
+                    return False
+
+        # column c of round r over the points (z_1..z_Q, -z_1..-z_Q)
+        opened = {}
+        for slot, rnd in enumerate(live):
+            by_col = list(zip(*(q.rows[slot].values for q in queries)))
+            width = len(by_col) // 2
+            opened[rnd] = [by_col[c] + by_col[width + c] for c in range(width)]
+        zs = [f.mul(domain.coset_shift, f.pow(domain.extended_omega, s))
+              for s in positions]
+        points = backend.from_ints(zs + [f.neg(z) for z in zs])
+        g = backend.to_ints(_deep_quotient(
+            domain,
+            lambda rnd, cols: backend.from_ints(
+                [opened[rnd][c] for c in cols]),
+            points, claims, evals, x, lam))
+        count = len(positions)
+        return all(
+            verifier.check(position, (g[q], g[count + q]), query.folds)
+            for q, (position, query) in enumerate(zip(positions, queries)))
 
     def _check_degree(self, length: int) -> None:
         """Hook for backends with bounded setups (KZG)."""

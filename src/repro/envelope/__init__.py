@@ -3,7 +3,7 @@
 A :class:`ProofEnvelope` packages everything a verifier needs to check a
 proof — schema id, commitment scheme, model name, verifying-key hash,
 proving-config digest, public inputs, proof bytes — in one canonical,
-checksummed byte string (``zkml-proof-envelope/v1``).  The decoder is
+checksummed byte string (``zkml-proof-envelope/v2``).  The decoder is
 adversary-facing: every count and size is capped *before* any allocation
 or field arithmetic, and every rejection is a typed
 :class:`~repro.resilience.errors.EnvelopeError` subclass.
@@ -13,7 +13,7 @@ See ``docs/verification.md`` for the wire format and threat model.
 
 from repro.envelope.format import (
     DEFAULT_CAPS,
-    SCHEMA_V1,
+    SCHEMA_V2,
     EnvelopeCaps,
     ProofEnvelope,
     decode_envelope,
@@ -24,7 +24,7 @@ from repro.envelope.format import (
 from repro.envelope.verify import verify_envelope
 
 __all__ = [
-    "SCHEMA_V1",
+    "SCHEMA_V2",
     "EnvelopeCaps",
     "DEFAULT_CAPS",
     "ProofEnvelope",

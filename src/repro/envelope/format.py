@@ -1,16 +1,21 @@
-"""Canonical encoding/decoding of the ``zkml-proof-envelope/v1`` format.
+"""Canonical encoding/decoding of the ``zkml-proof-envelope/v2`` format.
 
 Wire layout (all integers little-endian)::
 
-    [u8  len][schema id ascii]          "zkml-proof-envelope/v1"
+    [u8  len][schema id ascii]          "zkml-proof-envelope/v2"
     [u8  len][scheme ascii]             "kzg" | "ipa"
     [u8  len][model utf-8]              zoo model name
+    [u8  scalar_bytes]                  8 (Goldilocks) | 32 (BN254-Fr)
     [32B verifying-key hash]            VerifyingKey.digest()
     [16B config digest]                 envelope_config_digest(...)
     [u32 num instance columns]
-      per column: [u32 count][count x 32B scalar]
+      per column: [u32 count][count x scalar_bytes]
     [u32 proof length][proof bytes]     repro.halo2.proof wire format
     [16B blake2b-16 checksum]           over every preceding byte
+
+Scalars travel at the field's width: a Goldilocks public input is 8
+bytes, not 32 (v1 wrote everything 32 bytes wide; a k=12 instance column
+alone was 128 KB).
 
 The encoding is canonical: one byte string per envelope value, no
 optional fields, no padding — equal envelopes encode to equal bytes, so
@@ -30,6 +35,7 @@ costs no NTT/commitment work (asserted by tests via ``obs.stats``).
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional, Tuple
 
@@ -42,7 +48,7 @@ from repro.resilience.errors import (
 )
 
 __all__ = [
-    "SCHEMA_V1",
+    "SCHEMA_V2",
     "KNOWN_SCHEMES",
     "CHECKSUM_BYTES",
     "EnvelopeCaps",
@@ -54,8 +60,9 @@ __all__ = [
     "is_envelope",
 ]
 
-#: The one schema id this decoder speaks.
-SCHEMA_V1 = "zkml-proof-envelope/v1"
+#: The one schema id this decoder speaks.  v2 = succinct proofs
+#: (``ZKMLPRF2``), scalars at field width, constraint-binding vk hashes.
+SCHEMA_V2 = "zkml-proof-envelope/v2"
 
 #: Commitment schemes an envelope may name.
 KNOWN_SCHEMES = ("kzg", "ipa")
@@ -63,7 +70,8 @@ KNOWN_SCHEMES = ("kzg", "ipa")
 #: Width of the trailing blake2b integrity checksum.
 CHECKSUM_BYTES = 16
 
-_SCALAR_BYTES = 32
+#: Scalar widths an envelope may declare (Goldilocks, BN254-Fr).
+SCALAR_WIDTHS = (8, 32)
 _VK_HASH_BYTES = 32
 _CONFIG_DIGEST_BYTES = 16
 
@@ -72,22 +80,26 @@ _CONFIG_DIGEST_BYTES = 16
 class EnvelopeCaps:
     """Hard per-envelope resource caps the decoder enforces.
 
-    Defaults are sized from the mini-scale zoo (a dlrm k=9 proof is
-    ~1.3 MB with one 512-value instance column) with generous headroom
-    for larger circuits; a verify service under attack can tighten them
+    Defaults are derived from measured v2 sizes (docs/verification.md
+    §Caps): proofs grow with ``log^2`` of the circuit, not with it — a
+    dlrm-mini k=9 proof is ~140 KB, an mnist k=12 proof ~280 KB, and a
+    k=24 proof over 500 BN254 columns would be ~2 MB — so 4 MB of proof
+    is >10x headroom over anything this tree proves; the envelope cap
+    adds the public-input cap at the widest scalar (``2^18 * 32`` B =
+    8 MB) and rounds up.  A verify service under attack can tighten them
     per deployment.  Caps bound *declared* values before allocation, so
     a hostile length prefix cannot drive memory proportional to a number
     the attacker wrote.
     """
 
     #: Total serialized envelope size (checked before parsing starts).
-    max_envelope_bytes: int = 64 << 20
+    max_envelope_bytes: int = 16 << 20
     #: Number of instance (public-input) columns.
     max_instance_columns: int = 64
     #: Total public-input scalars summed across all columns.
     max_public_inputs: int = 1 << 18
     #: Length of the embedded proof byte string.
-    max_proof_bytes: int = 48 << 20
+    max_proof_bytes: int = 4 << 20
 
 
 #: The caps production surfaces use unless configured otherwise.
@@ -104,7 +116,9 @@ class ProofEnvelope:
     config_digest: bytes
     instance: List[List[int]]
     proof_bytes: bytes
-    schema: str = SCHEMA_V1
+    #: Bytes per field element on the wire: 8 (Goldilocks) or 32 (BN254-Fr).
+    scalar_bytes: int = 8
+    schema: str = SCHEMA_V2
     #: Filled by :func:`decode_envelope` with the envelope's own trailing
     #: checksum (hex); ``encode()`` recomputes it either way.
     checksum: str = dataclass_field(default="", repr=False)
@@ -129,6 +143,7 @@ class ProofEnvelope:
             "schema": self.schema,
             "scheme": self.scheme_name,
             "model": self.model,
+            "scalar_bytes": self.scalar_bytes,
             "vk_hash": self.vk_hash_hex,
             "config_digest": self.config_digest_hex,
             "instance_columns": len(self.instance),
@@ -162,9 +177,9 @@ def _write_str(out: bytearray, value: str, what: str) -> None:
 
 def encode_envelope(env: ProofEnvelope) -> bytes:
     """Serialize an envelope to its canonical byte string."""
-    if env.schema != SCHEMA_V1:
+    if env.schema != SCHEMA_V2:
         raise EnvelopeSchemaError("cannot encode schema %r (this writer "
-                                  "speaks %r)" % (env.schema, SCHEMA_V1))
+                                  "speaks %r)" % (env.schema, SCHEMA_V2))
     if env.scheme_name not in KNOWN_SCHEMES:
         raise EnvelopeSchemaError("unknown scheme %r (expected one of %s)"
                                   % (env.scheme_name,
@@ -175,17 +190,29 @@ def encode_envelope(env: ProofEnvelope) -> bytes:
     if len(env.config_digest) != _CONFIG_DIGEST_BYTES:
         raise EnvelopeError("config_digest must be %d bytes, got %d"
                             % (_CONFIG_DIGEST_BYTES, len(env.config_digest)))
+    width = env.scalar_bytes
+    if width not in SCALAR_WIDTHS:
+        raise EnvelopeError("scalar_bytes must be one of %s, got %r"
+                            % ("/".join(map(str, SCALAR_WIDTHS)), width))
     out = bytearray()
     _write_str(out, env.schema, "schema id")
     _write_str(out, env.scheme_name, "scheme")
     _write_str(out, env.model, "model name")
+    out.append(width)
     out += env.vk_hash
     out += env.config_digest
     out += len(env.instance).to_bytes(4, "little")
-    for col in env.instance:
+    for index, col in enumerate(env.instance):
         out += len(col).to_bytes(4, "little")
-        for value in col:
-            out += int(value).to_bytes(_SCALAR_BYTES, "little")
+        try:
+            if width == 8:
+                out += struct.pack("<%dQ" % len(col), *col)
+            else:
+                out += b"".join(int(v).to_bytes(width, "little") for v in col)
+        except (struct.error, OverflowError, TypeError):
+            raise EnvelopeError(
+                "instance column %d holds a value that does not fit %d "
+                "bytes" % (index, width), column=index) from None
     out += len(env.proof_bytes).to_bytes(4, "little")
     out += env.proof_bytes
     out += hashlib.blake2b(bytes(out), digest_size=CHECKSUM_BYTES).digest()
@@ -193,13 +220,13 @@ def encode_envelope(env: ProofEnvelope) -> bytes:
 
 
 def is_envelope(data: bytes) -> bool:
-    """Cheap sniff: does ``data`` start with the v1 schema id?
+    """Cheap sniff: does ``data`` start with the v2 schema id?
 
     Tells an envelope from other byte strings (say, a bare serialized
     proof) without attempting a full parse; the decoder itself refuses
     anything else with a typed :class:`EnvelopeSchemaError`.
     """
-    prefix = bytes([len(SCHEMA_V1)]) + SCHEMA_V1.encode()
+    prefix = bytes([len(SCHEMA_V2)]) + SCHEMA_V2.encode()
     return bytes(data[: len(prefix)]) == prefix
 
 
@@ -265,15 +292,21 @@ def decode_envelope(data: bytes,
             size=len(data), cap=caps.max_envelope_bytes)
 
     schema, pos = _read_str(data, 0, "schema id")
-    if schema != SCHEMA_V1:
+    if schema != SCHEMA_V2:
         raise EnvelopeSchemaError("unknown envelope schema %r (expected %r)"
-                                  % (schema[:64], SCHEMA_V1))
+                                  % (schema[:64], SCHEMA_V2))
     scheme_name, pos = _read_str(data, pos, "scheme")
     if scheme_name not in KNOWN_SCHEMES:
         raise EnvelopeSchemaError("unknown scheme %r (expected one of %s)"
                                   % (scheme_name[:64],
                                      "/".join(KNOWN_SCHEMES)))
     model, pos = _read_str(data, pos, "model name")
+    width_byte, pos = _read_fixed(data, pos, 1, "scalar width")
+    width = width_byte[0]
+    if width not in SCALAR_WIDTHS:
+        raise EnvelopeSchemaError(
+            "unknown scalar width %d (expected one of %s)"
+            % (width, "/".join(map(str, SCALAR_WIDTHS))), offset=pos - 1)
     vk_hash, pos = _read_fixed(data, pos, _VK_HASH_BYTES, "verifying-key hash")
     config_digest, pos = _read_fixed(data, pos, _CONFIG_DIGEST_BYTES,
                                      "config digest")
@@ -298,15 +331,16 @@ def decode_envelope(data: bytes,
                 "envelope declares %d public inputs through column %d "
                 "(cap %d)" % (total_inputs, col_idx, caps.max_public_inputs),
                 count=total_inputs, cap=caps.max_public_inputs)
-        need = count * _SCALAR_BYTES
+        need = count * width
         if need > len(data) - pos:
             raise EnvelopeTruncatedError(
                 "column %d promises %d scalars but only %d bytes remain"
                 % (col_idx, count, len(data) - pos), offset=pos)
-        col = [int.from_bytes(data[pos + i * _SCALAR_BYTES
-                                   : pos + (i + 1) * _SCALAR_BYTES],
-                              "little")
-               for i in range(count)]
+        if width == 8:
+            col = list(struct.unpack_from("<%dQ" % count, data, pos))
+        else:
+            col = [int.from_bytes(data[i : i + width], "little")
+                   for i in range(pos, pos + need, width)]
         pos += need
         instance.append(col)
 
@@ -338,6 +372,7 @@ def decode_envelope(data: bytes,
         config_digest=config_digest,
         instance=instance,
         proof_bytes=proof_bytes,
+        scalar_bytes=width,
         schema=schema,
         checksum=checksum.hex(),
     )

@@ -75,11 +75,21 @@ class EvaluationDomain:
         self._part_shifts: Optional[List[int]] = None
         self._part_invs: Optional[List[int]] = None
         self._rotation_cache: Dict[int, int] = {}
+        self._memo: Dict[object, object] = {}
 
     @property
     def uses_gl64(self) -> bool:
         """True when transforms run on the numpy Goldilocks kernels."""
         return self._use_gl64
+
+    def memo(self, key, build):
+        """A derived table other layers keep on the domain: ``build()`` once
+        per ``key``, then the cached value (rides the pk cache with it)."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     # -- cached numpy tables -------------------------------------------------
 
@@ -334,6 +344,104 @@ class EvaluationDomain:
                 acc = f.mul(acc, w_ext_n)
             self._part_invs = invs
         return self._part_invs
+
+    # -- low-degree extensions for commitments --------------------------------
+    #
+    # A committed column is its evaluations over the extended coset (rate
+    # ``1 / extension``).  The Goldilocks backend keeps them as the
+    # ``(extension, n)`` coset parts the quotient reads; the list backend
+    # keeps the natural-order extended vector.  The helpers below hide
+    # that layout: the Merkle rows, the opened rows and the DEEP quotient
+    # are the same values either way.
+
+    def lde(self, polys):
+        """Extended-coset evaluations of coefficient vectors of length ``n``.
+
+        Goldilocks: an ``(m, n)`` matrix in, ``(m, extension, n)`` parts
+        out; otherwise a list of natural-order extended vectors.  Counts
+        one ``ntt_extended`` per column.
+        """
+        if not self._use_gl64:
+            return [self.coeff_to_extended_vec(poly) for poly in polys]
+        STATS.ntt_extended += len(polys)
+        out = np.empty((len(polys), self.extension, self.n), dtype=np.uint64)
+        if len(polys):
+            for r in range(self.extension):
+                out[:, r, :] = self.coeff_to_extended_part(polys, r)
+        return out
+
+    def lde_columns(self, lde, cols: Optional[Sequence[int]] = None):
+        """Columns of an LDE as flat vectors in :meth:`lde_points` order."""
+        if self._use_gl64:
+            flat = lde.reshape(lde.shape[0], self.extended_n)
+            return flat if cols is None else flat[list(cols)]
+        return lde if cols is None else [lde[c] for c in cols]
+
+    def lde_points(self):
+        """The extended coset's points, in the order LDE columns are stored."""
+        def build():
+            if not self._use_gl64:
+                return scaled_power_table(self.field.p, self.extended_omega,
+                                          self.extended_n, self.coset_shift)
+            base = self._gl64_powers(self.omega, self.n)
+            shifts = np.array(self.extended_part_shifts(), dtype=np.uint64)
+            return gl64.mul(np.broadcast_to(base, (self.extension, self.n)),
+                            shifts[:, None]).reshape(-1)
+
+        return self.memo("lde-points", build)
+
+    def lde_natural(self, vec):
+        """A vector in :meth:`lde_points` order, reordered to extended index."""
+        if self._use_gl64:
+            return np.ascontiguousarray(
+                vec.reshape(self.extension, self.n).T).reshape(-1)
+        return vec
+
+    def lde_leaf_rows(self, lde):
+        """The Merkle leaf matrix: row ``j`` holds every column at extended
+        positions ``j`` and ``j + N/2`` (the points ``z`` and ``-z``)."""
+        half = self.extended_n // 2
+        if self._use_gl64:
+            m, mid = lde.shape[0], self.n // 2
+            rows = np.empty((half, 2 * m), dtype=np.uint64)
+            rows[:, :m] = lde[:, :, :mid].transpose(2, 1, 0).reshape(half, m)
+            rows[:, m:] = lde[:, :, mid:].transpose(2, 1, 0).reshape(half, m)
+            return rows
+        return [[vec[j] for vec in lde] + [vec[j + half] for vec in lde]
+                for j in range(half)]
+
+    def lde_rows(self, lde, positions: Sequence[int]) -> List[List[int]]:
+        """Rows ``positions`` of :meth:`lde_leaf_rows`, as plain ints (one
+        gather for all of them on Goldilocks)."""
+        half = self.extended_n // 2
+        if self._use_gl64:
+            t, r = np.divmod(np.array(positions, dtype=np.int64),
+                             self.extension)
+            both = np.concatenate(
+                [lde[:, r, t], lde[:, r, t + self.n // 2]])
+            return both.T.tolist()
+        return [[vec[j] for vec in lde] + [vec[j + half] for vec in lde]
+                for j in positions]
+
+    def evaluate_lagrange(self, evals: Sequence[int], z: int) -> int:
+        """``f(z)`` for the column with base-domain values ``evals``.
+
+        Barycentric, over the nonzero rows only:
+        ``f(z) = (z^n - 1) / n * sum_i f_i omega^i / (z - omega^i)`` —
+        one batched inversion, no transform.  ``z`` must lie outside the
+        base domain.  Public-input columns hold a handful of outputs, so
+        this costs the verifier microseconds where interpolating the
+        column cost an NTT plus a Horner pass.
+        """
+        f = self.field
+        p = f.p
+        powers = power_table(p, self.omega, self.n)
+        rows = [(v, powers[i]) for i, v in enumerate(evals) if v]
+        if not rows:
+            return 0
+        inverses = f.batch_inv([(z - w) % p for _, w in rows])
+        acc = sum(v * w * inv for (v, w), inv in zip(rows, inverses))
+        return acc * self.vanishing_eval(z) * f.inv(self.n) % p
 
     # -- transforms (int-list API, kept for callers outside the prover) ------
 

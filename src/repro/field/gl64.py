@@ -258,6 +258,12 @@ def fold(acc: np.ndarray, y: int, values) -> np.ndarray:
 _INV_CHAIN = 16
 
 
+#: At or below this many elements the ~50 fixed-cost vector passes of the
+#: blocked trick lose to ``PrimeField.batch_inv`` on Python ints (the
+#: verifier inverts a few hundred DEEP denominators per proof).
+_INV_SMALL = 256
+
+
 def batch_inv(values: np.ndarray) -> np.ndarray:
     """Elementwise modular inverse via a blocked Montgomery trick.
 
@@ -278,6 +284,10 @@ def batch_inv(values: np.ndarray) -> np.ndarray:
         raise ZeroDivisionError(
             "batch_inv of zero at index %d" % int(np.argmax(zero_mask))
         )
+    if n <= _INV_SMALL:
+        from repro.field.prime_field import GOLDILOCKS
+
+        return np.array(GOLDILOCKS.batch_inv(values.tolist()), dtype=np.uint64)
     levels = _INV_CHAIN
     chains = -(-n // levels)
     pad = levels * chains - n
@@ -332,6 +342,29 @@ def poly_eval_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
         acc = add(acc[:, 0::2], mul(acc[:, 1::2], x[:, None]))
         x = mul(x, x)
     return acc[:, 0]
+
+
+def weighted_sum(rows: np.ndarray, weights: Sequence[int]) -> np.ndarray:
+    """``sum_i weights[i] * rows[i]`` down the first axis of an ``(m, L)`` matrix.
+
+    The products are summed as 32-bit limbs — up to ``2^31`` limbs fit a
+    64-bit word without wrapping, and both limb sums stay below ``p`` —
+    so the reduction is two integer column sums recombined in the field
+    instead of ``m - 1`` modular adds.  Rows go through the multiply a
+    block at a time, which bounds the temporary to one scratch-sized slab.
+    """
+    m, width = rows.shape
+    w = np.array(weights, dtype=np.uint64).reshape(m, 1)
+    lo = np.zeros(width, dtype=np.uint64)
+    hi = np.zeros(width, dtype=np.uint64)
+    step = max(1, 4 * BLOCK // max(width, 1))
+    for start in range(0, m, step):
+        prod = mul(rows[start : start + step], w[start : start + step])
+        lo += (prod & _MASK32).sum(axis=0, dtype=np.uint64)
+        hi += (prod >> _SH32).sum(axis=0, dtype=np.uint64)
+    out = mul(hi, np.uint64(1 << 32))
+    add_into(out, out, lo)
+    return out
 
 
 def serialize_scalars(values, width: int = 32) -> bytes:

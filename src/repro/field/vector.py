@@ -90,6 +90,18 @@ class ListBackend:
     def batch_inv(self, vec):
         return self.field.batch_inv(list(vec))
 
+    def concat(self, vecs):
+        """The vectors laid end to end."""
+        return [x for vec in vecs for x in vec]
+
+    def weighted_sum(self, rows, weights: Sequence[int]):
+        """``sum_i weights[i] * rows[i]`` over equal-length vectors."""
+        p = self.field.p
+        acc = [0] * len(rows[0])
+        for row, w in zip(rows, weights):
+            acc = [a + w * x for a, x in zip(acc, row)]
+        return [a % p for a in acc]
+
 
 class GL64Backend(ListBackend):
     """Goldilocks backend: vectors are numpy ``uint64`` arrays."""
@@ -140,6 +152,14 @@ class GL64Backend(ListBackend):
 
     def batch_inv(self, vec):
         return gl64.batch_inv(vec)
+
+    def concat(self, vecs):
+        return np.concatenate(vecs)
+
+    def weighted_sum(self, rows, weights: Sequence[int]):
+        if not isinstance(rows, np.ndarray):
+            rows = np.array(rows, dtype=np.uint64)
+        return gl64.weighted_sum(rows, weights)
 
 
 def vector_backend(field: PrimeField) -> ListBackend:

@@ -9,6 +9,7 @@ computation), or symbolically from a dict of opened values (verifier).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set, Tuple
 
@@ -172,6 +173,38 @@ class Neg(Expression):
 
     def evaluate(self, field, read, challenges=None):
         return field.neg(self.inner.evaluate(field, read, challenges))
+
+
+def expression_digest(expr: Expression, memo: Dict[int, bytes]) -> bytes:
+    """A canonical structural digest of an expression tree (16 bytes).
+
+    Each node hashes its tag, its own fields and its children's digests,
+    so two expressions agree exactly when they are the same tree — the
+    encoding the verifying-key digest binds the constraint list with.
+    ``memo`` (node identity -> digest) makes shared subtrees cost one
+    hash; pass one dict across all of a key's constraints.
+    """
+    cached = memo.get(id(expr))
+    if cached is not None:
+        return cached
+    if isinstance(expr, Constant):
+        data = b"C%d" % expr.value
+    elif isinstance(expr, Challenge):
+        data = b"H" + expr.label.encode()
+    elif isinstance(expr, Ref):
+        data = b"R%s:%d:%d" % (expr.column.kind.value.encode(),
+                               expr.column.index, expr.rotation)
+    elif isinstance(expr, Neg):
+        data = b"-" + expression_digest(expr.inner, memo)
+    elif isinstance(expr, (Sum, Product)):
+        data = ((b"+" if isinstance(expr, Sum) else b"*")
+                + expression_digest(expr.left, memo)
+                + expression_digest(expr.right, memo))
+    else:
+        raise TypeError("cannot digest expression node %r" % type(expr))
+    digest = hashlib.blake2b(data, digest_size=16).digest()
+    memo[id(expr)] = digest
+    return digest
 
 
 def evaluate_from_openings(

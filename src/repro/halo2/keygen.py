@@ -2,7 +2,9 @@
 
 Keygen fixes everything that does not depend on the witness:
 
-- coefficient forms of all fixed, selector, and permutation polynomials;
+- coefficient forms of all fixed, selector, and permutation polynomials,
+  their low-degree extension, and the Merkle tree that commits to them
+  (the *fixed round*; its root goes into the verifying key);
 - the permutation itself (union-find over the recorded copy constraints,
   turned into id/sigma tag polynomials);
 - the *extended constraint list*: user gates plus the lookup and
@@ -19,18 +21,33 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.commit.scheme import CommitmentScheme
-from repro.field import gl64
+from repro.commit import fri
+from repro.commit.scheme import (
+    COMMITMENT_BYTES,
+    SCALAR_BYTES,
+    Claim,
+    CommitmentScheme,
+    CommittedRound,
+)
 from repro.field.domain import EvaluationDomain
 from repro.field.prime_field import PrimeField
 from repro.halo2.circuit import Assignment, ConstraintSystem
 from repro.halo2.column import Column, ColumnType
-from repro.halo2.expression import Challenge, Constant, Expression, Ref
+from repro.halo2.expression import (
+    Challenge,
+    Constant,
+    Expression,
+    Ref,
+    expression_digest,
+)
 from repro.halo2.lookup import LookupArgument
 from repro.obs.trace import get_tracer
 
 #: Challenge labels used by the helper arguments.
 THETA, BETA, GAMMA, ALPHA = "theta", "beta", "gamma", "alpha"
+
+#: The commit rounds, in the order a query opens their rows.
+FIXED_ROUND, ADVICE_ROUND, HELPER_ROUND, QUOTIENT_ROUND = range(4)
 
 
 @dataclass(frozen=True)
@@ -73,7 +90,10 @@ class VerifyingKey:
     scheme_name: str
     domain: EvaluationDomain
     max_degree: int
-    fixed_polys: Dict[Column, List[int]]
+    #: The fixed round's columns (fixed, then selector), in tree order.
+    fixed_columns: Tuple[Column, ...]
+    #: Merkle root of the fixed round.
+    fixed_root: bytes
     l0_col: Column
     lookups: List[LookupHelpers]
     permutation: Optional[PermutationData]
@@ -90,49 +110,87 @@ class VerifyingKey:
     def num_quotient_pieces(self) -> int:
         return self.max_degree - 1
 
+    @property
+    def round_widths(self) -> Tuple[int, int, int, int]:
+        """Columns per commit round (fixed, advice, helper, quotient)."""
+        return (len(self.fixed_columns), self.cs.num_advice,
+                self.num_helper_advice, self.num_quotient_pieces)
+
+    def claim_of(self, col: Column, rot: int) -> Claim:
+        """The opening claim that answers a constraint's read of
+        ``col`` at ``rot`` (fixed, selector and advice columns only)."""
+        if col.kind == ColumnType.ADVICE:
+            if col.index < self.cs.num_advice:
+                return (ADVICE_ROUND, col.index, rot)
+            return (HELPER_ROUND, col.index - self.cs.num_advice, rot)
+        return (FIXED_ROUND, self.fixed_columns.index(col), rot)
+
+    @property
+    def claims(self) -> List[Claim]:
+        """Every evaluation a proof claims, in wire order: each committed
+        column read by a constraint at ``omega^rot x`` plus the quotient
+        pieces at ``x``, sorted by rotation, then round, then column."""
+        cached = getattr(self, "_claims", None)
+        if cached is None:
+            found = {
+                self.claim_of(col, rot)
+                for _, expr in self.constraints
+                for col, rot in expr.refs()
+                if col.kind != ColumnType.INSTANCE
+            }
+            found.update((QUOTIENT_ROUND, j, 0)
+                         for j in range(self.num_quotient_pieces))
+            cached = sorted(found, key=lambda c: (c[2], c[0], c[1]))
+            self._claims = cached
+        return cached
+
     def digest(self) -> bytes:
-        """A binding digest of the preprocessed circuit."""
+        """A binding digest of the preprocessed circuit: its shape, the
+        fixed round's root, the opening parameters and every constraint."""
         if not self._digest:
             h = hashlib.blake2b(digest_size=32)
-            h.update(b"vk:%d:%d:%s" % (self.k, self.max_degree, self.scheme_name.encode()))
-            for col in sorted(self.fixed_polys, key=lambda c: (c.kind.value, c.index)):
-                h.update(repr(col).encode())
-                h.update(gl64.serialize_scalars(self.fixed_polys[col]))
+            h.update(b"vk:%d:%d:%s:%d" % (self.k, self.max_degree,
+                                          self.scheme_name.encode(),
+                                          self.field.p))
+            h.update(b"opening:%d:%d:%d" % (self.domain.extension,
+                                            fri.FRI_QUERIES,
+                                            fri.FRI_FINAL_LEN))
+            h.update(b"columns:%d:%d:%d:%r" % (
+                self.cs.num_advice, self.num_helper_advice,
+                self.cs.num_instance, self.fixed_columns))
+            h.update(self.fixed_root)
+            memo: Dict[int, bytes] = {}
+            for name, expr in self.constraints:
+                h.update(b"constraint:%d:" % len(name) + name.encode())
+                h.update(expression_digest(expr, memo))
             self._digest = h.digest()
         return self._digest
 
-    def fixed_part_evals(self) -> Dict[Column, "object"]:
-        """Per-coset-part extended evaluations of every fixed column.
-
-        Goldilocks only.  Fixed and selector polynomials are circuit
-        constants, so their quotient-phase coset-part NTTs run once —
-        eagerly at keygen, riding the pk cache into later processes —
-        and the prover reads ready ``(extension, n)`` part matrices
-        instead of re-transforming constants on every proof.  Derived
-        data: not part of :meth:`digest`, so proofs are unchanged.
-        """
-        cached = getattr(self, "_np_fixed_parts", None)
-        if cached is None:
-            cols = sorted(self.fixed_polys, key=lambda c: (c.kind.value, c.index))
-            extension = self.domain.extended_n // self.domain.n
-            parts = np.empty((len(cols), extension, self.n), dtype=np.uint64)
-            if cols:
-                mat = np.stack(
-                    [gl64.from_ints(self.fixed_polys[c]) for c in cols]
-                )
-                for r in range(extension):
-                    parts[:, r, :] = self.domain.coeff_to_extended_part(mat, r)
-            cached = {col: parts[i] for i, col in enumerate(cols)}
-            self._np_fixed_parts = cached
-        return cached
+    def modeled_proof_bytes(self, scheme: CommitmentScheme) -> int:
+        """Serialized size of the equivalent real halo2 proof: one curve
+        point per committed column, one scalar per opened advice or
+        quotient evaluation, plus the backend's multiopen argument.
+        Tables 6/7/14 report this quantity beside the real byte count."""
+        pieces = self.num_quotient_pieces
+        return (
+            COMMITMENT_BYTES * (self.cs.num_advice + self.num_helper_advice
+                                + pieces)
+            + SCALAR_BYTES * (len(self.advice_queries) + pieces)
+            + scheme.opening_proof_bytes(self.k)
+        )
 
 
 @dataclass
 class ProvingKey:
-    """Verifying key plus evaluation-form fixed data the prover uses."""
+    """Verifying key plus the fixed data only the prover uses: the fixed
+    columns in evaluation and coefficient form (the latter in
+    ``vk.fixed_columns`` order, in the domain backend's matrix shape)
+    and the committed fixed round."""
 
     vk: VerifyingKey
     fixed_evals: Dict[Column, List[int]]
+    fixed_polys: object
+    fixed_round: CommittedRound
 
 
 def _compress(exprs: Tuple[Expression, ...], theta: Expression) -> Expression:
@@ -314,13 +372,18 @@ def keygen(
     max_degree = max([expr.degree() for _, expr in constraints] + [2])
     domain = EvaluationDomain(field, assignment.k, max_degree=max_degree)
 
+    fixed_columns = tuple(
+        sorted(fixed_evals, key=lambda c: (c.kind.value, c.index)))
     with tracer.span("keygen:fixed_polys", columns=len(fixed_evals),
                      max_degree=max_degree):
-        polys = domain.lagrange_to_coeff_batch(list(fixed_evals.values()))
-        fixed_polys = {
-            col: domain.backend.to_ints(poly)
-            for col, poly in zip(fixed_evals, polys)
-        }
+        fixed_polys = domain.lagrange_to_coeff_batch(
+            [fixed_evals[col] for col in fixed_columns])
+        if domain.uses_gl64:
+            fixed_polys = np.stack(fixed_polys)
+    with tracer.span("keygen:fixed_round", columns=len(fixed_columns)):
+        # the quotient reads this LDE on every proof; the pk cache
+        # carries it (and the tree the queries open) into later proves
+        fixed_round = scheme.commit_round(domain, domain.lde(fixed_polys))
 
     advice_queries = sorted(
         {
@@ -339,7 +402,8 @@ def keygen(
         scheme_name=scheme.name,
         domain=domain,
         max_degree=max_degree,
-        fixed_polys=fixed_polys,
+        fixed_columns=fixed_columns,
+        fixed_root=fixed_round.root,
         l0_col=l0_col,
         lookups=lookups,
         permutation=permutation,
@@ -347,10 +411,6 @@ def keygen(
         advice_queries=advice_queries,
         num_helper_advice=next_advice - cs.num_advice,
     )
-    if domain.uses_gl64:
-        with tracer.span("keygen:fixed_parts", columns=len(fixed_polys)):
-            # precompute the quotient's fixed-column coset parts now so
-            # the pk cache carries them into every later prove
-            vk.fixed_part_evals()
-    pk = ProvingKey(vk=vk, fixed_evals=fixed_evals)
+    pk = ProvingKey(vk=vk, fixed_evals=fixed_evals, fixed_polys=fixed_polys,
+                    fixed_round=fixed_round)
     return pk, vk

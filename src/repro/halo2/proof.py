@@ -1,26 +1,41 @@
-"""Proof container and modeled serialization size.
+"""Proof container and its canonical ``ZKMLPRF2`` wire encoding.
 
-The in-memory proof carries the simulated opening witnesses (full
-coefficient vectors — see ``repro.commit``), so its Python size is not
-what a real halo2 proof would serialize to.  :meth:`Proof.modeled_size_bytes`
-reports the size a real proof with this circuit shape would have: one
-curve point per commitment, one scalar per opened evaluation, plus the
-backend's multiopen argument.  Table 6/7/14 report this quantity.
+A proof is succinct: the roots of its commit rounds, one claimed
+evaluation per ``vk.claims`` entry, and one batched DEEP-FRI opening
+(:mod:`repro.commit.scheme`) — fold-layer roots, a final polynomial and
+``FRI_QUERIES`` query openings, each a row + path per round tree and a
+pair + path per fold layer.  No polynomial is ever shipped.
+
+Wire layout (integers little-endian; a *scalar* is ``scalar_bytes``
+wide — 8 for Goldilocks, 32 for BN254-Fr)::
+
+    "ZKMLPRF2" [u8 scalar_bytes]
+    [u32 count][count x 32B]            round roots (advice, helper, quotient)
+    [u32 count][count x scalar]         claimed evaluations, vk.claims order
+    [u32 count][count x 32B]            fold-layer roots
+    [u32 count][count x scalar]         final polynomial
+    [u32 queries]
+    [u32 rows]  rows x [u32 values per row]   one row per round tree
+    [u32 row path length]
+    [u32 folds] folds x [u32 path length]     one pair per fold layer
+    queries x ( rows x (values, path)  folds x (pair, path) )
+
+The query shape is declared once, so the body has a fixed stride: the
+decoder checks every count against its cap and the exact remaining
+length before allocating anything.  The size a real halo2 proof of the
+same circuit would have is ``VerifyingKey.modeled_proof_bytes``; reports
+show both.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.commit.scheme import (
-    COMMITMENT_BYTES,
-    SCALAR_BYTES,
-    Commitment,
-    CommitmentScheme,
-    OpeningProof,
-)
-from repro.field.gl64 import serialize_scalars
+from repro.commit.fri import FoldOpening
+from repro.commit.merkle import DIGEST_BYTES
+from repro.commit.scheme import QueryOpening, RowOpening
 from repro.resilience.errors import ProofFormatError
 
 
@@ -28,171 +43,197 @@ from repro.resilience.errors import ProofFormatError
 class Proof:
     """A ZK-SNARK proof for one circuit execution."""
 
-    advice_commitments: List[Commitment]
-    helper_commitments: List[Commitment]
-    quotient_commitments: List[Commitment]
-    #: (advice column index, rotation) -> opening at omega^rotation * x
-    advice_openings: Dict[Tuple[int, int], OpeningProof]
-    quotient_openings: List[OpeningProof]
-
-    def num_commitments(self) -> int:
-        return (
-            len(self.advice_commitments)
-            + len(self.helper_commitments)
-            + len(self.quotient_commitments)
-        )
-
-    def num_evaluations(self) -> int:
-        return len(self.advice_openings) + len(self.quotient_openings)
-
-    def modeled_size_bytes(self, scheme: CommitmentScheme, k: int) -> int:
-        """Serialized size of the equivalent real halo2 proof."""
-        return (
-            COMMITMENT_BYTES * self.num_commitments()
-            + SCALAR_BYTES * self.num_evaluations()
-            + scheme.opening_proof_bytes(k)
-        )
+    #: Bytes per field element on the wire (8 or 32).
+    scalar_bytes: int
+    #: Merkle roots of the proof's nonempty rounds: advice, helper, quotient.
+    round_roots: List[bytes]
+    #: Claimed evaluations, aligned with ``vk.claims``.
+    evals: List[int]
+    fri_roots: List[bytes]
+    final_poly: List[int]
+    queries: List[QueryOpening]
 
 
-#: Upper bound on any serialized count field.  Real proofs have at most a
-#: few thousand commitments/openings; a count beyond this is always a
-#: corrupted or hostile length prefix, and rejecting it up front keeps a
-#: 4-byte mutation from driving a multi-gigabyte allocation loop.
-_MAX_ITEMS = 1 << 20
+_MAGIC = b"ZKMLPRF2"
+
+#: Caps on the serialized count fields.  Real proofs stay far below
+#: them; a count beyond its cap is always a corrupted or hostile length
+#: prefix, rejected before it can size an allocation.
+_MAX_ROOTS = 64
+_MAX_SCALARS = 1 << 20
+_MAX_QUERIES = 1 << 12
+_MAX_ROWS = 8
+_MAX_PATH = 64
 
 
-def _write_scalar(out: bytearray, v: int) -> None:
-    out += int(v).to_bytes(32, "little")
+def _scalars_to_bytes(values: Sequence[int], width: int) -> bytes:
+    try:
+        if width == 8:
+            return struct.pack("<%dQ" % len(values), *values)
+        return b"".join(int(v).to_bytes(width, "little") for v in values)
+    except (struct.error, OverflowError, TypeError) as exc:
+        raise ProofFormatError("proof scalar does not fit %d bytes" % width,
+                               detail=str(exc)[:80]) from None
 
 
-def _read_scalar(data: bytes, pos: int):
-    if pos + 32 > len(data):
-        raise ProofFormatError("truncated proof: scalar at offset %d runs past "
-                               "end of data" % pos, offset=pos, length=len(data))
-    return int.from_bytes(data[pos : pos + 32], "little"), pos + 32
+def _scalars_from_bytes(data, pos: int, count: int, width: int):
+    if width == 8:
+        return struct.unpack_from("<%dQ" % count, data, pos)
+    return tuple(int.from_bytes(data[i : i + width], "little")
+                 for i in range(pos, pos + count * width, width))
 
 
-def _write_u32(out: bytearray, v: int) -> None:
-    out += int(v).to_bytes(4, "little")
+def _digests_to_bytes(digests: Sequence[bytes], what: str) -> bytes:
+    for d in digests:
+        if not isinstance(d, bytes) or len(d) != DIGEST_BYTES:
+            raise ProofFormatError("%s is not a %d-byte digest"
+                                   % (what, DIGEST_BYTES))
+    return b"".join(digests)
 
 
-def _read_u32(data: bytes, pos: int):
-    if pos + 4 > len(data):
-        raise ProofFormatError("truncated proof: u32 at offset %d runs past "
-                               "end of data" % pos, offset=pos, length=len(data))
-    return int.from_bytes(data[pos : pos + 4], "little"), pos + 4
-
-
-def _read_count(data: bytes, pos: int, what: str):
-    n, pos = _read_u32(data, pos)
-    if n > _MAX_ITEMS:
-        raise ProofFormatError("implausible %s count %d (max %d)"
-                               % (what, n, _MAX_ITEMS), offset=pos - 4)
-    # each counted item is at least 4 bytes; a count the remaining data
-    # cannot possibly hold is rejected before any allocation
-    if n * 4 > len(data) - pos:
-        raise ProofFormatError("%s count %d exceeds remaining %d bytes"
-                               % (what, n, len(data) - pos), offset=pos - 4)
-    return n, pos
-
-
-def _write_opening(out: bytearray, opening: OpeningProof) -> None:
-    _write_scalar(out, opening.point)
-    _write_scalar(out, opening.value)
-    _write_u32(out, len(opening.witness))
-    out += serialize_scalars(opening.witness)
-
-
-def _read_opening(data: bytes, pos: int):
-    point, pos = _read_scalar(data, pos)
-    value, pos = _read_scalar(data, pos)
-    n, pos = _read_count(data, pos, "opening witness")
-    if n * 32 > len(data) - pos:
-        raise ProofFormatError("opening witness of %d scalars exceeds "
-                               "remaining %d bytes" % (n, len(data) - pos),
-                               offset=pos)
-    witness = []
-    for _ in range(n):
-        w, pos = _read_scalar(data, pos)
-        witness.append(w)
-    return OpeningProof(point=point, value=value, witness=tuple(witness)), pos
-
-
-_MAGIC = b"ZKMLPRF1"
+def _u32(v: int) -> bytes:
+    return int(v).to_bytes(4, "little")
 
 
 def proof_to_bytes(proof: Proof) -> bytes:
-    """Serialize a proof to a portable byte string.
+    """Serialize a proof to its canonical byte string.
 
-    Note the simulated opening witnesses make this much larger than the
-    real halo2 serialization; :meth:`Proof.modeled_size_bytes` reports the
-    real-system size.
+    Every query must have the same shape (it does for any proof the
+    prover builds); a ragged or out-of-range proof object raises
+    :class:`~repro.resilience.errors.ProofFormatError`.
     """
-    out = bytearray(_MAGIC)
-    for group in (proof.advice_commitments, proof.helper_commitments,
-                  proof.quotient_commitments):
-        _write_u32(out, len(group))
-        for com in group:
-            out += com.digest
-    _write_u32(out, len(proof.advice_openings))
-    for (col, rot) in sorted(proof.advice_openings):
-        _write_u32(out, col)
-        _write_u32(out, rot & 0xFFFFFFFF)
-        _write_opening(out, proof.advice_openings[(col, rot)])
-    _write_u32(out, len(proof.quotient_openings))
-    for opening in proof.quotient_openings:
-        _write_opening(out, opening)
-    return bytes(out)
+    sb = proof.scalar_bytes
+    if sb not in (8, 32):
+        raise ProofFormatError("scalar width must be 8 or 32, got %r" % sb)
+    out = [_MAGIC, bytes([sb])]
+    out += [_u32(len(proof.round_roots)),
+            _digests_to_bytes(proof.round_roots, "round root")]
+    out += [_u32(len(proof.evals)), _scalars_to_bytes(proof.evals, sb)]
+    out += [_u32(len(proof.fri_roots)),
+            _digests_to_bytes(proof.fri_roots, "fold-layer root")]
+    out += [_u32(len(proof.final_poly)),
+            _scalars_to_bytes(proof.final_poly, sb)]
+    out.append(_u32(len(proof.queries)))
+    first = proof.queries[0] if proof.queries else QueryOpening((), ())
+    widths = [len(row.values) for row in first.rows]
+    row_path = len(first.rows[0].path) if first.rows else 0
+    fold_paths = [len(fold.path) for fold in first.folds]
+    out.append(_u32(len(widths)))
+    out += [_u32(w) for w in widths]
+    out.append(_u32(row_path))
+    out.append(_u32(len(fold_paths)))
+    out += [_u32(n) for n in fold_paths]
+    for query in proof.queries:
+        if ([len(row.values) for row in query.rows] != widths
+                or any(len(row.path) != row_path for row in query.rows)
+                or [len(fold.path) for fold in query.folds] != fold_paths
+                or any(len(fold.pair) != 2 for fold in query.folds)):
+            raise ProofFormatError("query openings differ in shape")
+        for row in query.rows:
+            out.append(_scalars_to_bytes(row.values, sb))
+            out.append(_digests_to_bytes(row.path, "path node"))
+        for fold in query.folds:
+            out.append(_scalars_to_bytes(fold.pair, sb))
+            out.append(_digests_to_bytes(fold.path, "path node"))
+    return b"".join(out)
+
+
+class _Reader:
+    """Bounds-checked sequential reads; every failure is typed."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int, what: str) -> int:
+        """Reserve ``n`` bytes; returns their start offset."""
+        start = self.pos
+        if n > len(self.data) - start:
+            raise ProofFormatError(
+                "truncated proof: %s needs %d bytes at offset %d, %d left"
+                % (what, n, start, len(self.data) - start),
+                offset=start, length=len(self.data))
+        self.pos = start + n
+        return start
+
+    def count(self, what: str, cap: int) -> int:
+        start = self.take(4, what + " count")
+        n = int.from_bytes(self.data[start : start + 4], "little")
+        if n > cap:
+            raise ProofFormatError("implausible %s count %d (max %d)"
+                                   % (what, n, cap), offset=start)
+        return n
+
+    def digests(self, n: int, what: str) -> Tuple[bytes, ...]:
+        start = self.take(n * DIGEST_BYTES, what)
+        return struct.unpack_from("%ds" % DIGEST_BYTES * n, self.data, start)
+
+    def scalars(self, n: int, width: int, what: str) -> Tuple[int, ...]:
+        start = self.take(n * width, what)
+        return _scalars_from_bytes(self.data, start, n, width)
 
 
 def proof_from_bytes(data: bytes) -> Proof:
     """Inverse of :func:`proof_to_bytes`.
 
-    Every length prefix is validated against the remaining data before
-    anything is allocated, so truncated, padded, or hostile inputs raise
-    :class:`~repro.resilience.errors.ProofFormatError` (a ``ValueError``
-    subclass) rather than producing a garbage proof or an unbounded
-    allocation.
+    Every count is validated against its cap and the remaining data
+    before anything sized by it is allocated, and the query body must
+    fill the rest of the buffer exactly — so truncated, padded, or
+    hostile inputs raise :class:`~repro.resilience.errors.ProofFormatError`
+    (a ``ValueError`` subclass) rather than producing a garbage proof or
+    an unbounded allocation.  Field range and circuit shape are the
+    verifier's job (``validate_proof_shape``).
     """
+    data = bytes(data)
     if data[: len(_MAGIC)] != _MAGIC:
         raise ProofFormatError("not a serialized proof (bad magic)",
                                length=len(data))
-    pos = len(_MAGIC)
-    groups = []
-    for group_name in ("advice", "helper", "quotient"):
-        n, pos = _read_count(data, pos, "%s commitment" % group_name)
-        if n * 32 > len(data) - pos:
-            raise ProofFormatError("%d %s commitments exceed remaining %d "
-                                   "bytes" % (n, group_name, len(data) - pos),
-                                   offset=pos)
-        commitments = []
-        for _ in range(n):
-            commitments.append(Commitment(data[pos : pos + 32]))
-            pos += 32
-        groups.append(commitments)
-    n, pos = _read_count(data, pos, "advice opening")
-    advice_openings = {}
-    for _ in range(n):
-        col, pos = _read_u32(data, pos)
-        rot_raw, pos = _read_u32(data, pos)
-        rot = rot_raw - (1 << 32) if rot_raw >= (1 << 31) else rot_raw
-        if (col, rot) in advice_openings:
-            raise ProofFormatError("duplicate advice opening for column %d "
-                                   "rotation %d" % (col, rot), offset=pos)
-        opening, pos = _read_opening(data, pos)
-        advice_openings[(col, rot)] = opening
-    n, pos = _read_count(data, pos, "quotient opening")
-    quotient_openings = []
-    for _ in range(n):
-        opening, pos = _read_opening(data, pos)
-        quotient_openings.append(opening)
-    if pos != len(data):
+    r = _Reader(data)
+    r.pos = len(_MAGIC)
+    sb = data[r.take(1, "scalar width")]
+    if sb not in (8, 32):
+        raise ProofFormatError("scalar width must be 8 or 32, got %d" % sb,
+                               offset=len(_MAGIC))
+    round_roots = r.digests(r.count("round root", _MAX_ROOTS), "round roots")
+    evals = r.scalars(r.count("evaluation", _MAX_SCALARS), sb, "evaluations")
+    fri_roots = r.digests(r.count("fold-layer root", _MAX_ROOTS),
+                          "fold-layer roots")
+    final_poly = r.scalars(r.count("final coefficient", _MAX_SCALARS), sb,
+                           "final polynomial")
+    num_queries = r.count("query", _MAX_QUERIES)
+    widths = [r.count("row value", _MAX_SCALARS)
+              for _ in range(r.count("row", _MAX_ROWS))]
+    row_path = r.count("row path node", _MAX_PATH)
+    fold_paths = [r.count("fold path node", _MAX_PATH)
+                  for _ in range(r.count("fold", _MAX_PATH))]
+    stride = (sum(w * sb + row_path * DIGEST_BYTES for w in widths)
+              + sum(2 * sb + n * DIGEST_BYTES for n in fold_paths))
+    body = len(data) - r.pos
+    if body < num_queries * stride:
+        raise ProofFormatError(
+            "truncated proof: %d queries of %d bytes need %d, %d left"
+            % (num_queries, stride, num_queries * stride, body),
+            offset=r.pos, length=len(data))
+    if body > num_queries * stride:
         raise ProofFormatError("trailing bytes in serialized proof",
-                               offset=pos, length=len(data))
+                               offset=r.pos + num_queries * stride,
+                               length=len(data))
+    queries = []
+    for _ in range(num_queries):
+        rows = tuple(
+            RowOpening(values=r.scalars(w, sb, "row values"),
+                       path=r.digests(row_path, "row path"))
+            for w in widths)
+        folds = tuple(
+            FoldOpening(pair=r.scalars(2, sb, "fold pair"),
+                        path=r.digests(n, "fold path"))
+            for n in fold_paths)
+        queries.append(QueryOpening(rows=rows, folds=folds))
     return Proof(
-        advice_commitments=groups[0],
-        helper_commitments=groups[1],
-        quotient_commitments=groups[2],
-        advice_openings=advice_openings,
-        quotient_openings=quotient_openings,
+        scalar_bytes=sb,
+        round_roots=list(round_roots),
+        evals=list(evals),
+        fri_roots=list(fri_roots),
+        final_poly=list(final_poly),
+        queries=queries,
     )

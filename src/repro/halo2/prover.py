@@ -1,36 +1,42 @@
 """Proof creation.
 
-Follows the halo2 recipe (paper §3 and §7.4):
+Follows the halo2 recipe (paper §3 and §7.4) over a transparent,
+succinct commitment scheme (:mod:`repro.commit.scheme`):
 
-1. commit to the user advice columns;
+1. interpolate the user advice columns, extend them to the rate-
+   ``1/extension`` coset and commit the round as one Merkle tree;
 2. derive ``theta/beta/gamma/alpha`` and build the lookup (one ``h`` per
    lookup, one ``m`` and ``s`` per table) and permutation (h_c, s) helper
-   columns; commit to them;
+   columns; commit them as a second round;
 3. derive ``y``, fold every constraint, and divide by the vanishing
    polynomial on the extended coset to obtain the quotient polynomial,
-   committed in ``d_max - 1`` pieces of degree < n;
-4. derive ``x`` and open every queried polynomial.
+   committed in ``d_max - 1`` pieces of degree < n as a third round;
+4. derive ``x`` (outside the domain and the coset), evaluate every
+   queried polynomial at ``omega^rot x``, and prove all of those claims
+   with one batched DEEP-FRI opening: ``FRI_QUERIES`` rows of each
+   round tree, never a polynomial.
 
 The FFTs and commitments performed here are the operations the optimizer's
 cost model counts (Eqs. 1–2).
 
 Implementation notes: on Goldilocks every phase runs batched over whole
 *matrices* of columns.  Phase 1 and the helper commits stack columns into
-an ``(m, n)`` ``uint64`` matrix, interpolate with one batched NTT, and
-commit row by row; all-zero columns (detected at synthesis by
-:meth:`~repro.halo2.circuit.Assignment.advice_is_zero` or at commit time
-by a row scan) skip both the transform and the digest.  Phase 2 stacks
+an ``(m, n)`` ``uint64`` matrix, interpolate with one batched NTT and
+extend with one batched coset NTT per part; all-zero columns (detected
+at synthesis by :meth:`~repro.halo2.circuit.Assignment.advice_is_zero`
+or at commit time by a row scan) skip the interpolation.  Phase 2 stacks
 every lookup and permutation denominator into a single flat
 ``gl64.batch_inv`` call and builds lookup multiplicities with sorted
 numpy searches.  Phase 3 evaluates the quotient per *coset part* —
-``extension`` interleaved base-width cosets — so no column is ever
-materialized at extended width and the vanishing division is one scalar
-per part; column sets past ``QUOTIENT_STREAM_ELEMS`` process one part at
-a time, bounding peak memory to one ``(columns, n)`` matrix.  On other
-fields the columnwise list-backend reference path runs instead (phase 2
-is one construction over either backend, with per-row reference
-kernels in place of the vectorized ones), and the two produce
-byte-identical proofs (asserted by the equivalence tests).
+``extension`` interleaved base-width cosets — *reading* the committed
+columns' extensions from phases 1-2 and the key's fixed round instead of
+transforming them again, so the vanishing division is one scalar per
+part; column sets past ``QUOTIENT_STREAM_ELEMS`` fold one part at a
+time, bounding the evaluator's temporaries.  On other fields the
+columnwise list-backend reference path runs instead (one construction
+over either backend, with per-row reference kernels in place of the
+vectorized ones), and the two produce byte-identical proofs (asserted by
+the equivalence tests).
 
 The prover is serial: one process, one thread per proof.  More cores are
 used by proving more batches at once (``zkml serve --workers N``), never
@@ -42,17 +48,32 @@ breakdown.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.commit.scheme import Commitment, CommitmentScheme
+from repro.commit.scheme import (
+    CommitmentScheme,
+    CommittedRound,
+    draw_opening_point,
+)
 from repro.commit.transcript import Transcript
 from repro.field import gl64
+from repro.field.poly import poly_eval
 from repro.halo2.circuit import Assignment
 from repro.halo2.column import Column, ColumnType
 from repro.halo2.expression import VectorEvaluator, evaluate_on_lagrange
-from repro.halo2.keygen import ALPHA, BETA, GAMMA, THETA, ProvingKey
+from repro.halo2.keygen import (
+    ADVICE_ROUND,
+    ALPHA,
+    BETA,
+    FIXED_ROUND,
+    GAMMA,
+    HELPER_ROUND,
+    QUOTIENT_ROUND,
+    THETA,
+    ProvingKey,
+)
 from repro.halo2.proof import Proof
 from repro.obs.stats import STATS
 # leaf-module import: repro.perf's package init pulls in the pk cache,
@@ -71,12 +92,13 @@ QUOTIENT_STREAM_ELEMS = 1 << 25
 
 
 def _interpolate_commit_rows(domain, scheme, rows: np.ndarray):
-    """Interpolate + commit the rows of ``rows``; returns (polys, coms).
+    """Interpolate, extend and commit the rows of ``rows`` as one round.
 
-    All-zero rows skip the transform (a zero column interpolates to the
-    zero polynomial) and share one zero-polynomial commitment; both skips
-    are counted in ``STATS.sparsity_skips``.  The nonzero rows go through
-    a single batched inverse NTT.
+    Returns ``(polys, round)``.  All-zero rows skip the interpolation (a
+    zero column is the zero polynomial; counted in
+    ``STATS.sparsity_skips``); the nonzero rows go through a single
+    batched inverse NTT, then every row through one batched coset NTT
+    per part.
     """
     m = rows.shape[0]
     nonzero = np.flatnonzero(np.any(rows != 0, axis=1))
@@ -87,31 +109,34 @@ def _interpolate_commit_rows(domain, scheme, rows: np.ndarray):
         if nonzero.size:
             polys[nonzero] = domain.lagrange_to_coeff_rows(rows[nonzero])
         STATS.sparsity_skips += m - nonzero.size
-    zero_rows = frozenset(range(m)) - frozenset(nonzero.tolist())
-    zero_digest = None
-    coms = []
-    for i in range(m):
-        if i in zero_rows and zero_digest is not None:
-            # reuse the memoized zero-polynomial digest, but as fresh
-            # objects: pickle memoizes shared objects into back-references
-            # and the proof bytes must match the share-nothing reference
-            STATS.sparsity_skips += 1
-            coms.append(Commitment(bytes(memoryview(zero_digest))))
-        else:
-            com = scheme.commit(polys[i])
-            if i in zero_rows:
-                zero_digest = com.digest
-            coms.append(com)
-    return polys, coms
+    return polys, scheme.commit_round(domain, domain.lde(polys))
 
 
 def _interpolate_commit(domain, scheme, vecs):
-    """Base-domain columns -> (coefficient vectors, commitments): one
-    batched call on Goldilocks, column by column on the list backend."""
-    if domain.uses_gl64 and vecs:
+    """Base-domain columns -> (coefficient rows, committed round): one
+    batched call on Goldilocks, column by column on the list backend.
+    No columns, no round (``None``)."""
+    if not vecs:
+        return [], None
+    if domain.uses_gl64:
         return _interpolate_commit_rows(domain, scheme, np.stack(vecs))
     polys = [domain.lagrange_to_coeff_vec(vec) for vec in vecs]
-    return polys, [scheme.commit(poly) for poly in polys]
+    return polys, scheme.commit_round(domain, domain.lde(polys))
+
+
+def _claimed_evaluations(domain, polys_by_round, claims, x) -> List[int]:
+    """``f(omega^rot x)`` for every claim, from the coefficient forms.
+
+    On Goldilocks all claims run through one vectorized Estrin-style
+    kernel; elsewhere per-polynomial Horner.  Plain Python ints either way.
+    """
+    rows = [polys_by_round[rnd][col] for rnd, col, _ in claims]
+    points = [domain.rotate(x, rot) for _, _, rot in claims]
+    if domain.uses_gl64:
+        return gl64.poly_eval_rows(
+            np.stack(rows), np.array(points, dtype=np.uint64)).tolist()
+    return [poly_eval(domain.field, row, point)
+            for row, point in zip(rows, points)]
 
 
 # -- vectorized helper-column kernels ----------------------------------------
@@ -214,7 +239,7 @@ def _batched_inverses(denoms: List[np.ndarray]) -> List[np.ndarray]:
 # -- coset-part quotient evaluation ------------------------------------------
 
 
-def _quotient_extended_np(domain, vk, assignment, advice_polys, challenges, y):
+def _quotient_extended_np(domain, vk, assignment, committed_lde, challenges, y):
     """The quotient's extended-coset evaluations, one base-width part at a time.
 
     Extended index ``j = t * extension + r`` splits the coset into
@@ -222,65 +247,49 @@ def _quotient_extended_np(domain, vk, assignment, advice_polys, challenges, y):
     coset with shift ``coset_shift * w_E^r``, and a rotation by
     ``rot * extension`` in the extended domain is a cyclic rotation by
     ``rot`` *within every part*.  Folding the constraints over the
-    stacked ``(extension, n)`` part matrices therefore reproduces the
-    reference extended-domain vector exactly, while every NTT runs at
-    base width and the vanishing division collapses to one scalar
-    multiply per part (``Z_H`` is constant on a part).
+    ``(extension, n)`` part matrices therefore reproduces the reference
+    extended-domain vector exactly, and the vanishing division collapses
+    to one scalar multiply per part (``Z_H`` is constant on a part).
 
-    The fast path holds all parts of every referenced column at once;
-    past ``QUOTIENT_STREAM_ELEMS`` the streaming mode loops over parts so
-    peak extra memory is one ``(columns, n)`` matrix.
+    Nothing committed is transformed here: ``committed_lde(col)`` is the
+    ``(extension, n)`` extension phases 1-2 (or, for fixed columns,
+    keygen) committed; only instance columns (public, never committed)
+    are extended on the spot.  The fast path folds all parts
+    at once; past ``QUOTIENT_STREAM_ELEMS`` the streaming mode folds one
+    part at a time so the evaluator's temporaries stay base-width.
     """
     backend = domain.backend
     n = domain.n
-    extension = domain.extended_n // domain.n
+    extension = domain.extension
     cols = set()
     for _, expr in vk.constraints:
         cols |= {col for col, _ in expr.refs()}
-    cols_order = sorted(cols, key=lambda c: (c.kind.value, c.index))
-    col_ix = {col: i for i, col in enumerate(cols_order)}
-    # fixed/selector parts are circuit constants precomputed at keygen;
-    # only witness-dependent (advice, instance) columns transform here
-    fixed_parts = vk.fixed_part_evals()
-    dyn_pos: List[int] = []
-    dyn_rows = []
-    for i, col in enumerate(cols_order):
-        if col.kind == ColumnType.ADVICE:
-            poly = advice_polys[col.index]
-        elif col.kind == ColumnType.INSTANCE:
+    parts: Dict[Column, np.ndarray] = {}
+    for col in cols:
+        if col.kind == ColumnType.INSTANCE:
             poly = domain.lagrange_to_coeff_vec(
-                backend.from_ints(assignment.column_values(col))
-            )
-        else:
+                backend.from_ints(assignment.column_values(col)))
+            parts[col] = domain.lde(poly[None, :])[0]
             continue
-        dyn_pos.append(i)
-        dyn_rows.append(poly if isinstance(poly, np.ndarray) else gl64.from_ints(poly))
-    # all parts of one column together equal one logical extended NTT;
-    # counted for every referenced column so the tally stays comparable
-    # with the cost model whether or not the fixed parts were cached
-    STATS.ntt_extended += len(cols_order)
-    mat_dyn = (
-        np.stack(dyn_rows) if dyn_rows else np.zeros((0, n), dtype=np.uint64)
-    )
+        if col.kind != ColumnType.ADVICE:
+            # read from the keygen-time extension, but counted as the
+            # logical transform it replaces so the tally stays comparable
+            # with the cost model
+            STATS.ntt_extended += 1
+        parts[col] = committed_lde(col)
     inv_parts = domain.vanishing_part_inverses()
     exprs = [expr for _, expr in vk.constraints]
 
-    if len(cols_order) * domain.extended_n > QUOTIENT_STREAM_ELEMS:
+    if len(cols) * domain.extended_n > QUOTIENT_STREAM_ELEMS:
         q_ext = np.empty(domain.extended_n, dtype=np.uint64)
         for r in range(extension):
-            part = np.empty((len(cols_order), n), dtype=np.uint64)
-            for i, col in enumerate(cols_order):
-                if col.kind not in (ColumnType.ADVICE, ColumnType.INSTANCE):
-                    part[i] = fixed_parts[col][r]
-            if dyn_pos:
-                part[dyn_pos] = domain.coeff_to_extended_part(mat_dyn, r)
             rotated: Dict[Tuple[Column, int], object] = {}
 
-            def read_vec(col, rot, _part=part, _rotated=rotated):
+            def read_vec(col, rot, _r=r, _rotated=rotated):
                 key = (col, rot)
                 vec = _rotated.get(key)
                 if vec is None:
-                    vec = backend.rotate(_part[col_ix[col]], rot)
+                    vec = backend.rotate(parts[col][_r], rot)
                     _rotated[key] = vec
                 return vec
 
@@ -290,20 +299,13 @@ def _quotient_extended_np(domain, vk, assignment, advice_polys, challenges, y):
             q_ext[r::extension] = gl64.mul(folded, np.uint64(inv_parts[r]))
         return q_ext
 
-    parts = np.empty((len(cols_order), extension, n), dtype=np.uint64)
-    for i, col in enumerate(cols_order):
-        if col.kind not in (ColumnType.ADVICE, ColumnType.INSTANCE):
-            parts[i] = fixed_parts[col]
-    for r in range(extension):
-        if dyn_pos:
-            parts[dyn_pos, r, :] = domain.coeff_to_extended_part(mat_dyn, r)
     rotated: Dict[Tuple[Column, int], object] = {}
 
     def read_vec(col, rot):
         key = (col, rot)
         vec = rotated.get(key)
         if vec is None:
-            vec = backend.rotate(parts[col_ix[col]], rot)
+            vec = backend.rotate(parts[col], rot)
             rotated[key] = vec
         return vec
 
@@ -348,6 +350,19 @@ def create_proof(
     for col_values in assignment.instance_values():
         transcript.append_scalar_vector(b"instance", col_values)
 
+    # rounds and coefficient rows, indexed by the claims' round numbers
+    rounds: List[Optional[CommittedRound]] = [None] * 4
+    polys_by_round: List[object] = [[]] * 4
+    rounds[FIXED_ROUND] = pk.fixed_round
+    polys_by_round[FIXED_ROUND] = pk.fixed_polys
+
+    def commit_round(index: int, label: bytes, vecs) -> None:
+        polys, committed = _interpolate_commit(domain, scheme, vecs)
+        polys_by_round[index] = polys
+        rounds[index] = committed
+        if committed is not None:
+            transcript.append_commitment(label, committed.root)
+
     # ---- phase 1: user advice commitments ---------------------------------
     with timer.phase("commit"):
         advice_vecs: Dict[int, object] = {}
@@ -355,19 +370,13 @@ def create_proof(
             if use_np and assignment.advice_is_zero(i):
                 # synthesis never wrote a nonzero value: skip even the
                 # row-by-row grid read; the zero row is then skipped again
-                # at interpolation/commit time
+                # at interpolation time
                 advice_vecs[i] = np.zeros(n, dtype=np.uint64)
             else:
                 col = Column(ColumnType.ADVICE, i)
                 advice_vecs[i] = backend.from_ints(assignment.column_values(col))
-        advice_polys: Dict[int, object] = {}
-        advice_commitments = []
-        polys, coms = _interpolate_commit(
-            domain, scheme, [advice_vecs[i] for i in range(cs.num_advice)])
-        for i, com in enumerate(coms):
-            advice_polys[i] = polys[i]
-            advice_commitments.append(com)
-            transcript.append_commitment(b"advice", com.digest)
+        commit_round(ADVICE_ROUND, b"advice",
+                     [advice_vecs[i] for i in range(cs.num_advice)])
 
     challenges = {
         THETA: transcript.challenge_scalar(b"theta"),
@@ -470,17 +479,22 @@ def create_proof(
                 total = backend.add(total, h_vec)
             helper_evals[perm.sum_col.index] = prefix_sum(total)
 
-        helper_order = sorted(helper_evals)
-        polys, coms = _interpolate_commit(
-            domain, scheme, [helper_evals[idx] for idx in helper_order])
-        helper_commitments = []
-        for idx, poly, com in zip(helper_order, polys, coms):
-            advice_polys[idx] = poly
-            advice_vecs[idx] = helper_evals[idx]
-            helper_commitments.append(com)
-            transcript.append_commitment(b"helper", com.digest)
+        # helper columns are numbered contiguously after the user advice
+        commit_round(HELPER_ROUND, b"helper",
+                     [helper_evals[idx] for idx in sorted(helper_evals)])
 
     y = transcript.challenge_scalar(b"y")
+
+    fixed_pos = {col: i for i, col in enumerate(vk.fixed_columns)}
+
+    def committed_lde(col: Column):
+        """The committed extension of a fixed, selector, advice or helper
+        column, in the domain's LDE layout."""
+        if col.kind != ColumnType.ADVICE:
+            return pk.fixed_round.lde[fixed_pos[col]]
+        if col.index < cs.num_advice:
+            return rounds[ADVICE_ROUND].lde[col.index]
+        return rounds[HELPER_ROUND].lde[col.index - cs.num_advice]
 
     # ---- phase 3: quotient ---------------------------------------------------
     with timer.phase("quotient"):
@@ -488,7 +502,7 @@ def create_proof(
         extension = ext_n // n
         if use_np:
             q_ext = _quotient_extended_np(
-                domain, vk, assignment, advice_polys, challenges, y
+                domain, vk, assignment, committed_lde, challenges, y
             )
         else:
             extended_cache: Dict[Column, object] = {}
@@ -498,15 +512,12 @@ def create_proof(
                 cached = extended_cache.get(col)
                 if cached is not None:
                     return cached
-                if col.kind == ColumnType.ADVICE:
-                    poly = advice_polys[col.index]
-                elif col.kind == ColumnType.INSTANCE:
-                    poly = domain.lagrange_to_coeff_vec(
-                        backend.from_ints(assignment.column_values(col))
-                    )
+                if col.kind == ColumnType.INSTANCE:
+                    ext = domain.coeff_to_extended_vec(
+                        domain.lagrange_to_coeff_vec(
+                            backend.from_ints(assignment.column_values(col))))
                 else:
-                    poly = vk.fixed_polys[col]
-                ext = domain.coeff_to_extended_vec(poly)
+                    ext = committed_lde(col)
                 extended_cache[col] = ext
                 return ext
 
@@ -525,52 +536,35 @@ def create_proof(
 
         q_coeffs = domain.extended_to_coeff_vec(q_ext)
 
-        num_pieces = vk.num_quotient_pieces
         pieces = []
-        for j in range(num_pieces):
+        for j in range(vk.num_quotient_pieces):
             piece = q_coeffs[j * n : (j + 1) * n]
             if len(piece) < n:
                 padded = backend.zeros(n)
                 padded[: len(piece)] = piece
                 piece = padded
             pieces.append(piece)
-
-        quotient_commitments = []
-        for piece in pieces:
-            com = scheme.commit(piece)
-            quotient_commitments.append(com)
-            transcript.append_commitment(b"quotient", com.digest)
-
-    x = transcript.challenge_nonzero(b"x")
-
-    # ---- phase 4: openings -----------------------------------------------------
-    with timer.phase("openings"):
-        advice_openings: Dict[Tuple[int, int], "OpeningProof"] = {}
         if use_np:
-            if vk.advice_queries:
-                qrows = np.stack(
-                    [advice_polys[col.index] for col, _ in vk.advice_queries]
-                )
-                points = [domain.rotate(x, rot) for _, rot in vk.advice_queries]
-                for (col, rot), opening in zip(
-                    vk.advice_queries, scheme.open_rows(qrows, points)
-                ):
-                    advice_openings[(col.index, rot)] = opening
-            quotient_openings = scheme.open_rows(
-                np.stack(pieces), [x] * len(pieces)
-            )
-        else:
-            for col, rot in vk.advice_queries:
-                point = domain.rotate(x, rot)
-                advice_openings[(col.index, rot)] = scheme.open(
-                    advice_polys[col.index], point
-                )
-            quotient_openings = [scheme.open(piece, x) for piece in pieces]
+            pieces = np.stack(pieces)
+        polys_by_round[QUOTIENT_ROUND] = pieces
+        rounds[QUOTIENT_ROUND] = scheme.commit_round(domain, domain.lde(pieces))
+        transcript.append_commitment(b"quotient", rounds[QUOTIENT_ROUND].root)
+
+    x = draw_opening_point(domain, transcript)
+
+    # ---- phase 4: one batched opening ------------------------------------------
+    with timer.phase("openings"):
+        claims = vk.claims
+        evals = _claimed_evaluations(domain, polys_by_round, claims, x)
+        fri_roots, final_poly, queries = scheme.open_batch(
+            domain, rounds, claims, evals, x, transcript)
 
     return Proof(
-        advice_commitments=advice_commitments,
-        helper_commitments=helper_commitments,
-        quotient_commitments=quotient_commitments,
-        advice_openings=advice_openings,
-        quotient_openings=quotient_openings,
+        scalar_bytes=scheme.scalar_bytes,
+        round_roots=[rnd.root for rnd in rounds[ADVICE_ROUND:]
+                     if rnd is not None],
+        evals=evals,
+        fri_roots=fri_roots,
+        final_poly=final_poly,
+        queries=queries,
     )

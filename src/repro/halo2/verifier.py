@@ -1,39 +1,79 @@
 """Proof verification.
 
-The verifier replays the Fiat–Shamir transcript to re-derive every
-challenge, checks each opening against its commitment, evaluates the
-folded constraint expression at the challenge point ``x`` (fixed and
-selector polynomials straight from the verifying key, instance columns
-from the public inputs, advice from the proof's openings) and accepts iff
+The verifier replays the Fiat–Shamir transcript — round roots, then the
+claimed evaluations, then the opening's own challenges — evaluates the
+folded constraint expression at the challenge point ``x`` (fixed, selector
+and advice values from the proof's claimed evaluations, instance columns
+from the public inputs) and checks
 
     sum_i y^i * C_i(x)  ==  Z_H(x) * (q_0(x) + x^n q_1(x) + ...).
 
 A witness violating any gate, copy, or lookup constraint makes the left
 side indivisible by the vanishing polynomial, so the identity fails at a
-random ``x`` with overwhelming probability.
+random ``x`` with overwhelming probability.  The claimed evaluations
+themselves are bound to the round roots (the key's fixed root and the
+proof's advice, helper and quotient roots) by the one batched DEEP-FRI
+opening (:meth:`CommitmentScheme.verify_batch`): every Merkle path,
+every fold and the final polynomial must check out.  That check runs
+first — it is hashes, and a damaged proof should cost no more than
+finding the damage.  The verifier never sees a polynomial and runs no
+NTT.
 
 Two entry points: :func:`verify_proof` is the permissive boolean check,
 and :func:`verify_proof_strict` is the hardened front door — it runs
-:func:`validate_proof_shape` (every count, digest width, and scalar range
-checked against the verifying key, raising
-:class:`~repro.resilience.errors.ProofFormatError` on violation) and then
-maps *any* rejection or internal crash to a typed
+:func:`validate_proof_shape` (every count, width, path length, digest
+and scalar range checked against the verifying key before the first
+hash, raising :class:`~repro.resilience.errors.ProofFormatError` on
+violation) and then maps *any* rejection or internal crash to a typed
 :class:`~repro.resilience.errors.VerificationFailure`.  Untrusted proof
 bytes should only ever meet the strict path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.commit.scheme import CommitmentScheme
+from repro.commit import fri
+from repro.commit.merkle import DIGEST_BYTES
+from repro.commit.scheme import (
+    CommitmentScheme,
+    draw_opening_point,
+    scalar_bytes,
+)
 from repro.commit.transcript import Transcript
-from repro.field.poly import poly_eval
 from repro.halo2.column import Column, ColumnType
 from repro.halo2.expression import evaluate_from_openings
-from repro.halo2.keygen import ALPHA, BETA, GAMMA, THETA, VerifyingKey
+from repro.halo2.keygen import (
+    ALPHA,
+    BETA,
+    GAMMA,
+    QUOTIENT_ROUND,
+    THETA,
+    VerifyingKey,
+)
 from repro.halo2.proof import Proof
 from repro.resilience.errors import ProofFormatError, VerificationFailure
+
+
+def _check_scalars(what: str, values: Sequence[int], p: int) -> None:
+    try:
+        ok = not values or (0 <= min(values) and max(values) < p)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ProofFormatError("%s holds an out-of-field scalar" % what)
+
+
+def _check_count(what: str, items: Sequence, want: int) -> None:
+    if len(items) != want:
+        raise ProofFormatError("expected %d %s, proof has %d"
+                               % (want, what, len(items)))
+
+
+def _check_digests(what: str, digests: Sequence[bytes]) -> None:
+    if not (set(map(type, digests)) <= {bytes}
+            and set(map(len, digests)) <= {DIGEST_BYTES}):
+        raise ProofFormatError("%s has a malformed digest" % what)
 
 
 def validate_proof_shape(
@@ -43,49 +83,59 @@ def validate_proof_shape(
 ) -> None:
     """Validate structural bounds before any cryptographic work.
 
-    Checks commitment counts against the verifying key, digest widths,
-    scalar ranges (every field element must lie in ``[0, p)``), opening
-    key bounds, and the public-input shape.  Raises
+    Checks every count, row width and path length against what the
+    verifying key dictates, digest widths, scalar ranges (every field
+    element must lie in ``[0, p)``) and the public-input shape.  Raises
     :class:`ProofFormatError` on the first violation; returns ``None``
-    when the proof is structurally plausible.
+    when the proof is structurally plausible.  No hash, no field
+    arithmetic.
     """
     cs = vk.cs
     p = vk.field.p
     n = vk.n
+    widths = vk.round_widths
 
-    expected = (
-        ("advice commitment", proof.advice_commitments, cs.num_advice),
-        ("helper commitment", proof.helper_commitments, vk.num_helper_advice),
-        ("quotient commitment", proof.quotient_commitments,
-         vk.num_quotient_pieces),
-    )
-    for what, group, want in expected:
-        if len(group) != want:
-            raise ProofFormatError("expected %d %ss, proof has %d"
-                                   % (want, what, len(group)))
-        for i, com in enumerate(group):
-            digest = getattr(com, "digest", None)
-            if not isinstance(digest, bytes) or len(digest) != 32:
-                raise ProofFormatError("%s %d has a malformed digest"
-                                       % (what, i), index=i)
+    if proof.scalar_bytes != scalar_bytes(vk.field):
+        raise ProofFormatError("proof scalars are %r bytes wide, the key's "
+                               "field needs %d" % (proof.scalar_bytes,
+                                                   scalar_bytes(vk.field)))
+    folds = fri.num_folds(vk.k)
+    for what, items, want in (
+        ("round roots", proof.round_roots, sum(1 for w in widths[1:] if w)),
+        ("claimed evaluations", proof.evals, len(vk.claims)),
+        ("fold-layer roots", proof.fri_roots, max(0, folds - 1)),
+        ("final coefficients", proof.final_poly, fri.final_len(vk.k)),
+        ("queries", proof.queries, fri.FRI_QUERIES),
+    ):
+        _check_count(what, items, want)
+    _check_digests("round root", proof.round_roots)
+    _check_digests("fold-layer root", proof.fri_roots)
+    _check_scalars("claimed evaluation", proof.evals, p)
+    _check_scalars("final polynomial", proof.final_poly, p)
 
-    if len(proof.quotient_openings) != vk.num_quotient_pieces:
-        raise ProofFormatError("expected %d quotient openings, proof has %d"
-                               % (vk.num_quotient_pieces,
-                                  len(proof.quotient_openings)))
-
-    max_col = cs.num_advice + vk.num_helper_advice
-    for (col, rot), opening in proof.advice_openings.items():
-        if not (0 <= col < max_col):
-            raise ProofFormatError("advice opening names column %d (circuit "
-                                   "has %d)" % (col, max_col), column=col)
-        if not (-n < rot < n):
-            raise ProofFormatError("advice opening rotation %d out of range "
-                                   "for n=%d" % (rot, n), column=col)
-        _check_opening_scalars("advice opening (%d,%d)" % (col, rot),
-                               opening, p)
-    for i, opening in enumerate(proof.quotient_openings):
-        _check_opening_scalars("quotient opening %d" % i, opening, p)
+    row_widths = [2 * w for w in widths if w]
+    depth = vk.domain.extended_k - 1
+    row_paths = [depth] * len(row_widths)
+    fold_paths = [depth - 1 - i for i in range(max(0, folds - 1))]
+    for q, query in enumerate(proof.queries):
+        rows, layers = query.rows, query.folds
+        if [len(row.values) for row in rows] != row_widths:
+            raise ProofFormatError("query %d opens rows of the wrong shape"
+                                   % q, index=q)
+        if ([len(row.path) for row in rows] != row_paths
+                or [len(fold.path) for fold in layers] != fold_paths):
+            raise ProofFormatError("query %d has a path node count the "
+                                   "circuit does not dictate" % q, index=q)
+        if any(len(fold.pair) != 2 for fold in layers):
+            raise ProofFormatError("query %d has a fold that is not a pair"
+                                   % q, index=q)
+        # one range check and one digest check per query, not per row
+        scalars = [v for row in rows for v in row.values]
+        scalars += [v for fold in layers for v in fold.pair]
+        _check_scalars("query %d" % q, scalars, p)
+        nodes = [node for row in rows for node in row.path]
+        nodes += [node for fold in layers for node in fold.path]
+        _check_digests("query %d path node" % q, nodes)
 
     if len(instance) != cs.num_instance:
         raise ProofFormatError("expected %d instance columns, got %d"
@@ -98,16 +148,6 @@ def validate_proof_shape(
             if not (0 <= int(v) < p):
                 raise ProofFormatError("instance column %d holds an "
                                        "out-of-field value" % i, column=i)
-
-
-def _check_opening_scalars(what: str, opening, p: int) -> None:
-    for name, value in (("point", opening.point), ("value", opening.value)):
-        if not (0 <= int(value) < p):
-            raise ProofFormatError("%s has out-of-field %s" % (what, name))
-    for w in opening.witness:
-        if not (0 <= int(w) < p):
-            raise ProofFormatError("%s has an out-of-field witness scalar"
-                                   % what)
 
 
 def verify_proof_strict(
@@ -126,7 +166,7 @@ def verify_proof_strict(
     """
     validate_proof_shape(vk, proof, instance)
     try:
-        ok = verify_proof(vk, proof, instance, scheme)
+        ok = _verify_shaped(vk, proof, instance, scheme)
     except (ProofFormatError, VerificationFailure):
         raise
     except Exception as exc:  # noqa: BLE001 — hostile bytes must never leak a raw traceback
@@ -145,88 +185,96 @@ def verify_proof(
     scheme: CommitmentScheme,
 ) -> bool:
     """Check a proof against public inputs; True iff it verifies."""
+    try:
+        validate_proof_shape(vk, proof, instance)
+    except ProofFormatError:
+        return False
+    return _verify_shaped(vk, proof, instance, scheme)
+
+
+def folded_constraints_at(
+    vk: VerifyingKey,
+    evals: Sequence[int],
+    instance: List[List[int]],
+    challenges: Dict[str, int],
+    y: int,
+    x: int,
+) -> int:
+    """``sum_i y^i C_i(x)``: the constraint list folded at the point ``x``.
+
+    Committed columns are read from ``evals`` (aligned with
+    ``vk.claims``); instance columns are evaluated from the public
+    inputs barycentrically at each point — no transform.
+    """
+    field, domain = vk.field, vk.domain
+    slot = {claim: j for j, claim in enumerate(vk.claims)}
+    openings: Dict[Tuple[Column, int], int] = {}
+    for _, expr in vk.constraints:
+        for col, rot in expr.refs():
+            if (col, rot) in openings:
+                continue
+            if col.kind == ColumnType.INSTANCE:
+                openings[(col, rot)] = domain.evaluate_lagrange(
+                    instance[col.index], domain.rotate(x, rot))
+            else:
+                openings[(col, rot)] = evals[slot[vk.claim_of(col, rot)]]
+    folded = 0
+    for _, expr in vk.constraints:
+        value = evaluate_from_openings(expr, field, openings, challenges)
+        folded = field.add(field.mul(folded, y), value)
+    return folded
+
+
+def _verify_shaped(
+    vk: VerifyingKey,
+    proof: Proof,
+    instance: List[List[int]],
+    scheme: CommitmentScheme,
+) -> bool:
+    """The cryptographic checks, on a proof whose shape already matches."""
     field = vk.field
     domain = vk.domain
-    n = vk.n
-    cs = vk.cs
-
-    if len(instance) != cs.num_instance:
-        return False
-    if len(proof.advice_commitments) != cs.num_advice:
-        return False
-    if len(proof.helper_commitments) != vk.num_helper_advice:
-        return False
-    if len(proof.quotient_commitments) != vk.num_quotient_pieces:
-        return False
-    if len(proof.quotient_openings) != vk.num_quotient_pieces:
+    if scheme.name != vk.scheme_name or scheme.field.p != field.p:
         return False
 
     # ---- replay the transcript ---------------------------------------------
+    roots: List[Optional[bytes]] = [vk.fixed_root]
+    proof_roots = iter(proof.round_roots)
+    for width in vk.round_widths[1:]:
+        roots.append(next(proof_roots) if width else None)
+    advice_root, helper_root, quotient_root = roots[1:]
+
     transcript = Transcript(field)
     transcript.append_message(b"vk", vk.digest())
     for col_values in instance:
-        if len(col_values) != n:
-            return False
         transcript.append_scalar_vector(b"instance", col_values)
-    for com in proof.advice_commitments:
-        transcript.append_commitment(b"advice", com.digest)
+    if advice_root is not None:
+        transcript.append_commitment(b"advice", advice_root)
     challenges = {
         THETA: transcript.challenge_scalar(b"theta"),
         BETA: transcript.challenge_scalar(b"beta"),
         GAMMA: transcript.challenge_scalar(b"gamma"),
         ALPHA: transcript.challenge_scalar(b"alpha"),
     }
-    for com in proof.helper_commitments:
-        transcript.append_commitment(b"helper", com.digest)
+    if helper_root is not None:
+        transcript.append_commitment(b"helper", helper_root)
     y = transcript.challenge_scalar(b"y")
-    for com in proof.quotient_commitments:
-        transcript.append_commitment(b"quotient", com.digest)
-    x = transcript.challenge_nonzero(b"x")
+    transcript.append_commitment(b"quotient", quotient_root)
+    x = draw_opening_point(domain, transcript)
 
-    # ---- check the openings ---------------------------------------------------
-    def commitment_for(col_index: int):
-        if col_index < cs.num_advice:
-            return proof.advice_commitments[col_index]
-        return proof.helper_commitments[col_index - cs.num_advice]
-
-    expected_queries = {(col.index, rot) for col, rot in vk.advice_queries}
-    if expected_queries != set(proof.advice_openings):
+    # ---- the claimed evaluations are the committed columns' ------------------
+    # (hashes first: a damaged opening is refused before the constraint
+    # list is evaluated at all)
+    if not scheme.verify_batch(
+            domain, roots, vk.claims, proof.evals, x, proof.fri_roots,
+            proof.final_poly, proof.queries, transcript):
         return False
-    for (col_index, rot), opening in proof.advice_openings.items():
-        if opening.point != domain.rotate(x, rot):
-            return False
-        if not scheme.verify_opening(commitment_for(col_index), opening):
-            return False
-    for com, opening in zip(proof.quotient_commitments, proof.quotient_openings):
-        if opening.point != x:
-            return False
-        if not scheme.verify_opening(com, opening):
-            return False
 
-    # ---- evaluate the folded constraint at x -----------------------------------
-    instance_polys = [domain.lagrange_to_coeff(col) for col in instance]
-
-    openings: Dict[Tuple[Column, int], int] = {}
-    refs = {
-        (col, rot) for _, expr in vk.constraints for col, rot in expr.refs()
-    }
-    for col, rot in refs:
-        point = domain.rotate(x, rot)
-        if col.kind == ColumnType.ADVICE:
-            openings[(col, rot)] = proof.advice_openings[(col.index, rot)].value
-        elif col.kind == ColumnType.INSTANCE:
-            openings[(col, rot)] = poly_eval(field, instance_polys[col.index], point)
-        else:
-            openings[(col, rot)] = poly_eval(field, vk.fixed_polys[col], point)
-
-    folded = 0
-    for _, expr in vk.constraints:
-        value = evaluate_from_openings(expr, field, openings, challenges)
-        folded = field.add(field.mul(folded, y), value)
-
-    x_n = field.pow(x, n)
+    # ---- the constraint identity at x, from the claimed evaluations ----------
+    folded = folded_constraints_at(vk, proof.evals, instance, challenges, y, x)
+    x_n = field.pow(x, vk.n)
     q_at_x = 0
-    for opening in reversed(proof.quotient_openings):
-        q_at_x = field.add(field.mul(q_at_x, x_n), opening.value)
-
+    for j, claim in reversed(list(enumerate(vk.claims))):
+        if claim[0] == QUOTIENT_ROUND:
+            q_at_x = field.add(field.mul(q_at_x, x_n), proof.evals[j])
     return folded == field.mul(domain.vanishing_eval(x), q_at_x)

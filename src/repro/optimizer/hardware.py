@@ -17,6 +17,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.commit import scheme_by_name
 from repro.field import GOLDILOCKS, EvaluationDomain, PrimeField
 
@@ -194,7 +196,8 @@ def resolve_profile(
 
 _local_cache: Dict = {}
 
-#: Columns per timed transform: the prover interpolates columns in batches,
+#: Columns per timed transform or commitment: the prover interpolates and
+#: commits columns in batches (one Merkle tree per round, not per column),
 #: so the per-column cost the model multiplies is the amortized one.
 _BENCH_COLUMNS = 8
 
@@ -219,7 +222,8 @@ def benchmark_operations(
     """Measure this machine's Python prover primitives (run once).
 
     The paper's ``BenchmarkOperations(hardware)`` step: time one FFT, one
-    commitment ("MSM"), and one lookup-helper pass at several sizes, and
+    commitment ("MSM": a column's share of a round's Merkle tree), and
+    one lookup-helper pass at several sizes, and
     one field multiply-add; larger sizes extrapolate.  Every operation is
     timed through the field's vector backend, the code the prover runs
     (a profile of the pure-Python reference over-predicted a Goldilocks
@@ -238,7 +242,12 @@ def benchmark_operations(
         columns = [column] * _BENCH_COLUMNS
         t_fft[k] = _best_seconds(
             lambda: domain.lagrange_to_coeff_batch(columns)) / _BENCH_COLUMNS
-        t_msm[k] = _best_seconds(lambda: scheme.commit(column))
+        # a round of columns, as the prover commits them: the extension is
+        # priced as the extended FFT it is, so only the tree is timed here
+        polys = np.stack(columns) if domain.uses_gl64 else columns
+        lde = domain.lde(polys)
+        t_msm[k] = _best_seconds(
+            lambda: scheme.commit_round(domain, lde)) / _BENCH_COLUMNS
         t_lookup[k] = _best_seconds(lambda: backend.batch_inv(column))
     t_field = _best_seconds(
         lambda: backend.fold(column, 1234567, column)) / len(column)

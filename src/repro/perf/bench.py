@@ -24,6 +24,7 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
+from repro.halo2.proof import proof_to_bytes
 from repro.model.zoo import get_model
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, use_tracer
@@ -82,6 +83,10 @@ def bench_model(
         "phase_seconds": {
             phase: round(secs, 4) for phase, secs in result.phase_seconds.items()
         },
+        # what this prover's proof serializes to, beside what a real
+        # halo2 proof of the same circuit would (the paper's Table 6/7
+        # number); both are deterministic and gated exactly
+        "proof_bytes": len(proof_to_bytes(result.proof)),
         "modeled_proof_bytes": result.modeled_proof_bytes,
         "observed_ops": result.observed_counts,
         "predicted_ops": {

@@ -105,9 +105,9 @@ def circuit_digest(
 def _entry_checksum(pk: ProvingKey, vk: VerifyingKey) -> str:
     """An integrity checksum over the cached key material.
 
-    Covers exactly what proving consumes: the vk's binding digest (fixed
-    polynomial commitments and shape) plus the prover's evaluation-form
-    fixed data.  Deliberately *not* a pickle of the objects — the vk and
+    Covers exactly what proving consumes: the vk's binding digest (the
+    fixed round's root, the shape and the constraint list) plus the
+    prover's evaluation-form fixed data.  Deliberately *not* a pickle of the objects — the vk and
     its evaluation domain memoize derived data lazily (vk digest, NTT
     twiddles), which would make a whole-object checksum unstable.
     """
@@ -125,8 +125,9 @@ def _entry_checksum(pk: ProvingKey, vk: VerifyingKey) -> str:
 
 #: Magic prefix of every on-disk pk-cache artifact.  The version covers
 #: what keygen *produces* (constraint list, helper-column layout), which
-#: :func:`circuit_digest` does not: v2 = per-table lookup helpers.
-DISK_MAGIC = b"zkml-pk-cache/v2\n"
+#: :func:`circuit_digest` does not: v2 = per-table lookup helpers; v3 = the
+#: committed fixed round (LDE + Merkle tree) and its root in the vk.
+DISK_MAGIC = b"zkml-pk-cache/v3\n"
 
 _DISK_CHECKSUM_BYTES = 16
 

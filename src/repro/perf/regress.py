@@ -5,8 +5,8 @@ Diffs a fresh benchmark report against a committed baseline and fails —
 exit non-zero — when any metric regresses beyond its threshold.  Two
 metric classes with different rules:
 
-- **deterministic** metrics (``k``, ``num_cols``, ``modeled_proof_bytes``,
-  every ``observed_ops.*`` counter): the prover does exactly this much
+- **deterministic** metrics (``k``, ``num_cols``, ``proof_bytes``,
+  ``modeled_proof_bytes``, every ``observed_ops.*`` counter): the prover does exactly this much
   work for these inputs, so any *increase* is a regression (threshold
   0.0 by default).  Decreases are reported as improvements, not
   failures — shrinking the circuit is the whole point of the project.

@@ -47,8 +47,9 @@ __all__ = ["CheckpointStore", "proving_config_digest"]
 #: Manifest schema tag.  Stage files pickle keys, proofs and the
 #: synthesized circuit, so the tag moves with their layout: v2 = per-table
 #: lookup helpers; v3 = one config digest (chained per slot, covers ``k``)
-#: and one ``SynthesizedModel`` shape for every batch size.
-SCHEMA = "zkml-checkpoint/v3"
+#: and one ``SynthesizedModel`` shape for every batch size; v4 = succinct
+#: proofs (Merkle rounds in the proving key, the ``ZKMLPRF2`` proof shape).
+SCHEMA = "zkml-checkpoint/v4"
 
 #: Pipeline stages, in order.
 STAGES = ("synthesize", "keygen", "prove")

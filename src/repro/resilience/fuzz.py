@@ -98,15 +98,16 @@ def _mutate(data: bytes, rng: random.Random) -> Tuple[bytes, str]:
             "zero@%d+%d" % (pos, length))
 
 
-def _tamper_instance(instance, rng: random.Random):
-    """Flip one public-input value (a well-formed but wrong instance)."""
+def _tamper_instance(instance, rng: random.Random, modulus: int):
+    """Flip one public-input value (a well-formed but wrong instance;
+    values wrap at ``modulus`` so they still fit the wire width)."""
     tampered = [list(col) for col in instance]
     candidates = [(i, j) for i, col in enumerate(tampered)
                   for j, v in enumerate(col) if v]
     if not candidates:
         candidates = [(0, 0)]
     i, j = candidates[rng.randrange(len(candidates))]
-    tampered[i][j] = int(tampered[i][j]) + 1 + rng.randrange(7)
+    tampered[i][j] = (int(tampered[i][j]) + 1 + rng.randrange(7)) % modulus
     return tampered, "instance[%d][%d]" % (i, j)
 
 
@@ -120,7 +121,7 @@ def run_proof_fuzz(vk, proof, instance, scheme, iterations: int = 200,
     for i in range(iterations):
         if i % 10 == 9:
             mutated_bytes, what = baseline, None
-            test_instance, tag = _tamper_instance(instance, rng)
+            test_instance, tag = _tamper_instance(instance, rng, vk.field.p)
             what = "tamper:%s" % tag
         else:
             mutated_bytes, what = _mutate(baseline, rng)
@@ -190,8 +191,10 @@ def _mutate_envelope(data: bytes, rng: random.Random,
         return bytes(out), "checksum-tamper@%d" % pos
     if kind == 3:  # schema-id confusion, checksum fixed up to be valid
         out = bytearray(data[: len(data) - _CHECKSUM_BYTES])
-        # the schema string starts at offset 1; flip its version digit
-        out[1 + out[0] - 1] = ord("0") + rng.randrange(2, 10)
+        # the schema string is bytes 1..out[0]; change its version digit
+        digit = out[0]
+        out[digit] = rng.choice(
+            [d for d in b"0123456789" if d != out[digit]])
         return _fix_checksum(bytes(out)), "schema-confusion"
     if kind == 4:  # count-cap overflow: forge a huge count, valid checksum
         out = bytearray(data[: len(data) - _CHECKSUM_BYTES])
@@ -256,21 +259,24 @@ def run_envelope_fuzz(envelope_bytes: bytes,
 
     pristine = decode_envelope(bytes(envelope_bytes))
     # offset of the instance-column-count u32 (after the three
-    # length-prefixed strings and the two fixed digests)
+    # length-prefixed strings, the scalar-width byte and the two fixed
+    # digests)
     counts_offset = (1 + len(pristine.schema.encode())
                      + 1 + len(pristine.scheme_name.encode())
-                     + 1 + len(pristine.model.encode()) + 32 + 16)
+                     + 1 + len(pristine.model.encode()) + 1 + 32 + 16)
     rng = random.Random(seed)
     report = FuzzReport()
     for i in range(iterations):
         if tamper_instance_every and i % tamper_instance_every == \
                 tamper_instance_every - 1:
-            tampered, tag = _tamper_instance(pristine.instance, rng)
+            tampered, tag = _tamper_instance(
+                pristine.instance, rng, 1 << (8 * pristine.scalar_bytes))
             mutant_env = type(pristine)(
                 scheme_name=pristine.scheme_name, model=pristine.model,
                 vk_hash=pristine.vk_hash,
                 config_digest=pristine.config_digest,
-                instance=tampered, proof_bytes=pristine.proof_bytes)
+                instance=tampered, proof_bytes=pristine.proof_bytes,
+                scalar_bytes=pristine.scalar_bytes)
             mutant, what = mutant_env.encode(), "tamper:%s" % tag
         else:
             mutant, what = _mutate_envelope(bytes(envelope_bytes), rng,

@@ -127,7 +127,7 @@ class ProveResult:
         return self.proving_seconds / max(1, self.batch_size)
 
     def envelope(self) -> ProofEnvelope:
-        """Package this result as a v1 proof envelope (the consumer-facing
+        """Package this result as a v2 proof envelope (the consumer-facing
         format — see :mod:`repro.envelope`).  One envelope covers the
         whole batch: its instance holds every slot's columns."""
         return ProofEnvelope(
@@ -138,6 +138,7 @@ class ProveResult:
                 self.num_cols, self.scale_bits, self.k, self.lookup_bits),
             instance=self.instance,
             proof_bytes=proof_to_bytes(self.proof),
+            scalar_bytes=self.proof.scalar_bytes,
         )
 
     def envelope_bytes(self) -> bytes:
@@ -337,7 +338,7 @@ def prove_batch(
         scale_bits=scale_bits,
         keygen_seconds=keygen_seconds,
         proving_seconds=proving_seconds,
-        modeled_proof_bytes=proof.modeled_size_bytes(scheme, builder.k),
+        modeled_proof_bytes=vk.modeled_proof_bytes(scheme),
         phase_seconds=phase_seconds,
         phase_rss_kb=prove_payload["phase_rss_kb"],
         keygen_cache_hit=keygen_cache_hit,
@@ -366,7 +367,7 @@ def verify_model_proof(
     """Verify a model proof against its public inputs.
 
     ``proof`` may be a :class:`~repro.envelope.ProofEnvelope`, serialized
-    envelope bytes (the v1 format every prove surface emits; decoded
+    envelope bytes (the v2 format every prove surface emits; decoded
     under ``caps``), or a live :class:`~repro.halo2.Proof` object.  An
     envelope is verified against its embedded public inputs —
     ``instance`` and ``scheme_name`` are taken from it; a live proof

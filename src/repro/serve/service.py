@@ -68,7 +68,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.halo2.proof import proof_to_bytes
 from repro.model.spec import ModelSpec
 from repro.obs import log as obs_log
 from repro.obs.cluster import fold_worker_result
@@ -746,8 +745,9 @@ class ProvingService:
             proof_bytes = result.proof_bytes
             envelope_bytes = result.envelope_bytes
         else:
-            proof_bytes = proof_to_bytes(result.proof)
-            envelope_bytes = result.envelope_bytes()
+            envelope = result.envelope()  # serializes the proof once
+            proof_bytes = envelope.proof_bytes
+            envelope_bytes = envelope.encode()
         ema = self._ema_prove_seconds
         self._ema_prove_seconds = (batch_seconds if ema is None
                                    else 0.5 * ema + 0.5 * batch_seconds)

@@ -120,7 +120,6 @@ def prove_job(job: BatchJob, worker_id: int,
 
 
 def _prove_job(job: BatchJob, worker_id: int) -> BatchResult:
-    from repro.halo2.proof import proof_to_bytes
     from repro.runtime.pipeline import prove_batch
 
     pid = os.getpid()
@@ -131,6 +130,7 @@ def _prove_job(job: BatchJob, worker_id: int) -> BatchResult:
             lookup_bits=job.lookup_bits,
         )
         result.verify()  # strict: raises on any malformation
+        envelope = result.envelope()  # serializes the proof once
         return BatchResult(
             job_id=job.job_id,
             batch_id=job.batch_id,
@@ -138,8 +138,8 @@ def _prove_job(job: BatchJob, worker_id: int) -> BatchResult:
             worker_id=worker_id,
             pid=pid,
             verified=True,
-            proof_bytes=proof_to_bytes(result.proof),
-            envelope_bytes=result.envelope_bytes(),
+            proof_bytes=envelope.proof_bytes,
+            envelope_bytes=envelope.encode(),
             instance=result.instance,
             slot_outputs=result.slot_outputs[:job.occupancy],
             proving_seconds=result.proving_seconds,

@@ -1,10 +1,13 @@
 """Tests for the Merkle tree."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.commit import MerkleTree, verify_merkle_path
+from repro.commit.merkle import leaf_bytes
+from repro.obs.stats import STATS
 
 
 def test_empty_rejected():
@@ -64,3 +67,55 @@ def test_paths_verify_property(n, idx_frac):
     t = MerkleTree(leaves)
     i = int(idx_frac * n)
     assert verify_merkle_path(t.root, i, leaves[i], t.open(i))
+
+
+# -- matrix-leaf trees ---------------------------------------------------------
+
+
+@given(
+    depth=st.integers(min_value=1, max_value=5),
+    cols=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    as_array=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_row_trees_open_every_index_and_nothing_else(depth, cols, seed,
+                                                     as_array):
+    rng = np.random.default_rng(seed)
+    leaves = 1 << depth
+    mat = rng.integers(0, 2**63, size=(leaves, cols), dtype=np.uint64)
+    tree = MerkleTree.from_rows(mat if as_array else mat.tolist(), 8)
+    assert tree.depth == depth
+    for i in range(leaves):
+        leaf, path = leaf_bytes(mat[i].tolist(), 8), tree.open(i)
+        assert verify_merkle_path(tree.root, i, leaf, path)
+        for other in (i - 1, i + 1):
+            if 0 <= other < leaves:
+                assert not verify_merkle_path(tree.root, other, leaf, path)
+        # any one flipped bit of the leaf breaks the path
+        byte = int(rng.integers(len(leaf)))
+        flipped = bytearray(leaf)
+        flipped[byte] ^= 1 << int(rng.integers(8))
+        assert not verify_merkle_path(tree.root, i, bytes(flipped), path)
+    # an index beyond the tree never verifies, whatever the path length
+    assert not verify_merkle_path(tree.root, leaves, leaf, path)
+
+
+def test_array_and_list_rows_hash_identically():
+    mat = np.arange(24, dtype=np.uint64).reshape(8, 3)
+    assert (MerkleTree.from_rows(mat, 8).root
+            == MerkleTree.from_rows(mat.tolist(), 8).root)
+    # scalar width is part of the leaf encoding
+    assert (MerkleTree.from_rows(mat.tolist(), 32).root
+            != MerkleTree.from_rows(mat.tolist(), 8).root)
+
+
+def test_tree_hashes_are_counted():
+    before = STATS.snapshot()
+    tree = MerkleTree.from_rows(np.ones((16, 2), dtype=np.uint64), 8)
+    delta = STATS.delta(before)
+    assert (delta["merkle_leaf_hashes"], delta["merkle_node_hashes"]) == (16, 15)
+    before = STATS.snapshot()
+    verify_merkle_path(tree.root, 3, leaf_bytes([1, 1], 8), tree.open(3))
+    delta = STATS.delta(before)
+    assert (delta["merkle_leaf_hashes"], delta["merkle_node_hashes"]) == (1, 4)

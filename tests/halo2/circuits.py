@@ -1,6 +1,9 @@
 """Small reference circuits shared by the halo2 tests."""
 
-from repro.field import GOLDILOCKS
+from contextlib import contextmanager
+from unittest import mock
+
+from repro.field import GOLDILOCKS, gl64
 from repro.halo2 import Assignment, ConstraintSystem, Ref
 
 F = GOLDILOCKS
@@ -83,8 +86,37 @@ def relu_lookup_circuit(k=5, pairs=((3, 3), (0, 0), (-4, 0))):
     return cs, asg
 
 
-def opened_column_evals(vk, proof, col):
-    """A helper column's base-domain values, recovered from the witness
-    polynomial its rotation-0 opening carries."""
-    return vk.domain.coeff_to_lagrange(
-        list(proof.advice_openings[(col.index, 0)].witness))
+@contextmanager
+def list_backend():
+    """Run the enclosed keygen / prove / verify on the exact list backend
+    even over Goldilocks: the byte-identity oracle for the numpy path."""
+    with mock.patch.object(gl64, "is_goldilocks", lambda p: False):
+        yield
+
+
+def prove_reference(cs, asg, scheme):
+    """Keygen + prove on the list backend; returns ``(vk, proof)``."""
+    from repro.halo2 import create_proof, keygen
+
+    with list_backend():
+        pk, vk = keygen(cs, asg, scheme)
+        assert not vk.domain.uses_gl64
+        return vk, create_proof(pk, asg, scheme)
+
+
+def prove_with_columns(pk, asg, scheme):
+    """``create_proof``, also returning the base-domain values of every
+    advice and helper column (list index = advice column index), captured
+    where the prover commits them — a proof itself carries no column."""
+    from repro.halo2 import create_proof, prover
+
+    columns = []
+    real = prover._interpolate_commit
+
+    def capturing(domain, sch, vecs):
+        columns.extend(domain.backend.to_ints(vec) for vec in vecs)
+        return real(domain, sch, vecs)
+
+    with mock.patch.object(prover, "_interpolate_commit", capturing):
+        proof = create_proof(pk, asg, scheme)
+    return proof, columns

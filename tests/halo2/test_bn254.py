@@ -5,11 +5,14 @@ field-generic by proving and verifying over BN254-Fr, including a gadget
 circuit with lookups.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.commit import scheme_by_name
 from repro.envelope import (
     ProofEnvelope,
+    decode_envelope,
     envelope_config_digest,
     verify_envelope,
 )
@@ -24,7 +27,7 @@ from repro.halo2 import (
     verify_proof,
 )
 from repro.halo2.proof import proof_to_bytes
-from repro.resilience.errors import VerificationFailure
+from repro.resilience.errors import EnvelopeError, VerificationFailure
 from repro.tensor import Entry
 
 
@@ -94,8 +97,20 @@ def test_envelope_verifies_over_the_keys_field():
         config_digest=envelope_config_digest(8, 4, 7, 6),
         instance=b.asg.instance_values(),
         proof_bytes=proof_to_bytes(create_proof(pk, b.asg, scheme)),
+        scalar_bytes=32,
     )
     assert verify_envelope(env, vk) is True
+    assert decode_envelope(env.encode()).scalar_bytes == 32
+
+    # the width is part of the statement: an 8-byte envelope cannot even
+    # carry these public inputs, and one that claims 8 is not for this key
+    narrow = dataclasses.replace(
+        env, scalar_bytes=8, instance=[list(col) for col in env.instance])
+    with pytest.raises(VerificationFailure, match="8 bytes wide"):
+        verify_envelope(narrow, vk)
+    narrow.instance[0][0] = BN254_FR.p - 1
+    with pytest.raises(EnvelopeError, match="does not fit 8 bytes"):
+        narrow.encode()
 
     env.instance[0][0] = BN254_FR.add(env.instance[0][0], 1)
     with pytest.raises(VerificationFailure):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.commit import scheme_by_name
-from repro.commit.scheme import Commitment
 from repro.compiler import synthesize_model
 from repro.field import GOLDILOCKS
 from repro.halo2 import (
@@ -26,6 +25,7 @@ from repro.halo2 import (
     verify_proof,
 )
 from repro.halo2 import prover
+from repro.halo2.keygen import HELPER_ROUND
 from repro.halo2.verifier import validate_proof_shape, verify_proof_strict
 from repro.model import get_model
 from repro.obs.stats import STATS
@@ -35,7 +35,7 @@ from repro.resilience.errors import (
     VerificationFailure,
 )
 
-from tests.halo2.circuits import opened_column_evals, range_check_circuit
+from tests.halo2.circuits import prove_with_columns, range_check_circuit
 
 F = GOLDILOCKS
 
@@ -71,12 +71,12 @@ class TestSharedMultiplicity:
     def test_m_sums_the_lookups_of_one_table(self, scheme):
         cs, asg = two_table_circuit()
         pk, vk = keygen(cs, asg, scheme)
-        proof = create_proof(pk, asg, scheme)
+        proof, columns = prove_with_columns(pk, asg, scheme)
         assert verify_proof(vk, proof, asg.instance_values(), scheme)
         table_a, table_b = vk.lookups
         assert [lk.name for lk in table_a.arguments] == ["a1", "a2"]
         assert [lk.name for lk in table_b.arguments] == ["b1"]
-        m = opened_column_evals(vk, proof, table_a.m_col)
+        m = columns[table_a.m_col.index]
         # a1 hits 3 twice and 7 once, a2 hits 3 and 5 once each; the rest
         # of both columns reads 0
         assert m[3] == 2 + 1
@@ -84,7 +84,7 @@ class TestSharedMultiplicity:
         assert m[5] == 1
         assert m[0] == (asg.n - 3) + (asg.n - 2)
         assert sum(m) == 2 * asg.n
-        assert sum(opened_column_evals(vk, proof, table_b.m_col)) == asg.n
+        assert sum(columns[table_b.m_col.index]) == asg.n
 
 
 def _lenient_multiplicities(field, names, f_arrs, t_arr):
@@ -206,10 +206,16 @@ class TestLayout:
         proof = create_proof(pk, asg, scheme)
         old_count = 3 * len(cs.lookups)
         assert old_count > vk.num_helper_advice
-        proof.helper_commitments += [Commitment(bytes(32))] * (
-            old_count - vk.num_helper_advice)
+        # a proof whose helper rows are as wide as the per-lookup layout
+        extra = (0,) * (2 * (old_count - vk.num_helper_advice))
+        proof.queries = [
+            dataclasses.replace(query, rows=tuple(
+                dataclasses.replace(row, values=row.values + extra)
+                if slot == HELPER_ROUND else row
+                for slot, row in enumerate(query.rows)))
+            for query in proof.queries]
         before = STATS.snapshot()
-        with pytest.raises(ProofFormatError, match="helper commitment"):
+        with pytest.raises(ProofFormatError, match="rows of the wrong shape"):
             validate_proof_shape(vk, proof, asg.instance_values())
         assert not any(STATS.delta(before).values())
 
@@ -261,25 +267,39 @@ class TestDegrees:
         with pytest.raises(VerificationFailure):
             verify_proof_strict(vk, bad, asg.instance_values(), scheme)
 
-    def test_vk_hash_does_not_cover_the_helper_layout(self, scheme):
-        # KNOWN LIMITATION (docs/verification.md, "Keys outlive prover
-        # changes"): the vk digest preimage is k, max_degree, the scheme
-        # and the fixed polynomials, not the constraint list.  On a
-        # circuit whose own gates reach degree 4 the per-lookup build
-        # had the same max_degree, so its key and this build's answer to
-        # one vk_hash in a registry.  `old` stands in for that key: same
-        # preimage, the 3L helper layout.
+    def test_vk_hash_covers_the_helper_layout(self, scheme):
+        # the vk digest binds the constraint list, not only k, max_degree
+        # and the fixed columns: on a circuit whose own gates reach degree
+        # 4 the per-lookup build had the same max_degree and the same
+        # fixed columns as this one, and before envelope v2 the two keys
+        # answered to one vk_hash.  `old` stands in for that key.
         cs, asg, _ = cube_gate_circuit()
         pk, vk = keygen(cs, asg, scheme)
         old = dataclasses.replace(
             vk, constraints=vk.constraints[:-1], _digest=b"",
             num_helper_advice=vk.num_helper_advice + 2 * len(cs.lookups)
             - 2 * len(vk.lookups))
-        assert old.digest() == vk.digest()
-        # what the collision costs: a typed rejection, never acceptance
-        proof = create_proof(pk, asg, scheme)
-        with pytest.raises(ProofFormatError, match="helper commitment"):
-            verify_proof_strict(old, proof, asg.instance_values(), scheme)
+        assert old.max_degree == vk.max_degree
+        assert old.fixed_root == vk.fixed_root
+        assert old.digest() != vk.digest()
+
+    def test_one_changed_constraint_changes_the_vk_hash(self, scheme):
+        cs, asg, _ = cube_gate_circuit()
+        _, vk = keygen(cs, asg, scheme)
+        name, expr = vk.constraints[0]
+        for other in (-expr, expr + 0, expr * 1):
+            assert other.degree() == expr.degree()
+            changed = dataclasses.replace(
+                vk, constraints=[(name, other)] + vk.constraints[1:],
+                _digest=b"")
+            assert changed.digest() != vk.digest()
+        renamed = dataclasses.replace(
+            vk, constraints=[("x" + name, expr)] + vk.constraints[1:],
+            _digest=b"")
+        assert renamed.digest() != vk.digest()
+        same = dataclasses.replace(vk, constraints=list(vk.constraints),
+                                   _digest=b"")
+        assert same.digest() == vk.digest()
 
 
 def cube_gate_circuit():

@@ -1,11 +1,13 @@
 """End-to-end prove/verify tests, including negative paths."""
 
+import copy
+
 import pytest
 
 from repro.commit import scheme_by_name
-from repro.commit.scheme import Commitment
 from repro.field import GOLDILOCKS
 from repro.halo2 import create_proof, keygen, verify_proof
+from repro.halo2.keygen import QUOTIENT_ROUND
 from repro.halo2.prover import ProvingError
 
 from tests.halo2.circuits import (
@@ -75,26 +77,25 @@ class TestTamperedProofs:
 
     def test_tampered_commitment_rejected(self, scheme):
         ok, (cs, asg, pk, vk, proof) = prove_and_verify(mul_circuit, scheme)
-        digest = bytearray(proof.advice_commitments[0].digest)
-        digest[0] ^= 1
-        proof.advice_commitments[0] = Commitment(bytes(digest))
-        assert not verify_proof(vk, proof, asg.instance_values(), scheme)
+        for i in range(len(proof.round_roots)):
+            bad = copy.deepcopy(proof)
+            digest = bytearray(bad.round_roots[i])
+            digest[0] ^= 1
+            bad.round_roots[i] = bytes(digest)
+            assert not verify_proof(vk, bad, asg.instance_values(), scheme)
 
     def test_tampered_opening_value_rejected(self, scheme):
         ok, (cs, asg, pk, vk, proof) = prove_and_verify(mul_circuit, scheme)
-        key = next(iter(proof.advice_openings))
-        opening = proof.advice_openings[key]
-        proof.advice_openings[key] = type(opening)(
-            point=opening.point,
-            value=F.add(opening.value, 1),
-            witness=opening.witness,
-        )
-        assert not verify_proof(vk, proof, asg.instance_values(), scheme)
+        for j in range(len(proof.evals)):
+            bad = copy.deepcopy(proof)
+            bad.evals[j] = F.add(bad.evals[j], 1)
+            assert not verify_proof(vk, bad, asg.instance_values(), scheme)
 
     def test_dropped_quotient_piece_rejected(self, scheme):
         ok, (cs, asg, pk, vk, proof) = prove_and_verify(mul_circuit, scheme)
-        proof.quotient_commitments = proof.quotient_commitments[:-1]
-        proof.quotient_openings = proof.quotient_openings[:-1]
+        last_piece = max(j for j, claim in enumerate(vk.claims)
+                         if claim[0] == QUOTIENT_ROUND)
+        del proof.evals[last_piece]
         assert not verify_proof(vk, proof, asg.instance_values(), scheme)
 
 
@@ -104,8 +105,8 @@ class TestProofShape:
         ipa = scheme_by_name("ipa", F)
         _, (_, asg, _, vk_k, proof_k) = prove_and_verify(mul_circuit, kzg)
         _, (_, _, _, vk_i, proof_i) = prove_and_verify(mul_circuit, ipa)
-        size_k = proof_k.modeled_size_bytes(kzg, vk_k.k)
-        size_i = proof_i.modeled_size_bytes(ipa, vk_i.k)
+        size_k = vk_k.modeled_proof_bytes(kzg)
+        size_i = vk_i.modeled_proof_bytes(ipa)
         assert size_k > 0
         assert size_i > size_k  # IPA openings grow with k
 

@@ -9,16 +9,17 @@ import numpy as np
 import pytest
 
 from repro.commit import scheme_by_name
+from repro.commit.scheme import draw_opening_point
 from repro.commit.transcript import Transcript
 from repro.field import GOLDILOCKS
-from repro.field.poly import poly_eval, poly_trim
-from repro.halo2 import create_proof, keygen
-from repro.halo2.keygen import ALPHA, BETA, GAMMA, THETA
+from repro.halo2 import keygen
+from repro.halo2.keygen import ALPHA, BETA, GAMMA, QUOTIENT_ROUND, THETA
 from repro.halo2.prover import _prefix_sum_ref, _prefix_sum_vec
+from repro.halo2.verifier import folded_constraints_at
 
 from tests.halo2.circuits import (
     mul_circuit,
-    opened_column_evals,
+    prove_with_columns,
     range_check_circuit,
     relu_lookup_circuit,
 )
@@ -27,30 +28,36 @@ F = GOLDILOCKS
 
 
 def proof_for(builder_fn, **kw):
+    """Keys, proof, and the committed columns' base-domain values."""
     scheme = scheme_by_name("kzg", F)
     cs, asg = builder_fn(**kw)
     pk, vk = keygen(cs, asg, scheme)
-    proof = create_proof(pk, asg, scheme)
-    return cs, asg, pk, vk, proof
+    proof, columns = prove_with_columns(pk, asg, scheme)
+    return cs, asg, pk, vk, proof, columns
 
 
-def replay_challenges(vk, asg, proof):
-    """theta/beta/gamma/alpha as the prover's transcript derived them."""
+def replay_transcript(vk, asg, proof):
+    """The challenges as the prover's transcript derived them, up to x."""
     transcript = Transcript(F)
     transcript.append_message(b"vk", vk.digest())
     for col_values in asg.instance_values():
         transcript.append_scalar_vector(b"instance", col_values)
-    for com in proof.advice_commitments:
-        transcript.append_commitment(b"advice", com.digest)
-    return {label: transcript.challenge_scalar(label.encode())
-            for label in (THETA, BETA, GAMMA, ALPHA)}
+    advice_root, helper_root, quotient_root = proof.round_roots
+    transcript.append_commitment(b"advice", advice_root)
+    ch = {label: transcript.challenge_scalar(label.encode())
+          for label in (THETA, BETA, GAMMA, ALPHA)}
+    transcript.append_commitment(b"helper", helper_root)
+    ch["y"] = transcript.challenge_scalar(b"y")
+    transcript.append_commitment(b"quotient", quotient_root)
+    ch["x"] = draw_opening_point(vk.domain, transcript)
+    return ch
 
 
-def table_increments(vk, asg, proof, helpers):
+def table_increments(vk, asg, proof, columns, helpers):
     """Per row, ``sum_i h_i - m / (alpha + t)`` for one table's helpers."""
-    ch = replay_challenges(vk, asg, proof)
-    hs = [opened_column_evals(vk, proof, col) for col in helpers.h_cols]
-    m = opened_column_evals(vk, proof, helpers.m_col)
+    ch = replay_transcript(vk, asg, proof)
+    hs = [columns[col.index] for col in helpers.h_cols]
+    m = columns[helpers.m_col.index]
     out = []
     for row in range(asg.n):
         t = 0
@@ -66,10 +73,10 @@ def table_increments(vk, asg, proof, helpers):
 
 class TestLookupHelpers:
     def test_multiplicities_count_inputs(self):
-        cs, asg, pk, vk, proof = proof_for(
+        cs, asg, pk, vk, proof, columns = proof_for(
             range_check_circuit, values=(3, 3, 3, 7)
         )
-        m_evals = opened_column_evals(vk, proof, vk.lookups[0].m_col)
+        m_evals = columns[vk.lookups[0].m_col.index]
         # table row 3 holds value 3 (hit 3 times); row 7 holds 7 (hit once);
         # row 0 holds 0 (hit by all unassigned rows)
         assert m_evals[3] == 3
@@ -77,17 +84,17 @@ class TestLookupHelpers:
         assert m_evals[0] == asg.n - 4
 
     def test_lookup_sum_telescopes_to_zero(self):
-        cs, asg, pk, vk, proof = proof_for(relu_lookup_circuit)
+        cs, asg, pk, vk, proof, columns = proof_for(relu_lookup_circuit)
         total = 0
-        for inc in table_increments(vk, asg, proof, vk.lookups[0]):
+        for inc in table_increments(vk, asg, proof, columns, vk.lookups[0]):
             total = F.add(total, inc)
         assert total == 0
 
     def test_s_column_is_prefix_sum(self):
-        cs, asg, pk, vk, proof = proof_for(range_check_circuit)
+        cs, asg, pk, vk, proof, columns = proof_for(range_check_circuit)
         helpers = vk.lookups[0]
-        incs = table_increments(vk, asg, proof, helpers)
-        s = opened_column_evals(vk, proof, helpers.s_col)
+        incs = table_increments(vk, asg, proof, columns, helpers)
+        s = columns[helpers.s_col.index]
         assert s[0] == 0
         acc = 0
         for row in range(asg.n - 1):
@@ -118,24 +125,21 @@ class TestPrefixSumKernel:
 
 class TestPermutationHelpers:
     def test_helper_sums_to_zero(self):
-        cs, asg, pk, vk, proof = proof_for(mul_circuit)
+        cs, asg, pk, vk, proof, columns = proof_for(mul_circuit)
         perm = vk.permutation
         total = 0
         for h_col in perm.helper_cols:
-            h = vk.domain.coeff_to_lagrange(
-                list(proof.advice_openings[(h_col.index, 0)].witness))
-            for v in h:
+            for v in columns[h_col.index]:
                 total = F.add(total, v)
         assert total == 0
 
     def test_sigma_tags_form_cycles(self):
-        cs, asg, pk, vk, proof = proof_for(mul_circuit)
+        cs, asg, pk, vk, proof, columns = proof_for(mul_circuit)
         perm = vk.permutation
-        n = asg.n
         ids, sigmas = [], []
         for id_col, sigma_col in zip(perm.id_cols, perm.sigma_cols):
-            ids.extend(vk.domain.coeff_to_lagrange(vk.fixed_polys[id_col]))
-            sigmas.extend(vk.domain.coeff_to_lagrange(vk.fixed_polys[sigma_col]))
+            ids.extend(pk.fixed_evals[id_col])
+            sigmas.extend(pk.fixed_evals[sigma_col])
         # sigma is a permutation of the id tags
         assert sorted(ids) == sorted(sigmas)
         # and differs from identity exactly on the copied cells
@@ -145,27 +149,32 @@ class TestPermutationHelpers:
 
 class TestQuotient:
     def test_quotient_degree_within_pieces(self):
-        cs, asg, pk, vk, proof = proof_for(mul_circuit)
-        # the last quotient piece of an honest proof is not all zeros only
-        # if the constraint degree demands it; every piece has degree < n
-        for opening in proof.quotient_openings:
-            assert len(opening.witness) <= vk.n
+        cs, asg, pk, vk, proof, columns = proof_for(mul_circuit)
+        # every piece is a column of the quotient round (degree < n by
+        # construction: it is committed as n coefficients) and is claimed
+        # at x exactly once
+        pieces = [c for c in vk.claims if c[0] == QUOTIENT_ROUND]
+        assert pieces == [(QUOTIENT_ROUND, j, 0)
+                          for j in range(vk.num_quotient_pieces)]
+        assert len(proof.queries[0].rows[-1].values) == 2 * len(pieces)
 
     def test_folded_identity_at_random_point(self):
-        import random
-
-        cs, asg, pk, vk, proof = proof_for(mul_circuit)
-        # reconstruct q(x) from the openings and check C(x) = Z_H(x) q(x)
-        # at the transcript point — this is exactly what the verifier does,
-        # but here we recompute C from the full witness polynomials
-        x = proof.quotient_openings[0].point
+        cs, asg, pk, vk, proof, columns = proof_for(mul_circuit)
+        # reconstruct q(x) from the claimed piece evaluations and check
+        # C(x) = Z_H(x) q(x) at the transcript point — what the verifier
+        # does before it checks the opening
+        ch = replay_transcript(vk, asg, proof)
+        x, y = ch.pop("x"), ch.pop("y")
         x_n = F.pow(x, vk.n)
         q = 0
-        for opening in reversed(proof.quotient_openings):
-            assert poly_eval(F, opening.witness, x) == opening.value
-            q = F.add(F.mul(q, x_n), opening.value)
+        for claim, value in reversed(list(zip(vk.claims, proof.evals))):
+            if claim[0] == QUOTIENT_ROUND:
+                q = F.add(F.mul(q, x_n), value)
         z_h = vk.domain.vanishing_eval(x)
-        assert z_h != 0  # x is outside the domain w.h.p.
-        # the verifier accepted in other tests; here confirm the algebra is
-        # nontrivial (a circuit with constraints has a nonzero quotient)
-        assert any(poly_trim(list(o.witness)) for o in proof.quotient_openings)
+        assert z_h != 0  # x is drawn outside the domain
+        folded = folded_constraints_at(vk, proof.evals,
+                                       asg.instance_values(), ch, y, x)
+        assert folded == F.mul(z_h, q)
+        # and the algebra is nontrivial: a circuit with constraints has a
+        # nonzero quotient
+        assert q != 0

@@ -1,8 +1,7 @@
 """Sparsity-aware synthesis must be a pure optimization: same bytes out.
 
 All-zero advice columns are common in padded model circuits (unused
-helper slots, zero bias rows); the prover skips their transforms and
-reuses the zero-polynomial commitment.  The only observable difference
+helper slots, zero bias rows); the prover skips their interpolation.  The only observable difference
 allowed is ``STATS.sparsity_skips`` — proof bytes must be identical to
 the exact list-backend reference, which has no skip.  The streaming
 quotient path (column sets past ``prover.QUOTIENT_STREAM_ELEMS``) gets
@@ -16,11 +15,10 @@ import pytest
 
 from repro.commit import scheme_by_name
 from repro.field import GOLDILOCKS
-from repro.field.vector import ListBackend
 from repro.halo2 import create_proof, keygen, prover, verify_proof
 from repro.obs.stats import STATS
 
-from tests.halo2.circuits import mul_circuit
+from tests.halo2.circuits import mul_circuit, prove_reference
 
 F = GOLDILOCKS
 
@@ -28,13 +26,6 @@ F = GOLDILOCKS
 def _zero_heavy_circuit():
     """A mul circuit whose a and c advice columns are identically zero."""
     return mul_circuit(rows=[(0, 5), (0, 9)])
-
-
-def _force_list_backend(pk):
-    domain = pk.vk.domain
-    domain.backend = ListBackend(F)
-    domain._use_gl64 = False
-    domain._inv_vanishing_vec = None
 
 
 def _prove_bytes():
@@ -69,10 +60,7 @@ def test_sparse_proof_matches_list_backend_reference():
 
     pk_fast, _ = keygen(cs, asg, scheme)
     proof_fast = create_proof(pk_fast, asg, scheme)
-
-    pk_ref, _ = keygen(cs, asg, scheme)
-    _force_list_backend(pk_ref)
-    proof_ref = create_proof(pk_ref, asg, scheme)
+    _, proof_ref = prove_reference(cs, asg, scheme)
 
     assert pickle.dumps(proof_fast) == pickle.dumps(proof_ref)
 

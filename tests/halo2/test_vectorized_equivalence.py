@@ -7,7 +7,8 @@ Three layers of equivalence:
 - ``VectorEvaluator.fold`` (the quotient fold) against per-row evaluation
   plus a scalar Horner fold over the extended coset;
 - whole proofs: the numpy Goldilocks backend vs the exact list backend
-  must pickle to identical bytes.
+  must serialize (and pickle) to identical bytes, under keys with
+  identical digests.
 """
 
 import pickle
@@ -21,13 +22,15 @@ from hypothesis import strategies as st
 from repro.commit import scheme_by_name
 from repro.field import GOLDILOCKS
 from repro.field.vector import GL64Backend, ListBackend
-from repro.halo2 import create_proof, keygen, verify_proof
+from repro.halo2 import create_proof, keygen, proof_to_bytes, verify_proof
 from repro.halo2.column import Column, ColumnType
 from repro.halo2.expression import VectorEvaluator, evaluate_on_lagrange
 from repro.halo2.keygen import ALPHA, BETA, GAMMA, THETA
 
 from tests.halo2.circuits import (
+    list_backend,
     mul_circuit,
+    prove_reference,
     range_check_circuit,
     relu_lookup_circuit,
 )
@@ -163,30 +166,34 @@ def test_quotient_fold_matches_per_row(circuit, backend_cls):
     assert folded == reference
 
 
-def _force_list_backend(pk):
-    """Downgrade a proving key's domain to the exact list backend."""
-    domain = pk.vk.domain
-    domain.backend = ListBackend(F)
-    domain._use_gl64 = False
-    domain._inv_vanishing_vec = None
+def assert_backends_agree(cs, asg):
+    """The numpy and list backends give one key digest and one proof."""
+    scheme = scheme_by_name("kzg", F)
+    pk_fast, vk_fast = keygen(cs, asg, scheme)
+    assert vk_fast.domain.uses_gl64
+    proof_fast = create_proof(pk_fast, asg, scheme)
+    vk_ref, proof_ref = prove_reference(cs, asg, scheme)
+
+    assert vk_fast.digest() == vk_ref.digest()
+    assert proof_to_bytes(proof_fast) == proof_to_bytes(proof_ref)
+    assert pickle.dumps(proof_fast) == pickle.dumps(proof_ref)
+    assert verify_proof(vk_fast, proof_fast, asg.instance_values(), scheme)
+    # and each backend's verifier accepts the other's proof
+    assert verify_proof(vk_fast, proof_ref, asg.instance_values(), scheme)
+    with list_backend():
+        assert verify_proof(vk_ref, proof_fast, asg.instance_values(), scheme)
 
 
 @pytest.mark.parametrize(
     "circuit", [mul_circuit(), relu_lookup_circuit()], ids=["mul", "relu"]
 )
 def test_gl64_proof_matches_list_backend(circuit):
-    cs, asg = circuit
-    scheme = scheme_by_name("kzg", F)
+    assert_backends_agree(*circuit)
 
-    pk_fast, vk_fast = keygen(cs, asg, scheme)
-    proof_fast = create_proof(pk_fast, asg, scheme)
 
-    pk_ref, vk_ref = keygen(cs, asg, scheme)
-    _force_list_backend(pk_ref)
-    proof_ref = create_proof(pk_ref, asg, scheme)
-
-    assert pickle.dumps(proof_fast) == pickle.dumps(proof_ref)
-    assert verify_proof(vk_fast, proof_fast, asg.instance_values(), scheme)
+def test_gl64_proof_matches_list_backend_with_folds():
+    # k=7: two FRI folds, one committed fold layer, on both backends
+    assert_backends_agree(*relu_lookup_circuit(k=7))
 
 
 def test_concurrent_threads_prove_byte_identically():
@@ -198,12 +205,12 @@ def test_concurrent_threads_prove_byte_identically():
     for builder, k in ((relu_lookup_circuit, 11), (mul_circuit, 11)):
         cs, asg = builder(k=k)
         pk, _ = keygen(cs, asg, scheme)
-        jobs.append((pk, asg, pickle.dumps(create_proof(pk, asg, scheme))))
+        jobs.append((pk, asg, proof_to_bytes(create_proof(pk, asg, scheme))))
     results = {}
 
     def prove(i):
         pk, asg, _ = jobs[i % len(jobs)]
-        results[i] = pickle.dumps(create_proof(pk, asg, scheme))
+        results[i] = proof_to_bytes(create_proof(pk, asg, scheme))
 
     threads = [threading.Thread(target=prove, args=(i,)) for i in range(4)]
     old = sys.getswitchinterval()
@@ -231,17 +238,7 @@ def test_concurrent_threads_prove_byte_identically():
 )
 @settings(max_examples=10, deadline=None)
 def test_random_mul_circuits_prove_identically(rows):
-    cs, asg = mul_circuit(rows=rows)
-    scheme = scheme_by_name("kzg", F)
-
-    pk_fast, vk_fast = keygen(cs, asg, scheme)
-    proof_fast = create_proof(pk_fast, asg, scheme)
-    assert verify_proof(vk_fast, proof_fast, asg.instance_values(), scheme)
-
-    pk_ref, _ = keygen(cs, asg, scheme)
-    _force_list_backend(pk_ref)
-    proof_ref = create_proof(pk_ref, asg, scheme)
-    assert pickle.dumps(proof_fast) == pickle.dumps(proof_ref)
+    assert_backends_agree(*mul_circuit(rows=rows))
 
 
 @given(
@@ -249,14 +246,4 @@ def test_random_mul_circuits_prove_identically(rows):
 )
 @settings(max_examples=10, deadline=None)
 def test_random_lookup_circuits_prove_identically(values):
-    cs, asg = range_check_circuit(values=tuple(values))
-    scheme = scheme_by_name("kzg", F)
-
-    pk_fast, vk_fast = keygen(cs, asg, scheme)
-    proof_fast = create_proof(pk_fast, asg, scheme)
-    assert verify_proof(vk_fast, proof_fast, asg.instance_values(), scheme)
-
-    pk_ref, _ = keygen(cs, asg, scheme)
-    _force_list_backend(pk_ref)
-    proof_ref = create_proof(pk_ref, asg, scheme)
-    assert pickle.dumps(proof_fast) == pickle.dumps(proof_ref)
+    assert_backends_agree(*range_check_circuit(values=tuple(values)))

@@ -153,6 +153,21 @@ class TestCorruptionEviction:
         # written before the per-table lookup layout answers the same
         # digest with the old constraint list: the format version in the
         # magic is what keeps such keys away from the new prover
+        self.check_old_artifact(b"zkml-pk-cache/v1\n", tmp_path, circuit,
+                                scheme, monkeypatch)
+
+    def test_v2_artifact_is_evicted_and_rewritten_as_v3(
+            self, tmp_path, circuit, scheme, monkeypatch):
+        # a v2 key has no committed fixed round (and a vk whose digest
+        # does not cover the constraints): same circuit digest, unusable
+        assert DISK_MAGIC == b"zkml-pk-cache/v3\n"
+        self.check_old_artifact(b"zkml-pk-cache/v2\n", tmp_path, circuit,
+                                scheme, monkeypatch)
+
+    def check_old_artifact(self, old_magic, tmp_path, circuit, scheme,
+                           monkeypatch):
+        """An intact artifact under an older magic: evicted, rebuilt by
+        exactly one keygen, rewritten under the current magic."""
         from repro.perf import pkcache
 
         events.reset()
@@ -162,10 +177,9 @@ class TestCorruptionEviction:
         disk.store(digest, pk, vk)
         with open(disk.path(digest), "rb") as fh:
             blob = fh.read()
-        v1_magic = b"zkml-pk-cache/v1\n"
-        assert len(v1_magic) == len(DISK_MAGIC) and v1_magic != DISK_MAGIC
+        assert len(old_magic) == len(DISK_MAGIC) and old_magic != DISK_MAGIC
         with open(disk.path(digest), "wb") as fh:
-            fh.write(v1_magic + blob[len(DISK_MAGIC):])  # intact but v1
+            fh.write(old_magic + blob[len(DISK_MAGIC):])  # intact but old
 
         keygens = []
         real_keygen = pkcache.keygen
@@ -181,7 +195,11 @@ class TestCorruptionEviction:
         assert disk.evictions == 1 and disk.load_hits == 0
         assert any("pk_disk_evict" in k for k in events.counts())
         with open(disk.path(digest), "rb") as fh:
-            assert fh.read(len(DISK_MAGIC)) == DISK_MAGIC  # repaired as v2
+            assert fh.read(len(DISK_MAGIC)) == DISK_MAGIC  # repaired
+        # the repaired artifact serves the next cold reader without keygen
+        _pk, _vk, skipped = ProvingKeyCache(disk=disk).get_or_create(
+            cs, asg, scheme)
+        assert skipped and len(keygens) == 1
 
 
 class TestAtomicity:

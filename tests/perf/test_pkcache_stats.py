@@ -156,9 +156,13 @@ def test_entry_checksum_digest_is_pinned():
     # not with any packing: max_degree is in the vk digest preimage and
     # its only constraints above degree 2 were the old lookup helpers
     # (max_degree 3 -> 2; was c07133502b5f2df0a349b8e780387572).
+    # Both pins moved once more with envelope v2: vk.digest() now hashes
+    # the fixed round's Merkle root, the opening parameters and the
+    # constraint list instead of the fixed polynomials (were
+    # 363efbfec2f4ed2a6497ea2186e99a73 / 53f8b01d875545ed07a0fc9fee743a68).
     for builder, digest in (
-        (mul_circuit, "363efbfec2f4ed2a6497ea2186e99a73"),
-        (range_check_circuit, "53f8b01d875545ed07a0fc9fee743a68"),
+        (mul_circuit, "1c5f58b3e57b7bd312e69c2f805be5a6"),
+        (range_check_circuit, "d3d9857051e914c7ed83f84cd88bcc85"),
     ):
         cs, asg = builder()
         pk, vk = keygen(cs, asg, _scheme())

@@ -17,7 +17,7 @@ import pytest
 
 from repro.envelope import (
     DEFAULT_CAPS,
-    SCHEMA_V1,
+    SCHEMA_V2,
     EnvelopeCaps,
     ProofEnvelope,
     decode_envelope,
@@ -105,7 +105,7 @@ class TestRoundTrip:
         import json
 
         doc = envelope.describe()
-        assert doc["schema"] == SCHEMA_V1
+        assert doc["schema"] == SCHEMA_V2
         assert doc["public_inputs"] == envelope.num_public_inputs()
         json.dumps(doc)
 
@@ -174,8 +174,8 @@ class TestDecoderCapEdges:
         # what rejects it, proving caps do not hide behind integrity
         import hashlib
 
-        header = (1 + len(SCHEMA_V1) + 1 + len(envelope.scheme_name)
-                  + 1 + len(envelope.model) + 32 + 16)
+        header = (1 + len(SCHEMA_V2) + 1 + len(envelope.scheme_name)
+                  + 1 + len(envelope.model) + 1 + 32 + 16)
         forged = bytearray(encoded[:-16])
         forged[header + 4 : header + 8] = (1 << 31).to_bytes(4, "little")
         forged += hashlib.blake2b(bytes(forged), digest_size=16).digest()
@@ -205,6 +205,96 @@ class TestDecoderCapEdges:
         mutated[-1] ^= 0xFF
         caps = EnvelopeCaps(max_envelope_bytes=len(encoded) - 1)
         _reject(bytes(mutated), EnvelopeCapError, caps=caps)
+
+
+def _restamp(body: bytes) -> bytes:
+    import hashlib
+
+    return body + hashlib.blake2b(body, digest_size=16).digest()
+
+
+class TestSchemaV2:
+    """v2 = succinct proofs + scalars at field width; v1 is refused."""
+
+    def width_offset(self, envelope):
+        return (1 + len(SCHEMA_V2) + 1 + len(envelope.scheme_name)
+                + 1 + len(envelope.model))
+
+    def test_v1_envelope_refused_before_any_field_arithmetic(self, encoded):
+        # a well-formed v1 header (valid checksum, too) must die on the
+        # schema id: nothing after it is even parsed
+        assert encoded[1 : 1 + len(SCHEMA_V2)] == SCHEMA_V2.encode()
+        v1 = bytearray(encoded[:-16])
+        v1[len(SCHEMA_V2)] = ord("1")
+        exc = _reject(_restamp(bytes(v1)), EnvelopeSchemaError)
+        assert "zkml-proof-envelope/v1" in str(exc)
+
+    def test_scalars_travel_at_field_width(self, envelope, encoded):
+        assert envelope.scalar_bytes == 8
+        assert encoded[self.width_offset(envelope)] == 8
+        wide = ProofEnvelope(
+            scheme_name=envelope.scheme_name, model=envelope.model,
+            vk_hash=envelope.vk_hash, config_digest=envelope.config_digest,
+            instance=envelope.instance, proof_bytes=envelope.proof_bytes,
+            scalar_bytes=32)
+        grown = len(wide.encode()) - len(encoded)
+        assert grown == 24 * envelope.num_public_inputs()
+        assert decode_envelope(wide.encode()).instance == [
+            list(col) for col in envelope.instance]
+
+    def test_only_known_widths_decode(self, envelope, encoded):
+        for width in (0, 4, 16, 33, 255):
+            forged = bytearray(encoded[:-16])
+            forged[self.width_offset(envelope)] = width
+            _reject(_restamp(bytes(forged)), EnvelopeSchemaError)
+
+    def test_counts_are_checked_at_the_declared_width(self, envelope,
+                                                      encoded):
+        # claiming 32-byte scalars makes the same counts promise four
+        # times the bytes: the parse runs off its section and is refused
+        # (typed, no arithmetic) whatever the checksum says
+        forged = bytearray(encoded[:-16])
+        forged[self.width_offset(envelope)] = 32
+        _reject(_restamp(bytes(forged)), EnvelopeError)
+        # with nothing behind the column to run into, it is a truncation
+        short = ProofEnvelope(
+            scheme_name=envelope.scheme_name, model=envelope.model,
+            vk_hash=envelope.vk_hash, config_digest=envelope.config_digest,
+            instance=envelope.instance, proof_bytes=b"\x01")
+        forged = bytearray(short.encode()[:-16])
+        forged[self.width_offset(envelope)] = 32
+        _reject(_restamp(bytes(forged)), EnvelopeTruncatedError)
+
+    def test_scalar_that_does_not_fit_cannot_be_encoded(self, envelope):
+        import dataclasses
+
+        for bad in (1 << 64, -1):
+            instance = [list(col) for col in envelope.instance]
+            instance[0][0] = bad
+            with pytest.raises(EnvelopeError, match="does not fit 8 bytes"):
+                dataclasses.replace(envelope, instance=instance).encode()
+        with pytest.raises(EnvelopeError, match="scalar_bytes"):
+            dataclasses.replace(envelope, scalar_bytes=16).encode()
+
+    def test_width_must_match_the_keys_field(self, proven, envelope):
+        import dataclasses
+
+        wide = dataclasses.replace(envelope, scalar_bytes=32)
+        with pytest.raises(VerificationFailure, match="32 bytes wide"):
+            verify_envelope(decode_envelope(wide.encode()), proven.vk)
+
+    def test_default_caps_are_sized_for_succinct_proofs(self, envelope,
+                                                        encoded):
+        # docs/verification.md §Caps: 4 MB of proof is > 10x the largest
+        # proof this tree produces; the envelope cap adds the public-input
+        # cap at the widest scalar
+        assert DEFAULT_CAPS.max_proof_bytes == 4 << 20
+        assert DEFAULT_CAPS.max_envelope_bytes == 16 << 20
+        assert (DEFAULT_CAPS.max_proof_bytes
+                + 32 * DEFAULT_CAPS.max_public_inputs
+                <= DEFAULT_CAPS.max_envelope_bytes)
+        assert len(envelope.proof_bytes) * 10 < DEFAULT_CAPS.max_proof_bytes
+        assert len(encoded) < 300_000  # dlrm-mini, k=9: was 805 KB in v1
 
 
 class TestVerifyEnvelope:

@@ -48,12 +48,24 @@ class TestDeserializerBounds:
             proof_from_bytes(data)
 
     def test_huge_count_rejected_before_allocation(self, proven):
-        # forge a 4 GiB advice-commitment count right after the magic: the
-        # reader must bail on the length prefix, not loop or allocate
-        data = bytearray(proof_to_bytes(proven.proof))
-        data[8:12] = (0xFFFFFFFF).to_bytes(4, "little")
-        with pytest.raises(ProofFormatError):
-            proof_from_bytes(bytes(data))
+        # forge a 4 GiB count in every count field of the header (the
+        # round-root count sits right after the magic and the width
+        # byte): the reader must bail on the length prefix, not loop or
+        # allocate
+        good = proof_to_bytes(proven.proof)
+        proof = proven.proof
+        sb = proof.scalar_bytes
+        offsets = [9]
+        offsets.append(offsets[-1] + 4 + 32 * len(proof.round_roots))
+        offsets.append(offsets[-1] + 4 + sb * len(proof.evals))
+        offsets.append(offsets[-1] + 4 + 32 * len(proof.fri_roots))
+        offsets.append(offsets[-1] + 4 + sb * len(proof.final_poly))
+        offsets += [offsets[-1] + 4 * i for i in range(1, 9)]
+        for offset in offsets:
+            data = bytearray(good)
+            data[offset : offset + 4] = (0xFFFFFFFF).to_bytes(4, "little")
+            with pytest.raises(ProofFormatError, match="implausible|count"):
+                proof_from_bytes(bytes(data))
 
 
 class TestShapeValidation:
@@ -76,12 +88,31 @@ class TestShapeValidation:
         import copy
         import dataclasses
 
+        p = proven.vk.field.p  # == p: the smallest out-of-field value
+
+        def check(mutant):
+            with pytest.raises(ProofFormatError, match="out-of-field"):
+                validate_proof_shape(proven.vk, mutant, proven.instance)
+
         mutant = copy.deepcopy(proven.proof)
-        key, opening = next(iter(mutant.advice_openings.items()))
-        mutant.advice_openings[key] = dataclasses.replace(
-            opening, value=proven.vk.field.p)  # == p: out of field
-        with pytest.raises(ProofFormatError, match="out-of-field"):
-            validate_proof_shape(proven.vk, mutant, proven.instance)
+        mutant.evals[0] = p
+        check(mutant)
+        mutant = copy.deepcopy(proven.proof)
+        mutant.final_poly[-1] = p
+        check(mutant)
+        query = proven.proof.queries[5]
+        row = dataclasses.replace(query.rows[1],
+                                  values=(p,) + query.rows[1].values[1:])
+        mutant = copy.deepcopy(proven.proof)
+        mutant.queries[5] = dataclasses.replace(
+            query, rows=(query.rows[0], row) + query.rows[2:])
+        check(mutant)
+        fold = dataclasses.replace(query.folds[0],
+                                   pair=(query.folds[0].pair[0], p))
+        mutant = copy.deepcopy(proven.proof)
+        mutant.queries[5] = dataclasses.replace(
+            query, folds=(fold,) + query.folds[1:])
+        check(mutant)
 
 
 class TestFuzzLoop:

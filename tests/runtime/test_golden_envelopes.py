@@ -5,6 +5,11 @@ columns, scale_bits 5) and its serialized envelope is pinned by
 blake2b-16.  A refactor must leave this table alone; a change that moves
 proof bytes on purpose (prover transcript, envelope format, layout)
 updates it and says why in CHANGES.md.
+
+Last regenerated for envelope v2 (succinct proofs, scalars at field
+width, constraint-binding vk hashes): k is unchanged on all 16 rows, the
+envelopes are 5-26x smaller (dlrm 824 489 -> 159 023 bytes, vgg16
+6 690 070 -> 254 620).
 """
 
 import hashlib
@@ -16,26 +21,26 @@ from repro.runtime import prove_batch, prove_model
 
 #: model -> (k, envelope bytes, blake2b-16 of the envelope): prove_model, seed 0.
 SINGLE = {
-    "diffusion": (11, 2888262, "c30e90be8acffd9a110480486bb730e0"),
-    "dlrm": (9, 824489, "e9f065e1f74774aa0f8c3c912e219bfb"),
-    "gpt2": (10, 2695625, "c761b7bda0f71b3cde056952816fa55d"),
-    "mnist": (9, 1038854, "9aa745a9e3fc7bb95f2f82bdceeabda8"),
-    "mobilenet": (11, 3282094, "5e151466f8ee819ed35db165a790a928"),
-    "resnet18": (12, 6558893, "16cb43718b821cca7d35e160344559f4"),
-    "twitter": (9, 1137776, "35ac219f7d08dab24767615ccd39b315"),
-    "vgg16": (12, 6690070, "a6afd0ee9b3be806b4eb26f0f66fb724"),
+    "diffusion": (11, 209732, "9eaee462e41ccf9beeefdfa8810cb728"),
+    "dlrm": (9, 159023, "2ad38d1418fb0b7a5673c91d0802e99b"),
+    "gpt2": (10, 217283, "4a881e50c7df39792f52fe5b1c8bcd79"),
+    "mnist": (9, 173000, "2374a8021da09395a00433e30895607b"),
+    "mobilenet": (11, 215948, "11cdc3499723777d707c524d908c5127"),
+    "resnet18": (12, 256175, "95a737d3021e0ed9b444409711ed5a2c"),
+    "twitter": (9, 179994, "d627d039ca78ee68500b0ac9c17bc999"),
+    "vgg16": (12, 254620, "ae333632381eebefa8acd79bd64706e6"),
 }
 
 #: model -> (k, blake2b-16 of the envelope): prove_batch of seeds 0 then 1.
 BATCH_OF_TWO = {
-    "diffusion": (12, "a9e25362a78a1ec256d87e8ab3a4d381"),
-    "dlrm": (9, "c87e43ebfae6852a695ca9eadeebd513"),
-    "gpt2": (11, "58fe4b5de052e240e258e25e827a6e56"),
-    "mnist": (9, "e589dbf5ef9a03a95b23955bd7d00b0d"),
-    "mobilenet": (12, "a592b70a53c53bb0d149790c71d0cb68"),
-    "resnet18": (13, "7ae433f8db3bf98e5b30fb726d54e9c0"),
-    "twitter": (9, "7334dc4a7705bb695caee83d8d353d9a"),
-    "vgg16": (13, "241801decdd7bd2e81ccaac3e3180587"),
+    "diffusion": (12, "e09aaca378bb55050b2b4dd3b749c9ec"),
+    "dlrm": (9, "9afbc0e401c30f1dc0b1f1fba19017bf"),
+    "gpt2": (11, "585308f3484131cca12b722949b6a0a5"),
+    "mnist": (9, "bd8c979a663bfaf959c0e6e015ce1002"),
+    "mobilenet": (12, "b778a087bfc336c03819c4a4479ed3dc"),
+    "resnet18": (13, "7271a0945320e5e69304c5f70845022d"),
+    "twitter": (9, "c697856762fb88aade4f59fd1e32522e"),
+    "vgg16": (13, "fa1fe8f7512d4ba64c5b38c97c8d7a6c"),
 }
 
 

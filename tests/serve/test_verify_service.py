@@ -73,7 +73,8 @@ def _unknown_vk(encoded, model_len):
     """Flip a vk-hash byte and recompute the checksum: structurally
     perfect, integrity-passing, but the key is not in any registry."""
     body = bytearray(encoded[:-16])
-    offset = 1 + len("zkml-proof-envelope/v1") + 1 + 3 + 1 + model_len
+    # schema, scheme ("kzg") and model strings, then the scalar-width byte
+    offset = 1 + len("zkml-proof-envelope/v2") + 1 + 3 + 1 + model_len + 1
     body[offset] ^= 0xFF
     return bytes(body) + hashlib.blake2b(bytes(body),
                                          digest_size=16).digest()

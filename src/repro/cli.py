@@ -748,7 +748,6 @@ def _serve_config(args):
         pk_cache_dir=args.pk_cache_dir,
         max_backlog_batches=args.max_backlog,
         telemetry=not args.no_telemetry,
-        worker_telemetry=not args.no_worker_telemetry,
         flight_path=args.flight_recorder or None,
     )
 
@@ -1250,11 +1249,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable runtime telemetry (SLO windows + "
                             "flight recorder); proof bytes are identical "
                             "either way")
-    serve.add_argument("--no-worker-telemetry", action="store_true",
-                       help="with --workers: don't collect per-batch "
-                            "spans/op-counts/pk-cache stats inside worker "
-                            "processes (--trace then records only the "
-                            "parent); proof bytes are identical either way")
     serve.set_defaults(func=_cmd_serve)
 
     vserve = sub.add_parser(

@@ -32,14 +32,15 @@ _POWER_CACHE: Dict[Tuple[int, int, int], List[int]] = {}
 _SCALED_POWER_CACHE: Dict[Tuple[int, int, int, int], List[int]] = {}
 
 
-#: ``log2`` of the size at which single transforms (here and on
-#: :class:`repro.field.domain.EvaluationDomain`) switch to the six-step
-#: decomposition.
+#: ``log2`` of the size at which single transforms on the numpy backend
+#: of :class:`repro.field.domain.EvaluationDomain` switch to the six-step
+#: decomposition (:func:`repro.field.gl64.sixstep_ntt`).  The list
+#: transforms in this module are radix-2 at every size.
 SIXSTEP_MIN_K = 16
 
 
 def sixstep_min_n() -> int:
-    """Size at which transforms switch to the six-step decomposition."""
+    """Size at which numpy transforms switch to the six-step decomposition."""
     return 1 << SIXSTEP_MIN_K
 
 
@@ -160,67 +161,8 @@ def ntt(field: PrimeField, values: Sequence[int], root: int) -> List[int]:
     out = list(values)
     if n == 1:
         return out
-    if n >= sixstep_min_n():
-        return sixstep_ntt(field, out, root)
     _bit_reverse_permute(out)
     _ntt_core(out, field.p, stage_twiddles(field.p, root, n))
-    return out
-
-
-def sixstep_ntt(
-    field: PrimeField, values: Sequence[int], root: int, shift: int = 1
-) -> List[int]:
-    """Six-step (Bailey) NTT: two passes of ``sqrt(n)``-sized transforms.
-
-    Splitting ``i = i1 + n1*i2`` / ``j = j2 + n2*j1`` turns one size-n
-    transform into ``n1`` inner transforms of size ``n2`` (root
-    ``root^n1``), a twiddle multiply by ``root^(i1*j2)``, and ``n2`` outer
-    transforms of size ``n1`` (root ``root^n2``) — each sub-transform's
-    working set is ``sqrt(n)`` elements, so large-``k`` transforms stay
-    cache-resident.  An optional coset ``shift`` is folded into the inner
-    transforms (``shift^(n1*i2)`` rides their input scaling) and the
-    twiddle step (``shift^i1``), never a separate full pass.  Exact:
-    identical output to ``ntt(field, [v * shift^i], root)``.
-    """
-    n = len(values)
-    if n & (n - 1):
-        raise ValueError("NTT length must be a power of two, got %d" % n)
-    p = field.p
-    if n < 4:
-        if shift != 1:
-            powers = power_table(p, shift, n)
-            values = [v * s % p for v, s in zip(values, powers)]
-        out = list(values)
-        if n == 2:
-            _ntt_core(out, p, stage_twiddles(p, root, 2))
-        return out
-    k = n.bit_length() - 1
-    n1 = 1 << (k >> 1)
-    n2 = n // n1
-    root_inner = pow(root, n1, p)
-    root_outer = pow(root, n2, p)
-    s_inner = pow(shift, n1, p) if shift != 1 else 1
-    w_pows = power_table(p, root, n)
-    shift_pows = power_table(p, shift, n1) if shift != 1 else None
-    inner: List[List[int]] = []
-    for i1 in range(n1):
-        col = values[i1::n1]
-        if s_inner != 1:
-            col = coset_ntt(field, col, root_inner, s_inner)
-        else:
-            col = ntt(field, col, root_inner)
-        if shift_pows is not None:
-            si = shift_pows[i1]
-            col = [
-                c * w_pows[i1 * j2 % n] % p * si % p for j2, c in enumerate(col)
-            ]
-        else:
-            col = [c * w_pows[i1 * j2 % n] % p for j2, c in enumerate(col)]
-        inner.append(col)
-    out = [0] * n
-    for j2 in range(n2):
-        row = ntt(field, [inner[i1][j2] for i1 in range(n1)], root_outer)
-        out[j2::n2] = row
     return out
 
 
@@ -237,9 +179,6 @@ def intt(field: PrimeField, values: Sequence[int], root: int) -> List[int]:
 def coset_ntt(field: PrimeField, values: Sequence[int], root: int, shift: int) -> List[int]:
     """Evaluate a coefficient vector on the coset ``shift * <root>``."""
     n = len(values)
-    if n >= sixstep_min_n():
-        # the shift scaling is folded into the six-step inner stages
-        return sixstep_ntt(field, values, root, shift)
     p = field.p
     powers = power_table(p, shift, n)
     shifted = [v * s % p for v, s in zip(values, powers)]

@@ -251,12 +251,16 @@ def _build_permutation_tags(
 
 
 def keygen(
-    cs: ConstraintSystem, assignment: Assignment, scheme: CommitmentScheme
+    cs: ConstraintSystem, assignment: Assignment, scheme: CommitmentScheme,
+    tracer=None,
 ) -> Tuple[ProvingKey, VerifyingKey]:
-    """Preprocess a circuit (with its fixed assignment) into keys."""
+    """Preprocess a circuit (with its fixed assignment) into keys.
+
+    The ``keygen:*`` spans go to ``tracer`` (default: the process tracer).
+    """
     field = cs.field
     n = assignment.n
-    tracer = get_tracer()
+    tracer = tracer if tracer is not None else get_tracer()
 
     # ---- allocate helper columns beyond the user column space -------------
     next_advice = cs.num_advice

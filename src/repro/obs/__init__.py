@@ -32,6 +32,7 @@ from repro.obs.cluster import (
     WorkerTelemetry,
     capture_batch,
     fold_worker_result,
+    stitch_batch,
 )
 from repro.obs.log import configure as configure_logging, get_logger
 from repro.obs.metrics import (
@@ -78,5 +79,6 @@ __all__ = [
     "record_prover_run",
     "render_predicted_vs_actual",
     "set_tracer",
+    "stitch_batch",
     "use_tracer",
 ]

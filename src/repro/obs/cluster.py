@@ -1,26 +1,33 @@
-"""Cluster telemetry plane: worker-side capture, parent-side folding.
+"""Batch telemetry: capture where a batch is proved, fold where it resolves.
 
-``zkml serve --workers N`` proves in forked worker processes, so spans,
-STATS op counts, and proving-key-cache counters accumulate in address
-spaces the front end cannot see.  This module is the bridge:
+A served batch is proved by :func:`repro.serve.worker.prove_job`, either
+on the service's own proving thread or — ``zkml serve --workers N`` — in
+a forked worker process, where spans, STATS op counts and
+proving-key-cache counters accumulate in an address space the front end
+cannot see.  This module is the bridge, the same in both cases:
 
-- **worker side** — :func:`capture_batch` wraps one batch prove in a
-  fresh :class:`~repro.obs.trace.Tracer` (installed process-wide for the
-  duration so ``prove_batch`` spans land in it), snapshots the global
-  :data:`~repro.obs.stats.STATS` counters before/after, and packages the
-  result as a picklable :class:`WorkerTelemetry` that rides back to the
-  scheduler piggybacked on the existing result queue — no extra IPC
-  channel, no extra syscalls on the hot path;
-- **parent side** — :func:`fold_worker_result` folds a finished batch
-  into the parent :class:`~repro.obs.metrics.MetricsRegistry` under
-  per-worker labels (``zkml_worker_prove_seconds_total{worker="2"}``,
-  ``zkml_worker_ops_total{worker="2",op="ntt_base"}``, ...), and
-  :class:`WorkerAggregate` keeps the per-worker rollup that the
+- **capture** — :func:`capture_batch` wraps one batch prove: it
+  snapshots the global :data:`~repro.obs.stats.STATS` counters
+  before/after, reads the pk-cache counters, and — when the job asks for
+  a trace — records the prove under a fresh :class:`~repro.obs.trace.Tracer`
+  that ``prove_job`` hands down to the pipeline.  The result is a
+  picklable :class:`WorkerTelemetry` that rides back inside the
+  ``BatchResult`` (in a cluster: piggybacked on the existing result
+  queue — no extra IPC channel, no extra syscalls on the hot path);
+- **fold** — :func:`fold_worker_result` folds a finished batch into the
+  service's :class:`~repro.obs.metrics.MetricsRegistry`: the per-model
+  prover series ``zkml prove --metrics`` also writes
+  (:func:`~repro.obs.metrics.record_prover_run`) and the per-worker
+  series (``zkml_worker_prove_seconds_total{worker="2"}``,
+  ``zkml_worker_ops_total{worker="2",op="ntt_base"}``, ...; the
+  service's own proving thread is worker ``0``).
+  :class:`WorkerAggregate` keeps the per-worker rollup that a cluster's
   ``status`` control op (schema ``zkml-serve-status/v2``) and the
-  ``zkml top`` per-worker panel report.  Span stitching itself is two
-  existing calls — ``Tracer.record_span`` for the parent ``serve:batch``
-  span and ``Tracer.ingest`` for the worker's tree — done where the
-  batch resolves (:meth:`repro.serve.service.ProvingService`).
+  ``zkml top`` per-worker panel report;
+- **stitch** — :func:`stitch_batch` records the batch into the
+  service's trace where it resolves: ``Tracer.record_span`` for the
+  ``serve:batch`` span and its queue wait, ``Tracer.ingest`` for the
+  captured tree.
 
 Timestamps inside shipped spans are ``time.perf_counter`` readings; on
 Linux that is CLOCK_MONOTONIC, shared between the parent and its forked
@@ -31,18 +38,21 @@ Chrome-trace timeline without any clock translation.
 from __future__ import annotations
 
 import os
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.obs.metrics import record_prover_run
 from repro.obs.stats import STATS
-from repro.obs.trace import Tracer, use_tracer
+from repro.obs.trace import NULL_TRACER, Tracer
 
 __all__ = [
     "WorkerTelemetry",
     "WorkerAggregate",
     "capture_batch",
     "fold_worker_result",
+    "stitch_batch",
 ]
 
 #: pk-cache counter fields exported as ``zkml_worker_pk_cache`` gauges.
@@ -52,11 +62,13 @@ _PK_DISK_FIELDS = ("loads", "load_hits", "stores", "evictions")
 
 @dataclass
 class WorkerTelemetry:
-    """One batch's worth of worker-process observability, picklable.
+    """One batch's worth of prover-side observability, picklable.
 
-    Shipped on :class:`~repro.serve.worker.BatchResult` through the
-    multiprocessing result queue; everything is plain dicts/lists so the
-    default pickler handles it and the parent can JSON-serialize it.
+    Carried on :class:`~repro.serve.worker.BatchResult` (through the
+    multiprocessing result queue in a cluster); everything is plain
+    dicts/lists so the default pickler handles it and the parent can
+    JSON-serialize it.  ``spans`` is empty unless the job asked for a
+    trace.
     """
 
     worker_id: int = -1
@@ -66,45 +78,50 @@ class WorkerTelemetry:
     pk_cache: Dict[str, Any] = field(default_factory=dict)
 
 
-class _CaptureHolder:
-    """Mutable cell filled by :func:`capture_batch` on exit."""
+class _Capture:
+    """What :func:`capture_batch` yields: the tracer to prove under, and
+    (filled on exit) the batch's telemetry."""
 
-    __slots__ = ("telemetry",)
+    __slots__ = ("tracer", "telemetry")
 
-    def __init__(self) -> None:
+    def __init__(self, tracer: Any) -> None:
+        self.tracer = tracer
         self.telemetry: Optional[WorkerTelemetry] = None
 
 
 @contextmanager
-def capture_batch(job: Any, worker_id: int) -> Iterator[_CaptureHolder]:
-    """Record one batch prove's spans, op deltas, and pk-cache counters.
+def capture_batch(job: Any, worker_id: int) -> Iterator[_Capture]:
+    """Record one batch prove's op deltas, pk-cache counters and spans.
 
-    Installs a fresh worker-local :class:`Tracer` process-wide (so the
-    pipeline's own ``prove_batch``/``keygen`` spans nest under it), opens
-    a ``worker:prove`` root span attributed with the batch correlation
-    id, and on exit fills ``holder.telemetry``.  The capture itself never
-    touches proof construction — field ops, transcripts, and randomness
-    are untouched, so proof bytes are byte-identical with capture on or
-    off (test-asserted in ``tests/serve/test_cluster_telemetry.py``).
+    Yields a capture whose ``tracer`` the caller must hand to the
+    pipeline explicitly: a fresh :class:`Tracer` when ``job.trace``, the
+    inert :data:`NULL_TRACER` otherwise.  It is never installed
+    process-wide — ``use_tracer`` swaps a process global, which is a race
+    on a service thread while some other thread holds its own.  The body
+    runs under a ``worker:prove`` root span attributed with the batch
+    correlation id; on exit ``capture.telemetry`` is filled.  The capture
+    itself never touches proof construction — field ops, transcripts,
+    and randomness are untouched, so proof bytes are byte-identical
+    traced or not (test-asserted in
+    ``tests/serve/test_cluster_telemetry.py``).
     """
     from repro.perf.pkcache import GLOBAL_PK_CACHE
 
-    tracer = Tracer()
+    tracer = Tracer() if job.trace else NULL_TRACER
     before = STATS.snapshot()
-    holder = _CaptureHolder()
+    capture = _Capture(tracer)
     try:
-        with use_tracer(tracer):
-            with tracer.span("worker:prove",
-                             worker=worker_id,
-                             batch_id=job.batch_id,
-                             model=job.spec.name,
-                             occupancy=job.occupancy,
-                             padded=job.padded_size,
-                             priority=job.priority,
-                             redispatches=job.redispatches):
-                yield holder
+        with tracer.span("worker:prove",
+                         worker=worker_id,
+                         batch_id=job.batch_id,
+                         model=job.spec.name,
+                         occupancy=job.occupancy,
+                         padded=job.padded_size,
+                         priority=job.priority,
+                         redispatches=job.redispatches):
+            yield capture
     finally:
-        holder.telemetry = WorkerTelemetry(
+        capture.telemetry = WorkerTelemetry(
             worker_id=worker_id,
             pid=os.getpid(),
             spans=[span.as_dict() for span in tracer.spans()],
@@ -113,50 +130,56 @@ def capture_batch(job: Any, worker_id: int) -> Iterator[_CaptureHolder]:
         )
 
 
-def fold_worker_result(metrics: Any, result: Any) -> None:
-    """Fold one worker batch result into the parent metrics registry.
+def fold_worker_result(metrics: Any, job: Any, result: Any) -> None:
+    """Fold one finished batch into the service's metrics registry.
 
-    Emits the per-worker series the cluster dashboard keys on:
+    Per model, for a proved batch, the series of
+    :func:`~repro.obs.metrics.record_prover_run` (op counts around
+    ``create_proof``, predicted counts, phase seconds).  Per worker:
 
     - ``zkml_worker_batches_total{worker}`` / ``zkml_worker_failed_batches_total{worker}``
     - ``zkml_worker_prove_seconds_total{worker}`` / ``zkml_worker_keygen_seconds_total{worker}``
     - ``zkml_worker_pk_cache_hits_total{worker}`` (in-memory keygen cache hits)
-    - ``zkml_worker_ops_total{worker,op}`` from the shipped STATS delta
-    - ``zkml_worker_pk_cache{worker,field}`` gauges from the shipped
-      pk-cache snapshot (disk-layer counters get a ``disk_`` prefix)
+    - ``zkml_worker_ops_total{worker,op}`` from the STATS delta over the
+      whole job (keygen and the strict verify included)
+    - ``zkml_worker_pk_cache{worker,field}`` gauges from the pk-cache
+      snapshot (disk-layer counters get a ``disk_`` prefix)
 
     ``metrics`` may be a :class:`~repro.obs.metrics.NullMetrics`; every
     call is then a no-op.
     """
+    if result.ok:
+        record_prover_run(metrics, job.spec.name, result.observed_counts,
+                          result.predicted_counts,
+                          phase_seconds=result.phase_seconds,
+                          slots=job.padded_size)
     worker = str(result.worker_id)
     metrics.counter("zkml_worker_batches_total",
-                    "Batches completed per cluster worker",
+                    "Batches completed per worker",
                     worker=worker).inc()
     if not result.ok:
         metrics.counter("zkml_worker_failed_batches_total",
-                        "Failed batches per cluster worker",
+                        "Failed batches per worker",
                         worker=worker).inc()
     if result.proving_seconds:
         metrics.counter("zkml_worker_prove_seconds_total",
-                        "Cumulative prove wall time per cluster worker",
+                        "Cumulative prove wall time per worker",
                         worker=worker).inc(result.proving_seconds)
     if result.keygen_seconds:
         metrics.counter("zkml_worker_keygen_seconds_total",
-                        "Cumulative keygen wall time per cluster worker",
+                        "Cumulative keygen wall time per worker",
                         worker=worker).inc(result.keygen_seconds)
     if result.keygen_cache_hit:
         metrics.counter("zkml_worker_pk_cache_hits_total",
                         "Worker batches served from a warm proving-key cache",
                         worker=worker).inc()
-    telemetry = getattr(result, "telemetry", None)
-    if telemetry is None:
-        return
-    for op, count in sorted((telemetry.stats_delta or {}).items()):
+    telemetry = result.telemetry
+    for op, count in sorted(telemetry.stats_delta.items()):
         if count:
             metrics.counter("zkml_worker_ops_total",
-                            "Prover op counts per cluster worker",
+                            "Prover op counts per worker",
                             worker=worker, op=op).inc(count)
-    pk = telemetry.pk_cache or {}
+    pk = telemetry.pk_cache
     for name in _PK_FIELDS:
         if name in pk:
             metrics.gauge("zkml_worker_pk_cache",
@@ -169,6 +192,34 @@ def fold_worker_result(metrics: Any, result: Any) -> None:
                           "Worker-process proving-key cache counters",
                           worker=worker,
                           field="disk_%s" % name).set(float(disk[name]))
+
+
+def stitch_batch(tracer: Any, job: Any, result: Any,
+                 request_ids: List[str]) -> None:
+    """Stitch one resolved batch into the service's trace.
+
+    Records the ``serve:batch`` span (launch → resolve, timed on
+    ``perf_counter`` like every tracer span), a ``serve:queue-wait``
+    child covering the wait for the proving thread or a cluster worker,
+    and ingests the prove's captured span tree under the batch span — a
+    worker process's own pid is preserved, so the Chrome export shows
+    client → queue-wait → dispatch → worker-prove → resolve with one
+    lane per worker process.  A no-op under :data:`NULL_TRACER`.
+    """
+    if not tracer.enabled:
+        return
+    span_id = tracer.record_span(
+        "serve:batch", job.enqueued_pc, time.perf_counter(),
+        model=job.spec.name, scheme=job.scheme_name,
+        batch_id=job.batch_id, request_ids=request_ids,
+        occupancy=job.occupancy, padded=job.padded_size,
+        worker=result.worker_id, ok=result.ok)
+    if job.dispatched_pc:
+        tracer.record_span(
+            "serve:queue-wait", job.enqueued_pc, job.dispatched_pc,
+            parent_id=span_id, batch_id=job.batch_id,
+            priority=job.priority)
+    tracer.ingest(result.telemetry.spans, parent_id=span_id)
 
 
 class WorkerAggregate:
@@ -205,13 +256,12 @@ class WorkerAggregate:
             self.keygen_cache_hits += 1
         self.last_batch_id = result.batch_id
         self.last_prove_seconds = result.proving_seconds
-        telemetry = getattr(result, "telemetry", None)
-        if telemetry is not None:
-            for op, count in (telemetry.stats_delta or {}).items():
-                if count:
-                    self.ops[op] = self.ops.get(op, 0) + int(count)
-            if telemetry.pk_cache:
-                self.pk_cache = dict(telemetry.pk_cache)
+        telemetry = result.telemetry
+        for op, count in telemetry.stats_delta.items():
+            if count:
+                self.ops[op] = self.ops.get(op, 0) + int(count)
+        if telemetry.pk_cache:
+            self.pk_cache = dict(telemetry.pk_cache)
 
     def snapshot(self) -> Dict[str, Any]:
         return {

@@ -32,7 +32,6 @@ a handful of integers.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
@@ -40,6 +39,8 @@ import threading
 import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.storage import atomic_write, checksum16
 
 __all__ = [
     "FLIGHT_SCHEMA",
@@ -205,7 +206,7 @@ def flight_checksum(events: List[Dict[str, Any]]) -> str:
     recompute and compare.
     """
     payload = json.dumps(events, sort_keys=True, default=str).encode()
-    return hashlib.blake2b(payload, digest_size=16).hexdigest()
+    return checksum16(payload).hex()
 
 
 def verify_flight_dump(artifact: Dict[str, Any]) -> bool:
@@ -280,11 +281,10 @@ class FlightRecorder:
             "checksum": flight_checksum(events),
         }
         if path:
-            tmp = "%s.tmp.%d" % (path, os.getpid())
-            with open(tmp, "w") as fh:
-                json.dump(artifact, fh, indent=1, sort_keys=True, default=str)
-                fh.write("\n")
-            os.replace(tmp, path)
+            # best effort, single attempt: a dump is a postmortem aid
+            text = json.dumps(artifact, indent=1, sort_keys=True, default=str)
+            atomic_write(path, (text + "\n").encode(), attempts=1,
+                         backoff_seconds=0.0, retry_event="flight_dump")
         with self._lock:
             self.dumps += 1
         return artifact

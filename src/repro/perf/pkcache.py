@@ -41,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import time
 from collections import OrderedDict
 from typing import Optional, Tuple, Union
 
@@ -52,6 +51,7 @@ from repro.halo2.column import Column, ColumnType
 from repro.halo2.keygen import ProvingKey, VerifyingKey, keygen
 from repro.resilience import events, faults
 from repro.resilience.errors import CacheCorruptionError
+from repro.storage import atomic_write, checksum16
 
 try:  # advisory locking is POSIX-only; elsewhere the disk cache still
     import fcntl  # works, it just may duplicate a keygen under a race
@@ -236,8 +236,7 @@ class DiskPKCache:
             return "truncated"
         checksum, payload = (body[:_DISK_CHECKSUM_BYTES],
                              body[_DISK_CHECKSUM_BYTES:])
-        if self.validate and hashlib.blake2b(
-                payload, digest_size=_DISK_CHECKSUM_BYTES).digest() != checksum:
+        if self.validate and checksum16(payload) != checksum:
             return "checksum_mismatch"
         try:
             doc = pickle.loads(payload)
@@ -251,36 +250,17 @@ class DiskPKCache:
     def store(self, digest: str, pk: ProvingKey, vk: VerifyingKey) -> None:
         """Atomically persist keys for ``digest`` (idempotent)."""
         payload = pickle.dumps({"digest": digest, "pk": pk, "vk": vk})
-        checksum = hashlib.blake2b(
-            payload, digest_size=_DISK_CHECKSUM_BYTES).digest()
-        blob = DISK_MAGIC + checksum + payload
-        path = self.path(digest)
-        # per-process tmp name: concurrent writers never clobber each
-        # other's partial file, and the final rename is atomic either way
-        tmp = "%s.tmp.%d" % (path, os.getpid())
-        last: Optional[BaseException] = None
-        for attempt in range(1, self.write_attempts + 1):
-            try:
-                faults.maybe_inject("disk_write")
-                with open(tmp, "wb") as fh:
-                    fh.write(blob)
-                os.replace(tmp, path)
-                self.stores += 1
-                return
-            except (OSError, faults.InjectedFault) as exc:
-                last = exc
-                if attempt < self.write_attempts:
-                    events.retried("pk_disk_write", attempt,
-                                   digest=digest[:16],
-                                   error=type(exc).__name__)
-                    time.sleep(self.backoff_seconds * (2 ** (attempt - 1)))
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise CacheCorruptionError(
-            "could not persist proving keys after %d attempts"
-            % self.write_attempts, digest=digest[:16]) from last
+            atomic_write(self.path(digest),
+                         DISK_MAGIC + checksum16(payload) + payload,
+                         attempts=self.write_attempts,
+                         backoff_seconds=self.backoff_seconds,
+                         retry_event="pk_disk_write", digest=digest[:16])
+        except (OSError, faults.InjectedFault) as exc:
+            raise CacheCorruptionError(
+                "could not persist proving keys after %d attempts"
+                % self.write_attempts, digest=digest[:16]) from exc
+        self.stores += 1
 
     def stats(self) -> dict:
         return {
@@ -329,7 +309,7 @@ class ProvingKeyCache:
         return _entry_checksum(pk, vk) == stored
 
     def _fetch(self, cs: ConstraintSystem, assignment: Assignment,
-               scheme: CommitmentScheme, digest: str):
+               scheme: CommitmentScheme, digest: str, tracer=None):
         """Produce keys for a digest not served from memory.
 
         With a disk layer, the whole load-miss → keygen → store window
@@ -338,13 +318,13 @@ class ProvingKeyCache:
         Returns ``(pk, vk, from_disk)``.
         """
         if self.disk is None:
-            pk, vk = keygen(cs, assignment, scheme)
+            pk, vk = keygen(cs, assignment, scheme, tracer)
             return pk, vk, False
         with self.disk.lock(digest):
             loaded = self.disk.load(digest)
             if loaded is not None:
                 return loaded[0], loaded[1], True
-            pk, vk = keygen(cs, assignment, scheme)
+            pk, vk = keygen(cs, assignment, scheme, tracer)
             self.disk.store(digest, pk, vk)
         return pk, vk, False
 
@@ -355,8 +335,10 @@ class ProvingKeyCache:
         scheme: CommitmentScheme,
         digest: Optional[str] = None,
         strict: bool = False,
+        tracer=None,
     ) -> Tuple[ProvingKey, VerifyingKey, bool]:
-        """Return cached keys for this circuit, running keygen on a miss.
+        """Return cached keys for this circuit, running keygen on a miss
+        (under ``tracer``; default: the process tracer).
 
         The third element reports whether keygen was skipped (a memory
         hit or a disk-layer hit).  A cache hit whose checksum fails is
@@ -387,7 +369,8 @@ class ProvingKeyCache:
             del self._entries[digest]
             rebuild = True
             events.recovered("pk_cache_rebuild", digest=digest[:16])
-        pk, vk, from_disk = self._fetch(cs, assignment, scheme, digest)
+        pk, vk, from_disk = self._fetch(cs, assignment, scheme, digest,
+                                         tracer)
         self._entries[digest] = (pk, vk, _entry_checksum(pk, vk)
                                  if self.validate else "")
         if len(self._entries) > self.maxsize:

@@ -22,11 +22,9 @@ the caller knows to re-publish — never served corrupt.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pickle
-import time
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -35,16 +33,15 @@ from repro.resilience.errors import (
     RegistryError,
     UnknownVerifyingKeyError,
 )
+from repro.storage import atomic_write, checksum16
 
 __all__ = ["INDEX_SCHEMA", "RegistryEntry", "VKRegistry"]
 
 INDEX_SCHEMA = "zkml-vk-registry/v1"
 
-_CHECKSUM_BYTES = 16
-
 
 def _artifact_checksum(data: bytes) -> str:
-    return hashlib.blake2b(data, digest_size=_CHECKSUM_BYTES).hexdigest()
+    return checksum16(data).hex()
 
 
 @dataclass
@@ -102,24 +99,14 @@ class VKRegistry:
                            what="index")
 
     def _atomic_write(self, path: str, data: bytes, what: str) -> None:
-        tmp = path + ".tmp"
-        last: Optional[BaseException] = None
-        for attempt in range(1, self.write_attempts + 1):
-            try:
-                faults.maybe_inject("disk_write")
-                with open(tmp, "wb") as fh:
-                    fh.write(data)
-                os.replace(tmp, path)
-                return
-            except (OSError, faults.InjectedFault) as exc:
-                last = exc
-                if attempt < self.write_attempts:
-                    events.retried("registry_write", attempt, what=what,
-                                   error=type(exc).__name__)
-                    time.sleep(self.backoff_seconds * (2 ** (attempt - 1)))
-        raise RegistryError(
-            "could not write registry %s after %d attempts"
-            % (what, self.write_attempts), path=path) from last
+        try:
+            atomic_write(path, data, attempts=self.write_attempts,
+                         backoff_seconds=self.backoff_seconds,
+                         retry_event="registry_write", what=what)
+        except (OSError, faults.InjectedFault) as exc:
+            raise RegistryError(
+                "could not write registry %s after %d attempts"
+                % (what, self.write_attempts), path=path) from exc
 
     # -- publish -------------------------------------------------------------
 

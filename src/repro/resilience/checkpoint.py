@@ -33,14 +33,14 @@ import hashlib
 import json
 import os
 import pickle
-import time
 from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.obs import log as obs_log
-from repro.resilience import events, faults
+from repro.resilience import faults
 from repro.resilience.errors import CacheCorruptionError, CheckpointError
+from repro.storage import atomic_write, checksum16
 
 __all__ = ["CheckpointStore", "proving_config_digest"]
 
@@ -83,7 +83,7 @@ def proving_config_digest(spec, batch_inputs, scheme_name: str,
 
 
 def _checksum(payload: bytes) -> str:
-    return hashlib.blake2b(payload, digest_size=16).hexdigest()
+    return checksum16(payload).hex()
 
 
 class CheckpointStore:
@@ -206,23 +206,13 @@ class CheckpointStore:
 
     def _atomic_write(self, path: str, data: bytes, stage: str) -> None:
         """Write-then-rename, retrying transient failures with backoff."""
-        tmp = path + ".tmp"
-        last: Optional[BaseException] = None
-        for attempt in range(1, self.write_attempts + 1):
-            try:
-                faults.maybe_inject("disk_write")
-                with open(tmp, "wb") as fh:
-                    fh.write(data)
-                os.replace(tmp, path)
-                return
-            except (OSError, faults.InjectedFault) as exc:
-                last = exc
-                if attempt < self.write_attempts:
-                    events.retried("checkpoint_write", attempt,
-                                   stage=stage, error=type(exc).__name__)
-                    time.sleep(self.backoff_seconds * (2 ** (attempt - 1)))
-        raise CheckpointError(
-            "could not write checkpoint stage %r after %d attempts"
-            % (stage, self.write_attempts),
-            stage=stage, path=path,
-        ) from last
+        try:
+            atomic_write(path, data, attempts=self.write_attempts,
+                         backoff_seconds=self.backoff_seconds,
+                         retry_event="checkpoint_write", stage=stage)
+        except (OSError, faults.InjectedFault) as exc:
+            raise CheckpointError(
+                "could not write checkpoint stage %r after %d attempts"
+                % (stage, self.write_attempts),
+                stage=stage, path=path,
+            ) from exc

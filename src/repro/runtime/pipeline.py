@@ -145,17 +145,20 @@ class ProveResult:
         """The canonical serialized envelope (what ``zkml prove`` emits)."""
         return self.envelope().encode()
 
-    def verify(self) -> bool:
+    def verify(self, tracer=None) -> bool:
         """Verify the proof against every slot's public inputs.
 
         Strict, like :func:`verify_model_proof`: a malformed proof raises
         :class:`~repro.resilience.errors.ProofFormatError` and a rejected
         one raises :class:`~repro.resilience.errors.VerificationFailure`.
+        The ``verify`` span goes to ``tracer`` (default: the process
+        tracer).
         """
         scheme = scheme_by_name(self.scheme_name, self.vk.field)
-        with get_tracer().span("verify", model=self.spec_name,
-                               scheme=self.scheme_name,
-                               batch_size=self.batch_size):
+        tracer = tracer if tracer is not None else get_tracer()
+        with tracer.span("verify", model=self.spec_name,
+                         scheme=self.scheme_name,
+                         batch_size=self.batch_size):
             verify_proof_strict(self.vk, self.proof, self.instance, scheme)
         return True
 
@@ -271,9 +274,10 @@ def prove_batch(
                              num_cols=num_cols, scheme=scheme_name) as sp:
                 if use_pk_cache:
                     pk, vk, hit = GLOBAL_PK_CACHE.get_or_create(
-                        builder.cs, builder.asg, scheme)
+                        builder.cs, builder.asg, scheme, tracer=tracer)
                 else:
-                    pk, vk = keygen(builder.cs, builder.asg, scheme)
+                    pk, vk = keygen(builder.cs, builder.asg, scheme,
+                                    tracer=tracer)
                     hit = False
                 sp.set_attr("pk_cache_hit", hit)
                 return pk, vk, hit

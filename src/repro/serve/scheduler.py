@@ -52,6 +52,7 @@ from typing import Callable, Dict, List, Optional
 from repro.obs import log as obs_log
 from repro.obs.cluster import WorkerAggregate
 from repro.obs.runtime import NULL_RUNTIME, SloTracker
+from repro.resilience.errors import WorkerCrashError
 from repro.serve.worker import STOP, BatchJob, BatchResult, worker_main
 
 __all__ = ["ClusterScheduler", "PRIORITIES"]
@@ -71,7 +72,7 @@ class _WorkerHandle:
     """One worker process plus its private job queue."""
 
     def __init__(self, worker_id: int, ctx, result_queue,
-                 pk_cache_dir: Optional[str], telemetry: bool = False):
+                 pk_cache_dir: Optional[str]):
         self.worker_id = worker_id
         self.job_queue = ctx.Queue()
         self.current: Optional[BatchJob] = None
@@ -79,8 +80,7 @@ class _WorkerHandle:
         self.started_at = time.monotonic()
         self.process = ctx.Process(
             target=worker_main,
-            args=(worker_id, self.job_queue, result_queue, pk_cache_dir,
-                  telemetry),
+            args=(worker_id, self.job_queue, result_queue, pk_cache_dir),
             name="zkml-prover-%d" % worker_id,
             daemon=True,
         )
@@ -108,22 +108,22 @@ class _WorkerHandle:
 class ClusterScheduler:
     """Dispatch batches over a pool of prover worker processes.
 
-    ``on_result(job, result)`` fires on the scheduler's result thread
-    for every finished batch (including typed failures and poison
-    batches); ``on_shed(job, reason)`` fires for batches dropped by load
+    ``on_result(result)`` fires on the scheduler's result thread for
+    every finished batch (including typed failures; a poison batch's
+    fires on the monitor thread); ``on_shed(job, reason)`` fires for
+    batches dropped by load
     shedding (``reason="overload"``) or a non-draining shutdown
     (``reason="shutdown"``).  Both callbacks must be thread-safe.
     """
 
     def __init__(self, workers: int,
-                 on_result: Callable[[BatchJob, BatchResult], None],
+                 on_result: Callable[[BatchResult], None],
                  on_shed: Callable[[BatchJob, str], None],
                  pk_cache_dir: Optional[str] = None,
                  max_backlog_batches: int = 8,
                  redispatch_limit: int = 2,
                  tick_seconds: float = 0.01,
                  metrics=None,
-                 telemetry: bool = False,
                  runtime=None):
         if workers < 1:
             raise ValueError("a cluster needs at least one worker")
@@ -135,7 +135,6 @@ class ClusterScheduler:
         self.redispatch_limit = redispatch_limit
         self.tick_seconds = tick_seconds
         self.metrics = metrics
-        self.telemetry = telemetry
         self.runtime = runtime if runtime is not None else NULL_RUNTIME
         self._ctx = _mp_context()
         self._result_queue = self._ctx.Queue()
@@ -181,7 +180,7 @@ class ClusterScheduler:
 
     def _spawn(self, worker_id: int) -> _WorkerHandle:
         return _WorkerHandle(worker_id, self._ctx, self._result_queue,
-                             self.pk_cache_dir, telemetry=self.telemetry)
+                             self.pk_cache_dir)
 
     def shutdown(self, drain: bool = True,
                  timeout: Optional[float] = None) -> None:
@@ -444,16 +443,17 @@ class ClusterScheduler:
                               model=job.spec.name,
                               redispatches=job.redispatches)
             self._observe_class_slo(job, ok=False)
-            self.on_result(job, BatchResult(
+            self.on_result(BatchResult(
                 job_id=job.job_id, batch_id=job.batch_id, ok=False,
-                worker_id=-1, pid=0, error="WorkerCrashError",
-                detail="batch killed %d workers (re-dispatch limit %d); "
-                       "declared poison" % (job.redispatches,
-                                            self.redispatch_limit)))
+                worker_id=-1, pid=0, error=WorkerCrashError(
+                    "batch killed %d workers (re-dispatch limit %d); "
+                    "declared poison" % (job.redispatches,
+                                         self.redispatch_limit),
+                    model=job.spec.name, batch_id=job.batch_id)))
 
     def _observe_class_slo(self, job: BatchJob, ok: bool) -> None:
         """Feed one finished batch into its priority class's SLO windows."""
-        if job.spec is None or not job.enqueued_pc:
+        if not job.enqueued_pc:
             return
         tracker = self.class_slo.get(job.priority)
         if tracker is None:
@@ -485,17 +485,11 @@ class ClusterScheduler:
                     aggregate.note_result(result)
             if job is not None:
                 self._observe_class_slo(job, ok=result.ok)
-            if job is None:
-                # result from a worker already reaped (it shipped the
-                # result and then died); the re-dispatched duplicate is
-                # still queued — resolve with this one, the service's
-                # job table drops whichever lands second
-                job = BatchJob(
-                    job_id=result.job_id, batch_id=result.batch_id,
-                    spec=None, batch_inputs=[], scheme_name="", num_cols=0,
-                    scale_bits=0, lookup_bits=None, occupancy=0,
-                    padded_size=0)
-            self.on_result(job, result)
+            # else: a result from a worker already reaped (it shipped the
+            # result and then died); the re-dispatched duplicate is still
+            # queued — resolve with this one, the service's job table
+            # drops whichever lands second
+            self.on_result(result)
 
     # -- introspection -------------------------------------------------------
 
@@ -530,7 +524,6 @@ class ClusterScheduler:
                 "shed": self.shed,
                 "evicted": self.evicted,
                 "poisoned": self.poisoned,
-                "worker_telemetry": self.telemetry,
                 "slo_by_class": {
                     priority: tracker.snapshot()
                     for priority, tracker in self.class_slo.items()

@@ -1,6 +1,6 @@
 """The batch-aware proving service: queue → micro-batcher → workers.
 
-:class:`ProvingService` turns one-shot ``prove_batch`` calls into a
+:class:`ProvingService` turns one-shot batch proves into a
 request-serving loop.  The moving parts:
 
 - **bounded request queue with backpressure** — ``submit`` enqueues a
@@ -9,10 +9,10 @@ request-serving loop.  The moving parts:
   to ``block_seconds``) instead of buffering without bound;
 - **adaptive micro-batcher** — a dispatcher thread coalesces requests
   with the same :class:`BatchKey` (model, scheme, grid parameters) into
-  one group and flushes it into a single
-  :func:`~repro.runtime.pipeline.prove_batch` call when the group
-  reaches ``max_batch`` *or* its oldest request has waited out the flush
-  deadline, whichever comes first.  The deadline adapts: it tracks a
+  one group and flushes it as a single
+  :class:`~repro.serve.worker.BatchJob` — one batch proof — when the
+  group reaches ``max_batch`` *or* its oldest request has waited out the
+  flush deadline, whichever comes first.  The deadline adapts: it tracks a
   fraction of the exponentially-averaged batch proving time (clamped to
   ``[MIN_FLUSH_SECONDS, max_flush_seconds]``), so queueing never adds
   more than a sliver of the work it amortizes;
@@ -25,18 +25,27 @@ request-serving loop.  The moving parts:
   :class:`ProofResponse` carrying the shared batch proof bytes, the full
   instance, this request's slot, its outputs, and its verification
   status (every batch is strict-verified before any future resolves);
-- **resilience** — batches prove under the caller's
+- **one way to run a batch** — every flushed group is registered in
+  one job table, proved by :func:`~repro.serve.worker.prove_job` and
+  resolved from its :class:`~repro.serve.worker.BatchResult` by one
+  handler; the mode (``cluster_workers``) decides only *where*
+  ``prove_job`` runs — the service's own proving thread, in flush
+  order, or a :class:`~repro.serve.scheduler.ClusterScheduler` worker
+  process;
+- **resilience** — batches prove under the pipeline's default
   :class:`~repro.resilience.supervisor.Supervisor` policy (transient
   faults retry), and a failed batch fails *only* its own requests, with
-  the typed error;
+  the typed error as raised;
 - **graceful drain** — ``shutdown(drain=True)`` stops intake, flushes
   every pending group regardless of occupancy, and waits for in-flight
   batches to resolve their futures.
 
 Everything is observable through ``repro.obs``: ``serve_*`` counters and
 histograms (queue depth, batch occupancy, time-to-flush, end-to-end
-latency) land in the registry passed at construction, and every batch
-proves under a ``serve:batch`` span on the active tracer.
+latency) and the per-model / per-worker prover series land in the
+registry passed at construction, and every batch is recorded as a
+``serve:batch`` span on the active tracer with the prove's own span tree
+stitched under it.
 
 Runtime telemetry (:mod:`repro.obs.runtime`) makes the running service
 *operable*:
@@ -58,19 +67,20 @@ Runtime telemetry (:mod:`repro.obs.runtime`) makes the running service
 
 from __future__ import annotations
 
+import functools
 import itertools
 import queue as queue_mod
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.model.spec import ModelSpec
 from repro.obs import log as obs_log
-from repro.obs.cluster import fold_worker_result
+from repro.obs.cluster import fold_worker_result, stitch_batch
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import (
     NULL_RUNTIME,
@@ -86,11 +96,10 @@ from repro.resilience.errors import (
     ServiceError,
     ServiceOverloadedError,
     ServiceShutdownError,
-    WorkerCrashError,
 )
-from repro.runtime.pipeline import prove_batch
+from repro.resilience.faults import InjectedFault
 from repro.serve.scheduler import PRIORITIES, ClusterScheduler
-from repro.serve.worker import BatchJob, BatchResult
+from repro.serve.worker import BatchJob, BatchResult, prove_job
 
 __all__ = [
     "BatchKey",
@@ -183,12 +192,6 @@ class ServeConfig:
     #: Worker crashes one batch may survive before it is declared poison
     #: and failed with :class:`~repro.resilience.errors.WorkerCrashError`.
     redispatch_limit: int = 2
-    #: Collect per-batch telemetry (span tree, STATS delta, pk-cache
-    #: counters) inside cluster worker processes and ship it back on the
-    #: result queue.  The parent ingests spans into its tracer (one
-    #: Chrome-trace lane per worker) and folds deltas into the registry
-    #: under per-worker labels.  Proof bytes are identical either way.
-    worker_telemetry: bool = True
 
 
 @dataclass
@@ -234,6 +237,8 @@ class ProofResponse:
     batch_index: int
     batch_size: int
     padded_size: int
+    #: End-to-end latency minus ``BatchResult.batch_seconds``: all the
+    #: waiting — queue, flush, and for the proving thread or a worker.
     queue_seconds: float
     #: Wall-clock of the *whole batch proof* this request rode in.
     prove_seconds: float
@@ -259,11 +264,10 @@ class ProvingService:
 
     def __init__(self, config: Optional[ServeConfig] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 tracer=None, supervisor=None, runtime=None):
+                 tracer=None, runtime=None):
         self.config = config if config is not None else ServeConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer
-        self._supervisor = supervisor
         if runtime is not None:
             self.runtime = runtime
         elif self.config.telemetry:
@@ -277,18 +281,19 @@ class ProvingService:
         self._pending: Dict[BatchKey, List[ProofRequest]] = {}
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
-        self._inflight: set = set()
         self._closed = False
         self._started = False
         self._started_at: Optional[float] = None
         self._dispatcher: Optional[threading.Thread] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._scheduler: Optional[ClusterScheduler] = None
+        #: Where a launched job goes to be proved; chosen in start().
+        self._dispatch: Optional[Callable[[BatchJob], object]] = None
         self._job_ids = itertools.count(1)
-        # cluster mode: job_id -> (key, group, padded_size, launched_at);
-        # popped exactly once, so a crash-re-dispatch duplicate result
-        # can never double-resolve a future
-        self._cluster_groups: Dict[int, tuple] = {}
+        # the job table: job_id -> (group, job) for every launched,
+        # unresolved batch.  Popped exactly once, so a crash-re-dispatch
+        # duplicate result can never double-resolve a future
+        self._jobs: Dict[int, Tuple[List[ProofRequest], BatchJob]] = {}
         self._ema_prove_seconds: Optional[float] = None
         # resilience events observed while we run land in the flight ring
         self._events_listener = (
@@ -327,19 +332,21 @@ class ProvingService:
             # fork the worker processes before any service thread exists
             self._scheduler = ClusterScheduler(
                 workers=self.config.cluster_workers,
-                on_result=self._on_cluster_result,
-                on_shed=self._on_cluster_shed,
+                on_result=self._on_result,
+                on_shed=self._on_shed,
                 pk_cache_dir=self.config.pk_cache_dir,
                 max_backlog_batches=self.config.max_backlog_batches,
                 redispatch_limit=self.config.redispatch_limit,
                 metrics=self.metrics,
-                telemetry=self.config.worker_telemetry,
                 runtime=self.runtime,
             ).start()
+            self._dispatch = self._scheduler.enqueue
         else:
             self._pool = ThreadPoolExecutor(
                 max_workers=PROVING_THREADS,
                 thread_name_prefix="zkml-serve")
+            self._dispatch = functools.partial(self._pool.submit,
+                                               self._prove_inline)
         self._dispatcher = threading.Thread(target=self._dispatch_loop,
                                             name="zkml-serve-dispatch",
                                             daemon=True)
@@ -377,20 +384,19 @@ class ProvingService:
         if not drain:
             self._fail_queued(ServiceShutdownError(
                 "service shut down without draining"))
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
         if self._scheduler is not None:
             self._scheduler.shutdown(drain=drain, timeout=timeout)
-            # anything still tracked (worker terminated at the join
-            # deadline, non-drain shutdown) fails typed, never hangs
-            with self._lock:
-                leftovers = list(self._cluster_groups.values())
-                self._cluster_groups.clear()
-            for entry in leftovers:
-                key, group = entry[0], entry[1]
-                self._fail_group(key, group, ServiceShutdownError(
-                    "service shut down before the batch was proved",
-                    model=key.model))
+        else:
+            self._pool.shutdown(wait=True)  # launched batches finish
+        # anything still tracked (worker terminated at the join
+        # deadline, non-drain shutdown) fails typed, never hangs
+        with self._lock:
+            leftovers = list(self._jobs.values())
+            self._jobs.clear()
+        for group, job in leftovers:
+            self._fail_group(group, job, ServiceShutdownError(
+                "service shut down before the batch was proved",
+                model=job.spec.name))
         if self.runtime.enabled:
             events.remove_listener(self._events_listener)
 
@@ -534,6 +540,7 @@ class ProvingService:
                 return
 
     def _launch(self, key: BatchKey, group: List[ProofRequest]) -> None:
+        """Turn one flushed group into a job, table it, hand it off."""
         flush_wait = time.monotonic() - group[0].submitted_at
         self.metrics.histogram(
             "serve_flush_seconds",
@@ -544,78 +551,6 @@ class ProvingService:
                           model=key.model, occupancy=len(group),
                           flush_wait_seconds=round(flush_wait, 4),
                           request_ids=[r.request_id for r in group])
-        if self._scheduler is not None:
-            self._launch_cluster(key, group, batch_id)
-            return
-        future = self._pool.submit(self._prove_group, key, group, batch_id)
-        with self._lock:
-            self._inflight.add(future)
-        future.add_done_callback(self._retire)
-
-    def _retire(self, future) -> None:
-        with self._lock:
-            self._inflight.discard(future)
-
-    # -- batch proving -------------------------------------------------------
-
-    @staticmethod
-    def _bucket(size: int, max_batch: int) -> int:
-        """The smallest power-of-two occupancy >= ``size`` (capped)."""
-        bucket = 1
-        while bucket < size:
-            bucket *= 2
-        return min(bucket, max(size, max_batch))
-
-    def _padded_inputs(self, group: List[ProofRequest]):
-        """The group's inputs padded to its occupancy bucket (shared by
-        the in-process and cluster launch paths, so both prove the exact
-        same padded batch)."""
-        cfg = self.config
-        batch_inputs = [r.inputs for r in group]
-        padded_size = len(batch_inputs)
-        if len(group) < cfg.max_batch:
-            padded_size = self._bucket(len(group), cfg.max_batch)
-            batch_inputs = batch_inputs + [batch_inputs[-1]] * (
-                padded_size - len(batch_inputs))
-        return batch_inputs, padded_size
-
-    def _prove_group(self, key: BatchKey, group: List[ProofRequest],
-                     batch_id: str) -> None:
-        spec = group[0].spec
-        batch_inputs, padded_size = self._padded_inputs(group)
-        started = time.monotonic()
-        try:
-            with obs_log.bind(batch_id=batch_id), \
-                    self.tracer.span(
-                        "serve:batch", model=key.model,
-                        scheme=key.scheme_name, batch_id=batch_id,
-                        request_ids=[r.request_id for r in group],
-                        occupancy=len(group), padded=padded_size):
-                result = prove_batch(
-                    spec, batch_inputs, scheme_name=key.scheme_name,
-                    num_cols=key.num_cols, scale_bits=key.scale_bits,
-                    lookup_bits=key.lookup_bits, tracer=self.tracer,
-                    metrics=self.metrics, supervisor=self._supervisor,
-                )
-                result.verify()  # strict: raises on any malformation
-        except ResilienceError as exc:
-            self._fail_group(key, group, exc, batch_id)
-            return
-        except Exception as exc:  # noqa: BLE001 — a worker crash must fail its own batch, not the pool
-            self._fail_group(key, group, ServiceError(
-                "batch proving crashed: %s: %s"
-                % (type(exc).__name__, str(exc)[:200]),
-                model=key.model, occupancy=len(group),
-                batch_id=batch_id), batch_id)
-            return
-        self._resolve_group(key, group, result, True, padded_size,
-                            time.monotonic() - started, batch_id)
-
-    # -- cluster mode --------------------------------------------------------
-
-    def _launch_cluster(self, key: BatchKey, group: List[ProofRequest],
-                        batch_id: str) -> None:
-        """Hand one flushed group to the worker cluster as a job."""
         batch_inputs, padded_size = self._padded_inputs(group)
         job = BatchJob(
             job_id=next(self._job_ids),
@@ -629,125 +564,96 @@ class ProvingService:
             occupancy=len(group),
             padded_size=padded_size,
             priority=key.priority,
+            trace=self.tracer.enabled,
+            # starts the serve:batch span recorded at resolve
+            enqueued_pc=time.perf_counter(),
         )
         with self._lock:
-            # span_start (perf_counter) times the parent serve:batch span
-            # recorded at resolve; monotonic launched_at feeds the EMA
-            self._cluster_groups[job.job_id] = (key, group, padded_size,
-                                                time.monotonic(),
-                                                time.perf_counter())
-        # a shed job fires _on_cluster_shed synchronously, which pops the
-        # entry back out and fails the group typed
-        self._scheduler.enqueue(job)
+            self._jobs[job.job_id] = (group, job)
+        # a job the scheduler sheds fires _on_shed synchronously, which
+        # pops the entry back out and fails the group typed
+        self._dispatch(job)
 
-    def _on_cluster_result(self, job: BatchJob,
-                           result: BatchResult) -> None:
-        """Resolve a cluster batch from its worker's result message.
+    # -- batch proving -------------------------------------------------------
 
-        Runs on the scheduler's collector thread.  The job-table pop is
-        the at-most-once gate: a worker that shipped its result and then
-        died gets re-dispatched, and whichever of the two results lands
-        second finds no entry and is dropped.
+    @staticmethod
+    def _bucket(size: int, max_batch: int) -> int:
+        """The smallest power-of-two occupancy >= ``size`` (capped)."""
+        bucket = 1
+        while bucket < size:
+            bucket *= 2
+        return min(bucket, max(size, max_batch))
+
+    def _padded_inputs(self, group: List[ProofRequest]):
+        """The group's inputs padded to its occupancy bucket."""
+        cfg = self.config
+        batch_inputs = [r.inputs for r in group]
+        padded_size = len(batch_inputs)
+        if len(group) < cfg.max_batch:
+            padded_size = self._bucket(len(group), cfg.max_batch)
+            batch_inputs = batch_inputs + [batch_inputs[-1]] * (
+                padded_size - len(batch_inputs))
+        return batch_inputs, padded_size
+
+    def _prove_inline(self, job: BatchJob) -> None:
+        """The in-process hand-off, run on the service's own proving
+        thread (worker ``0``): no backlog cap, shedding or priorities —
+        jobs prove one at a time, in flush order."""
+        job.dispatched_pc = time.perf_counter()
+        self._on_result(prove_job(job, worker_id=0))
+
+    def _on_result(self, result: BatchResult) -> None:
+        """Resolve or fail one batch from its result.
+
+        Runs on the proving thread, or on the scheduler's collector
+        thread.  The job-table pop is the at-most-once gate: a cluster
+        worker that shipped its result and then died gets re-dispatched,
+        and whichever of the two results lands second finds no entry and
+        is dropped.
         """
         with self._lock:
-            entry = self._cluster_groups.pop(result.job_id, None)
+            entry = self._jobs.pop(result.job_id, None)
         if entry is None:
             return
-        key, group, padded_size, launched_at, span_start = entry
-        batch_seconds = time.monotonic() - launched_at
-        self._stitch_cluster_batch(key, group, job, result, padded_size,
-                                   span_start)
-        if result.worker_id >= 0:
-            fold_worker_result(self.metrics, result)
+        group, job = entry
+        stitch_batch(self.tracer, job, result,
+                     [r.request_id for r in group])
+        if result.worker_id >= 0:  # a poison batch has no worker to bill
+            fold_worker_result(self.metrics, job, result)
         if result.ok:
-            self.metrics.counter(
-                "serve_worker_batches_total",
-                "batches proved per cluster worker",
-                worker=str(result.worker_id)).inc()
-            self._resolve_group(key, group, result, result.verified,
-                                padded_size, batch_seconds, result.batch_id)
-            return
-        if result.error == "WorkerCrashError":
-            exc: ResilienceError = WorkerCrashError(
-                result.detail, model=key.model, batch_id=result.batch_id)
+            self._resolve_group(group, job, result)
         else:
-            exc = ServiceError(
-                "batch proving failed in worker %d (pid %d): %s: %s"
-                % (result.worker_id, result.pid, result.error,
-                   result.detail),
-                model=key.model, batch_id=result.batch_id)
-        self._fail_group(key, group, exc, result.batch_id)
+            self._fail_group(group, job, result.error)
 
-    def _on_cluster_shed(self, job: BatchJob, reason: str) -> None:
+    def _on_shed(self, job: BatchJob, reason: str) -> None:
         """Fail a batch the scheduler shed (overload or shutdown)."""
         with self._lock:
-            entry = self._cluster_groups.pop(job.job_id, None)
+            entry = self._jobs.pop(job.job_id, None)
         if entry is None:
             return
-        key, group = entry[0], entry[1]
+        group, _ = entry
+        model = job.spec.name
         self.runtime.note("batch_shed", batch_id=job.batch_id,
-                          model=key.model, priority=key.priority,
+                          model=model, priority=job.priority,
                           reason=reason, occupancy=len(group))
         if reason == "shutdown":
             exc: ResilienceError = ServiceShutdownError(
                 "service shut down before the batch was proved",
-                model=key.model, batch_id=job.batch_id)
+                model=model, batch_id=job.batch_id)
         else:
             exc = ServiceOverloadedError(
                 "batch shed: per-model dispatch backlog is full",
-                model=key.model, priority=key.priority,
+                model=model, priority=job.priority,
                 max_backlog_batches=self.config.max_backlog_batches,
                 batch_id=job.batch_id)
-        self._fail_group(key, group, exc, job.batch_id)
-
-    def _stitch_cluster_batch(self, key: BatchKey,
-                              group: List[ProofRequest],
-                              job: BatchJob, result: BatchResult,
-                              padded_size: int, span_start: float) -> None:
-        """Stitch one cluster batch into the parent trace.
-
-        Records the parent ``serve:batch`` span (launch → resolve, timed
-        on ``perf_counter`` like every tracer span), a ``serve:queue-wait``
-        child covering scheduler backlog time, and ingests the worker's
-        shipped span tree under the batch span — the worker's own pid is
-        preserved, so the Chrome export shows
-        client → queue-wait → dispatch → worker-prove → resolve with one
-        lane per worker process.  A no-op under :data:`NULL_TRACER`.
-        """
-        tracer = self.tracer
-        if not getattr(tracer, "enabled", False):
-            return
-        span_id = tracer.record_span(
-            "serve:batch", span_start, time.perf_counter(),
-            model=key.model, scheme=key.scheme_name,
-            batch_id=result.batch_id,
-            request_ids=[r.request_id for r in group],
-            occupancy=len(group), padded=padded_size,
-            worker=result.worker_id, ok=result.ok)
-        if job is not None and job.enqueued_pc and job.dispatched_pc:
-            tracer.record_span(
-                "serve:queue-wait", job.enqueued_pc, job.dispatched_pc,
-                parent_id=span_id, batch_id=result.batch_id,
-                priority=job.priority)
-        telemetry = getattr(result, "telemetry", None)
-        if telemetry is not None and telemetry.spans:
-            tracer.ingest(telemetry.spans, parent_id=span_id)
+        self._fail_group(group, job, exc)
 
     # -- resolution ----------------------------------------------------------
 
-    def _resolve_group(self, key: BatchKey, group: List[ProofRequest],
-                       result, verified: bool, padded_size: int,
-                       batch_seconds: float, batch_id: str) -> None:
-        # `result` is a ProveResult (in-process path: live proof objects)
-        # or a worker's BatchResult (cluster path: bytes already
-        # serialized on the worker side); both carry the same fields
-        if isinstance(result, BatchResult):
-            proof_bytes = result.proof_bytes
-            envelope_bytes = result.envelope_bytes
-        else:
-            envelope = result.envelope()  # serializes the proof once
-            proof_bytes = envelope.proof_bytes
-            envelope_bytes = envelope.encode()
+    def _resolve_group(self, group: List[ProofRequest], job: BatchJob,
+                       result: BatchResult) -> None:
+        model, batch_id = job.spec.name, job.batch_id
+        batch_seconds = result.batch_seconds
         ema = self._ema_prove_seconds
         self._ema_prove_seconds = (batch_seconds if ema is None
                                    else 0.5 * ema + 0.5 * batch_seconds)
@@ -758,16 +664,16 @@ class ProvingService:
             self._coalesced += len(group)
             self._outstanding -= len(group)
         self.metrics.counter("serve_batches_total", "batch proofs produced",
-                             model=key.model).inc()
+                             model=model).inc()
         self.metrics.counter("serve_proofs_total",
                              "requests resolved with a verified proof",
-                             model=key.model).inc(len(group))
+                             model=model).inc(len(group))
         self.metrics.histogram("serve_batch_occupancy",
                                "requests coalesced per batch proof",
                                buckets=OCCUPANCY_BUCKETS).observe(len(group))
         self.metrics.gauge("serve_keygen_cache_hit",
                            "1 if the last batch skipped keygen",
-                           model=key.model).set(int(result.keygen_cache_hit))
+                           model=model).set(int(result.keygen_cache_hit))
         latency = self.metrics.histogram(
             "serve_request_seconds", "end-to-end request latency",
             buckets=LATENCY_BUCKETS)
@@ -788,21 +694,21 @@ class ProvingService:
                               request_id=request.request_id,
                               batch_id=batch_id, slot=index,
                               latency_seconds=round(e2e_seconds, 4),
-                              verified=verified)
+                              verified=True)
             request.future.set_result(ProofResponse(
                 request_id=request.request_id,
                 sequence=request.id,
                 batch_id=batch_id,
-                model=key.model,
-                scheme_name=key.scheme_name,
-                verified=verified,
-                proof_bytes=proof_bytes,
-                envelope_bytes=envelope_bytes,
+                model=model,
+                scheme_name=job.scheme_name,
+                verified=True,
+                proof_bytes=result.proof_bytes,
+                envelope_bytes=result.envelope_bytes,
                 instance=result.instance,
                 outputs=result.slot_outputs[index],
                 batch_index=index,
                 batch_size=len(group),
-                padded_size=padded_size,
+                padded_size=job.padded_size,
                 queue_seconds=max(0.0, now - request.submitted_at
                                   - batch_seconds),
                 prove_seconds=result.proving_seconds,
@@ -811,32 +717,33 @@ class ProvingService:
                 keygen_cache_hit=result.keygen_cache_hit,
             ))
         self.runtime.note("batch_resolved", batch_id=batch_id,
-                          model=key.model, occupancy=len(group),
+                          model=model, occupancy=len(group),
                           seconds=round(batch_seconds, 4),
-                          verified=verified,
+                          verified=True,
                           keygen_cache_hit=result.keygen_cache_hit)
-        log.debug("batch resolved", batch_id=batch_id, model=key.model,
-                  occupancy=len(group), padded=padded_size,
+        log.debug("batch resolved", batch_id=batch_id, model=model,
+                  occupancy=len(group), padded=job.padded_size,
                   seconds=round(batch_seconds, 4),
                   keygen_cache_hit=result.keygen_cache_hit)
 
-    def _fail_group(self, key: BatchKey, group: List[ProofRequest],
-                    exc: ResilienceError, batch_id: str = "") -> None:
+    def _fail_group(self, group: List[ProofRequest], job: BatchJob,
+                    exc: ResilienceError) -> None:
+        model, batch_id = job.spec.name, job.batch_id
         now = time.monotonic()
         with self._lock:
             self._failed_batches += 1
             self._outstanding -= len(group)
         self.metrics.counter("serve_failed_batches_total",
                              "batches that failed with a typed error",
-                             model=key.model).inc()
+                             model=model).inc()
         for request in group:
             self.runtime.request_done(now - request.submitted_at, ok=False,
                                       occupancy=len(group))
         self.runtime.note("batch_failed", batch_id=batch_id,
-                          model=key.model, occupancy=len(group),
+                          model=model, occupancy=len(group),
                           error=type(exc).__name__, detail=str(exc)[:200],
                           request_ids=[r.request_id for r in group])
-        log.warning("batch failed", batch_id=batch_id, model=key.model,
+        log.warning("batch failed", batch_id=batch_id, model=model,
                     occupancy=len(group), error=type(exc).__name__)
         self._auto_dump("batch_failure")
         for request in group:
@@ -867,6 +774,8 @@ class ProvingService:
         Routed through :meth:`RuntimeTelemetry.auto_dump`, which
         rate-limits per *reason*: a crash-looping worker failing a batch
         every tick writes one dump per interval, not one per failure.
+        Best effort: a failed write (the ``disk_write`` fault site
+        included) is logged, never raised into the batch's resolution.
         """
         if not self.runtime.enabled or not self.runtime.dump_path:
             return
@@ -875,7 +784,7 @@ class ProvingService:
             if artifact is not None:
                 log.warning("flight recorder dumped", reason=reason,
                             path=self.runtime.dump_path)
-        except OSError as exc:
+        except (OSError, InjectedFault) as exc:
             log.warning("flight recorder dump failed", reason=reason,
                         error=str(exc)[:120])
 
@@ -889,9 +798,10 @@ class ProvingService:
         return self.runtime.dump(reason=reason, path=path)
 
     def health(self) -> Dict[str, object]:
-        """A cheap liveness probe: never touches the prover or any lock
-        beyond the queue's own.  ``ok`` means the service is accepting;
-        ``saturated`` warns that backpressure is imminent."""
+        """A cheap liveness probe: reads in-memory counters and never
+        touches the prover.  ``ok`` means the service is accepting (and,
+        in a cluster, that a worker is alive); ``saturated`` warns that
+        backpressure is imminent."""
         depth = self._queue.qsize()
         headroom = max(0, self.config.max_queue - depth)
         accepting = self._started and not self._closed
@@ -901,10 +811,10 @@ class ProvingService:
             "queue_depth": depth,
             "queue_headroom": headroom,
             "saturated": headroom == 0,
-            "inflight_batches": len(self._inflight),
+            "inflight_batches": len(self._jobs),
         }
         if self._scheduler is not None:
-            alive = sum(1 for h in self._scheduler._handles if h.alive)
+            alive = self._scheduler.status()["alive"]
             out["workers_alive"] = alive
             out["workers"] = self._scheduler.workers
             out["ok"] = accepting and alive > 0
@@ -920,7 +830,7 @@ class ProvingService:
             pending: Dict[str, int] = {}
             for key, group in self._pending.items():
                 pending[key.model] = pending.get(key.model, 0) + len(group)
-            inflight = len(self._inflight)
+            inflight = len(self._jobs)
             outstanding = self._outstanding
         out: Dict[str, object] = {
             "schema": "zkml-serve-status/v2",

@@ -1,12 +1,15 @@
-"""Prover worker process for the serve cluster.
+"""The one way a served batch is proved: :func:`prove_job`.
 
-One worker = one OS process running :func:`worker_main`: a loop that
-takes :class:`BatchJob` messages off its private job queue, proves them
-with :func:`~repro.runtime.pipeline.prove_batch`, strict-verifies the
-proof, and ships a :class:`BatchResult` back on the shared result queue.
-Everything that crosses the process boundary is a plain picklable
-dataclass — proof *bytes*, not live :class:`~repro.halo2.Proof` objects,
-so the scheduler side never needs to touch prover state.
+A flushed batch is a :class:`BatchJob`; :func:`prove_job` proves it with
+:func:`~repro.runtime.pipeline.prove_batch`, strict-verifies the proof,
+encodes the envelope and packages everything as a :class:`BatchResult`.
+The service decides only *where* that runs: on its own proving thread
+(worker ``0``) or in a cluster worker process running
+:func:`worker_main` — a loop that takes jobs off its private job queue
+and ships results back on the shared result queue.  Everything in a job
+or a result is a plain picklable dataclass — proof *bytes*, not live
+:class:`~repro.halo2.Proof` objects, and the typed error itself, not its
+name — so it reads the same on either side of a process boundary.
 
 Workers attach the shared :class:`~repro.perf.pkcache.DiskPKCache`
 under their in-process ``GLOBAL_PK_CACHE`` at startup: the first worker
@@ -25,15 +28,18 @@ from __future__ import annotations
 
 import os
 import signal
-from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Dict, List, Optional
+import time
+from dataclasses import dataclass, field as dataclass_field, replace
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.model.spec import ModelSpec
-from repro.resilience.errors import ResilienceError
+from repro.obs.cluster import WorkerTelemetry, capture_batch
+from repro.resilience.errors import ResilienceError, ServiceError
+from repro.runtime.pipeline import prove_batch
 
-__all__ = ["BatchJob", "BatchResult", "worker_main"]
+__all__ = ["BatchJob", "BatchResult", "prove_job", "worker_main"]
 
 #: Sentinel the scheduler enqueues to stop a worker cleanly.
 STOP = None
@@ -44,7 +50,7 @@ class BatchJob:
     """One flushed batch, ready to prove (crosses the process boundary).
 
     ``batch_inputs`` is already padded to ``padded_size``; ``occupancy``
-    is the real request count — the worker returns outputs only for the
+    is the real request count — the result carries outputs only for the
     occupied slots.  ``redispatches`` counts how many workers died with
     this job in flight (the scheduler's poison-batch guard).
     """
@@ -61,114 +67,109 @@ class BatchJob:
     padded_size: int
     priority: str = "interactive"
     redispatches: int = 0
-    #: ``time.perf_counter`` stamps set by the scheduler (0.0 = unset);
-    #: perf_counter is CLOCK_MONOTONIC on Linux, so these are directly
-    #: comparable with worker-side span timestamps after a fork.
+    #: Record the prove's span tree and ship it back in the result: set
+    #: when the job is built, iff the service's tracer is enabled.
+    trace: bool = False
+    #: ``time.perf_counter`` stamps: launch, and hand-off to whatever
+    #: runs :func:`prove_job` (0.0 = unset).  perf_counter is
+    #: CLOCK_MONOTONIC on Linux, so these are directly comparable with
+    #: worker-side span timestamps after a fork.
     enqueued_pc: float = 0.0
     dispatched_pc: float = 0.0
 
 
 @dataclass
 class BatchResult:
-    """What a worker sends back for one :class:`BatchJob`."""
+    """The outcome of one :class:`BatchJob`."""
 
     job_id: int
     batch_id: str
     ok: bool
+    #: ``0`` on the service's own proving thread, the logical worker id
+    #: in a cluster, ``-1`` when no worker produced it (a poison batch).
     worker_id: int
     pid: int
-    error: str = ""
-    detail: str = ""
-    verified: bool = False
+    #: The typed failure, as raised (``None`` when ``ok``; ``ok`` means
+    #: proved *and* strict-verified).
+    error: Optional[ResilienceError] = None
     proof_bytes: bytes = b""
     envelope_bytes: bytes = b""
     instance: List[List[int]] = dataclass_field(default_factory=list)
-    #: Per-occupied-slot output arrays (``occupancy`` entries), named as
-    #: on :class:`~repro.runtime.pipeline.ProveResult` so the service
-    #: resolves either result with the same code.
+    #: Per-occupied-slot output arrays (``occupancy`` entries).
     slot_outputs: List[Dict[str, np.ndarray]] = dataclass_field(
         default_factory=list)
+    #: Wall-clock of the whole job — synthesis through strict verify and
+    #: envelope encode — measured where it ran.
+    batch_seconds: float = 0.0
     proving_seconds: float = 0.0
     keygen_seconds: float = 0.0
     keygen_cache_hit: bool = False
-    #: :class:`~repro.obs.cluster.WorkerTelemetry` when the worker ran
-    #: with batch telemetry capture on; ``None`` otherwise.
-    telemetry: Optional[Any] = None
+    #: As on :class:`~repro.runtime.pipeline.ProveResult`.
+    observed_counts: Dict[str, int] = dataclass_field(default_factory=dict)
+    predicted_counts: Dict[str, float] = dataclass_field(default_factory=dict)
+    phase_seconds: Dict[str, float] = dataclass_field(default_factory=dict)
+    telemetry: WorkerTelemetry = dataclass_field(
+        default_factory=WorkerTelemetry)
 
 
-def prove_job(job: BatchJob, worker_id: int,
-              telemetry: bool = False) -> BatchResult:
+def prove_job(job: BatchJob, worker_id: int) -> BatchResult:
     """Prove one batch job and package the outcome (never raises).
 
-    Shared by the worker process loop and the scheduler's in-process
-    fallback path, so both produce identical result messages — and
-    identical proof bytes, since the proving pipeline underneath is the
-    same deterministic code either way.  With ``telemetry`` the prove
-    runs under a fresh worker-local tracer and the result carries a
-    :class:`~repro.obs.cluster.WorkerTelemetry` (spans, STATS delta,
-    pk-cache counters) for the parent to ingest; capture never touches
-    proof construction, so proof bytes stay identical either way.
+    The proving pipeline underneath is deterministic, so the proof bytes
+    do not depend on where this runs.  The result always carries the
+    job's op-count delta and pk-cache counters; with ``job.trace`` it
+    also carries the prove's span tree (recorded on a tracer handed down
+    to the pipeline, never installed process-wide — the caller may be
+    one thread among several).
     """
-    if telemetry:
-        from repro.obs.cluster import capture_batch
-
-        with capture_batch(job, worker_id) as capture:
-            result = _prove_job(job, worker_id)
-        result.telemetry = capture.telemetry
-        return result
-    return _prove_job(job, worker_id)
-
-
-def _prove_job(job: BatchJob, worker_id: int) -> BatchResult:
-    from repro.runtime.pipeline import prove_batch
-
-    pid = os.getpid()
-    try:
-        result = prove_batch(
-            job.spec, job.batch_inputs, scheme_name=job.scheme_name,
-            num_cols=job.num_cols, scale_bits=job.scale_bits,
-            lookup_bits=job.lookup_bits,
-        )
-        result.verify()  # strict: raises on any malformation
-        envelope = result.envelope()  # serializes the proof once
-        return BatchResult(
-            job_id=job.job_id,
-            batch_id=job.batch_id,
-            ok=True,
-            worker_id=worker_id,
-            pid=pid,
-            verified=True,
-            proof_bytes=envelope.proof_bytes,
-            envelope_bytes=envelope.encode(),
-            instance=result.instance,
-            slot_outputs=result.slot_outputs[:job.occupancy],
-            proving_seconds=result.proving_seconds,
-            keygen_seconds=result.keygen_seconds,
-            keygen_cache_hit=result.keygen_cache_hit,
-        )
-    except ResilienceError as exc:
-        return BatchResult(
-            job_id=job.job_id, batch_id=job.batch_id, ok=False,
-            worker_id=worker_id, pid=pid,
-            error=type(exc).__name__, detail=str(exc)[:300])
-    except Exception as exc:  # noqa: BLE001 — a crash must fail its batch, not the worker loop
-        return BatchResult(
-            job_id=job.job_id, batch_id=job.batch_id, ok=False,
-            worker_id=worker_id, pid=pid,
-            error=type(exc).__name__, detail=str(exc)[:300])
+    result = BatchResult(job_id=job.job_id, batch_id=job.batch_id, ok=False,
+                         worker_id=worker_id, pid=os.getpid())
+    started = time.monotonic()
+    with capture_batch(job, worker_id) as capture:
+        try:
+            proved = prove_batch(
+                job.spec, job.batch_inputs, scheme_name=job.scheme_name,
+                num_cols=job.num_cols, scale_bits=job.scale_bits,
+                lookup_bits=job.lookup_bits, tracer=capture.tracer,
+            )
+            # strict: raises on any malformation
+            proved.verify(tracer=capture.tracer)
+            envelope = proved.envelope()  # serializes the proof once
+            result = replace(
+                result,
+                ok=True,
+                proof_bytes=envelope.proof_bytes,
+                envelope_bytes=envelope.encode(),
+                instance=proved.instance,
+                slot_outputs=proved.slot_outputs[:job.occupancy],
+                proving_seconds=proved.proving_seconds,
+                keygen_seconds=proved.keygen_seconds,
+                keygen_cache_hit=proved.keygen_cache_hit,
+                observed_counts=proved.observed_counts,
+                predicted_counts=proved.predicted_counts,
+                phase_seconds=proved.phase_seconds)
+        except ResilienceError as exc:
+            result.error = exc
+        except Exception as exc:  # noqa: BLE001 — a crash must fail its batch, not the proving thread or the worker loop
+            result.error = ServiceError(
+                "batch proving crashed: %s: %s"
+                % (type(exc).__name__, str(exc)[:200]),
+                model=job.spec.name, occupancy=job.occupancy,
+                batch_id=job.batch_id)
+    result.batch_seconds = time.monotonic() - started
+    result.telemetry = capture.telemetry
+    return result
 
 
 def worker_main(worker_id: int, job_queue, result_queue,
-                pk_cache_dir: Optional[str] = None,
-                telemetry: bool = False) -> None:
+                pk_cache_dir: Optional[str] = None) -> None:
     """Entry point of a prover worker process.
 
     Blocks on ``job_queue``; a ``STOP`` (``None``) sentinel ends the
     loop.  SIGINT is ignored so a Ctrl-C at the operator's terminal
     drains through the scheduler instead of killing workers mid-batch
     (SIGTERM/SIGKILL still work — that is what the crash-recovery path
-    is for).  ``telemetry`` turns on per-batch span/metric capture
-    (shipped back inside each :class:`BatchResult`).
+    is for).
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -182,4 +183,4 @@ def worker_main(worker_id: int, job_queue, result_queue,
         job = job_queue.get()
         if job is STOP:
             return
-        result_queue.put(prove_job(job, worker_id, telemetry=telemetry))
+        result_queue.put(prove_job(job, worker_id))

@@ -1,0 +1,59 @@
+"""One checksummed-blob primitive for every on-disk store.
+
+The checkpoint store, the verifying-key registry, the disk proving-key
+cache and the flight recorder all persist "a blob, checksummed with
+blake2b-16, written so a reader never sees half of it".  This module is
+that idea once: :func:`checksum16` and :func:`atomic_write`.  Formats,
+schema tags and typed errors stay with each store.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import threading
+import time
+from typing import Any
+
+from repro.resilience import events, faults
+
+__all__ = ["checksum16", "atomic_write"]
+
+
+def checksum16(data: bytes) -> bytes:
+    """The 16-byte blake2b digest every store keeps beside its blobs."""
+    return hashlib.blake2b(data, digest_size=16).digest()
+
+
+def atomic_write(path: str, data: bytes, *, attempts: int,
+                 backoff_seconds: float, retry_event: str,
+                 **event_fields: Any) -> None:
+    """Write ``data`` to ``path`` via a temp file and ``os.replace``.
+
+    The temp name is unique per writer (process and thread), so
+    concurrent writers of one path never clobber each other's partial
+    file and the last rename wins whole.  Each attempt passes the
+    ``disk_write`` fault site; a failed attempt that is not the last is
+    counted as ``events.retried(retry_event, attempt, **event_fields)``
+    and retried after exponential backoff.  After the last attempt the
+    ``OSError`` / ``InjectedFault`` is raised for the caller to wrap in
+    its own typed error.
+    """
+    tmp = "%s.tmp.%d.%d" % (path, os.getpid(), threading.get_ident())
+    for attempt in range(1, attempts + 1):
+        try:
+            faults.maybe_inject("disk_write")
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+            return
+        except (OSError, faults.InjectedFault) as exc:
+            if attempt == attempts:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+                raise
+            events.retried(retry_event, attempt, error=type(exc).__name__,
+                           **event_fields)
+            time.sleep(backoff_seconds * (2 ** (attempt - 1)))

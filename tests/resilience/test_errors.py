@@ -1,8 +1,11 @@
 """Tests for the typed error taxonomy and its attribution carrying."""
 
+import pickle
+
 import pytest
 
 from repro.gadgets.builder import Region
+from repro.resilience import errors
 from repro.resilience.errors import (
     CacheCorruptionError,
     CheckpointError,
@@ -54,6 +57,20 @@ class TestTaxonomy:
         assert attr["error"] == "ProvingError"
         assert attr["phase"] == "prove"
         assert attr["row"] == 7
+
+    def test_every_error_survives_pickling_with_its_context(self):
+        # a serve worker ships the typed error itself back to the service
+        # (BatchResult.error), so the whole taxonomy must round-trip
+        classes = [getattr(errors, name) for name in errors.__all__
+                   if name != "region_at"]
+        assert ResilienceError in classes and len(classes) >= 24
+        for cls in classes:
+            exc = cls("boom", phase="prove", layer="fc1", region="fc1[0:4]",
+                      row=7, batch_id="batch-1")
+            clone = pickle.loads(pickle.dumps(exc))
+            assert type(clone) is cls
+            assert str(clone) == str(exc)
+            assert clone.attribution() == exc.attribution()
 
 
 class TestWithContext:

@@ -11,7 +11,10 @@ What PR 10 promises, pinned as tests:
 - ``status`` speaks ``zkml-serve-status/v2`` with a per-worker
   ``telemetry`` block and per-priority-class SLO windows;
 - the whole plane is observational: proof and envelope bytes are
-  byte-identical with worker telemetry on and off;
+  byte-identical traced and untraced;
+- span capture follows the service's tracer (no knob): tracer disabled
+  means an empty ``BatchResult.telemetry.spans``, while op deltas and
+  pk-cache counters ride along and fold either way;
 - ``zkml top --once --json`` sees the same status over the unix socket
   and the HTTP front end (both feed ``render_status``).
 """
@@ -111,16 +114,23 @@ class TestTraceStitching:
         assert len(worker_lanes) >= 1  # >=1 worker proved (usually both)
 
     def test_telemetry_off_records_no_worker_spans(self, tmp_path):
+        """Tracer disabled: the worker captures (and pickles) no spans,
+        but the op delta and pk-cache counters still ride along."""
         spec = small_model("tel-off")
-        tracer = Tracer()
-        config = _cluster_config(tmp_path, cluster_workers=1,
-                                 worker_telemetry=False)
-        with ProvingService(config, tracer=tracer) as service:
+        service = ProvingService(_cluster_config(tmp_path,
+                                                 cluster_workers=1))
+        results = []
+        resolve = service._on_result
+        service._on_result = lambda result: (results.append(result),
+                                             resolve(result))
+        with service:
             assert service.submit(spec, an_input(),
                                   scale_bits=6).result(timeout=300).verified
-        names = {s.name for s in tracer.spans()}
-        assert "serve:batch" in names  # the parent span still records
-        assert "worker:prove" not in names
+        assert len(results) == 1
+        telemetry = results[0].telemetry
+        assert telemetry.spans == []
+        assert telemetry.stats_delta["commitments"] > 0
+        assert "entries" in telemetry.pk_cache
 
 
 class TestByteIdentity:
@@ -131,8 +141,7 @@ class TestByteIdentity:
         def run(telemetry, sub):
             config = ServeConfig(
                 max_batch=1, max_flush_seconds=0.02, cluster_workers=1,
-                pk_cache_dir=str(tmp_path / sub),
-                worker_telemetry=telemetry)
+                pk_cache_dir=str(tmp_path / sub))
             tracer = Tracer() if telemetry else None
             metrics = MetricsRegistry() if telemetry else None
             with ProvingService(config, tracer=tracer,
@@ -197,7 +206,6 @@ class TestAggregatedMetrics:
         # ... and in the status document
         assert status["schema"] == "zkml-serve-status/v2"
         cluster = status["cluster"]
-        assert cluster["worker_telemetry"] is True
         assert cluster["evicted"] == 0 and cluster["poisoned"] == 0
         assert set(cluster["slo_by_class"]) == {"interactive", "bulk"}
         slo = cluster["slo_by_class"]["interactive"]["total"]
@@ -220,27 +228,25 @@ class TestAggregatedMetrics:
         assert "prove(s)" in text and "last batch" in text
 
     def test_telemetry_off_still_rolls_up_result_fields(self, tmp_path):
-        """The flag gates in-worker capture, not result-level rollups:
-        batches/prove-seconds come from BatchResult fields either way,
-        while ops and pk-cache stay empty without capture."""
+        """Only the span tree follows the tracer: with it disabled the
+        rollups and the folded series — op deltas and pk-cache counters
+        included — are all still there."""
         spec = small_model("tel-lean")
         metrics = MetricsRegistry()
-        config = _cluster_config(tmp_path, cluster_workers=1,
-                                 worker_telemetry=False)
+        config = _cluster_config(tmp_path, cluster_workers=1)
         with ProvingService(config, metrics=metrics) as service:
             assert service.submit(spec, an_input(),
                                   scale_bits=6).result(timeout=300).verified
             status = service.status()
-        cluster = status["cluster"]
-        assert cluster["worker_telemetry"] is False
-        rollups = [w["telemetry"] for w in cluster["workers"]
+        rollups = [w["telemetry"] for w in status["cluster"]["workers"]
                    if "telemetry" in w]
-        assert rollups and all(r["ops"] == {} and r["pk_cache"] == {}
+        assert rollups and all(r["ops"]["commitments"] > 0
+                               and "entries" in r["pk_cache"]
                                for r in rollups)
         series = metrics.as_dict()
         assert "zkml_worker_batches_total" in series
-        assert "zkml_worker_ops_total" not in series
-        assert "zkml_worker_pk_cache" not in series
+        assert "zkml_worker_ops_total" in series
+        assert "zkml_worker_pk_cache" in series
 
 
 class TestTopParity:

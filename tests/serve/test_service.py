@@ -1,15 +1,32 @@
-"""Tests for the batch-aware proving service (queue → batcher → workers)."""
+"""Tests for the batch-aware proving service (queue → batcher → workers).
+
+There is one way to run a served batch, so the resolve / fail / metrics
+/ shutdown cases are written once and run once per mode (``workers``: 0
+proves on the service's own thread, 1 in a cluster worker process);
+cases that hang on in-process state (the pk cache) or on timing stay
+in-process.  The four cases that predate the single path keep their
+test ids for the in-process run (``workers=0`` default) and run again on
+a one-worker cluster through ``test_case_on_a_one_worker_cluster``.
+"""
+
+import time
 
 import numpy as np
 import pytest
 
-from repro.model import GraphBuilder, run_fixed
+from repro.model import GraphBuilder, get_model, run_fixed
+from repro.obs.metrics import MetricsRegistry
 from repro.perf.pkcache import GLOBAL_PK_CACHE
 from repro.resilience.errors import (
+    QuantizationRangeError,
     ServiceOverloadedError,
     ServiceShutdownError,
 )
 from repro.serve import ProvingService, ServeConfig
+from repro.serve.client import submit_request
+from repro.serve.server import ServeServer
+
+MODES = pytest.mark.parametrize("workers", [0, 1])
 
 rng = np.random.default_rng(17)
 
@@ -28,11 +45,11 @@ def an_input():
 
 
 class TestCoalescing:
-    def test_requests_coalesce_verify_and_carry_outputs(self):
+    def test_requests_coalesce_verify_and_carry_outputs(self, workers=0):
         spec = small_model()
         inputs = [an_input() for _ in range(6)]
-        with ProvingService(ServeConfig(max_batch=4,
-                                        max_flush_seconds=0.2)) as service:
+        with ProvingService(ServeConfig(max_batch=4, max_flush_seconds=0.2,
+                                        cluster_workers=workers)) as service:
             futures = [service.submit(spec, inp, scale_bits=6)
                        for inp in inputs]
             responses = [f.result(timeout=120) for f in futures]
@@ -82,12 +99,11 @@ class TestCoalescing:
         # same occupancy bucket -> same circuit shape -> keygen skipped
         assert all(r.keygen_cache_hit for r in responses)
 
-    def test_metrics_recorded(self):
-        from repro.obs.metrics import MetricsRegistry
-
+    def test_metrics_recorded(self, workers=0):
         spec = small_model()
         registry = MetricsRegistry()
-        config = ServeConfig(max_batch=2, max_flush_seconds=0.1)
+        config = ServeConfig(max_batch=2, max_flush_seconds=0.1,
+                             cluster_workers=workers)
         with ProvingService(config, metrics=registry) as service:
             futures = [service.submit(spec, an_input(), scale_bits=6)
                        for _ in range(2)]
@@ -95,15 +111,25 @@ class TestCoalescing:
                 f.result(timeout=120)
         assert registry.value("serve_requests_total", model="served") == 2
         assert registry.value("serve_batches_total", model="served") == 1
+        # one fold per batch: the per-model prover series and the
+        # per-worker series, whichever worker proved it
+        assert registry.value("zkml_prover_runs_total", model="served") == 1
+        assert registry.value("zkml_prover_slots_total", model="served") == 2
+        assert registry.value("zkml_worker_batches_total", worker="0") == 1
+        assert registry.value("zkml_worker_ops_total", worker="0",
+                              op="commitments") > 0
         text = registry.to_prometheus()
         assert "serve_batch_occupancy_bucket" in text
         assert "serve_request_seconds_sum" in text
+        # one series per fact: the per-worker batch count is
+        # zkml_worker_batches_total; circuit-shape gauges belong to
+        # zkml prove|profile|inspect --metrics
+        assert "serve_worker_batches_total" not in text
+        assert "zkml_rows_total" not in text
 
     def test_batch_cost_attributed_per_slot(self):
         # a coalesced batch must report per-request cost as batch time /
         # occupancy — not the whole batch's latency per request
-        from repro.obs.metrics import MetricsRegistry
-
         spec = small_model()
         registry = MetricsRegistry()
         config = ServeConfig(max_batch=3, max_flush_seconds=0.2)
@@ -140,9 +166,10 @@ class TestBackpressureAndShutdown:
         with pytest.raises(ServiceShutdownError):
             service.submit(small_model(), an_input(), scale_bits=6)
 
-    def test_shutdown_drains_partial_batches(self):
+    def test_shutdown_drains_partial_batches(self, workers=0):
         spec = small_model()
-        config = ServeConfig(max_batch=8, max_flush_seconds=30.0)
+        config = ServeConfig(max_batch=8, max_flush_seconds=30.0,
+                             cluster_workers=workers)
         service = ProvingService(config).start()
         futures = [service.submit(spec, an_input(), scale_bits=6)
                    for _ in range(3)]
@@ -165,18 +192,120 @@ class TestBackpressureAndShutdown:
         assert service.stats()["queue_depth"] == 0
 
 
+def out_of_range():
+    """Inputs the quantizer refuses with a typed error."""
+    return {"x": np.full((1, 4), 1e30)}
+
+
 class TestResilience:
-    def test_failed_batch_fails_only_its_own_requests(self):
+    def test_failed_batch_fails_only_its_own_requests(self, workers=0):
         spec = small_model()
         bad_spec = small_model("served-bad")
-        config = ServeConfig(max_batch=4, max_flush_seconds=0.05)
+        config = ServeConfig(max_batch=4, max_flush_seconds=0.05,
+                             cluster_workers=workers)
         with ProvingService(config) as service:
             good = service.submit(spec, an_input(), scale_bits=6)
-            bad = service.submit(bad_spec, {"x": np.full((1, 4), 1e9)},
-                                 scale_bits=6)
+            bad = service.submit(bad_spec, out_of_range(), scale_bits=6)
             assert good.result(timeout=120).verified
-            with pytest.raises(Exception) as excinfo:
+            with pytest.raises(QuantizationRangeError):
                 bad.result(timeout=120)
-        from repro.resilience.errors import ResilienceError
+            stats = service.stats()
+        assert stats["failed_batches"] == 1 and stats["batches"] == 1
 
-        assert isinstance(excinfo.value, ResilienceError)
+    def test_failure_is_the_same_typed_error_in_both_modes(self, tmp_path):
+        """A batch fails its futures with the error as raised — same
+        class, same ``str()`` — wherever it was proved, and the wire
+        reply names that class."""
+        spec = small_model("served-bad")
+        dlrm = get_model("dlrm", "mini")
+        payload = {"model": "dlrm", "scale_bits": 6, "inputs": {
+            name: np.full(shape, 1e30).tolist()
+            for name, shape in dlrm.inputs.items()}}
+        raised, replies = [], []
+        for workers in (0, 1):
+            config = ServeConfig(max_batch=1, max_flush_seconds=0.05,
+                                 cluster_workers=workers)
+            socket_path = str(tmp_path / ("serve-%d.sock" % workers))
+            with ProvingService(config) as service:
+                future = service.submit(spec, out_of_range(), scale_bits=6)
+                with pytest.raises(QuantizationRangeError) as excinfo:
+                    future.result(timeout=120)
+                raised.append(excinfo.value)
+                server = ServeServer(service, socket_path).start()
+                try:
+                    replies.append(submit_request(socket_path, payload,
+                                                  timeout=120.0))
+                finally:
+                    server.stop()
+        assert type(raised[0]) is type(raised[1])
+        assert str(raised[0]) == str(raised[1])
+        assert raised[0].attribution() == raised[1].attribution()
+        for reply in replies:
+            assert not reply["ok"]
+            assert reply["error"] == "QuantizationRangeError"
+        assert replies[0]["detail"] == replies[1]["detail"]
+
+
+class TestOneBatchPath:
+    @MODES
+    def test_inflight_batches_counts_launched_unresolved(self, workers):
+        spec = small_model()
+        config = ServeConfig(max_batch=1, max_flush_seconds=0.01,
+                             cluster_workers=workers)
+        with ProvingService(config) as service:
+            assert service.health()["inflight_batches"] == 0
+            future = service.submit(spec, an_input(), scale_bits=6)
+            seen = set()
+            while not future.done():
+                seen.add(service.health()["inflight_batches"])
+                seen.add(service.status()["inflight_batches"])
+                time.sleep(0.001)
+            assert future.result(timeout=120).verified
+            service.drain(timeout=30)
+            assert service.health()["inflight_batches"] == 0
+            assert service.status()["inflight_batches"] == 0
+        # one batch was launched and, for a while, unresolved
+        assert seen == {0, 1}
+
+    def test_catalog_is_the_same_in_both_modes(self):
+        """The same four requests leave the same metric names with the
+        same label keys in the registry, wherever they were proved; only
+        the scheduler's own series are cluster-only."""
+        spec = small_model("served-catalog")
+        inputs = [an_input() for _ in range(4)]
+
+        def catalog(workers):
+            registry = MetricsRegistry()
+            config = ServeConfig(max_batch=1, max_flush_seconds=0.01,
+                                 cluster_workers=workers)
+            with ProvingService(config, metrics=registry) as service:
+                for inp in inputs:
+                    assert service.submit(spec, inp, scale_bits=6).result(
+                        timeout=120).verified
+            return {name: {frozenset(k for k, _ in key)
+                           for key in family.instances}
+                    for name, family in registry._families.items()}
+
+        inline, cluster = catalog(0), catalog(1)
+        cluster_only = set(cluster) - set(inline)
+        assert set(inline) <= set(cluster)
+        assert all(name.startswith("zkml_scheduler_")
+                   for name in cluster_only), cluster_only
+        for name, label_keys in inline.items():
+            assert cluster[name] == label_keys, name
+        assert {"zkml_prover_runs_total", "zkml_phase_seconds",
+                "zkml_worker_ops_total", "zkml_worker_pk_cache"} <= set(inline)
+
+
+ON_A_CLUSTER = [
+    (TestCoalescing, "test_requests_coalesce_verify_and_carry_outputs"),
+    (TestCoalescing, "test_metrics_recorded"),
+    (TestBackpressureAndShutdown, "test_shutdown_drains_partial_batches"),
+    (TestResilience, "test_failed_batch_fails_only_its_own_requests"),
+]
+
+
+@pytest.mark.parametrize("cls, name", ON_A_CLUSTER,
+                         ids=[name for _, name in ON_A_CLUSTER])
+def test_case_on_a_one_worker_cluster(cls, name):
+    getattr(cls(), name)(workers=1)

@@ -5,6 +5,7 @@ setup(
     version="0.1.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    package_data={"repro.field": ["gl64_native.c"]},
     install_requires=["numpy"],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis", "scipy"],

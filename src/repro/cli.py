@@ -66,6 +66,7 @@ import time
 import numpy as np
 
 from repro.compiler import build_physical_layout
+from repro.field import gl64
 from repro.halo2.proof import proof_to_bytes
 from repro.layers.base import LayoutChoices
 from repro.model import get_model, model_names, seeded_inputs, transpile
@@ -112,6 +113,7 @@ def _describe_spec(spec, num_cols: int, scale_bits: int) -> None:
     log.info("fixed columns:   %d (%d weight columns)", layout.num_fixed,
              layout.num_weight_columns)
     log.info("constraint deg:  %d", layout.d_max)
+    log.info("field kernel:    %s", gl64.kernel_tier())
 
 
 def _inspect_info(spec, scale: str, num_cols: int, scale_bits: int) -> dict:
@@ -124,6 +126,7 @@ def _inspect_info(spec, scale: str, num_cols: int, scale_bits: int) -> dict:
         "layers": len(spec.layers),
         "parameters": spec.param_count(),
         "flops": spec.flops(),
+        "field_kernel": gl64.kernel_tier(),
         "layout": {
             "k": layout.k,
             "num_cols": num_cols,
@@ -1129,7 +1132,7 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=["kzg", "ipa"])
     calibrate.add_argument("--name", default="local-calibrated",
                            help="name recorded in the profile")
-    calibrate.add_argument("--probe", default="mnist",
+    calibrate.add_argument("--probe", default="gpt2",
                            help="mini model proved to measure prediction "
                                 "drift ('none' to skip)")
     calibrate.add_argument("--seed", type=int, default=0)

@@ -12,6 +12,10 @@ and agree bit-for-bit with the pure-Python reference in
 :mod:`repro.field.prime_field` (property-tested in
 ``tests/field/test_gl64.py``).  Inputs must already be canonical.
 
+The numpy bodies here are the fallback tier and the byte-identity oracle:
+where the box has a C compiler, each public kernel first hands plain
+operands to ``gl64_native.c`` (see :mod:`repro.field.native`).
+
 Only Goldilocks gets this backend; other fields (BN254) fall back to the
 list-based path everywhere.
 """
@@ -23,6 +27,8 @@ import threading
 from typing import List, Sequence
 
 import numpy as np
+
+from repro.field import native
 
 #: The Goldilocks modulus.
 P = (1 << 64) - (1 << 32) + 1
@@ -50,6 +56,105 @@ def from_ints(values: Sequence[int]) -> np.ndarray:
 def to_ints(vec: np.ndarray) -> List[int]:
     """Unpack a ``uint64`` array into plain Python ints."""
     return vec.tolist()
+
+
+# -- compiled tier -----------------------------------------------------------
+#
+# Each public kernel starts with "the compiled library is loaded and the
+# operands are C-contiguous uint64 of a supported shape -> one foreign call".
+# Anything else (no compiler on the box, a strided view, another shape) runs
+# the numpy body below it, which is also the oracle the compiled tier is
+# tested against: the two are bit-identical.
+
+
+def kernel_tier() -> str:
+    """``"native"`` when the compiled kernel is in use, else ``"numpy"``."""
+    return "numpy" if native.library() is None else "native"
+
+
+def _plain(x) -> bool:
+    return type(x) is np.ndarray and x.dtype == np.uint64 and x.flags.c_contiguous
+
+
+def _native_ewise(name: str, out, a, b) -> bool:
+    """``out = a (op) b`` in one foreign call; False means "not run".
+
+    ``out`` is 1-D or 2-D; an operand is a scalar, ``out``-shaped, a row
+    ``(n,)`` or a column ``(m, 1)``.  A broadcast operand overlapping ``out``
+    would be read after it was written, so that case stays with numpy.
+    """
+    lib = native.library()
+    if lib is None or not _plain(out) or not 0 < out.ndim <= 2 or not out.size:
+        return False
+    cols = out.shape[-1]
+    rows = out.size // cols
+    lo = out.ctypes.data
+    call, alive = [lo], []  # per operand: address, row stride, column stride
+    for x in (a, b):
+        if not (isinstance(x, np.ndarray) and x.ndim):
+            x = np.array(x, dtype=np.uint64)
+            strides = (0, 0)
+        elif not _plain(x):
+            return False
+        elif x.shape == out.shape:
+            strides = (cols, 1)
+        elif x.shape == (cols,):
+            strides = (0, 1)
+        elif x.shape == (rows, 1) and out.ndim == 2:
+            strides = (1, 0)
+        else:
+            return False
+        ptr = x.ctypes.data
+        if x.shape != out.shape and ptr < lo + out.nbytes and lo < ptr + x.nbytes:
+            return False
+        alive.append(x)
+        call += [ptr, *strides]
+    getattr(lib, name)(*call, rows, cols)
+    return True
+
+
+def _native_ntt(values, stages, rev, scale_rev):
+    """The ``(m, n)`` transform in one foreign call, or None to run numpy.
+    The gather reads ``values`` through its strides, so a transposed view
+    (the six-step's first pass) needs no copy."""
+    lib = native.library()
+    packed = getattr(stages, "packed", None)
+    if (lib is None or packed is None or type(values) is not np.ndarray
+            or values.dtype != np.uint64 or not 0 < values.ndim <= 2
+            or not values.size or any(s % 8 for s in values.strides)
+            or rev.dtype != np.int64 or not rev.flags.c_contiguous):
+        return None
+    n = values.shape[-1]
+    scale, scale_ptr, scale_stride = scale_rev, None, 0
+    if isinstance(scale, np.ndarray) and scale.ndim:
+        if not _plain(scale) or scale.shape != (n,):
+            return None
+        scale_ptr, scale_stride = scale.ctypes.data, 1
+    elif scale is not None:
+        scale = np.array(scale, dtype=np.uint64)
+        scale_ptr = scale.ctypes.data
+    out = np.empty(values.shape, dtype=np.uint64)
+    lib.gl_ntt(out.ctypes.data, values.ctypes.data,
+               values.strides[0] // 8 if values.ndim == 2 else 0,
+               values.strides[-1] // 8, out.size // n, n, rev.ctypes.data,
+               packed.ctypes.data, scale_ptr, scale_stride)
+    return out
+
+
+def _native_rows(name: str, rows, vec, out_axis: int):
+    """``weighted_sum`` / ``poly_eval_rows`` over a plain ``(m, width)``
+    matrix and a length-``m`` vector, or None to run numpy; the result is
+    as long as ``rows``' axis ``out_axis``."""
+    lib = native.library()
+    if lib is None or not _plain(rows) or rows.ndim != 2 or not rows.size:
+        return None
+    m, width = rows.shape
+    vec = np.ascontiguousarray(vec, dtype=np.uint64)
+    if vec.shape != (m,):
+        return None
+    out = np.empty(rows.shape[out_axis], dtype=np.uint64)
+    getattr(lib, name)(out.ctypes.data, rows.ctypes.data, vec.ctypes.data, m, width)
+    return out
 
 
 # -- in-place kernels --------------------------------------------------------
@@ -181,6 +286,8 @@ def _mul_chunk(out, a, b_lo, b_hi, s0, s1, s2, s3, mask):
 
 def mul_into(out: np.ndarray, a: np.ndarray, b) -> None:
     """``out[...] = (a * b) mod p``; ``out`` may be ``a`` or ``b`` itself."""
+    if _native_ewise("gl_mul", out, a, b):
+        return
     for o, (a_c, b_c), s, mask in _each_chunk(out, (a, b), 6):
         if b_c.ndim:
             b_lo, b_hi = s[4], s[5]
@@ -193,6 +300,8 @@ def mul_into(out: np.ndarray, a: np.ndarray, b) -> None:
 
 def sub_into(out: np.ndarray, a, b) -> None:
     """``out[...] = (a - b) mod p``; ``out`` may be ``a`` or ``b`` itself."""
+    if _native_ewise("gl_sub", out, a, b):
+        return
     for o, (a_c, b_c), (t,), mask in _each_chunk(out, (a, b), 1):
         _sub_chunk(o, a_c, b_c, t, mask)
 
@@ -204,6 +313,8 @@ def add_into(out: np.ndarray, a: np.ndarray, b) -> None:
     always borrows against a canonical ``a`` and the correction returns
     ``a`` unchanged, so no separate canonicalizing pass is needed.
     """
+    if _native_ewise("gl_add", out, a, b):
+        return
     for o, (a_c, b_c), (t, nb), mask in _each_chunk(out, (a, b), 2):
         if b_c.ndim:
             np.subtract(_P, b_c, out=nb)
@@ -276,6 +387,13 @@ def batch_inv(values: np.ndarray) -> np.ndarray:
     result matches ``PrimeField.batch_inv`` element for element; a zero
     raises the same ``ZeroDivisionError`` (at the first zero index).
     """
+    lib = native.library()
+    if lib is not None and _plain(values) and values.ndim == 1 and values.size:
+        out = np.empty_like(values)
+        zero = lib.gl_batch_inv(out.ctypes.data, values.ctypes.data, len(values))
+        if zero < 0:
+            return out
+        raise ZeroDivisionError("batch_inv of zero at index %d" % zero)
     n = len(values)
     if n == 0:
         return values.copy()
@@ -330,6 +448,9 @@ def poly_eval_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     instead of ``n`` sequential Horner steps.  Field-exact, so values
     match :func:`repro.field.poly.poly_eval`.
     """
+    out = _native_rows("gl_poly_eval_rows", coeffs, points, 0)
+    if out is not None:
+        return out
     m, width = coeffs.shape
     if width & (width - 1):
         padded = 1 << width.bit_length()
@@ -353,6 +474,9 @@ def weighted_sum(rows: np.ndarray, weights: Sequence[int]) -> np.ndarray:
     instead of ``m - 1`` modular adds.  Rows go through the multiply a
     block at a time, which bounds the temporary to one scratch-sized slab.
     """
+    out = _native_rows("gl_weighted_sum", rows, weights, 1)
+    if out is not None:
+        return out
     m, width = rows.shape
     w = np.array(weights, dtype=np.uint64).reshape(m, 1)
     lo = np.zeros(width, dtype=np.uint64)
@@ -396,6 +520,12 @@ def bit_reverse_indices(n: int) -> np.ndarray:
     return rev
 
 
+class _Stages(list):
+    """:func:`ntt_stages`' limb tables, plus ``packed``: the same twiddles as
+    whole words, stage after stage, for the compiled kernel.  One object, so
+    both live (and are dropped) wherever the caller caches the stages."""
+
+
 def ntt_stages(root: int, n: int) -> List[np.ndarray]:
     """Per-stage twiddle tables for :func:`ntt`, pre-split into 32-bit limbs.
 
@@ -405,10 +535,10 @@ def ntt_stages(root: int, n: int) -> List[np.ndarray]:
     """
     from repro.field.ntt import stage_twiddles
 
-    return [
-        np.stack(_limbs(np.array(tw, dtype=np.uint64)))
-        for tw in stage_twiddles(P, root, n)
-    ]
+    tables = stage_twiddles(P, root, n)
+    stages = _Stages(np.stack(_limbs(np.array(tw, dtype=np.uint64))) for tw in tables)
+    stages.packed = np.array([w for tw in tables for w in tw], dtype=np.uint64)
+    return stages
 
 
 #: Butterfly spans up to this many elements are walked block-major: numpy's
@@ -460,6 +590,9 @@ def ntt(
     Permuting commutes with elementwise multiplication, so results are
     bit-identical to scaling the input first.
     """
+    out = _native_ntt(values, stages, rev, scale_rev)
+    if out is not None:
+        return out
     n = values.shape[-1]
     out = np.empty(values.shape, dtype=np.uint64)
     src = values.reshape(-1, n)

@@ -1,0 +1,157 @@
+"""Build-at-first-use loader for the compiled Goldilocks kernel.
+
+``gl64_native.c`` is compiled once with the local ``cc`` into
+``_native/gl64-<key>.so`` (keyed by its source, the compiler's version
+banner and the machine: an edit or a new toolchain never loads a stale
+object), self-tested against Python-int arithmetic and handed to
+:mod:`repro.field.gl64` as a ``ctypes`` handle.  If any step fails, one
+``field_kernel_fallback`` event says why and :func:`library` is ``None``
+for the life of the process: ``gl64``'s numpy bodies do the work,
+bit-identically.  There is no switch: a compiler is present or it is not.
+The object has the trust of the source tree it sits in (like a
+``__pycache__`` entry); when the package directory is not writable it is
+built in a 0700 ``mkdtemp`` directory that is removed once loaded.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+import threading
+from typing import Optional
+
+from repro.resilience import events
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_SOURCE = os.path.join(_HERE, "gl64_native.c")
+_BUILD_DIR = os.path.join(_HERE, "_native")
+
+_PTR, _OFF, _LEN = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_size_t
+_EWISE = (None, [_PTR, _PTR, _OFF, _OFF, _PTR, _OFF, _OFF, _LEN, _LEN])
+_ROWS = (None, [_PTR, _PTR, _PTR, _LEN, _LEN])
+_SIGNATURES = {
+    "gl_mul": _EWISE, "gl_add": _EWISE, "gl_sub": _EWISE,
+    "gl_ntt": (None, [_PTR, _PTR, _OFF, _OFF, _LEN, _LEN, _PTR, _PTR, _PTR, _OFF]),
+    "gl_batch_inv": (_OFF, [_PTR, _PTR, _LEN]),
+    "gl_weighted_sum": _ROWS, "gl_poly_eval_rows": _ROWS,
+}
+
+_UNSET = object()
+_LOCK = threading.Lock()
+#: The loaded library; ``None`` on the numpy tier; ``_UNSET`` before first use.
+_handle = _UNSET
+
+
+class _Unavailable(Exception):
+    """Why this process stays on the numpy tier."""
+
+
+def library() -> Optional[ctypes.CDLL]:
+    """The kernel library, built and self-tested on first call; else ``None``."""
+    global _handle
+    if _handle is _UNSET:
+        with _LOCK:
+            if _handle is _UNSET:
+                try:
+                    _handle = _load()
+                except (_Unavailable, OSError) as exc:
+                    _handle = None
+                    events.degraded("field_kernel_fallback", detail=str(exc))
+    return _handle
+
+
+def _load() -> ctypes.CDLL:
+    cc = shutil.which("cc") or "gcc"
+    try:
+        banner = subprocess.run([cc, "--version"], capture_output=True,
+                                check=True, timeout=60).stdout
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise _Unavailable("no C compiler: %s" % exc) from exc
+    with open(_SOURCE, "rb") as fh:
+        key = hashlib.sha256(fh.read() + banner + platform.machine().encode())
+    name = "gl64-%s.so" % key.hexdigest()[:16]
+    path, scratch = os.path.join(_BUILD_DIR, name), None
+    try:
+        if not os.path.exists(path):
+            try:
+                os.makedirs(_BUILD_DIR, exist_ok=True)
+                _compile(cc, path)
+            except OSError:
+                scratch = tempfile.mkdtemp(prefix="zkml-gl64-")
+                path = os.path.join(scratch, name)
+                _compile(cc, path)
+        try:
+            lib = ctypes.CDLL(path)
+            for fn, (restype, argtypes) in _SIGNATURES.items():
+                getattr(lib, fn).restype = restype
+                getattr(lib, fn).argtypes = argtypes
+        except (OSError, AttributeError) as exc:
+            raise _Unavailable("load failed: %s" % exc) from exc
+    finally:
+        if scratch is not None:  # the mapping outlives the file
+            shutil.rmtree(scratch, ignore_errors=True)
+    _self_test(lib)
+    return lib
+
+
+def _compile(cc: str, path: str) -> None:
+    """Build to a private temp name, then rename: racing builders each
+    install a whole object.  No ``-march=native``: the object may outlive
+    the CPU it was built on."""
+    tmp = "%s.tmp.%d.%d" % (path, os.getpid(), threading.get_ident())
+    open(tmp, "wb").close()  # an unwritable directory is an OSError, not a cc error
+    try:
+        subprocess.run([cc, "-O2", "-shared", "-fPIC", "-o", tmp, _SOURCE],
+                       capture_output=True, check=True, timeout=300)
+        os.replace(tmp, path)
+    except subprocess.SubprocessError as exc:
+        detail = getattr(exc, "stderr", b"") or str(exc).encode()
+        raise _Unavailable("build failed: %s" % detail.decode(
+            "utf-8", "replace").strip()[-300:]) from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _self_test(lib: ctypes.CDLL) -> None:
+    """Every kernel once, over the residues where a wrong carry or fold
+    shows, against Python-int arithmetic."""
+    p = (1 << 64) - (1 << 32) + 1
+    edge = [0, 1, p - 1, (1 << 32) - 1, 1 << 32, p - (1 << 32), p - 2, 1 << 63]
+    a, b = [x for x in edge for _ in edge], edge * len(edge)
+    n, xs, nonzero = len(a), edge * 2, edge[1:]
+    root = pow(7, (p - 1) // 16, p)
+    rev = (ctypes.c_int64 * 16)(*(int(format(i, "04b")[::-1], 2) for i in range(16)))
+    tw = [pow(root, 8 // half * j, p) for half in (1, 2, 4, 8) for j in range(half)]
+
+    def run(fn, size, *args):
+        out = (ctypes.c_uint64 * size)()
+        code = getattr(lib, fn)(out, *(
+            (ctypes.c_uint64 * len(x))(*x) if isinstance(x, list) else x
+            for x in args))
+        return list(out), code
+
+    checks = {
+        "gl_ntt": (run("gl_ntt", 16, xs, 16, 1, 1, 16, rev, tw, [p - 2], 0)[0],
+                   [sum((p - 2) * x * pow(root, i * j, p) for i, x in enumerate(xs)) % p
+                    for j in range(16)]),
+        "gl_batch_inv": (run("gl_batch_inv", 7, nonzero, 7),
+                         ([pow(x, p - 2, p) for x in nonzero], -1)),
+        "gl_batch_inv zero": (run("gl_batch_inv", 3, [5, 0, 0], 3)[1], 1),
+        "gl_weighted_sum": (run("gl_weighted_sum", 8, xs, [p - 1, 1 << 32], 2, 8)[0],
+                            [((p - 1) * x + (y << 32)) % p for x, y in zip(xs, xs[8:])]),
+        "gl_poly_eval_rows": (run("gl_poly_eval_rows", 5, b[:40], edge[2:7], 5, 8)[0],
+                              [sum(c * pow(x, j, p) for j, c in enumerate(b[8 * i:8 * i + 8])) % p
+                               for i, x in enumerate(edge[2:7])]),
+    }
+    for fn, op in (("gl_mul", int.__mul__), ("gl_add", int.__add__), ("gl_sub", int.__sub__)):
+        checks[fn] = (run(fn, n, a, n, 1, b, n, 1, 1, n)[0],
+                      [op(x, y) % p for x, y in zip(a, b)])
+    for what, (got, want) in checks.items():
+        if got != want:
+            raise _Unavailable("self-test failed: %s" % what)

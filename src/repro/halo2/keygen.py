@@ -188,7 +188,9 @@ class ProvingKey:
     and the committed fixed round."""
 
     vk: VerifyingKey
-    fixed_evals: Dict[Column, List[int]]
+    #: base-domain evaluations per fixed column: read-only ``uint64``
+    #: arrays on Goldilocks, lists of ints on the list backend
+    fixed_evals: Dict[Column, object]
     fixed_polys: object
     fixed_round: CommittedRound
 
@@ -376,6 +378,13 @@ def keygen(
     max_degree = max([expr.degree() for _, expr in constraints] + [2])
     domain = EvaluationDomain(field, assignment.k, max_degree=max_degree)
 
+    if domain.uses_gl64:
+        # read-only uint64 columns: the prover reads them without
+        # converting and the pk cache checksums them in place on every hit
+        for col, values in fixed_evals.items():
+            values = domain.backend.from_ints(values)
+            values.flags.writeable = False
+            fixed_evals[col] = values
     fixed_columns = tuple(
         sorted(fixed_evals, key=lambda c: (c.kind.value, c.index)))
     with tracer.span("keygen:fixed_polys", columns=len(fixed_evals),

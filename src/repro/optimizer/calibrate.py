@@ -185,7 +185,7 @@ def calibrate_hardware(
 
 def probe_drift(
     calibration: CalibrationResult,
-    probe_model: str = "mnist",
+    probe_model: str = "gpt2",
     scheme_name: Optional[str] = None,
     registry: Optional[MetricsRegistry] = None,
     seed: int = 0,

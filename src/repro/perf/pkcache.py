@@ -44,7 +44,9 @@ import pickle
 from collections import OrderedDict
 from typing import Optional, Tuple, Union
 
-from repro.commit.scheme import CommitmentScheme
+import numpy as np
+
+from repro.commit.scheme import CommitmentScheme, scalar_bytes
 from repro.field.gl64 import serialize_scalars
 from repro.halo2.circuit import Assignment, ConstraintSystem
 from repro.halo2.column import Column, ColumnType
@@ -70,8 +72,8 @@ def circuit_digest(
     """
     h = hashlib.blake2b(digest_size=32)
 
-    def put(tag: str, payload: str) -> None:
-        data = payload.encode()
+    def put(tag: str, payload) -> None:
+        data = payload.encode() if isinstance(payload, str) else payload
         h.update(tag.encode())
         h.update(len(data).to_bytes(8, "little"))
         h.update(data)
@@ -94,12 +96,30 @@ def circuit_digest(
     for lk in cs.lookups:
         put("lookup", "%s|%r|%r" % (lk.name, lk.inputs, lk.table))
     put("equality", repr(cs.permuted_columns()))
+    # the grids as packed bytes, not repr() of 2^k Python objects per column
+    width = scalar_bytes(cs.field)
     for i in range(cs.num_fixed):
-        put("fixed:%d" % i, repr(assignment.column_values(Column(ColumnType.FIXED, i))))
+        values = assignment.column_values(Column(ColumnType.FIXED, i))
+        put("fixed:%d" % i, serialize_scalars(values, width))
     for i, sel in enumerate(assignment.selectors):
-        put("selector:%d" % i, repr(sel))
-    put("copies", repr(assignment.copies))
+        put("selector:%d" % i, bytes(sel))
+    put("copies", _pack_copies(assignment.copies))
     return h.hexdigest()
+
+
+_KIND_CODE = {kind.value: code for code, kind in enumerate(ColumnType)}
+
+
+def _pack_copies(copies) -> bytes:
+    """The copy list as one ``(6, len)`` int64 array: kind, index and row
+    of each side."""
+    if not copies:
+        return b""
+    col_a, row_a, col_b, row_b = zip(*copies)
+    return np.array([
+        [_KIND_CODE[c.kind._value_] for c in col_a], [c.index for c in col_a], row_a,
+        [_KIND_CODE[c.kind._value_] for c in col_b], [c.index for c in col_b], row_b,
+    ], dtype=np.int64).tobytes()
 
 
 def _entry_checksum(pk: ProvingKey, vk: VerifyingKey) -> str:
@@ -117,7 +137,9 @@ def _entry_checksum(pk: ProvingKey, vk: VerifyingKey) -> str:
         values = pk.fixed_evals[col]
         h.update(repr(col).encode())
         h.update(len(values).to_bytes(8, "little"))
-        h.update(serialize_scalars(values))
+        # Goldilocks keys hold read-only uint64 arrays: hashed in place
+        h.update(values if isinstance(values, np.ndarray)
+                 else serialize_scalars(values))
     return h.hexdigest()
 
 
@@ -126,8 +148,9 @@ def _entry_checksum(pk: ProvingKey, vk: VerifyingKey) -> str:
 #: Magic prefix of every on-disk pk-cache artifact.  The version covers
 #: what keygen *produces* (constraint list, helper-column layout), which
 #: :func:`circuit_digest` does not: v2 = per-table lookup helpers; v3 = the
-#: committed fixed round (LDE + Merkle tree) and its root in the vk.
-DISK_MAGIC = b"zkml-pk-cache/v3\n"
+#: committed fixed round (LDE + Merkle tree) and its root in the vk; v4 =
+#: ``fixed_evals`` pickled as uint64 arrays, keyed by the packed-bytes digest.
+DISK_MAGIC = b"zkml-pk-cache/v4\n"
 
 _DISK_CHECKSUM_BYTES = 16
 

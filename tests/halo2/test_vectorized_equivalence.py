@@ -45,7 +45,7 @@ def _column_values(pk, asg):
     vk = pk.vk
     values = {}
     for col in set(pk.fixed_evals):
-        values[col] = list(pk.fixed_evals[col])
+        values[col] = [int(v) for v in pk.fixed_evals[col]]
     for i in range(vk.cs.num_advice):
         col = Column(ColumnType.ADVICE, i)
         values[col] = asg.column_values(col)

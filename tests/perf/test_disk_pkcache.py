@@ -156,12 +156,13 @@ class TestCorruptionEviction:
         self.check_old_artifact(b"zkml-pk-cache/v1\n", tmp_path, circuit,
                                 scheme, monkeypatch)
 
-    def test_v2_artifact_is_evicted_and_rewritten_as_v3(
+    def test_v3_artifact_is_evicted_and_rewritten_as_v4(
             self, tmp_path, circuit, scheme, monkeypatch):
-        # a v2 key has no committed fixed round (and a vk whose digest
-        # does not cover the constraints): same circuit digest, unusable
-        assert DISK_MAGIC == b"zkml-pk-cache/v3\n"
-        self.check_old_artifact(b"zkml-pk-cache/v2\n", tmp_path, circuit,
+        # a v3 key pickles fixed_evals as int lists under the repr()-based
+        # circuit digest; v4 holds read-only uint64 arrays under the
+        # packed-bytes digest
+        assert DISK_MAGIC == b"zkml-pk-cache/v4\n"
+        self.check_old_artifact(b"zkml-pk-cache/v3\n", tmp_path, circuit,
                                 scheme, monkeypatch)
 
     def check_old_artifact(self, old_magic, tmp_path, circuit, scheme,

@@ -63,6 +63,72 @@ def test_pk_cache_digest_separates_circuits_and_schemes():
     assert circuit_digest(cs1, asg1, "kzg") != circuit_digest(cs1, asg1, "ipa")
 
 
+def test_pk_cache_digest_sees_one_cell_one_selector_bit_one_copy():
+    # the grids are hashed as packed bytes; each single-entry change to
+    # what keygen consumes must still move the digest
+    from repro.halo2.column import Column, ColumnType
+
+    def digest(edit):
+        cs, asg = mul_circuit()
+        cs_rc, asg_rc = range_check_circuit()
+        edit(asg, asg_rc)
+        return (circuit_digest(cs, asg, "kzg"),
+                circuit_digest(cs_rc, asg_rc, "kzg"))
+
+    base = digest(lambda asg, asg_rc: None)
+    assert base == digest(lambda asg, asg_rc: None)
+    c, inst = Column(ColumnType.ADVICE, 2), Column(ColumnType.INSTANCE, 0)
+    edits = {
+        "fixed cell": lambda asg, asg_rc: asg_rc.assign_fixed(
+            Column(ColumnType.FIXED, 0), 7, 8),
+        "selector bit": lambda asg, asg_rc: asg.enable_selector(
+            Column(ColumnType.SELECTOR, 0), 5),
+        "copy added": lambda asg, asg_rc: asg.copy(c, 0, inst, 0),
+        "copy row": lambda asg, asg_rc: asg.copies.__setitem__(
+            0, (c, 1, inst, 0)),
+        "copy column": lambda asg, asg_rc: asg.copies.__setitem__(
+            0, (inst, 2, inst, 0)),
+    }
+    seen = {base}
+    for name, edit in edits.items():
+        moved = digest(edit)
+        assert moved != base, name
+        assert moved not in seen, name
+        seen.add(moved)
+
+
+def test_goldilocks_key_holds_readonly_arrays_the_hit_path_never_converts():
+    import numpy as np
+
+    from repro.field import BN254_FR
+    from repro.halo2 import Assignment, ConstraintSystem, Ref, keygen
+    from repro.perf.pkcache import _entry_checksum
+
+    cs, asg = range_check_circuit()
+    pk, vk = keygen(cs, asg, scheme_by_name("kzg", F))
+    for values in pk.fixed_evals.values():
+        assert values.dtype == np.uint64 and not values.flags.writeable
+        assert vk.domain.backend.from_ints(values) is values  # prover: no copy
+    # the checksum reads the arrays in place: same value from a key whose
+    # columns went through a list round trip, no list anywhere on the way
+    again, _ = keygen(cs, asg, scheme_by_name("kzg", F))
+    assert _entry_checksum(again, vk) == _entry_checksum(pk, vk)
+    col = next(iter(pk.fixed_evals))
+    stomped = pk.fixed_evals[col].copy()
+    stomped[3] ^= np.uint64(1)
+    again.fixed_evals[col] = stomped
+    assert _entry_checksum(again, vk) != _entry_checksum(pk, vk)
+    # the list backend keeps lists (BN254 residues do not fit a word)
+    cs_bn = ConstraintSystem(BN254_FR)
+    table = cs_bn.fixed_column()
+    cs_bn.add_lookup("range", inputs=[Ref(cs_bn.advice_column())],
+                     table=[Ref(table)])
+    asg_bn = Assignment(cs_bn, 3)
+    asg_bn.assign_fixed(table, 1, BN254_FR.p - 1)
+    pk_bn, _ = keygen(cs_bn, asg_bn, scheme_by_name("kzg", BN254_FR))
+    assert all(isinstance(v, list) for v in pk_bn.fixed_evals.values())
+
+
 def test_pk_cache_lru_eviction():
     scheme = scheme_by_name("kzg", F)
     cache = ProvingKeyCache(maxsize=1)

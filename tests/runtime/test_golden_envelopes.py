@@ -10,13 +10,19 @@ Last regenerated for envelope v2 (succinct proofs, scalars at field
 width, constraint-binding vk hashes): k is unchanged on all 16 rows, the
 envelopes are 5-26x smaller (dlrm 824 489 -> 159 023 bytes, vgg16
 6 690 070 -> 254 620).
+
+Both field-kernel tiers are held to the same table: the compiled kernel
+(when this box has a compiler) and, with the loader's handle nulled, the
+numpy bodies a box without one runs.
 """
 
 import hashlib
 
 import pytest
 
+from repro.field import native
 from repro.model import get_model, seeded_inputs
+from repro.perf.pkcache import GLOBAL_PK_CACHE
 from repro.runtime import prove_batch, prove_model
 
 #: model -> (k, envelope bytes, blake2b-16 of the envelope): prove_model, seed 0.
@@ -48,18 +54,43 @@ def envelope_hash(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(SINGLE))
-def test_prove_model_envelope_is_golden(name):
+@pytest.fixture
+def numpy_tier(monkeypatch):
+    """What a box without a C compiler runs, keygen included."""
+    monkeypatch.setattr(native, "_handle", None)
+    GLOBAL_PK_CACHE.clear()
+
+
+def check_single(name):
     spec = get_model(name, "mini")
     result = prove_model(spec, seeded_inputs(spec, 0))
     data = result.envelope_bytes()
     assert (result.k, len(data), envelope_hash(data)) == SINGLE[name]
 
 
-@pytest.mark.parametrize("name", sorted(BATCH_OF_TWO))
-def test_prove_batch_envelope_is_golden(name):
+def check_batch_of_two(name):
     spec = get_model(name, "mini")
     result = prove_batch(spec, [seeded_inputs(spec, 0),
                                 seeded_inputs(spec, 1)])
     assert (result.k, envelope_hash(result.envelope_bytes())) \
         == BATCH_OF_TWO[name]
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE))
+def test_prove_model_envelope_is_golden(name):
+    check_single(name)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_OF_TWO))
+def test_prove_batch_envelope_is_golden(name):
+    check_batch_of_two(name)
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE))
+def test_prove_model_envelope_is_golden_on_the_numpy_tier(name, numpy_tier):
+    check_single(name)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_OF_TWO))
+def test_prove_batch_envelope_is_golden_on_the_numpy_tier(name, numpy_tier):
+    check_batch_of_two(name)

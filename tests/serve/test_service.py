@@ -294,7 +294,9 @@ class TestOneBatchPath:
         for name, label_keys in inline.items():
             assert cluster[name] == label_keys, name
         assert {"zkml_prover_runs_total", "zkml_phase_seconds",
-                "zkml_worker_ops_total", "zkml_worker_pk_cache"} <= set(inline)
+                "zkml_worker_ops_total", "zkml_worker_pk_cache",
+                "zkml_field_kernel"} <= set(inline)
+        assert inline["zkml_field_kernel"] == {frozenset({"tier"})}
 
 
 ON_A_CLUSTER = [

@@ -29,9 +29,11 @@ Subcommands:
 - ``zkml calibrate``                    — microbenchmark this machine,
   fit the §7.4 cost curves, and write a hardware profile JSON the
   optimizer loads via ``--hardware`` or ``$ZKML_HW_PROFILE``.
-- ``zkml bench``                        — benchmark the prover on mini
-  models and write ``BENCH_prover.json`` (``--quick`` for CI smoke;
-  ``--compare BASELINE.json`` gates on regressions).
+- ``zkml bench [ARGS...]``              — the repository's one benchmark:
+  runs ``benchmarks/zkbench/run.py`` from the checkout with ``ARGS``
+  forwarded verbatim (its README documents them) and, after a suite
+  run, writes ``BENCH_prover.json`` / ``BENCH_serve.json`` /
+  ``BENCH_verify.json`` as views of the result file.
 - ``zkml chaos``                        — run the fault-injection matrix
   (every site must recover or surface a typed error) and, with
   ``--fuzz N``, the proof-mutation fuzz loop.
@@ -47,7 +49,8 @@ Subcommands:
 - ``zkml top``                          — live operator dashboard for a
   running ``zkml serve`` (``--once --json`` for scripting).
 
-Observability flags available on every subcommand: ``--trace PATH``
+Observability flags available on every subcommand but ``bench`` (whose
+arguments are all zkbench's): ``--trace PATH``
 (span tree, Chrome trace_event JSON or ``.jsonl``; the ``ZKML_TRACE``
 environment variable is the flag's default), ``--metrics PATH``
 (Prometheus text format), ``-v`` / ``--quiet`` for log verbosity
@@ -346,34 +349,49 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.perf.bench import DEFAULT_MODELS, QUICK_MODELS, run_bench
-    from repro.perf.regress import (
-        compare_reports,
-        load_report,
-        parse_thresholds,
-    )
+#: zkbench's entry point in the checkout this file is ``src/repro/cli.py`` of.
+ZKBENCH_RUN = os.path.abspath(os.path.join(
+    os.path.dirname(__file__), "..", "..", "benchmarks", "zkbench", "run.py"))
 
-    default = QUICK_MODELS if args.quick else DEFAULT_MODELS
-    report = run_bench(
-        models=args.models or default,
-        scheme_name=args.backend,
-        seed=args.seed,
-        output_path=args.out or None,
-        registry=args.obs_registry,
-        mem=args.mem,
-    )
-    if args.compare:
-        diff = compare_reports(
-            load_report(args.compare), report,
-            thresholds=parse_thresholds(args.threshold),
-            baseline_path=args.compare,
-        )
-        for line in diff.render().splitlines():
-            (log.error if not diff.ok else log.info)("%s", line)
-        if not diff.ok:
-            return 1
-    return 0
+
+def _forwarded_out(argv) -> str:
+    """The result path zkbench will write: its ``--out``, or its default."""
+    out = "zkbench.result.json"
+    for i, arg in enumerate(argv):
+        if arg == "--out" and i + 1 < len(argv):
+            out = argv[i + 1]
+        elif arg.startswith("--out="):
+            out = arg[len("--out="):]
+    return out
+
+
+def _mtime_ns(path: str):
+    try:
+        return os.stat(path).st_mtime_ns
+    except OSError:
+        return None
+
+
+def _cmd_bench(argv) -> int:
+    """``zkml bench ARGS...``: zkbench with ``ARGS``, then the views."""
+    import subprocess
+
+    from repro.perf.views import write_views
+
+    if not os.path.isfile(ZKBENCH_RUN):
+        return _report_failure(ResilienceError(
+            "zkml bench runs benchmarks/zkbench/run.py from a source "
+            "checkout and this install has none", phase="bench",
+            expected=ZKBENCH_RUN))
+    result_path = _forwarded_out(argv)
+    before = _mtime_ns(result_path)
+    rc = subprocess.call([sys.executable, ZKBENCH_RUN, *argv])
+    after = _mtime_ns(result_path)
+    if after is not None and after != before:
+        # only a suite run writes the result file
+        for path in write_views(result_path):
+            log.info("wrote %s", path)
+    return rc
 
 
 def _registry_vk(registry_dir: str, env):
@@ -1078,30 +1096,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="cap on reported violations")
     diagnose.set_defaults(func=_cmd_diagnose)
 
-    bench = sub.add_parser(
-        "bench", parents=[common],
-        help="benchmark the prover on mini zoo models")
-    bench.add_argument("--models", nargs="+", default=None,
-                       choices=model_names(),
-                       help="models to prove (default: dlrm mnist twitter)")
-    bench.add_argument("--backend", default="kzg", choices=["kzg", "ipa"])
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--out", default="BENCH_prover.json",
-                       help="report path ('' to skip writing)")
-    bench.add_argument("--quick", action="store_true",
-                       help="prove only the smallest model (CI smoke run)")
-    bench.add_argument("--mem", action="store_true",
-                       help="record peak RSS per prover phase (ru_maxrss, "
-                            "KB) into the report")
-    bench.add_argument("--compare", default=None, metavar="BASELINE.json",
-                       help="diff this run against a committed baseline "
-                            "report and exit 1 on any regression")
-    bench.add_argument("--threshold", action="append", default=[],
-                       metavar="KEY=VALUE",
-                       help="regression threshold override (repeatable); "
-                            "'time=X' covers all *_seconds metrics, "
-                            "deterministic counters default to exact")
-    bench.set_defaults(func=_cmd_bench)
+    # listed for `zkml --help` only: main() hands `bench` to zkbench
+    # before this parser sees its arguments
+    sub.add_parser(
+        "bench", add_help=False,
+        help="run benchmarks/zkbench/run.py (every argument is forwarded; "
+             "see benchmarks/zkbench/README.md)")
 
     profile = sub.add_parser(
         "profile", parents=[common],
@@ -1338,7 +1338,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_failure(exc: ResilienceError) -> int:
+    """A typed pipeline failure exits with a structured log line, not a
+    traceback — the attribution says which phase/layer to blame."""
+    fields = dict(exc.attribution())
+    fields.setdefault("detail", exc.args[0] if exc.args else "")
+    log.error("failed", **fields)
+    return 1
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["bench"]:
+        # every argument belongs to zkbench, --trace / -v / --help included
+        return _cmd_bench(argv[1:])
     args = build_parser().parse_args(argv)
     obs_log.configure(verbosity=args.verbose, quiet=args.quiet)
     trace_path = args.trace or os.environ.get("ZKML_TRACE") or None
@@ -1354,12 +1367,7 @@ def main(argv=None) -> int:
         else:
             rc = args.func(args)
     except ResilienceError as exc:
-        # a typed pipeline failure exits with a structured log line, not
-        # a traceback — the attribution says which phase/layer to blame
-        fields = dict(exc.attribution())
-        fields.setdefault("detail", exc.args[0] if exc.args else "")
-        log.error("failed", **fields)
-        rc = 1
+        rc = _report_failure(exc)
     if args.obs_registry is not None:
         events.merge_into(args.obs_registry)
         args.obs_registry.write(metrics_path)

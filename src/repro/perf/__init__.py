@@ -1,4 +1,4 @@
-"""Proving-performance toolkit: phase timers, the keygen cache, benches.
+"""Proving-performance toolkit: phase timers, the keygen cache, bench views.
 
 The ROADMAP's north star is a prover that "runs as fast as the hardware
 allows"; this package holds the substrate-level machinery for that:
@@ -8,8 +8,9 @@ allows"; this package holds the substrate-level machinery for that:
   ``ProveResult.phase_seconds`` and ``zkml prove --profile``;
 - :class:`ProvingKeyCache` — a keygen cache keyed by circuit digest, so
   repeated proves of the same circuit skip preprocessing;
-- :mod:`repro.perf.bench` — the benchmark harness that records the
-  ``BENCH_prover.json`` perf trajectory.
+- :mod:`repro.perf.views` — the ``BENCH_*.json`` perf trajectory, written
+  by ``zkml bench`` as projections of a zkbench result file (the
+  benchmark itself is ``benchmarks/zkbench/``; nothing here measures).
 """
 
 from repro.perf.pkcache import ProvingKeyCache, circuit_digest

@@ -19,25 +19,12 @@ from typing import Dict
 
 from repro.obs.trace import get_tracer
 
-try:  # POSIX only; on other platforms rss_kb just stays empty
-    import resource as _resource
-except ImportError:  # pragma: no cover
-    _resource = None
-
 
 class PhaseTimer:
-    """Accumulates wall-clock seconds per named phase (and emits spans).
-
-    Each phase exit also samples ``ru_maxrss`` into :attr:`rss_kb` — the
-    process-wide peak resident set observed by the end of that phase
-    (kilobytes on Linux).  The counter is monotone across phases, so the
-    phase whose value first jumps is the one that grew the footprint;
-    ``zkml bench --mem`` reports it per model.
-    """
+    """Accumulates wall-clock seconds per named phase (and emits spans)."""
 
     def __init__(self, tracer=None) -> None:
         self.seconds: Dict[str, float] = {}
-        self.rss_kb: Dict[str, int] = {}
         #: Tracer receiving one span per phase entry; ``None`` means
         #: "whatever tracer is active when the phase runs".
         self._tracer = tracer
@@ -52,9 +39,6 @@ class PhaseTimer:
             finally:
                 elapsed = time.perf_counter() - start
                 self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
-                if _resource is not None:
-                    peak = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss
-                    self.rss_kb[name] = max(self.rss_kb.get(name, 0), int(peak))
 
     @property
     def total(self) -> float:
@@ -77,7 +61,6 @@ class NullTimer:
     """A do-nothing :class:`PhaseTimer` stand-in (the prover's default)."""
 
     seconds: Dict[str, float] = {}
-    rss_kb: Dict[str, int] = {}
 
     @contextmanager
     def phase(self, name: str):

@@ -91,9 +91,6 @@ class ProveResult:
     modeled_proof_bytes: int
     #: Wall-clock seconds per prover phase (commit/helpers/quotient/openings).
     phase_seconds: Dict[str, float] = dataclass_field(default_factory=dict)
-    #: Peak process RSS in KB sampled at the end of each prover phase
-    #: (monotone; empty off-POSIX).  ``zkml bench --mem`` reports it.
-    phase_rss_kb: Dict[str, int] = dataclass_field(default_factory=dict)
     #: Whether keygen was skipped via the proving-key cache.
     keygen_cache_hit: bool = False
     #: Operation counts observed during proving (NTTs, commitments, ...).
@@ -306,7 +303,6 @@ def prove_batch(
                         )
                 raise
             return {"proof": proof, "phase_seconds": dict(timer.seconds),
-                    "phase_rss_kb": dict(timer.rss_kb),
                     "observed": STATS.delta(counts_before)}
 
         prove_payload, _ = sup.stage(store, "prove", _prove)
@@ -344,7 +340,6 @@ def prove_batch(
         proving_seconds=proving_seconds,
         modeled_proof_bytes=vk.modeled_proof_bytes(scheme),
         phase_seconds=phase_seconds,
-        phase_rss_kb=prove_payload["phase_rss_kb"],
         keygen_cache_hit=keygen_cache_hit,
         observed_counts=observed,
         predicted_counts=predicted,

@@ -155,11 +155,21 @@ class TestResume:
     def test_resume_skips_completed_stages(self, mnist_case, tmp_path):
         spec, inputs = mnist_case
         first = prove(spec, inputs, checkpoint_dir=str(tmp_path))
+        # v4 prove payloads written before the per-phase RSS sample was
+        # dropped carry a key this build no longer reads; such a
+        # directory must still resume (no schema bump for a dead field)
+        store = CheckpointStore(
+            str(tmp_path),
+            proving_config_digest(spec, [inputs], "kzg", 10, 5, None, None),
+            resume=True)
+        store.save("prove", dict(store.load("prove"),
+                                 retired_per_phase_rss={"commit": 1}))
         GLOBAL_PK_CACHE.clear()
         resumed = prove(spec, inputs, checkpoint_dir=str(tmp_path),
                         resume=True)
         assert (proof_to_bytes(first.proof)
                 == proof_to_bytes(resumed.proof))
+        assert resumed.phase_seconds == first.phase_seconds  # not re-proved
 
     def test_corrupt_stage_recomputed_on_resume(self, mnist_case, tmp_path):
         spec, inputs = mnist_case

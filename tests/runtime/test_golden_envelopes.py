@@ -11,7 +11,16 @@ width, constraint-binding vk hashes): k is unchanged on all 16 rows, the
 envelopes are 5-26x smaller (dlrm 824 489 -> 159 023 bytes, vgg16
 6 690 070 -> 254 620).
 
-Both field-kernel tiers are held to the same table: the compiled kernel
+``OP_COUNTS`` pins, beside each single-proof hash, how much work the
+prover did for it: every ``obs.stats`` counter of
+``ProveResult.observed_counts`` but ``ntt_plan_hits``, which depends on
+what the process transformed before (30 / 35 / 39 on three identical
+dlrm proves in one process; the other ten repeat exactly, cold or warm
+pk cache).  They are counts, not timings, so the gate is equality: a
+change that adds an NTT, a commitment or a hash to a proof updates the
+row and says why.
+
+Both field-kernel tiers are held to the same tables: the compiled kernel
 (when this box has a compiler) and, with the loader's handle nulled, the
 numpy bodies a box without one runs.
 """
@@ -22,6 +31,7 @@ import pytest
 
 from repro.field import native
 from repro.model import get_model, seeded_inputs
+from repro.obs.stats import FIELDS
 from repro.perf.pkcache import GLOBAL_PK_CACHE
 from repro.runtime import prove_batch, prove_model
 
@@ -49,6 +59,25 @@ BATCH_OF_TWO = {
     "vgg16": (13, "fa1fe8f7512d4ba64c5b38c97c8d7a6c"),
 }
 
+#: The counters pinned per proof: a new ``obs.stats`` field gets a column.
+COUNTED = (
+    "ntt_base", "ntt_extended", "commitments", "openings", "lookup_passes",
+    "transcript_absorbs", "challenges", "merkle_leaf_hashes",
+    "merkle_node_hashes", "sparsity_skips")
+assert set(COUNTED) == set(FIELDS) - {"ntt_plan_hits"}
+
+#: model -> observed_counts of the ``SINGLE`` proof, in ``COUNTED`` order.
+OP_COUNTS = {
+    "diffusion": (39, 79, 40, 80, 10, 85, 61, 8128, 8120, 0),
+    "dlrm": (44, 85, 45, 87, 13, 79, 59, 1984, 1978, 0),
+    "gpt2": (73, 128, 74, 133, 36, 82, 60, 4032, 4025, 0),
+    "mnist": (55, 103, 57, 106, 23, 79, 59, 1984, 1978, 1),
+    "mobilenet": (44, 87, 45, 89, 13, 85, 61, 8128, 8120, 0),
+    "resnet18": (44, 87, 45, 89, 13, 88, 62, 16320, 16311, 0),
+    "twitter": (61, 112, 62, 116, 26, 79, 59, 1984, 1978, 0),
+    "vgg16": (45, 85, 46, 87, 14, 88, 62, 16320, 16311, 0),
+}
+
 
 def envelope_hash(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
@@ -66,6 +95,8 @@ def check_single(name):
     result = prove_model(spec, seeded_inputs(spec, 0))
     data = result.envelope_bytes()
     assert (result.k, len(data), envelope_hash(data)) == SINGLE[name]
+    assert {field: result.observed_counts[field] for field in COUNTED} \
+        == dict(zip(COUNTED, OP_COUNTS[name]))
 
 
 def check_batch_of_two(name):

@@ -1,11 +1,5 @@
 """The ZKML compiler: logical layouts, physical layouts, model synthesis."""
 
-from repro.compiler.gadget_census import (
-    constraint_degree,
-    layer_gadgets,
-    lookups_for_gadget,
-    tables_for_gadget,
-)
 from repro.compiler.logical import (
     LayoutPlan,
     generate_logical_layouts,
@@ -39,8 +33,4 @@ __all__ = [
     "check_against_reference",
     "render_breakdown",
     "render_row_map",
-    "layer_gadgets",
-    "lookups_for_gadget",
-    "tables_for_gadget",
-    "constraint_degree",
 ]

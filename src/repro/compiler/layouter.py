@@ -5,7 +5,9 @@ and calls each layer's ``synthesize``.  The resulting builder holds the
 complete grid (gadget rows, lookup tables, copy constraints), ready for
 keygen/prove.  One walk serves every batch size: a single inference is a
 batch of one.  Requires a materialized model (mini-scale); paper-scale
-models are costed analytically via :mod:`repro.compiler.physical`.
+models are sized by the same ``synthesize`` code run on a counting
+builder over shapes (:mod:`repro.compiler.physical`), which is also how
+this walk picks its ``k``.
 """
 
 from __future__ import annotations

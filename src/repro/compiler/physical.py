@@ -1,11 +1,14 @@
 """Physical circuit layouts: row-exact simulation of a circuit's shape.
 
 Given a model, a logical layout (gadget choices), and a column count, a
-:class:`PhysicalLayout` computes *exactly* how many rows the grid needs
+:class:`PhysicalLayout` records *exactly* how many rows the grid needs
 (gadget rows and lookup-table rows), the number of lookup arguments,
-selectors, permutation columns, and the maximum constraint degree — all
-the inputs the cost model (paper §7.4) needs, without ever allocating a
-witness.  Because the number of rows must be a power of two, the layout
+selectors, fixed columns, and the maximum constraint degree — all the
+inputs the cost model (paper §7.4) needs — without ever allocating a
+witness.  The simulator is the synthesizer: every layer's ``synthesize``
+runs on a counting :class:`~repro.gadgets.CircuitBuilder` over shape-only
+tensors, so the rows and gadgets counted are the ones a real synthesis
+lays out.  Because the number of rows must be a power of two, the layout
 also fixes the minimal feasible ``k`` (paper §7.3).
 """
 
@@ -13,18 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional
 
-from repro.compiler.gadget_census import (
-    constraint_degree,
-    layer_gadgets,
-    lookups_for_gadget,
-    tables_for_gadget,
-)
 from repro.compiler.logical import LayoutPlan
+from repro.gadgets import CircuitBuilder
 from repro.layers.base import LayoutChoices
 from repro.model.spec import ModelSpec
 from repro.resilience.errors import LayoutError
+from repro.tensor import ShapeTensor
 
 #: Columns the size-objective minimum uses (paper §9.4: "the minimum
 #: number of columns, which is 10 for our gadgets").
@@ -60,7 +59,6 @@ class PhysicalLayout:
     gadget_rows: int
     table_rows: int
     per_layer_rows: Dict[str, int]
-    gadget_keys: Set[Tuple[str, object]]
     num_lookups: int
     num_fixed: int
     num_selectors: int
@@ -133,19 +131,20 @@ def build_physical_layout(
     if lookup_bits is None:
         lookup_bits = default_lookup_bits(spec, scale_bits)
 
-    input_shapes = spec.layer_input_shapes()
+    builder = CircuitBuilder(None, num_cols, scale_bits, lookup_bits)
+    values = {name: ShapeTensor(shape) for name, shape in spec.inputs.items()}
     per_layer_rows: Dict[str, int] = {}
-    gadget_keys: Set[Tuple[str, object]] = set()
-    tables: Set[Tuple[str, object]] = set()
     for layer_spec in spec.layers:
         layer = layer_spec.layer()
-        shapes = input_shapes[layer_spec.name]
+        params = {name: ShapeTensor(shape) for name, shape in
+                  layer.quantized_shapes(layer_spec.param_shapes()).items()}
         choices = resolve_choices(plan.for_layer(layer_spec.name),
                                   lookup_bits)
+        start = builder.rows_used
         try:
-            per_layer_rows[layer_spec.name] = layer.count_rows(
-                num_cols, shapes, choices, scale_bits
-            )
+            values[layer_spec.name] = layer.synthesize(
+                builder, [values[i] for i in layer_spec.inputs], params,
+                choices)
         except LayoutError as exc:
             # only *layout infeasibility* is a legal reason to discard this
             # (columns, choices) point during layout search — a bare
@@ -154,28 +153,10 @@ def build_physical_layout(
                 "%s at %d columns: %s" % (layer_spec.name, num_cols, exc),
                 layer=layer_spec.name, num_cols=num_cols,
             ) from exc
-        keys = layer_gadgets(layer, choices, scale_bits, shapes)
-        gadget_keys |= keys
-        for key in keys:
-            tables |= tables_for_gadget(key, scale_bits, lookup_bits)
+        per_layer_rows[layer_spec.name] = builder.rows_used - start
 
-    gadget_rows = sum(per_layer_rows.values())
-    table_rows = 0
-    num_fixed = 1  # the shared constants column
-    for kind, param in tables:
-        if kind == "nl":
-            table_rows = max(table_rows, (1 << lookup_bits) + 1)
-            num_fixed += 2
-        else:
-            table_rows = max(table_rows, int(param) + 1)
-            num_fixed += 1
-
-    num_lookups = sum(
-        lookups_for_gadget(key, num_cols) for key in gadget_keys
-    )
-    num_selectors = len(gadget_keys)
-    d_max = constraint_degree(gadget_keys)
-
+    gadget_rows = builder.rows_used
+    table_rows = builder.table_rows_needed()
     k = minimal_k(gadget_rows, table_rows, lookup_bits)
     if k > max_k:
         raise LayoutInfeasible(
@@ -184,8 +165,7 @@ def build_physical_layout(
         )
 
     # model parameters live in fixed columns (the vk commits to them)
-    num_weight_columns = -(-spec.param_count() // (1 << k)) if spec.param_count() else 0
-    num_fixed += num_weight_columns
+    num_weight_columns = -(-spec.param_count() // (1 << k))
 
     return PhysicalLayout(
         spec=spec,
@@ -197,10 +177,11 @@ def build_physical_layout(
         gadget_rows=gadget_rows,
         table_rows=table_rows,
         per_layer_rows=per_layer_rows,
-        gadget_keys=gadget_keys,
-        num_lookups=num_lookups,
-        num_fixed=num_fixed,
-        num_selectors=num_selectors,
-        d_max=d_max,
+        num_lookups=builder.num_lookups,
+        # the constants column and the lookup tables, plus the weights
+        num_fixed=builder.cs.num_fixed + num_weight_columns,
+        num_selectors=builder.num_selectors,
+        # halo2's accounting: a lookup's helper constraint is degree 4
+        d_max=4 if builder.num_lookups else 3,
         num_weight_columns=num_weight_columns,
     )

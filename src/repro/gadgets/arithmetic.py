@@ -19,7 +19,7 @@ from typing import List, Sequence
 from repro.halo2.expression import Constant, Expression, Ref
 from repro.gadgets.base import Gadget
 from repro.quantize import div_round
-from repro.tensor import Entry
+from repro.tensor import PLACEHOLDER, Entry
 
 
 class AddGadget(Gadget):
@@ -36,7 +36,7 @@ class AddGadget(Gadget):
             constraints.append(x + y - z)
         b.cs.create_gate("add", constraints, selector=self.selector)
 
-    def assign_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
+    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
         b = self.builder
         row = b.alloc_row(self.selector)
         outputs = []
@@ -61,7 +61,7 @@ class SubGadget(Gadget):
             constraints.append(x - y - z)
         b.cs.create_gate("sub", constraints, selector=self.selector)
 
-    def assign_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
+    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
         b = self.builder
         row = b.alloc_row(self.selector)
         outputs = []
@@ -112,7 +112,7 @@ class MulGadget(Gadget, _RescaleMixin):
             self._remainder_lookup(str(slot), 4 * slot + 3)
         b.cs.create_gate("mul", constraints, selector=self.selector)
 
-    def assign_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
+    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
         b = self.builder
         row = b.alloc_row(self.selector)
         outputs = []
@@ -145,7 +145,7 @@ class SquareGadget(Gadget, _RescaleMixin):
             self._remainder_lookup(str(slot), 3 * slot + 2)
         b.cs.create_gate("square", constraints, selector=self.selector)
 
-    def assign_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
+    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
         b = self.builder
         row = b.alloc_row(self.selector)
         outputs = []
@@ -178,7 +178,7 @@ class SquaredDiffGadget(Gadget, _RescaleMixin):
             self._remainder_lookup(str(slot), 4 * slot + 3)
         b.cs.create_gate("squared_diff", constraints, selector=self.selector)
 
-    def assign_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
+    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
         b = self.builder
         row = b.alloc_row(self.selector)
         outputs = []
@@ -210,10 +210,6 @@ class SumGadget(Gadget):
     def terms_per_row(cls, num_cols: int) -> int:
         return num_cols - 1
 
-    @classmethod
-    def rows_for_ops(cls, num_ops: int, num_cols: int) -> int:
-        return num_ops
-
     def _configure(self) -> None:
         b = self.builder
         terms = [Ref(c) for c in b.columns[:-1]]
@@ -223,7 +219,7 @@ class SumGadget(Gadget):
             acc = acc + t
         b.cs.create_gate("sum", [z - acc], selector=self.selector)
 
-    def assign_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
+    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
         b = self.builder
         (values,) = ops
         if len(values) > self.terms_per_row(b.num_cols):
@@ -238,6 +234,15 @@ class SumGadget(Gadget):
     def sum_vector(self, values: Sequence[Entry]) -> Entry:
         """Sum a vector of any length by chaining partial sums."""
         terms = self.terms_per_row(self.builder.num_cols)
+        if self.builder.counting:
+            # each level sums full chunks (a lone leftover passes through)
+            rows, work = 0, len(values)
+            while work > 1:
+                full, rem = divmod(work, terms)
+                rows += full + (rem > 1)
+                work = full + (rem > 0)
+            self.builder.advance(rows)
+            return PLACEHOLDER
         work = list(values)
         while len(work) > 1:
             partials = []
@@ -279,7 +284,7 @@ class DivRoundConstGadget(Gadget):
             )
         b.cs.create_gate("div_round_const/%d" % c, constraints, selector=self.selector)
 
-    def assign_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
+    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
         b = self.builder
         c = self.divisor
         row = b.alloc_row(self.selector)
@@ -317,7 +322,7 @@ class ScaleConstGadget(Gadget):
         b.cs.create_gate("scale_const/%d" % self.factor, constraints,
                          selector=self.selector)
 
-    def assign_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
+    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
         b = self.builder
         row = b.alloc_row(self.selector)
         outputs = []

@@ -21,7 +21,7 @@ class BitDecompReluGadget(Gadget):
     """y = ReLU(x) via two's-complement bit decomposition."""
 
     name = "bit_decomp_relu"
-    cells_per_op = 0  # depends on bits; see slots_per_row
+    cells_per_op = 0  # depends on bits; see slots
 
     def __init__(self, builder, bits: int = 8):
         if bits < 2:
@@ -29,32 +29,21 @@ class BitDecompReluGadget(Gadget):
         self.bits = bits
         super().__init__(builder)
 
-    @classmethod
-    def slots_for(cls, num_cols: int, bits: int) -> int:
-        return num_cols // (bits + 2)
-
-    def slots_per_row_instance(self) -> int:
-        return self.slots_for(self.builder.num_cols, self.bits)
-
-    @classmethod
-    def rows_for_ops_bits(cls, num_ops: int, num_cols: int, bits: int) -> int:
-        slots = cls.slots_for(num_cols, bits)
+    def slots(self) -> int:
+        slots = self.builder.num_cols // (self.bits + 2)
         if slots == 0:
-            raise LayoutError("row too narrow for %d-bit decomposition" % bits,
-                              num_cols=num_cols, bits=bits)
-        return -(-num_ops // slots)
+            raise LayoutError(
+                "bit_decomp_relu with %d bits needs %d columns, got %d"
+                % (self.bits, self.bits + 2, self.builder.num_cols),
+                num_cols=self.builder.num_cols, bits=self.bits,
+            )
+        return slots
 
     def _configure(self) -> None:
         b = self.builder
         bits = self.bits
-        slots = self.slots_per_row_instance()
-        if slots == 0:
-            raise ValueError(
-                "bit_decomp_relu with %d bits needs %d columns, got %d"
-                % (bits, bits + 2, b.num_cols)
-            )
         constraints = []
-        for slot in range(slots):
+        for slot in range(self.slots()):
             base = slot * (bits + 2)
             x = Ref(b.columns[base])
             y = Ref(b.columns[base + 1])
@@ -70,7 +59,7 @@ class BitDecompReluGadget(Gadget):
         b.cs.create_gate("bit_decomp_relu/%d" % bits, constraints,
                          selector=self.selector)
 
-    def assign_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
+    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
         b = self.builder
         bits = self.bits
         half = 1 << (bits - 1)
@@ -91,10 +80,5 @@ class BitDecompReluGadget(Gadget):
                 b.new_entry((unsigned >> i) & 1, row, base + 2 + i)
         return outputs
 
-    def apply_vector(self, values: Sequence[Entry]) -> List[Entry]:
-        slots = self.slots_per_row_instance()
-        ops = [(v,) for v in values]
-        outputs: List[Entry] = []
-        for start in range(0, len(ops), slots):
-            outputs.extend(self.assign_row(ops[start : start + slots]))
-        return outputs
+    def apply_vector(self, values: Sequence[Entry]) -> Sequence[Entry]:
+        return self.assign_many(values)

@@ -10,20 +10,27 @@ Lookup-table convention: inputs are gated as ``sel * (x + OFFSET)`` with
 ``OFFSET`` placing every valid entry at a nonzero value, and each table
 carries an all-zero default row.  Rows not using the gadget therefore
 look up the default tuple, while active rows can only hit real entries.
+
+A builder made with ``k=None`` *counts* instead of assigning: it is the
+physical-layout simulator.  It holds no grid (``k`` is what it computes),
+rows are cursor advances, constants and tables record only their bound,
+and each gadget contributes the selectors, lookups and tables its real
+``_configure`` declared — run once per (gadget, params, width, scale,
+lookup bits) and reused by every layout of that shape.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.field.prime_field import GOLDILOCKS, PrimeField
 from repro.halo2 import Assignment, ConstraintSystem, MockProver, Ref
 from repro.halo2.column import Column
 from repro.quantize import FixedPoint
-from repro.tensor import Cell, Entry
+from repro.tensor import PLACEHOLDER, Cell, Entry, Lanes
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,9 @@ class NonlinearTable:
         self.offset = (1 << (self.bits - 1)) + 1
         self.in_col = builder.cs.fixed_column()
         self.out_col = builder.cs.fixed_column()
+        self._map: Dict[int, int] = {}
+        if builder.counting:
+            return
         fp = builder.fp
         size = 1 << self.bits
         if size + 1 > builder.asg.n:
@@ -63,7 +73,6 @@ class NonlinearTable:
                 "nonlinear table needs %d rows but grid has %d"
                 % (size + 1, builder.asg.n)
             )
-        self._map: Dict[int, int] = {}
         half = size >> 1
         from repro.gadgets.nonlinear import fixed_eval
 
@@ -95,25 +104,47 @@ class RangeTable:
     def __init__(self, builder: "CircuitBuilder", bound: int):
         if bound < 1:
             raise ValueError("range bound must be positive")
+        self.bound = bound
+        self.col = builder.cs.fixed_column()
+        if builder.counting:
+            return
         if bound + 1 > builder.asg.n:
             raise ValueError(
                 "range table [0, %d) needs %d rows but grid has %d"
                 % (bound, bound + 1, builder.asg.n)
             )
-        self.bound = bound
-        self.col = builder.cs.fixed_column()
         for row in range(bound):
             builder.asg.assign_fixed(self.col, row, row + 1)
         for row in range(bound, builder.asg.n):
             builder.asg.assign_fixed(self.col, row, 0)
 
 
+# bounded so a long-lived process sweeping many shapes cannot grow it
+# without limit; the eight zoo specs need about 1.1k entries
+@functools.lru_cache(maxsize=4096)
+def _configured_once(cls: Type, params: Tuple, num_cols: int, scale_bits: int,
+                     lookup_bits: int):
+    """Configure one gadget for real on a scratch counting builder and keep
+    what it declared: (instance, selectors, lookups, nl tables, range
+    bounds).  The instance keeps its parameters, not the scratch builder."""
+    scratch = CircuitBuilder(None, num_cols, scale_bits, lookup_bits)
+    scratch.columns = scratch._advice_columns()
+    gadget = cls(scratch, **dict(params))
+    gadget.builder = None
+    return (gadget, scratch.cs.num_selectors, len(scratch.cs.lookups),
+            tuple(scratch._nl_tables), tuple(scratch._range_tables))
+
+
 class CircuitBuilder:
-    """Synthesis context: grid columns, row cursor, tables, constants."""
+    """Synthesis context: grid columns, row cursor, tables, constants.
+
+    ``k=None`` makes a counting builder (see the module docstring); it
+    needs an explicit ``lookup_bits``.
+    """
 
     def __init__(
         self,
-        k: int,
+        k: Optional[int],
         num_cols: int,
         scale_bits: int,
         lookup_bits: Optional[int] = None,
@@ -130,12 +161,14 @@ class CircuitBuilder:
         if self.lookup_bits < 1:
             raise ValueError("lookup_bits must be at least 1")
         self.cs = ConstraintSystem(field)
-        self.columns: List[Column] = []
-        for _ in range(num_cols):
-            col = self.cs.advice_column()
-            self.cs.enable_equality(col)
-            self.columns.append(col)
-        self.asg = Assignment(self.cs, k)
+        self.counting = k is None
+        #: a counting builder declares advice columns only to configure
+        self.columns: List[Column] = [] if self.counting else self._advice_columns()
+        self.asg = None if self.counting else Assignment(self.cs, k)
+        #: lookups and selectors of gadgets a counting builder adopted
+        #: from their one real configure (its own ``cs`` holds neither)
+        self._adopted_lookups = 0
+        self._adopted_selectors = 0
         self._row = 0
         #: Row regions recorded during synthesis (one per model layer).
         self.regions: List[Region] = []
@@ -149,6 +182,14 @@ class CircuitBuilder:
         self._weight_col = None
         self._weight_row = 0
 
+    def _advice_columns(self) -> List[Column]:
+        columns = []
+        for _ in range(self.num_cols):
+            col = self.cs.advice_column()
+            self.cs.enable_equality(col)
+            columns.append(col)
+        return columns
+
     # -- gadgets -----------------------------------------------------------------
 
     def gadget(self, cls: Type, **params):
@@ -156,9 +197,36 @@ class CircuitBuilder:
         key = (cls, tuple(sorted(params.items())))
         inst = self._gadgets.get(key)
         if inst is None:
-            inst = cls(self, **params) if params else cls(self)
+            if self.counting:
+                inst = self._adopt(*_configured_once(
+                    cls, key[1], self.num_cols, self.scale_bits,
+                    self.lookup_bits))
+            else:
+                inst = cls(self, **params)
             self._gadgets[key] = inst
         return inst
+
+    def _adopt(self, gadget, selectors: int, lookups: int, nl_tables,
+               range_bounds):
+        """Count what a configured gadget adds to this circuit and bind a
+        copy of it here (a counting builder never configures twice)."""
+        self._adopted_selectors += selectors
+        self._adopted_lookups += lookups
+        for fn_name in nl_tables:
+            self.nonlinear_table(fn_name)
+        for bound in range_bounds:
+            self.range_table(bound)
+        clone = object.__new__(type(gadget))  # a shallow copy, bound here
+        clone.__dict__ = dict(gadget.__dict__, builder=self)
+        return clone
+
+    @property
+    def num_lookups(self) -> int:
+        return len(self.cs.lookups) + self._adopted_lookups
+
+    @property
+    def num_selectors(self) -> int:
+        return self.cs.num_selectors + self._adopted_selectors
 
     # -- rows ---------------------------------------------------------------------
 
@@ -168,25 +236,42 @@ class CircuitBuilder:
 
     def alloc_row(self, selector: Column) -> int:
         """Claim the next free row and enable a selector on it."""
-        row = self._row
-        if row >= self.asg.n:
-            raise ValueError(
-                "circuit overflow: needs more than 2^%d rows" % self.k
-            )
-        self.asg.enable_selector(selector, row)
-        self._row += 1
+        row = self.alloc_row_unselected()
+        if not self.counting:
+            self.asg.enable_selector(selector, row)
         return row
 
     def alloc_row_unselected(self) -> int:
         """Claim the next free row without enabling any selector (the
         continuation row of a multi-row gadget)."""
         row = self._row
-        if row >= self.asg.n:
+        if not self.counting and row >= self.asg.n:
             raise ValueError(
                 "circuit overflow: needs more than 2^%d rows" % self.k
             )
         self._row += 1
         return row
+
+    def advance(self, rows: int) -> None:
+        """Counting builder: claim ``rows`` rows a gadget's closed form
+        says its bulk entry point would fill."""
+        self._row += rows
+
+    def repeat(self, n: int, body: Callable[[int], object]) -> Sequence:
+        """``[body(i) for i in range(n)]`` for a layer loop whose
+        iterations lay out identical rows (positions, windows, vectors).
+
+        A counting builder runs ``body(0)`` once and claims its rows ``n``
+        times, so a count walk costs per layer, not per element.
+        """
+        if not self.counting:
+            return [body(i) for i in range(n)]
+        if n == 0:
+            return []
+        start = self._row
+        item = body(0)
+        self._row += (n - 1) * (self._row - start)
+        return Lanes(item, n)
 
     @contextmanager
     def region(self, name: str, kind: str = ""):
@@ -229,6 +314,8 @@ class CircuitBuilder:
 
     def constant(self, value: int) -> Entry:
         """A shared, copy-constrainable constant cell (fixed column)."""
+        if self.counting:
+            return PLACEHOLDER
         entry = self._const_cache.get(value)
         if entry is None:
             if self._const_row >= self.asg.n:
@@ -268,8 +355,6 @@ class CircuitBuilder:
         """Run the MockProver and raise on any constraint violation."""
         MockProver(self.cs, self.asg, regions=self.regions).assert_satisfied()
 
-    # -- stats (mirrored by the physical-layout simulator) ---------------------------------
-
     def table_rows_needed(self) -> int:
         """Rows the largest lookup table in this circuit requires."""
         rows = 0
@@ -278,11 +363,6 @@ class CircuitBuilder:
         for t in self._range_tables.values():
             rows = max(rows, t.bound + 1)
         return rows
-
-    def min_k(self) -> int:
-        """Smallest k whose grid fits both gadget rows and tables."""
-        needed = max(self.rows_used, self.table_rows_needed(), 1)
-        return max(int(math.ceil(math.log2(needed))), 1)
 
     def expose(self, entries) -> None:
         """Expose entries as public inputs (a fresh instance column).

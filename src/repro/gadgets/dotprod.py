@@ -15,11 +15,12 @@ end, which is what keeps precision through the accumulation.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.halo2.expression import Constant, Expression, Ref
+from repro.gadgets.arithmetic import SumGadget
 from repro.gadgets.base import Gadget
-from repro.tensor import Entry
+from repro.tensor import PLACEHOLDER, Entry, Lanes
 
 
 class DotProdGadget(Gadget):
@@ -36,10 +37,6 @@ class DotProdGadget(Gadget):
     def terms_per_row(cls, num_cols: int) -> int:
         return (num_cols - 1) // 2
 
-    @classmethod
-    def rows_for_ops(cls, num_ops: int, num_cols: int) -> int:
-        return num_ops
-
     def _configure(self) -> None:
         b = self.builder
         n = self.terms_per_row(b.num_cols)
@@ -51,7 +48,7 @@ class DotProdGadget(Gadget):
             acc = acc + x * y
         b.cs.create_gate("dot_prod", [z - acc], selector=self.selector)
 
-    def assign_row(self, ops: Sequence[Sequence[Sequence[Entry]]]) -> List[Entry]:
+    def _fill_row(self, ops: Sequence[Sequence[Sequence[Entry]]]) -> List[Entry]:
         b = self.builder
         ((xs, ys),) = ops
         n = self.terms_per_row(b.num_cols)
@@ -64,6 +61,23 @@ class DotProdGadget(Gadget):
             b.place(row, n + i, y)
             total += x.value * y.value
         return [b.new_entry(total, row, b.num_cols - 1)]
+
+    def dot(self, xs: Sequence[Entry], ys: Sequence[Entry],
+            bias: Optional[Entry] = None) -> Entry:
+        """A full-length dot product: one partial per row, the partials
+        (and ``bias``) combined by the Sum gadget."""
+        b = self.builder
+        n = self.terms_per_row(b.num_cols)
+        if b.counting:
+            rows = -(-len(xs) // n)
+            b.advance(rows)
+            partials = Lanes(PLACEHOLDER, rows + (bias is not None))
+        else:
+            partials = [self.assign_row([(xs[s : s + n], ys[s : s + n])])[0]
+                        for s in range(0, len(xs), n)]
+            if bias is not None:
+                partials.append(bias)
+        return b.gadget(SumGadget).sum_vector(partials)
 
 
 class DotProdBiasGadget(Gadget):
@@ -80,10 +94,6 @@ class DotProdBiasGadget(Gadget):
     def terms_per_row(cls, num_cols: int) -> int:
         return (num_cols - 2) // 2
 
-    @classmethod
-    def rows_for_ops(cls, num_ops: int, num_cols: int) -> int:
-        return num_ops
-
     def _configure(self) -> None:
         b = self.builder
         n = self.terms_per_row(b.num_cols)
@@ -96,7 +106,7 @@ class DotProdBiasGadget(Gadget):
             acc = acc + x * y
         b.cs.create_gate("dot_prod_bias", [z - acc], selector=self.selector)
 
-    def assign_row(self, ops: Sequence) -> List[Entry]:
+    def _fill_row(self, ops: Sequence) -> List[Entry]:
         b = self.builder
         ((xs, ys, bias),) = ops
         n = self.terms_per_row(b.num_cols)
@@ -116,6 +126,9 @@ class DotProdBiasGadget(Gadget):
         if len(xs) != len(ys):
             raise ValueError("dot product needs aligned vectors")
         n = self.terms_per_row(self.builder.num_cols)
+        if self.builder.counting:
+            self.builder.advance(-(-len(xs) // n))
+            return PLACEHOLDER
         acc = bias
         for start in range(0, len(xs), n):
             (acc,) = self.assign_row(

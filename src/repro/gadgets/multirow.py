@@ -29,14 +29,12 @@ class MultiRowAddGadget(Gadget):
 
     name = "multirow_add"
     cells_per_op = 0
+    height = 2
 
     @classmethod
     def slots_per_row(cls, num_cols: int) -> int:
         return 1
 
-    @classmethod
-    def rows_for_ops(cls, num_ops: int, num_cols: int) -> int:
-        return 2 * num_ops
 
     def _configure(self) -> None:
         b = self.builder
@@ -45,7 +43,7 @@ class MultiRowAddGadget(Gadget):
         b.cs.create_gate("multirow_add", [x + y - z_next],
                          selector=self.selector)
 
-    def assign_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
+    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
         b = self.builder
         ((x, y),) = ops
         row = b.alloc_row(self.selector)
@@ -60,14 +58,12 @@ class MultiRowMaxGadget(Gadget):
 
     name = "multirow_max"
     cells_per_op = 0
+    height = 2
 
     @classmethod
     def slots_per_row(cls, num_cols: int) -> int:
         return 1
 
-    @classmethod
-    def rows_for_ops(cls, num_ops: int, num_cols: int) -> int:
-        return 2 * num_ops
 
     def _configure(self) -> None:
         b = self.builder
@@ -84,7 +80,7 @@ class MultiRowMaxGadget(Gadget):
         b.cs.add_lookup("multirow_max/ge_b", inputs=[sel * (c - y + 1)],
                         table=[Ref(table.col)])
 
-    def assign_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
+    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
         b = self.builder
         ((x, y),) = ops
         c = max(x.value, y.value)
@@ -106,6 +102,7 @@ class MultiRowDotGadget(Gadget):
 
     name = "multirow_dot"
     cells_per_op = 0
+    height = 2
 
     @classmethod
     def slots_per_row(cls, num_cols: int) -> int:
@@ -115,9 +112,6 @@ class MultiRowDotGadget(Gadget):
     def terms_per_row(cls, num_cols: int) -> int:
         return num_cols - 1
 
-    @classmethod
-    def rows_for_ops(cls, num_ops: int, num_cols: int) -> int:
-        return 2 * num_ops
 
     def _configure(self) -> None:
         b = self.builder
@@ -128,7 +122,7 @@ class MultiRowDotGadget(Gadget):
         z = Ref(b.columns[b.num_cols - 1], 1)
         b.cs.create_gate("multirow_dot", [z - acc], selector=self.selector)
 
-    def assign_row(self, ops: Sequence) -> List[Entry]:
+    def _fill_row(self, ops: Sequence) -> List[Entry]:
         b = self.builder
         ((xs, ys),) = ops
         m = self.terms_per_row(b.num_cols)

@@ -90,7 +90,7 @@ class PointwiseGadget(Gadget):
                 table=[Ref(self.table.in_col), Ref(self.table.out_col)],
             )
 
-    def assign_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
+    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
         b = self.builder
         row = b.alloc_row(self.selector)
         outputs = []
@@ -105,6 +105,6 @@ class PointwiseGadget(Gadget):
                 outputs.append(out)
         return outputs
 
-    def apply_vector(self, values: Sequence[Entry]) -> List[Entry]:
+    def apply_vector(self, values: Sequence[Entry]) -> Sequence[Entry]:
         """Apply the function to a whole vector, packing rows."""
-        return self.assign_many([(v,) for v in values])
+        return self.assign_many(values)

@@ -15,7 +15,7 @@ from typing import List, Sequence
 
 from repro.halo2.expression import Constant, Ref
 from repro.gadgets.base import Gadget
-from repro.tensor import Entry
+from repro.tensor import PLACEHOLDER, Entry
 
 
 class MaxGadget(Gadget):
@@ -47,7 +47,7 @@ class MaxGadget(Gadget):
             )
         b.cs.create_gate("max", constraints, selector=self.selector)
 
-    def assign_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
+    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
         b = self.builder
         row = b.alloc_row(self.selector)
         outputs = []
@@ -65,12 +65,18 @@ class MaxGadget(Gadget):
 
     def max_vector(self, values: Sequence[Entry]) -> Entry:
         """Maximum of a vector via a pairwise tournament."""
+        if self.builder.counting:
+            # each round packs its pairs into rows; an odd one out waits
+            rows, work = 0, len(values)
+            while work > 1:
+                pairs = work // 2
+                rows += -(-pairs // self.slots())
+                work = pairs + work % 2
+            self.builder.advance(rows)
+            return PLACEHOLDER
         work = list(values)
         while len(work) > 1:
-            pairs = [
-                (work[i], work[i + 1]) for i in range(0, len(work) - 1, 2)
-            ]
-            reduced = self.assign_many(pairs)
+            reduced = self.assign_many(work[0 : len(work) - 1 : 2], work[1::2])
             if len(work) % 2:
                 reduced.append(work[-1])
             work = reduced
@@ -106,7 +112,7 @@ class VarDivGadget(Gadget):
             )
         b.cs.create_gate("var_div", constraints, selector=self.selector)
 
-    def assign_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
+    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
         b = self.builder
         row = b.alloc_row(self.selector)
         outputs = []
@@ -163,7 +169,7 @@ class VarDivWideGadget(Gadget):
                 )
         b.cs.create_gate("var_div_wide", constraints, selector=self.selector)
 
-    def assign_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
+    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
         b = self.builder
         row = b.alloc_row(self.selector)
         outputs = []

@@ -7,13 +7,13 @@ the lookup table or the bit-decomposition alternative (paper §3).
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List
 
 import numpy as np
 
 from repro.gadgets import BitDecompReluGadget, CircuitBuilder, PointwiseGadget
 from repro.gadgets.nonlinear import NONLINEAR_FUNCTIONS, fixed_eval
-from repro.layers.base import Layer, LayoutChoices, ceil_div
+from repro.layers.base import Layer, LayoutChoices
 from repro.quantize import FixedPoint
 from repro.tensor import Tensor
 
@@ -45,27 +45,11 @@ class ActivationLayer(Layer):
     def synthesize(self, builder: CircuitBuilder, inputs: List[Tensor],
                    params, choices: LayoutChoices) -> Tensor:
         x = inputs[0]
-        entries = x.entries()
         if self._use_bitdecomp(choices):
             gadget = builder.gadget(BitDecompReluGadget, bits=choices.relu_bits)
-            outs = gadget.apply_vector(entries)
         else:
             gadget = builder.gadget(PointwiseGadget, fn_name=self.fn_name)
-            outs = gadget.apply_vector(entries)
-        return Tensor.from_entries(outs, x.shape)
-
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        n = int(np.prod(input_shapes[0]))
-        if self._use_bitdecomp(choices):
-            return BitDecompReluGadget.rows_for_ops_bits(
-                n, num_cols, choices.relu_bits
-            )
-        return ceil_div(n, PointwiseGadget.slots_per_row(num_cols))
-
-    def tables(self, choices, scale_bits, input_shapes) -> Set[Tuple[str, object]]:
-        if self._use_bitdecomp(choices):
-            return set()
-        return {("nl", self.fn_name)}
+        return Tensor.from_entries(gadget.apply_vector(x.entries()), x.shape)
 
 
 def _make_activation(fn_name: str):

@@ -29,20 +29,22 @@ from repro.gadgets import (
     SumGadget,
     VarDivGadget,
 )
-from repro.layers.base import (
-    Layer,
-    LayoutChoices,
-    arr_div_round,
-    ceil_div,
-    sum_rows_for_vector,
-)
-from repro.quantize import FixedPoint, div_round
+from repro.layers.base import Layer, arr_div_round
+from repro.quantize import div_round
 from repro.tensor import Tensor
 
 
-def _broadcast_pair(a: Tensor, b: Tensor) -> Tuple[Tensor, Tensor]:
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    return a.broadcast_to(shape), b.broadcast_to(shape)
+def _dot_rescaled(builder: CircuitBuilder, xs, ys):
+    """round(x * y / SF) per pair on the dot-product constraint (the
+    ``dotprod`` arithmetic choice): a DotProd row, then a rescale row."""
+    dot = builder.gadget(DotProdGadget)
+    rescale = builder.gadget(DivRoundConstGadget, divisor=builder.fp.factor)
+
+    def product(i):
+        (raw,) = dot.assign_row([([xs[i]], [ys[i]])])
+        return rescale.assign_row([(raw,)])[0]
+
+    return builder.repeat(len(xs), product)
 
 
 class _ElementwiseBinary(Layer):
@@ -51,12 +53,11 @@ class _ElementwiseBinary(Layer):
     def output_shape(self, input_shapes):
         return tuple(np.broadcast_shapes(*input_shapes))
 
-    def _pairs(self, inputs: List[Tensor]):
-        a, b = _broadcast_pair(inputs[0], inputs[1])
-        return list(zip(a.entries(), b.entries())), a.shape
-
-    def _num_ops(self, input_shapes) -> int:
-        return int(np.prod(np.broadcast_shapes(*input_shapes)))
+    def _operands(self, inputs: List[Tensor]):
+        """Both inputs broadcast to the output shape, as entry lists."""
+        shape = np.broadcast_shapes(inputs[0].shape, inputs[1].shape)
+        a, b = (t.broadcast_to(shape) for t in inputs)
+        return a.entries(), b.entries(), shape
 
 
 class AddLayer(_ElementwiseBinary):
@@ -69,21 +70,15 @@ class AddLayer(_ElementwiseBinary):
         return inputs[0] + inputs[1]
 
     def synthesize(self, builder, inputs, params, choices):
-        pairs, shape = self._pairs(inputs)
+        xs, ys, shape = self._operands(inputs)
         if choices.arithmetic == "dotprod":
             g = builder.gadget(DotProdBiasGadget)
             one = builder.constant(1)
-            outs = [g.assign_row([([x], [one], y)])[0] for x, y in pairs]
+            outs = builder.repeat(
+                len(xs), lambda i: g.assign_row([([xs[i]], [one], ys[i])])[0])
         else:
-            g = builder.gadget(AddGadget)
-            outs = g.assign_many(pairs)
+            outs = builder.gadget(AddGadget).assign_many(xs, ys)
         return Tensor.from_entries(outs, shape)
-
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        n = self._num_ops(input_shapes)
-        if choices.arithmetic == "dotprod":
-            return n
-        return ceil_div(n, AddGadget.slots_per_row(num_cols))
 
 
 class SubLayer(_ElementwiseBinary):
@@ -96,21 +91,16 @@ class SubLayer(_ElementwiseBinary):
         return inputs[0] - inputs[1]
 
     def synthesize(self, builder, inputs, params, choices):
-        pairs, shape = self._pairs(inputs)
+        xs, ys, shape = self._operands(inputs)
         if choices.arithmetic == "dotprod":
             g = builder.gadget(DotProdBiasGadget)
             minus_one = builder.constant(-1)
-            outs = [g.assign_row([([y], [minus_one], x)])[0] for x, y in pairs]
+            outs = builder.repeat(
+                len(xs),
+                lambda i: g.assign_row([([ys[i]], [minus_one], xs[i])])[0])
         else:
-            g = builder.gadget(SubGadget)
-            outs = g.assign_many(pairs)
+            outs = builder.gadget(SubGadget).assign_many(xs, ys)
         return Tensor.from_entries(outs, shape)
-
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        n = self._num_ops(input_shapes)
-        if choices.arithmetic == "dotprod":
-            return n
-        return ceil_div(n, SubGadget.slots_per_row(num_cols))
 
 
 class MulLayer(_ElementwiseBinary):
@@ -124,27 +114,12 @@ class MulLayer(_ElementwiseBinary):
         return arr_div_round(raw, fp.factor)
 
     def synthesize(self, builder, inputs, params, choices):
-        pairs, shape = self._pairs(inputs)
+        xs, ys, shape = self._operands(inputs)
         if choices.arithmetic == "dotprod":
-            dot = builder.gadget(DotProdGadget)
-            rescale = builder.gadget(DivRoundConstGadget, divisor=builder.fp.factor)
-            outs = []
-            for x, y in pairs:
-                (raw,) = dot.assign_row([([x], [y])])
-                outs.extend(rescale.assign_row([(raw,)]))
+            outs = _dot_rescaled(builder, xs, ys)
         else:
-            g = builder.gadget(MulGadget)
-            outs = g.assign_many(pairs)
+            outs = builder.gadget(MulGadget).assign_many(xs, ys)
         return Tensor.from_entries(outs, shape)
-
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        n = self._num_ops(input_shapes)
-        if choices.arithmetic == "dotprod":
-            return 2 * n
-        return ceil_div(n, MulGadget.slots_per_row(num_cols))
-
-    def tables(self, choices, scale_bits, input_shapes):
-        return {("range", 2 << scale_bits)}
 
 
 class DivLayer(_ElementwiseBinary):
@@ -167,20 +142,15 @@ class DivLayer(_ElementwiseBinary):
         return out
 
     def synthesize(self, builder, inputs, params, choices):
-        pairs, shape = self._pairs(inputs)
+        xs, ys, shape = self._operands(inputs)
         scale = builder.gadget(ScaleConstGadget, factor=builder.fp.factor)
         vdiv = builder.gadget(VarDivGadget)
-        outs = []
-        for x, y in pairs:
-            (num,) = scale.assign_row([(x,)])
-            outs.extend(vdiv.assign_row([(y, num)]))
-        return Tensor.from_entries(outs, shape)
 
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        return 2 * self._num_ops(input_shapes)
+        def divide(i):
+            (num,) = scale.assign_row([(xs[i],)])
+            return vdiv.assign_row([(ys[i], num)])[0]
 
-    def tables(self, choices, scale_bits, input_shapes):
-        return {("range", "lookup")}
+        return Tensor.from_entries(builder.repeat(len(xs), divide), shape)
 
 
 class SquareLayer(Layer):
@@ -197,27 +167,12 @@ class SquareLayer(Layer):
 
     def synthesize(self, builder, inputs, params, choices):
         x = inputs[0]
-        ops = [(e,) for e in x.entries()]
+        xs = x.entries()
         if choices.arithmetic == "dotprod":
-            dot = builder.gadget(DotProdGadget)
-            rescale = builder.gadget(DivRoundConstGadget, divisor=builder.fp.factor)
-            outs = []
-            for (e,) in ops:
-                (raw,) = dot.assign_row([([e], [e])])
-                outs.extend(rescale.assign_row([(raw,)]))
+            outs = _dot_rescaled(builder, xs, xs)
         else:
-            g = builder.gadget(SquareGadget)
-            outs = g.assign_many(ops)
+            outs = builder.gadget(SquareGadget).assign_many(xs)
         return Tensor.from_entries(outs, x.shape)
-
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        n = int(np.prod(input_shapes[0]))
-        if choices.arithmetic == "dotprod":
-            return 2 * n
-        return ceil_div(n, SquareGadget.slots_per_row(num_cols))
-
-    def tables(self, choices, scale_bits, input_shapes):
-        return {("range", 2 << scale_bits)}
 
 
 class SquaredDifferenceLayer(_ElementwiseBinary):
@@ -231,30 +186,22 @@ class SquaredDifferenceLayer(_ElementwiseBinary):
         return arr_div_round(diff * diff, fp.factor)
 
     def synthesize(self, builder, inputs, params, choices):
-        pairs, shape = self._pairs(inputs)
+        xs, ys, shape = self._operands(inputs)
         if choices.arithmetic == "dotprod":
             bias_dot = builder.gadget(DotProdBiasGadget)
             dot = builder.gadget(DotProdGadget)
             rescale = builder.gadget(DivRoundConstGadget, divisor=builder.fp.factor)
             minus_one = builder.constant(-1)
-            outs = []
-            for x, y in pairs:
-                (diff,) = bias_dot.assign_row([([y], [minus_one], x)])
+
+            def squared_diff(i):
+                (diff,) = bias_dot.assign_row([([ys[i]], [minus_one], xs[i])])
                 (raw,) = dot.assign_row([([diff], [diff])])
-                outs.extend(rescale.assign_row([(raw,)]))
+                return rescale.assign_row([(raw,)])[0]
+
+            outs = builder.repeat(len(xs), squared_diff)
         else:
-            g = builder.gadget(SquaredDiffGadget)
-            outs = g.assign_many(pairs)
+            outs = builder.gadget(SquaredDiffGadget).assign_many(xs, ys)
         return Tensor.from_entries(outs, shape)
-
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        n = self._num_ops(input_shapes)
-        if choices.arithmetic == "dotprod":
-            return 3 * n
-        return ceil_div(n, SquaredDiffGadget.slots_per_row(num_cols))
-
-    def tables(self, choices, scale_bits, input_shapes):
-        return {("range", 2 << scale_bits)}
 
 
 class ReduceSumLayer(Layer):
@@ -278,30 +225,22 @@ class ReduceSumLayer(Layer):
     def forward_fixed(self, inputs, params, fp):
         return np.sum(inputs[0], axis=self.axis)
 
-    def _vectors(self, x: Tensor) -> Tuple[List[List], Tuple[int, ...]]:
+    def _vectors(self, x: Tensor) -> Tuple[Tensor, Tuple[int, ...]]:
+        """The summed vectors as the rows of a matrix, and the out shape."""
         if self.axis is None:
-            return [x.entries()], ()
+            return x.reshape(1, x.size), ()
         axis = self.axis % x.ndim
         moved = x.transpose(
             [i for i in range(x.ndim) if i != axis] + [axis]
         )
-        out_shape = moved.shape[:-1]
-        flat = moved.reshape(int(np.prod(out_shape or (1,))), moved.shape[-1])
-        return [flat[i].entries() for i in range(flat.shape[0])], out_shape
+        return moved.reshape(-1, moved.shape[-1]), moved.shape[:-1]
 
     def synthesize(self, builder, inputs, params, choices):
         vectors, out_shape = self._vectors(inputs[0])
         g = builder.gadget(SumGadget)
-        outs = [g.sum_vector(vec) for vec in vectors]
+        outs = builder.repeat(vectors.shape[0],
+                              lambda i: g.sum_vector(vectors[i].entries()))
         return Tensor.from_entries(outs, out_shape)
-
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        shape = input_shapes[0]
-        if self.axis is None:
-            return sum_rows_for_vector(int(np.prod(shape)), num_cols)
-        axis = self.axis % len(shape)
-        count = int(np.prod(shape)) // shape[axis]
-        return count * sum_rows_for_vector(shape[axis], num_cols)
 
 
 class ReduceMeanLayer(ReduceSumLayer):
@@ -324,13 +263,5 @@ class ReduceMeanLayer(ReduceSumLayer):
         summed = super().synthesize(builder, inputs, params, choices)
         count = self._count(inputs[0].shape)
         g = builder.gadget(DivRoundConstGadget, divisor=count)
-        outs = g.assign_many([(e,) for e in summed.entries()])
-        return Tensor.from_entries(outs, summed.shape)
-
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        rows = super().count_rows(num_cols, input_shapes, choices, scale_bits)
-        n_out = max(int(np.prod(self.output_shape(input_shapes) or (1,))), 1)
-        return rows + ceil_div(n_out, DivRoundConstGadget.slots_per_row(num_cols))
-
-    def tables(self, choices, scale_bits, input_shapes):
-        return {("range", 2 * self._count(input_shapes[0]))}
+        return Tensor.from_entries(g.assign_many(summed.entries()),
+                                   summed.shape)

@@ -1,13 +1,14 @@
 """Layer base class, registry, and layout choices.
 
-A layer owns four views of one ML operation:
+A layer owns three views of one ML operation:
 
 - ``forward_float``  — numpy float32/64 reference semantics;
 - ``forward_fixed``  — exact fixed-point reference semantics, bit-for-bit
   identical to what the circuit computes (tests enforce this);
-- ``synthesize``     — lay the operation out as gadget rows;
-- ``count_rows``     — closed-form row count for the physical-layout
-  simulator (tests enforce it matches ``synthesize`` exactly).
+- ``synthesize``     — lay the operation out as gadget rows.  The same
+  code is the physical-layout simulator: on a counting builder, with
+  :class:`~repro.tensor.ShapeTensor` operands, it claims the rows,
+  gadgets and tables it would fill, at a cost per layer, not per element.
 
 The :class:`LayoutChoices` knobs select among equivalent gadget
 implementations; the optimizer enumerates them as *logical layouts*
@@ -17,7 +18,7 @@ implementations; the optimizer enumerates them as *logical layouts*
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Set, Tuple, Type
+from typing import Dict, List, Tuple, Type
 
 import numpy as np
 
@@ -98,35 +99,18 @@ class Layer:
     ) -> Tensor:
         raise NotImplementedError
 
-    def count_rows(
-        self,
-        num_cols: int,
-        input_shapes: List[Tuple[int, ...]],
-        choices: LayoutChoices,
-        scale_bits: int,
-    ) -> int:
-        raise NotImplementedError
-
-    def tables(
-        self,
-        choices: LayoutChoices,
-        scale_bits: int,
-        input_shapes: List[Tuple[int, ...]],
-    ) -> Set[Tuple[str, object]]:
-        """Lookup tables this layer needs.
-
-        Entries are ('nl', fn_name) for non-linearity tables, ('range', n)
-        for an exact range table of bound n, or ('range', 'lookup') for
-        the shared 2^lookup_bits range table whose size the physical
-        layout fixes globally.
-        """
-        return set()
-
     def quantize_params(
         self, params: Dict[str, np.ndarray], fp: FixedPoint
     ) -> Dict[str, np.ndarray]:
         """Default parameter quantization: everything at scale_bits."""
         return {k: fp.encode_array(v) for k, v in params.items()}
+
+    def quantized_shapes(
+        self, shapes: Dict[str, Tuple[int, ...]]
+    ) -> Dict[str, Tuple[int, ...]]:
+        """Shapes of :meth:`quantize_params`' output for parameters of
+        these shapes: what a counting walk synthesizes against."""
+        return shapes
 
     def __repr__(self) -> str:
         return "%s(%r)" % (type(self).__name__, self.name)
@@ -148,18 +132,6 @@ def arr_div_round(arr: np.ndarray, divisor: int) -> np.ndarray:
 def arr_int(x) -> np.ndarray:
     """Coerce to an object-int ndarray."""
     return np.asarray(x, dtype=object)
-
-
-def sum_rows_for_vector(length: int, num_cols: int) -> int:
-    """Rows SumGadget.sum_vector uses for a vector of ``length`` terms."""
-    terms = num_cols - 1
-    rows = 0
-    work = length
-    while work > 1:
-        full, rem = divmod(work, terms)
-        rows += full + (1 if rem > 1 else 0)
-        work = full + (1 if rem else 0)
-    return rows
 
 
 def ceil_div(a: int, b: int) -> int:

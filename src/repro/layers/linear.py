@@ -28,19 +28,12 @@ from repro.gadgets import (
     DivRoundConstGadget,
     DotProdBiasGadget,
     DotProdGadget,
-    SumGadget,
 )
-from repro.layers.base import (
-    Layer,
-    LayoutChoices,
-    arr_div_round,
-    ceil_div,
-    sum_rows_for_vector,
-)
+from repro.layers.base import Layer, LayoutChoices, arr_div_round, ceil_div
 from repro.quantize import FixedPoint
 from repro.resilience import faults
 from repro.resilience.errors import FreivaldsCheckError
-from repro.tensor import Entry, Tensor
+from repro.tensor import Entry, ShapeTensor, Tensor
 
 #: Freivalds challenge entries are bounded to keep raw values well below p.
 _FREIVALDS_BITS = 16
@@ -76,28 +69,9 @@ def _dot_raw(builder: CircuitBuilder, choices: LayoutChoices,
              xs: List[Entry], ys: List[Entry], bias: Optional[Entry]) -> Entry:
     """One full-length dot product at raw scale, per the layout choice."""
     if choices.linear == "dot_sum":
-        dot = builder.gadget(DotProdGadget)
-        n = dot.terms_per_row(builder.num_cols)
-        partials = []
-        for s in range(0, len(xs), n):
-            (z,) = dot.assign_row([(xs[s : s + n], ys[s : s + n])])
-            partials.append(z)
-        if bias is not None:
-            partials.append(bias)
-        return builder.gadget(SumGadget).sum_vector(partials)
+        return builder.gadget(DotProdGadget).dot(xs, ys, bias)
     dot = builder.gadget(DotProdBiasGadget)
     return dot.dot(xs, ys, bias if bias is not None else builder.zero())
-
-
-def _dot_rows(choices: LayoutChoices, length: int, num_cols: int,
-              with_bias: bool) -> int:
-    """Row count of :func:`_dot_raw`."""
-    if choices.linear == "dot_sum":
-        n = DotProdGadget.terms_per_row(num_cols)
-        partials = ceil_div(length, n) + (1 if with_bias else 0)
-        return ceil_div(length, n) + sum_rows_for_vector(partials, num_cols)
-    n = DotProdBiasGadget.terms_per_row(num_cols)
-    return ceil_div(length, n)
 
 
 def matmul_synthesize(
@@ -116,60 +90,49 @@ def matmul_synthesize(
     rescale = builder.gadget(DivRoundConstGadget, divisor=sf)
 
     if choices.linear == "freivalds":
-        raw = _freivalds_synthesize(builder, a, b, bias)
+        raw = _freivalds_synthesize(builder, a, b, bias).entries()
     else:
-        raw = np.empty((m, p), dtype=object)
-        a_rows = [a[i].entries() for i in range(m)]
-        b_cols = [b[:, j].entries() for j in range(p)]
-        for i in range(m):
-            for j in range(p):
-                bias_e = bias.entries()[j] if bias is not None else None
-                raw[i, j] = _dot_raw(builder, choices, a_rows[i], b_cols[j], bias_e)
-    flat = [raw[i, j] for i in range(m) for j in range(p)]
-    outs = rescale.assign_many([(e,) for e in flat])
-    return Tensor.from_entries(outs, (m, p))
+        a_rows = builder.repeat(m, lambda i: a[i].entries())
+        b_cols = builder.repeat(p, lambda j: b[:, j].entries())
+        biases = bias.entries() if bias is not None else [None] * p
+        raw = builder.repeat(m * p, lambda ij: _dot_raw(
+            builder, choices, a_rows[ij // p], b_cols[ij % p], biases[ij % p]))
+    return Tensor.from_entries(rescale.assign_many(raw), (m, p))
 
 
 def _freivalds_synthesize(builder, a: Tensor, b: Tensor,
-                          bias: Optional[Tensor]) -> np.ndarray:
+                          bias: Optional[Tensor]) -> Tensor:
     """Raw C entries verified with Freivalds' check C r = A (B r) + bias r."""
     m, k = a.shape
     _, p = b.shape
-    av = a.values()
-    bv = b.values()
-    raw_vals = av @ bv
-    if bias is not None:
-        raw_vals = raw_vals + np.asarray(bias.values()).reshape(1, p)
-    c_entries = np.empty((m, p), dtype=object)
-    for i in range(m):
-        for j in range(p):
-            c_entries[i, j] = Entry(int(raw_vals[i, j]))
-
-    r = _freivalds_challenges(builder, a, b, p)
+    if builder.counting:
+        c, r = ShapeTensor((m, p)), ShapeTensor((p,)).entries()
+    else:
+        raw_vals = a.values() @ b.values()
+        if bias is not None:
+            raw_vals = raw_vals + np.asarray(bias.values()).reshape(1, p)
+        c = Tensor.from_values(raw_vals)
+        r = _freivalds_challenges(builder, a, b, p)
+    inner = choices_dot_sum_free()
     # Br: one dot of length p per row of B
-    br = [
-        _dot_raw(builder, choices_dot_sum_free(), b[i].entries(), r, None)
-        for i in range(k)
-    ]
+    br = builder.repeat(
+        k, lambda i: _dot_raw(builder, inner, b[i].entries(), r, None))
     # A(Br): one dot of length k per row of A
-    abr = [
-        _dot_raw(builder, choices_dot_sum_free(), a[i].entries(), br, None)
-        for i in range(m)
-    ]
+    abr = builder.repeat(
+        m, lambda i: _dot_raw(builder, inner, a[i].entries(), br, None))
     # bias . r
     bias_r = None
     if bias is not None:
-        bias_r = _dot_raw(builder, choices_dot_sum_free(), bias.entries(), r, None)
+        bias_r = _dot_raw(builder, inner, bias.entries(), r, None)
     # Cr: one dot of length p per row of C (this materializes C's entries)
-    crs = [
-        _dot_raw(builder, choices_dot_sum_free(), list(c_entries[i]), r, None)
-        for i in range(m)
-    ]
+    crs = builder.repeat(
+        m, lambda i: _dot_raw(builder, inner, c[i].entries(), r, None))
     if bias_r is not None:
-        add = builder.gadget(AddGadget)
-        rhs = add.assign_many([(abr[i], bias_r) for i in range(m)])
+        rhs = builder.gadget(AddGadget).assign_many(abr, bias_r)
     else:
         rhs = abr
+    if builder.counting:
+        return c
     try:
         faults.maybe_inject("freivalds")
     except faults.InjectedFault as exc:
@@ -188,34 +151,12 @@ def _freivalds_synthesize(builder, a: Tensor, b: Tensor,
             )
         builder.asg.copy(cr.cell.column, cr.cell.row,
                          expected.cell.column, expected.cell.row)
-    return c_entries
+    return c
 
 
 def choices_dot_sum_free() -> LayoutChoices:
     """Internal dots inside Freivalds use the chained-accumulator layout."""
     return LayoutChoices(linear="dot_bias")
-
-
-def matmul_rows(
-    choices: LayoutChoices,
-    m: int,
-    k: int,
-    p: int,
-    num_cols: int,
-    with_bias: bool,
-) -> int:
-    """Row count of :func:`matmul_synthesize`."""
-    rescale_rows = ceil_div(m * p, DivRoundConstGadget.slots_per_row(num_cols))
-    if choices.linear == "freivalds":
-        inner = choices_dot_sum_free()
-        rows = k * _dot_rows(inner, p, num_cols, False)       # Br
-        rows += m * _dot_rows(inner, k, num_cols, False)      # A(Br)
-        if with_bias:
-            rows += _dot_rows(inner, p, num_cols, False)      # bias.r
-            rows += ceil_div(m, AddGadget.slots_per_row(num_cols))
-        rows += m * _dot_rows(inner, p, num_cols, False)      # Cr
-        return rows + rescale_rows
-    return m * p * _dot_rows(choices, k, num_cols, with_bias) + rescale_rows
 
 
 def matmul_fixed(a: np.ndarray, b: np.ndarray, bias: Optional[np.ndarray],
@@ -258,20 +199,10 @@ class FullyConnectedLayer(Layer):
 
     def synthesize(self, builder, inputs, params, choices):
         x = inputs[0]
-        lead = x.shape[:-1]
-        m = int(np.prod(lead)) if lead else 1
-        a = x.reshape(m, x.shape[-1])
+        a = x.reshape(-1, x.shape[-1])
         out = matmul_synthesize(builder, choices, a, params["weight"],
                                 params["bias"])
-        return out.reshape(*(lead + (self.units,)))
-
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        shape = input_shapes[0]
-        m = int(np.prod(shape[:-1])) if len(shape) > 1 else 1
-        return matmul_rows(choices, m, shape[-1], self.units, num_cols, True)
-
-    def tables(self, choices, scale_bits, input_shapes):
-        return {("range", 2 << scale_bits)}
+        return out.reshape(*(x.shape[:-1] + (self.units,)))
 
 
 def _conv_geometry(h, w, kh, kw, stride, padding):
@@ -367,29 +298,12 @@ class Conv2DLayer(Layer):
         oh, ow, pads = self._geometry(x.shape, w.shape)
         top, bottom, left, right = pads
         padded = x.pad(((top, bottom), (left, right), (0, 0)), builder.zero())
-        patches = []
-        for i in range(oh):
-            for j in range(ow):
-                patch = padded[
-                    i * self.stride : i * self.stride + kh,
-                    j * self.stride : j * self.stride + kw,
-                    :,
-                ]
-                patches.append(patch.flatten())
-        a = Tensor.stack(patches, axis=0)  # (oh*ow, kh*kw*cin)
+        # im2col: one (kh, kw, cin) patch per output position
+        a = padded.windows(kh, kw, self.stride).transpose((0, 1, 3, 4, 2))
+        a = a.reshape(oh * ow, kh * kw * cin)
         b = w.reshape(kh * kw * cin, cout)
         out = matmul_synthesize(builder, choices, a, b, params["bias"])
         return out.reshape(oh, ow, cout)
-
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        kh, kw = self.attrs["kernel"]
-        cout = self.attrs["filters"]
-        h, w, cin = input_shapes[0]
-        oh, ow, _ = _conv_geometry(h, w, kh, kw, self.stride, self.padding)
-        return matmul_rows(choices, oh * ow, kh * kw * cin, cout, num_cols, True)
-
-    def tables(self, choices, scale_bits, input_shapes):
-        return {("range", 2 << scale_bits)}
 
 
 class DepthwiseConv2DLayer(Layer):
@@ -475,35 +389,19 @@ class DepthwiseConv2DLayer(Layer):
         rescale = builder.gadget(DivRoundConstGadget, divisor=builder.fp.factor)
         bias_entries = params["bias"].entries()
         inner = choices if choices.linear != "freivalds" else choices_dot_sum_free()
-        raws = []
-        for i in range(oh):
-            for j in range(ow):
-                for c in range(cin):
-                    patch = padded[i * self.stride : i * self.stride + kh,
-                                   j * self.stride : j * self.stride + kw,
-                                   c].flatten().entries()
-                    for q in range(mult):
-                        kernel = w[:, :, c, q].flatten().entries()
-                        raws.append(_dot_raw(builder, inner, patch, kernel,
-                                             bias_entries[c * mult + q]))
-        outs = rescale.assign_many([(e,) for e in raws])
-        # raws were produced channel-major within each position; reorder to
-        # (oh, ow, cin*mult) row-major, which is exactly their order already.
-        return Tensor.from_entries(outs, (oh, ow, cin * mult))
-
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        kh, kw = self.attrs["kernel"]
-        mult = self.attrs.get("multiplier", 1)
-        h, w, cin = input_shapes[0]
-        oh, ow, _ = _conv_geometry(h, w, kh, kw, self.stride, self.padding)
-        inner = choices if choices.linear != "freivalds" else choices_dot_sum_free()
-        dots = oh * ow * cin * mult
-        rows = dots * _dot_rows(inner, kh * kw, num_cols, True)
-        rows += ceil_div(dots, DivRoundConstGadget.slots_per_row(num_cols))
-        return rows
-
-    def tables(self, choices, scale_bits, input_shapes):
-        return {("range", 2 << scale_bits)}
+        # one (kh, kw) patch per (position, channel), one kernel per
+        # (channel, multiplier); outputs come out (oh, ow, cin*mult) row-major
+        windows = padded.windows(kh, kw, self.stride).reshape(-1, kh * kw)
+        kernels = w.transpose((2, 3, 0, 1)).reshape(cin * mult, kh * kw)
+        patches = builder.repeat(windows.shape[0],
+                                 lambda n: windows[n].entries())
+        taps = builder.repeat(cin * mult, lambda n: kernels[n].entries())
+        channels = cin * mult
+        raws = builder.repeat(oh * ow * channels, lambda n: _dot_raw(
+            builder, inner, patches[n // mult], taps[n % channels],
+            bias_entries[n % channels]))
+        return Tensor.from_entries(rescale.assign_many(raws),
+                                   (oh, ow, channels))
 
 
 class BatchMatMulLayer(Layer):
@@ -537,22 +435,8 @@ class BatchMatMulLayer(Layer):
         lead = a.shape[:-2]
         m, k = a.shape[-2:]
         p = b.shape[-1]
-        batch = int(np.prod(lead)) if lead else 1
-        fa = a.reshape(batch, m, k)
-        fb = b.reshape(batch, k, p)
-        outs = [
-            matmul_synthesize(builder, choices, fa[i], fb[i], None)
-            for i in range(batch)
-        ]
-        stacked = Tensor.stack(outs, axis=0)
-        return stacked.reshape(*(lead + (m, p)))
-
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        a, b = input_shapes
-        m, k = a[-2:]
-        p = b[-1]
-        batch = int(np.prod(a[:-2])) if len(a) > 2 else 1
-        return batch * matmul_rows(choices, m, k, p, num_cols, False)
-
-    def tables(self, choices, scale_bits, input_shapes):
-        return {("range", 2 << scale_bits)}
+        fa = a.reshape(-1, m, k)
+        fb = b.reshape(-1, k, p)
+        outs = builder.repeat(fa.shape[0], lambda i: matmul_synthesize(
+            builder, choices, fa[i], fb[i], None))
+        return Tensor.stack(outs, axis=0).reshape(*(lead + (m, p)))

@@ -14,12 +14,7 @@ from repro.gadgets import (
     SumGadget,
 )
 from repro.gadgets.nonlinear import fixed_eval
-from repro.layers.base import (
-    Layer,
-    arr_div_round,
-    ceil_div,
-    sum_rows_for_vector,
-)
+from repro.layers.base import Layer, arr_div_round
 from repro.quantize import FixedPoint, div_round
 from repro.tensor import Tensor
 
@@ -55,6 +50,9 @@ class BatchNormLayer(Layer):
         scale, offset = self._folded(params)
         return {"scale": fp.encode_array(scale), "offset": fp.encode_array(offset)}
 
+    def quantized_shapes(self, shapes):
+        return {"scale": shapes["gamma"], "offset": shapes["gamma"]}
+
     def forward_fixed(self, inputs, params, fp):
         x = np.asarray(inputs[0], dtype=object)
         scale = np.broadcast_to(params["scale"], x.shape)
@@ -67,17 +65,9 @@ class BatchNormLayer(Layer):
         offset = params["offset"].broadcast_to(x.shape)
         mul = builder.gadget(MulGadget)
         add = builder.gadget(AddGadget)
-        scaled = mul.assign_many(list(zip(x.entries(), scale.entries())))
-        outs = add.assign_many(list(zip(scaled, offset.entries())))
+        scaled = mul.assign_many(x.entries(), scale.entries())
+        outs = add.assign_many(scaled, offset.entries())
         return Tensor.from_entries(outs, x.shape)
-
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        n = int(np.prod(input_shapes[0]))
-        return (ceil_div(n, MulGadget.slots_per_row(num_cols))
-                + ceil_div(n, AddGadget.slots_per_row(num_cols)))
-
-    def tables(self, choices, scale_bits, input_shapes):
-        return {("range", 2 << scale_bits)}
 
 
 class LayerNormLayer(Layer):
@@ -122,8 +112,7 @@ class LayerNormLayer(Layer):
     def synthesize(self, builder, inputs, params, choices):
         x = inputs[0]
         length = x.shape[-1]
-        lead = int(np.prod(x.shape[:-1])) if x.ndim > 1 else 1
-        flat = x.reshape(lead, length)
+        flat = x.reshape(-1, length)
         summed = builder.gadget(SumGadget)
         mean_div = builder.gadget(DivRoundConstGadget, divisor=length)
         sub = builder.gadget(SubGadget)
@@ -134,37 +123,21 @@ class LayerNormLayer(Layer):
         eps_entry = builder.constant(builder.fp.encode(self.eps))
         gamma = params["gamma"].entries()
         beta = params["beta"].entries()
-        outs = []
-        for row in range(lead):
+
+        def normalize(row):
             vec = flat[row].entries()
             (mean,) = mean_div.assign_row([(summed.sum_vector(vec),)])
-            d = sub.assign_many([(v, mean) for v in vec])
-            sq = square.assign_many([(v,) for v in d])
+            d = sub.assign_many(vec, mean)
+            sq = square.assign_many(d)
             (var,) = mean_div.assign_row([(summed.sum_vector(sq),)])
             (var_eps,) = add.assign_row([(var, eps_entry)])
             (r,) = rsqrt.assign_row([(var_eps,)])
-            normed = mul.assign_many([(v, r) for v in d])
-            scaled = mul.assign_many(list(zip(normed, gamma)))
-            outs.extend(add.assign_many(list(zip(scaled, beta))))
-        return Tensor.from_entries(outs, x.shape)
+            normed = mul.assign_many(d, r)
+            scaled = mul.assign_many(normed, gamma)
+            return Tensor.from_entries(add.assign_many(scaled, beta), (length,))
 
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        shape = input_shapes[0]
-        length = shape[-1]
-        lead = int(np.prod(shape[:-1])) if len(shape) > 1 else 1
-        rows = sum_rows_for_vector(length, num_cols) + 1
-        rows += ceil_div(length, SubGadget.slots_per_row(num_cols))
-        rows += ceil_div(length, SquareGadget.slots_per_row(num_cols))
-        rows += sum_rows_for_vector(length, num_cols) + 1
-        rows += 1  # var + eps
-        rows += 1  # rsqrt
-        rows += 2 * ceil_div(length, MulGadget.slots_per_row(num_cols))
-        rows += ceil_div(length, AddGadget.slots_per_row(num_cols))
-        return lead * rows
-
-    def tables(self, choices, scale_bits, input_shapes):
-        return {("nl", "rsqrt"), ("range", 2 << scale_bits),
-                ("range", 2 * input_shapes[0][-1])}
+        rows = builder.repeat(flat.shape[0], normalize)
+        return Tensor.stack(rows).reshape(x.shape)
 
 
 class RMSNormLayer(Layer):
@@ -205,8 +178,7 @@ class RMSNormLayer(Layer):
     def synthesize(self, builder, inputs, params, choices):
         x = inputs[0]
         length = x.shape[-1]
-        lead = int(np.prod(x.shape[:-1])) if x.ndim > 1 else 1
-        flat = x.reshape(lead, length)
+        flat = x.reshape(-1, length)
         summed = builder.gadget(SumGadget)
         mean_div = builder.gadget(DivRoundConstGadget, divisor=length)
         square = builder.gadget(SquareGadget)
@@ -215,27 +187,15 @@ class RMSNormLayer(Layer):
         add = builder.gadget(AddGadget)
         eps_entry = builder.constant(builder.fp.encode(self.eps))
         gamma = params["gamma"].entries()
-        outs = []
-        for row in range(lead):
+
+        def normalize(row):
             vec = flat[row].entries()
-            sq = square.assign_many([(v,) for v in vec])
+            sq = square.assign_many(vec)
             (ms,) = mean_div.assign_row([(summed.sum_vector(sq),)])
             (ms_eps,) = add.assign_row([(ms, eps_entry)])
             (r,) = rsqrt.assign_row([(ms_eps,)])
-            normed = mul.assign_many([(v, r) for v in vec])
-            outs.extend(mul.assign_many(list(zip(normed, gamma))))
-        return Tensor.from_entries(outs, x.shape)
+            normed = mul.assign_many(vec, r)
+            return Tensor.from_entries(mul.assign_many(normed, gamma), (length,))
 
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        shape = input_shapes[0]
-        length = shape[-1]
-        lead = int(np.prod(shape[:-1])) if len(shape) > 1 else 1
-        rows = ceil_div(length, SquareGadget.slots_per_row(num_cols))
-        rows += sum_rows_for_vector(length, num_cols) + 1
-        rows += 2  # +eps, rsqrt
-        rows += 2 * ceil_div(length, MulGadget.slots_per_row(num_cols))
-        return lead * rows
-
-    def tables(self, choices, scale_bits, input_shapes):
-        return {("nl", "rsqrt"), ("range", 2 << scale_bits),
-                ("range", 2 * input_shapes[0][-1])}
+        rows = builder.repeat(flat.shape[0], normalize)
+        return Tensor.stack(rows).reshape(x.shape)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gadgets import DivRoundConstGadget, MaxGadget, SumGadget
-from repro.layers.base import Layer, arr_div_round, ceil_div, sum_rows_for_vector
+from repro.layers.base import Layer, arr_div_round
 from repro.layers.linear import _conv_geometry
 from repro.tensor import Tensor
 
@@ -38,18 +38,13 @@ class _Pool2D(Layer):
                         ch,
                     ].reshape(-1)
 
-    def _windows_entries(self, x: Tensor):
-        h, w, c = x.shape
-        oh, ow, _ = _conv_geometry(h, w, self.pool, self.pool, self.stride,
-                                   "valid")
-        for i in range(oh):
-            for j in range(ow):
-                for ch in range(c):
-                    yield x[
-                        i * self.stride : i * self.stride + self.pool,
-                        j * self.stride : j * self.stride + self.pool,
-                        ch,
-                    ].flatten().entries()
+    def _reduce_windows(self, builder, x: Tensor, reduce):
+        """``reduce`` applied to every pooling window's entries, in
+        (oh, ow, c) row-major order."""
+        windows = x.windows(self.pool, self.pool, self.stride)
+        windows = windows.reshape(-1, self.pool * self.pool)
+        return builder.repeat(windows.shape[0],
+                              lambda n: reduce(windows[n].entries()))
 
 
 class MaxPool2DLayer(_Pool2D):
@@ -71,27 +66,9 @@ class MaxPool2DLayer(_Pool2D):
 
     def synthesize(self, builder, inputs, params, choices):
         x = inputs[0]
-        g = builder.gadget(MaxGadget)
-        outs = [g.max_vector(window) for window in self._windows_entries(x)]
+        outs = self._reduce_windows(builder, x,
+                                    builder.gadget(MaxGadget).max_vector)
         return Tensor.from_entries(outs, self.output_shape([x.shape]))
-
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        h, w, c = input_shapes[0]
-        oh, ow, _ = _conv_geometry(h, w, self.pool, self.pool, self.stride,
-                                   "valid")
-        slots = MaxGadget.slots_per_row(num_cols)
-        window = self.pool * self.pool
-        # tournament: each round halves (pairing), rows = ceil(pairs/slots)
-        rows_per_window = 0
-        work = window
-        while work > 1:
-            pairs = work // 2
-            rows_per_window += ceil_div(pairs, slots)
-            work = pairs + (work % 2)
-        return oh * ow * c * rows_per_window
-
-    def tables(self, choices, scale_bits, input_shapes):
-        return {("range", "lookup")}
 
 
 class AvgPool2DLayer(_Pool2D):
@@ -117,21 +94,9 @@ class AvgPool2DLayer(_Pool2D):
         x = inputs[0]
         summed = builder.gadget(SumGadget)
         div = builder.gadget(DivRoundConstGadget, divisor=self.pool * self.pool)
-        sums = [summed.sum_vector(w) for w in self._windows_entries(x)]
-        outs = div.assign_many([(s,) for s in sums])
-        return Tensor.from_entries(outs, self.output_shape([x.shape]))
-
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        h, w, c = input_shapes[0]
-        oh, ow, _ = _conv_geometry(h, w, self.pool, self.pool, self.stride,
-                                   "valid")
-        window = self.pool * self.pool
-        rows = oh * ow * c * sum_rows_for_vector(window, num_cols)
-        rows += ceil_div(oh * ow * c, DivRoundConstGadget.slots_per_row(num_cols))
-        return rows
-
-    def tables(self, choices, scale_bits, input_shapes):
-        return {("range", 2 * self.pool * self.pool)}
+        sums = self._reduce_windows(builder, x, summed.sum_vector)
+        return Tensor.from_entries(div.assign_many(sums),
+                                   self.output_shape([x.shape]))
 
 
 class GlobalAvgPoolLayer(Layer):
@@ -156,19 +121,6 @@ class GlobalAvgPoolLayer(Layer):
         h, w, c = x.shape
         summed = builder.gadget(SumGadget)
         div = builder.gadget(DivRoundConstGadget, divisor=h * w)
-        sums = [
-            summed.sum_vector(x[:, :, ch].flatten().entries())
-            for ch in range(c)
-        ]
-        outs = div.assign_many([(s,) for s in sums])
-        return Tensor.from_entries(outs, (c,))
-
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        h, w, c = input_shapes[0]
-        rows = c * sum_rows_for_vector(h * w, num_cols)
-        rows += ceil_div(c, DivRoundConstGadget.slots_per_row(num_cols))
-        return rows
-
-    def tables(self, choices, scale_bits, input_shapes):
-        h, w, _ = input_shapes[0]
-        return {("range", 2 * h * w)}
+        sums = builder.repeat(c, lambda ch: summed.sum_vector(
+            x[:, :, ch].flatten().entries()))
+        return Tensor.from_entries(div.assign_many(sums), (c,))

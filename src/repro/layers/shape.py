@@ -1,8 +1,7 @@
 """Shape layers: free operations that only rearrange cell references.
 
 Because tensors hold references to previously assigned cells, these
-layers consume no rows and no new cells (paper §5.1, "shape operations");
-``count_rows`` is zero for all of them.
+layers consume no rows and no new cells (paper §5.1, "shape operations").
 """
 
 from __future__ import annotations
@@ -14,9 +13,6 @@ from repro.tensor import Tensor
 
 
 class _FreeLayer(Layer):
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        return 0
-
     def forward_fixed(self, inputs, params, fp):
         return self.forward_float(inputs, params)
 

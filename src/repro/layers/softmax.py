@@ -14,7 +14,6 @@ would need SF^n rows), so it is composed from the specialized gadgets:
 from __future__ import annotations
 
 import numpy as np
-from repro.resilience.errors import LayoutError
 
 from repro.gadgets import (
     MaxGadget,
@@ -26,19 +25,9 @@ from repro.gadgets import (
     VarDivWideGadget,
 )
 from repro.gadgets.nonlinear import fixed_eval
-from repro.layers.base import Layer, ceil_div, sum_rows_for_vector
+from repro.layers.base import Layer
 from repro.quantize import div_round
 from repro.tensor import Tensor
-
-
-def max_tournament_rows(length: int, num_cols: int) -> int:
-    slots = MaxGadget.slots_per_row(num_cols)
-    rows, work = 0, length
-    while work > 1:
-        pairs = work // 2
-        rows += ceil_div(pairs, slots)
-        work = pairs + (work % 2)
-    return rows
 
 
 def needs_wide_division(classes: int, scale_bits: int) -> bool:
@@ -82,8 +71,7 @@ class SoftmaxLayer(Layer):
     def synthesize(self, builder, inputs, params, choices):
         x = inputs[0]
         length = x.shape[-1]
-        lead = int(np.prod(x.shape[:-1])) if x.ndim > 1 else 1
-        flat = x.reshape(lead, length)
+        flat = x.reshape(-1, length)
         mx = builder.gadget(MaxGadget)
         sub = builder.gadget(SubGadget)
         exp = builder.gadget(PointwiseGadget, fn_name="exp")
@@ -93,37 +81,14 @@ class SoftmaxLayer(Layer):
             vdiv = builder.gadget(VarDivWideGadget)
         else:
             vdiv = builder.gadget(VarDivGadget)
-        outs = []
-        for row in range(lead):
+
+        def softmax(row):
             vec = flat[row].entries()
-            m = mx.max_vector(vec)
-            shifted = sub.assign_many([(v, m) for v in vec])
+            shifted = sub.assign_many(vec, mx.max_vector(vec))
             exps = exp.apply_vector(shifted)
             total = summed.sum_vector(exps)
-            nums = scale.assign_many([(e,) for e in exps])
-            outs.extend(vdiv.assign_many([(total, n) for n in nums]))
-        return Tensor.from_entries(outs, x.shape)
+            nums = scale.assign_many(exps)
+            return Tensor.from_entries(vdiv.assign_many(total, nums), (length,))
 
-    def count_rows(self, num_cols, input_shapes, choices, scale_bits):
-        shape = input_shapes[0]
-        length = shape[-1]
-        lead = int(np.prod(shape[:-1])) if len(shape) > 1 else 1
-        rows = max_tournament_rows(length, num_cols)
-        rows += ceil_div(length, SubGadget.slots_per_row(num_cols))
-        rows += ceil_div(length, PointwiseGadget.slots_per_row(num_cols))
-        rows += sum_rows_for_vector(length, num_cols)
-        rows += ceil_div(length, ScaleConstGadget.slots_per_row(num_cols))
-        vdiv = (VarDivWideGadget if needs_wide_division(length, scale_bits)
-                else VarDivGadget)
-        slots = vdiv.slots_per_row(num_cols)
-        if slots == 0:
-            raise LayoutError(
-                "softmax needs at least %d columns for %s"
-                % (vdiv.cells_per_op, vdiv.name),
-                num_cols=num_cols, gadget=vdiv.name,
-            )
-        rows += ceil_div(length, slots)
-        return lead * rows
-
-    def tables(self, choices, scale_bits, input_shapes):
-        return {("nl", "exp"), ("range", "lookup")}
+        rows = builder.repeat(flat.shape[0], softmax)
+        return Tensor.stack(rows).reshape(x.shape)

@@ -9,6 +9,7 @@ optimizer can cost without ever allocating 81M weights).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple, Union
 
@@ -91,12 +92,6 @@ class ModelSpec:
             )
         return shapes
 
-    def layer_input_shapes(self) -> Dict[str, List[Tuple[int, ...]]]:
-        shapes = self.shapes()
-        return {
-            spec.name: [shapes[i] for i in spec.inputs] for spec in self.layers
-        }
-
     @property
     def materialized(self) -> bool:
         return all(spec.materialized for spec in self.layers)
@@ -105,7 +100,7 @@ class ModelSpec:
 
     def param_count(self) -> int:
         return sum(
-            int(np.prod(shape)) if shape else 1
+            math.prod(shape)
             for spec in self.layers
             for shape in spec.param_shapes().values()
         )

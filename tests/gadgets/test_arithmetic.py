@@ -43,7 +43,8 @@ class TestAddSub:
     def test_assign_many_spills_rows(self):
         b = builder(num_cols=6)  # 2 slots per row
         g = b.gadget(AddGadget)
-        outs = g.assign_many([(Entry(i), Entry(i)) for i in range(5)])
+        outs = g.assign_many([Entry(i) for i in range(5)],
+                             [Entry(i) for i in range(5)])
         assert [o.value for o in outs] == [0, 2, 4, 6, 8]
         assert b.rows_used == 3
         b.mock_check()

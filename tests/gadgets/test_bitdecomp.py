@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.gadgets import BitDecompReluGadget, CircuitBuilder, PointwiseGadget
 from repro.halo2 import MockProver
-from repro.tensor import Entry
+from repro.resilience.errors import LayoutError
+from repro.tensor import Entry, ShapeTensor
 
 
 def builder(num_cols=12, **kw):
@@ -73,9 +74,14 @@ class TestBitDecompRelu:
         b.mock_check()
 
     def test_rows_for_ops_bits(self):
-        assert BitDecompReluGadget.rows_for_ops_bits(10, 20, 8) == 5
-        with pytest.raises(ValueError):
-            BitDecompReluGadget.rows_for_ops_bits(10, 4, 8)
+        # the count walk's closed form: 2 slots per row at 20 columns
+        b = CircuitBuilder(None, num_cols=20, scale_bits=4, lookup_bits=8)
+        b.gadget(BitDecompReluGadget, bits=8).apply_vector(
+            ShapeTensor((10,)).entries())
+        assert b.rows_used == 5
+        with pytest.raises(LayoutError):
+            CircuitBuilder(None, num_cols=4, scale_bits=4,
+                           lookup_bits=8).gadget(BitDecompReluGadget, bits=8)
 
     @given(x=st.integers(-128, 127))
     @settings(max_examples=20, deadline=None)

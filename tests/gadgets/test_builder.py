@@ -3,6 +3,7 @@
 import pytest
 
 from repro.commit import scheme_by_name
+from repro.compiler.physical import minimal_k
 from repro.field import GOLDILOCKS
 from repro.gadgets import (
     AddGadget,
@@ -55,7 +56,8 @@ class TestBuilderBasics:
     def test_min_k_accounts_for_tables(self):
         b = CircuitBuilder(k=9, num_cols=6, scale_bits=4, lookup_bits=8)
         b.gadget(PointwiseGadget, fn_name="relu")
-        assert b.min_k() == 9  # table needs 257 rows -> k=9
+        # the table needs 257 rows -> k=9
+        assert minimal_k(b.rows_used, b.table_rows_needed(), 8) == 9
 
 
 class TestEndToEndProofs:

@@ -1,12 +1,24 @@
 """Shared harness: run a layer both as a circuit and as fixed-point
 reference, and check they agree cell-for-cell, the MockProver passes, and
-the closed-form row count is exact."""
+the count walk of the same layer claims exactly what the circuit built."""
 
 import numpy as np
 
 from repro.gadgets import CircuitBuilder
 from repro.layers.base import LayoutChoices
-from repro.tensor import Tensor
+from repro.tensor import ShapeTensor, Tensor
+
+
+def count_layer(layer, input_shapes, choices=None, num_cols=10,
+                scale_bits=5, lookup_bits=None, param_shapes=None):
+    """The count walk of one layer on shape-only operands: the counting
+    builder it leaves behind holds the rows, gadgets and tables."""
+    builder = CircuitBuilder(None, num_cols, scale_bits,
+                             lookup_bits if lookup_bits else scale_bits + 3)
+    params = {k: ShapeTensor(s) for k, s in (param_shapes or {}).items()}
+    layer.synthesize(builder, [ShapeTensor(s) for s in input_shapes],
+                     params, choices or LayoutChoices())
+    return builder
 
 
 def run_layer(
@@ -55,13 +67,18 @@ def run_layer(
     assert not mism, "circuit/reference mismatch at %s" % mism[:5]
 
     if check_rows:
-        predicted = layer.count_rows(
-            num_cols, [np.shape(x) for x in fixed_inputs], choices, scale_bits
+        counted = count_layer(
+            layer, [np.shape(x) for x in fixed_inputs], choices, num_cols,
+            scale_bits, builder.lookup_bits,
+            {k_: np.shape(v) for k_, v in fixed_params.items()})
+        assert counted.rows_used == rows_spent, (
+            "row count drift for %s: counted %d, actual %d"
+            % (layer.kind, counted.rows_used, rows_spent)
         )
-        assert predicted == rows_spent, (
-            "row count drift for %s: predicted %d, actual %d"
-            % (layer.kind, predicted, rows_spent)
-        )
+        assert counted.num_lookups == len(builder.cs.lookups)
+        assert counted.num_selectors == builder.cs.num_selectors
+        assert counted.cs.num_fixed == builder.cs.num_fixed
+        assert counted.table_rows_needed() == builder.table_rows_needed()
 
     expected_shape = layer.output_shape([np.shape(x) for x in fixed_inputs])
     assert tuple(expected_shape) == got.shape

@@ -6,7 +6,7 @@ import pytest
 from repro.layers import ACTIVATION_LAYERS
 from repro.layers.base import LayoutChoices
 
-from tests.layers.harness import assert_close_to_float, run_layer
+from tests.layers.harness import assert_close_to_float, count_layer, run_layer
 
 rng = np.random.default_rng(3)
 
@@ -49,26 +49,27 @@ class TestReluChoices:
         assert (lookup == bitd).all()
 
     def test_bitdecomp_needs_no_table(self):
-        layer = ACTIVATION_LAYERS["relu"]()
-        tables = layer.tables(
-            LayoutChoices(relu="bitdecomp"), 5, [(2, 2)]
-        )
-        assert tables == set()
+        counted = count_layer(ACTIVATION_LAYERS["relu"](), [(2, 2)],
+                              LayoutChoices(relu="bitdecomp", relu_bits=6))
+        assert counted.table_rows_needed() == 0
+        assert counted.num_lookups == 0
+        assert counted.cs.num_fixed == 1  # just the constants column
 
     def test_lookup_needs_table(self):
-        layer = ACTIVATION_LAYERS["relu"]()
-        assert layer.tables(LayoutChoices(), 5, [(2, 2)]) == {("nl", "relu")}
+        counted = count_layer(ACTIVATION_LAYERS["relu"](), [(2, 2)])
+        assert counted.table_rows_needed() == (1 << counted.lookup_bits) + 1
+        assert counted.cs.num_fixed == 3  # constants + the table's in/out
 
     def test_bitdecomp_only_affects_relu(self):
-        layer = ACTIVATION_LAYERS["sigmoid"]()
-        assert layer.tables(
-            LayoutChoices(relu="bitdecomp"), 5, [(2,)]
-        ) == {("nl", "sigmoid")}
+        counted = count_layer(ACTIVATION_LAYERS["sigmoid"](), [(2,)],
+                              LayoutChoices(relu="bitdecomp", relu_bits=6))
+        assert counted.num_lookups > 0
+        assert counted.cs.num_fixed == 3
 
     def test_bitdecomp_costs_more_rows_when_narrow(self):
         layer = ACTIVATION_LAYERS["relu"]()
-        lookup_rows = layer.count_rows(12, [(8, 8)], LayoutChoices(), 5)
-        bitd_rows = layer.count_rows(
-            12, [(8, 8)], LayoutChoices(relu="bitdecomp", relu_bits=10), 5
-        )
-        assert bitd_rows > lookup_rows
+        lookup = count_layer(layer, [(8, 8)], LayoutChoices(), num_cols=12)
+        bitd = count_layer(layer, [(8, 8)],
+                           LayoutChoices(relu="bitdecomp", relu_bits=10),
+                           num_cols=12)
+        assert bitd.rows_used > lookup.rows_used

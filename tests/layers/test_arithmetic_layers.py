@@ -15,7 +15,7 @@ from repro.layers import (
 )
 from repro.layers.base import LayoutChoices
 
-from tests.layers.harness import assert_close_to_float, run_layer
+from tests.layers.harness import assert_close_to_float, count_layer, run_layer
 
 rng = np.random.default_rng(7)
 
@@ -63,19 +63,17 @@ class TestBinaryLayers:
 
 class TestDotprodCostsMoreRows:
     def test_add_row_blowup(self):
-        shapes = [(8, 8)]
-        custom = AddLayer().count_rows(10, shapes, LayoutChoices(), 5)
-        dotprod = AddLayer().count_rows(
-            10, shapes, LayoutChoices(arithmetic="dotprod"), 5
-        )
+        shapes = [(8, 8), (8, 8)]
+        custom = count_layer(AddLayer(), shapes).rows_used
+        dotprod = count_layer(AddLayer(), shapes,
+                              LayoutChoices(arithmetic="dotprod")).rows_used
         assert dotprod > 2 * custom
 
     def test_mul_row_blowup(self):
-        shapes = [(8, 8)]
-        custom = MulLayer().count_rows(10, shapes, LayoutChoices(), 5)
-        dotprod = MulLayer().count_rows(
-            10, shapes, LayoutChoices(arithmetic="dotprod"), 5
-        )
+        shapes = [(8, 8), (8, 8)]
+        custom = count_layer(MulLayer(), shapes).rows_used
+        dotprod = count_layer(MulLayer(), shapes,
+                              LayoutChoices(arithmetic="dotprod")).rows_used
         assert dotprod > 2 * custom
 
 

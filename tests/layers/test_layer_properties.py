@@ -85,10 +85,10 @@ def test_fully_connected_linearity(x, w):
 @settings(max_examples=25, deadline=None)
 def test_count_rows_positive_and_width_monotone(x):
     from repro.layers import ACTIVATION_LAYERS
-    from repro.layers.base import LayoutChoices
+
+    from tests.layers.harness import count_layer
 
     layer = ACTIVATION_LAYERS["relu"]()
-    choices = LayoutChoices()
-    narrow = layer.count_rows(6, [x.shape], choices, 6)
-    wide = layer.count_rows(24, [x.shape], choices, 6)
-    assert narrow >= wide >= 1
+    narrow = count_layer(layer, [x.shape], num_cols=6, scale_bits=6)
+    wide = count_layer(layer, [x.shape], num_cols=24, scale_bits=6)
+    assert narrow.rows_used >= wide.rows_used >= 1

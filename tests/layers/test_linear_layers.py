@@ -11,7 +11,7 @@ from repro.layers import (
 )
 from repro.layers.base import LayoutChoices
 
-from tests.layers.harness import assert_close_to_float, run_layer
+from tests.layers.harness import assert_close_to_float, count_layer, run_layer
 
 rng = np.random.default_rng(11)
 
@@ -109,10 +109,10 @@ class TestFreivaldsEconomics:
     def test_freivalds_uses_fewer_rows_for_large_matmul(self):
         layer = BatchMatMulLayer()
         shapes = [(32, 32), (32, 32)]
-        naive = layer.count_rows(10, shapes, LayoutChoices(linear="dot_bias"), 5)
-        freivalds = layer.count_rows(
-            10, shapes, LayoutChoices(linear="freivalds"), 5
-        )
+        naive = count_layer(layer, shapes,
+                            LayoutChoices(linear="dot_bias")).rows_used
+        freivalds = count_layer(layer, shapes,
+                                LayoutChoices(linear="freivalds")).rows_used
         assert freivalds < naive / 3
 
     def test_freivalds_catches_wrong_product(self):

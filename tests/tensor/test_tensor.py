@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Entry, Tensor
+from repro.tensor import PLACEHOLDER, Entry, Lanes, ShapeTensor, Tensor
 
 
 def seq_tensor(*shape):
@@ -100,3 +100,33 @@ class TestShapeOps:
 
     def test_values_i64(self):
         assert seq_tensor(3).values_i64().dtype == np.int64
+
+
+SHAPE_OPS = [
+    ("reshape", lambda t: t.reshape(4, -1)),
+    ("flatten", lambda t: t.flatten()),
+    ("transpose", lambda t: t.transpose()),
+    ("transpose_axes", lambda t: t.transpose((2, 0, 1))),
+    ("slice", lambda t: t[1:3, :, 1]),
+    ("index", lambda t: t[2]),
+    ("squeeze", lambda t: t[:1].squeeze(0)),
+    ("expand_dims", lambda t: t.expand_dims(-1)),
+    ("pad", lambda t: t.pad(((1, 0), (0, 2), (0, 0)), Entry(0))),
+    ("split", lambda t: t.split(2, axis=0)[1]),
+    ("broadcast", lambda t: t[:, :1].broadcast_to((4, 3, 2))),
+    ("windows", lambda t: t.windows(2, 2, 1)),
+    ("concat", lambda t: Tensor.concat([t, t], axis=1)),
+    ("stack", lambda t: Tensor.stack([t, t], axis=1)),
+]
+
+
+@pytest.mark.parametrize("name,op", SHAPE_OPS, ids=[n for n, _ in SHAPE_OPS])
+def test_shape_tensor_tracks_every_shape_op(name, op):
+    """A counting walk's shape-only tensor lands on the shape the real
+    tensor does, holding only the placeholder."""
+    real, shaped = op(seq_tensor(4, 3, 2)), op(ShapeTensor((4, 3, 2)))
+    assert isinstance(shaped, ShapeTensor)
+    assert shaped.shape == real.shape
+    entries = shaped.entries()
+    assert isinstance(entries, Lanes) and len(entries) == real.size
+    assert entries[-1] is PLACEHOLDER and len(entries[1:]) == real.size - 1

@@ -49,6 +49,7 @@ def render_row_map(builder: CircuitBuilder, width: int = 64) -> str:
     Each selector column is assigned a letter; a band's character is the
     selector active in most of its rows ('.' = unused rows).
     """
+    selectors = builder.asg.selectors
     n = builder.asg.n
     num_selectors = builder.cs.num_selectors
     letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
@@ -59,7 +60,7 @@ def render_row_map(builder: CircuitBuilder, width: int = 64) -> str:
         for row in range(start, min(start + band, n)):
             active = None
             for sel in range(num_selectors):
-                if builder.asg.selectors[sel][row]:
+                if selectors[sel, row]:
                     active = sel
                     break
             if active is None:

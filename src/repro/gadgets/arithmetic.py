@@ -14,11 +14,10 @@ Fixed-point conventions (scale factor SF = 2^scale_bits):
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.halo2.expression import Constant, Expression, Ref
-from repro.gadgets.base import Gadget
-from repro.quantize import div_round
+from repro.gadgets.base import Gadget, RowGadget
 from repro.tensor import PLACEHOLDER, Entry
 
 
@@ -27,24 +26,15 @@ class AddGadget(Gadget):
 
     name = "add"
     cells_per_op = 3
+    operands, computed = (0, 1), (2,)
 
     def _configure(self) -> None:
-        b = self.builder
-        constraints = []
-        for slot in range(self.slots_per_row(b.num_cols)):
-            x, y, z = (Ref(b.columns[3 * slot + i]) for i in range(3))
-            constraints.append(x + y - z)
-        b.cs.create_gate("add", constraints, selector=self.selector)
+        self.builder.cs.create_gate(
+            "add", [x + y - z for x, y, z in self._slot_refs()],
+            selector=self.selector)
 
-    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
-        b = self.builder
-        row = b.alloc_row(self.selector)
-        outputs = []
-        for slot, (x, y) in enumerate(ops):
-            b.place(row, 3 * slot, x)
-            b.place(row, 3 * slot + 1, y)
-            outputs.append(b.new_entry(x.value + y.value, row, 3 * slot + 2))
-        return outputs
+    def compute(self, x, y):
+        return (x + y,)
 
 
 class SubGadget(Gadget):
@@ -52,159 +42,87 @@ class SubGadget(Gadget):
 
     name = "sub"
     cells_per_op = 3
+    operands, computed = (0, 1), (2,)
+
+    def _configure(self) -> None:
+        self.builder.cs.create_gate(
+            "sub", [x - y - z for x, y, z in self._slot_refs()],
+            selector=self.selector)
+
+    def compute(self, x, y):
+        return (x - y,)
+
+
+class _RescaleGadget(Gadget):
+    """A gadget that rescales a raw product by SF: ``z = round(raw / SF)``
+    with a remainder cell range-checked in ``[0, 2·SF)``, after its
+    operands; every slot is looked up, so short rows pad."""
+
+    pads = True
+
+    def _raw(self, *operands):
+        """The raw product, of slot references or of value arrays."""
+        raise NotImplementedError
 
     def _configure(self) -> None:
         b = self.builder
-        constraints = []
-        for slot in range(self.slots_per_row(b.num_cols)):
-            x, y, z = (Ref(b.columns[3 * slot + i]) for i in range(3))
-            constraints.append(x - y - z)
-        b.cs.create_gate("sub", constraints, selector=self.selector)
-
-    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
-        b = self.builder
-        row = b.alloc_row(self.selector)
-        outputs = []
-        for slot, (x, y) in enumerate(ops):
-            b.place(row, 3 * slot, x)
-            b.place(row, 3 * slot + 1, y)
-            outputs.append(b.new_entry(x.value - y.value, row, 3 * slot + 2))
-        return outputs
-
-
-class _RescaleMixin:
-    """Shared helpers for gadgets that rescale a raw product by SF."""
-
-    def _rescale_constraint(self, raw: Expression, z: Ref, r: Ref) -> Expression:
-        sf = self.builder.fp.factor
-        return 2 * raw + Constant(sf) - Constant(2 * sf) * z - r
-
-    def _rescale_witness(self, raw_value: int):
-        sf = self.builder.fp.factor
-        z = div_round(raw_value, sf)
-        r = 2 * raw_value + sf - 2 * sf * z
-        return z, r
-
-    def _remainder_lookup(self, slot_label: str, r_col_idx: int) -> None:
-        b = self.builder
         sf = b.fp.factor
-        table = b.range_table(2 * sf)
         sel = Ref(self.selector)
-        b.cs.add_lookup(
-            "%s/%s/rem" % (self.name, slot_label),
-            inputs=[sel * (Ref(b.columns[r_col_idx]) + 1)],
-            table=[Ref(table.col)],
-        )
+        constraints = []
+        for slot, refs in enumerate(self._slot_refs()):
+            *operands, z, r = refs
+            raw = self._raw(*operands)
+            constraints.append(2 * raw + Constant(sf) - Constant(2 * sf) * z - r)
+            b.cs.add_lookup("%s/%d/rem" % (self.name, slot),
+                            inputs=[sel * (r + 1)],
+                            table=[Ref(b.range_table(2 * sf).col)])
+        b.cs.create_gate(self.name, constraints, selector=self.selector)
+
+    def compute(self, *operands):
+        sf = self.builder.fp.factor
+        raw = self._raw(*operands)
+        z = (2 * raw + sf) // (2 * sf)
+        return z, 2 * raw + sf - 2 * sf * z
 
 
-class MulGadget(Gadget, _RescaleMixin):
+class MulGadget(_RescaleGadget):
     """z = round(x * y / SF), four cells per op (x, y, z, remainder)."""
 
     name = "mul"
     cells_per_op = 4
+    operands, computed = (0, 1), (2, 3)
 
-    def _configure(self) -> None:
-        b = self.builder
-        constraints = []
-        for slot in range(self.slots_per_row(b.num_cols)):
-            x, y, z, r = (Ref(b.columns[4 * slot + i]) for i in range(4))
-            constraints.append(self._rescale_constraint(x * y, z, r))
-            self._remainder_lookup(str(slot), 4 * slot + 3)
-        b.cs.create_gate("mul", constraints, selector=self.selector)
-
-    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
-        b = self.builder
-        row = b.alloc_row(self.selector)
-        outputs = []
-        padded = list(ops) + [(Entry(0), Entry(0))] * (
-            self.slots_per_row(b.num_cols) - len(ops)
-        )
-        for slot, (x, y) in enumerate(padded):
-            b.place(row, 4 * slot, x)
-            b.place(row, 4 * slot + 1, y)
-            z, r = self._rescale_witness(x.value * y.value)
-            out = b.new_entry(z, row, 4 * slot + 2)
-            b.new_entry(r, row, 4 * slot + 3)
-            if slot < len(ops):
-                outputs.append(out)
-        return outputs
+    def _raw(self, x, y):
+        return x * y
 
 
-class SquareGadget(Gadget, _RescaleMixin):
+class SquareGadget(_RescaleGadget):
     """z = round(x^2 / SF), three cells per op (x, z, remainder)."""
 
     name = "square"
     cells_per_op = 3
+    operands, computed = (0,), (1, 2)
 
-    def _configure(self) -> None:
-        b = self.builder
-        constraints = []
-        for slot in range(self.slots_per_row(b.num_cols)):
-            x, z, r = (Ref(b.columns[3 * slot + i]) for i in range(3))
-            constraints.append(self._rescale_constraint(x * x, z, r))
-            self._remainder_lookup(str(slot), 3 * slot + 2)
-        b.cs.create_gate("square", constraints, selector=self.selector)
-
-    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
-        b = self.builder
-        row = b.alloc_row(self.selector)
-        outputs = []
-        padded = list(ops) + [(Entry(0),)] * (
-            self.slots_per_row(b.num_cols) - len(ops)
-        )
-        for slot, (x,) in enumerate(padded):
-            b.place(row, 3 * slot, x)
-            z, r = self._rescale_witness(x.value * x.value)
-            out = b.new_entry(z, row, 3 * slot + 1)
-            b.new_entry(r, row, 3 * slot + 2)
-            if slot < len(ops):
-                outputs.append(out)
-        return outputs
+    def _raw(self, x):
+        return x * x
 
 
-class SquaredDiffGadget(Gadget, _RescaleMixin):
+class SquaredDiffGadget(_RescaleGadget):
     """z = round((x - y)^2 / SF), four cells per op."""
 
     name = "squared_diff"
     cells_per_op = 4
+    operands, computed = (0, 1), (2, 3)
 
-    def _configure(self) -> None:
-        b = self.builder
-        constraints = []
-        for slot in range(self.slots_per_row(b.num_cols)):
-            x, y, z, r = (Ref(b.columns[4 * slot + i]) for i in range(4))
-            diff = x - y
-            constraints.append(self._rescale_constraint(diff * diff, z, r))
-            self._remainder_lookup(str(slot), 4 * slot + 3)
-        b.cs.create_gate("squared_diff", constraints, selector=self.selector)
-
-    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
-        b = self.builder
-        row = b.alloc_row(self.selector)
-        outputs = []
-        padded = list(ops) + [(Entry(0), Entry(0))] * (
-            self.slots_per_row(b.num_cols) - len(ops)
-        )
-        for slot, (x, y) in enumerate(padded):
-            b.place(row, 4 * slot, x)
-            b.place(row, 4 * slot + 1, y)
-            z, r = self._rescale_witness((x.value - y.value) ** 2)
-            out = b.new_entry(z, row, 4 * slot + 2)
-            b.new_entry(r, row, 4 * slot + 3)
-            if slot < len(ops):
-                outputs.append(out)
-        return outputs
+    def _raw(self, x, y):
+        diff = x - y
+        return diff * diff
 
 
-class SumGadget(Gadget):
+class SumGadget(RowGadget):
     """z = sum of up to N-1 values; one op per row (paper §5.2)."""
 
     name = "sum"
-    cells_per_op = 0  # one op spans the whole row
-
-    @classmethod
-    def slots_per_row(cls, num_cols: int) -> int:
-        return 1
 
     @classmethod
     def terms_per_row(cls, num_cols: int) -> int:
@@ -219,40 +137,37 @@ class SumGadget(Gadget):
             acc = acc + t
         b.cs.create_gate("sum", [z - acc], selector=self.selector)
 
-    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
+    def _row(self, block, *values) -> Entry:
         b = self.builder
-        (values,) = ops
         if len(values) > self.terms_per_row(b.num_cols):
             raise ValueError("too many terms for one sum row")
-        row = b.alloc_row(self.selector)
-        total = 0
-        for i, x in enumerate(values):
-            b.place(row, i, x)
-            total += x.value
-        return [b.new_entry(total, row, b.num_cols - 1)]
+        row = block.next_row()
+        block.place(row, range(len(values)), values)
+        return block.result(row, b.num_cols - 1, sum(x.value for x in values))
 
     def sum_vector(self, values: Sequence[Entry]) -> Entry:
-        """Sum a vector of any length by chaining partial sums."""
-        terms = self.terms_per_row(self.builder.num_cols)
-        if self.builder.counting:
+        """Sum a vector of any length by chaining partial sums: a tree of
+        rows (one block), each level summing full chunks."""
+        b = self.builder
+        terms = self.terms_per_row(b.num_cols)
+        if b.counting:
             # each level sums full chunks (a lone leftover passes through)
             rows, work = 0, len(values)
             while work > 1:
                 full, rem = divmod(work, terms)
                 rows += full + (rem > 1)
                 work = full + (rem > 0)
-            self.builder.advance(rows)
+            b.claim(rows)
             return PLACEHOLDER
+        block = b.block(self.selector)
         work = list(values)
         while len(work) > 1:
-            partials = []
-            for start in range(0, len(work), terms):
-                chunk = work[start : start + terms]
-                if len(chunk) == 1:
-                    partials.append(chunk[0])
-                else:
-                    partials.extend(self.assign_row([chunk]))
-            work = partials
+            level, work = work, []
+            for start in range(0, len(level), terms):
+                chunk = level[start : start + terms]
+                work.append(chunk[0] if len(chunk) == 1
+                            else self._row(block, *chunk))
+        b.write(block)
         return work[0]
 
 
@@ -261,6 +176,7 @@ class DivRoundConstGadget(Gadget):
 
     name = "div_round_const"
     cells_per_op = 3
+    operands, computed, pads = (0,), (1, 2), True
 
     def __init__(self, builder, divisor: int):
         if divisor <= 0:
@@ -274,8 +190,7 @@ class DivRoundConstGadget(Gadget):
         table = b.range_table(2 * c)
         sel = Ref(self.selector)
         constraints = []
-        for slot in range(self.slots_per_row(b.num_cols)):
-            x, z, r = (Ref(b.columns[3 * slot + i]) for i in range(3))
+        for slot, (x, z, r) in enumerate(self._slot_refs()):
             constraints.append(2 * x + Constant(c) - Constant(2 * c) * z - r)
             b.cs.add_lookup(
                 "div_round_const/%d/%d/rem" % (c, slot),
@@ -284,23 +199,10 @@ class DivRoundConstGadget(Gadget):
             )
         b.cs.create_gate("div_round_const/%d" % c, constraints, selector=self.selector)
 
-    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
-        b = self.builder
+    def compute(self, x):
         c = self.divisor
-        row = b.alloc_row(self.selector)
-        outputs = []
-        padded = list(ops) + [(Entry(0),)] * (
-            self.slots_per_row(b.num_cols) - len(ops)
-        )
-        for slot, (x,) in enumerate(padded):
-            b.place(row, 3 * slot, x)
-            z = div_round(x.value, c)
-            r = 2 * x.value + c - 2 * c * z
-            out = b.new_entry(z, row, 3 * slot + 1)
-            b.new_entry(r, row, 3 * slot + 2)
-            if slot < len(ops):
-                outputs.append(out)
-        return outputs
+        z = (2 * x + c) // (2 * c)
+        return z, 2 * x + c - 2 * c * z
 
 
 class ScaleConstGadget(Gadget):
@@ -308,25 +210,17 @@ class ScaleConstGadget(Gadget):
 
     name = "scale_const"
     cells_per_op = 2
+    operands, computed = (0,), (1,)
 
     def __init__(self, builder, factor: int):
         self.factor = factor
         super().__init__(builder)
 
     def _configure(self) -> None:
-        b = self.builder
-        constraints = []
-        for slot in range(self.slots_per_row(b.num_cols)):
-            x, z = (Ref(b.columns[2 * slot + i]) for i in range(2))
-            constraints.append(Constant(self.factor) * x - z)
-        b.cs.create_gate("scale_const/%d" % self.factor, constraints,
-                         selector=self.selector)
+        self.builder.cs.create_gate(
+            "scale_const/%d" % self.factor,
+            [Constant(self.factor) * x - z for x, z in self._slot_refs()],
+            selector=self.selector)
 
-    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
-        b = self.builder
-        row = b.alloc_row(self.selector)
-        outputs = []
-        for slot, (x,) in enumerate(ops):
-            b.place(row, 2 * slot, x)
-            outputs.append(b.new_entry(self.factor * x.value, row, 2 * slot + 1))
-        return outputs
+    def compute(self, x):
+        return (self.factor * x,)

@@ -9,7 +9,9 @@ exactly the trade-off the optimizer weighs (paper §3's toy example).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from repro.halo2.expression import Constant, Expression, Ref
 from repro.gadgets.base import Gadget
@@ -21,20 +23,22 @@ class BitDecompReluGadget(Gadget):
     """y = ReLU(x) via two's-complement bit decomposition."""
 
     name = "bit_decomp_relu"
-    cells_per_op = 0  # depends on bits; see slots
+    operands = (0,)
 
     def __init__(self, builder, bits: int = 8):
         if bits < 2:
             raise ValueError("need at least 2 bits (value + sign)")
         self.bits = bits
+        self.cells_per_op = bits + 2
+        self.computed = tuple(range(1, bits + 2))  # y, then the bits
         super().__init__(builder)
 
     def slots(self) -> int:
-        slots = self.builder.num_cols // (self.bits + 2)
+        slots = self.builder.num_cols // self.cells_per_op
         if slots == 0:
             raise LayoutError(
                 "bit_decomp_relu with %d bits needs %d columns, got %d"
-                % (self.bits, self.bits + 2, self.builder.num_cols),
+                % (self.bits, self.cells_per_op, self.builder.num_cols),
                 num_cols=self.builder.num_cols, bits=self.bits,
             )
         return slots
@@ -59,26 +63,17 @@ class BitDecompReluGadget(Gadget):
         b.cs.create_gate("bit_decomp_relu/%d" % bits, constraints,
                          selector=self.selector)
 
-    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
-        b = self.builder
-        bits = self.bits
-        half = 1 << (bits - 1)
-        row = b.alloc_row(self.selector)
-        outputs = []
-        for slot, (x,) in enumerate(ops):
-            if not -half <= x.value < half:
-                raise ValueError(
-                    "value %d does not fit in %d-bit two's complement"
-                    % (x.value, bits)
-                )
-            base = slot * (bits + 2)
-            b.place(row, base, x)
-            unsigned = x.value & ((1 << bits) - 1)
-            y = max(x.value, 0)
-            outputs.append(b.new_entry(y, row, base + 1))
-            for i in range(bits):
-                b.new_entry((unsigned >> i) & 1, row, base + 2 + i)
-        return outputs
+    def compute(self, x):
+        half = 1 << (self.bits - 1)
+        outside = (x < -half) | (x >= half)
+        if outside.any():
+            raise ValueError(
+                "value %d does not fit in %d-bit two's complement"
+                % (x[np.argmax(outside)], self.bits)
+            )
+        unsigned = x & ((1 << self.bits) - 1)
+        return (np.maximum(x, 0),) + tuple(
+            unsigned >> i & 1 for i in range(self.bits))
 
     def apply_vector(self, values: Sequence[Entry]) -> Sequence[Entry]:
         return self.assign_many(values)

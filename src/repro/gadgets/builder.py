@@ -11,6 +11,15 @@ Lookup-table convention: inputs are gated as ``sel * (x + OFFSET)`` with
 carries an all-zero default row.  Rows not using the gadget therefore
 look up the default tuple, while active rows can only hit real entries.
 
+Gadgets write in blocks.  A bulk entry point collects its rows in one
+:class:`Block` (the entries it places, in layout order, and the cells it
+computes) and hands it to :meth:`CircuitBuilder.write`: one selector
+slice, the homes of first placements, one value block and one copy
+block.  The builder queues values and copies and lands them in the
+:class:`~repro.halo2.Assignment` arrays in one pass whenever the grid is
+read (``builder.asg``), so a short block costs list appends, not array
+operations.
+
 A builder made with ``k=None`` *counts* instead of assigning: it is the
 physical-layout simulator.  It holds no grid (``k`` is what it computes),
 rows are cursor advances, constants and tables record only their bound,
@@ -26,11 +35,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
+import numpy as np
+
 from repro.field.prime_field import GOLDILOCKS, PrimeField
 from repro.halo2 import Assignment, ConstraintSystem, MockProver, Ref
-from repro.halo2.column import Column
+from repro.halo2.column import ROW_BITS, Column, ColumnType, cell_code, unpack_cells
 from repro.quantize import FixedPoint
-from repro.tensor import PLACEHOLDER, Cell, Entry, Lanes
+from repro.tensor import PLACEHOLDER, Entry, Lanes
 
 
 @dataclass(frozen=True)
@@ -56,45 +67,53 @@ class NonlinearTable:
     entries are the nonzero values ``1 .. 2^bits``.
     """
 
-    def __init__(self, builder: "CircuitBuilder", fn_name: str,
-                 fn: Callable[[float], float]):
+    def __init__(self, builder: "CircuitBuilder", fn_name: str):
         self.fn_name = fn_name
         self.bits = builder.lookup_bits
-        self.offset = (1 << (self.bits - 1)) + 1
+        self.half = 1 << (self.bits - 1)
+        self.offset = self.half + 1
         self.in_col = builder.cs.fixed_column()
         self.out_col = builder.cs.fixed_column()
-        self._map: Dict[int, int] = {}
         if builder.counting:
             return
-        fp = builder.fp
         size = 1 << self.bits
-        if size + 1 > builder.asg.n:
+        if size + 1 > 1 << builder.k:
             raise ValueError(
                 "nonlinear table needs %d rows but grid has %d"
-                % (size + 1, builder.asg.n)
+                % (size + 1, 1 << builder.k)
             )
-        half = size >> 1
-        from repro.gadgets.nonlinear import fixed_eval
+        inputs, self.outputs = _table_columns(fn_name, self.bits,
+                                              builder.scale_bits)
+        for col, values in ((self.in_col, inputs), (self.out_col, self.outputs)):
+            builder.write_fixed(col, values)
 
-        for row in range(size):
-            x = row - half
-            y = fixed_eval(fn_name, x, fp)
-            self._map[x] = y
-            builder.asg.assign_fixed(self.in_col, row, x + self.offset)
-            builder.asg.assign_fixed(self.out_col, row, y)
-        for row in range(size, builder.asg.n):
-            builder.asg.assign_fixed(self.in_col, row, 0)
-            builder.asg.assign_fixed(self.out_col, row, 0)
-
-    def apply(self, x: int) -> int:
-        """The table's exact output for a fixed-point input."""
-        try:
-            return self._map[x]
-        except KeyError:
+    def apply(self, xs: np.ndarray) -> np.ndarray:
+        """The table's exact outputs for an array of fixed-point inputs."""
+        outside = (xs < -self.half) | (xs >= self.half)
+        if outside.any():
             raise ValueError(
                 "input %d outside the %d-bit table range of %r"
-                % (x, self.bits, self.fn_name)
-            ) from None
+                % (xs[np.argmax(outside)], self.bits, self.fn_name)
+            )
+        return self.outputs[(xs + self.half).astype(np.int64)]
+
+
+# a table of 2^bits entries costs one float evaluation per entry; every
+# circuit of the same (fn, bits, scale) reads the same read-only columns
+@functools.lru_cache(maxsize=256)
+def _table_columns(fn_name: str, bits: int, scale_bits: int):
+    """A function's table as (input column, outputs) integer arrays of
+    length ``2^bits``: ``x + OFFSET`` and ``fn(x)`` for every input."""
+    from repro.gadgets.nonlinear import fixed_eval
+
+    fp = FixedPoint(scale_bits)
+    half = 1 << (bits - 1)
+    xs = range(-half, half)
+    inputs = np.arange(1, 2 * half + 1, dtype=np.int64)
+    outputs = np.array([fixed_eval(fn_name, x, fp) for x in xs])
+    for column in (inputs, outputs):
+        column.flags.writeable = False
+    return inputs, outputs
 
 
 class RangeTable:
@@ -108,15 +127,12 @@ class RangeTable:
         self.col = builder.cs.fixed_column()
         if builder.counting:
             return
-        if bound + 1 > builder.asg.n:
+        if bound + 1 > 1 << builder.k:
             raise ValueError(
                 "range table [0, %d) needs %d rows but grid has %d"
-                % (bound, bound + 1, builder.asg.n)
+                % (bound, bound + 1, 1 << builder.k)
             )
-        for row in range(bound):
-            builder.asg.assign_fixed(self.col, row, row + 1)
-        for row in range(bound, builder.asg.n):
-            builder.asg.assign_fixed(self.col, row, 0)
+        builder.write_fixed(self.col, np.arange(1, bound + 1, dtype=np.int64))
 
 
 # bounded so a long-lived process sweeping many shapes cannot grow it
@@ -133,6 +149,44 @@ def _configured_once(cls: Type, params: Tuple, num_cols: int, scale_bits: int,
     gadget.builder = None
     return (gadget, scratch.cs.num_selectors, len(scratch.cs.lookups),
             tuple(scratch._nl_tables), tuple(scratch._range_tables))
+
+
+class Block:
+    """One block write under construction: the rows a gadget lays out.
+
+    ``placed`` entries go to the cells ``at`` in layout order; ``values``
+    are the cells the gadget computed, at ``values_at`` (all advice cell
+    codes, ``column << ROW_BITS | row``).
+    """
+
+    def __init__(self, start: int, selector: Column, height: int = 1):
+        self.start = start
+        self.selector = selector
+        self.height = height
+        self.rows = 0
+        self.placed: List[Entry] = []
+        self.at: List[int] = []
+        self.values: List[int] = []
+        self.values_at: List[int] = []
+
+    def next_row(self) -> int:
+        """Take the next op's ``height`` rows; returns the first."""
+        row = self.start + self.rows
+        self.rows += self.height
+        return row
+
+    def place(self, row: int, cols: Sequence[int],
+              entries: Sequence[Entry]) -> None:
+        """Place ``entries`` in builder columns ``cols`` of ``row``."""
+        self.placed += entries
+        self.at += [col << ROW_BITS | row for col in cols]
+
+    def result(self, row: int, col: int, value: int) -> Entry:
+        """A computed cell, as the entry later cells read it through."""
+        cell = col << ROW_BITS | row
+        self.values.append(value)
+        self.values_at.append(cell)
+        return Entry(value, cell)
 
 
 class CircuitBuilder:
@@ -162,9 +216,16 @@ class CircuitBuilder:
             raise ValueError("lookup_bits must be at least 1")
         self.cs = ConstraintSystem(field)
         self.counting = k is None
-        #: a counting builder declares advice columns only to configure
+        #: a counting builder declares advice columns only to configure;
+        #: an assigning one's column ``i`` is advice column ``i``
         self.columns: List[Column] = [] if self.counting else self._advice_columns()
-        self.asg = None if self.counting else Assignment(self.cs, k)
+        self._asg = None if self.counting else Assignment(self.cs, k)
+        #: written advice cells (cell codes) and their values, and copy
+        #: constraints (home and cell codes), not yet in the grid
+        self._cells: List[int] = []
+        self._values: List[int] = []
+        self._homes: List[int] = []
+        self._copies: List[int] = []
         #: lookups and selectors of gadgets a counting builder adopted
         #: from their one real configure (its own ``cs`` holds neither)
         self._adopted_lookups = 0
@@ -189,6 +250,19 @@ class CircuitBuilder:
             self.cs.enable_equality(col)
             columns.append(col)
         return columns
+
+    @property
+    def asg(self) -> Optional[Assignment]:
+        """The witness grid holding every write so far (None when counting)."""
+        if self._cells:
+            cells = unpack_cells(self._cells)
+            self._asg.assign_block(ColumnType.ADVICE, cells[:, 1], cells[:, 2],
+                                   self._values)
+            self._cells, self._values = [], []
+        if self._homes:
+            self._asg.copy_block(self._homes, self._copies)
+            self._homes, self._copies = [], []
+        return self._asg
 
     # -- gadgets -----------------------------------------------------------------
 
@@ -234,28 +308,51 @@ class CircuitBuilder:
     def rows_used(self) -> int:
         return self._row
 
-    def alloc_row(self, selector: Column) -> int:
-        """Claim the next free row and enable a selector on it."""
-        row = self.alloc_row_unselected()
-        if not self.counting:
-            self.asg.enable_selector(selector, row)
-        return row
+    def claim(self, rows: int, selector: Optional[Column] = None,
+              height: int = 1) -> int:
+        """Claim the next ``rows`` rows, switching ``selector`` on in every
+        ``height``-th of them (each op's first row); returns the first.
 
-    def alloc_row_unselected(self) -> int:
-        """Claim the next free row without enabling any selector (the
-        continuation row of a multi-row gadget)."""
-        row = self._row
-        if not self.counting and row >= self.asg.n:
-            raise ValueError(
-                "circuit overflow: needs more than 2^%d rows" % self.k
-            )
-        self._row += 1
-        return row
-
-    def advance(self, rows: int) -> None:
-        """Counting builder: claim ``rows`` rows a gadget's closed form
-        says its bulk entry point would fill."""
+        A counting builder only advances: this is how a gadget's closed
+        form claims the rows its bulk entry point would fill.
+        """
+        start = self._row
         self._row += rows
+        if not self.counting:
+            if self._row > self._asg.n:
+                raise ValueError(
+                    "circuit overflow: needs more than 2^%d rows" % self.k
+                )
+            if selector is not None:
+                self._asg.enable_selectors(selector.index,
+                                           slice(start, self._row, height))
+        return start
+
+    def block(self, selector: Column, height: int = 1) -> Block:
+        """An empty block starting at the next free row."""
+        return Block(self._row, selector, height)
+
+    def write(self, block: Block) -> None:
+        """Land one block: claim its rows, make each placed entry's first
+        placement its home and copy-constrain every later one to it, and
+        queue its values."""
+        self.claim(block.rows, block.selector, block.height)
+        homes, copies = self._homes, self._copies
+        for entry, cell in zip(block.placed, block.at):
+            if entry.home is None:
+                entry.home = cell
+            else:
+                homes.append(entry.home)
+                copies.append(cell)
+        self._cells += block.at
+        self._cells += block.values_at
+        self._values += [entry.value for entry in block.placed]
+        self._values += block.values
+
+    def copy(self, a: Entry, b: Entry) -> None:
+        """Constrain two placed entries to be equal."""
+        self._homes.append(a.home)
+        self._copies.append(b.home)
 
     def repeat(self, n: int, body: Callable[[int], object]) -> Sequence:
         """``[body(i) for i in range(n)]`` for a layer loop whose
@@ -288,29 +385,14 @@ class CircuitBuilder:
         finally:
             self.regions[index] = Region(name, kind, start, self._row)
 
-    def place(self, row: int, col_idx: int, entry: Entry) -> Cell:
-        """Write an entry's value into a cell.
-
-        The first placement materializes the entry (the cell becomes its
-        home); later placements copy-constrain back to that home, so every
-        reuse of a value is sound.
-        """
-        column = self.columns[col_idx]
-        self.asg.assign_advice(column, row, entry.value)
-        cell = Cell(column, row)
-        if entry.cell is None:
-            entry.cell = cell
-        else:
-            self.asg.copy(entry.cell.column, entry.cell.row, column, row)
-        return cell
-
-    def new_entry(self, value: int, row: int, col_idx: int) -> Entry:
-        """Create and place a fresh (output) entry."""
-        entry = Entry(value)
-        self.place(row, col_idx, entry)
-        return entry
-
     # -- constants & tables -----------------------------------------------------------
+
+    def write_fixed(self, column: Column, values) -> None:
+        """Fill a whole fixed column in one slice: ``values`` from row 0,
+        zeros below them."""
+        full = np.zeros(self._asg.n, dtype=np.asarray(values).dtype)
+        full[: len(values)] = values
+        self._asg.assign_block(ColumnType.FIXED, column.index, slice(None), full)
 
     def constant(self, value: int) -> Entry:
         """A shared, copy-constrainable constant cell (fixed column)."""
@@ -318,10 +400,10 @@ class CircuitBuilder:
             return PLACEHOLDER
         entry = self._const_cache.get(value)
         if entry is None:
-            if self._const_row >= self.asg.n:
+            if self._const_row >= self._asg.n:
                 raise ValueError("constant column overflow")
-            self.asg.assign_fixed(self._const_col, self._const_row, value)
-            entry = Entry(value, Cell(self._const_col, self._const_row))
+            self._asg.assign_fixed(self._const_col, self._const_row, value)
+            entry = Entry(value, cell_code(self._const_col, self._const_row))
             self._const_cache[value] = entry
             self._const_row += 1
         return entry
@@ -332,10 +414,7 @@ class CircuitBuilder:
     def nonlinear_table(self, fn_name: str) -> NonlinearTable:
         table = self._nl_tables.get(fn_name)
         if table is None:
-            from repro.gadgets.nonlinear import NONLINEAR_FUNCTIONS
-
-            fn = NONLINEAR_FUNCTIONS[fn_name]
-            table = NonlinearTable(self, fn_name, fn)
+            table = NonlinearTable(self, fn_name)
             self._nl_tables[fn_name] = table
         return table
 
@@ -373,13 +452,17 @@ class CircuitBuilder:
         """
         column = self.cs.instance_column()
         self.cs.enable_equality(column)
-        for row, entry in enumerate(entries):
-            if row >= self.asg.n:
-                raise ValueError("too many public values for the grid")
-            if entry.cell is None:
-                raise ValueError("cannot expose an unplaced entry")
-            self.asg.assign_instance(column, row, entry.value)
-            self.asg.copy(entry.cell.column, entry.cell.row, column, row)
+        entries = list(entries)
+        if len(entries) > self._asg.n:
+            raise ValueError("too many public values for the grid")
+        if any(entry.home is None for entry in entries):
+            raise ValueError("cannot expose an unplaced entry")
+        self._asg.assign_block(ColumnType.INSTANCE, column.index,
+                               slice(0, len(entries)),
+                               [entry.value for entry in entries])
+        first = cell_code(column, 0)
+        self._homes += [entry.home for entry in entries]
+        self._copies += range(first, first + len(entries))
 
     def weight_entries(self, values) -> List[Entry]:
         """Materialize model parameters in dedicated fixed columns.
@@ -388,16 +471,21 @@ class CircuitBuilder:
         verifying key at keygen: the vk digest is then a binding
         commitment to the model, and proving/verifying keys are
         model-specific (paper §8).  Gadgets that consume a weight add a
-        copy constraint back to its fixed cell.
+        copy constraint back to its fixed cell.  Each column's share is
+        written as one slice.
         """
+        values = [int(value) for value in values]
         out: List[Entry] = []
-        for value in values:
-            if self._weight_row >= self.asg.n or self._weight_col is None:
+        while len(out) < len(values):
+            if self._weight_row >= self._asg.n or self._weight_col is None:
                 self._weight_col = self.cs.fixed_column()
                 self.cs.enable_equality(self._weight_col)
                 self._weight_row = 0
-            value = int(value)
-            self.asg.assign_fixed(self._weight_col, self._weight_row, value)
-            out.append(Entry(value, Cell(self._weight_col, self._weight_row)))
-            self._weight_row += 1
+            start = self._weight_row
+            chunk = values[len(out) : len(out) + self._asg.n - start]
+            self._weight_row += len(chunk)
+            self._asg.assign_block(ColumnType.FIXED, self._weight_col.index,
+                                   slice(start, self._weight_row), chunk)
+            first = cell_code(self._weight_col, start)
+            out += map(Entry, chunk, range(first, first + len(chunk)))
         return out

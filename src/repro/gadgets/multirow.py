@@ -17,24 +17,30 @@ Layouts (columns 0..2, two rows per op):
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import numpy as np
 
 from repro.halo2.expression import Constant, Expression, Ref
-from repro.gadgets.base import Gadget
+from repro.gadgets.base import Gadget, RowGadget
 from repro.tensor import Entry
 
 
-class MultiRowAddGadget(Gadget):
-    """z = x + y with the output on the following row."""
+class _NextRowGadget(Gadget):
+    """One op per two rows: operands ``x, y`` in columns 0 and 1, the
+    result in column 0 of the next row."""
 
-    name = "multirow_add"
     cells_per_op = 0
     height = 2
+    operands, computed = (0, 1), (0,)
 
     @classmethod
     def slots_per_row(cls, num_cols: int) -> int:
         return 1
 
+
+class MultiRowAddGadget(_NextRowGadget):
+    """z = x + y with the output on the following row."""
+
+    name = "multirow_add"
 
     def _configure(self) -> None:
         b = self.builder
@@ -43,27 +49,14 @@ class MultiRowAddGadget(Gadget):
         b.cs.create_gate("multirow_add", [x + y - z_next],
                          selector=self.selector)
 
-    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
-        b = self.builder
-        ((x, y),) = ops
-        row = b.alloc_row(self.selector)
-        next_row = b.alloc_row_unselected()
-        b.place(row, 0, x)
-        b.place(row, 1, y)
-        return [b.new_entry(x.value + y.value, next_row, 0)]
+    def compute(self, x, y):
+        return (x + y,)
 
 
-class MultiRowMaxGadget(Gadget):
+class MultiRowMaxGadget(_NextRowGadget):
     """c = max(a, b) with c on the following row."""
 
     name = "multirow_max"
-    cells_per_op = 0
-    height = 2
-
-    @classmethod
-    def slots_per_row(cls, num_cols: int) -> int:
-        return 1
-
 
     def _configure(self) -> None:
         b = self.builder
@@ -80,20 +73,14 @@ class MultiRowMaxGadget(Gadget):
         b.cs.add_lookup("multirow_max/ge_b", inputs=[sel * (c - y + 1)],
                         table=[Ref(table.col)])
 
-    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
-        b = self.builder
-        ((x, y),) = ops
-        c = max(x.value, y.value)
-        if c - min(x.value, y.value) >= self.bound:
+    def compute(self, x, y):
+        c = np.maximum(x, y)
+        if (c - np.minimum(x, y) >= self.bound).any():
             raise ValueError("multirow max operands beyond range table")
-        row = b.alloc_row(self.selector)
-        next_row = b.alloc_row_unselected()
-        b.place(row, 0, x)
-        b.place(row, 1, y)
-        return [b.new_entry(c, next_row, 0)]
+        return (c,)
 
 
-class MultiRowDotGadget(Gadget):
+class MultiRowDotGadget(RowGadget):
     """Dot product with operands split across two rows.
 
     Row 0 holds x_1..x_m, row 1 holds y_1..y_m in the first m columns and
@@ -101,17 +88,11 @@ class MultiRowDotGadget(Gadget):
     """
 
     name = "multirow_dot"
-    cells_per_op = 0
     height = 2
-
-    @classmethod
-    def slots_per_row(cls, num_cols: int) -> int:
-        return 1
 
     @classmethod
     def terms_per_row(cls, num_cols: int) -> int:
         return num_cols - 1
-
 
     def _configure(self) -> None:
         b = self.builder
@@ -122,17 +103,14 @@ class MultiRowDotGadget(Gadget):
         z = Ref(b.columns[b.num_cols - 1], 1)
         b.cs.create_gate("multirow_dot", [z - acc], selector=self.selector)
 
-    def _fill_row(self, ops: Sequence) -> List[Entry]:
+    def _row(self, block, xs, ys) -> Entry:
         b = self.builder
-        ((xs, ys),) = ops
         m = self.terms_per_row(b.num_cols)
         if len(xs) != len(ys) or len(xs) > m:
             raise ValueError("multirow dot takes up to %d aligned terms" % m)
-        row = b.alloc_row(self.selector)
-        next_row = b.alloc_row_unselected()
-        total = 0
+        row = block.next_row()
         for i, (x, y) in enumerate(zip(xs, ys)):
-            b.place(row, i, x)
-            b.place(next_row, i, y)
-            total += x.value * y.value
-        return [b.new_entry(total, next_row, b.num_cols - 1)]
+            block.place(row, [i], [x])
+            block.place(row + 1, [i], [y])
+        return block.result(row + 1, b.num_cols - 1,
+                            sum(x.value * y.value for x, y in zip(xs, ys)))

@@ -12,7 +12,7 @@ operations").
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Sequence
 
 from repro.halo2.expression import Ref
 from repro.gadgets.base import Gadget
@@ -66,6 +66,7 @@ class PointwiseGadget(Gadget):
 
     name = "pointwise"
     cells_per_op = 2
+    operands, computed, pads = (0,), (1,), True
 
     def __init__(self, builder, fn_name: str):
         if fn_name not in NONLINEAR_FUNCTIONS:
@@ -81,29 +82,15 @@ class PointwiseGadget(Gadget):
         self.table = b.nonlinear_table(self.fn_name)
         sel = Ref(self.selector)
         offset = self.table.offset
-        for slot in range(self.slots_per_row(b.num_cols)):
-            x = Ref(b.columns[2 * slot])
-            y = Ref(b.columns[2 * slot + 1])
+        for slot, (x, y) in enumerate(self._slot_refs()):
             b.cs.add_lookup(
                 "pointwise/%s/%d" % (self.fn_name, slot),
                 inputs=[sel * (x + offset), sel * y],
                 table=[Ref(self.table.in_col), Ref(self.table.out_col)],
             )
 
-    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
-        b = self.builder
-        row = b.alloc_row(self.selector)
-        outputs = []
-        padded = list(ops) + [(Entry(0),)] * (
-            self.slots_per_row(b.num_cols) - len(ops)
-        )
-        for slot, (x,) in enumerate(padded):
-            b.place(row, 2 * slot, x)
-            y = self.table.apply(x.value)
-            out = b.new_entry(y, row, 2 * slot + 1)
-            if slot < len(ops):
-                outputs.append(out)
-        return outputs
+    def compute(self, x):
+        return (self.table.apply(x),)
 
     def apply_vector(self, values: Sequence[Entry]) -> Sequence[Entry]:
         """Apply the function to a whole vector, packing rows."""

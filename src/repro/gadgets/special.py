@@ -11,7 +11,9 @@ These are the softmax building blocks:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from repro.halo2.expression import Constant, Ref
 from repro.gadgets.base import Gadget
@@ -23,6 +25,7 @@ class MaxGadget(Gadget):
 
     name = "max"
     cells_per_op = 3
+    operands, computed = (0, 1), (2,)
 
     def _configure(self) -> None:
         b = self.builder
@@ -31,40 +34,27 @@ class MaxGadget(Gadget):
         self.bound = bound
         sel = Ref(self.selector)
         constraints = []
-        for slot in range(self.slots_per_row(b.num_cols)):
-            a, y, c = (Ref(b.columns[3 * slot + i]) for i in range(3))
+        for slot, (a, y, c) in enumerate(self._slot_refs()):
             constraints.append((c - a) * (c - y))
             # c - a and c - b are in [0, bound): gated as sel * (diff + 1)
-            b.cs.add_lookup(
-                "max/%d/ge_a" % slot,
-                inputs=[sel * (c - a + 1)],
-                table=[Ref(table.col)],
-            )
-            b.cs.add_lookup(
-                "max/%d/ge_b" % slot,
-                inputs=[sel * (c - y + 1)],
-                table=[Ref(table.col)],
-            )
+            for label, diff in (("ge_a", c - a), ("ge_b", c - y)):
+                b.cs.add_lookup("max/%d/%s" % (slot, label),
+                                inputs=[sel * (diff + 1)], table=[Ref(table.col)])
         b.cs.create_gate("max", constraints, selector=self.selector)
 
-    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
-        b = self.builder
-        row = b.alloc_row(self.selector)
-        outputs = []
-        for slot, (x, y) in enumerate(ops):
-            c = max(x.value, y.value)
-            if c - min(x.value, y.value) >= self.bound:
-                raise ValueError(
-                    "max gadget operands differ by %d, beyond range table bound %d"
-                    % (c - min(x.value, y.value), self.bound)
-                )
-            b.place(row, 3 * slot, x)
-            b.place(row, 3 * slot + 1, y)
-            outputs.append(b.new_entry(c, row, 3 * slot + 2))
-        return outputs
+    def compute(self, x, y):
+        c = np.maximum(x, y)
+        gap = c - np.minimum(x, y)
+        wide = gap >= self.bound
+        if wide.any():
+            raise ValueError(
+                "max gadget operands differ by %d, beyond range table bound %d"
+                % (gap[np.argmax(wide)], self.bound)
+            )
+        return (c,)
 
     def max_vector(self, values: Sequence[Entry]) -> Entry:
-        """Maximum of a vector via a pairwise tournament."""
+        """Maximum of a vector via a pairwise tournament (one block)."""
         if self.builder.counting:
             # each round packs its pairs into rows; an odd one out waits
             rows, work = 0, len(values)
@@ -72,14 +62,16 @@ class MaxGadget(Gadget):
                 pairs = work // 2
                 rows += -(-pairs // self.slots())
                 work = pairs + work % 2
-            self.builder.advance(rows)
+            self.builder.claim(rows)
             return PLACEHOLDER
+        block = self.builder.block(self.selector)
         work = list(values)
         while len(work) > 1:
-            reduced = self.assign_many(work[0 : len(work) - 1 : 2], work[1::2])
+            reduced = self._fill(block, work[0 : len(work) - 1 : 2], work[1::2])
             if len(work) % 2:
                 reduced.append(work[-1])
             work = reduced
+        self.builder.write(block)
         return work[0]
 
 
@@ -88,6 +80,7 @@ class VarDivGadget(Gadget):
 
     name = "var_div"
     cells_per_op = 4
+    operands, computed = (0, 1), (2, 3)
 
     def _configure(self) -> None:
         b = self.builder
@@ -96,42 +89,20 @@ class VarDivGadget(Gadget):
         self.bound = bound
         sel = Ref(self.selector)
         constraints = []
-        for slot in range(self.slots_per_row(b.num_cols)):
-            a, num, c, r = (Ref(b.columns[4 * slot + i]) for i in range(4))
+        for slot, (a, num, c, r) in enumerate(self._slot_refs()):
             constraints.append(2 * num + a - Constant(2) * a * c - r)
-            b.cs.add_lookup(
-                "var_div/%d/rem_lo" % slot,
-                inputs=[sel * (r + 1)],
-                table=[Ref(table.col)],
-            )
-            # r < 2a  <=>  2a - r - 1 in [0, bound)
-            b.cs.add_lookup(
-                "var_div/%d/rem_hi" % slot,
-                inputs=[sel * (2 * a - r)],
-                table=[Ref(table.col)],
-            )
+            # r in [0, bound), and r < 2a  <=>  2a - r - 1 in [0, bound)
+            for label, gated in (("rem_lo", r + 1), ("rem_hi", 2 * a - r)):
+                b.cs.add_lookup("var_div/%d/%s" % (slot, label),
+                                inputs=[sel * gated], table=[Ref(table.col)])
         b.cs.create_gate("var_div", constraints, selector=self.selector)
 
-    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
-        b = self.builder
-        row = b.alloc_row(self.selector)
-        outputs = []
-        for slot, (a, num) in enumerate(ops):
-            if a.value <= 0:
-                raise ValueError("var_div divisor must be positive")
-            if 2 * a.value > self.bound:
-                raise ValueError(
-                    "var_div divisor %d exceeds range table bound %d; "
-                    "decompose into limbs or raise lookup_bits"
-                    % (a.value, self.bound // 2)
-                )
-            c = (2 * num.value + a.value) // (2 * a.value)
-            r = 2 * num.value + a.value - 2 * a.value * c
-            b.place(row, 4 * slot, a)
-            b.place(row, 4 * slot + 1, num)
-            outputs.append(b.new_entry(c, row, 4 * slot + 2))
-            b.new_entry(r, row, 4 * slot + 3)
-        return outputs
+    def compute(self, a, num):
+        _check_divisors(a, "var_div", self.bound,
+                        "var_div divisor %d exceeds range table bound %d; "
+                        "decompose into limbs or raise lookup_bits")
+        c = (2 * num + a) // (2 * a)
+        return c, 2 * num + a - 2 * a * c
 
 
 class VarDivWideGadget(Gadget):
@@ -145,6 +116,7 @@ class VarDivWideGadget(Gadget):
 
     name = "var_div_wide"
     cells_per_op = 7
+    operands, computed = (0, 1), (2, 3, 4, 5, 6)
 
     def _configure(self) -> None:
         b = self.builder
@@ -153,9 +125,8 @@ class VarDivWideGadget(Gadget):
         self.limb = bound
         sel = Ref(self.selector)
         constraints = []
-        for slot in range(self.slots_per_row(b.num_cols)):
-            cols = [Ref(b.columns[7 * slot + i]) for i in range(7)]
-            a, num, c, r_lo, r_hi, d_lo, d_hi = cols
+        for slot, refs in enumerate(self._slot_refs()):
+            a, num, c, r_lo, r_hi, d_lo, d_hi = refs
             r = r_hi * Constant(self.limb) + r_lo
             d = d_hi * Constant(self.limb) + d_lo
             constraints.append(2 * num + a - Constant(2) * a * c - r)
@@ -169,27 +140,21 @@ class VarDivWideGadget(Gadget):
                 )
         b.cs.create_gate("var_div_wide", constraints, selector=self.selector)
 
-    def _fill_row(self, ops: Sequence[Sequence[Entry]]) -> List[Entry]:
-        b = self.builder
-        row = b.alloc_row(self.selector)
-        outputs = []
-        for slot, (a, num) in enumerate(ops):
-            if a.value <= 0:
-                raise ValueError("var_div_wide divisor must be positive")
-            if 2 * a.value > self.limb * self.limb:
-                raise ValueError(
-                    "divisor %d exceeds two-limb capacity %d"
-                    % (a.value, self.limb * self.limb // 2)
-                )
-            c = (2 * num.value + a.value) // (2 * a.value)
-            r = 2 * num.value + a.value - 2 * a.value * c
-            d = 2 * a.value - r - 1
-            base = 7 * slot
-            b.place(row, base, a)
-            b.place(row, base + 1, num)
-            outputs.append(b.new_entry(c, row, base + 2))
-            b.new_entry(r % self.limb, row, base + 3)
-            b.new_entry(r // self.limb, row, base + 4)
-            b.new_entry(d % self.limb, row, base + 5)
-            b.new_entry(d // self.limb, row, base + 6)
-        return outputs
+    def compute(self, a, num):
+        _check_divisors(a, "var_div_wide", self.limb * self.limb,
+                        "divisor %d exceeds two-limb capacity %d")
+        c = (2 * num + a) // (2 * a)
+        r = 2 * num + a - 2 * a * c
+        d = 2 * a - r - 1
+        return c, r % self.limb, r // self.limb, d % self.limb, d // self.limb
+
+
+def _check_divisors(a: np.ndarray, name: str, bound: int, too_big: str) -> None:
+    """Divisors must be positive and at most ``bound / 2``: the first one
+    that is not raises."""
+    bad = (a <= 0) | (2 * a > bound)
+    if bad.any():
+        first = a[np.argmax(bad)]
+        if first <= 0:
+            raise ValueError("%s divisor must be positive" % name)
+        raise ValueError(too_big % (first, bound // 2))

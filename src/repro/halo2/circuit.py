@@ -8,10 +8,14 @@ recorded while laying out a circuit.
 
 from __future__ import annotations
 
+import sys
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.field.prime_field import PrimeField
-from repro.halo2.column import Column, ColumnType
+from repro.halo2.column import KINDS, Column, ColumnType, cell_code, unpack_cells
 from repro.halo2.expression import Expression
 from repro.halo2.gate import Gate
 from repro.halo2.lookup import LookupArgument
@@ -34,27 +38,57 @@ class ConstraintSystem:
         # a dict used as an insertion-ordered set: a pickled key must not
         # depend on the process's hash seed
         self.equality_columns: Dict[Column, None] = {}
+        #: assignments sized by this system, told when it allocates a
+        #: column; held weakly and never pickled (a key carries the shape,
+        #: not a grid)
+        self._grids: List[weakref.ref] = []
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_grids"]
+        return state
+
+    def __setstate__(self, state):
+        # keys interned as pickle's default restore does, so a reloaded
+        # key pickles to the same bytes
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
+        self._grids = []
 
     # -- column allocation ---------------------------------------------------
+
+    def count(self, kind: ColumnType) -> int:
+        """Columns of one kind allocated so far."""
+        return (self.num_advice, self.num_fixed, self.num_instance,
+                self.num_selectors)[KINDS.index(kind)]
+
+    def _allocated(self) -> None:
+        for ref in self._grids:
+            grid = ref()
+            if grid is not None:
+                grid.fit()
 
     def advice_column(self) -> Column:
         col = Column(ColumnType.ADVICE, self.num_advice)
         self.num_advice += 1
+        self._allocated()
         return col
 
     def fixed_column(self) -> Column:
         col = Column(ColumnType.FIXED, self.num_fixed)
         self.num_fixed += 1
+        self._allocated()
         return col
 
     def instance_column(self) -> Column:
         col = Column(ColumnType.INSTANCE, self.num_instance)
         self.num_instance += 1
+        self._allocated()
         return col
 
     def selector(self) -> Column:
         col = Column(ColumnType.SELECTOR, self.num_selectors)
         self.num_selectors += 1
+        self._allocated()
         return col
 
     # -- constraint declaration ------------------------------------------------
@@ -108,12 +142,33 @@ class ConstraintSystem:
         return d
 
 
+def _reserve(buf: np.ndarray, rows: int) -> np.ndarray:
+    """``buf``, or a zero-extended copy at least twice as long when it has
+    fewer than ``rows`` rows (so growing row by row copies O(1) per row)."""
+    if rows <= len(buf):
+        return buf
+    grown = np.zeros((max(rows, 2 * len(buf)),) + buf.shape[1:], buf.dtype)
+    grown[: len(buf)] = buf
+    return grown
+
+
 class Assignment:
     """A concrete 2^k-row grid of values for a constraint system.
 
-    Cells start unassigned (None) and are treated as zero by the prover;
-    the MockProver reports reads of unassigned advice cells only when a
-    gate actually constrains them.
+    Each column kind is one 2-D array with a row per allocated column
+    (:attr:`advice`, :attr:`fixed`, :attr:`instance`, :attr:`selectors`).
+    Field elements are ``uint64`` when the prime fits a machine word and
+    Python ints in an ``object`` array otherwise; selectors are 0/1
+    bytes.  The arrays grow when the constraint system allocates a
+    column.  Unassigned cells read as zero; :meth:`assigned` masks the
+    value cells ever written, for the cell counts metrics and the
+    profiler report.  :attr:`copies` is one ``(m, 6)`` ``int64`` array of
+    ``(kind, index, row, kind, index, row)`` copy constraints.
+
+    Synthesis writes whole blocks (:meth:`assign_block`,
+    :meth:`copy_block`); the per-cell ``assign_*``, :meth:`copy`,
+    :meth:`value` and :meth:`column_values` read and write the same
+    arrays, for tests and diagnostics.
     """
 
     def __init__(self, cs: ConstraintSystem, k: int):
@@ -122,74 +177,125 @@ class Assignment:
         self.cs = cs
         self.k = k
         self.n = 1 << k
-        self.advice: List[List[Optional[int]]] = [
-            [None] * self.n for _ in range(cs.num_advice)
-        ]
-        self.fixed: List[List[Optional[int]]] = [
-            [None] * self.n for _ in range(cs.num_fixed)
-        ]
-        self.instance: List[List[Optional[int]]] = [
-            [None] * self.n for _ in range(cs.num_instance)
-        ]
-        self.selectors: List[List[int]] = [
-            [0] * self.n for _ in range(cs.num_selectors)
-        ]
-        self.copies: List[Tuple[Column, int, Column, int]] = []
-        # Advice columns that ever received a nonzero value.  Synthesis
-        # writes advice only through assign_advice, so a column absent
-        # from this set is identically zero — the prover skips its
-        # interpolation and reuses the zero-polynomial commitment.
-        self._advice_nonzero: set = set()
+        self.dtype = np.dtype(np.uint64 if cs.field.p < 1 << 64 else object)
+        self._grids: Dict[ColumnType, np.ndarray] = {
+            kind: np.zeros((0, self.n), np.uint8 if kind == ColumnType.SELECTOR
+                           else self.dtype)
+            for kind in KINDS}
+        self._assigned: Dict[ColumnType, np.ndarray] = {
+            kind: np.zeros((0, self.n), bool) for kind in KINDS
+            if kind != ColumnType.SELECTOR}
+        self._copies = np.zeros((0, 6), np.int64)
+        self.num_copies = 0
+        cs._grids.append(weakref.ref(self))
+        self.fit()
 
-    # -- assignment ------------------------------------------------------------
+    def fit(self) -> None:
+        """Make room for every column the constraint system has allocated
+        (it calls this on each allocation)."""
+        for store in (self._grids, self._assigned):
+            for kind, buf in store.items():
+                store[kind] = _reserve(buf, self.cs.count(kind))
+
+    # -- the grids -----------------------------------------------------------------
+
+    def grid(self, kind: ColumnType) -> np.ndarray:
+        """The live array of one column kind: a row per allocated column."""
+        return self._grids[kind][: self.cs.count(kind)]
+
+    @property
+    def advice(self) -> np.ndarray:
+        return self.grid(ColumnType.ADVICE)
+
+    @property
+    def fixed(self) -> np.ndarray:
+        return self.grid(ColumnType.FIXED)
+
+    @property
+    def instance(self) -> np.ndarray:
+        return self.grid(ColumnType.INSTANCE)
+
+    @property
+    def selectors(self) -> np.ndarray:
+        return self.grid(ColumnType.SELECTOR)
+
+    def assigned(self, kind: ColumnType) -> np.ndarray:
+        """Which advice, fixed or instance cells were ever written."""
+        return self._assigned[kind][: self.cs.count(kind)]
+
+    @property
+    def copies(self) -> np.ndarray:
+        return self._copies[: self.num_copies]
+
+    def reduce(self, values) -> np.ndarray:
+        """Integers of any sign and size as field elements in the grid's
+        dtype, one array."""
+        p = self.cs.field.p
+        if self.dtype == object:
+            return np.array(values, dtype=object) % p
+        try:
+            signed = np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            return (np.asarray(values, dtype=object) % p).astype(np.uint64)
+        if p <= 1 << 63:
+            return (signed % p).astype(np.uint64)
+        # every int64 lies in (-p, p), so a negative v reduces to v + p
+        unsigned = signed.astype(np.uint64)
+        return np.where(signed < 0, unsigned + np.uint64(p), unsigned)
+
+    # -- block writes ----------------------------------------------------------------
+
+    def assign_block(self, kind: ColumnType, index, rows, values) -> None:
+        """Write many cells of one kind at once: ``values`` go to the cells
+        ``(index, rows)`` (numpy indices of the kind's 2-D array)."""
+        self._grids[kind][index, rows] = self.reduce(values)
+        self._assigned[kind][index, rows] = True
+
+    def enable_selectors(self, index: int, rows) -> None:
+        """Switch one selector on at ``rows`` (a numpy index)."""
+        self._grids[ColumnType.SELECTOR][index, rows] = 1
+
+    def copy_block(self, src, dst) -> None:
+        """Record copy constraints ``src[i] == dst[i]``, cells given as
+        :func:`~repro.halo2.column.cell_code` integers."""
+        end = self.num_copies + len(src)
+        self._copies = _reserve(self._copies, end)
+        block = self._copies[self.num_copies : end]
+        block[:, :3] = unpack_cells(src)
+        block[:, 3:] = unpack_cells(dst)
+        self.num_copies = end
+
+    # -- per-cell writes -------------------------------------------------------------
 
     def _check_row(self, row: int) -> None:
         if not 0 <= row < self.n:
             raise IndexError("row %d out of range for 2^%d rows" % (row, self.k))
-        self._grow()
 
-    def _grow(self) -> None:
-        """Track columns allocated on the constraint system after init.
-
-        Circuit builders declare gadgets (and hence selectors, fixed table
-        columns, ...) lazily during synthesis; the grid grows to match.
-        """
-        cs = self.cs
-        while len(self.advice) < cs.num_advice:
-            self.advice.append([None] * self.n)
-        while len(self.fixed) < cs.num_fixed:
-            self.fixed.append([None] * self.n)
-        while len(self.instance) < cs.num_instance:
-            self.instance.append([None] * self.n)
-        while len(self.selectors) < cs.num_selectors:
-            self.selectors.append([0] * self.n)
+    def _assign(self, column: Column, row: int, value: int) -> None:
+        self._check_row(row)
+        self._grids[column.kind][column.index, row] = self.cs.field.reduce(value)
+        self._assigned[column.kind][column.index, row] = True
 
     def assign_advice(self, column: Column, row: int, value: int) -> None:
         if column.kind != ColumnType.ADVICE:
             raise ValueError("expected an advice column, got %r" % column)
-        self._check_row(row)
-        reduced = self.cs.field.reduce(value)
-        self.advice[column.index][row] = reduced
-        if reduced:
-            self._advice_nonzero.add(column.index)
+        self._assign(column, row, value)
 
     def assign_fixed(self, column: Column, row: int, value: int) -> None:
         if column.kind != ColumnType.FIXED:
             raise ValueError("expected a fixed column, got %r" % column)
-        self._check_row(row)
-        self.fixed[column.index][row] = self.cs.field.reduce(value)
+        self._assign(column, row, value)
 
     def assign_instance(self, column: Column, row: int, value: int) -> None:
         if column.kind != ColumnType.INSTANCE:
             raise ValueError("expected an instance column, got %r" % column)
-        self._check_row(row)
-        self.instance[column.index][row] = self.cs.field.reduce(value)
+        self._assign(column, row, value)
 
     def enable_selector(self, column: Column, row: int) -> None:
         if column.kind != ColumnType.SELECTOR:
             raise ValueError("expected a selector column, got %r" % column)
         self._check_row(row)
-        self.selectors[column.index][row] = 1
+        self.enable_selectors(column.index, row)
 
     def copy(self, col_a: Column, row_a: int, col_b: Column, row_b: int) -> None:
         """Record a copy constraint between two equality-enabled cells."""
@@ -200,47 +306,24 @@ class Assignment:
                 )
         self._check_row(row_a)
         self._check_row(row_b)
-        self.copies.append((col_a, row_a, col_b, row_b))
+        self.copy_block([cell_code(col_a, row_a)], [cell_code(col_b, row_b)])
 
     # -- reads -------------------------------------------------------------------
 
     def value(self, column: Column, row: int) -> int:
-        """Read a cell; unassigned advice/fixed/instance cells read as zero."""
-        self._grow()
-        row %= self.n
-        if column.kind == ColumnType.ADVICE:
-            v = self.advice[column.index][row]
-        elif column.kind == ColumnType.FIXED:
-            v = self.fixed[column.index][row]
-        elif column.kind == ColumnType.INSTANCE:
-            v = self.instance[column.index][row]
-        else:
-            return self.selectors[column.index][row]
-        return 0 if v is None else v
+        """Read a cell; unassigned cells read as zero."""
+        return int(self._grids[column.kind][column.index, row % self.n])
 
     def column_values(self, column: Column) -> List[int]:
         """A column's full evaluation vector (unassigned cells as zero)."""
-        self._grow()
-        if column.kind == ColumnType.ADVICE:
-            grid = self.advice[column.index]
-        elif column.kind == ColumnType.FIXED:
-            grid = self.fixed[column.index]
-        elif column.kind == ColumnType.INSTANCE:
-            grid = self.instance[column.index]
-        else:
-            return list(self.selectors[column.index])
-        return [0 if v is None else v for v in grid]
+        return self.grid(column.kind)[column.index].tolist()
 
-    def advice_is_zero(self, index: int) -> bool:
-        """True iff synthesis never assigned a nonzero value to the column.
-
-        Conservative in the safe direction: a column overwritten back to
-        zero still reads as nonzero here, costing only a missed skip.
-        """
-        return index not in self._advice_nonzero
+    def copy_cells(self) -> List[Tuple[Column, int, Column, int]]:
+        """The copy list as ``(column, row, column, row)`` tuples, for
+        diagnostics (keygen reads :attr:`copies` as it is)."""
+        return [(Column(KINDS[ka], ia), ra, Column(KINDS[kb], ib), rb)
+                for ka, ia, ra, kb, ib, rb in self.copies.tolist()]
 
     def instance_values(self) -> List[List[int]]:
         """Public inputs per instance column (the verifier's copy)."""
-        return [
-            [0 if v is None else v for v in col] for col in self.instance
-        ]
+        return [col.tolist() for col in self.instance]

@@ -5,8 +5,9 @@ Keygen fixes everything that does not depend on the witness:
 - coefficient forms of all fixed, selector, and permutation polynomials,
   their low-degree extension, and the Merkle tree that commits to them
   (the *fixed round*; its root goes into the verifying key);
-- the permutation itself (union-find over the recorded copy constraints,
-  turned into id/sigma tag polynomials);
+- the permutation itself (the connected components of the recorded copy
+  constraints, found in one vectorized pass and turned into id/sigma tag
+  polynomials);
 - the *extended constraint list*: user gates plus the lookup and
   permutation helper constraints, expressed over helper advice columns
   and :class:`~repro.halo2.expression.Challenge` placeholders.  Prover and
@@ -32,7 +33,7 @@ from repro.commit.scheme import (
 from repro.field.domain import EvaluationDomain
 from repro.field.prime_field import PrimeField
 from repro.halo2.circuit import Assignment, ConstraintSystem
-from repro.halo2.column import Column, ColumnType
+from repro.halo2.column import KINDS, Column, ColumnType
 from repro.halo2.expression import (
     Challenge,
     Constant,
@@ -205,51 +206,50 @@ def _compress(exprs: Tuple[Expression, ...], theta: Expression) -> Expression:
 
 def _build_permutation_tags(
     assignment: Assignment, columns: List[Column]
-) -> Tuple[List[List[int]], List[List[int]]]:
-    """Union-find the copy constraints into id/sigma tag vectors.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Id/sigma tag vectors, one ``int64`` row per permuted column.
 
     Tags are small distinct integers (slot * n + row + 1); sigma maps each
     cell to the next cell of its equality cycle, so the multiset
     {(value, id)} equals {(value, sigma)} exactly when values are constant
-    along every cycle.
+    along every cycle.  A cycle is a connected component of the copy
+    graph, listed in ascending cell order: components come from min-label
+    propagation with pointer jumping, then one stable sort of the copied
+    cells by (root, cell).
     """
     n = assignment.n
-    slot = {col: j for j, col in enumerate(columns)}
-    size = len(columns) * n
-
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    def cell_index(col: Column, row: int) -> int:
-        return slot[col] * n + row
-
-    for col_a, row_a, col_b, row_b in assignment.copies:
-        union(cell_index(col_a, row_a), cell_index(col_b, row_b))
-
-    groups: Dict[int, List[int]] = {}
-    for idx in range(size):
-        groups.setdefault(find(idx), []).append(idx)
-
-    ids = [[j * n + i + 1 for i in range(n)] for j in range(len(columns))]
-    sigmas = [list(col) for col in ids]
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        # sigma rotates the cycle: each cell points at the next member.
-        for pos, idx in enumerate(members):
-            nxt = members[(pos + 1) % len(members)]
-            sigmas[idx // n][idx % n] = nxt + 1
-    return ids, sigmas
+    slot = np.full((len(KINDS), max(col.index for col in columns) + 1), -1,
+                   dtype=np.int64)
+    for j, col in enumerate(columns):
+        slot[KINDS.index(col.kind), col.index] = j
+    ids = np.arange(1, len(columns) * n + 1, dtype=np.int64)
+    sigmas = ids.copy()
+    copies = assignment.copies
+    if len(copies):
+        a, b = (slot[copies[:, 3 * s], copies[:, 3 * s + 1]] * n
+                + copies[:, 3 * s + 2] for s in (0, 1))
+        # label every cell with the least cell of its component
+        label = np.arange(len(ids))
+        while True:
+            la, lb = label[a], label[b]
+            if (la == lb).all():
+                break
+            np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+            while True:  # point every cell straight at its root
+                up = label[label]
+                if (up == label).all():
+                    break
+                label = up
+        # the copied cells by (root, cell); sigma rotates each cycle, a
+        # cell pointing at the next member
+        copied = np.flatnonzero(np.bincount(np.r_[a, b], minlength=len(ids)))
+        order = copied[np.argsort(label[copied], kind="stable")]
+        grouped = label[order]
+        starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+        nxt = np.r_[order[1:], 0]
+        nxt[np.r_[starts[1:], len(order)] - 1] = order[starts]
+        sigmas[order] = nxt + 1
+    return ids.reshape(-1, n), sigmas.reshape(-1, n)
 
 
 def keygen(
@@ -280,16 +280,16 @@ def keygen(
         next_fixed += 1
         return col
 
-    fixed_evals: Dict[Column, List[int]] = {}
-    for i in range(cs.num_fixed):
-        col = Column(ColumnType.FIXED, i)
-        fixed_evals[col] = assignment.column_values(col)
-    for i in range(cs.num_selectors):
-        col = Column(ColumnType.SELECTOR, i)
-        fixed_evals[col] = list(assignment.selectors[i])
+    # the key owns a copy of the fixed grid, not a view synthesis can write
+    fixed_evals: Dict[Column, object] = {}
+    for i, values in enumerate(assignment.fixed.copy()):
+        fixed_evals[Column(ColumnType.FIXED, i)] = values
+    for i, values in enumerate(assignment.selectors):
+        fixed_evals[Column(ColumnType.SELECTOR, i)] = values
 
     l0_col = new_fixed()
-    fixed_evals[l0_col] = [1] + [0] * (n - 1)
+    fixed_evals[l0_col] = np.zeros(n, dtype=assignment.dtype)
+    fixed_evals[l0_col][0] = 1
     l0 = Ref(l0_col)
 
     constraints: List[Tuple[str, Expression]] = []
@@ -378,13 +378,13 @@ def keygen(
     max_degree = max([expr.degree() for _, expr in constraints] + [2])
     domain = EvaluationDomain(field, assignment.k, max_degree=max_degree)
 
-    if domain.uses_gl64:
-        # read-only uint64 columns: the prover reads them without
-        # converting and the pk cache checksums them in place on every hit
-        for col, values in fixed_evals.items():
-            values = domain.backend.from_ints(values)
+    for col, values in fixed_evals.items():
+        values = domain.backend.from_ints(values)
+        if domain.uses_gl64:
+            # read-only uint64 columns: the prover reads them without
+            # converting and the pk cache checksums them in place on every hit
             values.flags.writeable = False
-            fixed_evals[col] = values
+        fixed_evals[col] = values
     fixed_columns = tuple(
         sorted(fixed_evals, key=lambda c: (c.kind.value, c.index)))
     with tracer.span("keygen:fixed_polys", columns=len(fixed_evals),

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.halo2.circuit import Assignment, ConstraintSystem
 from repro.halo2.column import Column
 
@@ -154,8 +156,8 @@ class MockProver:
         for gate in self.cs.gates:
             active_rows = range(asg.n)
             if gate.selector is not None:
-                sel = asg.selectors[gate.selector.index]
-                active_rows = [row for row in range(asg.n) if sel[row]]
+                active_rows = np.flatnonzero(
+                    asg.selectors[gate.selector.index]).tolist()
             for i, constraint in enumerate(gate.constraints):
                 for row in active_rows:
                     def read(col: Column, rot: int, _row=row) -> int:
@@ -180,7 +182,7 @@ class MockProver:
 
     def _check_copies(self, collector: _Collector) -> None:
         asg = self.assignment
-        for col_a, row_a, col_b, row_b in asg.copies:
+        for col_a, row_a, col_b, row_b in asg.copy_cells():
             va, vb = asg.value(col_a, row_a), asg.value(col_b, row_b)
             if va != vb:
                 collector.add(

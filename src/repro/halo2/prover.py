@@ -22,9 +22,9 @@ cost model counts (Eqs. 1–2).
 Implementation notes: on Goldilocks every phase runs batched over whole
 *matrices* of columns.  Phase 1 and the helper commits stack columns into
 an ``(m, n)`` ``uint64`` matrix, interpolate with one batched NTT and
-extend with one batched coset NTT per part; all-zero columns (detected
-at synthesis by :meth:`~repro.halo2.circuit.Assignment.advice_is_zero`
-or at commit time by a row scan) skip the interpolation.  Phase 2 stacks
+extend with one batched coset NTT per part (the user advice round is the
+assignment's ``uint64`` advice array itself); all-zero columns (found by
+one row scan) skip the interpolation.  Phase 2 stacks
 every lookup and permutation denominator into a single flat
 ``gl64.batch_inv`` call and builds lookup multiplicities with sorted
 numpy searches.  Phase 3 evaluates the quotient per *coset part* —
@@ -113,13 +113,15 @@ def _interpolate_commit_rows(domain, scheme, rows: np.ndarray):
 
 
 def _interpolate_commit(domain, scheme, vecs):
-    """Base-domain columns -> (coefficient rows, committed round): one
-    batched call on Goldilocks, column by column on the list backend.
-    No columns, no round (``None``)."""
-    if not vecs:
+    """Base-domain columns (a sequence or an ``(m, n)`` array) ->
+    (coefficient rows, committed round): one batched call on Goldilocks,
+    column by column on the list backend.  No columns, no round
+    (``None``)."""
+    if not len(vecs):
         return [], None
     if domain.uses_gl64:
-        return _interpolate_commit_rows(domain, scheme, np.stack(vecs))
+        rows = vecs if isinstance(vecs, np.ndarray) else np.stack(vecs)
+        return _interpolate_commit_rows(domain, scheme, rows)
     polys = [domain.lagrange_to_coeff_vec(vec) for vec in vecs]
     return polys, scheme.commit_round(domain, domain.lde(polys))
 
@@ -268,7 +270,7 @@ def _quotient_extended_np(domain, vk, assignment, committed_lde, challenges, y):
     for col in cols:
         if col.kind == ColumnType.INSTANCE:
             poly = domain.lagrange_to_coeff_vec(
-                backend.from_ints(assignment.column_values(col)))
+                backend.from_ints(assignment.instance[col.index]))
             parts[col] = domain.lde(poly[None, :])[0]
             continue
         if col.kind != ColumnType.ADVICE:
@@ -365,18 +367,11 @@ def create_proof(
 
     # ---- phase 1: user advice commitments ---------------------------------
     with timer.phase("commit"):
-        advice_vecs: Dict[int, object] = {}
-        for i in range(cs.num_advice):
-            if use_np and assignment.advice_is_zero(i):
-                # synthesis never wrote a nonzero value: skip even the
-                # row-by-row grid read; the zero row is then skipped again
-                # at interpolation time
-                advice_vecs[i] = np.zeros(n, dtype=np.uint64)
-            else:
-                col = Column(ColumnType.ADVICE, i)
-                advice_vecs[i] = backend.from_ints(assignment.column_values(col))
-        commit_round(ADVICE_ROUND, b"advice",
-                     [advice_vecs[i] for i in range(cs.num_advice)])
+        advice = assignment.advice
+        if not use_np:
+            advice = [backend.from_ints(row) for row in advice]
+        advice_vecs: Dict[int, object] = dict(enumerate(advice))
+        commit_round(ADVICE_ROUND, b"advice", advice)
 
     challenges = {
         THETA: transcript.challenge_scalar(b"theta"),
@@ -399,7 +394,7 @@ def create_proof(
                 if vec is None:
                     raise ProvingError("helper expression reads helper column %r" % col)
             elif col.kind == ColumnType.INSTANCE:
-                vec = backend.from_ints(assignment.column_values(col))
+                vec = backend.from_ints(assignment.instance[col.index])
             else:
                 vec = backend.from_ints(pk.fixed_evals[col])
             lagrange_cache[col] = vec
@@ -515,7 +510,7 @@ def create_proof(
                 if col.kind == ColumnType.INSTANCE:
                     ext = domain.coeff_to_extended_vec(
                         domain.lagrange_to_coeff_vec(
-                            backend.from_ints(assignment.column_values(col))))
+                            backend.from_ints(assignment.instance[col.index])))
                 else:
                     ext = committed_lde(col)
                 extended_cache[col] = ext

@@ -149,8 +149,7 @@ def _freivalds_synthesize(builder, a: Tensor, b: Tensor,
                 "Freivalds challenge check failed: C r != A (B r)",
                 matrix_row=i,
             )
-        builder.asg.copy(cr.cell.column, cr.cell.row,
-                         expected.cell.column, expected.cell.row)
+        builder.copy(cr, expected)
     return c
 
 

@@ -298,12 +298,6 @@ NULL_METRICS = NullMetrics()
 # -- pipeline recorders ------------------------------------------------------
 
 
-def _assigned_cells(columns: List[List[Optional[int]]]) -> int:
-    return sum(
-        sum(1 for v in column if v is not None) for column in columns
-    )
-
-
 def record_circuit_stats(registry: MetricsRegistry, synthesized,
                          model: str = "") -> None:
     """Record a synthesized circuit's shape statistics.
@@ -314,6 +308,9 @@ def record_circuit_stats(registry: MetricsRegistry, synthesized,
     ``zkml inspect`` reports, so the two always agree; cell/copy counts
     are measured on the actual witness grid.
     """
+    # halo2 imports this module's package: bind the column kinds late
+    from repro.halo2.column import ColumnType
+
     layout = synthesized.layout
     builder = synthesized.builder
     asg = builder.asg
@@ -330,12 +327,9 @@ def record_circuit_stats(registry: MetricsRegistry, synthesized,
     g("zkml_gadget_rows", "gadget rows per the layout simulator",
       model=model).set(layout.gadget_rows)
 
-    g("zkml_cells_assigned", "assigned advice cells", model=model,
-      kind="advice").set(_assigned_cells(asg.advice))
-    g("zkml_cells_assigned", "", model=model,
-      kind="fixed").set(_assigned_cells(asg.fixed))
-    g("zkml_cells_assigned", "", model=model,
-      kind="instance").set(_assigned_cells(asg.instance))
+    for kind in (ColumnType.ADVICE, ColumnType.FIXED, ColumnType.INSTANCE):
+        g("zkml_cells_assigned", "assigned advice cells", model=model,
+          kind=kind.value).set(int(asg.assigned(kind).sum()))
     g("zkml_copy_constraints", "recorded equality constraints",
       model=model).set(len(asg.copies))
 
@@ -358,7 +352,7 @@ def record_circuit_stats(registry: MetricsRegistry, synthesized,
     for gate in cs.gates:
         if gate.selector is None:
             continue
-        rows = sum(asg.selectors[gate.selector.index])
+        rows = int(asg.selectors[gate.selector.index].sum())
         g("zkml_gadget_selector_rows", "rows with each gadget selector on",
           model=model, gate=gate.name).set(rows)
 

@@ -181,10 +181,7 @@ def _top_level_regions(regions) -> List:
 
 
 def _advice_cells_in(asg, start: int, end: int) -> int:
-    return sum(
-        sum(1 for v in column[start:end] if v is not None)
-        for column in asg.advice
-    )
+    return int(asg.assigned(ColumnType.ADVICE)[:, start:end].sum())
 
 
 def attribute_layers(builder, tracer: Optional[Tracer] = None,
@@ -218,7 +215,7 @@ def attribute_layers(builder, tracer: Optional[Tracer] = None,
         for gate in cs.gates:
             if gate.selector is None:
                 continue
-            on = sum(asg.selectors[gate.selector.index][start:end])
+            on = int(asg.selectors[gate.selector.index, start:end].sum())
             if on:
                 selector_rows[gate.name] = on
         profiles.append(LayerProfile(
@@ -244,7 +241,7 @@ def attribute_layers(builder, tracer: Optional[Tracer] = None,
         return None
 
     unattributed_copies = 0
-    for col_a, row_a, col_b, row_b in asg.copies:
+    for col_a, row_a, col_b, row_b in asg.copy_cells():
         row = None
         if col_a.kind is ColumnType.ADVICE:
             row = row_a
@@ -308,7 +305,7 @@ def profile_model(
     for gate in builder.cs.gates:
         if gate.selector is None:
             continue
-        on = sum(builder.asg.selectors[gate.selector.index])
+        on = int(builder.asg.selectors[gate.selector.index].sum())
         if on:
             gadget_rows[gate.name] = on
     report = ProfileReport(

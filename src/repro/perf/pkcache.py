@@ -49,7 +49,6 @@ import numpy as np
 from repro.commit.scheme import CommitmentScheme, scalar_bytes
 from repro.field.gl64 import serialize_scalars
 from repro.halo2.circuit import Assignment, ConstraintSystem
-from repro.halo2.column import Column, ColumnType
 from repro.halo2.keygen import ProvingKey, VerifyingKey, keygen
 from repro.resilience import events, faults
 from repro.resilience.errors import CacheCorruptionError
@@ -98,28 +97,14 @@ def circuit_digest(
     put("equality", repr(cs.permuted_columns()))
     # the grids as packed bytes, not repr() of 2^k Python objects per column
     width = scalar_bytes(cs.field)
-    for i in range(cs.num_fixed):
-        values = assignment.column_values(Column(ColumnType.FIXED, i))
+    for i, values in enumerate(assignment.fixed):
         put("fixed:%d" % i, serialize_scalars(values, width))
     for i, sel in enumerate(assignment.selectors):
-        put("selector:%d" % i, bytes(sel))
-    put("copies", _pack_copies(assignment.copies))
+        put("selector:%d" % i, sel.tobytes())
+    # the copy list as one (6, len) int64 array: kind, index and row of
+    # each side
+    put("copies", np.ascontiguousarray(assignment.copies.T).tobytes())
     return h.hexdigest()
-
-
-_KIND_CODE = {kind.value: code for code, kind in enumerate(ColumnType)}
-
-
-def _pack_copies(copies) -> bytes:
-    """The copy list as one ``(6, len)`` int64 array: kind, index and row
-    of each side."""
-    if not copies:
-        return b""
-    col_a, row_a, col_b, row_b = zip(*copies)
-    return np.array([
-        [_KIND_CODE[c.kind._value_] for c in col_a], [c.index for c in col_a], row_a,
-        [_KIND_CODE[c.kind._value_] for c in col_b], [c.index for c in col_b], row_b,
-    ], dtype=np.int64).tobytes()
 
 
 def _entry_checksum(pk: ProvingKey, vk: VerifyingKey) -> str:

@@ -48,8 +48,9 @@ __all__ = ["CheckpointStore", "proving_config_digest"]
 #: synthesized circuit, so the tag moves with their layout: v2 = per-table
 #: lookup helpers; v3 = one config digest (chained per slot, covers ``k``)
 #: and one ``SynthesizedModel`` shape for every batch size; v4 = succinct
-#: proofs (Merkle rounds in the proving key, the ``ZKMLPRF2`` proof shape).
-SCHEMA = "zkml-checkpoint/v4"
+#: proofs (Merkle rounds in the proving key, the ``ZKMLPRF2`` proof shape);
+#: v5 = the ``Assignment`` as arrays (grids, masks, an int64 copy list).
+SCHEMA = "zkml-checkpoint/v5"
 
 #: Pipeline stages, in order.
 STAGES = ("synthesize", "keygen", "prove")

@@ -16,7 +16,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.halo2.column import Column
+from repro.halo2.column import Column, cell_of
 
 
 @dataclass(frozen=True)
@@ -28,21 +28,28 @@ class Cell:
 
 
 class Entry:
-    """One tensor element: a fixed-point value plus its grid cell.
+    """One tensor element: a fixed-point value plus its home cell.
 
-    ``cell`` is None until a gadget first materializes the value in the
-    grid; because shape operations share Entry objects, materializing a
-    value once makes every view of it copy-constrainable.
+    ``home`` is None until a gadget first materializes the value in the
+    grid, then that cell's :func:`~repro.halo2.column.cell_code`; because
+    shape operations share Entry objects, materializing a value once
+    makes every view of it copy-constrainable.
     """
 
-    __slots__ = ("value", "cell")
+    __slots__ = ("value", "home")
 
-    def __init__(self, value: int, cell: Optional[Cell] = None):
+    def __init__(self, value: int, home: Optional[int] = None):
         self.value = value
-        self.cell = cell
+        self.home = home
+
+    @property
+    def cell(self) -> Optional[Cell]:
+        """The home as a :class:`Cell`, or None before the first placement."""
+        return None if self.home is None else Cell(*cell_of(self.home))
 
     def __repr__(self) -> str:
-        return "Entry(%r%s)" % (self.value, ", placed" if self.cell else "")
+        return "Entry(%r%s)" % (self.value,
+                                "" if self.home is None else ", placed")
 
 
 #: The one element of every shape-only tensor: it has no value, so a

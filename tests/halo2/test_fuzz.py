@@ -114,9 +114,9 @@ def test_random_corruptions_rejected(seed, bump):
 def test_copy_violations_rejected(seed):
     """Breaking a copy constraint is always caught."""
     cs, asg, cols, n_ops = build_random_circuit(seed)
-    if not asg.copies:
+    if not asg.num_copies:
         return
-    col_a, row_a, col_b, row_b = asg.copies[0]
+    col_a, row_a, col_b, row_b = asg.copy_cells()[0]
     asg.assign_advice(col_b, row_b, F.add(asg.value(col_b, row_b), 1))
     assert any(f.kind == "copy" for f in MockProver(cs, asg).verify())
     scheme = scheme_by_name("kzg", F)

@@ -39,10 +39,15 @@ def _prove_bytes():
 
 def test_all_zero_columns_are_detected():
     cs, asg = _zero_heavy_circuit()
-    # columns: 0=a (zero), 1=b (nonzero), 2=c (zero products)
-    assert asg.advice_is_zero(0)
-    assert not asg.advice_is_zero(1)
-    assert asg.advice_is_zero(2)
+    scheme = scheme_by_name("kzg", F)
+    pk, _ = keygen(cs, asg, scheme)
+    before = STATS.snapshot()
+    polys, _ = prover._interpolate_commit_rows(pk.vk.domain, scheme,
+                                               asg.advice)
+    # columns: 0=a (zero), 1=b (nonzero), 2=c (zero products): the advice
+    # round skips exactly the two zero rows of the grid
+    assert STATS.delta(before)["sparsity_skips"] == 2
+    assert not polys[0].any() and polys[1].any() and not polys[2].any()
 
 
 def test_sparsity_skips_are_counted():

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.gadgets import AddGadget, CircuitBuilder
+from repro.halo2.column import ColumnType
 from repro.obs.metrics import (
     NULL_METRICS,
     MetricsRegistry,
@@ -186,10 +187,7 @@ class TestCircuitStats:
         assert reg.value("zkml_rows_used", model="toy") == 1
         assert reg.value("zkml_gadget_rows", model="toy") == 1
         # one add: a, b, and z occupy three advice cells on one row
-        advice_cells = sum(
-            sum(1 for v in col if v is not None)
-            for col in builder.asg.advice
-        )
+        advice_cells = builder.asg.assigned(ColumnType.ADVICE).sum()
         assert reg.value("zkml_cells_assigned", model="toy",
                          kind="advice") == advice_cells == 3
         assert reg.value("zkml_cells_assigned", model="toy",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.halo2.column import ColumnType
 from repro.model import get_model
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import UNATTRIBUTED, attribute_layers, profile_model
@@ -62,8 +63,7 @@ class TestAttribution:
     def test_cells_and_copies_match_circuit_totals(self, mnist_profile):
         report, _, result, _ = mnist_profile
         asg = result.synthesized.builder.asg
-        total_cells = sum(
-            sum(1 for v in col if v is not None) for col in asg.advice)
+        total_cells = asg.assigned(ColumnType.ADVICE).sum()
         # every assigned advice cell lives inside some layer band (mnist
         # layers cover all used rows), and every copy lands somewhere
         assert sum(lp.advice_cells for lp in report.layers) == total_cells

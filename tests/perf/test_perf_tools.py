@@ -66,7 +66,7 @@ def test_pk_cache_digest_separates_circuits_and_schemes():
 def test_pk_cache_digest_sees_one_cell_one_selector_bit_one_copy():
     # the grids are hashed as packed bytes; each single-entry change to
     # what keygen consumes must still move the digest
-    from repro.halo2.column import Column, ColumnType
+    from repro.halo2.column import KINDS, Column, ColumnType
 
     def digest(edit):
         cs, asg = mul_circuit()
@@ -84,10 +84,11 @@ def test_pk_cache_digest_sees_one_cell_one_selector_bit_one_copy():
         "selector bit": lambda asg, asg_rc: asg.enable_selector(
             Column(ColumnType.SELECTOR, 0), 5),
         "copy added": lambda asg, asg_rc: asg.copy(c, 0, inst, 0),
+        # the copy list rows are (kind, index, row) of each side
         "copy row": lambda asg, asg_rc: asg.copies.__setitem__(
-            0, (c, 1, inst, 0)),
+            (0, 2), 1),
         "copy column": lambda asg, asg_rc: asg.copies.__setitem__(
-            0, (inst, 2, inst, 0)),
+            (0, slice(0, 2)), (KINDS.index(inst.kind), inst.index)),
     }
     seen = {base}
     for name, edit in edits.items():

@@ -53,7 +53,7 @@ class TestCheckpointStore:
         store = CheckpointStore(str(tmp_path), "cfg")
         store.save("keygen", [1, 2, 3])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["schema"] == "zkml-checkpoint/v4"
+        assert manifest["schema"] == "zkml-checkpoint/v5"
         assert manifest["config"] == "cfg"
         assert "keygen" in manifest["stages"]
 
@@ -186,19 +186,26 @@ class TestResume:
         assert events.counts().get(
             'recovered{reason="checkpoint_stage_rebuild"}', 0) >= 1
 
-    def test_v1_checkpoint_refused_on_resume(self, mnist_case, tmp_path):
+    def test_v1_checkpoint_refused_on_resume(self, mnist_case, tmp_path,
+                                             monkeypatch):
         # a directory written by an older build holds stage pickles this
         # one must not load (v1: a pk with the old constraint list; v2: a
         # config digest without k and the pre-unification circuit shape;
         # v3: a pk without the fixed round and a reveal-the-polynomial
-        # proof): the run must refuse it with the typed schema error — not the
-        # misleading "different configuration" — and never unpickle it
+        # proof; v4: an Assignment of per-cell lists): the run must refuse
+        # it with the typed schema error — not the misleading "different
+        # configuration" — and never unpickle it
         spec, inputs = mnist_case
         prove(spec, inputs, checkpoint_dir=str(tmp_path))
         path = tmp_path / "manifest.json"
         manifest = json.loads(path.read_text())
+
+        def no_unpickling(data):
+            raise AssertionError("an old checkpoint stage was unpickled")
+
+        monkeypatch.setattr(pickle, "loads", no_unpickling)
         for old in ("zkml-checkpoint/v1", "zkml-checkpoint/v2",
-                    "zkml-checkpoint/v3"):
+                    "zkml-checkpoint/v3", "zkml-checkpoint/v4"):
             manifest["schema"] = old
             path.write_text(json.dumps(manifest))
             with pytest.raises(CheckpointError, match="schema '%s'" % old):

@@ -69,6 +69,7 @@ import time
 import numpy as np
 
 from repro.compiler import build_physical_layout
+from repro.envelope import DEFAULT_CAPS
 from repro.field import gl64
 from repro.halo2.proof import proof_to_bytes
 from repro.layers.base import LayoutChoices
@@ -1271,13 +1272,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="concurrent requests before load shedding")
     vserve.add_argument("--deadline", type=float, default=60.0,
                         help="per-request wall-clock budget (seconds)")
-    vserve.add_argument("--max-envelope-mb", type=int, default=16,
+    vserve.add_argument("--max-envelope-mb", type=int,
+                        default=DEFAULT_CAPS.max_envelope_bytes >> 20,
                         help="decoder cap on one envelope's total bytes")
-    vserve.add_argument("--max-proof-mb", type=int, default=4,
+    vserve.add_argument("--max-proof-mb", type=int,
+                        default=DEFAULT_CAPS.max_proof_bytes >> 20,
                         help="decoder cap on one envelope's proof bytes")
-    vserve.add_argument("--max-instance-columns", type=int, default=64,
+    vserve.add_argument("--max-instance-columns", type=int,
+                        default=DEFAULT_CAPS.max_instance_columns,
                         help="decoder cap on instance columns")
-    vserve.add_argument("--max-public-inputs", type=int, default=1 << 18,
+    vserve.add_argument("--max-public-inputs", type=int,
+                        default=DEFAULT_CAPS.max_public_inputs,
                         help="decoder cap on total public inputs")
     vserve.add_argument("--max-request-mb", type=int, default=64,
                         help="cap on one socket request line (base64 "

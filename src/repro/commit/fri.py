@@ -20,9 +20,10 @@ has degree below ``n``" — and this module proves it:
   and checks the last fold against the final polynomial.
 
 Layer 0 has no tree of its own: it is determined by the round trees and
-the transcript.  Everything is written against the field's
-:class:`~repro.field.vector.ListBackend`/``GL64Backend`` vector ops, so
-Goldilocks (numpy) and BN254 (lists) run the same protocol.
+the transcript.  The prover folds whole layers with the domain's
+:class:`~repro.field.vector.GL64Backend` vector ops and interpolates the
+final layer with the domain's coset NTT; the verifier's checks are
+scalar arithmetic on the opened pairs.
 
 Parameters are module constants, not options: the rate is the domain's
 ``1 / extension`` and :func:`soundness_bits` states what they buy.
@@ -38,7 +39,7 @@ import numpy as np
 
 from repro.commit.merkle import MerkleTree, leaf_bytes, verify_merkle_path
 from repro.commit.transcript import Transcript
-from repro.field.ntt import coset_intt, scaled_power_table
+from repro.field.ntt import scaled_power_table
 
 #: Query positions per proof.  At rate 1/2 each query is worth one
 #: conjectured bit, which meets the ~44-bit cap the 64-bit challenges
@@ -117,13 +118,6 @@ def _fold_table(domain, i: int):
     return domain.memo(("fri-fold-table", i), build)
 
 
-def _pair_rows(values, mid: int):
-    """Leaf rows ``(values[j], values[j + mid])`` of a committed layer."""
-    if isinstance(values, np.ndarray):
-        return np.stack([values[:mid], values[mid:]], axis=1)
-    return list(zip(values[:mid], values[mid:]))
-
-
 def draw_positions(domain, transcript: Transcript) -> List[int]:
     """The query positions: pair indices into layer 0."""
     half = domain.extended_n // 2
@@ -135,8 +129,7 @@ class FriProver:
     """The commit phase and its state: every committed layer's values
     and tree, kept to answer the queries."""
 
-    def __init__(self, domain, scalar_bytes: int, values,
-                 transcript: Transcript):
+    def __init__(self, domain, values: np.ndarray, transcript: Transcript):
         """Fold ``values`` (``G`` on the extended coset, natural order)
         down to the final polynomial, absorbing each layer's root and
         drawing each fold challenge from ``transcript``."""
@@ -146,8 +139,9 @@ class FriProver:
         for i in range(num_folds(domain.k)):
             mid = len(values) // 2
             if i:
-                tree = MerkleTree.from_rows(_pair_rows(values, mid),
-                                            scalar_bytes)
+                # leaf j is the pair (values[j], values[j + mid])
+                tree = MerkleTree.from_rows(
+                    np.stack([values[:mid], values[mid:]], axis=1))
                 transcript.append_commitment(b"fri-layer", tree.root)
                 self.layers.append((values, tree))
             beta = transcript.challenge_scalar(b"fri-beta")
@@ -159,10 +153,10 @@ class FriProver:
                     beta),
             )
         _, shift, omega = _layers(domain)[-1]
-        coeffs = coset_intt(f, backend.to_ints(values), omega, shift)
+        coeffs = domain.coset_intt(values, omega, shift)
         # an honest G leaves the upper coefficients zero; a dishonest one
         # is truncated here and caught by the verifier's final check
-        self.final_poly: List[int] = coeffs[: final_len(domain.k)]
+        self.final_poly: List[int] = coeffs[: final_len(domain.k)].tolist()
         transcript.append_scalar_vector(b"fri-final", self.final_poly)
 
     @property
@@ -185,13 +179,12 @@ class FriProver:
 class FriVerifier:
     """The verifier's replay of the commit phase, then one check per query."""
 
-    def __init__(self, domain, scalar_bytes: int, roots: Sequence[bytes],
+    def __init__(self, domain, roots: Sequence[bytes],
                  final_poly: Sequence[int], transcript: Transcript):
         """Absorb what the prover absorbed, in order, drawing the same
         fold challenges.  ``roots`` and ``final_poly`` must already have
         the lengths :func:`num_folds` and :func:`final_len` dictate."""
         self.domain = domain
-        self.scalar_bytes = scalar_bytes
         self.roots = roots
         self.final_poly = final_poly
         self.betas = []
@@ -232,7 +225,7 @@ class FriVerifier:
                 return False
             if not verify_merkle_path(
                     self.roots[i], index % quarter,
-                    leaf_bytes(opening.pair, self.scalar_bytes),
+                    leaf_bytes(opening.pair),
                     opening.path):
                 return False
             lo, hi = opening.pair

@@ -5,9 +5,9 @@ hashes each row of a matrix of field elements into a leaf, so one
 authentication path opens a whole row — all of a round's columns at one
 position — at once.  Leaves and inner nodes are domain-separated with
 blake2b's ``person`` parameter, so a leaf can never be replayed as a
-node; scalars are encoded little-endian at the field's width
-(:func:`leaf_bytes`), which makes the numpy and list backends hash
-identical bytes.
+node; scalars are 8-byte little-endian Goldilocks residues
+(:func:`leaf_bytes`), so a row hashes to the same bytes whether the
+prover serialized it from an array or the verifier from opened ints.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ def _hash_node(left: bytes, right: bytes) -> bytes:
                     person=_NODE).digest()
 
 
-def leaf_bytes(values: Sequence[int], scalar_bytes: int) -> bytes:
-    """One matrix row as leaf bytes: ``scalar_bytes`` LE bytes per value."""
-    if scalar_bytes == 8:
-        return struct.pack("<%dQ" % len(values), *values)
-    return b"".join(int(v).to_bytes(scalar_bytes, "little") for v in values)
+def leaf_bytes(values: Sequence[int]) -> bytes:
+    """One matrix row as leaf bytes: 8 LE bytes per value."""
+    return struct.pack("<%dQ" % len(values), *values)
 
 
 class MerkleTree:
@@ -70,21 +68,17 @@ class MerkleTree:
             self._levels.append(level)
 
     @classmethod
-    def from_rows(cls, rows, scalar_bytes: int) -> "MerkleTree":
-        """A tree with one leaf per row of a matrix of field elements.
-
-        ``rows`` is an ``(L, w)`` ``uint64`` array (8-byte scalars only:
-        the whole matrix is serialized in one pass and sliced per leaf)
-        or any sequence of ``L`` equal-length integer sequences.
-        """
-        if isinstance(rows, np.ndarray):
-            if scalar_bytes != 8 or rows.ndim != 2 or not rows.shape[1]:
-                raise ValueError("array rows need 8-byte scalars and a "
-                                 "nonempty (L, w) shape")
-            width = 8 * rows.shape[1]
-            buf = memoryview(np.ascontiguousarray(rows, dtype="<u8")).cast("B")
-            return cls([buf[i : i + width] for i in range(0, len(buf), width)])
-        return cls([leaf_bytes(row, scalar_bytes) for row in rows])
+    def from_rows(cls, rows) -> "MerkleTree":
+        """A tree with one leaf per row of an ``(L, w)`` matrix of field
+        elements (an array or nested sequences of ints): the whole matrix
+        is serialized in one pass and sliced per leaf, each leaf the
+        row's :func:`leaf_bytes`."""
+        rows = np.ascontiguousarray(rows, dtype="<u8")
+        if rows.ndim != 2 or not rows.shape[1]:
+            raise ValueError("rows need a nonempty (L, w) shape")
+        width = 8 * rows.shape[1]
+        buf = memoryview(rows).cast("B")
+        return cls([buf[i : i + width] for i in range(0, len(buf), width)])
 
     @property
     def root(self) -> bytes:

@@ -45,19 +45,14 @@ from repro.field.domain import EvaluationDomain
 from repro.field.prime_field import PrimeField
 from repro.obs.stats import STATS
 
-#: Size of one commitment (a compressed curve point on BN254) in the
-#: *modeled* proof, in bytes.
+#: Size of one commitment (a compressed point on the paper's 254-bit
+#: pairing curve) in the *modeled* proof, in bytes.
 COMMITMENT_BYTES = 32
-#: Size of one field element in the *modeled* proof, in bytes.
+#: Size of one of that curve's scalars in the *modeled* proof, in bytes.
 SCALAR_BYTES = 32
 
 #: One claimed evaluation: ``(round index, column within the round, rotation)``.
 Claim = Tuple[int, int, int]
-
-
-def scalar_bytes(field: PrimeField) -> int:
-    """Bytes per field element in leaves and on the wire (8 or 32)."""
-    return (field.p.bit_length() + 7) // 8
 
 
 @dataclass(frozen=True)
@@ -162,7 +157,6 @@ class CommitmentScheme:
 
     def __init__(self, field: PrimeField):
         self.field = field
-        self.scalar_bytes = scalar_bytes(field)
         self._domains: Dict[int, EvaluationDomain] = {}
 
     # -- commit ---------------------------------------------------------------
@@ -173,8 +167,7 @@ class CommitmentScheme:
         self._check_degree(domain.n)
         if domain.n < 2:
             raise ValueError("a committed round needs at least two rows")
-        tree = MerkleTree.from_rows(domain.lde_leaf_rows(lde),
-                                    self.scalar_bytes)
+        tree = MerkleTree.from_rows(domain.lde_leaf_rows(lde))
         return CommittedRound(lde=lde, tree=tree)
 
     def commit(self, coeffs: Sequence[int]) -> Commitment:
@@ -186,8 +179,7 @@ class CommitmentScheme:
             domain = self._domains[k] = EvaluationDomain(self.field, k)
         if len(coeffs) < domain.n:
             coeffs = list(coeffs) + [0] * (domain.n - len(coeffs))
-        poly = domain.backend.from_ints(coeffs)
-        lde = domain.lde(poly[None, :] if domain.uses_gl64 else [poly])
+        lde = domain.lde(domain.backend.from_ints(coeffs)[None, :])
         return Commitment(self.commit_round(domain, lde).root)
 
     # -- open -----------------------------------------------------------------
@@ -219,8 +211,7 @@ class CommitmentScheme:
 
         g = _deep_quotient(domain, columns_of, domain.lde_points(), claims,
                            evals, x, lam)
-        prover = fri.FriProver(domain, self.scalar_bytes,
-                               domain.lde_natural(g), transcript)
+        prover = fri.FriProver(domain, domain.lde_natural(g), transcript)
         positions = fri.draw_positions(domain, transcript)
         live = [rnd for rnd in rounds if rnd is not None]
         opened = [domain.lde_rows(rnd.lde, positions) for rnd in live]
@@ -256,8 +247,7 @@ class CommitmentScheme:
         f, backend = domain.field, domain.backend
         transcript.append_scalar_vector(b"evals", evals)
         lam = transcript.challenge_scalar(b"lambda")
-        verifier = fri.FriVerifier(domain, self.scalar_bytes, fri_roots,
-                                   final_poly, transcript)
+        verifier = fri.FriVerifier(domain, fri_roots, final_poly, transcript)
         positions = fri.draw_positions(domain, transcript)
         live = [i for i, root in enumerate(roots) if root is not None]
 
@@ -265,7 +255,7 @@ class CommitmentScheme:
             for rnd, row in zip(live, query.rows):
                 if not verify_merkle_path(
                         roots[rnd], position,
-                        leaf_bytes(row.values, self.scalar_bytes), row.path):
+                        leaf_bytes(row.values), row.path):
                     return False
 
         # column c of round r over the points (z_1..z_Q, -z_1..-z_Q)

@@ -5,17 +5,18 @@ Wire layout (all integers little-endian)::
     [u8  len][schema id ascii]          "zkml-proof-envelope/v2"
     [u8  len][scheme ascii]             "kzg" | "ipa"
     [u8  len][model utf-8]              zoo model name
-    [u8  scalar_bytes]                  8 (Goldilocks) | 32 (BN254-Fr)
+    [u8  scalar width]                  8 (a Goldilocks residue)
     [32B verifying-key hash]            VerifyingKey.digest()
     [16B config digest]                 envelope_config_digest(...)
     [u32 num instance columns]
-      per column: [u32 count][count x scalar_bytes]
+      per column: [u32 count][count x 8B]
     [u32 proof length][proof bytes]     repro.halo2.proof wire format
     [16B blake2b-16 checksum]           over every preceding byte
 
 Scalars travel at the field's width: a Goldilocks public input is 8
 bytes, not 32 (v1 wrote everything 32 bytes wide; a k=12 instance column
-alone was 128 KB).
+alone was 128 KB).  The width byte is always 8; both decoders refuse any
+other value.
 
 The encoding is canonical: one byte string per envelope value, no
 optional fields, no padding — equal envelopes encode to equal bytes, so
@@ -70,8 +71,8 @@ KNOWN_SCHEMES = ("kzg", "ipa")
 #: Width of the trailing blake2b integrity checksum.
 CHECKSUM_BYTES = 16
 
-#: Scalar widths an envelope may declare (Goldilocks, BN254-Fr).
-SCALAR_WIDTHS = (8, 32)
+#: Bytes per scalar, declared by the envelope's width byte.
+SCALAR_WIDTH = 8
 _VK_HASH_BYTES = 32
 _CONFIG_DIGEST_BYTES = 16
 
@@ -83,17 +84,17 @@ class EnvelopeCaps:
     Defaults are derived from measured v2 sizes (docs/verification.md
     §Caps): proofs grow with ``log^2`` of the circuit, not with it — a
     dlrm-mini k=9 proof is ~140 KB, an mnist k=12 proof ~280 KB, and a
-    k=24 proof over 500 BN254 columns would be ~2 MB — so 4 MB of proof
-    is >10x headroom over anything this tree proves; the envelope cap
-    adds the public-input cap at the widest scalar (``2^18 * 32`` B =
-    8 MB) and rounds up.  A verify service under attack can tighten them
+    k=24 proof over 500 columns would be ~1 MB — so 4 MB of proof is
+    >10x headroom over anything this tree proves; the envelope cap adds
+    the public-input cap at 8-byte scalars (``2^18 * 8`` B = 2 MB) and
+    rounds up.  A verify service under attack can tighten them
     per deployment.  Caps bound *declared* values before allocation, so
     a hostile length prefix cannot drive memory proportional to a number
     the attacker wrote.
     """
 
     #: Total serialized envelope size (checked before parsing starts).
-    max_envelope_bytes: int = 16 << 20
+    max_envelope_bytes: int = 8 << 20
     #: Number of instance (public-input) columns.
     max_instance_columns: int = 64
     #: Total public-input scalars summed across all columns.
@@ -116,8 +117,6 @@ class ProofEnvelope:
     config_digest: bytes
     instance: List[List[int]]
     proof_bytes: bytes
-    #: Bytes per field element on the wire: 8 (Goldilocks) or 32 (BN254-Fr).
-    scalar_bytes: int = 8
     schema: str = SCHEMA_V2
     #: Filled by :func:`decode_envelope` with the envelope's own trailing
     #: checksum (hex); ``encode()`` recomputes it either way.
@@ -143,7 +142,6 @@ class ProofEnvelope:
             "schema": self.schema,
             "scheme": self.scheme_name,
             "model": self.model,
-            "scalar_bytes": self.scalar_bytes,
             "vk_hash": self.vk_hash_hex,
             "config_digest": self.config_digest_hex,
             "instance_columns": len(self.instance),
@@ -190,29 +188,22 @@ def encode_envelope(env: ProofEnvelope) -> bytes:
     if len(env.config_digest) != _CONFIG_DIGEST_BYTES:
         raise EnvelopeError("config_digest must be %d bytes, got %d"
                             % (_CONFIG_DIGEST_BYTES, len(env.config_digest)))
-    width = env.scalar_bytes
-    if width not in SCALAR_WIDTHS:
-        raise EnvelopeError("scalar_bytes must be one of %s, got %r"
-                            % ("/".join(map(str, SCALAR_WIDTHS)), width))
     out = bytearray()
     _write_str(out, env.schema, "schema id")
     _write_str(out, env.scheme_name, "scheme")
     _write_str(out, env.model, "model name")
-    out.append(width)
+    out.append(SCALAR_WIDTH)
     out += env.vk_hash
     out += env.config_digest
     out += len(env.instance).to_bytes(4, "little")
     for index, col in enumerate(env.instance):
         out += len(col).to_bytes(4, "little")
         try:
-            if width == 8:
-                out += struct.pack("<%dQ" % len(col), *col)
-            else:
-                out += b"".join(int(v).to_bytes(width, "little") for v in col)
+            out += struct.pack("<%dQ" % len(col), *col)
         except (struct.error, OverflowError, TypeError):
             raise EnvelopeError(
                 "instance column %d holds a value that does not fit %d "
-                "bytes" % (index, width), column=index) from None
+                "bytes" % (index, SCALAR_WIDTH), column=index) from None
     out += len(env.proof_bytes).to_bytes(4, "little")
     out += env.proof_bytes
     out += hashlib.blake2b(bytes(out), digest_size=CHECKSUM_BYTES).digest()
@@ -303,10 +294,10 @@ def decode_envelope(data: bytes,
     model, pos = _read_str(data, pos, "model name")
     width_byte, pos = _read_fixed(data, pos, 1, "scalar width")
     width = width_byte[0]
-    if width not in SCALAR_WIDTHS:
+    if width != SCALAR_WIDTH:
         raise EnvelopeSchemaError(
-            "unknown scalar width %d (expected one of %s)"
-            % (width, "/".join(map(str, SCALAR_WIDTHS))), offset=pos - 1)
+            "unknown scalar width %d (expected %d)" % (width, SCALAR_WIDTH),
+            offset=pos - 1)
     vk_hash, pos = _read_fixed(data, pos, _VK_HASH_BYTES, "verifying-key hash")
     config_digest, pos = _read_fixed(data, pos, _CONFIG_DIGEST_BYTES,
                                      "config digest")
@@ -331,16 +322,12 @@ def decode_envelope(data: bytes,
                 "envelope declares %d public inputs through column %d "
                 "(cap %d)" % (total_inputs, col_idx, caps.max_public_inputs),
                 count=total_inputs, cap=caps.max_public_inputs)
-        need = count * width
+        need = count * SCALAR_WIDTH
         if need > len(data) - pos:
             raise EnvelopeTruncatedError(
                 "column %d promises %d scalars but only %d bytes remain"
                 % (col_idx, count, len(data) - pos), offset=pos)
-        if width == 8:
-            col = list(struct.unpack_from("<%dQ" % count, data, pos))
-        else:
-            col = [int.from_bytes(data[i : i + width], "little")
-                   for i in range(pos, pos + need, width)]
+        col = list(struct.unpack_from("<%dQ" % count, data, pos))
         pos += need
         instance.append(col)
 
@@ -372,7 +359,6 @@ def decode_envelope(data: bytes,
         config_digest=config_digest,
         instance=instance,
         proof_bytes=proof_bytes,
-        scalar_bytes=width,
         schema=schema,
         checksum=checksum.hex(),
     )

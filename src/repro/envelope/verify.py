@@ -19,8 +19,8 @@ def verify_envelope(env: ProofEnvelope, vk) -> bool:
     """Verify an envelope's proof against ``vk``.
 
     Binding checks come first: the envelope's verifying-key hash must
-    equal ``vk.digest()``, its scheme must equal ``vk.scheme_name`` and
-    its scalar width must be the key's field's — a mismatch is a
+    equal ``vk.digest()`` and its scheme must equal ``vk.scheme_name`` —
+    a mismatch is a
     :class:`~repro.resilience.errors.VerificationFailure` (the envelope
     is well-formed; it just isn't a proof *for this key*).
     Only after binding passes do proof deserialization and the strict
@@ -41,10 +41,6 @@ def verify_envelope(env: ProofEnvelope, vk) -> bool:
             % (env.vk_hash_hex[:16], vk.digest().hex()[:16]),
             model=env.model)
     scheme = scheme_by_name(env.scheme_name, vk.field)
-    if env.scalar_bytes != scheme.scalar_bytes:
-        raise VerificationFailure(
-            "envelope scalars are %d bytes wide, the key's field needs %d"
-            % (env.scalar_bytes, scheme.scalar_bytes), model=env.model)
     verify_proof_strict(vk, proof_from_bytes(env.proof_bytes), env.instance,
                         scheme)
     return True

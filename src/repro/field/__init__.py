@@ -1,45 +1,23 @@
-"""Finite-field substrate: prime fields, polynomials, NTTs, evaluation domains.
+"""Finite-field substrate: the Goldilocks field, its kernels, NTT domains.
 
-The paper's halo2 backend works over the BN254 scalar field.  We default to
-the Goldilocks field (2^64 - 2^32 + 1) for speed — it has two-adicity 32,
-ample for every circuit size the optimizer considers — and keep BN254-Fr
-available for parity with the paper.  All field elements are plain Python
-ints in ``[0, p)``; a :class:`PrimeField` instance supplies the operations.
+The paper's halo2 backend works over the scalar field of a 254-bit
+pairing curve; this prover works over Goldilocks (2^64 - 2^32 + 1) only.  Its residues fit one
+machine word, so every column is a numpy ``uint64`` array run through the
+kernels in :mod:`repro.field.gl64` (compiled C where a compiler is on the
+box, numpy otherwise), and its two-adicity of 32 covers every circuit
+size the optimizer considers.  Scalars are plain Python ints in
+``[0, p)``; :data:`GOLDILOCKS` supplies their operations, and
+:func:`require_goldilocks` refuses any other :class:`PrimeField`.
 """
 
-from repro.field.prime_field import (
-    BN254_FR,
-    GOLDILOCKS,
-    PrimeField,
-    field_by_name,
-)
+from repro.field.prime_field import GOLDILOCKS, PrimeField, require_goldilocks
 from repro.field.domain import EvaluationDomain
-from repro.field.ntt import intt, ntt
-from repro.field.poly import (
-    poly_add,
-    poly_divmod,
-    poly_eval,
-    poly_mul,
-    poly_scale,
-    poly_sub,
-)
-from repro.field.vector import GL64Backend, ListBackend, vector_backend
+from repro.field.vector import GL64Backend
 
 __all__ = [
-    "BN254_FR",
     "GOLDILOCKS",
     "PrimeField",
-    "field_by_name",
+    "require_goldilocks",
     "EvaluationDomain",
-    "ntt",
-    "intt",
-    "poly_add",
-    "poly_sub",
-    "poly_mul",
-    "poly_scale",
-    "poly_eval",
-    "poly_divmod",
-    "ListBackend",
     "GL64Backend",
-    "vector_backend",
 ]

@@ -9,10 +9,11 @@ Every derived quantity a transform needs — per-stage twiddle tables
 (forward and inverse, base and extended), coset power tables, the
 vanishing polynomial on the extended coset and its batch inverse, rotation
 powers — is computed once and cached on the domain, so repeated transforms
-(one per column, hundreds per proof) never redo the ``pow`` chains.  On
-the Goldilocks field all transforms run through the numpy kernel in
-:mod:`repro.field.gl64`; the ``*_vec`` / ``*_batch`` entry points keep
-columns in backend representation end to end.
+(one per column, hundreds per proof) never redo the ``pow`` chains.  All
+transforms run through the Goldilocks kernels in :mod:`repro.field.gl64`;
+the ``*_vec`` / ``*_rows`` entry points keep columns as ``uint64`` arrays
+end to end, and the int-list methods wrap them for callers that hold
+plain ints.
 """
 
 from __future__ import annotations
@@ -22,17 +23,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.field import gl64
-from repro.field.ntt import (
-    coset_intt,
-    coset_ntt,
-    intt,
-    ntt,
-    power_table,
-    scaled_power_table,
-    sixstep_min_n,
-)
-from repro.field.prime_field import PrimeField
-from repro.field.vector import vector_backend
+from repro.field.ntt import power_table, scaled_power_table, sixstep_min_n
+from repro.field.prime_field import PrimeField, require_goldilocks
+from repro.field.vector import GL64Backend
 from repro.obs.stats import STATS
 from repro.resilience import faults
 
@@ -41,6 +34,7 @@ class EvaluationDomain:
     """The multiplicative subgroup of order ``2^k`` plus coset machinery."""
 
     def __init__(self, field: PrimeField, k: int, max_degree: int = 3):
+        require_goldilocks(field)
         if k < 0:
             raise ValueError("k must be nonnegative")
         if max_degree < 2:
@@ -61,8 +55,7 @@ class EvaluationDomain:
         # Coset shift: the field generator keeps the coset disjoint from the
         # base subgroup, so the vanishing polynomial never hits zero on it.
         self.coset_shift = field.generator
-        self.backend = vector_backend(field)
-        self._use_gl64 = gl64.is_goldilocks(field.p)
+        self.backend = GL64Backend(field)
         # numpy twiddle/permutation caches, built lazily per transform size
         self._np_stages: Dict[tuple, List[np.ndarray]] = {}
         self._np_rev: Dict[int, np.ndarray] = {}
@@ -70,17 +63,10 @@ class EvaluationDomain:
         self._np_scale_rev: Dict[tuple, np.ndarray] = {}
         self._np_post_scale: Dict[tuple, np.ndarray] = {}
         self._np_sixstep: Dict[tuple, gl64.SixStepPlan] = {}
-        self._vanishing: Optional[List[int]] = None
-        self._inv_vanishing_vec = None
         self._part_shifts: Optional[List[int]] = None
         self._part_invs: Optional[List[int]] = None
         self._rotation_cache: Dict[int, int] = {}
         self._memo: Dict[object, object] = {}
-
-    @property
-    def uses_gl64(self) -> bool:
-        """True when transforms run on the numpy Goldilocks kernels."""
-        return self._use_gl64
 
     def memo(self, key, build):
         """A derived table other layers keep on the domain: ``build()`` once
@@ -184,85 +170,69 @@ class EvaluationDomain:
 
     # -- vector-native transforms -------------------------------------------
     #
-    # These accept and return backend vectors (numpy arrays on Goldilocks,
-    # lists elsewhere) without converting elements through Python ints.
+    # These accept and return ``uint64`` arrays (anything ``gl64.from_ints``
+    # packs goes in) without converting elements through Python ints.
 
-    def _pad_vec(self, vec, n: int):
+    def _pad_vec(self, vec, n: int) -> np.ndarray:
+        vec = gl64.from_ints(vec)
         if len(vec) == n:
             return vec
         if len(vec) > n:
             raise ValueError("polynomial degree exceeds domain size")
-        if isinstance(vec, np.ndarray):
-            out = np.zeros(n, dtype=np.uint64)
-            out[: len(vec)] = vec
-            return out
-        return list(vec) + [0] * (n - len(vec))
+        out = np.zeros(n, dtype=np.uint64)
+        out[: len(vec)] = vec
+        return out
 
-    def lagrange_to_coeff_vec(self, evals):
-        """Interpolate base-domain evaluations; backend vector in and out."""
+    def lagrange_to_coeff_vec(self, evals) -> np.ndarray:
+        """Interpolate base-domain evaluations into coefficients."""
         if len(evals) != self.n:
             raise ValueError("expected %d evaluations, got %d" % (self.n, len(evals)))
         faults.maybe_inject("ntt")
         STATS.ntt_base += 1
-        if self._use_gl64:
-            vec = gl64.from_ints(evals)
-            out = self._gl64_ntt(vec, self.field.inv(self.omega))
-            return gl64.mul(out, self.field.inv(self.n))
-        return intt(self.field, evals, self.omega)
+        out = self._gl64_ntt(gl64.from_ints(evals), self.field.inv(self.omega))
+        return gl64.mul(out, self.field.inv(self.n))
 
-    def coeff_to_lagrange_vec(self, coeffs):
+    def coeff_to_lagrange_vec(self, coeffs) -> np.ndarray:
         """Evaluate a coefficient vector over the base domain."""
         STATS.ntt_base += 1
-        padded = self._pad_vec(coeffs, self.n)
-        if self._use_gl64:
-            return self._gl64_ntt(gl64.from_ints(padded), self.omega)
-        return ntt(self.field, padded, self.omega)
+        return self._gl64_ntt(self._pad_vec(coeffs, self.n), self.omega)
 
-    def coeff_to_extended_vec(self, coeffs):
+    def coeff_to_extended_vec(self, coeffs) -> np.ndarray:
         """Evaluate a coefficient vector over the extended coset domain."""
         STATS.ntt_extended += 1
-        padded = self._pad_vec(coeffs, self.extended_n)
-        if self._use_gl64:
-            return self._gl64_coset_ntt(
-                gl64.from_ints(padded), self.extended_omega, self.coset_shift
-            )
-        return coset_ntt(self.field, padded, self.extended_omega, self.coset_shift)
+        return self._gl64_coset_ntt(self._pad_vec(coeffs, self.extended_n),
+                                    self.extended_omega, self.coset_shift)
 
-    def extended_to_coeff_vec(self, evals):
+    def extended_to_coeff_vec(self, evals) -> np.ndarray:
         """Interpolate extended-coset evaluations back to coefficients."""
         STATS.ntt_extended += 1
         if len(evals) != self.extended_n:
             raise ValueError(
                 "expected %d evaluations, got %d" % (self.extended_n, len(evals))
             )
-        if self._use_gl64:
-            vec = gl64.from_ints(evals)
-            out = self._gl64_ntt(vec, self.field.inv(self.extended_omega))
-            # 1/n and the inverse coset powers land in one fused pass
-            return gl64.mul(
-                out,
-                self._gl64_post_scale(
-                    self.field.inv(self.coset_shift),
-                    self.extended_n,
-                    self.field.inv(self.extended_n),
-                ),
-            )
-        return coset_intt(self.field, evals, self.extended_omega, self.coset_shift)
+        return self.coset_intt(evals, self.extended_omega, self.coset_shift)
+
+    def coset_intt(self, evals, root: int, shift: int) -> np.ndarray:
+        """Coefficients of the polynomial with values ``evals`` on the coset
+        ``shift * <root>`` (``root`` of order ``len(evals)``).  The ``1/n``
+        and inverse coset powers land in one fused multiply pass."""
+        n = len(evals)
+        out = self._gl64_ntt(gl64.from_ints(evals), self.field.inv(root))
+        return gl64.mul(out, self._gl64_post_scale(
+            self.field.inv(shift), n, self.field.inv(n)))
 
     # -- batch transforms ----------------------------------------------------
 
     def lagrange_to_coeff_rows(self, mat: np.ndarray) -> np.ndarray:
         """Interpolate ``m`` base-domain columns in one batched kernel call.
 
-        Goldilocks only: ``mat`` is an ``(m, n)`` ``uint64`` matrix whose
-        rows are column evaluation vectors.  One batched inverse NTT (with
+        ``mat`` is an ``(m, n)`` ``uint64`` matrix whose rows are column
+        evaluation vectors.  One batched inverse NTT (with
         the ``1/n`` scaling fused into the input gather — exact by
         linearity of the transform) replaces ``m`` per-column calls; the
         ``ntt_base`` counter is bumped by ``m`` so operation counts stay
         comparable with the per-column path.
         """
-        if not self._use_gl64:
-            raise TypeError("lagrange_to_coeff_rows requires the Goldilocks backend")
         if mat.ndim != 2 or mat.shape[1] != self.n:
             raise ValueError(
                 "expected an (m, %d) matrix, got shape %r" % (self.n, mat.shape)
@@ -281,16 +251,11 @@ class EvaluationDomain:
             scale_rev=np.uint64(self.field.inv(self.n)),
         )
 
-    def lagrange_to_coeff_batch(self, columns: Sequence) -> List:
-        """Interpolate many base-domain columns (backend vectors out)."""
-        if self._use_gl64 and columns:
-            mat = np.stack([gl64.from_ints(col) for col in columns])
-            return list(self.lagrange_to_coeff_rows(mat))
-        return [self.lagrange_to_coeff_vec(col) for col in columns]
-
-    def coeff_to_extended_batch(self, polys: Sequence) -> List:
-        """Extend many coefficient vectors to the extended coset."""
-        return [self.coeff_to_extended_vec(poly) for poly in polys]
+    def lagrange_to_coeff_batch(self, columns: Sequence) -> np.ndarray:
+        """Interpolate many base-domain columns: an ``(m, n)`` matrix of
+        coefficient rows."""
+        mat = np.stack([gl64.from_ints(col) for col in columns])
+        return self.lagrange_to_coeff_rows(mat)
 
     # -- extended-coset part decomposition -----------------------------------
     #
@@ -322,8 +287,6 @@ class EvaluationDomain:
         ``ntt_extended`` themselves (all ``extension`` parts of one column
         together equal one logical extended transform).
         """
-        if not self._use_gl64:
-            raise TypeError("coeff_to_extended_part requires the Goldilocks backend")
         return self._gl64_coset_ntt(mat, self.omega, self.extended_part_shifts()[r])
 
     def vanishing_part_inverses(self) -> List[int]:
@@ -348,21 +311,15 @@ class EvaluationDomain:
     # -- low-degree extensions for commitments --------------------------------
     #
     # A committed column is its evaluations over the extended coset (rate
-    # ``1 / extension``).  The Goldilocks backend keeps them as the
-    # ``(extension, n)`` coset parts the quotient reads; the list backend
-    # keeps the natural-order extended vector.  The helpers below hide
-    # that layout: the Merkle rows, the opened rows and the DEEP quotient
-    # are the same values either way.
+    # ``1 / extension``), kept as the ``(extension, n)`` coset parts the
+    # quotient reads.  The helpers below turn that layout into the Merkle
+    # rows, the opened rows and the DEEP quotient's points.
 
-    def lde(self, polys):
-        """Extended-coset evaluations of coefficient vectors of length ``n``.
-
-        Goldilocks: an ``(m, n)`` matrix in, ``(m, extension, n)`` parts
-        out; otherwise a list of natural-order extended vectors.  Counts
+    def lde(self, polys: np.ndarray) -> np.ndarray:
+        """Extended-coset evaluations of coefficient vectors of length ``n``:
+        an ``(m, n)`` matrix in, ``(m, extension, n)`` parts out.  Counts
         one ``ntt_extended`` per column.
         """
-        if not self._use_gl64:
-            return [self.coeff_to_extended_vec(poly) for poly in polys]
         STATS.ntt_extended += len(polys)
         out = np.empty((len(polys), self.extension, self.n), dtype=np.uint64)
         if len(polys):
@@ -372,17 +329,12 @@ class EvaluationDomain:
 
     def lde_columns(self, lde, cols: Optional[Sequence[int]] = None):
         """Columns of an LDE as flat vectors in :meth:`lde_points` order."""
-        if self._use_gl64:
-            flat = lde.reshape(lde.shape[0], self.extended_n)
-            return flat if cols is None else flat[list(cols)]
-        return lde if cols is None else [lde[c] for c in cols]
+        flat = lde.reshape(lde.shape[0], self.extended_n)
+        return flat if cols is None else flat[list(cols)]
 
     def lde_points(self):
         """The extended coset's points, in the order LDE columns are stored."""
         def build():
-            if not self._use_gl64:
-                return scaled_power_table(self.field.p, self.extended_omega,
-                                          self.extended_n, self.coset_shift)
             base = self._gl64_powers(self.omega, self.n)
             shifts = np.array(self.extended_part_shifts(), dtype=np.uint64)
             return gl64.mul(np.broadcast_to(base, (self.extension, self.n)),
@@ -390,38 +342,28 @@ class EvaluationDomain:
 
         return self.memo("lde-points", build)
 
-    def lde_natural(self, vec):
+    def lde_natural(self, vec: np.ndarray) -> np.ndarray:
         """A vector in :meth:`lde_points` order, reordered to extended index."""
-        if self._use_gl64:
-            return np.ascontiguousarray(
-                vec.reshape(self.extension, self.n).T).reshape(-1)
-        return vec
+        return np.ascontiguousarray(
+            vec.reshape(self.extension, self.n).T).reshape(-1)
 
-    def lde_leaf_rows(self, lde):
+    def lde_leaf_rows(self, lde: np.ndarray) -> np.ndarray:
         """The Merkle leaf matrix: row ``j`` holds every column at extended
         positions ``j`` and ``j + N/2`` (the points ``z`` and ``-z``)."""
         half = self.extended_n // 2
-        if self._use_gl64:
-            m, mid = lde.shape[0], self.n // 2
-            rows = np.empty((half, 2 * m), dtype=np.uint64)
-            rows[:, :m] = lde[:, :, :mid].transpose(2, 1, 0).reshape(half, m)
-            rows[:, m:] = lde[:, :, mid:].transpose(2, 1, 0).reshape(half, m)
-            return rows
-        return [[vec[j] for vec in lde] + [vec[j + half] for vec in lde]
-                for j in range(half)]
+        m, mid = lde.shape[0], self.n // 2
+        rows = np.empty((half, 2 * m), dtype=np.uint64)
+        rows[:, :m] = lde[:, :, :mid].transpose(2, 1, 0).reshape(half, m)
+        rows[:, m:] = lde[:, :, mid:].transpose(2, 1, 0).reshape(half, m)
+        return rows
 
-    def lde_rows(self, lde, positions: Sequence[int]) -> List[List[int]]:
+    def lde_rows(self, lde: np.ndarray,
+                 positions: Sequence[int]) -> List[List[int]]:
         """Rows ``positions`` of :meth:`lde_leaf_rows`, as plain ints (one
-        gather for all of them on Goldilocks)."""
-        half = self.extended_n // 2
-        if self._use_gl64:
-            t, r = np.divmod(np.array(positions, dtype=np.int64),
-                             self.extension)
-            both = np.concatenate(
-                [lde[:, r, t], lde[:, r, t + self.n // 2]])
-            return both.T.tolist()
-        return [[vec[j] for vec in lde] + [vec[j + half] for vec in lde]
-                for j in positions]
+        gather for all of them)."""
+        t, r = np.divmod(np.array(positions, dtype=np.int64), self.extension)
+        both = np.concatenate([lde[:, r, t], lde[:, r, t + self.n // 2]])
+        return both.T.tolist()
 
     def evaluate_lagrange(self, evals: Sequence[int], z: int) -> int:
         """``f(z)`` for the column with base-domain values ``evals``.
@@ -443,7 +385,7 @@ class EvaluationDomain:
         acc = sum(v * w * inv for (v, w), inv in zip(rows, inverses))
         return acc * self.vanishing_eval(z) * f.inv(self.n) % p
 
-    # -- transforms (int-list API, kept for callers outside the prover) ------
+    # -- transforms (int-list API, for callers that hold plain ints) ---------
 
     def lagrange_to_coeff(self, evals: Sequence[int]) -> List[int]:
         """Interpolate evaluations over the base domain into coefficients."""
@@ -466,28 +408,6 @@ class EvaluationDomain:
     def vanishing_eval(self, x: int) -> int:
         """Evaluate ``Z_H(X) = X^n - 1`` at a point."""
         return self.field.sub(self.field.pow(x, self.n), 1)
-
-    def vanishing_on_extended(self) -> List[int]:
-        """Evaluations of ``Z_H`` over the extended coset (all nonzero)."""
-        if self._vanishing is None:
-            field = self.field
-            p = field.p
-            shift_n = field.pow(self.coset_shift, self.n)
-            omega_ext_n = field.pow(self.extended_omega, self.n)
-            out = []
-            acc = shift_n
-            for _ in range(self.extended_n):
-                out.append(acc - 1 if acc else p - 1)
-                acc = acc * omega_ext_n % p
-            self._vanishing = out
-        return list(self._vanishing)
-
-    def vanishing_inverse_vec(self):
-        """Cached batch inverse of ``Z_H`` on the extended coset."""
-        if self._inv_vanishing_vec is None:
-            inv = self.field.batch_inv(self.vanishing_on_extended())
-            self._inv_vanishing_vec = self.backend.from_ints(inv)
-        return self._inv_vanishing_vec
 
     def rotate(self, x: int, rotation: int) -> int:
         """Multiply a point by ``omega^rotation`` (for shifted openings)."""

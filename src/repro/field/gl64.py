@@ -8,16 +8,14 @@ into a handful of numpy passes — the same trick plonky2 uses to keep its
 field arithmetic in scalar registers.
 
 All functions are *exact*: results are canonical residues in ``[0, p)``
-and agree bit-for-bit with the pure-Python reference in
+and agree bit-for-bit with the scalar arithmetic of
 :mod:`repro.field.prime_field` (property-tested in
 ``tests/field/test_gl64.py``).  Inputs must already be canonical.
 
-The numpy bodies here are the fallback tier and the byte-identity oracle:
-where the box has a C compiler, each public kernel first hands plain
-operands to ``gl64_native.c`` (see :mod:`repro.field.native`).
-
-Only Goldilocks gets this backend; other fields (BN254) fall back to the
-list-based path everywhere.
+There are two tiers.  Where the box has a C compiler, each public kernel
+first hands plain operands to ``gl64_native.c`` (see
+:mod:`repro.field.native`); the numpy bodies here are the fallback tier
+and the byte-identity oracle the compiled one is tested against.
 """
 
 from __future__ import annotations
@@ -39,11 +37,6 @@ _EPS = np.uint64((1 << 32) - 1)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 _ZERO = np.uint64(0)
-
-
-def is_goldilocks(p: int) -> bool:
-    """True iff ``p`` is the Goldilocks prime this module accelerates."""
-    return p == P
 
 
 def from_ints(values: Sequence[int]) -> np.ndarray:
@@ -446,7 +439,7 @@ def poly_eval_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     coefficients as ``c_even + x * c_odd`` and squares ``x``, halving the
     width, so a degree-(n-1) evaluation costs ``log2(n)`` vector passes
     instead of ``n`` sequential Horner steps.  Field-exact, so values
-    match :func:`repro.field.poly.poly_eval`.
+    match Horner's rule.
     """
     out = _native_rows("gl_poly_eval_rows", coeffs, points, 0)
     if out is not None:
@@ -489,22 +482,6 @@ def weighted_sum(rows: np.ndarray, weights: Sequence[int]) -> np.ndarray:
     out = mul(hi, np.uint64(1 << 32))
     add_into(out, out, lo)
     return out
-
-
-def serialize_scalars(values, width: int = 32) -> bytes:
-    """Concatenated ``width``-byte little-endian encodings of each element.
-
-    Matches ``b"".join(int(v).to_bytes(width, "little") for v in values)``
-    in one numpy pass when every value fits 64 bits (always, for
-    Goldilocks residues), and with that loop otherwise.
-    """
-    try:
-        vec = np.asarray(values, dtype=np.uint64)
-    except OverflowError:
-        return b"".join(int(v).to_bytes(width, "little") for v in values)
-    buf = np.zeros((len(vec), width // 8), dtype="<u8")
-    buf[:, 0] = vec
-    return buf.tobytes()
 
 
 # -- NTT kernel --------------------------------------------------------------

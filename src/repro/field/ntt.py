@@ -1,24 +1,17 @@
-"""Radix-2 number-theoretic transforms over a prime field.
+"""Cached twiddle and power tables for the number-theoretic transforms.
 
 The prover converts columns between coefficient and evaluation form with
-these transforms; the optimizer's cost model charges ``t_FFT(k)`` for each.
-
-Twiddle factors are precomputed once per ``(modulus, root, size)`` and
-reused across every transform on the same domain (the tables are tiny:
-``n - 1`` field elements).  The butterfly loops run as slice-based list
-comprehensions — for stages with few distinct twiddles the butterflies are
-strided across all blocks at once, for later stages they run block by
-block — which is substantially faster than an index-juggling interpreted
-loop.  Goldilocks-field callers normally go through the numpy kernel in
-:mod:`repro.field.gl64` instead (see ``EvaluationDomain``); this module is
-the exact reference path and serves every other field.
+the radix-2 and six-step kernels in :mod:`repro.field.gl64` (driven by
+:class:`repro.field.domain.EvaluationDomain`); the optimizer's cost model
+charges ``t_FFT(k)`` for each.  The tables those kernels read are built
+here once per ``(modulus, root, size)`` and reused across every transform
+on the same domain (they are tiny: ``n - 1`` field elements).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.field.prime_field import PrimeField
 from repro.obs.stats import STATS
 
 #: Per-stage twiddle tables keyed by (modulus, root, size).
@@ -28,33 +21,20 @@ _TWIDDLE_CACHE: Dict[Tuple[int, int, int], List[List[int]]] = {}
 _POWER_CACHE: Dict[Tuple[int, int, int], List[int]] = {}
 
 #: Fused post-scale tables ``scale * base^i`` keyed by (modulus, base, size,
-#: scale) — one multiply pass where :func:`coset_intt` used to spend two.
+#: scale) — the inverse coset transform's ``1/n`` and inverse-shift powers
+#: in one multiply pass.
 _SCALED_POWER_CACHE: Dict[Tuple[int, int, int, int], List[int]] = {}
 
 
-#: ``log2`` of the size at which single transforms on the numpy backend
-#: of :class:`repro.field.domain.EvaluationDomain` switch to the six-step
-#: decomposition (:func:`repro.field.gl64.sixstep_ntt`).  The list
-#: transforms in this module are radix-2 at every size.
+#: ``log2`` of the size at which single transforms of
+#: :class:`repro.field.domain.EvaluationDomain` switch to the six-step
+#: decomposition (:func:`repro.field.gl64.sixstep_ntt`).
 SIXSTEP_MIN_K = 16
 
 
 def sixstep_min_n() -> int:
-    """Size at which numpy transforms switch to the six-step decomposition."""
+    """Size at which single transforms switch to the six-step decomposition."""
     return 1 << SIXSTEP_MIN_K
-
-
-def _bit_reverse_permute(values: List[int]) -> None:
-    n = len(values)
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            values[i], values[j] = values[j], values[i]
 
 
 def stage_twiddles(p: int, root: int, n: int) -> List[List[int]]:
@@ -107,95 +87,3 @@ def scaled_power_table(p: int, base: int, n: int, scale: int) -> List[int]:
     fused = [v * scale % p for v in power_table(p, base, n)]
     _SCALED_POWER_CACHE[key] = fused
     return fused
-
-
-def _ntt_core(out: List[int], p: int, stages: List[List[int]]) -> None:
-    """In-place iterative NTT of a bit-reverse-permuted vector."""
-    n = len(out)
-    length = 2
-    for tw in stages:
-        half = length >> 1
-        if length * length <= n:
-            # Few distinct twiddles, many blocks: stride each twiddle's
-            # butterflies across every block in one pass.
-            for j in range(half):
-                w = tw[j]
-                a = out[j::length]
-                b = out[j + half::length]
-                if w != 1:
-                    b = [x * w % p for x in b]
-                out[j::length] = [
-                    s - p if (s := x + y) >= p else s for x, y in zip(a, b)
-                ]
-                out[j + half::length] = [
-                    d + p if (d := x - y) < 0 else d for x, y in zip(a, b)
-                ]
-        else:
-            for start in range(0, n, length):
-                mid = start + half
-                a = out[start:mid]
-                b = [x * w % p for x, w in zip(out[mid:start + length], tw)]
-                out[start:mid] = [
-                    s - p if (s := x + y) >= p else s for x, y in zip(a, b)
-                ]
-                out[mid:start + length] = [
-                    d + p if (d := x - y) < 0 else d for x, y in zip(a, b)
-                ]
-        length <<= 1
-
-
-def ntt(field: PrimeField, values: Sequence[int], root: int) -> List[int]:
-    """Forward NTT of a power-of-two-length vector.
-
-    Args:
-        field: The field to work in.
-        values: Coefficients (length must be a power of two).
-        root: A primitive n-th root of unity for ``n = len(values)``.
-
-    Returns:
-        Evaluations at ``root^0, root^1, ..., root^(n-1)``.
-    """
-    n = len(values)
-    if n & (n - 1):
-        raise ValueError("NTT length must be a power of two, got %d" % n)
-    out = list(values)
-    if n == 1:
-        return out
-    _bit_reverse_permute(out)
-    _ntt_core(out, field.p, stage_twiddles(field.p, root, n))
-    return out
-
-
-def intt(field: PrimeField, values: Sequence[int], root: int) -> List[int]:
-    """Inverse NTT; exact inverse of :func:`ntt` with the same root."""
-    n = len(values)
-    inv_root = field.inv(root)
-    out = ntt(field, values, inv_root)
-    inv_n = field.inv(n)
-    p = field.p
-    return [v * inv_n % p for v in out]
-
-
-def coset_ntt(field: PrimeField, values: Sequence[int], root: int, shift: int) -> List[int]:
-    """Evaluate a coefficient vector on the coset ``shift * <root>``."""
-    n = len(values)
-    p = field.p
-    powers = power_table(p, shift, n)
-    shifted = [v * s % p for v, s in zip(values, powers)]
-    return ntt(field, shifted, root)
-
-
-def coset_intt(field: PrimeField, values: Sequence[int], root: int, shift: int) -> List[int]:
-    """Inverse of :func:`coset_ntt`.
-
-    The two post-passes of the textbook formulation — scale by ``1/n``,
-    then by the cached inverse-shift power table — are fused into a single
-    multiply against one cached ``scaled_power_table``, and the inverse
-    shift itself comes from the field's inversion cache instead of being
-    recomputed per call.
-    """
-    n = len(values)
-    out = ntt(field, values, field.inv(root))
-    p = field.p
-    fused = scaled_power_table(p, field.inv(shift), n, field.inv(n))
-    return [c * s % p for c, s in zip(out, fused)]

@@ -1,9 +1,11 @@
-"""Prime-field arithmetic.
+"""Prime-field arithmetic on scalars.
 
 Field elements are plain Python ints reduced mod ``p``.  A
 :class:`PrimeField` carries the modulus together with the data the NTT and
 the proving system need: a multiplicative generator, the field's
 two-adicity, and the corresponding ``2^two_adicity``-th root of unity.
+The prover runs over :data:`GOLDILOCKS` only (:func:`require_goldilocks`);
+the class stays general because its scalar operations are.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Sequence
+
+from repro.resilience.errors import UnsupportedFieldError
 
 
 @lru_cache(maxsize=4096)
@@ -138,21 +142,15 @@ GOLDILOCKS = PrimeField(
     two_adicity=32,
 )
 
-BN254_FR = PrimeField(
-    name="bn254-fr",
-    p=21888242871839275222246405745257275088548364400416034343698204186575808495617,
-    generator=5,
-    two_adicity=28,
-)
 
-_FIELDS = {f.name: f for f in (GOLDILOCKS, BN254_FR)}
+def require_goldilocks(field: PrimeField) -> None:
+    """Refuse any field but :data:`GOLDILOCKS`.
 
-
-def field_by_name(name: str) -> PrimeField:
-    """Look up a predefined field by name ('goldilocks' or 'bn254-fr')."""
-    try:
-        return _FIELDS[name]
-    except KeyError:
-        raise KeyError(
-            "unknown field %r; available: %s" % (name, sorted(_FIELDS))
-        ) from None
+    Field grids, transforms and commitments are ``uint64`` kernels that
+    reduce modulo the Goldilocks prime; over another modulus they would
+    return wrong residues, not an error, so the entry points check first.
+    """
+    if field.p != GOLDILOCKS.p:
+        raise UnsupportedFieldError(
+            "field %r is not Goldilocks (p = 2^64 - 2^32 + 1), the only "
+            "field this prover implements" % field.name, field=field.name)

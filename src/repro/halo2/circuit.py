@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.field.prime_field import PrimeField
+from repro.field.prime_field import PrimeField, require_goldilocks
 from repro.halo2.column import KINDS, Column, ColumnType, cell_code, unpack_cells
 from repro.halo2.expression import Expression
 from repro.halo2.gate import Gate
@@ -28,6 +28,7 @@ class ConstraintSystem:
     """The static shape of a circuit: columns, gates, lookups, equality."""
 
     def __init__(self, field: PrimeField):
+        require_goldilocks(field)
         self.field = field
         self.num_advice = 0
         self.num_fixed = 0
@@ -157,8 +158,7 @@ class Assignment:
 
     Each column kind is one 2-D array with a row per allocated column
     (:attr:`advice`, :attr:`fixed`, :attr:`instance`, :attr:`selectors`).
-    Field elements are ``uint64`` when the prime fits a machine word and
-    Python ints in an ``object`` array otherwise; selectors are 0/1
+    Field elements are ``uint64`` Goldilocks residues; selectors are 0/1
     bytes.  The arrays grow when the constraint system allocates a
     column.  Unassigned cells read as zero; :meth:`assigned` masks the
     value cells ever written, for the cell counts metrics and the
@@ -177,10 +177,9 @@ class Assignment:
         self.cs = cs
         self.k = k
         self.n = 1 << k
-        self.dtype = np.dtype(np.uint64 if cs.field.p < 1 << 64 else object)
         self._grids: Dict[ColumnType, np.ndarray] = {
             kind: np.zeros((0, self.n), np.uint8 if kind == ColumnType.SELECTOR
-                           else self.dtype)
+                           else np.uint64)
             for kind in KINDS}
         self._assigned: Dict[ColumnType, np.ndarray] = {
             kind: np.zeros((0, self.n), bool) for kind in KINDS
@@ -228,17 +227,13 @@ class Assignment:
         return self._copies[: self.num_copies]
 
     def reduce(self, values) -> np.ndarray:
-        """Integers of any sign and size as field elements in the grid's
-        dtype, one array."""
+        """Integers of any sign and size as field elements, one ``uint64``
+        array."""
         p = self.cs.field.p
-        if self.dtype == object:
-            return np.array(values, dtype=object) % p
         try:
             signed = np.asarray(values, dtype=np.int64)
         except OverflowError:
             return (np.asarray(values, dtype=object) % p).astype(np.uint64)
-        if p <= 1 << 63:
-            return (signed % p).astype(np.uint64)
         # every int64 lies in (-p, p), so a negative v reduces to v + p
         unsigned = signed.astype(np.uint64)
         return np.where(signed < 0, unsigned + np.uint64(p), unsigned)

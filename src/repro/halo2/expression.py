@@ -224,8 +224,8 @@ def evaluate_from_openings(
 class VectorEvaluator:
     """Memoizing columnwise expression evaluator — the prover's hot loop.
 
-    Evaluates expression trees over whole columns at once using a
-    :mod:`repro.field.vector` backend.  Three things make it fast:
+    Evaluates expression trees over whole columns at once using the
+    :class:`~repro.field.vector.GL64Backend`.  Three things make it fast:
 
     - results are memoized by node identity, so subexpressions that keygen
       shares between constraints (compressed lookup inputs, permutation
@@ -269,9 +269,7 @@ class VectorEvaluator:
         """Evaluate, expanding a scalar result to a full vector."""
         result = self.evaluate(expr)
         if isinstance(result, int):
-            if isinstance(self.size, tuple):
-                return self.backend.add_scalar(self.backend.zeros(self.size), result)
-            return self.backend.from_ints([result] * self.size)
+            return self.backend.add_scalar(self.backend.zeros(self.size), result)
         return result
 
     def fold(self, exprs, y: int):
@@ -348,27 +346,6 @@ class VectorEvaluator:
         raise TypeError("unknown expression node %r" % type(expr).__name__)
 
 
-def evaluate_on_domain(
-    expr: Expression,
-    field: PrimeField,
-    read_vec: Callable[[Column, int], list],
-    size: int,
-    challenges: Optional[Dict[str, int]] = None,
-) -> list:
-    """Evaluate an expression pointwise over a whole evaluation domain.
-
-    ``read_vec(column, rotation)`` must return the column's ``size``
-    evaluations already rotated.  Thin wrapper over
-    :class:`VectorEvaluator` on the list backend; always returns a fresh
-    list of ints.
-    """
-    from repro.field.vector import ListBackend
-
-    backend = ListBackend(field)
-    ev = VectorEvaluator(backend, size, read_vec, challenges)
-    return list(ev.evaluate_vec(expr))
-
-
 def evaluate_on_lagrange(
     expr: Expression,
     backend,
@@ -378,10 +355,9 @@ def evaluate_on_lagrange(
 ) -> object:
     """Evaluate an expression columnwise over the *base* domain.
 
-    The sibling of :func:`evaluate_on_domain` used for helper-column
-    construction: ``read_column(col)`` returns the column's base-domain
-    evaluations (a backend vector), and rotations are realized as cyclic
-    row shifts of that vector.  Returns a backend vector.
+    Used for helper-column construction: ``read_column(col)`` returns the
+    column's base-domain evaluations (a backend vector), and rotations are
+    realized as cyclic row shifts of that vector.  Returns a backend vector.
     """
     rotated: Dict[tuple, object] = {}
 

@@ -184,15 +184,13 @@ class VerifyingKey:
 @dataclass
 class ProvingKey:
     """Verifying key plus the fixed data only the prover uses: the fixed
-    columns in evaluation and coefficient form (the latter in
-    ``vk.fixed_columns`` order, in the domain backend's matrix shape)
-    and the committed fixed round."""
+    columns in evaluation and coefficient form (the latter an ``(m, n)``
+    matrix in ``vk.fixed_columns`` order) and the committed fixed round."""
 
     vk: VerifyingKey
-    #: base-domain evaluations per fixed column: read-only ``uint64``
-    #: arrays on Goldilocks, lists of ints on the list backend
-    fixed_evals: Dict[Column, object]
-    fixed_polys: object
+    #: base-domain evaluations per fixed column, read-only ``uint64`` arrays
+    fixed_evals: Dict[Column, np.ndarray]
+    fixed_polys: np.ndarray
     fixed_round: CommittedRound
 
 
@@ -281,14 +279,14 @@ def keygen(
         return col
 
     # the key owns a copy of the fixed grid, not a view synthesis can write
-    fixed_evals: Dict[Column, object] = {}
+    fixed_evals: Dict[Column, np.ndarray] = {}
     for i, values in enumerate(assignment.fixed.copy()):
         fixed_evals[Column(ColumnType.FIXED, i)] = values
     for i, values in enumerate(assignment.selectors):
         fixed_evals[Column(ColumnType.SELECTOR, i)] = values
 
     l0_col = new_fixed()
-    fixed_evals[l0_col] = np.zeros(n, dtype=assignment.dtype)
+    fixed_evals[l0_col] = np.zeros(n, dtype=np.uint64)
     fixed_evals[l0_col][0] = 1
     l0 = Ref(l0_col)
 
@@ -379,11 +377,10 @@ def keygen(
     domain = EvaluationDomain(field, assignment.k, max_degree=max_degree)
 
     for col, values in fixed_evals.items():
+        # read-only uint64 columns: the prover reads them without
+        # converting and the pk cache checksums them in place on every hit
         values = domain.backend.from_ints(values)
-        if domain.uses_gl64:
-            # read-only uint64 columns: the prover reads them without
-            # converting and the pk cache checksums them in place on every hit
-            values.flags.writeable = False
+        values.flags.writeable = False
         fixed_evals[col] = values
     fixed_columns = tuple(
         sorted(fixed_evals, key=lambda c: (c.kind.value, c.index)))
@@ -391,8 +388,6 @@ def keygen(
                      max_degree=max_degree):
         fixed_polys = domain.lagrange_to_coeff_batch(
             [fixed_evals[col] for col in fixed_columns])
-        if domain.uses_gl64:
-            fixed_polys = np.stack(fixed_polys)
     with tracer.span("keygen:fixed_round", columns=len(fixed_columns)):
         # the quotient reads this LDE on every proof; the pk cache
         # carries it (and the tree the queries open) into later proves

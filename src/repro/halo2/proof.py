@@ -6,10 +6,10 @@ evaluation per ``vk.claims`` entry, and one batched DEEP-FRI opening
 ``FRI_QUERIES`` query openings, each a row + path per round tree and a
 pair + path per fold layer.  No polynomial is ever shipped.
 
-Wire layout (integers little-endian; a *scalar* is ``scalar_bytes``
-wide — 8 for Goldilocks, 32 for BN254-Fr)::
+Wire layout (integers little-endian; a *scalar* is an 8-byte Goldilocks
+residue)::
 
-    "ZKMLPRF2" [u8 scalar_bytes]
+    "ZKMLPRF2" [u8 scalar width = 8]
     [u32 count][count x 32B]            round roots (advice, helper, quotient)
     [u32 count][count x scalar]         claimed evaluations, vk.claims order
     [u32 count][count x 32B]            fold-layer roots
@@ -20,9 +20,10 @@ wide — 8 for Goldilocks, 32 for BN254-Fr)::
     [u32 folds] folds x [u32 path length]     one pair per fold layer
     queries x ( rows x (values, path)  folds x (pair, path) )
 
-The query shape is declared once, so the body has a fixed stride: the
-decoder checks every count against its cap and the exact remaining
-length before allocating anything.  The size a real halo2 proof of the
+The width byte is always 8 and the decoder refuses any other.  The query
+shape is declared once, so the body has a fixed stride: the decoder checks
+every count against its cap and the exact remaining length before
+allocating anything.  The size a real halo2 proof of the
 same circuit would have is ``VerifyingKey.modeled_proof_bytes``; reports
 show both.
 """
@@ -43,8 +44,6 @@ from repro.resilience.errors import ProofFormatError
 class Proof:
     """A ZK-SNARK proof for one circuit execution."""
 
-    #: Bytes per field element on the wire (8 or 32).
-    scalar_bytes: int
     #: Merkle roots of the proof's nonempty rounds: advice, helper, quotient.
     round_roots: List[bytes]
     #: Claimed evaluations, aligned with ``vk.claims``.
@@ -56,6 +55,9 @@ class Proof:
 
 _MAGIC = b"ZKMLPRF2"
 
+#: Bytes per scalar on the wire, declared by the width byte.
+SCALAR_WIDTH = 8
+
 #: Caps on the serialized count fields.  Real proofs stay far below
 #: them; a count beyond its cap is always a corrupted or hostile length
 #: prefix, rejected before it can size an allocation.
@@ -66,21 +68,12 @@ _MAX_ROWS = 8
 _MAX_PATH = 64
 
 
-def _scalars_to_bytes(values: Sequence[int], width: int) -> bytes:
+def _scalars_to_bytes(values: Sequence[int]) -> bytes:
     try:
-        if width == 8:
-            return struct.pack("<%dQ" % len(values), *values)
-        return b"".join(int(v).to_bytes(width, "little") for v in values)
+        return struct.pack("<%dQ" % len(values), *values)
     except (struct.error, OverflowError, TypeError) as exc:
-        raise ProofFormatError("proof scalar does not fit %d bytes" % width,
-                               detail=str(exc)[:80]) from None
-
-
-def _scalars_from_bytes(data, pos: int, count: int, width: int):
-    if width == 8:
-        return struct.unpack_from("<%dQ" % count, data, pos)
-    return tuple(int.from_bytes(data[i : i + width], "little")
-                 for i in range(pos, pos + count * width, width))
+        raise ProofFormatError("proof scalar does not fit %d bytes"
+                               % SCALAR_WIDTH, detail=str(exc)[:80]) from None
 
 
 def _digests_to_bytes(digests: Sequence[bytes], what: str) -> bytes:
@@ -102,17 +95,14 @@ def proof_to_bytes(proof: Proof) -> bytes:
     prover builds); a ragged or out-of-range proof object raises
     :class:`~repro.resilience.errors.ProofFormatError`.
     """
-    sb = proof.scalar_bytes
-    if sb not in (8, 32):
-        raise ProofFormatError("scalar width must be 8 or 32, got %r" % sb)
-    out = [_MAGIC, bytes([sb])]
+    out = [_MAGIC, bytes([SCALAR_WIDTH])]
     out += [_u32(len(proof.round_roots)),
             _digests_to_bytes(proof.round_roots, "round root")]
-    out += [_u32(len(proof.evals)), _scalars_to_bytes(proof.evals, sb)]
+    out += [_u32(len(proof.evals)), _scalars_to_bytes(proof.evals)]
     out += [_u32(len(proof.fri_roots)),
             _digests_to_bytes(proof.fri_roots, "fold-layer root")]
     out += [_u32(len(proof.final_poly)),
-            _scalars_to_bytes(proof.final_poly, sb)]
+            _scalars_to_bytes(proof.final_poly)]
     out.append(_u32(len(proof.queries)))
     first = proof.queries[0] if proof.queries else QueryOpening((), ())
     widths = [len(row.values) for row in first.rows]
@@ -130,10 +120,10 @@ def proof_to_bytes(proof: Proof) -> bytes:
                 or any(len(fold.pair) != 2 for fold in query.folds)):
             raise ProofFormatError("query openings differ in shape")
         for row in query.rows:
-            out.append(_scalars_to_bytes(row.values, sb))
+            out.append(_scalars_to_bytes(row.values))
             out.append(_digests_to_bytes(row.path, "path node"))
         for fold in query.folds:
-            out.append(_scalars_to_bytes(fold.pair, sb))
+            out.append(_scalars_to_bytes(fold.pair))
             out.append(_digests_to_bytes(fold.path, "path node"))
     return b"".join(out)
 
@@ -168,9 +158,9 @@ class _Reader:
         start = self.take(n * DIGEST_BYTES, what)
         return struct.unpack_from("%ds" % DIGEST_BYTES * n, self.data, start)
 
-    def scalars(self, n: int, width: int, what: str) -> Tuple[int, ...]:
-        start = self.take(n * width, what)
-        return _scalars_from_bytes(self.data, start, n, width)
+    def scalars(self, n: int, what: str) -> Tuple[int, ...]:
+        start = self.take(n * SCALAR_WIDTH, what)
+        return struct.unpack_from("<%dQ" % n, self.data, start)
 
 
 def proof_from_bytes(data: bytes) -> Proof:
@@ -190,15 +180,15 @@ def proof_from_bytes(data: bytes) -> Proof:
                                length=len(data))
     r = _Reader(data)
     r.pos = len(_MAGIC)
-    sb = data[r.take(1, "scalar width")]
-    if sb not in (8, 32):
-        raise ProofFormatError("scalar width must be 8 or 32, got %d" % sb,
-                               offset=len(_MAGIC))
+    width = data[r.take(1, "scalar width")]
+    if width != SCALAR_WIDTH:
+        raise ProofFormatError("scalar width must be %d, got %d"
+                               % (SCALAR_WIDTH, width), offset=len(_MAGIC))
     round_roots = r.digests(r.count("round root", _MAX_ROOTS), "round roots")
-    evals = r.scalars(r.count("evaluation", _MAX_SCALARS), sb, "evaluations")
+    evals = r.scalars(r.count("evaluation", _MAX_SCALARS), "evaluations")
     fri_roots = r.digests(r.count("fold-layer root", _MAX_ROOTS),
                           "fold-layer roots")
-    final_poly = r.scalars(r.count("final coefficient", _MAX_SCALARS), sb,
+    final_poly = r.scalars(r.count("final coefficient", _MAX_SCALARS),
                            "final polynomial")
     num_queries = r.count("query", _MAX_QUERIES)
     widths = [r.count("row value", _MAX_SCALARS)
@@ -206,8 +196,8 @@ def proof_from_bytes(data: bytes) -> Proof:
     row_path = r.count("row path node", _MAX_PATH)
     fold_paths = [r.count("fold path node", _MAX_PATH)
                   for _ in range(r.count("fold", _MAX_PATH))]
-    stride = (sum(w * sb + row_path * DIGEST_BYTES for w in widths)
-              + sum(2 * sb + n * DIGEST_BYTES for n in fold_paths))
+    stride = (sum(w * SCALAR_WIDTH + row_path * DIGEST_BYTES for w in widths)
+              + sum(2 * SCALAR_WIDTH + n * DIGEST_BYTES for n in fold_paths))
     body = len(data) - r.pos
     if body < num_queries * stride:
         raise ProofFormatError(
@@ -221,16 +211,15 @@ def proof_from_bytes(data: bytes) -> Proof:
     queries = []
     for _ in range(num_queries):
         rows = tuple(
-            RowOpening(values=r.scalars(w, sb, "row values"),
+            RowOpening(values=r.scalars(w, "row values"),
                        path=r.digests(row_path, "row path"))
             for w in widths)
         folds = tuple(
-            FoldOpening(pair=r.scalars(2, sb, "fold pair"),
+            FoldOpening(pair=r.scalars(2, "fold pair"),
                         path=r.digests(n, "fold path"))
             for n in fold_paths)
         queries.append(QueryOpening(rows=rows, folds=folds))
     return Proof(
-        scalar_bytes=sb,
         round_roots=list(round_roots),
         evals=list(evals),
         fri_roots=list(fri_roots),

@@ -19,8 +19,9 @@ succinct commitment scheme (:mod:`repro.commit.scheme`):
 The FFTs and commitments performed here are the operations the optimizer's
 cost model counts (Eqs. 1–2).
 
-Implementation notes: on Goldilocks every phase runs batched over whole
-*matrices* of columns.  Phase 1 and the helper commits stack columns into
+Implementation notes: every phase runs batched over whole *matrices* of
+Goldilocks columns (``uint64`` arrays through the :mod:`repro.field.gl64`
+kernels).  Phase 1 and the helper commits stack columns into
 an ``(m, n)`` ``uint64`` matrix, interpolate with one batched NTT and
 extend with one batched coset NTT per part (the user advice round is the
 assignment's ``uint64`` advice array itself); all-zero columns (found by
@@ -32,11 +33,9 @@ numpy searches.  Phase 3 evaluates the quotient per *coset part* —
 columns' extensions from phases 1-2 and the key's fixed round instead of
 transforming them again, so the vanishing division is one scalar per
 part; column sets past ``QUOTIENT_STREAM_ELEMS`` fold one part at a
-time, bounding the evaluator's temporaries.  On other fields the
-columnwise list-backend reference path runs instead (one construction
-over either backend, with per-row reference kernels in place of the
-vectorized ones), and the two produce byte-identical proofs (asserted by
-the equivalence tests).
+time, bounding the evaluator's temporaries.  The compiled and numpy
+kernel tiers produce byte-identical proofs (asserted by the equivalence
+tests, which also hold each vectorized kernel to a per-row reference).
 
 The prover is serial: one process, one thread per proof.  More cores are
 used by proving more batches at once (``zkml serve --workers N``), never
@@ -47,7 +46,6 @@ breakdown.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -59,7 +57,6 @@ from repro.commit.scheme import (
 )
 from repro.commit.transcript import Transcript
 from repro.field import gl64
-from repro.field.poly import poly_eval
 from repro.halo2.circuit import Assignment
 from repro.halo2.column import Column, ColumnType
 from repro.halo2.expression import VectorEvaluator, evaluate_on_lagrange
@@ -113,32 +110,21 @@ def _interpolate_commit_rows(domain, scheme, rows: np.ndarray):
 
 
 def _interpolate_commit(domain, scheme, vecs):
-    """Base-domain columns (a sequence or an ``(m, n)`` array) ->
-    (coefficient rows, committed round): one batched call on Goldilocks,
-    column by column on the list backend.  No columns, no round
-    (``None``)."""
+    """Base-domain columns (an ``(m, n)`` array or a sequence of rows) ->
+    (coefficient rows, committed round), in one batched call.  No columns,
+    no round (``None``)."""
     if not len(vecs):
         return [], None
-    if domain.uses_gl64:
-        rows = vecs if isinstance(vecs, np.ndarray) else np.stack(vecs)
-        return _interpolate_commit_rows(domain, scheme, rows)
-    polys = [domain.lagrange_to_coeff_vec(vec) for vec in vecs]
-    return polys, scheme.commit_round(domain, domain.lde(polys))
+    return _interpolate_commit_rows(domain, scheme, np.asarray(vecs))
 
 
 def _claimed_evaluations(domain, polys_by_round, claims, x) -> List[int]:
-    """``f(omega^rot x)`` for every claim, from the coefficient forms.
-
-    On Goldilocks all claims run through one vectorized Estrin-style
-    kernel; elsewhere per-polynomial Horner.  Plain Python ints either way.
-    """
+    """``f(omega^rot x)`` for every claim, from the coefficient forms: all
+    claims through one vectorized Estrin-style kernel, as plain ints."""
     rows = [polys_by_round[rnd][col] for rnd, col, _ in claims]
     points = [domain.rotate(x, rot) for _, _, rot in claims]
-    if domain.uses_gl64:
-        return gl64.poly_eval_rows(
-            np.stack(rows), np.array(points, dtype=np.uint64)).tolist()
-    return [poly_eval(domain.field, row, point)
-            for row, point in zip(rows, points)]
+    return gl64.poly_eval_rows(
+        np.stack(rows), np.array(points, dtype=np.uint64)).tolist()
 
 
 # -- vectorized helper-column kernels ----------------------------------------
@@ -148,8 +134,8 @@ def _lookup_multiplicities(field, names, f_arrs, t_arr) -> np.ndarray:
     """Vectorized multiplicity counting: one table's shared ``m`` column.
 
     ``f_arrs`` holds the compressed inputs of every lookup reading the
-    table (``names`` are theirs).  Matches the reference loop bit for
-    bit: each input row maps to the *first* table row holding its value
+    table (``names`` are theirs).  Each input row maps to the *first*
+    table row holding its value
     (stable argsort keeps the lowest original row first among
     duplicates), and a value missing from the table raises
     :class:`ProvingError` naming the first such lookup and its lowest
@@ -174,21 +160,6 @@ def _lookup_multiplicities(field, names, f_arrs, t_arr) -> np.ndarray:
     return counts.astype(np.uint64)
 
 
-def _lookup_multiplicities_ref(field, names, f_vecs, t_vec) -> List[int]:
-    """The per-row reference for :func:`_lookup_multiplicities`."""
-    first_row_of: Dict[int, int] = {}
-    for row, t in enumerate(t_vec):
-        first_row_of.setdefault(t, row)
-    m_vals = [0] * len(t_vec)
-    for name, f_vec in zip(names, f_vecs):
-        for row, f in enumerate(f_vec):
-            target = first_row_of.get(f)
-            if target is None:
-                raise _not_in_table(field, name, f, row)
-            m_vals[target] += 1
-    return m_vals
-
-
 def _not_in_table(field, name: str, value: int, row: int) -> ProvingError:
     return ProvingError(
         "lookup %r: input %d at row %d is not in the table"
@@ -208,14 +179,6 @@ def _prefix_sum_vec(h_arr) -> np.ndarray:
     hi = np.cumsum(h_arr[:-1] >> np.uint64(32), dtype=np.uint64)
     out = np.zeros(len(h_arr), dtype=np.uint64)
     out[1:] = gl64.add(gl64.mul(hi, 1 << 32), lo)
-    return out
-
-
-def _prefix_sum_ref(field, values) -> List[int]:
-    """The per-row reference for :func:`_prefix_sum_vec`."""
-    out = [0] * len(values)
-    for row in range(len(values) - 1):
-        out[row + 1] = field.add(out[row], values[row])
     return out
 
 
@@ -249,8 +212,8 @@ def _quotient_extended_np(domain, vk, assignment, committed_lde, challenges, y):
     coset with shift ``coset_shift * w_E^r``, and a rotation by
     ``rot * extension`` in the extended domain is a cyclic rotation by
     ``rot`` *within every part*.  Folding the constraints over the
-    ``(extension, n)`` part matrices therefore reproduces the reference
-    extended-domain vector exactly, and the vanishing division collapses
+    ``(extension, n)`` part matrices therefore reproduces the per-row
+    fold over the natural-order extended domain exactly, and the vanishing division collapses
     to one scalar multiply per part (``Z_H`` is constant on a part).
 
     Nothing committed is transformed here: ``committed_lde(col)`` is the
@@ -345,7 +308,6 @@ def create_proof(
         )
     timer = timer if timer is not None else NULL_TIMER
     backend = domain.backend
-    use_np = domain.uses_gl64
 
     transcript = Transcript(field)
     transcript.append_message(b"vk", vk.digest())
@@ -368,8 +330,6 @@ def create_proof(
     # ---- phase 1: user advice commitments ---------------------------------
     with timer.phase("commit"):
         advice = assignment.advice
-        if not use_np:
-            advice = [backend.from_ints(row) for row in advice]
         advice_vecs: Dict[int, object] = dict(enumerate(advice))
         commit_round(ADVICE_ROUND, b"advice", advice)
 
@@ -411,21 +371,9 @@ def create_proof(
                 acc = backend.fold(acc, theta, part)
             return acc
 
-        # One construction for both backends; only the row-sequential
-        # kernels differ.  On Goldilocks every lookup and permutation
-        # denominator of the proof is inverted in ONE flat batch_inv call
-        # and multiplicities / running sums are vectorized; elsewhere the
-        # per-row reference kernels run.
-        if use_np:
-            multiplicities, prefix_sum = _lookup_multiplicities, _prefix_sum_vec
-            inverses = _batched_inverses
-        else:
-            multiplicities = _lookup_multiplicities_ref
-            prefix_sum = partial(_prefix_sum_ref, field)
-
-            def inverses(vectors):
-                return [backend.batch_inv(vec) for vec in vectors]
-
+        # every lookup and permutation denominator of the proof is
+        # inverted in ONE flat batch_inv call; multiplicities and running
+        # sums are vectorized
         theta, alpha = challenges[THETA], challenges[ALPHA]
         beta, gamma = challenges[BETA], challenges[GAMMA]
         perm = vk.permutation
@@ -437,9 +385,9 @@ def create_proof(
                 compress_columns(lk.inputs, theta) for lk in helpers.arguments
             ]
             t_vec = compress_columns(helpers.table, theta)
-            m_vecs.append(backend.from_ints(multiplicities(
+            m_vecs.append(_lookup_multiplicities(
                 field, [lk.name for lk in helpers.arguments], f_vecs, t_vec
-            )))
+            ))
             denoms.extend(backend.add_scalar(f_vec, alpha) for f_vec in f_vecs)
             denoms.append(backend.add_scalar(t_vec, alpha))
         if perm is not None:
@@ -452,7 +400,7 @@ def create_proof(
                     denoms.append(backend.add_scalar(
                         backend.add(v_vec, backend.mul_scalar(tags, beta)), gamma
                     ))
-        invs = iter(inverses(denoms))
+        invs = iter(_batched_inverses(denoms))
 
         helper_evals: Dict[int, object] = {}
         for helpers, m_vec in zip(vk.lookups, m_vecs):
@@ -464,7 +412,7 @@ def create_proof(
                 total = backend.add(total, h_vec)
             total = backend.sub(total, backend.mul(m_vec, next(invs)))
             helper_evals[helpers.m_col.index] = m_vec
-            helper_evals[helpers.s_col.index] = prefix_sum(total)
+            helper_evals[helpers.s_col.index] = _prefix_sum_vec(total)
         if perm is not None:
             total = backend.zeros(n)
             for h_col in perm.helper_cols:
@@ -472,7 +420,7 @@ def create_proof(
                 h_vec = backend.sub(inv_id, inv_sigma)
                 helper_evals[h_col.index] = h_vec
                 total = backend.add(total, h_vec)
-            helper_evals[perm.sum_col.index] = prefix_sum(total)
+            helper_evals[perm.sum_col.index] = _prefix_sum_vec(total)
 
         # helper columns are numbered contiguously after the user advice
         commit_round(HELPER_ROUND, b"helper",
@@ -493,54 +441,12 @@ def create_proof(
 
     # ---- phase 3: quotient ---------------------------------------------------
     with timer.phase("quotient"):
-        ext_n = domain.extended_n
-        extension = ext_n // n
-        if use_np:
-            q_ext = _quotient_extended_np(
-                domain, vk, assignment, committed_lde, challenges, y
-            )
-        else:
-            extended_cache: Dict[Column, object] = {}
-            rotated_cache: Dict[Tuple[Column, int], object] = {}
-
-            def extended_evals(col: Column):
-                cached = extended_cache.get(col)
-                if cached is not None:
-                    return cached
-                if col.kind == ColumnType.INSTANCE:
-                    ext = domain.coeff_to_extended_vec(
-                        domain.lagrange_to_coeff_vec(
-                            backend.from_ints(assignment.instance[col.index])))
-                else:
-                    ext = committed_lde(col)
-                extended_cache[col] = ext
-                return ext
-
-            def read_vec(col: Column, rot: int):
-                key = (col, rot)
-                cached = rotated_cache.get(key)
-                if cached is not None:
-                    return cached
-                vec = backend.rotate(extended_evals(col), rot * extension)
-                rotated_cache[key] = vec
-                return vec
-
-            evaluator = VectorEvaluator(backend, ext_n, read_vec, challenges)
-            folded = evaluator.fold([expr for _, expr in vk.constraints], y)
-            q_ext = backend.mul(folded, domain.vanishing_inverse_vec())
-
+        q_ext = _quotient_extended_np(
+            domain, vk, assignment, committed_lde, challenges, y
+        )
         q_coeffs = domain.extended_to_coeff_vec(q_ext)
-
-        pieces = []
-        for j in range(vk.num_quotient_pieces):
-            piece = q_coeffs[j * n : (j + 1) * n]
-            if len(piece) < n:
-                padded = backend.zeros(n)
-                padded[: len(piece)] = piece
-                piece = padded
-            pieces.append(piece)
-        if use_np:
-            pieces = np.stack(pieces)
+        # the pieces never outnumber the extension, so they fit the coset
+        pieces = q_coeffs[: vk.num_quotient_pieces * n].reshape(-1, n)
         polys_by_round[QUOTIENT_ROUND] = pieces
         rounds[QUOTIENT_ROUND] = scheme.commit_round(domain, domain.lde(pieces))
         transcript.append_commitment(b"quotient", rounds[QUOTIENT_ROUND].root)
@@ -555,7 +461,6 @@ def create_proof(
             domain, rounds, claims, evals, x, transcript)
 
     return Proof(
-        scalar_bytes=scheme.scalar_bytes,
         round_roots=[rnd.root for rnd in rounds[ADVICE_ROUND:]
                      if rnd is not None],
         evals=evals,

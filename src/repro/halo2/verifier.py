@@ -35,12 +35,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.commit import fri
 from repro.commit.merkle import DIGEST_BYTES
-from repro.commit.scheme import (
-    CommitmentScheme,
-    draw_opening_point,
-    scalar_bytes,
-)
+from repro.commit.scheme import CommitmentScheme, draw_opening_point
 from repro.commit.transcript import Transcript
+from repro.field.prime_field import require_goldilocks
 from repro.halo2.column import Column, ColumnType
 from repro.halo2.expression import evaluate_from_openings
 from repro.halo2.keygen import (
@@ -88,17 +85,16 @@ def validate_proof_shape(
     element must lie in ``[0, p)``) and the public-input shape.  Raises
     :class:`ProofFormatError` on the first violation; returns ``None``
     when the proof is structurally plausible.  No hash, no field
-    arithmetic.
+    arithmetic.  A key over any field but Goldilocks is refused first
+    (:class:`~repro.resilience.errors.UnsupportedFieldError`): its
+    proofs could not have come from this prover.
     """
+    require_goldilocks(vk.field)
     cs = vk.cs
     p = vk.field.p
     n = vk.n
     widths = vk.round_widths
 
-    if proof.scalar_bytes != scalar_bytes(vk.field):
-        raise ProofFormatError("proof scalars are %r bytes wide, the key's "
-                               "field needs %d" % (proof.scalar_bytes,
-                                                   scalar_bytes(vk.field)))
     folds = fri.num_folds(vk.k)
     for what, items, want in (
         ("round roots", proof.round_roots, sum(1 for w in widths[1:] if w)),

@@ -7,7 +7,7 @@ Each model comes in two scales:
   model, which only need the graph.
 - ``mini``  — a faithfully shaped but heavily scaled-down variant with
   materialized deterministic weights, small enough to actually prove
-  with the pure-Python prover.
+  with this prover.
 
 The paper's reported parameter/flop counts are kept in
 :data:`PAPER_TABLE5` so benchmarks can print paper-vs-ours side by side.

@@ -225,9 +225,7 @@ def benchmark_operations(
     commitment ("MSM": a column's share of a round's Merkle tree), and
     one lookup-helper pass at several sizes, and
     one field multiply-add; larger sizes extrapolate.  Every operation is
-    timed through the field's vector backend, the code the prover runs
-    (a profile of the pure-Python reference over-predicted a Goldilocks
-    prove fivefold).
+    timed through the domain's vector backend, the code the prover runs.
     """
     key = (field.name, tuple(ks), scheme_name)
     cached = _local_cache.get(key)
@@ -244,8 +242,7 @@ def benchmark_operations(
             lambda: domain.lagrange_to_coeff_batch(columns)) / _BENCH_COLUMNS
         # a round of columns, as the prover commits them: the extension is
         # priced as the extended FFT it is, so only the tree is timed here
-        polys = np.stack(columns) if domain.uses_gl64 else columns
-        lde = domain.lde(polys)
+        lde = domain.lde(np.stack(columns))
         t_msm[k] = _best_seconds(
             lambda: scheme.commit_round(domain, lde)) / _BENCH_COLUMNS
         t_lookup[k] = _best_seconds(lambda: backend.batch_inv(column))

@@ -46,8 +46,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.commit.scheme import CommitmentScheme, scalar_bytes
-from repro.field.gl64 import serialize_scalars
+from repro.commit.scheme import CommitmentScheme
 from repro.halo2.circuit import Assignment, ConstraintSystem
 from repro.halo2.keygen import ProvingKey, VerifyingKey, keygen
 from repro.resilience import events, faults
@@ -96,9 +95,8 @@ def circuit_digest(
         put("lookup", "%s|%r|%r" % (lk.name, lk.inputs, lk.table))
     put("equality", repr(cs.permuted_columns()))
     # the grids as packed bytes, not repr() of 2^k Python objects per column
-    width = scalar_bytes(cs.field)
     for i, values in enumerate(assignment.fixed):
-        put("fixed:%d" % i, serialize_scalars(values, width))
+        put("fixed:%d" % i, values.astype("<u8").tobytes())
     for i, sel in enumerate(assignment.selectors):
         put("selector:%d" % i, sel.tobytes())
     # the copy list as one (6, len) int64 array: kind, index and row of
@@ -122,9 +120,8 @@ def _entry_checksum(pk: ProvingKey, vk: VerifyingKey) -> str:
         values = pk.fixed_evals[col]
         h.update(repr(col).encode())
         h.update(len(values).to_bytes(8, "little"))
-        # Goldilocks keys hold read-only uint64 arrays: hashed in place
-        h.update(values if isinstance(values, np.ndarray)
-                 else serialize_scalars(values))
+        # read-only uint64 arrays, hashed in place
+        h.update(values)
     return h.hexdigest()
 
 

@@ -13,6 +13,8 @@ class                       raised when
                             format (overflow, non-finite, bad scale)
 ``LayoutError``             a circuit layout is infeasible (too few columns,
                             too many rows); ``LayoutInfeasible`` subclasses it
+``UnsupportedFieldError``   a circuit, domain or verifying key is over a
+                            field other than Goldilocks
 ``ProvingError``            the witness cannot satisfy the circuit, or a
                             prover phase failed permanently
 ``FreivaldsCheckError``     the Freivalds matmul challenge failed — the
@@ -60,6 +62,7 @@ __all__ = [
     "UnknownNameError",
     "QuantizationRangeError",
     "LayoutError",
+    "UnsupportedFieldError",
     "ProvingError",
     "FreivaldsCheckError",
     "CacheCorruptionError",
@@ -160,6 +163,10 @@ class LayoutError(ResilienceError, ValueError):
     """A circuit layout is invalid or infeasible for the given grid."""
 
     default_phase = "layout"
+
+
+class UnsupportedFieldError(ResilienceError, ValueError):
+    """The field is not Goldilocks, the only one the kernels reduce in."""
 
 
 class ProvingError(ResilienceError, ValueError):

@@ -270,13 +270,12 @@ def run_envelope_fuzz(envelope_bytes: bytes,
         if tamper_instance_every and i % tamper_instance_every == \
                 tamper_instance_every - 1:
             tampered, tag = _tamper_instance(
-                pristine.instance, rng, 1 << (8 * pristine.scalar_bytes))
+                pristine.instance, rng, 1 << 64)
             mutant_env = type(pristine)(
                 scheme_name=pristine.scheme_name, model=pristine.model,
                 vk_hash=pristine.vk_hash,
                 config_digest=pristine.config_digest,
-                instance=tampered, proof_bytes=pristine.proof_bytes,
-                scalar_bytes=pristine.scalar_bytes)
+                instance=tampered, proof_bytes=pristine.proof_bytes)
             mutant, what = mutant_env.encode(), "tamper:%s" % tag
         else:
             mutant, what = _mutate_envelope(bytes(envelope_bytes), rng,

@@ -135,7 +135,6 @@ class ProveResult:
                 self.num_cols, self.scale_bits, self.k, self.lookup_bits),
             instance=self.instance,
             proof_bytes=proof_to_bytes(self.proof),
-            scalar_bytes=self.proof.scalar_bytes,
         )
 
     def envelope_bytes(self) -> bytes:

@@ -14,29 +14,25 @@ from hypothesis import strategies as st
 
 from repro.commit import fri
 from repro.commit.transcript import Transcript
-from repro.field import BN254_FR, GOLDILOCKS, EvaluationDomain
-from repro.field.ntt import coset_ntt
+from repro.field import GOLDILOCKS, EvaluationDomain
 
 F = GOLDILOCKS
 
 
-def run_fri(field, k, coeffs, seed=0, tamper=None):
-    """Prove and check the function with extended-coset values
-    ``coset_ntt(coeffs)``; returns the per-query verdicts."""
-    domain = EvaluationDomain(field, k)
+def run_fri(k, coeffs, seed=0, tamper=None):
+    """Prove and check the function with the extended-coset values of
+    ``coeffs``; returns the per-query verdicts."""
+    domain = EvaluationDomain(F, k)
     size = domain.extended_n
-    padded = list(coeffs) + [0] * (size - len(coeffs))
-    values = coset_ntt(field, padded, domain.extended_omega,
-                       domain.coset_shift)
-    width = (field.p.bit_length() + 7) // 8
+    values = domain.coeff_to_extended(coeffs)
 
     def transcript():
-        t = Transcript(field)
+        t = Transcript(F)
         t.append_scalar(b"seed", seed)
         return t
 
     t = transcript()
-    prover = fri.FriProver(domain, width, domain.backend.from_ints(values), t)
+    prover = fri.FriProver(domain, domain.backend.from_ints(values), t)
     positions = fri.draw_positions(domain, t)
     roots, final_poly = prover.roots, list(prover.final_poly)
     openings = [prover.open(s) for s in positions]
@@ -44,7 +40,7 @@ def run_fri(field, k, coeffs, seed=0, tamper=None):
         roots, final_poly, openings = tamper(roots, final_poly, openings)
 
     t = transcript()
-    verifier = fri.FriVerifier(domain, width, roots, final_poly, t)
+    verifier = fri.FriVerifier(domain, roots, final_poly, t)
     replayed = fri.draw_positions(domain, t)
     assert replayed == positions or tamper is not None
     half = size // 2
@@ -58,7 +54,7 @@ def run_fri(field, k, coeffs, seed=0, tamper=None):
 def test_accepts_every_polynomial_below_the_degree_bound(k, seed):
     rng = random.Random(seed)
     coeffs = [rng.randrange(F.p) for _ in range(1 << k)]
-    assert all(run_fri(F, k, coeffs, seed))
+    assert all(run_fri(k, coeffs, seed))
 
 
 @pytest.mark.parametrize("k", [3, 6, 9])
@@ -71,18 +67,11 @@ def test_rejects_degree_n_and_above(k):
     for seed in range(5):
         rng = random.Random(seed)
         full = [rng.randrange(F.p) for _ in range(2 * n)]
-        verdicts = run_fri(F, k, full, seed)
+        verdicts = run_fri(k, full, seed)
         assert not all(verdicts)
         assert sum(verdicts) <= fri.FRI_QUERIES // 2
         just_over = [0] * n + [1]
-        assert not all(run_fri(F, k, just_over, seed))
-
-
-def test_runs_over_bn254_with_the_list_backend():
-    rng = random.Random(7)
-    coeffs = [rng.randrange(BN254_FR.p) for _ in range(64)]
-    assert all(run_fri(BN254_FR, 6, coeffs))
-    assert not all(run_fri(BN254_FR, 6, coeffs + [1]))
+        assert not all(run_fri(k, just_over, seed))
 
 
 class TestTamper:
@@ -93,7 +82,7 @@ class TestTamper:
         return [rng.randrange(F.p) for _ in range(1 << self.K)]
 
     def rejected(self, tamper):
-        return not all(run_fri(F, self.K, self.coeffs(), tamper=tamper))
+        return not all(run_fri(self.K, self.coeffs(), tamper=tamper))
 
     def test_control(self):
         assert not self.rejected(lambda r, f, o: (r, f, o))

@@ -84,10 +84,10 @@ def test_row_trees_open_every_index_and_nothing_else(depth, cols, seed,
     rng = np.random.default_rng(seed)
     leaves = 1 << depth
     mat = rng.integers(0, 2**63, size=(leaves, cols), dtype=np.uint64)
-    tree = MerkleTree.from_rows(mat if as_array else mat.tolist(), 8)
+    tree = MerkleTree.from_rows(mat if as_array else mat.tolist())
     assert tree.depth == depth
     for i in range(leaves):
-        leaf, path = leaf_bytes(mat[i].tolist(), 8), tree.open(i)
+        leaf, path = leaf_bytes(mat[i].tolist()), tree.open(i)
         assert verify_merkle_path(tree.root, i, leaf, path)
         for other in (i - 1, i + 1):
             if 0 <= other < leaves:
@@ -103,19 +103,20 @@ def test_row_trees_open_every_index_and_nothing_else(depth, cols, seed,
 
 def test_array_and_list_rows_hash_identically():
     mat = np.arange(24, dtype=np.uint64).reshape(8, 3)
-    assert (MerkleTree.from_rows(mat, 8).root
-            == MerkleTree.from_rows(mat.tolist(), 8).root)
-    # scalar width is part of the leaf encoding
-    assert (MerkleTree.from_rows(mat.tolist(), 32).root
-            != MerkleTree.from_rows(mat.tolist(), 8).root)
+    assert (MerkleTree.from_rows(mat).root
+            == MerkleTree.from_rows(mat.tolist()).root)
+    # a row's leaf is its leaf_bytes, whichever form it came in
+    tree = MerkleTree.from_rows(mat)
+    assert verify_merkle_path(tree.root, 5, leaf_bytes(mat[5].tolist()),
+                              tree.open(5))
 
 
 def test_tree_hashes_are_counted():
     before = STATS.snapshot()
-    tree = MerkleTree.from_rows(np.ones((16, 2), dtype=np.uint64), 8)
+    tree = MerkleTree.from_rows(np.ones((16, 2), dtype=np.uint64))
     delta = STATS.delta(before)
     assert (delta["merkle_leaf_hashes"], delta["merkle_node_hashes"]) == (16, 15)
     before = STATS.snapshot()
-    verify_merkle_path(tree.root, 3, leaf_bytes([1, 1], 8), tree.open(3))
+    verify_merkle_path(tree.root, 3, leaf_bytes([1, 1]), tree.open(3))
     delta = STATS.delta(before)
     assert (delta["merkle_leaf_hashes"], delta["merkle_node_hashes"]) == (1, 4)

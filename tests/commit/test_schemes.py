@@ -8,11 +8,11 @@ from repro.commit import IPAScheme, KZGScheme, KZGSetup, scheme_by_name
 from repro.commit.scheme import Commitment, draw_opening_point
 from repro.commit.transcript import Transcript
 from repro.field import GOLDILOCKS, EvaluationDomain
-from repro.field.poly import poly_eval
 from repro.halo2 import create_proof, keygen, verify_proof
 from repro.obs.stats import STATS
 
 from tests.halo2.circuits import mul_circuit
+from tests.reference import poly_eval
 
 F = GOLDILOCKS
 

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.field import GOLDILOCKS, EvaluationDomain
-from repro.field.poly import poly_eval
+
+from tests.reference import poly_eval
 
 F = GOLDILOCKS
 
@@ -46,20 +47,27 @@ def test_extended_roundtrip():
     assert d.extended_to_coeff(d.coeff_to_extended(coeffs)) == padded
 
 
+def _extended_point(d, j):
+    return F.mul(d.coset_shift, F.pow(d.extended_omega, j))
+
+
 def test_vanishing_zero_on_domain_nonzero_on_coset():
     d = EvaluationDomain(F, 3)
     for i in range(d.n):
         assert d.vanishing_eval(F.pow(d.omega, i)) == 0
-    for v in d.vanishing_on_extended():
-        assert v != 0
+    for j in range(d.extended_n):
+        assert d.vanishing_eval(_extended_point(d, j)) != 0
 
 
 def test_vanishing_on_extended_matches_pointwise():
+    # Z_H is one scalar per coset part: extended index j = t * ext + r
+    # lies in part r, whose cached inverse must invert Z_H at every point
     d = EvaluationDomain(F, 3, max_degree=4)
-    vals = d.vanishing_on_extended()
-    for i in (0, 1, 7):
-        x = F.mul(d.coset_shift, F.pow(d.extended_omega, i))
-        assert vals[i] == d.vanishing_eval(x)
+    inverses = d.vanishing_part_inverses()
+    assert len(inverses) == d.extension
+    for j in range(d.extended_n):
+        z_h = d.vanishing_eval(_extended_point(d, j))
+        assert F.mul(z_h, inverses[j % d.extension]) == 1
 
 
 def test_rotate():

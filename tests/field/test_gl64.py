@@ -1,4 +1,5 @@
-"""Property tests for the numpy Goldilocks kernels against PrimeField."""
+"""Property tests for the Goldilocks kernels against PrimeField and the
+reference NTT."""
 
 import sys
 import threading
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from repro.field import GOLDILOCKS
 from repro.field import gl64
-from repro.field.ntt import ntt as py_ntt
+
+from tests.reference import ntt as py_ntt
 
 F = GOLDILOCKS
 P = F.p
@@ -21,11 +23,6 @@ EDGES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, P - 2, P - 1]
 
 elements = st.integers(min_value=0, max_value=P - 1)
 vectors = st.lists(elements, min_size=1, max_size=32)
-
-
-def test_is_goldilocks():
-    assert gl64.is_goldilocks(P)
-    assert not gl64.is_goldilocks(2**61 - 1)
 
 
 def test_roundtrip_edges():
@@ -60,14 +57,6 @@ def test_fold_matches_scalar_recurrence(accs, y, vals):
     accs, vals = accs[:n], vals[:n]
     got = gl64.to_ints(gl64.fold(gl64.from_ints(accs), np.uint64(y), gl64.from_ints(vals)))
     assert got == [F.add(F.mul(a, y), v) for a, v in zip(accs, vals)]
-
-
-@given(vectors)
-@settings(max_examples=50, deadline=None)
-def test_serialize_matches_int_to_bytes(xs):
-    vec = gl64.from_ints(xs)
-    expect = b"".join(x.to_bytes(32, "little") for x in xs)
-    assert gl64.serialize_scalars(vec) == expect
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8])
@@ -179,13 +168,6 @@ def test_batch_inv_matches_prime_field():
         gl64.batch_inv(vec)
 
 
-def test_serialize_falls_back_past_64_bits():
-    wide = [1, 2**64, 2**200 + 5]
-    expect = b"".join(x.to_bytes(32, "little") for x in wide)
-    assert gl64.serialize_scalars(wide) == expect
-    assert gl64.serialize_scalars(()) == b""
-
-
 def _ntt_tables(k):
     n = 1 << k
     return gl64.ntt_stages(F.root_of_unity(k), n), gl64.bit_reverse_indices(n)
@@ -208,7 +190,7 @@ def test_ntt_row_blocks_match_one_row_at_a_time(k, rows):
             np.testing.assert_array_equal(
                 got[i], gl64.ntt(mat[i], stages, rev, scale_rev)
             )
-    # and one row against the pure-python transform
+    # and one row against the reference transform
     assert gl64.to_ints(gl64.ntt(mat[0], stages, rev)) == py_ntt(
         F, gl64.to_ints(mat[0]), F.root_of_unity(k)
     )

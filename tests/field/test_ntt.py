@@ -1,4 +1,9 @@
-"""Tests for the NTT and its coset variants."""
+"""The reference NTT (``tests/reference.py``) against naive evaluation.
+
+The Goldilocks kernels are tested against this reference elsewhere
+(``test_gl64.py``, ``test_domain.py``); here the reference itself is held
+to the definition of the transform.
+"""
 
 import random
 
@@ -6,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.field import GOLDILOCKS
-from repro.field.ntt import coset_intt, coset_ntt, intt, ntt
-from repro.field.poly import poly_eval
+from repro.field import GOLDILOCKS, EvaluationDomain
+
+from tests.reference import coset_intt, coset_ntt, intt, ntt, poly_eval
 
 F = GOLDILOCKS
 
@@ -86,8 +91,21 @@ def test_ntt_linearity():
     assert summed == [F.add(x, y) for x, y in zip(fa, fb)]
 
 
+@pytest.mark.parametrize("k", [0, 1, 3, 5])
+def test_domain_coset_intt_matches_reference(k):
+    # the FRI final polynomial's interpolation, on the domain's kernel
+    domain = EvaluationDomain(F, 6)
+    n = 1 << k
+    root = F.root_of_unity(k) if k else 1
+    shift = F.pow(F.generator, 3)
+    evals = [random.randrange(F.p) for _ in range(n)]
+    got = domain.coset_intt(evals, root, shift).tolist()
+    assert got == coset_intt(F, evals, root, shift)
+
+
 def test_bn254_ntt_roundtrip():
-    from repro.field import BN254_FR
+    # the reference is field-generic: it holds over a 254-bit prime too
+    from tests.field.test_prime_field import BN254_FR
 
     k = 5
     n = 1 << k
@@ -97,7 +115,7 @@ def test_bn254_ntt_roundtrip():
 
 
 def test_bn254_coset_roundtrip():
-    from repro.field import BN254_FR
+    from tests.field.test_prime_field import BN254_FR
 
     k = 4
     root = BN254_FR.root_of_unity(k)

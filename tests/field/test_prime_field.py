@@ -4,7 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.field import BN254_FR, GOLDILOCKS, PrimeField, field_by_name
+from repro.field import GOLDILOCKS, PrimeField, require_goldilocks
+from repro.resilience.errors import UnsupportedFieldError
+
+#: The paper's field (BN254's scalar field).  ``PrimeField``'s scalar
+#: operations are modulus-generic, so they are checked on a 254-bit prime
+#: too; the prover itself refuses this field (``require_goldilocks``).
+BN254_FR = PrimeField(
+    name="bn254-fr",
+    p=21888242871839275222246405745257275088548364400416034343698204186575808495617,
+    generator=5,
+    two_adicity=28,
+)
 
 FIELDS = [GOLDILOCKS, BN254_FR]
 
@@ -90,13 +101,10 @@ class TestBatchInv:
 
 
 class TestFieldRegistry:
-    def test_lookup(self):
-        assert field_by_name("goldilocks") is GOLDILOCKS
-        assert field_by_name("bn254-fr") is BN254_FR
-
-    def test_unknown_raises(self):
-        with pytest.raises(KeyError):
-            field_by_name("nope")
+    def test_only_goldilocks_is_accepted(self):
+        require_goldilocks(GOLDILOCKS)
+        with pytest.raises(UnsupportedFieldError, match="Goldilocks"):
+            require_goldilocks(BN254_FR)
 
     def test_bad_two_adicity_rejected(self):
         with pytest.raises(ValueError):

@@ -3,20 +3,22 @@
 The blocked transform is only a legal prover substitution if it is
 *exact* — same canonical Goldilocks values at every index, no
 reassociation drift.  These tests sweep k in {4..14} with seeded random
-inputs and random coset shifts on the numpy gl64 kernels (the list
-backend is radix-2 at every size — it is the oracle), and check the
+inputs and random coset shifts on the numpy gl64 kernels (the radix-2
+kernel and the reference NTT are the oracles), and check the
 ``SIXSTEP_MIN_K`` dispatch threshold routes ``EvaluationDomain``
 transforms through the blocked path.
 """
 
-import importlib
 import random
 
 import numpy as np
 import pytest
 
 from repro.field import GOLDILOCKS, EvaluationDomain, gl64
-from repro.field.ntt import ntt, power_table
+from repro.field import ntt as ntt_module
+from repro.field.ntt import power_table
+
+from tests.reference import ntt
 
 F = GOLDILOCKS
 
@@ -72,8 +74,6 @@ def test_ntt_dispatches_to_sixstep_at_threshold(monkeypatch):
     k = 6
     values = _random_vector(k, seed=42)
     expected = ntt(F, values, F.root_of_unity(k))
-    # repro.field re-exports the ntt *function* under the module's name
-    ntt_module = importlib.import_module("repro.field.ntt")
     monkeypatch.setattr(ntt_module, "SIXSTEP_MIN_K", 4)
     calls = []
     real = gl64.sixstep_ntt

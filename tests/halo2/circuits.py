@@ -3,8 +3,10 @@
 from contextlib import contextmanager
 from unittest import mock
 
-from repro.field import GOLDILOCKS, gl64
+from repro.field import GOLDILOCKS, native
+from repro.gadgets import AddGadget, CircuitBuilder, MulGadget, PointwiseGadget
 from repro.halo2 import Assignment, ConstraintSystem, Ref
+from repro.tensor import Entry
 
 F = GOLDILOCKS
 
@@ -86,21 +88,38 @@ def relu_lookup_circuit(k=5, pairs=((3, 3), (0, 0), (-4, 0))):
     return cs, asg
 
 
+def gadget_circuit():
+    """add -> mul -> relu through the gadget builder (a k=7 circuit with
+    lookups), with the result exposed; returns the builder."""
+    b = CircuitBuilder(k=7, num_cols=8, scale_bits=4, lookup_bits=6)
+    add = b.gadget(AddGadget)
+    mul = b.gadget(MulGadget)
+    relu = b.gadget(PointwiseGadget, fn_name="relu")
+    (s,) = add.assign_row([(Entry(b.fp.encode(0.5)), Entry(b.fp.encode(-1.0)))])
+    (m,) = mul.assign_row([(s, Entry(b.fp.encode(2.0)))])
+    (r,) = relu.assign_row([(m,)])
+    assert r.value == 0  # relu(-1.0) at any scale
+    b.expose([r])
+    b.mock_check()
+    return b
+
+
 @contextmanager
-def list_backend():
-    """Run the enclosed keygen / prove / verify on the exact list backend
-    even over Goldilocks: the byte-identity oracle for the numpy path."""
-    with mock.patch.object(gl64, "is_goldilocks", lambda p: False):
+def numpy_tier():
+    """Run the enclosed keygen / prove / verify on the numpy kernel bodies,
+    as a box without a C compiler does: the byte-identity oracle for the
+    compiled tier."""
+    native.library()  # load first, so leaving the block restores it
+    with mock.patch.object(native, "_handle", None):
         yield
 
 
-def prove_reference(cs, asg, scheme):
-    """Keygen + prove on the list backend; returns ``(vk, proof)``."""
+def prove_on_numpy_tier(cs, asg, scheme):
+    """Keygen + prove on the numpy tier; returns ``(vk, proof)``."""
     from repro.halo2 import create_proof, keygen
 
-    with list_backend():
+    with numpy_tier():
         pk, vk = keygen(cs, asg, scheme)
-        assert not vk.domain.uses_gl64
         return vk, create_proof(pk, asg, scheme)
 
 

@@ -4,11 +4,7 @@ import pytest
 
 from repro.field import GOLDILOCKS
 from repro.halo2 import Column, ColumnType, Constant, Ref
-from repro.halo2.expression import (
-    Challenge,
-    evaluate_from_openings,
-    evaluate_on_domain,
-)
+from repro.halo2.expression import Challenge, evaluate_from_openings
 
 F = GOLDILOCKS
 A = Column(ColumnType.ADVICE, 0)
@@ -62,20 +58,3 @@ def test_evaluate_from_openings():
     openings = {(A, 1): 8, (A, 0): 3}
     assert evaluate_from_openings(expr, F, openings) == 5
 
-
-def test_evaluate_on_domain_matches_pointwise():
-    expr = Ref(A) * Ref(B) + Challenge("c") - Ref(A, 1)
-    a_vals = [1, 2, 3, 4]
-    b_vals = [5, 6, 7, 8]
-
-    def read_vec(col, rot):
-        vals = a_vals if col == A else b_vals
-        return vals[rot:] + vals[:rot]
-
-    out = evaluate_on_domain(expr, F, read_vec, 4, {"c": 100})
-    for i in range(4):
-        def read(col, rot, _i=i):
-            vals = a_vals if col == A else b_vals
-            return vals[(_i + rot) % 4]
-
-        assert out[i] == expr.evaluate(F, read, {"c": 100})

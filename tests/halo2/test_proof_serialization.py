@@ -30,11 +30,11 @@ def proved():
     return scheme, vk, proof, asg.instance_values()
 
 
-def one_row_proof(values, width):
+def one_row_proof(values):
     """A proof object holding nothing but one opened row."""
     row = RowOpening(values=tuple(values), path=(bytes(32),))
-    return Proof(scalar_bytes=width, round_roots=[], evals=[], fri_roots=[],
-                 final_poly=[], queries=[QueryOpening(rows=(row,), folds=())])
+    return Proof(round_roots=[], evals=[], fri_roots=[], final_poly=[],
+                 queries=[QueryOpening(rows=(row,), folds=())])
 
 
 class TestRoundTrip:
@@ -56,22 +56,19 @@ class TestRoundTrip:
         assert proof_to_bytes(proof) == proof_to_bytes(proof)
 
     @pytest.mark.parametrize(
-        "width,values",
-        [(8, (0, 1, 2**32, F.p - 1)), (32, (3, 2**64, 2**255 - 19)), (8, ())],
-        ids=["packed-64-bit", "wide-per-scalar", "empty"],
-    )
-    def test_row_bytes_match_per_scalar_encoding(self, width, values):
+        "values", [(0, 1, 2**32, F.p - 1), ()], ids=["packed-64-bit", "empty"])
+    def test_row_bytes_match_per_scalar_encoding(self, values):
         # scalars travel at the field's width, little-endian, nothing else
-        data = proof_to_bytes(one_row_proof(values, width))
-        scalars = b"".join(v.to_bytes(width, "little") for v in values)
+        data = proof_to_bytes(one_row_proof(values))
+        scalars = b"".join(v.to_bytes(8, "little") for v in values)
         assert data.endswith(scalars + bytes(32))
-        assert data[8] == width
+        assert data[8] == 8
         assert proof_from_bytes(data).queries[0].rows[0].values == values
 
     def test_scalar_that_does_not_fit_is_a_typed_error(self):
         for bad in (2**64, -1):
             with pytest.raises(ProofFormatError, match="does not fit"):
-                proof_to_bytes(one_row_proof((bad,), 8))
+                proof_to_bytes(one_row_proof((bad,)))
 
     def test_ragged_queries_cannot_be_encoded(self, proved):
         _, _, proof, _ = proved
@@ -125,9 +122,10 @@ class TestMalformed:
     def test_unknown_scalar_width(self, proved):
         _, _, proof, _ = proved
         data = bytearray(proof_to_bytes(proof))
-        data[8] = 16
-        with pytest.raises(ProofFormatError, match="scalar width"):
-            proof_from_bytes(bytes(data))
+        for width in (16, 32):
+            data[8] = width
+            with pytest.raises(ProofFormatError, match="scalar width"):
+                proof_from_bytes(bytes(data))
 
     def test_corrupted_payload_fails_verification(self, proved):
         scheme, vk, proof, instance = proved

@@ -1,21 +1,34 @@
 """White-box tests of the prover's helper-column construction.
 
-These check the algebraic invariants the arguments rest on: the lookup
+These check the algebraic invariants the arguments rest on (the lookup
 multiplicity identity, the running sums closing to zero over the full
-domain, and the quotient polynomial having the expected degree bound.
+domain, the quotient polynomial having the expected degree bound) and
+hold each vectorized kernel of the prover to its per-row reference in
+``tests/reference.py``: the coset-part quotient, lookup multiplicities
+and the running sum.
 """
+
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.commit import scheme_by_name
 from repro.commit.scheme import draw_opening_point
 from repro.commit.transcript import Transcript
 from repro.field import GOLDILOCKS
-from repro.halo2 import keygen
+from repro.halo2 import keygen, prover
+from repro.halo2.column import ColumnType
 from repro.halo2.keygen import ALPHA, BETA, GAMMA, QUOTIENT_ROUND, THETA
-from repro.halo2.prover import _prefix_sum_ref, _prefix_sum_vec
+from repro.halo2.prover import (
+    _lookup_multiplicities,
+    _prefix_sum_vec,
+    _quotient_extended_np,
+)
 from repro.halo2.verifier import folded_constraints_at
+from repro.resilience.errors import ProvingError
 
 from tests.halo2.circuits import (
     mul_circuit,
@@ -23,6 +36,7 @@ from tests.halo2.circuits import (
     range_check_circuit,
     relu_lookup_circuit,
 )
+from tests.reference import lookup_multiplicities, prefix_sum
 
 F = GOLDILOCKS
 
@@ -120,7 +134,7 @@ class TestPrefixSumKernel:
             h = self.CASES[case](1 << k, np.random.default_rng([k, seed]))
             got = _prefix_sum_vec(h)
             assert got.dtype == np.uint64 and got[0] == 0
-            assert got.tolist() == _prefix_sum_ref(F, h.tolist())
+            assert got.tolist() == prefix_sum(F, h.tolist())
 
 
 class TestPermutationHelpers:
@@ -178,3 +192,98 @@ class TestQuotient:
         # and the algebra is nontrivial: a circuit with constraints has a
         # nonzero quotient
         assert q != 0
+
+
+class TestLookupMultiplicitiesKernel:
+    """The sorted-search multiplicity count against the per-row loop."""
+
+    # small values collide often; p - 1 is the top residue
+    VALUES = st.sampled_from([0, 1, 2, 3, 5, 8, F.p - 1])
+
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=16),
+           lookups=st.integers(min_value=1, max_value=3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, data, n, lookups):
+        column = st.lists(self.VALUES, min_size=n, max_size=n)
+        table = data.draw(column)
+        inputs = [data.draw(column) for _ in range(lookups)]
+        names = ["lk%d" % i for i in range(lookups)]
+        try:
+            want = lookup_multiplicities(F, names, inputs, table)
+        except ProvingError as exc:
+            with pytest.raises(ProvingError) as got:
+                _lookup_multiplicities(
+                    F, names, [np.array(f, dtype=np.uint64) for f in inputs],
+                    np.array(table, dtype=np.uint64))
+            # the same lookup, at its lowest offending row
+            assert got.value.context == exc.context
+            assert str(got.value) == str(exc)
+            return
+        got = _lookup_multiplicities(
+            F, names, [np.array(f, dtype=np.uint64) for f in inputs],
+            np.array(table, dtype=np.uint64))
+        assert got.dtype == np.uint64 and got.tolist() == want
+
+
+class TestQuotientKernel:
+    """The coset-part quotient against a per-row quotient over the
+    natural-order extended coset, built from the int-list domain API and
+    the scalar vanishing polynomial."""
+
+    CHALLENGES = {THETA: 1234567, BETA: 7654321, GAMMA: 31337, ALPHA: 424242}
+
+    @staticmethod
+    def _base_values(pk, vk, asg):
+        """Base-domain values of every column a constraint reads: the
+        witness where the circuit has one, seeded residues for the helper
+        columns (the identity holds for any contents)."""
+        rng = random.Random(7)
+        values = {}
+        for _, expr in vk.constraints:
+            for col, _rot in expr.refs():
+                if col in values:
+                    continue
+                if col.kind == ColumnType.INSTANCE:
+                    values[col] = asg.instance[col.index].tolist()
+                elif col.kind != ColumnType.ADVICE:
+                    values[col] = pk.fixed_evals[col].tolist()
+                elif col.index < vk.cs.num_advice:
+                    values[col] = asg.advice[col.index].tolist()
+                else:
+                    values[col] = [rng.randrange(F.p) for _ in range(vk.n)]
+        return values
+
+    @pytest.mark.parametrize("stream", [False, True], ids=["all_parts", "stream"])
+    @pytest.mark.parametrize("builder", [mul_circuit, relu_lookup_circuit],
+                             ids=["mul", "relu"])
+    def test_matches_per_row_quotient(self, builder, stream, monkeypatch):
+        if stream:
+            monkeypatch.setattr(prover, "QUOTIENT_STREAM_ELEMS", 0)
+        cs, asg = builder()
+        pk, vk = keygen(cs, asg, scheme_by_name("kzg", F))
+        domain = vk.domain
+        ext_n, extension = domain.extended_n, domain.extension
+        values = self._base_values(pk, vk, asg)
+        extended = {col: domain.coeff_to_extended(domain.lagrange_to_coeff(v))
+                    for col, v in values.items()}
+
+        def committed_lde(col):
+            rows = np.array([values[col]], dtype=np.uint64)
+            return domain.lde(domain.lagrange_to_coeff_rows(rows))[0]
+
+        y = 987654321
+        got = _quotient_extended_np(domain, vk, asg, committed_lde,
+                                    self.CHALLENGES, y)
+
+        want = []
+        for j in range(ext_n):
+            def read(col, rot, j=j):
+                return extended[col][(j + rot * extension) % ext_n]
+
+            folded = 0
+            for _, expr in vk.constraints:
+                folded = F.add(F.mul(folded, y),
+                               expr.evaluate(F, read, self.CHALLENGES))
+            x = F.mul(domain.coset_shift, F.pow(domain.extended_omega, j))
+            want.append(F.mul(folded, F.inv(domain.vanishing_eval(x))))
+        assert got.tolist() == want

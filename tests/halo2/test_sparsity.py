@@ -1,9 +1,10 @@
 """Sparsity-aware synthesis must be a pure optimization: same bytes out.
 
 All-zero advice columns are common in padded model circuits (unused
-helper slots, zero bias rows); the prover skips their interpolation.  The only observable difference
-allowed is ``STATS.sparsity_skips`` — proof bytes must be identical to
-the exact list-backend reference, which has no skip.  The streaming
+helper slots, zero bias rows); the prover skips their interpolation.  The
+only observable difference allowed is ``STATS.sparsity_skips`` — proof
+bytes must be identical to a proof that interpolates every column.  The
+streaming
 quotient path (column sets past ``prover.QUOTIENT_STREAM_ELEMS``) gets
 the same treatment: which side of the threshold a proof lands on may
 never change bytes.
@@ -18,7 +19,7 @@ from repro.field import GOLDILOCKS
 from repro.halo2 import create_proof, keygen, prover, verify_proof
 from repro.obs.stats import STATS
 
-from tests.halo2.circuits import mul_circuit, prove_reference
+from tests.halo2.circuits import mul_circuit
 
 F = GOLDILOCKS
 
@@ -59,13 +60,23 @@ def test_sparsity_skips_are_counted():
     assert STATS.delta(before)["sparsity_skips"] > 0
 
 
-def test_sparse_proof_matches_list_backend_reference():
+def _interpolate_every_row(domain, scheme, rows):
+    """``_interpolate_commit_rows`` without the all-zero skip."""
+    polys = domain.lagrange_to_coeff_rows(rows)
+    return polys, scheme.commit_round(domain, domain.lde(polys))
+
+
+def test_sparse_proof_matches_a_proof_that_skips_nothing(monkeypatch):
     cs, asg = _zero_heavy_circuit()
     scheme = scheme_by_name("kzg", F)
+    pk, _ = keygen(cs, asg, scheme)
+    proof_fast = create_proof(pk, asg, scheme)
 
-    pk_fast, _ = keygen(cs, asg, scheme)
-    proof_fast = create_proof(pk_fast, asg, scheme)
-    _, proof_ref = prove_reference(cs, asg, scheme)
+    monkeypatch.setattr(prover, "_interpolate_commit_rows",
+                        _interpolate_every_row)
+    before = STATS.snapshot()
+    proof_ref = create_proof(pk, asg, scheme)
+    assert STATS.delta(before)["sparsity_skips"] == 0
 
     assert pickle.dumps(proof_fast) == pickle.dumps(proof_ref)
 

@@ -4,8 +4,8 @@ Each test fails if the check it names is removed from the verifier:
 
 - the *tamper matrix*: every kind of object a proof carries, perturbed
   one at a time and re-encoded under a valid envelope checksum, is
-  rejected with a typed error — on dlrm-mini (Goldilocks, numpy backend)
-  and on a BN254 gadget circuit (list backend), through the same code;
+  rejected with a typed error — on dlrm-mini and on a k=7 gadget circuit
+  with lookups, through the same code;
 - the *degree attack*: a committed column that is not a low-degree
   extension is caught by FRI even though every Merkle path is honest;
 - the *wrong-evaluation attack*: a false claimed evaluation, with the
@@ -25,7 +25,7 @@ import pytest
 from repro.commit import scheme_by_name
 from repro.commit.transcript import Transcript
 from repro.envelope import ProofEnvelope, decode_envelope, verify_envelope
-from repro.field import BN254_FR, GOLDILOCKS
+from repro.field import GOLDILOCKS
 from repro.halo2 import create_proof, keygen, prover, verify_proof
 from repro.halo2.keygen import (
     ADVICE_ROUND,
@@ -45,8 +45,7 @@ from repro.resilience.errors import (
 )
 from repro.runtime import prove_model
 
-from tests.halo2.circuits import relu_lookup_circuit
-from tests.halo2.test_bn254 import _gadget_circuit
+from tests.halo2.circuits import gadget_circuit, relu_lookup_circuit
 from tests.halo2.test_lookup_argument import two_table_circuit
 
 F = GOLDILOCKS
@@ -89,19 +88,19 @@ def dlrm():
 
 
 @pytest.fixture(scope="module")
-def bn254():
-    b = _gadget_circuit()
-    scheme = scheme_by_name("kzg", BN254_FR)
+def gadgets():
+    b = gadget_circuit()
+    scheme = scheme_by_name("kzg", F)
     pk, vk = keygen(b.cs, b.asg, scheme)
     proof = create_proof(pk, b.asg, scheme)
     template = ProofEnvelope(
-        scheme_name="kzg", model="bn254-gadgets", vk_hash=vk.digest(),
+        scheme_name="kzg", model="gadgets", vk_hash=vk.digest(),
         config_digest=bytes(16), instance=b.asg.instance_values(),
-        proof_bytes=proof_to_bytes(proof), scalar_bytes=32)
+        proof_bytes=proof_to_bytes(proof))
     return Case(vk, proof, b.asg.instance_values(), scheme, template)
 
 
-@pytest.fixture(params=["dlrm", "bn254"])
+@pytest.fixture(params=["dlrm", "gadgets"])
 def case(request):
     return request.getfixturevalue(request.param)
 

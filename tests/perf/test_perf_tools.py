@@ -101,8 +101,7 @@ def test_pk_cache_digest_sees_one_cell_one_selector_bit_one_copy():
 def test_goldilocks_key_holds_readonly_arrays_the_hit_path_never_converts():
     import numpy as np
 
-    from repro.field import BN254_FR
-    from repro.halo2 import Assignment, ConstraintSystem, Ref, keygen
+    from repro.halo2 import keygen
     from repro.perf.pkcache import _entry_checksum
 
     cs, asg = range_check_circuit()
@@ -119,15 +118,6 @@ def test_goldilocks_key_holds_readonly_arrays_the_hit_path_never_converts():
     stomped[3] ^= np.uint64(1)
     again.fixed_evals[col] = stomped
     assert _entry_checksum(again, vk) != _entry_checksum(pk, vk)
-    # the list backend keeps lists (BN254 residues do not fit a word)
-    cs_bn = ConstraintSystem(BN254_FR)
-    table = cs_bn.fixed_column()
-    cs_bn.add_lookup("range", inputs=[Ref(cs_bn.advice_column())],
-                     table=[Ref(table)])
-    asg_bn = Assignment(cs_bn, 3)
-    asg_bn.assign_fixed(table, 1, BN254_FR.p - 1)
-    pk_bn, _ = keygen(cs_bn, asg_bn, scheme_by_name("kzg", BN254_FR))
-    assert all(isinstance(v, list) for v in pk_bn.fixed_evals.values())
 
 
 def test_pk_cache_lru_eviction():

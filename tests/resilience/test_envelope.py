@@ -214,7 +214,7 @@ def _restamp(body: bytes) -> bytes:
 
 
 class TestSchemaV2:
-    """v2 = succinct proofs + scalars at field width; v1 is refused."""
+    """v2 = succinct proofs + 8-byte scalars; v1 is refused."""
 
     def width_offset(self, envelope):
         return (1 + len(SCHEMA_V2) + 1 + len(envelope.scheme_name)
@@ -229,40 +229,30 @@ class TestSchemaV2:
         exc = _reject(_restamp(bytes(v1)), EnvelopeSchemaError)
         assert "zkml-proof-envelope/v1" in str(exc)
 
-    def test_scalars_travel_at_field_width(self, envelope, encoded):
-        assert envelope.scalar_bytes == 8
-        assert encoded[self.width_offset(envelope)] == 8
-        wide = ProofEnvelope(
-            scheme_name=envelope.scheme_name, model=envelope.model,
-            vk_hash=envelope.vk_hash, config_digest=envelope.config_digest,
-            instance=envelope.instance, proof_bytes=envelope.proof_bytes,
-            scalar_bytes=32)
-        grown = len(wide.encode()) - len(encoded)
-        assert grown == 24 * envelope.num_public_inputs()
-        assert decode_envelope(wide.encode()).instance == [
-            list(col) for col in envelope.instance]
-
     def test_only_known_widths_decode(self, envelope, encoded):
-        for width in (0, 4, 16, 33, 255):
+        assert encoded[self.width_offset(envelope)] == 8
+        for width in (0, 4, 16, 32, 33, 255):
             forged = bytearray(encoded[:-16])
             forged[self.width_offset(envelope)] = width
             _reject(_restamp(bytes(forged)), EnvelopeSchemaError)
 
     def test_counts_are_checked_at_the_declared_width(self, envelope,
                                                       encoded):
-        # claiming 32-byte scalars makes the same counts promise four
-        # times the bytes: the parse runs off its section and is refused
-        # (typed, no arithmetic) whatever the checksum says
-        forged = bytearray(encoded[:-16])
-        forged[self.width_offset(envelope)] = 32
-        _reject(_restamp(bytes(forged)), EnvelopeError)
-        # with nothing behind the column to run into, it is a truncation
+        # a column count promising more 8-byte scalars than the envelope
+        # holds runs off the data and is refused (typed, no arithmetic)
+        # whatever the checksum says
         short = ProofEnvelope(
             scheme_name=envelope.scheme_name, model=envelope.model,
             vk_hash=envelope.vk_hash, config_digest=envelope.config_digest,
             instance=envelope.instance, proof_bytes=b"\x01")
-        forged = bytearray(short.encode()[:-16])
-        forged[self.width_offset(envelope)] = 32
+        data = short.encode()[:-16]
+        # width byte, vk hash, config digest, column count: then column 0's
+        count_at = self.width_offset(envelope) + 1 + 32 + 16 + 4
+        count = int.from_bytes(data[count_at : count_at + 4], "little")
+        # more scalars than the whole envelope (checksum included) holds
+        forged = bytearray(data)
+        forged[count_at : count_at + 4] = (count + len(data) // 8 + 3).to_bytes(
+            4, "little")
         _reject(_restamp(bytes(forged)), EnvelopeTruncatedError)
 
     def test_scalar_that_does_not_fit_cannot_be_encoded(self, envelope):
@@ -273,25 +263,16 @@ class TestSchemaV2:
             instance[0][0] = bad
             with pytest.raises(EnvelopeError, match="does not fit 8 bytes"):
                 dataclasses.replace(envelope, instance=instance).encode()
-        with pytest.raises(EnvelopeError, match="scalar_bytes"):
-            dataclasses.replace(envelope, scalar_bytes=16).encode()
-
-    def test_width_must_match_the_keys_field(self, proven, envelope):
-        import dataclasses
-
-        wide = dataclasses.replace(envelope, scalar_bytes=32)
-        with pytest.raises(VerificationFailure, match="32 bytes wide"):
-            verify_envelope(decode_envelope(wide.encode()), proven.vk)
 
     def test_default_caps_are_sized_for_succinct_proofs(self, envelope,
                                                         encoded):
         # docs/verification.md §Caps: 4 MB of proof is > 10x the largest
         # proof this tree produces; the envelope cap adds the public-input
-        # cap at the widest scalar
+        # cap at 8-byte scalars (2 MB) and rounds up
         assert DEFAULT_CAPS.max_proof_bytes == 4 << 20
-        assert DEFAULT_CAPS.max_envelope_bytes == 16 << 20
+        assert DEFAULT_CAPS.max_envelope_bytes == 8 << 20
         assert (DEFAULT_CAPS.max_proof_bytes
-                + 32 * DEFAULT_CAPS.max_public_inputs
+                + 8 * DEFAULT_CAPS.max_public_inputs
                 <= DEFAULT_CAPS.max_envelope_bytes)
         assert len(envelope.proof_bytes) * 10 < DEFAULT_CAPS.max_proof_bytes
         assert len(encoded) < 300_000  # dlrm-mini, k=9: was 805 KB in v1

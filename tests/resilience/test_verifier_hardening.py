@@ -54,7 +54,7 @@ class TestDeserializerBounds:
         # allocate
         good = proof_to_bytes(proven.proof)
         proof = proven.proof
-        sb = proof.scalar_bytes
+        sb = 8
         offsets = [9]
         offsets.append(offsets[-1] + 4 + 32 * len(proof.round_roots))
         offsets.append(offsets[-1] + 4 + sb * len(proof.evals))

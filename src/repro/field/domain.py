@@ -264,8 +264,8 @@ class EvaluationDomain:
     # because ``w_E^extension == omega`` (both are powers of the same
     # generator).  Part ``r`` of a polynomial's extended evaluations is
     # therefore a *base-size* coset NTT with shift ``shift * w_E^r`` — the
-    # quotient phase streams over parts, never materializing per-column
-    # extended vectors, and Z_H is a scalar on each part.
+    # quotient reads every column as its ``(extension, n)`` part matrix, a
+    # rotation is cyclic within a part, and Z_H is a scalar on each part.
 
     def extended_part_shifts(self) -> List[int]:
         """Coset shifts ``coset_shift * extended_omega^r`` per part."""
@@ -337,8 +337,8 @@ class EvaluationDomain:
         def build():
             base = self._gl64_powers(self.omega, self.n)
             shifts = np.array(self.extended_part_shifts(), dtype=np.uint64)
-            return gl64.mul(np.broadcast_to(base, (self.extension, self.n)),
-                            shifts[:, None]).reshape(-1)
+            # an (ext, 1) column times an (n,) row: one broadcast kernel call
+            return gl64.mul(shifts[:, None], base).reshape(-1)
 
         return self.memo("lde-points", build)
 

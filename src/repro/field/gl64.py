@@ -432,6 +432,97 @@ def batch_inv(values: np.ndarray) -> np.ndarray:
     return out.reshape(-1)[:n]
 
 
+#: Register-tape opcodes (``gl64_native.c``'s ``TAPE_*``); an instruction
+#: is four ``int32`` words, ``(op, dst, a, b)``.
+TAPE_LOAD, TAPE_ADD, TAPE_SUB, TAPE_MUL, TAPE_NEG, TAPE_STORE = range(6)
+
+_TAPE_INTO = {TAPE_ADD: add_into, TAPE_SUB: sub_into, TAPE_MUL: mul_into}
+
+
+def eval_tape(code: np.ndarray, num_regs: int, cols: Sequence[np.ndarray],
+              scalars: np.ndarray, out: np.ndarray, parts: int = 1,
+              scale: np.ndarray = None) -> None:
+    """Run a register tape (:mod:`repro.halo2.tape`) over ``cols`` into ``out``.
+
+    ``code`` is an ``(len, 4)`` ``int32`` array of ``(op, dst, a, b)``:
+    ``LOAD reg slot rot`` reads ``cols[slot]`` at row ``t + rot``;
+    ``ADD``/``SUB``/``MUL reg a b`` and ``NEG reg a`` compute into a
+    register; ``STORE row a`` writes output row ``row``, times
+    ``scale[part]`` when ``scale`` is given.  An operand ``>= 0`` is a
+    register, ``x < 0`` is ``scalars[-1 - x]``.  Each column holds
+    ``parts`` runs of ``n`` values (coset parts; a rotation is cyclic
+    within a part) and ``out`` is ``(outputs, parts * n)`` with part ``r``
+    of row ``t`` at ``t * parts + r``.
+
+    Rows are walked in blocks, every instruction per block, so the
+    registers are ``num_regs`` blocks whatever ``n`` is: one foreign call,
+    or on the numpy tier ``BLOCK``-element blocks through the ``*_into``
+    kernels.
+    """
+    if not out.size or _native_tape(code, num_regs, cols, scalars, out,
+                                    parts, scale):
+        return
+    n = out.shape[1] // parts
+    width = min(n, max(1, BLOCK // parts))
+    mats = [c.reshape(parts, n) for c in cols]
+    dest = out.reshape(len(out), n, parts)
+    # the registers, plus one block for a scaled STORE
+    file = np.empty((num_regs + 1, parts, width), dtype=np.uint64)
+    consts = [np.uint64(s) for s in scalars]
+    scale_col = None if scale is None else np.asarray(scale, np.uint64).reshape(-1, 1)
+    program = code.tolist()
+    for t0 in range(0, n, width):
+        w = min(width, n - t0)
+        regs: List[np.ndarray] = [None] * num_regs
+
+        def operand(x):
+            return regs[x] if x >= 0 else consts[-1 - x]
+
+        for op, dst, a, b in program:
+            if op == TAPE_LOAD:
+                start = (t0 + b) % n
+                if start + w <= n:
+                    regs[dst] = mats[a][:, start : start + w]
+                else:
+                    head = n - start
+                    reg = regs[dst] = file[dst, :, :w]
+                    reg[:, :head] = mats[a][:, start:]
+                    reg[:, head:] = mats[a][:, : w - head]
+            elif op == TAPE_STORE:
+                value = operand(a)
+                if scale_col is not None:
+                    tmp = file[num_regs, :, :w]
+                    mul_into(tmp, np.broadcast_to(value, tmp.shape), scale_col)
+                    value = tmp
+                dest[dst, t0 : t0 + w, :] = np.broadcast_to(value, (parts, w)).T
+            else:
+                reg = file[dst, :, :w]
+                if op == TAPE_NEG:
+                    sub_into(reg, _ZERO, operand(a))
+                else:
+                    _TAPE_INTO[op](reg, operand(a), operand(b))
+                regs[dst] = reg
+
+
+def _native_tape(code, num_regs, cols, scalars, out, parts, scale) -> bool:
+    """:func:`eval_tape` in one foreign call; False means "not run"."""
+    lib = native.library()
+    if (lib is None or not _plain(out) or out.ndim != 2
+            or any(not _plain(c) or c.size != out.shape[1] for c in cols)):
+        return False
+    code = np.ascontiguousarray(code, dtype=np.int32)
+    scalars = np.ascontiguousarray(scalars, dtype=np.uint64)
+    ptrs = np.array([c.ctypes.data for c in cols] or [0], dtype=np.uintp)
+    if scale is not None:
+        scale = np.ascontiguousarray(scale, dtype=np.uint64)
+    if lib.gl_eval_tape(out.ctypes.data, ptrs.ctypes.data, parts,
+                        out.shape[1] // parts, code.ctypes.data, len(code),
+                        num_regs, scalars.ctypes.data,
+                        None if scale is None else scale.ctypes.data):
+        raise MemoryError("gl_eval_tape: no memory for %d registers" % num_regs)
+    return True
+
+
 def poly_eval_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate row ``i`` of ``coeffs`` at ``points[i]``, for all rows at once.
 

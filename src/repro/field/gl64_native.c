@@ -8,9 +8,16 @@
  * Every reduction is branchless: residues are random, so a conditional
  * correction (`if (s < a) s += EPS`) mispredicts half the time and the
  * NTT runs at 2x numpy instead of 7x.
+ *
+ * Besides the elementwise, NTT, inversion and row kernels, gl_eval_tape
+ * (at the end) is the prover's whole constraint evaluator: one call runs a
+ * register program keygen compiled, so a proof crosses into C twice for
+ * its expressions, not once per expression node.
  */
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 typedef uint64_t u64;
 typedef unsigned __int128 u128;
@@ -137,4 +144,92 @@ void gl_poly_eval_rows(u64 *out, const u64 *coeffs, const u64 *points,
                                  coeffs[l * width + j]);
         for (size_t l = 0; l < lanes; l++) out[i + l] = acc[l];
     }
+}
+
+/* The prover's constraint evaluator.  repro/halo2/tape.py compiles the
+ * constraint expressions once, at keygen, into four-word instructions
+ *     LOAD  reg slot rot    reg <- column `slot` at row t + rot (cyclic)
+ *     ADD / SUB / MUL reg a b   reg <- a (op) b
+ *     NEG   reg a           reg <- -a
+ *     STORE row a           out row `row` <- a, times scale[part] if given
+ * where an operand >= 0 names a register and x < 0 is scalars[-1 - x].
+ * Each column holds `parts` runs of n values back to back and rotations are
+ * cyclic within a run (a coset part); output row i holds part r of row t at
+ * i * n * parts + t * parts + r, the extended coset's natural order.  Rows go
+ * TAPE_ROWS at a time through the whole tape, so the register file is
+ * nregs * TAPE_ROWS words at any n; a LOAD that does not wrap points its
+ * register into the column instead of copying.  Returns 0, or -1 when the
+ * register file cannot be allocated. */
+enum { TAPE_LOAD, TAPE_ADD, TAPE_SUB, TAPE_MUL, TAPE_NEG, TAPE_STORE };
+enum { TAPE_ROWS = 512 };
+
+/* one loop per operand shape: vector-vector, vector-scalar, scalar-vector */
+#define TAPE_BINARY(op)                                             \
+    do {                                                            \
+        u64 x = *a, y = *b;                                         \
+        if (as && bs)                                               \
+            for (size_t j = 0; j < len; j++) o[j] = op(a[j], b[j]); \
+        else if (as)                                                \
+            for (size_t j = 0; j < len; j++) o[j] = op(a[j], y);    \
+        else                                                        \
+            for (size_t j = 0; j < len; j++) o[j] = op(x, b[j]);    \
+    } while (0)
+
+int gl_eval_tape(u64 *out, const u64 *const *cols, size_t parts, size_t n,
+                 const int32_t *code, size_t ninstr, size_t nregs,
+                 const u64 *scalars, const u64 *scale) {
+    size_t rows = n < TAPE_ROWS ? n : TAPE_ROWS;
+    u64 *file = malloc((nregs * rows + 1) * sizeof *file);
+    const u64 **reg = malloc((nregs + 1) * sizeof *reg);
+    if (!file || !reg) {
+        free(file);
+        free(reg);
+        return -1;
+    }
+    for (size_t r = 0; r < parts; r++)
+        for (size_t t0 = 0; t0 < n; t0 += rows) {
+            size_t len = n - t0 < rows ? n - t0 : rows;
+            for (const int32_t *ins = code; ins < code + 4 * ninstr; ins += 4) {
+                int op = ins[0];
+                if (op == TAPE_LOAD) {
+                    const u64 *col = cols[ins[2]] + r * n;
+                    size_t start = (t0 + (size_t)ins[3]) % n, head = n - start;
+                    u64 *o = file + (size_t)ins[1] * rows;
+                    if (len <= head) {
+                        reg[ins[1]] = col + start;
+                    } else {
+                        memcpy(o, col + start, head * sizeof *o);
+                        memcpy(o + head, col, (len - head) * sizeof *o);
+                        reg[ins[1]] = o;
+                    }
+                    continue;
+                }
+                /* as / bs: 1 for a register, 0 (a broadcast) for a scalar */
+                size_t as = ins[2] >= 0;
+                const u64 *a = as ? reg[ins[2]] : scalars + (-1 - (ptrdiff_t)ins[2]);
+                if (op == TAPE_STORE) {
+                    u64 *dst = out + (size_t)ins[1] * n * parts + t0 * parts + r;
+                    if (scale)
+                        for (size_t j = 0; j < len; j++)
+                            dst[j * parts] = gl_mul1(a[j * as], scale[r]);
+                    else
+                        for (size_t j = 0; j < len; j++) dst[j * parts] = a[j * as];
+                    continue;
+                }
+                u64 *o = file + (size_t)ins[1] * rows;
+                if (op == TAPE_NEG) {
+                    for (size_t j = 0; j < len; j++) o[j] = gl_sub1(0, a[j * as]);
+                } else {
+                    size_t bs = ins[3] >= 0;
+                    const u64 *b = bs ? reg[ins[3]] : scalars + (-1 - (ptrdiff_t)ins[3]);
+                    if (op == TAPE_ADD) TAPE_BINARY(gl_add1);
+                    else if (op == TAPE_SUB) TAPE_BINARY(gl_sub1);
+                    else TAPE_BINARY(gl_mul1);
+                }
+                reg[ins[1]] = o;
+            }
+        }
+    free(file);
+    free(reg);
+    return 0;
 }

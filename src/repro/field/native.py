@@ -39,6 +39,8 @@ _SIGNATURES = {
     "gl_ntt": (None, [_PTR, _PTR, _OFF, _OFF, _LEN, _LEN, _PTR, _PTR, _PTR, _OFF]),
     "gl_batch_inv": (_OFF, [_PTR, _PTR, _LEN]),
     "gl_weighted_sum": _ROWS, "gl_poly_eval_rows": _ROWS,
+    "gl_eval_tape": (ctypes.c_int,
+                     [_PTR, _PTR, _LEN, _LEN, _PTR, _LEN, _LEN, _PTR, _PTR]),
 }
 
 _UNSET = object()
@@ -152,6 +154,24 @@ def _self_test(lib: ctypes.CDLL) -> None:
     for fn, op in (("gl_mul", int.__mul__), ("gl_add", int.__add__), ("gl_sub", int.__sub__)):
         checks[fn] = (run(fn, n, a, n, 1, b, n, 1, 1, n)[0],
                       [op(x, y) % p for x, y in zip(a, b)])
+    # gl_eval_tape over two columns of two coset parts of 8 rows: every
+    # opcode; m = u * v(+7) reads a wrapping rotation and is a shared
+    # register; the scalars stand in for constant-only subtrees.  Output
+    # rows [s1 - (m + s0) - m, -m], unscaled and scaled per part
+    u, v, scalars, scale = edge * 2, edge[::-1] * 2, [p - 1, 1 << 32], [3, p - 2]
+    tape = [0, 0, 0, 0,  0, 1, 1, 7,  3, 2, 0, 1,  1, 3, 2, -1,  2, 4, -2, 3,
+            2, 5, 4, 2,  5, 0, 5, 0,  4, 6, 2, 0,  5, 1, 6, 0]
+    col_data = [(ctypes.c_uint64 * 16)(*x) for x in (u, v)]
+    cols = (ctypes.c_void_p * 2)(*(ctypes.addressof(x) for x in col_data))
+    m = [u[i] * v[i // 8 * 8 + (i + 7) % 8] % p for i in range(16)]
+    rows = [(scalars[1] - (x + scalars[0]) - x) % p for x in m], [-x % p for x in m]
+    for label, factors in (("", None), (" scaled", scale)):
+        want = [rows[o][r * 8 + t] * (factors[r] if factors else 1) % p
+                for o in range(2) for t in range(8) for r in range(2)]
+        checks["gl_eval_tape" + label] = (
+            run("gl_eval_tape", 32, cols, 2, 8, (ctypes.c_int32 * len(tape))(*tape),
+                9, 7, scalars, factors),
+            (want, 0))
     for what, (got, want) in checks.items():
         if got != want:
             raise _Unavailable("self-test failed: %s" % what)

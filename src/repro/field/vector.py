@@ -1,12 +1,13 @@
 """Columnwise field-vector operations on the Goldilocks kernels.
 
-The prover's hot loops all have the same shape: elementwise field
-arithmetic over whole columns (helper construction, quotient folding).
-:class:`GL64Backend` packages those operations over numpy ``uint64``
-arrays, calling the kernels in :mod:`repro.field.gl64` (compiled where a
-C compiler is available, numpy otherwise; bit-identical either way).
-Vectors returned by the backend must be treated as immutable — they may
-be cached and shared between expression nodes.
+Elementwise field arithmetic over whole columns (the helper running
+sums, FRI folding, the DEEP quotient's combinations).  :class:`GL64Backend`
+packages those operations over numpy ``uint64`` arrays, calling the
+kernels in :mod:`repro.field.gl64` (compiled where a C compiler is
+available, numpy otherwise; bit-identical either way).  Vectors returned
+by the backend must be treated as immutable — they may be shared.
+Constraint expressions do not come through here: the prover runs them as
+a compiled register tape (:mod:`repro.halo2.tape`).
 """
 
 from __future__ import annotations
@@ -43,35 +44,15 @@ class GL64Backend:
     def mul(self, a, b):
         return gl64.mul(a, b)
 
-    def neg(self, a):
-        return gl64.neg(a)
-
     def add_scalar(self, a, s: int):
         return gl64.add(a, s)
 
     def mul_scalar(self, a, s: int):
         return gl64.mul(a, s)
 
-    def scalar_sub(self, s: int, a):
-        return gl64.sub(s, a)
-
     def fold(self, acc, y: int, values):
         """``acc * y + values`` elementwise (constraint folding)."""
         return gl64.fold(acc, y, values)
-
-    def fold_scalar(self, acc, y: int, value: int):
-        return gl64.fold(acc, y, np.uint64(value))
-
-    def rotate(self, vec, shift: int):
-        """Cyclic left rotation by ``shift`` positions.
-
-        Rows rotate along the last axis, so the quotient's ``(ext, n)``
-        coset-part matrices rotate exactly like 1-D columns.
-        """
-        shift %= vec.shape[-1]
-        if shift == 0:
-            return vec
-        return np.roll(vec, -shift, axis=-1)
 
     def batch_inv(self, vec):
         return gl64.batch_inv(vec)

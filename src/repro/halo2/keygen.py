@@ -11,7 +11,9 @@ Keygen fixes everything that does not depend on the witness:
 - the *extended constraint list*: user gates plus the lookup and
   permutation helper constraints, expressed over helper advice columns
   and :class:`~repro.halo2.expression.Challenge` placeholders.  Prover and
-  verifier fold this list in the same order with the challenge ``y``.
+  verifier fold this list in the same order with the challenge ``y``;
+- the prover's two register tapes (:mod:`repro.halo2.tape`): that fold,
+  and phase 2's compressed lookup columns and denominators.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from repro.halo2.expression import (
     expression_digest,
 )
 from repro.halo2.lookup import LookupArgument
+from repro.halo2.tape import INSTANCE, Slot, Tape, compile_fold, compile_stores
 from repro.obs.trace import get_tracer
 
 #: Challenge labels used by the helper arguments.
@@ -185,13 +188,18 @@ class VerifyingKey:
 class ProvingKey:
     """Verifying key plus the fixed data only the prover uses: the fixed
     columns in evaluation and coefficient form (the latter an ``(m, n)``
-    matrix in ``vk.fixed_columns`` order) and the committed fixed round."""
+    matrix in ``vk.fixed_columns`` order), the committed fixed round and
+    the compiled constraint evaluators (:mod:`repro.halo2.tape`)."""
 
     vk: VerifyingKey
     #: base-domain evaluations per fixed column, read-only ``uint64`` arrays
     fixed_evals: Dict[Column, np.ndarray]
     fixed_polys: np.ndarray
     fixed_round: CommittedRound
+    #: every constraint, folded in ``y`` over the extended coset's parts
+    quotient_tape: Tape
+    #: phase 2: the compressed lookup columns, then every denominator
+    helper_tape: Tape
 
 
 def _compress(exprs: Tuple[Expression, ...], theta: Expression) -> Expression:
@@ -200,6 +208,28 @@ def _compress(exprs: Tuple[Expression, ...], theta: Expression) -> Expression:
     for e in reversed(exprs[:-1]):
         acc = acc * theta + e
     return acc
+
+
+def _compile_tapes(vk: VerifyingKey, compressed: List[Expression],
+                   denominators: List[Expression]) -> Tuple[Tape, Tape]:
+    """The quotient tape over the committed rounds, and the helper tape
+    over the base-domain columns: output rows ``compressed`` then
+    ``denominators``, each lookup denominator evaluated right after the
+    compressed column it extends."""
+
+    def slot_of(col: Column) -> Slot:
+        if col.kind == ColumnType.INSTANCE:
+            return (INSTANCE, col.index)
+        return vk.claim_of(col, 0)[:2]
+
+    quotient = compile_fold([expr for _, expr in vk.constraints], vk.n, slot_of)
+    lookup_rows = len(compressed)
+    order = []
+    for row, expr in enumerate(compressed):
+        order += [(row, expr), (lookup_rows + row, denominators[row])]
+    order += [(row, denominators[row - lookup_rows])
+              for row in range(2 * lookup_rows, lookup_rows + len(denominators))]
+    return quotient, compile_stores(order, vk.n, slot_of)
 
 
 def _build_permutation_tags(
@@ -305,6 +335,11 @@ def keygen(
     for lk in cs.lookups:
         by_table.setdefault(lk.table, []).append(lk)
     lookups: List[LookupHelpers] = []
+    # phase 2's vectors: each table's compressed inputs and table column,
+    # and for the one batch inversion every lookup denominator (in that
+    # order) followed by each permuted column's id and sigma denominators
+    compressed: List[Expression] = []
+    denominators: List[Expression] = []
     for table, arguments in by_table.items():
         helpers = LookupHelpers(
             arguments=tuple(arguments),
@@ -317,14 +352,18 @@ def keygen(
         for lk, h_col in zip(arguments, helpers.h_cols):
             h = Ref(h_col)
             f = _compress(lk.inputs, theta)
+            compressed.append(f)
+            denominators.append(alpha + f)
             constraints.append(
-                ("lookup:%s/inverse" % lk.name, h * (alpha + f) - 1)
+                ("lookup:%s/inverse" % lk.name, h * denominators[-1] - 1)
             )
             step = step - h
         name = "table:%d" % len(lookups)
         t = _compress(table, theta)
+        compressed.append(t)
+        denominators.append(alpha + t)
         constraints.append(
-            ("%s/sum" % name, step * (alpha + t) + Ref(helpers.m_col))
+            ("%s/sum" % name, step * denominators[-1] + Ref(helpers.m_col))
         )
         constraints.append(("%s/init" % name, l0 * s))
         lookups.append(helpers)
@@ -360,6 +399,7 @@ def keygen(
             v = Ref(col)
             d_id = gamma + v + beta * Ref(id_col)
             d_sigma = gamma + v + beta * Ref(sigma_col)
+            denominators += [d_id, d_sigma]
             h = Ref(h_col)
             constraints.append(
                 (
@@ -419,6 +459,10 @@ def keygen(
         advice_queries=advice_queries,
         num_helper_advice=next_advice - cs.num_advice,
     )
+    with tracer.span("keygen:tapes", constraints=len(constraints)):
+        quotient_tape, helper_tape = _compile_tapes(
+            vk, compressed, denominators)
     pk = ProvingKey(vk=vk, fixed_evals=fixed_evals, fixed_polys=fixed_polys,
-                    fixed_round=fixed_round)
+                    fixed_round=fixed_round, quotient_tape=quotient_tape,
+                    helper_tape=helper_tape)
     return pk, vk

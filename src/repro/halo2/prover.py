@@ -25,17 +25,21 @@ kernels).  Phase 1 and the helper commits stack columns into
 an ``(m, n)`` ``uint64`` matrix, interpolate with one batched NTT and
 extend with one batched coset NTT per part (the user advice round is the
 assignment's ``uint64`` advice array itself); all-zero columns (found by
-one row scan) skip the interpolation.  Phase 2 stacks
-every lookup and permutation denominator into a single flat
-``gl64.batch_inv`` call and builds lookup multiplicities with sorted
-numpy searches.  Phase 3 evaluates the quotient per *coset part* —
-``extension`` interleaved base-width cosets — *reading* the committed
-columns' extensions from phases 1-2 and the key's fixed round instead of
-transforming them again, so the vanishing division is one scalar per
-part; column sets past ``QUOTIENT_STREAM_ELEMS`` fold one part at a
-time, bounding the evaluator's temporaries.  The compiled and numpy
-kernel tiers produce byte-identical proofs (asserted by the equivalence
-tests, which also hold each vectorized kernel to a per-row reference).
+one row scan) skip the interpolation.  No constraint expression is
+walked here: keygen compiled them into two register tapes
+(:mod:`repro.halo2.tape`), and each phase that evaluates expressions runs
+its tape in one ``gl64.eval_tape`` call.  Phase 2's tape writes every
+compressed lookup column and every lookup and permutation denominator;
+the denominators go through a single flat ``gl64.batch_inv`` call, and
+lookup multiplicities come from sorted numpy searches.  Phase 3's tape
+folds the constraints per *coset part* — ``extension`` interleaved
+base-width cosets — *reading* the committed columns' extensions from
+phases 1-2 and the key's fixed round instead of transforming them again,
+so the vanishing division is one scalar per part.  The tape walks rows
+in fixed blocks, so the evaluator's memory is a register file of a few
+blocks whatever the circuit's size.  The compiled and numpy kernel tiers
+produce byte-identical proofs (asserted by the equivalence tests, which
+also hold each vectorized kernel to a per-row reference).
 
 The prover is serial: one process, one thread per proof.  More cores are
 used by proving more batches at once (``zkml serve --workers N``), never
@@ -46,7 +50,7 @@ breakdown.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -58,8 +62,6 @@ from repro.commit.scheme import (
 from repro.commit.transcript import Transcript
 from repro.field import gl64
 from repro.halo2.circuit import Assignment
-from repro.halo2.column import Column, ColumnType
-from repro.halo2.expression import VectorEvaluator, evaluate_on_lagrange
 from repro.halo2.keygen import (
     ADVICE_ROUND,
     ALPHA,
@@ -72,6 +74,7 @@ from repro.halo2.keygen import (
     ProvingKey,
 )
 from repro.halo2.proof import Proof
+from repro.halo2.tape import INSTANCE, Y
 from repro.obs.stats import STATS
 # leaf-module import: repro.perf's package init pulls in the pk cache,
 # which imports repro.halo2 and would close an import cycle through here
@@ -79,13 +82,6 @@ from repro.perf.timer import NULL_TIMER
 # re-exported for callers that import ProvingError from here; the class
 # now lives in the shared taxonomy and carries phase/layer/row context
 from repro.resilience.errors import ProvingError
-
-#: Elements (referenced columns x extended width) above which the quotient
-#: streams one coset part at a time instead of holding every column's
-#: (extension, n) part matrix at once.  Below it the all-parts batch wins:
-#: the expression evaluator's per-node overhead is paid once, not once per
-#: part (the per-part loop measured 40-60% slower at k=9, 0-8% at k=12).
-QUOTIENT_STREAM_ELEMS = 1 << 25
 
 
 def _interpolate_commit_rows(domain, scheme, rows: np.ndarray):
@@ -182,103 +178,92 @@ def _prefix_sum_vec(h_arr) -> np.ndarray:
     return out
 
 
-def _batched_inverses(denoms: List[np.ndarray]) -> List[np.ndarray]:
-    """One flat ``batch_inv`` over many same-length denominator vectors.
+def _batched_inverses(denoms: np.ndarray) -> List[np.ndarray]:
+    """One flat ``batch_inv`` over the rows of an ``(m, n)`` matrix.
 
     ``gl64.batch_inv`` costs ``2*log2(len)`` full-width passes regardless
     of content, so inverting every helper denominator of the proof in a
-    single concatenated call amortizes the scans that would dominate at
-    column width.  A zero denominator is re-raised per vector so the
-    reported index matches the unbatched path.
+    single call amortizes the scans that would dominate at column width.
+    A zero denominator is re-raised per row so the reported index matches
+    the unbatched path.
     """
-    if not denoms:
+    if not len(denoms):
         return []
-    flat = np.concatenate(denoms)
     try:
-        inv = gl64.batch_inv(flat)
+        inv = gl64.batch_inv(denoms.reshape(-1))
     except ZeroDivisionError:
         return [gl64.batch_inv(d) for d in denoms]
     return list(inv.reshape(len(denoms), -1))
 
 
-# -- coset-part quotient evaluation ------------------------------------------
+# -- the two tape runs ---------------------------------------------------------
 
 
-def _quotient_extended_np(domain, vk, assignment, committed_lde, challenges, y):
-    """The quotient's extended-coset evaluations, one base-width part at a time.
+def _quotient_extended_np(pk, assignment, committed_lde, challenges, y):
+    """The quotient's extended-coset evaluations, in natural order.
 
     Extended index ``j = t * extension + r`` splits the coset into
     ``extension`` interleaved parts; part ``r`` is itself a base-width
     coset with shift ``coset_shift * w_E^r``, and a rotation by
     ``rot * extension`` in the extended domain is a cyclic rotation by
-    ``rot`` *within every part*.  Folding the constraints over the
-    ``(extension, n)`` part matrices therefore reproduces the per-row
-    fold over the natural-order extended domain exactly, and the vanishing division collapses
-    to one scalar multiply per part (``Z_H`` is constant on a part).
+    ``rot`` *within every part*.  So the key's quotient tape, run over
+    every column's ``(extension, n)`` part matrix, reproduces the per-row
+    fold over the extended domain exactly, and the vanishing division
+    collapses to one scalar multiply per part (``Z_H`` is constant on a
+    part), applied as the tape stores its result.
 
-    Nothing committed is transformed here: ``committed_lde(col)`` is the
-    ``(extension, n)`` extension phases 1-2 (or, for fixed columns,
-    keygen) committed; only instance columns (public, never committed)
-    are extended on the spot.  The fast path folds all parts
-    at once; past ``QUOTIENT_STREAM_ELEMS`` the streaming mode folds one
-    part at a time so the evaluator's temporaries stay base-width.
+    Nothing committed is transformed here: ``committed_lde(round, pos)``
+    is the ``(extension, n)`` extension phases 1-2 (or, for the fixed
+    round, keygen) committed; only instance columns (public, never
+    committed) are extended on the spot, all in one batch.
     """
-    backend = domain.backend
-    n = domain.n
-    extension = domain.extension
-    cols = set()
-    for _, expr in vk.constraints:
-        cols |= {col for col, _ in expr.refs()}
-    parts: Dict[Column, np.ndarray] = {}
-    for col in cols:
-        if col.kind == ColumnType.INSTANCE:
-            poly = domain.lagrange_to_coeff_vec(
-                backend.from_ints(assignment.instance[col.index]))
-            parts[col] = domain.lde(poly[None, :])[0]
+    vk = pk.vk
+    domain = vk.domain
+    tape = pk.quotient_tape
+    public = [pos for rnd, pos in tape.slots if rnd == INSTANCE]
+    if public:
+        public_lde = iter(domain.lde(
+            domain.lagrange_to_coeff_rows(assignment.instance[public])))
+    cols = []
+    for rnd, pos in tape.slots:
+        if rnd == INSTANCE:
+            cols.append(next(public_lde))
             continue
-        if col.kind != ColumnType.ADVICE:
+        if rnd == FIXED_ROUND:
             # read from the keygen-time extension, but counted as the
             # logical transform it replaces so the tally stays comparable
             # with the cost model
             STATS.ntt_extended += 1
-        parts[col] = committed_lde(col)
-    inv_parts = domain.vanishing_part_inverses()
-    exprs = [expr for _, expr in vk.constraints]
+        cols.append(committed_lde(rnd, pos))
+    q_ext = np.empty((1, domain.extended_n), dtype=np.uint64)
+    gl64.eval_tape(tape.code, tape.num_regs, cols,
+                   tape.bind(vk.field, {**challenges, Y: y}), q_ext,
+                   parts=domain.extension,
+                   scale=np.array(domain.vanishing_part_inverses(), dtype=np.uint64))
+    return q_ext[0]
 
-    if len(cols) * domain.extended_n > QUOTIENT_STREAM_ELEMS:
-        q_ext = np.empty(domain.extended_n, dtype=np.uint64)
-        for r in range(extension):
-            rotated: Dict[Tuple[Column, int], object] = {}
 
-            def read_vec(col, rot, _r=r, _rotated=rotated):
-                key = (col, rot)
-                vec = _rotated.get(key)
-                if vec is None:
-                    vec = backend.rotate(parts[col][_r], rot)
-                    _rotated[key] = vec
-                return vec
-
-            folded = VectorEvaluator(backend, n, read_vec, challenges).fold(
-                exprs, y
-            )
-            q_ext[r::extension] = gl64.mul(folded, np.uint64(inv_parts[r]))
-        return q_ext
-
-    rotated: Dict[Tuple[Column, int], object] = {}
-
-    def read_vec(col, rot):
-        key = (col, rot)
-        vec = rotated.get(key)
-        if vec is None:
-            vec = backend.rotate(parts[col], rot)
-            rotated[key] = vec
-        return vec
-
-    evaluator = VectorEvaluator(backend, (extension, n), read_vec, challenges)
-    folded = evaluator.fold(exprs, y)
-    q_mat = gl64.mul(folded, np.array(inv_parts, dtype=np.uint64).reshape(-1, 1))
-    # q_mat[r, t] is extended index t*extension + r
-    return np.ascontiguousarray(q_mat.T).reshape(-1)
+def _helper_vectors(pk, assignment, challenges) -> np.ndarray:
+    """Phase 2's vectors over the base domain, one row each: every
+    table's compressed inputs and table column, then every lookup and
+    permutation denominator (see :func:`repro.halo2.keygen.keygen`)."""
+    vk = pk.vk
+    tape = pk.helper_tape
+    advice = assignment.advice
+    cols = []
+    for rnd, pos in tape.slots:
+        if rnd == ADVICE_ROUND:
+            cols.append(advice[pos])
+        elif rnd == INSTANCE:
+            cols.append(assignment.instance[pos])
+        elif rnd == FIXED_ROUND:
+            cols.append(pk.fixed_evals[vk.fixed_columns[pos]])
+        else:
+            raise ProvingError("helper expression reads helper column %d" % pos)
+    out = np.empty((tape.num_outputs, vk.n), dtype=np.uint64)
+    gl64.eval_tape(tape.code, tape.num_regs, cols,
+                   tape.bind(vk.field, challenges), out)
+    return out
 
 
 def create_proof(
@@ -300,7 +285,6 @@ def create_proof(
     field = vk.field
     domain = vk.domain
     n = vk.n
-    cs = vk.cs
     if assignment.k != vk.k:
         raise ProvingError(
             "assignment has k=%d but keys expect k=%d" % (assignment.k, vk.k),
@@ -329,9 +313,7 @@ def create_proof(
 
     # ---- phase 1: user advice commitments ---------------------------------
     with timer.phase("commit"):
-        advice = assignment.advice
-        advice_vecs: Dict[int, object] = dict(enumerate(advice))
-        commit_round(ADVICE_ROUND, b"advice", advice)
+        commit_round(ADVICE_ROUND, b"advice", assignment.advice)
 
     challenges = {
         THETA: transcript.challenge_scalar(b"theta"),
@@ -342,65 +324,22 @@ def create_proof(
 
     # ---- phase 2: helper columns -------------------------------------------
     with timer.phase("helpers"):
-        lagrange_cache: Dict[Column, object] = {}
-
-        def read_lagrange(col: Column):
-            """Base-domain evaluations of a user column, as a backend vector."""
-            cached = lagrange_cache.get(col)
-            if cached is not None:
-                return cached
-            if col.kind == ColumnType.ADVICE:
-                vec = advice_vecs.get(col.index)
-                if vec is None:
-                    raise ProvingError("helper expression reads helper column %r" % col)
-            elif col.kind == ColumnType.INSTANCE:
-                vec = backend.from_ints(assignment.instance[col.index])
-            else:
-                vec = backend.from_ints(pk.fixed_evals[col])
-            lagrange_cache[col] = vec
-            return vec
-
-        def compress_columns(exprs, theta: int):
-            """Columnwise random-linear combination by powers of theta."""
-            parts = [
-                evaluate_on_lagrange(e, backend, read_lagrange, n, challenges)
-                for e in exprs
-            ]
-            acc = parts[-1]
-            for part in reversed(parts[:-1]):
-                acc = backend.fold(acc, theta, part)
-            return acc
-
-        # every lookup and permutation denominator of the proof is
+        # one tape run writes every compressed lookup column and every
+        # lookup and permutation denominator; the denominators are
         # inverted in ONE flat batch_inv call; multiplicities and running
         # sums are vectorized
-        theta, alpha = challenges[THETA], challenges[ALPHA]
-        beta, gamma = challenges[BETA], challenges[GAMMA]
+        vectors = _helper_vectors(pk, assignment, challenges)
+        lookup_rows = sum(len(helpers.arguments) + 1 for helpers in vk.lookups)
+        compressed = iter(vectors[:lookup_rows])
         perm = vk.permutation
-        denoms: List[object] = []
         m_vecs = []
         for helpers in vk.lookups:
             STATS.lookup_passes += len(helpers.arguments)
-            f_vecs = [
-                compress_columns(lk.inputs, theta) for lk in helpers.arguments
-            ]
-            t_vec = compress_columns(helpers.table, theta)
+            f_vecs = [next(compressed) for _ in helpers.arguments]
             m_vecs.append(_lookup_multiplicities(
-                field, [lk.name for lk in helpers.arguments], f_vecs, t_vec
-            ))
-            denoms.extend(backend.add_scalar(f_vec, alpha) for f_vec in f_vecs)
-            denoms.append(backend.add_scalar(t_vec, alpha))
-        if perm is not None:
-            for col, id_col, sigma_col in zip(
-                perm.columns, perm.id_cols, perm.sigma_cols
-            ):
-                v_vec = read_lagrange(col)
-                for tag_col in (id_col, sigma_col):
-                    tags = backend.from_ints(pk.fixed_evals[tag_col])
-                    denoms.append(backend.add_scalar(
-                        backend.add(v_vec, backend.mul_scalar(tags, beta)), gamma
-                    ))
-        invs = iter(_batched_inverses(denoms))
+                field, [lk.name for lk in helpers.arguments], f_vecs,
+                next(compressed)))
+        invs = iter(_batched_inverses(vectors[lookup_rows:]))
 
         helper_evals: Dict[int, object] = {}
         for helpers, m_vec in zip(vk.lookups, m_vecs):
@@ -428,21 +367,10 @@ def create_proof(
 
     y = transcript.challenge_scalar(b"y")
 
-    fixed_pos = {col: i for i, col in enumerate(vk.fixed_columns)}
-
-    def committed_lde(col: Column):
-        """The committed extension of a fixed, selector, advice or helper
-        column, in the domain's LDE layout."""
-        if col.kind != ColumnType.ADVICE:
-            return pk.fixed_round.lde[fixed_pos[col]]
-        if col.index < cs.num_advice:
-            return rounds[ADVICE_ROUND].lde[col.index]
-        return rounds[HELPER_ROUND].lde[col.index - cs.num_advice]
-
     # ---- phase 3: quotient ---------------------------------------------------
     with timer.phase("quotient"):
         q_ext = _quotient_extended_np(
-            domain, vk, assignment, committed_lde, challenges, y
+            pk, assignment, lambda rnd, pos: rounds[rnd].lde[pos], challenges, y
         )
         q_coeffs = domain.extended_to_coeff_vec(q_ext)
         # the pieces never outnumber the extension, so they fit the coset

@@ -197,9 +197,12 @@ def resolve_profile(
 _local_cache: Dict = {}
 
 #: Columns per timed transform or commitment: the prover interpolates and
-#: commits columns in batches (one Merkle tree per round, not per column),
-#: so the per-column cost the model multiplies is the amortized one.
-_BENCH_COLUMNS = 8
+#: commits columns in batches (one Merkle tree per round, not per column;
+#: a zoo mini's helper round holds 30-60), so the per-column cost the
+#: model multiplies is the amortized one.  At 8 the per-leaf hashing cost
+#: priced gpt2-mini's commitments ~2x high (calibration probe drift
+#: 0.3-0.7 at k=10, against 0.1-0.25 at 32).
+_BENCH_COLUMNS = 32
 
 
 def _best_seconds(fn, repeats: int = 3) -> float:

@@ -49,8 +49,9 @@ __all__ = ["CheckpointStore", "proving_config_digest"]
 #: lookup helpers; v3 = one config digest (chained per slot, covers ``k``)
 #: and one ``SynthesizedModel`` shape for every batch size; v4 = succinct
 #: proofs (Merkle rounds in the proving key, the ``ZKMLPRF2`` proof shape);
-#: v5 = the ``Assignment`` as arrays (grids, masks, an int64 copy list).
-SCHEMA = "zkml-checkpoint/v5"
+#: v5 = the ``Assignment`` as arrays (grids, masks, an int64 copy list);
+#: v6 = the proving key carries its compiled quotient and helper tapes.
+SCHEMA = "zkml-checkpoint/v6"
 
 #: Pipeline stages, in order.
 STAGES = ("synthesize", "keygen", "prove")

@@ -328,8 +328,10 @@ def test_a_k12_proof_stays_off_the_numpy_bodies(monkeypatch):
     """A shape the dispatch does not take falls back silently and shows up
     only as a slower benchmark; this makes it a failed test instead."""
     spec = get_model("gpt2", "mini")
-    seen = {"elementwise": 0, "numpy_elementwise": 0, "numpy_ntt_rows": 0}
+    seen = {"elementwise": 0, "numpy_elementwise": 0, "numpy_ntt_rows": 0,
+            "tape": 0, "numpy_tape": 0}
     real_chunks, real_butterfly = gl64._each_chunk, gl64._butterfly
+    real_tape = gl64._native_tape
 
     def counting_chunks(out, operands, nrows):
         seen["numpy_elementwise"] += out.size
@@ -345,14 +347,23 @@ def test_a_k12_proof_stays_off_the_numpy_bodies(monkeypatch):
             return into(out, a, b)
         return run
 
+    def counting_tape(*args):
+        ran = real_tape(*args)
+        seen["tape" if ran else "numpy_tape"] += 1
+        return ran
+
     monkeypatch.setattr(gl64, "_each_chunk", counting_chunks)
     monkeypatch.setattr(gl64, "_butterfly", counting_butterfly)
+    monkeypatch.setattr(gl64, "_native_tape", counting_tape)
     for name in ("mul_into", "add_into", "sub_into"):
         monkeypatch.setattr(gl64, name, counting(getattr(gl64, name)))
     result = prove_model(spec, seeded_inputs(spec, 0), k=12, num_cols=10,
                          scale_bits=5, use_pk_cache=False)
     assert result.k == 12
-    assert seen["elementwise"] > 1_000_000
+    # the constraint tapes (helpers, quotient) run in C, each in one call;
+    # what is left elementwise is the helper sums, FRI and the openings
+    assert (seen["tape"], seen["numpy_tape"]) == (2, 0)
+    assert seen["elementwise"] > 300_000
     assert seen["numpy_ntt_rows"] == 0
     assert seen["numpy_elementwise"] < 0.01 * seen["elementwise"], seen
 
@@ -371,13 +382,21 @@ real_cc = lambda argv: subprocess.call(
 """
 PASS_THROUGH = "sys.exit(real_cc(args))"
 FAILS = "sys.stderr.write('stub-cc: loud failure\\n'); sys.exit(1)"
-WRONG_MUL = """
+#: a cc that compiles the source with one kernel miswritten
+MISCOMPILE = """
 source = open(args[-1]).read()
 tampered = args[args.index("-o") + 1] + ".c"
 with open(tampered, "w") as fh:
-    fh.write(source.replace("GL_EWISE(gl_mul, gl_mul1)", "GL_EWISE(gl_mul, gl_add1)"))
+    fh.write(source.replace(%r, %r))
 sys.exit(real_cc(args[:-1] + [tampered]))
 """
+STUBS = {
+    "cc exits 1": FAILS,
+    "wrong gl_mul": MISCOMPILE % ("GL_EWISE(gl_mul, gl_mul1)",
+                                  "GL_EWISE(gl_mul, gl_add1)"),
+    "wrong gl_eval_tape": MISCOMPILE % ("TAPE_BINARY(gl_sub1)",
+                                        "TAPE_BINARY(gl_add1)"),
+}
 
 
 def install_stub(directory, body):
@@ -419,13 +438,14 @@ def fresh_loader(monkeypatch, tmp_path):
     ("cc exits 1", "build failed: stub-cc: loud failure"),
     ("wrong gl_mul", "self-test failed: gl_mul"),
     ("no compiler", "no C compiler: "),
+    ("wrong gl_eval_tape", "self-test failed: gl_eval_tape"),
 ])
 def test_a_failed_build_ends_on_the_numpy_tier_with_one_event(
         scenario, reason, native_dlrm_envelope, fresh_loader, monkeypatch):
     bin_dir = fresh_loader / "bin"
     bin_dir.mkdir()
     if scenario != "no compiler":
-        install_stub(bin_dir, FAILS if scenario == "cc exits 1" else WRONG_MUL)
+        install_stub(bin_dir, STUBS[scenario])
     monkeypatch.setenv("PATH", str(bin_dir))
     heard = []
     listener = lambda kind, fields: heard.append((kind, fields))  # noqa: E731

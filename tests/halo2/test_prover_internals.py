@@ -19,7 +19,7 @@ from repro.commit import scheme_by_name
 from repro.commit.scheme import draw_opening_point
 from repro.commit.transcript import Transcript
 from repro.field import GOLDILOCKS
-from repro.halo2 import keygen, prover
+from repro.halo2 import keygen
 from repro.halo2.column import ColumnType
 from repro.halo2.keygen import ALPHA, BETA, GAMMA, QUOTIENT_ROUND, THETA
 from repro.halo2.prover import (
@@ -253,12 +253,9 @@ class TestQuotientKernel:
                     values[col] = [rng.randrange(F.p) for _ in range(vk.n)]
         return values
 
-    @pytest.mark.parametrize("stream", [False, True], ids=["all_parts", "stream"])
     @pytest.mark.parametrize("builder", [mul_circuit, relu_lookup_circuit],
                              ids=["mul", "relu"])
-    def test_matches_per_row_quotient(self, builder, stream, monkeypatch):
-        if stream:
-            monkeypatch.setattr(prover, "QUOTIENT_STREAM_ELEMS", 0)
+    def test_matches_per_row_quotient(self, builder):
         cs, asg = builder()
         pk, vk = keygen(cs, asg, scheme_by_name("kzg", F))
         domain = vk.domain
@@ -266,14 +263,15 @@ class TestQuotientKernel:
         values = self._base_values(pk, vk, asg)
         extended = {col: domain.coeff_to_extended(domain.lagrange_to_coeff(v))
                     for col, v in values.items()}
+        column_at = {vk.claim_of(col, 0)[:2]: col for col in values
+                     if col.kind != ColumnType.INSTANCE}
 
-        def committed_lde(col):
-            rows = np.array([values[col]], dtype=np.uint64)
+        def committed_lde(rnd, pos):
+            rows = np.array([values[column_at[rnd, pos]]], dtype=np.uint64)
             return domain.lde(domain.lagrange_to_coeff_rows(rows))[0]
 
         y = 987654321
-        got = _quotient_extended_np(domain, vk, asg, committed_lde,
-                                    self.CHALLENGES, y)
+        got = _quotient_extended_np(pk, asg, committed_lde, self.CHALLENGES, y)
 
         want = []
         for j in range(ext_n):

@@ -3,20 +3,14 @@
 All-zero advice columns are common in padded model circuits (unused
 helper slots, zero bias rows); the prover skips their interpolation.  The
 only observable difference allowed is ``STATS.sparsity_skips`` — proof
-bytes must be identical to a proof that interpolates every column.  The
-streaming
-quotient path (column sets past ``prover.QUOTIENT_STREAM_ELEMS``) gets
-the same treatment: which side of the threshold a proof lands on may
-never change bytes.
+bytes must be identical to a proof that interpolates every column.
 """
 
 import pickle
 
-import pytest
-
 from repro.commit import scheme_by_name
 from repro.field import GOLDILOCKS
-from repro.halo2 import create_proof, keygen, prover, verify_proof
+from repro.halo2 import create_proof, keygen, prover
 from repro.obs.stats import STATS
 
 from tests.halo2.circuits import mul_circuit
@@ -27,15 +21,6 @@ F = GOLDILOCKS
 def _zero_heavy_circuit():
     """A mul circuit whose a and c advice columns are identically zero."""
     return mul_circuit(rows=[(0, 5), (0, 9)])
-
-
-def _prove_bytes():
-    cs, asg = _zero_heavy_circuit()
-    scheme = scheme_by_name("kzg", F)
-    pk, vk = keygen(cs, asg, scheme)
-    proof = create_proof(pk, asg, scheme)
-    assert verify_proof(vk, proof, asg.instance_values(), scheme)
-    return pickle.dumps(proof)
 
 
 def test_all_zero_columns_are_detected():
@@ -79,9 +64,3 @@ def test_sparse_proof_matches_a_proof_that_skips_nothing(monkeypatch):
     assert STATS.delta(before)["sparsity_skips"] == 0
 
     assert pickle.dumps(proof_fast) == pickle.dumps(proof_ref)
-
-
-def test_quotient_stream_mode_does_not_change_bytes(monkeypatch):
-    all_parts = _prove_bytes()
-    monkeypatch.setattr(prover, "QUOTIENT_STREAM_ELEMS", 0)
-    assert _prove_bytes() == all_parts

@@ -1,36 +1,40 @@
 """The vectorized prover paths must match the per-row reference exactly.
 
-Three layers of equivalence:
+Three layers of equivalence, on real circuits' expressions:
 
-- ``evaluate_on_lagrange`` (columnwise helper construction) against a
-  per-row ``Expression.evaluate`` loop;
-- ``VectorEvaluator.fold`` (the quotient fold) against per-row evaluation
-  plus a scalar Horner fold over the extended coset;
+- store mode of the register tape (phase 2's columnwise helper vectors)
+  against a per-row ``Expression.evaluate`` loop;
+- the key's quotient tape (the constraint fold) against per-row
+  evaluation plus a scalar Horner fold over the extended coset;
 - whole proofs: the compiled kernel tier vs the numpy tier must serialize
-  (and pickle) to identical bytes, under keys with identical digests.
+  (and pickle) to identical bytes, under keys with identical digests, and
+  each tier's verifier must accept the other's proof.
 
-The prover's own row-sequential kernels (the coset-part quotient, lookup
-multiplicities, running sums) are held to per-row references in
-``test_prover_internals.py``.  On a box without a C compiler both tiers
-are numpy and the whole-proof comparison is trivial; the golden envelope
-hashes pin the bytes there.
+Random expression DAGs are held to per-row evaluation in
+``test_tape.py``; the prover's other row-sequential kernels (the
+coset-part quotient, lookup multiplicities, running sums) to per-row
+references in ``test_prover_internals.py``.  On a box without a C
+compiler both tiers are numpy and the whole-proof comparison is trivial;
+the golden envelope hashes pin the bytes there.
 """
 
 import pickle
+import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.commit import scheme_by_name
-from repro.field import GOLDILOCKS
+from repro.field import GOLDILOCKS, gl64
 from repro.field.vector import GL64Backend
 from repro.halo2 import create_proof, keygen, proof_to_bytes, verify_proof
 from repro.halo2.column import Column, ColumnType
-from repro.halo2.expression import VectorEvaluator, evaluate_on_lagrange
 from repro.halo2.keygen import ALPHA, BETA, GAMMA, THETA
+from repro.halo2.tape import INSTANCE, Y, compile_stores
 
 from tests.halo2.circuits import (
     mul_circuit,
@@ -67,8 +71,6 @@ def _fill_missing(values, exprs, n):
     inside the prover; the evaluator equivalences hold for *any* column
     contents, so arbitrary residues are fine here.
     """
-    import random
-
     rng = random.Random(0xC0FFEE)
     for expr in exprs:
         for col, _rot in expr.refs():
@@ -87,13 +89,30 @@ def _per_row_reference(expr, values, n, challenges):
 
 
 def _helper_expressions(vk):
-    """Every expression the prover evaluates columnwise in phase 2."""
+    """Every lookup expression the prover evaluates columnwise in phase 2."""
     exprs = []
     for helpers in vk.lookups:
         for lk in helpers.arguments:
             exprs.extend(lk.inputs)
         exprs.extend(helpers.table)
     return exprs
+
+
+def _slot_of(vk):
+    """The key's column -> tape slot map (as keygen compiles its tapes)."""
+
+    def slot_of(col):
+        if col.kind == ColumnType.INSTANCE:
+            return (INSTANCE, col.index)
+        return vk.claim_of(col, 0)[:2]
+
+    return slot_of
+
+
+def _column_of(vk, exprs):
+    """The inverse of :func:`_slot_of` over the columns ``exprs`` read."""
+    slot_of = _slot_of(vk)
+    return {slot_of(col): col for expr in exprs for col, _rot in expr.refs()}
 
 
 CIRCUITS = [
@@ -106,6 +125,7 @@ CIRCUITS = [
 @pytest.mark.parametrize("circuit", CIRCUITS, ids=["mul", "range", "relu"])
 @pytest.mark.parametrize("backend_cls", [GL64Backend])
 def test_evaluate_on_lagrange_matches_per_row(circuit, backend_cls):
+    """Store mode over the base domain: each expression to its own row."""
     cs, asg = circuit
     scheme = scheme_by_name("kzg", F)
     pk, vk = keygen(cs, asg, scheme)
@@ -113,22 +133,21 @@ def test_evaluate_on_lagrange_matches_per_row(circuit, backend_cls):
     values = _column_values(pk, asg)
     exprs = _helper_expressions(vk) or [expr for _, expr in vk.constraints]
     _fill_missing(values, exprs, vk.n)
-    for expr in exprs:
-        got = backend.to_ints(
-            evaluate_on_lagrange(
-                expr,
-                backend,
-                lambda col: backend.from_ints(values[col]),
-                vk.n,
-                CHALLENGES,
-            )
-        )
+
+    tape = compile_stores(list(enumerate(exprs)), vk.n, _slot_of(vk))
+    column_of = _column_of(vk, exprs)
+    cols = [backend.from_ints(values[column_of[slot]]) for slot in tape.slots]
+    out = np.empty((tape.num_outputs, vk.n), dtype=np.uint64)
+    gl64.eval_tape(tape.code, tape.num_regs, cols, tape.bind(F, CHALLENGES), out)
+    for row, expr in enumerate(exprs):
+        got = backend.to_ints(out[row])
         assert got == _per_row_reference(expr, values, vk.n, CHALLENGES)
 
 
 @pytest.mark.parametrize("circuit", CIRCUITS, ids=["mul", "range", "relu"])
 @pytest.mark.parametrize("backend_cls", [GL64Backend])
 def test_quotient_fold_matches_per_row(circuit, backend_cls):
+    """The key's own quotient tape, run over the extended coset's parts."""
     cs, asg = circuit
     scheme = scheme_by_name("kzg", F)
     pk, vk = keygen(cs, asg, scheme)
@@ -136,31 +155,33 @@ def test_quotient_fold_matches_per_row(circuit, backend_cls):
     n, ext_n = vk.n, domain.extended_n
     extension = ext_n // n
     backend = backend_cls(F)
+    constraints = [expr for _, expr in vk.constraints]
 
     # extended-coset evaluations of every referenced column, via the
     # public int-list domain API (independent of the prover's caches)
     base_values = _column_values(pk, asg)
-    _fill_missing(base_values, [expr for _, expr in vk.constraints], n)
+    _fill_missing(base_values, constraints, n)
     extended = {}
-    for _, expr in vk.constraints:
+    for expr in constraints:
         for col, _rot in expr.refs():
             if col not in extended:
                 poly = domain.lagrange_to_coeff(base_values[col])
                 extended[col] = domain.coeff_to_extended(poly)
 
-    def read_vec(col, rot):
-        shift = (rot * extension) % ext_n
-        ext = extended[col]
-        return backend.from_ints(ext[shift:] + ext[:shift])
-
+    # extended index t * extension + r is row t of coset part r
+    tape = pk.quotient_tape
+    column_of = _column_of(vk, constraints)
+    cols = [np.ascontiguousarray(
+                backend.from_ints(extended[column_of[slot]]).reshape(n, extension).T)
+            for slot in tape.slots]
     y = 987654321
-    evaluator = VectorEvaluator(backend, ext_n, read_vec, CHALLENGES)
-    folded = backend.to_ints(
-        evaluator.fold([expr for _, expr in vk.constraints], y)
-    )
+    out = np.empty((1, ext_n), dtype=np.uint64)
+    gl64.eval_tape(tape.code, tape.num_regs, cols,
+                   tape.bind(F, {**CHALLENGES, Y: y}), out, parts=extension)
+    folded = backend.to_ints(out[0])
 
     reference = [0] * ext_n
-    for _, expr in vk.constraints:
+    for expr in constraints:
         for row in range(ext_n):
             def read(col, rot, row=row):
                 return extended[col][(row + rot * extension) % ext_n]

@@ -156,13 +156,20 @@ class TestCorruptionEviction:
         self.check_old_artifact(b"zkml-pk-cache/v1\n", tmp_path, circuit,
                                 scheme, monkeypatch)
 
-    def test_v3_artifact_is_evicted_and_rewritten_as_v4(
+    def test_v3_artifact_is_evicted_and_rewritten(
             self, tmp_path, circuit, scheme, monkeypatch):
         # a v3 key pickles fixed_evals as int lists under the repr()-based
-        # circuit digest; v4 holds read-only uint64 arrays under the
-        # packed-bytes digest
-        assert DISK_MAGIC == b"zkml-pk-cache/v4\n"
+        # circuit digest; from v4 on the key holds read-only uint64 arrays
+        # under the packed-bytes digest
         self.check_old_artifact(b"zkml-pk-cache/v3\n", tmp_path, circuit,
+                                scheme, monkeypatch)
+
+    def test_v4_artifact_is_a_miss_then_a_rebuild(
+            self, tmp_path, circuit, scheme, monkeypatch):
+        # a v4 key has no compiled constraint tapes, which the prover
+        # runs: it is never loaded, only rebuilt and rewritten as v5
+        assert DISK_MAGIC == b"zkml-pk-cache/v5\n"
+        self.check_old_artifact(b"zkml-pk-cache/v4\n", tmp_path, circuit,
                                 scheme, monkeypatch)
 
     def check_old_artifact(self, old_magic, tmp_path, circuit, scheme,

@@ -53,7 +53,7 @@ class TestCheckpointStore:
         store = CheckpointStore(str(tmp_path), "cfg")
         store.save("keygen", [1, 2, 3])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["schema"] == "zkml-checkpoint/v5"
+        assert manifest["schema"] == "zkml-checkpoint/v6"
         assert manifest["config"] == "cfg"
         assert "keygen" in manifest["stages"]
 
@@ -192,7 +192,8 @@ class TestResume:
         # one must not load (v1: a pk with the old constraint list; v2: a
         # config digest without k and the pre-unification circuit shape;
         # v3: a pk without the fixed round and a reveal-the-polynomial
-        # proof; v4: an Assignment of per-cell lists): the run must refuse
+        # proof; v4: an Assignment of per-cell lists; v5: a pk without its
+        # compiled tapes): the run must refuse
         # it with the typed schema error — not the misleading "different
         # configuration" — and never unpickle it
         spec, inputs = mnist_case
@@ -205,7 +206,8 @@ class TestResume:
 
         monkeypatch.setattr(pickle, "loads", no_unpickling)
         for old in ("zkml-checkpoint/v1", "zkml-checkpoint/v2",
-                    "zkml-checkpoint/v3", "zkml-checkpoint/v4"):
+                    "zkml-checkpoint/v3", "zkml-checkpoint/v4",
+                    "zkml-checkpoint/v5"):
             manifest["schema"] = old
             path.write_text(json.dumps(manifest))
             with pytest.raises(CheckpointError, match="schema '%s'" % old):

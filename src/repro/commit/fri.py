@@ -163,17 +163,18 @@ class FriProver:
     def roots(self) -> List[bytes]:
         return [tree.root for _, tree in self.layers]
 
-    def open(self, position: int) -> List[FoldOpening]:
-        """The committed layers' pairs and paths for one query position."""
-        out = []
+    def open(self, positions: Sequence[int]) -> List[List[FoldOpening]]:
+        """The committed layers' pairs and paths, one list per query
+        position."""
+        positions = np.asarray(positions, dtype=np.int64)
+        layers = []
         for values, tree in self.layers:
             mid = len(values) // 2
-            j = position % mid
-            out.append(FoldOpening(
-                pair=(int(values[j]), int(values[j + mid])),
-                path=tuple(tree.open(j)),
-            ))
-        return out
+            j = positions % mid
+            pairs = zip(values[j].tolist(), values[j + mid].tolist())
+            layers.append([FoldOpening(pair=pair, path=path)
+                           for pair, path in zip(pairs, tree.open_many(j))])
+        return [[layer[q] for layer in layers] for q in range(len(positions))]
 
 
 class FriVerifier:

@@ -8,22 +8,33 @@ blake2b's ``person`` parameter, so a leaf can never be replayed as a
 node; scalars are 8-byte little-endian Goldilocks residues
 (:func:`leaf_bytes`), so a row hashes to the same bytes whether the
 prover serialized it from an array or the verifier from opened ints.
+
+A tree is one ``(2 * padded - 1, 32)`` ``uint8`` node array, leaf level
+first and the root last.  With the compiled kernel loaded,
+:meth:`MerkleTree.from_rows` fills it with one ``gl_merkle_tree`` call
+(``field/gl64_native.c``); otherwise, and for byte leaves, the
+``hashlib`` loop here fills the same array.  :func:`verify_merkle_path`
+always uses ``hashlib``, so every verification re-hashes what it opens
+independently of the kernel.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.field import native
 from repro.obs.stats import STATS
 
 DIGEST_BYTES = 32
 
 _LEAF = b"zkml-leaf"
 _NODE = b"zkml-node"
+#: the two as ``gl_merkle_tree`` takes them: blake2b's 16-byte ``person`` field
+_PERSONS = tuple(p.ljust(16, b"\0") for p in (_LEAF, _NODE))
 _blake2b = hashlib.blake2b
 
 
@@ -41,48 +52,78 @@ def leaf_bytes(values: Sequence[int]) -> bytes:
     return struct.pack("<%dQ" % len(values), *values)
 
 
+def _padded(count: int) -> int:
+    """The leaf count rounded up to a power of two; counts the hashes a
+    tree over ``count`` leaves makes, whichever tier builds it."""
+    if not count:
+        raise ValueError("Merkle tree needs at least one leaf")
+    padded = 1 << (count - 1).bit_length()
+    STATS.merkle_leaf_hashes += count + (padded > count)
+    STATS.merkle_node_hashes += padded - 1
+    return padded
+
+
 class MerkleTree:
     """A Merkle tree with authentication paths.
 
     Leaves are arbitrary byte strings; the leaf count is padded to a power
-    of two by repeating a fixed empty-leaf digest.
+    of two by repeating a fixed empty-leaf digest.  ``nodes`` holds every
+    digest, level by level from the leaves up; ``_levels`` are views into it.
     """
 
     def __init__(self, leaves: Sequence[bytes]):
-        if not len(leaves):
-            raise ValueError("Merkle tree needs at least one leaf")
-        self.num_leaves = len(leaves)
+        padded = _padded(len(leaves))
         level = [_hash_leaf(leaf) for leaf in leaves]
-        STATS.merkle_leaf_hashes += len(level)
-        n = 1
-        while n < len(level):
-            n <<= 1
-        if n > len(level):
-            STATS.merkle_leaf_hashes += 1
-            level += [_hash_leaf(b"")] * (n - len(level))
-        self._levels: List[List[bytes]] = [level]
+        level += [_hash_leaf(b"")] * (padded - len(level))
+        digests = level
         while len(level) > 1:
             level = [_hash_node(level[i], level[i + 1])
                      for i in range(0, len(level), 2)]
-            STATS.merkle_node_hashes += len(level)
-            self._levels.append(level)
+            digests += level
+        self._adopt(len(leaves), np.frombuffer(
+            b"".join(digests), dtype=np.uint8).reshape(-1, DIGEST_BYTES))
 
     @classmethod
     def from_rows(cls, rows) -> "MerkleTree":
         """A tree with one leaf per row of an ``(L, w)`` matrix of field
-        elements (an array or nested sequences of ints): the whole matrix
-        is serialized in one pass and sliced per leaf, each leaf the
-        row's :func:`leaf_bytes`."""
+        elements (an array or nested sequences of ints), each leaf the
+        row's :func:`leaf_bytes`: one ``gl_merkle_tree`` call on the
+        compiled tier, the byte-leaf loop over row slices otherwise."""
         rows = np.ascontiguousarray(rows, dtype="<u8")
         if rows.ndim != 2 or not rows.shape[1]:
             raise ValueError("rows need a nonempty (L, w) shape")
         width = 8 * rows.shape[1]
-        buf = memoryview(rows).cast("B")
-        return cls([buf[i : i + width] for i in range(0, len(buf), width)])
+        lib = native.library()
+        if lib is None:
+            buf = memoryview(rows).cast("B")
+            return cls([buf[i : i + width] for i in range(0, len(buf), width)])
+        padded = _padded(len(rows))
+        nodes = np.empty((2 * padded - 1, DIGEST_BYTES), dtype=np.uint8)
+        lib.gl_merkle_tree(nodes.ctypes.data, rows.ctypes.data, len(rows),
+                           width, padded, _PERSONS[0], _PERSONS[1])
+        tree = cls.__new__(cls)
+        tree._adopt(len(rows), nodes)
+        return tree
+
+    def _adopt(self, num_leaves: int, nodes: np.ndarray) -> None:
+        nodes.flags.writeable = False
+        self.num_leaves, self.nodes = num_leaves, nodes
+        padded = (len(nodes) + 1) // 2
+        sizes = [padded >> d for d in range(padded.bit_length())]
+        starts = np.cumsum([0] + sizes[:-1])
+        self._levels = [nodes[s : s + n] for s, n in zip(starts, sizes)]
+        # the sibling of leaf i at depth d is node starts[d] + ((i >> d) ^ 1)
+        self._path_starts, self._path_shifts = starts[:-1], np.arange(len(starts) - 1)
+
+    def __getstate__(self):
+        return {"num_leaves": self.num_leaves, "nodes": self.nodes}
+
+    def __setstate__(self, state):
+        self._adopt(state["num_leaves"], state["nodes"])
 
     @property
     def root(self) -> bytes:
-        return self._levels[-1][0]
+        return self.nodes[-1].tobytes()
 
     @property
     def depth(self) -> int:
@@ -91,14 +132,21 @@ class MerkleTree:
 
     def open(self, index: int) -> List[bytes]:
         """Authentication path (sibling hashes, leaf level first)."""
-        if not 0 <= index < self.num_leaves:
-            raise IndexError("leaf index %d out of range" % index)
-        path = []
-        for level in self._levels[:-1]:
-            path.append(level[index ^ 1])
-            index >>= 1
-        return path
+        return list(self.open_many([index])[0])
 
+    def open_many(self, indices: Sequence[int]) -> List[Tuple[bytes, ...]]:
+        """The authentication paths of many leaves: one gather from the
+        node array over the precomputed level offsets, one unpack."""
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        if indices.size and (indices.min() < 0
+                             or indices.max() >= self.num_leaves):
+            bad = indices[(indices < 0) | (indices >= self.num_leaves)][0]
+            raise IndexError("leaf index %d out of range" % bad)
+        if not self.depth:
+            return [()] * len(indices)
+        rows = self._path_starts + ((indices[:, None] >> self._path_shifts) ^ 1)
+        path = struct.Struct("%ds" % DIGEST_BYTES * self.depth)
+        return list(path.iter_unpack(self.nodes.take(rows, axis=0).tobytes()))
 
 def verify_merkle_path(
     root: bytes, index: int, leaf: bytes, path: Sequence[bytes]

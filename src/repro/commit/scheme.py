@@ -214,15 +214,15 @@ class CommitmentScheme:
         prover = fri.FriProver(domain, domain.lde_natural(g), transcript)
         positions = fri.draw_positions(domain, transcript)
         live = [rnd for rnd in rounds if rnd is not None]
-        opened = [domain.lde_rows(rnd.lde, positions) for rnd in live]
+        opened = [(domain.lde_rows(rnd.lde, positions),
+                   rnd.tree.open_many(positions)) for rnd in live]
+        folds = prover.open(positions)
         queries = [
             QueryOpening(
-                rows=tuple(
-                    RowOpening(values=tuple(rows[q]),
-                               path=tuple(rnd.tree.open(position)))
-                    for rnd, rows in zip(live, opened)),
-                folds=tuple(prover.open(position)))
-            for q, position in enumerate(positions)]
+                rows=tuple(RowOpening(values=tuple(rows[q]), path=paths[q])
+                           for rows, paths in opened),
+                folds=tuple(folds[q]))
+            for q in range(len(positions))]
         return prover.roots, prover.final_poly, queries
 
     def verify_batch(

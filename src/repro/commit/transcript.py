@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
+
 from repro.field.prime_field import PrimeField
 from repro.obs.stats import STATS
 from repro.resilience import faults
@@ -46,10 +48,14 @@ class Transcript:
         from a loop of :meth:`append_scalar`, so the two are not
         interchangeable mid-protocol.
         """
-        payload = len(scalars).to_bytes(8, "little") + b"".join(
-            int(s).to_bytes(32, "little") for s in scalars
-        )
-        self.append_message(label, payload)
+        # one zeroed (len, 4) array of LE words, the scalars in word 0: the
+        # same bytes as a 32-byte ``int.to_bytes`` per scalar, in one pass;
+        # a value outside [0, 2^64) raises OverflowError
+        words = np.zeros((len(scalars), 4), dtype="<u8")
+        words[:, 0] = np.fromiter(map(int, scalars), dtype=np.uint64,
+                                  count=len(scalars))
+        self.append_message(label, len(scalars).to_bytes(8, "little")
+                            + words.tobytes())
 
     def append_commitment(self, label: bytes, digest: bytes) -> None:
         """Absorb a commitment digest."""

@@ -10,9 +10,10 @@
  * NTT runs at 2x numpy instead of 7x.
  *
  * Besides the elementwise, NTT, inversion and row kernels, gl_eval_tape
- * (at the end) is the prover's whole constraint evaluator: one call runs a
- * register program keygen compiled, so a proof crosses into C twice for
- * its expressions, not once per expression node.
+ * is the prover's whole constraint evaluator: one call runs a register
+ * program keygen compiled, so a proof crosses into C twice for its
+ * expressions, not once per expression node.  gl_merkle_tree (at the end)
+ * builds a whole commit round's blake2b Merkle tree in one call.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -232,4 +233,119 @@ int gl_eval_tape(u64 *out, const u64 *const *cols, size_t parts, size_t n,
     free(file);
     free(reg);
     return 0;
+}
+
+/* blake2b-256 (RFC 7693) with a 16-byte `person`, no key, no salt, and the
+ * prover's Merkle trees over it.  Portable C, no SIMD: the object may
+ * outlive the CPU it was built on.  repro/commit/merkle.py hashes the same
+ * trees with hashlib when this object is not loaded, and the verifier always
+ * re-hashes opened paths with hashlib. */
+static const u64 B2B_IV[8] = {
+    0x6A09E667F3BCC908ULL, 0xBB67AE8584CAA73BULL, 0x3C6EF372FE94F82BULL,
+    0xA54FF53A5F1D36F1ULL, 0x510E527FADE682D1ULL, 0x9B05688C2B3E6C1FULL,
+    0x1F83D9ABFB41BD6BULL, 0x5BE0CD19137E2179ULL};
+static const uint8_t B2B_SIGMA[12][16] = {
+    {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+    {14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3},
+    {11, 8, 12, 0, 5, 2, 15, 13, 10, 14, 3, 6, 7, 1, 9, 4},
+    {7, 9, 3, 1, 13, 12, 11, 14, 2, 6, 5, 10, 4, 0, 15, 8},
+    {9, 0, 5, 7, 2, 4, 10, 15, 14, 1, 11, 12, 6, 8, 3, 13},
+    {2, 12, 6, 10, 0, 11, 8, 3, 4, 13, 7, 5, 15, 14, 1, 9},
+    {12, 5, 1, 15, 14, 13, 4, 10, 0, 7, 6, 3, 9, 2, 8, 11},
+    {13, 11, 7, 14, 12, 1, 3, 9, 5, 0, 15, 4, 8, 6, 2, 10},
+    {6, 15, 14, 9, 11, 3, 0, 8, 12, 2, 13, 7, 1, 4, 10, 5},
+    {10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0},
+    {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+    {14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3}};
+
+static inline u64 load64(const uint8_t *p) { /* little-endian on any host */
+    return (u64)p[0] | (u64)p[1] << 8 | (u64)p[2] << 16 | (u64)p[3] << 24 |
+           (u64)p[4] << 32 | (u64)p[5] << 40 | (u64)p[6] << 48 | (u64)p[7] << 56;
+}
+
+static inline u64 rotr64(u64 x, int n) { return (x >> n) | (x << (64 - n)); }
+
+#define B2B_G(a, b, c, d, x, y)                         \
+    do {                                                \
+        v[a] += v[b] + (x); v[d] = rotr64(v[d] ^ v[a], 32); \
+        v[c] += v[d];       v[b] = rotr64(v[b] ^ v[c], 24); \
+        v[a] += v[b] + (y); v[d] = rotr64(v[d] ^ v[a], 16); \
+        v[c] += v[d];       v[b] = rotr64(v[b] ^ v[c], 63); \
+    } while (0)
+#define B2B_ROUND(r)                                                         \
+    do {                                                                     \
+        const uint8_t *s = B2B_SIGMA[r];                                     \
+        B2B_G(0, 4, 8, 12, m[s[0]], m[s[1]]);                                \
+        B2B_G(1, 5, 9, 13, m[s[2]], m[s[3]]);                                \
+        B2B_G(2, 6, 10, 14, m[s[4]], m[s[5]]);                               \
+        B2B_G(3, 7, 11, 15, m[s[6]], m[s[7]]);                               \
+        B2B_G(0, 5, 10, 15, m[s[8]], m[s[9]]);                               \
+        B2B_G(1, 6, 11, 12, m[s[10]], m[s[11]]);                             \
+        B2B_G(2, 7, 8, 13, m[s[12]], m[s[13]]);                              \
+        B2B_G(3, 4, 9, 14, m[s[14]], m[s[15]]);                              \
+    } while (0)
+
+/* the compression F: `t` is the byte count so far (< 2^64 here), `last`
+ * the final-block flag */
+static void b2b_compress(u64 h[8], const uint8_t block[128], u64 t, int last) {
+    u64 m[16], v[16];
+    for (int i = 0; i < 16; i++) m[i] = load64(block + 8 * i);
+    for (int i = 0; i < 8; i++) v[i] = h[i], v[i + 8] = B2B_IV[i];
+    v[12] ^= t;
+    v[14] ^= 0 - (u64)last;
+    B2B_ROUND(0); B2B_ROUND(1); B2B_ROUND(2); B2B_ROUND(3);
+    B2B_ROUND(4); B2B_ROUND(5); B2B_ROUND(6); B2B_ROUND(7);
+    B2B_ROUND(8); B2B_ROUND(9); B2B_ROUND(10); B2B_ROUND(11);
+    for (int i = 0; i < 8; i++) h[i] ^= v[i] ^ v[i + 8];
+}
+
+/* the state after the parameter block: 32-byte digest, no key, `person` */
+static void b2b_init(u64 h[8], const uint8_t person[16]) {
+    for (int i = 0; i < 8; i++) h[i] = B2B_IV[i];
+    h[0] ^= 0x01010000ULL | 32;
+    h[6] ^= load64(person);
+    h[7] ^= load64(person + 8);
+}
+
+/* out <- blake2b-256(data[0:len]) from the initial state h0 */
+static void b2b_hash(uint8_t out[32], const u64 h0[8], const uint8_t *data,
+                     size_t len) {
+    u64 h[8];
+    uint8_t block[128];
+    memcpy(h, h0, sizeof h);
+    size_t done = 0;
+    for (; len - done > 128; done += 128)
+        b2b_compress(h, data + done, done + 128, 0);
+    memset(block, 0, sizeof block);
+    memcpy(block, data + done, len - done);
+    b2b_compress(h, block, len, 1);
+    for (int i = 0; i < 32; i++) out[i] = (uint8_t)(h[i / 8] >> (8 * (i % 8)));
+}
+
+/* A whole Merkle tree into out, a (2 * padded - 1, 32) node array, leaf
+ * level first and the root last: `count` leaves of `leaf_len` bytes back to
+ * back, hashed under leaf_person, then padded - count copies of the empty
+ * leaf's digest, then every level upward, node j of a level the hash under
+ * node_person of its two children (64 contiguous bytes of the level below).
+ * padded is a power of two >= count >= 1. */
+void gl_merkle_tree(uint8_t *out, const uint8_t *leaves, size_t count,
+                    size_t leaf_len, size_t padded, const uint8_t *leaf_person,
+                    const uint8_t *node_person) {
+    u64 leaf0[8], node0[8];
+    b2b_init(leaf0, leaf_person);
+    b2b_init(node0, node_person);
+    for (size_t i = 0; i < count; i++)
+        b2b_hash(out + 32 * i, leaf0, leaves + leaf_len * i, leaf_len);
+    if (padded > count) {
+        b2b_hash(out + 32 * count, leaf0, leaves, 0);
+        for (size_t i = count + 1; i < padded; i++)
+            memcpy(out + 32 * i, out + 32 * count, 32);
+    }
+    const uint8_t *level = out;
+    for (size_t width = padded; width > 1; width >>= 1) {
+        uint8_t *next = (uint8_t *)level + 32 * width;
+        for (size_t j = 0; j < width / 2; j++)
+            b2b_hash(next + 32 * j, node0, level + 64 * j, 64);
+        level = next;
+    }
 }

@@ -41,6 +41,7 @@ _SIGNATURES = {
     "gl_weighted_sum": _ROWS, "gl_poly_eval_rows": _ROWS,
     "gl_eval_tape": (ctypes.c_int,
                      [_PTR, _PTR, _LEN, _LEN, _PTR, _LEN, _LEN, _PTR, _PTR]),
+    "gl_merkle_tree": (None, [_PTR, _PTR, _LEN, _LEN, _LEN, _PTR, _PTR]),
 }
 
 _UNSET = object()
@@ -122,7 +123,8 @@ def _compile(cc: str, path: str) -> None:
 
 def _self_test(lib: ctypes.CDLL) -> None:
     """Every kernel once, over the residues where a wrong carry or fold
-    shows, against Python-int arithmetic."""
+    shows, against Python-int arithmetic; the Merkle tree against
+    ``hashlib``."""
     p = (1 << 64) - (1 << 32) + 1
     edge = [0, 1, p - 1, (1 << 32) - 1, 1 << 32, p - (1 << 32), p - 2, 1 << 63]
     a, b = [x for x in edge for _ in edge], edge * len(edge)
@@ -172,6 +174,23 @@ def _self_test(lib: ctypes.CDLL) -> None:
             run("gl_eval_tape", 32, cols, 2, 8, (ctypes.c_int32 * len(tape))(*tape),
                 9, 7, scalars, factors),
             (want, 0))
+    # gl_merkle_tree: three leaves padded to four, at 8, 128 and 136 bytes
+    # a leaf (one block, one full block, a second block), against hashlib
+    def blake(data, person):
+        return hashlib.blake2b(data, digest_size=32, person=person).digest()
+
+    persons = (b"zkml-leaf", b"zkml-node")
+    for size in (8, 128, 136):
+        leaves = [bytes((i * 7 + j) % 256 for j in range(size)) for i in range(3)]
+        level = [blake(x, persons[0]) for x in leaves + [b""]]
+        want = b"".join(level)
+        while len(level) > 1:
+            level = [blake(a + b, persons[1]) for a, b in zip(level[::2], level[1::2])]
+            want += b"".join(level)
+        out = ctypes.create_string_buffer(len(want))
+        lib.gl_merkle_tree(out, b"".join(leaves), 3, size, 4,
+                           *(x.ljust(16, b"\0") for x in persons))
+        checks["gl_merkle_tree %d" % size] = (out.raw, want)
     for what, (got, want) in checks.items():
         if got != want:
             raise _Unavailable("self-test failed: %s" % what)

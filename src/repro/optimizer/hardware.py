@@ -249,8 +249,13 @@ def benchmark_operations(
         t_msm[k] = _best_seconds(
             lambda: scheme.commit_round(domain, lde)) / _BENCH_COLUMNS
         t_lookup[k] = _best_seconds(lambda: backend.batch_inv(column))
+    # the residual term prices a multiply-add per row of the extended
+    # coset, so time it over one that size: over one base column (2^10
+    # for ks 8-10) the per-call overhead nearly tripled it, and gpt2-mini's
+    # constraint evaluation was priced ~2.5x high
+    coset = backend.from_ints(list(range(1, (1 << (max(ks) + 2)) + 1)))
     t_field = _best_seconds(
-        lambda: backend.fold(column, 1234567, column)) / len(column)
+        lambda: backend.fold(coset, 1234567, coset)) / len(coset)
 
     profile = HardwareProfile(
         name="local-python",

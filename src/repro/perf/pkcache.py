@@ -132,8 +132,9 @@ def _entry_checksum(pk: ProvingKey, vk: VerifyingKey) -> str:
 #: :func:`circuit_digest` does not: v2 = per-table lookup helpers; v3 = the
 #: committed fixed round (LDE + Merkle tree) and its root in the vk; v4 =
 #: ``fixed_evals`` pickled as uint64 arrays, keyed by the packed-bytes digest;
-#: v5 = the key carries its compiled quotient and helper tapes.
-DISK_MAGIC = b"zkml-pk-cache/v5\n"
+#: v5 = the key carries its compiled quotient and helper tapes; v6 = the
+#: fixed round's Merkle tree is one node array.
+DISK_MAGIC = b"zkml-pk-cache/v6\n"
 
 _DISK_CHECKSUM_BYTES = 16
 

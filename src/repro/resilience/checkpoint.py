@@ -50,8 +50,9 @@ __all__ = ["CheckpointStore", "proving_config_digest"]
 #: and one ``SynthesizedModel`` shape for every batch size; v4 = succinct
 #: proofs (Merkle rounds in the proving key, the ``ZKMLPRF2`` proof shape);
 #: v5 = the ``Assignment`` as arrays (grids, masks, an int64 copy list);
-#: v6 = the proving key carries its compiled quotient and helper tapes.
-SCHEMA = "zkml-checkpoint/v6"
+#: v6 = the proving key carries its compiled quotient and helper tapes;
+#: v7 = the key's fixed-round Merkle tree is one node array.
+SCHEMA = "zkml-checkpoint/v7"
 
 #: Pipeline stages, in order.
 STAGES = ("synthesize", "keygen", "prove")

@@ -35,7 +35,7 @@ def run_fri(k, coeffs, seed=0, tamper=None):
     prover = fri.FriProver(domain, domain.backend.from_ints(values), t)
     positions = fri.draw_positions(domain, t)
     roots, final_poly = prover.roots, list(prover.final_poly)
-    openings = [prover.open(s) for s in positions]
+    openings = prover.open(positions)
     if tamper is not None:
         roots, final_poly, openings = tamper(roots, final_poly, openings)
 

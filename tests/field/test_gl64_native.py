@@ -396,6 +396,9 @@ STUBS = {
                                   "GL_EWISE(gl_mul, gl_add1)"),
     "wrong gl_eval_tape": MISCOMPILE % ("TAPE_BINARY(gl_sub1)",
                                         "TAPE_BINARY(gl_add1)"),
+    # blake2b's final-block flag dropped: every digest changes
+    "wrong gl_merkle_tree": MISCOMPILE % ("b2b_compress(h, block, len, 1)",
+                                          "b2b_compress(h, block, len, 0)"),
 }
 
 
@@ -439,6 +442,7 @@ def fresh_loader(monkeypatch, tmp_path):
     ("wrong gl_mul", "self-test failed: gl_mul"),
     ("no compiler", "no C compiler: "),
     ("wrong gl_eval_tape", "self-test failed: gl_eval_tape"),
+    ("wrong gl_merkle_tree", "self-test failed: gl_merkle_tree"),
 ])
 def test_a_failed_build_ends_on_the_numpy_tier_with_one_event(
         scenario, reason, native_dlrm_envelope, fresh_loader, monkeypatch):

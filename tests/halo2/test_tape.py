@@ -15,8 +15,9 @@ Both must equal ``Expression.evaluate`` row by row.  The numpy body also
 runs with a few-element ``BLOCK``, so its row blocks, and a rotated read
 wrapping across a block boundary, are exercised at small ``n``.  The
 last tests hold a gpt2-mini k=12 proof to its budget: one tape call per
-phase, a few hundred foreign calls per proof, and a quotient whose memory
-is its output plus the register file.
+phase, one Merkle-tree call per committed tree, a few hundred foreign
+calls per proof, and a quotient whose memory is its output plus the
+register file.
 """
 
 import collections
@@ -28,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.commit import merkle
 from repro.field import GOLDILOCKS, gl64, native
 from repro.halo2 import prover
 from repro.halo2.column import KINDS, Column, ColumnType
@@ -261,6 +263,37 @@ def test_a_k12_proof_runs_each_tape_in_one_call(gpt2_k12, monkeypatch):
     assert sum(k for (_, name), k in calls.items() if name == "gl_eval_tape") == 2
     # the per-node evaluator the tapes replaced made 1201
     assert sum(calls.values()) <= 400, calls
+
+
+@needs_native
+def test_a_k12_proof_hashes_each_tree_in_one_call(gpt2_k12, monkeypatch):
+    """Every tree a proof commits (its rounds, then its FRI layers) is one
+    ``gl_merkle_tree`` call, and no digest is hashed in Python."""
+    pk, asg, scheme = gpt2_k12
+    lib = native.library()
+    trees, python_hashes = [], []
+
+    class Spy:
+        def __getattr__(self, name):
+            if name == "gl_merkle_tree":
+                trees.append(name)
+            return getattr(lib, name)
+
+    def counted(real):
+        def hash_in_python(*args):
+            python_hashes.append(real.__name__)
+            return real(*args)
+        return hash_in_python
+
+    for name in ("_hash_leaf", "_hash_node"):
+        monkeypatch.setattr(merkle, name, counted(getattr(merkle, name)))
+    monkeypatch.setattr(native, "_handle", Spy())
+    proof = prover.create_proof(pk, asg, scheme)
+    assert python_hashes == []
+    # advice, helpers and quotient, then six fold layers (the fixed round
+    # was committed at keygen)
+    assert (len(proof.round_roots), len(proof.fri_roots)) == (3, 6)
+    assert len(trees) == 9
 
 
 def test_quotient_memory_is_its_output_plus_the_register_file(gpt2_k12,

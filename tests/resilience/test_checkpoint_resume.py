@@ -53,7 +53,7 @@ class TestCheckpointStore:
         store = CheckpointStore(str(tmp_path), "cfg")
         store.save("keygen", [1, 2, 3])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["schema"] == "zkml-checkpoint/v6"
+        assert manifest["schema"] == "zkml-checkpoint/v7"
         assert manifest["config"] == "cfg"
         assert "keygen" in manifest["stages"]
 
@@ -207,7 +207,7 @@ class TestResume:
         monkeypatch.setattr(pickle, "loads", no_unpickling)
         for old in ("zkml-checkpoint/v1", "zkml-checkpoint/v2",
                     "zkml-checkpoint/v3", "zkml-checkpoint/v4",
-                    "zkml-checkpoint/v5"):
+                    "zkml-checkpoint/v5", "zkml-checkpoint/v6"):
             manifest["schema"] = old
             path.write_text(json.dumps(manifest))
             with pytest.raises(CheckpointError, match="schema '%s'" % old):

@@ -8,6 +8,9 @@ object), self-tested against Python-int arithmetic and handed to
 ``field_kernel_fallback`` event says why and :func:`library` is ``None``
 for the life of the process: ``gl64``'s numpy bodies do the work,
 bit-identically.  There is no switch: a compiler is present or it is not.
+The NTT, constraint-tape and Merkle kernels have a scalar build and, on
+x86-64, an eight-lane AVX-512 one; the object picks one per process from
+the CPU it runs on (:func:`lane_width`), and the self-test checks both.
 The object has the trust of the source tree it sits in (like a
 ``__pycache__`` entry); when the package directory is not writable it is
 built in a 0700 ``mkdtemp`` directory that is removed once loaded.
@@ -15,7 +18,9 @@ built in a 0700 ``mkdtemp`` directory that is removed once loaded.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 import hashlib
 import os
 import platform
@@ -68,6 +73,33 @@ def library() -> Optional[ctypes.CDLL]:
     return _handle
 
 
+def lane_width() -> int:
+    """8 when this process runs the eight-lane build of the NTT, tape and
+    Merkle kernels; 1 on the scalar build or the numpy tier."""
+    lib = library()
+    return 1 if lib is None else _lanes(lib).value
+
+
+@contextlib.contextmanager
+def scalar_build():
+    """Run the compiled kernels on their scalar build for the duration (a
+    test hook: the process picks the build it runs from its CPU)."""
+    lib = library()
+    if lib is None:
+        yield
+        return
+    lanes = _lanes(lib)
+    saved, lanes.value = lanes.value, 1
+    try:
+        yield
+    finally:
+        lanes.value = saved
+
+
+def _lanes(lib: ctypes.CDLL) -> ctypes.c_int:
+    return ctypes.c_int.in_dll(lib, "gl_lanes")
+
+
 def _load() -> ctypes.CDLL:
     cc = shutil.which("cc") or "gcc"
     try:
@@ -104,12 +136,14 @@ def _load() -> ctypes.CDLL:
 
 def _compile(cc: str, path: str) -> None:
     """Build to a private temp name, then rename: racing builders each
-    install a whole object.  No ``-march=native``: the object may outlive
-    the CPU it was built on."""
+    install a whole object.  ``-O3`` vectorizes the lane loops (``-O2``
+    leaves them scalar).  No ``-march=native``: the object may outlive the
+    CPU it was built on, so it carries a scalar build and, on x86-64, an
+    eight-lane AVX-512 one, and picks between them when it is loaded."""
     tmp = "%s.tmp.%d.%d" % (path, os.getpid(), threading.get_ident())
     open(tmp, "wb").close()  # an unwritable directory is an OSError, not a cc error
     try:
-        subprocess.run([cc, "-O2", "-shared", "-fPIC", "-o", tmp, _SOURCE],
+        subprocess.run([cc, "-O3", "-shared", "-fPIC", "-o", tmp, _SOURCE],
                        capture_output=True, check=True, timeout=300)
         os.replace(tmp, path)
     except subprocess.SubprocessError as exc:
@@ -122,75 +156,115 @@ def _compile(cc: str, path: str) -> None:
 
 
 def _self_test(lib: ctypes.CDLL) -> None:
-    """Every kernel once, over the residues where a wrong carry or fold
-    shows, against Python-int arithmetic; the Merkle tree against
-    ``hashlib``."""
+    """Every kernel, over the residues where a wrong carry or fold shows,
+    against Python-int arithmetic, and the Merkle trees against
+    ``hashlib``: on the scalar build, then on the eight-lane one where this
+    CPU runs it.  The NTT, tape and tree sizes fill one lane group and
+    leave rows, leaves or nodes over for the scalar path."""
+    lanes = _lanes(lib)
+    chosen, cases = lanes.value, _cases(lib)
+    try:
+        for width in sorted({1, chosen}):
+            lanes.value = width
+            for what, (run, want) in cases.items():
+                if run() != want:
+                    raise _Unavailable("self-test failed: %s%s" % (
+                        what, "" if width == 1 else " (%d-lane build)" % width))
+    finally:
+        lanes.value = chosen
+
+
+def _cases(lib: ctypes.CDLL) -> dict:
+    """kernel -> (a thunk calling it, the answer it must give)"""
     p = (1 << 64) - (1 << 32) + 1
     edge = [0, 1, p - 1, (1 << 32) - 1, 1 << 32, p - (1 << 32), p - 2, 1 << 63]
     a, b = [x for x in edge for _ in edge], edge * len(edge)
     n, xs, nonzero = len(a), edge * 2, edge[1:]
     root = pow(7, (p - 1) // 16, p)
-    rev = (ctypes.c_int64 * 16)(*(int(format(i, "04b")[::-1], 2) for i in range(16)))
+    powers = [pow(root, i, p) for i in range(16)]
+    rev = [int(format(i, "04b")[::-1], 2) for i in range(16)]
     tw = [pow(root, 8 // half * j, p) for half in (1, 2, 4, 8) for j in range(half)]
 
-    def run(fn, size, *args):
-        out = (ctypes.c_uint64 * size)()
-        code = getattr(lib, fn)(out, *(
-            (ctypes.c_uint64 * len(x))(*x) if isinstance(x, list) else x
-            for x in args))
-        return list(out), code
+    def call(fn, size, *args):
+        """a thunk: (fn's size-word out, its return value)"""
+        args = [(ctypes.c_uint64 * len(x))(*x) if isinstance(x, list) else x
+                for x in args]
 
-    checks = {
-        "gl_ntt": (run("gl_ntt", 16, xs, 16, 1, 1, 16, rev, tw, [p - 2], 0)[0],
-                   [sum((p - 2) * x * pow(root, i * j, p) for i, x in enumerate(xs)) % p
-                    for j in range(16)]),
-        "gl_batch_inv": (run("gl_batch_inv", 7, nonzero, 7),
+        def run():
+            out = (ctypes.c_uint64 * size)()
+            code = getattr(lib, fn)(out, *args)
+            return list(out), code
+        return run
+
+    # nine rows of 16 (a lane group and one row over), scaled per index
+    # and unscaled
+    mat = [[(edge[(3 * i + r) % 8] + r) % p for i in range(16)] for r in range(9)]
+    cases = {}
+    for label, scale in (("", edge[::-1] * 2), (" unscaled", None)):
+        cases["gl_ntt" + label] = (
+            call("gl_ntt", 144, sum(mat, []), 16, 1, 9, 16,
+                 (ctypes.c_int64 * 16)(*rev), tw, scale, 1),
+            ([sum(x * (scale[rev[i]] if scale else 1) * powers[i * j % 16]
+                  for i, x in enumerate(row)) % p
+              for row in mat for j in range(16)], None))
+    cases.update({
+        "gl_batch_inv": (call("gl_batch_inv", 7, nonzero, 7),
                          ([pow(x, p - 2, p) for x in nonzero], -1)),
-        "gl_batch_inv zero": (run("gl_batch_inv", 3, [5, 0, 0], 3)[1], 1),
-        "gl_weighted_sum": (run("gl_weighted_sum", 8, xs, [p - 1, 1 << 32], 2, 8)[0],
-                            [((p - 1) * x + (y << 32)) % p for x, y in zip(xs, xs[8:])]),
-        "gl_poly_eval_rows": (run("gl_poly_eval_rows", 5, b[:40], edge[2:7], 5, 8)[0],
-                              [sum(c * pow(x, j, p) for j, c in enumerate(b[8 * i:8 * i + 8])) % p
-                               for i, x in enumerate(edge[2:7])]),
-    }
+        "gl_batch_inv zero": (lambda: call("gl_batch_inv", 3, [5, 0, 0], 3)()[1], 1),
+        "gl_weighted_sum": (call("gl_weighted_sum", 8, xs, [p - 1, 1 << 32], 2, 8),
+                            ([((p - 1) * x + (y << 32)) % p
+                              for x, y in zip(xs, xs[8:])], None)),
+        "gl_poly_eval_rows": (call("gl_poly_eval_rows", 5, b[:40], edge[2:7], 5, 8),
+                              ([sum(c * pow(x, j, p) for j, c in enumerate(b[8 * i:8 * i + 8])) % p
+                                for i, x in enumerate(edge[2:7])], None)),
+    })
     for fn, op in (("gl_mul", int.__mul__), ("gl_add", int.__add__), ("gl_sub", int.__sub__)):
-        checks[fn] = (run(fn, n, a, n, 1, b, n, 1, 1, n)[0],
-                      [op(x, y) % p for x, y in zip(a, b)])
-    # gl_eval_tape over two columns of two coset parts of 8 rows: every
-    # opcode; m = u * v(+7) reads a wrapping rotation and is a shared
-    # register; the scalars stand in for constant-only subtrees.  Output
-    # rows [s1 - (m + s0) - m, -m], unscaled and scaled per part
-    u, v, scalars, scale = edge * 2, edge[::-1] * 2, [p - 1, 1 << 32], [3, p - 2]
+        cases[fn] = (call(fn, n, a, n, 1, b, n, 1, 1, n),
+                     ([op(x, y) % p for x, y in zip(a, b)], None))
+    # gl_eval_tape over two columns of two coset parts of 19 rows (more
+    # than a lane group): every opcode; m = u * v(+7) reads a wrapping
+    # rotation and is a shared register; the scalars stand in for
+    # constant-only subtrees.  Output rows [s1 - (m + s0) - m, -m],
+    # unscaled and scaled per part
+    rows = 19
+    u = [edge[i % 8] for i in range(2 * rows)]
+    v = [edge[(3 * i + 5) % 8] for i in range(2 * rows)]
+    scalars, factors = [p - 1, 1 << 32], [3, p - 2]
     tape = [0, 0, 0, 0,  0, 1, 1, 7,  3, 2, 0, 1,  1, 3, 2, -1,  2, 4, -2, 3,
             2, 5, 4, 2,  5, 0, 5, 0,  4, 6, 2, 0,  5, 1, 6, 0]
-    col_data = [(ctypes.c_uint64 * 16)(*x) for x in (u, v)]
-    cols = (ctypes.c_void_p * 2)(*(ctypes.addressof(x) for x in col_data))
-    m = [u[i] * v[i // 8 * 8 + (i + 7) % 8] % p for i in range(16)]
-    rows = [(scalars[1] - (x + scalars[0]) - x) % p for x in m], [-x % p for x in m]
-    for label, factors in (("", None), (" scaled", scale)):
-        want = [rows[o][r * 8 + t] * (factors[r] if factors else 1) % p
-                for o in range(2) for t in range(8) for r in range(2)]
-        checks["gl_eval_tape" + label] = (
-            run("gl_eval_tape", 32, cols, 2, 8, (ctypes.c_int32 * len(tape))(*tape),
-                9, 7, scalars, factors),
-            (want, 0))
-    # gl_merkle_tree: three leaves padded to four, at 8, 128 and 136 bytes
-    # a leaf (one block, one full block, a second block), against hashlib
+    cols = (ctypes.POINTER(ctypes.c_uint64) * 2)(
+        *((ctypes.c_uint64 * len(x))(*x) for x in (u, v)))  # keeps them alive
+    m = [u[i] * v[i // rows * rows + (i + 7) % rows] % p for i in range(2 * rows)]
+    outs = [(scalars[1] - (x + scalars[0]) - x) % p for x in m], [-x % p for x in m]
+    for label, scale in (("", None), (" scaled", factors)):
+        want = [outs[o][r * rows + t] * (scale[r] if scale else 1) % p
+                for o in range(2) for t in range(rows) for r in range(2)]
+        run = call("gl_eval_tape", 4 * rows, cols, 2, rows,
+                   (ctypes.c_int32 * len(tape))(*tape), 9, 7, scalars, scale)
+        cases["gl_eval_tape" + label] = (run, (want, 0))
+    # gl_merkle_tree: 17 and 24 leaves padded to 32 (lane groups, a leaf
+    # over, padding, levels of 16, 8, 4, 2 and 1 nodes) at 8, 128 and 136
+    # bytes a leaf (one block, one full block, a second block)
+    persons = (b"zkml-leaf", b"zkml-node")
+
     def blake(data, person):
         return hashlib.blake2b(data, digest_size=32, person=person).digest()
 
-    persons = (b"zkml-leaf", b"zkml-node")
-    for size in (8, 128, 136):
-        leaves = [bytes((i * 7 + j) % 256 for j in range(size)) for i in range(3)]
-        level = [blake(x, persons[0]) for x in leaves + [b""]]
-        want = b"".join(level)
-        while len(level) > 1:
-            level = [blake(a + b, persons[1]) for a, b in zip(level[::2], level[1::2])]
-            want += b"".join(level)
-        out = ctypes.create_string_buffer(len(want))
-        lib.gl_merkle_tree(out, b"".join(leaves), 3, size, 4,
+    def tree(leaves, size):
+        out = ctypes.create_string_buffer(32 * 63)
+        lib.gl_merkle_tree(out, leaves, len(leaves) // size, size, 32,
                            *(x.ljust(16, b"\0") for x in persons))
-        checks["gl_merkle_tree %d" % size] = (out.raw, want)
-    for what, (got, want) in checks.items():
-        if got != want:
-            raise _Unavailable("self-test failed: %s" % what)
+        return out.raw
+
+    for count in (17, 24):
+        for size in (8, 128, 136):
+            leaves = [bytes((i * 7 + j) % 256 for j in range(size)) for i in range(count)]
+            level = [blake(x, persons[0]) for x in leaves]
+            level += [blake(b"", persons[0])] * (32 - count)
+            want = b"".join(level)
+            while len(level) > 1:
+                level = [blake(x + y, persons[1]) for x, y in zip(level[::2], level[1::2])]
+                want += b"".join(level)
+            cases["gl_merkle_tree %dx%d" % (count, size)] = (
+                functools.partial(tree, b"".join(leaves), size), want)
+    return cases

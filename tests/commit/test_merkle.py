@@ -53,7 +53,7 @@ def test_leaf_node_domain_separation():
     # A single leaf equal to the concatenation of two hashes must not
     # collide with the two-leaf tree (second-preimage resistance shape).
     t2 = MerkleTree([b"a", b"b"])
-    forged = MerkleTree([t2._levels[0][0] + t2._levels[0][1]])
+    forged = MerkleTree([t2._levels[0][0].tobytes() + t2._levels[0][1].tobytes()])
     assert forged.root != t2.root
 
 

@@ -290,6 +290,27 @@ def test_batch_inv_zero_raises_the_same_message(n, where):
 
 
 @needs_native
+@pytest.mark.parametrize("n", [8, 43, 600])
+def test_batch_inv_finds_the_first_zero_in_every_chain(n):
+    """The kernel runs eight chains over eight contiguous segments (the last
+    one through the tail): a zero in any of them is reported at its index,
+    and the output buffer is left untouched."""
+    lib = native.library()
+    seg = n // 8
+    starts = [c * seg for c in range(8)] + ([8 * seg] if n % 8 else [])
+    for start in starts:
+        where = start + (seg - 1) // 2 if start < 8 * seg else n - 1
+        values = np.arange(1, n + 1, dtype=np.uint64)
+        values[where] = 0
+        values[n - 1] = 0  # a later zero never wins
+        out = np.full(n, 7, dtype=np.uint64)
+        assert lib.gl_batch_inv(out.ctypes.data, values.ctypes.data, n) == where
+        assert (out == 7).all()
+        with pytest.raises(ZeroDivisionError, match="at index %d$" % where):
+            gl64.batch_inv(values)
+
+
+@needs_native
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_weighted_sum_and_poly_eval_rows_match_the_numpy_bodies(data):
@@ -399,6 +420,10 @@ STUBS = {
     # blake2b's final-block flag dropped: every digest changes
     "wrong gl_merkle_tree": MISCOMPILE % ("b2b_compress(h, block, len, 1)",
                                           "b2b_compress(h, block, len, 0)"),
+    # a lane carry dropped from the multiply only the eight-lane build
+    # runs: the scalar build is right, the self-test's second pass is not
+    "wrong lane multiply": MISCOMPILE % ("u64 hi = a1 * b1 + (t >> 32) + (u >> 32);",
+                                         "u64 hi = a1 * b1 + (u >> 32);"),
 }
 
 
@@ -443,6 +468,9 @@ def fresh_loader(monkeypatch, tmp_path):
     ("no compiler", "no C compiler: "),
     ("wrong gl_eval_tape", "self-test failed: gl_eval_tape"),
     ("wrong gl_merkle_tree", "self-test failed: gl_merkle_tree"),
+    pytest.param("wrong lane multiply", "self-test failed: gl_ntt (8-lane build)",
+                 marks=pytest.mark.skipif(native.lane_width() != 8,
+                                          reason="this CPU has no eight-lane build")),
 ])
 def test_a_failed_build_ends_on_the_numpy_tier_with_one_event(
         scenario, reason, native_dlrm_envelope, fresh_loader, monkeypatch):

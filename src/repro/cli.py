@@ -34,9 +34,6 @@ Subcommands:
   forwarded verbatim (its README documents them) and, after a suite
   run, writes ``BENCH_prover.json`` / ``BENCH_serve.json`` /
   ``BENCH_verify.json`` as views of the result file.
-- ``zkml chaos``                        — run the fault-injection matrix
-  (every site must recover or surface a typed error) and, with
-  ``--fuzz N``, the proof-mutation fuzz loop.
 - ``zkml transpile --flat FILE``        — import a tflite-like flat JSON
   model and report its circuit statistics.
 - ``zkml serve``                        — run the batch-aware proving
@@ -82,14 +79,14 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import Tracer, use_tracer
 from repro.optimizer import resolve_profile
-from repro.resilience import events, faults
+from repro.resilience import events
 from repro.resilience.errors import (
     ProofFormatError,
     ResilienceError,
     UnknownVerifyingKeyError,
     VerificationFailure,
 )
-from repro.runtime import estimate_model, prove_model, verify_model_proof
+from repro.runtime import estimate_model, prove_model
 
 log = obs_log.get_logger("cli")
 
@@ -223,8 +220,7 @@ def _cmd_prove(args) -> int:
     inputs = seeded_inputs(spec, args.seed)
     result = prove_model(spec, inputs, scheme_name=args.backend,
                          num_cols=args.columns, scale_bits=args.scale_bits,
-                         metrics=args.obs_registry,
-                         checkpoint_dir=args.checkpoint, resume=args.resume)
+                         metrics=args.obs_registry)
     verify_seconds = result.verification_seconds()
     log.info("model:        %s", result.spec_name)
     log.info("backend:      %s", result.scheme_name)
@@ -654,111 +650,6 @@ def _cmd_verify_serve(args) -> int:
     return 0
 
 
-def _chaos_site(site, spec, inputs, args, baseline_bytes):
-    """Run one fault site; returns ``(ok, outcome_text)``.
-
-    A site passes when its fault actually fired and the run either
-    recovered with a byte-identical, verifying proof or surfaced a typed
-    :class:`ResilienceError`.  Anything else — an untyped escape, a
-    diverged proof, or a fault that never triggered — fails the matrix.
-    """
-    import tempfile
-
-    from repro.perf.pkcache import GLOBAL_PK_CACHE
-
-    extra = {}
-    if site == "freivalds":
-        extra["plan"] = LayoutChoices(linear="freivalds")
-    if site == "disk_write":
-        # the disk_write site only fires inside checkpoint stage writes
-        extra["checkpoint_dir"] = tempfile.mkdtemp(prefix="zkml-chaos-")
-    # cache_read fires on a pk-cache hit, so keep the baseline's entry
-    # warm for it; every other site proves from a cold cache
-    if site != "cache_read":
-        GLOBAL_PK_CACHE.clear()
-    events.reset()
-    with faults.use_faults("%s:1" % site) as plan:
-        try:
-            result = prove_model(spec, inputs, scheme_name=args.backend,
-                                 num_cols=args.columns,
-                                 scale_bits=args.scale_bits, **extra)
-        except ResilienceError as exc:
-            if not plan.report().get(site, {}).get("fired"):
-                return False, "fault never fired (raised %s anyway)" \
-                    % type(exc).__name__
-            return True, "surfaced typed %s" % type(exc).__name__
-        except Exception as exc:  # noqa: BLE001 — the chaos matrix hunts untyped escapes
-            return False, "ESCAPED %s: %s" % (type(exc).__name__,
-                                              str(exc)[:100])
-    if not plan.report().get(site, {}).get("fired"):
-        return False, "fault never fired"
-    if proof_to_bytes(result.proof) != baseline_bytes:
-        return False, "recovered but proof bytes diverged"
-    try:
-        verify_model_proof(result.vk, result.proof, result.instance,
-                           result.scheme_name)
-    except ResilienceError as exc:
-        return False, "recovered proof rejected: %s" % type(exc).__name__
-    labeled = {k: v for k, v in events.counts().items() if "{" in k and v}
-    recovery = ", ".join("%s=%d" % (k, v) for k, v in sorted(labeled.items()))
-    return True, "recovered, proof identical (%s)" % (recovery or "no events")
-
-
-def _cmd_chaos(args) -> int:
-    from repro.perf.pkcache import GLOBAL_PK_CACHE
-    from repro.resilience.fuzz import run_proof_fuzz
-
-    spec = get_model(args.model, "mini")
-    inputs = seeded_inputs(spec, args.seed)
-    log.info("chaos: baseline prove (%s, %s, %d cols)", spec.name,
-             args.backend, args.columns)
-    GLOBAL_PK_CACHE.clear()
-    baseline = prove_model(spec, inputs, scheme_name=args.backend,
-                           num_cols=args.columns, scale_bits=args.scale_bits)
-    verify_model_proof(baseline.vk, baseline.proof, baseline.instance,
-                       baseline.scheme_name)
-    baseline_bytes = proof_to_bytes(baseline.proof)
-
-    failed = []
-    sites = args.sites or list(faults.FAULT_SITES)
-    for site in sites:
-        ok, outcome = _chaos_site(site, spec, inputs, args, baseline_bytes)
-        log.info("  %-11s %-4s %s", site, "ok" if ok else "FAIL", outcome)
-        if not ok:
-            failed.append(site)
-
-    if args.fuzz:
-        from repro.commit import scheme_by_name
-
-        scheme = scheme_by_name(baseline.scheme_name, baseline.vk.field)
-        report = run_proof_fuzz(baseline.vk, baseline.proof,
-                                baseline.instance, scheme,
-                                iterations=args.fuzz, seed=args.seed)
-        log.info("fuzz: %s", report.summary())
-        if not report.ok:
-            failed.append("fuzz")
-
-    if args.envelope_fuzz:
-        from repro.resilience.fuzz import (
-            local_envelope_checker,
-            run_envelope_fuzz,
-        )
-
-        report = run_envelope_fuzz(
-            baseline.envelope_bytes(),
-            local_envelope_checker(baseline.vk),
-            iterations=args.envelope_fuzz, seed=args.seed)
-        log.info("envelope fuzz: %s", report.summary())
-        if not report.ok:
-            failed.append("envelope-fuzz")
-
-    if failed:
-        log.error("chaos matrix failed: %s", ", ".join(failed))
-        return 1
-    log.info("chaos matrix: all sites recovered or surfaced typed errors")
-    return 0
-
-
 def _serve_config(args):
     from repro.serve import ServeConfig
 
@@ -1073,13 +964,6 @@ def build_parser() -> argparse.ArgumentParser:
     prove.add_argument("--profile", action="store_true",
                        help="print the prover's per-phase time breakdown "
                             "and the predicted-vs-actual op counts")
-    prove.add_argument("--checkpoint", default=None, metavar="DIR",
-                       help="persist each pipeline stage to DIR so an "
-                            "interrupted run can resume")
-    prove.add_argument("--resume", action="store_true",
-                       help="resume from completed stages in --checkpoint "
-                            "DIR (the proof is byte-identical to an "
-                            "uninterrupted run)")
     prove.set_defaults(func=_cmd_prove)
 
     diagnose = sub.add_parser(
@@ -1184,25 +1068,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="evict corrupt entries (the publisher "
                                 "re-runs 'registry publish' to rebuild)")
     reg_check.set_defaults(func=_cmd_registry)
-
-    chaos = sub.add_parser(
-        "chaos", parents=[common],
-        help="fault-injection matrix: every site must recover or "
-             "surface a typed error")
-    chaos.add_argument("--model", default="mnist", choices=model_names())
-    chaos.add_argument("--backend", default="kzg", choices=["kzg", "ipa"])
-    chaos.add_argument("--columns", type=int, default=10)
-    chaos.add_argument("--scale-bits", type=int, default=5)
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--sites", nargs="+", default=None,
-                       choices=list(faults.FAULT_SITES),
-                       help="fault sites to exercise (default: all)")
-    chaos.add_argument("--fuzz", type=int, default=0, metavar="N",
-                       help="also run N proof-mutation fuzz iterations")
-    chaos.add_argument("--envelope-fuzz", type=int, default=0, metavar="N",
-                       help="also run N envelope-mutation fuzz iterations "
-                            "against the bounds-checked decoder + verifier")
-    chaos.set_defaults(func=_cmd_chaos)
 
     serve = sub.add_parser(
         "serve", parents=[common],

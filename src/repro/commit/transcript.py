@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.field.prime_field import PrimeField
 from repro.obs.stats import STATS
-from repro.resilience import faults
 
 
 class Transcript:
@@ -63,7 +62,6 @@ class Transcript:
 
     def challenge_scalar(self, label: bytes) -> int:
         """Squeeze a field-element challenge."""
-        faults.maybe_inject("transcript")
         STATS.challenges += 1
         self._absorb(b"chal:" + label + b":" + self._counter.to_bytes(8, "little"))
         self._counter += 1

@@ -27,7 +27,6 @@ from repro.field.ntt import power_table, scaled_power_table, sixstep_min_n
 from repro.field.prime_field import PrimeField, require_goldilocks
 from repro.field.vector import GL64Backend
 from repro.obs.stats import STATS
-from repro.resilience import faults
 
 
 class EvaluationDomain:
@@ -187,7 +186,6 @@ class EvaluationDomain:
         """Interpolate base-domain evaluations into coefficients."""
         if len(evals) != self.n:
             raise ValueError("expected %d evaluations, got %d" % (self.n, len(evals)))
-        faults.maybe_inject("ntt")
         STATS.ntt_base += 1
         out = self._gl64_ntt(gl64.from_ints(evals), self.field.inv(self.omega))
         return gl64.mul(out, self.field.inv(self.n))
@@ -237,7 +235,6 @@ class EvaluationDomain:
             raise ValueError(
                 "expected an (m, %d) matrix, got shape %r" % (self.n, mat.shape)
             )
-        faults.maybe_inject("ntt")
         rows = mat.shape[0]
         STATS.ntt_base += rows
         if rows == 0:

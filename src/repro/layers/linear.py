@@ -31,7 +31,6 @@ from repro.gadgets import (
 )
 from repro.layers.base import Layer, LayoutChoices, arr_div_round, ceil_div
 from repro.quantize import FixedPoint
-from repro.resilience import faults
 from repro.resilience.errors import FreivaldsCheckError
 from repro.tensor import Entry, ShapeTensor, Tensor
 
@@ -133,17 +132,10 @@ def _freivalds_synthesize(builder, a: Tensor, b: Tensor,
         rhs = abr
     if builder.counting:
         return c
-    try:
-        faults.maybe_inject("freivalds")
-    except faults.InjectedFault as exc:
-        raise FreivaldsCheckError(
-            "Freivalds challenge check failed: C r != A (B r)",
-            rows=m,
-        ) from exc
     for i, (cr, expected) in enumerate(zip(crs, rhs)):
         # the copy constraint enforces the identity in-circuit; checking
         # the witness values here surfaces a mismatch as a typed error the
-        # supervisor can degrade on, instead of a failed proof later
+        # pipeline can degrade on, instead of a failed proof later
         if int(cr.value) != int(expected.value):
             raise FreivaldsCheckError(
                 "Freivalds challenge check failed: C r != A (B r)",

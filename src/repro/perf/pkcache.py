@@ -10,8 +10,8 @@ Two layers:
 - :class:`ProvingKeyCache` — the in-memory LRU every prove consults
   (``GLOBAL_PK_CACHE``).  Every entry carries an integrity checksum
   computed at insert time and re-verified on each hit: a corrupted entry
-  (bit rot, a buggy mutation of shared key state, or the ``cache_read``
-  fault-injection site) is detected, **evicted, and rebuilt** — counted
+  (bit rot, or a buggy mutation of shared key state) is detected,
+  **evicted, and rebuilt** — counted
   as ``resilience_recovered_total{reason="pk_cache_rebuild"}`` rather
   than poisoning the proof.  Callers that must not tolerate rebuilds
   pass ``strict=True`` to get a typed
@@ -49,7 +49,7 @@ import numpy as np
 from repro.commit.scheme import CommitmentScheme
 from repro.halo2.circuit import Assignment, ConstraintSystem
 from repro.halo2.keygen import ProvingKey, VerifyingKey, keygen
-from repro.resilience import events, faults
+from repro.resilience import events
 from repro.resilience.errors import CacheCorruptionError
 from repro.storage import atomic_write, checksum16
 
@@ -179,9 +179,9 @@ class DiskPKCache:
     any mismatch **evicts** the file (counted as
     ``resilience_recovered_total{reason="pk_disk_evict"}``) and reports a
     miss — corrupt keys are never served.  Writes go through a
-    per-process tmp file and ``os.replace`` with bounded retries (the
-    registry's ``disk_write``-site idiom), so a reader never observes a
-    half-written artifact.
+    per-process tmp file and ``os.replace`` with bounded retries
+    (:func:`repro.storage.atomic_write`, as the registry writes), so a
+    reader never observes a half-written artifact.
     """
 
     def __init__(self, root: str, validate: bool = True,
@@ -263,7 +263,7 @@ class DiskPKCache:
                          attempts=self.write_attempts,
                          backoff_seconds=self.backoff_seconds,
                          retry_event="pk_disk_write", digest=digest[:16])
-        except (OSError, faults.InjectedFault) as exc:
+        except OSError as exc:
             raise CacheCorruptionError(
                 "could not persist proving keys after %d attempts"
                 % self.write_attempts, digest=digest[:16]) from exc
@@ -306,13 +306,8 @@ class ProvingKeyCache:
         self.disk = disk
 
     def _entry_is_intact(self, digest: str) -> bool:
-        """Re-verify a cached entry's checksum (the ``cache_read`` fault
-        site corrupts the stored checksum to simulate bit rot)."""
+        """Re-verify a cached entry's checksum."""
         pk, vk, stored = self._entries[digest]
-        try:
-            faults.maybe_inject("cache_read")
-        except faults.InjectedFault:
-            stored = "corrupted:" + stored
         return _entry_checksum(pk, vk) == stored
 
     def _fetch(self, cs: ConstraintSystem, assignment: Assignment,

@@ -10,8 +10,7 @@ plus an integrity checksum — blake2b-16 over the *stored file bytes*,
 not over a fresh pickle: the vk memoizes derived data lazily (its own
 digest, NTT twiddles), so re-pickling the live object is not stable,
 but the bytes we wrote are.  Both index and artifacts are written
-tmp-then-rename with bounded retries (the checkpoint store's idiom,
-sharing its ``disk_write`` fault-injection site).
+tmp-then-rename with bounded retries (:func:`repro.storage.atomic_write`).
 
 Reads re-verify: a missing or checksum-failing artifact is **evicted**
 from the index, counted as
@@ -28,7 +27,7 @@ import pickle
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.resilience import events, faults
+from repro.resilience import events
 from repro.resilience.errors import (
     RegistryError,
     UnknownVerifyingKeyError,
@@ -103,7 +102,7 @@ class VKRegistry:
             atomic_write(path, data, attempts=self.write_attempts,
                          backoff_seconds=self.backoff_seconds,
                          retry_event="registry_write", what=what)
-        except (OSError, faults.InjectedFault) as exc:
+        except OSError as exc:
             raise RegistryError(
                 "could not write registry %s after %d attempts"
                 % (what, self.write_attempts), path=path) from exc
@@ -151,11 +150,8 @@ class VKRegistry:
         """(intact, cause) for one index record's on-disk artifact."""
         path = os.path.join(self.root, record["file"])
         try:
-            faults.maybe_inject("registry_read")
             with open(path, "rb") as fh:
                 data = fh.read()
-        except faults.InjectedFault:
-            return False, "injected_fault"
         except OSError:
             return False, "missing_artifact"
         if _artifact_checksum(data) != record["checksum"]:

@@ -1,23 +1,14 @@
-"""Resilience subsystem: typed errors, fault injection, supervised runs.
+"""Resilience subsystem: typed errors and recovery counters.
 
-This package makes the proving pipeline survivable: a typed exception
-taxonomy (:mod:`~repro.resilience.errors`), visible recovery counters
-(:mod:`~repro.resilience.events`), deterministic fault injection
-(:mod:`~repro.resilience.faults`), a supervised phase runner with
-retries/deadlines/degradation (:mod:`~repro.resilience.supervisor`),
-stage checkpointing (:mod:`~repro.resilience.checkpoint`), and a
-proof-mutation fuzzer (:mod:`~repro.resilience.fuzz`).
-
-Only the leaf modules (errors / events / faults) are imported eagerly:
-they are referenced from hot modules like ``repro.field.domain`` and
-must not pull the circuit stack into the import graph.  Import
-``repro.resilience.supervisor`` / ``checkpoint`` / ``fuzz`` explicitly.
+This package is a typed exception taxonomy
+(:mod:`~repro.resilience.errors`) and the visible recovery counters
+(:mod:`~repro.resilience.events`).  Both are leaf modules: hot modules
+import them without pulling the circuit stack into the import graph.
 """
 
-from repro.resilience import events, faults
+from repro.resilience import events
 from repro.resilience.errors import (
     CacheCorruptionError,
-    CheckpointError,
     DeadlineExceeded,
     FreivaldsCheckError,
     LayoutError,
@@ -35,7 +26,6 @@ from repro.resilience.errors import (
 
 __all__ = [
     "CacheCorruptionError",
-    "CheckpointError",
     "DeadlineExceeded",
     "FreivaldsCheckError",
     "LayoutError",
@@ -50,5 +40,4 @@ __all__ = [
     "UnknownNameError",
     "VerificationFailure",
     "events",
-    "faults",
 ]

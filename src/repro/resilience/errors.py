@@ -1,7 +1,7 @@
 """Typed exception taxonomy for the proving pipeline.
 
 Every failure the pipeline can surface maps to one class here, so
-callers (the supervisor, the CLI, the chaos harness) can distinguish
+callers (the pipeline, the CLI, the services) can distinguish
 *what* went wrong and *where* without parsing messages:
 
 ==========================  ==================================================
@@ -18,9 +18,9 @@ class                       raised when
 ``ProvingError``            the witness cannot satisfy the circuit, or a
                             prover phase failed permanently
 ``FreivaldsCheckError``     the Freivalds matmul challenge failed — the
-                            supervisor degrades to the direct-matmul layout
-``CacheCorruptionError``    a cached artifact (pk cache entry, checkpoint
-                            stage file) fails its checksum
+                            pipeline degrades to the direct-matmul layout
+``CacheCorruptionError``    a cached artifact (a pk cache entry) fails its
+                            checksum or cannot be written
 ``ProofFormatError``        a serialized proof/artifact violates the wire
                             format (bad magic, truncation, out-of-range)
 ``EnvelopeError``           a proof envelope is malformed; subtypes name the
@@ -33,8 +33,7 @@ class                       raised when
 ``RegistryError``           the verifying-key registry cannot serve a
                             request; ``UnknownVerifyingKeyError`` (no entry
                             for a vk hash) subclasses it
-``CheckpointError``         a checkpoint directory cannot be written/resumed
-``DeadlineExceeded``        a supervised phase overran its deadline
+``DeadlineExceeded``        a verify request overran its deadline
 ``ServiceError``            the proving service cannot accept or complete a
                             request; ``ServiceOverloadedError`` (queue full,
                             backpressure), ``ServiceShutdownError`` (closed),
@@ -75,7 +74,6 @@ __all__ = [
     "VerificationFailure",
     "RegistryError",
     "UnknownVerifyingKeyError",
-    "CheckpointError",
     "DeadlineExceeded",
     "ServiceError",
     "ServiceOverloadedError",
@@ -118,7 +116,7 @@ class ResilienceError(Exception):
         return self
 
     def attribution(self) -> Dict[str, Any]:
-        """The structured context (for logs and the chaos report)."""
+        """The structured context (for structured log lines)."""
         out: Dict[str, Any] = {"error": type(self).__name__}
         if self.phase:
             out["phase"] = self.phase
@@ -243,14 +241,8 @@ class UnknownVerifyingKeyError(RegistryError, KeyError):
     """No registry entry exists for the requested verifying-key hash."""
 
 
-class CheckpointError(ResilienceError):
-    """A checkpoint directory cannot be written, read, or resumed."""
-
-    default_phase = "checkpoint"
-
-
 class DeadlineExceeded(ResilienceError):
-    """A supervised phase overran its wall-clock deadline."""
+    """A request overran its wall-clock deadline."""
 
 
 class ServiceError(ResilienceError):

@@ -12,8 +12,8 @@ Counter families (Prometheus naming):
 
 - ``resilience_degraded_total{reason=...}`` — a feature was given up on
   (the run continues on a slower/simpler path);
-- ``resilience_retries_total{phase=...}``   — a supervised phase attempt
-  failed transiently and was retried;
+- ``resilience_retries_total{phase=...}``   — a disk write failed and
+  was retried (:func:`repro.storage.atomic_write`);
 - ``resilience_recovered_total{reason=...}`` — a corrupted artifact was
   detected and rebuilt.
 
@@ -50,7 +50,7 @@ _log = obs_log.get_logger("resilience")
 _DEGRADED = ("resilience_degraded_total",
              "degradation events (feature given up, run continued)")
 _RETRIES = ("resilience_retries_total",
-            "supervised phase retries after transient failures")
+            "disk write retries after OSError")
 _RECOVERED = ("resilience_recovered_total",
               "corrupted artifacts detected and rebuilt")
 
@@ -93,7 +93,7 @@ def degraded(reason: str, **detail: Any) -> None:
 
 
 def retried(phase: str, attempt: int, **detail: Any) -> None:
-    """Count and log one retry of a supervised phase."""
+    """Count and log one retry of a failed disk write."""
     EVENTS.counter(*_RETRIES, phase=phase).inc()
     _log.warning("retrying", phase=phase, attempt=attempt, **detail)
     _notify("retried", dict(detail, phase=phase, attempt=attempt))

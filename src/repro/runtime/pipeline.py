@@ -17,23 +17,23 @@ delta over :data:`repro.obs.stats.STATS` together with the cost model's
 report.  Passing a :class:`~repro.obs.metrics.MetricsRegistry`
 additionally records circuit shape statistics and per-phase timings.
 
-Resilience: the synthesize/keygen/prove stages run under a
-:class:`~repro.resilience.supervisor.Supervisor` — transient faults are
-retried with backoff, a failed Freivalds challenge degrades the layout
-plan to direct matmul (counted, never silent), and with
-``checkpoint_dir`` each completed stage is persisted so an interrupted
-run resumes from the last stage with **byte-identical** proof output.
-Verification is strict, and strict is the only mode: malformed proofs
-raise :class:`~repro.resilience.errors.ProofFormatError` and rejections
-raise :class:`~repro.resilience.errors.VerificationFailure`; nothing
-returns ``False``.
+Resilience: every proof runs the same code.  A failure names the stage
+it came from (``synthesize``/``keygen``/``prove``), and a failed
+Freivalds challenge degrades the layout plan to direct matmul (counted,
+never silent).  Proving is deterministic, so re-running an interrupted
+prove reproduces the same bytes.  Verification is strict, and strict is
+the only mode: malformed proofs raise
+:class:`~repro.resilience.errors.ProofFormatError` and rejections raise
+:class:`~repro.resilience.errors.VerificationFailure`; nothing returns
+``False``.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -60,14 +60,13 @@ from repro.obs.trace import get_tracer
 from repro.perf.pkcache import GLOBAL_PK_CACHE
 from repro.perf.timer import PhaseTimer
 from repro.resilience import events
-from repro.resilience.checkpoint import CheckpointStore, proving_config_digest
 from repro.resilience.errors import (
     FreivaldsCheckError,
     ProofFormatError,
     ProvingError,
+    ResilienceError,
     region_at,
 )
-from repro.resilience.supervisor import Supervisor
 
 
 @dataclass
@@ -182,6 +181,19 @@ def _plan_without_freivalds(plan: LayoutPlan) -> LayoutPlan:
                       tuple((name, fix(c)) for name, c in plan.overrides))
 
 
+@contextmanager
+def _stage(phase: str) -> Iterator[None]:
+    """Attribute a failure inside one pipeline stage to ``phase``."""
+    try:
+        yield
+    except ResilienceError as exc:
+        exc.with_context(phase=phase)
+        raise
+    except OSError as exc:
+        raise ProvingError("phase %r failed: %s" % (phase, exc),
+                           phase=phase, cause=type(exc).__name__) from exc
+
+
 def prove_batch(
     spec: ModelSpec,
     batch_inputs: Sequence[Dict[str, np.ndarray]],
@@ -194,9 +206,6 @@ def prove_batch(
     use_pk_cache: bool = True,
     tracer=None,
     metrics=None,
-    supervisor: Optional[Supervisor] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
     keep_synthesized: bool = False,
 ) -> ProveResult:
     """Synthesize, keygen, and prove one or more inferences of a model
@@ -214,101 +223,74 @@ def prove_batch(
     :class:`~repro.obs.metrics.MetricsRegistry` that receives circuit
     statistics and prover operation counts.
 
-    Every stage runs under ``supervisor`` (a default
-    :class:`~repro.resilience.supervisor.Supervisor` if not given):
-    transient faults retry with backoff, and a
+    A typed error raised inside a stage names that stage as its phase,
+    and a bare ``OSError`` (the pk cache's disk layer) is raised as a
+    :class:`~repro.resilience.errors.ProvingError` for it.  A
     :class:`~repro.resilience.errors.FreivaldsCheckError` degrades the
-    layout plan to direct matmul and re-synthesizes.  With
-    ``checkpoint_dir``, each completed stage is persisted there;
-    ``resume=True`` replays completed stages from disk (the checkpoint is
-    bound to the full proving configuration, and a resumed run's proof is
-    byte-identical to an uninterrupted one).
+    layout plan to direct matmul and re-synthesizes once.
     """
     tracer = tracer if tracer is not None else get_tracer()
-    sup = supervisor if supervisor is not None else Supervisor(tracer=tracer)
-    plan_state = {"plan": LayoutPlan.coerce(plan)}
+    plan = LayoutPlan.coerce(plan)
     slots = len(batch_inputs)
 
-    store = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(
-            checkpoint_dir,
-            proving_config_digest(spec, batch_inputs, scheme_name, num_cols,
-                                  scale_bits, lookup_bits, k),
-            resume=resume,
-        )
-
-    def _freivalds_fallback(exc: FreivaldsCheckError) -> None:
-        plan_state["plan"] = _plan_without_freivalds(plan_state["plan"])
-        events.degraded("freivalds_direct_matmul", layer=exc.layer,
-                        model=spec.name)
+    def _synthesize(plan: LayoutPlan) -> SynthesizedModel:
+        with tracer.span("synthesize", model=spec.name, batch_size=slots):
+            result = synthesize_batch(
+                spec, batch_inputs, plan=plan, num_cols=num_cols,
+                scale_bits=scale_bits, lookup_bits=lookup_bits, k=k,
+                tracer=tracer,
+            )
+            result.expose_outputs()
+            return result
 
     with tracer.span("prove_model" if slots == 1 else "prove_batch",
                      model=spec.name, scheme=scheme_name, batch_size=slots):
-        def _synthesize() -> SynthesizedModel:
-            with tracer.span("synthesize", model=spec.name,
-                             batch_size=slots):
-                result = synthesize_batch(
-                    spec, batch_inputs, plan=plan_state["plan"],
-                    num_cols=num_cols, scale_bits=scale_bits,
-                    lookup_bits=lookup_bits, k=k, tracer=tracer,
-                )
-                result.expose_outputs()
-                return result
-
-        result, _ = sup.stage(
-            store, "synthesize", _synthesize,
-            recover={FreivaldsCheckError: _freivalds_fallback},
-        )
+        with _stage("synthesize"):
+            try:
+                result = _synthesize(plan)
+            except FreivaldsCheckError as exc:
+                events.degraded("freivalds_direct_matmul", layer=exc.layer,
+                                model=spec.name)
+                result = _synthesize(_plan_without_freivalds(plan))
         builder = result.builder
 
         scheme = scheme_by_name(scheme_name, builder.field)
         start = time.perf_counter()
-
-        def _keygen():
-            with tracer.span("keygen", model=spec.name, k=builder.k,
-                             num_cols=num_cols, scheme=scheme_name) as sp:
-                if use_pk_cache:
-                    pk, vk, hit = GLOBAL_PK_CACHE.get_or_create(
-                        builder.cs, builder.asg, scheme, tracer=tracer)
-                else:
-                    pk, vk = keygen(builder.cs, builder.asg, scheme,
-                                    tracer=tracer)
-                    hit = False
-                sp.set_attr("pk_cache_hit", hit)
-                return pk, vk, hit
-
-        (pk, vk, keygen_cache_hit), _ = sup.stage(store, "keygen", _keygen)
+        with _stage("keygen"), \
+                tracer.span("keygen", model=spec.name, k=builder.k,
+                            num_cols=num_cols, scheme=scheme_name) as sp:
+            if use_pk_cache:
+                pk, vk, keygen_cache_hit = GLOBAL_PK_CACHE.get_or_create(
+                    builder.cs, builder.asg, scheme, tracer=tracer)
+            else:
+                pk, vk = keygen(builder.cs, builder.asg, scheme,
+                                tracer=tracer)
+                keygen_cache_hit = False
+            sp.set_attr("pk_cache_hit", keygen_cache_hit)
         keygen_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-
-        def _prove():
-            timer = PhaseTimer(tracer)
-            counts_before = STATS.snapshot()
-            try:
-                with tracer.span("prove", model=spec.name, k=builder.k,
-                                 batch_size=slots):
-                    proof = create_proof(pk, builder.asg, scheme, timer=timer)
-            except ProvingError as exc:
-                row = exc.context.get("row")
-                if row is not None and exc.region is None:
-                    region = region_at(builder.regions, row)
-                    if region is not None:
-                        exc.with_context(
-                            layer=region.name,
-                            region="%s[%d:%d]" % (region.name, region.start,
-                                                  region.end),
-                        )
-                raise
-            return {"proof": proof, "phase_seconds": dict(timer.seconds),
-                    "observed": STATS.delta(counts_before)}
-
-        prove_payload, _ = sup.stage(store, "prove", _prove)
+        timer = PhaseTimer(tracer)
+        counts_before = STATS.snapshot()
+        try:
+            with _stage("prove"), \
+                    tracer.span("prove", model=spec.name, k=builder.k,
+                                batch_size=slots):
+                proof = create_proof(pk, builder.asg, scheme, timer=timer)
+        except ProvingError as exc:
+            row = exc.context.get("row")
+            if row is not None and exc.region is None:
+                region = region_at(builder.regions, row)
+                if region is not None:
+                    exc.with_context(
+                        layer=region.name,
+                        region="%s[%d:%d]" % (region.name, region.start,
+                                              region.end),
+                    )
+            raise
         proving_seconds = time.perf_counter() - start
-        proof = prove_payload["proof"]
-        phase_seconds = prove_payload["phase_seconds"]
-        observed = prove_payload["observed"]
+        phase_seconds = dict(timer.seconds)
+        observed = STATS.delta(counts_before)
         predicted = obs_metrics.predicted_counts(result.layout, scheme_name)
 
         if metrics is not None:

@@ -32,9 +32,7 @@ request-serving loop.  The moving parts:
   ``prove_job`` runs — the service's own proving thread, in flush
   order, or a :class:`~repro.serve.scheduler.ClusterScheduler` worker
   process;
-- **resilience** — batches prove under the pipeline's default
-  :class:`~repro.resilience.supervisor.Supervisor` policy (transient
-  faults retry), and a failed batch fails *only* its own requests, with
+- **resilience** — a failed batch fails *only* its own requests, with
   the typed error as raised;
 - **graceful drain** — ``shutdown(drain=True)`` stops intake, flushes
   every pending group regardless of occupancy, and waits for in-flight
@@ -98,7 +96,6 @@ from repro.resilience.errors import (
     ServiceOverloadedError,
     ServiceShutdownError,
 )
-from repro.resilience.faults import InjectedFault
 from repro.serve.scheduler import PRIORITIES, ClusterScheduler
 from repro.serve.worker import BatchJob, BatchResult, prove_job
 
@@ -775,8 +772,8 @@ class ProvingService:
         Routed through :meth:`RuntimeTelemetry.auto_dump`, which
         rate-limits per *reason*: a crash-looping worker failing a batch
         every tick writes one dump per interval, not one per failure.
-        Best effort: a failed write (the ``disk_write`` fault site
-        included) is logged, never raised into the batch's resolution.
+        Best effort: a failed write is logged, never raised into the
+        batch's resolution.
         """
         if not self.runtime.enabled or not self.runtime.dump_path:
             return
@@ -785,7 +782,7 @@ class ProvingService:
             if artifact is not None:
                 log.warning("flight recorder dumped", reason=reason,
                             path=self.runtime.dump_path)
-        except (OSError, InjectedFault) as exc:
+        except OSError as exc:
             log.warning("flight recorder dump failed", reason=reason,
                         error=str(exc)[:120])
 

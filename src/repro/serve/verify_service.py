@@ -16,10 +16,9 @@ first:
   envelope is touched, and every envelope decodes under
   :class:`~repro.envelope.EnvelopeCaps` (total bytes, instance columns,
   public inputs, proof length), all enforced *before* field arithmetic;
-- **wall-clock deadline** — each request runs under the existing
-  :class:`~repro.resilience.supervisor.Supervisor` with a per-request
-  deadline, checked cooperatively between envelopes, so one request
-  cannot hold a verify slot forever
+- **wall-clock deadline** — each request has a per-request deadline,
+  checked cooperatively between envelopes and once more at the end, so
+  one request cannot hold a verify slot forever
   (:class:`~repro.resilience.errors.DeadlineExceeded`);
 - **batch amortization** — envelopes are grouped by verifying-key hash;
   each distinct key is fetched from the registry (and integrity-checked)
@@ -70,7 +69,6 @@ from repro.resilience.errors import (
     UnknownVerifyingKeyError,
     VerificationFailure,
 )
-from repro.resilience.supervisor import Supervisor
 
 __all__ = ["VerifyConfig", "VerifyService", "rejection_cause"]
 
@@ -115,7 +113,7 @@ class VerifyConfig:
     max_batch: int = 32
     #: Concurrent requests verifying; excess is shed with a typed error.
     max_inflight: int = 4
-    #: Per-request wall-clock budget (supervised, checked cooperatively).
+    #: Per-request wall-clock budget (checked cooperatively).
     deadline_seconds: float = 60.0
     #: Record runtime telemetry (SLO windows + flight ring).
     telemetry: bool = True
@@ -137,13 +135,11 @@ class VerifyService:
 
     def __init__(self, registry=None, config: Optional[VerifyConfig] = None,
                  metrics: Optional[MetricsRegistry] = None, tracer=None,
-                 supervisor: Optional[Supervisor] = None, runtime=None):
+                 runtime=None):
         self.registry = registry
         self.config = config if config is not None else VerifyConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer
-        self._supervisor = supervisor if supervisor is not None \
-            else Supervisor(tracer=tracer)
         if runtime is not None:
             self.runtime = runtime
         elif self.config.telemetry:
@@ -226,10 +222,9 @@ class VerifyService:
                           batch=len(envelopes))
         try:
             with obs_log.bind(request_id=rid):
-                results = self._supervisor.run_phase(
-                    "verify_request",
-                    lambda: self._verify_all(envelopes, rid, started),
-                    deadline=self.config.deadline_seconds)
+                results = self._verify_all(envelopes, rid, started)
+            self._check_deadline(rid, started, "after %d envelopes"
+                                 % len(envelopes))
         except DeadlineExceeded:
             self._count_rejection("deadline")
             self.runtime.request_done(time.monotonic() - started, ok=False,
@@ -294,16 +289,20 @@ class VerifyService:
                 continue
             vks[env.vk_hash_hex] = self._fetch_vk(env.vk_hash_hex)
         results = []
-        deadline = self.config.deadline_seconds
         for idx, env in enumerate(decoded):
-            if deadline is not None \
-                    and time.monotonic() - started > deadline:
-                raise DeadlineExceeded(
-                    "verify request overran its %.1fs deadline at envelope "
-                    "%d/%d" % (deadline, idx, len(decoded)),
-                    phase="verify_request", request_id=rid)
+            self._check_deadline(rid, started, "at envelope %d/%d"
+                                 % (idx, len(decoded)))
             results.append(self._verdict(idx, env, vks))
         return results
+
+    def _check_deadline(self, rid: str, started: float, where: str) -> None:
+        """Raise :class:`DeadlineExceeded` once the request overran
+        ``deadline_seconds``."""
+        deadline = self.config.deadline_seconds
+        if deadline is not None and time.monotonic() - started > deadline:
+            raise DeadlineExceeded(
+                "verify request overran its %.1fs deadline %s"
+                % (deadline, where), phase="verify_request", request_id=rid)
 
     def _fetch_vk(self, vk_hash: str):
         """``(vk, entry)`` from the registry for ``vk_hash``, or the

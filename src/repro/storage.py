@@ -1,10 +1,10 @@
 """One checksummed-blob primitive for every on-disk store.
 
-The checkpoint store, the verifying-key registry, the disk proving-key
-cache and the flight recorder all persist "a blob, checksummed with
-blake2b-16, written so a reader never sees half of it".  This module is
-that idea once: :func:`checksum16` and :func:`atomic_write`.  Formats,
-schema tags and typed errors stay with each store.
+The verifying-key registry, the disk proving-key cache and the flight
+recorder all persist "a blob, checksummed with blake2b-16, written so a
+reader never sees half of it".  This module is that idea once:
+:func:`checksum16` and :func:`atomic_write`.  Formats, schema tags and
+typed errors stay with each store.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import threading
 import time
 from typing import Any
 
-from repro.resilience import events, faults
+from repro.resilience import events
 
 __all__ = ["checksum16", "atomic_write"]
 
@@ -32,22 +32,20 @@ def atomic_write(path: str, data: bytes, *, attempts: int,
 
     The temp name is unique per writer (process and thread), so
     concurrent writers of one path never clobber each other's partial
-    file and the last rename wins whole.  Each attempt passes the
-    ``disk_write`` fault site; a failed attempt that is not the last is
-    counted as ``events.retried(retry_event, attempt, **event_fields)``
-    and retried after exponential backoff.  After the last attempt the
-    ``OSError`` / ``InjectedFault`` is raised for the caller to wrap in
-    its own typed error.
+    file and the last rename wins whole.  A failed attempt that is not
+    the last is counted as ``events.retried(retry_event, attempt,
+    **event_fields)`` and retried after exponential backoff.  After the
+    last attempt the ``OSError`` is raised for the caller to wrap in its
+    own typed error.
     """
     tmp = "%s.tmp.%d.%d" % (path, os.getpid(), threading.get_ident())
     for attempt in range(1, attempts + 1):
         try:
-            faults.maybe_inject("disk_write")
             with open(tmp, "wb") as fh:
                 fh.write(data)
             os.replace(tmp, path)
             return
-        except (OSError, faults.InjectedFault) as exc:
+        except OSError as exc:
             if attempt == attempts:
                 try:
                     os.unlink(tmp)

@@ -15,7 +15,6 @@ from repro.layers.base import LayoutChoices
 from repro.model import get_model
 from repro.optimizer import optimize_layout
 from repro.optimizer.hardware import profile_for_model
-from repro.resilience import faults
 from repro.tensor import PLACEHOLDER
 
 rng = np.random.default_rng(17)
@@ -66,16 +65,13 @@ def test_simulator_row_exact_across_choices(choices):
     assert_count_matches_assign(layout, result.builder)
 
 
-def test_count_walk_reads_no_value_and_reaches_no_fault_site(monkeypatch):
-    """A layout search between two proofs cannot shift a counter-based
-    fault schedule: the count walk never gets to a value check."""
-    sites = []
-    monkeypatch.setattr(faults, "maybe_inject", sites.append)
+def test_count_walk_reads_no_value():
+    """The count walk never gets to a value check (Freivalds' included):
+    the placeholder entry it writes everywhere never takes a value."""
     for name in MINI_MODELS:
         build_physical_layout(get_model(name, "mini"),
                               LayoutChoices(linear="freivalds"), 12,
                               scale_bits=5)
-    assert sites == []
     assert PLACEHOLDER.value is None
 
 

@@ -47,11 +47,7 @@ class TestSpanTree:
         prove = spans["prove"]
         for phase in ("commit", "helpers", "quotient", "openings"):
             assert spans[phase].parent_id == prove.span_id
-        # each supervised attempt gets its own span between the stage and
-        # prove_model, so retries are visible in the trace tree
-        supervised = spans["supervised:prove"]
-        assert spans["prove"].parent_id == supervised.span_id
-        assert supervised.parent_id == spans["prove_model"].span_id
+        assert prove.parent_id == spans["prove_model"].span_id
 
     def test_keygen_attrs(self, traced_run):
         _, _, tracer, _, result = traced_run

@@ -26,9 +26,10 @@ from repro.perf.pkcache import (
     ProvingKeyCache,
     circuit_digest,
 )
-from repro.resilience import events, faults
+from repro.resilience import events
 from repro.resilience.errors import CacheCorruptionError
 
+from tests.flaky_disk import fail_replace
 from tests.halo2.circuits import mul_circuit
 
 F = GOLDILOCKS
@@ -255,25 +256,28 @@ class TestAtomicity:
 
 class TestWriteFailure:
     def test_persistent_write_failure_raises_and_cleans_tmp(
-            self, tmp_path, circuit, scheme):
+            self, tmp_path, circuit, scheme, monkeypatch):
         events.reset()
         digest, pk, vk = _keys(circuit, scheme, tmp_path)
         disk = DiskPKCache(str(tmp_path / "disk"), backoff_seconds=0.001)
-        with faults.use_faults("disk_write:3"):
-            with pytest.raises(CacheCorruptionError):
-                disk.store(digest, pk, vk)
+        failed = fail_replace(monkeypatch, 3)
+        with pytest.raises(CacheCorruptionError):
+            disk.store(digest, pk, vk)
+        assert len(failed) == 3
         pk_dir = os.path.join(disk.root, "pk")
         assert [n for n in os.listdir(pk_dir) if ".tmp." in n] == []
         assert not os.path.exists(disk.path(digest))
         assert disk.stores == 0
 
-    def test_transient_write_failure_retries_through(self, tmp_path,
-                                                     circuit, scheme):
+    def test_transient_write_failure_retries_through(
+            self, tmp_path, circuit, scheme, monkeypatch):
         events.reset()
         digest, pk, vk = _keys(circuit, scheme, tmp_path)
         disk = DiskPKCache(str(tmp_path / "disk"), backoff_seconds=0.001)
-        with faults.use_faults("disk_write:2"):  # 2 failures, 3 attempts
-            disk.store(digest, pk, vk)
+        failed = fail_replace(monkeypatch, 2)  # 2 failures, 3 attempts
+        disk.store(digest, pk, vk)
+        assert len(failed) == 2
+        assert events.counts()["retries"] == 2
         assert disk.stores == 1
         assert disk.load(digest) is not None
 

@@ -8,7 +8,7 @@ Three contracts are pinned here:
 - every malformed input is rejected with the *right*
   :class:`EnvelopeError` subtype **before any field arithmetic** — the
   global ``obs.stats`` counters must not move on a rejection path;
-- the mutation fuzzer (the ``zkml chaos --envelope-fuzz`` loop) holds:
+- the mutation fuzzer (``tests/fuzz.py``) holds:
   hundreds of mutants, 100% typed rejections, zero escapes.
 """
 
@@ -35,8 +35,9 @@ from repro.resilience.errors import (
     EnvelopeTruncatedError,
     VerificationFailure,
 )
-from repro.resilience.fuzz import local_envelope_checker, run_envelope_fuzz
 from repro.runtime import prove_model
+
+from tests.fuzz import local_envelope_checker, run_envelope_fuzz
 
 rng = np.random.default_rng(31)
 

@@ -8,7 +8,6 @@ from repro.gadgets.builder import Region
 from repro.resilience import errors
 from repro.resilience.errors import (
     CacheCorruptionError,
-    CheckpointError,
     DeadlineExceeded,
     FreivaldsCheckError,
     LayoutError,
@@ -28,7 +27,7 @@ class TestTaxonomy:
         for cls in (SpecError, UnknownNameError, QuantizationRangeError,
                     LayoutError, ProvingError, FreivaldsCheckError,
                     CacheCorruptionError, ProofFormatError,
-                    VerificationFailure, CheckpointError, DeadlineExceeded):
+                    VerificationFailure, DeadlineExceeded):
             assert issubclass(cls, ResilienceError)
 
     def test_legacy_value_error_compat(self):

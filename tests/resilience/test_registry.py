@@ -1,9 +1,9 @@
 """The verifying-key registry: content-addressed, checksummed, typed.
 
-The store's contract mirrors the checkpoint/pk-cache idiom: atomic
-writes with bounded retries on the ``disk_write`` fault site, reads that
-re-verify integrity, and corruption that *evicts* (counted as a
-recovery event) and surfaces a typed error — never served corrupt.
+The store's contract mirrors the pk cache's idiom: atomic writes with
+bounded retries on ``OSError``, reads that re-verify integrity, and
+corruption that *evicts* (counted as a recovery event) and surfaces a
+typed error — never served corrupt.
 """
 
 import os
@@ -14,12 +14,14 @@ import pytest
 
 from repro.model import get_model
 from repro.registry import INDEX_SCHEMA, VKRegistry
-from repro.resilience import events, faults
+from repro.resilience import events
 from repro.resilience.errors import (
     RegistryError,
     UnknownVerifyingKeyError,
 )
 from repro.runtime import prove_model
+
+from tests.flaky_disk import fail_replace
 
 rng = np.random.default_rng(41)
 
@@ -40,10 +42,8 @@ def registry(tmp_path):
 @pytest.fixture(autouse=True)
 def clean_state():
     events.reset()
-    faults.uninstall()
     yield
     events.reset()
-    faults.uninstall()
 
 
 def _publish(registry, proven):
@@ -82,11 +82,12 @@ class TestPublish:
         assert registry.find("nope", entry.scheme,
                              entry.config_digest) is None
 
-    def test_disk_write_fault_is_retried(self, registry, proven):
-        with faults.use_faults("disk_write:1") as plan:
-            entry, created = _publish(registry, proven)
+    def test_disk_write_fault_is_retried(self, registry, proven,
+                                         monkeypatch):
+        failed = fail_replace(monkeypatch, 1)
+        entry, created = _publish(registry, proven)
         assert created
-        assert plan.report()["disk_write"]["fired"]
+        assert len(failed) == 1
         assert any("retries" in key for key, count
                    in events.counts().items() if count)
         assert registry.get(entry.vk_hash).digest() == proven.vk.digest()
@@ -181,6 +182,14 @@ class TestCheck:
         assert not report["ok"]
         assert report["corrupt"][0]["cause"] == "checksum_mismatch"
         # check without --repair must not evict
+        assert registry.entry(entry.vk_hash).vk_hash == entry.vk_hash
+
+    def test_missing_artifact_reported_with_cause(self, registry, proven):
+        entry, _ = _publish(registry, proven)
+        os.unlink(os.path.join(registry.root, entry.file))
+        report = registry.check()
+        assert not report["ok"]
+        assert report["corrupt"][0]["cause"] == "missing_artifact"
         assert registry.entry(entry.vk_hash).vk_hash == entry.vk_hash
 
     def test_repair_evicts_corrupt_entries(self, registry, proven):

@@ -6,26 +6,24 @@ import threading
 import pytest
 
 from repro.registry.store import VKRegistry
-from repro.resilience import events, faults
-from repro.resilience.checkpoint import CheckpointStore
+from repro.resilience import events
 from repro.storage import atomic_write, checksum16
+
+from tests.flaky_disk import fail_replace
 
 
 def _stores(tmp_path):
     registry = VKRegistry(str(tmp_path / "registry"))
-    checkpoint = CheckpointStore(str(tmp_path / "checkpoint"), "digest")
     return {
         "registry": lambda path, data: registry._atomic_write(
             path, data, what="index"),
-        "checkpoint": lambda path, data: checkpoint._atomic_write(
-            path, data, stage="prove"),
         "primitive": lambda path, data: atomic_write(
             path, data, attempts=3, backoff_seconds=0.0,
             retry_event="test_write"),
     }
 
 
-@pytest.mark.parametrize("store", ["registry", "checkpoint", "primitive"])
+@pytest.mark.parametrize("store", ["registry", "primitive"])
 def test_concurrent_writers_of_one_path_do_not_share_a_tmp_file(
         tmp_path, monkeypatch, store):
     """Two threads writing the same path each rename a file that holds
@@ -59,19 +57,22 @@ def test_concurrent_writers_of_one_path_do_not_share_a_tmp_file(
     assert [n for n in os.listdir(str(tmp_path)) if ".tmp" in n] == []
 
 
-def test_retries_are_counted_then_the_last_failure_is_raised(tmp_path):
+def test_retries_are_counted_then_the_last_failure_is_raised(
+        tmp_path, monkeypatch):
     path = str(tmp_path / "blob.bin")
     events.reset()
-    with faults.use_faults("disk_write:2"):
-        atomic_write(path, b"payload", attempts=3, backoff_seconds=0.0,
-                     retry_event="test_write", what="blob")
+    failed = fail_replace(monkeypatch, 2)
+    atomic_write(path, b"payload", attempts=3, backoff_seconds=0.0,
+                 retry_event="test_write", what="blob")
     with open(path, "rb") as fh:
         assert fh.read() == b"payload"
+    assert len(failed) == 2
     assert events.counts()["retries"] == 2
-    with faults.use_faults("disk_write:5"):
-        with pytest.raises(faults.InjectedFault):
-            atomic_write(path, b"other", attempts=2, backoff_seconds=0.0,
-                         retry_event="test_write")
+    failed = fail_replace(monkeypatch, 5)
+    with pytest.raises(OSError):
+        atomic_write(path, b"other", attempts=2, backoff_seconds=0.0,
+                     retry_event="test_write")
+    assert len(failed) == 2
     with open(path, "rb") as fh:
         assert fh.read() == b"payload"  # a failed write leaves the old blob
     assert os.listdir(str(tmp_path)) == ["blob.bin"]

@@ -8,8 +8,9 @@ from repro.halo2.proof import proof_from_bytes, proof_to_bytes
 from repro.halo2.verifier import validate_proof_shape, verify_proof_strict
 from repro.model import get_model
 from repro.resilience.errors import ProofFormatError, VerificationFailure
-from repro.resilience.fuzz import run_proof_fuzz
 from repro.runtime import prove_model, verify_model_proof
+
+from tests.fuzz import run_proof_fuzz
 
 rng = np.random.default_rng(23)
 

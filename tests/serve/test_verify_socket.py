@@ -15,11 +15,12 @@ import pytest
 
 from repro.model import get_model
 from repro.registry import VKRegistry
-from repro.resilience.fuzz import run_envelope_fuzz
 from repro.runtime import prove_model
 from repro.serve import VerifyConfig, VerifyService
 from repro.serve.client import control_request, verify_request
 from repro.serve.verify_server import VerifyServer
+
+from tests.fuzz import run_envelope_fuzz
 
 rng = np.random.default_rng(47)
 

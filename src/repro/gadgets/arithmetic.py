@@ -67,15 +67,15 @@ class _RescaleGadget(Gadget):
     def _configure(self) -> None:
         b = self.builder
         sf = b.fp.factor
-        sel = Ref(self.selector)
         constraints = []
         for slot, refs in enumerate(self._slot_refs()):
             *operands, z, r = refs
             raw = self._raw(*operands)
             constraints.append(2 * raw + Constant(sf) - Constant(2 * sf) * z - r)
             b.cs.add_lookup("%s/%d/rem" % (self.name, slot),
-                            inputs=[sel * (r + 1)],
-                            table=[Ref(b.range_table(2 * sf).col)])
+                            inputs=[r + 1],
+                            table=[Ref(b.range_table(2 * sf).col)],
+                            selector=self.selector)
         b.cs.create_gate(self.name, constraints, selector=self.selector)
 
     def compute(self, *operands):
@@ -188,14 +188,14 @@ class DivRoundConstGadget(Gadget):
         b = self.builder
         c = self.divisor
         table = b.range_table(2 * c)
-        sel = Ref(self.selector)
         constraints = []
         for slot, (x, z, r) in enumerate(self._slot_refs()):
             constraints.append(2 * x + Constant(c) - Constant(2 * c) * z - r)
             b.cs.add_lookup(
                 "div_round_const/%d/%d/rem" % (c, slot),
-                inputs=[sel * (r + 1)],
+                inputs=[r + 1],
                 table=[Ref(table.col)],
+                selector=self.selector,
             )
         b.cs.create_gate("div_round_const/%d" % c, constraints, selector=self.selector)
 

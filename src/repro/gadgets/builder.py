@@ -6,10 +6,14 @@ and range tables, each living in its own fixed columns), and a cache of
 constant cells.  Gadget instances are cached so each gadget type declares
 its selector, gate, and lookups exactly once per circuit.
 
-Lookup-table convention: inputs are gated as ``sel * (x + OFFSET)`` with
-``OFFSET`` placing every valid entry at a nonzero value, and each table
-carries an all-zero default row.  Rows not using the gadget therefore
-look up the default tuple, while active rows can only hit real entries.
+Lookup-table convention: a gadget looks up ``x + OFFSET`` on the rows
+its selector is on (the selector is the lookup's LogUp numerator, see
+:mod:`repro.halo2.lookup`), with ``OFFSET`` placing every valid entry at
+a nonzero value.  Rows not using the gadget are not looked up.  Each
+table still carries the all-zero default row that selector-gated inputs
+once needed, which keeps the fixed grid, and so every layout's ``k``, as
+it was; an active ``x = -OFFSET`` (with output 0) hits that row and
+passes (ROADMAP item 2 drops it).
 
 Gadgets write in blocks.  A bulk entry point collects its rows in one
 :class:`Block` (the entries it places, in layout order, and the cells it
@@ -118,7 +122,7 @@ def _table_columns(fn_name: str, bits: int, scale_bits: int):
 
 class RangeTable:
     """A one-column table of ``v + 1`` for ``v in [0, bound)`` plus a zero
-    default row; lookup inputs are gated as ``sel * (expr + 1)``."""
+    default row; a gadget looks up ``expr + 1`` under its selector."""
 
     def __init__(self, builder: "CircuitBuilder", bound: int):
         if bound < 1:

@@ -65,13 +65,12 @@ class MultiRowMaxGadget(_NextRowGadget):
         self.bound = bound
         a, y = Ref(b.columns[0]), Ref(b.columns[1])
         c = Ref(b.columns[0], 1)
-        sel = Ref(self.selector)
         b.cs.create_gate("multirow_max", [(c - a) * (c - y)],
                          selector=self.selector)
-        b.cs.add_lookup("multirow_max/ge_a", inputs=[sel * (c - a + 1)],
-                        table=[Ref(table.col)])
-        b.cs.add_lookup("multirow_max/ge_b", inputs=[sel * (c - y + 1)],
-                        table=[Ref(table.col)])
+        b.cs.add_lookup("multirow_max/ge_a", inputs=[c - a + 1],
+                        table=[Ref(table.col)], selector=self.selector)
+        b.cs.add_lookup("multirow_max/ge_b", inputs=[c - y + 1],
+                        table=[Ref(table.col)], selector=self.selector)
 
     def compute(self, x, y):
         c = np.maximum(x, y)

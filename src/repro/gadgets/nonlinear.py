@@ -80,13 +80,13 @@ class PointwiseGadget(Gadget):
     def _configure(self) -> None:
         b = self.builder
         self.table = b.nonlinear_table(self.fn_name)
-        sel = Ref(self.selector)
         offset = self.table.offset
         for slot, (x, y) in enumerate(self._slot_refs()):
             b.cs.add_lookup(
                 "pointwise/%s/%d" % (self.fn_name, slot),
-                inputs=[sel * (x + offset), sel * y],
+                inputs=[x + offset, y],
                 table=[Ref(self.table.in_col), Ref(self.table.out_col)],
+                selector=self.selector,
             )
 
     def compute(self, x):

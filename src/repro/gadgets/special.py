@@ -32,14 +32,14 @@ class MaxGadget(Gadget):
         bound = 1 << b.lookup_bits
         table = b.range_table(bound)
         self.bound = bound
-        sel = Ref(self.selector)
         constraints = []
         for slot, (a, y, c) in enumerate(self._slot_refs()):
             constraints.append((c - a) * (c - y))
-            # c - a and c - b are in [0, bound): gated as sel * (diff + 1)
+            # c - a and c - b are in [0, bound): looked up as diff + 1
             for label, diff in (("ge_a", c - a), ("ge_b", c - y)):
                 b.cs.add_lookup("max/%d/%s" % (slot, label),
-                                inputs=[sel * (diff + 1)], table=[Ref(table.col)])
+                                inputs=[diff + 1], table=[Ref(table.col)],
+                                selector=self.selector)
         b.cs.create_gate("max", constraints, selector=self.selector)
 
     def compute(self, x, y):
@@ -87,14 +87,14 @@ class VarDivGadget(Gadget):
         bound = 1 << b.lookup_bits
         table = b.range_table(bound)
         self.bound = bound
-        sel = Ref(self.selector)
         constraints = []
         for slot, (a, num, c, r) in enumerate(self._slot_refs()):
             constraints.append(2 * num + a - Constant(2) * a * c - r)
             # r in [0, bound), and r < 2a  <=>  2a - r - 1 in [0, bound)
-            for label, gated in (("rem_lo", r + 1), ("rem_hi", 2 * a - r)):
+            for label, shifted in (("rem_lo", r + 1), ("rem_hi", 2 * a - r)):
                 b.cs.add_lookup("var_div/%d/%s" % (slot, label),
-                                inputs=[sel * gated], table=[Ref(table.col)])
+                                inputs=[shifted], table=[Ref(table.col)],
+                                selector=self.selector)
         b.cs.create_gate("var_div", constraints, selector=self.selector)
 
     def compute(self, a, num):
@@ -123,7 +123,6 @@ class VarDivWideGadget(Gadget):
         bound = 1 << b.lookup_bits
         table = b.range_table(bound)
         self.limb = bound
-        sel = Ref(self.selector)
         constraints = []
         for slot, refs in enumerate(self._slot_refs()):
             a, num, c, r_lo, r_hi, d_lo, d_hi = refs
@@ -135,8 +134,9 @@ class VarDivWideGadget(Gadget):
             for idx, limb_ref in ((3, r_lo), (4, r_hi), (5, d_lo), (6, d_hi)):
                 b.cs.add_lookup(
                     "var_div_wide/%d/limb%d" % (slot, idx),
-                    inputs=[sel * (limb_ref + 1)],
+                    inputs=[limb_ref + 1],
                     table=[Ref(table.col)],
+                    selector=self.selector,
                 )
         b.cs.create_gate("var_div_wide", constraints, selector=self.selector)
 

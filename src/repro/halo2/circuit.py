@@ -109,8 +109,12 @@ class ConstraintSystem:
         name: str,
         inputs: Sequence[Expression],
         table: Sequence[Expression],
+        selector: Optional[Column] = None,
     ) -> LookupArgument:
-        lookup = LookupArgument(name=name, inputs=tuple(inputs), table=tuple(table))
+        """Look ``inputs`` up in ``table`` on the rows where ``selector``
+        is on (every row without one); inputs are not multiplied by it."""
+        lookup = LookupArgument(name=name, inputs=tuple(inputs),
+                                table=tuple(table), selector=selector)
         self.lookups.append(lookup)
         return lookup
 
@@ -132,11 +136,14 @@ class ConstraintSystem:
         return max(degrees + [2])
 
     def max_degree(self) -> int:
-        """Maximum constraint degree including lookup/permutation helpers."""
+        """Maximum constraint degree including lookup/permutation helpers.
+
+        Keygen pairs two lookups in one helper column only within this
+        degree, so it is also the degree of the keys."""
         d = self.gate_degree()
         for lk in self.lookups:
-            # helper constraints (keygen): h * (alpha + f) - 1 per lookup,
-            # (s' - s - sum h) * (alpha + t) + m per table
+            # helper constraints (keygen): h * (alpha + f) - q per lookup
+            # left unpaired, (s' - s - sum h) * (alpha + t) + m per table
             d = max(d, 1 + lk.input_degree(), 1 + lk.table_degree())
         if self.equality_columns:
             d = max(d, PERMUTATION_CONSTRAINT_DEGREE)

@@ -13,7 +13,7 @@ Keygen fixes everything that does not depend on the witness:
   and :class:`~repro.halo2.expression.Challenge` placeholders.  Prover and
   verifier fold this list in the same order with the challenge ``y``;
 - the prover's two register tapes (:mod:`repro.halo2.tape`): that fold,
-  and phase 2's compressed lookup columns and denominators.
+  and phase 2's compressed lookup columns, denominators and numerators.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from repro.halo2.expression import (
 from repro.halo2.lookup import LookupArgument
 from repro.halo2.tape import INSTANCE, Slot, Tape, compile_fold, compile_stores
 from repro.obs.trace import get_tracer
+from repro.resilience.errors import LayoutError
 
 #: Challenge labels used by the helper arguments.
 THETA, BETA, GAMMA, ALPHA = "theta", "beta", "gamma", "alpha"
@@ -58,12 +59,15 @@ FIXED_ROUND, ADVICE_ROUND, HELPER_ROUND, QUOTIENT_ROUND = range(4)
 class LookupHelpers:
     """Helper advice columns for one lookup *table*.
 
-    Every argument reading the table gets one inverse column; the
-    multiplicity and running-sum columns are shared (``L + 2T`` columns
-    for ``L`` lookups into ``T`` distinct tables).
+    The arguments reading the table share helper columns in declaration
+    order: ``h_cols[i]`` holds the weighted fractions of the one or two
+    arguments ``groups[i]``.  The multiplicity and running-sum columns
+    are shared: ``ceil(L/2) + 2`` columns for ``L`` paired lookups, and
+    ``sum_j ceil(L_j/2) + 2T`` over ``T`` tables.
     """
 
     arguments: Tuple[LookupArgument, ...]
+    groups: Tuple[Tuple[LookupArgument, ...], ...]
     h_cols: Tuple[Column, ...]
     m_col: Column
     s_col: Column
@@ -198,7 +202,8 @@ class ProvingKey:
     fixed_round: CommittedRound
     #: every constraint, folded in ``y`` over the extended coset's parts
     quotient_tape: Tape
-    #: phase 2: the compressed lookup columns, then every denominator
+    #: phase 2: the compressed lookup columns, every denominator, then
+    #: the lookup numerators
     helper_tape: Tape
 
 
@@ -210,12 +215,19 @@ def _compress(exprs: Tuple[Expression, ...], theta: Expression) -> Expression:
     return acc
 
 
-def _compile_tapes(vk: VerifyingKey, compressed: List[Expression],
-                   denominators: List[Expression]) -> Tuple[Tape, Tape]:
+#: The helper tape's output blocks, in row order: the compressed lookup
+#: inputs and tables, the lookup helper columns' denominators, the
+#: tables' and the permutation's denominators, the lookup numerators.
+COMPRESSED, H_DENOMINATOR, DENOMINATOR, NUMERATOR = range(4)
+
+
+def _compile_tapes(vk: VerifyingKey, stores: List[Tuple[int, Expression]]
+                   ) -> Tuple[Tape, Tape]:
     """The quotient tape over the committed rounds, and the helper tape
-    over the base-domain columns: output rows ``compressed`` then
-    ``denominators``, each lookup denominator evaluated right after the
-    compressed column it extends."""
+    over the base-domain columns.  ``stores`` lists phase 2's vectors in
+    evaluation order, each tagged with its output block; the blocks'
+    rows follow each other in block order, and a block's rows are in
+    the order listed."""
 
     def slot_of(col: Column) -> Slot:
         if col.kind == ColumnType.INSTANCE:
@@ -223,13 +235,38 @@ def _compile_tapes(vk: VerifyingKey, compressed: List[Expression],
         return vk.claim_of(col, 0)[:2]
 
     quotient = compile_fold([expr for _, expr in vk.constraints], vk.n, slot_of)
-    lookup_rows = len(compressed)
+    sizes = [0] * 4
+    for block, _ in stores:
+        sizes[block] += 1
+    next_row = [sum(sizes[:block]) for block in range(4)]
     order = []
-    for row, expr in enumerate(compressed):
-        order += [(row, expr), (lookup_rows + row, denominators[row])]
-    order += [(row, denominators[row - lookup_rows])
-              for row in range(2 * lookup_rows, lookup_rows + len(denominators))]
+    for block, expr in stores:
+        order.append((next_row[block], expr))
+        next_row[block] += 1
     return quotient, compile_stores(order, vk.n, slot_of)
+
+
+def _fractions(terms: List[Tuple[LookupArgument, Expression]],
+               alpha: Expression, bound: int) -> List[tuple]:
+    """Pair one table's lookups, in declaration order, into helper
+    columns: ``(group, denominator, numerator)`` per column.
+
+    ``terms`` holds each lookup with its compressed input ``f``.  Two
+    lookups share a column when ``h (alpha + f_i)(alpha + f_j) - q_i
+    (alpha + f_j) - q_j (alpha + f_i)`` stays within degree ``bound``;
+    otherwise the first keeps ``h (alpha + f) - q`` to itself.
+    """
+    out = []
+    for lk, f in terms:
+        d, q = alpha + f, lk.numerator()
+        if out and len(out[-1][0]) == 1:
+            (lk0,), d0, q0 = out[-1]
+            den, num = d0 * d, q0 * d + q * d0
+            if max(1 + den.degree(), num.degree()) <= bound:
+                out[-1] = ((lk0, lk), den, num)
+                continue
+        out.append(((lk,), d, q))
+    return out
 
 
 def _build_permutation_tags(
@@ -327,44 +364,56 @@ def keygen(
 
     # ---- lookup helper constraints ----------------------------------------
     # Lookups are grouped by table (structural equality of the table
-    # expressions, first-appearance order).  Each lookup proves its own
-    # inverse column h_i = 1/(alpha + f_i); the table's running sum then
-    # accumulates sum_i h_i - m/(alpha + t) with ONE multiplicity column.
+    # expressions, first-appearance order) and paired within a table
+    # (_fractions): each helper column h proves the weighted fractions
+    # sum_i q_i/(alpha + f_i) of its one or two lookups; the table's
+    # running sum then accumulates sum h - m/(alpha + t) with ONE
+    # multiplicity column.  A pair never raises the circuit's degree.
     theta, alpha = Challenge(THETA), Challenge(ALPHA)
+    bound = cs.max_degree()
     by_table: Dict[Tuple[Expression, ...], List[LookupArgument]] = {}
     for lk in cs.lookups:
+        if lk.selector is not None and lk.selector.kind != ColumnType.SELECTOR:
+            # a numerator the prover can set lets weights cancel mod p
+            raise LayoutError(
+                "lookup %r is weighted by %r; a LogUp numerator must be a "
+                "selector column (0/1, fixed in the key)"
+                % (lk.name, lk.selector),
+                phase="keygen", lookup=lk.name)
         by_table.setdefault(lk.table, []).append(lk)
     lookups: List[LookupHelpers] = []
-    # phase 2's vectors: each table's compressed inputs and table column,
-    # and for the one batch inversion every lookup denominator (in that
-    # order) followed by each permuted column's id and sigma denominators
-    compressed: List[Expression] = []
-    denominators: List[Expression] = []
+    # phase 2's vectors in evaluation order, tagged with their output
+    # blocks (see _compile_tapes): each table's compressed inputs and
+    # table column; for the one batch inversion every helper column's
+    # denominator, then every table's, then each permuted column's id
+    # and sigma denominators; and every helper column's numerator
+    stores: List[Tuple[int, Expression]] = []
     for table, arguments in by_table.items():
+        terms = [(lk, _compress(lk.inputs, theta)) for lk in arguments]
+        fractions = _fractions(terms, alpha, bound)
         helpers = LookupHelpers(
             arguments=tuple(arguments),
-            h_cols=tuple(new_advice() for _ in arguments),
+            groups=tuple(group for group, _, _ in fractions),
+            h_cols=tuple(new_advice() for _ in fractions),
             m_col=new_advice(),
             s_col=new_advice(),
         )
         s = Ref(helpers.s_col)
-        step = Ref(helpers.s_col, 1) - s  # minus every h_i, below
-        for lk, h_col in zip(arguments, helpers.h_cols):
+        step = Ref(helpers.s_col, 1) - s  # minus every h, below
+        f_of = dict(terms)
+        for (group, den, num), h_col in zip(fractions, helpers.h_cols):
             h = Ref(h_col)
-            f = _compress(lk.inputs, theta)
-            compressed.append(f)
-            denominators.append(alpha + f)
-            constraints.append(
-                ("lookup:%s/inverse" % lk.name, h * denominators[-1] - 1)
-            )
+            stores += [(COMPRESSED, f_of[lk]) for lk in group]
+            stores += [(H_DENOMINATOR, den), (NUMERATOR, num)]
+            constraints.append((
+                "lookup:%s/fraction" % ",".join(lk.name for lk in group),
+                h * den - num))
             step = step - h
         name = "table:%d" % len(lookups)
         t = _compress(table, theta)
-        compressed.append(t)
-        denominators.append(alpha + t)
-        constraints.append(
-            ("%s/sum" % name, step * denominators[-1] + Ref(helpers.m_col))
-        )
+        d_t = alpha + t
+        stores += [(COMPRESSED, t), (DENOMINATOR, d_t)]
+        constraints.append(("%s/sum" % name, step * d_t + Ref(helpers.m_col)))
         constraints.append(("%s/init" % name, l0 * s))
         lookups.append(helpers)
 
@@ -399,7 +448,7 @@ def keygen(
             v = Ref(col)
             d_id = gamma + v + beta * Ref(id_col)
             d_sigma = gamma + v + beta * Ref(sigma_col)
-            denominators += [d_id, d_sigma]
+            stores += [(DENOMINATOR, d_id), (DENOMINATOR, d_sigma)]
             h = Ref(h_col)
             constraints.append(
                 (
@@ -460,8 +509,7 @@ def keygen(
         num_helper_advice=next_advice - cs.num_advice,
     )
     with tracer.span("keygen:tapes", constraints=len(constraints)):
-        quotient_tape, helper_tape = _compile_tapes(
-            vk, compressed, denominators)
+        quotient_tape, helper_tape = _compile_tapes(vk, stores)
     pk = ProvingKey(vk=vk, fixed_evals=fixed_evals, fixed_polys=fixed_polys,
                     fixed_round=fixed_round, quotient_tape=quotient_tape,
                     helper_tape=helper_tape)

@@ -207,7 +207,13 @@ class MockProver:
                 table_rows.add(
                     tuple(e.evaluate(field, read) for e in lookup.table)
                 )
-            for row in range(asg.n):
+            # a row whose selector is off is not looked up
+            active_rows = range(asg.n)
+            if lookup.selector is not None:
+                active_rows = np.flatnonzero(
+                    asg.grid(lookup.selector.kind)[lookup.selector.index]
+                ).tolist()
+            for row in active_rows:
                 def read(col: Column, rot: int, _row=row) -> int:
                     return asg.value(col, _row + rot)
 

@@ -6,7 +6,8 @@ succinct commitment scheme (:mod:`repro.commit.scheme`):
 1. interpolate the user advice columns, extend them to the rate-
    ``1/extension`` coset and commit the round as one Merkle tree;
 2. derive ``theta/beta/gamma/alpha`` and build the lookup (one ``h`` per
-   lookup, one ``m`` and ``s`` per table) and permutation (h_c, s) helper
+   pair of lookups into one table, one ``m`` and ``s`` per table:
+   ``sum_j ceil(L_j/2) + 2T`` columns) and permutation (h_c, s) helper
    columns; commit them as a second round;
 3. derive ``y``, fold every constraint, and divide by the vanishing
    polynomial on the extended coset to obtain the quotient polynomial,
@@ -29,9 +30,10 @@ one row scan) skip the interpolation.  No constraint expression is
 walked here: keygen compiled them into two register tapes
 (:mod:`repro.halo2.tape`), and each phase that evaluates expressions runs
 its tape in one ``gl64.eval_tape`` call.  Phase 2's tape writes every
-compressed lookup column and every lookup and permutation denominator;
-the denominators go through a single flat ``gl64.batch_inv`` call, and
-lookup multiplicities come from sorted numpy searches.  Phase 3's tape
+compressed lookup column, every lookup and permutation denominator and
+every lookup numerator; the denominators go through a single flat
+``gl64.batch_inv`` call, and lookup multiplicities (over the rows whose
+selector is on) come from sorted numpy searches.  Phase 3's tape
 folds the constraints per *coset part* — ``extension`` interleaved
 base-width cosets — *reading* the committed columns' extensions from
 phases 1-2 and the key's fixed round instead of transforming them again,
@@ -126,16 +128,18 @@ def _claimed_evaluations(domain, polys_by_round, claims, x) -> List[int]:
 # -- vectorized helper-column kernels ----------------------------------------
 
 
-def _lookup_multiplicities(field, names, f_arrs, t_arr) -> np.ndarray:
+def _lookup_multiplicities(field, names, f_arrs, t_arr,
+                           selectors) -> np.ndarray:
     """Vectorized multiplicity counting: one table's shared ``m`` column.
 
     ``f_arrs`` holds the compressed inputs of every lookup reading the
-    table (``names`` are theirs).  Each input row maps to the *first*
-    table row holding its value
-    (stable argsort keeps the lowest original row first among
-    duplicates), and a value missing from the table raises
-    :class:`ProvingError` naming the first such lookup and its lowest
-    offending row.
+    table (``names`` are theirs), and ``selectors`` their 0/1 selector
+    columns (``None`` for a lookup that reads every row).  Only rows
+    whose selector is on count: each such input row maps
+    to the *first* table row holding its value (stable argsort keeps the
+    lowest original row first among duplicates), and a value missing
+    from the table raises :class:`ProvingError` naming the first such
+    lookup and its lowest offending row.
     """
     n = len(t_arr)
     order = np.argsort(t_arr, kind="stable")
@@ -145,13 +149,25 @@ def _lookup_multiplicities(field, names, f_arrs, t_arr) -> np.ndarray:
     uniq[1:] = sorted_t[1:] != sorted_t[:-1]
     uniq_vals = sorted_t[uniq]
     first_rows = order[uniq]
-    f_all = np.concatenate(f_arrs)
+    # the active rows of each lookup (None: all of them); the lookups of
+    # one gadget share a selector
+    active_rows = {id(sel): None if sel is None else np.flatnonzero(sel)
+                   for sel in selectors}
+    rows = [active_rows[id(sel)] for sel in selectors]
+    f_all = np.concatenate([f if r is None else f[r]
+                            for f, r in zip(f_arrs, rows)])
     pos = np.searchsorted(uniq_vals, f_all)
     ok = pos < uniq_vals.size
     ok &= uniq_vals[np.minimum(pos, uniq_vals.size - 1)] == f_all
     if not ok.all():
-        which, row = divmod(int(np.argmax(~ok)), n)
-        raise _not_in_table(field, names[which], int(f_arrs[which][row]), row)
+        bad = int(np.argmax(~ok))
+        for which, r in enumerate(rows):
+            active = n if r is None else len(r)
+            if bad < active:
+                row = bad if r is None else int(r[bad])
+                raise _not_in_table(field, names[which],
+                                    int(f_arrs[which][row]), row)
+            bad -= active
     counts = np.bincount(first_rows[pos], minlength=n)
     return counts.astype(np.uint64)
 
@@ -178,7 +194,7 @@ def _prefix_sum_vec(h_arr) -> np.ndarray:
     return out
 
 
-def _batched_inverses(denoms: np.ndarray) -> List[np.ndarray]:
+def _batched_inverses(denoms: np.ndarray) -> np.ndarray:
     """One flat ``batch_inv`` over the rows of an ``(m, n)`` matrix.
 
     ``gl64.batch_inv`` costs ``2*log2(len)`` full-width passes regardless
@@ -188,12 +204,12 @@ def _batched_inverses(denoms: np.ndarray) -> List[np.ndarray]:
     the unbatched path.
     """
     if not len(denoms):
-        return []
+        return denoms.copy()
     try:
         inv = gl64.batch_inv(denoms.reshape(-1))
     except ZeroDivisionError:
-        return [gl64.batch_inv(d) for d in denoms]
-    return list(inv.reshape(len(denoms), -1))
+        return np.stack([gl64.batch_inv(d) for d in denoms])
+    return inv.reshape(denoms.shape)
 
 
 # -- the two tape runs ---------------------------------------------------------
@@ -245,8 +261,9 @@ def _quotient_extended_np(pk, assignment, committed_lde, challenges, y):
 
 def _helper_vectors(pk, assignment, challenges) -> np.ndarray:
     """Phase 2's vectors over the base domain, one row each: every
-    table's compressed inputs and table column, then every lookup and
-    permutation denominator (see :func:`repro.halo2.keygen.keygen`)."""
+    table's compressed inputs and table column, every lookup and
+    permutation denominator, then every lookup numerator (see
+    :func:`repro.halo2.keygen.keygen`)."""
     vk = pk.vk
     tape = pk.helper_tape
     advice = assignment.advice
@@ -324,12 +341,13 @@ def create_proof(
 
     # ---- phase 2: helper columns -------------------------------------------
     with timer.phase("helpers"):
-        # one tape run writes every compressed lookup column and every
-        # lookup and permutation denominator; the denominators are
+        # one tape run writes every compressed lookup column, every
+        # denominator and every lookup numerator; the denominators are
         # inverted in ONE flat batch_inv call; multiplicities and running
         # sums are vectorized
         vectors = _helper_vectors(pk, assignment, challenges)
         lookup_rows = sum(len(helpers.arguments) + 1 for helpers in vk.lookups)
+        h_rows = sum(len(helpers.h_cols) for helpers in vk.lookups)
         compressed = iter(vectors[:lookup_rows])
         perm = vk.permutation
         m_vecs = []
@@ -338,15 +356,21 @@ def create_proof(
             f_vecs = [next(compressed) for _ in helpers.arguments]
             m_vecs.append(_lookup_multiplicities(
                 field, [lk.name for lk in helpers.arguments], f_vecs,
-                next(compressed)))
-        invs = iter(_batched_inverses(vectors[lookup_rows:]))
+                next(compressed),
+                [None if lk.selector is None else pk.fixed_evals[lk.selector]
+                 for lk in helpers.arguments]))
+        invs = _batched_inverses(vectors[lookup_rows:len(vectors) - h_rows])
+        # h = (q_i (alpha + f_j) + q_j (alpha + f_i)) / ((alpha + f_i)(alpha + f_j))
+        # for a pair, q / (alpha + f) for a lookup alone
+        h_vecs = iter(gl64.mul(invs[:h_rows], vectors[len(vectors) - h_rows:]))
+        invs = iter(invs[h_rows:])
 
         helper_evals: Dict[int, object] = {}
         for helpers, m_vec in zip(vk.lookups, m_vecs):
-            # h_i = 1/(alpha + f_i);  s accumulates sum_i h_i - m/(alpha + t)
+            # s accumulates sum h - m/(alpha + t)
             total = backend.zeros(n)
             for h_col in helpers.h_cols:
-                h_vec = next(invs)
+                h_vec = next(h_vecs)
                 helper_evals[h_col.index] = h_vec
                 total = backend.add(total, h_vec)
             total = backend.sub(total, backend.mul(m_vec, next(invs)))

@@ -92,7 +92,8 @@ def circuit_digest(
     for gate in cs.gates:
         put("gate", "%s|%r|%r" % (gate.name, gate.selector, gate.constraints))
     for lk in cs.lookups:
-        put("lookup", "%s|%r|%r" % (lk.name, lk.inputs, lk.table))
+        put("lookup", "%s|%r|%r|%r" % (lk.name, lk.selector, lk.inputs,
+                                        lk.table))
     put("equality", repr(cs.permuted_columns()))
     # the grids as packed bytes, not repr() of 2^k Python objects per column
     for i, values in enumerate(assignment.fixed):

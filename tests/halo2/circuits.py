@@ -3,6 +3,8 @@
 from contextlib import contextmanager
 from unittest import mock
 
+import numpy as np
+
 from repro.field import GOLDILOCKS, native
 from repro.gadgets import AddGadget, CircuitBuilder, MulGadget, PointwiseGadget
 from repro.halo2 import Assignment, ConstraintSystem, Ref
@@ -139,3 +141,18 @@ def prove_with_columns(pk, asg, scheme):
     with mock.patch.object(prover, "_interpolate_commit", capturing):
         proof = create_proof(pk, asg, scheme)
     return proof, columns
+
+
+def lenient_multiplicities(field, names, f_arrs, t_arr, selectors):
+    """The prover's ``_lookup_multiplicities`` minus the membership
+    check: an active input the table does not hold is silently left out
+    of ``m``, so a forged witness reaches the verifier."""
+    first_row_of = {}
+    for row, t in enumerate(t_arr.tolist()):
+        first_row_of.setdefault(t, row)
+    m = np.zeros(len(t_arr), dtype=np.uint64)
+    for f_arr, sel in zip(f_arrs, selectors):
+        for row, f in enumerate(f_arr.tolist()):
+            if (sel is None or sel[row]) and f in first_row_of:
+                m[first_row_of[f]] += np.uint64(1)
+    return m

@@ -1,10 +1,12 @@
-"""Soundness and structure of the shared-table LogUp argument.
+"""Soundness and structure of the shared-table, weighted LogUp argument.
 
-Lookups are grouped by table: every lookup argument gets one inverse
-column ``h_i`` (``h_i * (alpha + f_i) = 1``) and every distinct table one
-multiplicity column ``m`` and one running sum ``s`` with
-``(s' - s - sum_i h_i) * (alpha + t) + m = 0`` — ``L + 2T`` helper
-columns and, with selector-gated inputs, constraint degree 3.
+Lookups are grouped by table and paired within it: one helper column
+``h`` holds ``q_i/(alpha + f_i) + q_j/(alpha + f_j)`` (the selectors
+``q`` are the numerators) when that constraint fits the circuit's
+degree, else one lookup's ``q/(alpha + f)``; every distinct table has
+one multiplicity column ``m`` and one running sum ``s`` with
+``(s' - s - sum h) * (alpha + t) + m = 0`` — ``sum_j ceil(L_j/2) + 2T``
+helper columns for the selector-gated gadget lookups, at degree 3.
 """
 
 import dataclasses
@@ -25,17 +27,22 @@ from repro.halo2 import (
     verify_proof,
 )
 from repro.halo2 import prover
-from repro.halo2.keygen import HELPER_ROUND
+from repro.halo2.keygen import ALPHA, HELPER_ROUND
 from repro.halo2.verifier import validate_proof_shape, verify_proof_strict
 from repro.model import get_model
 from repro.obs.stats import STATS
 from repro.resilience.errors import (
+    LayoutError,
     ProofFormatError,
     ProvingError,
     VerificationFailure,
 )
 
-from tests.halo2.circuits import prove_with_columns, range_check_circuit
+from tests.halo2.circuits import (
+    lenient_multiplicities,
+    prove_with_columns,
+    range_check_circuit,
+)
 
 F = GOLDILOCKS
 
@@ -67,6 +74,31 @@ def two_table_circuit(k=4, a1=(3, 3, 7), a2=(3, 5), b1=(20, 30)):
     return cs, asg
 
 
+def gated_pair_circuit(k=4, x1=(3, 3, 7), x2=(3, 5), inactive=()):
+    """Lookups ``a1`` (selector on rows 0-2) and ``a2`` (rows 0-1) into
+    table A (0..7).  One equality-enabled column puts the circuit at
+    degree 3, so the two share a helper column.  ``inactive`` holds
+    ``(row, value)`` cells of ``a1``'s input on rows its selector is off.
+    """
+    cs = ConstraintSystem(F)
+    c1, c2 = cs.advice_column(), cs.advice_column()
+    table = cs.fixed_column()
+    q1, q2 = cs.selector(), cs.selector()
+    cs.enable_equality(c1)
+    cs.add_lookup("a1", inputs=[Ref(c1)], table=[Ref(table)], selector=q1)
+    cs.add_lookup("a2", inputs=[Ref(c2)], table=[Ref(table)], selector=q2)
+    asg = Assignment(cs, k)
+    for row in range(asg.n):
+        asg.assign_fixed(table, row, row if row < 8 else 0)
+    for col, sel, values in ((c1, q1, x1), (c2, q2, x2)):
+        for row, v in enumerate(values):
+            asg.assign_advice(col, row, v)
+            asg.enable_selector(sel, row)
+    for row, v in inactive:
+        asg.assign_advice(c1, row, v)
+    return cs, asg
+
+
 class TestSharedMultiplicity:
     def test_m_sums_the_lookups_of_one_table(self, scheme):
         cs, asg = two_table_circuit()
@@ -85,20 +117,6 @@ class TestSharedMultiplicity:
         assert m[0] == (asg.n - 3) + (asg.n - 2)
         assert sum(m) == 2 * asg.n
         assert sum(columns[table_b.m_col.index]) == asg.n
-
-
-def _lenient_multiplicities(field, names, f_arrs, t_arr):
-    """``_lookup_multiplicities`` minus the membership check: a value the
-    table does not hold is silently left out of ``m``."""
-    first_row_of = {}
-    for row, t in enumerate(t_arr.tolist()):
-        first_row_of.setdefault(t, row)
-    m = np.zeros(len(t_arr), dtype=np.uint64)
-    for f_arr in f_arrs:
-        for f in f_arr.tolist():
-            if f in first_row_of:
-                m[first_row_of[f]] += np.uint64(1)
-    return m
 
 
 class TestWrongTable:
@@ -126,11 +144,105 @@ class TestWrongTable:
         cs, asg = self.circuit()
         pk, vk = keygen(cs, asg, scheme)
         monkeypatch.setattr(prover, "_lookup_multiplicities",
-                            _lenient_multiplicities)
+                            lenient_multiplicities)
         proof = create_proof(pk, asg, scheme)
         validate_proof_shape(vk, proof, asg.instance_values())
         with pytest.raises(VerificationFailure):
             verify_proof_strict(vk, proof, asg.instance_values(), scheme)
+
+
+class TestWeightedPairs:
+    """Selectors as LogUp numerators: two lookups share a helper column,
+    and a row whose selector is off is not looked up."""
+
+    def test_two_lookups_of_one_table_share_a_column(self, scheme):
+        cs, asg = gated_pair_circuit()
+        pk, vk = keygen(cs, asg, scheme)
+        (helpers,) = vk.lookups
+        assert [[lk.name for lk in group] for group in helpers.groups] == [
+            ["a1", "a2"]]
+        assert len(helpers.h_cols) == 1
+        assert vk.max_degree == cs.max_degree() == 3
+        assert "lookup:a1,a2/fraction" in dict(vk.constraints)
+        proof, columns = prove_with_columns(pk, asg, scheme)
+        verify_proof_strict(vk, proof, asg.instance_values(), scheme)
+        # only active rows count: a1 hits 3 twice and 7 once, a2 hits 3
+        # and 5; the zero row is no longer hit by the inactive rows
+        m = columns[helpers.m_col.index]
+        assert (m[0], m[3], m[5], m[7]) == (0, 3, 1, 1)
+        assert sum(m) == 5
+
+    def test_inactive_row_outside_the_table_proves_and_verifies(self, scheme):
+        cs, asg = gated_pair_circuit(inactive=((5, 100), (9, F.p - 1)))
+        MockProver(cs, asg).assert_satisfied()
+        pk, vk = keygen(cs, asg, scheme)
+        proof = create_proof(pk, asg, scheme)
+        verify_proof_strict(vk, proof, asg.instance_values(), scheme)
+
+    def test_active_row_outside_the_table_is_still_rejected(self, scheme):
+        cs, asg = gated_pair_circuit(x1=(3, 100, 7))
+        failures = MockProver(cs, asg).verify()
+        assert [(f.kind, f.name, f.row) for f in failures] == [
+            ("lookup", "a1", 1)]
+        pk, vk = keygen(cs, asg, scheme)
+        with pytest.raises(ProvingError, match="'a1'.*100 at row 1"):
+            create_proof(pk, asg, scheme)
+
+    def test_nonzero_h_on_an_inactive_row_is_rejected(self, scheme,
+                                                      monkeypatch):
+        # an active input outside the table (20 on row 1), left out of m,
+        # leaves 1/(alpha + 20) too much in the running sum; a forged h on
+        # the inactive row 6 takes exactly that back out, so the sum
+        # still closes.  Only the inactive row's fraction constraint
+        # (q = 0 there, so h must be 0) can catch it.
+        cs, asg = gated_pair_circuit(x1=(3, 20, 7))
+        pk, vk = keygen(cs, asg, scheme)
+        (helpers,) = vk.lookups
+        inactive_row = 6
+        assert not any(asg.selectors[:, inactive_row])
+        real = prover._helper_vectors
+        lookup_rows = len(helpers.arguments) + 1
+        seen = {}
+
+        def forging(pk_, asg_, challenges):
+            seen["alpha"] = challenges[ALPHA]
+            out = real(pk_, asg_, challenges)
+            den = int(out[lookup_rows, inactive_row])  # the pair's
+            cancel = F.neg(F.inv(F.add(challenges[ALPHA], 20)))
+            # h = numerator / denominator on that row
+            out[-1, inactive_row] = F.mul(cancel, den)
+            return out
+
+        monkeypatch.setattr(prover, "_lookup_multiplicities",
+                            lenient_multiplicities)
+        monkeypatch.setattr(prover, "_helper_vectors", forging)
+        proof, columns = prove_with_columns(pk, asg, scheme)
+        h = columns[helpers.h_cols[0].index]
+        assert h[inactive_row] != 0
+        # the forgery balances the running sum: its last step wraps s
+        # back to s[0] = 0
+        s, m = columns[helpers.s_col.index], columns[helpers.m_col.index]
+        last = asg.n - 1
+        t_last = asg.value(helpers.table[0].column, last)
+        step = F.sub(h[last], F.mul(m[last], F.inv(F.add(seen["alpha"], t_last))))
+        assert F.add(s[last], step) == 0
+        validate_proof_shape(vk, proof, asg.instance_values())
+        with pytest.raises(VerificationFailure):
+            verify_proof_strict(vk, proof, asg.instance_values(), scheme)
+
+
+class TestNumeratorsAreSelectors:
+    @pytest.mark.parametrize("kind", ["advice", "fixed"])
+    def test_keygen_rejects_a_non_selector_numerator(self, scheme, kind):
+        cs = ConstraintSystem(F)
+        x, table = cs.advice_column(), cs.fixed_column()
+        weight = getattr(cs, kind + "_column")()
+        cs.add_lookup("w", inputs=[Ref(x)], table=[Ref(table)],
+                      selector=weight)
+        asg = Assignment(cs, 3)
+        with pytest.raises(LayoutError, match="'w'.*selector column") as info:
+            keygen(cs, asg, scheme)
+        assert info.value.context["lookup"] == "w"
 
 
 def prove_with_perturbed_helper(monkeypatch, pk, asg, scheme, col, row):
@@ -183,11 +295,12 @@ class TestLayout:
                            vk.advice_queries, vk.num_helper_advice))
         assert shapes[0] == shapes[1]
         names, queries, helpers = shapes[0]
-        # tables in first-appearance order, each: inverses, then sum, init
+        # tables in first-appearance order, each: fractions, then sum,
+        # init; the circuit is degree 2, so no two lookups pair
         assert names == [
-            "lookup:a1/inverse", "lookup:a2/inverse",
+            "lookup:a1/fraction", "lookup:a2/fraction",
             "table:0/sum", "table:0/init",
-            "lookup:b1/inverse", "table:1/sum", "table:1/init",
+            "lookup:b1/fraction", "table:1/sum", "table:1/init",
         ]
         assert helpers == 3 + 2 * 2  # L + 2T
         first = cs.num_advice
@@ -219,11 +332,38 @@ class TestLayout:
             validate_proof_shape(vk, proof, asg.instance_values())
         assert not any(STATS.delta(before).values())
 
-    @pytest.mark.parametrize("model,helpers", [
-        ("dlrm", 33), ("mnist", 45), ("twitter", 50),
-        ("gpt2", 62), ("mobilenet", 33), ("resnet18", 33),
+    def test_one_column_per_lookup_width_rejected_before_hashing(self, scheme):
+        cs, asg = gated_pair_circuit()
+        pk, vk = keygen(cs, asg, scheme)
+        proof = create_proof(pk, asg, scheme)
+        # the unpaired layout: one h per lookup, m and s per table, and the
+        # permutation's helper and running sum
+        per_lookup = len(cs.lookups) + 2 * len(vk.lookups) + 1 + 1
+        assert per_lookup == vk.num_helper_advice + 1
+        extra = (0,) * (2 * (per_lookup - vk.num_helper_advice))
+        proof.queries = [
+            dataclasses.replace(query, rows=tuple(
+                dataclasses.replace(row, values=row.values + extra)
+                if slot == HELPER_ROUND else row
+                for slot, row in enumerate(query.rows)))
+            for query in proof.queries]
+        before = STATS.snapshot()
+        with pytest.raises(ProofFormatError, match="rows of the wrong shape"):
+            validate_proof_shape(vk, proof, asg.instance_values())
+        assert not any(STATS.delta(before).values())
+
+    # the ids name the one-column-per-lookup width (L + 2T + P + 1),
+    # which the test still pins beside the paired width it proves with
+    @pytest.mark.parametrize("model,unpaired,helpers", [
+        pytest.param("dlrm", 33, 28, id="dlrm-33"),
+        pytest.param("mnist", 45, 35, id="mnist-45"),
+        pytest.param("twitter", 50, 39, id="twitter-50"),
+        pytest.param("gpt2", 62, 46, id="gpt2-62"),
+        pytest.param("mobilenet", 33, 28, id="mobilenet-33"),
+        pytest.param("resnet18", 33, 28, id="resnet18-33"),
     ])
-    def test_zoo_models_are_degree_three(self, scheme, model, helpers):
+    def test_zoo_models_are_degree_three(self, scheme, model, unpaired,
+                                         helpers):
         # was 53 / 83 / 92 / 122 / 53 / 53 helper columns at degree 4
         spec = get_model(model, "mini")
         rng = np.random.default_rng(0)
@@ -238,10 +378,16 @@ class TestLayout:
         assert vk.domain.extension == 2
         assert vk.num_quotient_pieces == 2
         assert vk.num_helper_advice == helpers
-        tables = len({lk.table for lk in cs.lookups})
-        assert len(vk.lookups) == tables
-        assert helpers == (len(cs.lookups) + 2 * tables
-                           + len(vk.permutation.helper_cols) + 1)
+        # every lookup is selector-gated with a degree-1 input, so the
+        # lookups of each table pair up: sum_j ceil(L_j/2) + 2T + P + 1
+        per_table = [len(h.arguments) for h in vk.lookups]
+        assert len(vk.lookups) == len({lk.table for lk in cs.lookups})
+        assert [len(h.h_cols) for h in vk.lookups] == [
+            -(-size // 2) for size in per_table]
+        permutation = len(vk.permutation.helper_cols) + 1
+        assert helpers == (sum(-(-size // 2) for size in per_table)
+                           + 2 * len(per_table) + permutation)
+        assert unpaired == len(cs.lookups) + 2 * len(per_table) + permutation
 
 
 class TestDegrees:

@@ -208,20 +208,27 @@ class TestLookupMultiplicitiesKernel:
         table = data.draw(column)
         inputs = [data.draw(column) for _ in range(lookups)]
         names = ["lk%d" % i for i in range(lookups)]
+        # per lookup: every row (None) or a 0/1 selector, shared or not
+        masks = [data.draw(st.none() | st.lists(st.sampled_from([0, 1]),
+                                                min_size=n, max_size=n))
+                 for _ in range(lookups)]
+        if lookups > 1 and data.draw(st.booleans()):
+            masks[1] = masks[0]
+        arrays = {}  # a shared selector is one array, as in a proving key
+        selectors = [None if m is None else arrays.setdefault(
+            id(m), np.array(m, dtype=np.uint64)) for m in masks]
+        args = (F, names, [np.array(f, dtype=np.uint64) for f in inputs],
+                np.array(table, dtype=np.uint64), selectors)
         try:
-            want = lookup_multiplicities(F, names, inputs, table)
+            want = lookup_multiplicities(F, names, inputs, table, masks)
         except ProvingError as exc:
             with pytest.raises(ProvingError) as got:
-                _lookup_multiplicities(
-                    F, names, [np.array(f, dtype=np.uint64) for f in inputs],
-                    np.array(table, dtype=np.uint64))
+                _lookup_multiplicities(*args)
             # the same lookup, at its lowest offending row
             assert got.value.context == exc.context
             assert str(got.value) == str(exc)
             return
-        got = _lookup_multiplicities(
-            F, names, [np.array(f, dtype=np.uint64) for f in inputs],
-            np.array(table, dtype=np.uint64))
+        got = _lookup_multiplicities(*args)
         assert got.dtype == np.uint64 and got.tolist() == want
 
 

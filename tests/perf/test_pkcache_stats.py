@@ -164,9 +164,12 @@ def test_entry_checksum_digest_is_pinned():
     # and the checksum hashes their 8-byte words in place, not 32-byte
     # padded copies -- 4x fewer bytes through blake2b on every cache hit
     # (were 1c5f58b3e57b7bd312e69c2f805be5a6 / d3d9857051e914c7ed83f84cd88bcc85).
+    # range_check_circuit's pin moved with weighted LogUp: its lookup's
+    # constraint is now named "lookup:range/fraction" and proves
+    # h * (alpha + f) - 1 (was 6db239bd98c17b171b98589b92a81da6).
     for builder, digest in (
         (mul_circuit, "0911fc66571bc79979910d03044099a2"),
-        (range_check_circuit, "6db239bd98c17b171b98589b92a81da6"),
+        (range_check_circuit, "0ad7f08f90528ad758693476ba03ba28"),
     ):
         cs, asg = builder()
         pk, vk = keygen(cs, asg, _scheme())

@@ -75,18 +75,21 @@ def poly_eval(field: PrimeField, coeffs: Sequence[int], x: int) -> int:
 
 
 def lookup_multiplicities(field: PrimeField, names: Sequence[str],
-                          f_vecs, t_vec) -> List[int]:
-    """Per table row, how many input rows of all the lookups ``names``
-    (compressed inputs ``f_vecs``) hit it, each input counted at the
-    first table row holding its value.  A value missing from the table
+                          f_vecs, t_vec, selectors) -> List[int]:
+    """Per table row, how many active input rows of all the lookups
+    ``names`` (compressed inputs ``f_vecs``; 0/1 ``selectors``, ``None``
+    for a lookup of every row) hit it, each input counted at the first
+    table row holding its value.  An active value missing from the table
     raises the prover's ``ProvingError`` for the first such lookup, at
     its lowest row."""
     first_row_of: Dict[int, int] = {}
     for row, t in enumerate(t_vec):
         first_row_of.setdefault(int(t), row)
     counts = [0] * len(t_vec)
-    for name, f_vec in zip(names, f_vecs):
+    for name, f_vec, sel in zip(names, f_vecs, selectors):
         for row, f in enumerate(f_vec):
+            if sel is not None and not sel[row]:
+                continue
             target = first_row_of.get(int(f))
             if target is None:
                 raise _not_in_table(field, name, int(f), row)

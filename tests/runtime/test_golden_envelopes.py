@@ -9,7 +9,13 @@ updates it and says why in CHANGES.md.
 Last regenerated for envelope v2 (succinct proofs, scalars at field
 width, constraint-binding vk hashes): k is unchanged on all 16 rows, the
 envelopes are 5-26x smaller (dlrm 824 489 -> 159 023 bytes, vgg16
-6 690 070 -> 254 620).
+6 690 070 -> 254 620).  Regenerated again for weighted LogUp (selectors
+as lookup numerators, two lookups of one table per helper column): the
+helper round narrows, so every hash, envelope size and the
+``ntt_base`` / ``ntt_extended`` / ``commitments`` / ``openings`` counts
+move, and k, ``lookup_passes``, the transcript counts and the Merkle
+hash counts do not (dlrm 159 023 -> 155 143 bytes, 45 -> 40
+commitments; gpt2 217 283 -> 204 867 bytes, 74 -> 58 commitments).
 
 ``OP_COUNTS`` pins, beside each single-proof hash, how much work the
 prover did for it: every ``obs.stats`` counter of
@@ -37,26 +43,26 @@ from repro.runtime import prove_batch, prove_model
 
 #: model -> (k, envelope bytes, blake2b-16 of the envelope): prove_model, seed 0.
 SINGLE = {
-    "diffusion": (11, 209732, "9eaee462e41ccf9beeefdfa8810cb728"),
-    "dlrm": (9, 159023, "2ad38d1418fb0b7a5673c91d0802e99b"),
-    "gpt2": (10, 217283, "4a881e50c7df39792f52fe5b1c8bcd79"),
-    "mnist": (9, 173000, "2374a8021da09395a00433e30895607b"),
-    "mobilenet": (11, 215948, "11cdc3499723777d707c524d908c5127"),
-    "resnet18": (12, 256175, "95a737d3021e0ed9b444409711ed5a2c"),
-    "twitter": (9, 179994, "d627d039ca78ee68500b0ac9c17bc999"),
-    "vgg16": (12, 254620, "ae333632381eebefa8acd79bd64706e6"),
+    "diffusion": (11, 206628, "ca30fdde8f8c46c15e29ff1d9c88b693"),
+    "dlrm": (9, 155143, "38cc72e883ab8d1169a872afbebc561b"),
+    "gpt2": (10, 204867, "692ad63780e5f8a187f54639cd57334f"),
+    "mnist": (9, 165240, "c7b321e4f488720093178856845aeed0"),
+    "mobilenet": (11, 212068, "958d85a5a3661927892514017804d586"),
+    "resnet18": (12, 252295, "30958ecf1bd95e69820aa912566b28c5"),
+    "twitter": (9, 171458, "192eda546ce7647190faa00a77801535"),
+    "vgg16": (12, 249964, "03572e02e742c81f20e014edb5977541"),
 }
 
 #: model -> (k, blake2b-16 of the envelope): prove_batch of seeds 0 then 1.
 BATCH_OF_TWO = {
-    "diffusion": (12, "e09aaca378bb55050b2b4dd3b749c9ec"),
-    "dlrm": (9, "9afbc0e401c30f1dc0b1f1fba19017bf"),
-    "gpt2": (11, "585308f3484131cca12b722949b6a0a5"),
-    "mnist": (9, "bd8c979a663bfaf959c0e6e015ce1002"),
-    "mobilenet": (12, "b778a087bfc336c03819c4a4479ed3dc"),
-    "resnet18": (13, "7271a0945320e5e69304c5f70845022d"),
-    "twitter": (9, "c697856762fb88aade4f59fd1e32522e"),
-    "vgg16": (13, "fa1fe8f7512d4ba64c5b38c97c8d7a6c"),
+    "diffusion": (12, "a880dc4c297fd3cef2db836758e543ac"),
+    "dlrm": (9, "a1cb4662c17e7792cd66c7ebfb141e75"),
+    "gpt2": (11, "b2e4b8d244315e6ddefd41d5a0e04594"),
+    "mnist": (9, "ae6595728ccc366b143c57c30bdf66b7"),
+    "mobilenet": (12, "e6977cf4cc8f04ad7f85671f9bfaea75"),
+    "resnet18": (13, "7d99422647efda42f4e8f29c02225d44"),
+    "twitter": (9, "e9e1ade8eaa31a601d4bd0cecdcdd0b3"),
+    "vgg16": (13, "19358a342d9afb25ad1157725fda545a"),
 }
 
 #: The counters pinned per proof: a new ``obs.stats`` field gets a column.
@@ -68,14 +74,14 @@ assert set(COUNTED) == set(FIELDS) - {"ntt_plan_hits"}
 
 #: model -> observed_counts of the ``SINGLE`` proof, in ``COUNTED`` order.
 OP_COUNTS = {
-    "diffusion": (39, 79, 40, 80, 10, 85, 61, 8128, 8120, 0),
-    "dlrm": (44, 85, 45, 87, 13, 79, 59, 1984, 1978, 0),
-    "gpt2": (73, 128, 74, 133, 36, 82, 60, 4032, 4025, 0),
-    "mnist": (55, 103, 57, 106, 23, 79, 59, 1984, 1978, 1),
-    "mobilenet": (44, 87, 45, 89, 13, 85, 61, 8128, 8120, 0),
-    "resnet18": (44, 87, 45, 89, 13, 88, 62, 16320, 16311, 0),
-    "twitter": (61, 112, 62, 116, 26, 79, 59, 1984, 1978, 0),
-    "vgg16": (45, 85, 46, 87, 14, 88, 62, 16320, 16311, 0),
+    "diffusion": (35, 75, 36, 76, 10, 85, 61, 8128, 8120, 0),
+    "dlrm": (39, 80, 40, 82, 13, 79, 59, 1984, 1978, 0),
+    "gpt2": (57, 112, 58, 117, 36, 82, 60, 4032, 4025, 0),
+    "mnist": (45, 93, 47, 96, 23, 79, 59, 1984, 1978, 1),
+    "mobilenet": (39, 82, 40, 84, 13, 85, 61, 8128, 8120, 0),
+    "resnet18": (39, 82, 40, 84, 13, 88, 62, 16320, 16311, 0),
+    "twitter": (50, 101, 51, 105, 26, 79, 59, 1984, 1978, 0),
+    "vgg16": (39, 79, 40, 81, 14, 88, 62, 16320, 16311, 0),
 }
 
 

@@ -67,7 +67,7 @@ import numpy as np
 
 from repro.compiler import build_physical_layout
 from repro.envelope import DEFAULT_CAPS
-from repro.field import gl64
+from repro.field import native
 from repro.halo2.proof import proof_to_bytes
 from repro.layers.base import LayoutChoices
 from repro.model import get_model, model_names, seeded_inputs, transpile
@@ -81,6 +81,7 @@ from repro.obs.trace import Tracer, use_tracer
 from repro.optimizer import resolve_profile
 from repro.resilience import events
 from repro.resilience.errors import (
+    KernelUnavailableError,
     ProofFormatError,
     ResilienceError,
     UnknownVerifyingKeyError,
@@ -114,7 +115,7 @@ def _describe_spec(spec, num_cols: int, scale_bits: int) -> None:
     log.info("fixed columns:   %d (%d weight columns)", layout.num_fixed,
              layout.num_weight_columns)
     log.info("constraint deg:  %d", layout.d_max)
-    log.info("field kernel:    %s", gl64.kernel_tier())
+    log.info("field kernel:    %d lanes", native.lane_width())
 
 
 def _inspect_info(spec, scale: str, num_cols: int, scale_bits: int) -> dict:
@@ -127,7 +128,7 @@ def _inspect_info(spec, scale: str, num_cols: int, scale_bits: int) -> dict:
         "layers": len(spec.layers),
         "parameters": spec.param_count(),
         "flops": spec.flops(),
-        "field_kernel": gl64.kernel_tier(),
+        "field_kernel": {"lanes": native.lane_width()},
         "layout": {
             "k": layout.k,
             "num_cols": num_cols,
@@ -436,6 +437,8 @@ def _verify_envelope_file(args) -> int:
         verify_envelope(env, _registry_vk(args.registry, env))
     except UnknownVerifyingKeyError:
         raise  # exit 3 with the remediation hint, in _cmd_verify
+    except KernelUnavailableError:
+        raise  # not a verdict: main() reports it and exits 1
     except ResilienceError as exc:
         fields = {"envelope": args.envelope}
         fields.update(exc.attribution())
@@ -482,7 +485,7 @@ def _verify_artifact_file(args) -> int:
                 "artifact has an envelope but no 'vk'; pass "
                 "--registry DIR to resolve the key")
         verify_envelope(env, vk)
-    except UnknownVerifyingKeyError:
+    except (UnknownVerifyingKeyError, KernelUnavailableError):
         raise
     except ResilienceError as exc:
         fields = {"artifact": args.artifact}

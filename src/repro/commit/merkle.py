@@ -10,12 +10,11 @@ node; scalars are 8-byte little-endian Goldilocks residues
 prover serialized it from an array or the verifier from opened ints.
 
 A tree is one ``(2 * padded - 1, 32)`` ``uint8`` node array, leaf level
-first and the root last.  With the compiled kernel loaded,
-:meth:`MerkleTree.from_rows` fills it with one ``gl_merkle_tree`` call
-(``field/gl64_native.c``); otherwise, and for byte leaves, the
-``hashlib`` loop here fills the same array.  :func:`verify_merkle_path`
-always uses ``hashlib``, so every verification re-hashes what it opens
-independently of the kernel.
+first and the root last, filled by one ``gl_merkle_tree`` call
+(``field/gl64_native.c``) in :meth:`MerkleTree.from_rows`; the ``hashlib``
+tree it is tested against lives in ``tests/oracle.py``.
+:func:`verify_merkle_path` uses ``hashlib``, so every verification
+re-hashes what it opens independently of the kernel.
 """
 
 from __future__ import annotations
@@ -42,11 +41,6 @@ def _hash_leaf(data) -> bytes:
     return _blake2b(data, digest_size=DIGEST_BYTES, person=_LEAF).digest()
 
 
-def _hash_node(left: bytes, right: bytes) -> bytes:
-    return _blake2b(left + right, digest_size=DIGEST_BYTES,
-                    person=_NODE).digest()
-
-
 def leaf_bytes(values: Sequence[int]) -> bytes:
     """One matrix row as leaf bytes: 8 LE bytes per value."""
     return struct.pack("<%dQ" % len(values), *values)
@@ -54,7 +48,7 @@ def leaf_bytes(values: Sequence[int]) -> bytes:
 
 def _padded(count: int) -> int:
     """The leaf count rounded up to a power of two; counts the hashes a
-    tree over ``count`` leaves makes, whichever tier builds it."""
+    tree over ``count`` leaves makes."""
     if not count:
         raise ValueError("Merkle tree needs at least one leaf")
     padded = 1 << (count - 1).bit_length()
@@ -66,46 +60,12 @@ def _padded(count: int) -> int:
 class MerkleTree:
     """A Merkle tree with authentication paths.
 
-    Leaves are arbitrary byte strings; the leaf count is padded to a power
-    of two by repeating a fixed empty-leaf digest.  ``nodes`` holds every
-    digest, level by level from the leaves up; ``_levels`` are views into it.
+    The leaf count is padded to a power of two by repeating a fixed
+    empty-leaf digest.  ``nodes`` holds every digest, level by level from
+    the leaves up; ``_levels`` are views into it.
     """
 
-    def __init__(self, leaves: Sequence[bytes]):
-        padded = _padded(len(leaves))
-        level = [_hash_leaf(leaf) for leaf in leaves]
-        level += [_hash_leaf(b"")] * (padded - len(level))
-        digests = level
-        while len(level) > 1:
-            level = [_hash_node(level[i], level[i + 1])
-                     for i in range(0, len(level), 2)]
-            digests += level
-        self._adopt(len(leaves), np.frombuffer(
-            b"".join(digests), dtype=np.uint8).reshape(-1, DIGEST_BYTES))
-
-    @classmethod
-    def from_rows(cls, rows) -> "MerkleTree":
-        """A tree with one leaf per row of an ``(L, w)`` matrix of field
-        elements (an array or nested sequences of ints), each leaf the
-        row's :func:`leaf_bytes`: one ``gl_merkle_tree`` call on the
-        compiled tier, the byte-leaf loop over row slices otherwise."""
-        rows = np.ascontiguousarray(rows, dtype="<u8")
-        if rows.ndim != 2 or not rows.shape[1]:
-            raise ValueError("rows need a nonempty (L, w) shape")
-        width = 8 * rows.shape[1]
-        lib = native.library()
-        if lib is None:
-            buf = memoryview(rows).cast("B")
-            return cls([buf[i : i + width] for i in range(0, len(buf), width)])
-        padded = _padded(len(rows))
-        nodes = np.empty((2 * padded - 1, DIGEST_BYTES), dtype=np.uint8)
-        lib.gl_merkle_tree(nodes.ctypes.data, rows.ctypes.data, len(rows),
-                           width, padded, _PERSONS[0], _PERSONS[1])
-        tree = cls.__new__(cls)
-        tree._adopt(len(rows), nodes)
-        return tree
-
-    def _adopt(self, num_leaves: int, nodes: np.ndarray) -> None:
+    def __init__(self, num_leaves: int, nodes: np.ndarray):
         nodes.flags.writeable = False
         self.num_leaves, self.nodes = num_leaves, nodes
         padded = (len(nodes) + 1) // 2
@@ -115,11 +75,26 @@ class MerkleTree:
         # the sibling of leaf i at depth d is node starts[d] + ((i >> d) ^ 1)
         self._path_starts, self._path_shifts = starts[:-1], np.arange(len(starts) - 1)
 
+    @classmethod
+    def from_rows(cls, rows) -> "MerkleTree":
+        """A tree with one leaf per row of an ``(L, w)`` matrix of field
+        elements (an array or nested sequences of ints), each leaf the
+        row's :func:`leaf_bytes`, in one ``gl_merkle_tree`` call."""
+        rows = np.ascontiguousarray(rows, dtype="<u8")
+        if rows.ndim != 2 or not rows.shape[1]:
+            raise ValueError("rows need a nonempty (L, w) shape")
+        lib = native.library()
+        padded = _padded(len(rows))
+        nodes = np.empty((2 * padded - 1, DIGEST_BYTES), dtype=np.uint8)
+        lib.gl_merkle_tree(nodes.ctypes.data, rows.ctypes.data, len(rows),
+                           8 * rows.shape[1], padded, *_PERSONS)
+        return cls(len(rows), nodes)
+
     def __getstate__(self):
         return {"num_leaves": self.num_leaves, "nodes": self.nodes}
 
     def __setstate__(self, state):
-        self._adopt(state["num_leaves"], state["nodes"])
+        self.__init__(state["num_leaves"], state["nodes"])
 
     @property
     def root(self) -> bytes:

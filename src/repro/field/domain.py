@@ -18,6 +18,7 @@ plain ints.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -56,7 +57,7 @@ class EvaluationDomain:
         self.coset_shift = field.generator
         self.backend = GL64Backend(field)
         # numpy twiddle/permutation caches, built lazily per transform size
-        self._np_stages: Dict[tuple, List[np.ndarray]] = {}
+        self._np_stages: Dict[tuple, np.ndarray] = {}
         self._np_rev: Dict[int, np.ndarray] = {}
         self._np_powers: Dict[tuple, np.ndarray] = {}
         self._np_scale_rev: Dict[tuple, np.ndarray] = {}
@@ -66,6 +67,18 @@ class EvaluationDomain:
         self._part_invs: Optional[List[int]] = None
         self._rotation_cache: Dict[int, int] = {}
         self._memo: Dict[object, object] = {}
+
+    def __setstate__(self, state):
+        # keys interned as pickle's default restore does, so a reloaded
+        # domain pickles to the same bytes
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
+        # a key pickled by an older build may cache limb-table twiddles
+        # (``gl64._Stages``); drop them, they rebuild on first use
+        plans = self._np_sixstep.values()
+        stages = [*self._np_stages.values(),
+                  *(t for plan in plans for t in (plan.stages_inner, plan.stages_outer))]
+        if not all(isinstance(t, np.ndarray) for t in stages):
+            self._np_stages, self._np_sixstep = {}, {}
 
     def memo(self, key, build):
         """A derived table other layers keep on the domain: ``build()`` once
@@ -78,7 +91,7 @@ class EvaluationDomain:
 
     # -- cached numpy tables -------------------------------------------------
 
-    def _gl64_stages(self, root: int, n: int) -> List[np.ndarray]:
+    def _gl64_stages(self, root: int, n: int) -> np.ndarray:
         key = (root, n)
         cached = self._np_stages.get(key)
         if cached is None:

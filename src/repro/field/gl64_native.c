@@ -2,8 +2,8 @@
  *
  * Built at first use by repro/field/native.py (`cc -O3 -shared -fPIC`) and
  * called through ctypes.  Inputs are canonical residues in [0, p); every
- * result is canonical, so outputs equal the numpy bodies in gl64.py bit
- * for bit (tests/field/test_gl64_native.py).
+ * result is canonical, so outputs equal the numpy oracle in
+ * tests/oracle.py bit for bit (tests/field/test_gl64_native.py).
  *
  * Every reduction is branchless: residues are random, so a conditional
  * correction (`if (s < a) s += EPS`) mispredicts half the time and the

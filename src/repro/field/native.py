@@ -4,10 +4,12 @@
 ``_native/gl64-<key>.so`` (keyed by its source, the compiler's version
 banner and the machine: an edit or a new toolchain never loads a stale
 object), self-tested against Python-int arithmetic and handed to
-:mod:`repro.field.gl64` as a ``ctypes`` handle.  If any step fails, one
-``field_kernel_fallback`` event says why and :func:`library` is ``None``
-for the life of the process: ``gl64``'s numpy bodies do the work,
-bit-identically.  There is no switch: a compiler is present or it is not.
+:mod:`repro.field.gl64` as a ``ctypes`` handle.  It is the only arithmetic
+path: if any step fails, :func:`library` raises
+:class:`~repro.resilience.errors.KernelUnavailableError` saying why (``no
+C compiler``, ``build failed``, ``load failed`` or ``self-test failed``),
+and raises it again on every later call without another build, so proving
+and verifying need a working ``cc``.  There is no switch.
 The NTT, constraint-tape and Merkle kernels have a scalar build and, on
 x86-64, an eight-lane AVX-512 one; the object picks one per process from
 the CPU it runs on (:func:`lane_width`), and the self-test checks both.
@@ -28,9 +30,8 @@ import shutil
 import subprocess
 import tempfile
 import threading
-from typing import Optional
 
-from repro.resilience import events
+from repro.resilience.errors import KernelUnavailableError
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "gl64_native.c")
@@ -51,44 +52,43 @@ _SIGNATURES = {
 
 _UNSET = object()
 _LOCK = threading.Lock()
-#: The loaded library; ``None`` on the numpy tier; ``_UNSET`` before first use.
+#: The loaded library, or the error saying why there is none; ``_UNSET``
+#: before first use.
 _handle = _UNSET
 
 
-class _Unavailable(Exception):
-    """Why this process stays on the numpy tier."""
+def library() -> ctypes.CDLL:
+    """The kernel library, built and self-tested on first call.
 
-
-def library() -> Optional[ctypes.CDLL]:
-    """The kernel library, built and self-tested on first call; else ``None``."""
+    Raises :class:`KernelUnavailableError` when it cannot be built, loaded
+    or trusted; the failure is kept, so later calls raise the same reason
+    without running ``cc`` again."""
     global _handle
     if _handle is _UNSET:
         with _LOCK:
             if _handle is _UNSET:
                 try:
                     _handle = _load()
-                except (_Unavailable, OSError) as exc:
-                    _handle = None
-                    events.degraded("field_kernel_fallback", detail=str(exc))
+                except KernelUnavailableError as exc:
+                    _handle = exc
+                except OSError as exc:
+                    _handle = KernelUnavailableError("load failed: %s" % exc)
+    if isinstance(_handle, KernelUnavailableError):
+        raise KernelUnavailableError(_handle.message)
     return _handle
 
 
 def lane_width() -> int:
     """8 when this process runs the eight-lane build of the NTT, tape and
-    Merkle kernels; 1 on the scalar build or the numpy tier."""
-    lib = library()
-    return 1 if lib is None else _lanes(lib).value
+    Merkle kernels; 1 on the scalar build."""
+    return _lanes(library()).value
 
 
 @contextlib.contextmanager
 def scalar_build():
     """Run the compiled kernels on their scalar build for the duration (a
     test hook: the process picks the build it runs from its CPU)."""
-    lib = library()
-    if lib is None:
-        yield
-        return
-    lanes = _lanes(lib)
+    lanes = _lanes(library())
     saved, lanes.value = lanes.value, 1
     try:
         yield
@@ -101,12 +101,12 @@ def _lanes(lib: ctypes.CDLL) -> ctypes.c_int:
 
 
 def _load() -> ctypes.CDLL:
-    cc = shutil.which("cc") or "gcc"
+    cc = shutil.which("cc") or shutil.which("gcc") or "cc"
     try:
         banner = subprocess.run([cc, "--version"], capture_output=True,
                                 check=True, timeout=60).stdout
     except (OSError, subprocess.SubprocessError) as exc:
-        raise _Unavailable("no C compiler: %s" % exc) from exc
+        raise KernelUnavailableError("no C compiler: %s" % exc) from exc
     with open(_SOURCE, "rb") as fh:
         key = hashlib.sha256(fh.read() + banner + platform.machine().encode())
     name = "gl64-%s.so" % key.hexdigest()[:16]
@@ -117,16 +117,20 @@ def _load() -> ctypes.CDLL:
                 os.makedirs(_BUILD_DIR, exist_ok=True)
                 _compile(cc, path)
             except OSError:
-                scratch = tempfile.mkdtemp(prefix="zkml-gl64-")
-                path = os.path.join(scratch, name)
-                _compile(cc, path)
+                try:
+                    scratch = tempfile.mkdtemp(prefix="zkml-gl64-")
+                    path = os.path.join(scratch, name)
+                    _compile(cc, path)
+                except OSError as exc:
+                    raise KernelUnavailableError(
+                        "build failed: no writable build directory: %s" % exc) from exc
         try:
             lib = ctypes.CDLL(path)
             for fn, (restype, argtypes) in _SIGNATURES.items():
                 getattr(lib, fn).restype = restype
                 getattr(lib, fn).argtypes = argtypes
         except (OSError, AttributeError) as exc:
-            raise _Unavailable("load failed: %s" % exc) from exc
+            raise KernelUnavailableError("load failed: %s" % exc) from exc
     finally:
         if scratch is not None:  # the mapping outlives the file
             shutil.rmtree(scratch, ignore_errors=True)
@@ -148,7 +152,7 @@ def _compile(cc: str, path: str) -> None:
         os.replace(tmp, path)
     except subprocess.SubprocessError as exc:
         detail = getattr(exc, "stderr", b"") or str(exc).encode()
-        raise _Unavailable("build failed: %s" % detail.decode(
+        raise KernelUnavailableError("build failed: %s" % detail.decode(
             "utf-8", "replace").strip()[-300:]) from exc
     finally:
         if os.path.exists(tmp):
@@ -168,7 +172,7 @@ def _self_test(lib: ctypes.CDLL) -> None:
             lanes.value = width
             for what, (run, want) in cases.items():
                 if run() != want:
-                    raise _Unavailable("self-test failed: %s%s" % (
+                    raise KernelUnavailableError("self-test failed: %s%s" % (
                         what, "" if width == 1 else " (%d-lane build)" % width))
     finally:
         lanes.value = chosen

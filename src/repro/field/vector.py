@@ -3,8 +3,7 @@
 Elementwise field arithmetic over whole columns (the helper running
 sums, FRI folding, the DEEP quotient's combinations).  :class:`GL64Backend`
 packages those operations over numpy ``uint64`` arrays, calling the
-kernels in :mod:`repro.field.gl64` (compiled where a C compiler is
-available, numpy otherwise; bit-identical either way).  Vectors returned
+compiled kernels in :mod:`repro.field.gl64`.  Vectors returned
 by the backend must be treated as immutable — they may be shared.
 Constraint expressions do not come through here: the prover runs them as
 a compiled register tape (:mod:`repro.halo2.tape`).

@@ -5,8 +5,8 @@ flat register program in the shape of halo2's ``GraphEvaluator`` — and
 keeps it on the :class:`~repro.halo2.keygen.ProvingKey`.  Each proof binds
 the tape's scalars (the challenges) and runs it with one
 :func:`repro.field.gl64.eval_tape` call, which walks the rows in fixed
-blocks through every instruction (``gl_eval_tape`` in ``gl64_native.c``,
-or the numpy body on a box without a compiler).  Two tapes per key:
+blocks through every instruction (``gl_eval_tape`` in ``gl64_native.c``).
+Two tapes per key:
 
 - the *quotient* tape folds every constraint with powers of ``y`` over
   the extended coset's ``(extension, n)`` parts (:func:`compile_fold`);

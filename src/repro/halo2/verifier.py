@@ -49,7 +49,7 @@ from repro.halo2.keygen import (
     VerifyingKey,
 )
 from repro.halo2.proof import Proof
-from repro.resilience.errors import ProofFormatError, VerificationFailure
+from repro.resilience.errors import KernelUnavailableError, ProofFormatError, VerificationFailure
 
 
 def _check_scalars(what: str, values: Sequence[int], p: int) -> None:
@@ -154,16 +154,17 @@ def verify_proof_strict(
 ) -> None:
     """Verify or raise — the hardened entry point for untrusted proofs.
 
-    Raises :class:`ProofFormatError` for structural violations and
-    :class:`VerificationFailure` for everything else: a clean rejection,
-    or *any* internal exception the permissive path would have leaked
-    (hostile bytes must never produce a raw traceback).  Returns ``None``
-    on success.
+    Raises :class:`ProofFormatError` for structural violations,
+    :class:`KernelUnavailableError` when this box cannot run the field
+    kernel at all (no verdict either way), and :class:`VerificationFailure`
+    for everything else: a clean rejection, or *any* internal exception the
+    permissive path would have leaked (hostile bytes must never produce a
+    raw traceback).  Returns ``None`` on success.
     """
     validate_proof_shape(vk, proof, instance)
     try:
         ok = _verify_shaped(vk, proof, instance, scheme)
-    except (ProofFormatError, VerificationFailure):
+    except (ProofFormatError, VerificationFailure, KernelUnavailableError):
         raise
     except Exception as exc:  # noqa: BLE001 — hostile bytes must never leak a raw traceback
         raise VerificationFailure(

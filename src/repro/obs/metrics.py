@@ -370,13 +370,14 @@ def record_prover_run(registry: MetricsRegistry, model: str,
     and per-phase wall-clock is additionally recorded *amortized per
     slot* — a batch must not masquerade as one fast single run.
     """
-    from repro.field import gl64  # gl64's loader reports through this module
+    from repro.field import native  # lazy: repro.field imports repro.obs
 
     c = registry.counter
     slots = max(1, int(slots))
     registry.gauge("zkml_field_kernel",
-                   "which Goldilocks kernel tier this process proves on",
-                   tier=gl64.kernel_tier()).set(1)
+                   "lanes abreast in the Goldilocks kernel this process "
+                   "proves on (8 or 1)",
+                   lanes=native.lane_width()).set(1)
     c("zkml_prover_slots_total",
       "inference slots proved (batch proves count each slot)",
       model=model).inc(slots)

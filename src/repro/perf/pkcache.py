@@ -134,8 +134,9 @@ def _entry_checksum(pk: ProvingKey, vk: VerifyingKey) -> str:
 #: committed fixed round (LDE + Merkle tree) and its root in the vk; v4 =
 #: ``fixed_evals`` pickled as uint64 arrays, keyed by the packed-bytes digest;
 #: v5 = the key carries its compiled quotient and helper tapes; v6 = the
-#: fixed round's Merkle tree is one node array.
-DISK_MAGIC = b"zkml-pk-cache/v6\n"
+#: fixed round's Merkle tree is one node array; v7 = the domain's cached
+#: NTT twiddles are one packed array (no limb tables).
+DISK_MAGIC = b"zkml-pk-cache/v7\n"
 
 _DISK_CHECKSUM_BYTES = 16
 

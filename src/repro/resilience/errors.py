@@ -15,6 +15,9 @@ class                       raised when
                             too many rows); ``LayoutInfeasible`` subclasses it
 ``UnsupportedFieldError``   a circuit, domain or verifying key is over a
                             field other than Goldilocks
+``KernelUnavailableError``  the compiled Goldilocks kernel cannot be built,
+                            loaded or self-tested (no ``cc`` on the box):
+                            nothing can prove or verify
 ``ProvingError``            the witness cannot satisfy the circuit, or a
                             prover phase failed permanently
 ``FreivaldsCheckError``     the Freivalds matmul challenge failed — the
@@ -62,6 +65,7 @@ __all__ = [
     "QuantizationRangeError",
     "LayoutError",
     "UnsupportedFieldError",
+    "KernelUnavailableError",
     "ProvingError",
     "FreivaldsCheckError",
     "CacheCorruptionError",
@@ -165,6 +169,13 @@ class LayoutError(ResilienceError, ValueError):
 
 class UnsupportedFieldError(ResilienceError, ValueError):
     """The field is not Goldilocks, the only one the kernels reduce in."""
+
+
+class KernelUnavailableError(ResilienceError):
+    """The compiled Goldilocks kernel (``field/gl64_native.c``) could not be
+    built, loaded or self-tested; the message says which, and why."""
+
+    default_phase = "kernel"
 
 
 class ProvingError(ResilienceError, ValueError):

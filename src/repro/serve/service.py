@@ -76,7 +76,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.field import gl64
+from repro.field import native
 from repro.model.spec import ModelSpec
 from repro.obs import log as obs_log
 from repro.obs.cluster import fold_worker_result, stitch_batch
@@ -853,7 +853,7 @@ class ProvingService:
             },
             "counters": self.stats(),
             "pk_cache": GLOBAL_PK_CACHE.stats(),
-            "field_kernel": gl64.kernel_tier(),
+            "field_kernel": {"lanes": native.lane_width()},
             "resilience": events.counts(),
             "mode": "cluster" if self._scheduler is not None else "inline",
         }

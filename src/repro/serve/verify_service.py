@@ -60,6 +60,7 @@ from repro.resilience.errors import (
     EnvelopeError,
     EnvelopeSchemaError,
     EnvelopeTruncatedError,
+    KernelUnavailableError,
     ProofFormatError,
     RegistryError,
     ResilienceError,
@@ -339,6 +340,8 @@ class VerifyService:
             with self.tracer.span("verify:envelope", model=env.model,
                                   scheme=env.scheme_name):
                 verify_envelope(env, vk)
+        except KernelUnavailableError:
+            raise  # no verdict: this box cannot verify anything
         except ResilienceError as exc:
             return self._reject(idx, exc, env)
         except Exception as exc:  # noqa: BLE001 — a verifier crash must reject, not escape

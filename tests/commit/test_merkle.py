@@ -1,4 +1,6 @@
-"""Tests for the Merkle tree."""
+"""Tests for the Merkle tree: paths over byte leaves (built by the
+``hashlib`` oracle in ``tests/oracle.py``) and over matrix rows (built by
+the kernel), both checked by ``verify_merkle_path``."""
 
 import numpy as np
 import pytest
@@ -9,51 +11,55 @@ from repro.commit import MerkleTree, verify_merkle_path
 from repro.commit.merkle import leaf_bytes
 from repro.obs.stats import STATS
 
+from tests.oracle import hashlib_tree
+
 
 def test_empty_rejected():
     with pytest.raises(ValueError):
-        MerkleTree([])
+        MerkleTree.from_rows(np.zeros((0, 2), dtype=np.uint64))
+    with pytest.raises(ValueError):
+        hashlib_tree([])
 
 
 def test_single_leaf():
-    t = MerkleTree([b"only"])
+    t = hashlib_tree([b"only"])
     assert verify_merkle_path(t.root, 0, b"only", t.open(0))
 
 
 def test_all_paths_verify():
     leaves = [bytes([i]) * 4 for i in range(7)]
-    t = MerkleTree(leaves)
+    t = hashlib_tree(leaves)
     for i, leaf in enumerate(leaves):
         assert verify_merkle_path(t.root, i, leaf, t.open(i))
 
 
 def test_wrong_leaf_rejected():
     leaves = [b"a", b"b", b"c", b"d"]
-    t = MerkleTree(leaves)
+    t = hashlib_tree(leaves)
     assert not verify_merkle_path(t.root, 1, b"x", t.open(1))
 
 
 def test_wrong_index_rejected():
     leaves = [b"a", b"b", b"c", b"d"]
-    t = MerkleTree(leaves)
+    t = hashlib_tree(leaves)
     assert not verify_merkle_path(t.root, 2, b"b", t.open(1))
 
 
 def test_out_of_range_open():
-    t = MerkleTree([b"a", b"b"])
+    t = hashlib_tree([b"a", b"b"])
     with pytest.raises(IndexError):
         t.open(2)
 
 
 def test_roots_differ_for_different_content():
-    assert MerkleTree([b"a", b"b"]).root != MerkleTree([b"a", b"c"]).root
+    assert hashlib_tree([b"a", b"b"]).root != hashlib_tree([b"a", b"c"]).root
 
 
 def test_leaf_node_domain_separation():
     # A single leaf equal to the concatenation of two hashes must not
     # collide with the two-leaf tree (second-preimage resistance shape).
-    t2 = MerkleTree([b"a", b"b"])
-    forged = MerkleTree([t2._levels[0][0].tobytes() + t2._levels[0][1].tobytes()])
+    t2 = hashlib_tree([b"a", b"b"])
+    forged = hashlib_tree([t2._levels[0][0].tobytes() + t2._levels[0][1].tobytes()])
     assert forged.root != t2.root
 
 
@@ -64,7 +70,7 @@ def test_leaf_node_domain_separation():
 @settings(max_examples=25)
 def test_paths_verify_property(n, idx_frac):
     leaves = [i.to_bytes(4, "little") for i in range(n)]
-    t = MerkleTree(leaves)
+    t = hashlib_tree(leaves)
     i = int(idx_frac * n)
     assert verify_merkle_path(t.root, i, leaves[i], t.open(i))
 

@@ -1,14 +1,12 @@
-"""The compiled Merkle tree against the ``hashlib`` one it stands in for.
+"""The compiled Merkle tree against the ``hashlib`` oracle.
 
-``MerkleTree.from_rows`` builds a tree in one ``gl_merkle_tree`` call when
-the kernel is loaded and with the ``hashlib`` loop otherwise; both must be
-the same object, down to its pickle and the hash counts.  The numpy tier is
-reached by nulling the loader's handle, exactly what a box without a
-compiler does.
+``MerkleTree.from_rows`` builds a tree in one ``gl_merkle_tree`` call;
+``tests/oracle.py`` builds the same tree with a ``hashlib`` loop over the
+rows' leaf bytes.  The two must be the same object, down to its pickle and
+the hash counts.
 """
 
 import pickle
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,25 +15,19 @@ from hypothesis import strategies as st
 
 from repro.commit import MerkleTree, verify_merkle_path
 from repro.commit.merkle import DIGEST_BYTES, _hash_leaf, leaf_bytes
-from repro.field import gl64, native
+from repro.field import gl64
 from repro.obs.stats import STATS
 
-needs_native = pytest.mark.skipif(
-    gl64.kernel_tier() != "native", reason="no working C compiler on this box")
+from tests.oracle import hashlib_tree, tree_from_rows
 
 
 def build(rows, tier):
     """The tree and the STATS delta of building it on ``tier``."""
     before = STATS.snapshot()
-    if tier == "numpy":
-        with mock.patch.object(native, "_handle", None):
-            tree = MerkleTree.from_rows(rows)
-    else:
-        tree = MerkleTree.from_rows(rows)
+    tree = (tree_from_rows if tier == "numpy" else MerkleTree.from_rows)(rows)
     return tree, STATS.delta(before)
 
 
-@needs_native
 @settings(max_examples=60, deadline=None)
 @given(
     count=st.sampled_from([1, 2, 4, 8, 16, 32, 64]) | st.integers(1, 70),
@@ -76,16 +68,16 @@ def test_a_pickled_tree_is_its_node_array():
 
 
 def test_open_many_is_open_per_index():
-    tree = MerkleTree([bytes([i]) for i in range(11)])
+    tree = hashlib_tree([bytes([i]) for i in range(11)])
     assert tree.open_many([]) == []
     assert tree.open_many([10, 3, 3]) == [tuple(tree.open(i)) for i in (10, 3, 3)]
     with pytest.raises(IndexError, match="leaf index -1"):
         tree.open_many([2, -1])
-    assert MerkleTree([b"only"]).open_many([0, 0]) == [(), ()]
+    assert hashlib_tree([b"only"]).open_many([0, 0]) == [(), ()]
 
 
 def test_a_leaf_holding_two_digests_is_not_their_node():
-    t2 = MerkleTree([b"a", b"b"])
+    t2 = hashlib_tree([b"a", b"b"])
     left, right = t2.open(1)[0], t2.open(0)[0]
     assert left == _hash_leaf(b"a") and right == _hash_leaf(b"b")
-    assert MerkleTree([left + right]).root != t2.root
+    assert hashlib_tree([left + right]).root != t2.root

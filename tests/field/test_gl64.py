@@ -1,5 +1,7 @@
 """Property tests for the Goldilocks kernels against PrimeField and the
-reference NTT."""
+reference NTT.  The shapes straddle the numpy oracle's ``BLOCK`` (its
+chunk size), and the kernels take 1-D to 3-D operands, strided views and
+broadcasts alike."""
 
 import sys
 import threading
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from repro.field import GOLDILOCKS
 from repro.field import gl64
 
+from tests import oracle
 from tests.reference import ntt as py_ntt
 
 F = GOLDILOCKS
@@ -78,7 +81,7 @@ def test_bit_reverse_indices():
 
 # -- in-place kernels --------------------------------------------------------
 
-B = gl64.BLOCK
+B = oracle.BLOCK
 
 KERNELS = [
     (gl64.mul_into, gl64.mul, F.mul),
@@ -209,8 +212,8 @@ def test_ntt_accepts_transposed_and_stacked_inputs():
 
 
 def test_kernels_are_thread_safe():
-    # scratch is per thread: two threads multiplying at once (numpy drops
-    # the GIL inside each pass) must not see each other's temporaries
+    # ctypes drops the GIL for the call: three threads multiplying at once
+    # must not see each other's operands
     a, b = _residues((4 * B,), 13), _residues((4 * B,), 14)
     expect = gl64.mul(a, b)
     failures = []
@@ -237,11 +240,10 @@ def test_kernels_are_thread_safe():
 def test_kernels_allocate_only_their_result():
     """The mechanism, not the clock: no per-pass temporaries.
 
-    With this thread's scratch already created, a kernel call may
-    allocate its result plus at most 192 KiB: two 64 KiB ufunc cast
-    buffers (the bool borrow mask) and the chunk views.  One stray
-    chunk-sized temporary is ``8 * BLOCK`` = 128 KiB more than that, and
-    the old allocating bodies peaked at several times the result.
+    A kernel call may allocate its result plus at most 192 KiB of
+    bookkeeping (ctypes arguments, the scalars it packs).  One stray
+    operand-sized temporary is far more than that, and numpy bodies that
+    allocate per pass peak at several times the result.
     """
     slack = 192 * 1024
     stages, rev = _ntt_tables(12)

@@ -1,10 +1,12 @@
-"""The compiled Goldilocks kernel against the numpy bodies it stands in for.
+"""The compiled Goldilocks kernel against the numpy oracle it replaced.
 
-Every public ``gl64`` entry point dispatches to ``gl64_native.c`` when the
-loader has a library and the operands are plain (C-contiguous ``uint64``,
-a supported shape), and to its numpy body otherwise.  The numpy bodies
-are the oracle here: a test reaches them by nulling the loader's handle,
-exactly what a box without a compiler does.
+Every public ``gl64`` entry point is one call into ``gl64_native.c``,
+whatever canonical ``uint64`` operands it is given: strided and
+transposed views, broadcast rows and columns (one overlapping ``out``
+included), scalars and empty arrays.  The numpy bodies in
+``tests/oracle.py`` are the oracle here.  The loader tests drive a
+broken or missing ``cc`` into the one typed error a box without a
+working compiler gets.
 """
 
 import os
@@ -22,29 +24,36 @@ from repro.field import gl64, native
 from repro.field.prime_field import GOLDILOCKS
 from repro.model import get_model, seeded_inputs
 from repro.resilience import events
+from repro.resilience.errors import KernelUnavailableError
 from repro.runtime import prove_model
+
+from tests import oracle
+from tests.oracle import oracle_tier
 
 P = gl64.P
 EDGES = [0, 1, P - 1, (1 << 32) - 1, 1 << 32, P - (1 << 32), P - 2, 1 << 63]
 REAL_CC = shutil.which("cc") or shutil.which("gcc")
 
-needs_native = pytest.mark.skipif(
-    gl64.kernel_tier() != "native", reason="no working C compiler on this box")
-needs_cc = pytest.mark.skipif(REAL_CC is None, reason="no C compiler on this box")
-
 residues = st.sampled_from(EDGES) | st.integers(0, P - 1)
-
-
-def on_numpy(fn, *args, **kwargs):
-    """``fn`` as a box without a compiler runs it."""
-    with mock.patch.object(native, "_handle", None):
-        return fn(*args, **kwargs)
 
 
 def draw_array(data, *shape):
     size = int(np.prod(shape))
     flat = data.draw(st.lists(residues, min_size=size, max_size=size))
     return np.array(flat, dtype=np.uint64).reshape(shape)
+
+
+def draw_view(data, *shape, kinds=("plain", "step", "reversed", "transposed")):
+    """A ``shape`` array of residues, as a plain array or as a strided
+    view of a larger one."""
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "step":
+        return draw_array(data, *shape[:-1], 2 * shape[-1])[..., ::2]
+    if kind == "reversed":
+        return draw_array(data, *shape)[..., ::-1]
+    if kind == "transposed" and len(shape) == 2:
+        return draw_array(data, *shape[::-1]).T
+    return draw_array(data, *shape)
 
 
 class Spy:
@@ -59,12 +68,19 @@ class Spy:
         return getattr(self.lib, name)
 
 
+def spied(fn, *args, **kwargs):
+    """``(fn(...), the kernels it entered)``."""
+    spy = Spy()
+    with mock.patch.object(native, "_handle", spy):
+        return fn(*args, **kwargs), spy.calls
+
+
 # -- elementwise -------------------------------------------------------------
 
 OPS = {
-    "mul": (gl64.mul_into, lambda a, b: a * b % P),
-    "add": (gl64.add_into, lambda a, b: (a + b) % P),
-    "sub": (gl64.sub_into, lambda a, b: (a - b) % P),
+    "mul": (gl64.mul_into, oracle.mul_into),
+    "add": (gl64.add_into, oracle.add_into),
+    "sub": (gl64.sub_into, oracle.sub_into),
 }
 
 #: operand layouts against an (m, n) or (n,) out: name -> shape builder
@@ -76,22 +92,16 @@ LAYOUTS = {
 }
 
 
-def reference(op, out_shape, a, b):
-    a_obj = np.broadcast_to(np.asarray(a).astype(object), out_shape)
-    b_obj = np.broadcast_to(np.asarray(b).astype(object), out_shape)
-    return np.array([op(int(x), int(y)) for x, y in
-                     zip(a_obj.ravel(), b_obj.ravel())],
-                    dtype=np.uint64).reshape(out_shape)
-
-
-@needs_native
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(st.data())
 def test_elementwise_matches_the_numpy_body(data):
+    """Every operand layout, as plain arrays and as strided views, into a
+    fresh, aliased, strided or empty ``out``, or with a broadcast operand
+    cut from ``out`` itself: one kernel call, the oracle's values."""
     name = data.draw(st.sampled_from(sorted(OPS)))
-    into, op = OPS[name]
-    m = data.draw(st.integers(1, 4))
-    n = data.draw(st.integers(1, 33))
+    into, oracle_into = OPS[name]
+    m = data.draw(st.integers(0, 4))
+    n = data.draw(st.integers(0, 33))
     flat = data.draw(st.booleans())
     out_shape = (n,) if flat else (m, n)
     kinds = ["full", "scalar"] if flat else sorted(LAYOUTS)
@@ -101,40 +111,41 @@ def test_elementwise_matches_the_numpy_body(data):
         a_kind = "full"
 
     def operand(kind):
-        shape = LAYOUTS[kind](m, n)
-        if kind == "full":
-            shape = out_shape
         if kind == "scalar":
             value = data.draw(residues)
             return data.draw(st.sampled_from([int, np.uint64]))(value)
-        return draw_array(data, *shape)
+        shape = out_shape if kind == "full" else LAYOUTS[kind](m, n)
+        return draw_view(data, *shape)
 
     a, b = operand(a_kind), operand(b_kind)
-    want = reference(op, out_shape, a, b)
-    alias = data.draw(st.sampled_from(
-        [None] + [x for x, k in (("a", a_kind), ("b", b_kind)) if k == "full"]))
-    for tier in ("native", "numpy"):
-        a_t = a.copy() if isinstance(a, np.ndarray) else a
-        b_t = b.copy() if isinstance(b, np.ndarray) else b
-        out = {"a": a_t, "b": b_t}.get(alias)
-        if out is None:
-            out = np.empty(out_shape, dtype=np.uint64)
-        if tier == "native":
-            spy = Spy()
-            with mock.patch.object(native, "_handle", spy):
-                into(out, a_t, b_t)
-            assert spy.calls == ["gl_" + name]
+    out = draw_view(data, *out_shape, kinds=("plain", "step"))
+    targets = [None] + [x for x, k in (("a", a_kind), ("b", b_kind)) if k == "full"]
+    if not flat and m and n and b_kind in ("row", "column"):
+        targets.append("inside")
+    target = data.draw(st.sampled_from(targets))
+    if target == "inside":  # b is read from out while out is written
+        if b_kind == "row":
+            b = out[data.draw(st.integers(0, m - 1))]
         else:
-            on_numpy(into, out, a_t, b_t)
-        assert np.array_equal(out, want), (tier, name, a_kind, b_kind, alias)
+            j = data.draw(st.integers(0, n - 1))
+            b = out[:, j : j + 1]
+    elif target is not None:
+        out = {"a": a, "b": b}[target]
+    want = np.empty(out_shape, dtype=np.uint64)
+    oracle_into(want, *(x.copy() if isinstance(x, np.ndarray) else x for x in (a, b)))
+    _, calls = spied(into, out, a, b)
+    assert calls == (["gl_" + name] if out.size else [])
+    assert np.array_equal(out, want), (name, a_kind, b_kind, target)
 
 
-@needs_native
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_strided_views_take_the_numpy_body_and_are_right(data):
+    """A strided, reversed, windowed or transposed operand, and a strided
+    ``out``: the kernel reads or writes each in one call, and the values
+    are the numpy body's (the oracle's)."""
     name = data.draw(st.sampled_from(sorted(OPS)))
-    into, op = OPS[name]
+    into, oracle_into = OPS[name]
     n = data.draw(st.integers(2, 24))
     base = draw_array(data, 3, 2 * n)
     other = draw_array(data, 3, n)
@@ -147,42 +158,48 @@ def test_strided_views_take_the_numpy_body_and_are_right(data):
         a = base[:, 1 : n + 1]
     else:
         a = np.ascontiguousarray(base[:, :n].T).T
-    assert not a.flags.c_contiguous or a.shape[0] == 1
-    spy = Spy()
+    assert not a.flags.c_contiguous
+    want = np.empty((3, n), dtype=np.uint64)
+    oracle_into(want, a.copy(), other)
     out = np.empty((3, n), dtype=np.uint64)
-    with mock.patch.object(native, "_handle", spy):
-        into(out, a, other)
-    assert spy.calls == []
-    assert np.array_equal(out, reference(op, (3, n), a, other))
-    # a strided *out* stays with numpy too
+    _, calls = spied(into, out, a, other)
+    assert calls == ["gl_" + name]
+    assert np.array_equal(out, want), (name, view)
     wide = np.zeros((3, 2 * n), dtype=np.uint64)
-    with mock.patch.object(native, "_handle", spy):
-        into(wide[:, ::2], other, other)
-    assert spy.calls == []
-    assert np.array_equal(wide[:, ::2], reference(op, (3, n), other, other))
+    oracle_into(want, other, other)
+    _, calls = spied(into, wide[:, ::2], other, other)
+    assert calls == ["gl_" + name]
+    assert np.array_equal(wide[:, ::2], want)
+    assert not wide[:, 1::2].any()
 
 
-@needs_native
 def test_broadcast_operand_inside_out_is_left_to_numpy():
+    """A row of ``out`` broadcast against ``out`` while ``out`` is written
+    (row 1 is overwritten mid-way): the kernel runs on a copy of the row,
+    so every row is multiplied by the row as it was, as the numpy body
+    (the oracle) multiplies it."""
     rng = np.random.default_rng(5)
     out = rng.integers(0, P, (4, 16), dtype=np.uint64)
-    want = on_numpy(lambda: gl64.mul(out, out[1]))
-    spy = Spy()
-    with mock.patch.object(native, "_handle", spy):
-        gl64.mul_into(out, out, out[1])  # row 1 is overwritten mid-way
-    assert spy.calls == []
+    want = np.empty_like(out)
+    oracle.mul_into(want, out.copy(), out[1].copy())
+    _, calls = spied(gl64.mul_into, out, out, out[1])
+    assert calls == ["gl_mul"]
     assert np.array_equal(out, want)
 
 
-@needs_native
-def test_derived_helpers_ride_the_kernel():
-    rng = np.random.default_rng(6)
-    a = rng.integers(0, P, (2, 512), dtype=np.uint64)
-    b = rng.integers(0, P, 512, dtype=np.uint64)
-    for fn, args in ((gl64.fold, (a, 12345, b)), (gl64.mul, (a, b)),
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_derived_helpers_ride_the_kernel(data):
+    m, n = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 40))
+    a = draw_view(data, m, n)
+    b = draw_view(data, n)
+    y = data.draw(residues)
+    for fn, args in ((gl64.fold, (a, y, b)), (gl64.mul, (a, b)),
                      (gl64.add, (a, np.uint64(P - 1))), (gl64.sub, (7, b)),
-                     (gl64.sub, (a, a[:, :1].copy()))):
-        assert np.array_equal(fn(*args), on_numpy(fn, *args)), fn.__name__
+                     (gl64.sub, (a, a[:, :1])), (gl64.mul, (np.uint64(y), 3))):
+        got = fn(*args)
+        with oracle_tier():
+            assert np.array_equal(got, fn(*args)), fn.__name__
 
 
 # -- NTT ---------------------------------------------------------------------
@@ -193,7 +210,6 @@ def ntt_tables(k):
     return gl64.ntt_stages(GOLDILOCKS.root_of_unity(k), n), gl64.bit_reverse_indices(n)
 
 
-@needs_native
 @pytest.mark.parametrize("k", range(1, 15))
 def test_ntt_matches_the_numpy_body_at_every_size(k):
     n = 1 << k
@@ -204,75 +220,76 @@ def test_ntt_matches_the_numpy_body_at_every_size(k):
     vector = rng.integers(0, P, n, dtype=np.uint64)
     for scale in (None, np.uint64(P - 2), 12345, vector):
         for values in (mat, mat[1]):
-            spy = Spy()
-            with mock.patch.object(native, "_handle", spy):
-                got = gl64.ntt(values, stages, rev, scale_rev=scale)
-            assert spy.calls == ["gl_ntt"]
+            got, calls = spied(gl64.ntt, values, stages, rev, scale_rev=scale)
+            assert calls == ["gl_ntt"]
             assert np.array_equal(
-                got, on_numpy(gl64.ntt, values, stages, rev, scale_rev=scale))
+                got, oracle.ntt(values, stages, rev, scale_rev=scale))
 
 
-@needs_native
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_ntt_reads_strided_input_in_place(data):
-    k = data.draw(st.integers(1, 6))
+    """Rows read through their strides, the six-step's transposed matrix
+    first; a stacked 3-D input is its rows; empty input is no call."""
+    k = data.draw(st.integers(0, 6))
     n = 1 << k
     stages, rev = ntt_tables(k)
-    m = data.draw(st.integers(1, 5))
-    base = draw_array(data, n, m)
-    view = base.T  # (m, n), column-major: the six-step's first pass
-    spy = Spy()
-    with mock.patch.object(native, "_handle", spy):
-        got = gl64.ntt(view, stages, rev)
-    assert spy.calls == ["gl_ntt"]
-    assert np.array_equal(got, on_numpy(gl64.ntt, view, stages, rev))
+    m = data.draw(st.integers(0, 5))
+    shape = data.draw(st.sampled_from([(n,), (m, n), (2, m, n)]))
+    values = draw_view(data, *shape)
+    scale = data.draw(st.sampled_from(["none", "scalar", "vector"]))
+    scale = {"none": None, "scalar": np.uint64(data.draw(residues)),
+             "vector": draw_view(data, n, kinds=("plain", "step"))}[scale]
+    got, calls = spied(gl64.ntt, values, stages, rev, scale_rev=scale)
+    assert calls == (["gl_ntt"] if values.size else [])
+    assert got.shape == values.shape
+    assert np.array_equal(got, oracle.ntt(np.ascontiguousarray(values), stages,
+                                          rev, scale_rev=scale))
 
 
-@needs_native
 def test_ntt_without_packed_twiddles_or_with_a_3d_input_stays_on_numpy():
+    """Twiddles handed over as a plain list rather than the packed array,
+    and a stacked 3-D input: one kernel call each, and the numpy body's
+    (the oracle's) values."""
     stages, rev = ntt_tables(4)
     rng = np.random.default_rng(2)
     cube = rng.integers(0, P, (2, 2, 16), dtype=np.uint64)
-    spy = Spy()
-    with mock.patch.object(native, "_handle", spy):
-        plain = gl64.ntt(cube[0], list(stages), rev)
-        deep = gl64.ntt(cube, stages, rev)
-    assert spy.calls == []
-    assert np.array_equal(plain, gl64.ntt(cube[0], stages, rev))
-    assert np.array_equal(deep[1], gl64.ntt(cube[1], stages, rev))
+    plain, calls = spied(gl64.ntt, cube[0], list(stages), rev)
+    deep, more = spied(gl64.ntt, cube, stages, rev)
+    assert calls + more == ["gl_ntt", "gl_ntt"]
+    assert np.array_equal(plain, oracle.ntt(cube[0], stages, rev))
+    assert deep.shape == cube.shape
+    assert np.array_equal(deep[1], oracle.ntt(cube[1], stages, rev))
 
 
-@needs_native
 def test_sixstep_gets_the_kernel_through_its_inner_transforms():
     n = 1 << 10
     root = GOLDILOCKS.root_of_unity(10)
     plan = gl64.build_sixstep_plan(root, n, shift=7)
     values = np.random.default_rng(3).integers(0, P, n, dtype=np.uint64)
-    spy = Spy()
-    with mock.patch.object(native, "_handle", spy):
-        got = gl64.sixstep_ntt(values, plan)
-    assert spy.calls == ["gl_ntt", "gl_mul", "gl_ntt"]
-    assert np.array_equal(got, on_numpy(gl64.sixstep_ntt, values, plan))
+    got, calls = spied(gl64.sixstep_ntt, values, plan)
+    assert calls == ["gl_ntt", "gl_mul", "gl_ntt"]
+    with oracle_tier():
+        assert np.array_equal(got, gl64.sixstep_ntt(values, plan))
 
 
 # -- batch_inv / weighted_sum / poly_eval_rows --------------------------------
 
 
-@needs_native
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_batch_inv_matches_the_numpy_body(data):
-    n = data.draw(st.integers(1, 600))  # both sides of the numpy body's 256
-    values = np.random.default_rng(data.draw(st.integers(0, 2**32))).integers(
-        1, P, n, dtype=np.uint64)
+    n = data.draw(st.integers(0, 600))  # both sides of the oracle's 256
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    values = rng.integers(1, P, 2 * n, dtype=np.uint64)
     values[: min(n, len(EDGES) - 1)] = EDGES[1 : n + 1]
-    got = gl64.batch_inv(values)
-    assert np.array_equal(got, on_numpy(gl64.batch_inv, values))
+    values = data.draw(st.sampled_from([values[:n], values[::2], values[:n][::-1]]))
+    got, calls = spied(gl64.batch_inv, values)
+    assert calls == (["gl_batch_inv"] if n else [])
+    assert np.array_equal(got, oracle.batch_inv(np.ascontiguousarray(values)))
     assert np.array_equal(gl64.mul(got, values), np.ones(n, dtype=np.uint64))
 
 
-@needs_native
 @pytest.mark.parametrize("n", [1, 7, 300])
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_batch_inv_zero_raises_the_same_message(n, where):
@@ -281,7 +298,7 @@ def test_batch_inv_zero_raises_the_same_message(n, where):
     values[index] = 0
     values[n - 1] = 0  # a later zero never wins
     messages = []
-    for run in (gl64.batch_inv, lambda v: on_numpy(gl64.batch_inv, v)):
+    for run in (gl64.batch_inv, oracle.batch_inv):
         with pytest.raises(ZeroDivisionError) as err:
             run(values)
         messages.append(str(err.value))
@@ -289,7 +306,6 @@ def test_batch_inv_zero_raises_the_same_message(n, where):
     assert gl64.batch_inv(values[:0]).shape == (0,)
 
 
-@needs_native
 @pytest.mark.parametrize("n", [8, 43, 600])
 def test_batch_inv_finds_the_first_zero_in_every_chain(n):
     """The kernel runs eight chains over eight contiguous segments (the last
@@ -310,83 +326,105 @@ def test_batch_inv_finds_the_first_zero_in_every_chain(n):
             gl64.batch_inv(values)
 
 
-@needs_native
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_weighted_sum_and_poly_eval_rows_match_the_numpy_bodies(data):
-    m = data.draw(st.integers(1, 9))
-    width = data.draw(st.integers(1, 40))  # poly_eval pads non-powers of two
-    rows = draw_array(data, m, width)
-    vec = data.draw(st.lists(residues, min_size=m, max_size=m))
-    spy = Spy()
-    with mock.patch.object(native, "_handle", spy):
-        summed = gl64.weighted_sum(rows, vec)
-        evals = gl64.poly_eval_rows(rows, np.array(vec, dtype=np.uint64))
-    assert spy.calls == ["gl_weighted_sum", "gl_poly_eval_rows"]
-    assert np.array_equal(summed, on_numpy(gl64.weighted_sum, rows, vec))
-    assert np.array_equal(evals, on_numpy(
-        gl64.poly_eval_rows, rows, np.array(vec, dtype=np.uint64)))
+    """Plain, strided and transposed matrices, empty ones included (an
+    empty sum and an empty polynomial are 0)."""
+    m = data.draw(st.integers(0, 9))
+    width = data.draw(st.integers(0, 40))  # the oracle pads non-powers of two
+    rows = draw_view(data, m, width)
+    vec = draw_view(data, m)
+    weights = data.draw(st.sampled_from([vec, vec.tolist()]))
+    summed, calls = spied(gl64.weighted_sum, rows, weights)
+    evals, more = spied(gl64.poly_eval_rows, rows, vec)
+    assert calls + more == ["gl_weighted_sum", "gl_poly_eval_rows"]
+    plain = np.ascontiguousarray(rows)
+    assert np.array_equal(summed, oracle.weighted_sum(plain, weights))
+    assert np.array_equal(evals, oracle.poly_eval_rows(plain, vec))
 
 
-@needs_native
 def test_a_strided_matrix_is_summed_by_the_numpy_body():
+    """Every other column of a wider matrix: the kernel sums a contiguous
+    copy, to the numpy body's (the oracle's) values."""
     rng = np.random.default_rng(8)
     wide = rng.integers(0, P, (5, 24), dtype=np.uint64)
     weights = [int(w) for w in rng.integers(0, P, 5, dtype=np.uint64)]
-    spy = Spy()
-    with mock.patch.object(native, "_handle", spy):
-        got = gl64.weighted_sum(wide[:, ::2], weights)
-    assert "gl_weighted_sum" not in spy.calls
+    got, calls = spied(gl64.weighted_sum, wide[:, ::2], weights)
+    assert calls == ["gl_weighted_sum"]
     assert np.array_equal(
-        got, gl64.weighted_sum(np.ascontiguousarray(wide[:, ::2]), weights))
+        got, oracle.weighted_sum(np.ascontiguousarray(wide[:, ::2]), weights))
 
 
-# -- coverage guard -----------------------------------------------------------
+def test_an_empty_tape_output_is_no_kernel_call():
+    """No output rows (a lookup-free circuit's helper tape) or no rows at
+    all: nothing to run, on the kernel or the oracle."""
+    code = np.array([[gl64.TAPE_STORE, 0, -1, 0]], dtype=np.int32)
+    scalars = np.ones(1, dtype=np.uint64)
+    for outputs, n in ((0, 8), (1, 0)):
+        cols = [np.zeros(n, dtype=np.uint64)]
+        for run in (gl64.eval_tape, oracle.eval_tape):
+            out = np.zeros((outputs, n), dtype=np.uint64)
+            _, calls = spied(run, code, 1, cols, scalars, out)
+            assert calls == []
 
 
-@needs_native
-def test_a_k12_proof_stays_off_the_numpy_bodies(monkeypatch):
-    """A shape the dispatch does not take falls back silently and shows up
+@pytest.fixture
+def copies(monkeypatch):
+    """Elements ``gl64`` copied to hand the kernel an operand it could not
+    read in place (a strided or broadcast operand, one overlapping ``out``,
+    a temporary for a non-contiguous ``out``, an NTT input of more than two
+    axes: all go through ``gl64._copy``), against elements the elementwise
+    kernels wrote; and the kernels entered."""
+    seen = {"copied": 0, "elementwise": 0}
+    real_copy, real_ewise = gl64._copy, gl64._ewise
+
+    def copy(x):
+        got = real_copy(x)
+        seen["copied"] += got.size
+        return got
+
+    def ewise(name, out, a, b):
+        seen["elementwise"] += out.size
+        return real_ewise(name, out, a, b)
+
+    monkeypatch.setattr(gl64, "_copy", copy)
+    monkeypatch.setattr(gl64, "_ewise", ewise)
+    spy = Spy()
+    monkeypatch.setattr(native, "_handle", spy)
+    seen["kernels"] = spy.calls
+    return seen
+
+
+def test_the_copy_guard_sees_every_copy_path(copies):
+    """Each way ``gl64`` copies an operand is counted by the fixture."""
+    a = np.arange(24, dtype=np.uint64).reshape(4, 6)
+    stages, rev = gl64.ntt_stages(gl64.P - 1, 2), gl64.bit_reverse_indices(2)
+    out, flat = a.copy(), np.ascontiguousarray(a.T)
+    for run, copied in [
+        (lambda: gl64.mul(a[:, ::2], 3), 12),            # strided operand
+        (lambda: gl64.add_into(out, out, out[1]), 6),    # row overlapping out
+        (lambda: gl64.sub_into(out.T, flat, 1), 24),     # temporary for out.T
+        (lambda: gl64.ntt(np.ones((2, 3, 4), np.uint64)[..., ::2],
+                          stages, rev), 12),             # 3-D strided input
+    ]:
+        before = copies["copied"]
+        run()
+        assert copies["copied"] - before == copied
+
+
+def test_a_k12_proof_reads_almost_every_operand_in_place(copies):
+    """A shape the kernel cannot read in place costs a copy, which shows up
     only as a slower benchmark; this makes it a failed test instead."""
     spec = get_model("gpt2", "mini")
-    seen = {"elementwise": 0, "numpy_elementwise": 0, "numpy_ntt_rows": 0,
-            "tape": 0, "numpy_tape": 0}
-    real_chunks, real_butterfly = gl64._each_chunk, gl64._butterfly
-    real_tape = gl64._native_tape
-
-    def counting_chunks(out, operands, nrows):
-        seen["numpy_elementwise"] += out.size
-        return real_chunks(out, operands, nrows)
-
-    def counting_butterfly(u, v, w):
-        seen["numpy_ntt_rows"] += 1
-        return real_butterfly(u, v, w)
-
-    def counting(into):
-        def run(out, a, b):
-            seen["elementwise"] += out.size
-            return into(out, a, b)
-        return run
-
-    def counting_tape(*args):
-        ran = real_tape(*args)
-        seen["tape" if ran else "numpy_tape"] += 1
-        return ran
-
-    monkeypatch.setattr(gl64, "_each_chunk", counting_chunks)
-    monkeypatch.setattr(gl64, "_butterfly", counting_butterfly)
-    monkeypatch.setattr(gl64, "_native_tape", counting_tape)
-    for name in ("mul_into", "add_into", "sub_into"):
-        monkeypatch.setattr(gl64, name, counting(getattr(gl64, name)))
     result = prove_model(spec, seeded_inputs(spec, 0), k=12, num_cols=10,
                          scale_bits=5, use_pk_cache=False)
     assert result.k == 12
-    # the constraint tapes (helpers, quotient) run in C, each in one call;
-    # what is left elementwise is the helper sums, FRI and the openings
-    assert (seen["tape"], seen["numpy_tape"]) == (2, 0)
-    assert seen["elementwise"] > 300_000
-    assert seen["numpy_ntt_rows"] == 0
-    assert seen["numpy_elementwise"] < 0.01 * seen["elementwise"], seen
+    # the constraint tapes (helpers, quotient) each run in one call; what
+    # is left elementwise is the helper sums, FRI and the openings
+    assert copies["kernels"].count("gl_eval_tape") == 2
+    assert copies["elementwise"] > 300_000
+    assert copies["copied"] < 0.01 * copies["elementwise"], copies["copied"]
 
 
 # -- loader --------------------------------------------------------------------
@@ -435,20 +473,10 @@ def install_stub(directory, body):
     path.chmod(path.stat().st_mode | stat.S_IXUSR)
 
 
-def fallback_events():
-    return events.counts().get('degraded{reason="field_kernel_fallback"}', 0)
-
-
 def dlrm_envelope():
     spec = get_model("dlrm", "mini")
     return prove_model(spec, seeded_inputs(spec, 0),
                        use_pk_cache=False).envelope_bytes()
-
-
-@pytest.fixture(scope="module")
-def native_dlrm_envelope():
-    assert gl64.kernel_tier() == "native"
-    return dlrm_envelope()
 
 
 @pytest.fixture
@@ -461,7 +489,6 @@ def fresh_loader(monkeypatch, tmp_path):
     events.reset()
 
 
-@needs_native
 @pytest.mark.parametrize("scenario, reason", [
     ("cc exits 1", "build failed: stub-cc: loud failure"),
     ("wrong gl_mul", "self-test failed: gl_mul"),
@@ -472,47 +499,54 @@ def fresh_loader(monkeypatch, tmp_path):
                  marks=pytest.mark.skipif(native.lane_width() != 8,
                                           reason="this CPU has no eight-lane build")),
 ])
-def test_a_failed_build_ends_on_the_numpy_tier_with_one_event(
-        scenario, reason, native_dlrm_envelope, fresh_loader, monkeypatch):
+def test_a_failed_build_raises_one_typed_error(
+        scenario, reason, fresh_loader, monkeypatch):
+    """The first kernel call of a prove raises the loader's reason; the
+    next raises it again without a second build, and nothing falls back
+    or reports a degraded run."""
     bin_dir = fresh_loader / "bin"
     bin_dir.mkdir()
     if scenario != "no compiler":
         install_stub(bin_dir, STUBS[scenario])
     monkeypatch.setenv("PATH", str(bin_dir))
+    loads = []
+    real_load = native._load
+
+    def load():
+        loads.append(1)
+        return real_load()
+
+    monkeypatch.setattr(native, "_load", load)
     heard = []
     listener = lambda kind, fields: heard.append((kind, fields))  # noqa: E731
     events.add_listener(listener)
     try:
-        assert gl64.kernel_tier() == "numpy"
-        # thousands of kernel calls later: same tier, same bytes, one event
-        assert dlrm_envelope() == native_dlrm_envelope
-        assert gl64.kernel_tier() == "numpy"
+        for _ in range(2):
+            with pytest.raises(KernelUnavailableError) as err:
+                dlrm_envelope()
+            assert err.value.message.startswith(reason), err.value
+            assert err.value.phase == "kernel"
     finally:
         events.remove_listener(listener)
-    assert fallback_events() == 1
-    (kind, fields), = heard
-    assert kind == "degraded" and fields["reason"] == "field_kernel_fallback"
-    assert fields["detail"].startswith(reason), fields
+    assert loads == [1]
+    assert heard == []
 
 
-@needs_cc
 def test_cached_object_loads_without_compiling(fresh_loader, monkeypatch):
     bin_dir = fresh_loader / "bin"
     install_stub(bin_dir, PASS_THROUGH)
     monkeypatch.setenv("PATH", str(bin_dir))
-    assert gl64.kernel_tier() == "native"
+    native.library()
     built = os.listdir(native._BUILD_DIR)
     assert len(built) == 1 and built[0].startswith("gl64-") \
         and built[0].endswith(".so")
     # same banner, but any attempt to compile now fails loudly
     install_stub(bin_dir, FAILS)
     monkeypatch.setattr(native, "_handle", native._UNSET)
-    assert gl64.kernel_tier() == "native"
-    assert fallback_events() == 0
+    native.library()
     assert os.listdir(native._BUILD_DIR) == built
 
 
-@needs_cc
 def test_unwritable_build_directory_builds_in_a_private_temp_dir(
         fresh_loader, monkeypatch):
     blocker = fresh_loader / "a-file"
@@ -526,27 +560,82 @@ def test_unwritable_build_directory_builds_in_a_private_temp_dir(
         return made[-1]
 
     monkeypatch.setattr(native.tempfile, "mkdtemp", mkdtemp)
-    assert gl64.kernel_tier() == "native"
-    assert fallback_events() == 0
+    native.library()
     assert len(made) == 1 and not os.path.exists(made[0])  # gone once loaded
     a = np.array([P - 1, 5], dtype=np.uint64)
     assert gl64.mul(a, a).tolist() == [1, 25]
 
 
-@needs_cc
+@pytest.mark.parametrize("scenario, reason", [
+    ("no writable build directory", "build failed: no writable build directory: "),
+    ("unreadable source", "load failed: "),
+])
+def test_an_os_error_raises_the_typed_error_with_its_reason(
+        scenario, reason, fresh_loader, monkeypatch):
+    if scenario == "unreadable source":
+        monkeypatch.setattr(native, "_SOURCE", str(fresh_loader / "gone.c"))
+    else:
+        blocker = fresh_loader / "a-file"
+        blocker.write_text("not a directory")
+        monkeypatch.setattr(native, "_BUILD_DIR", str(blocker / "_native"))
+
+        def mkdtemp(**kwargs):
+            raise PermissionError("no temp dir either")
+
+        monkeypatch.setattr(native.tempfile, "mkdtemp", mkdtemp)
+    a = np.array([P - 1, 5], dtype=np.uint64)
+    for _ in range(2):
+        with pytest.raises(KernelUnavailableError) as err:
+            gl64.mul(a, a)
+        assert err.value.message.startswith(reason), err.value
+
+
 def test_two_processes_building_at_once_both_end_up_native(tmp_path):
     build_dir = tmp_path / "_native"
     script = (
         "import sys\n"
-        "from repro.field import gl64, native\n"
+        "from repro.field import native\n"
         "native._BUILD_DIR = sys.argv[1]\n"
-        "print(gl64.kernel_tier())\n"
+        "print(native.lane_width())\n"
     )
     procs = [subprocess.Popen([sys.executable, "-c", script, str(build_dir)],
                               stdout=subprocess.PIPE, text=True)
              for _ in range(2)]
-    tiers = [proc.communicate(timeout=120)[0].strip() for proc in procs]
+    lanes = [proc.communicate(timeout=120)[0].strip() for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0]
-    assert tiers == ["native", "native"]
+    assert lanes[0] == lanes[1] == str(native.lane_width())
     left = os.listdir(build_dir)
     assert len(left) == 1 and left[0].endswith(".so")  # no tmp files behind
+
+
+#: ``zkml`` with the loader pointed at a build directory of its own
+RUN_CLI = ("import sys\n"
+           "from repro.field import native\n"
+           "native._BUILD_DIR = sys.argv[1]\n"
+           "from repro.cli import main\n"
+           "sys.exit(main(sys.argv[2:]))\n")
+
+
+def test_without_a_compiler_prove_and_verify_exit_with_one_line_naming_cc(
+        tmp_path):
+    """No ``cc`` on ``PATH`` and nothing built: ``zkml prove`` and ``zkml
+    verify`` (of a proof made where ``cc`` works) each exit 1 with one
+    line on stderr, which names ``cc``, and no traceback."""
+    from repro.cli import main
+
+    artifact = tmp_path / "dlrm.pkl"
+    assert main(["prove", "--model", "dlrm", "--out", str(artifact), "-q"]) == 0
+    env = dict(os.environ, PATH="/nonexistent",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    for argv in (["prove", "--model", "dlrm", "-q"],
+                 ["verify", "--artifact", str(artifact), "-q"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_CLI, str(tmp_path / argv[0]), *argv],
+            env=env, capture_output=True, text=True, timeout=300)
+        lines = proc.stderr.strip().splitlines()
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert len(lines) == 1, (argv, proc.stderr)
+        # the error itself, not a verdict wrapping it
+        assert "error=KernelUnavailableError" in lines[0], lines
+        assert "'cc'" in lines[0] and "verification" not in lines[0], lines
+        assert not os.path.exists(tmp_path / argv[0])  # nothing was built

@@ -1,13 +1,13 @@
-"""The eight-lane build, the scalar C build and the numpy tier held equal.
+"""The eight-lane build, the scalar C build and the numpy oracle held equal.
 
 ``gl64_native.c`` carries two builds of its NTT, Merkle-tree and
 constraint-tape kernels, and each process runs the eight-lane one when its
 CPU has AVX-512.  Every property here runs a kernel three ways: as loaded
 (eight lanes abreast on such a CPU), on the scalar build through
-``native.scalar_build()``, and on the numpy tier by nulling the loader's
-handle.  Outputs, node arrays, roots, proofs and ``STATS`` deltas must be
+``native.scalar_build()``, and on the numpy oracle
+(``tests/oracle.py``) through ``oracle_tier()``.  Outputs, node arrays, roots, proofs and ``STATS`` deltas must be
 equal.  On a CPU without the lane build the first two paths are the same
-code and the properties still hold the scalar build to numpy.
+code and the properties still hold the scalar build to the oracle.
 """
 
 import contextlib
@@ -27,16 +27,15 @@ from repro.model import get_model, seeded_inputs
 from repro.obs.stats import STATS
 from repro.runtime import pipeline, prove_model
 
+from tests.oracle import oracle_tier
+
 P = gl64.P
 EDGES = [0, 1, P - 1, (1 << 32) - 1, 1 << 32, P - (1 << 32), P - 2, 1 << 63]
-
-needs_native = pytest.mark.skipif(
-    gl64.kernel_tier() != "native", reason="no working C compiler on this box")
 
 PATHS = {
     "lanes": contextlib.nullcontext,
     "scalar": native.scalar_build,
-    "numpy": lambda: mock.patch.object(native, "_handle", None),
+    "numpy": oracle_tier,
 }
 
 
@@ -60,12 +59,10 @@ def assert_equal_runs(runs, same):
 
 def test_the_lane_width_names_a_build():
     assert native.lane_width() in (1, 8)
-    if gl64.kernel_tier() == "native":
-        with native.scalar_build():
-            assert native.lane_width() == 1
+    with native.scalar_build():
+        assert native.lane_width() == 1
 
 
-@needs_native
 @settings(max_examples=80, deadline=None)
 @given(
     rows=st.sampled_from([1, 7, 8, 9, 16, 17]) | st.integers(1, 20),
@@ -94,7 +91,6 @@ def test_ntt_rows_agree_on_every_path(rows, k, transposed, scale, seed):
     assert_equal_runs(runs, np.array_equal)
 
 
-@needs_native
 @settings(max_examples=80, deadline=None)
 @given(
     count=st.sampled_from([1, 7, 8, 9, 16, 17, 24, 64]) | st.integers(1, 70),
@@ -129,15 +125,14 @@ def dlrm_case():
     return case
 
 
-@needs_native
 def test_a_real_circuits_tapes_and_proof_agree_on_every_path(dlrm_case):
     """Both constraint tapes of a real circuit give the same rows on every
     path, and so does everything downstream of them: the proof."""
     pk, asg, scheme = dlrm_case
-    real_eval_tape = gl64.eval_tape
 
     def prove():
         outs = []
+        real_eval_tape = gl64.eval_tape  # this path's
 
         def recording(code, num_regs, cols, scalars, out, *args, **kwargs):
             real_eval_tape(code, num_regs, cols, scalars, out, *args, **kwargs)

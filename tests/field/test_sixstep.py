@@ -3,7 +3,7 @@
 The blocked transform is only a legal prover substitution if it is
 *exact* — same canonical Goldilocks values at every index, no
 reassociation drift.  These tests sweep k in {4..14} with seeded random
-inputs and random coset shifts on the numpy gl64 kernels (the radix-2
+inputs and random coset shifts on the gl64 kernels (the radix-2
 kernel and the reference NTT are the oracles), and check the
 ``SIXSTEP_MIN_K`` dispatch threshold routes ``EvaluationDomain``
 transforms through the blocked path.

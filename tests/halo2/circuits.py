@@ -1,14 +1,15 @@
 """Small reference circuits shared by the halo2 tests."""
 
-from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 
-from repro.field import GOLDILOCKS, native
+from repro.field import GOLDILOCKS
 from repro.gadgets import AddGadget, CircuitBuilder, MulGadget, PointwiseGadget
 from repro.halo2 import Assignment, ConstraintSystem, Ref
 from repro.tensor import Entry
+
+from tests.oracle import oracle_tier
 
 F = GOLDILOCKS
 
@@ -106,21 +107,11 @@ def gadget_circuit():
     return b
 
 
-@contextmanager
-def numpy_tier():
-    """Run the enclosed keygen / prove / verify on the numpy kernel bodies,
-    as a box without a C compiler does: the byte-identity oracle for the
-    compiled tier."""
-    native.library()  # load first, so leaving the block restores it
-    with mock.patch.object(native, "_handle", None):
-        yield
-
-
 def prove_on_numpy_tier(cs, asg, scheme):
-    """Keygen + prove on the numpy tier; returns ``(vk, proof)``."""
+    """Keygen + prove on the numpy oracle; returns ``(vk, proof)``."""
     from repro.halo2 import create_proof, keygen
 
-    with numpy_tier():
+    with oracle_tier():
         pk, vk = keygen(cs, asg, scheme)
         return vk, create_proof(pk, asg, scheme)
 

@@ -3,17 +3,19 @@
 Hypothesis draws random expression DAGs — shared subtrees, rotations
 that are negative or past ``n``, the constants 0, 1 and ``p - 1``,
 ``Challenge`` leaves and constant-only subtrees under products —
-compiles them in both modes and runs them on the compiled tier and the
-numpy tier:
+compiles them in both modes and runs them on the compiled kernel and the
+numpy oracle (``tests/oracle.py``):
 
 - fold mode (the quotient): the roots folded with powers of ``y`` over
   ``(parts, n)`` coset parts, each part scaled by its own factor;
 - store mode (phase 2's vectors): each root to its own row over the
   base domain.
 
-Both must equal ``Expression.evaluate`` row by row.  The numpy body also
-runs with a few-element ``BLOCK``, so its row blocks, and a rotated read
-wrapping across a block boundary, are exercised at small ``n``.  The
+Both must equal ``Expression.evaluate`` row by row.  The kernel also
+reads its columns as strided views and writes a strided ``out``; the
+oracle also runs with a few-element ``BLOCK``, so its row blocks, and a
+rotated read wrapping across a block boundary, are exercised at small
+``n``.  The
 last tests hold a gpt2-mini k=12 proof to its budget: one tape call per
 phase, one Merkle-tree call per committed tree, a few hundred foreign
 calls per proof, and a quotient whose memory is its output plus the
@@ -38,15 +40,13 @@ from repro.halo2.tape import INSTANCE, Y, compile_fold, compile_stores
 from repro.model import get_model, seeded_inputs
 from repro.runtime import pipeline, prove_model
 
+from tests import oracle
+
 F = GOLDILOCKS
 P = F.p
 COLUMNS = [Column(ColumnType.ADVICE, 0), Column(ColumnType.ADVICE, 1),
            Column(ColumnType.FIXED, 0)]
 CHALLENGES = {"alpha": 0xDEADBEEF, "beta": P - 3, Y: 987654321}
-
-needs_native = pytest.mark.skipif(
-    gl64.kernel_tier() != "native", reason="no working C compiler on this box")
-
 
 def slot_of(col):
     return (KINDS.index(col.kind), col.index)
@@ -121,24 +121,23 @@ def reference(roots, values, n, parts, fold, scale):
     return rows
 
 
-def run_every_tier(tape, values, n, parts, scale):
-    """The tape's output on each tier available on this box."""
+def run_every_tier(tape, values, n, parts, scale, strided=False):
+    """The tape's output on the kernel (reading strided views of the
+    columns and writing a strided ``out`` when ``strided``) and on the
+    oracle, with its own and with four-row blocks."""
     col_of = {slot_of(col): col for col in COLUMNS}
-    cols = [np.ascontiguousarray(values[col_of[slot]]) for slot in tape.slots]
+    cols = [np.ascontiguousarray(values[col_of[slot]]).reshape(-1) for slot in tape.slots]
     scalars = tape.bind(F, CHALLENGES)
     scale = None if scale is None else np.array(scale, dtype=np.uint64)
-    gl64._scratch()  # sized at the real BLOCK before any patch below
+    shape = (tape.num_outputs, parts * n)
     outs = {}
     for tier, block in (("native", None), ("numpy", None), ("numpy blocks of 4", 4)):
-        out = np.empty((tape.num_outputs, parts * n), dtype=np.uint64)
-
-        def run():
-            gl64.eval_tape(tape.code, tape.num_regs, cols, scalars, out,
-                           parts=parts, scale=scale)
-
         if tier == "native":
-            if gl64.kernel_tier() != "native":
-                continue
+            if strided:
+                cols_in = [np.repeat(c, 2)[::2] for c in cols]
+                out = np.zeros((shape[0], 2 * shape[1]), dtype=np.uint64)[:, ::2]
+            else:
+                cols_in, out = cols, np.empty(shape, dtype=np.uint64)
             calls = []
             lib = native.library()
 
@@ -148,36 +147,39 @@ def run_every_tier(tape, values, n, parts, scale):
                     return getattr(lib, name)
 
             with mock.patch.object(native, "_handle", Spy()):
-                run()
+                gl64.eval_tape(tape.code, tape.num_regs, cols_in, scalars, out,
+                               parts=parts, scale=scale)
             assert calls == ["gl_eval_tape"]
         else:
-            with mock.patch.object(native, "_handle", None), \
-                    mock.patch.object(gl64, "BLOCK", block or gl64.BLOCK):
-                run()
+            out = np.empty(shape, dtype=np.uint64)
+            with mock.patch.object(oracle, "BLOCK", block or oracle.BLOCK):
+                oracle.eval_tape(tape.code, tape.num_regs, cols, scalars, out,
+                                 parts=parts, scale=scale)
         outs[tier] = out.tolist()
     return outs
 
 
-def check_both_modes(roots, n, parts, seed):
+def check_both_modes(roots, n, parts, seed, strided=False):
     values = column_values(n, parts, seed)
     scale = [(seed * 7919 + r) % P for r in range(parts)]
     tape = compile_fold(roots, n, slot_of)
     want = reference(roots, values, n, parts, True, scale)
-    for tier, got in run_every_tier(tape, values, n, parts, scale).items():
+    for tier, got in run_every_tier(tape, values, n, parts, scale, strided).items():
         assert got == want, ("fold", tier)
 
     base = {col: v[:1] for col, v in values.items()}
     tape = compile_stores(list(enumerate(roots)), n, slot_of)
     want = reference(roots, base, n, 1, False, None)
-    for tier, got in run_every_tier(tape, base, n, 1, None).items():
+    for tier, got in run_every_tier(tape, base, n, 1, None, strided).items():
         assert got == want, ("store", tier)
 
 
 @settings(max_examples=150, deadline=None)
-@given(dag=dags(), parts=st.integers(1, 3), seed=st.integers(0, 2**32))
-def test_tape_matches_per_row_evaluation(dag, parts, seed):
+@given(dag=dags(), parts=st.integers(1, 3), seed=st.integers(0, 2**32),
+       strided=st.booleans())
+def test_tape_matches_per_row_evaluation(dag, parts, seed, strided):
     n, roots = dag
-    check_both_modes(roots, n, parts, seed)
+    check_both_modes(roots, n, parts, seed, strided)
 
 
 def test_blocks_and_wrapping_reads_past_one_kernel_block():
@@ -228,7 +230,6 @@ def gpt2_k12():
     return case
 
 
-@needs_native
 def test_a_k12_proof_runs_each_tape_in_one_call(gpt2_k12, monkeypatch):
     pk, asg, scheme = gpt2_k12
     lib = native.library()
@@ -265,7 +266,6 @@ def test_a_k12_proof_runs_each_tape_in_one_call(gpt2_k12, monkeypatch):
     assert sum(calls.values()) <= 400, calls
 
 
-@needs_native
 def test_a_k12_proof_hashes_each_tree_in_one_call(gpt2_k12, monkeypatch):
     """Every tree a proof commits (its rounds, then its FRI layers) is one
     ``gl_merkle_tree`` call, and no digest is hashed in Python."""
@@ -279,14 +279,13 @@ def test_a_k12_proof_hashes_each_tree_in_one_call(gpt2_k12, monkeypatch):
                 trees.append(name)
             return getattr(lib, name)
 
-    def counted(real):
-        def hash_in_python(*args):
-            python_hashes.append(real.__name__)
-            return real(*args)
-        return hash_in_python
+    real_blake2b = merkle._blake2b
 
-    for name in ("_hash_leaf", "_hash_node"):
-        monkeypatch.setattr(merkle, name, counted(getattr(merkle, name)))
+    def hash_in_python(*args, **kwargs):
+        python_hashes.append(args)
+        return real_blake2b(*args, **kwargs)
+
+    monkeypatch.setattr(merkle, "_blake2b", hash_in_python)
     monkeypatch.setattr(native, "_handle", Spy())
     proof = prover.create_proof(pk, asg, scheme)
     assert python_hashes == []
@@ -317,10 +316,8 @@ def test_quotient_memory_is_its_output_plus_the_register_file(gpt2_k12,
     (peak, output), = peaks
     public = sum(rnd == INSTANCE for rnd, _ in tape.slots)
     # besides the output: the instance columns' gathered rows,
-    # polynomials and extensions, and the numpy tier's register file (the
-    # compiled tier's is smaller, and in C); the evaluator the tape
+    # polynomials and extensions (the register file is the kernel's, a few
+    # row blocks in C, out of tracemalloc's sight); the evaluator the tape
     # replaced held a whole vector per expression node
     instance = public * (3 * 8 * pk.vk.n + output)
-    register_file = (tape.num_regs + 1) * gl64.BLOCK * 8
-    assert peak <= output + instance + register_file + (256 << 10), (
-        peak, output, register_file)
+    assert peak <= output + instance + (256 << 10), (peak, output)

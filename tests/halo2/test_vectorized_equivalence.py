@@ -6,16 +6,15 @@ Three layers of equivalence, on real circuits' expressions:
   against a per-row ``Expression.evaluate`` loop;
 - the key's quotient tape (the constraint fold) against per-row
   evaluation plus a scalar Horner fold over the extended coset;
-- whole proofs: the compiled kernel tier vs the numpy tier must serialize
-  (and pickle) to identical bytes, under keys with identical digests, and
-  each tier's verifier must accept the other's proof.
+- whole proofs: the compiled kernel vs the numpy oracle of
+  ``tests/oracle.py`` must serialize (and pickle) to identical bytes,
+  under keys with identical digests, and each one's verifier must accept
+  the other's proof.
 
 Random expression DAGs are held to per-row evaluation in
 ``test_tape.py``; the prover's other row-sequential kernels (the
 coset-part quotient, lookup multiplicities, running sums) to per-row
-references in ``test_prover_internals.py``.  On a box without a C
-compiler both tiers are numpy and the whole-proof comparison is trivial;
-the golden envelope hashes pin the bytes there.
+references in ``test_prover_internals.py``.
 """
 
 import pickle
@@ -38,11 +37,11 @@ from repro.halo2.tape import INSTANCE, Y, compile_stores
 
 from tests.halo2.circuits import (
     mul_circuit,
-    numpy_tier,
     prove_on_numpy_tier,
     range_check_circuit,
     relu_lookup_circuit,
 )
+from tests.oracle import oracle_tier
 
 F = GOLDILOCKS
 
@@ -193,8 +192,8 @@ def test_quotient_fold_matches_per_row(circuit, backend_cls):
 
 
 def assert_backends_agree(cs, asg):
-    """The compiled and numpy kernel tiers give one key digest and one
-    proof."""
+    """The compiled kernel and the numpy oracle give one key digest and
+    one proof."""
     scheme = scheme_by_name("kzg", F)
     pk_fast, vk_fast = keygen(cs, asg, scheme)
     proof_fast = create_proof(pk_fast, asg, scheme)
@@ -204,9 +203,9 @@ def assert_backends_agree(cs, asg):
     assert proof_to_bytes(proof_fast) == proof_to_bytes(proof_ref)
     assert pickle.dumps(proof_fast) == pickle.dumps(proof_ref)
     assert verify_proof(vk_fast, proof_fast, asg.instance_values(), scheme)
-    # and each tier's verifier accepts the other's proof
+    # and each path's verifier accepts the other's proof
     assert verify_proof(vk_fast, proof_ref, asg.instance_values(), scheme)
-    with numpy_tier():
+    with oracle_tier():
         assert verify_proof(vk_ref, proof_fast, asg.instance_values(), scheme)
 
 
@@ -218,7 +217,7 @@ def test_native_proof_matches_numpy_tier(circuit):
 
 
 def test_native_proof_matches_numpy_tier_with_folds():
-    # k=7: two FRI folds, one committed fold layer, on both tiers
+    # k=7: two FRI folds, one committed fold layer, on both paths
     assert_backends_agree(*relu_lookup_circuit(k=7))
 
 

@@ -168,8 +168,8 @@ class TestCorruptionEviction:
     def test_v4_artifact_is_a_miss_then_a_rebuild(
             self, tmp_path, circuit, scheme, monkeypatch):
         # a v4 key has no compiled constraint tapes, which the prover
-        # runs: it is never loaded, only rebuilt and rewritten as v6
-        assert DISK_MAGIC == b"zkml-pk-cache/v6\n"
+        # runs: it is never loaded, only rebuilt and rewritten as v7
+        assert DISK_MAGIC == b"zkml-pk-cache/v7\n"
         self.check_old_artifact(b"zkml-pk-cache/v4\n", tmp_path, circuit,
                                 scheme, monkeypatch)
 
@@ -178,6 +178,13 @@ class TestCorruptionEviction:
         # a v5 key pickles its fixed round's tree as lists of digests,
         # not the node array the tree is now: never loaded, only rebuilt
         self.check_old_artifact(b"zkml-pk-cache/v5\n", tmp_path, circuit,
+                                scheme, monkeypatch)
+
+    def test_v6_artifact_is_a_miss_then_a_rebuild(
+            self, tmp_path, circuit, scheme, monkeypatch):
+        # a v6 key's domain pickles its NTT twiddles as limb tables of a
+        # class the kernel no longer has: never loaded, only rebuilt
+        self.check_old_artifact(b"zkml-pk-cache/v6\n", tmp_path, circuit,
                                 scheme, monkeypatch)
 
     def check_old_artifact(self, old_magic, tmp_path, circuit, scheme,

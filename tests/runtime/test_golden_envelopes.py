@@ -26,20 +26,20 @@ pk cache).  They are counts, not timings, so the gate is equality: a
 change that adds an NTT, a commitment or a hash to a proof updates the
 row and says why.
 
-Both field-kernel tiers are held to the same tables: the compiled kernel
-(when this box has a compiler) and, with the loader's handle nulled, the
-numpy bodies a box without one runs.
+The compiled kernel and the numpy oracle of ``tests/oracle.py`` are held
+to the same tables.
 """
 
 import hashlib
 
 import pytest
 
-from repro.field import native
 from repro.model import get_model, seeded_inputs
 from repro.obs.stats import FIELDS
 from repro.perf.pkcache import GLOBAL_PK_CACHE
 from repro.runtime import prove_batch, prove_model
+
+from tests.oracle import oracle_tier
 
 #: model -> (k, envelope bytes, blake2b-16 of the envelope): prove_model, seed 0.
 SINGLE = {
@@ -90,9 +90,11 @@ def envelope_hash(data: bytes) -> str:
 
 
 @pytest.fixture
-def numpy_tier(monkeypatch):
-    """What a box without a C compiler runs, keygen included."""
-    monkeypatch.setattr(native, "_handle", None)
+def numpy_tier():
+    """The numpy oracle in place of the compiled kernel, keygen included."""
+    GLOBAL_PK_CACHE.clear()
+    with oracle_tier():
+        yield
     GLOBAL_PK_CACHE.clear()
 
 

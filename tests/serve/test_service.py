@@ -296,7 +296,7 @@ class TestOneBatchPath:
         assert {"zkml_prover_runs_total", "zkml_phase_seconds",
                 "zkml_worker_ops_total", "zkml_worker_pk_cache",
                 "zkml_field_kernel"} <= set(inline)
-        assert inline["zkml_field_kernel"] == {frozenset({"tier"})}
+        assert inline["zkml_field_kernel"] == {frozenset({"lanes"})}
 
 
 ON_A_CLUSTER = [

@@ -9,16 +9,19 @@ and every rejection is accounted under its taxonomy cause.
 
 import dataclasses
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.envelope import EnvelopeCaps
+from repro.field import gl64, native
 from repro.model import get_model
 from repro.registry import VKRegistry
 from repro.resilience import events
 from repro.resilience.errors import (
     DeadlineExceeded,
+    KernelUnavailableError,
     ServiceError,
     ServiceOverloadedError,
     ServiceShutdownError,
@@ -216,6 +219,16 @@ class TestRequestCaps:
         with pytest.raises(ServiceShutdownError):
             service.verify_batch([encoded])
 
+    def test_no_field_kernel_is_an_error_not_a_verdict(self, service, encoded,
+                                                      monkeypatch):
+        # a box that cannot build the kernel checked nothing: it must not
+        # answer "rejected" (nor "accepted") for a proof
+        monkeypatch.setattr(native, "_handle",
+                            KernelUnavailableError("no C compiler: none here"))
+        with pytest.raises(KernelUnavailableError, match="^no C compiler"):
+            service.verify_batch([encoded])
+        assert service.stats()["rejections_by_cause"] == {}
+
 
 class TestOperatorSurface:
     def test_health_is_cheap_and_truthful(self, service):
@@ -246,3 +259,45 @@ class TestOperatorSurface:
         events.reset()
         service.verify_batch([encoded])
         assert not any("escal" in k for k in events.counts())
+
+
+class TestKeysFromOlderBuilds:
+    def test_a_key_caching_limb_table_twiddles_loads_and_verifies(
+            self, proven, encoded, tmp_path):
+        # older builds cached each NTT's twiddles as gl64._Stages (per-stage
+        # (2, 2^s) limb tables plus the packed words), in the vk's domain
+        # and in its six-step plans; such a pickle must load and verify
+        vk = pickle.loads(pickle.dumps(proven.vk))
+        domain = vk.domain
+        assert domain._np_stages
+
+        def limb_tables(packed):
+            old, start = gl64._Stages(), 0
+            while start < len(packed):
+                span = start + 1
+                words = packed[start:start + span]
+                old.append(np.stack([words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)]))
+                start += span
+            old.packed = packed
+            return old
+
+        for key, packed in list(domain._np_stages.items()):
+            domain._np_stages[key] = limb_tables(packed)
+        plan = gl64.build_sixstep_plan(domain.omega, domain.n)
+        plan.stages_inner = limb_tables(plan.stages_inner)
+        plan.stages_outer = limb_tables(plan.stages_outer)
+        domain._np_sixstep[(domain.omega, domain.n, 1)] = plan
+        assert b"_Stages" in pickle.dumps(vk)
+
+        registry = VKRegistry(str(tmp_path))
+        env = proven.envelope()
+        registry.publish(vk, env.model, env.config_digest)
+        loaded = registry.get(vk.digest().hex())
+        assert loaded.domain._np_stages == {} and loaded.domain._np_sixstep == {}
+        svc = VerifyService(registry=registry)
+        try:
+            report = svc.verify_batch([encoded])
+        finally:
+            svc.close()
+        assert report["accepted"] == 1, report
+        assert registry.entry(vk.digest().hex()).vk_hash == vk.digest().hex()

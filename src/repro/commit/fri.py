@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.commit.merkle import MerkleTree, leaf_bytes, verify_merkle_path
 from repro.commit.transcript import Transcript
-from repro.field.ntt import scaled_power_table
+from repro.field import gl64
 
 #: Query positions per proof.  At rate 1/2 each query is worth one
 #: conjectured bit, which meets the ~44-bit cap the 64-bit challenges
@@ -112,8 +112,7 @@ def _fold_table(domain, i: int):
     def build():
         f = domain.field
         size, shift, omega = _layers(domain)[i]
-        return domain.backend.from_ints(scaled_power_table(
-            f.p, f.inv(omega), size // 2, f.inv(f.mul(2, shift))))
+        return gl64.powers(f.inv(f.mul(2, shift)), f.inv(omega), size // 2)
 
     return domain.memo(("fri-fold-table", i), build)
 

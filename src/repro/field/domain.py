@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.field import gl64
-from repro.field.ntt import power_table, scaled_power_table, sixstep_min_n
+from repro.field.ntt import sixstep_min_n
 from repro.field.prime_field import PrimeField, require_goldilocks
 from repro.field.vector import GL64Backend
 from repro.obs.stats import STATS
@@ -114,7 +114,7 @@ class EvaluationDomain:
         key = (base, n)
         cached = self._np_powers.get(key)
         if cached is None:
-            cached = np.array(power_table(self.field.p, base, n), dtype=np.uint64)
+            cached = gl64.powers(1, base, n)
             self._np_powers[key] = cached
         else:
             STATS.ntt_plan_hits += 1
@@ -138,10 +138,7 @@ class EvaluationDomain:
         key = (base, n, scalar)
         cached = self._np_post_scale.get(key)
         if cached is None:
-            cached = np.array(
-                scaled_power_table(self.field.p, base, n, scalar),
-                dtype=np.uint64,
-            )
+            cached = gl64.powers(scalar, base, n)
             self._np_post_scale[key] = cached
         else:
             STATS.ntt_plan_hits += 1
@@ -387,10 +384,13 @@ class EvaluationDomain:
         """
         f = self.field
         p = f.p
-        powers = power_table(p, self.omega, self.n)
-        rows = [(v, powers[i]) for i, v in enumerate(evals) if v]
-        if not rows:
+        nonzero = [(i, v) for i, v in enumerate(evals) if v]
+        if not nonzero:
             return 0
+        # powers up to the last nonzero row, as Python ints (uint64
+        # products would wrap)
+        powers = gl64.powers(1, self.omega, nonzero[-1][0] + 1).tolist()
+        rows = [(v, powers[i]) for i, v in nonzero]
         inverses = f.batch_inv([(z - w) % p for _, w in rows])
         acc = sum(v * w * inv for (v, w), inv in zip(rows, inverses))
         return acc * self.vanishing_eval(z) * f.inv(self.n) % p

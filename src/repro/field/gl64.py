@@ -166,6 +166,15 @@ def fold(acc: np.ndarray, y: int, values) -> np.ndarray:
 # -- whole-vector kernels --------------------------------------------------------
 
 
+def powers(first: int, ratio: int, n: int) -> np.ndarray:
+    """``first * ratio^i mod p`` for ``i < n``: the power tables and the NTT
+    twiddles, in one call."""
+    out = np.empty(n, dtype=np.uint64)
+    if n:
+        native.library().gl_powers(out.ctypes.data, first % P, ratio % P, n)
+    return out
+
+
 def batch_inv(values: np.ndarray) -> np.ndarray:
     """Elementwise modular inverse (Montgomery's trick: one pass up, one
     exponentiation, one pass down).  Inverses are unique, so the result
@@ -272,14 +281,16 @@ class _Stages(list):
 
 
 def ntt_stages(root: int, n: int) -> np.ndarray:
-    """The twiddles of every :func:`ntt` stage, stage after stage: the
-    ``2^s`` of the stage with butterfly span ``2^s`` (see
-    :func:`repro.field.ntt.stage_twiddles`) start at index ``2^s - 1``.
-    Cache per ``(root, n)``."""
-    from repro.field.ntt import stage_twiddles
-
-    return np.array([w for tw in stage_twiddles(P, root, n) for w in tw],
-                    dtype=np.uint64)
+    """The twiddles of every :func:`ntt` stage, packed back to back: the
+    stage with butterfly span ``h = 2^s`` holds ``w^0, ..., w^(h - 1)``
+    for ``w = root^(n / 2h)`` at indices ``h - 1`` to ``2h - 2``.  Cache
+    per ``(root, n)``."""
+    out = np.empty(max(n - 1, 0), dtype=np.uint64)
+    half = 1
+    while half < n:
+        out[half - 1 : 2 * half - 1] = powers(1, pow(root, n // (2 * half), P), half)
+        half <<= 1
+    return out
 
 
 def ntt(
@@ -371,8 +382,6 @@ def build_sixstep_plan(root: int, n: int, shift: int = 1) -> SixStepPlan:
     """
     if n & (n - 1) or n < 4:
         raise ValueError("six-step NTT needs a power-of-two size >= 4, got %d" % n)
-    from repro.field.ntt import power_table
-
     k = n.bit_length() - 1
     n1 = 1 << (k >> 1)
     n2 = n // n1
@@ -383,16 +392,15 @@ def build_sixstep_plan(root: int, n: int, shift: int = 1) -> SixStepPlan:
     rev_inner = bit_reverse_indices(n2)
     rev_outer = bit_reverse_indices(n1)
     # middle twiddles w^{i1*j2}, with the coset factor s^{i1} folded in
-    w_pows = np.array(power_table(P, root, n), dtype=np.uint64)
+    w_pows = powers(1, root, n)
     exps = (np.arange(n1, dtype=np.int64)[:, None]
             * np.arange(n2, dtype=np.int64)[None, :]) % n
     w_fused = w_pows[exps]
     scale_inner_rev = None
     if shift != 1:
         s_inner = pow(shift, n1, P)
-        inner_pows = np.array(power_table(P, s_inner, n2), dtype=np.uint64)
-        scale_inner_rev = inner_pows[rev_inner]
-        shift_pows = np.array(power_table(P, shift, n1), dtype=np.uint64)
+        scale_inner_rev = powers(1, s_inner, n2)[rev_inner]
+        shift_pows = powers(1, shift, n1)
         w_fused = mul(w_fused, shift_pows[:, None])
     return SixStepPlan(n, n1, n2, stages_inner, rev_inner, scale_inner_rev,
                        w_fused, stages_outer, rev_outer)

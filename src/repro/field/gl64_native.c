@@ -15,15 +15,19 @@
  * expressions, not once per expression node.  gl_merkle_tree builds a
  * whole commit round's blake2b Merkle tree in one call.
  *
- * Two builds.  The three hottest kernels (the batched NTT, the tape and
- * the Merkle builder) are written once, in the lane section at the end of
- * this file, and compiled twice by including the file into itself: the
- * scalar build (LANES 1, the portable code every host runs) and, on
- * x86-64, an eight-lane build under target("avx512f,avx512vl,avx512dq")
- * that runs eight NTT rows, eight leaves or eight nodes abreast, each lane
- * loop one 512-bit vector operation.  There is no -march: the object may
- * outlive the CPU it was built on, so a constructor picks one build per
- * process from __builtin_cpu_supports (gl_lanes, 8 or 1).
+ * Two builds.  The hot kernels (the NTT, batch inversion, weighted sums,
+ * Horner, the tape and the Merkle builder) are written once, in the lane
+ * section at the end of this file, over a lane vector `vec` with inline
+ * vload / vstore / vset1 / vadd / vsub / vmul, and compiled twice by
+ * including the file into itself: the scalar build (LANES 1, vec a u64,
+ * the portable code every host runs) and, on x86-64, an eight-lane build
+ * under target("avx512f") where vec is a __m512i and vmul builds the
+ * 128-bit product from four vpmuludq (gl_mul_x8).  An NTT row runs eight
+ * wide along itself, a weighted sum eight columns abreast, an inversion
+ * eight chains a vector, Horner eight sub-polynomials in x^8, blake2b eight
+ * messages abreast.  There is no -march: the object may outlive the CPU it
+ * was built on, so a constructor picks one build per process from
+ * __builtin_cpu_supports (gl_lanes, 8 or 1).
  */
 #ifndef LANES /* the first pass: everything but the lane kernels */
 #include <stddef.h>
@@ -61,17 +65,6 @@ static inline u64 gl_mul1(u64 a, u64 b) {
     return gl_fold((u64)x, (u64)(x >> 64));
 }
 
-/* gl_mul1 with the 128-bit product built from four 32x32-bit ones, carry
- * free: the form GCC turns into vpmuludq lanes (the u128 one stays scalar) */
-static inline u64 gl_mul_limbs(u64 a, u64 b) {
-    u64 a0 = a & EPS, a1 = a >> 32, b0 = b & EPS, b1 = b >> 32;
-    u64 ll = a0 * b0;
-    u64 t = a1 * b0 + (ll >> 32);      /* < 2^64 */
-    u64 u = a0 * b1 + (t & EPS);       /* < 2^64 */
-    u64 hi = a1 * b1 + (t >> 32) + (u >> 32);
-    return gl_fold((u << 32) | (ll & EPS), hi);
-}
-
 static u64 gl_inv1(u64 a) { /* a^(p-2) */
     u64 r = 1, e = P - 2;
     for (; e; e >>= 1, a = gl_mul1(a, a))
@@ -94,92 +87,32 @@ GL_EWISE(gl_mul, gl_mul1)
 GL_EWISE(gl_add, gl_add1)
 GL_EWISE(gl_sub, gl_sub1)
 
-/* Montgomery's trick in CHAINS chains abreast: the input is cut into CHAINS
- * contiguous segments (the last one runs on through the n % CHAINS tail),
- * so the multiplier has CHAINS independent products in flight instead of
- * one dependent chain.  out must not alias v.  Returns the index of the
- * first zero (out is then untouched) or -1. */
-enum { CHAINS = 8 };
-ptrdiff_t gl_batch_inv(u64 *out, const u64 *v, size_t n) {
-    for (size_t i = 0; i < n; i++)
-        if (!v[i]) return (ptrdiff_t)i;
-    size_t seg = n / CHAINS, tail = CHAINS * seg;
-    u64 acc[CHAINS], pre[CHAINS], inv = 1;
-    for (int c = 0; c < CHAINS; c++) acc[c] = 1;
-    for (size_t i = 0; i < seg; i++)
-        for (int c = 0; c < CHAINS; c++) {
-            out[c * seg + i] = acc[c];
-            acc[c] = gl_mul1(acc[c], v[c * seg + i]);
-        }
-    for (size_t i = tail; i < n; i++) {
-        out[i] = acc[CHAINS - 1];
-        acc[CHAINS - 1] = gl_mul1(acc[CHAINS - 1], v[i]);
-    }
-    /* the chain totals' inverses, by the same trick: one inversion */
-    for (int c = 0; c < CHAINS; c++) {
-        pre[c] = inv;
-        inv = gl_mul1(inv, acc[c]);
-    }
-    inv = gl_inv1(inv);
-    for (int c = CHAINS; c-- > 0;) {
-        u64 total = acc[c];
-        acc[c] = gl_mul1(pre[c], inv);
-        inv = gl_mul1(inv, total);
-    }
-    for (size_t i = n; i-- > tail;) {
-        out[i] = gl_mul1(out[i], acc[CHAINS - 1]);
-        acc[CHAINS - 1] = gl_mul1(acc[CHAINS - 1], v[i]);
-    }
-    for (size_t i = seg; i-- > 0;)
-        for (int c = 0; c < CHAINS; c++) {
-            out[c * seg + i] = gl_mul1(out[c * seg + i], acc[c]);
-            acc[c] = gl_mul1(acc[c], v[c * seg + i]);
-        }
-    return -1;
+/* out[i] = first * ratio^i for i < n: the power tables and NTT twiddles.
+ * Eight chains a stride apart, each stepping by ratio^8, so eight products
+ * are in flight instead of one dependent chain. */
+void gl_powers(u64 *out, u64 first, u64 ratio, size_t n) {
+    u64 step = ratio;
+    for (size_t i = 0; i < n && i < 8; i++)
+        out[i] = i ? gl_mul1(out[i - 1], ratio) : first;
+    for (int s = 0; s < 3; s++) step = gl_mul1(step, step);
+    for (size_t i = 8; i < n; i++) out[i] = gl_mul1(out[i - 8], step);
 }
 
-/* out[j] = sum_i w[i] * rows[i][j] over a contiguous (m, width) matrix */
-void gl_weighted_sum(u64 *out, const u64 *rows, const u64 *w,
-                     size_t m, size_t width) {
-    for (size_t j = 0; j < width; j++) out[j] = 0;
-    for (size_t i = 0; i < m; i++, rows += width) {
-        u64 wi = w[i];
-        for (size_t j = 0; j < width; j++)
-            out[j] = gl_add1(out[j], gl_mul1(rows[j], wi));
-    }
-}
-
-/* out[i] = coeffs[i](points[i]) by Horner over a contiguous (m, width)
- * matrix, HORNER_ROWS rows abreast: one row is a single dependent chain, a
- * few independent ones keep the multiplier busy (2.8x at width 4096). */
-enum { HORNER_ROWS = 4 };
-void gl_poly_eval_rows(u64 *out, const u64 *coeffs, const u64 *points,
-                       size_t m, size_t width) {
-    for (size_t i = 0; i < m; i += HORNER_ROWS, coeffs += HORNER_ROWS * width) {
-        size_t rows = m - i < HORNER_ROWS ? m - i : HORNER_ROWS;
-        u64 acc[HORNER_ROWS] = {0};
-        for (size_t j = width; j-- > 0;)
-            for (size_t l = 0; l < rows; l++)
-                acc[l] = gl_add1(gl_mul1(acc[l], points[i + l]),
-                                 coeffs[l * width + j]);
-        for (size_t l = 0; l < rows; l++) out[i + l] = acc[l];
-    }
-}
-
-/* The constraint tape's opcodes and row block (gl_eval_tape, below). */
+/* Vectors of columns a weighted sum keeps in registers, rows Horner takes
+ * abreast, and the tape's opcodes and row block (the lane kernels, below). */
+enum { SUM_VECS = 4, HORNER_ROWS = 4 };
 enum { TAPE_LOAD, TAPE_ADD, TAPE_SUB, TAPE_MUL, TAPE_NEG, TAPE_STORE };
 enum { TAPE_ROWS = 512 };
 
-/* one loop per operand shape: vector-vector, vector-scalar, scalar-vector */
-#define TAPE_BINARY(op)                                             \
-    do {                                                            \
-        u64 x = *a, y = *b;                                         \
-        if (as && bs)                                               \
-            for (size_t j = 0; j < len; j++) o[j] = op(a[j], b[j]); \
-        else if (as)                                                \
-            for (size_t j = 0; j < len; j++) o[j] = op(a[j], y);    \
-        else                                                        \
-            for (size_t j = 0; j < len; j++) o[j] = op(x, b[j]);    \
+/* o[j] = a[j*as] (op) b[j*bs] for j < len, LANES at a time and then the
+ * tail; as / bs are 1 for a register, 0 for a broadcast scalar */
+#define TAPE_BINARY(vop, op)                                                  \
+    do {                                                                      \
+        vec x = vset1(*a), y = vset1(*b);                                     \
+        size_t j = 0;                                                         \
+        for (; j + LANES <= len; j += LANES)                                  \
+            vstore(o + j, vop(as ? vload(a + j) : x, bs ? vload(b + j) : y)); \
+        for (; j < len; j++) o[j] = op(a[j * as], b[j * bs]);                 \
     } while (0)
 
 /* blake2b-256 (RFC 7693) with a 16-byte `person`, no key, no salt, for the
@@ -245,34 +178,115 @@ static void b2b_init(u64 h[8], const uint8_t person[16]) {
     h[7] ^= load64(person + 8);
 }
 
-/* The lane kernels, twice.  Each pass sees LANES, the lane multiply
- * LANE_MUL and the function attribute LANE_FN; the eight-lane pass renames
- * its functions *_x8.  A compiler that cannot build the clone (an older
- * GCC, a host that is not x86-64) gives the scalar build alone. */
+#if defined(__x86_64__) && (defined(__clang__) || __GNUC__ >= 8)
+#define GL_LANE_BUILD 1
+#include <immintrin.h>
+#define X8 __attribute__((target("avx512f")))
+
+/* gl_sub1, gl_add1 and gl_mul1 on eight lanes.  The product's four 32x32-bit
+ * parts are vpmuludq, carry free, then the same fold as gl_fold; the only
+ * 64-bit multiply AVX-512 has (vpmullq) is three micro-ops and is never
+ * used. */
+X8 static inline __m512i gl_sub_x8(__m512i a, __m512i b) {
+    __m512i d = _mm512_sub_epi64(a, b);
+    return _mm512_mask_sub_epi64(d, _mm512_cmplt_epu64_mask(a, b), d,
+                                 _mm512_set1_epi64(EPS));
+}
+
+X8 static inline __m512i gl_add_x8(__m512i a, __m512i b) {
+    return gl_sub_x8(a, _mm512_sub_epi64(_mm512_set1_epi64(P), b));
+}
+
+X8 static inline __m512i gl_mul_x8(__m512i a, __m512i b) {
+    __m512i eps = _mm512_set1_epi64(EPS), p = _mm512_set1_epi64(P);
+    __m512i ah = _mm512_srli_epi64(a, 32), bh = _mm512_srli_epi64(b, 32);
+    __m512i ll = _mm512_mul_epu32(a, b), lh = _mm512_mul_epu32(a, bh);
+    __m512i hl = _mm512_mul_epu32(ah, b), hh = _mm512_mul_epu32(ah, bh);
+    __m512i t = _mm512_add_epi64(hl, _mm512_srli_epi64(ll, 32)); /* < 2^64 */
+    __m512i u = _mm512_add_epi64(lh, _mm512_and_si512(t, eps));  /* < 2^64 */
+    hh = _mm512_add_epi64(hh, _mm512_srli_epi64(t, 32));
+    __m512i hi = _mm512_add_epi64(hh, _mm512_srli_epi64(u, 32));
+    /* lo = (u << 32) | (ll mod 2^32), m = (hi mod 2^32) * EPS as in gl_fold */
+    __m512i lo = _mm512_ternarylogic_epi64(_mm512_slli_epi64(u, 32), ll, eps, 0xF8);
+    __m512i m = _mm512_mul_epu32(hi, eps);
+    __m512i r = _mm512_add_epi64(gl_sub_x8(lo, _mm512_srli_epi64(hi, 32)), m);
+    r = _mm512_mask_add_epi64(r, _mm512_cmplt_epu64_mask(r, m), r, eps);
+    return _mm512_mask_sub_epi64(r, _mm512_cmpge_epu64_mask(r, p), r, p);
+}
+
+/* the eight elements rev[0..7] of a row: src[rev[l] * scs], |scs| < 2^31 */
+X8 static inline __m512i gl_gather_x8(const u64 *src, const int64_t *rev,
+                                      ptrdiff_t scs) {
+    __m512i i = _mm512_loadu_si512(rev);
+    if (scs != 1) i = _mm512_mul_epi32(i, _mm512_set1_epi64(scs));
+    return _mm512_i64gather_epi64(i, src, 8);
+}
+
+/* one butterfly over lo / hi vectors: (lo + w hi, lo - w hi) */
+#define BFLY_X8(lo, hi, w)                                            \
+    do {                                                              \
+        __m512i v_ = gl_mul_x8(hi, w);                                \
+        hi = gl_sub_x8(lo, v_);                                       \
+        lo = gl_add_x8(lo, v_);                                       \
+    } while (0)
+#define PERM_X8(a, b, ...) _mm512_permutex2var_epi64(a, _mm512_setr_epi64(__VA_ARGS__), b)
+
+/* The NTT stages of span 1, 2 and 4 on a row (n >= 16) in place, sixteen
+ * elements a register pair at a time: each pair is split into the
+ * butterflies' lo and hi halves, and permuted straight from one stage's
+ * halves to the next one's. */
+X8 static void ntt_spans_x8(u64 *x, size_t n, const u64 *tw) {
+    __m512i w2 = _mm512_broadcast_i32x4(_mm_loadu_si128((const void *)(tw + 1)));
+    __m512i w4 = _mm512_broadcast_i64x4(_mm256_loadu_si256((const void *)(tw + 3)));
+    for (u64 *y = x; y < x + n; y += 16) {
+        __m512i a = _mm512_loadu_si512(y), b = _mm512_loadu_si512(y + 8);
+        __m512i lo = PERM_X8(a, b, 0, 2, 4, 6, 8, 10, 12, 14);
+        __m512i hi = PERM_X8(a, b, 1, 3, 5, 7, 9, 11, 13, 15);
+        __m512i v = hi; /* span 1: the twiddle is 1 */
+        hi = gl_sub_x8(lo, v);
+        lo = gl_add_x8(lo, v);
+        a = PERM_X8(lo, hi, 0, 8, 2, 10, 4, 12, 6, 14);
+        b = PERM_X8(lo, hi, 1, 9, 3, 11, 5, 13, 7, 15);
+        BFLY_X8(a, b, w2); /* span 2 */
+        lo = PERM_X8(a, b, 0, 1, 8, 9, 4, 5, 12, 13);
+        hi = PERM_X8(a, b, 2, 3, 10, 11, 6, 7, 14, 15);
+        BFLY_X8(lo, hi, w4); /* span 4 */
+        _mm512_storeu_si512(y, _mm512_shuffle_i64x2(lo, hi, 0x44));
+        _mm512_storeu_si512(y + 8, _mm512_shuffle_i64x2(lo, hi, 0xEE));
+    }
+}
+#else
+#define GL_LANE_BUILD 0
+#endif
+
+/* The lane kernels, twice.  Each pass sees LANES and the function
+ * attribute LANE_FN; the eight-lane pass renames its functions *_x8.  A
+ * compiler that cannot build the clone (an older GCC, a host that is not
+ * x86-64) gives the scalar build alone. */
 #define LANES 1
-#define LANE_MUL gl_mul1
 #define LANE_FN
 #include __FILE__
 #undef LANES
-#undef LANE_MUL
 #undef LANE_FN
 
-#if defined(__x86_64__) && (defined(__clang__) || __GNUC__ >= 8)
-#define GL_LANE_BUILD 1
+#if GL_LANE_BUILD
 #define LANES 8
-#define LANE_MUL gl_mul_limbs
-#define LANE_FN __attribute__((target("avx512f,avx512vl,avx512dq")))
+#define LANE_FN X8
 #define ntt_rows ntt_rows_x8
+#define batch_inv batch_inv_x8
+#define weighted_sum weighted_sum_x8
+#define poly_eval_rows poly_eval_rows_x8
 #define eval_tape eval_tape_x8
 #define b2b_compress b2b_compress_x8
 #define b2b_many b2b_many_x8
 #include __FILE__
 #undef ntt_rows
+#undef batch_inv
+#undef weighted_sum
+#undef poly_eval_rows
 #undef eval_tape
 #undef b2b_compress
 #undef b2b_many
-#else
-#define GL_LANE_BUILD 0
 #endif
 
 /* The build this process runs: 8 for the eight-lane one, else 1.  Chosen
@@ -283,39 +297,42 @@ int gl_lanes = 1;
 #if GL_LANE_BUILD
 __attribute__((constructor)) static void gl_pick_lanes(void) {
     __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl") &&
-        __builtin_cpu_supports("avx512dq"))
-        gl_lanes = 8;
+    if (__builtin_cpu_supports("avx512f")) gl_lanes = 8;
 }
+#define ON_LANES(fn, ...) (gl_lanes == 8 ? fn##_x8(__VA_ARGS__) : fn(__VA_ARGS__))
+#else
+#define ON_LANES(fn, ...) fn(__VA_ARGS__)
 #endif
 
-/* m independent size-n radix-2 NTTs (ntt_rows, below).  On the eight-lane
- * build the rows go eight abreast through an (n, 8) buffer; the m % 8 rows
- * left over, a single row and a failed allocation take the scalar build. */
+/* m independent size-n radix-2 NTTs (ntt_rows, below).  A row shorter than
+ * two vectors, or one strided past 2^31 elements, takes the scalar build. */
 void gl_ntt(u64 *out, const u64 *src, ptrdiff_t srs, ptrdiff_t scs,
             size_t m, size_t n, const int64_t *rev, const u64 *tw,
             const u64 *scale, ptrdiff_t sstride) {
-    size_t done = 0;
-#if GL_LANE_BUILD
-    u64 *buf;
-    if (gl_lanes == 8 && m >= 8 && (buf = malloc(8 * n * sizeof *buf))) {
-        done = m - m % 8;
-        ntt_rows_x8(out, src, srs, scs, done, n, rev, tw, scale, sstride, buf);
-        free(buf);
-    }
-#endif
-    ntt_rows(out + done * n, src + (ptrdiff_t)done * srs, srs, scs, m - done, n,
-             rev, tw, scale, sstride, NULL);
+    if (n >= 16 && scs == (int32_t)scs)
+        ON_LANES(ntt_rows, out, src, srs, scs, m, n, rev, tw, scale, sstride);
+    else
+        ntt_rows(out, src, srs, scs, m, n, rev, tw, scale, sstride);
+}
+
+ptrdiff_t gl_batch_inv(u64 *out, const u64 *v, size_t n) {
+    return ON_LANES(batch_inv, out, v, n);
+}
+
+void gl_weighted_sum(u64 *out, const u64 *rows, const u64 *w, size_t m,
+                     size_t width) {
+    ON_LANES(weighted_sum, out, rows, w, m, width);
+}
+
+void gl_poly_eval_rows(u64 *out, const u64 *coeffs, const u64 *points,
+                       size_t m, size_t width) {
+    ON_LANES(poly_eval_rows, out, coeffs, points, m, width);
 }
 
 int gl_eval_tape(u64 *out, const u64 *const *cols, size_t parts, size_t n,
                  const int32_t *code, size_t ninstr, size_t nregs,
                  const u64 *scalars, const u64 *scale) {
-#if GL_LANE_BUILD
-    if (gl_lanes == 8)
-        return eval_tape_x8(out, cols, parts, n, code, ninstr, nregs, scalars, scale);
-#endif
-    return eval_tape(out, cols, parts, n, code, ninstr, nregs, scalars, scale);
+    return ON_LANES(eval_tape, out, cols, parts, n, code, ninstr, nregs, scalars, scale);
 }
 
 /* blake2b-256 of count messages of len bytes back to back: eight abreast
@@ -360,50 +377,166 @@ void gl_merkle_tree(uint8_t *out, const uint8_t *leaves, size_t count,
 
 #else /* LANES: the lane kernels, compiled once per build */
 
-/* m independent size-n radix-2 NTTs, m a multiple of LANES.  Row r is
+/* the lane vector: LANES residues and their arithmetic; vloadn(p, k) reads
+ * the first k < LANES of them and zeroes the rest, vgather(src, rev, scs)
+ * reads src[rev[l] * scs] */
+#if LANES == 1
+#define vec u64
+#define vload(p) (*(p))
+#define vloadn(p, k) ((k) ? *(p) : 0)
+#define vgather(src, rev, scs) ((src)[*(rev) * (scs)])
+#define vstore(p, x) (*(p) = (x))
+#define vset1(x) ((u64)(x))
+#define vadd gl_add1
+#define vsub gl_sub1
+#define vmul gl_mul1
+#else
+#define vec __m512i
+#define vload(p) _mm512_loadu_si512(p)
+#define vloadn(p, k) _mm512_maskz_loadu_epi64((__mmask8)((1u << (k)) - 1), p)
+#define vgather gl_gather_x8
+#define vstore(p, x) _mm512_storeu_si512(p, x)
+#define vset1(x) _mm512_set1_epi64((long long)(x))
+#define vadd gl_add_x8
+#define vsub gl_sub_x8
+#define vmul gl_mul_x8
+#endif
+
+/* m independent size-n radix-2 NTTs, each row along itself.  Row r is
  * gathered from src[r*srs + rev[i]*scs] (times scale[i*sstride] when scale
- * is given: sstride 1 for a per-index vector, 0 for one scalar), then taken
- * through every stage.  tw packs the stage tables back to back: the 2^s
- * twiddles of the stage with butterfly span 2^s start at tw[2^s - 1].
- * LANES rows go abreast, row r + l in lane l of x: element i at
- * x[i * LANES + l], so each butterfly is one LANES-wide operation under one
- * twiddle.  x is buf, scattered back to out afterwards, or with LANES 1 the
- * out row itself. */
+ * is given: sstride 1 for a per-index vector, 0 for one scalar) into out
+ * row r, then taken through every stage in place.  tw packs the stage
+ * tables back to back: the 2^s twiddles of the stage with butterfly span
+ * 2^s start at tw[2^s - 1], so a span of LANES or more is contiguous
+ * vector loads under contiguous twiddles; on the eight-lane build the
+ * spans below that run inside registers (ntt_spans_x8), and n >= 16. */
 LANE_FN static void ntt_rows(u64 *out, const u64 *src, ptrdiff_t srs, ptrdiff_t scs,
                              size_t m, size_t n, const int64_t *rev, const u64 *tw,
-                             const u64 *scale, ptrdiff_t sstride, u64 *buf) {
-    for (size_t r = 0; r < m; r += LANES, out += LANES * n, src += LANES * srs) {
-        u64 *x = LANES == 1 ? out : buf;
-        for (size_t i = 0; i < n; i++) {
-            const u64 *s = src + rev[i] * scs;
-            if (scale)
-                for (ptrdiff_t l = 0; l < LANES; l++)
-                    x[i * LANES + l] = LANE_MUL(s[l * srs], scale[i * sstride]);
-            else
-                for (ptrdiff_t l = 0; l < LANES; l++) x[i * LANES + l] = s[l * srs];
+                             const u64 *scale, ptrdiff_t sstride) {
+    for (size_t r = 0; r < m; r++, out += n, src += srs) {
+        for (size_t i = 0; i < n; i += LANES) {
+            vec x = vgather(src, rev + i, scs);
+            if (scale) x = vmul(x, sstride ? vload(scale + i) : vset1(*scale));
+            vstore(out + i, x);
         }
-        for (u64 *y = x; y + LANES < x + n * LANES; y += 2 * LANES)
-            for (size_t l = 0; l < LANES; l++) { /* span 1: twiddle is 1 */
-                u64 u = y[l], v = y[LANES + l];
-                y[l] = gl_add1(u, v);
-                y[LANES + l] = gl_sub1(u, v);
-            }
-        for (size_t half = 2; half < n; half <<= 1) {
-            const u64 *w = tw + (half - 1);
-            for (u64 *y = x; y < x + n * LANES; y += 2 * half * LANES)
-                for (size_t j = 0; j < half; j++) {
-                    u64 *lo = y + j * LANES, *hi = lo + half * LANES;
-                    for (size_t l = 0; l < LANES; l++) {
-                        u64 u = lo[l], v = LANE_MUL(hi[l], w[j]);
-                        lo[l] = gl_add1(u, v);
-                        hi[l] = gl_sub1(u, v);
-                    }
+#if LANES > 1
+        ntt_spans_x8(out, n, tw);
+#endif
+        for (size_t half = LANES; half < n; half <<= 1)
+            for (u64 *y = out; y < out + n; y += 2 * half)
+                for (size_t j = 0; j < half; j += LANES) {
+                    vec u = vload(y + j);
+                    vec v = vmul(vload(y + half + j), vload(tw + half - 1 + j));
+                    vstore(y + j, vadd(u, v));
+                    vstore(y + half + j, vsub(u, v));
                 }
+    }
+}
+
+/* Montgomery's trick on INV_VECS * LANES chains abreast, chain c taking
+ * every element whose index is c modulo that, plus one chain for the tail,
+ * so the multiplier has that many independent products in flight; the
+ * chain totals are inverted together by the same trick (one gl_inv1).
+ * out must not alias v.  Returns the index of the first zero (out is then
+ * untouched) or -1. */
+LANE_FN static ptrdiff_t batch_inv(u64 *out, const u64 *v, size_t n) {
+    enum { INV_VECS = LANES == 1 ? 8 : 4, W = INV_VECS * LANES };
+    size_t body = n - n % W;
+    u64 tot[W + 1], pre[W + 1], inv = 1;
+    vec acc[INV_VECS];
+    for (size_t i = 0; i < n; i++)
+        if (!v[i]) return (ptrdiff_t)i;
+    for (int q = 0; q < INV_VECS; q++) acc[q] = vset1(1);
+    for (size_t i = 0; i < body; i += W)
+        for (int q = 0; q < INV_VECS; q++) {
+            vstore(out + i + q * LANES, acc[q]);
+            acc[q] = vmul(acc[q], vload(v + i + q * LANES));
         }
-        if (LANES > 1)
-            for (size_t i = 0; i < n; i++)
-                for (size_t l = 0; l < LANES; l++)
-                    out[l * n + i] = x[i * LANES + l];
+    for (int q = 0; q < INV_VECS; q++) vstore(tot + q * LANES, acc[q]);
+    tot[W] = 1;
+    for (size_t i = body; i < n; i++) {
+        out[i] = tot[W];
+        tot[W] = gl_mul1(tot[W], v[i]);
+    }
+    for (int c = 0; c <= W; c++) {
+        pre[c] = inv;
+        inv = gl_mul1(inv, tot[c]);
+    }
+    inv = gl_inv1(inv);
+    for (int c = W + 1; c-- > 0;) {
+        u64 total = tot[c];
+        tot[c] = gl_mul1(pre[c], inv);
+        inv = gl_mul1(inv, total);
+    }
+    for (size_t i = n; i-- > body;) {
+        out[i] = gl_mul1(out[i], tot[W]);
+        tot[W] = gl_mul1(tot[W], v[i]);
+    }
+    for (int q = 0; q < INV_VECS; q++) acc[q] = vload(tot + q * LANES);
+    for (size_t i = body; i > 0;) {
+        i -= W;
+        for (int q = 0; q < INV_VECS; q++) {
+            vec x = vload(v + i + q * LANES);
+            vstore(out + i + q * LANES, vmul(vload(out + i + q * LANES), acc[q]));
+            acc[q] = vmul(acc[q], x);
+        }
+    }
+    return -1;
+}
+
+/* out[j] = sum_i w[i] * rows[i][j] over a contiguous (m, width) matrix:
+ * SUM_VECS vectors of columns abreast, each accumulated down all rows in
+ * registers, then the width % (SUM_VECS * LANES) columns left one by one */
+LANE_FN static void weighted_sum(u64 *out, const u64 *rows, const u64 *w,
+                                 size_t m, size_t width) {
+    size_t j = 0;
+    for (; j + SUM_VECS * LANES <= width; j += SUM_VECS * LANES) {
+        vec acc[SUM_VECS];
+        for (int q = 0; q < SUM_VECS; q++) acc[q] = vset1(0);
+        for (size_t i = 0; i < m; i++) {
+            vec wi = vset1(w[i]);
+            for (int q = 0; q < SUM_VECS; q++)
+                acc[q] = vadd(acc[q], vmul(vload(rows + i * width + j + q * LANES), wi));
+        }
+        for (int q = 0; q < SUM_VECS; q++) vstore(out + j + q * LANES, acc[q]);
+    }
+    for (; j < width; j++) {
+        u64 acc = 0;
+        for (size_t i = 0; i < m; i++) acc = gl_add1(acc, gl_mul1(rows[i * width + j], w[i]));
+        out[j] = acc;
+    }
+}
+
+/* out[i] = coeffs[i](points[i]) over a contiguous (m, width) matrix.  A row
+ * is LANES interleaved sub-polynomials in x^LANES (lane l holds the
+ * coefficients l, l + LANES, ...), all taken by Horner at once, then
+ * recombined by Horner in x; HORNER_ROWS rows go abreast, since one row is
+ * a single dependent chain (the last group repeats its last row). */
+LANE_FN static void poly_eval_rows(u64 *out, const u64 *coeffs, const u64 *points,
+                                   size_t m, size_t width) {
+    size_t top = width - width % LANES; /* where the partial block starts */
+    for (size_t i = 0; i < m; i += HORNER_ROWS) {
+        const u64 *c[HORNER_ROWS];
+        vec acc[HORNER_ROWS], y[HORNER_ROWS];
+        for (size_t l = 0; l < HORNER_ROWS; l++) {
+            size_t row = i + l < m ? i + l : m - 1;
+            u64 x = points[row];
+            for (size_t s = 1; s < LANES; s <<= 1) x = gl_mul1(x, x);
+            c[l] = coeffs + row * width;
+            y[l] = vset1(x);
+            acc[l] = vloadn(c[l] + top, width - top);
+        }
+        for (size_t j = top; j > 0;) {
+            j -= LANES;
+            for (size_t l = 0; l < HORNER_ROWS; l++)
+                acc[l] = vadd(vmul(acc[l], y[l]), vload(c[l] + j));
+        }
+        for (size_t l = 0; l < HORNER_ROWS && i + l < m; l++) {
+            u64 sub[LANES], r = 0;
+            vstore(sub, acc[l]);
+            for (size_t t = LANES; t-- > 0;) r = gl_add1(gl_mul1(r, points[i + l]), sub[t]);
+            out[i + l] = r;
+        }
     }
 }
 
@@ -418,15 +551,15 @@ LANE_FN static void ntt_rows(u64 *out, const u64 *src, ptrdiff_t srs, ptrdiff_t 
  * cyclic within a run (a coset part); output row i holds part r of row t at
  * i * n * parts + t * parts + r, the extended coset's natural order.  Rows go
  * TAPE_ROWS at a time through the whole tape, so the register file is
- * nregs * TAPE_ROWS words at any n; a LOAD that does not wrap points its
- * register into the column instead of copying.  The row loops are the lane
- * loops here.  Returns 0, or -1 when the register file cannot be
- * allocated. */
+ * nregs * TAPE_ROWS words at any n (and one block for a scaled STORE); a
+ * LOAD that does not wrap points its register into the column instead of
+ * copying.  Returns 0, or -1 when the register file cannot be allocated. */
 LANE_FN static int eval_tape(u64 *out, const u64 *const *cols, size_t parts, size_t n,
                              const int32_t *code, size_t ninstr, size_t nregs,
                              const u64 *scalars, const u64 *scale) {
+    static const u64 zero = 0;
     size_t rows = n < TAPE_ROWS ? n : TAPE_ROWS;
-    u64 *file = malloc((nregs * rows + 1) * sizeof *file);
+    u64 *file = malloc((nregs + 1) * rows * sizeof *file);
     const u64 **reg = malloc((nregs + 1) * sizeof *reg);
     if (!file || !reg) {
         free(file);
@@ -452,27 +585,29 @@ LANE_FN static int eval_tape(u64 *out, const u64 *const *cols, size_t parts, siz
                     continue;
                 }
                 /* as / bs: 1 for a register, 0 (a broadcast) for a scalar */
-                size_t as = ins[2] >= 0;
-                const u64 *a = as ? reg[ins[2]] : scalars + (-1 - (ptrdiff_t)ins[2]);
+                size_t as = ins[2] >= 0, bs = as;
+                const u64 *a = as ? reg[ins[2]] : scalars + (-1 - (ptrdiff_t)ins[2]), *b = a;
+                u64 *o = file + (op == TAPE_STORE ? nregs : (size_t)ins[1]) * rows;
                 if (op == TAPE_STORE) {
                     u64 *dst = out + (size_t)ins[1] * n * parts + t0 * parts + r;
-                    if (scale)
-                        for (size_t j = 0; j < len; j++)
-                            dst[j * parts] = LANE_MUL(a[j * as], scale[r]);
-                    else
-                        for (size_t j = 0; j < len; j++) dst[j * parts] = a[j * as];
+                    if (scale) {
+                        b = scale + r, bs = 0;
+                        TAPE_BINARY(vmul, gl_mul1);
+                        a = o, as = 1;
+                    }
+                    if (parts == 1 && as) memcpy(dst, a, len * sizeof *dst);
+                    else for (size_t j = 0; j < len; j++) dst[j * parts] = a[j * as];
                     continue;
                 }
-                u64 *o = file + (size_t)ins[1] * rows;
                 if (op == TAPE_NEG) {
-                    for (size_t j = 0; j < len; j++) o[j] = gl_sub1(0, a[j * as]);
+                    a = &zero, as = 0;
                 } else {
-                    size_t bs = ins[3] >= 0;
-                    const u64 *b = bs ? reg[ins[3]] : scalars + (-1 - (ptrdiff_t)ins[3]);
-                    if (op == TAPE_ADD) TAPE_BINARY(gl_add1);
-                    else if (op == TAPE_SUB) TAPE_BINARY(gl_sub1);
-                    else TAPE_BINARY(LANE_MUL);
+                    bs = ins[3] >= 0;
+                    b = bs ? reg[ins[3]] : scalars + (-1 - (ptrdiff_t)ins[3]);
                 }
+                if (op == TAPE_ADD) TAPE_BINARY(vadd, gl_add1);
+                else if (op == TAPE_MUL) TAPE_BINARY(vmul, gl_mul1);
+                else TAPE_BINARY(vsub, gl_sub1);
                 reg[ins[1]] = o;
             }
         }
@@ -530,4 +665,13 @@ LANE_FN static void b2b_many(uint8_t *out, const u64 h0[8], const uint8_t *data,
     }
 }
 
+#undef vec
+#undef vload
+#undef vloadn
+#undef vgather
+#undef vstore
+#undef vset1
+#undef vadd
+#undef vsub
+#undef vmul
 #endif /* LANES */

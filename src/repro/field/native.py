@@ -10,9 +10,11 @@ path: if any step fails, :func:`library` raises
 C compiler``, ``build failed``, ``load failed`` or ``self-test failed``),
 and raises it again on every later call without another build, so proving
 and verifying need a working ``cc``.  There is no switch.
-The NTT, constraint-tape and Merkle kernels have a scalar build and, on
-x86-64, an eight-lane AVX-512 one; the object picks one per process from
-the CPU it runs on (:func:`lane_width`), and the self-test checks both.
+The NTT, inversion, weighted-sum, Horner, constraint-tape and Merkle
+kernels have a scalar build and, on x86-64, an eight-lane AVX-512 one
+(eight residues a vector, multiplied with ``vpmuludq``); the object picks
+one per process from the CPU it runs on (:func:`lane_width`), and the
+self-test checks both.
 The object has the trust of the source tree it sits in (like a
 ``__pycache__`` entry); when the package directory is not writable it is
 built in a 0700 ``mkdtemp`` directory that is removed once loaded.
@@ -44,6 +46,7 @@ _SIGNATURES = {
     "gl_mul": _EWISE, "gl_add": _EWISE, "gl_sub": _EWISE,
     "gl_ntt": (None, [_PTR, _PTR, _OFF, _OFF, _LEN, _LEN, _PTR, _PTR, _PTR, _OFF]),
     "gl_batch_inv": (_OFF, [_PTR, _PTR, _LEN]),
+    "gl_powers": (None, [_PTR, ctypes.c_uint64, ctypes.c_uint64, _LEN]),
     "gl_weighted_sum": _ROWS, "gl_poly_eval_rows": _ROWS,
     "gl_eval_tape": (ctypes.c_int,
                      [_PTR, _PTR, _LEN, _LEN, _PTR, _LEN, _LEN, _PTR, _PTR]),
@@ -79,8 +82,9 @@ def library() -> ctypes.CDLL:
 
 
 def lane_width() -> int:
-    """8 when this process runs the eight-lane build of the NTT, tape and
-    Merkle kernels; 1 on the scalar build."""
+    """8 when this process runs the eight-lane build of the lane kernels
+    (NTT, inversion, weighted sum, Horner, tape, Merkle); 1 on the scalar
+    build."""
     return _lanes(library()).value
 
 
@@ -140,8 +144,9 @@ def _load() -> ctypes.CDLL:
 
 def _compile(cc: str, path: str) -> None:
     """Build to a private temp name, then rename: racing builders each
-    install a whole object.  ``-O3`` vectorizes the lane loops (``-O2``
-    leaves them scalar).  No ``-march=native``: the object may outlive the
+    install a whole object.  ``-O3`` vectorizes the lane loops written as
+    plain C, blake2b's (``-O2`` leaves them scalar); the arithmetic ones are
+    AVX-512 intrinsics.  No ``-march=native``: the object may outlive the
     CPU it was built on, so it carries a scalar build and, on x86-64, an
     eight-lane AVX-512 one, and picks between them when it is loaded."""
     tmp = "%s.tmp.%d.%d" % (path, os.getpid(), threading.get_ident())
@@ -163,8 +168,9 @@ def _self_test(lib: ctypes.CDLL) -> None:
     """Every kernel, over the residues where a wrong carry or fold shows,
     against Python-int arithmetic, and the Merkle trees against
     ``hashlib``: on the scalar build, then on the eight-lane one where this
-    CPU runs it.  The NTT, tape and tree sizes fill one lane group and
-    leave rows, leaves or nodes over for the scalar path."""
+    CPU runs it.  The sizes straddle the lane boundaries: NTT rows of 16
+    (the in-register spans and one vector span) and 64, strided and not;
+    widths, lengths and leaf counts that are not multiples of eight."""
     lanes = _lanes(lib)
     chosen, cases = lanes.value, _cases(lib)
     try:
@@ -183,11 +189,7 @@ def _cases(lib: ctypes.CDLL) -> dict:
     p = (1 << 64) - (1 << 32) + 1
     edge = [0, 1, p - 1, (1 << 32) - 1, 1 << 32, p - (1 << 32), p - 2, 1 << 63]
     a, b = [x for x in edge for _ in edge], edge * len(edge)
-    n, xs, nonzero = len(a), edge * 2, edge[1:]
-    root = pow(7, (p - 1) // 16, p)
-    powers = [pow(root, i, p) for i in range(16)]
-    rev = [int(format(i, "04b")[::-1], 2) for i in range(16)]
-    tw = [pow(root, 8 // half * j, p) for half in (1, 2, 4, 8) for j in range(half)]
+    n, xs = len(a), [(edge[i % 8] + i // 8) % p for i in range(40)]
 
     def call(fn, size, *args):
         """a thunk: (fn's size-word out, its return value)"""
@@ -200,27 +202,48 @@ def _cases(lib: ctypes.CDLL) -> dict:
             return list(out), code
         return run
 
-    # nine rows of 16 (a lane group and one row over), scaled per index
-    # and unscaled
-    mat = [[(edge[(3 * i + r) % 8] + r) % p for i in range(16)] for r in range(9)]
-    cases = {}
-    for label, scale in (("", edge[::-1] * 2), (" unscaled", None)):
-        cases["gl_ntt" + label] = (
-            call("gl_ntt", 144, sum(mat, []), 16, 1, 9, 16,
-                 (ctypes.c_int64 * 16)(*rev), tw, scale, 1),
-            ([sum(x * (scale[rev[i]] if scale else 1) * powers[i * j % 16]
-                  for i, x in enumerate(row)) % p
-              for row in mat for j in range(16)], None))
+    def ntt(rows, scale, transposed=False):
+        """gl_ntt on rows of one power-of-two length, read row-major or
+        column-major, scaled per index (a list), by one scalar or not"""
+        m, size = len(rows), len(rows[0])
+        bits, root = size.bit_length() - 1, pow(7, (p - 1) // size, p)
+        rev = [int(format(i, "0%db" % bits)[::-1], 2) for i in range(size)]
+        powers = [pow(root, i, p) for i in range(size)]
+        tw = [powers[size // (2 << s) * j] for s in range(bits) for j in range(1 << s)]
+        vector = isinstance(scale, list)
+        factor = scale if vector else [1 if scale is None else scale] * size
+        flat = [x for col in zip(*rows) for x in col] if transposed else sum(rows, [])
+        run = call("gl_ntt", m * size, flat, *((1, m) if transposed else (size, 1)),
+                   m, size, (ctypes.c_int64 * size)(*rev), tw,
+                   None if scale is None else factor[:size if vector else 1], int(vector))
+        return run, ([sum(x * factor[rev[i]] * powers[i * j % size]
+                          for i, x in enumerate(row)) % p
+                      for row in rows for j in range(size)], None)
+
+    # rows of 16 (nine scaled per index, three unscaled read column-major)
+    # and one row of 64 scaled by a scalar
+    mat = [[(edge[(3 * i + r) % 8] + r) % p for i in range(64)] for r in range(9)]
+    cases = {
+        "gl_ntt": ntt([row[:16] for row in mat], edge[::-1] * 2),
+        "gl_ntt strided": ntt([row[16:32] for row in mat[:3]], None, transposed=True),
+        "gl_ntt 64": ntt(mat[4:5], p - 2),
+    }
+    # 37 residues (a lane chain body and a tail), and a zero inside a lane
+    inv_in = [x or 5 for x in xs[:37]]
     cases.update({
-        "gl_batch_inv": (call("gl_batch_inv", 7, nonzero, 7),
-                         ([pow(x, p - 2, p) for x in nonzero], -1)),
-        "gl_batch_inv zero": (lambda: call("gl_batch_inv", 3, [5, 0, 0], 3)()[1], 1),
-        "gl_weighted_sum": (call("gl_weighted_sum", 8, xs, [p - 1, 1 << 32], 2, 8),
-                            ([((p - 1) * x + (y << 32)) % p
-                              for x, y in zip(xs, xs[8:])], None)),
-        "gl_poly_eval_rows": (call("gl_poly_eval_rows", 5, b[:40], edge[2:7], 5, 8),
-                              ([sum(c * pow(x, j, p) for j, c in enumerate(b[8 * i:8 * i + 8])) % p
-                                for i, x in enumerate(edge[2:7])], None)),
+        "gl_batch_inv": (call("gl_batch_inv", 37, inv_in, 37),
+                         ([pow(x, p - 2, p) for x in inv_in], -1)),
+        "gl_batch_inv zero": (lambda: call("gl_batch_inv", 37, inv_in[:20] + [0] + inv_in[21:],
+                                           37)()[1], 20),
+        "gl_weighted_sum": (call("gl_weighted_sum", 11, xs[:33], [p - 1, 1 << 32, 3], 3, 11),
+                            ([((p - 1) * x + (y << 32) + 3 * z) % p
+                              for x, y, z in zip(xs, xs[11:], xs[22:33])], None)),
+        "gl_poly_eval_rows": (call("gl_poly_eval_rows", 9, (xs * 3)[:117], xs[:9], 9, 13),
+                              ([sum(c * pow(x, j, p)
+                                    for j, c in enumerate((xs * 3)[13 * i:13 * i + 13])) % p
+                                for i, x in enumerate(xs[:9])], None)),
+        "gl_powers": (call("gl_powers", 19, p - 2, 1 << 32, 19),
+                      ([(p - 2) * pow(1 << 32, i, p) % p for i in range(19)], None)),
     })
     for fn, op in (("gl_mul", int.__mul__), ("gl_add", int.__add__), ("gl_sub", int.__sub__)):
         cases[fn] = (call(fn, n, a, n, 1, b, n, 1, 1, n),

@@ -1,13 +1,14 @@
 """The eight-lane build, the scalar C build and the numpy oracle held equal.
 
-``gl64_native.c`` carries two builds of its NTT, Merkle-tree and
-constraint-tape kernels, and each process runs the eight-lane one when its
-CPU has AVX-512.  Every property here runs a kernel three ways: as loaded
-(eight lanes abreast on such a CPU), on the scalar build through
-``native.scalar_build()``, and on the numpy oracle
-(``tests/oracle.py``) through ``oracle_tier()``.  Outputs, node arrays, roots, proofs and ``STATS`` deltas must be
-equal.  On a CPU without the lane build the first two paths are the same
-code and the properties still hold the scalar build to the oracle.
+``gl64_native.c`` carries two builds of its NTT, batch-inversion,
+weighted-sum, Horner, Merkle-tree and constraint-tape kernels, and each
+process runs the eight-lane one when its CPU has AVX-512.  Every property
+here runs a kernel three ways: as loaded (eight lanes abreast on such a
+CPU), on the scalar build through ``native.scalar_build()``, and on the
+numpy oracle (``tests/oracle.py``) through ``oracle_tier()``.  Outputs,
+node arrays, roots, errors, proofs and ``STATS`` deltas must be equal.
+On a CPU without the lane build the first two paths are the same code
+and the properties still hold the scalar build to the oracle.
 """
 
 import contextlib
@@ -63,32 +64,99 @@ def test_the_lane_width_names_a_build():
         assert native.lane_width() == 1
 
 
+def same_result(a, b):
+    """equal arrays, or equal error messages"""
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def residues(rng, shape):
+    """random residues with the edge values first"""
+    values = rng.integers(0, P, shape, dtype=np.uint64)
+    values.flat[: len(EDGES)] = EDGES[: values.size]
+    return values
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    rows=st.sampled_from([1, 7, 8, 9, 16, 17]) | st.integers(1, 20),
+    rows=st.sampled_from([1, 3, 8, 9, 16, 17]) | st.integers(1, 17),
     k=st.integers(1, 10),
-    transposed=st.booleans(),
+    layout=st.sampled_from(["contiguous", "transposed", "strided", "reversed"]),
     scale=st.sampled_from(["none", "scalar", "vector"]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(rows=7, k=3, transposed=False, scale="none", seed=0)  # all scalar
-@example(rows=8, k=10, transposed=True, scale="vector", seed=0)  # one lane group
-@example(rows=9, k=4, transposed=False, scale="vector", seed=0)  # and one row over
-@example(rows=16, k=2, transposed=False, scale="scalar", seed=0)
-@example(rows=17, k=1, transposed=True, scale="scalar", seed=1)
-def test_ntt_rows_agree_on_every_path(rows, k, transposed, scale, seed):
+@example(rows=7, k=3, layout="contiguous", scale="none", seed=0)  # n < 16: scalar
+@example(rows=1, k=4, layout="contiguous", scale="vector", seed=0)  # in-register spans
+@example(rows=3, k=6, layout="strided", scale="scalar", seed=0)
+@example(rows=2, k=5, layout="reversed", scale="none", seed=0)
+@example(rows=9, k=4, layout="transposed", scale="vector", seed=0)
+@example(rows=8, k=10, layout="transposed", scale="vector", seed=0)
+@example(rows=17, k=1, layout="transposed", scale="scalar", seed=1)
+def test_ntt_rows_agree_on_every_path(rows, k, layout, scale, seed):
     n = 1 << k
     stages = gl64.ntt_stages(GOLDILOCKS.root_of_unity(k), n)
     rev = gl64.bit_reverse_indices(n)
     rng = np.random.default_rng(seed)
-    values = rng.integers(0, P, (rows, n), dtype=np.uint64)
-    values.flat[: len(EDGES)] = EDGES[: values.size]
-    if transposed:  # (rows, n) read column-major: the six-step's first pass
+    values = residues(rng, (rows, 2 * n if layout == "strided" else n))
+    if layout == "transposed":  # read column-major: the six-step's first pass
         values = np.ascontiguousarray(values.T).T
+    elif layout == "strided":  # every other element of a wider row
+        values = values[:, ::2]
+    elif layout == "reversed":  # a negative column stride
+        values = values[:, ::-1]
     factor = {"none": None, "scalar": np.uint64(P - 2),
               "vector": rng.integers(0, P, n, dtype=np.uint64)}[scale]
     runs = on_every_path(lambda: gl64.ntt(values, stages, rev, scale_rev=factor))
     assert_equal_runs(runs, np.array_equal)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 17), width=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+@example(m=3, width=11, seed=0)  # a partial vector of columns
+@example(m=17, width=64, seed=0)  # two register blocks
+def test_weighted_sums_and_horner_agree_on_every_path(m, width, seed):
+    rng = np.random.default_rng(seed)
+    rows, vec = residues(rng, (m, width)), residues(rng, m)[::-1].copy()
+    runs = on_every_path(lambda: (gl64.weighted_sum(rows, vec),
+                                  gl64.poly_eval_rows(rows, vec)))
+    assert_equal_runs(runs, lambda a, b: all(map(np.array_equal, a, b)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 17), width=st.integers(1, 70),
+    zero=st.none() | st.tuples(st.integers(0, 16), st.integers(0, 69)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=1, width=37, zero=None, seed=0)
+@example(m=5, width=40, zero=(3, 21), seed=0)  # inside a lane of a later row
+def test_batch_inverses_agree_on_every_path(m, width, zero, seed):
+    """One flat inversion over a matrix, and on a zero the per-row retry
+    naming the zero's index in its row."""
+    denoms = residues(np.random.default_rng(seed), (m, width))
+    denoms[denoms == 0] = 1
+    if zero is not None:
+        denoms[zero[0] % m, zero[1] % width] = 0
+
+    def inverses():
+        try:
+            return prover._batched_inverses(denoms)
+        except ZeroDivisionError as exc:
+            return str(exc)
+
+    runs = on_every_path(inverses)
+    assert_equal_runs(runs, same_result)
+    if zero is not None:
+        assert runs["lanes"][0] == "batch_inv of zero at index %d" % (zero[1] % width)
+
+
+@settings(max_examples=40, deadline=None)
+@given(first=st.sampled_from(EDGES), ratio=st.sampled_from(EDGES), n=st.integers(0, 70))
+def test_power_tables_agree_on_every_path(first, ratio, n):
+    runs = on_every_path(lambda: gl64.powers(first, ratio, n))
+    assert_equal_runs(runs, np.array_equal)
+    assert runs["lanes"][0].tolist() == [first * pow(ratio, i, P) % P for i in range(n)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -147,3 +215,14 @@ def test_a_real_circuits_tapes_and_proof_agree_on_every_path(dlrm_case):
     assert_equal_runs(runs, lambda a, b: (
         len(a[0]) == len(b[0]) and a[1] == b[1]
         and all(np.array_equal(x, y) for x, y in zip(a[0], b[0]))))
+
+
+def test_a_k12_proof_is_byte_equal_on_every_path():
+    """mnist-mini at k=12 from a cold key: keygen, every transform at
+    n = 4096 and 8192, the tapes, the DEEP quotient and FRI, three ways."""
+    spec = get_model("mnist", "mini")
+    inputs = seeded_inputs(spec, 0)
+    runs = on_every_path(lambda: prove_model(
+        spec, inputs, k=12, num_cols=10, scale_bits=5,
+        use_pk_cache=False).envelope_bytes())
+    assert_equal_runs(runs, bytes.__eq__)

@@ -16,7 +16,6 @@ import pytest
 
 from repro.field import GOLDILOCKS, EvaluationDomain, gl64
 from repro.field import ntt as ntt_module
-from repro.field.ntt import power_table
 
 from tests.reference import ntt
 
@@ -53,7 +52,7 @@ def test_numpy_sixstep_fused_coset_matches_scaled_radix2(k):
     shift = _random_shift(k, seed=300 + k)
     values = gl64.from_ints(_random_vector(k, seed=300 + k))
     # reference: explicit full-width coset scale, then plain radix-2
-    scale = np.array(power_table(F.p, shift, n), dtype=np.uint64)
+    scale = gl64.powers(1, shift, n)
     stages = gl64.ntt_stages(root, n)
     rev = gl64.bit_reverse_indices(n)
     reference = gl64.ntt(gl64.mul(values, scale), stages, rev)

@@ -276,6 +276,20 @@ def batch_inv(values: np.ndarray) -> np.ndarray:
     return out.reshape(-1)[:n]
 
 
+def powers(first: int, ratio: int, n: int) -> np.ndarray:
+    """``first * ratio^i`` for ``i < n`` by doubling: the table so far
+    times the next ``ratio^(2^j)``, ``log2(n)`` multiply passes."""
+    out = np.empty(n, dtype=np.uint64)
+    if n:
+        out[0] = first % P
+    size, step = 1, ratio % P
+    while size < n:
+        grow = min(size, n - size)
+        mul_into(out[size : size + grow], out[:grow], np.uint64(step))
+        size, step = size + grow, step * step % P
+    return out
+
+
 _TAPE_INTO = {TAPE_ADD: add_into, TAPE_SUB: sub_into, TAPE_MUL: mul_into}
 
 
@@ -464,9 +478,10 @@ def tree_from_rows(rows) -> MerkleTree:
 # -- the oracle tier ---------------------------------------------------------------
 
 #: gl64's kernels that have a body here; ``add``, ``sub``, ``mul``,
-#: ``fold`` and ``sixstep_ntt`` reach these through gl64's own globals.
+#: ``fold``, ``ntt_stages``, ``build_sixstep_plan`` and ``sixstep_ntt``
+#: reach these through gl64's own globals.
 KERNELS = ("mul_into", "add_into", "sub_into", "batch_inv", "eval_tape",
-           "poly_eval_rows", "weighted_sum", "ntt")
+           "poly_eval_rows", "weighted_sum", "ntt", "powers")
 
 
 class _OutOfReach:

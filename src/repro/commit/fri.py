@@ -138,9 +138,8 @@ class FriProver:
         for i in range(num_folds(domain.k)):
             mid = len(values) // 2
             if i:
-                # leaf j is the pair (values[j], values[j + mid])
-                tree = MerkleTree.from_rows(
-                    np.stack([values[:mid], values[mid:]], axis=1))
+                # leaf j is the pair (values[j], values[j + mid]), read in place
+                tree = MerkleTree.from_lde(values.reshape(1, 1, -1))
                 transcript.append_commitment(b"fri-layer", tree.root)
                 self.layers.append((values, tree))
             beta = transcript.challenge_scalar(b"fri-beta")

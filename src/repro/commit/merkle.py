@@ -1,20 +1,23 @@
-"""Binary Merkle trees (blake2b-256) over byte leaves and matrix rows.
+"""Binary Merkle trees (blake2b-256) over a commit round's rows.
 
-Every commit round of the prover is one tree: :meth:`MerkleTree.from_rows`
-hashes each row of a matrix of field elements into a leaf, so one
-authentication path opens a whole row — all of a round's columns at one
-position — at once.  Leaves and inner nodes are domain-separated with
-blake2b's ``person`` parameter, so a leaf can never be replayed as a
-node; scalars are 8-byte little-endian Goldilocks residues
-(:func:`leaf_bytes`), so a row hashes to the same bytes whether the
-prover serialized it from an array or the verifier from opened ints.
+Every commit round of the prover is one tree: :meth:`MerkleTree.from_lde`
+hashes leaf ``j`` — every column of the round's ``(m, extension, n)`` LDE
+at extended positions ``j`` and ``j + N/2`` — so one authentication path
+opens a whole row, all of a round's columns at one position, at once.
+The kernel reads each leaf's residues from the LDE where they lie; no
+row-major leaf matrix is ever built.  Leaves and inner nodes are
+domain-separated with blake2b's ``person`` parameter, so a leaf can never
+be replayed as a node; scalars are 8-byte little-endian Goldilocks
+residues (:func:`leaf_bytes`), so a row hashes to the same bytes whether
+the prover read it from the LDE or the verifier serialized opened ints.
 
 A tree is one ``(2 * padded - 1, 32)`` ``uint8`` node array, leaf level
 first and the root last, filled by one ``gl_merkle_tree`` call
-(``field/gl64_native.c``) in :meth:`MerkleTree.from_rows`; the ``hashlib``
-tree it is tested against lives in ``tests/oracle.py``.
-:func:`verify_merkle_path` uses ``hashlib``, so every verification
-re-hashes what it opens independently of the kernel.
+(``field/gl64_native.c``); the ``hashlib`` tree it is tested against
+lives in ``tests/oracle.py``.  :func:`verify_merkle_path` uses
+``hashlib``, so every verification re-hashes what it opens independently
+of the kernel.  :func:`column_digests` is the same kernel's blake2b over
+whole columns, eight abreast (the pk cache's integrity check).
 """
 
 from __future__ import annotations
@@ -76,19 +79,26 @@ class MerkleTree:
         self._path_starts, self._path_shifts = starts[:-1], np.arange(len(starts) - 1)
 
     @classmethod
-    def from_rows(cls, rows) -> "MerkleTree":
-        """A tree with one leaf per row of an ``(L, w)`` matrix of field
-        elements (an array or nested sequences of ints), each leaf the
-        row's :func:`leaf_bytes`, in one ``gl_merkle_tree`` call."""
-        rows = np.ascontiguousarray(rows, dtype="<u8")
-        if rows.ndim != 2 or not rows.shape[1]:
-            raise ValueError("rows need a nonempty (L, w) shape")
-        lib = native.library()
-        padded = _padded(len(rows))
+    def from_lde(cls, lde) -> "MerkleTree":
+        """A round's tree over its ``(m, extension, n)`` LDE (an array or
+        nested sequences of residues), in one ``gl_merkle_tree`` call.
+
+        Leaf ``j < extension * n / 2`` is the :func:`leaf_bytes` of every
+        column at part ``j % extension``, position ``j // extension``, then
+        of every column at that position plus ``n / 2``.  A FRI fold layer
+        is the ``(1, 1, N_i)`` case: leaf ``j`` is ``(G[j], G[j + N_i/2])``.
+        """
+        lde = np.ascontiguousarray(lde, dtype=np.uint64)
+        if lde.ndim != 3 or not lde.shape[0] or not lde.shape[1] or lde.shape[2] % 2:
+            raise ValueError("an LDE needs a nonempty (m, extension, n) shape, "
+                             "n even; got %s" % (lde.shape,))
+        m, ext, n = lde.shape
+        count = ext * n // 2
+        padded = _padded(count)
         nodes = np.empty((2 * padded - 1, DIGEST_BYTES), dtype=np.uint8)
-        lib.gl_merkle_tree(nodes.ctypes.data, rows.ctypes.data, len(rows),
-                           8 * rows.shape[1], padded, *_PERSONS)
-        return cls(len(rows), nodes)
+        native.library().gl_merkle_tree(nodes.ctypes.data, lde.ctypes.data, m, ext,
+                                        n, padded, *_PERSONS)
+        return cls(count, nodes)
 
     def __getstate__(self):
         return {"num_leaves": self.num_leaves, "nodes": self.nodes}
@@ -122,6 +132,23 @@ class MerkleTree:
         rows = self._path_starts + ((indices[:, None] >> self._path_shifts) ^ 1)
         path = struct.Struct("%ds" % DIGEST_BYTES * self.depth)
         return list(path.iter_unpack(self.nodes.take(rows, axis=0).tobytes()))
+
+
+def column_digests(columns: Sequence[np.ndarray]) -> List[bytes]:
+    """blake2b-256 (no key, no person) of each column's little-endian
+    residues, equal to ``hashlib``'s: one ``gl_hash_columns`` call per
+    column length, eight columns abreast through a pointer table."""
+    columns = [np.ascontiguousarray(col, dtype=np.uint64) for col in columns]
+    out = np.empty((len(columns), DIGEST_BYTES), dtype=np.uint8)
+    for size in sorted({len(col) for col in columns}):
+        which = [i for i, col in enumerate(columns) if len(col) == size]
+        ptrs = np.array([columns[i].ctypes.data for i in which], dtype=np.uintp)
+        part = np.empty((len(which), DIGEST_BYTES), dtype=np.uint8)
+        native.library().gl_hash_columns(part.ctypes.data, ptrs.ctypes.data,
+                                         len(which), size)
+        out[which] = part
+    return [digest.tobytes() for digest in out]
+
 
 def verify_merkle_path(
     root: bytes, index: int, leaf: bytes, path: Sequence[bytes]

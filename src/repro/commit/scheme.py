@@ -33,6 +33,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.commit import fri
 from repro.commit.merkle import (
     DIGEST_BYTES,
@@ -113,10 +115,11 @@ def _deep_quotient(domain, columns_of, points, claims: Sequence[Claim],
                    evals: Sequence[int], x: int, lam: int):
     """``G`` at ``points`` (a backend vector).
 
-    ``columns_of(round, cols)`` returns the named columns of a round as
-    vectors over the same points — whole LDE columns for the prover, the
-    opened rows' values for the verifier; ``claims`` must be sorted by
-    rotation, then round.
+    ``columns_of(round, cols)`` returns a matrix whose rows are a round's
+    columns over the same points — the whole LDE for the prover, the opened
+    rows' values for the verifier — and the row index ``cols`` into it, so
+    the weighted sum reads the rows where they lie; ``claims`` must be
+    sorted by rotation, then round.
     """
     backend, f = domain.backend, domain.field
     p = f.p
@@ -131,7 +134,8 @@ def _deep_quotient(domain, columns_of, points, claims: Sequence[Claim],
                 weights.append(weight)
                 const += weight * evals[j]
                 weight = weight * lam % p
-            part = backend.weighted_sum(columns_of(rnd, cols), weights)
+            mat, index = columns_of(rnd, cols)
+            part = backend.weighted_sum(mat, weights, index)
             numerator = part if numerator is None else backend.add(
                 numerator, part)
         numerators.append(backend.add_scalar(numerator, -const % p))
@@ -167,7 +171,7 @@ class CommitmentScheme:
         self._check_degree(domain.n)
         if domain.n < 2:
             raise ValueError("a committed round needs at least two rows")
-        tree = MerkleTree.from_rows(domain.lde_leaf_rows(lde))
+        tree = MerkleTree.from_lde(lde)
         return CommittedRound(lde=lde, tree=tree)
 
     def commit(self, coeffs: Sequence[int]) -> Commitment:
@@ -204,13 +208,9 @@ class CommitmentScheme:
         transcript.append_scalar_vector(b"evals", evals)
         lam = transcript.challenge_scalar(b"lambda")
 
-        def columns_of(rnd: int, cols: List[int]):
-            lde = rounds[rnd].lde
-            return domain.lde_columns(
-                lde, None if len(cols) == len(lde) else cols)
-
-        g = _deep_quotient(domain, columns_of, domain.lde_points(), claims,
-                           evals, x, lam)
+        g = _deep_quotient(
+            domain, lambda rnd, cols: (domain.lde_columns(rounds[rnd].lde), cols),
+            domain.lde_points(), claims, evals, x, lam)
         prover = fri.FriProver(domain, domain.lde_natural(g), transcript)
         positions = fri.draw_positions(domain, transcript)
         live = [rnd for rnd in rounds if rnd is not None]
@@ -258,19 +258,18 @@ class CommitmentScheme:
                         leaf_bytes(row.values), row.path):
                     return False
 
-        # column c of round r over the points (z_1..z_Q, -z_1..-z_Q)
+        # row c of round r's matrix: column c over the points
+        # (z_1..z_Q, -z_1..-z_Q)
         opened = {}
         for slot, rnd in enumerate(live):
-            by_col = list(zip(*(q.rows[slot].values for q in queries)))
-            width = len(by_col) // 2
-            opened[rnd] = [by_col[c] + by_col[width + c] for c in range(width)]
+            rows = backend.from_ints([q.rows[slot].values for q in queries])
+            width = rows.shape[1] // 2
+            opened[rnd] = np.concatenate([rows[:, :width].T, rows[:, width:].T], axis=1)
         zs = [f.mul(domain.coset_shift, f.pow(domain.extended_omega, s))
               for s in positions]
         points = backend.from_ints(zs + [f.neg(z) for z in zs])
         g = backend.to_ints(_deep_quotient(
-            domain,
-            lambda rnd, cols: backend.from_ints(
-                [opened[rnd][c] for c in cols]),
+            domain, lambda rnd, cols: (opened[rnd], cols),
             points, claims, evals, x, lam))
         count = len(positions)
         return all(

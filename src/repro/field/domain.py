@@ -162,12 +162,17 @@ class EvaluationDomain:
             return gl64.sixstep_ntt(vec, self._gl64_sixstep(root, n, 1))
         return gl64.ntt(vec, self._gl64_stages(root, n), self._gl64_rev(n))
 
-    def _gl64_coset_ntt(self, vec: np.ndarray, root: int, shift: int) -> np.ndarray:
+    def _gl64_coset_ntt(self, vec: np.ndarray, root: int, shift: int,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
         """Coset NTT with the shift scaling fused into the input gather
-        (radix-2) or the inner stages (six-step) — never a separate pass."""
+        (radix-2) or the inner stages (six-step) — never a separate pass.
+        A matrix's rows may be written into ``out`` (see ``gl64.ntt``)."""
         n = int(vec.shape[-1])
         if n == 1:
-            return vec.copy()
+            if out is None:
+                return vec.copy()
+            out[...] = vec
+            return out
         if vec.ndim == 1 and n >= sixstep_min_n():
             return gl64.sixstep_ntt(vec, self._gl64_sixstep(root, n, shift))
         return gl64.ntt(
@@ -175,6 +180,7 @@ class EvaluationDomain:
             self._gl64_stages(root, n),
             self._gl64_rev(n),
             scale_rev=self._gl64_scale_rev(shift, n),
+            out=out,
         )
 
     # -- vector-native transforms -------------------------------------------
@@ -286,15 +292,18 @@ class EvaluationDomain:
             self._part_shifts = shifts
         return self._part_shifts
 
-    def coeff_to_extended_part(self, mat: np.ndarray, r: int) -> np.ndarray:
+    def coeff_to_extended_part(self, mat: np.ndarray, r: int,
+                               out: Optional[np.ndarray] = None) -> np.ndarray:
         """Part ``r`` of the extended-coset evaluations of each row of ``mat``.
 
         ``mat`` is ``(m, n)`` coefficient rows; the result is ``(m, n)``
-        evaluations at ``shift_r * omega^t``.  Callers account for
-        ``ntt_extended`` themselves (all ``extension`` parts of one column
-        together equal one logical extended transform).
+        evaluations at ``shift_r * omega^t``, written into ``out`` when it
+        is given (an ``(m, n)`` view with contiguous rows).  Callers account
+        for ``ntt_extended`` themselves (all ``extension`` parts of one
+        column together equal one logical extended transform).
         """
-        return self._gl64_coset_ntt(mat, self.omega, self.extended_part_shifts()[r])
+        return self._gl64_coset_ntt(mat, self.omega, self.extended_part_shifts()[r],
+                                    out=out)
 
     def vanishing_part_inverses(self) -> List[int]:
         """``1 / Z_H`` per extended-coset part (a scalar on each part).
@@ -319,25 +328,27 @@ class EvaluationDomain:
     #
     # A committed column is its evaluations over the extended coset (rate
     # ``1 / extension``), kept as the ``(extension, n)`` coset parts the
-    # quotient reads.  The helpers below turn that layout into the Merkle
-    # rows, the opened rows and the DEEP quotient's points.
+    # quotient reads.  Everything else reads that layout where it lies: the
+    # Merkle leaves (``MerkleTree.from_lde``), the opened rows and the DEEP
+    # quotient's columns; the helpers below give its points and positions.
 
     def lde(self, polys: np.ndarray) -> np.ndarray:
         """Extended-coset evaluations of coefficient vectors of length ``n``:
-        an ``(m, n)`` matrix in, ``(m, extension, n)`` parts out.  Counts
-        one ``ntt_extended`` per column.
+        an ``(m, n)`` matrix in, ``(m, extension, n)`` parts out, each part's
+        coset NTT writing straight into its slice.  Counts one
+        ``ntt_extended`` per column.
         """
         STATS.ntt_extended += len(polys)
         out = np.empty((len(polys), self.extension, self.n), dtype=np.uint64)
         if len(polys):
             for r in range(self.extension):
-                out[:, r, :] = self.coeff_to_extended_part(polys, r)
+                self.coeff_to_extended_part(polys, r, out=out[:, r, :])
         return out
 
-    def lde_columns(self, lde, cols: Optional[Sequence[int]] = None):
-        """Columns of an LDE as flat vectors in :meth:`lde_points` order."""
-        flat = lde.reshape(lde.shape[0], self.extended_n)
-        return flat if cols is None else flat[list(cols)]
+    def lde_columns(self, lde):
+        """An LDE's columns as flat vectors in :meth:`lde_points` order (a
+        view: rows of it are read in place through a row index)."""
+        return lde.reshape(lde.shape[0], self.extended_n)
 
     def lde_points(self):
         """The extended coset's points, in the order LDE columns are stored."""
@@ -354,20 +365,11 @@ class EvaluationDomain:
         return np.ascontiguousarray(
             vec.reshape(self.extension, self.n).T).reshape(-1)
 
-    def lde_leaf_rows(self, lde: np.ndarray) -> np.ndarray:
-        """The Merkle leaf matrix: row ``j`` holds every column at extended
-        positions ``j`` and ``j + N/2`` (the points ``z`` and ``-z``)."""
-        half = self.extended_n // 2
-        m, mid = lde.shape[0], self.n // 2
-        rows = np.empty((half, 2 * m), dtype=np.uint64)
-        rows[:, :m] = lde[:, :, :mid].transpose(2, 1, 0).reshape(half, m)
-        rows[:, m:] = lde[:, :, mid:].transpose(2, 1, 0).reshape(half, m)
-        return rows
-
     def lde_rows(self, lde: np.ndarray,
                  positions: Sequence[int]) -> List[List[int]]:
-        """Rows ``positions`` of :meth:`lde_leaf_rows`, as plain ints (one
-        gather for all of them)."""
+        """Merkle leaves ``positions`` of an LDE, as plain ints (one gather
+        for all of them): leaf ``j`` holds every column at extended
+        positions ``j`` and ``j + N/2`` (the points ``z`` and ``-z``)."""
         t, r = np.divmod(np.array(positions, dtype=np.int64), self.extension)
         both = np.concatenate([lde[:, r, t], lde[:, r, t + self.n // 2]])
         return both.T.tolist()

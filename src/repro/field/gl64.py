@@ -235,30 +235,36 @@ def eval_tape(code: np.ndarray, num_regs: int, cols: Sequence[np.ndarray],
         raise MemoryError("gl_eval_tape: no memory for %d registers" % num_regs)
 
 
-def _rows_kernel(name: str, rows, vec, out_axis: int) -> np.ndarray:
-    """``weighted_sum`` / ``poly_eval_rows`` over an ``(m, width)`` matrix
-    and a length-``m`` vector; the result is as long as ``rows``' axis
-    ``out_axis``."""
-    rows, vec = _plain(rows), _plain(vec)
-    if rows.ndim != 2 or vec.shape != rows.shape[:1]:
-        raise ValueError("%s: need an (m, width) matrix and m values, got %s and %s"
-                         % (name, rows.shape, vec.shape))
-    m, width = rows.shape
-    out = np.empty(rows.shape[out_axis], dtype=np.uint64)
-    getattr(native.library(), name)(out.ctypes.data, rows.ctypes.data,
-                                    vec.ctypes.data, m, width)
+def _rows_kernel(name: str, mat, vec, index, per_row: bool) -> np.ndarray:
+    """``weighted_sum`` / ``poly_eval_rows`` over rows ``index`` (default all)
+    of a matrix, read in place its row stride apart, one ``vec`` value a row."""
+    if not (type(mat) is np.ndarray and mat.dtype == np.uint64 and mat.ndim == 2
+            and mat.strides[1] == 8 and not mat.strides[0] % 8):
+        mat = _plain(mat)
+    if index is not None:
+        index = np.ascontiguousarray(index, dtype=np.int64)
+        if index.size and not 0 <= index.min() <= index.max() < len(mat):
+            raise IndexError("%s: a row index is outside %d rows" % (name, len(mat)))
+    vec, m = _plain(vec), len(mat) if index is None else len(index)
+    if mat.ndim != 2 or vec.shape != (m,):
+        raise ValueError("%s: need a matrix and a value per row read, got %s and %s"
+                         % (name, mat.shape, vec.shape))
+    out = np.empty(m if per_row else mat.shape[1], dtype=np.uint64)
+    getattr(native.library(), name)(out.ctypes.data, mat.ctypes.data, mat.strides[0] // 8,
+                                    None if index is None else index.ctypes.data,
+                                    vec.ctypes.data, m, mat.shape[1])
     return out
 
 
-def poly_eval_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate row ``i`` of ``coeffs`` at ``points[i]``, for all rows at
-    once (Horner, a few rows abreast); an empty row evaluates to 0."""
-    return _rows_kernel("gl_poly_eval_rows", coeffs, points, 0)
+def poly_eval_rows(coeffs: np.ndarray, points: np.ndarray, index=None) -> np.ndarray:
+    """Evaluate row ``index[i]`` (default ``i``) of ``coeffs`` at ``points[i]``
+    (Horner, a few rows abreast); an empty row evaluates to 0."""
+    return _rows_kernel("gl_poly_eval_rows", coeffs, points, index, True)
 
 
-def weighted_sum(rows: np.ndarray, weights: Sequence[int]) -> np.ndarray:
-    """``sum_i weights[i] * rows[i]`` down the first axis of an ``(m, L)`` matrix."""
-    return _rows_kernel("gl_weighted_sum", rows, weights, 1)
+def weighted_sum(rows: np.ndarray, weights: Sequence[int], index=None) -> np.ndarray:
+    """``sum_i weights[i] * rows[index[i]]`` (default ``rows[i]``) of a 2-D matrix."""
+    return _rows_kernel("gl_weighted_sum", rows, weights, index, False)
 
 
 # -- NTT kernel --------------------------------------------------------------
@@ -293,17 +299,12 @@ def ntt_stages(root: int, n: int) -> np.ndarray:
     return out
 
 
-def ntt(
-    values: np.ndarray,
-    stages: np.ndarray,
-    rev: np.ndarray,
-    scale_rev: np.ndarray = None,
-) -> np.ndarray:
+def ntt(values: np.ndarray, stages: np.ndarray, rev: np.ndarray,
+        scale_rev: np.ndarray = None, out: np.ndarray = None) -> np.ndarray:
     """Iterative radix-2 NTT driven by precomputed twiddles.
 
-    ``stages`` comes from :func:`ntt_stages`; ``rev`` is the bit-reversal
-    permutation for the input ordering.  Both are cached on
-    :class:`repro.field.domain.EvaluationDomain`.
+    ``stages`` comes from :func:`ntt_stages` and ``rev`` is the input's
+    bit-reversal permutation, both cached on the ``EvaluationDomain``.
 
     The transform runs along the *last* axis, so a ``(m, n)`` matrix is m
     independent size-n NTTs in one call.  The kernel gathers each row
@@ -315,9 +316,15 @@ def ntt(
     must be the per-index scale vector *already permuted by* ``rev`` (or
     a scalar), applied to each row right after its bit-reversal gather.
     Permuting commutes with elementwise multiplication, so results are
-    bit-identical to scaling the input first.
+    bit-identical to scaling the input first.  A 2-D result may be written
+    into ``out``, any ``uint64`` view not overlapping ``values`` whose rows
+    are contiguous (an LDE's coset part): no temporary, no copy.
     """
-    out = np.empty(values.shape, dtype=np.uint64)
+    if out is None:
+        out = np.empty(values.shape, dtype=np.uint64)
+    elif not (values.ndim == 2 and out.shape == values.shape and out.dtype == np.uint64
+              and out.strides[1] == 8 and out.strides[0] % 8 == 0):
+        raise ValueError("ntt: out must be a uint64 matrix with contiguous rows")
     if not values.size:
         return out
     n = values.shape[-1]
@@ -334,7 +341,8 @@ def ntt(
         scale = np.array(scale, dtype=np.uint64)
     rev, stages = np.ascontiguousarray(rev, dtype=np.int64), _plain(stages)
     native.library().gl_ntt(
-        out.ctypes.data, mat.ctypes.data, mat.strides[0] // 8,
+        out.ctypes.data, out.strides[0] // 8 if out.ndim == 2 else n,
+        mat.ctypes.data, mat.strides[0] // 8,
         mat.strides[1] // 8, len(mat), n, rev.ctypes.data,
         stages.ctypes.data, None if scale is None else scale.ctypes.data,
         scale_stride)

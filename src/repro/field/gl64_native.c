@@ -13,7 +13,9 @@
  * is the prover's whole constraint evaluator: one call runs a register
  * program keygen compiled, so a proof crosses into C twice for its
  * expressions, not once per expression node.  gl_merkle_tree builds a
- * whole commit round's blake2b Merkle tree in one call.
+ * whole commit round's blake2b Merkle tree in one call, its leaves read
+ * from the round's LDE where they lie, and gl_hash_columns digests many
+ * columns at once (the pk cache's integrity check).
  *
  * Two builds.  The hot kernels (the NTT, batch inversion, weighted sums,
  * Horner, the tape and the Merkle builder) are written once, in the lane
@@ -116,9 +118,9 @@ enum { TAPE_ROWS = 512 };
     } while (0)
 
 /* blake2b-256 (RFC 7693) with a 16-byte `person`, no key, no salt, for the
- * prover's Merkle trees.  repro/commit/merkle.py hashes the same trees with
- * hashlib when this object is not loaded, and the verifier always
- * re-hashes opened paths with hashlib. */
+ * prover's Merkle trees and the pk cache's column digests.  Only the prover
+ * hashes here: the verifier re-hashes every opened path with hashlib, and
+ * tests/oracle.py builds the same trees with hashlib to test this one. */
 static const u64 B2B_IV[8] = {
     0x6A09E667F3BCC908ULL, 0xBB67AE8584CAA73BULL, 0x3C6EF372FE94F82BULL,
     0xA54FF53A5F1D36F1ULL, 0x510E527FADE682D1ULL, 0x9B05688C2B3E6C1FULL,
@@ -279,6 +281,7 @@ X8 static void ntt_spans_x8(u64 *x, size_t n, const u64 *tw) {
 #define eval_tape eval_tape_x8
 #define b2b_compress b2b_compress_x8
 #define b2b_many b2b_many_x8
+#define b2b_gather b2b_gather_x8
 #include __FILE__
 #undef ntt_rows
 #undef batch_inv
@@ -287,6 +290,7 @@ X8 static void ntt_spans_x8(u64 *x, size_t n, const u64 *tw) {
 #undef eval_tape
 #undef b2b_compress
 #undef b2b_many
+#undef b2b_gather
 #endif
 
 /* The build this process runs: 8 for the eight-lane one, else 1.  Chosen
@@ -304,29 +308,32 @@ __attribute__((constructor)) static void gl_pick_lanes(void) {
 #define ON_LANES(fn, ...) fn(__VA_ARGS__)
 #endif
 
-/* m independent size-n radix-2 NTTs (ntt_rows, below).  A row shorter than
- * two vectors, or one strided past 2^31 elements, takes the scalar build. */
-void gl_ntt(u64 *out, const u64 *src, ptrdiff_t srs, ptrdiff_t scs,
+/* m independent size-n radix-2 NTTs (ntt_rows, below), output row r at
+ * out + r * ors.  A row shorter than two vectors, or one strided past 2^31
+ * elements, takes the scalar build. */
+void gl_ntt(u64 *out, ptrdiff_t ors, const u64 *src, ptrdiff_t srs, ptrdiff_t scs,
             size_t m, size_t n, const int64_t *rev, const u64 *tw,
             const u64 *scale, ptrdiff_t sstride) {
     if (n >= 16 && scs == (int32_t)scs)
-        ON_LANES(ntt_rows, out, src, srs, scs, m, n, rev, tw, scale, sstride);
+        ON_LANES(ntt_rows, out, ors, src, srs, scs, m, n, rev, tw, scale, sstride);
     else
-        ntt_rows(out, src, srs, scs, m, n, rev, tw, scale, sstride);
+        ntt_rows(out, ors, src, srs, scs, m, n, rev, tw, scale, sstride);
 }
 
 ptrdiff_t gl_batch_inv(u64 *out, const u64 *v, size_t n) {
     return ON_LANES(batch_inv, out, v, n);
 }
 
-void gl_weighted_sum(u64 *out, const u64 *rows, const u64 *w, size_t m,
-                     size_t width) {
-    ON_LANES(weighted_sum, out, rows, w, m, width);
+/* the row kernels read m rows of `width` in place: row i of the call is
+ * mat + (idx ? idx[i] : i) * rs */
+void gl_weighted_sum(u64 *out, const u64 *mat, ptrdiff_t rs, const int64_t *idx,
+                     const u64 *w, size_t m, size_t width) {
+    ON_LANES(weighted_sum, out, mat, rs, idx, w, m, width);
 }
 
-void gl_poly_eval_rows(u64 *out, const u64 *coeffs, const u64 *points,
-                       size_t m, size_t width) {
-    ON_LANES(poly_eval_rows, out, coeffs, points, m, width);
+void gl_poly_eval_rows(u64 *out, const u64 *mat, ptrdiff_t rs, const int64_t *idx,
+                       const u64 *points, size_t m, size_t width) {
+    ON_LANES(poly_eval_rows, out, mat, rs, idx, points, m, width);
 }
 
 int gl_eval_tape(u64 *out, const u64 *const *cols, size_t parts, size_t n,
@@ -349,21 +356,37 @@ static void hash_many(uint8_t *out, const u64 h0[8], const uint8_t *data,
     b2b_many(out + 32 * done, h0, data + len * done, count - done, len);
 }
 
-/* A whole Merkle tree into out, a (2 * padded - 1, 32) node array, leaf
- * level first and the root last: `count` leaves of `leaf_len` bytes back to
- * back, hashed under leaf_person, then padded - count copies of the empty
- * leaf's digest, then every level upward, node j of a level the hash under
- * node_person of its two children (64 contiguous bytes of the level below).
- * padded is a power of two >= count >= 1. */
-void gl_merkle_tree(uint8_t *out, const uint8_t *leaves, size_t count,
-                    size_t leaf_len, size_t padded, const uint8_t *leaf_person,
+/* A commit round's whole Merkle tree into out, a (2 * padded - 1, 32) node
+ * array, leaf level first and the root last.  The round is an (m, ext, n)
+ * LDE, m columns of ext coset parts of n residues; leaf j < count =
+ * ext * n / 2 is every column at part j % ext, position j / ext, then every
+ * column at position j / ext + n / 2 (the points z and -z), read from the
+ * LDE where it lies and hashed under leaf_person, eight consecutive leaves
+ * abreast on the eight-lane build.  Then padded - count copies of the
+ * empty leaf's digest, then every level upward, node j of a level the hash
+ * under node_person of its two children (64 contiguous bytes of the level
+ * below).  padded is a power of two >= count >= 1. */
+void gl_merkle_tree(uint8_t *out, const u64 *lde, size_t m, size_t ext, size_t n,
+                    size_t padded, const uint8_t *leaf_person,
                     const uint8_t *node_person) {
     u64 leaf0[8], node0[8];
+    const u64 *msg[8];
+    size_t count = ext * n / 2, j = 0;
+    ptrdiff_t cs = (ptrdiff_t)(ext * n), hs = (ptrdiff_t)(n / 2);
     b2b_init(leaf0, leaf_person);
     b2b_init(node0, node_person);
-    hash_many(out, leaf0, leaves, count, leaf_len);
+#if GL_LANE_BUILD
+    for (; gl_lanes == 8 && j + 8 <= count; j += 8) {
+        for (size_t l = 0; l < 8; l++) msg[l] = lde + (j + l) % ext * n + (j + l) / ext;
+        b2b_gather_x8(out + 32 * j, leaf0, msg, 2 * m, m, cs, hs);
+    }
+#endif
+    for (; j < count; j++) {
+        msg[0] = lde + j % ext * n + j / ext;
+        b2b_gather(out + 32 * j, leaf0, msg, 2 * m, m, cs, hs);
+    }
     if (padded > count) {
-        b2b_many(out + 32 * count, leaf0, leaves, 1, 0);
+        b2b_gather(out + 32 * count, leaf0, msg, 0, 1, 0, 0); /* the empty leaf */
         for (size_t i = count + 1; i < padded; i++)
             memcpy(out + 32 * i, out + 32 * count, 32);
     }
@@ -373,6 +396,21 @@ void gl_merkle_tree(uint8_t *out, const uint8_t *leaves, size_t count,
         hash_many(next, node0, level, width / 2, 64);
         level = next;
     }
+}
+
+/* out[32i : 32i + 32] <- blake2b-256 (no key, no person) of the len
+ * residues at cols[i], for i < count: eight columns abreast on the
+ * eight-lane build */
+void gl_hash_columns(uint8_t *out, const u64 *const *cols, size_t count, size_t len) {
+    static const uint8_t no_person[16];
+    u64 h0[8];
+    size_t i = 0;
+    b2b_init(h0, no_person);
+#if GL_LANE_BUILD
+    for (; gl_lanes == 8 && i + 8 <= count; i += 8)
+        b2b_gather_x8(out + 32 * i, h0, cols + i, len, len, 1, 0);
+#endif
+    for (; i < count; i++) b2b_gather(out + 32 * i, h0, cols + i, len, len, 1, 0);
 }
 
 #else /* LANES: the lane kernels, compiled once per build */
@@ -404,16 +442,16 @@ void gl_merkle_tree(uint8_t *out, const uint8_t *leaves, size_t count,
 
 /* m independent size-n radix-2 NTTs, each row along itself.  Row r is
  * gathered from src[r*srs + rev[i]*scs] (times scale[i*sstride] when scale
- * is given: sstride 1 for a per-index vector, 0 for one scalar) into out
- * row r, then taken through every stage in place.  tw packs the stage
+ * is given: sstride 1 for a per-index vector, 0 for one scalar) into
+ * out[r*ors ...], then taken through every stage in place.  tw packs the stage
  * tables back to back: the 2^s twiddles of the stage with butterfly span
  * 2^s start at tw[2^s - 1], so a span of LANES or more is contiguous
  * vector loads under contiguous twiddles; on the eight-lane build the
  * spans below that run inside registers (ntt_spans_x8), and n >= 16. */
-LANE_FN static void ntt_rows(u64 *out, const u64 *src, ptrdiff_t srs, ptrdiff_t scs,
-                             size_t m, size_t n, const int64_t *rev, const u64 *tw,
-                             const u64 *scale, ptrdiff_t sstride) {
-    for (size_t r = 0; r < m; r++, out += n, src += srs) {
+LANE_FN static void ntt_rows(u64 *out, ptrdiff_t ors, const u64 *src, ptrdiff_t srs,
+                             ptrdiff_t scs, size_t m, size_t n, const int64_t *rev,
+                             const u64 *tw, const u64 *scale, ptrdiff_t sstride) {
+    for (size_t r = 0; r < m; r++, out += ors, src += srs) {
         for (size_t i = 0; i < n; i += LANES) {
             vec x = vgather(src, rev + i, scs);
             if (scale) x = vmul(x, sstride ? vload(scale + i) : vset1(*scale));
@@ -484,36 +522,42 @@ LANE_FN static ptrdiff_t batch_inv(u64 *out, const u64 *v, size_t n) {
     return -1;
 }
 
-/* out[j] = sum_i w[i] * rows[i][j] over a contiguous (m, width) matrix:
- * SUM_VECS vectors of columns abreast, each accumulated down all rows in
- * registers, then the width % (SUM_VECS * LANES) columns left one by one */
-LANE_FN static void weighted_sum(u64 *out, const u64 *rows, const u64 *w,
-                                 size_t m, size_t width) {
+/* row i of a row kernel's call (gl_weighted_sum, gl_poly_eval_rows) */
+#define ROW(i) (mat + (idx ? idx[i] : (int64_t)(i)) * rs)
+
+/* out[j] = sum_i w[i] * ROW(i)[j] over m rows of width: SUM_VECS vectors of
+ * columns abreast, each accumulated down all rows in registers, then the
+ * width % (SUM_VECS * LANES) columns left one by one */
+LANE_FN static void weighted_sum(u64 *out, const u64 *mat, ptrdiff_t rs,
+                                 const int64_t *idx, const u64 *w, size_t m,
+                                 size_t width) {
     size_t j = 0;
     for (; j + SUM_VECS * LANES <= width; j += SUM_VECS * LANES) {
         vec acc[SUM_VECS];
         for (int q = 0; q < SUM_VECS; q++) acc[q] = vset1(0);
         for (size_t i = 0; i < m; i++) {
+            const u64 *row = ROW(i) + j;
             vec wi = vset1(w[i]);
             for (int q = 0; q < SUM_VECS; q++)
-                acc[q] = vadd(acc[q], vmul(vload(rows + i * width + j + q * LANES), wi));
+                acc[q] = vadd(acc[q], vmul(vload(row + q * LANES), wi));
         }
         for (int q = 0; q < SUM_VECS; q++) vstore(out + j + q * LANES, acc[q]);
     }
     for (; j < width; j++) {
         u64 acc = 0;
-        for (size_t i = 0; i < m; i++) acc = gl_add1(acc, gl_mul1(rows[i * width + j], w[i]));
+        for (size_t i = 0; i < m; i++) acc = gl_add1(acc, gl_mul1(ROW(i)[j], w[i]));
         out[j] = acc;
     }
 }
 
-/* out[i] = coeffs[i](points[i]) over a contiguous (m, width) matrix.  A row
+/* out[i] = ROW(i)(points[i]), the polynomial of width coefficients.  A row
  * is LANES interleaved sub-polynomials in x^LANES (lane l holds the
  * coefficients l, l + LANES, ...), all taken by Horner at once, then
  * recombined by Horner in x; HORNER_ROWS rows go abreast, since one row is
  * a single dependent chain (the last group repeats its last row). */
-LANE_FN static void poly_eval_rows(u64 *out, const u64 *coeffs, const u64 *points,
-                                   size_t m, size_t width) {
+LANE_FN static void poly_eval_rows(u64 *out, const u64 *mat, ptrdiff_t rs,
+                                   const int64_t *idx, const u64 *points, size_t m,
+                                   size_t width) {
     size_t top = width - width % LANES; /* where the partial block starts */
     for (size_t i = 0; i < m; i += HORNER_ROWS) {
         const u64 *c[HORNER_ROWS];
@@ -522,7 +566,7 @@ LANE_FN static void poly_eval_rows(u64 *out, const u64 *coeffs, const u64 *point
             size_t row = i + l < m ? i + l : m - 1;
             u64 x = points[row];
             for (size_t s = 1; s < LANES; s <<= 1) x = gl_mul1(x, x);
-            c[l] = coeffs + row * width;
+            c[l] = ROW(row);
             y[l] = vset1(x);
             acc[l] = vloadn(c[l] + top, width - top);
         }
@@ -665,6 +709,35 @@ LANE_FN static void b2b_many(uint8_t *out, const u64 h0[8], const uint8_t *data,
     }
 }
 
+/* out[32l : 32l + 32] <- blake2b-256 from h0 of LANES messages of `words`
+ * residues, each hashed as its 8 little-endian bytes: word i of message l
+ * is msg[l][(i % per) * cs + (i / per) * hs], read where it lies */
+LANE_FN static void b2b_gather(uint8_t *out, const u64 h0[8], const u64 *const *msg,
+                               size_t words, size_t per, ptrdiff_t cs, ptrdiff_t hs) {
+    u64 h[8][LANES], block[16][LANES];
+    size_t done = 0, col = 0;
+    ptrdiff_t start = 0, off = 0; /* (i / per) * hs, and word i's offset */
+    for (int i = 0; i < 8; i++)
+        for (size_t l = 0; l < LANES; l++) h[i][l] = h0[i];
+    do { /* once for an empty message: its one block is all zero */
+        size_t take = words - done < 16 ? words - done : 16;
+        for (size_t i = 0; i < 16; i++) {
+            for (size_t l = 0; l < LANES; l++) block[i][l] = i < take ? msg[l][off] : 0;
+            if (i >= take) continue;
+            off += cs;
+            if (++col == per) {
+                col = 0;
+                off = start += hs;
+            }
+        }
+        done += take;
+        b2b_compress(h, block, 8 * done, done == words);
+    } while (done < words);
+    for (size_t l = 0; l < LANES; l++)
+        for (int i = 0; i < 32; i++)
+            out[32 * l + i] = (uint8_t)(h[i / 8][l] >> (8 * (i % 8)));
+}
+
 #undef vec
 #undef vload
 #undef vloadn
@@ -674,4 +747,5 @@ LANE_FN static void b2b_many(uint8_t *out, const u64 h0[8], const uint8_t *data,
 #undef vadd
 #undef vsub
 #undef vmul
+#undef ROW
 #endif /* LANES */

@@ -10,11 +10,11 @@ path: if any step fails, :func:`library` raises
 C compiler``, ``build failed``, ``load failed`` or ``self-test failed``),
 and raises it again on every later call without another build, so proving
 and verifying need a working ``cc``.  There is no switch.
-The NTT, inversion, weighted-sum, Horner, constraint-tape and Merkle
-kernels have a scalar build and, on x86-64, an eight-lane AVX-512 one
-(eight residues a vector, multiplied with ``vpmuludq``); the object picks
-one per process from the CPU it runs on (:func:`lane_width`), and the
-self-test checks both.
+The NTT, inversion, weighted-sum, Horner, constraint-tape, Merkle and
+column-digest kernels have a scalar build and, on x86-64, an eight-lane
+AVX-512 one (eight residues a vector, multiplied with ``vpmuludq``); the
+object picks one per process from the CPU it runs on (:func:`lane_width`),
+and the self-test checks both.
 The object has the trust of the source tree it sits in (like a
 ``__pycache__`` entry); when the package directory is not writable it is
 built in a 0700 ``mkdtemp`` directory that is removed once loaded.
@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import hashlib
 import os
 import platform
 import shutil
+import struct
 import subprocess
 import tempfile
 import threading
@@ -41,16 +41,17 @@ _BUILD_DIR = os.path.join(_HERE, "_native")
 
 _PTR, _OFF, _LEN = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_size_t
 _EWISE = (None, [_PTR, _PTR, _OFF, _OFF, _PTR, _OFF, _OFF, _LEN, _LEN])
-_ROWS = (None, [_PTR, _PTR, _PTR, _LEN, _LEN])
+_ROWS = (None, [_PTR, _PTR, _OFF, _PTR, _PTR, _LEN, _LEN])
 _SIGNATURES = {
     "gl_mul": _EWISE, "gl_add": _EWISE, "gl_sub": _EWISE,
-    "gl_ntt": (None, [_PTR, _PTR, _OFF, _OFF, _LEN, _LEN, _PTR, _PTR, _PTR, _OFF]),
+    "gl_ntt": (None, [_PTR, _OFF, _PTR, _OFF, _OFF, _LEN, _LEN, _PTR, _PTR, _PTR, _OFF]),
     "gl_batch_inv": (_OFF, [_PTR, _PTR, _LEN]),
     "gl_powers": (None, [_PTR, ctypes.c_uint64, ctypes.c_uint64, _LEN]),
     "gl_weighted_sum": _ROWS, "gl_poly_eval_rows": _ROWS,
     "gl_eval_tape": (ctypes.c_int,
                      [_PTR, _PTR, _LEN, _LEN, _PTR, _LEN, _LEN, _PTR, _PTR]),
-    "gl_merkle_tree": (None, [_PTR, _PTR, _LEN, _LEN, _LEN, _PTR, _PTR]),
+    "gl_merkle_tree": (None, [_PTR, _PTR, _LEN, _LEN, _LEN, _LEN, _PTR, _PTR]),
+    "gl_hash_columns": (None, [_PTR, _PTR, _LEN, _LEN]),
 }
 
 _UNSET = object()
@@ -83,7 +84,8 @@ def library() -> ctypes.CDLL:
 
 def lane_width() -> int:
     """8 when this process runs the eight-lane build of the lane kernels
-    (NTT, inversion, weighted sum, Horner, tape, Merkle); 1 on the scalar
+    (NTT, inversion, weighted sum, Horner, tape, Merkle, column digests);
+    1 on the scalar
     build."""
     return _lanes(library()).value
 
@@ -170,7 +172,9 @@ def _self_test(lib: ctypes.CDLL) -> None:
     ``hashlib``: on the scalar build, then on the eight-lane one where this
     CPU runs it.  The sizes straddle the lane boundaries: NTT rows of 16
     (the in-register spans and one vector span) and 64, strided and not;
-    widths, lengths and leaf counts that are not multiples of eight."""
+    widths, lengths and leaf counts that are not multiples of eight.  The
+    row kernels also read through a row index, the NTT also writes
+    through an output row stride, and leaves are read from LDEs."""
     lanes = _lanes(lib)
     chosen, cases = lanes.value, _cases(lib)
     try:
@@ -202,10 +206,12 @@ def _cases(lib: ctypes.CDLL) -> dict:
             return list(out), code
         return run
 
-    def ntt(rows, scale, transposed=False):
+    def ntt(rows, scale, transposed=False, ors=0):
         """gl_ntt on rows of one power-of-two length, read row-major or
-        column-major, scaled per index (a list), by one scalar or not"""
+        column-major, scaled per index (a list), by one scalar or not, and
+        written ors apart (default: back to back; the gaps stay zero)"""
         m, size = len(rows), len(rows[0])
+        ors = ors or size
         bits, root = size.bit_length() - 1, pow(7, (p - 1) // size, p)
         rev = [int(format(i, "0%db" % bits)[::-1], 2) for i in range(size)]
         powers = [pow(root, i, p) for i in range(size)]
@@ -213,12 +219,13 @@ def _cases(lib: ctypes.CDLL) -> dict:
         vector = isinstance(scale, list)
         factor = scale if vector else [1 if scale is None else scale] * size
         flat = [x for col in zip(*rows) for x in col] if transposed else sum(rows, [])
-        run = call("gl_ntt", m * size, flat, *((1, m) if transposed else (size, 1)),
+        run = call("gl_ntt", m * ors, ors, flat, *((1, m) if transposed else (size, 1)),
                    m, size, (ctypes.c_int64 * size)(*rev), tw,
                    None if scale is None else factor[:size if vector else 1], int(vector))
-        return run, ([sum(x * factor[rev[i]] * powers[i * j % size]
-                          for i, x in enumerate(row)) % p
-                      for row in rows for j in range(size)], None)
+        gap = [0] * (ors - size)
+        return run, ([y for row in rows for y in [
+            sum(x * factor[rev[i]] * powers[i * j % size] for i, x in enumerate(row)) % p
+            for j in range(size)] + gap], None)
 
     # rows of 16 (nine scaled per index, three unscaled read column-major)
     # and one row of 64 scaled by a scalar
@@ -227,6 +234,7 @@ def _cases(lib: ctypes.CDLL) -> dict:
         "gl_ntt": ntt([row[:16] for row in mat], edge[::-1] * 2),
         "gl_ntt strided": ntt([row[16:32] for row in mat[:3]], None, transposed=True),
         "gl_ntt 64": ntt(mat[4:5], p - 2),
+        "gl_ntt out stride": ntt([row[32:48] for row in mat[:3]], None, ors=21),
     }
     # 37 residues (a lane chain body and a tail), and a zero inside a lane
     inv_in = [x or 5 for x in xs[:37]]
@@ -235,15 +243,32 @@ def _cases(lib: ctypes.CDLL) -> dict:
                          ([pow(x, p - 2, p) for x in inv_in], -1)),
         "gl_batch_inv zero": (lambda: call("gl_batch_inv", 37, inv_in[:20] + [0] + inv_in[21:],
                                            37)()[1], 20),
-        "gl_weighted_sum": (call("gl_weighted_sum", 11, xs[:33], [p - 1, 1 << 32, 3], 3, 11),
+        "gl_weighted_sum": (call("gl_weighted_sum", 11, xs[:33], 11, None,
+                                 [p - 1, 1 << 32, 3], 3, 11),
                             ([((p - 1) * x + (y << 32) + 3 * z) % p
                               for x, y, z in zip(xs, xs[11:], xs[22:33])], None)),
-        "gl_poly_eval_rows": (call("gl_poly_eval_rows", 9, (xs * 3)[:117], xs[:9], 9, 13),
+        "gl_poly_eval_rows": (call("gl_poly_eval_rows", 9, (xs * 3)[:117], 13, None,
+                                   xs[:9], 9, 13),
                               ([sum(c * pow(x, j, p)
                                     for j, c in enumerate((xs * 3)[13 * i:13 * i + 13])) % p
                                 for i, x in enumerate(xs[:9])], None)),
         "gl_powers": (call("gl_powers", 19, p - 2, 1 << 32, 19),
                       ([(p - 2) * pow(1 << 32, i, p) % p for i in range(19)], None)),
+    })
+    # the row kernels through a row index: rows 4, 0, 4 and 2 of a (5, 9)
+    # matrix whose rows lie 10 apart (the last word of each is skipped)
+    pick, grid = [4, 0, 4, 2], (xs * 2)[:50]
+    picked = [grid[10 * i:10 * i + 9] for i in pick]
+    index = (ctypes.c_int64 * 4)(*pick)
+    cases.update({
+        "gl_weighted_sum row index": (
+            call("gl_weighted_sum", 9, grid, 10, index, xs[5:9], 4, 9),
+            ([sum(w * row[j] for w, row in zip(xs[5:9], picked)) % p for j in range(9)],
+             None)),
+        "gl_poly_eval_rows row index": (
+            call("gl_poly_eval_rows", 4, grid, 10, index, xs[5:9], 4, 9),
+            ([sum(c * pow(x, j, p) for j, c in enumerate(row)) % p
+              for row, x in zip(picked, xs[5:9])], None)),
     })
     for fn, op in (("gl_mul", int.__mul__), ("gl_add", int.__add__), ("gl_sub", int.__sub__)):
         cases[fn] = (call(fn, n, a, n, 1, b, n, 1, 1, n),
@@ -269,29 +294,50 @@ def _cases(lib: ctypes.CDLL) -> dict:
         run = call("gl_eval_tape", 4 * rows, cols, 2, rows,
                    (ctypes.c_int32 * len(tape))(*tape), 9, 7, scalars, scale)
         cases["gl_eval_tape" + label] = (run, (want, 0))
-    # gl_merkle_tree: 17 and 24 leaves padded to 32 (lane groups, a leaf
-    # over, padding, levels of 16, 8, 4, 2 and 1 nodes) at 8, 128 and 136
-    # bytes a leaf (one block, one full block, a second block)
+    # gl_merkle_tree over (m, ext, n) LDEs, leaves read in place: m of 1,
+    # 7, 8 and 9 columns (a leaf of 2, 14, 16 and 18 words: inside a block,
+    # exactly one, one block and a word pair over) at ext 1, 2 and 4, and
+    # n = 10, so 5, 10 and 20 leaves (lane groups and a tail, padding,
+    # every level) checked against hashlib over the leaf rows
     persons = (b"zkml-leaf", b"zkml-node")
 
-    def blake(data, person):
+    def blake(data, person=b""):
         return hashlib.blake2b(data, digest_size=32, person=person).digest()
 
-    def tree(leaves, size):
-        out = ctypes.create_string_buffer(32 * 63)
-        lib.gl_merkle_tree(out, leaves, len(leaves) // size, size, 32,
-                           *(x.ljust(16, b"\0") for x in persons))
-        return out.raw
+    def tree(m, ext, width, padded):
+        lde = [(edge[i % 8] + i * 7919) % p for i in range(m * ext * width)]
+        out = ctypes.create_string_buffer(32 * (2 * padded - 1))
+        lib.gl_merkle_tree(out, (ctypes.c_uint64 * len(lde))(*lde), m, ext, width,
+                           padded, *(x.ljust(16, b"\0") for x in persons))
+        return lde, out.raw
 
-    for count in (17, 24):
-        for size in (8, 128, 136):
-            leaves = [bytes((i * 7 + j) % 256 for j in range(size)) for i in range(count)]
-            level = [blake(x, persons[0]) for x in leaves]
-            level += [blake(b"", persons[0])] * (32 - count)
+    for m in (1, 7, 8, 9):
+        for ext in (1, 2, 4):
+            count, half = 5 * ext, 5
+            padded = 1 << (count - 1).bit_length()
+            lde, _ = tree(m, ext, 10, padded)
+            level = [blake(struct.pack("<%dQ" % (2 * m), *(
+                lde[(c * ext + j % ext) * 10 + j // ext + h * half]
+                for h in (0, 1) for c in range(m))), persons[0]) for j in range(count)]
+            level += [blake(b"", persons[0])] * (padded - count)
             want = b"".join(level)
             while len(level) > 1:
                 level = [blake(x + y, persons[1]) for x, y in zip(level[::2], level[1::2])]
                 want += b"".join(level)
-            cases["gl_merkle_tree %dx%d" % (count, size)] = (
-                functools.partial(tree, b"".join(leaves), size), want)
+            cases["gl_merkle_tree m=%d ext=%d" % (m, ext)] = (
+                lambda args=(m, ext, 10, padded): tree(*args)[1], want)
+    # gl_hash_columns: nine columns (a lane group and one over) of 16 and
+    # 17 residues (one block exactly, a word over)
+    for words in (16, 17):
+        columns = [[(edge[(i + c) % 8] + c) % p for i in range(words)] for c in range(9)]
+        ptrs = (ctypes.POINTER(ctypes.c_uint64) * 9)(
+            *((ctypes.c_uint64 * words)(*col) for col in columns))
+
+        def digests(ptrs=ptrs, words=words):
+            out = ctypes.create_string_buffer(32 * 9)
+            lib.gl_hash_columns(out, ptrs, 9, words)
+            return out.raw
+
+        cases["gl_hash_columns %d" % words] = (digests, b"".join(
+            blake(struct.pack("<%dQ" % words, *col)) for col in columns))
     return cases

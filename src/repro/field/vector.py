@@ -60,6 +60,7 @@ class GL64Backend:
         """The vectors laid end to end."""
         return np.concatenate(vecs)
 
-    def weighted_sum(self, rows, weights: Sequence[int]):
-        """``sum_i weights[i] * rows[i]`` over the rows of an ``(m, L)`` matrix."""
-        return gl64.weighted_sum(rows, weights)
+    def weighted_sum(self, rows, weights: Sequence[int], index=None):
+        """``sum_i weights[i] * rows[index[i]]`` (default ``rows[i]``) over
+        the rows of a matrix, read in place."""
+        return gl64.weighted_sum(rows, weights, index)

@@ -117,12 +117,16 @@ def _interpolate_commit(domain, scheme, vecs):
 
 
 def _claimed_evaluations(domain, polys_by_round, claims, x) -> List[int]:
-    """``f(omega^rot x)`` for every claim, from the coefficient forms: all
-    claims through one vectorized Estrin-style kernel, as plain ints."""
-    rows = [polys_by_round[rnd][col] for rnd, col, _ in claims]
-    points = [domain.rotate(x, rot) for _, _, rot in claims]
-    return gl64.poly_eval_rows(
-        np.stack(rows), np.array(points, dtype=np.uint64)).tolist()
+    """``f(omega^rot x)`` for every claim, from the coefficient forms, as
+    plain ints: one Horner kernel call per round, reading the claimed rows
+    of its coefficient matrix in place through a row index."""
+    rnds, cols, rots = np.array(claims, dtype=np.int64).reshape(-1, 3).T
+    points = np.array([domain.rotate(x, rot) for rot in rots.tolist()], dtype=np.uint64)
+    out = np.empty(len(claims), dtype=np.uint64)
+    for rnd in sorted(set(rnds.tolist())):
+        which = np.flatnonzero(rnds == rnd)
+        out[which] = gl64.poly_eval_rows(polys_by_round[rnd], points[which], cols[which])
+    return out.tolist()
 
 
 # -- vectorized helper-column kernels ----------------------------------------

@@ -46,6 +46,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from repro.commit import merkle
 from repro.commit.scheme import CommitmentScheme
 from repro.halo2.circuit import Assignment, ConstraintSystem
 from repro.halo2.keygen import ProvingKey, VerifyingKey, keygen
@@ -107,22 +108,27 @@ def circuit_digest(
 
 
 def _entry_checksum(pk: ProvingKey, vk: VerifyingKey) -> str:
-    """An integrity checksum over the cached key material.
+    """An integrity checksum over the cached key material, re-run on every hit.
 
     Covers exactly what proving consumes: the vk's binding digest (the
     fixed round's root, the shape and the constraint list) plus the
-    prover's evaluation-form fixed data.  Deliberately *not* a pickle of the objects — the vk and
-    its evaluation domain memoize derived data lazily (vk digest, NTT
-    twiddles), which would make a whole-object checksum unstable.
+    prover's evaluation-form fixed data.  Each fixed column (a read-only
+    uint64 array) is digested in place by the kernel's blake2b-256, eight
+    columns abreast (:func:`repro.commit.merkle.column_digests`, equal to
+    ``hashlib``'s); one ``hashlib`` blake2b-128 then binds ``vk.digest()``
+    and each column's ``repr``, length and digest.  Deliberately *not* a
+    pickle of the objects — the vk and its evaluation domain memoize
+    derived data lazily (vk digest, NTT twiddles), which would make a
+    whole-object checksum unstable.
     """
+    cols = sorted(pk.fixed_evals, key=lambda c: (c.kind.value, c.index))
+    digests = merkle.column_digests([pk.fixed_evals[col] for col in cols])
     h = hashlib.blake2b(digest_size=16)
     h.update(vk.digest())
-    for col in sorted(pk.fixed_evals, key=lambda c: (c.kind.value, c.index)):
-        values = pk.fixed_evals[col]
+    for col, digest in zip(cols, digests):
         h.update(repr(col).encode())
-        h.update(len(values).to_bytes(8, "little"))
-        # read-only uint64 arrays, hashed in place
-        h.update(values)
+        h.update(len(pk.fixed_evals[col]).to_bytes(8, "little"))
+        h.update(digest)
     return h.hexdigest()
 
 

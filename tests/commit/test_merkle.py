@@ -1,6 +1,7 @@
 """Tests for the Merkle tree: paths over byte leaves (built by the
-``hashlib`` oracle in ``tests/oracle.py``) and over matrix rows (built by
-the kernel), both checked by ``verify_merkle_path``."""
+``hashlib`` oracle in ``tests/oracle.py``) and over the rows of an LDE
+(built by the kernel, reading each leaf where it lies), both checked by
+``verify_merkle_path``."""
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from repro.commit import MerkleTree, verify_merkle_path
 from repro.commit.merkle import leaf_bytes
 from repro.obs.stats import STATS
 
-from tests.oracle import hashlib_tree
+from tests.oracle import hashlib_tree, lde_leaf_rows
 
 
 def test_empty_rejected():
-    with pytest.raises(ValueError):
-        MerkleTree.from_rows(np.zeros((0, 2), dtype=np.uint64))
+    for shape in ((0, 1, 2), (1, 0, 2), (2, 1, 3), (4, 2)):
+        with pytest.raises(ValueError):
+            MerkleTree.from_lde(np.zeros(shape, dtype=np.uint64))
     with pytest.raises(ValueError):
         hashlib_tree([])
 
@@ -81,17 +83,18 @@ def test_paths_verify_property(n, idx_frac):
 @given(
     depth=st.integers(min_value=1, max_value=5),
     cols=st.integers(min_value=1, max_value=6),
+    ext=st.sampled_from([1, 2, 4]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     as_array=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
-def test_row_trees_open_every_index_and_nothing_else(depth, cols, seed,
+def test_row_trees_open_every_index_and_nothing_else(depth, cols, ext, seed,
                                                      as_array):
     rng = np.random.default_rng(seed)
-    leaves = 1 << depth
-    mat = rng.integers(0, 2**63, size=(leaves, cols), dtype=np.uint64)
-    tree = MerkleTree.from_rows(mat if as_array else mat.tolist())
-    assert tree.depth == depth
+    lde = rng.integers(0, 2**63, size=(cols, ext, 2 << depth), dtype=np.uint64)
+    leaves, mat = ext << depth, lde_leaf_rows(lde)
+    tree = MerkleTree.from_lde(lde if as_array else lde.tolist())
+    assert tree.depth == depth + ext.bit_length() - 1
     for i in range(leaves):
         leaf, path = leaf_bytes(mat[i].tolist()), tree.open(i)
         assert verify_merkle_path(tree.root, i, leaf, path)
@@ -108,18 +111,20 @@ def test_row_trees_open_every_index_and_nothing_else(depth, cols, seed,
 
 
 def test_array_and_list_rows_hash_identically():
-    mat = np.arange(24, dtype=np.uint64).reshape(8, 3)
-    assert (MerkleTree.from_rows(mat).root
-            == MerkleTree.from_rows(mat.tolist()).root)
-    # a row's leaf is its leaf_bytes, whichever form it came in
-    tree = MerkleTree.from_rows(mat)
-    assert verify_merkle_path(tree.root, 5, leaf_bytes(mat[5].tolist()),
-                              tree.open(5))
+    lde = np.arange(48, dtype=np.uint64).reshape(3, 2, 8)
+    assert (MerkleTree.from_lde(lde).root
+            == MerkleTree.from_lde(lde.tolist()).root)
+    # leaf 5 is part 1 at position 2, then at position 6, of every column,
+    # whichever form the LDE came in
+    tree = MerkleTree.from_lde(lde)
+    row = [*lde[:, 1, 2].tolist(), *lde[:, 1, 6].tolist()]
+    assert row == lde_leaf_rows(lde)[5].tolist()
+    assert verify_merkle_path(tree.root, 5, leaf_bytes(row), tree.open(5))
 
 
 def test_tree_hashes_are_counted():
     before = STATS.snapshot()
-    tree = MerkleTree.from_rows(np.ones((16, 2), dtype=np.uint64))
+    tree = MerkleTree.from_lde(np.ones((1, 1, 32), dtype=np.uint64))
     delta = STATS.delta(before)
     assert (delta["merkle_leaf_hashes"], delta["merkle_node_hashes"]) == (16, 15)
     before = STATS.snapshot()

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.field import gl64, native
+from repro.field.domain import EvaluationDomain
 from repro.field.prime_field import GOLDILOCKS
 from repro.model import get_model, seeded_inputs
 from repro.resilience import events
@@ -415,6 +416,29 @@ def test_the_copy_guard_sees_every_copy_path(copies):
         assert copies["copied"] - before == copied
 
 
+def test_row_subsets_are_read_and_coset_parts_written_in_place(copies):
+    """A row subset of a matrix whose rows lie apart is summed and
+    evaluated where it lies, and an LDE's coset NTTs write straight into
+    its parts: no copy, one kernel call each."""
+    rng = np.random.default_rng(3)
+    mat = rng.integers(0, P, (9, 40), dtype=np.uint64)[:, :33]
+    index, vec = np.array([8, 0, 8, 3]), rng.integers(0, P, 4, dtype=np.uint64)
+    domain = EvaluationDomain(GOLDILOCKS, 5)
+    polys = rng.integers(0, P, (3, 32), dtype=np.uint64)
+    domain.lde(polys)  # the twiddle tables, once
+    del copies["kernels"][:]
+    summed = gl64.weighted_sum(mat, vec, index)
+    evals = gl64.poly_eval_rows(mat, vec, index)
+    lde = domain.lde(polys)
+    assert copies["copied"] == 0
+    assert copies["kernels"] == (["gl_weighted_sum", "gl_poly_eval_rows"]
+                                 + ["gl_ntt"] * domain.extension)
+    assert np.array_equal(summed, oracle.weighted_sum(mat[index], vec))
+    assert np.array_equal(evals, oracle.poly_eval_rows(mat[index], vec))
+    for r in range(domain.extension):
+        assert np.array_equal(lde[:, r], domain.coeff_to_extended_part(polys, r))
+
+
 def test_a_k12_proof_reads_almost_every_operand_in_place(copies):
     """A shape the kernel cannot read in place costs a copy, which shows up
     only as a slower benchmark; this makes it a failed test instead."""
@@ -464,6 +488,11 @@ STUBS = {
     # runs: the scalar build is right, the self-test's second pass is not
     "wrong lane multiply": MISCOMPILE % (
         "hh = _mm512_add_epi64(hh, _mm512_srli_epi64(t, 32));", ""),
+    # the eight-lane leaf loader reads every leaf from coset part 0: right
+    # at extension 1 and on the scalar build, wrong on eight lanes above it
+    "wrong lane leaf loader": MISCOMPILE % (
+        "msg[l] = lde + (j + l) % ext * n + (j + l) / ext;",
+        "msg[l] = lde + (j + l) / ext;"),
 }
 
 
@@ -498,6 +527,10 @@ def fresh_loader(monkeypatch, tmp_path):
     ("wrong gl_eval_tape", "self-test failed: gl_eval_tape"),
     ("wrong gl_merkle_tree", "self-test failed: gl_merkle_tree"),
     pytest.param("wrong lane multiply", "self-test failed: gl_ntt (8-lane build)",
+                 marks=pytest.mark.skipif(native.lane_width() != 8,
+                                          reason="this CPU has no eight-lane build")),
+    pytest.param("wrong lane leaf loader",
+                 "self-test failed: gl_merkle_tree m=1 ext=2 (8-lane build)",
                  marks=pytest.mark.skipif(native.lane_width() != 8,
                                           reason="this CPU has no eight-lane build")),
 ])

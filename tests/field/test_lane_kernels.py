@@ -1,7 +1,8 @@
 """The eight-lane build, the scalar C build and the numpy oracle held equal.
 
 ``gl64_native.c`` carries two builds of its NTT, batch-inversion,
-weighted-sum, Horner, Merkle-tree and constraint-tape kernels, and each
+weighted-sum, Horner, Merkle-tree, column-digest and constraint-tape
+kernels, and each
 process runs the eight-lane one when its CPU has AVX-512.  Every property
 here runs a kernel three ways: as loaded (eight lanes abreast on such a
 CPU), on the scalar build through ``native.scalar_build()``, and on the
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.commit import MerkleTree
+from repro.commit import MerkleTree, merkle
 from repro.field import gl64, native
 from repro.field.prime_field import GOLDILOCKS
 from repro.halo2 import prover
@@ -84,16 +85,20 @@ def residues(rng, shape):
     k=st.integers(1, 10),
     layout=st.sampled_from(["contiguous", "transposed", "strided", "reversed"]),
     scale=st.sampled_from(["none", "scalar", "vector"]),
+    part=st.sampled_from([None, (0, 1), (1, 2), (3, 4)]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(rows=7, k=3, layout="contiguous", scale="none", seed=0)  # n < 16: scalar
-@example(rows=1, k=4, layout="contiguous", scale="vector", seed=0)  # in-register spans
-@example(rows=3, k=6, layout="strided", scale="scalar", seed=0)
-@example(rows=2, k=5, layout="reversed", scale="none", seed=0)
-@example(rows=9, k=4, layout="transposed", scale="vector", seed=0)
-@example(rows=8, k=10, layout="transposed", scale="vector", seed=0)
-@example(rows=17, k=1, layout="transposed", scale="scalar", seed=1)
-def test_ntt_rows_agree_on_every_path(rows, k, layout, scale, seed):
+@example(rows=7, k=3, layout="contiguous", scale="none", part=None, seed=0)  # n < 16
+@example(rows=1, k=4, layout="contiguous", scale="vector", part=None, seed=0)  # in registers
+@example(rows=3, k=6, layout="strided", scale="scalar", part=(1, 2), seed=0)
+@example(rows=2, k=5, layout="reversed", scale="none", part=None, seed=0)
+@example(rows=9, k=4, layout="transposed", scale="vector", part=(3, 4), seed=0)
+@example(rows=8, k=10, layout="transposed", scale="vector", part=(1, 2), seed=0)
+@example(rows=17, k=1, layout="transposed", scale="scalar", part=(0, 1), seed=1)
+def test_ntt_rows_agree_on_every_path(rows, k, layout, scale, part, seed):
+    """Rows read through any strides and written back to back, or into
+    coset part ``r`` of an ``(rows, ext, n)`` LDE through its row stride
+    (the rest of the LDE untouched)."""
     n = 1 << k
     stages = gl64.ntt_stages(GOLDILOCKS.root_of_unity(k), n)
     rev = gl64.bit_reverse_indices(n)
@@ -107,20 +112,48 @@ def test_ntt_rows_agree_on_every_path(rows, k, layout, scale, seed):
         values = values[:, ::-1]
     factor = {"none": None, "scalar": np.uint64(P - 2),
               "vector": rng.integers(0, P, n, dtype=np.uint64)}[scale]
-    runs = on_every_path(lambda: gl64.ntt(values, stages, rev, scale_rev=factor))
+
+    def transform():
+        if part is None:
+            return gl64.ntt(values, stages, rev, scale_rev=factor)
+        r, ext = part
+        lde = np.full((rows, ext, n), 7, dtype=np.uint64)
+        assert gl64.ntt(values, stages, rev, factor, out=lde[:, r, :]).base is lde
+        return lde
+
+    runs = on_every_path(transform)
     assert_equal_runs(runs, np.array_equal)
+    if part is not None:
+        r, ext = part
+        assert np.array_equal(runs["lanes"][0][:, r, :],
+                              gl64.ntt(values, stages, rev, scale_rev=factor))
+        assert (np.delete(runs["lanes"][0], r, axis=1) == 7).all()
 
 
 @settings(max_examples=80, deadline=None)
-@given(m=st.integers(1, 17), width=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
-@example(m=3, width=11, seed=0)  # a partial vector of columns
-@example(m=17, width=64, seed=0)  # two register blocks
-def test_weighted_sums_and_horner_agree_on_every_path(m, width, seed):
+@given(
+    m=st.integers(1, 50), width=st.integers(1, 70),
+    subset=st.none() | st.lists(st.integers(0, 49), max_size=60),
+    stride=st.sampled_from([0, 1, 5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=3, width=11, subset=None, stride=0, seed=0)  # a partial vector of columns
+@example(m=17, width=64, subset=None, stride=0, seed=0)  # two register blocks
+@example(m=9, width=33, subset=[8, 0, 8, 3], stride=5, seed=0)  # repeats, row stride
+def test_weighted_sums_and_horner_agree_on_every_path(m, width, subset, stride, seed):
+    """All rows, or a random row subset (repeats and any order) through a
+    row index; rows back to back or ``stride`` words apart in a wider
+    matrix, read in place."""
     rng = np.random.default_rng(seed)
-    rows, vec = residues(rng, (m, width)), residues(rng, m)[::-1].copy()
-    runs = on_every_path(lambda: (gl64.weighted_sum(rows, vec),
-                                  gl64.poly_eval_rows(rows, vec)))
+    rows = residues(rng, (m, width + stride))[:, :width]
+    index = None if subset is None else np.array([i % m for i in subset], np.int64)
+    vec = residues(rng, m if index is None else len(index))[::-1].copy()
+    picked = rows if index is None else rows[index]
+    runs = on_every_path(lambda: (gl64.weighted_sum(rows, vec, index),
+                                  gl64.poly_eval_rows(rows, vec, index)))
     assert_equal_runs(runs, lambda a, b: all(map(np.array_equal, a, b)))
+    assert np.array_equal(runs["lanes"][0][0], gl64.weighted_sum(picked, vec))
+    assert np.array_equal(runs["lanes"][0][1], gl64.poly_eval_rows(picked, vec))
 
 
 @settings(max_examples=80, deadline=None)
@@ -161,19 +194,34 @@ def test_power_tables_agree_on_every_path(first, ratio, n):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    count=st.sampled_from([1, 7, 8, 9, 16, 17, 24, 64]) | st.integers(1, 70),
-    words=st.sampled_from([1, 16, 17]) | st.integers(1, 40),
+    m=st.sampled_from([1, 7, 8, 9]) | st.integers(1, 50),
+    ext=st.sampled_from([1, 2, 4]),
+    k=st.integers(4, 10),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(count=17, words=16, seed=0)  # a lane group of 128-byte leaves and one over
-@example(count=24, words=17, seed=0)  # 136 bytes: two blocks a leaf, 8 padding leaves
-def test_merkle_trees_agree_on_every_path(count, words, seed):
-    rows = np.random.default_rng(seed).integers(
-        0, P, size=(count, words), dtype=np.uint64)
-    runs = on_every_path(lambda: MerkleTree.from_rows(rows))
-    assert_equal_runs(runs, lambda a, b: (
-        np.array_equal(a.nodes, b.nodes) and a.root == b.root
-        and pickle.dumps(a) == pickle.dumps(b)))
+@example(m=8, ext=1, k=4, seed=0)  # a leaf of 16 words: one block exactly
+@example(m=9, ext=2, k=4, seed=0)  # 18 words: a second block
+@example(m=46, ext=2, k=10, seed=0)  # a k=12 helper round's width
+def test_merkle_trees_agree_on_every_path(m, ext, k, seed):
+    """A round's tree with its leaves read from an ``(m, ext, 2^k)`` LDE,
+    and the ``(1, 1, N)`` fold-layer case."""
+    lde = np.random.default_rng(seed).integers(0, P, size=(m, ext, 1 << k), dtype=np.uint64)
+    runs = on_every_path(lambda: [MerkleTree.from_lde(lde),
+                                  MerkleTree.from_lde(lde[m // 2].reshape(1, 1, -1))])
+    assert_equal_runs(runs, lambda a, b: all(
+        np.array_equal(x.nodes, y.nodes) and x.root == y.root
+        and pickle.dumps(x) == pickle.dumps(y) for x, y in zip(a, b)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=st.integers(0, 19), words=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+@example(count=9, words=16, seed=0)  # a lane group and one over, one block exactly
+@example(count=9, words=17, seed=0)  # a word past the block
+def test_column_digests_agree_on_every_path(count, words, seed):
+    rng = np.random.default_rng(seed)
+    cols = [rng.integers(0, P, size=words, dtype=np.uint64) for _ in range(count)]
+    runs = on_every_path(lambda: merkle.column_digests(cols))
+    assert_equal_runs(runs, list.__eq__)
 
 
 @pytest.fixture(scope="module")

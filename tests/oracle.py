@@ -1,17 +1,19 @@
 """The numpy and ``hashlib`` oracle the compiled Goldilocks kernel is held to.
 
-``src/repro`` has one arithmetic path: every ``gl64`` entry point and
-``MerkleTree.from_rows`` is a call into ``gl64_native.c``.  This module
-is the second, independent implementation of the same functions, kept
-only to test the first: the Goldilocks kernels as fixed sequences of
-numpy ufunc passes over 32-bit limbs, and the Merkle tree as a
-``hashlib`` loop.  Each function takes and returns exactly what its
-``gl64`` namesake does, and the two agree bit for bit.
+``src/repro`` has one arithmetic path: every ``gl64`` entry point,
+``MerkleTree.from_lde`` and ``merkle.column_digests`` is a call into
+``gl64_native.c``.  This module is the second, independent implementation
+of the same functions, kept only to test the first: the Goldilocks
+kernels as fixed sequences of numpy ufunc passes over 32-bit limbs, the
+Merkle tree as a ``hashlib`` loop over an explicit row-major leaf matrix
+(:func:`lde_leaf_rows`, which the product never builds), and the column
+digests as ``hashlib`` calls.  Each function takes and returns exactly
+what its namesake does, and the two agree bit for bit.
 
-:func:`oracle_tier` swaps these bodies into ``gl64`` and ``MerkleTree``
-for the duration, so whole keygens, proofs and verifications can be run
-on the oracle and compared byte for byte with the product (the golden
-envelopes, ``tests/halo2/test_vectorized_equivalence.py``,
+:func:`oracle_tier` swaps these bodies into ``gl64``, ``MerkleTree`` and
+``merkle`` for the duration, so whole keygens, proofs and verifications
+can be run on the oracle and compared byte for byte with the product
+(the golden envelopes, ``tests/halo2/test_vectorized_equivalence.py``,
 ``tests/field/test_lane_kernels.py``).  Inside it the compiled library
 is out of reach: any call that still gets there fails the test.
 """
@@ -27,7 +29,7 @@ from unittest import mock
 
 import numpy as np
 
-from repro.commit import MerkleTree
+from repro.commit import MerkleTree, merkle
 from repro.commit.merkle import DIGEST_BYTES, _hash_leaf, _padded
 from repro.field import gl64, native
 from repro.field.gl64 import TAPE_LOAD, TAPE_ADD, TAPE_MUL, TAPE_NEG, TAPE_STORE, TAPE_SUB
@@ -343,14 +345,16 @@ def eval_tape(code: np.ndarray, num_regs: int, cols: Sequence[np.ndarray],
                 regs[dst] = reg
 
 
-def poly_eval_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate row ``i`` of ``coeffs`` at ``points[i]``, for all rows at once.
+def poly_eval_rows(coeffs: np.ndarray, points: np.ndarray, index=None) -> np.ndarray:
+    """Evaluate row ``index[i]`` (default ``i``) of ``coeffs`` at ``points[i]``.
 
     Pairwise (Estrin-style) folding: each pass combines adjacent
     coefficients as ``c_even + x * c_odd`` and squares ``x``, halving the
     width, so a degree-(n-1) evaluation costs ``log2(n)`` vector passes.
     Field-exact, so values match Horner's rule.
     """
+    if index is not None:
+        coeffs = coeffs[np.asarray(index, dtype=np.int64)]
     m, width = coeffs.shape
     if not width or width & (width - 1):
         padded = 1 << width.bit_length()
@@ -365,14 +369,16 @@ def poly_eval_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return acc[:, 0]
 
 
-def weighted_sum(rows: np.ndarray, weights: Sequence[int]) -> np.ndarray:
-    """``sum_i weights[i] * rows[i]`` down the first axis of an ``(m, L)`` matrix.
+def weighted_sum(rows: np.ndarray, weights: Sequence[int], index=None) -> np.ndarray:
+    """``sum_i weights[i] * rows[index[i]]`` (default ``rows[i]``) of a matrix.
 
     The products are summed as 32-bit limbs — up to ``2^31`` limbs fit a
     64-bit word without wrapping, and both limb sums stay below ``p`` —
     so the reduction is two integer column sums recombined in the field
     instead of ``m - 1`` modular adds.
     """
+    if index is not None:
+        rows = rows[np.asarray(index, dtype=np.int64)]
     m, width = rows.shape
     w = np.array(weights, dtype=np.uint64).reshape(m, 1)
     lo = np.zeros(width, dtype=np.uint64)
@@ -412,13 +418,15 @@ def _butterfly(u, v, w) -> None:
 
 
 def ntt(values: np.ndarray, stages: np.ndarray, rev: np.ndarray,
-        scale_rev=None) -> np.ndarray:
+        scale_rev=None, out=None) -> np.ndarray:
     """:func:`repro.field.gl64.ntt` as numpy passes.  The packed twiddles
     are split per stage into 32-bit limbs; rows are processed in blocks of
-    ``2 * BLOCK / n``, each gathered into the result and taken through
-    every stage in place before the next block is touched."""
+    ``2 * BLOCK / n``, each gathered into the result (``out`` when given)
+    and taken through every stage in place before the next block is
+    touched."""
     n = values.shape[-1]
-    out = np.empty(values.shape, dtype=np.uint64)
+    if out is None:
+        out = np.empty(values.shape, dtype=np.uint64)
     if not values.size:
         return out
     limbs = [np.stack(_limbs(stages[half - 1 : 2 * half - 1]))
@@ -465,14 +473,44 @@ def hashlib_tree(leaves: Sequence[bytes]) -> MerkleTree:
         b"".join(digests), dtype=np.uint8).reshape(-1, DIGEST_BYTES))
 
 
+def lde_leaf_rows(lde) -> np.ndarray:
+    """The Merkle leaf matrix of an ``(m, ext, n)`` LDE, built explicitly:
+    row ``j`` holds every column at part ``j % ext``, position ``j // ext``,
+    then every column at that position plus ``n / 2``."""
+    lde = np.asarray(lde, dtype=np.uint64)
+    m, ext, n = lde.shape
+    half, mid = ext * n // 2, n // 2
+    rows = np.empty((half, 2 * m), dtype=np.uint64)
+    rows[:, :m] = lde[:, :, :mid].transpose(2, 1, 0).reshape(half, m)
+    rows[:, m:] = lde[:, :, mid:].transpose(2, 1, 0).reshape(half, m)
+    return rows
+
+
 def tree_from_rows(rows) -> MerkleTree:
-    """:meth:`MerkleTree.from_rows` over row slices of the leaf bytes."""
+    """The ``hashlib`` tree with one leaf per row of an ``(L, w)`` matrix
+    of residues, each leaf the row's little-endian bytes."""
     rows = np.ascontiguousarray(rows, dtype="<u8")
     if rows.ndim != 2 or not rows.shape[1]:
         raise ValueError("rows need a nonempty (L, w) shape")
     width = 8 * rows.shape[1]
     buf = memoryview(rows).cast("B")
     return hashlib_tree([buf[i : i + width] for i in range(0, len(buf), width)])
+
+
+def tree_from_lde(lde) -> MerkleTree:
+    """:meth:`MerkleTree.from_lde` as the ``hashlib`` tree over
+    :func:`lde_leaf_rows`."""
+    lde = np.asarray(lde, dtype=np.uint64)
+    if lde.ndim != 3 or not lde.shape[0] or not lde.shape[1] or lde.shape[2] % 2:
+        raise ValueError("an LDE needs a nonempty (m, extension, n) shape, "
+                         "n even; got %s" % (lde.shape,))
+    return tree_from_rows(lde_leaf_rows(lde))
+
+
+def column_digests(columns) -> List[bytes]:
+    """:func:`repro.commit.merkle.column_digests` through ``hashlib``."""
+    return [hashlib.blake2b(np.ascontiguousarray(col, dtype="<u8"),
+                            digest_size=DIGEST_BYTES).digest() for col in columns]
 
 
 # -- the oracle tier ---------------------------------------------------------------
@@ -500,6 +538,7 @@ def oracle_tier():
         for name in KERNELS:
             stack.enter_context(mock.patch.object(gl64, name, globals()[name]))
         stack.enter_context(mock.patch.object(
-            MerkleTree, "from_rows", staticmethod(tree_from_rows)))
+            MerkleTree, "from_lde", staticmethod(tree_from_lde)))
+        stack.enter_context(mock.patch.object(merkle, "column_digests", column_digests))
         stack.enter_context(mock.patch.object(native, "_handle", _OutOfReach()))
         yield

@@ -114,7 +114,15 @@ def _describe_spec(spec, num_cols: int, scale_bits: int) -> None:
     log.info("selectors:       %d", layout.num_selectors)
     log.info("fixed columns:   %d (%d weight columns)", layout.num_fixed,
              layout.num_weight_columns)
-    log.info("constraint deg:  %d", layout.d_max)
+    start = time.perf_counter()
+    shape = layout.shape()
+    seconds = time.perf_counter() - start
+    log.info("constraint deg:  %d (extension %d)", shape.max_degree,
+             shape.extension)
+    log.info("commit rounds:   %s columns (fixed/advice/helper/quotient)",
+             "/".join(map(str, shape.round_widths)))
+    log.info("proof bytes:     %s (shape from the count walk in %.3f s, "
+             "no witness)", "{:,}".format(shape.proof_bytes), seconds)
     log.info("field kernel:    %d lanes", native.lane_width())
 
 
@@ -139,9 +147,9 @@ def _inspect_info(spec, scale: str, num_cols: int, scale_bits: int) -> dict:
             "num_selectors": layout.num_selectors,
             "num_fixed": layout.num_fixed,
             "num_weight_columns": layout.num_weight_columns,
-            "d_max": layout.d_max,
             "per_layer_rows": dict(layout.per_layer_rows),
         },
+        "shape": layout.shape().as_dict(),
     }
     if spec.materialized:
         # Mini models can be synthesized for exact cell/row counters — the
@@ -229,7 +237,12 @@ def _cmd_prove(args) -> int:
     log.info("keygen:       %.2f s", result.keygen_seconds)
     log.info("proving:      %.2f s", result.proving_seconds)
     log.info("verification: %.4f s", verify_seconds)
-    log.info("proof size:   %d bytes (modeled)", result.modeled_proof_bytes)
+    shape = result.vk.shape
+    log.info("shape:        degree %d, extension %d, rounds %s columns",
+             shape.max_degree, shape.extension,
+             "/".join(map(str, shape.round_widths)))
+    log.info("proof size:   %d bytes (modeled halo2 proof: %d bytes)",
+             shape.proof_bytes, result.modeled_proof_bytes)
     if args.profile:
         log.info("prover phase breakdown:")
         total = sum(result.phase_seconds.values())
@@ -237,7 +250,7 @@ def _cmd_prove(args) -> int:
                                   key=lambda kv: -kv[1]):
             share = 100.0 * secs / total if total else 0.0
             log.info("  %-10s %8.3f s  %5.1f%%", phase, secs, share)
-        log.info("cost model, predicted vs actual:")
+        log.info("proof shape, predicted vs actual:")
         log.info("%s",
                  render_predicted_vs_actual(result.predicted_vs_actual()))
     envelope = None

@@ -172,6 +172,9 @@ def synthesize_batch(
                         sp.set_attr("rows_after", builder.rows_used)
             slot_outputs.append({name: values[name]
                                  for name in spec.outputs})
+        # land the queued cells and copies here, not in whoever reads
+        # the grid next (keygen would be billed for synthesis)
+        builder.asg
 
     return SynthesizedModel(spec=spec, layout=layout, builder=builder,
                             slot_outputs=slot_outputs)

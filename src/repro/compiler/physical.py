@@ -3,23 +3,26 @@
 Given a model, a logical layout (gadget choices), and a column count, a
 :class:`PhysicalLayout` records *exactly* how many rows the grid needs
 (gadget rows and lookup-table rows), the number of lookup arguments,
-selectors, fixed columns, and the maximum constraint degree — all the
-inputs the cost model (paper §7.4) needs — without ever allocating a
-witness.  The simulator is the synthesizer: every layer's ``synthesize``
-runs on a counting :class:`~repro.gadgets.CircuitBuilder` over shape-only
-tensors, so the rows and gadgets counted are the ones a real synthesis
-lays out.  Because the number of rows must be a power of two, the layout
-also fixes the minimal feasible ``k`` (paper §7.3).
+selectors and fixed columns — the inputs the cost model (paper §7.4)
+needs — without ever allocating a witness.  The simulator is the
+synthesizer: every layer's ``synthesize`` runs on a counting
+:class:`~repro.gadgets.CircuitBuilder` over shape-only tensors, so the
+rows and gadgets counted are the ones a real synthesis lays out.  Because the number of rows must be a power of two, the layout
+also fixes the minimal feasible ``k`` (paper §7.3).  The layout keeps
+the gadgets the walk configured, which is all :meth:`PhysicalLayout.shape`
+needs for the :class:`~repro.halo2.shape.ProofShape` keygen would give
+the circuit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.compiler.logical import LayoutPlan
 from repro.gadgets import CircuitBuilder
+from repro.halo2.shape import ProofShape
 from repro.layers.base import LayoutChoices
 from repro.model.spec import ModelSpec
 from repro.resilience.errors import LayoutError
@@ -62,7 +65,6 @@ class PhysicalLayout:
     num_lookups: int
     num_fixed: int
     num_selectors: int
-    d_max: int
 
     @property
     def n(self) -> int:
@@ -78,6 +80,9 @@ class PhysicalLayout:
 
     #: fixed columns holding model parameters (set by the builder pass)
     num_weight_columns: int = 0
+    #: the gadgets the walk configured, as ``(class, params)`` keys in
+    #: first-use order
+    gadgets: Tuple = ()
 
     @property
     def num_permutation_columns(self) -> int:
@@ -89,10 +94,26 @@ class PhysicalLayout:
     def describe(self) -> str:
         return (
             "%s: %d cols x 2^%d rows (%d gadget rows, %d table rows), "
-            "%d lookups, d_max=%d, plan=%s"
+            "%d lookups, plan=%s"
             % (self.spec.name, self.num_cols, self.k, self.gadget_rows,
-               self.table_rows, self.num_lookups, self.d_max, self.plan)
+               self.table_rows, self.num_lookups, self.plan)
         )
+
+    def shape(self, k: Optional[int] = None, slots: int = 1) -> ProofShape:
+        """The proof shape of ``slots`` inferences on ``2^k`` rows
+        (default: this layout's ``k``), without a witness: ``of()`` on the
+        constraint system a real synthesis declares once its outputs are
+        exposed — the builder's columns, the weight columns, the walk's
+        gadgets in the walk's order and one instance column per (slot,
+        output)."""
+        k = self.k if k is None else k
+        builder = CircuitBuilder(None, self.num_cols, self.scale_bits,
+                                 self.lookup_bits)
+        builder.declare(self.gadgets, _weight_columns(self.spec, k))
+        cs = builder.cs
+        for _ in range(slots * len(self.spec.outputs)):
+            cs.enable_equality(cs.instance_column())
+        return ProofShape.of(cs, k)
 
 
 def resolve_choices(choices: LayoutChoices, lookup_bits: int) -> LayoutChoices:
@@ -108,6 +129,11 @@ def minimal_k(gadget_rows: int, table_rows: int, lookup_bits: int) -> int:
     lookup tables (paper §7.3: the row count must be a power of two)."""
     needed = max(gadget_rows, table_rows, 2)
     return max(int(math.ceil(math.log2(needed))), lookup_bits + 1)
+
+
+def _weight_columns(spec: ModelSpec, k: int) -> int:
+    """Fixed columns the model's parameters fill on ``2^k`` rows."""
+    return -(-spec.param_count() // (1 << k))
 
 
 def build_physical_layout(
@@ -165,7 +191,7 @@ def build_physical_layout(
         )
 
     # model parameters live in fixed columns (the vk commits to them)
-    num_weight_columns = -(-spec.param_count() // (1 << k))
+    num_weight_columns = _weight_columns(spec, k)
 
     return PhysicalLayout(
         spec=spec,
@@ -181,7 +207,6 @@ def build_physical_layout(
         # the constants column and the lookup tables, plus the weights
         num_fixed=builder.cs.num_fixed + num_weight_columns,
         num_selectors=builder.num_selectors,
-        # halo2's accounting: a lookup's helper constraint is degree 4
-        d_max=4 if builder.num_lookups else 3,
         num_weight_columns=num_weight_columns,
+        gadgets=builder.configured,
     )

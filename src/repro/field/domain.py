@@ -30,6 +30,13 @@ from repro.field.vector import GL64Backend
 from repro.obs.stats import STATS
 
 
+def extension_for(max_degree: int) -> int:
+    """The extension factor for constraints of degree ``max_degree``: the
+    smallest power of two >= ``max_degree - 1`` (at least 2), so that
+    degree ``max_degree * (n-1)`` polynomials fit on the extended domain."""
+    return max(1 << max(max_degree - 2, 0).bit_length(), 2)
+
+
 class EvaluationDomain:
     """The multiplicative subgroup of order ``2^k`` plus coset machinery."""
 
@@ -43,12 +50,7 @@ class EvaluationDomain:
         self.k = k
         self.n = 1 << k
         self.omega = field.root_of_unity(k)
-        # Extension factor: smallest power of two >= max_degree - 1, so that
-        # degree (max_degree * (n-1)) polynomials fit on the extended domain.
-        ext = 1
-        while ext < max_degree - 1:
-            ext <<= 1
-        self.extension = max(ext, 2)
+        self.extension = extension_for(max_degree)
         self.extended_k = k + self.extension.bit_length() - 1
         self.extended_n = 1 << self.extended_k
         self.extended_omega = field.root_of_unity(self.extended_k)

@@ -299,6 +299,24 @@ class CircuitBuilder:
         return clone
 
     @property
+    def configured(self) -> Tuple[Tuple[Type, Tuple], ...]:
+        """The gadgets configured so far, as ``(class, params)`` keys in
+        first-use order."""
+        return tuple(self._gadgets)
+
+    def declare(self, gadgets, weight_columns: int) -> None:
+        """Declare on a counting builder what a real synthesis declares
+        before it exposes outputs: the advice columns, ``weight_columns``
+        parameter columns and the ``gadgets`` (a count walk's
+        :attr:`configured`), each configured for real in the order given
+        (the count walk itself only adopts them)."""
+        self.columns = self._advice_columns()
+        for _ in range(weight_columns):
+            self.cs.enable_equality(self.cs.fixed_column())
+        for cls, params in gadgets:
+            cls(self, **dict(params))
+
+    @property
     def num_lookups(self) -> int:
         return len(self.cs.lookups) + self._adopted_lookups
 

@@ -259,9 +259,15 @@ class Assignment:
 
     def copy_block(self, src, dst) -> None:
         """Record copy constraints ``src[i] == dst[i]``, cells given as
-        :func:`~repro.halo2.column.cell_code` integers."""
+        :func:`~repro.halo2.column.cell_code` integers.  Copies arrive a
+        block per builder flush, so the list grows to exactly its new
+        length: doubling it for the small block of exposed outputs that
+        follows synthesis would hold the whole list twice over."""
         end = self.num_copies + len(src)
-        self._copies = _reserve(self._copies, end)
+        if end > len(self._copies):
+            grown = np.empty((end, 6), np.int64)
+            grown[: self.num_copies] = self.copies
+            self._copies = grown
         block = self._copies[self.num_copies : end]
         block[:, :3] = unpack_cells(src)
         block[:, 3:] = unpack_cells(dst)

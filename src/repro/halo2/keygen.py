@@ -10,7 +10,9 @@ Keygen fixes everything that does not depend on the witness:
   polynomials);
 - the *extended constraint list*: user gates plus the lookup and
   permutation helper constraints, expressed over helper advice columns
-  and :class:`~repro.halo2.expression.Challenge` placeholders.  Prover and
+  and :class:`~repro.halo2.expression.Challenge` placeholders (the
+  witness-free half, :func:`repro.halo2.shape.arguments`, which also
+  gives the key its :class:`~repro.halo2.shape.ProofShape`).  Prover and
   verifier fold this list in the same order with the challenge ``y``;
 - the prover's two register tapes (:mod:`repro.halo2.tape`): that fold,
   and phase 2's compressed lookup columns, denominators and numerators.
@@ -19,6 +21,7 @@ Keygen fixes everything that does not depend on the witness:
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
@@ -28,7 +31,6 @@ from repro.commit import fri
 from repro.commit.scheme import (
     COMMITMENT_BYTES,
     SCALAR_BYTES,
-    Claim,
     CommitmentScheme,
     CommittedRound,
 )
@@ -36,56 +38,20 @@ from repro.field.domain import EvaluationDomain
 from repro.field.prime_field import PrimeField
 from repro.halo2.circuit import Assignment, ConstraintSystem
 from repro.halo2.column import KINDS, Column, ColumnType
-from repro.halo2.expression import (
-    Challenge,
-    Constant,
-    Expression,
-    Ref,
-    expression_digest,
+from repro.halo2.expression import Expression, expression_digest
+# ``LookupHelpers`` and ``PermutationData`` are also the names keys
+# pickled by older builds resolve here
+from repro.halo2.shape import (
+    FIXED_ROUND,
+    HELPER_ROUND,
+    LookupHelpers,
+    PermutationData,
+    ProofShape,
+    arguments,
+    claim_of,
 )
-from repro.halo2.lookup import LookupArgument
 from repro.halo2.tape import INSTANCE, Slot, Tape, compile_fold, compile_stores
 from repro.obs.trace import get_tracer
-from repro.resilience.errors import LayoutError
-
-#: Challenge labels used by the helper arguments.
-THETA, BETA, GAMMA, ALPHA = "theta", "beta", "gamma", "alpha"
-
-#: The commit rounds, in the order a query opens their rows.
-FIXED_ROUND, ADVICE_ROUND, HELPER_ROUND, QUOTIENT_ROUND = range(4)
-
-
-@dataclass(frozen=True)
-class LookupHelpers:
-    """Helper advice columns for one lookup *table*.
-
-    The arguments reading the table share helper columns in declaration
-    order: ``h_cols[i]`` holds the weighted fractions of the one or two
-    arguments ``groups[i]``.  The multiplicity and running-sum columns
-    are shared: ``ceil(L/2) + 2`` columns for ``L`` paired lookups, and
-    ``sum_j ceil(L_j/2) + 2T`` over ``T`` tables.
-    """
-
-    arguments: Tuple[LookupArgument, ...]
-    groups: Tuple[Tuple[LookupArgument, ...], ...]
-    h_cols: Tuple[Column, ...]
-    m_col: Column
-    s_col: Column
-
-    @property
-    def table(self) -> Tuple[Expression, ...]:
-        return self.arguments[0].table
-
-
-@dataclass(frozen=True)
-class PermutationData:
-    """Permutation argument layout: one helper per permuted column + sum."""
-
-    columns: Tuple[Column, ...]
-    id_cols: Tuple[Column, ...]
-    sigma_cols: Tuple[Column, ...]
-    helper_cols: Tuple[Column, ...]
-    sum_col: Column
 
 
 @dataclass
@@ -97,7 +63,8 @@ class VerifyingKey:
     cs: ConstraintSystem
     scheme_name: str
     domain: EvaluationDomain
-    max_degree: int
+    #: every count a proof of this circuit has (:mod:`repro.halo2.shape`)
+    shape: ProofShape
     #: The fixed round's columns (fixed, then selector), in tree order.
     fixed_columns: Tuple[Column, ...]
     #: Merkle root of the fixed round.
@@ -106,65 +73,37 @@ class VerifyingKey:
     lookups: List[LookupHelpers]
     permutation: Optional[PermutationData]
     constraints: List[Tuple[str, Expression]]
-    advice_queries: List[Tuple[Column, int]]
-    num_helper_advice: int
     _digest: bytes = dc_field(default=b"", repr=False)
 
     @property
     def n(self) -> int:
         return 1 << self.k
 
-    @property
-    def num_quotient_pieces(self) -> int:
-        return self.max_degree - 1
-
-    @property
-    def round_widths(self) -> Tuple[int, int, int, int]:
-        """Columns per commit round (fixed, advice, helper, quotient)."""
-        return (len(self.fixed_columns), self.cs.num_advice,
-                self.num_helper_advice, self.num_quotient_pieces)
-
-    def claim_of(self, col: Column, rot: int) -> Claim:
-        """The opening claim that answers a constraint's read of
-        ``col`` at ``rot`` (fixed, selector and advice columns only)."""
-        if col.kind == ColumnType.ADVICE:
-            if col.index < self.cs.num_advice:
-                return (ADVICE_ROUND, col.index, rot)
-            return (HELPER_ROUND, col.index - self.cs.num_advice, rot)
-        return (FIXED_ROUND, self.fixed_columns.index(col), rot)
-
-    @property
-    def claims(self) -> List[Claim]:
-        """Every evaluation a proof claims, in wire order: each committed
-        column read by a constraint at ``omega^rot x`` plus the quotient
-        pieces at ``x``, sorted by rotation, then round, then column."""
-        cached = getattr(self, "_claims", None)
-        if cached is None:
-            found = {
-                self.claim_of(col, rot)
-                for _, expr in self.constraints
-                for col, rot in expr.refs()
-                if col.kind != ColumnType.INSTANCE
-            }
-            found.update((QUOTIENT_ROUND, j, 0)
-                         for j in range(self.num_quotient_pieces))
-            cached = sorted(found, key=lambda c: (c[2], c[0], c[1]))
-            self._claims = cached
-        return cached
+    def __setstate__(self, state):
+        # keys interned as pickle's default restore does, so a reloaded
+        # key pickles to the same bytes
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
+        if "shape" not in state:
+            # an older build's key: its degree, helper count, advice
+            # queries and claims cache instead of the shape they imply
+            for stale in ("max_degree", "num_helper_advice",
+                          "advice_queries", "_claims"):
+                self.__dict__.pop(stale, None)
+            self.shape = ProofShape.of(self.cs, self.k)
 
     def digest(self) -> bytes:
         """A binding digest of the preprocessed circuit: its shape, the
         fixed round's root, the opening parameters and every constraint."""
         if not self._digest:
+            shape = self.shape
             h = hashlib.blake2b(digest_size=32)
-            h.update(b"vk:%d:%d:%s:%d" % (self.k, self.max_degree,
+            h.update(b"vk:%d:%d:%s:%d" % (self.k, shape.max_degree,
                                           self.scheme_name.encode(),
                                           self.field.p))
-            h.update(b"opening:%d:%d:%d" % (self.domain.extension,
-                                            fri.FRI_QUERIES,
+            h.update(b"opening:%d:%d:%d" % (shape.extension, shape.queries,
                                             fri.FRI_FINAL_LEN))
             h.update(b"columns:%d:%d:%d:%r" % (
-                self.cs.num_advice, self.num_helper_advice,
+                self.cs.num_advice, shape.round_widths[HELPER_ROUND],
                 self.cs.num_instance, self.fixed_columns))
             h.update(self.fixed_root)
             memo: Dict[int, bytes] = {}
@@ -179,13 +118,10 @@ class VerifyingKey:
         point per committed column, one scalar per opened advice or
         quotient evaluation, plus the backend's multiopen argument.
         Tables 6/7/14 report this quantity beside the real byte count."""
-        pieces = self.num_quotient_pieces
-        return (
-            COMMITMENT_BYTES * (self.cs.num_advice + self.num_helper_advice
-                                + pieces)
-            + SCALAR_BYTES * (len(self.advice_queries) + pieces)
-            + scheme.opening_proof_bytes(self.k)
-        )
+        opened = sum(1 for rnd, _, _ in self.shape.claims
+                     if rnd != FIXED_ROUND)
+        return (COMMITMENT_BYTES * self.shape.commitments
+                + SCALAR_BYTES * opened + scheme.opening_proof_bytes(self.k))
 
 
 @dataclass
@@ -207,20 +143,6 @@ class ProvingKey:
     helper_tape: Tape
 
 
-def _compress(exprs: Tuple[Expression, ...], theta: Expression) -> Expression:
-    """Random-linear-combine a tuple of expressions with powers of theta."""
-    acc: Expression = exprs[-1]
-    for e in reversed(exprs[:-1]):
-        acc = acc * theta + e
-    return acc
-
-
-#: The helper tape's output blocks, in row order: the compressed lookup
-#: inputs and tables, the lookup helper columns' denominators, the
-#: tables' and the permutation's denominators, the lookup numerators.
-COMPRESSED, H_DENOMINATOR, DENOMINATOR, NUMERATOR = range(4)
-
-
 def _compile_tapes(vk: VerifyingKey, stores: List[Tuple[int, Expression]]
                    ) -> Tuple[Tape, Tape]:
     """The quotient tape over the committed rounds, and the helper tape
@@ -232,7 +154,7 @@ def _compile_tapes(vk: VerifyingKey, stores: List[Tuple[int, Expression]]
     def slot_of(col: Column) -> Slot:
         if col.kind == ColumnType.INSTANCE:
             return (INSTANCE, col.index)
-        return vk.claim_of(col, 0)[:2]
+        return claim_of(col, 0, vk.cs.num_advice, vk.fixed_columns)[:2]
 
     quotient = compile_fold([expr for _, expr in vk.constraints], vk.n, slot_of)
     sizes = [0] * 4
@@ -244,29 +166,6 @@ def _compile_tapes(vk: VerifyingKey, stores: List[Tuple[int, Expression]]
         order.append((next_row[block], expr))
         next_row[block] += 1
     return quotient, compile_stores(order, vk.n, slot_of)
-
-
-def _fractions(terms: List[Tuple[LookupArgument, Expression]],
-               alpha: Expression, bound: int) -> List[tuple]:
-    """Pair one table's lookups, in declaration order, into helper
-    columns: ``(group, denominator, numerator)`` per column.
-
-    ``terms`` holds each lookup with its compressed input ``f``.  Two
-    lookups share a column when ``h (alpha + f_i)(alpha + f_j) - q_i
-    (alpha + f_j) - q_j (alpha + f_i)`` stays within degree ``bound``;
-    otherwise the first keeps ``h (alpha + f) - q`` to itself.
-    """
-    out = []
-    for lk, f in terms:
-        d, q = alpha + f, lk.numerator()
-        if out and len(out[-1][0]) == 1:
-            (lk0,), d0, q0 = out[-1]
-            den, num = d0 * d, q0 * d + q * d0
-            if max(1 + den.degree(), num.degree()) <= bound:
-                out[-1] = ((lk0, lk), den, num)
-                continue
-        out.append(((lk,), d, q))
-    return out
 
 
 def _build_permutation_tags(
@@ -328,22 +227,8 @@ def keygen(
     field = cs.field
     n = assignment.n
     tracer = tracer if tracer is not None else get_tracer()
-
-    # ---- allocate helper columns beyond the user column space -------------
-    next_advice = cs.num_advice
-    next_fixed = cs.num_fixed
-
-    def new_advice() -> Column:
-        nonlocal next_advice
-        col = Column(ColumnType.ADVICE, next_advice)
-        next_advice += 1
-        return col
-
-    def new_fixed() -> Column:
-        nonlocal next_fixed
-        col = Column(ColumnType.FIXED, next_fixed)
-        next_fixed += 1
-        return col
+    args = arguments(cs)
+    shape = ProofShape.of(cs, assignment.k, args)
 
     # the key owns a copy of the fixed grid, not a view synthesis can write
     fixed_evals: Dict[Column, np.ndarray] = {}
@@ -351,130 +236,27 @@ def keygen(
         fixed_evals[Column(ColumnType.FIXED, i)] = values
     for i, values in enumerate(assignment.selectors):
         fixed_evals[Column(ColumnType.SELECTOR, i)] = values
-
-    l0_col = new_fixed()
-    fixed_evals[l0_col] = np.zeros(n, dtype=np.uint64)
-    fixed_evals[l0_col][0] = 1
-    l0 = Ref(l0_col)
-
-    constraints: List[Tuple[str, Expression]] = []
-    for gate in cs.gates:
-        for i, c in enumerate(gate.effective_constraints()):
-            constraints.append(("%s/%d" % (gate.name, i), c))
-
-    # ---- lookup helper constraints ----------------------------------------
-    # Lookups are grouped by table (structural equality of the table
-    # expressions, first-appearance order) and paired within a table
-    # (_fractions): each helper column h proves the weighted fractions
-    # sum_i q_i/(alpha + f_i) of its one or two lookups; the table's
-    # running sum then accumulates sum h - m/(alpha + t) with ONE
-    # multiplicity column.  A pair never raises the circuit's degree.
-    theta, alpha = Challenge(THETA), Challenge(ALPHA)
-    bound = cs.max_degree()
-    by_table: Dict[Tuple[Expression, ...], List[LookupArgument]] = {}
-    for lk in cs.lookups:
-        if lk.selector is not None and lk.selector.kind != ColumnType.SELECTOR:
-            # a numerator the prover can set lets weights cancel mod p
-            raise LayoutError(
-                "lookup %r is weighted by %r; a LogUp numerator must be a "
-                "selector column (0/1, fixed in the key)"
-                % (lk.name, lk.selector),
-                phase="keygen", lookup=lk.name)
-        by_table.setdefault(lk.table, []).append(lk)
-    lookups: List[LookupHelpers] = []
-    # phase 2's vectors in evaluation order, tagged with their output
-    # blocks (see _compile_tapes): each table's compressed inputs and
-    # table column; for the one batch inversion every helper column's
-    # denominator, then every table's, then each permuted column's id
-    # and sigma denominators; and every helper column's numerator
-    stores: List[Tuple[int, Expression]] = []
-    for table, arguments in by_table.items():
-        terms = [(lk, _compress(lk.inputs, theta)) for lk in arguments]
-        fractions = _fractions(terms, alpha, bound)
-        helpers = LookupHelpers(
-            arguments=tuple(arguments),
-            groups=tuple(group for group, _, _ in fractions),
-            h_cols=tuple(new_advice() for _ in fractions),
-            m_col=new_advice(),
-            s_col=new_advice(),
-        )
-        s = Ref(helpers.s_col)
-        step = Ref(helpers.s_col, 1) - s  # minus every h, below
-        f_of = dict(terms)
-        for (group, den, num), h_col in zip(fractions, helpers.h_cols):
-            h = Ref(h_col)
-            stores += [(COMPRESSED, f_of[lk]) for lk in group]
-            stores += [(H_DENOMINATOR, den), (NUMERATOR, num)]
-            constraints.append((
-                "lookup:%s/fraction" % ",".join(lk.name for lk in group),
-                h * den - num))
-            step = step - h
-        name = "table:%d" % len(lookups)
-        t = _compress(table, theta)
-        d_t = alpha + t
-        stores += [(COMPRESSED, t), (DENOMINATOR, d_t)]
-        constraints.append(("%s/sum" % name, step * d_t + Ref(helpers.m_col)))
-        constraints.append(("%s/init" % name, l0 * s))
-        lookups.append(helpers)
-
-    # ---- permutation helper constraints ------------------------------------
-    permutation: Optional[PermutationData] = None
-    perm_cols = cs.permuted_columns()
-    if perm_cols:
-        with tracer.span("keygen:permutation", columns=len(perm_cols),
+    fixed_evals[args.l0_col] = np.zeros(n, dtype=np.uint64)
+    fixed_evals[args.l0_col][0] = 1
+    perm = args.permutation
+    if perm is not None:
+        with tracer.span("keygen:permutation", columns=len(perm.columns),
                          copies=len(assignment.copies)):
-            ids, sigmas = _build_permutation_tags(assignment, perm_cols)
-        beta, gamma = Challenge(BETA), Challenge(GAMMA)
-        id_cols, sigma_cols, helper_cols = [], [], []
-        for j, col in enumerate(perm_cols):
-            id_col, sigma_col = new_fixed(), new_fixed()
-            fixed_evals[id_col] = ids[j]
-            fixed_evals[sigma_col] = sigmas[j]
-            id_cols.append(id_col)
-            sigma_cols.append(sigma_col)
-            helper_cols.append(new_advice())
-        sum_col = new_advice()
-        permutation = PermutationData(
-            columns=tuple(perm_cols),
-            id_cols=tuple(id_cols),
-            sigma_cols=tuple(sigma_cols),
-            helper_cols=tuple(helper_cols),
-            sum_col=sum_col,
-        )
-        total_h: Expression = Constant(0)
-        for col, id_col, sigma_col, h_col in zip(
-            perm_cols, id_cols, sigma_cols, helper_cols
-        ):
-            v = Ref(col)
-            d_id = gamma + v + beta * Ref(id_col)
-            d_sigma = gamma + v + beta * Ref(sigma_col)
-            stores += [(DENOMINATOR, d_id), (DENOMINATOR, d_sigma)]
-            h = Ref(h_col)
-            constraints.append(
-                (
-                    "perm:%r/inverse" % col,
-                    h * d_id * d_sigma - d_sigma + d_id,
-                )
-            )
-            total_h = total_h + h
-        s = Ref(sum_col)
-        s_next = Ref(sum_col, 1)
-        constraints.append(("perm/sum", s_next - s - total_h))
-        constraints.append(("perm/init", l0 * s))
+            ids, sigmas = _build_permutation_tags(assignment,
+                                                  list(perm.columns))
+        fixed_evals.update(zip(perm.id_cols, ids))
+        fixed_evals.update(zip(perm.sigma_cols, sigmas))
 
-    max_degree = max([expr.degree() for _, expr in constraints] + [2])
-    domain = EvaluationDomain(field, assignment.k, max_degree=max_degree)
-
-    for col, values in fixed_evals.items():
+    domain = EvaluationDomain(field, assignment.k, max_degree=shape.max_degree)
+    fixed_columns = args.fixed_columns
+    for col in fixed_columns:
         # read-only uint64 columns: the prover reads them without
         # converting and the pk cache checksums them in place on every hit
-        values = domain.backend.from_ints(values)
+        values = domain.backend.from_ints(fixed_evals[col])
         values.flags.writeable = False
         fixed_evals[col] = values
-    fixed_columns = tuple(
-        sorted(fixed_evals, key=lambda c: (c.kind.value, c.index)))
     with tracer.span("keygen:fixed_polys", columns=len(fixed_evals),
-                     max_degree=max_degree):
+                     max_degree=shape.max_degree):
         fixed_polys = domain.lagrange_to_coeff_batch(
             [fixed_evals[col] for col in fixed_columns])
     with tracer.span("keygen:fixed_round", columns=len(fixed_columns)):
@@ -482,34 +264,22 @@ def keygen(
         # carries it (and the tree the queries open) into later proves
         fixed_round = scheme.commit_round(domain, domain.lde(fixed_polys))
 
-    advice_queries = sorted(
-        {
-            (col, rot)
-            for _, expr in constraints
-            for col, rot in expr.refs()
-            if col.kind == ColumnType.ADVICE
-        },
-        key=lambda q: (q[0].index, q[1]),
-    )
-
     vk = VerifyingKey(
         field=field,
         k=assignment.k,
         cs=cs,
         scheme_name=scheme.name,
         domain=domain,
-        max_degree=max_degree,
+        shape=shape,
         fixed_columns=fixed_columns,
         fixed_root=fixed_round.root,
-        l0_col=l0_col,
-        lookups=lookups,
-        permutation=permutation,
-        constraints=constraints,
-        advice_queries=advice_queries,
-        num_helper_advice=next_advice - cs.num_advice,
+        l0_col=args.l0_col,
+        lookups=args.lookups,
+        permutation=perm,
+        constraints=args.constraints,
     )
-    with tracer.span("keygen:tapes", constraints=len(constraints)):
-        quotient_tape, helper_tape = _compile_tapes(vk, stores)
+    with tracer.span("keygen:tapes", constraints=len(args.constraints)):
+        quotient_tape, helper_tape = _compile_tapes(vk, args.stores)
     pk = ProvingKey(vk=vk, fixed_evals=fixed_evals, fixed_polys=fixed_polys,
                     fixed_round=fixed_round, quotient_tape=quotient_tape,
                     helper_tape=helper_tape)

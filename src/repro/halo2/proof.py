@@ -1,7 +1,7 @@
 """Proof container and its canonical ``ZKMLPRF2`` wire encoding.
 
 A proof is succinct: the roots of its commit rounds, one claimed
-evaluation per ``vk.claims`` entry, and one batched DEEP-FRI opening
+evaluation per ``vk.shape.claims`` entry, and one batched DEEP-FRI opening
 (:mod:`repro.commit.scheme`) — fold-layer roots, a final polynomial and
 ``FRI_QUERIES`` query openings, each a row + path per round tree and a
 pair + path per fold layer.  No polynomial is ever shipped.
@@ -11,7 +11,7 @@ residue)::
 
     "ZKMLPRF2" [u8 scalar width = 8]
     [u32 count][count x 32B]            round roots (advice, helper, quotient)
-    [u32 count][count x scalar]         claimed evaluations, vk.claims order
+    [u32 count][count x scalar]         claimed evaluations, vk.shape.claims order
     [u32 count][count x 32B]            fold-layer roots
     [u32 count][count x scalar]         final polynomial
     [u32 queries]
@@ -23,9 +23,10 @@ residue)::
 The width byte is always 8 and the decoder refuses any other.  The query
 shape is declared once, so the body has a fixed stride: the decoder checks
 every count against its cap and the exact remaining length before
-allocating anything.  The size a real halo2 proof of the
-same circuit would have is ``VerifyingKey.modeled_proof_bytes``; reports
-show both.
+allocating anything.  ``ProofShape.proof_bytes`` (:mod:`repro.halo2.shape`)
+sums this layout before any proof exists, so a change here changes it.
+The size a real halo2 proof of the same circuit would have is
+``VerifyingKey.modeled_proof_bytes``; reports show both.
 """
 
 from __future__ import annotations
@@ -46,14 +47,14 @@ class Proof:
 
     #: Merkle roots of the proof's nonempty rounds: advice, helper, quotient.
     round_roots: List[bytes]
-    #: Claimed evaluations, aligned with ``vk.claims``.
+    #: Claimed evaluations, aligned with ``vk.shape.claims``.
     evals: List[int]
     fri_roots: List[bytes]
     final_poly: List[int]
     queries: List[QueryOpening]
 
 
-_MAGIC = b"ZKMLPRF2"
+MAGIC = b"ZKMLPRF2"
 
 #: Bytes per scalar on the wire, declared by the width byte.
 SCALAR_WIDTH = 8
@@ -95,7 +96,7 @@ def proof_to_bytes(proof: Proof) -> bytes:
     prover builds); a ragged or out-of-range proof object raises
     :class:`~repro.resilience.errors.ProofFormatError`.
     """
-    out = [_MAGIC, bytes([SCALAR_WIDTH])]
+    out = [MAGIC, bytes([SCALAR_WIDTH])]
     out += [_u32(len(proof.round_roots)),
             _digests_to_bytes(proof.round_roots, "round root")]
     out += [_u32(len(proof.evals)), _scalars_to_bytes(proof.evals)]
@@ -175,15 +176,15 @@ def proof_from_bytes(data: bytes) -> Proof:
     verifier's job (``validate_proof_shape``).
     """
     data = bytes(data)
-    if data[: len(_MAGIC)] != _MAGIC:
+    if data[: len(MAGIC)] != MAGIC:
         raise ProofFormatError("not a serialized proof (bad magic)",
                                length=len(data))
     r = _Reader(data)
-    r.pos = len(_MAGIC)
+    r.pos = len(MAGIC)
     width = data[r.take(1, "scalar width")]
     if width != SCALAR_WIDTH:
         raise ProofFormatError("scalar width must be %d, got %d"
-                               % (SCALAR_WIDTH, width), offset=len(_MAGIC))
+                               % (SCALAR_WIDTH, width), offset=len(MAGIC))
     round_roots = r.digests(r.count("round root", _MAX_ROOTS), "round roots")
     evals = r.scalars(r.count("evaluation", _MAX_SCALARS), "evaluations")
     fri_roots = r.digests(r.count("fold-layer root", _MAX_ROOTS),

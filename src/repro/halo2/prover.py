@@ -64,7 +64,9 @@ from repro.commit.scheme import (
 from repro.commit.transcript import Transcript
 from repro.field import gl64
 from repro.halo2.circuit import Assignment
-from repro.halo2.keygen import (
+from repro.halo2.keygen import ProvingKey
+from repro.halo2.proof import Proof
+from repro.halo2.shape import (
     ADVICE_ROUND,
     ALPHA,
     BETA,
@@ -73,9 +75,7 @@ from repro.halo2.keygen import (
     HELPER_ROUND,
     QUOTIENT_ROUND,
     THETA,
-    ProvingKey,
 )
-from repro.halo2.proof import Proof
 from repro.halo2.tape import INSTANCE, Y
 from repro.obs.stats import STATS
 # leaf-module import: repro.perf's package init pulls in the pk cache,
@@ -402,7 +402,7 @@ def create_proof(
         )
         q_coeffs = domain.extended_to_coeff_vec(q_ext)
         # the pieces never outnumber the extension, so they fit the coset
-        pieces = q_coeffs[: vk.num_quotient_pieces * n].reshape(-1, n)
+        pieces = q_coeffs[: vk.shape.quotient_pieces * n].reshape(-1, n)
         polys_by_round[QUOTIENT_ROUND] = pieces
         rounds[QUOTIENT_ROUND] = scheme.commit_round(domain, domain.lde(pieces))
         transcript.append_commitment(b"quotient", rounds[QUOTIENT_ROUND].root)
@@ -411,7 +411,7 @@ def create_proof(
 
     # ---- phase 4: one batched opening ------------------------------------------
     with timer.phase("openings"):
-        claims = vk.claims
+        claims = vk.shape.claims
         evals = _claimed_evaluations(domain, polys_by_round, claims, x)
         fri_roots, final_poly, queries = scheme.open_batch(
             domain, rounds, claims, evals, x, transcript)

@@ -57,7 +57,7 @@ from repro.halo2.expression import (
 Y = "y"
 
 #: A column slot's source: ``(round, position)`` in the committed rounds
-#: (:data:`repro.halo2.keygen.FIXED_ROUND` ...), or ``(INSTANCE, index)``
+#: (:data:`repro.halo2.shape.FIXED_ROUND` ...), or ``(INSTANCE, index)``
 #: for a public column, which is never committed.
 Slot = Tuple[int, int]
 INSTANCE = -1

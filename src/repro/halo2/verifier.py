@@ -33,22 +33,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.commit import fri
 from repro.commit.merkle import DIGEST_BYTES
 from repro.commit.scheme import CommitmentScheme, draw_opening_point
 from repro.commit.transcript import Transcript
 from repro.field.prime_field import require_goldilocks
 from repro.halo2.column import Column, ColumnType
 from repro.halo2.expression import evaluate_from_openings
-from repro.halo2.keygen import (
-    ALPHA,
-    BETA,
-    GAMMA,
-    QUOTIENT_ROUND,
-    THETA,
-    VerifyingKey,
-)
+from repro.halo2.keygen import VerifyingKey
 from repro.halo2.proof import Proof
+from repro.halo2.shape import ALPHA, BETA, GAMMA, QUOTIENT_ROUND, THETA, claim_of
 from repro.resilience.errors import KernelUnavailableError, ProofFormatError, VerificationFailure
 
 
@@ -80,28 +73,27 @@ def validate_proof_shape(
 ) -> None:
     """Validate structural bounds before any cryptographic work.
 
-    Checks every count, row width and path length against what the
-    verifying key dictates, digest widths, scalar ranges (every field
-    element must lie in ``[0, p)``) and the public-input shape.  Raises
-    :class:`ProofFormatError` on the first violation; returns ``None``
-    when the proof is structurally plausible.  No hash, no field
-    arithmetic.  A key over any field but Goldilocks is refused first
-    (:class:`~repro.resilience.errors.UnsupportedFieldError`): its
-    proofs could not have come from this prover.
+    Checks every count, row width and path length against the verifying
+    key's :class:`~repro.halo2.shape.ProofShape`, digest widths, scalar
+    ranges (every field element must lie in ``[0, p)``) and the
+    public-input shape.  Raises :class:`ProofFormatError` on the first
+    violation; returns ``None`` when the proof is structurally plausible.
+    No hash, no field arithmetic.  A key over any field but Goldilocks is
+    refused first (:class:`~repro.resilience.errors.UnsupportedFieldError`):
+    its proofs could not have come from this prover.
     """
     require_goldilocks(vk.field)
     cs = vk.cs
     p = vk.field.p
     n = vk.n
-    widths = vk.round_widths
+    shape = vk.shape
 
-    folds = fri.num_folds(vk.k)
     for what, items, want in (
-        ("round roots", proof.round_roots, sum(1 for w in widths[1:] if w)),
-        ("claimed evaluations", proof.evals, len(vk.claims)),
-        ("fold-layer roots", proof.fri_roots, max(0, folds - 1)),
-        ("final coefficients", proof.final_poly, fri.final_len(vk.k)),
-        ("queries", proof.queries, fri.FRI_QUERIES),
+        ("round roots", proof.round_roots, shape.round_roots),
+        ("claimed evaluations", proof.evals, len(shape.claims)),
+        ("fold-layer roots", proof.fri_roots, len(shape.fold_path_depths)),
+        ("final coefficients", proof.final_poly, shape.final_len),
+        ("queries", proof.queries, shape.queries),
     ):
         _check_count(what, items, want)
     _check_digests("round root", proof.round_roots)
@@ -109,10 +101,9 @@ def validate_proof_shape(
     _check_scalars("claimed evaluation", proof.evals, p)
     _check_scalars("final polynomial", proof.final_poly, p)
 
-    row_widths = [2 * w for w in widths if w]
-    depth = vk.domain.extended_k - 1
-    row_paths = [depth] * len(row_widths)
-    fold_paths = [depth - 1 - i for i in range(max(0, folds - 1))]
+    row_widths = shape.row_widths
+    row_paths = [shape.row_path_depth] * len(row_widths)
+    fold_paths = shape.fold_path_depths
     for q, query in enumerate(proof.queries):
         rows, layers = query.rows, query.folds
         if [len(row.values) for row in rows] != row_widths:
@@ -200,11 +191,11 @@ def folded_constraints_at(
     """``sum_i y^i C_i(x)``: the constraint list folded at the point ``x``.
 
     Committed columns are read from ``evals`` (aligned with
-    ``vk.claims``); instance columns are evaluated from the public
+    ``vk.shape.claims``); instance columns are evaluated from the public
     inputs barycentrically at each point — no transform.
     """
     field, domain = vk.field, vk.domain
-    slot = {claim: j for j, claim in enumerate(vk.claims)}
+    slot = {claim: j for j, claim in enumerate(vk.shape.claims)}
     openings: Dict[Tuple[Column, int], int] = {}
     for _, expr in vk.constraints:
         for col, rot in expr.refs():
@@ -214,7 +205,8 @@ def folded_constraints_at(
                 openings[(col, rot)] = domain.evaluate_lagrange(
                     instance[col.index], domain.rotate(x, rot))
             else:
-                openings[(col, rot)] = evals[slot[vk.claim_of(col, rot)]]
+                openings[(col, rot)] = evals[slot[claim_of(
+                    col, rot, vk.cs.num_advice, vk.fixed_columns)]]
     folded = 0
     for _, expr in vk.constraints:
         value = evaluate_from_openings(expr, field, openings, challenges)
@@ -237,7 +229,7 @@ def _verify_shaped(
     # ---- replay the transcript ---------------------------------------------
     roots: List[Optional[bytes]] = [vk.fixed_root]
     proof_roots = iter(proof.round_roots)
-    for width in vk.round_widths[1:]:
+    for width in vk.shape.round_widths[1:]:
         roots.append(next(proof_roots) if width else None)
     advice_root, helper_root, quotient_root = roots[1:]
 
@@ -263,7 +255,7 @@ def _verify_shaped(
     # (hashes first: a damaged opening is refused before the constraint
     # list is evaluated at all)
     if not scheme.verify_batch(
-            domain, roots, vk.claims, proof.evals, x, proof.fri_roots,
+            domain, roots, vk.shape.claims, proof.evals, x, proof.fri_roots,
             proof.final_poly, proof.queries, transcript):
         return False
 
@@ -271,7 +263,7 @@ def _verify_shaped(
     folded = folded_constraints_at(vk, proof.evals, instance, challenges, y, x)
     x_n = field.pow(x, vk.n)
     q_at_x = 0
-    for j, claim in reversed(list(enumerate(vk.claims))):
+    for j, claim in reversed(list(enumerate(vk.shape.claims))):
         if claim[0] == QUOTIENT_ROUND:
             q_at_x = field.add(field.mul(q_at_x, x_n), proof.evals[j])
     return folded == field.mul(domain.vanishing_eval(x), q_at_x)

@@ -14,9 +14,10 @@ Two higher-level recorders tie the registry to the circuit pipeline:
   vs available, assigned cells, copy constraints, per-layer and
   per-gadget row breakdowns) from a synthesized model;
 - :func:`record_prover_run` — observed operation counts (NTTs, hashes,
-  commitments) plus the cost model's *predicted* counts, enabling the
-  predicted-vs-actual report (:func:`render_predicted_vs_actual`) that
-  checks the optimizer's Algorithm-1 accounting against what the prover
+  commitments) plus the counts the proof's shape predicts
+  (:func:`predicted_counts`), enabling the predicted-vs-actual report
+  (:func:`render_predicted_vs_actual`) that checks the witness-free
+  :class:`~repro.halo2.shape.ProofShape` against what the prover
   actually did.
 
 :data:`NULL_METRICS` is the inert default so call sites never branch.
@@ -401,7 +402,7 @@ def record_prover_run(registry: MetricsRegistry, model: str,
               model=model, op=key).inc(count)
     for key, count in sorted(predicted.items()):
         registry.gauge("zkml_predicted_ops",
-                       "cost-model predicted operation counts (Eqs. 1-2)",
+                       "operation counts the proof's shape predicts",
                        model=model, op=key).set(count)
     for phase, secs in sorted((phase_seconds or {}).items()):
         registry.gauge("zkml_phase_seconds", "prover phase wall-clock",
@@ -447,42 +448,40 @@ def record_costmodel_drift(registry: MetricsRegistry, model: str,
 # -- predicted vs actual -----------------------------------------------------
 
 
-def predicted_counts(layout, scheme_name: str) -> Dict[str, float]:
-    """The cost model's per-phase operation counts for a layout."""
-    from repro.optimizer.cost_model import num_ffts, num_msms
-
-    n_fft = num_ffts(layout)
+def predicted_counts(shape) -> Dict[str, int]:
+    """The operation counts one proof of a circuit performs, from its
+    :class:`~repro.halo2.shape.ProofShape` (``ffts_*`` are its transforms,
+    under the report's historical names)."""
     return {
-        "ffts_base": round(n_fft, 2),
-        "ffts_extended": round(n_fft + 1, 2),
-        "msms": round(num_msms(layout, scheme_name), 2),
-        "lookup_passes": float(layout.num_lookups),
+        "ffts_base": shape.ntt_base,
+        "ffts_extended": shape.ntt_extended,
+        "commitments": shape.commitments,
+        "lookup_passes": shape.lookups,
+        "merkle_leaf_hashes": shape.merkle_leaf_hashes,
+        "merkle_node_hashes": shape.merkle_node_hashes,
     }
 
 
-#: predicted-count key -> observed-counter key
-_PAIRINGS = (
-    ("ffts_base", "ntt_base"),
-    ("ffts_extended", "ntt_extended"),
-    ("msms", "commitments"),
-    ("lookup_passes", "lookup_passes"),
-)
-
-
-def predicted_vs_actual(predicted: Dict[str, float],
+def predicted_vs_actual(predicted: Dict[str, int],
                         observed: Dict[str, int]) -> List[Dict[str, Any]]:
-    """Rows diffing cost-model counts against observed prover counts."""
+    """Rows diffing predicted counts against a proof's observed counts.
+
+    ``ffts_base`` counts the base transforms before the prover skips
+    all-zero columns, so it is compared with ``ntt_base +
+    sparsity_skips``; ``ffts_extended`` with ``ntt_extended``; every
+    other count with the observed counter of its own name.
+    """
+    actual = dict(observed)
+    if "ntt_base" in observed:
+        actual["ffts_base"] = (observed["ntt_base"]
+                               + observed.get("sparsity_skips", 0))
+    if "ntt_extended" in observed:
+        actual["ffts_extended"] = observed["ntt_extended"]
     rows = []
-    for pred_key, obs_key in _PAIRINGS:
-        if pred_key not in predicted or obs_key not in observed:
-            continue
-        p, a = predicted[pred_key], observed[obs_key]
-        rows.append({
-            "quantity": pred_key,
-            "predicted": p,
-            "actual": a,
-            "ratio": round(a / p, 3) if p else None,
-        })
+    for key, p in predicted.items():
+        if key in actual:
+            rows.append({"quantity": key, "predicted": p, "actual": actual[key],
+                         "ratio": round(actual[key] / p, 3) if p else None})
     return rows
 
 
@@ -490,10 +489,10 @@ def render_predicted_vs_actual(rows: List[Dict[str, Any]]) -> str:
     """A small fixed-width predicted-vs-actual report."""
     if not rows:
         return "(no predicted-vs-actual data)"
-    lines = ["%-16s %10s %10s %8s" % ("quantity", "predicted", "actual",
+    lines = ["%-18s %10s %10s %8s" % ("quantity", "predicted", "actual",
                                       "ratio")]
     for row in rows:
         ratio = "%8.2f" % row["ratio"] if row["ratio"] is not None else "     n/a"
-        lines.append("%-16s %10.1f %10d %s" % (
+        lines.append("%-18s %10d %10d %s" % (
             row["quantity"], row["predicted"], row["actual"], ratio))
     return "\n".join(lines)

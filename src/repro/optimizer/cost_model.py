@@ -13,6 +13,10 @@ For a physical layout with 2^k rows, the dominant proving costs are:
 
 The same shape statistics also give the modeled verification time and
 proof size per backend.
+
+These are halo2's counts (its ``d_max``, its MSMs), kept as the paper's
+accounting; what this repo's prover does is the circuit's
+:class:`~repro.halo2.shape.ProofShape` (``PhysicalLayout.shape``).
 """
 
 from __future__ import annotations
@@ -39,9 +43,14 @@ class CostBreakdown:
         return self.fft + self.msm + self.lookup + self.residual
 
 
+def _d_max(layout: PhysicalLayout) -> int:
+    """halo2's maximum constraint degree for a layout (Eq. 2's ``d_max``)."""
+    return 4 if layout.num_lookups else 3
+
+
 def num_ffts(layout: PhysicalLayout) -> float:
     """Eq. (2): the number of base-size FFTs."""
-    d = layout.d_max
+    d = _d_max(layout)
     return (
         layout.num_instance
         + layout.num_advice
@@ -52,12 +61,13 @@ def num_ffts(layout: PhysicalLayout) -> float:
 
 def extended_k(layout: PhysicalLayout) -> int:
     """k' = k + log2(d_max - 1), the quotient coset size."""
-    return layout.k + max(int(math.ceil(math.log2(layout.d_max - 1))), 1)
+    return layout.k + max(int(math.ceil(math.log2(_d_max(layout) - 1))), 1)
 
 
 def num_msms(layout: PhysicalLayout, scheme_name: str) -> float:
     """n_MSM = n_FFT + d_max - 1 (KZG) or + d_max (IPA)."""
-    extra = layout.d_max - 1 if scheme_name == "kzg" else layout.d_max
+    d = _d_max(layout)
+    extra = d - 1 if scheme_name == "kzg" else d
     return num_ffts(layout) + extra
 
 
@@ -93,7 +103,7 @@ def estimate_verification_time(
     group operations — which is why its verification is seconds rather
     than milliseconds at large k (Table 7).
     """
-    evals = num_ffts(layout) + layout.d_max
+    evals = num_ffts(layout) + _d_max(layout)
     pairing_seconds = 2.5e-3  # one pairing check, amortized
     field_work = hardware.t_field * 600 * evals
     instance_work = hardware.t_field * 40 * sum(
@@ -118,9 +128,9 @@ def estimate_proof_size(layout: PhysicalLayout, scheme_name: str = "kzg") -> int
         layout.num_advice          # advice columns
         + 3 * layout.num_lookups   # lookup argument columns
         + _perm_products(layout)   # permutation grand products
-        + layout.d_max - 1         # quotient pieces
+        + _d_max(layout) - 1       # quotient pieces
     )
-    evaluations = num_ffts(layout) + layout.d_max + layout.num_fixed
+    evaluations = num_ffts(layout) + _d_max(layout) + layout.num_fixed
     if scheme_name == "kzg":
         opening = 2 * SCALAR_BYTES
     else:
@@ -133,5 +143,5 @@ def estimate_proof_size(layout: PhysicalLayout, scheme_name: str = "kzg") -> int
 
 
 def _perm_products(layout: PhysicalLayout) -> int:
-    d = layout.d_max
+    d = _d_max(layout)
     return math.ceil(layout.num_permutation_columns / max(d - 2, 1))

@@ -12,10 +12,11 @@ Observability: every stage runs under a span on the active
 ``keygen``, ``prove -> commit/helpers/quotient/openings``, ``verify``;
 the root is ``prove_batch`` when the proof covers several slots), and the
 run's operation counts (NTTs, commitments, hashes) are captured as a
-delta over :data:`repro.obs.stats.STATS` together with the cost model's
-*predicted* counts — the raw material for the predicted-vs-actual
-report.  Passing a :class:`~repro.obs.metrics.MetricsRegistry`
-additionally records circuit shape statistics and per-phase timings.
+delta over :data:`repro.obs.stats.STATS` together with the counts the
+key's witness-free :class:`~repro.halo2.shape.ProofShape` predicts — the
+raw material for the predicted-vs-actual report.  Passing a
+:class:`~repro.obs.metrics.MetricsRegistry` additionally records circuit
+shape statistics and per-phase timings.
 
 Resilience: every proof runs the same code.  A failure names the stage
 it came from (``synthesize``/``keygen``/``prove``), and a failed
@@ -94,8 +95,8 @@ class ProveResult:
     keygen_cache_hit: bool = False
     #: Operation counts observed during proving (NTTs, commitments, ...).
     observed_counts: Dict[str, int] = dataclass_field(default_factory=dict)
-    #: The cost model's predicted counts for the same layout (Eqs. 1-2).
-    predicted_counts: Dict[str, float] = dataclass_field(default_factory=dict)
+    #: The counts ``vk.shape`` predicts (``obs.metrics.predicted_counts``).
+    predicted_counts: Dict[str, int] = dataclass_field(default_factory=dict)
     #: The synthesized circuit (regions, assignment), kept only when the
     #: caller passed ``keep_synthesized=True`` — the layer profiler needs
     #: it; everyone else gets ``None`` so results stay lightweight.
@@ -164,7 +165,7 @@ class ProveResult:
         return time.perf_counter() - start
 
     def predicted_vs_actual(self) -> List[Dict[str, object]]:
-        """Cost-model counts vs the counts this run actually performed."""
+        """The shape's counts vs the counts this run actually performed."""
         return obs_metrics.predicted_vs_actual(self.predicted_counts,
                                                self.observed_counts)
 
@@ -291,7 +292,7 @@ def prove_batch(
         proving_seconds = time.perf_counter() - start
         phase_seconds = dict(timer.seconds)
         observed = STATS.delta(counts_before)
-        predicted = obs_metrics.predicted_counts(result.layout, scheme_name)
+        predicted = obs_metrics.predicted_counts(vk.shape)
 
         if metrics is not None:
             obs_metrics.record_circuit_stats(metrics, result,

@@ -1,6 +1,7 @@
 """Tests for the row-exact physical layout simulator."""
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.compiler import (
     build_physical_layout,
     synthesize_model,
 )
+from repro.halo2.shape import ADVICE_ROUND, ProofShape
 from repro.layers.base import LayoutChoices
 from repro.model import get_model
 from repro.optimizer import optimize_layout
@@ -36,7 +38,10 @@ def assert_count_matches_assign(layout, builder):
     assert layout.num_selectors == builder.cs.num_selectors
     assert layout.num_fixed == builder.cs.num_fixed
     assert layout.table_rows == builder.table_rows_needed()
-    assert layout.d_max == (4 if builder.cs.lookups else 3)
+    # the walk declares what the synthesis declared (its outputs not yet
+    # exposed: no instance column), so keygen would give both one shape
+    assert layout.shape(builder.k, slots=0) == ProofShape.of(builder.cs,
+                                                             builder.k)
 
 
 @pytest.mark.parametrize("name", MINI_MODELS)
@@ -135,24 +140,24 @@ class TestPaperScaleLayouts:
 
 #: Algorithm 1's answer per paper-scale spec (kzg, time objective, pruned
 #: plans): the best layout's k, num_cols, gadget_rows, table_rows,
-#: num_lookups, num_fixed, num_selectors, d_max; the number of evaluated
+#: num_lookups, num_fixed, num_selectors; the number of evaluated
 #: candidates; and a blake2b-16 digest over every candidate's shape.
 GOLDEN_LAYOUTS = {
-    "diffusion": (22, 32, 4149960, 32769, 44, 9, 7, 4, 86,
+    "diffusion": (22, 32, 4149960, 32769, 44, 9, 7, 86,
                   "57c3ebeafa5c4483363c37d3602a460f"),
-    "dlrm": (16, 20, 62077, 32769, 16, 16, 4, 4, 222,
+    "dlrm": (16, 20, 62077, 32769, 16, 16, 4, 222,
              "d87da99d399355b745122fac60764fee"),
-    "gpt2": (21, 44, 2077686, 32769, 169, 49, 14, 4, 258,
+    "gpt2": (21, 44, 2077686, 32769, 169, 49, 14, 258,
              "0b1038324e65254178f46679847eb7bf"),
-    "mnist": (16, 7, 24502, 32769, 18, 9, 11, 4, 219,
+    "mnist": (16, 7, 24502, 32769, 18, 9, 11, 219,
               "d7851bd24dc4d71fa5c8ed892e944711"),
-    "mobilenet": (23, 20, 7787813, 32769, 57, 9, 12, 4, 58,
+    "mobilenet": (23, 20, 7787813, 32769, 57, 9, 12, 58,
                   "915b027bcf1851397293f72db760dc74"),
-    "resnet18": (17, 48, 128758, 32769, 148, 11, 12, 4, 402,
+    "resnet18": (17, 48, 128758, 32769, 148, 11, 12, 402,
                  "1c4c8febde0cfe8cfe3904276d7dd8cf"),
-    "twitter": (21, 27, 2025534, 32769, 59, 31, 11, 4, 444,
+    "twitter": (21, 27, 2025534, 32769, 59, 31, 11, 444,
                 "cf455c8c9d53de1a20131cfb46a39982"),
-    "vgg16": (20, 40, 1046502, 32769, 109, 22, 11, 4, 73,
+    "vgg16": (20, 40, 1046502, 32769, 109, 22, 11, 73,
               "958b8ff9447b87592ae6162dfdb2d7e3"),
 }
 
@@ -172,6 +177,21 @@ def test_optimizer_layouts_are_golden(name):
                             lay.gadget_rows, lay.num_lookups, lay.num_fixed,
                             lay.num_selectors)).encode())
     got = (best.k, best.num_cols, best.gadget_rows, best.table_rows,
-           best.num_lookups, best.num_fixed, best.num_selectors, best.d_max,
+           best.num_lookups, best.num_fixed, best.num_selectors,
            len(result.candidates), digest.hexdigest())
     assert got == GOLDEN_LAYOUTS[name]
+
+
+@pytest.mark.parametrize("name", ["dlrm", "resnet18"])
+def test_paper_scale_shape_needs_no_witness(name):
+    """The proof shape of the optimizer's own layout of a paper-scale
+    spec comes from the count walk alone, in well under a second."""
+    layout = optimize_layout(get_model(name, "paper"),
+                             profile_for_model(name), scheme_name="kzg",
+                             objective="time", prune=True).layout
+    start = time.perf_counter()
+    shape = layout.shape()
+    assert time.perf_counter() - start < 1.0
+    assert (shape.k, shape.max_degree, shape.extension) == (layout.k, 3, 2)
+    assert shape.round_widths[ADVICE_ROUND] == layout.num_cols
+    assert shape.lookups == layout.num_lookups

@@ -103,7 +103,7 @@ class TestKeygen:
         cs, asg = range_check_circuit()
         pk, vk = keygen(cs, asg, scheme)
         # one lookup into one table -> h + (m, s), no permutation
-        assert vk.num_helper_advice == 3
+        assert vk.shape.round_widths[2] == 3
         assert vk.permutation is None
         assert len(vk.lookups) == 1
 
@@ -114,7 +114,7 @@ class TestKeygen:
         # two equality columns -> 2 inverse helpers + 1 running sum
         assert vk.permutation is not None
         assert len(vk.permutation.helper_cols) == 2
-        assert vk.num_helper_advice == 3
+        assert vk.shape.round_widths[2] == 3
 
     def test_fixed_columns_cost_one_base_ntt_each(self):
         # keygen interpolates every fixed/selector/tag column through one
@@ -143,4 +143,4 @@ class TestKeygen:
         scheme = scheme_by_name("kzg", F)
         cs, asg = mul_circuit()
         _, vk = keygen(cs, asg, scheme)
-        assert vk.num_quotient_pieces == vk.max_degree - 1
+        assert vk.shape.quotient_pieces == vk.shape.max_degree - 1

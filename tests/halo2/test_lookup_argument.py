@@ -27,7 +27,7 @@ from repro.halo2 import (
     verify_proof,
 )
 from repro.halo2 import prover
-from repro.halo2.keygen import ALPHA, HELPER_ROUND
+from repro.halo2.shape import ALPHA, HELPER_ROUND, claim_of
 from repro.halo2.verifier import validate_proof_shape, verify_proof_strict
 from repro.model import get_model
 from repro.obs.stats import STATS
@@ -162,7 +162,7 @@ class TestWeightedPairs:
         assert [[lk.name for lk in group] for group in helpers.groups] == [
             ["a1", "a2"]]
         assert len(helpers.h_cols) == 1
-        assert vk.max_degree == cs.max_degree() == 3
+        assert vk.shape.max_degree == cs.max_degree() == 3
         assert "lookup:a1,a2/fraction" in dict(vk.constraints)
         proof, columns = prove_with_columns(pk, asg, scheme)
         verify_proof_strict(vk, proof, asg.instance_values(), scheme)
@@ -261,7 +261,7 @@ def prove_with_perturbed_helper(monkeypatch, pk, asg, scheme, col, row):
 
     monkeypatch.setattr(prover, "_interpolate_commit_rows", perturbing)
     proof = create_proof(pk, asg, scheme)
-    assert calls[1][0] == pk.vk.num_helper_advice
+    assert calls[1][0] == pk.vk.shape.round_widths[2]
     return proof
 
 
@@ -292,7 +292,7 @@ class TestLayout:
             cs, asg = two_table_circuit()
             _, vk = keygen(cs, asg, scheme)
             shapes.append(([name for name, _ in vk.constraints],
-                           vk.advice_queries, vk.num_helper_advice))
+                           vk.shape.claims, vk.shape.round_widths[2]))
         assert shapes[0] == shapes[1]
         names, queries, helpers = shapes[0]
         # tables in first-appearance order, each: fractions, then sum,
@@ -310,17 +310,18 @@ class TestLayout:
                                   table_b.m_col, table_b.s_col)] == list(
             range(first, first + helpers))
         # only the running sums are read at the next row
-        assert [q for q in queries if q[1]] == [
-            (table_a.s_col, 1), (table_b.s_col, 1)]
+        assert [c for c in queries if c[2]] == [
+            claim_of(col, 1, cs.num_advice, vk.fixed_columns)
+            for col in (table_a.s_col, table_b.s_col)]
 
     def test_old_3l_helper_count_rejected_before_hashing(self, scheme):
         cs, asg = two_table_circuit()
         pk, vk = keygen(cs, asg, scheme)
         proof = create_proof(pk, asg, scheme)
         old_count = 3 * len(cs.lookups)
-        assert old_count > vk.num_helper_advice
+        assert old_count > vk.shape.round_widths[2]
         # a proof whose helper rows are as wide as the per-lookup layout
-        extra = (0,) * (2 * (old_count - vk.num_helper_advice))
+        extra = (0,) * (2 * (old_count - vk.shape.round_widths[2]))
         proof.queries = [
             dataclasses.replace(query, rows=tuple(
                 dataclasses.replace(row, values=row.values + extra)
@@ -339,8 +340,8 @@ class TestLayout:
         # the unpaired layout: one h per lookup, m and s per table, and the
         # permutation's helper and running sum
         per_lookup = len(cs.lookups) + 2 * len(vk.lookups) + 1 + 1
-        assert per_lookup == vk.num_helper_advice + 1
-        extra = (0,) * (2 * (per_lookup - vk.num_helper_advice))
+        assert per_lookup == vk.shape.round_widths[2] + 1
+        extra = (0,) * (2 * (per_lookup - vk.shape.round_widths[2]))
         proof.queries = [
             dataclasses.replace(query, rows=tuple(
                 dataclasses.replace(row, values=row.values + extra)
@@ -374,10 +375,10 @@ class TestLayout:
             synth.builder.expose(synth.outputs[name].entries())
         cs = synth.builder.cs
         _, vk = keygen(cs, synth.builder.asg, scheme)
-        assert vk.max_degree == cs.max_degree() == 3
+        assert vk.shape.max_degree == cs.max_degree() == 3
         assert vk.domain.extension == 2
-        assert vk.num_quotient_pieces == 2
-        assert vk.num_helper_advice == helpers
+        assert vk.shape.quotient_pieces == 2
+        assert vk.shape.round_widths[2] == helpers
         # every lookup is selector-gated with a degree-1 input, so the
         # lookups of each table pair up: sum_j ceil(L_j/2) + 2T + P + 1
         per_table = [len(h.arguments) for h in vk.lookups]
@@ -394,8 +395,8 @@ class TestDegrees:
     def test_ungated_lookup_is_degree_two(self, scheme):
         cs, asg = range_check_circuit()
         pk, vk = keygen(cs, asg, scheme)
-        assert vk.max_degree == cs.max_degree() == 2
-        assert vk.num_quotient_pieces == 1
+        assert vk.shape.max_degree == cs.max_degree() == 2
+        assert vk.shape.quotient_pieces == 1
         proof = create_proof(pk, asg, scheme)
         verify_proof_strict(vk, proof, asg.instance_values(), scheme)
 
@@ -403,9 +404,9 @@ class TestDegrees:
         cs, asg, b = cube_gate_circuit()
         MockProver(cs, asg).assert_satisfied()
         pk, vk = keygen(cs, asg, scheme)
-        assert vk.max_degree == cs.max_degree() == 4
+        assert vk.shape.max_degree == cs.max_degree() == 4
         assert vk.domain.extension == 4
-        assert vk.num_quotient_pieces == 3
+        assert vk.shape.quotient_pieces == 3
         proof = create_proof(pk, asg, scheme)
         verify_proof_strict(vk, proof, asg.instance_values(), scheme)
         asg.assign_advice(b, 1, 10)
@@ -421,11 +422,12 @@ class TestDegrees:
         # answered to one vk_hash.  `old` stands in for that key.
         cs, asg, _ = cube_gate_circuit()
         pk, vk = keygen(cs, asg, scheme)
+        widths = list(vk.shape.round_widths)
+        widths[2] += 2 * len(cs.lookups) - 2 * len(vk.lookups)
         old = dataclasses.replace(
             vk, constraints=vk.constraints[:-1], _digest=b"",
-            num_helper_advice=vk.num_helper_advice + 2 * len(cs.lookups)
-            - 2 * len(vk.lookups))
-        assert old.max_degree == vk.max_degree
+            shape=dataclasses.replace(vk.shape, round_widths=tuple(widths)))
+        assert old.shape.max_degree == vk.shape.max_degree
         assert old.fixed_root == vk.fixed_root
         assert old.digest() != vk.digest()
 

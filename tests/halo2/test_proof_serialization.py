@@ -84,7 +84,7 @@ class TestRoundTrip:
         scheme = scheme_by_name("ipa", F)
         cs, asg = range_check_circuit()
         pk, vk = keygen(cs, asg, scheme)
-        assert any(rot != 0 for _, _, rot in vk.claims)
+        assert any(rot != 0 for _, _, rot in vk.shape.claims)
         proof = create_proof(pk, asg, scheme)
         again = proof_from_bytes(proof_to_bytes(proof))
         assert verify_proof(vk, again, asg.instance_values(), scheme)
@@ -96,10 +96,10 @@ class TestShape:
 
         _, vk, proof, _ = proved
         assert len(proof.queries) == FRI_QUERIES
-        assert len(proof.evals) == len(vk.claims)
+        assert len(proof.evals) == len(vk.shape.claims)
         # one row per nonempty round: fixed, advice, helper, quotient
         assert [len(r.values) for r in proof.queries[0].rows] == [
-            2 * w for w in vk.round_widths]
+            2 * w for w in vk.shape.round_widths]
         assert all(isinstance(f, FoldOpening) for f in proof.queries[0].folds)
         # k=3: nothing to fold, the final polynomial is G itself
         assert proof.fri_roots == [] and len(proof.final_poly) == vk.n

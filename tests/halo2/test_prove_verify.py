@@ -7,7 +7,7 @@ import pytest
 from repro.commit import scheme_by_name
 from repro.field import GOLDILOCKS
 from repro.halo2 import create_proof, keygen, verify_proof
-from repro.halo2.keygen import QUOTIENT_ROUND
+from repro.halo2.shape import QUOTIENT_ROUND
 from repro.halo2.prover import ProvingError
 
 from tests.halo2.circuits import (
@@ -93,7 +93,7 @@ class TestTamperedProofs:
 
     def test_dropped_quotient_piece_rejected(self, scheme):
         ok, (cs, asg, pk, vk, proof) = prove_and_verify(mul_circuit, scheme)
-        last_piece = max(j for j, claim in enumerate(vk.claims)
+        last_piece = max(j for j, claim in enumerate(vk.shape.claims)
                          if claim[0] == QUOTIENT_ROUND)
         del proof.evals[last_piece]
         assert not verify_proof(vk, proof, asg.instance_values(), scheme)

@@ -21,7 +21,7 @@ from repro.commit.transcript import Transcript
 from repro.field import GOLDILOCKS
 from repro.halo2 import keygen
 from repro.halo2.column import ColumnType
-from repro.halo2.keygen import ALPHA, BETA, GAMMA, QUOTIENT_ROUND, THETA
+from repro.halo2.shape import ALPHA, BETA, GAMMA, QUOTIENT_ROUND, THETA, claim_of
 from repro.halo2.prover import (
     _lookup_multiplicities,
     _prefix_sum_vec,
@@ -167,9 +167,9 @@ class TestQuotient:
         # every piece is a column of the quotient round (degree < n by
         # construction: it is committed as n coefficients) and is claimed
         # at x exactly once
-        pieces = [c for c in vk.claims if c[0] == QUOTIENT_ROUND]
+        pieces = [c for c in vk.shape.claims if c[0] == QUOTIENT_ROUND]
         assert pieces == [(QUOTIENT_ROUND, j, 0)
-                          for j in range(vk.num_quotient_pieces)]
+                          for j in range(vk.shape.quotient_pieces)]
         assert len(proof.queries[0].rows[-1].values) == 2 * len(pieces)
 
     def test_folded_identity_at_random_point(self):
@@ -181,7 +181,7 @@ class TestQuotient:
         x, y = ch.pop("x"), ch.pop("y")
         x_n = F.pow(x, vk.n)
         q = 0
-        for claim, value in reversed(list(zip(vk.claims, proof.evals))):
+        for claim, value in reversed(list(zip(vk.shape.claims, proof.evals))):
             if claim[0] == QUOTIENT_ROUND:
                 q = F.add(F.mul(q, x_n), value)
         z_h = vk.domain.vanishing_eval(x)
@@ -270,7 +270,8 @@ class TestQuotientKernel:
         values = self._base_values(pk, vk, asg)
         extended = {col: domain.coeff_to_extended(domain.lagrange_to_coeff(v))
                     for col, v in values.items()}
-        column_at = {vk.claim_of(col, 0)[:2]: col for col in values
+        column_at = {claim_of(col, 0, vk.cs.num_advice,
+                              vk.fixed_columns)[:2]: col for col in values
                      if col.kind != ColumnType.INSTANCE}
 
         def committed_lde(rnd, pos):

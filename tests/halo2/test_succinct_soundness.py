@@ -27,7 +27,7 @@ from repro.commit.transcript import Transcript
 from repro.envelope import ProofEnvelope, decode_envelope, verify_envelope
 from repro.field import GOLDILOCKS
 from repro.halo2 import create_proof, keygen, prover, verify_proof
-from repro.halo2.keygen import (
+from repro.halo2.shape import (
     ADVICE_ROUND,
     ALPHA,
     BETA,
@@ -258,7 +258,7 @@ class TestDegreeAttack:
 
         monkeypatch.setattr(prover, "_interpolate_commit_rows", attacking)
         forged = create_proof(pk, asg, scheme)
-        assert calls == [cs.num_advice, vk.num_helper_advice]
+        assert calls == [cs.num_advice, vk.shape.round_widths[2]]
         # every path in it is honest: it survives a byte round trip and
         # the shape check, and dies in the low-degree test
         forged = proof_from_bytes(proof_to_bytes(forged))
@@ -315,7 +315,7 @@ class TestWrongEvaluationAttack:
         # the identity the verifier checks first holds on the forged claims
         x, x_n = state["x"], F.pow(state["x"], vk.n)
         q = 0
-        for claim, value in reversed(list(zip(vk.claims, forged.evals))):
+        for claim, value in reversed(list(zip(vk.shape.claims, forged.evals))):
             if claim[0] == QUOTIENT_ROUND:
                 q = F.add(F.mul(q, x_n), value)
         assert folded_constraints_at(

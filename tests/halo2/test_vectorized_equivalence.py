@@ -32,7 +32,7 @@ from repro.field import GOLDILOCKS, gl64
 from repro.field.vector import GL64Backend
 from repro.halo2 import create_proof, keygen, proof_to_bytes, verify_proof
 from repro.halo2.column import Column, ColumnType
-from repro.halo2.keygen import ALPHA, BETA, GAMMA, THETA
+from repro.halo2.shape import ALPHA, BETA, GAMMA, THETA, claim_of
 from repro.halo2.tape import INSTANCE, Y, compile_stores
 
 from tests.halo2.circuits import (
@@ -103,7 +103,7 @@ def _slot_of(vk):
     def slot_of(col):
         if col.kind == ColumnType.INSTANCE:
             return (INSTANCE, col.index)
-        return vk.claim_of(col, 0)[:2]
+        return claim_of(col, 0, vk.cs.num_advice, vk.fixed_columns)[:2]
 
     return slot_of
 

@@ -82,12 +82,12 @@ class TestMetricsRecording:
         _, _, _, _, result = traced_run
         rows = result.predicted_vs_actual()
         assert {r["quantity"] for r in rows} == {
-            "ffts_base", "ffts_extended", "msms", "lookup_passes"}
+            "ffts_base", "ffts_extended", "commitments", "lookup_passes",
+            "merkle_leaf_hashes", "merkle_node_hashes"}
         for row in rows:
             assert row["actual"] > 0 and row["predicted"] > 0
-        # the layout simulator counts lookup passes exactly
-        (lookups,) = [r for r in rows if r["quantity"] == "lookup_passes"]
-        assert lookups["ratio"] == 1.0
+        # the proof's shape counts what the prover does, exactly
+        assert all(row["ratio"] == 1.0 for row in rows)
 
     def test_circuit_stats_present(self, traced_run):
         _, _, _, registry, result = traced_run

@@ -13,6 +13,7 @@ from repro.optimizer import (
     estimate_proof_size,
     num_ffts,
 )
+from repro.optimizer.cost_model import _d_max
 
 
 def lookup_free_model():
@@ -28,7 +29,7 @@ class TestDegreeThree:
         layout = build_physical_layout(lookup_free_model(), LayoutChoices(),
                                        8, scale_bits=5)
         assert layout.num_lookups == 0
-        assert layout.d_max == 3
+        assert _d_max(layout) == 3
 
     def test_lookup_free_has_fewer_quotient_ffts(self):
         free = build_physical_layout(lookup_free_model(), LayoutChoices(),

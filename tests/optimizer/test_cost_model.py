@@ -14,6 +14,7 @@ from repro.optimizer import (
     num_ffts,
     num_msms,
 )
+from repro.optimizer.cost_model import _d_max
 
 
 @pytest.fixture(scope="module")
@@ -24,15 +25,15 @@ def layout():
 
 class TestFFTCounts:
     def test_eq2_formula(self, layout):
-        d = layout.d_max
+        d = _d_max(layout)
         expected = (layout.num_instance + layout.num_advice
                     + 3 * layout.num_lookups
                     + (layout.num_permutation_columns + d - 3) / (d - 2))
         assert num_ffts(layout) == expected
 
     def test_extended_k(self, layout):
-        # d_max = 4 (lookups present) -> k' = k + 2
-        assert layout.d_max == 4
+        # halo2's d_max = 4 (lookups present) -> k' = k + 2
+        assert _d_max(layout) == 4
         assert extended_k(layout) == layout.k + 2
 
     def test_msm_counts_backend_difference(self, layout):

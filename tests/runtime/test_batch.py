@@ -158,6 +158,15 @@ class TestOnePipeline:
         assert caught.value.region == "%s[%d:%d]" % (
             layer.name, layer.start, layer.end)
 
+    def test_synthesis_lands_every_cell_it_queues(self, batch_result):
+        # the builder's queued cells and copies reach the grid inside
+        # synthesis, so the keygen span is not billed for them
+        spec, inputs, _ = batch_result
+        builder = synthesize_batch(spec, inputs[:2], num_cols=10,
+                                   scale_bits=6).builder
+        assert not (builder._cells or builder._values or builder._homes
+                    or builder._copies)
+
     def test_forced_k_reaches_the_batch_grid(self, batch_result):
         spec, inputs, natural = batch_result
         forced = prove_batch(spec, inputs, num_cols=10, scale_bits=6,

@@ -28,12 +28,18 @@ row and says why.
 
 The compiled kernel and the numpy oracle of ``tests/oracle.py`` are held
 to the same tables.
+
+Beside them, each mini's proof shape (:mod:`repro.halo2.shape`) is held
+three ways: the count walk's, the key's and the observed counts'.
 """
 
 import hashlib
 
 import pytest
 
+from repro.compiler import build_physical_layout
+from repro.halo2.proof import proof_to_bytes
+from repro.layers.base import LayoutChoices
 from repro.model import get_model, seeded_inputs
 from repro.obs.stats import FIELDS
 from repro.perf.pkcache import GLOBAL_PK_CACHE
@@ -123,6 +129,29 @@ def test_prove_model_envelope_is_golden(name):
 @pytest.mark.parametrize("name", sorted(BATCH_OF_TWO))
 def test_prove_batch_envelope_is_golden(name):
     check_batch_of_two(name)
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE))
+def test_proof_shape_is_what_the_prover_does(name):
+    """One shape three ways: from the count walk (no witness), keygen's
+    ``vk.shape``, and the counts one proof performed."""
+    spec = get_model(name, "mini")
+    layout = build_physical_layout(spec, LayoutChoices(), 10, scale_bits=5)
+    result = prove_model(spec, seeded_inputs(spec, 0))
+    shape = layout.shape(result.k)
+    assert shape == result.vk.shape
+    counts = result.observed_counts
+    assert (shape.ntt_base, shape.ntt_extended, shape.commitments,
+            shape.merkle_leaf_hashes, shape.merkle_node_hashes,
+            len(shape.claims)) == (
+        counts["ntt_base"] + counts["sparsity_skips"],
+        counts["ntt_extended"], counts["commitments"],
+        counts["merkle_leaf_hashes"], counts["merkle_node_hashes"],
+        counts["openings"])
+    assert shape.proof_bytes == len(proof_to_bytes(result.proof))
+    batch = prove_batch(spec, [seeded_inputs(spec, 0),
+                               seeded_inputs(spec, 1)])
+    assert layout.shape(batch.k, slots=2) == batch.vk.shape
 
 
 @pytest.mark.parametrize("name", sorted(SINGLE))

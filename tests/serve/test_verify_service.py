@@ -16,6 +16,8 @@ import pytest
 
 from repro.envelope import EnvelopeCaps
 from repro.field import gl64, native
+from repro.halo2.column import ColumnType
+from repro.halo2.shape import HELPER_ROUND
 from repro.model import get_model
 from repro.registry import VKRegistry
 from repro.resilience import events
@@ -301,3 +303,35 @@ class TestKeysFromOlderBuilds:
             svc.close()
         assert report["accepted"] == 1, report
         assert registry.entry(vk.digest().hex()).vk_hash == vk.digest().hex()
+
+    def test_a_key_without_a_proof_shape_loads_and_verifies(
+            self, proven, encoded, tmp_path):
+        # older builds stored the key's degree, helper-column count and
+        # advice queries (and cached its claims) where the key now keeps
+        # its proof shape; such a pickle must load, pass the registry's
+        # digest check and verify
+        vk = pickle.loads(pickle.dumps(proven.vk))
+        shape = vk.__dict__.pop("shape")
+        vk.__dict__.update(
+            max_degree=shape.max_degree,
+            num_helper_advice=shape.round_widths[HELPER_ROUND],
+            advice_queries=sorted(
+                {(col, rot) for _, expr in vk.constraints
+                 for col, rot in expr.refs() if col.kind == ColumnType.ADVICE},
+                key=lambda q: (q[0].index, q[1])),
+            _claims=list(shape.claims))
+        assert b"ProofShape" not in pickle.dumps(vk)
+
+        registry = VKRegistry(str(tmp_path))
+        env = proven.envelope()
+        registry.publish(vk, env.model, env.config_digest)
+        loaded = registry.get(vk.digest().hex())
+        assert loaded.shape == shape
+        assert not {"max_degree", "num_helper_advice", "advice_queries",
+                    "_claims"} & set(vars(loaded))
+        svc = VerifyService(registry=registry)
+        try:
+            report = svc.verify_batch([encoded])
+        finally:
+            svc.close()
+        assert report["accepted"] == 1, report

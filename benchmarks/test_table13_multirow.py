@@ -24,7 +24,8 @@ from repro.gadgets import (
     MultiRowDotGadget,
     MultiRowMaxGadget,
 )
-from repro.halo2 import create_proof, keygen, verify_proof
+from repro.halo2 import create_proof, keygen
+from repro.halo2.verifier import verify_proof_strict
 from repro.tensor import Entry
 
 OPS = 40  # ops per gadget type; k stays small enough to prove quickly
@@ -48,7 +49,7 @@ def prove_circuit(builder):
     start = time.perf_counter()
     proof = create_proof(pk, builder.asg, scheme)
     elapsed = time.perf_counter() - start
-    assert verify_proof(vk, proof, builder.asg.instance_values(), scheme)
+    verify_proof_strict(vk, proof, builder.asg.instance_values(), scheme)
     return elapsed
 
 

@@ -85,7 +85,6 @@ from repro.resilience.errors import (
     ProofFormatError,
     ResilienceError,
     UnknownVerifyingKeyError,
-    VerificationFailure,
 )
 from repro.runtime import estimate_model, prove_model
 
@@ -406,25 +405,14 @@ def _cmd_bench(argv) -> int:
 
 
 def _registry_vk(registry_dir: str, env):
-    """Resolve an envelope's verifying key through the registry.
-
-    Mirrors :class:`~repro.serve.verify_service.VerifyService`: the
-    proof statement binds the vk hash and public inputs; the
-    model/config metadata is bound against the registry entry the
-    prover published, so a relabeled envelope is rejected here too.
-    """
+    """Resolve an envelope's verifying key through the registry and bind
+    the envelope's metadata to its entry (:meth:`RegistryEntry.bind`)."""
     from repro.registry import VKRegistry
 
     registry = VKRegistry(registry_dir)
     entry = registry.entry(env.vk_hash_hex)
     vk = registry.get(env.vk_hash_hex)
-    if (entry.model != env.model
-            or entry.config_digest != env.config_digest_hex):
-        raise VerificationFailure(
-            "envelope metadata (model %r, config %s) does not match "
-            "registry entry (model %r, config %s)"
-            % (env.model, env.config_digest_hex[:8], entry.model,
-               entry.config_digest[:8]), model=env.model)
+    entry.bind(env)
     return vk
 
 

@@ -12,8 +12,9 @@ quotient whose low degree FRI establishes (:mod:`repro.commit.scheme`,
 zero-knowledge (see docs/verification.md).  The *performance envelope* of
 each named backend (proof bytes, verification work, extra MSMs) is
 modeled explicitly with the formulas the paper's cost model uses, so the
-optimizer sees the same trade-offs as on real halo2.  See DESIGN.md §2
-for the substitution rationale.
+optimizer sees the same trade-offs as on real halo2 (:mod:`repro.commit.kzg`,
+:mod:`repro.commit.ipa`; :func:`scheme_by_name` imports them on first
+use).  See DESIGN.md §2 for the substitution rationale.
 """
 
 from repro.commit.merkle import MerkleTree, verify_merkle_path
@@ -26,8 +27,6 @@ from repro.commit.scheme import (
     scheme_by_name,
 )
 from repro.commit.fri import FRI_FINAL_LEN, FRI_QUERIES, FoldOpening
-from repro.commit.kzg import KZGScheme, KZGSetup
-from repro.commit.ipa import IPAScheme
 from repro.commit.transcript import Transcript
 
 __all__ = [
@@ -40,9 +39,6 @@ __all__ = [
     "FRI_QUERIES",
     "FRI_FINAL_LEN",
     "scheme_by_name",
-    "KZGScheme",
-    "KZGSetup",
-    "IPAScheme",
     "MerkleTree",
     "verify_merkle_path",
     "Transcript",

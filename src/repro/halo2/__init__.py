@@ -15,19 +15,38 @@ derive Fiat–Shamir challenges, build the permutation/lookup helper
 columns, fold every constraint with a challenge ``y``, divide by the
 vanishing polynomial on an extended coset to get the quotient, commit to
 its pieces, then open everything at a random point.  The verifier replays
-the transcript and checks the folded constraint identity at that point.
+the transcript and checks the folded constraint identity at that point
+(:func:`repro.halo2.verifier.verify_proof_strict`).
 """
+
+import importlib
 
 from repro.halo2.column import Column, ColumnType
 from repro.halo2.expression import Constant, Expression, Ref
 from repro.halo2.gate import Gate
 from repro.halo2.lookup import LookupArgument
 from repro.halo2.circuit import Assignment, ConstraintSystem
+# eager on purpose: importing the submodule repro.halo2.keygen sets this
+# package's ``keygen`` attribute to the module, so only an import here,
+# after that, leaves ``from repro.halo2 import keygen`` the function
 from repro.halo2.keygen import ProvingKey, VerifyingKey, keygen
-from repro.halo2.mock import MockProver, VerifyFailure
 from repro.halo2.proof import Proof, proof_from_bytes, proof_to_bytes
-from repro.halo2.prover import create_proof
-from repro.halo2.verifier import verify_proof
+
+#: Names resolved on first use, so a process that only verifies never
+#: loads the prover or the mock prover.
+_LAZY = {
+    "create_proof": "repro.halo2.prover",
+    "MockProver": "repro.halo2.mock",
+    "VerifyFailure": "repro.halo2.mock",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    return getattr(importlib.import_module(_LAZY[name]), name)
+
 
 __all__ = [
     "Column",
@@ -48,5 +67,4 @@ __all__ = [
     "proof_to_bytes",
     "proof_from_bytes",
     "create_proof",
-    "verify_proof",
 ]

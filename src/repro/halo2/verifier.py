@@ -19,14 +19,13 @@ first — it is hashes, and a damaged proof should cost no more than
 finding the damage.  The verifier never sees a polynomial and runs no
 NTT.
 
-Two entry points: :func:`verify_proof` is the permissive boolean check,
-and :func:`verify_proof_strict` is the hardened front door — it runs
+One entry point, :func:`verify_proof_strict`: it runs
 :func:`validate_proof_shape` (every count, width, path length, digest
 and scalar range checked against the verifying key before the first
 hash, raising :class:`~repro.resilience.errors.ProofFormatError` on
 violation) and then maps *any* rejection or internal crash to a typed
-:class:`~repro.resilience.errors.VerificationFailure`.  Untrusted proof
-bytes should only ever meet the strict path.
+:class:`~repro.resilience.errors.VerificationFailure`.  It returns
+``None`` or raises; there is no boolean verdict to forget to check.
 """
 
 from __future__ import annotations
@@ -148,9 +147,9 @@ def verify_proof_strict(
     Raises :class:`ProofFormatError` for structural violations,
     :class:`KernelUnavailableError` when this box cannot run the field
     kernel at all (no verdict either way), and :class:`VerificationFailure`
-    for everything else: a clean rejection, or *any* internal exception the
-    permissive path would have leaked (hostile bytes must never produce a
-    raw traceback).  Returns ``None`` on success.
+    for everything else: a clean rejection, or *any* internal exception,
+    chained as its ``__cause__`` (hostile bytes must never produce a raw
+    traceback).  Returns ``None`` on success.
     """
     validate_proof_shape(vk, proof, instance)
     try:
@@ -164,20 +163,6 @@ def verify_proof_strict(
         ) from exc
     if not ok:
         raise VerificationFailure("proof rejected")
-
-
-def verify_proof(
-    vk: VerifyingKey,
-    proof: Proof,
-    instance: List[List[int]],
-    scheme: CommitmentScheme,
-) -> bool:
-    """Check a proof against public inputs; True iff it verifies."""
-    try:
-        validate_proof_shape(vk, proof, instance)
-    except ProofFormatError:
-        return False
-    return _verify_shaped(vk, proof, instance, scheme)
 
 
 def folded_constraints_at(

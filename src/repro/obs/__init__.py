@@ -23,62 +23,11 @@ same vocabulary so predictions can be checked against reality:
   pulls in the compiler.
 
 Everything is disabled by default through inert singletons
-(:data:`NULL_TRACER`, :data:`NULL_METRICS`): the prover hot loop never
+(:data:`~repro.obs.trace.NULL_TRACER`,
+:data:`~repro.obs.metrics.NULL_METRICS`): the prover hot loop never
 allocates or branches on "is observability on".
+
+The package imports nothing: callers import from the defining submodule,
+so a process that only verifies loads :mod:`~repro.obs.stats` and
+:mod:`~repro.obs.trace` and none of the metrics, log or cluster modules.
 """
-
-from repro.obs.cluster import (
-    WorkerAggregate,
-    WorkerTelemetry,
-    capture_batch,
-    fold_worker_result,
-    stitch_batch,
-)
-from repro.obs.log import configure as configure_logging, get_logger
-from repro.obs.metrics import (
-    MetricsRegistry,
-    NULL_METRICS,
-    NullMetrics,
-    predicted_counts,
-    predicted_vs_actual,
-    record_circuit_stats,
-    record_prover_run,
-    render_predicted_vs_actual,
-)
-from repro.obs.stats import STATS, ObsStats
-from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    use_tracer,
-)
-
-__all__ = [
-    "MetricsRegistry",
-    "NullMetrics",
-    "NULL_METRICS",
-    "NullTracer",
-    "NULL_TRACER",
-    "ObsStats",
-    "STATS",
-    "Span",
-    "Tracer",
-    "WorkerAggregate",
-    "WorkerTelemetry",
-    "capture_batch",
-    "configure_logging",
-    "fold_worker_result",
-    "get_logger",
-    "get_tracer",
-    "predicted_counts",
-    "predicted_vs_actual",
-    "record_circuit_stats",
-    "record_prover_run",
-    "render_predicted_vs_actual",
-    "set_tracer",
-    "stitch_batch",
-    "use_tracer",
-]

@@ -31,6 +31,7 @@ from repro.resilience import events
 from repro.resilience.errors import (
     RegistryError,
     UnknownVerifyingKeyError,
+    VerificationFailure,
 )
 from repro.storage import atomic_write, checksum16
 
@@ -57,6 +58,23 @@ class RegistryEntry:
 
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)
+
+    def bind(self, env) -> None:
+        """Refuse an envelope whose model or config digest is not the one
+        published with this key.
+
+        The proof statement binds the vk hash and the public inputs; the
+        model and config metadata are bound here, against what the prover
+        published, so a relabeled envelope is rejected (a
+        :class:`~repro.resilience.errors.VerificationFailure`), not served.
+        """
+        if (self.model != env.model
+                or self.config_digest != env.config_digest_hex):
+            raise VerificationFailure(
+                "envelope metadata (model %r, config %s) does not match "
+                "registry entry (model %r, config %s)"
+                % (env.model, env.config_digest_hex[:8], self.model,
+                   self.config_digest[:8]), model=env.model)
 
 
 class VKRegistry:
@@ -122,8 +140,7 @@ class VKRegistry:
         entries = self._load_index()
         existing = entries.get(vk_hash)
         if existing is not None:
-            intact, _ = self._artifact_intact(existing)
-            if intact:
+            if self._read_artifact(existing)[0] is not None:
                 return RegistryEntry(**existing), False
             events.recovered("vk_registry_rebuild", vk_hash=vk_hash[:16],
                              model=model)
@@ -146,17 +163,19 @@ class VKRegistry:
 
     # -- read ----------------------------------------------------------------
 
-    def _artifact_intact(self, record: Dict) -> Tuple[bool, str]:
-        """(intact, cause) for one index record's on-disk artifact."""
+    def _read_artifact(self, record: Dict) -> Tuple[Optional[bytes], str]:
+        """``(bytes, "")`` for one index record's intact on-disk artifact,
+        or ``(None, cause)``: one read, so the bytes a caller unpickles
+        are the bytes that were checksummed."""
         path = os.path.join(self.root, record["file"])
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
         except OSError:
-            return False, "missing_artifact"
+            return None, "missing_artifact"
         if _artifact_checksum(data) != record["checksum"]:
-            return False, "checksum_mismatch"
-        return True, ""
+            return None, "checksum_mismatch"
+        return data, ""
 
     def entry(self, vk_hash: str) -> RegistryEntry:
         """The index record for ``vk_hash`` (no artifact read)."""
@@ -182,10 +201,9 @@ class VKRegistry:
             raise UnknownVerifyingKeyError(
                 "verifying key %s is not in the registry" % vk_hash[:16],
                 vk_hash=vk_hash, registry=self.root)
-        intact, cause = self._artifact_intact(record)
+        data, cause = self._read_artifact(record)
+        intact = data is not None
         if intact:
-            with open(os.path.join(self.root, record["file"]), "rb") as fh:
-                data = fh.read()
             try:
                 vk = pickle.loads(data)
             except Exception:  # noqa: BLE001 — any unpickle failure is corruption
@@ -248,8 +266,8 @@ class VKRegistry:
         ok: List[str] = []
         bad: List[Dict[str, str]] = []
         for vk_hash, record in sorted(entries.items()):
-            intact, cause = self._artifact_intact(record)
-            if intact:
+            data, cause = self._read_artifact(record)
+            if data is not None:
                 ok.append(vk_hash)
             else:
                 bad.append({"vk_hash": vk_hash, "model": record["model"],

@@ -15,7 +15,7 @@ Request fields::
      "scheme": "kzg", "columns": 10, "scale_bits": 5,   # batch-key params
      "request_id": "req-...",    # correlation id (minted here if absent)
      "want_proof": false,        # include base64 proof bytes in the reply
-     "want_envelope": false,     # include the base64 v1 proof envelope
+     "want_envelope": false,     # include the base64 v2 proof envelope
      "timeout": 60.0}            # per-request wait budget (seconds)
 
 Response: ``{"ok": true, "id", "request_id", "batch_id", "model",

@@ -227,8 +227,9 @@ class ProofResponse:
     scheme_name: str
     verified: bool
     proof_bytes: bytes
-    #: The batch proof packaged as a serialized v1 envelope (shared by
-    #: every request in the batch; built once per batch).
+    #: The batch proof packaged as a serialized ``zkml-proof-envelope/v2``
+    #: envelope (shared by every request in the batch; built once per
+    #: batch).
     envelope_bytes: bytes
     instance: List[List[int]]
     outputs: Dict[str, np.ndarray]

@@ -6,7 +6,7 @@ request per connection**, one JSON response, connection closed.
 
 Request fields::
 
-    {"envelopes": ["<b64>", ...],   # serialized v1 envelopes, or ...
+    {"envelopes": ["<b64>", ...],   # serialized v2 envelopes, or ...
      "envelope": "<b64>",           # ... a single one
      "request_id": "req-..."}       # correlation id (minted if absent)
 

@@ -326,17 +326,8 @@ class VerifyService:
         if isinstance(fetched, BaseException):
             return self._reject(idx, fetched, env)
         vk, entry = fetched
-        # the proof statement binds the vk hash and public inputs; the
-        # model/config metadata is bound *here*, against what the prover
-        # published — a relabeled envelope is rejected, not re-served
-        if entry.model != env.model \
-                or entry.config_digest != env.config_digest_hex:
-            return self._reject(idx, VerificationFailure(
-                "envelope metadata (model %r, config %s) does not match "
-                "registry entry (model %r, config %s)"
-                % (env.model, env.config_digest_hex[:8], entry.model,
-                   entry.config_digest[:8]), model=env.model), env)
         try:
+            entry.bind(env)
             with self.tracer.span("verify:envelope", model=env.model,
                                   scheme=env.scheme_name):
                 verify_envelope(env, vk)

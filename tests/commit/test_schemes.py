@@ -4,15 +4,19 @@ import random
 
 import pytest
 
-from repro.commit import IPAScheme, KZGScheme, KZGSetup, scheme_by_name
+from repro.commit import scheme_by_name
+from repro.commit.ipa import IPAScheme
+from repro.commit.kzg import KZGScheme, KZGSetup
 from repro.commit.scheme import Commitment, draw_opening_point
 from repro.commit.transcript import Transcript
 from repro.field import GOLDILOCKS, EvaluationDomain
-from repro.halo2 import create_proof, keygen, verify_proof
+from repro.halo2 import create_proof, keygen
+from repro.halo2.verifier import verify_proof_strict
 from repro.obs.stats import STATS
 
 from tests.halo2.circuits import mul_circuit
 from tests.reference import poly_eval
+from tests.verdict import assert_rejected
 
 F = GOLDILOCKS
 
@@ -93,9 +97,9 @@ class TestCommitOpenVerify:
         _, vk_ipa = keygen(cs, asg, ipa)
         assert vk_kzg.digest() != vk_ipa.digest()
         proof = create_proof(pk, asg, kzg)
-        assert verify_proof(vk_kzg, proof, asg.instance_values(), kzg)
-        assert not verify_proof(vk_ipa, proof, asg.instance_values(), ipa)
-        assert not verify_proof(vk_kzg, proof, asg.instance_values(), ipa)
+        verify_proof_strict(vk_kzg, proof, asg.instance_values(), kzg)
+        assert_rejected(vk_ipa, proof, asg.instance_values(), ipa)
+        assert_rejected(vk_kzg, proof, asg.instance_values(), ipa)
 
 
 class TestCountersAndShape:

@@ -12,7 +12,8 @@ from repro.compiler import (
     synthesize_model,
 )
 from repro.field import GOLDILOCKS
-from repro.halo2 import create_proof, keygen, verify_proof
+from repro.halo2 import create_proof, keygen
+from repro.halo2.verifier import verify_proof_strict
 from repro.layers.base import LayoutChoices
 from repro.model import get_model
 
@@ -102,5 +103,5 @@ class TestModelSynthesis:
         scheme = scheme_by_name("kzg", GOLDILOCKS)
         pk, vk = keygen(result.builder.cs, result.builder.asg, scheme)
         proof = create_proof(pk, result.builder.asg, scheme)
-        assert verify_proof(vk, proof, result.builder.asg.instance_values(),
+        verify_proof_strict(vk, proof, result.builder.asg.instance_values(),
                             scheme)

@@ -12,8 +12,11 @@ from repro.gadgets import (
     MulGadget,
     PointwiseGadget,
 )
-from repro.halo2 import create_proof, keygen, verify_proof
+from repro.halo2 import create_proof, keygen
+from repro.halo2.verifier import verify_proof_strict
 from repro.tensor import Entry
+
+from tests.verdict import assert_rejected
 
 
 class TestBuilderBasics:
@@ -78,7 +81,7 @@ class TestEndToEndProofs:
         scheme = scheme_by_name(backend, GOLDILOCKS)
         pk, vk = keygen(b.cs, b.asg, scheme)
         proof = create_proof(pk, b.asg, scheme)
-        assert verify_proof(vk, proof, b.asg.instance_values(), scheme)
+        verify_proof_strict(vk, proof, b.asg.instance_values(), scheme)
 
     def test_tampered_gadget_proof_rejected(self):
         b = CircuitBuilder(k=7, num_cols=8, scale_bits=4, lookup_bits=6)
@@ -89,4 +92,4 @@ class TestEndToEndProofs:
         scheme = scheme_by_name("kzg", GOLDILOCKS)
         pk, vk = keygen(b.cs, b.asg, scheme)
         proof = create_proof(pk, b.asg, scheme)
-        assert not verify_proof(vk, proof, b.asg.instance_values(), scheme)
+        assert_rejected(vk, proof, b.asg.instance_values(), scheme)

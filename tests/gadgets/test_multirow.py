@@ -94,7 +94,8 @@ class TestMultiRowDot:
 def test_mixed_single_and_multi_row_circuit_proves():
     from repro.commit import scheme_by_name
     from repro.field import GOLDILOCKS
-    from repro.halo2 import create_proof, keygen, verify_proof
+    from repro.halo2 import create_proof, keygen
+    from repro.halo2.verifier import verify_proof_strict
 
     b = builder(k=9)
     add = b.gadget(MultiRowAddGadget)
@@ -108,4 +109,4 @@ def test_mixed_single_and_multi_row_circuit_proves():
     scheme = scheme_by_name("kzg", GOLDILOCKS)
     pk, vk = keygen(b.cs, b.asg, scheme)
     proof = create_proof(pk, b.asg, scheme)
-    assert verify_proof(vk, proof, b.asg.instance_values(), scheme)
+    verify_proof_strict(vk, proof, b.asg.instance_values(), scheme)

@@ -74,7 +74,8 @@ class TestVarDivWide:
     def test_end_to_end_proof(self):
         from repro.commit import scheme_by_name
         from repro.field import GOLDILOCKS
-        from repro.halo2 import create_proof, keygen, verify_proof
+        from repro.halo2 import create_proof, keygen
+        from repro.halo2.verifier import verify_proof_strict
 
         b = builder()
         wide = b.gadget(VarDivWideGadget)
@@ -83,7 +84,7 @@ class TestVarDivWide:
         scheme = scheme_by_name("kzg", GOLDILOCKS)
         pk, vk = keygen(b.cs, b.asg, scheme)
         proof = create_proof(pk, b.asg, scheme)
-        assert verify_proof(vk, proof, b.asg.instance_values(), scheme)
+        verify_proof_strict(vk, proof, b.asg.instance_values(), scheme)
 
     @given(a=st.integers(1, 2000), num=st.integers(0, 100000))
     @settings(max_examples=20, deadline=None)

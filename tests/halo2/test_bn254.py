@@ -13,7 +13,8 @@ import pytest
 
 from repro.commit import scheme_by_name
 from repro.field import GOLDILOCKS, EvaluationDomain
-from repro.halo2 import ConstraintSystem, create_proof, keygen, verify_proof
+from repro.halo2 import ConstraintSystem, create_proof, keygen
+from repro.halo2.verifier import verify_proof_strict
 from repro.resilience.errors import UnsupportedFieldError
 
 from tests.field.test_prime_field import BN254_FR
@@ -50,10 +51,10 @@ def test_verify_refuses_a_key_over_bn254():
     scheme = scheme_by_name("kzg", GOLDILOCKS)
     pk, vk = keygen(cs, asg, scheme)
     proof = create_proof(pk, asg, scheme)
-    assert verify_proof(vk, proof, asg.instance_values(), scheme)
+    verify_proof_strict(vk, proof, asg.instance_values(), scheme)
     vk.field = BN254_FR
     with REFUSED:
-        verify_proof(vk, proof, asg.instance_values(), scheme)
+        verify_proof_strict(vk, proof, asg.instance_values(), scheme)
 
 
 def test_field_encoding_differs_but_semantics_agree():

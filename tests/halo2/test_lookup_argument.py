@@ -24,10 +24,10 @@ from repro.halo2 import (
     Ref,
     create_proof,
     keygen,
-    verify_proof,
 )
 from repro.halo2 import prover
 from repro.halo2.shape import ALPHA, HELPER_ROUND, claim_of
+from repro.halo2.verifier import verify_proof_strict
 from repro.halo2.verifier import validate_proof_shape, verify_proof_strict
 from repro.model import get_model
 from repro.obs.stats import STATS
@@ -104,7 +104,7 @@ class TestSharedMultiplicity:
         cs, asg = two_table_circuit()
         pk, vk = keygen(cs, asg, scheme)
         proof, columns = prove_with_columns(pk, asg, scheme)
-        assert verify_proof(vk, proof, asg.instance_values(), scheme)
+        verify_proof_strict(vk, proof, asg.instance_values(), scheme)
         table_a, table_b = vk.lookups
         assert [lk.name for lk in table_a.arguments] == ["a1", "a2"]
         assert [lk.name for lk in table_b.arguments] == ["b1"]

@@ -12,11 +12,12 @@ from repro.halo2 import (
     keygen,
     proof_from_bytes,
     proof_to_bytes,
-    verify_proof,
 )
+from repro.halo2.verifier import verify_proof_strict
 from repro.resilience.errors import ProofFormatError
 
 from tests.halo2.circuits import mul_circuit, range_check_circuit
+from tests.verdict import assert_rejected
 
 F = GOLDILOCKS
 
@@ -42,7 +43,7 @@ class TestRoundTrip:
         scheme, vk, proof, instance = proved
         data = proof_to_bytes(proof)
         again = proof_from_bytes(data)
-        assert verify_proof(vk, again, instance, scheme)
+        verify_proof_strict(vk, again, instance, scheme)
 
     def test_round_trip_is_identity(self, proved):
         _, _, proof, _ = proved
@@ -87,7 +88,7 @@ class TestRoundTrip:
         assert any(rot != 0 for _, _, rot in vk.shape.claims)
         proof = create_proof(pk, asg, scheme)
         again = proof_from_bytes(proof_to_bytes(proof))
-        assert verify_proof(vk, again, asg.instance_values(), scheme)
+        verify_proof_strict(vk, again, asg.instance_values(), scheme)
 
 
 class TestShape:
@@ -135,4 +136,4 @@ class TestMalformed:
             again = proof_from_bytes(bytes(data))
         except ValueError:
             return  # rejected at parse time: also fine
-        assert not verify_proof(vk, again, instance, scheme)
+        assert_rejected(vk, again, instance, scheme)

@@ -6,9 +6,10 @@ import pytest
 
 from repro.commit import scheme_by_name
 from repro.field import GOLDILOCKS
-from repro.halo2 import create_proof, keygen, verify_proof
+from repro.halo2 import create_proof, keygen
 from repro.halo2.shape import QUOTIENT_ROUND
 from repro.halo2.prover import ProvingError
+from repro.halo2.verifier import verify_proof_strict
 
 from tests.halo2.circuits import (
     copy_circuit,
@@ -16,6 +17,7 @@ from tests.halo2.circuits import (
     range_check_circuit,
     relu_lookup_circuit,
 )
+from tests.verdict import assert_rejected
 
 F = GOLDILOCKS
 
@@ -25,40 +27,40 @@ def scheme(request):
     return scheme_by_name(request.param, F)
 
 
-def prove_and_verify(builder, scheme, **kwargs):
+def prove(builder, scheme, **kwargs):
     cs, asg = builder(**kwargs)
     pk, vk = keygen(cs, asg, scheme)
-    proof = create_proof(pk, asg, scheme)
-    ok = verify_proof(vk, proof, asg.instance_values(), scheme)
-    return ok, (cs, asg, pk, vk, proof)
+    return asg, vk, create_proof(pk, asg, scheme)
+
+
+def prove_and_verify(builder, scheme, **kwargs):
+    asg, vk, proof = prove(builder, scheme, **kwargs)
+    verify_proof_strict(vk, proof, asg.instance_values(), scheme)
+    return asg, vk, proof
 
 
 class TestHonestProofs:
     def test_mul_circuit(self, scheme):
-        ok, _ = prove_and_verify(mul_circuit, scheme)
-        assert ok
+        prove_and_verify(mul_circuit, scheme)
 
     def test_copy_circuit(self, scheme):
-        ok, _ = prove_and_verify(copy_circuit, scheme)
-        assert ok
+        prove_and_verify(copy_circuit, scheme)
 
     def test_range_check(self, scheme):
-        ok, _ = prove_and_verify(range_check_circuit, scheme)
-        assert ok
+        prove_and_verify(range_check_circuit, scheme)
 
     def test_relu_lookup(self, scheme):
-        ok, _ = prove_and_verify(relu_lookup_circuit, scheme)
-        assert ok
+        prove_and_verify(relu_lookup_circuit, scheme)
 
 
 class TestDishonestWitnesses:
     def test_gate_violation_rejected(self, scheme):
-        ok, _ = prove_and_verify(mul_circuit, scheme, tamper_row=1)
-        assert not ok
+        asg, vk, proof = prove(mul_circuit, scheme, tamper_row=1)
+        assert_rejected(vk, proof, asg.instance_values(), scheme)
 
     def test_copy_violation_rejected(self, scheme):
-        ok, _ = prove_and_verify(copy_circuit, scheme, break_copy=True)
-        assert not ok
+        asg, vk, proof = prove(copy_circuit, scheme, break_copy=True)
+        assert_rejected(vk, proof, asg.instance_values(), scheme)
 
     def test_lookup_violation_raises_in_prover(self, scheme):
         cs, asg = range_check_circuit(values=(0, 99))
@@ -69,42 +71,41 @@ class TestDishonestWitnesses:
 
 class TestTamperedProofs:
     def test_wrong_instance_rejected(self, scheme):
-        ok, (cs, asg, pk, vk, proof) = prove_and_verify(mul_circuit, scheme)
-        assert ok
+        asg, vk, proof = prove_and_verify(mul_circuit, scheme)
         instance = asg.instance_values()
         instance[0][0] = F.add(instance[0][0], 1)
-        assert not verify_proof(vk, proof, instance, scheme)
+        assert_rejected(vk, proof, instance, scheme)
 
     def test_tampered_commitment_rejected(self, scheme):
-        ok, (cs, asg, pk, vk, proof) = prove_and_verify(mul_circuit, scheme)
+        asg, vk, proof = prove_and_verify(mul_circuit, scheme)
         for i in range(len(proof.round_roots)):
             bad = copy.deepcopy(proof)
             digest = bytearray(bad.round_roots[i])
             digest[0] ^= 1
             bad.round_roots[i] = bytes(digest)
-            assert not verify_proof(vk, bad, asg.instance_values(), scheme)
+            assert_rejected(vk, bad, asg.instance_values(), scheme)
 
     def test_tampered_opening_value_rejected(self, scheme):
-        ok, (cs, asg, pk, vk, proof) = prove_and_verify(mul_circuit, scheme)
+        asg, vk, proof = prove_and_verify(mul_circuit, scheme)
         for j in range(len(proof.evals)):
             bad = copy.deepcopy(proof)
             bad.evals[j] = F.add(bad.evals[j], 1)
-            assert not verify_proof(vk, bad, asg.instance_values(), scheme)
+            assert_rejected(vk, bad, asg.instance_values(), scheme)
 
     def test_dropped_quotient_piece_rejected(self, scheme):
-        ok, (cs, asg, pk, vk, proof) = prove_and_verify(mul_circuit, scheme)
+        asg, vk, proof = prove_and_verify(mul_circuit, scheme)
         last_piece = max(j for j, claim in enumerate(vk.shape.claims)
                          if claim[0] == QUOTIENT_ROUND)
         del proof.evals[last_piece]
-        assert not verify_proof(vk, proof, asg.instance_values(), scheme)
+        assert_rejected(vk, proof, asg.instance_values(), scheme)
 
 
 class TestProofShape:
     def test_modeled_size_positive_and_backend_dependent(self):
         kzg = scheme_by_name("kzg", F)
         ipa = scheme_by_name("ipa", F)
-        _, (_, asg, _, vk_k, proof_k) = prove_and_verify(mul_circuit, kzg)
-        _, (_, _, _, vk_i, proof_i) = prove_and_verify(mul_circuit, ipa)
+        _, vk_k, _ = prove_and_verify(mul_circuit, kzg)
+        _, vk_i, _ = prove_and_verify(mul_circuit, ipa)
         size_k = vk_k.modeled_proof_bytes(kzg)
         size_i = vk_i.modeled_proof_bytes(ipa)
         assert size_k > 0

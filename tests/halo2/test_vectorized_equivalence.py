@@ -30,7 +30,8 @@ from hypothesis import strategies as st
 from repro.commit import scheme_by_name
 from repro.field import GOLDILOCKS, gl64
 from repro.field.vector import GL64Backend
-from repro.halo2 import create_proof, keygen, proof_to_bytes, verify_proof
+from repro.halo2 import create_proof, keygen, proof_to_bytes
+from repro.halo2.verifier import verify_proof_strict
 from repro.halo2.column import Column, ColumnType
 from repro.halo2.shape import ALPHA, BETA, GAMMA, THETA, claim_of
 from repro.halo2.tape import INSTANCE, Y, compile_stores
@@ -202,11 +203,11 @@ def assert_backends_agree(cs, asg):
     assert vk_fast.digest() == vk_ref.digest()
     assert proof_to_bytes(proof_fast) == proof_to_bytes(proof_ref)
     assert pickle.dumps(proof_fast) == pickle.dumps(proof_ref)
-    assert verify_proof(vk_fast, proof_fast, asg.instance_values(), scheme)
+    verify_proof_strict(vk_fast, proof_fast, asg.instance_values(), scheme)
     # and each path's verifier accepts the other's proof
-    assert verify_proof(vk_fast, proof_ref, asg.instance_values(), scheme)
+    verify_proof_strict(vk_fast, proof_ref, asg.instance_values(), scheme)
     with oracle_tier():
-        assert verify_proof(vk_ref, proof_fast, asg.instance_values(), scheme)
+        verify_proof_strict(vk_ref, proof_fast, asg.instance_values(), scheme)
 
 
 @pytest.mark.parametrize(

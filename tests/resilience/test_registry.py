@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.model import get_model
-from repro.registry import INDEX_SCHEMA, VKRegistry
+from repro.registry import INDEX_SCHEMA, VKRegistry, store
 from repro.resilience import events
 from repro.resilience.errors import (
     RegistryError,
@@ -100,6 +100,22 @@ class TestIntegrity:
         assert isinstance(info.value, KeyError)
         with pytest.raises(UnknownVerifyingKeyError):
             registry.entry("ab" * 32)
+
+    def test_get_unpickles_the_bytes_it_checksummed(self, registry, proven,
+                                                    monkeypatch):
+        # one read of the key file per get: a second read could return
+        # bytes other than the ones the checksum passed
+        entry, _ = _publish(registry, proven)
+        path = os.path.join(registry.root, entry.file)
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(store, "open", counting_open, raising=False)
+        assert registry.get(entry.vk_hash).digest() == proven.vk.digest()
+        assert opened.count(path) == 1
 
     def test_corrupt_artifact_evicted_on_get(self, registry, proven):
         entry, _ = _publish(registry, proven)

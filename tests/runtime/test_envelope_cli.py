@@ -192,6 +192,19 @@ class TestVerifyCliExitCodes:
         assert rc == 1
         assert "EnvelopeChecksumError" in capsys.readouterr().err
 
+    def test_relabeled_envelope_exit_one(self, workspace, tmp_path, capsys):
+        # a valid checksum over a renamed model: the registry entry the
+        # prover published binds the name
+        with open(workspace["envelope"], "rb") as f:
+            env = decode_envelope(f.read())
+        bad = str(tmp_path / "relabeled.env")
+        with open(bad, "wb") as f:
+            f.write(dataclasses.replace(env, model="mnist-mini").encode())
+        rc = main(["verify", "--envelope", bad,
+                   "--registry", workspace["registry"], "-q"])
+        assert rc == 1
+        assert "does not match registry entry" in capsys.readouterr().err
+
     def test_envelope_without_registry_exit_one(self, workspace, capsys):
         rc = main(["verify", "--envelope", workspace["envelope"], "-q"])
         assert rc == 1

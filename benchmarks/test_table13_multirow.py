@@ -5,8 +5,15 @@ newer proving systems; the paper shows this costs nothing (multi-row is
 up to 2.2% *slower*).  We build the same fixed workload — a mix of adds,
 maxes, and dot products at 10 columns — swap one gadget at a time for its
 multi-row variant, and measure real proving time with the Python prover.
+Each condition's time is the median of ``ROUNDS`` proves, the conditions
+interleaved round by round, so a burst of load on the machine lands on
+every condition alike instead of on one.  A prove is timed in process
+CPU time: the prover is serial, so that is its proving time, and it
+leaves out the time another process holds the core (a k=9 prove takes
+a few milliseconds, about one scheduler slice).
 """
 
+import statistics
 import time
 
 import pytest
@@ -29,6 +36,7 @@ from repro.halo2.verifier import verify_proof_strict
 from repro.tensor import Entry
 
 OPS = 40  # ops per gadget type; k stays small enough to prove quickly
+ROUNDS = 5  # proves per condition; its time is their median
 
 
 def build_circuit(add_cls, max_cls, dot_cls):
@@ -46,9 +54,9 @@ def build_circuit(add_cls, max_cls, dot_cls):
 def prove_circuit(builder):
     scheme = scheme_by_name("kzg", GOLDILOCKS)
     pk, vk = keygen(builder.cs, builder.asg, scheme)
-    start = time.perf_counter()
+    start = time.process_time()
     proof = create_proof(pk, builder.asg, scheme)
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     verify_proof_strict(vk, proof, builder.asg.instance_values(), scheme)
     return elapsed
 
@@ -62,10 +70,14 @@ CONDITIONS = {
 
 
 def test_table13_single_vs_multi_row(benchmark):
-    times = {}
-    for label, (add_cls, max_cls, dot_cls) in CONDITIONS.items():
-        builder = build_circuit(add_cls, max_cls, dot_cls)
-        times[label] = prove_circuit(builder)
+    builders = {label: build_circuit(*classes)
+                for label, classes in CONDITIONS.items()}
+    samples = {label: [] for label in CONDITIONS}
+    for _ in range(ROUNDS):
+        for label, builder in builders.items():
+            samples[label].append(prove_circuit(builder))
+    times = {label: statistics.median(seconds)
+             for label, seconds in samples.items()}
 
     rows = [
         (label, "%.2f s" % times[label], "%.2f s" % TABLE13_MULTIROW[label],

@@ -10,8 +10,9 @@ Run:  python examples/biometric_auth.py
 
 import numpy as np
 
+from repro.envelope import verify_envelope
 from repro.model import GraphBuilder
-from repro.runtime import prove_model, verify_model_proof
+from repro.runtime import prove_model
 
 
 def build_matcher(dim=6):
@@ -54,8 +55,7 @@ def main():
         dist_fixed = int(result.outputs[model.outputs[0]].reshape(-1)[0])
         dist = dist_fixed / (1 << 7)
         accepted = dist < threshold
-        ok = verify_model_proof(result.vk, result.proof, result.instance,
-                                "kzg")
+        ok = verify_envelope(result.envelope(), result.vk)
         print("%-9s distance=%.4f -> %s (proof %s, %.2fs)"
               % (label, dist, "ACCEPT" if accepted else "REJECT",
                  "valid" if ok else "INVALID", result.proving_seconds))

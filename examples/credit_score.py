@@ -8,12 +8,15 @@ model, the borrower never reveals more than the score.
 Run:  python examples/credit_score.py
 """
 
+import dataclasses
+
 import numpy as np
 
+from repro.envelope import verify_envelope
 from repro.ml import MLPClassifier
 from repro.model import run_float
 from repro.resilience.errors import VerificationFailure
-from repro.runtime import prove_model, verify_model_proof
+from repro.runtime import prove_model
 
 
 def train_scoring_model(rng):
@@ -51,15 +54,16 @@ def main():
           % (result.proving_seconds, result.modeled_proof_bytes))
 
     # the lender verifies
-    assert verify_model_proof(result.vk, result.proof, result.instance,
-                              "kzg")
+    env = result.envelope()
+    assert verify_envelope(env, result.vk)
     print("lender verified the score against the committed model")
 
     # and a borrower who edits their score is caught
     forged = [list(col) for col in result.instance]
     forged[0][1] = (forged[0][1] + 30) % result.vk.field.p
     try:
-        verify_model_proof(result.vk, result.proof, forged, "kzg")
+        verify_envelope(dataclasses.replace(env, instance=forged),
+                        result.vk)
     except VerificationFailure:
         print("inflated score rejected")
     else:

@@ -8,11 +8,14 @@ real prover, with the next-token logits public.
 Run:  python examples/gpt2_inference.py
 """
 
+import dataclasses
+
 import numpy as np
 
+from repro.envelope import verify_envelope
 from repro.model import GraphBuilder, run_float
 from repro.resilience.errors import VerificationFailure
-from repro.runtime import prove_model, verify_model_proof
+from repro.runtime import prove_model
 
 VOCAB, SEQ, DIM, HEADS, MLP = 12, 3, 8, 2, 16
 
@@ -64,15 +67,16 @@ def main():
     float_logits = run_float(model, {})[model.outputs[0]]
     assert int(np.argmax(float_logits[-1])) == next_token
 
-    assert verify_model_proof(result.vk, result.proof, result.instance,
-                              "kzg")
+    env = result.envelope()
+    assert verify_envelope(env, result.vk)
     print("verifier accepted the generation step")
 
     # changing the published logits is caught
     forged = [list(col) for col in result.instance]
     forged[-1][0] = (forged[-1][0] + 9) % result.vk.field.p
     try:
-        verify_model_proof(result.vk, result.proof, forged, "kzg")
+        verify_envelope(dataclasses.replace(env, instance=forged),
+                        result.vk)
     except VerificationFailure:
         print("forged logits rejected")
     else:

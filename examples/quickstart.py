@@ -1,13 +1,19 @@
-"""Quickstart: define a model, prove one inference, verify the proof.
+"""Quickstart: define a model, prove one inference, publish the verifying
+key, and verify the proof envelope against the published key.
 
 Run:  python examples/quickstart.py
 """
 
+import dataclasses
+import tempfile
+
 import numpy as np
 
+from repro.envelope import decode_envelope, verify_envelope
 from repro.model import GraphBuilder
+from repro.registry import VKRegistry
 from repro.resilience.errors import VerificationFailure
-from repro.runtime import prove_model, verify_model_proof
+from repro.runtime import prove_model
 
 
 def main():
@@ -32,16 +38,32 @@ def main():
     print("class probabilities (fixed-point):",
           [int(v) for v in result.outputs[out].reshape(-1)])
 
-    # 3. Anyone can verify with the verifying key and public values
-    #    (verification is strict: a rejection raises, nothing returns False).
-    verify_model_proof(result.vk, result.proof, result.instance, "kzg")
+    # steps 3-5: publish the key, ship the envelope, verify it
+    with tempfile.TemporaryDirectory() as root:
+        publish_and_verify(result, VKRegistry(root))
+
+
+def publish_and_verify(result, registry):
+    # 3. The provider publishes the verifying key once and ships each
+    #    proof as an envelope (the bytes `zkml prove --envelope` writes).
+    env = result.envelope()
+    registry.publish(result.vk, env.model, env.config_digest)
+    data = env.encode()
+    print("envelope: %d bytes, vk %s..." % (len(data), env.vk_hash_hex[:16]))
+
+    # 4. Anyone checks the envelope against the published key (strict: a
+    #    rejection raises, nothing returns False).
+    received = decode_envelope(data)
+    vk, entry = registry.resolve(received.vk_hash_hex)
+    entry.bind(received)  # the model and config it was published under
+    verify_envelope(received, vk)
     print("verification: OK")
 
-    # 4. A tampered public output is rejected.
-    forged = [list(col) for col in result.instance]
+    # 5. A tampered public output is rejected.
+    forged = [list(col) for col in received.instance]
     forged[0][0] += 1
     try:
-        verify_model_proof(result.vk, result.proof, forged, "kzg")
+        verify_envelope(dataclasses.replace(received, instance=forged), vk)
     except VerificationFailure:
         print("tampered output rejected")
     else:

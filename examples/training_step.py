@@ -9,11 +9,14 @@ W - lr * dL/dW for the committed batch, without seeing W or the data.
 Run:  python examples/training_step.py
 """
 
+import dataclasses
+
 import numpy as np
 
+from repro.envelope import verify_envelope
 from repro.model import GraphBuilder, run_float
 from repro.resilience.errors import VerificationFailure
-from repro.runtime import prove_model, verify_model_proof
+from repro.runtime import prove_model
 
 
 def build_sgd_step(d_in=4, d_out=3):
@@ -53,15 +56,16 @@ def main():
           % (result.proving_seconds, err))
     assert err < 0.05
 
-    assert verify_model_proof(result.vk, result.proof, result.instance,
-                              "kzg")
+    env = result.envelope()
+    assert verify_envelope(env, result.vk)
     print("verifier accepted the updated weights")
 
     # a dishonest trainer publishing different weights is caught
     forged = [list(col) for col in result.instance]
     forged[0][0] = (forged[0][0] + 5) % result.vk.field.p
     try:
-        verify_model_proof(result.vk, result.proof, forged, "kzg")
+        verify_envelope(dataclasses.replace(env, instance=forged),
+                        result.vk)
     except VerificationFailure:
         print("forged weight update rejected")
     else:

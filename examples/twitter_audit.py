@@ -9,11 +9,14 @@ without ever seeing the model weights.
 Run:  python examples/twitter_audit.py
 """
 
+import dataclasses
+
 import numpy as np
 
+from repro.envelope import verify_envelope
 from repro.model import GraphBuilder
 from repro.resilience.errors import VerificationFailure
-from repro.runtime import prove_model, verify_model_proof
+from repro.runtime import prove_model
 
 
 def build_ranking_model():
@@ -58,8 +61,7 @@ def main():
     # the public scores.
     for tweet in candidate_tweets:
         result = proofs[tweet]
-        assert verify_model_proof(result.vk, result.proof, result.instance,
-                                  "kzg"), tweet
+        assert verify_envelope(result.envelope(), result.vk), tweet
     audited = sorted(candidate_tweets, key=scores.get, reverse=True)
     assert audited == feed
     print("audit passed: feed order matches the proven scores")
@@ -76,7 +78,8 @@ def main():
     forged = [list(col) for col in victim.instance]
     forged[0][0] = (forged[0][0] + 50) % victim.vk.field.p
     try:
-        verify_model_proof(victim.vk, victim.proof, forged, "kzg")
+        verify_envelope(dataclasses.replace(victim.envelope(),
+                                            instance=forged), victim.vk)
     except VerificationFailure:
         print("forged score rejected by the auditor")
     else:

@@ -7,14 +7,12 @@ Subcommands:
   (``--json`` for machine-readable output).
 - ``zkml optimize --model NAME``        — run the layout optimizer.
 - ``zkml prove --model NAME``           — prove one inference of a mini
-  model, writing proof/vk artifacts (``--envelope PATH`` for the raw
-  canonical proof envelope, ``--registry DIR`` to publish the
-  verifying key).
-- ``zkml verify``                       — verify a saved proof artifact
-  (``--artifact``) or a raw ``zkml-proof-envelope/v2`` (``--envelope``,
-  resolving the verifying key through ``--registry``); exit 3 = the
-  envelope's key is absent from the registry.
-- ``zkml registry publish|list|check``  — the content-addressed,
+  model (``--envelope PATH`` writes the ``zkml-proof-envelope/v2``
+  bytes, ``--registry DIR`` publishes the verifying key, idempotently).
+- ``zkml verify --envelope F --registry DIR`` — verify an envelope
+  against the key published for it; exit 3 = the envelope's key is
+  absent from the registry.
+- ``zkml registry list|check``          — the content-addressed,
   checksummed verifying-key registry backing envelope verification.
 - ``zkml verify-serve``                 — run the hardened envelope
   verification service on a unix socket: per-request caps, load
@@ -59,7 +57,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import sys
 import time
 
@@ -68,7 +65,6 @@ import numpy as np
 from repro.compiler import build_physical_layout
 from repro.envelope import DEFAULT_CAPS
 from repro.field import native
-from repro.halo2.proof import proof_to_bytes
 from repro.layers.base import LayoutChoices
 from repro.model import get_model, model_names, seeded_inputs, transpile
 from repro.obs import log as obs_log
@@ -82,7 +78,6 @@ from repro.optimizer import resolve_profile
 from repro.resilience import events
 from repro.resilience.errors import (
     KernelUnavailableError,
-    ProofFormatError,
     ResilienceError,
     UnknownVerifyingKeyError,
 )
@@ -253,21 +248,8 @@ def _cmd_prove(args) -> int:
         log.info("%s",
                  render_predicted_vs_actual(result.predicted_vs_actual()))
     envelope = None
-    if args.out or args.envelope or args.registry:
+    if args.envelope or args.registry:
         envelope = result.envelope()
-    if args.out:
-        # "envelope" is the canonical wire form and the only part `zkml
-        # verify` reads (through the bounds-checked decoder); the loose
-        # "proof_bytes"/"proof" fields stay for other readers
-        with open(args.out, "wb") as f:
-            pickle.dump(
-                {"vk": result.vk, "proof": result.proof,
-                 "proof_bytes": proof_to_bytes(result.proof),
-                 "envelope": envelope.encode(),
-                 "instance": result.instance,
-                 "scheme": result.scheme_name}, f,
-            )
-        log.info("artifact:     %s", args.out)
     if args.envelope:
         data = envelope.encode()
         with open(args.envelope, "wb") as f:
@@ -404,21 +386,17 @@ def _cmd_bench(argv) -> int:
     return rc
 
 
-def _registry_vk(registry_dir: str, env):
-    """Resolve an envelope's verifying key through the registry and bind
-    the envelope's metadata to its entry (:meth:`RegistryEntry.bind`)."""
-    from repro.registry import VKRegistry
+def _cmd_verify(args) -> int:
+    """``zkml verify --envelope FILE --registry DIR``: decode the
+    envelope, resolve its key and registry entry, verify.
 
-    registry = VKRegistry(registry_dir)
-    entry = registry.entry(env.vk_hash_hex)
-    vk = registry.get(env.vk_hash_hex)
-    entry.bind(env)
-    return vk
-
-
-def _verify_envelope_file(args) -> int:
-    """``zkml verify --envelope FILE``: decode, resolve vk, verify."""
+    Exit codes: 0 verified; 1 any verification or operational failure;
+    3 the envelope's verifying key is absent from the registry (the
+    distinct code lets callers distinguish "publish the key and retry"
+    from "this proof is bad").
+    """
     from repro.envelope import decode_envelope, verify_envelope
+    from repro.registry import VKRegistry
 
     try:
         with open(args.envelope, "rb") as f:
@@ -435,136 +413,34 @@ def _verify_envelope_file(args) -> int:
         return 1
     try:
         env = decode_envelope(data)
-        verify_envelope(env, _registry_vk(args.registry, env))
-    except UnknownVerifyingKeyError:
-        raise  # exit 3 with the remediation hint, in _cmd_verify
+        vk, entry = VKRegistry(args.registry).resolve(env.vk_hash_hex)
+        entry.bind(env)
+        verify_envelope(env, vk)
     except KernelUnavailableError:
         raise  # not a verdict: main() reports it and exits 1
     except ResilienceError as exc:
         fields = {"envelope": args.envelope}
         fields.update(exc.attribution())
         fields.setdefault("detail", exc.args[0] if exc.args else "")
-        log.error("verification: FAILED", **fields)
-        return 1
+        if not isinstance(exc, UnknownVerifyingKeyError):
+            log.error("verification: FAILED", **fields)
+            return 1
+        log.error("verification: FAILED", reason="unknown_vk", **fields)
+        log.error("hint: publish the key first — zkml prove --model "
+                  "<model> --registry %s", args.registry)
+        return 3
     log.info("verification: OK", model=env.model, scheme=env.scheme_name,
              vk_hash=env.vk_hash_hex[:16],
              public_inputs=env.num_public_inputs())
     return 0
 
 
-def _verify_artifact_file(args) -> int:
-    """``zkml verify --artifact FILE``: verify its embedded envelope."""
-    from repro.envelope import decode_envelope, verify_envelope
-
-    try:
-        with open(args.artifact, "rb") as f:
-            artifact = pickle.load(f)
-    except OSError as exc:
-        log.error("verification: FAILED", artifact=args.artifact,
-                  reason="unreadable", detail=str(exc))
-        return 1
-    except Exception as exc:  # noqa: BLE001 — corrupt pickle: any crash here is "bad artifact"
-        log.error("verification: FAILED", artifact=args.artifact,
-                  reason="malformed artifact",
-                  detail="%s: %s" % (type(exc).__name__, str(exc)[:120]))
-        return 1
-    try:
-        if not isinstance(artifact, dict):
-            raise ProofFormatError("artifact is not a mapping",
-                                   found=type(artifact).__name__)
-        if not artifact.get("envelope"):
-            raise ProofFormatError(
-                "artifact carries no proof envelope; re-prove with "
-                "'zkml prove --out' to get one")
-        env = decode_envelope(artifact["envelope"])
-        if args.registry:
-            vk = _registry_vk(args.registry, env)
-        elif "vk" in artifact:
-            vk = artifact["vk"]
-        else:
-            raise ProofFormatError(
-                "artifact has an envelope but no 'vk'; pass "
-                "--registry DIR to resolve the key")
-        verify_envelope(env, vk)
-    except (UnknownVerifyingKeyError, KernelUnavailableError):
-        raise
-    except ResilienceError as exc:
-        fields = {"artifact": args.artifact}
-        fields.update(exc.attribution())
-        fields.setdefault("detail", exc.args[0] if exc.args else "")
-        log.error("verification: FAILED", **fields)
-        return 1
-    log.info("verification: OK")
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    """Verify an untrusted artifact or envelope: every failure is typed.
-
-    Exit codes: 0 verified; 1 any verification or operational failure;
-    3 the envelope's verifying key is absent from the registry (the
-    distinct code lets callers distinguish "publish the key and retry"
-    from "this proof is bad").
-    """
-    try:
-        if args.envelope:
-            return _verify_envelope_file(args)
-        return _verify_artifact_file(args)
-    except UnknownVerifyingKeyError as exc:
-        fields = dict(exc.attribution())
-        fields.setdefault("detail", exc.args[0] if exc.args else "")
-        log.error("verification: FAILED", reason="unknown_vk", **fields)
-        log.error("hint: publish the key first — zkml registry publish "
-                  "--artifact <prove artifact> --registry %s",
-                  args.registry or "<DIR>")
-        return 3
-
-
-def _registry_publish(registry, args) -> int:
-    from repro.envelope import decode_envelope
-
-    try:
-        with open(args.artifact, "rb") as f:
-            artifact = pickle.load(f)
-    except OSError as exc:
-        raise ProofFormatError("artifact is unreadable: %s" % exc,
-                               artifact=args.artifact) from exc
-    except Exception as exc:  # noqa: BLE001 — corrupt pickle: any crash here is "bad artifact"
-        raise ProofFormatError(
-            "artifact is malformed: %s: %s"
-            % (type(exc).__name__, str(exc)[:120]),
-            artifact=args.artifact) from exc
-    if not isinstance(artifact, dict) or "vk" not in artifact:
-        raise ProofFormatError("artifact does not carry a verifying key",
-                               artifact=args.artifact)
-    if not artifact.get("envelope"):
-        raise ProofFormatError(
-            "artifact has no proof envelope binding (model, config) to "
-            "the key — re-prove with this build's 'zkml prove --out'",
-            artifact=args.artifact)
-    env = decode_envelope(artifact["envelope"])
-    vk = artifact["vk"]
-    if vk.digest() != env.vk_hash:
-        raise ProofFormatError(
-            "artifact envelope was produced by a different verifying key",
-            artifact=args.artifact, envelope_vk=env.vk_hash_hex[:16],
-            artifact_vk=vk.digest().hex()[:16])
-    entry, created = registry.publish(vk, env.model, env.config_digest)
-    log.info("%s vk %s (model=%s scheme=%s config=%s, %d bytes)",
-             "published" if created else "already present",
-             entry.vk_hash[:16], entry.model, entry.scheme,
-             entry.config_digest[:16], entry.size_bytes)
-    log.info("registry:     %s", registry.root)
-    return 0
-
-
 def _cmd_registry(args) -> int:
-    """``zkml registry publish|list|check`` — the verifying-key store."""
+    """``zkml registry list|check`` — the verifying-key store (``zkml
+    prove --registry`` publishes into it)."""
     from repro.registry import VKRegistry
 
     registry = VKRegistry(args.registry)
-    if args.registry_cmd == "publish":
-        return _registry_publish(registry, args)
     if args.registry_cmd == "list":
         entries = registry.list_entries()
         if args.json:
@@ -812,7 +688,7 @@ def _cmd_submit(args) -> int:
          "scheme": args.backend, "columns": args.columns,
          "scale_bits": args.scale_bits, "timeout": args.timeout,
          "priority": args.priority,
-         "want_proof": bool(args.out)}
+         "want_envelope": bool(args.out)}
         for i in range(args.count)
     ]
     responses = submit_many(args.socket, payloads, timeout=args.timeout)
@@ -835,11 +711,11 @@ def _cmd_submit(args) -> int:
         import base64
 
         for i, response in enumerate(responses):
-            if response.get("ok") and "proof_b64" in response:
-                path = "%s.%d.proof" % (args.out, i)
+            if response.get("ok") and "envelope_b64" in response:
+                path = "%s.%d.env" % (args.out, i)
                 with open(path, "wb") as fh:
-                    fh.write(base64.b64decode(response["proof_b64"]))
-                log.info("proof:        %s", path)
+                    fh.write(base64.b64decode(response["envelope_b64"]))
+                log.info("envelope:     %s", path)
     ok_responses = [r for r in responses if r.get("ok")]
     unverified = sum(1 for r in ok_responses if not r.get("verified"))
     latencies = sorted(r["client_seconds"] for r in responses
@@ -958,7 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
     prove.add_argument("--columns", type=int, default=10)
     prove.add_argument("--scale-bits", type=int, default=5)
     prove.add_argument("--seed", type=int, default=0)
-    prove.add_argument("--out", default=None, help="artifact output path")
     prove.add_argument("--envelope", default=None, metavar="PATH",
                        help="also write the canonical proof envelope "
                             "(zkml-proof-envelope/v2 bytes) to PATH")
@@ -1031,13 +906,11 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate.set_defaults(func=_cmd_calibrate)
 
     verify = sub.add_parser("verify", parents=[common],
-                            help="verify a proof artifact or envelope")
-    verify_src = verify.add_mutually_exclusive_group(required=True)
-    verify_src.add_argument("--artifact",
-                            help="prove artifact pickle (zkml prove --out)")
-    verify_src.add_argument("--envelope", metavar="PATH",
-                            help="raw zkml-proof-envelope/v2 bytes "
-                                 "(needs --registry)")
+                            help="verify a proof envelope against its "
+                                 "published key")
+    verify.add_argument("--envelope", required=True, metavar="PATH",
+                        help="zkml-proof-envelope/v2 bytes (zkml prove "
+                             "--envelope, zkml submit --out)")
     verify.add_argument("--registry", default=None, metavar="DIR",
                         help="verifying-key registry resolving the "
                              "envelope's vk hash (exit 3 when the key "
@@ -1048,15 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
         "registry",
         help="manage the content-addressed verifying-key registry")
     regsub = registry.add_subparsers(dest="registry_cmd", required=True)
-    reg_publish = regsub.add_parser(
-        "publish", parents=[common],
-        help="publish a prove artifact's verifying key")
-    reg_publish.add_argument("--registry", required=True, metavar="DIR",
-                             help="registry root directory")
-    reg_publish.add_argument("--artifact", required=True,
-                             help="envelope-carrying artifact from "
-                                  "'zkml prove --out'")
-    reg_publish.set_defaults(func=_cmd_registry)
     reg_list = regsub.add_parser("list", parents=[common],
                                  help="list published verifying keys")
     reg_list.add_argument("--registry", required=True, metavar="DIR")
@@ -1070,7 +934,8 @@ def build_parser() -> argparse.ArgumentParser:
     reg_check.add_argument("--json", action="store_true")
     reg_check.add_argument("--repair", action="store_true",
                            help="evict corrupt entries (the publisher "
-                                "re-runs 'registry publish' to rebuild)")
+                                "re-runs 'zkml prove --registry' to "
+                                "rebuild)")
     reg_check.set_defaults(func=_cmd_registry)
 
     serve = sub.add_parser(
@@ -1189,7 +1054,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--scale-bits", type=int, default=5)
     submit.add_argument("--timeout", type=float, default=120.0)
     submit.add_argument("--out", default=None, metavar="PREFIX",
-                        help="write each proof to PREFIX.<i>.proof")
+                        help="write each proof envelope to PREFIX.<i>.env "
+                             "(zkml verify --envelope reads it)")
     submit.set_defaults(func=_cmd_submit)
 
     top = sub.add_parser(

@@ -29,6 +29,8 @@ import math
 import threading
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.field import native
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -371,8 +373,6 @@ def record_prover_run(registry: MetricsRegistry, model: str,
     and per-phase wall-clock is additionally recorded *amortized per
     slot* — a batch must not masquerade as one fast single run.
     """
-    from repro.field import native  # lazy: repro.field imports repro.obs
-
     c = registry.counter
     slots = max(1, int(slots))
     registry.gauge("zkml_field_kernel",

@@ -13,11 +13,7 @@ Two layers:
   (bit rot, or a buggy mutation of shared key state) is detected,
   **evicted, and rebuilt** — counted
   as ``resilience_recovered_total{reason="pk_cache_rebuild"}`` rather
-  than poisoning the proof.  Callers that must not tolerate rebuilds
-  pass ``strict=True`` to get a typed
-  :class:`~repro.resilience.errors.CacheCorruptionError` instead; the
-  strict path *observes* without mutating — counters and entries are
-  untouched when it raises, so a strict probe never skews hit-rate math.
+  than poisoning the proof.  The check and the rebuild are always on.
 - :class:`DiskPKCache` — an optional content-addressed on-disk layer
   *under* the LRU (``ProvingKeyCache.attach_disk``).  Keys survive
   restarts and are shared across the serve cluster's worker processes:
@@ -192,10 +188,9 @@ class DiskPKCache:
     reader never observes a half-written artifact.
     """
 
-    def __init__(self, root: str, validate: bool = True,
-                 write_attempts: int = 3, backoff_seconds: float = 0.05):
+    def __init__(self, root: str, write_attempts: int = 3,
+                 backoff_seconds: float = 0.05):
         self.root = root
-        self.validate = validate
         self.write_attempts = write_attempts
         self.backoff_seconds = backoff_seconds
         os.makedirs(os.path.join(root, "pk"), exist_ok=True)
@@ -251,7 +246,7 @@ class DiskPKCache:
             return "truncated"
         checksum, payload = (body[:_DISK_CHECKSUM_BYTES],
                              body[_DISK_CHECKSUM_BYTES:])
-        if self.validate and checksum16(payload) != checksum:
+        if checksum16(payload) != checksum:
             return "checksum_mismatch"
         try:
             doc = pickle.loads(payload)
@@ -291,10 +286,9 @@ class ProvingKeyCache:
     """A small LRU of checksummed ``(pk, vk)`` pairs keyed by
     :func:`circuit_digest`, optionally layered over a :class:`DiskPKCache`."""
 
-    def __init__(self, maxsize: int = 4, validate: bool = True,
+    def __init__(self, maxsize: int = 4,
                  disk: Optional[DiskPKCache] = None):
         self.maxsize = maxsize
-        self.validate = validate
         self.disk = disk
         self._entries: "OrderedDict[str, Tuple[ProvingKey, VerifyingKey, str]]" = OrderedDict()
         self.hits = 0
@@ -344,7 +338,6 @@ class ProvingKeyCache:
         assignment: Assignment,
         scheme: CommitmentScheme,
         digest: Optional[str] = None,
-        strict: bool = False,
         tracer=None,
     ) -> Tuple[ProvingKey, VerifyingKey, bool]:
         """Return cached keys for this circuit, running keygen on a miss
@@ -352,37 +345,25 @@ class ProvingKeyCache:
 
         The third element reports whether keygen was skipped (a memory
         hit or a disk-layer hit).  A cache hit whose checksum fails is
-        evicted and rebuilt (counted as ``rebuilds``, *not* as a miss);
-        with ``strict=True`` it raises :class:`CacheCorruptionError`
-        **without mutating the cache** — no eviction, no counter change —
-        so a strict caller observing corruption leaves stats and entries
-        exactly as they were.
+        evicted and rebuilt (counted as ``rebuilds``, *not* as a miss).
         """
         if digest is None:
             digest = circuit_digest(cs, assignment, scheme.name)
         entry = self._entries.get(digest)
         rebuild = False
         if entry is not None:
-            if not self.validate or self._entry_is_intact(digest):
+            if self._entry_is_intact(digest):
                 self._entries.move_to_end(digest)
                 self.hits += 1
                 return entry[0], entry[1], True
-            # corruption detected.  strict: report without touching
-            # anything — a raised probe must not change cache state.
-            if strict:
-                raise CacheCorruptionError(
-                    "proving-key cache entry failed its checksum",
-                    digest=digest[:16],
-                )
-            # non-strict: evict, then fall through to rebuild (counted
-            # once, as a rebuild — never double-counted as a miss too)
+            # corruption detected: evict, then fall through to rebuild
+            # (counted once, as a rebuild — never double-counted as a miss)
             del self._entries[digest]
             rebuild = True
             events.recovered("pk_cache_rebuild", digest=digest[:16])
         pk, vk, from_disk = self._fetch(cs, assignment, scheme, digest,
                                          tracer)
-        self._entries[digest] = (pk, vk, _entry_checksum(pk, vk)
-                                 if self.validate else "")
+        self._entries[digest] = (pk, vk, _entry_checksum(pk, vk))
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
         if rebuild:

@@ -7,7 +7,9 @@ stores pickled :class:`~repro.halo2.keygen.VerifyingKey` artifacts
 content-addressed by their binding digest, checksummed at publish time
 and re-verified on every read, with atomic writes and
 evict-on-corruption (the proving-key cache's integrity pattern, applied
-to disk).  ``zkml registry publish|list|check`` is the operator surface.
+to disk).  ``zkml prove --registry`` publishes into it and ``zkml
+registry list|check`` is the operator surface; :meth:`VKRegistry.resolve`
+is the verifier's one lookup.
 """
 
 from repro.registry.store import (

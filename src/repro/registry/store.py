@@ -177,18 +177,25 @@ class VKRegistry:
             return None, "checksum_mismatch"
         return data, ""
 
-    def entry(self, vk_hash: str) -> RegistryEntry:
-        """The index record for ``vk_hash`` (no artifact read)."""
-        entries = self._load_index()
+    def _record(self, entries: Dict[str, Dict], vk_hash: str) -> Dict:
         record = entries.get(vk_hash)
         if record is None:
             raise UnknownVerifyingKeyError(
                 "verifying key %s is not in the registry" % vk_hash[:16],
                 vk_hash=vk_hash, registry=self.root)
-        return RegistryEntry(**record)
+        return record
+
+    def entry(self, vk_hash: str) -> RegistryEntry:
+        """The index record for ``vk_hash`` (no artifact read)."""
+        return RegistryEntry(**self._record(self._load_index(), vk_hash))
 
     def get(self, vk_hash: str):
-        """Load and integrity-check the verifying key for ``vk_hash``.
+        """The verifying key for ``vk_hash`` (see :meth:`resolve`)."""
+        return self.resolve(vk_hash)[0]
+
+    def resolve(self, vk_hash: str) -> Tuple[object, RegistryEntry]:
+        """Load and integrity-check the verifying key for ``vk_hash``,
+        with the index record it was published under (one index read).
 
         Unknown hash → :class:`UnknownVerifyingKeyError`.  A corrupt or
         missing artifact is evicted from the index (counted as
@@ -196,11 +203,7 @@ class VKRegistry:
         caller re-publishes to rebuild.
         """
         entries = self._load_index()
-        record = entries.get(vk_hash)
-        if record is None:
-            raise UnknownVerifyingKeyError(
-                "verifying key %s is not in the registry" % vk_hash[:16],
-                vk_hash=vk_hash, registry=self.root)
+        record = self._record(entries, vk_hash)
         data, cause = self._read_artifact(record)
         intact = data is not None
         if intact:
@@ -222,7 +225,7 @@ class VKRegistry:
                 "verifying key %s failed integrity (%s); entry evicted — "
                 "re-publish to rebuild" % (vk_hash[:16], cause),
                 vk_hash=vk_hash, cause=cause)
-        return vk
+        return vk, RegistryEntry(**record)
 
     def _evict(self, entries: Dict[str, Dict], vk_hash: str,
                cause: str) -> None:
@@ -244,15 +247,6 @@ class VKRegistry:
         entries.sort(key=lambda e: (e.model, e.scheme, e.vk_hash))
         return entries
 
-    def find(self, model: str, scheme: str,
-             config_digest: str) -> Optional[RegistryEntry]:
-        """The entry published for this (model, scheme, config) tuple."""
-        for entry in self.list_entries():
-            if (entry.model == model and entry.scheme == scheme
-                    and entry.config_digest == config_digest):
-                return entry
-        return None
-
     # -- check ---------------------------------------------------------------
 
     def check(self, repair: bool = False) -> Dict[str, object]:
@@ -260,7 +254,7 @@ class VKRegistry:
 
         Returns a report dict; with ``repair=True`` corrupt/missing
         entries are evicted (they cannot be rebuilt without the key —
-        the publisher re-runs ``zkml registry publish``).
+        the publisher re-runs ``zkml prove --registry``).
         """
         entries = self._load_index()
         ok: List[str] = []

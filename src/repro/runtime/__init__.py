@@ -4,7 +4,6 @@ from repro.runtime.pipeline import (
     ProveResult,
     prove_batch,
     prove_model,
-    verify_model_proof,
 )
 from repro.runtime.estimate import estimate_model, EndToEndEstimate
 from repro.runtime.audit import (
@@ -29,7 +28,6 @@ __all__ = [
     "audit",
     "prove_model",
     "prove_batch",
-    "verify_model_proof",
     "ProveResult",
     "estimate_model",
     "EndToEndEstimate",

@@ -24,9 +24,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.envelope import verify_envelope
 from repro.model.spec import ModelSpec
 from repro.resilience.errors import ProofFormatError, VerificationFailure
-from repro.runtime.pipeline import ProveResult, prove_model, verify_model_proof
+from repro.runtime.pipeline import ProveResult, prove_model
 
 
 def _hash_array(h, arr) -> None:
@@ -146,8 +147,7 @@ def audit(log: AuditLog,
     for entry in log.entries:
         result = entry.result
         try:
-            verify_model_proof(result.vk, result.proof, result.instance,
-                               log.scheme_name)
+            verify_envelope(result.envelope(), result.vk)
         except (ProofFormatError, VerificationFailure):
             findings.append(AuditFinding(
                 index=entry.index, kind="proof",

@@ -4,8 +4,9 @@ There is one proving pipeline, :func:`prove_batch`: it synthesizes the
 circuit for one or more inferences of a materialized model spec, exposes
 every slot's outputs as public inputs, runs keygen and the prover, and
 measures wall-clock times.  :func:`prove_model` is that pipeline on a
-batch of one.  :func:`verify_model_proof` replays the verifier.  Proof
-artifacts pickle cleanly for the CLI's file workflow.
+batch of one.  What leaves the pipeline is the result's v2 envelope
+(:meth:`ProveResult.envelope`), which a consumer checks with
+:func:`repro.envelope.verify_envelope` against the published key.
 
 Observability: every stage runs under a span on the active
 :mod:`repro.obs` tracer (``prove_model -> synthesize -> layout/witness``,
@@ -39,14 +40,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.commit import scheme_by_name
-from repro.envelope import (
-    DEFAULT_CAPS,
-    EnvelopeCaps,
-    ProofEnvelope,
-    decode_envelope,
-    envelope_config_digest,
-    verify_envelope,
-)
+from repro.envelope import ProofEnvelope, envelope_config_digest
 from repro.compiler import SynthesizedModel, synthesize_batch
 from repro.compiler.layouter import only_slot
 from repro.compiler.logical import LayoutPlan
@@ -63,7 +57,6 @@ from repro.perf.timer import PhaseTimer
 from repro.resilience import events
 from repro.resilience.errors import (
     FreivaldsCheckError,
-    ProofFormatError,
     ProvingError,
     ResilienceError,
     region_at,
@@ -142,11 +135,13 @@ class ProveResult:
         return self.envelope().encode()
 
     def verify(self, tracer=None) -> bool:
-        """Verify the proof against every slot's public inputs.
+        """The prover's self-check: verify the live proof against every
+        slot's public inputs (without re-parsing the envelope bytes).
 
-        Strict, like :func:`verify_model_proof`: a malformed proof raises
-        :class:`~repro.resilience.errors.ProofFormatError` and a rejected
-        one raises :class:`~repro.resilience.errors.VerificationFailure`.
+        Strict, like :func:`~repro.envelope.verify_envelope`: a malformed
+        proof raises :class:`~repro.resilience.errors.ProofFormatError`
+        and a rejected one raises
+        :class:`~repro.resilience.errors.VerificationFailure`.
         The ``verify`` span goes to ``tracer`` (default: the process
         tracer).
         """
@@ -337,41 +332,3 @@ def prove_model(spec: ModelSpec, inputs: Dict[str, np.ndarray],
     from ``result.outputs``."""
     return prove_batch(spec, [inputs], *args, **options)
 
-
-def verify_model_proof(
-    vk: VerifyingKey,
-    proof,
-    instance: Optional[List[List[int]]] = None,
-    scheme_name: str = "kzg",
-    caps: EnvelopeCaps = DEFAULT_CAPS,
-) -> bool:
-    """Verify a model proof against its public inputs.
-
-    ``proof`` may be a :class:`~repro.envelope.ProofEnvelope`, serialized
-    envelope bytes (the v2 format every prove surface emits; decoded
-    under ``caps``), or a live :class:`~repro.halo2.Proof` object.  An
-    envelope is verified against its embedded public inputs —
-    ``instance`` and ``scheme_name`` are taken from it; a live proof
-    needs both.  Bytes that are not an envelope are refused.
-
-    Strict: a structurally invalid proof raises
-    :class:`~repro.resilience.errors.ProofFormatError` (envelope
-    violations raise its :class:`~repro.resilience.errors.EnvelopeError`
-    subtypes) and a rejected one raises
-    :class:`~repro.resilience.errors.VerificationFailure`, so the only
-    value ever returned is ``True``.
-    """
-    if isinstance(proof, (bytes, bytearray, memoryview)):
-        proof = decode_envelope(proof, caps=caps)
-    if isinstance(proof, ProofEnvelope):
-        with get_tracer().span("verify", scheme=proof.scheme_name,
-                               envelope=True):
-            return verify_envelope(proof, vk)
-    if instance is None:
-        raise ProofFormatError(
-            "instance values are required to verify a live Proof object "
-            "(envelopes carry their own public inputs)")
-    scheme = scheme_by_name(scheme_name, vk.field)
-    with get_tracer().span("verify", scheme=scheme_name):
-        verify_proof_strict(vk, proof, instance, scheme)
-    return True

@@ -14,14 +14,13 @@ Request fields::
      "seed": 7,                  # ... or a seed for zkml-prove-style inputs
      "scheme": "kzg", "columns": 10, "scale_bits": 5,   # batch-key params
      "request_id": "req-...",    # correlation id (minted here if absent)
-     "want_proof": false,        # include base64 proof bytes in the reply
      "want_envelope": false,     # include the base64 v2 proof envelope
      "timeout": 60.0}            # per-request wait budget (seconds)
 
 Response: ``{"ok": true, "id", "request_id", "batch_id", "model",
 "verified", "batch_size", "padded_size", "queue_seconds",
 "prove_seconds", "slot_prove_seconds", "keygen_cache_hit", "outputs",
-["proof_b64"]}`` or ``{"ok": false, "error", "detail"}`` —
+["envelope_b64"]}`` or ``{"ok": false, "error", "detail"}`` —
 typed service errors (overload, shutdown, proving failures) map to their
 taxonomy class name in ``error``, so backpressure is visible to clients.
 
@@ -155,9 +154,6 @@ class PayloadProcessor:
             "outputs": {name: np.asarray(values, dtype=object).tolist()
                         for name, values in response.outputs.items()},
         }
-        if payload.get("want_proof"):
-            out["proof_b64"] = base64.b64encode(
-                response.proof_bytes).decode()
         if payload.get("want_envelope"):
             out["envelope_b64"] = base64.b64encode(
                 response.envelope_bytes).decode()

@@ -226,7 +226,6 @@ class ProofResponse:
     model: str
     scheme_name: str
     verified: bool
-    proof_bytes: bytes
     #: The batch proof packaged as a serialized ``zkml-proof-envelope/v2``
     #: envelope (shared by every request in the batch; built once per
     #: batch).
@@ -701,7 +700,6 @@ class ProvingService:
                 model=model,
                 scheme_name=job.scheme_name,
                 verified=True,
-                proof_bytes=result.proof_bytes,
                 envelope_bytes=result.envelope_bytes,
                 instance=result.instance,
                 outputs=result.slot_outputs[index],

@@ -314,7 +314,7 @@ class VerifyService:
                 "no verifying-key registry configured; key %s cannot be "
                 "resolved" % vk_hash[:16], vk_hash=vk_hash)
         try:
-            return self.registry.get(vk_hash), self.registry.entry(vk_hash)
+            return self.registry.resolve(vk_hash)
         except RegistryError as exc:
             return exc
 

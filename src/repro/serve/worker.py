@@ -92,7 +92,6 @@ class BatchResult:
     #: The typed failure, as raised (``None`` when ``ok``; ``ok`` means
     #: proved *and* strict-verified).
     error: Optional[ResilienceError] = None
-    proof_bytes: bytes = b""
     envelope_bytes: bytes = b""
     instance: List[List[int]] = dataclass_field(default_factory=list)
     #: Per-occupied-slot output arrays (``occupancy`` entries).
@@ -134,12 +133,10 @@ def prove_job(job: BatchJob, worker_id: int) -> BatchResult:
             )
             # strict: raises on any malformation
             proved.verify(tracer=capture.tracer)
-            envelope = proved.envelope()  # serializes the proof once
             result = replace(
                 result,
                 ok=True,
-                proof_bytes=envelope.proof_bytes,
-                envelope_bytes=envelope.encode(),
+                envelope_bytes=proved.envelope_bytes(),
                 instance=proved.instance,
                 slot_outputs=proved.slot_outputs[:job.occupancy],
                 proving_seconds=proved.proving_seconds,

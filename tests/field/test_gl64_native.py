@@ -658,12 +658,14 @@ def test_without_a_compiler_prove_and_verify_exit_with_one_line_naming_cc(
     line on stderr, which names ``cc``, and no traceback."""
     from repro.cli import main
 
-    artifact = tmp_path / "dlrm.pkl"
-    assert main(["prove", "--model", "dlrm", "--out", str(artifact), "-q"]) == 0
+    envelope, registry = str(tmp_path / "dlrm.env"), str(tmp_path / "reg")
+    assert main(["prove", "--model", "dlrm", "--envelope", envelope,
+                 "--registry", registry, "-q"]) == 0
     env = dict(os.environ, PATH="/nonexistent",
                PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     for argv in (["prove", "--model", "dlrm", "-q"],
-                 ["verify", "--artifact", str(artifact), "-q"]):
+                 ["verify", "--envelope", envelope, "--registry", registry,
+                  "-q"]):
         proc = subprocess.run(
             [sys.executable, "-c", RUN_CLI, str(tmp_path / argv[0]), *argv],
             env=env, capture_output=True, text=True, timeout=300)

@@ -2,9 +2,8 @@
 
 The invariant under test: every ``get_or_create`` increments **exactly
 one** of ``hits`` / ``misses`` / ``rebuilds`` (so
-``lookups == hits + misses + rebuilds`` and the hit rate is honest), a
-strict corruption probe mutates *nothing*, and ``clear()`` resets the
-counters along with the entries.
+``lookups == hits + misses + rebuilds`` and the hit rate is honest),
+and ``clear()`` resets the counters along with the entries.
 """
 
 import pytest
@@ -14,7 +13,6 @@ from repro.field import GOLDILOCKS
 from repro.halo2 import keygen
 from repro.perf.pkcache import ProvingKeyCache, _entry_checksum, circuit_digest
 from repro.resilience import events
-from repro.resilience.errors import CacheCorruptionError
 
 from tests.halo2.circuits import mul_circuit, range_check_circuit
 
@@ -84,47 +82,6 @@ class TestCounterPartition:
         cache.get_or_create(cs1, asg1, _scheme())
         assert (cache.hits, cache.misses, cache.rebuilds) == (1, 2, 0)
         _assert_partition(cache)
-
-
-class TestStrictDoesNotMutate:
-    def test_strict_corruption_raises_without_touching_state(self):
-        cs, asg = mul_circuit()
-        scheme = _scheme()
-        cache = ProvingKeyCache()
-        digest = circuit_digest(cs, asg, scheme.name)
-        cache.get_or_create(cs, asg, scheme)
-        _corrupt(cache, digest)
-        before = cache.stats()
-        entries_before = dict(cache._entries)
-        with pytest.raises(CacheCorruptionError):
-            cache.get_or_create(cs, asg, scheme, strict=True)
-        # nothing moved: no eviction, no counter bump, no rebuild
-        assert cache.stats() == before
-        assert dict(cache._entries) == entries_before
-        assert digest in cache._entries
-
-    def test_strict_probe_then_nonstrict_rebuild(self):
-        cs, asg = mul_circuit()
-        scheme = _scheme()
-        cache = ProvingKeyCache()
-        digest = circuit_digest(cs, asg, scheme.name)
-        cache.get_or_create(cs, asg, scheme)
-        _corrupt(cache, digest)
-        with pytest.raises(CacheCorruptionError):
-            cache.get_or_create(cs, asg, scheme, strict=True)
-        # the corrupt entry is still there; a non-strict call rebuilds it
-        pk, vk, skipped = cache.get_or_create(cs, asg, scheme)
-        assert not skipped
-        assert (cache.hits, cache.misses, cache.rebuilds) == (0, 1, 1)
-        _assert_partition(cache)
-
-    def test_strict_clean_hit_still_counts(self):
-        cs, asg = mul_circuit()
-        cache = ProvingKeyCache()
-        cache.get_or_create(cs, asg, _scheme())
-        _, _, skipped = cache.get_or_create(cs, asg, _scheme(), strict=True)
-        assert skipped
-        assert (cache.hits, cache.misses, cache.rebuilds) == (1, 1, 0)
 
 
 class TestClearResets:

@@ -75,13 +75,6 @@ class TestPublish:
             doc = json.load(fh)
         assert doc["schema"] == INDEX_SCHEMA
 
-    def test_find_by_binding_tuple(self, registry, proven):
-        entry, _ = _publish(registry, proven)
-        hit = registry.find(entry.model, entry.scheme, entry.config_digest)
-        assert hit is not None and hit.vk_hash == entry.vk_hash
-        assert registry.find("nope", entry.scheme,
-                             entry.config_digest) is None
-
     def test_disk_write_fault_is_retried(self, registry, proven,
                                          monkeypatch):
         failed = fail_replace(monkeypatch, 1)
@@ -116,6 +109,24 @@ class TestIntegrity:
         monkeypatch.setattr(store, "open", counting_open, raising=False)
         assert registry.get(entry.vk_hash).digest() == proven.vk.digest()
         assert opened.count(path) == 1
+
+    def test_resolve_reads_the_index_and_the_key_once(self, registry,
+                                                      proven, monkeypatch):
+        # the verifier's one lookup: the key and the entry it was
+        # published under, from one read of the index
+        entry, _ = _publish(registry, proven)
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(store, "open", counting_open, raising=False)
+        vk, resolved = registry.resolve(entry.vk_hash)
+        assert vk.digest() == proven.vk.digest()
+        assert resolved == entry
+        assert sorted(opened) == sorted(
+            [registry.index_path, os.path.join(registry.root, entry.file)])
 
     def test_corrupt_artifact_evicted_on_get(self, registry, proven):
         entry, _ = _publish(registry, proven)

@@ -1,14 +1,17 @@
 """Hardened verifier: malformed proofs are rejected, never crash."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.commit import scheme_by_name
+from repro.envelope import verify_envelope
 from repro.halo2.proof import proof_from_bytes, proof_to_bytes
 from repro.halo2.verifier import validate_proof_shape, verify_proof_strict
 from repro.model import get_model
 from repro.resilience.errors import ProofFormatError, VerificationFailure
-from repro.runtime import prove_model, verify_model_proof
+from repro.runtime import prove_model
 
 from tests.fuzz import run_proof_fuzz
 
@@ -72,22 +75,22 @@ class TestDeserializerBounds:
 class TestShapeValidation:
     def test_wrong_scheme_rejected_typed(self, proven):
         # an ipa verifier fed a kzg proof must reject, not crash
+        ipa = scheme_by_name("ipa", proven.vk.field)
         with pytest.raises((ProofFormatError, VerificationFailure)):
-            verify_model_proof(proven.vk, proven.proof, proven.instance,
-                               "ipa")
+            verify_proof_strict(proven.vk, proven.proof, proven.instance, ipa)
 
     def test_tampered_instance_rejected(self, proven):
         # accept is True, reject is an exception: there is no False
-        assert verify_model_proof(proven.vk, proven.proof, proven.instance,
-                                  "kzg") is True
+        env = proven.envelope()
+        assert verify_envelope(env, proven.vk) is True
         forged = [list(col) for col in proven.instance]
         forged[0][0] = (forged[0][0] + 1) % proven.vk.field.p
         with pytest.raises(VerificationFailure):
-            verify_model_proof(proven.vk, proven.proof, forged, "kzg")
+            verify_envelope(dataclasses.replace(env, instance=forged),
+                            proven.vk)
 
     def test_out_of_field_scalar_rejected(self, proven):
         import copy
-        import dataclasses
 
         p = proven.vk.field.p  # == p: the smallest out-of-field value
 

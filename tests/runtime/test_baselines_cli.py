@@ -1,7 +1,5 @@
 """Tests for prior-work baselines and the CLI."""
 
-import pickle
-
 import pytest
 
 from repro.cli import main
@@ -69,25 +67,28 @@ class TestCLI:
         assert "est. proving" in out
 
     def test_prove_and_verify_roundtrip(self, tmp_path, capsys):
-        artifact = str(tmp_path / "proof.pkl")
-        assert main(["prove", "--model", "mnist", "--out", artifact]) == 0
-        assert main(["verify", "--artifact", artifact]) == 0
+        envelope = str(tmp_path / "proof.env")
+        registry = str(tmp_path / "registry")
+        assert main(["prove", "--model", "mnist", "--envelope", envelope,
+                     "--registry", registry]) == 0
+        assert main(["verify", "--envelope", envelope,
+                     "--registry", registry]) == 0
         out = capsys.readouterr().out
         assert "OK" in out
 
     def test_verify_rejects_tampered_artifact(self, tmp_path, capsys):
-        artifact = str(tmp_path / "proof.pkl")
-        assert main(["prove", "--model", "mnist", "--out", artifact]) == 0
-        with open(artifact, "rb") as f:
-            data = pickle.load(f)
-        # the envelope is the only part `zkml verify` reads: tamper its
-        # public inputs and re-encode (a fresh, valid checksum)
-        env = decode_envelope(data["envelope"])
+        envelope = str(tmp_path / "proof.env")
+        registry = str(tmp_path / "registry")
+        assert main(["prove", "--model", "mnist", "--envelope", envelope,
+                     "--registry", registry]) == 0
+        with open(envelope, "rb") as f:
+            env = decode_envelope(f.read())
+        # tamper the public inputs and re-encode (a fresh, valid checksum)
         env.instance[0][0] += 1
-        data["envelope"] = env.encode()
-        with open(artifact, "wb") as f:
-            pickle.dump(data, f)
-        assert main(["verify", "--artifact", artifact]) == 1
+        with open(envelope, "wb") as f:
+            f.write(env.encode())
+        assert main(["verify", "--envelope", envelope,
+                     "--registry", registry]) == 1
 
     @pytest.mark.parametrize("command", ["serve", "prove", "bench", "profile"])
     def test_no_intra_proof_jobs_flag(self, command, capfd):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import synthesize_batch
+from repro.envelope import verify_envelope
 from repro.halo2.proof import proof_to_bytes
 from repro.model import GraphBuilder, run_fixed
 from repro.resilience.errors import (
@@ -20,7 +21,7 @@ from repro.resilience.errors import (
     SpecError,
     VerificationFailure,
 )
-from repro.runtime import pipeline, prove_batch, prove_model, verify_model_proof
+from repro.runtime import pipeline, prove_batch, prove_model
 
 rng = np.random.default_rng(61)
 
@@ -67,12 +68,13 @@ class TestBatchProve:
 
     def test_tampering_any_inference_rejected(self, batch_result):
         _, _, result = batch_result
+        env = result.envelope()
         for victim in range(result.batch_size):
             forged = [list(col) for col in result.instance]
             forged[victim][0] = (forged[victim][0] + 1) % result.vk.field.p
             with pytest.raises(VerificationFailure):
-                verify_model_proof(result.vk, result.proof, forged,
-                                   result.scheme_name)
+                verify_envelope(dataclasses.replace(env, instance=forged),
+                                result.vk)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one"):

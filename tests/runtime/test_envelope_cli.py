@@ -1,14 +1,14 @@
 """The envelope flow end to end: pipeline API, CLI exit codes, registry.
 
-Covers the public surfaces PR-level acceptance names: ``prove_model``/
-``prove_batch`` emit envelopes, ``verify_model_proof`` accepts them
-(and refuses bytes that are not one), and ``zkml verify`` exits
-3 — distinctly — when the envelope's key is absent from the registry.
+The v2 envelope is the one proof artifact: ``prove_model``/
+``prove_batch`` emit it, ``verify_envelope`` checks it against a key,
+``zkml prove --registry`` publishes that key, and ``zkml verify
+--envelope F --registry D`` checks the file against the published key —
+exiting 3, distinctly, when the key is absent from the registry.
 """
 
 import dataclasses
 import os
-import pickle
 import shutil
 import subprocess
 import sys
@@ -18,13 +18,13 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.envelope import decode_envelope, is_envelope
-from repro.halo2.proof import proof_to_bytes
+from repro.envelope import decode_envelope, is_envelope, verify_envelope
 from repro.model import get_model
 from repro.obs import log as obs_log
 from repro.perf.pkcache import DiskPKCache, ProvingKeyCache
+from repro.registry import VKRegistry
 from repro.resilience.errors import ProvingError
-from repro.runtime import pipeline, prove_batch, prove_model, verify_model_proof
+from repro.runtime import pipeline, prove_batch, prove_model
 
 rng = np.random.default_rng(53)
 
@@ -55,21 +55,36 @@ def proven():
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """One prove run shared by the CLI tests: artifact, envelope,
-    populated registry."""
+    """One prove run shared by the CLI tests: its envelope and the
+    registry it published the key into."""
     root = tmp_path_factory.mktemp("envelope-cli")
     paths = {
-        "artifact": str(root / "proof.pkl"),
         "envelope": str(root / "proof.env"),
         "registry": str(root / "registry"),
         "root": str(root),
     }
-    rc = main(["prove", "--model", "dlrm", "--out", paths["artifact"],
-               "--envelope", paths["envelope"],
+    rc = main(["prove", "--model", "dlrm", "--envelope", paths["envelope"],
                "--registry", paths["registry"], "-q"])
     obs_log.set_level("info")
     assert rc == 0
     return paths
+
+
+def write_envelope(path, env) -> str:
+    """Encode ``env`` (a fresh, valid checksum) to ``path``."""
+    with open(path, "wb") as f:
+        f.write(env.encode())
+    return str(path)
+
+
+def read_envelope(path):
+    with open(path, "rb") as f:
+        return decode_envelope(f.read())
+
+
+def verify_cli(envelope, registry, *extra):
+    return main(["verify", "--envelope", envelope, "--registry", registry,
+                 "-q", *extra])
 
 
 class TestPipelineEnvelopeApi:
@@ -82,10 +97,11 @@ class TestPipelineEnvelopeApi:
         assert is_envelope(proven.envelope_bytes())
 
     def test_verify_model_proof_accepts_envelope_bytes(self, proven):
-        verify_model_proof(proven.vk, proven.envelope_bytes())
+        assert verify_envelope(decode_envelope(proven.envelope_bytes()),
+                               proven.vk)
 
     def test_verify_model_proof_accepts_envelope_object(self, proven):
-        verify_model_proof(proven.vk, proven.envelope())
+        assert verify_envelope(proven.envelope(), proven.vk)
 
     def test_loose_bytes_rejected_typed(self, proven):
         # bytes must be an envelope: the pre-envelope wire format is
@@ -94,8 +110,7 @@ class TestPipelineEnvelopeApi:
         from repro.resilience.errors import EnvelopeError
 
         with pytest.raises(EnvelopeError):
-            verify_model_proof(proven.vk, proof_to_bytes(proven.proof),
-                               proven.instance, proven.scheme_name)
+            decode_envelope(proof_to_bytes(proven.proof))
 
     def test_envelope_bytes_deterministic(self, proven):
         assert proven.envelope_bytes() == proven.envelope_bytes()
@@ -112,16 +127,19 @@ class TestPipelineEnvelopeApi:
         assert env.model == spec.name
         assert env.vk_hash == result.vk.digest()
         assert env.instance == [list(col) for col in result.instance]
-        verify_model_proof(result.vk, result.envelope_bytes())
+        verify_envelope(decode_envelope(result.envelope_bytes()), result.vk)
 
 
 class TestProveCli:
     def test_artifact_carries_envelope(self, workspace):
-        with open(workspace["artifact"], "rb") as f:
-            doc = pickle.load(f)
-        env = decode_envelope(doc["envelope"])
-        assert env.model == "dlrm-mini"
-        assert env.vk_hash == doc["vk"].digest()
+        # the envelope names the key `zkml prove --registry` published,
+        # and the entry binds the envelope's model and config
+        env = read_envelope(workspace["envelope"])
+        vk, entry = VKRegistry(workspace["registry"]).resolve(
+            env.vk_hash_hex)
+        assert env.model == entry.model == "dlrm-mini"
+        assert vk.digest() == env.vk_hash
+        entry.bind(env)
 
     def test_envelope_file_is_raw_wire_bytes(self, workspace):
         with open(workspace["envelope"], "rb") as f:
@@ -152,33 +170,36 @@ class TestProveCli:
 
 class TestVerifyCliExitCodes:
     def test_envelope_with_registry_exit_zero(self, workspace):
-        assert main(["verify", "--envelope", workspace["envelope"],
-                     "--registry", workspace["registry"], "-q"]) == 0
+        assert verify_cli(workspace["envelope"], workspace["registry"]) == 0
 
     def test_artifact_envelope_path_exit_zero(self, workspace):
-        assert main(["verify", "--artifact", workspace["artifact"],
-                     "-q"]) == 0
+        # the same check through the installed entry point, in a fresh
+        # interpreter
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "verify",
+             "--envelope", workspace["envelope"],
+             "--registry", workspace["registry"]],
+            capture_output=True, text=True, env=cli_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "verification: OK" in proc.stdout + proc.stderr
 
     def test_unknown_vk_exits_three_with_hint(self, workspace, tmp_path,
                                               capsys):
         empty = str(tmp_path / "empty-registry")
-        rc = main(["verify", "--envelope", workspace["envelope"],
-                   "--registry", empty, "-q"])
-        assert rc == 3
+        assert verify_cli(workspace["envelope"], empty) == 3
         err = capsys.readouterr().err
         assert "unknown_vk" in err
-        assert "zkml registry publish" in err  # the remediation hint
+        # the remediation hint: publish by proving into the registry
+        assert "zkml prove --model" in err and "--registry " + empty in err
 
     def test_publish_then_retry_clears_exit_three(self, workspace,
                                                   tmp_path):
         fresh = str(tmp_path / "fresh-registry")
-        assert main(["verify", "--envelope", workspace["envelope"],
-                     "--registry", fresh, "-q"]) == 3
-        assert main(["registry", "publish",
-                     "--artifact", workspace["artifact"],
-                     "--registry", fresh, "-q"]) == 0
-        assert main(["verify", "--envelope", workspace["envelope"],
-                     "--registry", fresh, "-q"]) == 0
+        assert verify_cli(workspace["envelope"], fresh) == 3
+        assert main(["prove", "--model", "dlrm", "--registry", fresh,
+                     "-q"]) == 0
+        assert verify_cli(workspace["envelope"], fresh) == 0
 
     def test_tampered_envelope_exit_one(self, workspace, tmp_path, capsys):
         with open(workspace["envelope"], "rb") as f:
@@ -187,22 +208,16 @@ class TestVerifyCliExitCodes:
         bad = str(tmp_path / "tampered.env")
         with open(bad, "wb") as f:
             f.write(bytes(data))
-        rc = main(["verify", "--envelope", bad,
-                   "--registry", workspace["registry"], "-q"])
-        assert rc == 1
+        assert verify_cli(bad, workspace["registry"]) == 1
         assert "EnvelopeChecksumError" in capsys.readouterr().err
 
     def test_relabeled_envelope_exit_one(self, workspace, tmp_path, capsys):
         # a valid checksum over a renamed model: the registry entry the
         # prover published binds the name
-        with open(workspace["envelope"], "rb") as f:
-            env = decode_envelope(f.read())
-        bad = str(tmp_path / "relabeled.env")
-        with open(bad, "wb") as f:
-            f.write(dataclasses.replace(env, model="mnist-mini").encode())
-        rc = main(["verify", "--envelope", bad,
-                   "--registry", workspace["registry"], "-q"])
-        assert rc == 1
+        env = read_envelope(workspace["envelope"])
+        bad = write_envelope(tmp_path / "relabeled.env",
+                             dataclasses.replace(env, model="mnist-mini"))
+        assert verify_cli(bad, workspace["registry"]) == 1
         assert "does not match registry entry" in capsys.readouterr().err
 
     def test_envelope_without_registry_exit_one(self, workspace, capsys):
@@ -212,8 +227,6 @@ class TestVerifyCliExitCodes:
 
     def test_registry_check_detects_corruption_exit_one(self, workspace,
                                                         tmp_path):
-        import shutil
-
         broken = str(tmp_path / "broken-registry")
         shutil.copytree(workspace["registry"], broken)
         vk_dir = os.path.join(broken, "vk")
@@ -222,102 +235,57 @@ class TestVerifyCliExitCodes:
             f.write(b"rot")
         assert main(["registry", "check", "--registry", broken, "-q"]) == 1
 
-    def test_publish_rejects_envelope_free_artifact(self, workspace,
-                                                    tmp_path, capsys):
-        with open(workspace["artifact"], "rb") as f:
-            doc = pickle.load(f)
-        doc.pop("envelope")
-        legacy = str(tmp_path / "legacy.pkl")
-        with open(legacy, "wb") as f:
-            pickle.dump(doc, f)
-        rc = main(["registry", "publish", "--artifact", legacy,
-                   "--registry", str(tmp_path / "reg"), "-q"])
-        assert rc == 1
-        assert "re-prove" in capsys.readouterr().err
-
-
-@pytest.fixture(scope="module")
-def artifact(tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("artifacts") / "proof.pkl")
-    rc = main(["prove", "--model", "dlrm", "--out", path, "-q"])
-    assert rc == 0
-    return path
-
 
 class TestVerifyCommand:
-    def test_good_artifact_exit_zero(self, artifact):
-        assert main(["verify", "--artifact", artifact, "-q"]) == 0
+    def test_good_artifact_exit_zero(self, workspace, tmp_path):
+        # another proof under the published key verifies without
+        # re-publishing
+        path = str(tmp_path / "seed3.env")
+        assert main(["prove", "--model", "dlrm", "--seed", "3",
+                     "--envelope", path, "-q"]) == 0
+        assert read_envelope(path).proof_bytes != read_envelope(
+            workspace["envelope"]).proof_bytes
+        assert verify_cli(path, workspace["registry"]) == 0
 
-    def test_artifact_carries_wire_bytes(self, artifact):
-        with open(artifact, "rb") as f:
-            doc = pickle.load(f)
-        assert doc["proof_bytes"] == proof_to_bytes(doc["proof"])
-
-    def test_truncated_proof_exit_one(self, artifact, tmp_path, capsys):
+    def test_truncated_proof_exit_one(self, workspace, tmp_path, capsys):
         # a well-formed envelope around a truncated proof: the envelope
         # decoder passes it, the proof deserializer must reject it typed
-        with open(artifact, "rb") as f:
-            doc = pickle.load(f)
-        env = decode_envelope(doc["envelope"])
-        doc["envelope"] = dataclasses.replace(
-            env, proof_bytes=env.proof_bytes[:40]).encode()
-        bad = str(tmp_path / "truncated.pkl")
-        with open(bad, "wb") as f:
-            pickle.dump(doc, f)
-        assert main(["verify", "--artifact", bad, "-q"]) == 1
-        err = capsys.readouterr().err
-        assert "ProofFormatError" in err
+        env = read_envelope(workspace["envelope"])
+        bad = write_envelope(tmp_path / "truncated.env", dataclasses.replace(
+            env, proof_bytes=env.proof_bytes[:40]))
+        assert verify_cli(bad, workspace["registry"]) == 1
+        assert "ProofFormatError" in capsys.readouterr().err
 
-    def test_tampered_instance_exit_one(self, artifact, tmp_path, capsys):
-        with open(artifact, "rb") as f:
-            doc = pickle.load(f)
-        env = decode_envelope(doc["envelope"])
+    def test_tampered_instance_exit_one(self, workspace, tmp_path, capsys):
+        env = read_envelope(workspace["envelope"])
         env.instance[0][0] += 1
-        doc["envelope"] = env.encode()
-        bad = str(tmp_path / "tampered.pkl")
-        with open(bad, "wb") as f:
-            pickle.dump(doc, f)
-        assert main(["verify", "--artifact", bad, "-q"]) == 1
+        bad = write_envelope(tmp_path / "tampered.env", env)
+        assert verify_cli(bad, workspace["registry"]) == 1
         assert "VerificationFailure" in capsys.readouterr().err
 
-    def test_artifact_without_envelope_exit_one(self, artifact, tmp_path,
-                                                capsys):
-        # the loose (vk, proof, instance) fields alone are not a proof
-        # `zkml verify` accepts any more: typed refusal, told to re-prove
-        with open(artifact, "rb") as f:
-            doc = pickle.load(f)
-        del doc["envelope"]
-        bad = str(tmp_path / "loose.pkl")
+    def test_garbage_file_exit_one(self, workspace, tmp_path, capsys):
+        bad = str(tmp_path / "garbage.env")
         with open(bad, "wb") as f:
-            pickle.dump(doc, f)
-        assert main(["verify", "--artifact", bad, "-q"]) == 1
+            f.write(b"\x93not an envelope at all")
+        assert verify_cli(bad, workspace["registry"]) == 1
         err = capsys.readouterr().err
-        assert "ProofFormatError" in err and "re-prove" in err
+        assert "verification: FAILED" in err and "Envelope" in err
 
-    def test_garbage_file_exit_one(self, tmp_path, capsys):
-        bad = str(tmp_path / "garbage.pkl")
-        with open(bad, "wb") as f:
-            f.write(b"\x93not a pickle at all")
-        assert main(["verify", "--artifact", bad, "-q"]) == 1
-        assert "malformed artifact" in capsys.readouterr().err
+    def test_missing_file_exit_one(self, workspace, tmp_path):
+        assert verify_cli(str(tmp_path / "nope.env"),
+                          workspace["registry"]) == 1
 
-    def test_missing_file_exit_one(self, tmp_path):
-        assert main(["verify", "--artifact",
-                     str(tmp_path / "nope.pkl"), "-q"]) == 1
-
-    def test_no_traceback_in_subprocess(self, artifact, tmp_path):
-        # the contract: `zkml verify` on a broken artifact exits 1 with a
+    def test_no_traceback_in_subprocess(self, workspace, tmp_path):
+        # the contract: `zkml verify` on a broken envelope exits 1 with a
         # structured log line and no Python traceback on either stream
-        with open(artifact, "rb") as f:
-            doc = pickle.load(f)
-        doc.pop("envelope", None)
-        doc["proof_bytes"] = doc["proof_bytes"][:33]
-        del doc["proof"]
-        bad = str(tmp_path / "broken.pkl")
+        with open(workspace["envelope"], "rb") as f:
+            data = f.read()
+        bad = str(tmp_path / "broken.env")
         with open(bad, "wb") as f:
-            pickle.dump(doc, f)
+            f.write(data[:33])
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "verify", "--artifact", bad],
+            [sys.executable, "-m", "repro.cli", "verify", "--envelope", bad,
+             "--registry", workspace["registry"]],
             capture_output=True, text=True, env=cli_env(),
         )
         assert proc.returncode == 1

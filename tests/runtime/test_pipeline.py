@@ -1,15 +1,18 @@
 """Tests for the end-to-end prove/verify pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.envelope import verify_envelope
 from repro.halo2.proof import proof_to_bytes
 from repro.layers import linear
 from repro.layers.base import LayoutChoices
 from repro.model import get_model
 from repro.resilience import events
 from repro.resilience.errors import FreivaldsCheckError, VerificationFailure
-from repro.runtime import prove_batch, prove_model, verify_model_proof
+from repro.runtime import prove_batch, prove_model
 
 rng = np.random.default_rng(41)
 
@@ -45,9 +48,9 @@ class TestProveModel:
         _, result = mnist_result
         instance = [list(col) for col in result.instance]
         instance[0][0] += 1
+        forged = dataclasses.replace(result.envelope(), instance=instance)
         with pytest.raises(VerificationFailure):
-            verify_model_proof(result.vk, result.proof, instance,
-                               result.scheme_name)
+            verify_envelope(forged, result.vk)
 
     def test_times_recorded(self, mnist_result):
         _, result = mnist_result
@@ -59,8 +62,8 @@ class TestProveModel:
         spec = get_model("dlrm", "mini")
         result = prove_model(spec, mini_inputs(spec), scheme_name="ipa",
                              num_cols=10, scale_bits=5)
-        assert verify_model_proof(result.vk, result.proof, result.instance,
-                                  "ipa")
+        assert result.envelope().scheme_name == "ipa"
+        assert verify_envelope(result.envelope(), result.vk)
 
 
 def test_environment_cannot_change_what_the_prover_counts(monkeypatch):

@@ -86,7 +86,7 @@ class TestRequestCorrelation:
             assert not service.runtime.enabled
             # the null runtime still answers status(), minus SLO/flight
             status = service.status()
-        assert with_telemetry.proof_bytes == without.proof_bytes
+        assert with_telemetry.envelope_bytes == without.envelope_bytes
         assert "slo" not in status
 
 

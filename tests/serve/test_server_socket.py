@@ -4,7 +4,10 @@ import base64
 
 import pytest
 
+from repro.cli import main
+from repro.envelope import decode_envelope
 from repro.halo2.proof import proof_from_bytes
+from repro.obs import log as obs_log
 from repro.serve import ProvingService, ServeConfig
 from repro.serve.client import submit_many, submit_request
 from repro.serve.server import ServeServer
@@ -19,6 +22,7 @@ def served(tmp_path):
     yield socket_path, service
     server.stop()
     service.shutdown()
+    obs_log.set_level("info")  # `-q` runs mute the shared logger
 
 
 class TestSocketRoundTrip:
@@ -38,13 +42,31 @@ class TestSocketRoundTrip:
         assert again["outputs"] == responses[0]["outputs"]
 
     def test_want_proof_returns_parseable_proof(self, served):
+        # the envelope is the one proof form on the wire: there is no
+        # separate raw-proof field
         socket_path, _ = served
         response = submit_request(
-            socket_path, {"model": "dlrm", "seed": 3, "want_proof": True},
+            socket_path, {"model": "dlrm", "seed": 3, "want_envelope": True},
             timeout=300.0)
         assert response["ok"] and response["verified"]
-        proof = proof_from_bytes(base64.b64decode(response["proof_b64"]))
-        assert proof is not None
+        assert "proof_b64" not in response
+        env = decode_envelope(base64.b64decode(response["envelope_b64"]))
+        assert env.model == "dlrm-mini"
+        assert proof_from_bytes(env.proof_bytes) is not None
+
+    def test_submit_out_then_verify_against_the_published_key(self, served,
+                                                              tmp_path):
+        # zkml submit --out writes envelopes that zkml verify --envelope
+        # checks against the key zkml prove --registry published
+        socket_path, _ = served
+        registry = str(tmp_path / "registry")
+        prefix = str(tmp_path / "served")
+        assert main(["prove", "--model", "dlrm", "--registry", registry,
+                     "-q"]) == 0
+        assert main(["submit", "--socket", socket_path, "--model", "dlrm",
+                     "--count", "1", "--out", prefix, "-q"]) == 0
+        assert main(["verify", "--envelope", prefix + ".0.env",
+                     "--registry", registry, "-q"]) == 0
 
     def test_unknown_model_is_a_typed_error_not_a_crash(self, served):
         socket_path, _ = served

@@ -62,7 +62,7 @@ class TestCoalescing:
         assert sorted(r.batch_size for r in responses) == [2, 2, 4, 4, 4, 4]
         by_size = {}
         for r in responses:
-            by_size.setdefault(r.batch_size, set()).add(r.proof_bytes)
+            by_size.setdefault(r.batch_size, set()).add(r.envelope_bytes)
         assert all(len(proofs) == 1 for proofs in by_size.values())
         # each response carries *its own* inference's outputs
         for inp, response in zip(inputs, responses):

@@ -172,16 +172,23 @@ class TestDeterminism:
 
     def test_registry_fetch_amortized_per_key(self, registry_dir, encoded):
         class CountingRegistry(VKRegistry):
-            gets = 0
+            resolves = 0
+            index_reads = 0
 
-            def get(self, vk_hash):
-                type(self).gets += 1
-                return super().get(vk_hash)
+            def resolve(self, vk_hash):
+                type(self).resolves += 1
+                return super().resolve(vk_hash)
+
+            def _load_index(self):
+                type(self).index_reads += 1
+                return super()._load_index()
 
         svc = VerifyService(registry=CountingRegistry(registry_dir))
         report = svc.verify_batch([encoded] * 6)
         assert report["accepted"] == 6
-        assert CountingRegistry.gets == 1  # one fetch for six envelopes
+        # one fetch, one index read, for six envelopes
+        assert (CountingRegistry.resolves, CountingRegistry.index_reads) \
+            == (1, 1)
 
 
 class TestRequestCaps:

@@ -485,7 +485,6 @@ def _verify_serve_config(args):
         max_batch=args.max_batch,
         max_inflight=args.max_inflight,
         deadline_seconds=args.deadline,
-        telemetry=not args.no_telemetry,
         flight_path=args.flight_recorder or None,
     )
 
@@ -520,7 +519,7 @@ def _cmd_verify_serve(args) -> int:
         signal.signal(signal.SIGTERM, previous)
         server.stop()
         service.close()
-        if service.runtime.enabled and service.runtime.dump_path:
+        if service.runtime.dump_path:
             service.dump_flight(reason="shutdown")
             log.info("flight recorder: %s", service.runtime.dump_path)
     stats = service.stats()
@@ -540,7 +539,6 @@ def _serve_config(args):
         cluster_workers=max(0, args.workers),
         pk_cache_dir=args.pk_cache_dir,
         max_backlog_batches=args.max_backlog,
-        telemetry=not args.no_telemetry,
         flight_path=args.flight_recorder or None,
     )
 
@@ -664,7 +662,7 @@ def _cmd_serve(args) -> int:
         if http is not None:
             http.stop()
         service.shutdown(drain=True)
-        if service.runtime.enabled and service.runtime.dump_path:
+        if service.runtime.dump_path:
             service.dump_flight(reason="shutdown")
             log.info("flight recorder: %s", service.runtime.dump_path)
     stats = service.stats()
@@ -710,12 +708,18 @@ def _cmd_submit(args) -> int:
     if args.out:
         import base64
 
+        # one envelope per batch proof, named after its first request
+        covers = {}  # batch_id -> indices of the requests it covers
         for i, response in enumerate(responses):
             if response.get("ok") and "envelope_b64" in response:
-                path = "%s.%d.env" % (args.out, i)
-                with open(path, "wb") as fh:
-                    fh.write(base64.b64decode(response["envelope_b64"]))
-                log.info("envelope:     %s", path)
+                requests = covers.setdefault(response["batch_id"], [])
+                if not requests:
+                    with open("%s.%d.env" % (args.out, i), "wb") as fh:
+                        fh.write(base64.b64decode(response["envelope_b64"]))
+                requests.append(i)
+        for requests in covers.values():
+            log.info("envelope:     %s.%d.env (requests %s)", args.out,
+                     requests[0], ",".join(map(str, requests)))
     ok_responses = [r for r in responses if r.get("ok")]
     unverified = sum(1 for r in ok_responses if not r.get("verified"))
     latencies = sorted(r["client_seconds"] for r in responses
@@ -983,10 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="where flight-recorder dumps land on a batch "
                             "failure, overload storm, or shutdown "
                             "('' disables automatic dumps)")
-    serve.add_argument("--no-telemetry", action="store_true",
-                       help="disable runtime telemetry (SLO windows + "
-                            "flight recorder); proof bytes are identical "
-                            "either way")
     serve.set_defaults(func=_cmd_serve)
 
     vserve = sub.add_parser(
@@ -1025,9 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="zkml-verify-flightrec.json", metavar="PATH",
                         help="where flight-recorder dumps land on an "
                              "overload storm or shutdown ('' disables)")
-    vserve.add_argument("--no-telemetry", action="store_true",
-                        help="disable runtime telemetry (SLO windows + "
-                             "flight recorder)")
     vserve.set_defaults(func=_cmd_verify_serve)
 
     submit = sub.add_parser(

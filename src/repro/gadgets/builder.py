@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 import numpy as np
 
 from repro.field.prime_field import GOLDILOCKS, PrimeField
-from repro.halo2 import Assignment, ConstraintSystem, MockProver, Ref
+from repro.halo2 import Assignment, ConstraintSystem, MockProver
 from repro.halo2.column import ROW_BITS, Column, ColumnType, cell_code, unpack_cells
 from repro.quantize import FixedPoint
 from repro.tensor import PLACEHOLDER, Entry, Lanes
@@ -446,9 +446,6 @@ class CircuitBuilder:
             table = RangeTable(self, bound)
             self._range_tables[bound] = table
         return table
-
-    def selector_ref(self, selector: Column) -> Ref:
-        return Ref(selector)
 
     # -- checking -----------------------------------------------------------------------
 

@@ -70,9 +70,6 @@ class LookupArgument:
         """The lookup's LogUp weight ``q``: its selector, or 1."""
         return Constant(1) if self.selector is None else Ref(self.selector)
 
-    def arity(self) -> int:
-        return len(self.inputs)
-
     def input_degree(self) -> int:
         return max(e.degree() for e in self.inputs)
 

@@ -129,10 +129,5 @@ def arr_div_round(arr: np.ndarray, divisor: int) -> np.ndarray:
     return out
 
 
-def arr_int(x) -> np.ndarray:
-    """Coerce to an object-int ndarray."""
-    return np.asarray(x, dtype=object)
-
-
 def ceil_div(a: int, b: int) -> int:
     return -(-a // b)

@@ -15,17 +15,17 @@ same vocabulary so predictions can be checked against reality:
   paths bump (NTTs, commitments, hashes);
 - :mod:`repro.obs.log` — the CLI's structured logger
   (``--quiet`` / ``-v`` / ``ZKML_LOG_LEVEL``);
-- :mod:`repro.obs.cluster` — the cluster telemetry plane: worker-process
-  span/STATS/pk-cache capture shipped over the result queue and folded
-  into the parent registry under per-worker labels;
+- :mod:`repro.obs.cluster` — the batch telemetry plane: a served
+  batch's span/STATS/pk-cache capture, shipped on its ``BatchResult``
+  and folded into the service's registry under per-worker labels;
 - :mod:`repro.obs.diagnose` — MockProver failures enriched with layer /
   region / cell context (``zkml diagnose``), imported lazily because it
   pulls in the compiler.
 
-Everything is disabled by default through inert singletons
-(:data:`~repro.obs.trace.NULL_TRACER`,
-:data:`~repro.obs.metrics.NULL_METRICS`): the prover hot loop never
-allocates or branches on "is observability on".
+Tracing is disabled by default through the inert
+:data:`~repro.obs.trace.NULL_TRACER`; metrics are recorded only into a
+registry a caller passes.  The prover hot loop never allocates or
+branches on "is observability on".
 
 The package imports nothing: callers import from the defining submodule,
 so a process that only verifies loads :mod:`~repro.obs.stats` and

@@ -20,7 +20,9 @@ Two higher-level recorders tie the registry to the circuit pipeline:
   :class:`~repro.halo2.shape.ProofShape` against what the prover
   actually did.
 
-:data:`NULL_METRICS` is the inert default so call sites never branch.
+A serving registry is also where the services keep their counts:
+``stats()`` and ``status()`` read them back through
+:meth:`MetricsRegistry.total`, so a served fact is recorded once.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullMetrics",
-    "NULL_METRICS",
     "predicted_counts",
     "predicted_vs_actual",
     "record_circuit_stats",
@@ -50,6 +50,10 @@ __all__ = [
 DEFAULT_BUCKETS = (0.001, 0.01, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0)
 
 LabelKey = Tuple[Tuple[str, str], ...]
+
+#: Serializes every metric update: the services read their counts back
+#: from the registry, so concurrent recorders must not lose an increment.
+_UPDATE_LOCK = threading.Lock()
 
 
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
@@ -92,7 +96,8 @@ class Counter:
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        self.value += amount
+        with _UPDATE_LOCK:
+            self.value += amount
 
 
 class Gauge:
@@ -107,7 +112,8 @@ class Gauge:
         self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
+        with _UPDATE_LOCK:
+            self.value += amount
 
 
 class Histogram:
@@ -122,11 +128,12 @@ class Histogram:
         self.count = 0
 
     def observe(self, value: float) -> None:
-        self.sum += value
-        self.count += 1
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
+        with _UPDATE_LOCK:
+            self.sum += value
+            self.count += 1
+            for i, bound in enumerate(self.buckets):
+                if value <= bound:
+                    self.counts[i] += 1
 
     def quantile(self, q: float) -> Optional[float]:
         """Estimate the q-quantile from the cumulative buckets.
@@ -167,8 +174,9 @@ class MetricsRegistry:
     """Named metric families, exported in the Prometheus text format.
 
     Family/instance creation is lock-protected so concurrent recorders
-    (the serve worker threads) can share one registry; increments on the
-    returned metric objects stay plain (single bytecode under the GIL).
+    (the serve worker threads) can share one registry, and every update
+    of a returned metric object takes one module lock, so a count read
+    back through :meth:`total` is exact.
     """
 
     def __init__(self) -> None:
@@ -216,9 +224,29 @@ class MetricsRegistry:
         return metric.value
 
     def values(self, name: str) -> Dict[LabelKey, float]:
-        """All label-instances of a counter/gauge family."""
-        family = self._families[name]
-        return {key: m.value for key, m in family.instances.items()}
+        """All label-instances of a counter/gauge family (empty if the
+        family was never recorded)."""
+        with self._lock:
+            family = self._families.get(name)
+            if family is None:
+                return {}
+            return {key: m.value for key, m in family.instances.items()}
+
+    def total(self, name: str, **labels: Any):
+        """The sum over a family's instances whose labels include
+        ``labels`` (``0`` for a family never recorded); a histogram
+        family gives ``(sum, count)`` summed the same way."""
+        wanted = set(_label_key(labels))
+        with self._lock:
+            family = self._families.get(name)
+            if family is None:
+                return 0
+            matching = [m for key, m in family.instances.items()
+                        if wanted <= set(key)]
+        if family.kind == "histogram":
+            return (sum(m.sum for m in matching),
+                    sum(m.count for m in matching))
+        return sum(m.value for m in matching)
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """Nested plain-dict view (for JSON emission and tests)."""
@@ -264,38 +292,6 @@ class MetricsRegistry:
     def write(self, path: str) -> None:
         with open(path, "w") as fh:
             fh.write(self.to_prometheus())
-
-
-class NullMetrics:
-    """Inert registry stand-in: accepts every call, records nothing."""
-
-    def counter(self, name: str, help_text: str = "", **labels: Any):
-        return _NULL_METRIC
-
-    gauge = counter
-
-    def histogram(self, name: str, help_text: str = "", buckets=None,
-                  **labels: Any):
-        return _NULL_METRIC
-
-
-class _NullMetric:
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_METRIC = _NullMetric()
-
-#: Shared no-op registry instance.
-NULL_METRICS = NullMetrics()
 
 
 # -- pipeline recorders ------------------------------------------------------

@@ -20,10 +20,10 @@ dies:
   overload storm, SIGTERM, or an on-demand ``dump`` op it is written out
   as a checksummed JSON artifact (:data:`FLIGHT_SCHEMA`) — the postmortem
   seam a multi-worker proving cluster inherits;
-- :class:`RuntimeTelemetry` bundles the three for
-  :class:`~repro.serve.service.ProvingService`; :data:`NULL_RUNTIME` is
-  the inert stand-in proving the telemetry-off path stays allocation- and
-  branch-light (and that proof bytes are identical either way).
+- :class:`RuntimeTelemetry` bundles the SLO windows and the flight ring
+  for :class:`~repro.serve.service.ProvingService` and
+  :class:`~repro.serve.verify_service.VerifyService`; both always run
+  it.
 
 Everything here is pure stdlib and never touches the prover: recording an
 event is an O(1) deque append under a lock, and a ``health`` probe reads
@@ -45,8 +45,6 @@ from repro.storage import atomic_write, checksum16
 __all__ = [
     "FLIGHT_SCHEMA",
     "FlightRecorder",
-    "NULL_RUNTIME",
-    "NullRuntimeTelemetry",
     "RuntimeTelemetry",
     "SloTracker",
     "SloWindow",
@@ -309,8 +307,6 @@ class RuntimeTelemetry:
     ``batch_failure`` dump never starves an ``overload_storm`` one.
     """
 
-    enabled = True
-
     def __init__(self, slo: Optional[SloTracker] = None,
                  recorder: Optional[FlightRecorder] = None,
                  dump_path: Optional[str] = None,
@@ -385,40 +381,6 @@ class RuntimeTelemetry:
                 return None
             self._last_auto_dump[reason] = now
         return self.dump(reason=reason)
-
-
-class NullRuntimeTelemetry:
-    """Inert telemetry: accepts every call, records nothing."""
-
-    enabled = False
-    dump_path = None
-    suppressed_dumps = 0
-
-    def note(self, kind: str, **fields: Any) -> None:
-        pass
-
-    def request_done(self, latency_seconds: float, ok: bool,
-                     occupancy: int = 1) -> None:
-        pass
-
-    def rejection(self) -> bool:
-        return False
-
-    def dump(self, reason: str = "on_demand",
-             path: Optional[str] = None) -> Dict[str, Any]:
-        return {"schema": FLIGHT_SCHEMA, "reason": reason, "events": [],
-                "events_recorded": 0, "checksum": flight_checksum([]),
-                "dumped_at": 0.0}
-
-    def auto_dump(self, reason: str) -> None:
-        return None
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {}
-
-
-#: Shared inert instance (telemetry switched off).
-NULL_RUNTIME = NullRuntimeTelemetry()
 
 
 # -- status rendering (zkml top) ---------------------------------------------

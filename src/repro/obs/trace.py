@@ -214,11 +214,6 @@ class Tracer:
         with self._lock:
             self.finished.extend(span for span, _ in adopted)
 
-    def current_span_id(self) -> Optional[int]:
-        """The id of the innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1].span_id if stack else None
-
     def to_tree(self) -> List[Dict[str, Any]]:
         """Root span dicts with nested ``children`` lists."""
         nodes: Dict[int, Dict[str, Any]] = {}
@@ -364,9 +359,6 @@ class NullTracer:
 
     def ingest(self, span_dicts, parent_id=None) -> None:
         pass
-
-    def current_span_id(self) -> None:
-        return None
 
 
 #: Shared no-op tracer instance (the process default).

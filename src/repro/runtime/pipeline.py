@@ -110,12 +110,6 @@ class ProveResult:
         ``slot_outputs`` instead)."""
         return only_slot(self.slot_outputs, self.spec_name)
 
-    @property
-    def slot_proving_seconds(self) -> float:
-        """Proving wall-clock amortized over the batch's inference slots —
-        the honest per-inference cost of a coalesced proof."""
-        return self.proving_seconds / max(1, self.batch_size)
-
     def envelope(self) -> ProofEnvelope:
         """Package this result as a v2 proof envelope (the consumer-facing
         format — see :mod:`repro.envelope`).  One envelope covers the

@@ -47,11 +47,11 @@ import queue as queue_mod
 import threading
 import time
 from collections import deque
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs import log as obs_log
-from repro.obs.cluster import WorkerAggregate
-from repro.obs.runtime import NULL_RUNTIME, SloTracker
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.runtime import RuntimeTelemetry, SloTracker
 from repro.resilience.errors import WorkerCrashError
 from repro.serve.worker import STOP, BatchJob, BatchResult, worker_main
 
@@ -69,14 +69,15 @@ def _mp_context():
 
 
 class _WorkerHandle:
-    """One worker process plus its private job queue."""
+    """One worker process plus its private job queue; ``batches_before``
+    is its logical worker's batch count when this process was spawned."""
 
     def __init__(self, worker_id: int, ctx, result_queue,
-                 pk_cache_dir: Optional[str]):
+                 pk_cache_dir: Optional[str], batches_before: int = 0):
         self.worker_id = worker_id
         self.job_queue = ctx.Queue()
         self.current: Optional[BatchJob] = None
-        self.batches_done = 0
+        self.batches_before = batches_before
         self.started_at = time.monotonic()
         self.process = ctx.Process(
             target=worker_main,
@@ -94,16 +95,6 @@ class _WorkerHandle:
     def alive(self) -> bool:
         return self.process.is_alive()
 
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "id": self.worker_id,
-            "pid": self.process.pid,
-            "alive": self.alive,
-            "busy": self.busy,
-            "batches_done": self.batches_done,
-            "uptime_seconds": round(time.monotonic() - self.started_at, 3),
-        }
-
 
 class ClusterScheduler:
     """Dispatch batches over a pool of prover worker processes.
@@ -114,17 +105,21 @@ class ClusterScheduler:
     batches dropped by load
     shedding (``reason="overload"``) or a non-draining shutdown
     (``reason="shutdown"``).  Both callbacks must be thread-safe.
+
+    ``metrics`` is the service's registry, the only place the
+    scheduler's counts live; ``on_result`` folds each batch into the
+    ``zkml_worker_*{worker}`` series that :meth:`status` reads back.
     """
 
     def __init__(self, workers: int,
                  on_result: Callable[[BatchResult], None],
                  on_shed: Callable[[BatchJob, str], None],
+                 metrics: MetricsRegistry,
                  pk_cache_dir: Optional[str] = None,
                  max_backlog_batches: int = 8,
                  redispatch_limit: int = 2,
                  tick_seconds: float = 0.01,
-                 metrics=None,
-                 runtime=None):
+                 runtime: Optional[RuntimeTelemetry] = None):
         if workers < 1:
             raise ValueError("a cluster needs at least one worker")
         self.workers = workers
@@ -135,7 +130,7 @@ class ClusterScheduler:
         self.redispatch_limit = redispatch_limit
         self.tick_seconds = tick_seconds
         self.metrics = metrics
-        self.runtime = runtime if runtime is not None else NULL_RUNTIME
+        self.runtime = runtime if runtime is not None else RuntimeTelemetry()
         self._ctx = _mp_context()
         self._result_queue = self._ctx.Queue()
         self._handles: List[_WorkerHandle] = []
@@ -147,13 +142,9 @@ class ClusterScheduler:
         self._stopping = False
         self._monitor: Optional[threading.Thread] = None
         self._collector: Optional[threading.Thread] = None
-        self.restarts = 0
-        self.redispatched = 0
-        self.shed = 0
-        self.evicted = 0
-        self.poisoned = 0
-        #: Per-logical-worker rollups (survive respawns; collect-loop fed).
-        self.worker_stats: Dict[int, WorkerAggregate] = {}
+        #: Per logical worker (survives respawns): the last batch the
+        #: collect loop matched to it, and that result's pk-cache counters.
+        self._last: Dict[int, Dict[str, Any]] = {}
         #: End-to-end batch SLO windows per priority class.
         self.class_slo: Dict[str, SloTracker] = {
             p: SloTracker() for p in PRIORITIES}
@@ -180,7 +171,12 @@ class ClusterScheduler:
 
     def _spawn(self, worker_id: int) -> _WorkerHandle:
         return _WorkerHandle(worker_id, self._ctx, self._result_queue,
-                             self.pk_cache_dir)
+                             self.pk_cache_dir,
+                             batches_before=self._worker_batches(worker_id))
+
+    def _worker_batches(self, worker_id: int) -> int:
+        return int(self.metrics.total("zkml_worker_batches_total",
+                                      worker=str(worker_id)))
 
     def shutdown(self, drain: bool = True,
                  timeout: Optional[float] = None) -> None:
@@ -269,38 +265,32 @@ class ClusterScheduler:
                 if total >= self.max_backlog_batches:
                     if job.priority == "interactive" and queues["bulk"]:
                         victim = queues["bulk"].pop()  # newest bulk yields
-                        self.evicted += 1
                     else:
                         accepted = False
                 if accepted:
                     queues[job.priority].append(job)
-                    self.shed += 1 if victim is not None else 0
             self._update_backlog_gauges()
         if victim is not None:
             self._count_shed(victim, "overload")
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "zkml_scheduler_evicted_total",
-                    "queued bulk batches evicted for interactive traffic",
-                    model=victim.spec.name).inc()
+            self.metrics.counter(
+                "zkml_scheduler_evicted_total",
+                "queued bulk batches evicted for interactive traffic",
+                model=victim.spec.name).inc()
             self.runtime.note("bulk_evicted", batch_id=victim.batch_id,
                               model=victim.spec.name,
                               for_batch=job.batch_id)
             self.on_shed(victim, "overload")
         if not accepted:
-            with self._lock:
-                self.shed += 1
             reason = "shutdown" if self._closed else "overload"
             self._count_shed(job, reason)
             self.on_shed(job, reason)
         return accepted
 
     def _count_shed(self, job: BatchJob, reason: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(
-                "serve_shed_batches_total",
-                "batches dropped by load shedding or shutdown",
-                model=job.spec.name, reason=reason).inc()
+        self.metrics.counter(
+            "serve_shed_batches_total",
+            "batches dropped by load shedding or shutdown",
+            model=job.spec.name, reason=reason).inc()
 
     def _update_backlog_gauges(self) -> None:
         """Refresh per-(model, class) backlog gauges (lock held).
@@ -309,8 +299,6 @@ class ClusterScheduler:
         a scrape after a burst still shows the series (at 0) instead of
         the series vanishing.
         """
-        if self.metrics is None:
-            return
         total = 0
         for model, queues in self._backlog.items():
             for priority in PRIORITIES:
@@ -363,15 +351,14 @@ class ClusterScheduler:
                 self._update_backlog_gauges()
             queue_seconds = job.dispatched_pc - job.enqueued_pc \
                 if job.enqueued_pc else 0.0
-            if self.metrics is not None:
-                self.metrics.histogram(
-                    "zkml_scheduler_dispatch_seconds",
-                    "batch queue wait: enqueue to worker dispatch",
-                ).observe(queue_seconds)
-                self.metrics.counter(
-                    "zkml_scheduler_dispatched_total",
-                    "batches handed to a worker process",
-                    model=job.spec.name, priority=job.priority).inc()
+            self.metrics.histogram(
+                "zkml_scheduler_dispatch_seconds",
+                "batch queue wait: enqueue to worker dispatch",
+            ).observe(queue_seconds)
+            self.metrics.counter(
+                "zkml_scheduler_dispatched_total",
+                "batches handed to a worker process",
+                model=job.spec.name, priority=job.priority).inc()
             self.runtime.note("batch_dispatched", batch_id=job.batch_id,
                               worker=idle.worker_id, model=job.spec.name,
                               priority=job.priority,
@@ -392,12 +379,10 @@ class ClusterScheduler:
                 if handle.alive:
                     continue
                 job = handle.current
-                self.restarts += 1
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "serve_worker_restarts_total",
-                        "prover worker processes replaced after a crash",
-                    ).inc()
+                self.metrics.counter(
+                    "serve_worker_restarts_total",
+                    "prover worker processes replaced after a crash",
+                ).inc()
                 self.runtime.note("worker_respawned",
                                   worker=handle.worker_id,
                                   pid=handle.process.pid,
@@ -415,12 +400,10 @@ class ClusterScheduler:
                 if job.redispatches > self.redispatch_limit:
                     poisoned.append(job)
                     continue
-                self.redispatched += 1
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "serve_redispatched_batches_total",
-                        "in-flight batches re-queued after a worker crash",
-                        model=job.spec.name).inc()
+                self.metrics.counter(
+                    "serve_redispatched_batches_total",
+                    "in-flight batches re-queued after a worker crash",
+                    model=job.spec.name).inc()
                 self.runtime.note("batch_redispatched",
                                   batch_id=job.batch_id,
                                   model=job.spec.name,
@@ -432,13 +415,10 @@ class ClusterScheduler:
                 )[job.priority].appendleft(job)
                 self._update_backlog_gauges()
         for job in poisoned:
-            with self._lock:
-                self.poisoned += 1
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "zkml_scheduler_poisoned_total",
-                    "batches declared poison after the re-dispatch limit",
-                    model=job.spec.name).inc()
+            self.metrics.counter(
+                "zkml_scheduler_poisoned_total",
+                "batches declared poison after the re-dispatch limit",
+                model=job.spec.name).inc()
             self.runtime.note("batch_poisoned", batch_id=job.batch_id,
                               model=job.spec.name,
                               redispatches=job.redispatches)
@@ -474,21 +454,19 @@ class ClusterScheduler:
                     if current is not None \
                             and current.job_id == result.job_id:
                         handle.current = None
-                        handle.batches_done += 1
+                        self._last[handle.worker_id] = {
+                            "last_batch_id": result.batch_id,
+                            "last_prove_seconds": result.proving_seconds,
+                            "pk_cache": dict(result.pk_cache),
+                        }
                         job = current
                         break
-                if result.worker_id >= 0:
-                    aggregate = self.worker_stats.get(result.worker_id)
-                    if aggregate is None:
-                        aggregate = WorkerAggregate(result.worker_id)
-                        self.worker_stats[result.worker_id] = aggregate
-                    aggregate.note_result(result)
             if job is not None:
                 self._observe_class_slo(job, ok=result.ok)
             # else: a result from a worker already reaped (it shipped the
             # result and then died); the re-dispatched duplicate is still
             # queued — resolve with this one, the service's job table
-            # drops whichever lands second
+            # drops whichever lands second (and bills only the first)
             self.on_result(result)
 
     # -- introspection -------------------------------------------------------
@@ -497,7 +475,35 @@ class ClusterScheduler:
         with self._lock:
             return [h.process.pid for h in self._handles if h.process.pid]
 
+    def _telemetry(self, worker_id: int, batches: int) -> Dict[str, Any]:
+        """One worker's ``telemetry`` block, read from its series."""
+        worker = str(worker_id)
+        ops = {dict(key)["op"]: int(count) for key, count
+               in self.metrics.values("zkml_worker_ops_total").items()
+               if ("worker", worker) in key}
+
+        def total(name: str) -> float:
+            return self.metrics.total(name, worker=worker)
+
+        block: Dict[str, Any] = {
+            "batches": batches,
+            "failures": int(total("zkml_worker_failed_batches_total")),
+            "prove_seconds": round(
+                float(total("zkml_worker_prove_seconds_total")), 6),
+            "keygen_seconds": round(
+                float(total("zkml_worker_keygen_seconds_total")), 6),
+            "keygen_cache_hits": int(total("zkml_worker_pk_cache_hits_total")),
+            "ops_total": sum(ops.values()),
+            "ops": dict(sorted(ops.items())),
+            "last_batch_id": None,
+            "last_prove_seconds": None,
+            "pk_cache": {},
+        }
+        block.update(self._last.get(worker_id, {}))
+        return block
+
     def status(self) -> Dict[str, object]:
+        total = self.metrics.total
         with self._lock:
             backlog = {
                 model: {p: len(queues[p]) for p in PRIORITIES
@@ -507,10 +513,19 @@ class ClusterScheduler:
             }
             workers = []
             for handle in self._handles:
-                snap = handle.snapshot()
-                aggregate = self.worker_stats.get(handle.worker_id)
-                if aggregate is not None:
-                    snap["telemetry"] = aggregate.snapshot()
+                batches = self._worker_batches(handle.worker_id)
+                snap: Dict[str, object] = {
+                    "id": handle.worker_id,
+                    "pid": handle.process.pid,
+                    "alive": handle.alive,
+                    "busy": handle.busy,
+                    "batches_done": batches - handle.batches_before,
+                    "uptime_seconds": round(
+                        time.monotonic() - handle.started_at, 3),
+                }
+                if batches:
+                    snap["telemetry"] = self._telemetry(handle.worker_id,
+                                                        batches)
                 workers.append(snap)
             return {
                 "workers": workers,
@@ -519,11 +534,12 @@ class ClusterScheduler:
                 "backlog": backlog,
                 "backlog_total": self._backlog_total(),
                 "max_backlog_batches": self.max_backlog_batches,
-                "restarts": self.restarts,
-                "redispatched": self.redispatched,
-                "shed": self.shed,
-                "evicted": self.evicted,
-                "poisoned": self.poisoned,
+                "restarts": int(total("serve_worker_restarts_total")),
+                "redispatched": int(
+                    total("serve_redispatched_batches_total")),
+                "shed": int(total("serve_shed_batches_total")),
+                "evicted": int(total("zkml_scheduler_evicted_total")),
+                "poisoned": int(total("zkml_scheduler_poisoned_total")),
                 "slo_by_class": {
                     priority: tracker.snapshot()
                     for priority, tracker in self.class_slo.items()

@@ -41,9 +41,10 @@ request-serving loop.  The moving parts:
 Everything is observable through ``repro.obs``: ``serve_*`` counters and
 histograms (queue depth, batch occupancy, time-to-flush, end-to-end
 latency) and the per-model / per-worker prover series land in the
-registry passed at construction, and every batch is recorded as a
-``serve:batch`` span on the active tracer with the prove's own span tree
-stitched under it.
+registry passed at construction — the only place the service keeps a
+count: :meth:`ProvingService.stats` and :meth:`ProvingService.status`
+read them back — and every batch is recorded as a ``serve:batch`` span
+on the active tracer with the prove's own span tree stitched under it.
 
 Runtime telemetry (:mod:`repro.obs.runtime`) makes the running service
 *operable*:
@@ -81,12 +82,7 @@ from repro.model.spec import ModelSpec
 from repro.obs import log as obs_log
 from repro.obs.cluster import fold_worker_result, stitch_batch
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.runtime import (
-    NULL_RUNTIME,
-    RuntimeTelemetry,
-    new_batch_id,
-    new_request_id,
-)
+from repro.obs.runtime import RuntimeTelemetry, new_batch_id, new_request_id
 from repro.obs.trace import get_tracer
 from repro.perf.pkcache import GLOBAL_PK_CACHE
 from repro.resilience import events
@@ -131,6 +127,23 @@ PROVING_THREADS = 1
 
 _STOP = object()
 
+#: ``stats()`` keys and the registry series each one totals; a cluster
+#: adds the scheduler's.
+_STATS_SERIES = (
+    ("requests", "serve_requests_total"),
+    ("rejected", "serve_rejected_total"),
+    ("batches", "serve_batches_total"),
+    ("proofs", "serve_proofs_total"),
+    ("failed_batches", "serve_failed_batches_total"),
+)
+_CLUSTER_STATS_SERIES = (
+    ("worker_restarts", "serve_worker_restarts_total"),
+    ("redispatched_batches", "serve_redispatched_batches_total"),
+    ("shed_batches", "serve_shed_batches_total"),
+    ("evicted_batches", "zkml_scheduler_evicted_total"),
+    ("poisoned_batches", "zkml_scheduler_poisoned_total"),
+)
+
 
 @dataclass(frozen=True)
 class BatchKey:
@@ -163,10 +176,6 @@ class ServeConfig:
     max_batch: int = 8
     #: Ceiling on how long the oldest request may wait before a flush.
     max_flush_seconds: float = 0.25
-    #: Record runtime telemetry (SLO windows + flight ring).  Off, the
-    #: service uses the inert :data:`~repro.obs.runtime.NULL_RUNTIME`;
-    #: proof bytes are identical either way.
-    telemetry: bool = True
     #: Where automatic flight-recorder dumps land (batch failure,
     #: overload storm).  ``None`` disables automatic dumps; the ring
     #: still records and can be dumped on demand.
@@ -262,18 +271,13 @@ class ProvingService:
 
     def __init__(self, config: Optional[ServeConfig] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 tracer=None, runtime=None):
+                 tracer=None):
         self.config = config if config is not None else ServeConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer
-        if runtime is not None:
-            self.runtime = runtime
-        elif self.config.telemetry:
-            self.runtime = RuntimeTelemetry(
-                dump_path=self.config.flight_path,
-                overload_threshold=self.config.overload_dump_threshold)
-        else:
-            self.runtime = NULL_RUNTIME
+        self.runtime = RuntimeTelemetry(
+            dump_path=self.config.flight_path,
+            overload_threshold=self.config.overload_dump_threshold)
         self._queue: "queue_mod.Queue" = queue_mod.Queue(
             maxsize=self.config.max_queue)
         self._pending: Dict[BatchKey, List[ProofRequest]] = {}
@@ -298,15 +302,7 @@ class ProvingService:
             lambda kind, fields: self.runtime.note(
                 "resilience_" + kind,
                 **{k: str(v) for k, v in fields.items()}))
-        # plain counters mirrored into the metrics registry (stats() reads
-        # these without needing registry internals)
-        self._requests = 0
         self._outstanding = 0  # accepted but not yet resolved/failed
-        self._rejected = 0
-        self._batches = 0
-        self._proofs = 0
-        self._failed_batches = 0
-        self._coalesced = 0  # sum of occupancies over all batches
 
     @property
     def tracer(self):
@@ -320,8 +316,7 @@ class ProvingService:
             return self
         self._started = True
         self._started_at = time.monotonic()
-        if self.runtime.enabled:
-            events.add_listener(self._events_listener)
+        events.add_listener(self._events_listener)
         self.runtime.note("service_started", workers=PROVING_THREADS,
                           cluster_workers=self.config.cluster_workers,
                           max_batch=self.config.max_batch,
@@ -332,10 +327,10 @@ class ProvingService:
                 workers=self.config.cluster_workers,
                 on_result=self._on_result,
                 on_shed=self._on_shed,
+                metrics=self.metrics,
                 pk_cache_dir=self.config.pk_cache_dir,
                 max_backlog_batches=self.config.max_backlog_batches,
                 redispatch_limit=self.config.redispatch_limit,
-                metrics=self.metrics,
                 runtime=self.runtime,
             ).start()
             self._dispatch = self._scheduler.enqueue
@@ -395,8 +390,7 @@ class ProvingService:
             self._fail_group(group, job, ServiceShutdownError(
                 "service shut down before the batch was proved",
                 model=job.spec.name))
-        if self.runtime.enabled:
-            events.remove_listener(self._events_listener)
+        events.remove_listener(self._events_listener)
 
     def drain(self, timeout: Optional[float] = None) -> None:
         """Block until every accepted request has resolved or failed
@@ -465,8 +459,6 @@ class ProvingService:
             else:
                 self._queue.put(request, timeout=block_seconds)
         except queue_mod.Full:
-            with self._lock:
-                self._rejected += 1
             self.metrics.counter(
                 "serve_rejected_total",
                 "requests rejected by backpressure (queue full)",
@@ -482,7 +474,6 @@ class ProvingService:
                 request_id=rid,
             ) from None
         with self._lock:
-            self._requests += 1
             self._outstanding += 1
         self.metrics.counter("serve_requests_total", "requests accepted",
                              model=spec.name).inc()
@@ -657,9 +648,6 @@ class ProvingService:
                                    else 0.5 * ema + 0.5 * batch_seconds)
         now = time.monotonic()
         with self._lock:
-            self._batches += 1
-            self._proofs += len(group)
-            self._coalesced += len(group)
             self._outstanding -= len(group)
         self.metrics.counter("serve_batches_total", "batch proofs produced",
                              model=model).inc()
@@ -728,7 +716,6 @@ class ProvingService:
         model, batch_id = job.spec.name, job.batch_id
         now = time.monotonic()
         with self._lock:
-            self._failed_batches += 1
             self._outstanding -= len(group)
         self.metrics.counter("serve_failed_batches_total",
                              "batches that failed with a typed error",
@@ -774,8 +761,6 @@ class ProvingService:
         Best effort: a failed write is logged, never raised into the
         batch's resolution.
         """
-        if not self.runtime.enabled or not self.runtime.dump_path:
-            return
         try:
             artifact = self.runtime.auto_dump(reason)
             if artifact is not None:
@@ -858,40 +843,31 @@ class ProvingService:
         }
         if self._scheduler is not None:
             out["cluster"] = self._scheduler.status()
-        if self.runtime.enabled:
-            out["slo"] = self.runtime.slo.snapshot()
-            recorder = self.runtime.recorder
-            out["flight_recorder"] = {
-                "buffered": len(recorder),
-                "capacity": recorder.capacity,
-                "recorded": recorder.recorded,
-                "dumps": recorder.dumps,
-                "suppressed_dumps": getattr(
-                    self.runtime, "suppressed_dumps", 0),
-                "dump_path": self.runtime.dump_path,
-            }
+        out["slo"] = self.runtime.slo.snapshot()
+        recorder = self.runtime.recorder
+        out["flight_recorder"] = {
+            "buffered": len(recorder),
+            "capacity": recorder.capacity,
+            "recorded": recorder.recorded,
+            "dumps": recorder.dumps,
+            "suppressed_dumps": self.runtime.suppressed_dumps,
+            "dump_path": self.runtime.dump_path,
+        }
         return out
 
     def stats(self) -> Dict[str, float]:
-        """A plain-dict snapshot (the smoke test's assertion surface)."""
-        with self._lock:
-            batches = self._batches
-            out = {
-                "requests": self._requests,
-                "rejected": self._rejected,
-                "batches": batches,
-                "proofs": self._proofs,
-                "failed_batches": self._failed_batches,
-                "queue_depth": self._queue.qsize(),
-                "mean_occupancy": (self._coalesced / batches) if batches
-                else 0.0,
-            }
+        """A plain-dict snapshot (the smoke test's assertion surface),
+        totalled from the registry's ``serve_*`` series."""
+        total = self.metrics.total
+        out: Dict[str, float] = {
+            key: int(total(series)) for key, series in _STATS_SERIES}
+        out["queue_depth"] = self._queue.qsize()
+        occupancy = total("serve_batch_occupancy")
+        out["mean_occupancy"] = (occupancy[0] / occupancy[1]
+                                 if occupancy and occupancy[1] else 0.0)
         if self._ema_prove_seconds is not None:
             out["ema_prove_seconds"] = round(self._ema_prove_seconds, 4)
         if self._scheduler is not None:
-            out["worker_restarts"] = self._scheduler.restarts
-            out["redispatched_batches"] = self._scheduler.redispatched
-            out["shed_batches"] = self._scheduler.shed
-            out["evicted_batches"] = self._scheduler.evicted
-            out["poisoned_batches"] = self._scheduler.poisoned
+            out.update((key, int(total(series)))
+                       for key, series in _CLUSTER_STATS_SERIES)
         return out

@@ -31,7 +31,8 @@ first:
   by its taxonomy cause (``schema``/``truncated``/``cap``/``checksum``/
   ``unknown_vk``/...), surfaced through ``status`` and the Prometheus
   text op, mirroring the proving service's telemetry (SLO windows,
-  flight recorder).
+  flight recorder).  The ``verify_*`` series in the service's registry
+  are its only counts: :meth:`VerifyService.stats` totals them.
 """
 
 from __future__ import annotations
@@ -45,12 +46,7 @@ from repro.envelope import DEFAULT_CAPS, EnvelopeCaps, decode_envelope
 from repro.envelope.verify import verify_envelope
 from repro.obs import log as obs_log
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.runtime import (
-    NULL_RUNTIME,
-    FlightRecorder,
-    RuntimeTelemetry,
-    new_request_id,
-)
+from repro.obs.runtime import FlightRecorder, RuntimeTelemetry, new_request_id
 from repro.obs.trace import get_tracer
 from repro.resilience import events
 from repro.resilience.errors import (
@@ -77,6 +73,9 @@ log = obs_log.get_logger("verify")
 
 #: Histogram buckets for request verify latency (seconds).
 VERIFY_LATENCY_BUCKETS = (0.005, 0.02, 0.05, 0.1, 0.25, 1.0, 5.0, 30.0)
+
+#: Flight-recorder ring capacity (events).
+FLIGHT_CAPACITY = 256
 
 #: Taxonomy class -> rejection-cause label, most specific first (the
 #: first ``isinstance`` match wins, so subclasses precede their bases).
@@ -116,10 +115,6 @@ class VerifyConfig:
     max_inflight: int = 4
     #: Per-request wall-clock budget (checked cooperatively).
     deadline_seconds: float = 60.0
-    #: Record runtime telemetry (SLO windows + flight ring).
-    telemetry: bool = True
-    #: Flight-recorder ring capacity.
-    flight_capacity: int = 256
     #: Where automatic flight dumps land (``None`` disables them).
     flight_path: Optional[str] = None
     #: Rejections within one second that count as an overload storm.
@@ -135,30 +130,19 @@ class VerifyService:
     """
 
     def __init__(self, registry=None, config: Optional[VerifyConfig] = None,
-                 metrics: Optional[MetricsRegistry] = None, tracer=None,
-                 runtime=None):
+                 metrics: Optional[MetricsRegistry] = None, tracer=None):
         self.registry = registry
         self.config = config if config is not None else VerifyConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer
-        if runtime is not None:
-            self.runtime = runtime
-        elif self.config.telemetry:
-            self.runtime = RuntimeTelemetry(
-                recorder=FlightRecorder(capacity=self.config.flight_capacity),
-                dump_path=self.config.flight_path,
-                overload_threshold=self.config.overload_dump_threshold)
-        else:
-            self.runtime = NULL_RUNTIME
+        self.runtime = RuntimeTelemetry(
+            recorder=FlightRecorder(capacity=FLIGHT_CAPACITY),
+            dump_path=self.config.flight_path,
+            overload_threshold=self.config.overload_dump_threshold)
         self._slots = threading.Semaphore(self.config.max_inflight)
         self._lock = threading.Lock()
         self._closed = False
         self._started_at = time.monotonic()
-        self._requests = 0
-        self._envelopes = 0
-        self._accepted = 0
-        self._rejected_requests = 0
-        self._rejections: Dict[str, int] = {}
         self._inflight = 0
 
     @property
@@ -172,8 +156,6 @@ class VerifyService:
     # -- accounting ----------------------------------------------------------
 
     def _count_rejection(self, cause: str, n: int = 1) -> None:
-        with self._lock:
-            self._rejections[cause] = self._rejections.get(cause, 0) + n
         self.metrics.counter(
             "verify_rejected_total",
             "envelope/request rejections by taxonomy cause",
@@ -215,7 +197,6 @@ class VerifyService:
                 request_id=rid, max_inflight=self.config.max_inflight)
         started = time.monotonic()
         with self._lock:
-            self._requests += 1
             self._inflight += 1
         self.metrics.counter("verify_requests_total",
                              "verify requests accepted").inc()
@@ -240,15 +221,15 @@ class VerifyService:
             self._slots.release()
         elapsed = time.monotonic() - started
         accepted = sum(1 for r in results if r["ok"])
-        with self._lock:
-            self._envelopes += len(results)
-            self._accepted += accepted
-            if accepted < len(results):
-                self._rejected_requests += 1
         self.metrics.counter("verify_envelopes_total",
                              "envelopes processed").inc(len(results))
         self.metrics.counter("verify_accepted_total",
                              "envelopes that verified").inc(accepted)
+        if accepted < len(results):
+            self.metrics.counter(
+                "verify_requests_with_rejections_total",
+                "verified requests with at least one rejected envelope",
+            ).inc()
         self.metrics.histogram(
             "verify_request_seconds", "end-to-end verify request latency",
             buckets=VERIFY_LATENCY_BUCKETS).observe(elapsed)
@@ -367,7 +348,7 @@ class VerifyService:
     # -- operator surface ----------------------------------------------------
 
     def _auto_dump(self, reason: str) -> None:
-        if not self.runtime.enabled or not self.runtime.dump_path:
+        if not self.runtime.dump_path:
             return
         try:
             self.runtime.dump(reason=reason)
@@ -396,17 +377,24 @@ class VerifyService:
         }
 
     def stats(self) -> Dict[str, object]:
+        """Counts totalled from the registry's ``verify_*`` series."""
+        total = self.metrics.total
+        envelopes = int(total("verify_envelopes_total"))
+        accepted = int(total("verify_accepted_total"))
+        by_cause = {dict(key)["cause"]: int(count) for key, count
+                    in self.metrics.values("verify_rejected_total").items()}
         with self._lock:
-            return {
-                "requests": self._requests,
-                "envelopes": self._envelopes,
-                "accepted": self._accepted,
-                "rejected": self._envelopes - self._accepted,
-                "requests_with_rejections": self._rejected_requests,
-                "rejections_by_cause": dict(sorted(
-                    self._rejections.items())),
-                "inflight": self._inflight,
-            }
+            inflight = self._inflight
+        return {
+            "requests": int(total("verify_requests_total")),
+            "envelopes": envelopes,
+            "accepted": accepted,
+            "rejected": envelopes - accepted,
+            "requests_with_rejections": int(
+                total("verify_requests_with_rejections_total")),
+            "rejections_by_cause": dict(sorted(by_cause.items())),
+            "inflight": inflight,
+        }
 
     def status(self) -> Dict[str, object]:
         """The full operator snapshot (``zkml-verify-status/v1``)."""
@@ -430,15 +418,14 @@ class VerifyService:
                 if self.registry is not None else 0,
             },
             "resilience": events.counts(),
+            "slo": self.runtime.slo.snapshot(),
         }
-        if self.runtime.enabled:
-            out["slo"] = self.runtime.slo.snapshot()
-            recorder = self.runtime.recorder
-            out["flight_recorder"] = {
-                "buffered": len(recorder),
-                "capacity": recorder.capacity,
-                "recorded": recorder.recorded,
-                "dumps": recorder.dumps,
-                "dump_path": self.runtime.dump_path,
-            }
+        recorder = self.runtime.recorder
+        out["flight_recorder"] = {
+            "buffered": len(recorder),
+            "capacity": recorder.capacity,
+            "recorded": recorder.recorded,
+            "dumps": recorder.dumps,
+            "dump_path": self.runtime.dump_path,
+        }
         return out

@@ -30,12 +30,14 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field as dataclass_field, replace
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.model.spec import ModelSpec
-from repro.obs.cluster import WorkerTelemetry, capture_batch
+from repro.obs.stats import STATS
+from repro.obs.trace import NULL_TRACER, Tracer
+from repro.perf.pkcache import GLOBAL_PK_CACHE
 from repro.resilience.errors import ResilienceError, ServiceError
 from repro.runtime.pipeline import prove_batch
 
@@ -107,8 +109,11 @@ class BatchResult:
     observed_counts: Dict[str, int] = dataclass_field(default_factory=dict)
     predicted_counts: Dict[str, float] = dataclass_field(default_factory=dict)
     phase_seconds: Dict[str, float] = dataclass_field(default_factory=dict)
-    telemetry: WorkerTelemetry = dataclass_field(
-        default_factory=WorkerTelemetry)
+    #: The prove's span dicts (empty unless ``job.trace``), the STATS
+    #: delta over the whole job, and the pk-cache counters after it.
+    spans: List[Dict[str, Any]] = dataclass_field(default_factory=list)
+    stats_delta: Dict[str, int] = dataclass_field(default_factory=dict)
+    pk_cache: Dict[str, Any] = dataclass_field(default_factory=dict)
 
 
 def prove_job(job: BatchJob, worker_id: int) -> BatchResult:
@@ -116,23 +121,31 @@ def prove_job(job: BatchJob, worker_id: int) -> BatchResult:
 
     The proving pipeline underneath is deterministic, so the proof bytes
     do not depend on where this runs.  The result always carries the
-    job's op-count delta and pk-cache counters; with ``job.trace`` it
-    also carries the prove's span tree (recorded on a tracer handed down
-    to the pipeline, never installed process-wide — the caller may be
-    one thread among several).
+    job's STATS op-count delta and the pk-cache counters after it; with
+    ``job.trace`` it also carries the prove's span tree, recorded under
+    a ``worker:prove`` root on a fresh tracer handed down to the
+    pipeline — never installed process-wide, since ``use_tracer`` swaps
+    a process global and the caller may be one thread among several.
+    None of this touches proof construction: proof bytes are
+    byte-identical traced or not (``tests/serve/test_cluster_telemetry.py``).
     """
     result = BatchResult(job_id=job.job_id, batch_id=job.batch_id, ok=False,
                          worker_id=worker_id, pid=os.getpid())
+    tracer = Tracer() if job.trace else NULL_TRACER
+    before = STATS.snapshot()
     started = time.monotonic()
-    with capture_batch(job, worker_id) as capture:
+    with tracer.span("worker:prove", worker=worker_id, batch_id=job.batch_id,
+                     model=job.spec.name, occupancy=job.occupancy,
+                     padded=job.padded_size, priority=job.priority,
+                     redispatches=job.redispatches):
         try:
             proved = prove_batch(
                 job.spec, job.batch_inputs, scheme_name=job.scheme_name,
                 num_cols=job.num_cols, scale_bits=job.scale_bits,
-                lookup_bits=job.lookup_bits, tracer=capture.tracer,
+                lookup_bits=job.lookup_bits, tracer=tracer,
             )
             # strict: raises on any malformation
-            proved.verify(tracer=capture.tracer)
+            proved.verify(tracer=tracer)
             result = replace(
                 result,
                 ok=True,
@@ -154,7 +167,9 @@ def prove_job(job: BatchJob, worker_id: int) -> BatchResult:
                 model=job.spec.name, occupancy=job.occupancy,
                 batch_id=job.batch_id)
     result.batch_seconds = time.monotonic() - started
-    result.telemetry = capture.telemetry
+    result.spans = [span.as_dict() for span in tracer.spans()]
+    result.stats_delta = STATS.delta(before)
+    result.pk_cache = GLOBAL_PK_CACHE.stats()
     return result
 
 
@@ -173,8 +188,6 @@ def worker_main(worker_id: int, job_queue, result_queue,
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
     if pk_cache_dir:
-        from repro.perf.pkcache import GLOBAL_PK_CACHE
-
         GLOBAL_PK_CACHE.attach_disk(pk_cache_dir)
     while True:
         job = job_queue.get()

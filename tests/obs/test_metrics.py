@@ -7,7 +7,6 @@ import pytest
 from repro.gadgets import AddGadget, CircuitBuilder
 from repro.halo2.column import ColumnType
 from repro.obs.metrics import (
-    NULL_METRICS,
     MetricsRegistry,
     predicted_vs_actual,
     record_circuit_stats,
@@ -156,11 +155,37 @@ class TestHistogramQuantiles:
             h.quantile(-0.1)
 
 
-class TestNullMetrics:
-    def test_accepts_everything(self):
-        NULL_METRICS.counter("a", x=1).inc(5)
-        NULL_METRICS.gauge("b").set(2)
-        NULL_METRICS.histogram("c").observe(1.0)
+class TestTotal:
+    def test_sums_the_instances_whose_labels_match(self):
+        reg = MetricsRegistry()
+        reg.counter("ops", worker="0", op="ntt").inc(3)
+        reg.counter("ops", worker="0", op="hash").inc(4)
+        reg.counter("ops", worker="1", op="ntt").inc(5)
+        assert reg.total("ops") == 12
+        assert reg.total("ops", worker="0") == 7
+        assert reg.total("ops", worker=1) == 5  # label values compare as str
+        assert reg.total("ops", worker="0", op="ntt") == 3
+        assert reg.total("ops", worker="2") == 0
+
+    def test_an_unrecorded_family_totals_zero(self):
+        reg = MetricsRegistry()
+        assert reg.total("never") == 0
+        assert reg.values("never") == {}
+
+    def test_gauges_total_like_counters(self):
+        reg = MetricsRegistry()
+        reg.gauge("depth", model="a").set(2)
+        reg.gauge("depth", model="b").set(5)
+        assert reg.total("depth") == 7
+
+    def test_a_histogram_gives_sum_and_count(self):
+        reg = MetricsRegistry()
+        reg.histogram("occ", model="a").observe(4)
+        reg.histogram("occ", model="a").observe(2)
+        reg.histogram("occ", model="b").observe(1)
+        assert reg.total("occ") == (7, 3)
+        assert reg.total("occ", model="a") == (6, 2)
+        assert reg.total("occ", model="c") == (0, 0)
 
 
 class TestCircuitStats:

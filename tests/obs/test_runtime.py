@@ -7,7 +7,6 @@ import pytest
 from repro.obs.runtime import (
     FLIGHT_SCHEMA,
     FlightRecorder,
-    NULL_RUNTIME,
     RuntimeTelemetry,
     SloTracker,
     SloWindow,
@@ -193,17 +192,6 @@ class TestRuntimeTelemetry:
         runtime.dump(reason="r", path=explicit)
         assert (tmp_path / "explicit.json").exists()
         assert not (tmp_path / "auto.json").exists()
-
-    def test_null_runtime_is_inert_but_valid(self):
-        assert not NULL_RUNTIME.enabled
-        NULL_RUNTIME.note("anything", x=1)
-        NULL_RUNTIME.request_done(0.1, ok=True)
-        assert not NULL_RUNTIME.rejection()
-        artifact = NULL_RUNTIME.dump()
-        assert verify_flight_dump(artifact)
-        assert artifact["events"] == []
-        assert NULL_RUNTIME.auto_dump("anything") is None
-        assert NULL_RUNTIME.suppressed_dumps == 0
 
 
 class TestAutoDumpRateLimit:

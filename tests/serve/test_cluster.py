@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.model import GraphBuilder
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience.errors import (
     ServiceError,
     ServiceOverloadedError,
@@ -185,6 +186,7 @@ def _scheduler(**overrides):
     settings = dict(workers=1,
                     on_result=lambda job, result: None,
                     on_shed=lambda job, reason: shed.append((job, reason)),
+                    metrics=MetricsRegistry(),
                     max_backlog_batches=4)
     settings.update(overrides)
     scheduler = ClusterScheduler(**settings)
@@ -221,7 +223,7 @@ class TestDispatchPolicy:
         inter = _job("m", "interactive", 3)
         assert scheduler.enqueue(inter)  # accepted at full backlog...
         assert shed == [(new_bulk, "overload")]  # ...at newest bulk's cost
-        assert scheduler.shed == 1
+        assert scheduler.status()["shed"] == 1
         assert scheduler._next_job() is inter
         assert scheduler._next_job() is old_bulk
 

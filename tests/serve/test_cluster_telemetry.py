@@ -13,7 +13,7 @@ What PR 10 promises, pinned as tests:
 - the whole plane is observational: proof and envelope bytes are
   byte-identical traced and untraced;
 - span capture follows the service's tracer (no knob): tracer disabled
-  means an empty ``BatchResult.telemetry.spans``, while op deltas and
+  means an empty ``BatchResult.spans``, while op deltas and
   pk-cache counters ride along and fold either way;
 - ``zkml top --once --json`` sees the same status over the unix socket
   and the HTTP front end (both feed ``render_status``).
@@ -21,6 +21,8 @@ What PR 10 promises, pinned as tests:
 
 import json
 import os
+import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,7 +33,10 @@ from repro.obs.trace import Tracer
 from repro.serve import ProvingService, ServeConfig
 from repro.serve.client import control_request
 from repro.serve.http_server import HttpFrontEnd
+from repro.serve.scheduler import ClusterScheduler
 from repro.serve.server import ServeServer
+from repro.serve.service import BatchKey, ProofRequest
+from repro.serve.worker import BatchResult
 
 rng = np.random.default_rng(31)
 
@@ -127,10 +132,10 @@ class TestTraceStitching:
             assert service.submit(spec, an_input(),
                                   scale_bits=6).result(timeout=300).verified
         assert len(results) == 1
-        telemetry = results[0].telemetry
-        assert telemetry.spans == []
-        assert telemetry.stats_delta["commitments"] > 0
-        assert "entries" in telemetry.pk_cache
+        result = results[0]
+        assert result.spans == []
+        assert result.stats_delta["commitments"] > 0
+        assert "entries" in result.pk_cache
 
 
 class TestByteIdentity:
@@ -246,6 +251,53 @@ class TestAggregatedMetrics:
         assert "zkml_worker_batches_total" in series
         assert "zkml_worker_ops_total" in series
         assert "zkml_worker_pk_cache" in series
+
+
+class TestDuplicateResult:
+    def test_worker_rollup_bills_a_duplicate_result_once(self):
+        """A worker that ships its result and dies is re-dispatched, so
+        the same job's result can reach the collect loop twice.  The job
+        table resolves the first and drops the second; the worker's
+        ``telemetry.batches`` must count what its series counts."""
+        service = ProvingService(ServeConfig(max_batch=1))  # never started
+        service._dispatch = lambda job: None
+        spec = SimpleNamespace(name="dup")
+        request = ProofRequest(id=1, spec=spec, inputs={},
+                               key=BatchKey("dup", "kzg", 4, 6, None),
+                               submitted_at=time.monotonic(),
+                               request_id="req-dup")
+        service._launch(request.key, [request])
+        (job_id, (_, job)), = service._jobs.items()
+        delivered = []
+
+        def on_result(result):
+            service._on_result(result)
+            delivered.append(result)
+
+        scheduler = ClusterScheduler(workers=1, on_result=on_result,
+                                     on_shed=service._on_shed,
+                                     metrics=service.metrics).start()
+        try:
+            with scheduler._lock:
+                scheduler._handles[0].current = job
+            for _ in range(2):
+                scheduler._result_queue.put(BatchResult(
+                    job_id=job_id, batch_id=job.batch_id, ok=True,
+                    worker_id=0, pid=0, slot_outputs=[{}]))
+            deadline = time.monotonic() + 30
+            while len(delivered) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            status = scheduler.status()
+        finally:
+            scheduler.shutdown(drain=False)
+        assert len(delivered) == 2
+        assert request.future.result(timeout=0).batch_id == job.batch_id
+        billed = service.metrics.value("zkml_worker_batches_total",
+                                       worker="0")
+        assert billed == 1
+        telemetry = status["workers"][0]["telemetry"]
+        assert telemetry["batches"] == billed
+        assert telemetry["last_batch_id"] == job.batch_id
 
 
 class TestTopParity:

@@ -33,7 +33,7 @@ class JobTableMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.service = ProvingService(
-            ServeConfig(max_batch=4, telemetry=False)).start()
+            ServeConfig(max_batch=4)).start()
         self.service._dispatch = self.enqueue
         self.shed_next = False
         self.open = {}        # job_id -> (job, group): launched, unsettled

@@ -72,23 +72,6 @@ class TestRequestCorrelation:
                                       scale_bits=6).result(timeout=120)
         assert response.request_id.startswith("req-")
 
-    def test_proof_bytes_identical_with_telemetry_off(self):
-        spec = small_model()
-        inputs = an_input()
-        on_cfg = ServeConfig(max_batch=1, telemetry=True)
-        off_cfg = ServeConfig(max_batch=1, telemetry=False)
-        with ProvingService(on_cfg) as service:
-            with_telemetry = service.submit(
-                spec, inputs, scale_bits=6).result(timeout=120)
-        with ProvingService(off_cfg) as service:
-            without = service.submit(
-                spec, inputs, scale_bits=6).result(timeout=120)
-            assert not service.runtime.enabled
-            # the null runtime still answers status(), minus SLO/flight
-            status = service.status()
-        assert with_telemetry.envelope_bytes == without.envelope_bytes
-        assert "slo" not in status
-
 
 class TestOperatorSurface:
     def test_health_is_cheap_and_honest_under_saturation(self):

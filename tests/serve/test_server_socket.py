@@ -7,7 +7,9 @@ import pytest
 from repro.cli import main
 from repro.envelope import decode_envelope
 from repro.halo2.proof import proof_from_bytes
+from repro.model.zoo import get_model, seeded_inputs
 from repro.obs import log as obs_log
+from repro.runtime.pipeline import prove_model
 from repro.serve import ProvingService, ServeConfig
 from repro.serve.client import submit_many, submit_request
 from repro.serve.server import ServeServer
@@ -67,6 +69,31 @@ class TestSocketRoundTrip:
                      "--count", "1", "--out", prefix, "-q"]) == 0
         assert main(["verify", "--envelope", prefix + ".0.env",
                      "--registry", registry, "-q"]) == 0
+
+    def test_submit_out_writes_one_envelope_per_batch(self, tmp_path):
+        # a group flushes only when full, so both requests ride one batch
+        # proof: one file, named after the first request, whose instance
+        # holds each request's slot
+        socket_path = str(tmp_path / "pair.sock")
+        service = ProvingService(ServeConfig(max_batch=2,
+                                             max_flush_seconds=60.0)).start()
+        server = ServeServer(service, socket_path).start()
+        prefix = str(tmp_path / "served")
+        try:
+            assert main(["submit", "--socket", socket_path, "--model",
+                         "dlrm", "--count", "2", "--out", prefix, "-q"]) == 0
+        finally:
+            server.stop()
+            service.shutdown()
+            obs_log.set_level("info")
+        assert service.stats()["batches"] == 1
+        assert [p.name for p in tmp_path.glob("served.*.env")] == \
+            ["served.0.env"]
+        env = decode_envelope((tmp_path / "served.0.env").read_bytes())
+        spec = get_model("dlrm", "mini")
+        slots = [prove_model(spec, seeded_inputs(spec, seed)).instance[0]
+                 for seed in (0, 1)]
+        assert env.instance == slots
 
     def test_unknown_model_is_a_typed_error_not_a_crash(self, served):
         socket_path, _ = served

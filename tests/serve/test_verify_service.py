@@ -58,7 +58,7 @@ def registry_dir(tmp_path_factory, proven):
 @pytest.fixture()
 def service(registry_dir):
     svc = VerifyService(registry=VKRegistry(registry_dir),
-                        config=VerifyConfig(telemetry=True))
+                        config=VerifyConfig())
     yield svc
     svc.close()
 

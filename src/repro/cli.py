@@ -489,12 +489,39 @@ def _verify_serve_config(args):
     )
 
 
-def _cmd_verify_serve(args) -> int:
+def _serve_until_signal(front_ends, close, stop_message: str) -> None:
+    """Serve the first front end on this thread and the rest on their
+    own until SIGTERM or Ctrl-C; then stop them all, ``close()`` the
+    service and write its shutdown flight dump."""
     import signal
 
+    runtime = front_ends[0].processor.service.runtime
+
+    def _terminate(signum, frame):
+        raise KeyboardInterrupt  # SIGTERM stops like Ctrl-C
+
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        for front in front_ends[1:]:
+            front.start()
+        front_ends[0].serve_forever()
+    except KeyboardInterrupt:
+        log.info(stop_message)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+        for front in front_ends:
+            front.stop()
+        close()
+        if runtime.dump_path:
+            runtime.dump(reason="shutdown")
+            log.info("flight recorder: %s", runtime.dump_path)
+
+
+def _cmd_verify_serve(args) -> int:
     from repro.registry import VKRegistry
     from repro.serve import VerifyService
-    from repro.serve.verify_server import VerifyServer
+    from repro.serve.http_server import HttpFrontEnd
+    from repro.serve.server import VerifyProcessor
 
     registry = VKRegistry(args.registry) if args.registry else None
     if registry is None:
@@ -504,24 +531,9 @@ def _cmd_verify_serve(args) -> int:
     service = VerifyService(registry=registry,
                             config=_verify_serve_config(args),
                             metrics=args.obs_registry)
-    server = VerifyServer(service, args.socket,
-                          max_request_bytes=args.max_request_mb << 20)
-
-    def _terminate(signum, frame):
-        raise KeyboardInterrupt  # SIGTERM shuts down like Ctrl-C
-
-    previous = signal.signal(signal.SIGTERM, _terminate)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        log.info("shutting down...")
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        server.stop()
-        service.close()
-        if service.runtime.dump_path:
-            service.dump_flight(reason="shutdown")
-            log.info("flight recorder: %s", service.runtime.dump_path)
+    processor = VerifyProcessor(service, args.max_request_mb << 20)
+    _serve_until_signal([HttpFrontEnd(processor, args.socket)],
+                        service.close, "shutting down...")
     stats = service.stats()
     log.info("verified %d envelopes over %d requests "
              "(%d accepted, %d rejected)", stats["envelopes"],
@@ -628,43 +640,22 @@ def _serve_smoke(args) -> int:
 def _cmd_serve(args) -> int:
     if args.smoke:
         return _serve_smoke(args)
-    import signal
-
     from repro.serve import ProvingService
-    from repro.serve.server import ServeServer
+    from repro.serve.http_server import HttpFrontEnd
+    from repro.serve.server import PayloadProcessor
 
     service = ProvingService(_serve_config(args),
                              metrics=args.obs_registry).start()
-    server = ServeServer(service, args.socket)
-    http = None
+    processor = PayloadProcessor(service)
+    front_ends = [HttpFrontEnd(processor, args.socket)]
     if args.http_port is not None:
-        from repro.serve.http_server import HttpFrontEnd
-
-        http = HttpFrontEnd(service, host=args.http_host,
-                            port=args.http_port).start()
-        log.info("http:         %s", http.url)
+        front_ends.append(HttpFrontEnd(processor,
+                                       (args.http_host, args.http_port)))
     if service._scheduler is not None:
         log.info("cluster:      %d workers, pids %s",
                  service._scheduler.workers,
                  service._scheduler.worker_pids())
-
-    def _terminate(signum, frame):
-        raise KeyboardInterrupt  # SIGTERM drains like Ctrl-C
-
-    previous = signal.signal(signal.SIGTERM, _terminate)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        log.info("draining...")
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        server.stop()
-        if http is not None:
-            http.stop()
-        service.shutdown(drain=True)
-        if service.runtime.dump_path:
-            service.dump_flight(reason="shutdown")
-            log.info("flight recorder: %s", service.runtime.dump_path)
+    _serve_until_signal(front_ends, service.shutdown, "draining...")
     stats = service.stats()
     log.info("served %d requests in %d batches (mean occupancy %.2f)",
              stats["requests"], stats["batches"], stats["mean_occupancy"])
@@ -970,9 +961,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-model batches queued for worker dispatch "
                             "before load shedding (bulk is shed first)")
     serve.add_argument("--http-port", type=int, default=None, metavar="PORT",
-                       help="also serve HTTP/JSON on this TCP port "
-                            "(0 = ephemeral; same payloads and control "
-                            "ops as the socket)")
+                       help="also serve on this TCP port (0 = "
+                            "ephemeral; the same HTTP/JSON as the socket)")
     serve.add_argument("--http-host", default="127.0.0.1",
                        help="bind address for --http-port")
     serve.add_argument("--smoke", type=int, default=0, metavar="N",
@@ -1019,8 +1009,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default=DEFAULT_CAPS.max_public_inputs,
                         help="decoder cap on total public inputs")
     vserve.add_argument("--max-request-mb", type=int, default=64,
-                        help="cap on one socket request line (base64 "
-                             "envelopes ride inside it)")
+                        help="cap on one request body (base64 envelopes "
+                             "ride inside it)")
     vserve.add_argument("--flight-recorder",
                         default="zkml-verify-flightrec.json", metavar="PATH",
                         help="where flight-recorder dumps land on an "
@@ -1031,8 +1021,8 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", parents=[common],
         help="send proof requests to a running 'zkml serve' socket")
     submit.add_argument("--socket", default="zkml-serve.sock",
-                        help="unix socket path, or an http://host:port "
-                             "URL targeting the HTTP front end")
+                        help="unix socket path, or the http://host:port "
+                             "URL of 'zkml serve --http-port'")
     submit.add_argument("--model", required=True,
                         help="zoo model name; a comma-separated list "
                              "round-robins requests across models "

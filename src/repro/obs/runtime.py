@@ -40,10 +40,12 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs import log as obs_log
 from repro.storage import atomic_write, checksum16
 
 __all__ = [
     "FLIGHT_SCHEMA",
+    "OVERLOAD_DUMP_THRESHOLD",
     "FlightRecorder",
     "RuntimeTelemetry",
     "SloTracker",
@@ -58,6 +60,12 @@ __all__ = [
 
 #: JSON schema tag for flight-recorder dump artifacts.
 FLIGHT_SCHEMA = "zkml-flight-recorder/v1"
+
+#: Backpressure rejections within ``overload_window_seconds`` that count
+#: as an overload storm (each storm auto-dumps, rate-limited).
+OVERLOAD_DUMP_THRESHOLD = 16
+
+log = obs_log.get_logger("runtime")
 
 #: Default SLO windows: (name, horizon seconds); ``None`` = since start.
 DEFAULT_WINDOWS: Tuple[Tuple[str, Optional[float]], ...] = (
@@ -294,9 +302,9 @@ class RuntimeTelemetry:
     ``dump_path`` enables *automatic* dumps (batch failure, overload
     storm, SIGTERM); without it the ring still records and can be dumped
     on demand (the ``dump`` control op, or :meth:`dump` directly).
-    An overload storm is ``overload_threshold`` rejections inside
-    ``overload_window_seconds``; storms are rate-limited to one automatic
-    dump per window so a sustained storm can't thrash the disk.
+    An overload storm is :data:`OVERLOAD_DUMP_THRESHOLD` rejections
+    inside ``overload_window_seconds``; storms are rate-limited to one
+    automatic dump per window so a sustained storm can't thrash the disk.
 
     Every *automatic* dump is additionally rate-limited per **reason**
     (:meth:`auto_dump`): at most one dump per distinct reason string per
@@ -310,18 +318,16 @@ class RuntimeTelemetry:
     def __init__(self, slo: Optional[SloTracker] = None,
                  recorder: Optional[FlightRecorder] = None,
                  dump_path: Optional[str] = None,
-                 overload_threshold: int = 16,
                  overload_window_seconds: float = 1.0,
                  auto_dump_interval_seconds: float = 5.0,
                  clock: Callable[[], float] = time.monotonic):
         self.slo = slo if slo is not None else SloTracker(clock=clock)
         self.recorder = recorder if recorder is not None else FlightRecorder()
         self.dump_path = dump_path
-        self.overload_threshold = overload_threshold
         self.overload_window_seconds = overload_window_seconds
         self.auto_dump_interval_seconds = auto_dump_interval_seconds
         self._clock = clock
-        self._rejections: deque = deque(maxlen=max(4, overload_threshold * 2))
+        self._rejections: deque = deque(maxlen=2 * OVERLOAD_DUMP_THRESHOLD)
         self._last_storm_dump: Optional[float] = None
         self._last_auto_dump: Dict[str, float] = {}
         self.suppressed_dumps = 0
@@ -347,7 +353,7 @@ class RuntimeTelemetry:
             self._rejections.append(now)
             cutoff = now - self.overload_window_seconds
             recent = sum(1 for ts in self._rejections if ts >= cutoff)
-            if recent < self.overload_threshold:
+            if recent < OVERLOAD_DUMP_THRESHOLD:
                 return False
             if self._last_storm_dump is not None and \
                     now - self._last_storm_dump < self.overload_window_seconds:
@@ -362,13 +368,26 @@ class RuntimeTelemetry:
         return self.recorder.dump(path=path if path is not None
                                   else self.dump_path, reason=reason)
 
+    def recorder_status(self) -> Dict[str, Any]:
+        """The flight ring's block of a service's ``status``."""
+        return {
+            "buffered": len(self.recorder),
+            "capacity": self.recorder.capacity,
+            "recorded": self.recorder.recorded,
+            "dumps": self.recorder.dumps,
+            "suppressed_dumps": self.suppressed_dumps,
+            "dump_path": self.dump_path,
+        }
+
     def auto_dump(self, reason: str) -> Optional[Dict[str, Any]]:
-        """An automatic dump, rate-limited per ``reason``.
+        """An automatic dump, rate-limited per ``reason``; best effort.
 
         Returns the artifact when a dump was written, or ``None`` when
         suppressed (no ``dump_path``, or a dump for the same reason
-        landed within ``auto_dump_interval_seconds``).  Suppressions are
-        counted in ``suppressed_dumps``.
+        landed within ``auto_dump_interval_seconds``) or when the write
+        failed.  Suppressions are counted in ``suppressed_dumps``; a
+        failed write is logged, never raised into the caller (a batch
+        resolution or a rejection).
         """
         if not self.dump_path:
             return None
@@ -380,7 +399,15 @@ class RuntimeTelemetry:
                 self.suppressed_dumps += 1
                 return None
             self._last_auto_dump[reason] = now
-        return self.dump(reason=reason)
+        try:
+            artifact = self.dump(reason=reason)
+        except OSError as exc:
+            log.warning("flight recorder dump failed", reason=reason,
+                        error=str(exc)[:120])
+            return None
+        log.warning("flight recorder dumped", reason=reason,
+                    path=self.dump_path)
+        return artifact
 
 
 # -- status rendering (zkml top) ---------------------------------------------

@@ -17,20 +17,23 @@ requests into those batches.  This package is that layer:
   priority queues, with load shedding, crash re-dispatch, and a shared
   disk-backed proving-key cache
   (:class:`~repro.perf.pkcache.DiskPKCache`);
-- :class:`~repro.serve.server.ServeServer` — a unix-socket JSON front
-  end (``zkml serve``);
-- :class:`~repro.serve.http_server.HttpFrontEnd` — the HTTP/JSON twin
-  (same payloads, same control ops, honest status codes);
-- :mod:`~repro.serve.client` — the matching client (``zkml submit``),
-  speaking either transport;
-- :class:`~repro.serve.verify_service.VerifyService` /
-  :class:`~repro.serve.verify_server.VerifyServer` — the *other* side of
-  the trust boundary (``zkml verify-serve``): batch-verify proof
+- :class:`~repro.serve.verify_service.VerifyService` — the *other* side
+  of the trust boundary (``zkml verify-serve``): batch-verify proof
   envelopes from untrusted parties under hard resource caps, load
-  shedding, and per-request deadlines.
+  shedding, and per-request deadlines;
+- :mod:`~repro.serve.server` — what both services answer, independent
+  of transport: :class:`~repro.serve.server.PayloadProcessor` (proof
+  requests), :class:`~repro.serve.server.VerifyProcessor` (envelopes)
+  and the ``health``/``status``/``metrics``/``dump`` control ops;
+- :class:`~repro.serve.http_server.HttpFrontEnd` — the one wire
+  protocol, HTTP/JSON, bound on a unix socket (``--socket``) and, for
+  ``zkml serve``, on a TCP port (``--http-port``);
+- :mod:`~repro.serve.client` — the matching client (``zkml submit``,
+  ``zkml top``), taking a socket path or an ``http://host:port`` URL.
 
-Only the service modules are imported eagerly; the socket front ends are
-explicit imports so the in-process API stays dependency-light.
+Only the service modules are imported eagerly; the front end, the
+processors and the client are explicit imports so the in-process API
+stays dependency-light.
 """
 
 from repro.serve.service import (

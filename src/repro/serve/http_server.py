@@ -1,19 +1,21 @@
-"""An HTTP/JSON front end for :class:`ProvingService`.
+"""The one front end of both services: HTTP/1.1 with JSON bodies.
 
-Runs alongside (or instead of) the unix socket: same wire payloads,
-same control ops, same typed errors — both transports feed the one
-:class:`~repro.serve.server.PayloadProcessor`, so anything provable
-over the socket is provable with ``curl``.  Built on the stdlib
-threading HTTP server; no new dependencies.
+``zkml serve`` and ``zkml verify-serve`` each bind an
+:class:`HttpFrontEnd` on a unix socket (``--socket``), and ``zkml serve
+--http-port`` binds a second one on a TCP port.  Every listener of a
+service hands its parsed payloads to that service's one processor
+(:class:`~repro.serve.server.PayloadProcessor` or
+:class:`~repro.serve.server.VerifyProcessor`), so the socket and the
+port answer alike.  Built on the stdlib threading HTTP server; ``curl
+--unix-socket zkml-serve.sock http://x/v1/status`` works.
 
 Routes::
 
-    POST /v1/prove    proof request (socket JSON payload, verbatim)
+    POST /v1/prove    proof request (zkml serve)
+    POST /v1/verify   verify request (zkml verify-serve)
     POST /v1/control  control op payload ({"op": "health"|...})
     GET  /v1/health   = {"op": "health"}
-    GET  /v1/status   = {"op": "status"} (zkml-serve-status/v2; in
-                        cluster mode includes the per-worker telemetry
-                        block — identical to the socket's, test-pinned)
+    GET  /v1/status   = {"op": "status"}
     GET  /v1/metrics  Prometheus text exposition (text/plain), incl.
                       the per-worker and scheduler series in cluster mode
     POST /v1/dump     = {"op": "dump"} (optional {"path": ...} body)
@@ -31,18 +33,21 @@ anything else                  500
 
 Request-size caps are enforced *before* parse: a POST must carry
 ``Content-Length`` (411 without it), the declared length is checked
-against the same ``MAX_REQUEST_BYTES`` cap as the socket (413) before a
-single body byte is read, and the read is exact — a client cannot make
-the server buffer or parse more than the cap.
+against the processor's ``max_request_bytes`` (413) before a single
+body byte is read, and the read is exact — a client cannot make the
+server buffer or parse more than the cap.  A body that is not JSON, or
+not a JSON object, is a 400 ``ServiceError`` reply.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import socketserver
 import threading
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro.obs import log as obs_log
 from repro.resilience.errors import (
@@ -51,17 +56,9 @@ from repro.resilience.errors import (
     ServiceShutdownError,
     ServiceTimeoutError,
 )
-from repro.serve.server import (
-    MAX_REQUEST_BYTES,
-    PayloadProcessor,
-    metrics_text,
-)
-from repro.serve.service import ProvingService
+from repro.serve.server import metrics_text
 
-__all__ = ["HttpFrontEnd", "DEFAULT_HTTP_PORT"]
-
-#: Default TCP port for ``zkml serve --http-port`` (0 = ephemeral).
-DEFAULT_HTTP_PORT = 8791
+__all__ = ["HttpFrontEnd"]
 
 log = obs_log.get_logger("serve")
 
@@ -82,68 +79,59 @@ class _Handler(BaseHTTPRequestHandler):
     """One request; the processor does the real work."""
 
     protocol_version = "HTTP/1.1"
-    processor: PayloadProcessor = None  # type: ignore[assignment]
+    processor = None  # bound per front end
 
     # -- plumbing ------------------------------------------------------------
 
     def log_message(self, fmt, *args):  # noqa: A003 — stdlib signature
         log.debug("http %s", fmt % args)
 
-    def _reply(self, code: int, body: Dict) -> None:
-        data = json.dumps(body).encode()
+    def _send(self, code: int, content_type: str, data: bytes) -> None:
         self.send_response(code)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
 
-    def _reply_text(self, code: int, text: str) -> None:
-        data = text.encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+    def _reply(self, code: int, body: Dict) -> None:
+        self._send(code, "application/json", json.dumps(body).encode())
+
+    def _refuse(self, code: int, detail: str) -> None:
+        self._reply(code, {"ok": False, "error": "ServiceError",
+                           "detail": detail})
 
     def _read_body(self) -> Optional[Dict]:
         """The parsed JSON body, with the size cap enforced *before*
         any byte is read or parsed.  Replies and returns ``None`` on a
         violation."""
-        length = self.headers.get("Content-Length")
-        if length is None:
-            # the body was never read: drop the connection after replying
+        cap = self.processor.max_request_bytes
+        declared = self.headers.get("Content-Length")
+        if declared is None:
+            refusal = 411, "Content-Length is required"
+        elif not (declared.isascii() and declared.isdigit()):
+            refusal = 400, "Content-Length must be a non-negative integer"
+        elif int(declared) > cap:
+            refusal = 413, "request exceeds %d bytes" % cap
+        else:
+            refusal = None
+        if refusal is not None:
+            # the body is never read: drop the connection after replying,
             # or a keep-alive peer's body bytes would parse as the next
             # request line
             self.close_connection = True
-            self._reply(411, {"ok": False, "error": "ServiceError",
-                              "detail": "Content-Length is required"})
+            self._refuse(*refusal)
             return None
-        try:
-            length = int(length)
-        except ValueError:
-            self.close_connection = True
-            self._reply(400, {"ok": False, "error": "ServiceError",
-                              "detail": "Content-Length must be an integer"})
-            return None
-        if length < 0 or length > MAX_REQUEST_BYTES:
-            self.close_connection = True
-            self._reply(413, {"ok": False, "error": "ServiceError",
-                              "detail": "request exceeds %d bytes"
-                              % MAX_REQUEST_BYTES})
-            return None
+        length = int(declared)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
         try:
             payload = json.loads(raw)
-        except ValueError:
-            self._reply(400, {"ok": False, "error": "ServiceError",
-                              "detail": "request body is not valid JSON"})
+        except ValueError:  # JSONDecodeError, or bytes in no JSON encoding
+            self._refuse(400, "request body is not valid JSON")
             return None
         if not isinstance(payload, dict):
-            self._reply(400, {"ok": False, "error": "ServiceError",
-                              "detail": "request payload must be a JSON "
-                                        "object"})
+            self._refuse(400, "request payload must be a JSON object")
             return None
         return payload
 
@@ -167,20 +155,20 @@ class _Handler(BaseHTTPRequestHandler):
             self._run({"op": "status"})
         elif self.path in ("/v1/metrics", "/metrics"):
             try:
-                self._reply_text(200, metrics_text(self.processor.service))
+                text = metrics_text(self.processor.service)
             except Exception as exc:  # noqa: BLE001
-                self._reply(500, {"ok": False,
-                                  "error": type(exc).__name__,
+                self._reply(500, {"ok": False, "error": type(exc).__name__,
                                   "detail": str(exc)[:300]})
+                return
+            self._send(200, "text/plain; version=0.0.4", text.encode())
         else:
-            self._reply(404, {"ok": False, "error": "ServiceError",
-                              "detail": "unknown path %r" % self.path})
+            self._refuse(404, "unknown path %r" % self.path)
 
     def do_POST(self) -> None:  # noqa: N802 — stdlib naming
         payload = self._read_body()
         if payload is None:
             return
-        if self.path in ("/v1/prove", "/prove", "/"):
+        if self.path in self.processor.routes:
             self._run(payload)
         elif self.path in ("/v1/control", "/control"):
             payload.setdefault("op", "health")
@@ -189,59 +177,69 @@ class _Handler(BaseHTTPRequestHandler):
             payload["op"] = "dump"
             self._run(payload)
         else:
-            self._reply(404, {"ok": False, "error": "ServiceError",
-                              "detail": "unknown path %r" % self.path})
+            self._refuse(404, "unknown path %r" % self.path)
+
+
+class _TcpServer(ThreadingHTTPServer):
+    request_queue_size = 64  # `zkml submit --count N` connects at once
+
+
+class _UnixServer(socketserver.ThreadingUnixStreamServer):
+    daemon_threads = True
+    request_queue_size = 64
 
 
 class HttpFrontEnd:
-    """Bind an HTTP/JSON front end over a running service.
+    """Serve one processor over HTTP at ``address``: a unix socket path,
+    or a ``(host, port)`` pair (port 0 binds an ephemeral one).
 
-    ``port=0`` binds an ephemeral port; read the bound one back from
-    ``.port`` (tests and the CLI's startup banner both do).
+    ``target`` is what the client helpers take to reach it: the socket
+    path, or ``http://host:port`` with the bound port.
     """
 
-    def __init__(self, service: ProvingService, host: str = "127.0.0.1",
-                 port: int = 0, default_timeout: float = 120.0):
-        self.service = service
-        self.processor = PayloadProcessor(service, default_timeout)
-        handler = type("BoundHandler", (_Handler,),
-                       {"processor": self.processor})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+    def __init__(self, processor, address: Union[str, Tuple[str, int]]):
+        self.processor = processor
+        handler = type("BoundHandler", (_Handler,), {"processor": processor})
+        if isinstance(address, str):
+            if os.path.exists(address):
+                os.unlink(address)
+            self._httpd = _UnixServer(address, handler)
+        else:
+            self._httpd = _TcpServer(address, handler)
+        self._serving = False
         self._thread: Optional[threading.Thread] = None
 
     @property
-    def address(self) -> Tuple[str, int]:
-        return self._httpd.server_address[:2]
-
-    @property
-    def host(self) -> str:
-        return self.address[0]
-
-    @property
-    def port(self) -> int:
-        return self.address[1]
-
-    @property
-    def url(self) -> str:
-        return "http://%s:%d" % (self.host, self.port)
+    def target(self) -> str:
+        address = self._httpd.server_address
+        if isinstance(address, str):
+            return address
+        return "http://%s:%d" % address[:2]
 
     def start(self) -> "HttpFrontEnd":
-        """Serve in a background thread (the unix socket usually owns
-        the foreground)."""
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        name="zkml-serve-http", daemon=True)
+        """Serve in a background thread."""
+        self._serving = True
+        self._thread = threading.Thread(target=self.serve_forever,
+                                        name="zkml-http", daemon=True)
         self._thread.start()
-        log.info("http front end on %s", self.url)
         return self
 
     def serve_forever(self) -> None:
-        log.info("http front end on %s", self.url)
-        self._httpd.serve_forever()
+        """Serve on the calling thread (the CLI's foreground listener)."""
+        self._serving = True
+        log.info("serving on %s", self.target)
+        self._httpd.serve_forever(poll_interval=0.2)
 
     def stop(self) -> None:
-        self._httpd.shutdown()
+        """Stop serving and remove a unix socket (the service keeps its
+        own lifecycle — shut it down separately)."""
+        if self._serving:
+            self._httpd.shutdown()
+            self._serving = False
         self._httpd.server_close()
+        if isinstance(self._httpd.server_address, str) \
+                and os.path.exists(self._httpd.server_address):
+            os.unlink(self._httpd.server_address)
         if self._thread is not None:
             self._thread.join(timeout=2.0)
             self._thread = None

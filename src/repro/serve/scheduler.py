@@ -42,6 +42,7 @@ circuit *cluster-wide*, not once per process.
 
 from __future__ import annotations
 
+import bisect
 import multiprocessing as mp
 import queue as queue_mod
 import threading
@@ -135,7 +136,8 @@ class ClusterScheduler:
         self._result_queue = self._ctx.Queue()
         self._handles: List[_WorkerHandle] = []
         self._backlog: Dict[str, Dict[str, deque]] = {}
-        self._rr: Dict[str, int] = {p: 0 for p in PRIORITIES}
+        #: Per class, the model served last ('' sorts before every name).
+        self._last_served: Dict[str, str] = {p: "" for p in PRIORITIES}
         self._lock = threading.Lock()
         self._running = False
         self._closed = False
@@ -204,6 +206,7 @@ class ClusterScheduler:
                 time.sleep(self.tick_seconds)
         else:
             for job in self._drain_backlog():
+                self._count_shed(job, "shutdown")
                 self.on_shed(job, "shutdown")
         self._stopping = True
         for handle in self._handles:
@@ -321,18 +324,17 @@ class ClusterScheduler:
             time.sleep(self.tick_seconds)
 
     def _next_job(self) -> Optional[BatchJob]:
-        """The next batch to dispatch: interactive before bulk, models
-        round-robined within a class (call with the lock held)."""
+        """The next batch to dispatch: interactive before bulk, and within
+        a class the first model after the one served last, in sorted
+        order, so a model that appears mid-stream waits its turn (call
+        with the lock held)."""
         models = sorted(self._backlog)
-        if not models:
-            return None
         for priority in PRIORITIES:
-            start = self._rr[priority]
-            for offset in range(len(models)):
-                model = models[(start + offset) % len(models)]
+            split = bisect.bisect_right(models, self._last_served[priority])
+            for model in models[split:] + models[:split]:
                 queue = self._backlog[model][priority]
                 if queue:
-                    self._rr[priority] = (start + offset + 1) % len(models)
+                    self._last_served[priority] = model
                     return queue.popleft()
         return None
 

@@ -1,13 +1,14 @@
-"""A unix-domain-socket front end for :class:`ProvingService`.
+"""What both services answer: one JSON request in, one JSON reply out.
 
-``zkml serve`` binds one of these so out-of-process clients (``zkml
-submit``, or anything that can write JSON to a socket) can feed the
-micro-batcher.  The protocol is deliberately tiny: **one JSON request
-per connection**, one JSON response back, connection closed.  A client
-wanting its requests coalesced opens N concurrent connections — exactly
-the traffic shape the batcher exists for.
+``zkml serve`` and ``zkml verify-serve`` carry these payloads over HTTP
+(:mod:`repro.serve.http_server`, on a unix socket and on a TCP port);
+this module is the part that does not depend on the transport.  A
+processor turns one parsed JSON object into one reply dict, and
+whatever it raises becomes an ``{"ok": false, "error", "detail"}``
+reply whose ``error`` is the taxonomy class name, so backpressure is
+visible to clients.
 
-Request fields::
+Proof request (:class:`PayloadProcessor`, ``POST /v1/prove``)::
 
     {"model": "dlrm",            # required: a zoo model name (mini scale)
      "inputs": {"x": [[...]]},   # either explicit input arrays ...
@@ -20,21 +21,30 @@ Request fields::
 Response: ``{"ok": true, "id", "request_id", "batch_id", "model",
 "verified", "batch_size", "padded_size", "queue_seconds",
 "prove_seconds", "slot_prove_seconds", "keygen_cache_hit", "outputs",
-["envelope_b64"]}`` or ``{"ok": false, "error", "detail"}`` —
-typed service errors (overload, shutdown, proving failures) map to their
-taxonomy class name in ``error``, so backpressure is visible to clients.
+["envelope_b64"]}``.
 
-**Control ops** share the socket: a payload carrying ``{"op": ...}``
-instead of ``"model"`` addresses the *server*, not the prover.
+Verify request (:class:`VerifyProcessor`, ``POST /v1/verify``)::
+
+    {"envelopes": ["<b64>", ...],   # serialized v2 envelopes, or ...
+     "envelope": "<b64>",           # ... a single one
+     "request_id": "req-..."}       # correlation id (minted if absent)
+
+Response: ``{"ok": true, "request_id", "batch_size", "accepted",
+"rejected", "verify_seconds", "results": [{"index", "ok", ...}]}``.
+Base64 that fails to decode is rejected before the envelope decoder
+sees a byte.
+
+**Control ops** (:func:`control`, ``POST /v1/control``): a payload
+carrying ``{"op": ...}`` addresses the *server*, not the prover or the
+verifier.
 
 - ``{"op": "health"}`` — cheap liveness + queue headroom; answered from
   in-memory state, never touches the prover (safe to poll aggressively);
 - ``{"op": "status"}`` — the full operator snapshot
-  (``zkml-serve-status/v2``): uptime, queue, in-flight batches, pending
-  per model, batcher state, pk-cache stats, resilience counters, the
-  SLO sliding windows, and in cluster mode a ``cluster`` block with a
-  per-worker ``telemetry`` rollup and per-priority-class SLO windows
-  (``zkml top`` renders this);
+  (``zkml-serve-status/v2`` or ``zkml-verify-status/v1``): uptime,
+  queue, in-flight batches, counters, the SLO sliding windows, and in
+  cluster mode a ``cluster`` block with a per-worker ``telemetry``
+  rollup and per-priority-class SLO windows (``zkml top`` renders it);
 - ``{"op": "metrics"}`` — the Prometheus text exposition of the
   service's registry plus the process resilience counters;
 - ``{"op": "dump", "path": ...}`` — dump the flight recorder; with
@@ -43,17 +53,14 @@ instead of ``"model"`` addresses the *server*, not the prover.
 
 An unknown or non-string ``op`` gets the structured
 ``{"ok": false, "error": "ServiceError", ...}`` rejection, same as any
-malformed proof request.
+malformed request.
 """
 
 from __future__ import annotations
 
 import base64
-import json
-import os
-import socket
-import threading
-from typing import Callable, Dict, Optional
+import binascii
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -61,17 +68,21 @@ from repro.model import get_model, model_names, seeded_inputs
 from repro.obs import log as obs_log
 from repro.obs.runtime import new_request_id
 from repro.resilience import events
-from repro.resilience.errors import ResilienceError, ServiceError
-from repro.serve.service import ProvingService
+from repro.resilience.errors import ServiceError
 
-__all__ = ["ServeServer", "FramedSocketServer", "PayloadProcessor",
-           "CONTROL_OPS", "control", "metrics_text", "request_inputs"]
+__all__ = ["PayloadProcessor", "VerifyProcessor", "CONTROL_OPS",
+           "MAX_REQUEST_BYTES", "control", "metrics_text", "request_inputs"]
 
-#: Operator ops the socket answers without touching the prover.
+#: Operator ops every front end answers without touching the prover.
 CONTROL_OPS = ("health", "status", "metrics", "dump")
 
-#: Cap on a single request line (a mini-model input is a few KB).
+#: Cap on one proof request body (a mini-model input is a few KB).
 MAX_REQUEST_BYTES = 4 << 20
+
+#: Default cap on one verify request body.  Envelopes ride base64 (4/3
+#: overhead), so this holds a few mini-model envelopes while still
+#: bounding what an attacker can make the server buffer.
+MAX_VERIFY_REQUEST_BYTES = 64 << 20
 
 
 def request_inputs(spec, payload: Dict) -> Dict[str, np.ndarray]:
@@ -79,7 +90,7 @@ def request_inputs(spec, payload: Dict) -> Dict[str, np.ndarray]:
 
     Explicit ``inputs`` win; otherwise ``seed`` goes through the same
     :func:`~repro.model.seeded_inputs` as ``zkml prove --seed``, so a
-    socket client and the CLI prove bit-identical statements.
+    wire client and the CLI prove bit-identical statements.
     """
     if "inputs" in payload:
         arrays = {}
@@ -98,16 +109,17 @@ def request_inputs(spec, payload: Dict) -> Dict[str, np.ndarray]:
 
 
 class PayloadProcessor:
-    """Wire payload → response dict, front-end agnostic.
+    """Proof request or control op → reply dict (``zkml serve``).
 
-    Both front ends — the unix socket (:class:`ServeServer`) and HTTP
-    (:class:`~repro.serve.http_server.HttpFrontEnd`) — hand their parsed
-    JSON here, so proof requests and control ops behave identically over
-    either transport: same fields, same typed errors, same replies.
+    Every listener of one service shares one processor, so the unix
+    socket and the TCP port answer alike: same fields, same typed
+    errors, same replies.
     """
 
-    def __init__(self, service: ProvingService,
-                 default_timeout: float = 120.0):
+    routes = ("/v1/prove", "/prove", "/")
+    max_request_bytes = MAX_REQUEST_BYTES
+
+    def __init__(self, service, default_timeout: float = 120.0):
         self.service = service
         self.default_timeout = default_timeout
 
@@ -117,12 +129,7 @@ class PayloadProcessor:
         model = payload.get("model")
         if model not in model_names():
             raise ServiceError("unknown model %r" % model)
-        rid = payload.get("request_id")
-        if rid is not None and not isinstance(rid, str):
-            raise ServiceError("request_id must be a string",
-                               got=type(rid).__name__)
-        if not rid:
-            rid = new_request_id()
+        rid = _request_id(payload) or new_request_id()
         with obs_log.bind(request_id=rid):
             spec = get_model(model, "mini")
             inputs = request_inputs(spec, payload)
@@ -160,6 +167,52 @@ class PayloadProcessor:
         return out
 
 
+class VerifyProcessor:
+    """Verify request or control op → reply dict (``zkml verify-serve``)."""
+
+    routes = ("/v1/verify",)
+
+    def __init__(self, service,
+                 max_request_bytes: int = MAX_VERIFY_REQUEST_BYTES):
+        self.service = service
+        self.max_request_bytes = max_request_bytes
+
+    def process(self, payload: Dict) -> Dict:
+        if "op" in payload:
+            return control(self.service, payload)
+        rid = _request_id(payload)
+        report = self.service.verify_batch(_decode_envelopes(payload),
+                                           request_id=rid or None)
+        report["ok"] = True
+        return report
+
+
+def _request_id(payload: Dict) -> Optional[str]:
+    rid = payload.get("request_id")
+    if rid is not None and not isinstance(rid, str):
+        raise ServiceError("request_id must be a string",
+                           got=type(rid).__name__)
+    return rid
+
+
+def _decode_envelopes(payload: Dict) -> List[bytes]:
+    raw = [payload["envelope"]] if "envelope" in payload \
+        else payload.get("envelopes")
+    if not isinstance(raw, list) or not raw:
+        raise ServiceError(
+            "request must carry 'envelope' or a non-empty 'envelopes' list")
+    out: List[bytes] = []
+    for idx, item in enumerate(raw):
+        if not isinstance(item, str):
+            raise ServiceError("envelope %d is not a base64 string" % idx,
+                               got=type(item).__name__)
+        try:
+            out.append(base64.b64decode(item, validate=True))
+        except (binascii.Error, ValueError):
+            raise ServiceError("envelope %d is not valid base64" % idx)
+    return out
+
+
 def control(service, payload: Dict) -> Dict:
     """Answer an operator op (``health`` / ``status`` / ``metrics`` /
     ``dump``) from the in-memory state of ``service`` (proving or
@@ -181,7 +234,7 @@ def control(service, payload: Dict) -> Dict:
     if path is not None and not isinstance(path, str):
         raise ServiceError("dump path must be a string",
                            got=type(path).__name__)
-    artifact = service.dump_flight(reason="operator_request", path=path)
+    artifact = service.runtime.dump(reason="operator_request", path=path)
     effective = path or service.runtime.dump_path
     out = {"ok": True, "reason": "operator_request",
            "events_recorded": artifact.get("events_recorded", 0),
@@ -197,125 +250,3 @@ def metrics_text(service) -> str:
     """The Prometheus exposition (service registry + resilience); each
     part is empty or newline-terminated, so they concatenate."""
     return service.metrics.to_prometheus() + events.EVENTS.to_prometheus()
-
-
-class FramedSocketServer:
-    """The accept loop of both socket front ends: one JSON request line
-    per connection in, one JSON reply line out.
-
-    ``process(payload) -> dict`` handles a parsed request; whatever it
-    raises becomes an ``{"ok": false, "error", "detail"}`` reply.  The
-    line is capped at ``max_request_bytes`` before parsing and must hold
-    a JSON object; each violation is a typed ``ServiceError`` reply.
-    """
-
-    def __init__(self, socket_path: str, max_request_bytes: int,
-                 log_name: str, process: Callable[[Dict], Dict]):
-        self.socket_path = socket_path
-        self.max_request_bytes = max_request_bytes
-        self._log = obs_log.get_logger(log_name)
-        self._process = process
-        self._sock: Optional[socket.socket] = None
-        self._accepting = False
-        self._thread: Optional[threading.Thread] = None
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self):
-        """Bind the socket and start accepting in a background thread."""
-        self._bind()
-        self._thread = threading.Thread(
-            target=self._accept_loop,
-            name="zkml-%s-accept" % self._log.name, daemon=True)
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Bind the socket and accept on the calling thread (CLI mode)."""
-        self._bind()
-        self._accept_loop()
-
-    def _bind(self) -> None:
-        if os.path.exists(self.socket_path):
-            os.unlink(self.socket_path)
-        self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._sock.bind(self.socket_path)
-        self._sock.listen(64)
-        self._sock.settimeout(0.2)
-        self._accepting = True
-        self._log.info("serving on %s", self.socket_path)
-
-    def stop(self) -> None:
-        """Stop accepting and remove the socket (the service keeps its
-        own lifecycle — shut it down separately)."""
-        self._accepting = False
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
-        if os.path.exists(self.socket_path):
-            os.unlink(self.socket_path)
-
-    # -- connection handling -------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while self._accepting:
-            try:
-                conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # socket closed under us during stop()
-            handler = threading.Thread(target=self._handle, args=(conn,),
-                                       daemon=True)
-            handler.start()
-
-    def _handle(self, conn: socket.socket) -> None:
-        with conn:
-            try:
-                response = self._process(self._read_request(conn))
-            except ResilienceError as exc:
-                response = {"ok": False, "error": type(exc).__name__,
-                            "detail": str(exc)}
-            except Exception as exc:  # noqa: BLE001 — a bad request must not kill the accept loop
-                response = {"ok": False, "error": type(exc).__name__,
-                            "detail": str(exc)[:200]}
-            try:
-                conn.sendall(json.dumps(response).encode() + b"\n")
-            except OSError:
-                pass  # client went away; its future already resolved
-
-    def _read_request(self, conn: socket.socket) -> Dict:
-        chunks = []
-        total = 0
-        while not chunks or b"\n" not in chunks[-1]:
-            chunk = conn.recv(65536)
-            if not chunk:
-                break
-            total += len(chunk)
-            if total > self.max_request_bytes:
-                raise ServiceError("request exceeds %d bytes"
-                                   % self.max_request_bytes)
-            chunks.append(chunk)
-        line = b"".join(chunks).split(b"\n", 1)[0]
-        if not line:
-            raise ServiceError("empty request")
-        try:
-            payload = json.loads(line)
-        except ValueError:  # JSONDecodeError, or bytes in no JSON encoding
-            raise ServiceError("request line is not valid JSON") from None
-        if not isinstance(payload, dict):
-            raise ServiceError("request payload must be a JSON object",
-                               got=type(payload).__name__)
-        return payload
-
-
-class ServeServer(FramedSocketServer):
-    """Socket connections → ``service.submit`` (via
-    :class:`PayloadProcessor`)."""
-
-    def __init__(self, service: ProvingService, socket_path: str,
-                 default_timeout: float = 120.0):
-        super().__init__(socket_path, MAX_REQUEST_BYTES, "serve",
-                         PayloadProcessor(service, default_timeout).process)

@@ -61,7 +61,7 @@ Runtime telemetry (:mod:`repro.obs.runtime`) makes the running service
 - the flight recorder rings recent lifecycle events and auto-dumps a
   checksummed JSON artifact on a batch failure or an overload storm
   (when ``ServeConfig.flight_path`` is set), or on demand via
-  :meth:`ProvingService.dump_flight`.
+  ``service.runtime.dump()``.
 """
 
 from __future__ import annotations
@@ -180,9 +180,6 @@ class ServeConfig:
     #: overload storm).  ``None`` disables automatic dumps; the ring
     #: still records and can be dumped on demand.
     flight_path: Optional[str] = None
-    #: Rejections within one second that count as an overload storm
-    #: (each storm auto-dumps the flight recorder, rate-limited).
-    overload_dump_threshold: int = 16
     #: Prover worker *processes* (the cluster).  ``0`` is the in-process
     #: mode: batches prove on the service's own proving thread.  ``N>=1``
     #: spawns N worker processes fed by the cluster scheduler and no
@@ -275,9 +272,7 @@ class ProvingService:
         self.config = config if config is not None else ServeConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer
-        self.runtime = RuntimeTelemetry(
-            dump_path=self.config.flight_path,
-            overload_threshold=self.config.overload_dump_threshold)
+        self.runtime = RuntimeTelemetry(dump_path=self.config.flight_path)
         self._queue: "queue_mod.Queue" = queue_mod.Queue(
             maxsize=self.config.max_queue)
         self._pending: Dict[BatchKey, List[ProofRequest]] = {}
@@ -467,7 +462,7 @@ class ProvingService:
                               model=spec.name,
                               max_queue=self.config.max_queue)
             if self.runtime.rejection():
-                self._auto_dump("overload_storm")
+                self.runtime.auto_dump("overload_storm")
             raise ServiceOverloadedError(
                 "request queue is full (%d waiting)" % self.config.max_queue,
                 model=spec.name, max_queue=self.config.max_queue,
@@ -729,7 +724,7 @@ class ProvingService:
                           request_ids=[r.request_id for r in group])
         log.warning("batch failed", batch_id=batch_id, model=model,
                     occupancy=len(group), error=type(exc).__name__)
-        self._auto_dump("batch_failure")
+        self.runtime.auto_dump("batch_failure")
         for request in group:
             request.future.set_exception(exc)
 
@@ -751,33 +746,6 @@ class ProvingService:
         self._pending.clear()
 
     # -- introspection -------------------------------------------------------
-
-    def _auto_dump(self, reason: str) -> None:
-        """Write an automatic flight-recorder dump if a path is set.
-
-        Routed through :meth:`RuntimeTelemetry.auto_dump`, which
-        rate-limits per *reason*: a crash-looping worker failing a batch
-        every tick writes one dump per interval, not one per failure.
-        Best effort: a failed write is logged, never raised into the
-        batch's resolution.
-        """
-        try:
-            artifact = self.runtime.auto_dump(reason)
-            if artifact is not None:
-                log.warning("flight recorder dumped", reason=reason,
-                            path=self.runtime.dump_path)
-        except OSError as exc:
-            log.warning("flight recorder dump failed", reason=reason,
-                        error=str(exc)[:120])
-
-    def dump_flight(self, reason: str = "on_demand",
-                    path: Optional[str] = None) -> Dict:
-        """Dump the flight recorder now; returns the artifact dict.
-
-        ``path`` overrides the configured ``flight_path``; with neither
-        set the artifact is returned in memory only.
-        """
-        return self.runtime.dump(reason=reason, path=path)
 
     def health(self) -> Dict[str, object]:
         """A cheap liveness probe: reads in-memory counters and never
@@ -844,15 +812,7 @@ class ProvingService:
         if self._scheduler is not None:
             out["cluster"] = self._scheduler.status()
         out["slo"] = self.runtime.slo.snapshot()
-        recorder = self.runtime.recorder
-        out["flight_recorder"] = {
-            "buffered": len(recorder),
-            "capacity": recorder.capacity,
-            "recorded": recorder.recorded,
-            "dumps": recorder.dumps,
-            "suppressed_dumps": self.runtime.suppressed_dumps,
-            "dump_path": self.runtime.dump_path,
-        }
+        out["flight_recorder"] = self.runtime.recorder_status()
         return out
 
     def stats(self) -> Dict[str, float]:

@@ -69,8 +69,6 @@ from repro.resilience.errors import (
 
 __all__ = ["VerifyConfig", "VerifyService", "rejection_cause"]
 
-log = obs_log.get_logger("verify")
-
 #: Histogram buckets for request verify latency (seconds).
 VERIFY_LATENCY_BUCKETS = (0.005, 0.02, 0.05, 0.1, 0.25, 1.0, 5.0, 30.0)
 
@@ -117,8 +115,6 @@ class VerifyConfig:
     deadline_seconds: float = 60.0
     #: Where automatic flight dumps land (``None`` disables them).
     flight_path: Optional[str] = None
-    #: Rejections within one second that count as an overload storm.
-    overload_dump_threshold: int = 16
 
 
 class VerifyService:
@@ -137,8 +133,7 @@ class VerifyService:
         self._tracer = tracer
         self.runtime = RuntimeTelemetry(
             recorder=FlightRecorder(capacity=FLIGHT_CAPACITY),
-            dump_path=self.config.flight_path,
-            overload_threshold=self.config.overload_dump_threshold)
+            dump_path=self.config.flight_path)
         self._slots = threading.Semaphore(self.config.max_inflight)
         self._lock = threading.Lock()
         self._closed = False
@@ -190,7 +185,7 @@ class VerifyService:
                               cause="overload",
                               max_inflight=self.config.max_inflight)
             if self.runtime.rejection():
-                self._auto_dump("overload_storm")
+                self.runtime.auto_dump("overload_storm")
             raise ServiceOverloadedError(
                 "verify service is at its %d-request concurrency cap"
                 % self.config.max_inflight,
@@ -347,21 +342,6 @@ class VerifyService:
 
     # -- operator surface ----------------------------------------------------
 
-    def _auto_dump(self, reason: str) -> None:
-        if not self.runtime.dump_path:
-            return
-        try:
-            self.runtime.dump(reason=reason)
-            log.warning("flight recorder dumped", reason=reason,
-                        path=self.runtime.dump_path)
-        except OSError as exc:
-            log.warning("flight recorder dump failed", reason=reason,
-                        error=str(exc)[:120])
-
-    def dump_flight(self, reason: str = "on_demand",
-                    path: Optional[str] = None) -> Dict:
-        return self.runtime.dump(reason=reason, path=path)
-
     def health(self) -> Dict[str, object]:
         """Cheap liveness: answered from in-memory state, no registry
         read, no verification."""
@@ -420,12 +400,5 @@ class VerifyService:
             "resilience": events.counts(),
             "slo": self.runtime.slo.snapshot(),
         }
-        recorder = self.runtime.recorder
-        out["flight_recorder"] = {
-            "buffered": len(recorder),
-            "capacity": recorder.capacity,
-            "recorded": recorder.recorded,
-            "dumps": recorder.dumps,
-            "dump_path": self.runtime.dump_path,
-        }
+        out["flight_recorder"] = self.runtime.recorder_status()
         return out

@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs.runtime import (
     FLIGHT_SCHEMA,
+    OVERLOAD_DUMP_THRESHOLD,
     FlightRecorder,
     RuntimeTelemetry,
     SloTracker,
@@ -173,14 +174,13 @@ class TestFlightRecorder:
 class TestRuntimeTelemetry:
     def test_overload_storm_detection_and_rate_limit(self):
         clock = FakeClock()
-        runtime = RuntimeTelemetry(overload_threshold=3,
-                                   overload_window_seconds=1.0, clock=clock)
-        assert not runtime.rejection()
-        assert not runtime.rejection()
-        assert runtime.rejection()  # third within the window: storm
+        runtime = RuntimeTelemetry(overload_window_seconds=1.0, clock=clock)
+        for _ in range(OVERLOAD_DUMP_THRESHOLD - 1):
+            assert not runtime.rejection()
+        assert runtime.rejection()  # the 16th within the window: storm
         assert not runtime.rejection()  # rate-limited
         clock.advance(2.0)
-        for _ in range(2):
+        for _ in range(OVERLOAD_DUMP_THRESHOLD - 1):
             assert not runtime.rejection()
         assert runtime.rejection()  # fresh storm after the window
 

@@ -34,7 +34,7 @@ from repro.serve import ProvingService, ServeConfig
 from repro.serve.client import control_request
 from repro.serve.http_server import HttpFrontEnd
 from repro.serve.scheduler import ClusterScheduler
-from repro.serve.server import ServeServer
+from repro.serve.server import PayloadProcessor
 from repro.serve.service import BatchKey, ProofRequest
 from repro.serve.worker import BatchResult
 
@@ -304,10 +304,10 @@ class TestTopParity:
     def test_status_identical_over_socket_and_http(self, tmp_path):
         """`zkml top --once --json` sees one status document, not two.
 
-        Both front ends answer the ``status`` control op through the
+        Both listeners answer the ``status`` control op through the
         shared :class:`PayloadProcessor`; this pins that the *cluster*
-        block — including the per-worker telemetry rollup — reaches an
-        HTTP ``zkml top`` exactly like a unix-socket one (modulo fields
+        block — including the per-worker telemetry rollup — reaches a
+        TCP ``zkml top`` exactly like a unix-socket one (modulo fields
         that advance with wall clock between the two calls).
         """
         spec = small_model("tel-top")
@@ -317,11 +317,12 @@ class TestTopParity:
                        for _ in range(4)]
             for f in futures:
                 assert f.result(timeout=300).verified
-            server = ServeServer(service, socket_path).start()
-            front = HttpFrontEnd(service, host="127.0.0.1", port=0).start()
+            processor = PayloadProcessor(service)
+            server = HttpFrontEnd(processor, socket_path).start()
+            front = HttpFrontEnd(processor, ("127.0.0.1", 0)).start()
             try:
                 via_socket = control_request(socket_path, "status")["status"]
-                via_http = control_request(front.url, "status")["status"]
+                via_http = control_request(front.target, "status")["status"]
             finally:
                 front.stop()
                 server.stop()

@@ -1,25 +1,23 @@
-"""The one framed-socket accept loop under both front ends.
+"""Request framing on the one front end, for both services.
 
-``ServeServer`` and ``VerifyServer`` share ``FramedSocketServer``: a
-request line that is empty, over the cap, not JSON, or not a JSON object
-is a typed ``ServiceError`` reply on either socket, and the accept loop
-answers the next well-formed request.  HTTP does the same check in its
-own framing layer, so a payload handler only ever sees a JSON object.
+``zkml serve`` and ``zkml verify-serve`` bind the same
+``HttpFrontEnd`` on a unix socket, each with its own processor and
+request cap.  A body that is empty, not JSON, or not a JSON object is a
+typed 400 ``ServiceError`` reply on either; a declared length over the
+cap is a 413 before any body byte is read; no ``Content-Length`` is a
+411.  The front end answers ``health`` afterwards, so a payload handler
+only ever sees a JSON object and a hostile request never costs the
+listener.
 """
-
-import json
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.serve import ProvingService, ServeConfig, VerifyService
 from repro.serve.client import control_request
 from repro.serve.http_server import HttpFrontEnd
-from repro.serve.server import ServeServer
-from repro.serve.verify_server import VerifyServer
+from repro.serve.server import PayloadProcessor, VerifyProcessor
 
-from tests.serve.test_verify_socket import _raw_line
+from tests.serve import wire
 
 
 @pytest.fixture(scope="module", params=["serve", "verify"])
@@ -27,46 +25,60 @@ def server(request, tmp_path_factory):
     socket_path = str(tmp_path_factory.mktemp(request.param) / "s.sock")
     if request.param == "serve":
         service = ProvingService(ServeConfig()).start()
-        server = ServeServer(service, socket_path).start()
+        processor = PayloadProcessor(service)
     else:
         service = VerifyService()
-        server = VerifyServer(service, socket_path,
-                              max_request_bytes=1 << 16).start()
-    yield server
-    server.stop()
+        processor = VerifyProcessor(service, max_request_bytes=1 << 16)
+    front = HttpFrontEnd(processor, socket_path).start()
+    yield front
+    front.stop()
     if request.param == "serve":
         service.shutdown()
     else:
         service.close()
 
 
+def _route(front):
+    return front.processor.routes[0]
+
+
 @pytest.mark.parametrize("line", [
-    b"[1,2]\n", b"7\n", b'"x"\n', b"{not json\n", b"\x00\x01\x02\n", b"\n",
-    None,  # a line one byte over the server's cap
+    b"[1,2]", b"7", b'"x"', b"{not json", b"\x00\x01\x02", b"",
+    None,  # a declared length one byte over the server's cap
 ], ids=["list", "int", "string", "not-json", "binary", "empty", "over-cap"])
 def test_malformed_line_is_a_typed_rejection(server, line):
     if line is None:
-        # no newline: the cap must trip before the line is complete
-        line = b"x" * (server.max_request_bytes + 1)
-    reply = _raw_line(server.socket_path, line)
+        # only the header block is sent: the cap must trip on the
+        # declared length, with no body byte read
+        status, reply = wire.head_only(
+            server.target, _route(server),
+            "Content-Length: %d\r\n"
+            % (server.processor.max_request_bytes + 1))
+        assert status == 413
+    else:
+        status, reply = wire.post(server.target, _route(server), line)
+        assert status == 400
     assert reply["ok"] is False
     assert reply["error"] == "ServiceError", reply
-    assert control_request(server.socket_path, "health")["ok"] is True
+    assert control_request(server.target, "health")["ok"] is True
+
+
+def test_missing_content_length_is_a_typed_411(server):
+    status, reply = wire.head_only(server.target, _route(server), "")
+    assert status == 411
+    assert reply["error"] == "ServiceError"
+    assert control_request(server.target, "health")["ok"] is True
 
 
 @pytest.mark.parametrize("path", ["/v1/prove", "/v1/control", "/v1/dump"])
 def test_http_non_object_body_is_a_typed_400(path):
     service = ProvingService(ServeConfig()).start()
-    http = HttpFrontEnd(service, port=0).start()
+    front = HttpFrontEnd(PayloadProcessor(service), ("127.0.0.1", 0)).start()
     try:
-        request = urllib.request.Request(http.url + path, data=b"[1,2]",
-                                         method="POST")
-        with pytest.raises(urllib.error.HTTPError) as refused:
-            urllib.request.urlopen(request, timeout=30)
-        assert refused.value.code == 400
-        reply = json.loads(refused.value.read())
+        status, reply = wire.post(front.target, path, b"[1,2]")
+        assert status == 400
         assert reply["error"] == "ServiceError"
         assert "JSON object" in reply["detail"]
     finally:
-        http.stop()
+        front.stop()
         service.shutdown()

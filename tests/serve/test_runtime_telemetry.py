@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from repro.model import GraphBuilder
-from repro.obs.runtime import verify_flight_dump
+from repro.obs.runtime import OVERLOAD_DUMP_THRESHOLD, verify_flight_dump
 from repro.resilience.errors import ResilienceError, ServiceError
 from repro.serve import ProvingService, ServeConfig
 from repro.serve.client import control_request, submit_request
-from repro.serve.server import ServeServer
+from repro.serve.http_server import HttpFrontEnd
+from repro.serve.server import PayloadProcessor
 
 rng = np.random.default_rng(23)
 
@@ -129,11 +130,10 @@ class TestFlightRecorderPostmortem:
     def test_overload_storm_auto_dumps(self, tmp_path):
         dump_path = str(tmp_path / "storm.json")
         spec = small_model()
-        config = ServeConfig(max_queue=1, flight_path=dump_path,
-                             overload_dump_threshold=3)
+        config = ServeConfig(max_queue=1, flight_path=dump_path)
         service = ProvingService(config)  # not started: queue never drains
         service.submit(spec, an_input(), scale_bits=6)
-        for _ in range(3):
+        for _ in range(OVERLOAD_DUMP_THRESHOLD):
             with pytest.raises(ResilienceError):
                 service.submit(spec, an_input(), scale_bits=6)
         service.shutdown(drain=False)
@@ -143,7 +143,7 @@ class TestFlightRecorderPostmortem:
         assert artifact["reason"] == "overload_storm"
         rejected = [e for e in artifact["events"]
                     if e["kind"] == "request_rejected"]
-        assert len(rejected) == 3
+        assert len(rejected) == OVERLOAD_DUMP_THRESHOLD == 16
 
 
 @pytest.fixture()
@@ -151,7 +151,7 @@ def served(tmp_path):
     socket_path = str(tmp_path / "serve.sock")
     service = ProvingService(ServeConfig(max_batch=4,
                                          max_flush_seconds=0.2)).start()
-    server = ServeServer(service, socket_path).start()
+    server = HttpFrontEnd(PayloadProcessor(service), socket_path).start()
     yield socket_path, service
     server.stop()
     service.shutdown()
@@ -245,7 +245,9 @@ class TestClientFailureEdges:
         def cut_mid_reply():
             conn, _ = listener.accept()
             conn.recv(65536)
-            conn.sendall(b'{"ok": true, "verifi')  # truncated, no newline
+            # a 100-byte body promised, 20 sent
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n"
+                         b'{"ok": true, "verifi')
             conn.close()
 
         thread = threading.Thread(target=cut_mid_reply, daemon=True)
@@ -253,7 +255,7 @@ class TestClientFailureEdges:
         try:
             with pytest.raises(ServiceError) as excinfo:
                 submit_request(socket_path, {"model": "dlrm"}, timeout=10.0)
-            # the frame never completed, so this is a mid-reply cut —
+            # the body never completed, so this is a mid-reply cut —
             # not "malformed JSON", which would blame the payload
             assert "mid-reply" in str(excinfo.value)
         finally:

@@ -8,10 +8,11 @@ shutdown, and checks it against a reference model after every step:
 - per-(model, class) deques, bounded per model;
 - an interactive batch meeting a full backlog evicts the model's newest
   queued bulk batch, and any other overflow sheds the incoming batch;
-- dispatch takes interactive before bulk, and within a class resumes a
-  cursor into the sorted list of models seen;
+- dispatch takes interactive before bulk, and within a class takes the
+  first model after the one served last, in sorted order (so a model
+  that sorts earlier and appears mid-stream waits its turn);
 - a non-draining shutdown sheds the whole backlog, and every later
-  enqueue is shed with reason ``shutdown``.
+  enqueue is shed with reason ``shutdown``; every shed is counted.
 
 Besides the dispatch order and which batches were shed or evicted, the
 registry's ``serve_shed_batches_total`` and
@@ -33,8 +34,16 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve.scheduler import PRIORITIES, ClusterScheduler
 from repro.serve.worker import BatchJob
 
-MODELS = ("a", "b")
+MODELS = ("a", "b", "c")
 BACKLOG = 2
+
+
+def _job(job_id, model, priority="interactive"):
+    return BatchJob(
+        job_id=job_id, batch_id="b%d" % job_id,
+        spec=SimpleNamespace(name=model), batch_inputs=[],
+        scheme_name="kzg", num_cols=4, scale_bits=6, lookup_bits=None,
+        occupancy=1, padded_size=1, priority=priority)
 
 
 class SchedulerMachine(RuleBasedStateMachine):
@@ -50,26 +59,22 @@ class SchedulerMachine(RuleBasedStateMachine):
         self.job_ids = 0
         # the reference model
         self.queues = {}  # model -> {priority: deque of job ids}
-        self.cursor = {p: 0 for p in PRIORITIES}
+        self.last_served = {p: None for p in PRIORITIES}
         self.closed = False
         self.expected_shed = []
         self.counted = {"overload": 0, "shutdown": 0}
         self.evicted = 0
 
-    def _shed(self, job_id, reason, counted=True):
+    def _shed(self, job_id, reason):
         self.expected_shed.append((job_id, reason))
-        self.counted[reason] += counted
+        self.counted[reason] += 1
 
     @rule(model=st.sampled_from(MODELS),
           priority=st.sampled_from(PRIORITIES))
     def enqueue(self, model, priority):
         self.job_ids += 1
         job_id = self.job_ids
-        accepted = self.scheduler.enqueue(BatchJob(
-            job_id=job_id, batch_id="b%d" % job_id,
-            spec=SimpleNamespace(name=model), batch_inputs=[],
-            scheme_name="kzg", num_cols=4, scale_bits=6, lookup_bits=None,
-            occupancy=1, padded_size=1, priority=priority))
+        accepted = self.scheduler.enqueue(_job(job_id, model, priority))
         if self.closed:
             self._shed(job_id, "shutdown")
             assert not accepted
@@ -94,14 +99,15 @@ class SchedulerMachine(RuleBasedStateMachine):
         assert (job and job.job_id) == self._model_next()
 
     def _model_next(self):
-        models = sorted(self.queues)
         for priority in PRIORITIES:
-            for offset in range(len(models)):
-                index = (self.cursor[priority] + offset) % len(models)
-                queue = self.queues[models[index]][priority]
-                if queue:
-                    self.cursor[priority] = (index + 1) % len(models)
-                    return queue.popleft()
+            last = self.last_served[priority]
+            ready = sorted(m for m, q in self.queues.items() if q[priority])
+            if not ready:
+                continue
+            later = [m for m in ready if last is not None and m > last]
+            model = (later or ready)[0]
+            self.last_served[priority] = model
+            return self.queues[model][priority].popleft()
         return None
 
     @precondition(lambda self: not self.closed)
@@ -109,12 +115,11 @@ class SchedulerMachine(RuleBasedStateMachine):
     def shutdown_without_draining(self):
         self.scheduler.shutdown(drain=False)
         self.closed = True
-        # the backlog is shed model by model, interactive first; these
-        # sheds fail their futures but are not counted as shed batches
+        # the backlog is shed model by model, interactive first
         for queues in self.queues.values():
             for priority in PRIORITIES:
                 for job_id in queues[priority]:
-                    self._shed(job_id, "shutdown", counted=False)
+                    self._shed(job_id, "shutdown")
                 queues[priority].clear()
 
     @invariant()
@@ -134,3 +139,25 @@ class SchedulerMachine(RuleBasedStateMachine):
 SchedulerMachine.TestCase.settings = settings(
     max_examples=100, stateful_step_count=30, deadline=None)
 TestSchedulerModel = SchedulerMachine.TestCase
+
+
+def test_a_model_that_appears_mid_stream_waits_its_turn():
+    # b, b, c queued; b is served, then a arrives: a cursor into the
+    # sorted model list would now point at b again (b, c, a); the fair
+    # rule resumes after b (c, a, b)
+    scheduler = ClusterScheduler(
+        workers=1, on_result=lambda result: None,
+        on_shed=lambda job, reason: None, metrics=MetricsRegistry())
+    for job_id, model in enumerate("bbc", start=1):
+        assert scheduler.enqueue(_job(job_id, model))
+    served = []
+    with scheduler._lock:
+        served.append(scheduler._next_job().spec.name)
+    assert scheduler.enqueue(_job(4, "a"))
+    with scheduler._lock:
+        while True:
+            job = scheduler._next_job()
+            if job is None:
+                break
+            served.append(job.spec.name)
+    assert served == ["b", "c", "a", "b"]

@@ -1,4 +1,5 @@
-"""Socket round-trip tests: ``ServeServer`` + the ``zkml submit`` client."""
+"""Socket round-trip tests: the front end on a unix socket + the
+``zkml submit`` client."""
 
 import base64
 
@@ -12,7 +13,8 @@ from repro.obs import log as obs_log
 from repro.runtime.pipeline import prove_model
 from repro.serve import ProvingService, ServeConfig
 from repro.serve.client import submit_many, submit_request
-from repro.serve.server import ServeServer
+from repro.serve.http_server import HttpFrontEnd
+from repro.serve.server import PayloadProcessor
 
 
 @pytest.fixture()
@@ -20,7 +22,7 @@ def served(tmp_path):
     socket_path = str(tmp_path / "serve.sock")
     service = ProvingService(ServeConfig(max_batch=4,
                                          max_flush_seconds=0.2)).start()
-    server = ServeServer(service, socket_path).start()
+    server = HttpFrontEnd(PayloadProcessor(service), socket_path).start()
     yield socket_path, service
     server.stop()
     service.shutdown()
@@ -77,7 +79,7 @@ class TestSocketRoundTrip:
         socket_path = str(tmp_path / "pair.sock")
         service = ProvingService(ServeConfig(max_batch=2,
                                              max_flush_seconds=60.0)).start()
-        server = ServeServer(service, socket_path).start()
+        server = HttpFrontEnd(PayloadProcessor(service), socket_path).start()
         prefix = str(tmp_path / "served")
         try:
             assert main(["submit", "--socket", socket_path, "--model",

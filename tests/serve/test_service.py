@@ -24,7 +24,8 @@ from repro.resilience.errors import (
 )
 from repro.serve import ProvingService, ServeConfig
 from repro.serve.client import submit_request
-from repro.serve.server import ServeServer
+from repro.serve.http_server import HttpFrontEnd
+from repro.serve.server import PayloadProcessor
 
 MODES = pytest.mark.parametrize("workers", [0, 1])
 
@@ -231,7 +232,8 @@ class TestResilience:
                 with pytest.raises(QuantizationRangeError) as excinfo:
                     future.result(timeout=120)
                 raised.append(excinfo.value)
-                server = ServeServer(service, socket_path).start()
+                server = HttpFrontEnd(PayloadProcessor(service),
+                                      socket_path).start()
                 try:
                     replies.append(submit_request(socket_path, payload,
                                                   timeout=120.0))

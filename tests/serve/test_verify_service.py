@@ -19,6 +19,7 @@ from repro.field import gl64, native
 from repro.halo2.column import ColumnType
 from repro.halo2.shape import HELPER_ROUND
 from repro.model import get_model
+from repro.obs.runtime import OVERLOAD_DUMP_THRESHOLD, RuntimeTelemetry
 from repro.registry import VKRegistry
 from repro.resilience import events
 from repro.resilience.errors import (
@@ -215,6 +216,25 @@ class TestRequestCaps:
         with pytest.raises(ServiceOverloadedError):
             svc.verify_batch([encoded])
         assert svc.stats()["rejections_by_cause"].get("overload") == 1
+
+    def test_overload_storms_dump_through_the_per_reason_limit(
+            self, registry_dir, encoded, tmp_path):
+        # the verify service's storm dumps take the proving service's
+        # path: a second storm inside the auto-dump interval is
+        # suppressed and counted, not written again
+        now = [1000.0]
+        svc = VerifyService(registry=VKRegistry(registry_dir),
+                            config=VerifyConfig(max_inflight=0))
+        svc.runtime = RuntimeTelemetry(dump_path=str(tmp_path / "f.json"),
+                                       clock=lambda: now[0])
+        for storm in range(2):
+            for _ in range(OVERLOAD_DUMP_THRESHOLD):
+                with pytest.raises(ServiceOverloadedError):
+                    svc.verify_batch([encoded])
+            now[0] += 1.5  # past the storm window, inside the interval
+        assert svc.runtime.recorder.dumps == 1
+        assert svc.runtime.suppressed_dumps == 1
+        assert svc.status()["flight_recorder"]["suppressed_dumps"] == 1
 
     def test_deadline_exceeded_typed(self, registry_dir, encoded):
         svc = VerifyService(registry=VKRegistry(registry_dir),

@@ -1,14 +1,13 @@
-"""Socket round trips for ``zkml verify-serve``: `VerifyServer` + client.
+"""Socket round trips for ``zkml verify-serve``: the front end + client.
 
 The wire layer must be as hostile-proof as the service behind it: bad
-base64, oversized request lines, and malformed JSON are all typed
-rejections that leave the accept loop alive, and the envelope fuzzer
+base64, oversized requests, and malformed JSON are all typed
+rejections that leave the listener alive, and the envelope fuzzer
 run against the *live socket* must see nothing but typed verdicts.
 """
 
 import base64
 import json
-import socket as socket_mod
 
 import numpy as np
 import pytest
@@ -18,9 +17,11 @@ from repro.registry import VKRegistry
 from repro.runtime import prove_model
 from repro.serve import VerifyConfig, VerifyService
 from repro.serve.client import control_request, verify_request
-from repro.serve.verify_server import VerifyServer
+from repro.serve.http_server import HttpFrontEnd
+from repro.serve.server import VerifyProcessor
 
 from tests.fuzz import run_envelope_fuzz
+from tests.serve import wire
 
 rng = np.random.default_rng(47)
 
@@ -46,7 +47,7 @@ def served(tmp_path_factory, proven):
     registry.publish(proven.vk, env.model, env.config_digest)
     service = VerifyService(registry=registry, config=VerifyConfig())
     socket_path = str(root / "verify.sock")
-    server = VerifyServer(service, socket_path).start()
+    server = HttpFrontEnd(VerifyProcessor(service), socket_path).start()
     yield socket_path, service
     server.stop()
     service.close()
@@ -58,21 +59,9 @@ def _tampered(encoded):
     return bytes(bad)
 
 
-def _raw_line(socket_path, line, timeout=30.0):
-    conn = socket_mod.socket(socket_mod.AF_UNIX, socket_mod.SOCK_STREAM)
-    conn.settimeout(timeout)
-    try:
-        conn.connect(socket_path)
-        conn.sendall(line)
-        chunks = []
-        while not chunks or b"\n" not in chunks[-1]:
-            chunk = conn.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
-        return json.loads(b"".join(chunks).split(b"\n", 1)[0])
-    finally:
-        conn.close()
+def _raw_line(socket_path, body):
+    """POST ``body`` as it is; the reply dict, whatever its status."""
+    return wire.post(socket_path, "/v1/verify", body)[1]
 
 
 class TestRoundTrip:
@@ -104,7 +93,7 @@ class TestWireHardening:
         socket_path, _ = served
         response = _raw_line(
             socket_path,
-            json.dumps({"envelopes": ["@@not-base64@@"]}).encode() + b"\n")
+            json.dumps({"envelopes": ["@@not-base64@@"]}).encode())
         assert not response["ok"]
         assert response["error"] == "ServiceError"
         assert "base64" in response["detail"]
@@ -113,30 +102,29 @@ class TestWireHardening:
         socket_path, _ = served
         response = _raw_line(
             socket_path,
-            json.dumps({"envelopes": [42]}).encode() + b"\n")
+            json.dumps({"envelopes": [42]}).encode())
         assert not response["ok"] and response["error"] == "ServiceError"
 
     def test_empty_and_missing_payloads_rejected(self, served):
         socket_path, _ = served
         for payload in ({"envelopes": []}, {}, {"envelopes": "nope"}):
-            response = _raw_line(socket_path,
-                                 json.dumps(payload).encode() + b"\n")
+            response = _raw_line(socket_path, json.dumps(payload).encode())
             assert not response["ok"]
 
     def test_malformed_json_rejected(self, served):
         socket_path, _ = served
-        response = _raw_line(socket_path, b"{not json\n")
+        response = _raw_line(socket_path, b"{not json")
         assert not response["ok"]
 
     def test_oversized_request_line_capped(self, served, encoded, proven,
                                            tmp_path):
         _, service = served
-        small = VerifyServer(service, str(tmp_path / "small.sock"),
-                             max_request_bytes=1024).start()
+        small = HttpFrontEnd(VerifyProcessor(service, max_request_bytes=1024),
+                             str(tmp_path / "small.sock")).start()
         try:
-            response = _raw_line(str(tmp_path / "small.sock"),
-                                 b"x" * 4096 + b"\n")
-            assert not response["ok"]
+            status, response = wire.post(small.target, "/v1/verify",
+                                         b"x" * 4096)
+            assert status == 413 and not response["ok"]
             assert response["error"] == "ServiceError"
             assert "exceeds" in response["detail"]
         finally:
@@ -144,7 +132,7 @@ class TestWireHardening:
 
     def test_accept_loop_survives_hostility(self, served, encoded):
         socket_path, _ = served
-        _raw_line(socket_path, b"\x00\x01\x02\n")
+        _raw_line(socket_path, b"\x00\x01\x02")
         report = verify_request(socket_path, [encoded])
         assert report["ok"] and report["accepted"] == 1
 
@@ -196,10 +184,9 @@ class TestSocketFuzz:
         local = np.random.default_rng(13)
         for size in (0, 1, 17, 400):
             blob = bytes(local.integers(0, 256, size, dtype=np.uint8))
-            line = json.dumps(
-                {"envelopes": [base64.b64encode(blob).decode()]},
-            ).encode() + b"\n"
-            response = _raw_line(socket_path, line)
+            body = json.dumps(
+                {"envelopes": [base64.b64encode(blob).decode()]}).encode()
+            response = _raw_line(socket_path, body)
             assert response["ok"]  # request-level ok; the verdict rejects
             (verdict,) = response["results"]
             assert not verdict["ok"] and verdict["error"]

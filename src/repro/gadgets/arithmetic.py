@@ -18,7 +18,7 @@ from typing import Sequence
 
 from repro.halo2.expression import Constant, Expression, Ref
 from repro.gadgets.base import Gadget, RowGadget
-from repro.tensor import PLACEHOLDER, Entry
+from repro.tensor import PLACEHOLDER, Entry, Lanes
 
 
 class AddGadget(Gadget):
@@ -146,29 +146,38 @@ class SumGadget(RowGadget):
         return block.result(row, b.num_cols - 1, sum(x.value for x in values))
 
     def sum_vector(self, values: Sequence[Entry]) -> Entry:
-        """Sum a vector of any length by chaining partial sums: a tree of
-        rows (one block), each level summing full chunks."""
+        """Sum a vector of any length (see :meth:`sum_vectors`)."""
+        return self.sum_vectors([values])[0]
+
+    def sum_vectors(self, vectors: Sequence[Sequence[Entry]]) -> Sequence[Entry]:
+        """Sum each of ``vectors`` (all of one length) by chaining partial
+        sums: a tree of rows per vector, each level summing full chunks,
+        the trees one after another in one block."""
         b = self.builder
         terms = self.terms_per_row(b.num_cols)
         if b.counting:
             # each level sums full chunks (a lone leftover passes through)
-            rows, work = 0, len(values)
+            rows, work = 0, len(vectors[0]) if len(vectors) else 0
             while work > 1:
                 full, rem = divmod(work, terms)
                 rows += full + (rem > 1)
                 work = full + (rem > 0)
-            b.claim(rows)
-            return PLACEHOLDER
+            b.claim(rows * len(vectors))
+            return Lanes(PLACEHOLDER, len(vectors))
         block = b.block(self.selector)
-        work = list(values)
-        while len(work) > 1:
-            level, work = work, []
-            for start in range(0, len(level), terms):
-                chunk = level[start : start + terms]
-                work.append(chunk[0] if len(chunk) == 1
-                            else self._row(block, *chunk))
-        b.write(block)
-        return work[0]
+        sums = []
+        for values in vectors:
+            work = list(values)
+            while len(work) > 1:
+                level, work = work, []
+                for start in range(0, len(level), terms):
+                    chunk = level[start : start + terms]
+                    work.append(chunk[0] if len(chunk) == 1
+                                else self._row(block, *chunk))
+            sums.append(work[0])
+        if block.rows:
+            b.write(block)
+        return sums
 
 
 class DivRoundConstGadget(Gadget):

@@ -19,10 +19,13 @@ Gadgets write in blocks.  A bulk entry point collects its rows in one
 :class:`Block` (the entries it places, in layout order, and the cells it
 computes) and hands it to :meth:`CircuitBuilder.write`: one selector
 slice, the homes of first placements, one value block and one copy
-block.  The builder queues values and copies and lands them in the
-:class:`~repro.halo2.Assignment` arrays in one pass whenever the grid is
-read (``builder.asg``), so a short block costs list appends, not array
-operations.
+block.  A block may be array-valued: its operands once each, an index
+array saying which operand each placement reads, and int64 cell codes,
+so a whole linear layer is one block and each distinct operand entry is
+read once.  The builder queues cells, field values, homes and copies as
+array chunks and lands them in the :class:`~repro.halo2.Assignment`
+arrays, each queue concatenated once, whenever the grid is read
+(``builder.asg``).
 
 A builder made with ``k=None`` *counts* instead of assigning: it is the
 physical-layout simulator.  It holds no grid (``k`` is what it computes),
@@ -35,6 +38,7 @@ lookup bits) and reused by every layout of that shape.
 from __future__ import annotations
 
 import functools
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
@@ -155,12 +159,55 @@ def _configured_once(cls: Type, params: Tuple, num_cols: int, scale_bits: int,
             tuple(scratch._nl_tables), tuple(scratch._range_tables))
 
 
+class _Queue:
+    """Integers waiting to land in the grid, in write order: array chunks,
+    and a list of plain ints row writers extend, sealed into a chunk (by
+    ``convert``) before the next array chunk and when the queue lands."""
+
+    def __init__(self, convert: Callable[[List[int]], np.ndarray]):
+        self.convert = convert
+        self.chunks: List[np.ndarray] = []
+        self.tail: List[int] = []
+
+    def __bool__(self) -> bool:
+        return bool(self.chunks or self.tail)
+
+    def add(self, chunk: np.ndarray) -> None:
+        self._seal()
+        self.chunks.append(chunk)
+
+    def _seal(self) -> None:
+        if self.tail:
+            self.chunks.append(self.convert(self.tail))
+            self.tail = []
+
+    def land(self) -> np.ndarray:
+        """Everything queued as one array; empties the queue."""
+        self._seal()
+        out = np.concatenate(self.chunks)
+        self.chunks = []
+        return out
+
+
+def _codes(values) -> np.ndarray:
+    return np.asarray(values, np.int64)
+
+
+_home, _value = operator.attrgetter("home"), operator.attrgetter("value")
+
+
 class Block:
     """One block write under construction: the rows a gadget lays out.
 
     ``placed`` entries go to the cells ``at`` in layout order; ``values``
     are the cells the gadget computed, at ``values_at`` (all advice cell
-    codes, ``column << ROW_BITS | row``).
+    codes, ``column << ROW_BITS | row``).  Row writers append to these
+    lists, one entry per placement.  An array-valued block (``take`` set)
+    holds its operands once each in ``placed`` (an object array, see
+    :meth:`take_from`), and ``at``, ``values`` and ``values_at`` are
+    arrays; ``take`` says what each placement reads: ``placed[i]`` for
+    ``i < len(placed)``, else the block's own computed cell
+    ``i - len(placed)`` (a chained accumulator, say).
     """
 
     def __init__(self, start: int, selector: Column, height: int = 1):
@@ -168,10 +215,11 @@ class Block:
         self.selector = selector
         self.height = height
         self.rows = 0
-        self.placed: List[Entry] = []
-        self.at: List[int] = []
-        self.values: List[int] = []
-        self.values_at: List[int] = []
+        self.placed: Sequence[Entry] = []
+        self.take: Optional[np.ndarray] = None
+        self.at: Sequence[int] = []
+        self.values: Sequence[int] = []
+        self.values_at: Sequence[int] = []
 
     def next_row(self) -> int:
         """Take the next op's ``height`` rows; returns the first."""
@@ -191,6 +239,16 @@ class Block:
         self.values.append(value)
         self.values_at.append(cell)
         return Entry(value, cell)
+
+    def take_from(self, operands: np.ndarray) -> np.ndarray:
+        """Make the distinct entries of ``operands`` (an object array, any
+        entry any number of times) this block's ``placed``; returns each
+        operand's index among them."""
+        ids = np.fromiter(map(id, operands), np.int64, len(operands))
+        _, first, index = np.unique(ids, return_index=True,
+                                    return_inverse=True)
+        self.placed = operands[first]
+        return index
 
 
 class CircuitBuilder:
@@ -224,12 +282,13 @@ class CircuitBuilder:
         #: an assigning one's column ``i`` is advice column ``i``
         self.columns: List[Column] = [] if self.counting else self._advice_columns()
         self._asg = None if self.counting else Assignment(self.cs, k)
-        #: written advice cells (cell codes) and their values, and copy
-        #: constraints (home and cell codes), not yet in the grid
-        self._cells: List[int] = []
-        self._values: List[int] = []
-        self._homes: List[int] = []
-        self._copies: List[int] = []
+        #: written advice cells (cell codes) and their values (field
+        #: elements), and copy constraints (home and cell codes), not yet
+        #: in the grid
+        self._cells = _Queue(_codes)
+        self._values = _Queue(lambda values: self._asg.reduce(values))
+        self._homes = _Queue(_codes)
+        self._copies = _Queue(_codes)
         #: lookups and selectors of gadgets a counting builder adopted
         #: from their one real configure (its own ``cs`` holds neither)
         self._adopted_lookups = 0
@@ -259,13 +318,11 @@ class CircuitBuilder:
     def asg(self) -> Optional[Assignment]:
         """The witness grid holding every write so far (None when counting)."""
         if self._cells:
-            cells = unpack_cells(self._cells)
+            cells = unpack_cells(self._cells.land())
             self._asg.assign_block(ColumnType.ADVICE, cells[:, 1], cells[:, 2],
-                                   self._values)
-            self._cells, self._values = [], []
+                                   self._values.land())
         if self._homes:
-            self._asg.copy_block(self._homes, self._copies)
-            self._homes, self._copies = [], []
+            self._asg.copy_block(self._homes.land(), self._copies.land())
         return self._asg
 
     # -- gadgets -----------------------------------------------------------------
@@ -357,24 +414,63 @@ class CircuitBuilder:
     def write(self, block: Block) -> None:
         """Land one block: claim its rows, make each placed entry's first
         placement its home and copy-constrain every later one to it, and
-        queue its values."""
+        queue its values.
+
+        A row writer's block (one entry per placement, mostly a few
+        dozen) lands in one loop step per placement, which costs less
+        than the array path's fixed numpy work at that size; an
+        array-valued block lands as arrays."""
         self.claim(block.rows, block.selector, block.height)
-        homes, copies = self._homes, self._copies
+        if block.take is not None:
+            self._write_arrays(block)
+            return
+        homes, copies = self._homes.tail, self._copies.tail
         for entry, cell in zip(block.placed, block.at):
             if entry.home is None:
                 entry.home = cell
             else:
                 homes.append(entry.home)
                 copies.append(cell)
-        self._cells += block.at
-        self._cells += block.values_at
-        self._values += [entry.value for entry in block.placed]
-        self._values += block.values
+        self._cells.tail += block.at
+        self._cells.tail += block.values_at
+        self._values.tail += [entry.value for entry in block.placed]
+        self._values.tail += block.values
 
-    def copy(self, a: Entry, b: Entry) -> None:
-        """Constrain two placed entries to be equal."""
-        self._homes.append(a.home)
-        self._copies.append(b.home)
+    def _write_arrays(self, block: Block) -> None:
+        """:meth:`write` for an array-valued block: each distinct entry's
+        home and value are read once, an entry with no home gets the cell
+        of its first placement (``np.unique(..., return_index=True)`` over
+        ``take``), and every other placement is a copy from the home."""
+        entries, take, at = block.placed, block.take, block.at
+        values_at = np.asarray(block.values_at, np.int64)
+        homes = np.fromiter(map(_home, entries), dtype=object)
+        unplaced = np.equal(homes, None)
+        homes[unplaced] = -1
+        # a computed cell of the block is its own home
+        homes = np.concatenate([homes.astype(np.int64), values_at])
+        unplaced = np.concatenate([unplaced, np.zeros(len(values_at), bool)])
+        copied = np.ones(len(at), bool)
+        if unplaced.any():
+            fresh = np.flatnonzero(unplaced[take])
+            used, first = np.unique(take[fresh], return_index=True)
+            first = fresh[first]
+            homes[used] = at[first]
+            for entry, home in zip(entries[used], at[first].tolist()):
+                entry.home = home
+            copied[first] = False
+        self._homes.add(homes[take[copied]])
+        self._copies.add(at[copied])
+        values = np.concatenate([
+            self._asg.reduce(list(map(_value, entries))),
+            self._asg.reduce(block.values)])
+        self._cells.add(np.concatenate([at, values_at]))
+        self._values.add(np.concatenate([values[take],
+                                         values[len(entries):]]))
+
+    def copy(self, a: Sequence[Entry], b: Sequence[Entry]) -> None:
+        """Constrain placed entries to be equal, ``a[i]`` to ``b[i]``."""
+        self._homes.tail += [entry.home for entry in a]
+        self._copies.tail += [entry.home for entry in b]
 
     def repeat(self, n: int, body: Callable[[int], object]) -> Sequence:
         """``[body(i) for i in range(n)]`` for a layer loop whose
@@ -480,8 +576,8 @@ class CircuitBuilder:
                                slice(0, len(entries)),
                                [entry.value for entry in entries])
         first = cell_code(column, 0)
-        self._homes += [entry.home for entry in entries]
-        self._copies += range(first, first + len(entries))
+        self._homes.tail += [entry.home for entry in entries]
+        self._copies.tail += range(first, first + len(entries))
 
     def weight_entries(self, values) -> List[Entry]:
         """Materialize model parameters in dedicated fixed columns.

@@ -235,8 +235,10 @@ class Assignment:
 
     def reduce(self, values) -> np.ndarray:
         """Integers of any sign and size as field elements, one ``uint64``
-        array."""
+        array (a ``uint64`` array is already below ``2p``)."""
         p = self.cs.field.p
+        if getattr(values, "dtype", None) == np.uint64:
+            return np.where(values >= p, values - np.uint64(p), values)
         try:
             signed = np.asarray(values, dtype=np.int64)
         except OverflowError:

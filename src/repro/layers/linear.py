@@ -64,13 +64,13 @@ def _freivalds_challenges(builder: CircuitBuilder, a: Tensor, b: Tensor,
     return out
 
 
-def _dot_raw(builder: CircuitBuilder, choices: LayoutChoices,
-             xs: List[Entry], ys: List[Entry], bias: Optional[Entry]) -> Entry:
-    """One full-length dot product at raw scale, per the layout choice."""
+def _dot_gadget(builder: CircuitBuilder, choices: LayoutChoices):
+    """The dot-product gadget of a layout choice (Freivalds' inner
+    products, and a depthwise layer under ``freivalds``, chain their
+    accumulator)."""
     if choices.linear == "dot_sum":
-        return builder.gadget(DotProdGadget).dot(xs, ys, bias)
-    dot = builder.gadget(DotProdBiasGadget)
-    return dot.dot(xs, ys, bias if bias is not None else builder.zero())
+        return builder.gadget(DotProdGadget)
+    return builder.gadget(DotProdBiasGadget)
 
 
 def matmul_synthesize(
@@ -91,11 +91,9 @@ def matmul_synthesize(
     if choices.linear == "freivalds":
         raw = _freivalds_synthesize(builder, a, b, bias).entries()
     else:
-        a_rows = builder.repeat(m, lambda i: a[i].entries())
-        b_cols = builder.repeat(p, lambda j: b[:, j].entries())
-        biases = bias.entries() if bias is not None else [None] * p
-        raw = builder.repeat(m * p, lambda ij: _dot_raw(
-            builder, choices, a_rows[ij // p], b_cols[ij % p], biases[ij % p]))
+        # dot (i, j) is row i of A with column j of B, row-major
+        raw = _dot_gadget(builder, choices).dots(
+            a, b.transpose(), None if bias is None else bias.entries())
     return Tensor.from_entries(rescale.assign_many(raw), (m, p))
 
 
@@ -112,28 +110,24 @@ def _freivalds_synthesize(builder, a: Tensor, b: Tensor,
             raw_vals = raw_vals + np.asarray(bias.values()).reshape(1, p)
         c = Tensor.from_values(raw_vals)
         r = _freivalds_challenges(builder, a, b, p)
-    inner = choices_dot_sum_free()
-    # Br: one dot of length p per row of B
-    br = builder.repeat(
-        k, lambda i: _dot_raw(builder, inner, b[i].entries(), r, None))
-    # A(Br): one dot of length k per row of A
-    abr = builder.repeat(
-        m, lambda i: _dot_raw(builder, inner, a[i].entries(), br, None))
-    # bias . r
-    bias_r = None
+    dot = builder.gadget(DotProdBiasGadget)
+    # Br: one dot of length p per row of B; A(Br): one of length k per
+    # row of A
+    br = dot.dots(b, Tensor.from_entries(r, (1, p)))
+    abr = dot.dots(a, Tensor.from_entries(br, (1, k)))
+    # bias . r, then Cr: one dot of length p per row of C (this
+    # materializes C's entries)
+    rows = c if bias is None else Tensor.concat([bias.reshape(1, p), c])
+    crs = dot.dots(rows, Tensor.from_entries(r, (1, p)))
     if bias is not None:
-        bias_r = _dot_raw(builder, inner, bias.entries(), r, None)
-    # Cr: one dot of length p per row of C (this materializes C's entries)
-    crs = builder.repeat(
-        m, lambda i: _dot_raw(builder, inner, c[i].entries(), r, None))
-    if bias_r is not None:
+        bias_r, crs = crs[0], crs[1:]
         rhs = builder.gadget(AddGadget).assign_many(abr, bias_r)
     else:
         rhs = abr
     if builder.counting:
         return c
     for i, (cr, expected) in enumerate(zip(crs, rhs)):
-        # the copy constraint enforces the identity in-circuit; checking
+        # the copy constraints enforce the identity in-circuit; checking
         # the witness values here surfaces a mismatch as a typed error the
         # pipeline can degrade on, instead of a failed proof later
         if int(cr.value) != int(expected.value):
@@ -141,13 +135,8 @@ def _freivalds_synthesize(builder, a: Tensor, b: Tensor,
                 "Freivalds challenge check failed: C r != A (B r)",
                 matrix_row=i,
             )
-        builder.copy(cr, expected)
+    builder.copy(crs, rhs)
     return c
-
-
-def choices_dot_sum_free() -> LayoutChoices:
-    """Internal dots inside Freivalds use the chained-accumulator layout."""
-    return LayoutChoices(linear="dot_bias")
 
 
 def matmul_fixed(a: np.ndarray, b: np.ndarray, bias: Optional[np.ndarray],
@@ -378,21 +367,18 @@ class DepthwiseConv2DLayer(Layer):
         top, bottom, left, right = pads
         padded = x.pad(((top, bottom), (left, right), (0, 0)), builder.zero())
         rescale = builder.gadget(DivRoundConstGadget, divisor=builder.fp.factor)
-        bias_entries = params["bias"].entries()
-        inner = choices if choices.linear != "freivalds" else choices_dot_sum_free()
         # one (kh, kw) patch per (position, channel), one kernel per
         # (channel, multiplier); outputs come out (oh, ow, cin*mult) row-major
-        windows = padded.windows(kh, kw, self.stride).reshape(-1, kh * kw)
+        windows = padded.windows(kh, kw, self.stride).reshape(
+            oh * ow, cin, kh * kw)
         kernels = w.transpose((2, 3, 0, 1)).reshape(cin * mult, kh * kw)
-        patches = builder.repeat(windows.shape[0],
-                                 lambda n: windows[n].entries())
-        taps = builder.repeat(cin * mult, lambda n: kernels[n].entries())
-        channels = cin * mult
-        raws = builder.repeat(oh * ow * channels, lambda n: _dot_raw(
-            builder, inner, patches[n // mult], taps[n % channels],
-            bias_entries[n % channels]))
+        channel = np.arange(cin)[:, None]
+        raws = _dot_gadget(builder, choices).dots(
+            windows, kernels, params["bias"].entries(),
+            ((np.arange(oh * ow)[:, None, None], channel),
+             channel * mult + np.arange(mult)))
         return Tensor.from_entries(rescale.assign_many(raws),
-                                   (oh, ow, channels))
+                                   (oh, ow, cin * mult))
 
 
 class BatchMatMulLayer(Layer):

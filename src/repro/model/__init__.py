@@ -14,6 +14,7 @@ from repro.model.zoo import (
     get_model,
     model_names,
     seeded_inputs,
+    seeded_paper_model,
 )
 
 __all__ = [
@@ -30,5 +31,6 @@ __all__ = [
     "get_model",
     "model_names",
     "seeded_inputs",
+    "seeded_paper_model",
     "PAPER_TABLE5",
 ]

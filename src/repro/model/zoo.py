@@ -9,6 +9,9 @@ Each model comes in two scales:
   materialized deterministic weights, small enough to actually prove
   with this prover.
 
+:func:`seeded_paper_model` is the paper architecture with materialized
+deterministic weights: what a paper-scale rung synthesizes.
+
 The paper's reported parameter/flop counts are kept in
 :data:`PAPER_TABLE5` so benchmarks can print paper-vs-ours side by side.
 """
@@ -36,6 +39,13 @@ PAPER_TABLE5 = {
 }
 
 
+def _graph(name: str, mini: bool, seeded: bool) -> GraphBuilder:
+    """The graph builder of one zoo model: ``<name>-mini`` with weights,
+    or the paper architecture, shape-only unless ``seeded``."""
+    return GraphBuilder(name + "-mini" if mini else name,
+                        materialize=mini or seeded)
+
+
 def _mlp(gb: GraphBuilder, x: str, dims: List[int], activation="relu",
          final_activation=None, prefix="mlp") -> str:
     for i in range(len(dims) - 1):
@@ -51,9 +61,9 @@ def _mlp(gb: GraphBuilder, x: str, dims: List[int], activation="relu",
 # --------------------------------------------------------------------------- MNIST
 
 
-def mnist(mini: bool = False) -> ModelSpec:
+def mnist(mini: bool = False, seeded: bool = False) -> ModelSpec:
     """The accuracy-optimized minimal MNIST CNN [1] (~8.1K params)."""
-    gb = GraphBuilder("mnist-mini" if mini else "mnist", materialize=mini)
+    gb = _graph("mnist", mini, seeded)
     if mini:
         x = gb.input("image", (6, 6, 1))
         x = gb.conv2d(x, 1, 4, kernel=(3, 3), stride=2, padding="valid")
@@ -101,10 +111,9 @@ def _basic_block(gb: GraphBuilder, x: str, cin: int, cout: int, stride: int,
     return gb.activation(y, "relu", name=prefix + "_relu2")
 
 
-def resnet18(mini: bool = False) -> ModelSpec:
+def resnet18(mini: bool = False, seeded: bool = False) -> ModelSpec:
     """ResNet-18 on CIFAR-10 (~281K params at paper scale)."""
-    gb = GraphBuilder("resnet18-mini" if mini else "resnet18",
-                      materialize=mini)
+    gb = _graph("resnet18", mini, seeded)
     if mini:
         x = gb.input("image", (6, 6, 2))
         x = gb.conv2d(x, 2, 4, kernel=(3, 3))
@@ -130,9 +139,9 @@ def resnet18(mini: bool = False) -> ModelSpec:
 # --------------------------------------------------------------------------- VGG-16
 
 
-def vgg16(mini: bool = False) -> ModelSpec:
+def vgg16(mini: bool = False, seeded: bool = False) -> ModelSpec:
     """VGG-16 on CIFAR-10 (~15.2M params at paper scale)."""
-    gb = GraphBuilder("vgg16-mini" if mini else "vgg16", materialize=mini)
+    gb = _graph("vgg16", mini, seeded)
     if mini:
         x = gb.input("image", (8, 8, 1))
         x = gb.conv2d(x, 1, 4, kernel=(3, 3))
@@ -186,10 +195,9 @@ def _inverted_residual(gb: GraphBuilder, x: str, cin: int, cout: int,
     return y
 
 
-def mobilenet(mini: bool = False) -> ModelSpec:
+def mobilenet(mini: bool = False, seeded: bool = False) -> ModelSpec:
     """MobileNetV2 '1.0 224' on ImageNet (~3.5M params at paper scale)."""
-    gb = GraphBuilder("mobilenet-mini" if mini else "mobilenet",
-                      materialize=mini)
+    gb = _graph("mobilenet", mini, seeded)
     if mini:
         x = gb.input("image", (6, 6, 2))
         x = _inverted_residual(gb, x, 2, 2, 1, 2, "block0")
@@ -222,9 +230,9 @@ def mobilenet(mini: bool = False) -> ModelSpec:
 # ----------------------------------------------------------------------------- DLRM
 
 
-def dlrm(mini: bool = False) -> ModelSpec:
+def dlrm(mini: bool = False, seeded: bool = False) -> ModelSpec:
     """Facebook's deep recommender (MLPerf DLRM, ~764K params)."""
-    gb = GraphBuilder("dlrm-mini" if mini else "dlrm", materialize=mini)
+    gb = _graph("dlrm", mini, seeded)
     if mini:
         tables, dim, rows, dense_dim = 2, 4, 8, 4
         bottom, top = [dense_dim, 4, dim], [dim + (tables + 1) ** 2, 4, 1]
@@ -252,9 +260,9 @@ def dlrm(mini: bool = False) -> ModelSpec:
 # --------------------------------------------------------------------------- Twitter
 
 
-def twitter(mini: bool = False) -> ModelSpec:
+def twitter(mini: bool = False, seeded: bool = False) -> ModelSpec:
     """MaskNet from Twitter's recommendation stack (~48.1M params)."""
-    gb = GraphBuilder("twitter-mini" if mini else "twitter", materialize=mini)
+    gb = _graph("twitter", mini, seeded)
     if mini:
         tables, dim, rows, blocks, agg, hidden = 2, 4, 8, 1, 4, 8
     else:
@@ -299,13 +307,13 @@ def _transformer_block(gb: GraphBuilder, x: str, seq: int, dim: int,
     return gb.add(x, h, name=prefix + "_res2")
 
 
-def gpt2(mini: bool = False) -> ModelSpec:
+def gpt2(mini: bool = False, seeded: bool = False) -> ModelSpec:
     """Distilled GPT-2 (DistilGPT2: 6 layers, d=768, ~81.3M params).
 
     The LM head is weight-tied to the token embedding, so it adds no
     parameters; outputs are the final hidden states.
     """
-    gb = GraphBuilder("gpt2-mini" if mini else "gpt2", materialize=mini)
+    gb = _graph("gpt2", mini, seeded)
     if mini:
         vocab, seq, dim, heads, layers, mlp_dim = 16, 3, 8, 2, 1, 16
     else:
@@ -337,10 +345,9 @@ def _res_block(gb: GraphBuilder, x: str, cin: int, cout: int,
     return gb.activation(y, "silu", name=prefix + "_act2")
 
 
-def diffusion(mini: bool = False) -> ModelSpec:
+def diffusion(mini: bool = False, seeded: bool = False) -> ModelSpec:
     """A small latent text-to-image diffusion UNet (~19.5M params)."""
-    gb = GraphBuilder("diffusion-mini" if mini else "diffusion",
-                      materialize=mini)
+    gb = _graph("diffusion", mini, seeded)
     if mini:
         x = gb.input("latent", (4, 4, 2))
         x = _res_block(gb, x, 2, 4, "down0")
@@ -397,18 +404,29 @@ MODEL_BUILDERS = {
 }
 
 
-def get_model(name: str, scale: str = "paper") -> ModelSpec:
-    """Fetch a zoo model at 'paper' (shape-only) or 'mini' (runnable) scale."""
+def _builder(name: str):
     try:
-        build = MODEL_BUILDERS[name]
+        return MODEL_BUILDERS[name]
     except KeyError:
         raise UnknownNameError(
             "unknown model %r; available: %s" % (name, sorted(MODEL_BUILDERS)),
             model=name,
         ) from None
+
+
+def get_model(name: str, scale: str = "paper") -> ModelSpec:
+    """Fetch a zoo model at 'paper' (shape-only) or 'mini' (runnable) scale."""
+    build = _builder(name)
     if scale not in ("paper", "mini"):
         raise SpecError("scale must be 'paper' or 'mini'", scale=scale)
     return build(mini=scale == "mini")
+
+
+def seeded_paper_model(name: str) -> ModelSpec:
+    """A zoo model's paper architecture with deterministic seeded weights
+    (``GraphBuilder(materialize=True)``): a paper-scale spec that
+    synthesizes and proves, where ``get_model(name)`` is shape-only."""
+    return _builder(name)(seeded=True)
 
 
 def model_names() -> List[str]:

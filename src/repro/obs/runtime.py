@@ -315,13 +315,12 @@ class RuntimeTelemetry:
     ``batch_failure`` dump never starves an ``overload_storm`` one.
     """
 
-    def __init__(self, slo: Optional[SloTracker] = None,
-                 recorder: Optional[FlightRecorder] = None,
+    def __init__(self, recorder: Optional[FlightRecorder] = None,
                  dump_path: Optional[str] = None,
                  overload_window_seconds: float = 1.0,
                  auto_dump_interval_seconds: float = 5.0,
                  clock: Callable[[], float] = time.monotonic):
-        self.slo = slo if slo is not None else SloTracker(clock=clock)
+        self.slo = SloTracker(clock=clock)
         self.recorder = recorder if recorder is not None else FlightRecorder()
         self.dump_path = dump_path
         self.overload_window_seconds = overload_window_seconds

@@ -94,7 +94,7 @@ def _roundtrip(target: str, path: str, payload: Dict,
                 request_id=rid) from exc
         except OSError as exc:
             raise ServiceError(
-                "cannot reach proving service at %r: %s" % (target, exc),
+                "cannot reach %r: %s" % (target, exc),
                 request_id=rid) from exc
         try:
             try:

@@ -79,6 +79,10 @@ CONTROL_OPS = ("health", "status", "metrics", "dump")
 #: Cap on one proof request body (a mini-model input is a few KB).
 MAX_REQUEST_BYTES = 4 << 20
 
+#: How long a proof request waits for its proof; the request's own
+#: ``"timeout"`` field is the only override.
+REQUEST_TIMEOUT_SECONDS = 120.0
+
 #: Default cap on one verify request body.  Envelopes ride base64 (4/3
 #: overhead), so this holds a few mini-model envelopes while still
 #: bounding what an attacker can make the server buffer.
@@ -119,9 +123,8 @@ class PayloadProcessor:
     routes = ("/v1/prove", "/prove", "/")
     max_request_bytes = MAX_REQUEST_BYTES
 
-    def __init__(self, service, default_timeout: float = 120.0):
+    def __init__(self, service):
         self.service = service
-        self.default_timeout = default_timeout
 
     def process(self, payload: Dict) -> Dict:
         if "op" in payload:
@@ -141,7 +144,7 @@ class PayloadProcessor:
                 request_id=rid,
                 priority=str(payload.get("priority", "interactive")),
             )
-            timeout = float(payload.get("timeout", self.default_timeout))
+            timeout = float(payload.get("timeout", REQUEST_TIMEOUT_SECONDS))
             response = future.result(timeout=timeout)
         out = {
             "ok": True,

@@ -9,6 +9,7 @@ O(ndim) per shape operation whatever the tensor's size.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -78,6 +79,14 @@ class Lanes(SequenceABC):
         return self.item
 
 
+_value = operator.attrgetter("value")
+
+
+def _objects(items: Iterable, shape: Sequence[int]) -> np.ndarray:
+    """``items`` as an ``object`` ndarray of ``shape``."""
+    return np.fromiter(items, dtype=object).reshape(shape)
+
+
 class Tensor:
     """An n-dimensional array of shared :class:`Entry` references."""
 
@@ -94,20 +103,14 @@ class Tensor:
         arr = np.asarray(values, dtype=object)
         if shape is not None:
             arr = arr.reshape(shape)
-        out = np.empty(arr.shape, dtype=object)
-        for idx in np.ndindex(arr.shape):
-            out[idx] = Entry(int(arr[idx]))
-        return cls(out)
+        return cls(_objects(map(Entry, map(int, arr.ravel())), arr.shape))
 
     @classmethod
     def from_entries(cls, entries: Sequence[Entry], shape: Sequence[int]) -> "Tensor":
         """Wrap existing entries (row-major) into a tensor view."""
         if isinstance(entries, Lanes):
             return ShapeTensor(shape)
-        arr = np.empty(len(entries), dtype=object)
-        for i, e in enumerate(entries):
-            arr[i] = e
-        return cls(arr.reshape(tuple(shape)))
+        return cls(_objects(entries, tuple(shape)))
 
     @classmethod
     def filled(cls, entry: Entry, shape: Sequence[int]) -> "Tensor":
@@ -137,12 +140,14 @@ class Tensor:
     def entry(self, *index: int) -> Entry:
         return self._entries[tuple(index)]
 
+    def array(self) -> np.ndarray:
+        """The entries as an ``object`` ndarray of this tensor's shape
+        (a view: it shares the entries)."""
+        return self._entries
+
     def values(self) -> np.ndarray:
         """Signed fixed-point values as an object ndarray."""
-        out = np.empty(self.shape, dtype=object)
-        for idx in np.ndindex(self.shape):
-            out[idx] = self._entries[idx].value
-        return out
+        return _objects(map(_value, self._entries.ravel()), self.shape)
 
     def values_i64(self) -> np.ndarray:
         """Values as int64 (raises on overflow) for numpy math."""

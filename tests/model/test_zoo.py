@@ -1,8 +1,18 @@
 """Tests for the model zoo."""
 
+import numpy as np
 import pytest
 
-from repro.model import PAPER_TABLE5, get_model, model_names
+from repro.compiler import synthesize_model
+from repro.compiler.layouter import check_against_reference
+from repro.layers.base import LayoutChoices
+from repro.model import (
+    PAPER_TABLE5,
+    get_model,
+    model_names,
+    seeded_inputs,
+    seeded_paper_model,
+)
 
 
 def test_all_eight_paper_models_present():
@@ -49,3 +59,22 @@ def test_gpt2_has_transformer_pieces():
 def test_mobilenet_uses_depthwise():
     spec = get_model("mobilenet", "paper")
     assert any(l.kind == "depthwise_conv2d" for l in spec.layers)
+
+
+def test_seeded_paper_model_is_the_paper_graph_with_weights():
+    spec, shapes = seeded_paper_model("dlrm"), get_model("dlrm", "paper")
+    assert spec.materialized and spec.name == shapes.name
+    assert spec.param_count() == shapes.param_count()
+    assert [l.kind for l in spec.layers] == [l.kind for l in shapes.layers]
+    again = seeded_paper_model("dlrm")
+    assert all(np.array_equal(a.params[k], b.params[k])
+               for a, b in zip(spec.layers, again.layers) for k in a.params)
+
+
+def test_seeded_paper_dlrm_synthesizes_to_the_reference():
+    # the paper dlrm rung: 764k parameters at k=16 x 20 columns, dot_bias
+    spec = seeded_paper_model("dlrm")
+    inputs = seeded_inputs(spec, 0)
+    synth = synthesize_model(spec, inputs, num_cols=20, k=16,
+                             plan=LayoutChoices(linear="dot_bias"))
+    check_against_reference(synth, inputs)

@@ -63,7 +63,6 @@ import time
 import numpy as np
 
 from repro.compiler import build_physical_layout
-from repro.envelope import DEFAULT_CAPS
 from repro.field import native
 from repro.layers.base import LayoutChoices
 from repro.model import get_model, model_names, seeded_inputs, transpile
@@ -472,16 +471,9 @@ def _cmd_registry(args) -> int:
 
 
 def _verify_serve_config(args):
-    from repro.envelope import EnvelopeCaps
     from repro.serve import VerifyConfig
 
     return VerifyConfig(
-        caps=EnvelopeCaps(
-            max_envelope_bytes=args.max_envelope_mb << 20,
-            max_instance_columns=args.max_instance_columns,
-            max_public_inputs=args.max_public_inputs,
-            max_proof_bytes=args.max_proof_mb << 20,
-        ),
         max_batch=args.max_batch,
         max_inflight=args.max_inflight,
         deadline_seconds=args.deadline,
@@ -996,18 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="concurrent requests before load shedding")
     vserve.add_argument("--deadline", type=float, default=60.0,
                         help="per-request wall-clock budget (seconds)")
-    vserve.add_argument("--max-envelope-mb", type=int,
-                        default=DEFAULT_CAPS.max_envelope_bytes >> 20,
-                        help="decoder cap on one envelope's total bytes")
-    vserve.add_argument("--max-proof-mb", type=int,
-                        default=DEFAULT_CAPS.max_proof_bytes >> 20,
-                        help="decoder cap on one envelope's proof bytes")
-    vserve.add_argument("--max-instance-columns", type=int,
-                        default=DEFAULT_CAPS.max_instance_columns,
-                        help="decoder cap on instance columns")
-    vserve.add_argument("--max-public-inputs", type=int,
-                        default=DEFAULT_CAPS.max_public_inputs,
-                        help="decoder cap on total public inputs")
     vserve.add_argument("--max-request-mb", type=int, default=64,
                         help="cap on one request body (base64 envelopes "
                              "ride inside it)")

@@ -6,15 +6,15 @@ proving-config digest, public inputs, proof bytes — in one canonical,
 checksummed byte string (``zkml-proof-envelope/v2``).  The decoder is
 adversary-facing: every count and size is capped *before* any allocation
 or field arithmetic, and every rejection is a typed
-:class:`~repro.resilience.errors.EnvelopeError` subclass.
+:class:`~repro.resilience.errors.EnvelopeError` subclass.  The verifier
+then holds the proof length and instance shape to the verifying key's
+before it parses the proof.
 
 See ``docs/verification.md`` for the wire format and threat model.
 """
 
 from repro.envelope.format import (
-    DEFAULT_CAPS,
     SCHEMA_V2,
-    EnvelopeCaps,
     ProofEnvelope,
     decode_envelope,
     encode_envelope,
@@ -25,8 +25,6 @@ from repro.envelope.verify import verify_envelope
 
 __all__ = [
     "SCHEMA_V2",
-    "EnvelopeCaps",
-    "DEFAULT_CAPS",
     "ProofEnvelope",
     "encode_envelope",
     "decode_envelope",

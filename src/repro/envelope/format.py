@@ -52,8 +52,10 @@ __all__ = [
     "SCHEMA_V2",
     "KNOWN_SCHEMES",
     "CHECKSUM_BYTES",
-    "EnvelopeCaps",
-    "DEFAULT_CAPS",
+    "MAX_ENVELOPE_BYTES",
+    "MAX_PROOF_BYTES",
+    "MAX_INSTANCE_COLUMNS",
+    "MAX_PUBLIC_INPUTS",
     "ProofEnvelope",
     "envelope_config_digest",
     "encode_envelope",
@@ -77,34 +79,18 @@ _VK_HASH_BYTES = 32
 _CONFIG_DIGEST_BYTES = 16
 
 
-@dataclass(frozen=True)
-class EnvelopeCaps:
-    """Hard per-envelope resource caps the decoder enforces.
-
-    Defaults are derived from measured v2 sizes (docs/verification.md
-    §Caps): proofs grow with ``log^2`` of the circuit, not with it — a
-    dlrm-mini k=9 proof is ~140 KB, an mnist k=12 proof ~280 KB, and a
-    k=24 proof over 500 columns would be ~1 MB — so 4 MB of proof is
-    >10x headroom over anything this tree proves; the envelope cap adds
-    the public-input cap at 8-byte scalars (``2^18 * 8`` B = 2 MB) and
-    rounds up.  A verify service under attack can tighten them
-    per deployment.  Caps bound *declared* values before allocation, so
-    a hostile length prefix cannot drive memory proportional to a number
-    the attacker wrote.
-    """
-
-    #: Total serialized envelope size (checked before parsing starts).
-    max_envelope_bytes: int = 8 << 20
-    #: Number of instance (public-input) columns.
-    max_instance_columns: int = 64
-    #: Total public-input scalars summed across all columns.
-    max_public_inputs: int = 1 << 18
-    #: Length of the embedded proof byte string.
-    max_proof_bytes: int = 4 << 20
-
-
-#: The caps production surfaces use unless configured otherwise.
-DEFAULT_CAPS = EnvelopeCaps()
+# Fixed decoder ceilings.  They bound *declared* values before anything
+# sized by them is allocated, so a hostile length prefix cannot drive
+# memory proportional to a number the attacker wrote; the exact sizes are
+# the verifying key's (``verify_envelope``).  Proofs grow with ``log^2``
+# of the circuit — a dlrm-mini k=9 proof is ~140 KB, an mnist k=12 one
+# ~280 KB — so 4 MB of proof is >10x headroom over anything this tree
+# proves; the envelope ceiling adds the public-input ceiling at 8-byte
+# scalars (2 MB) and rounds up (docs/verification.md §Caps).
+MAX_ENVELOPE_BYTES = 8 << 20
+MAX_PROOF_BYTES = 4 << 20
+MAX_INSTANCE_COLUMNS = 64
+MAX_PUBLIC_INPUTS = 1 << 18
 
 
 @dataclass
@@ -256,16 +242,15 @@ def _read_u32(data: bytes, pos: int, what: str) -> Tuple[int, int]:
     return int.from_bytes(data[pos : pos + 4], "little"), pos + 4
 
 
-def decode_envelope(data: bytes,
-                    caps: EnvelopeCaps = DEFAULT_CAPS) -> ProofEnvelope:
+def decode_envelope(data: bytes) -> ProofEnvelope:
     """Parse and integrity-check a serialized envelope.
 
     Check order is part of the contract (tests pin it):
 
-    1. total size against ``caps.max_envelope_bytes`` — before reading
+    1. total size against :data:`MAX_ENVELOPE_BYTES` — before reading
        byte zero;
     2. schema id, then scheme name (:class:`EnvelopeSchemaError`);
-    3. structure, with every count/size checked against its cap and the
+    3. structure, with every count/size checked against its ceiling and the
        remaining data *before* the corresponding allocation
        (:class:`EnvelopeCapError` / :class:`EnvelopeTruncatedError`);
     4. the trailing checksum, last (:class:`EnvelopeChecksumError`) — a
@@ -276,11 +261,10 @@ def decode_envelope(data: bytes,
     through this function.
     """
     data = bytes(data)
-    if len(data) > caps.max_envelope_bytes:
+    if len(data) > MAX_ENVELOPE_BYTES:
         raise EnvelopeCapError(
-            "envelope is %d bytes (cap %d)"
-            % (len(data), caps.max_envelope_bytes),
-            size=len(data), cap=caps.max_envelope_bytes)
+            "envelope is %d bytes (cap %d)" % (len(data), MAX_ENVELOPE_BYTES),
+            size=len(data), cap=MAX_ENVELOPE_BYTES)
 
     schema, pos = _read_str(data, 0, "schema id")
     if schema != SCHEMA_V2:
@@ -303,11 +287,11 @@ def decode_envelope(data: bytes,
                                      "config digest")
 
     num_cols, pos = _read_u32(data, pos, "instance column count")
-    if num_cols > caps.max_instance_columns:
+    if num_cols > MAX_INSTANCE_COLUMNS:
         raise EnvelopeCapError(
             "envelope declares %d instance columns (cap %d)"
-            % (num_cols, caps.max_instance_columns),
-            count=num_cols, cap=caps.max_instance_columns)
+            % (num_cols, MAX_INSTANCE_COLUMNS),
+            count=num_cols, cap=MAX_INSTANCE_COLUMNS)
     if num_cols == 0:
         raise EnvelopeError("envelope carries no public inputs "
                             "(zero instance columns)")
@@ -317,11 +301,11 @@ def decode_envelope(data: bytes,
         count, pos = _read_u32(data, pos,
                                "column %d value count" % col_idx)
         total_inputs += count
-        if total_inputs > caps.max_public_inputs:
+        if total_inputs > MAX_PUBLIC_INPUTS:
             raise EnvelopeCapError(
                 "envelope declares %d public inputs through column %d "
-                "(cap %d)" % (total_inputs, col_idx, caps.max_public_inputs),
-                count=total_inputs, cap=caps.max_public_inputs)
+                "(cap %d)" % (total_inputs, col_idx, MAX_PUBLIC_INPUTS),
+                count=total_inputs, cap=MAX_PUBLIC_INPUTS)
         need = count * SCALAR_WIDTH
         if need > len(data) - pos:
             raise EnvelopeTruncatedError(
@@ -332,11 +316,11 @@ def decode_envelope(data: bytes,
         instance.append(col)
 
     proof_len, pos = _read_u32(data, pos, "proof length")
-    if proof_len > caps.max_proof_bytes:
+    if proof_len > MAX_PROOF_BYTES:
         raise EnvelopeCapError(
             "envelope declares a %d-byte proof (cap %d)"
-            % (proof_len, caps.max_proof_bytes),
-            size=proof_len, cap=caps.max_proof_bytes)
+            % (proof_len, MAX_PROOF_BYTES),
+            size=proof_len, cap=MAX_PROOF_BYTES)
     if proof_len == 0:
         raise EnvelopeError("envelope carries empty proof bytes")
     proof_bytes, pos = _read_fixed(data, pos, proof_len, "proof bytes")

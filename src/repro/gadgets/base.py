@@ -48,9 +48,12 @@ class Gadget:
     #: row (the op's result first).
     operands: Tuple[int, ...] = ()
     computed: Tuple[int, ...] = ()
-    #: Whether a short row's unused slots hold zero ops (the gadget looks
-    #: up every slot) instead of staying empty.
+    #: Whether a short row's unused slots hold padding ops (the gadget
+    #: looks up every slot) instead of staying empty, and the operand
+    #: values of a padding op (zeros unless a gadget's lookups need
+    #: others).
     pads = False
+    pad_op: Tuple[int, ...] = ()
 
     def __init__(self, builder: "CircuitBuilder"):
         self.builder = builder
@@ -135,8 +138,9 @@ class Gadget:
         ops = -(-n // slots) * slots if self.pads else n
         columns = [[o] * n if isinstance(o, Entry) else list(o)
                    for o in operands]
-        for column in columns:  # one shared zero entry per operand
-            column += [Entry(0)] * (ops - n)
+        pad = self.pad_op or (0,) * len(columns)
+        for column, value in zip(columns, pad):  # one shared pad per operand
+            column += [Entry(value)] * (ops - n)
         computed = self.compute(*(np.array([e.value for e in column],
                                            dtype=object)
                                   for column in columns))

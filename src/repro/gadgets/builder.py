@@ -9,11 +9,12 @@ its selector, gate, and lookups exactly once per circuit.
 Lookup-table convention: a gadget looks up ``x + OFFSET`` on the rows
 its selector is on (the selector is the lookup's LogUp numerator, see
 :mod:`repro.halo2.lookup`), with ``OFFSET`` placing every valid entry at
-a nonzero value.  Rows not using the gadget are not looked up.  Each
-table still carries the all-zero default row that selector-gated inputs
-once needed, which keeps the fixed grid, and so every layout's ``k``, as
-it was; an active ``x = -OFFSET`` (with output 0) hits that row and
-passes (ROADMAP item 2 drops it).
+a nonzero value.  Rows not using the gadget are not looked up, so a
+table holds its entries and nothing else: the rows of a table column
+below its last entry repeat its first, and an active ``x = -OFFSET``
+finds no row to hit.  A gadget whose short last row leaves slots empty
+either pads them with an op its lookups admit (``Gadget.pads``) or
+admits the all-zero slot as it stands.
 
 Gadgets write in blocks.  A bulk entry point collects its rows in one
 :class:`Block` (the entries it places, in layout order, and the cells it
@@ -85,10 +86,10 @@ class NonlinearTable:
         if builder.counting:
             return
         size = 1 << self.bits
-        if size + 1 > 1 << builder.k:
+        if size > 1 << builder.k:
             raise ValueError(
                 "nonlinear table needs %d rows but grid has %d"
-                % (size + 1, 1 << builder.k)
+                % (size, 1 << builder.k)
             )
         inputs, self.outputs = _table_columns(fn_name, self.bits,
                                               builder.scale_bits)
@@ -125,8 +126,8 @@ def _table_columns(fn_name: str, bits: int, scale_bits: int):
 
 
 class RangeTable:
-    """A one-column table of ``v + 1`` for ``v in [0, bound)`` plus a zero
-    default row; a gadget looks up ``expr + 1`` under its selector."""
+    """A one-column table of ``v + 1`` for ``v in [0, bound)``; a gadget
+    looks up ``expr + 1`` under its selector."""
 
     def __init__(self, builder: "CircuitBuilder", bound: int):
         if bound < 1:
@@ -135,11 +136,9 @@ class RangeTable:
         self.col = builder.cs.fixed_column()
         if builder.counting:
             return
-        if bound + 1 > 1 << builder.k:
-            raise ValueError(
-                "range table [0, %d) needs %d rows but grid has %d"
-                % (bound, bound + 1, 1 << builder.k)
-            )
+        if bound > 1 << builder.k:
+            raise ValueError("range table [0, %d) needs more rows than the "
+                             "grid's %d" % (bound, 1 << builder.k))
         builder.write_fixed(self.col, np.arange(1, bound + 1, dtype=np.int64))
 
 
@@ -506,9 +505,10 @@ class CircuitBuilder:
     # -- constants & tables -----------------------------------------------------------
 
     def write_fixed(self, column: Column, values) -> None:
-        """Fill a whole fixed column in one slice: ``values`` from row 0,
-        zeros below them."""
-        full = np.zeros(self._asg.n, dtype=np.asarray(values).dtype)
+        """Fill a whole fixed table column in one slice: ``values`` from
+        row 0, their first entry repeated below them (a table has no row
+        that is not one of its entries)."""
+        full = np.full(self._asg.n, values[0], dtype=np.asarray(values).dtype)
         full[: len(values)] = values
         self._asg.assign_block(ColumnType.FIXED, column.index, slice(None), full)
 
@@ -553,9 +553,9 @@ class CircuitBuilder:
         """Rows the largest lookup table in this circuit requires."""
         rows = 0
         if self._nl_tables:
-            rows = max((1 << t.bits) + 1 for t in self._nl_tables.values())
+            rows = max(1 << t.bits for t in self._nl_tables.values())
         for t in self._range_tables.values():
-            rows = max(rows, t.bound + 1)
+            rows = max(rows, t.bound)
         return rows
 
     def expose(self, entries) -> None:

@@ -81,6 +81,9 @@ class VarDivGadget(Gadget):
     name = "var_div"
     cells_per_op = 4
     operands, computed = (0, 1), (2, 3)
+    # an empty slot would look up 2a - r = 0, which no table holds; the
+    # pad 1 / 0 gives c = 0, r = 1 and looks up 2 and 1
+    pads, pad_op = True, (1, 0)
 
     def _configure(self) -> None:
         b = self.builder

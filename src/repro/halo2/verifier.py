@@ -65,6 +65,19 @@ def _check_digests(what: str, digests: Sequence[bytes]) -> None:
         raise ProofFormatError("%s has a malformed digest" % what)
 
 
+def check_instance_shape(vk: VerifyingKey, instance: List[List[int]]) -> None:
+    """The public inputs are the key's ``cs.num_instance`` columns of
+    ``n`` rows each, or :class:`ProofFormatError` naming both numbers."""
+    if len(instance) != vk.cs.num_instance:
+        raise ProofFormatError("expected %d instance columns, got %d"
+                               % (vk.cs.num_instance, len(instance)))
+    for i, col_values in enumerate(instance):
+        if len(col_values) != vk.n:
+            raise ProofFormatError("instance column %d has %d rows, circuit "
+                                   "has %d" % (i, len(col_values), vk.n),
+                                   column=i)
+
+
 def validate_proof_shape(
     vk: VerifyingKey,
     proof: Proof,
@@ -82,9 +95,7 @@ def validate_proof_shape(
     its proofs could not have come from this prover.
     """
     require_goldilocks(vk.field)
-    cs = vk.cs
     p = vk.field.p
-    n = vk.n
     shape = vk.shape
 
     for what, items, want in (
@@ -123,13 +134,8 @@ def validate_proof_shape(
         nodes += [node for fold in layers for node in fold.path]
         _check_digests("query %d path node" % q, nodes)
 
-    if len(instance) != cs.num_instance:
-        raise ProofFormatError("expected %d instance columns, got %d"
-                               % (cs.num_instance, len(instance)))
+    check_instance_shape(vk, instance)
     for i, col_values in enumerate(instance):
-        if len(col_values) != n:
-            raise ProofFormatError("instance column %d has %d rows, circuit "
-                                   "has %d" % (i, len(col_values), n), column=i)
         for v in col_values:
             if not (0 <= int(v) < p):
                 raise ProofFormatError("instance column %d holds an "

@@ -238,8 +238,7 @@ class ReduceSumLayer(Layer):
     def synthesize(self, builder, inputs, params, choices):
         vectors, out_shape = self._vectors(inputs[0])
         g = builder.gadget(SumGadget)
-        outs = builder.repeat(vectors.shape[0],
-                              lambda i: g.sum_vector(vectors[i].entries()))
+        outs = g.sum_vectors(vectors.rows())
         return Tensor.from_entries(outs, out_shape)
 
 

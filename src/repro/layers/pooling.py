@@ -121,6 +121,5 @@ class GlobalAvgPoolLayer(Layer):
         h, w, c = x.shape
         summed = builder.gadget(SumGadget)
         div = builder.gadget(DivRoundConstGadget, divisor=h * w)
-        sums = builder.repeat(c, lambda ch: summed.sum_vector(
-            x[:, :, ch].flatten().entries()))
+        sums = summed.sum_vectors(x.reshape(h * w, c).transpose().rows())
         return Tensor.from_entries(div.assign_many(sums), (c,))

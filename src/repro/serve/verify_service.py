@@ -13,9 +13,10 @@ first:
   retry; the service never builds an unbounded backlog of attacker
   bytes);
 - **per-request resource caps** — batch size is capped before any
-  envelope is touched, and every envelope decodes under
-  :class:`~repro.envelope.EnvelopeCaps` (total bytes, instance columns,
-  public inputs, proof length), all enforced *before* field arithmetic;
+  envelope is touched, every envelope decodes under the decoder's fixed
+  ceilings (total bytes, instance columns, public inputs, proof length),
+  and its proof length and instance shape must be its key's exactly, all
+  enforced *before* field arithmetic;
 - **wall-clock deadline** — each request has a per-request deadline,
   checked cooperatively between envelopes and once more at the end, so
   one request cannot hold a verify slot forever
@@ -39,10 +40,11 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.envelope import DEFAULT_CAPS, EnvelopeCaps, decode_envelope
+from repro.envelope import decode_envelope
+from repro.envelope.format import MAX_ENVELOPE_BYTES, MAX_PROOF_BYTES, MAX_PUBLIC_INPUTS
 from repro.envelope.verify import verify_envelope
 from repro.obs import log as obs_log
 from repro.obs.metrics import MetricsRegistry
@@ -105,8 +107,6 @@ def rejection_cause(exc: BaseException) -> str:
 class VerifyConfig:
     """Resource caps and knobs for the verification service."""
 
-    #: Decoder caps applied to every envelope (see ``repro.envelope``).
-    caps: EnvelopeCaps = dataclass_field(default_factory=lambda: DEFAULT_CAPS)
     #: Envelopes per request; more is rejected before any decoding.
     max_batch: int = 32
     #: Concurrent requests verifying; excess is shed with a typed error.
@@ -253,8 +253,7 @@ class VerifyService:
         decoded: List[object] = []
         for idx, data in enumerate(envelopes):
             try:
-                decoded.append(decode_envelope(bytes(data),
-                                               caps=self.config.caps))
+                decoded.append(decode_envelope(bytes(data)))
             except EnvelopeError as exc:
                 decoded.append(exc)
         # one registry fetch (with integrity re-check) per distinct key
@@ -386,9 +385,9 @@ class VerifyService:
                 "max_batch": self.config.max_batch,
                 "max_inflight": self.config.max_inflight,
                 "deadline_seconds": self.config.deadline_seconds,
-                "max_envelope_bytes": self.config.caps.max_envelope_bytes,
-                "max_public_inputs": self.config.caps.max_public_inputs,
-                "max_proof_bytes": self.config.caps.max_proof_bytes,
+                "max_envelope_bytes": MAX_ENVELOPE_BYTES,
+                "max_public_inputs": MAX_PUBLIC_INPUTS,
+                "max_proof_bytes": MAX_PROOF_BYTES,
             },
             "counters": self.stats(),
             "registry": {

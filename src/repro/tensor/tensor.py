@@ -137,6 +137,10 @@ class Tensor:
         """Entries in row-major order."""
         return list(self._entries.reshape(-1))
 
+    def rows(self) -> Sequence[Sequence[Entry]]:
+        """A matrix's entries, one sequence per row."""
+        return list(self._entries)
+
     def entry(self, *index: int) -> Entry:
         return self._entries[tuple(index)]
 
@@ -245,6 +249,9 @@ class ShapeTensor(Tensor):
 
     def entries(self) -> Lanes:
         return Lanes(PLACEHOLDER, self.size)
+
+    def rows(self) -> Lanes:
+        return Lanes(Lanes(PLACEHOLDER, self._shape[1]), self._shape[0])
 
     def entry(self, *index: int) -> Entry:
         return PLACEHOLDER

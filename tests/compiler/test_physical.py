@@ -142,22 +142,24 @@ class TestPaperScaleLayouts:
 #: plans): the best layout's k, num_cols, gadget_rows, table_rows,
 #: num_lookups, num_fixed, num_selectors; the number of evaluated
 #: candidates; and a blake2b-16 digest over every candidate's shape.
+#: ``table_rows`` fell from 32769 to 32768 when the tables lost their zero
+#: default row; nothing else moved.
 GOLDEN_LAYOUTS = {
-    "diffusion": (22, 32, 4149960, 32769, 44, 9, 7, 86,
+    "diffusion": (22, 32, 4149960, 32768, 44, 9, 7, 86,
                   "57c3ebeafa5c4483363c37d3602a460f"),
-    "dlrm": (16, 20, 62077, 32769, 16, 16, 4, 222,
+    "dlrm": (16, 20, 62077, 32768, 16, 16, 4, 222,
              "d87da99d399355b745122fac60764fee"),
-    "gpt2": (21, 44, 2077686, 32769, 169, 49, 14, 258,
+    "gpt2": (21, 44, 2077686, 32768, 169, 49, 14, 258,
              "0b1038324e65254178f46679847eb7bf"),
-    "mnist": (16, 7, 24502, 32769, 18, 9, 11, 219,
+    "mnist": (16, 7, 24502, 32768, 18, 9, 11, 219,
               "d7851bd24dc4d71fa5c8ed892e944711"),
-    "mobilenet": (23, 20, 7787813, 32769, 57, 9, 12, 58,
+    "mobilenet": (23, 20, 7787813, 32768, 57, 9, 12, 58,
                   "915b027bcf1851397293f72db760dc74"),
-    "resnet18": (17, 48, 128758, 32769, 148, 11, 12, 402,
+    "resnet18": (17, 48, 128758, 32768, 148, 11, 12, 402,
                  "1c4c8febde0cfe8cfe3904276d7dd8cf"),
-    "twitter": (21, 27, 2025534, 32769, 59, 31, 11, 444,
+    "twitter": (21, 27, 2025534, 32768, 59, 31, 11, 444,
                 "cf455c8c9d53de1a20131cfb46a39982"),
-    "vgg16": (20, 40, 1046502, 32769, 109, 22, 11, 73,
+    "vgg16": (20, 40, 1046502, 32768, 109, 22, 11, 73,
               "958b8ff9447b87592ae6162dfdb2d7e3"),
 }
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Tuple
 
 from repro.halo2.proof import proof_from_bytes, proof_to_bytes
@@ -39,7 +39,7 @@ from repro.halo2.verifier import verify_proof_strict
 from repro.resilience.errors import ProofFormatError, VerificationFailure
 
 __all__ = ["FuzzReport", "run_proof_fuzz", "run_envelope_fuzz",
-           "local_envelope_checker"]
+           "local_envelope_checker", "OFF_KEY_SHAPES", "spy_proof_parsing"]
 
 
 @dataclass
@@ -215,27 +215,53 @@ def _mutate_envelope(data: bytes, rng: random.Random,
     return _fix_checksum(bytes(out)), "body-flip@%d" % pos
 
 
-def local_envelope_checker(vk, caps=None) -> Callable[[bytes], Dict]:
+def local_envelope_checker(vk) -> Callable[[bytes], Dict]:
     """An in-process verdict function for :func:`run_envelope_fuzz`.
 
     Mirrors what one envelope's verdict looks like coming back from
     ``zkml verify-serve``: ``{"ok": bool, "error": <class name>}``.
     """
-    from repro.envelope import DEFAULT_CAPS, decode_envelope
+    from repro.envelope import decode_envelope
     from repro.envelope.verify import verify_envelope
     from repro.resilience.errors import ResilienceError
 
-    effective_caps = caps if caps is not None else DEFAULT_CAPS
-
     def check(data: bytes) -> Dict:
         try:
-            env = decode_envelope(data, caps=effective_caps)
+            env = decode_envelope(data)
             verify_envelope(env, vk)
         except ResilienceError as exc:
             return {"ok": False, "error": type(exc).__name__}
         return {"ok": True}
 
     return check
+
+
+#: Envelopes that pass the decoder but do not have their key's shape,
+#: named by what is off: the proof length, the instance columns or the
+#: rows of one of them.  ``verify_envelope`` refuses each with a
+#: ``ProofFormatError`` before it parses the proof.
+OFF_KEY_SHAPES = {
+    "proof_one_byte_short": lambda env: replace(
+        env, proof_bytes=env.proof_bytes[:-1]),
+    "proof_one_byte_long": lambda env: replace(
+        env, proof_bytes=env.proof_bytes + b"\x00"),
+    "columns_one_extra": lambda env: replace(
+        env, instance=env.instance + [[0] * len(env.instance[0])]),
+    "rows_one_short": lambda env: replace(
+        env, instance=env.instance[:-1] + [env.instance[-1][:-1]]),
+}
+
+
+def spy_proof_parsing(monkeypatch) -> List[bytes]:
+    """Record every ``repro.halo2.proof.proof_from_bytes`` call (which
+    still parses): the list it returns grows by the bytes of each."""
+    import repro.halo2.proof as proof_module
+
+    parsed: List[bytes] = []
+    real = proof_module.proof_from_bytes
+    monkeypatch.setattr(proof_module, "proof_from_bytes",
+                        lambda data: parsed.append(data) or real(data))
+    return parsed
 
 
 def run_envelope_fuzz(envelope_bytes: bytes,

@@ -145,13 +145,11 @@ def test_mock_prover_and_verifier_agree(name, forged, monkeypatch):
     assert verifier_accepts(b, monkeypatch) == mock_accepts
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "every table keeps an all-zero default row, so an active lookup of "
-    "x + 1 admits x = -1 (ROADMAP item 2)"))
-def test_a_shift_of_minus_one_is_rejected():
+def test_a_shift_of_minus_one_is_rejected(monkeypatch):
     # max(5, 4) claimed as 4: (c - a)(c - b) = 0, c - b + 1 = 1 is in the
-    # table and c - a + 1 = 0 hits the default row
+    # table and c - a + 1 = 0 is not (tables hold no zero default row)
     b = builder()
     (out,) = b.gadget(MaxGadget).assign_row([(Entry(5), Entry(4))])
     b.asg.assign_advice(out.cell.column, out.cell.row, 4)
-    assert MockProver(b.cs, b.asg).verify()
+    assert {f.kind for f in MockProver(b.cs, b.asg).verify()} == {"lookup"}
+    assert not verifier_accepts(b, monkeypatch)

@@ -57,7 +57,7 @@ class TestReluChoices:
 
     def test_lookup_needs_table(self):
         counted = count_layer(ACTIVATION_LAYERS["relu"](), [(2, 2)])
-        assert counted.table_rows_needed() == (1 << counted.lookup_bits) + 1
+        assert counted.table_rows_needed() == 1 << counted.lookup_bits
         assert counted.cs.num_fixed == 3  # constants + the table's in/out
 
     def test_bitdecomp_only_affects_relu(self):

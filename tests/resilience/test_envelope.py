@@ -8,6 +8,8 @@ Three contracts are pinned here:
 - every malformed input is rejected with the *right*
   :class:`EnvelopeError` subtype **before any field arithmetic** — the
   global ``obs.stats`` counters must not move on a rejection path;
+- the verifier holds the proof length and instance shape to the key's
+  before it parses the proof;
 - the mutation fuzzer (``tests/fuzz.py``) holds:
   hundreds of mutants, 100% typed rejections, zero escapes.
 """
@@ -16,14 +18,18 @@ import numpy as np
 import pytest
 
 from repro.envelope import (
-    DEFAULT_CAPS,
     SCHEMA_V2,
-    EnvelopeCaps,
     ProofEnvelope,
     decode_envelope,
     envelope_config_digest,
     is_envelope,
     verify_envelope,
+)
+from repro.envelope.format import (
+    MAX_ENVELOPE_BYTES,
+    MAX_INSTANCE_COLUMNS,
+    MAX_PROOF_BYTES,
+    MAX_PUBLIC_INPUTS,
 )
 from repro.model import get_model
 from repro.obs.stats import STATS
@@ -33,11 +39,17 @@ from repro.resilience.errors import (
     EnvelopeError,
     EnvelopeSchemaError,
     EnvelopeTruncatedError,
+    ProofFormatError,
     VerificationFailure,
 )
 from repro.runtime import prove_model
 
-from tests.fuzz import local_envelope_checker, run_envelope_fuzz
+from tests.fuzz import (
+    OFF_KEY_SHAPES,
+    local_envelope_checker,
+    run_envelope_fuzz,
+    spy_proof_parsing,
+)
 
 rng = np.random.default_rng(31)
 
@@ -60,7 +72,7 @@ def encoded(envelope):
     return envelope.encode()
 
 
-def _reject(data, exc_type, caps=DEFAULT_CAPS):
+def _reject(data, exc_type):
     """Decode must raise ``exc_type`` without any prover-side op firing.
 
     The envelope decoder's contract is "reject before expensive work":
@@ -69,7 +81,7 @@ def _reject(data, exc_type, caps=DEFAULT_CAPS):
     """
     before = STATS.snapshot()
     with pytest.raises(exc_type) as info:
-        decode_envelope(data, caps=caps)
+        decode_envelope(data)
     moved = {k: v for k, v in STATS.delta(before).items() if v}
     assert not moved, "decoder rejection did %r work" % moved
     return info.value
@@ -135,25 +147,28 @@ class TestDecoderCapEdges:
         assert "no public inputs" in str(exc)
 
     def test_exactly_at_cap_accepted(self, envelope, encoded):
-        caps = EnvelopeCaps(
-            max_envelope_bytes=len(encoded),
-            max_instance_columns=len(envelope.instance),
-            max_public_inputs=envelope.num_public_inputs(),
-            max_proof_bytes=len(envelope.proof_bytes),
-        )
-        assert decode_envelope(encoded, caps=caps).model == envelope.model
+        # at each ceiling the decoder goes on to its next check: a declared
+        # count or length equal to the ceiling runs off the data, and an
+        # envelope of exactly the ceiling's bytes is parsed to its end
+        assert decode_envelope(encoded).model == envelope.model
+        for field, ceiling in (("inputs", MAX_PUBLIC_INPUTS),
+                               ("proof", MAX_PROOF_BYTES)):
+            _reject(_declare(envelope, encoded, field, ceiling),
+                    EnvelopeTruncatedError)
+        padded = encoded + bytes(MAX_ENVELOPE_BYTES - len(encoded))
+        exc = _reject(padded, EnvelopeError)
+        assert "trailing bytes" in str(exc)
 
     def test_one_past_each_cap_rejected(self, envelope, encoded):
-        at = dict(
-            max_envelope_bytes=len(encoded),
-            max_instance_columns=len(envelope.instance),
-            max_public_inputs=envelope.num_public_inputs(),
-            max_proof_bytes=len(envelope.proof_bytes),
-        )
-        for knob in at:
-            tightened = dict(at)
-            tightened[knob] -= 1
-            _reject(encoded, EnvelopeCapError, caps=EnvelopeCaps(**tightened))
+        for field, ceiling in (("columns", MAX_INSTANCE_COLUMNS),
+                               ("inputs", MAX_PUBLIC_INPUTS),
+                               ("proof", MAX_PROOF_BYTES)):
+            exc = _reject(_declare(envelope, encoded, field, ceiling + 1),
+                          EnvelopeCapError)
+            assert exc.attribution().get("cap") == ceiling
+        exc = _reject(encoded + bytes(MAX_ENVELOPE_BYTES + 1 - len(encoded)),
+                      EnvelopeCapError)
+        assert exc.attribution().get("cap") == MAX_ENVELOPE_BYTES
 
     def test_empty_proof_bytes_rejected(self, envelope):
         hollow = ProofEnvelope(
@@ -163,10 +178,10 @@ class TestDecoderCapEdges:
         exc = _reject(hollow.encode(), EnvelopeError)
         assert "empty proof" in str(exc)
 
-    def test_oversized_envelope_rejected_before_parsing(self, encoded):
-        caps = EnvelopeCaps(max_envelope_bytes=len(encoded) - 1)
-        exc = _reject(encoded, EnvelopeCapError, caps=caps)
-        assert exc.attribution().get("cap") == len(encoded) - 1
+    def test_oversized_envelope_rejected_before_parsing(self):
+        # not even a schema id: the size is all the decoder reads
+        exc = _reject(b"\xff" * (MAX_ENVELOPE_BYTES + 1), EnvelopeCapError)
+        assert exc.attribution().get("size") == MAX_ENVELOPE_BYTES + 1
 
     def test_forged_count_rejected_before_allocation(self, envelope,
                                                      encoded):
@@ -199,19 +214,33 @@ class TestDecoderCapEdges:
     def test_trailing_garbage_rejected(self, encoded):
         _reject(encoded + b"\x00", EnvelopeError)
 
-    def test_caps_checked_before_checksum(self, encoded):
+    def test_caps_checked_before_checksum(self, envelope, encoded):
         # both violations at once: the over-cap body must win, because a
         # hostile sender can always compute a valid checksum
-        mutated = bytearray(encoded)
+        mutated = bytearray(_declare(envelope, encoded, "proof",
+                                     MAX_PROOF_BYTES + 1))
         mutated[-1] ^= 0xFF
-        caps = EnvelopeCaps(max_envelope_bytes=len(encoded) - 1)
-        _reject(bytes(mutated), EnvelopeCapError, caps=caps)
+        _reject(bytes(mutated), EnvelopeCapError)
 
 
 def _restamp(body: bytes) -> bytes:
     import hashlib
 
     return body + hashlib.blake2b(body, digest_size=16).digest()
+
+
+def _declare(envelope, encoded: bytes, field: str, value: int) -> bytes:
+    """``encoded`` with one declared count rewritten to ``value`` and the
+    checksum recomputed: the instance column count, column 0's value
+    count, or the proof length."""
+    columns = (1 + len(SCHEMA_V2) + 1 + len(envelope.scheme_name)
+               + 1 + len(envelope.model) + 1 + 32 + 16)
+    at = {"columns": columns, "inputs": columns + 4,
+          "proof": columns + 4 + sum(4 + 8 * len(col)
+                                     for col in envelope.instance)}[field]
+    body = bytearray(encoded[:-16])
+    body[at : at + 4] = value.to_bytes(4, "little")
+    return _restamp(bytes(body))
 
 
 class TestSchemaV2:
@@ -268,14 +297,12 @@ class TestSchemaV2:
     def test_default_caps_are_sized_for_succinct_proofs(self, envelope,
                                                         encoded):
         # docs/verification.md §Caps: 4 MB of proof is > 10x the largest
-        # proof this tree produces; the envelope cap adds the public-input
-        # cap at 8-byte scalars (2 MB) and rounds up
-        assert DEFAULT_CAPS.max_proof_bytes == 4 << 20
-        assert DEFAULT_CAPS.max_envelope_bytes == 8 << 20
-        assert (DEFAULT_CAPS.max_proof_bytes
-                + 8 * DEFAULT_CAPS.max_public_inputs
-                <= DEFAULT_CAPS.max_envelope_bytes)
-        assert len(envelope.proof_bytes) * 10 < DEFAULT_CAPS.max_proof_bytes
+        # proof this tree produces; the envelope ceiling adds the
+        # public-input ceiling at 8-byte scalars (2 MB) and rounds up
+        assert MAX_PROOF_BYTES == 4 << 20
+        assert MAX_ENVELOPE_BYTES == 8 << 20
+        assert MAX_PROOF_BYTES + 8 * MAX_PUBLIC_INPUTS <= MAX_ENVELOPE_BYTES
+        assert len(envelope.proof_bytes) * 10 < MAX_PROOF_BYTES
         assert len(encoded) < 300_000  # dlrm-mini, k=9: was 805 KB in v1
 
 
@@ -306,6 +333,28 @@ class TestVerifyEnvelope:
         tampered = dataclasses.replace(envelope, instance=instance)
         with pytest.raises(VerificationFailure):
             verify_envelope(tampered, proven.vk)
+
+    @pytest.mark.parametrize("reshape", sorted(OFF_KEY_SHAPES))
+    def test_off_key_shape_refused_before_parsing(self, proven, envelope,
+                                                  reshape, monkeypatch):
+        parsed = spy_proof_parsing(monkeypatch)
+        # through the codec: the mutant carries a valid checksum
+        mutant = decode_envelope(OFF_KEY_SHAPES[reshape](envelope).encode())
+        with pytest.raises(ProofFormatError) as info:
+            verify_envelope(mutant, proven.vk)
+        assert type(info.value) is ProofFormatError
+        assert parsed == []
+        # the message names what the envelope has and what the key wants
+        vk = proven.vk
+        got, want = {
+            "proof": (len(mutant.proof_bytes), vk.shape.proof_bytes),
+            "columns": (len(mutant.instance), vk.cs.num_instance),
+            "rows": (len(mutant.instance[-1]), vk.n),
+        }[reshape.split("_")[0]]
+        assert "%d" % got in str(info.value)
+        assert "%d" % want in str(info.value)
+        verify_envelope(envelope, proven.vk)
+        assert len(parsed) == 1
 
 
 class TestEnvelopeFuzz:

@@ -14,7 +14,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.envelope import EnvelopeCaps
+from repro.envelope.format import MAX_ENVELOPE_BYTES, MAX_PROOF_BYTES, MAX_PUBLIC_INPUTS
 from repro.field import gl64, native
 from repro.halo2.column import ColumnType
 from repro.halo2.shape import HELPER_ROUND
@@ -31,6 +31,8 @@ from repro.resilience.errors import (
 )
 from repro.runtime import prove_model
 from repro.serve import VerifyConfig, VerifyService
+
+from tests.fuzz import OFF_KEY_SHAPES, spy_proof_parsing
 
 rng = np.random.default_rng(43)
 
@@ -141,6 +143,16 @@ class TestVerdicts:
         (verdict,) = service.verify_batch([mutant])["results"]
         assert not verdict["ok"] and verdict["cause"] == "verify_failed"
 
+    @pytest.mark.parametrize("reshape", sorted(OFF_KEY_SHAPES))
+    def test_off_key_shape_rejected_as_proof_format(self, service, proven,
+                                                    reshape, monkeypatch):
+        parsed = spy_proof_parsing(monkeypatch)
+        mutant = OFF_KEY_SHAPES[reshape](proven.envelope()).encode()
+        (verdict,) = service.verify_batch([mutant])["results"]
+        assert not verdict["ok"] and verdict["cause"] == "proof_format"
+        assert verdict["error"] == "ProofFormatError"
+        assert parsed == []
+
     def test_no_registry_rejects_everything_unknown_vk(self, encoded):
         lone = VerifyService(registry=None)
         (verdict,) = lone.verify_batch([encoded])["results"]
@@ -201,12 +213,10 @@ class TestRequestCaps:
             svc.verify_batch([encoded] * 3)
         assert svc.stats()["rejections_by_cause"].get("batch_cap") == 1
 
-    def test_envelope_caps_flow_from_config(self, registry_dir, encoded):
-        svc = VerifyService(
-            registry=VKRegistry(registry_dir),
-            config=VerifyConfig(caps=EnvelopeCaps(
-                max_envelope_bytes=len(encoded) - 1)))
-        (verdict,) = svc.verify_batch([encoded])["results"]
+    def test_envelope_over_the_decoder_ceiling_rejected_as_cap(self, service,
+                                                                encoded):
+        oversized = encoded + bytes(MAX_ENVELOPE_BYTES + 1 - len(encoded))
+        (verdict,) = service.verify_batch([oversized])["results"]
         assert not verdict["ok"] and verdict["cause"] == "cap"
 
     def test_overload_shed_typed(self, registry_dir, encoded):
@@ -274,7 +284,14 @@ class TestOperatorSurface:
         assert status["counters"]["rejections_by_cause"] == {"checksum": 1}
         assert status["registry"]["configured"]
         assert status["registry"]["entries"] == 1
-        assert status["limits"]["max_batch"] == service.config.max_batch
+        assert status["limits"] == {
+            "max_batch": service.config.max_batch,
+            "max_inflight": service.config.max_inflight,
+            "deadline_seconds": service.config.deadline_seconds,
+            "max_envelope_bytes": MAX_ENVELOPE_BYTES,
+            "max_public_inputs": MAX_PUBLIC_INPUTS,
+            "max_proof_bytes": MAX_PROOF_BYTES,
+        }
         assert "slo" in status and "flight_recorder" in status
 
     def test_metrics_counters_by_cause(self, service, encoded):

@@ -1,22 +1,25 @@
 """Trustless audit of a recommendation feed (the paper's Figure 1/2).
 
-The provider commits to a MaskNet-style ranking model; for a user's
-candidate tweets it publishes the scores *and a ZK-SNARK per score* that
-each came from the committed model on the tweet's features.  An auditor
-verifies the proofs and checks the feed order matches the proven scores —
-without ever seeing the model weights.
+The provider commits to a MaskNet-style ranking model by publishing its
+verifying key; the key's hash is the model commitment.  For a user's
+candidate tweets it publishes a ZK-SNARK per score, each showing the
+score came from the committed model on the tweet's features.  An auditor
+resolves the key by the published hash, verifies every proof, and checks
+that the feed order matches the proven scores — without ever seeing the
+model weights.
 
 Run:  python examples/twitter_audit.py
 """
 
 import dataclasses
+import tempfile
 
 import numpy as np
 
-from repro.envelope import verify_envelope
+from repro.envelope import decode_envelope
 from repro.model import GraphBuilder
-from repro.resilience.errors import VerificationFailure
-from repro.runtime import prove_model
+from repro.registry import VKRegistry
+from repro.runtime import AuditLog, audit
 
 
 def build_ranking_model():
@@ -35,55 +38,56 @@ def build_ranking_model():
     return gb.build([score])
 
 
+def proven_score(envelope: bytes) -> int:
+    """The score a proof's public values carry (sigmoid: non-negative)."""
+    return decode_envelope(envelope).instance[0][0]
+
+
 def main():
     model = build_ranking_model()
     print("ranking model: %d params (weights stay private)"
           % model.param_count())
+    with tempfile.TemporaryDirectory() as root:
+        rank_and_audit(model, VKRegistry(root))
 
+
+def rank_and_audit(model, registry):
     rng = np.random.default_rng(11)
     candidate_tweets = ["cat photo", "breaking news", "crypto spam"]
-    features = {t: rng.uniform(-1, 1, (1, 8)) for t in candidate_tweets}
 
-    # The provider scores each tweet and proves each inference.
-    scores, proofs = {}, {}
+    # The provider scores each tweet and proves each inference into a
+    # hash-chained log, which publishes the verifying key.
+    log = AuditLog(model, registry, scheme_name="kzg", num_cols=10,
+                   scale_bits=6)
+    scores = {}
     for tweet in candidate_tweets:
-        result = prove_model(model, {"features": features[tweet]},
-                             scheme_name="kzg", num_cols=10, scale_bits=6)
-        scores[tweet] = int(result.outputs[model.outputs[0]].reshape(-1)[0])
-        proofs[tweet] = result
-        print("scored %-14r -> %4d (proved in %.2fs)"
-              % (tweet, scores[tweet], result.proving_seconds))
-
+        entry = log.serve({"features": rng.uniform(-1, 1, (1, 8))})
+        scores[tweet] = proven_score(entry.envelope)
+        print("scored %-14r -> %4d (%d-byte proof envelope)"
+              % (tweet, scores[tweet], len(entry.envelope)))
     feed = sorted(candidate_tweets, key=scores.get, reverse=True)
+    commitment = decode_envelope(log.entries[0].envelope).vk_hash_hex
     print("published feed:", feed)
+    print("published model commitment (vk hash): %s..." % commitment[:16])
 
-    # The auditor verifies every proof and recomputes the ordering from
-    # the public scores.
-    for tweet in candidate_tweets:
-        result = proofs[tweet]
-        assert verify_envelope(result.envelope(), result.vk), tweet
-    audited = sorted(candidate_tweets, key=scores.get, reverse=True)
-    assert audited == feed
+    # The auditor verifies every proof against the key it resolves by the
+    # published hash, and recomputes the ordering from the proven scores.
+    assert audit(log, registry, commitment) == []
+    proven = dict(zip(candidate_tweets,
+                      (proven_score(e.envelope) for e in log.entries)))
+    assert sorted(candidate_tweets, key=proven.get, reverse=True) == feed
     print("audit passed: feed order matches the proven scores")
 
-    # Every proof must come from the same committed model: the verifying
-    # key digest doubles as the model commitment.
-    digests = {proofs[t].vk.digest() for t in candidate_tweets}
-    assert len(digests) == 1
-    print("model commitment consistent across proofs: %s..."
-          % digests.pop().hex()[:16])
-
     # A dishonest provider that inflates a score is caught.
-    victim = proofs[feed[-1]]
-    forged = [list(col) for col in victim.instance]
-    forged[0][0] = (forged[0][0] + 50) % victim.vk.field.p
-    try:
-        verify_envelope(dataclasses.replace(victim.envelope(),
-                                            instance=forged), victim.vk)
-    except VerificationFailure:
-        print("forged score rejected by the auditor")
-    else:
-        raise AssertionError("forged score was accepted")
+    victim = log.entries[candidate_tweets.index(feed[-1])]
+    env = decode_envelope(victim.envelope)
+    forged = [list(col) for col in env.instance]
+    forged[0][0] += 50
+    log.entries[victim.index] = dataclasses.replace(
+        victim, envelope=dataclasses.replace(env, instance=forged).encode())
+    findings = audit(log, registry, commitment)
+    assert [(f.index, f.kind) for f in findings] == [(victim.index, "proof")]
+    print("forged score rejected by the auditor:", findings[0])
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from repro.compiler.physical import (
     PhysicalLayout,
     build_physical_layout,
 )
-from repro.compiler.visualize import render_breakdown, render_row_map
+from repro.compiler.visualize import render_breakdown
 from repro.compiler.layouter import (
     SynthesizedModel,
     check_against_reference,
@@ -32,5 +32,4 @@ __all__ = [
     "synthesize_batch",
     "check_against_reference",
     "render_breakdown",
-    "render_row_map",
 ]

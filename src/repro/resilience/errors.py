@@ -20,8 +20,6 @@ class                       raised when
                             nothing can prove or verify
 ``ProvingError``            the witness cannot satisfy the circuit, or a
                             prover phase failed permanently
-``FreivaldsCheckError``     the Freivalds matmul challenge failed — the
-                            pipeline degrades to the direct-matmul layout
 ``CacheCorruptionError``    a cached artifact (a pk cache entry) fails its
                             checksum or cannot be written
 ``ProofFormatError``        a serialized proof/artifact violates the wire
@@ -67,7 +65,6 @@ __all__ = [
     "UnsupportedFieldError",
     "KernelUnavailableError",
     "ProvingError",
-    "FreivaldsCheckError",
     "CacheCorruptionError",
     "ProofFormatError",
     "EnvelopeError",
@@ -182,12 +179,6 @@ class ProvingError(ResilienceError, ValueError):
     """The witness cannot satisfy the circuit, or proving failed."""
 
     default_phase = "prove"
-
-
-class FreivaldsCheckError(ProvingError):
-    """The Freivalds matmul challenge failed; direct matmul still works."""
-
-    default_phase = "synthesize"
 
 
 class CacheCorruptionError(ResilienceError, ValueError):

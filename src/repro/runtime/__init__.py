@@ -10,7 +10,6 @@ from repro.runtime.audit import (
     AuditEntry,
     AuditFinding,
     AuditLog,
-    ModelCommitment,
     audit,
 )
 from repro.runtime.baselines import (
@@ -24,7 +23,6 @@ __all__ = [
     "AuditLog",
     "AuditEntry",
     "AuditFinding",
-    "ModelCommitment",
     "audit",
     "prove_model",
     "prove_batch",

@@ -20,14 +20,12 @@ raw material for the predicted-vs-actual report.  Passing a
 shape statistics and per-phase timings.
 
 Resilience: every proof runs the same code.  A failure names the stage
-it came from (``synthesize``/``keygen``/``prove``), and a failed
-Freivalds challenge degrades the layout plan to direct matmul (counted,
-never silent).  Proving is deterministic, so re-running an interrupted
-prove reproduces the same bytes.  Verification is strict, and strict is
-the only mode: malformed proofs raise
-:class:`~repro.resilience.errors.ProofFormatError` and rejections raise
-:class:`~repro.resilience.errors.VerificationFailure`; nothing returns
-``False``.
+it came from (``synthesize``/``keygen``/``prove``).  Proving is
+deterministic, so re-running an interrupted prove reproduces the same
+bytes.  Verification is strict, and strict is the only mode: malformed
+proofs raise :class:`~repro.resilience.errors.ProofFormatError` and
+rejections raise :class:`~repro.resilience.errors.VerificationFailure`;
+nothing returns ``False``.
 """
 
 from __future__ import annotations
@@ -43,20 +41,16 @@ from repro.commit import scheme_by_name
 from repro.envelope import ProofEnvelope, envelope_config_digest
 from repro.compiler import SynthesizedModel, synthesize_batch
 from repro.compiler.layouter import only_slot
-from repro.compiler.logical import LayoutPlan
 from repro.halo2 import Proof, VerifyingKey, create_proof, keygen
 from repro.halo2.proof import proof_to_bytes
 from repro.halo2.verifier import verify_proof_strict
-from repro.layers.base import LayoutChoices
 from repro.model.spec import ModelSpec
 from repro.obs import metrics as obs_metrics
 from repro.obs.stats import STATS
 from repro.obs.trace import get_tracer
 from repro.perf.pkcache import GLOBAL_PK_CACHE
 from repro.perf.timer import PhaseTimer
-from repro.resilience import events
 from repro.resilience.errors import (
-    FreivaldsCheckError,
     ProvingError,
     ResilienceError,
     region_at,
@@ -159,18 +153,6 @@ class ProveResult:
                                                self.observed_counts)
 
 
-def _plan_without_freivalds(plan: LayoutPlan) -> LayoutPlan:
-    """The same plan with every Freivalds matmul replaced by direct."""
-
-    def fix(choices: LayoutChoices) -> LayoutChoices:
-        if choices.linear == "freivalds":
-            return choices.replace(linear="dot_bias")
-        return choices
-
-    return LayoutPlan(fix(plan.base),
-                      tuple((name, fix(c)) for name, c in plan.overrides))
-
-
 @contextmanager
 def _stage(phase: str) -> Iterator[None]:
     """Attribute a failure inside one pipeline stage to ``phase``."""
@@ -215,33 +197,21 @@ def prove_batch(
 
     A typed error raised inside a stage names that stage as its phase,
     and a bare ``OSError`` (the pk cache's disk layer) is raised as a
-    :class:`~repro.resilience.errors.ProvingError` for it.  A
-    :class:`~repro.resilience.errors.FreivaldsCheckError` degrades the
-    layout plan to direct matmul and re-synthesizes once.
+    :class:`~repro.resilience.errors.ProvingError` for it.
     """
     tracer = tracer if tracer is not None else get_tracer()
-    plan = LayoutPlan.coerce(plan)
     slots = len(batch_inputs)
 
-    def _synthesize(plan: LayoutPlan) -> SynthesizedModel:
-        with tracer.span("synthesize", model=spec.name, batch_size=slots):
+    with tracer.span("prove_model" if slots == 1 else "prove_batch",
+                     model=spec.name, scheme=scheme_name, batch_size=slots):
+        with _stage("synthesize"), \
+                tracer.span("synthesize", model=spec.name, batch_size=slots):
             result = synthesize_batch(
                 spec, batch_inputs, plan=plan, num_cols=num_cols,
                 scale_bits=scale_bits, lookup_bits=lookup_bits, k=k,
                 tracer=tracer,
             )
             result.expose_outputs()
-            return result
-
-    with tracer.span("prove_model" if slots == 1 else "prove_batch",
-                     model=spec.name, scheme=scheme_name, batch_size=slots):
-        with _stage("synthesize"):
-            try:
-                result = _synthesize(plan)
-            except FreivaldsCheckError as exc:
-                events.degraded("freivalds_direct_matmul", layer=exc.layer,
-                                model=spec.name)
-                result = _synthesize(_plan_without_freivalds(plan))
         builder = result.builder
 
         scheme = scheme_by_name(scheme_name, builder.field)

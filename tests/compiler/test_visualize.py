@@ -1,17 +1,8 @@
 """Tests for the layout visualizer."""
 
-import numpy as np
-
-from repro.compiler import (
-    build_physical_layout,
-    render_breakdown,
-    render_row_map,
-    synthesize_model,
-)
+from repro.compiler import build_physical_layout, render_breakdown
 from repro.layers.base import LayoutChoices
 from repro.model import get_model
-
-rng = np.random.default_rng(81)
 
 
 def test_breakdown_lists_heaviest_layers_first():
@@ -30,14 +21,3 @@ def test_breakdown_truncates_long_models():
     layout = build_physical_layout(spec, LayoutChoices(), 16, scale_bits=8)
     text = render_breakdown(layout, top=5)
     assert "more layers" in text
-
-
-def test_row_map_shows_used_and_unused():
-    spec = get_model("mnist", "mini")
-    inputs = {k: rng.uniform(-0.5, 0.5, s) for k, s in spec.inputs.items()}
-    result = synthesize_model(spec, inputs, num_cols=10, scale_bits=5)
-    strip = render_row_map(result.builder, width=32)
-    assert "legend" in strip
-    body = strip.splitlines()[0]
-    assert "." in body        # free rows at the bottom of the grid
-    assert any(c.isalpha() for c in body)  # and gadget-occupied bands

@@ -1,8 +1,13 @@
-"""The lookup rows of the circuit soundness matrix.
+"""The gadget rows of the circuit soundness matrix.
 
-One row per gadget class that declares a lookup, driven by
-``gadget_registry``: a gadget that declares a lookup and has no row here
-fails :func:`test_every_lookup_gadget_has_a_row`.  Each row lays out one
+One row per gadget class, driven by ``gadget_registry``: a gadget with
+neither a lookup row nor a gate row here fails
+:func:`test_every_lookup_gadget_has_a_row`.
+
+A gadget that declares no lookup has a gate row: one honest operation
+whose result cell is then perturbed, which only its gate can catch.
+
+A gadget that declares a lookup has a lookup row.  Each row lays out one
 honest operation and names a forgery of the cells an *active* lookup
 reads that keeps every gate satisfied, so only the lookup argument can
 catch it.  MockProver and ``verify_proof_strict`` must agree on both
@@ -68,8 +73,20 @@ ROWS: Dict[str, Row] = {
     "multirow_max": Row({}, (5, 9), lambda read: {(0, 1): read(0)}),
 }
 
-#: Constructor arguments of the gadgets without a row.
-PARAMS = {"scale_const": {"factor": 3}}
+#: name -> (constructor arguments, operands) of one honest op; a list
+#: operand is a vector (a row gadget's terms)
+GATE_ROWS: Dict[str, Tuple[Dict[str, object], tuple]] = {
+    "add": ({}, (5, -7)),
+    "sub": ({}, (5, -7)),
+    "scale_const": ({"factor": 3}, (11,)),
+    "sum": ({}, (3, -4, 9)),
+    "dot_prod": ({}, ([2, -3], [5, 7])),
+    "dot_prod_bias": ({}, ([2, -3], [5, 7], 11)),
+    "multirow_add": ({}, (5, -7)),
+    "multirow_dot": ({}, ([2, -3], [5, 7])),
+    # relu(-40) = 0 with the sign bit set
+    "bit_decomp_relu": ({}, (-40,)),
+}
 
 
 def builder() -> CircuitBuilder:
@@ -95,6 +112,20 @@ def one_op(name: str, forged: bool) -> CircuitBuilder:
     return b
 
 
+def one_gate_op(name: str, perturbed: bool) -> CircuitBuilder:
+    """A circuit of one ``name`` operation, its result cell honest or
+    one higher."""
+    params, operands = GATE_ROWS[name]
+    b = builder()
+    op = tuple([Entry(v) for v in o] if isinstance(o, list) else Entry(o)
+               for o in operands)
+    (out,) = b.gadget(gadget_registry[name], **params).assign_row([op])
+    if perturbed:
+        column, row = out.cell.column, out.cell.row
+        b.asg.assign_advice(column, row, b.asg.value(column, row) + 1)
+    return b
+
+
 def verifier_accepts(b: CircuitBuilder, monkeypatch) -> bool:
     """Prove (membership check off) and verify strictly."""
     scheme = scheme_by_name("kzg", F)
@@ -114,8 +145,10 @@ def verifier_accepts(b: CircuitBuilder, monkeypatch) -> bool:
 def test_every_lookup_gadget_has_a_row():
     declares: List[str] = []
     for name, cls in sorted(gadget_registry.items()):
+        assert name in ROWS or name in GATE_ROWS, (
+            "gadget %r has no soundness row" % name)
         b = builder()
-        params = ROWS[name].params if name in ROWS else PARAMS.get(name, {})
+        params = ROWS[name].params if name in ROWS else GATE_ROWS[name][0]
         b.gadget(cls, **params)
         if b.cs.lookups:
             declares.append(name)
@@ -143,6 +176,17 @@ def test_mock_prover_and_verifier_agree(name, forged, monkeypatch):
     mock_accepts = not MockProver(b.cs, b.asg).verify()
     assert mock_accepts == (not forged)
     assert verifier_accepts(b, monkeypatch) == mock_accepts
+
+
+@pytest.mark.parametrize("perturbed", [False, True],
+                         ids=["honest", "perturbed"])
+@pytest.mark.parametrize("name", sorted(GATE_ROWS))
+def test_gate_row_mock_prover_and_verifier_agree(name, perturbed,
+                                                 monkeypatch):
+    b = one_gate_op(name, perturbed)
+    failures = MockProver(b.cs, b.asg).verify()
+    assert {f.kind for f in failures} == ({"gate"} if perturbed else set())
+    assert verifier_accepts(b, monkeypatch) == (not perturbed)
 
 
 def test_a_shift_of_minus_one_is_rejected(monkeypatch):

@@ -9,7 +9,6 @@ from repro.resilience import errors
 from repro.resilience.errors import (
     CacheCorruptionError,
     DeadlineExceeded,
-    FreivaldsCheckError,
     LayoutError,
     ProofFormatError,
     ProvingError,
@@ -25,9 +24,8 @@ from repro.resilience.errors import (
 class TestTaxonomy:
     def test_all_errors_are_resilience_errors(self):
         for cls in (SpecError, UnknownNameError, QuantizationRangeError,
-                    LayoutError, ProvingError, FreivaldsCheckError,
-                    CacheCorruptionError, ProofFormatError,
-                    VerificationFailure, DeadlineExceeded):
+                    LayoutError, ProvingError, CacheCorruptionError,
+                    ProofFormatError, VerificationFailure, DeadlineExceeded):
             assert issubclass(cls, ResilienceError)
 
     def test_legacy_value_error_compat(self):

@@ -7,11 +7,8 @@ import pytest
 
 from repro.envelope import verify_envelope
 from repro.halo2.proof import proof_to_bytes
-from repro.layers import linear
-from repro.layers.base import LayoutChoices
 from repro.model import get_model
-from repro.resilience import events
-from repro.resilience.errors import FreivaldsCheckError, VerificationFailure
+from repro.resilience.errors import VerificationFailure
 from repro.runtime import prove_batch, prove_model
 
 rng = np.random.default_rng(41)
@@ -81,32 +78,6 @@ def test_environment_cannot_change_what_the_prover_counts(monkeypatch):
     assert plain.observed_counts["ntt_base"] == 39
     assert with_env.observed_counts == plain.observed_counts
     assert with_env.envelope_bytes() == plain.envelope_bytes()
-
-
-def test_failed_freivalds_check_degrades_to_direct_matmul(monkeypatch):
-    # a Freivalds check that fails once re-synthesizes the whole model
-    # with direct matmul: the proof still verifies, and the degradation
-    # is counted, never silent
-    real = linear._freivalds_synthesize
-    calls = []
-
-    def fails_once(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 1:
-            raise FreivaldsCheckError(
-                "Freivalds challenge check failed: C r != A (B r)")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(linear, "_freivalds_synthesize", fails_once)
-    spec = get_model("dlrm", "mini")
-    events.reset()
-    result = prove_model(spec, mini_inputs(spec),
-                         plan=LayoutChoices(linear="freivalds"))
-    assert result.verify()
-    assert events.counts()["degraded"] == 1
-    assert events.counts()['degraded{reason="freivalds_direct_matmul"}'] == 1
-    assert len(calls) == 1  # the retry ran with no Freivalds layer left
-    events.reset()
 
 
 def prove(spec, batch, **kwargs):

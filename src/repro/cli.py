@@ -643,10 +643,10 @@ def _cmd_serve(args) -> int:
     if args.http_port is not None:
         front_ends.append(HttpFrontEnd(processor,
                                        (args.http_host, args.http_port)))
-    if service._scheduler is not None:
+    if service.config.cluster_workers:
         log.info("cluster:      %d workers, pids %s",
-                 service._scheduler.workers,
-                 service._scheduler.worker_pids())
+                 service.config.cluster_workers,
+                 [w["pid"] for w in service.status()["cluster"]["workers"]])
     _serve_until_signal(front_ends, service.shutdown, "draining...")
     stats = service.stats()
     log.info("served %d requests in %d batches (mean occupancy %.2f)",
@@ -944,10 +944,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bounded queue size (backpressure beyond this)")
     serve.add_argument("--workers", type=int, default=0,
                        help="prover worker *processes* (cluster mode); "
-                            "0 proves in-process on a thread (default)")
+                            "0 proves on one in-process worker thread "
+                            "under the same scheduler (default)")
     serve.add_argument("--pk-cache-dir", default=None, metavar="DIR",
                        help="shared disk-backed proving-key cache the "
-                            "cluster workers attach (keys survive "
+                            "workers attach (keys survive "
                             "restarts; keygen happens once cluster-wide)")
     serve.add_argument("--max-backlog", type=int, default=8,
                        help="per-model batches queued for worker dispatch "

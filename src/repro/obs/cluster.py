@@ -1,8 +1,8 @@
 """Batch telemetry, folded and stitched where a batch resolves.
 
 A served batch is proved by :func:`repro.serve.worker.prove_job`, either
-on the service's own proving thread or — ``zkml serve --workers N`` — in
-a forked worker process, where spans, STATS op counts and
+on the service's in-process worker thread or — ``zkml serve --workers
+N`` — in a forked worker process, where spans, STATS op counts and
 proving-key-cache counters accumulate in an address space the front end
 cannot see.  ``prove_job`` captures them as plain fields of its
 ``BatchResult`` — the span dicts (when the job asks for a trace), the
@@ -17,7 +17,7 @@ module is the other half, the same in both modes:
   (:func:`~repro.obs.metrics.record_prover_run`) and the per-worker
   series (``zkml_worker_prove_seconds_total{worker="2"}``,
   ``zkml_worker_ops_total{worker="2",op="ntt_base"}``, ...; the
-  service's own proving thread is worker ``0``).  The service folds a
+  in-process worker thread is worker ``0``).  The service folds a
   batch once, after its job-table pop, so a crash re-dispatch duplicate
   is never billed; a cluster's ``status`` control op (schema
   ``zkml-serve-status/v2``) and the ``zkml top`` per-worker panel read
@@ -113,7 +113,7 @@ def stitch_batch(tracer: Any, job: Any, result: Any,
 
     Records the ``serve:batch`` span (launch → resolve, timed on
     ``perf_counter`` like every tracer span), a ``serve:queue-wait``
-    child covering the wait for the proving thread or a cluster worker,
+    child covering the wait for a worker (thread or process),
     and ingests the prove's captured span tree under the batch span — a
     worker process's own pid is preserved, so the Chrome export shows
     client → queue-wait → dispatch → worker-prove → resolve with one

@@ -48,7 +48,7 @@ from repro.halo2.circuit import Assignment, ConstraintSystem
 from repro.halo2.keygen import ProvingKey, VerifyingKey, keygen
 from repro.resilience import events
 from repro.resilience.errors import CacheCorruptionError
-from repro.storage import atomic_write, checksum16
+from repro.storage import WRITE_ATTEMPTS, WRITE_BACKOFF_SECONDS, atomic_write, checksum16
 
 try:  # advisory locking is POSIX-only; elsewhere the disk cache still
     import fcntl  # works, it just may duplicate a keygen under a race
@@ -188,11 +188,8 @@ class DiskPKCache:
     reader never observes a half-written artifact.
     """
 
-    def __init__(self, root: str, write_attempts: int = 3,
-                 backoff_seconds: float = 0.05):
+    def __init__(self, root: str):
         self.root = root
-        self.write_attempts = write_attempts
-        self.backoff_seconds = backoff_seconds
         os.makedirs(os.path.join(root, "pk"), exist_ok=True)
         os.makedirs(os.path.join(root, "locks"), exist_ok=True)
         self.loads = 0
@@ -223,12 +220,10 @@ class DiskPKCache:
                 blob = fh.read()
         except OSError:
             return None
-        cause = self._validate_blob(digest, blob)
-        if cause is None:
-            payload = pickle.loads(
-                blob[len(DISK_MAGIC) + _DISK_CHECKSUM_BYTES:])
+        doc, cause = self._decode(digest, blob)
+        if doc is not None:
             self.load_hits += 1
-            return payload["pk"], payload["vk"]
+            return doc["pk"], doc["vk"]
         self.evictions += 1
         try:
             os.unlink(path)
@@ -237,25 +232,27 @@ class DiskPKCache:
         events.recovered("pk_disk_evict", digest=digest[:16], cause=cause)
         return None
 
-    def _validate_blob(self, digest: str, blob: bytes) -> Optional[str]:
-        """``None`` when intact, else the corruption cause."""
+    def _decode(self, digest: str,
+                blob: bytes) -> Tuple[Optional[dict], Optional[str]]:
+        """The stored document, unpickled once, or ``None`` and the
+        corruption cause."""
         if not blob.startswith(DISK_MAGIC):
-            return "bad_magic"
+            return None, "bad_magic"
         body = blob[len(DISK_MAGIC):]
         if len(body) < _DISK_CHECKSUM_BYTES:
-            return "truncated"
+            return None, "truncated"
         checksum, payload = (body[:_DISK_CHECKSUM_BYTES],
                              body[_DISK_CHECKSUM_BYTES:])
         if checksum16(payload) != checksum:
-            return "checksum_mismatch"
+            return None, "checksum_mismatch"
         try:
             doc = pickle.loads(payload)
         except Exception:  # noqa: BLE001 — any unpickle failure is corruption
-            return "unpicklable"
+            return None, "unpicklable"
         if not isinstance(doc, dict) or doc.get("digest") != digest \
                 or "pk" not in doc or "vk" not in doc:
-            return "wrong_object"
-        return None
+            return None, "wrong_object"
+        return doc, None
 
     def store(self, digest: str, pk: ProvingKey, vk: VerifyingKey) -> None:
         """Atomically persist keys for ``digest`` (idempotent)."""
@@ -263,13 +260,13 @@ class DiskPKCache:
         try:
             atomic_write(self.path(digest),
                          DISK_MAGIC + checksum16(payload) + payload,
-                         attempts=self.write_attempts,
-                         backoff_seconds=self.backoff_seconds,
+                         attempts=WRITE_ATTEMPTS,
+                         backoff_seconds=WRITE_BACKOFF_SECONDS,
                          retry_event="pk_disk_write", digest=digest[:16])
         except OSError as exc:
             raise CacheCorruptionError(
                 "could not persist proving keys after %d attempts"
-                % self.write_attempts, digest=digest[:16]) from exc
+                % WRITE_ATTEMPTS, digest=digest[:16]) from exc
         self.stores += 1
 
     def stats(self) -> dict:

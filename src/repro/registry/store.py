@@ -33,7 +33,7 @@ from repro.resilience.errors import (
     UnknownVerifyingKeyError,
     VerificationFailure,
 )
-from repro.storage import atomic_write, checksum16
+from repro.storage import WRITE_ATTEMPTS, WRITE_BACKOFF_SECONDS, atomic_write, checksum16
 
 __all__ = ["INDEX_SCHEMA", "RegistryEntry", "VKRegistry"]
 
@@ -80,11 +80,8 @@ class RegistryEntry:
 class VKRegistry:
     """Content-addressed, checksummed verifying-key store."""
 
-    def __init__(self, root: str, write_attempts: int = 3,
-                 backoff_seconds: float = 0.05):
+    def __init__(self, root: str):
         self.root = root
-        self.write_attempts = write_attempts
-        self.backoff_seconds = backoff_seconds
         os.makedirs(os.path.join(root, "vk"), exist_ok=True)
 
     # -- index ---------------------------------------------------------------
@@ -117,13 +114,13 @@ class VKRegistry:
 
     def _atomic_write(self, path: str, data: bytes, what: str) -> None:
         try:
-            atomic_write(path, data, attempts=self.write_attempts,
-                         backoff_seconds=self.backoff_seconds,
+            atomic_write(path, data, attempts=WRITE_ATTEMPTS,
+                         backoff_seconds=WRITE_BACKOFF_SECONDS,
                          retry_event="registry_write", what=what)
         except OSError as exc:
             raise RegistryError(
                 "could not write registry %s after %d attempts"
-                % (what, self.write_attempts), path=path) from exc
+                % (what, WRITE_ATTEMPTS), path=path) from exc
 
     # -- publish -------------------------------------------------------------
 

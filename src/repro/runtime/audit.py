@@ -143,9 +143,10 @@ def audit(log: AuditLog, registry: VKRegistry,
     is a ``proof`` finding; one proven under another key, or relabeled
     with another model or config digest than the key was published
     with, is a ``model`` finding; a broken hash chain (an entry dropped
-    or reordered) is a ``chain`` finding.  Returns the findings; an
-    empty list means the log is clean.  The auditor needs only public
-    data — never the weights.
+    or reordered) is a ``chain`` finding.  A finding names its entry by
+    position in the log, never by the index the provider wrote.  Returns
+    the findings; an empty list means the log is clean.  The auditor
+    needs only public data — never the weights.
 
     A ``freivalds`` layout derives its challenge constants from the
     operands, so its key depends on the input: every entry whose key is
@@ -155,14 +156,14 @@ def audit(log: AuditLog, registry: VKRegistry,
     vk, published = registry.resolve(vk_hash)
     findings: List[AuditFinding] = []
     prev = b"\x00" * 32
-    for entry in log.entries:
+    for position, entry in enumerate(log.entries):
         env, problem = _check_envelope(entry.envelope, vk, published)
         if problem is not None:
-            findings.append(AuditFinding(entry.index, *problem))
+            findings.append(AuditFinding(position, *problem))
         if (env is not None and entry.chain_digest
                 != _chain(prev, entry.input_digest, env.vk_hash)):
             findings.append(AuditFinding(
-                index=entry.index, kind="chain",
+                index=position, kind="chain",
                 detail="hash chain broken (entry reordered or dropped)",
             ))
         prev = entry.chain_digest

@@ -1,16 +1,16 @@
-"""Cluster scheduler: flushed batches → prover worker processes.
+"""The scheduler: flushed batches → prover workers.
 
 The micro-batcher (:class:`~repro.serve.service.ProvingService`) turns
-requests into batches; this module turns batches into *throughput* by
-fanning them across N single-purpose worker processes
-(:mod:`repro.serve.worker`).  Layout::
+requests into batches; this module alone hands them to workers running
+:func:`~repro.serve.worker.worker_main`: N worker processes, or with
+``workers=0`` one daemon thread of the service's process.  Layout::
 
-    micro-batcher ──▶ ClusterScheduler ──▶ worker 0 (process)
+    micro-batcher ──▶ ClusterScheduler ──▶ worker 0 (process or thread)
                         │  per-model         worker 1 (process)
                         │  priority queues    ...
-                        ◀────────────── shared result queue
+                        ◀────────────── shared result queue (processes)
 
-Responsibilities:
+Responsibilities, the same for either kind of worker:
 
 - **per-model dispatch queues, two priority classes** — every batch
   lands in its model's ``interactive`` or ``bulk`` deque.  Dispatch
@@ -21,13 +21,16 @@ Responsibilities:
   the newest queued bulk batch (shed, typed overload error) before being
   rejected itself; bulk overflow sheds the incoming batch.  Shedding
   fails futures fast instead of letting queue time grow without bound;
+- **event-driven dispatch** — ``enqueue`` and each settled result hand
+  queued batches to idle workers; the monitor only polls liveness.  The
+  in-process worker settles its own results (no hand-off, no contention);
 - **crash recovery** — a worker process that dies (SIGKILL, OOM,
   segfault) is detected by liveness polling: its in-flight batch is
   re-queued at the *front* of its priority class and a replacement
   worker is spawned.  A batch that out-lives ``redispatch_limit``
   workers is declared poison and failed with a typed
   :class:`~repro.resilience.errors.WorkerCrashError` — one bad batch
-  can never crash-loop the whole pool;
+  can never crash-loop the whole pool (a thread worker cannot crash);
 - **at-most-once resolution** — a worker that manages to ship its
   result *and* die before the scheduler notices produces both a result
   and a re-dispatch; the service's job table resolves the first and
@@ -44,10 +47,12 @@ from __future__ import annotations
 
 import bisect
 import multiprocessing as mp
+import os
 import queue as queue_mod
 import threading
 import time
 from collections import deque
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs import log as obs_log
@@ -63,6 +68,10 @@ PRIORITIES = ("interactive", "bulk")
 
 log = obs_log.get_logger("serve")
 
+#: How often the monitor polls worker liveness; also a draining
+#: shutdown's wait granularity.  Dispatch does not wait on it.
+MONITOR_TICK_SECONDS = 0.01
+
 
 def _mp_context():
     methods = mp.get_all_start_methods()
@@ -70,23 +79,26 @@ def _mp_context():
 
 
 class _WorkerHandle:
-    """One worker process plus its private job queue; ``batches_before``
-    is its logical worker's batch count when this process was spawned."""
+    """One worker plus its private job queue: a process of ``ctx``, or a
+    thread of this process when ``ctx`` is None (its ``pid`` is ours).
+    ``batches_before`` is its logical worker's batch count at spawn."""
 
     def __init__(self, worker_id: int, ctx, result_queue,
                  pk_cache_dir: Optional[str], batches_before: int = 0):
         self.worker_id = worker_id
-        self.job_queue = ctx.Queue()
+        self.in_process = ctx is None
+        self.job_queue = queue_mod.Queue() if ctx is None else ctx.Queue()
         self.current: Optional[BatchJob] = None
         self.batches_before = batches_before
         self.started_at = time.monotonic()
-        self.process = ctx.Process(
+        self.runner = (threading.Thread if ctx is None else ctx.Process)(
             target=worker_main,
             args=(worker_id, self.job_queue, result_queue, pk_cache_dir),
             name="zkml-prover-%d" % worker_id,
             daemon=True,
         )
-        self.process.start()
+        self.runner.start()
+        self.pid = os.getpid() if self.in_process else self.runner.pid
 
     @property
     def busy(self) -> bool:
@@ -94,15 +106,25 @@ class _WorkerHandle:
 
     @property
     def alive(self) -> bool:
-        return self.process.is_alive()
+        return self.runner.is_alive()
+
+    def join(self) -> None:
+        """Wait for the worker after its ``STOP``; terminate a straggling
+        process (a daemon thread is left to finish its batch)."""
+        self.runner.join(timeout=5.0)
+        if self.runner.is_alive() and not self.in_process:
+            self.runner.terminate()
+            self.runner.join(timeout=2.0)
 
 
 class ClusterScheduler:
-    """Dispatch batches over a pool of prover worker processes.
+    """Dispatch batches over ``workers`` prover processes, or over one
+    in-process worker thread when ``workers`` is 0.
 
-    ``on_result(result)`` fires on the scheduler's result thread for
-    every finished batch (including typed failures; a poison batch's
-    fires on the monitor thread); ``on_shed(job, reason)`` fires for
+    ``on_result(result)`` fires on the collector thread, or the
+    in-process worker's, for every finished batch (including typed
+    failures; a poison batch's fires on the monitor thread);
+    ``on_shed(job, reason)`` fires for
     batches dropped by load
     shedding (``reason="overload"``) or a non-draining shutdown
     (``reason="shutdown"``).  Both callbacks must be thread-safe.
@@ -119,21 +141,22 @@ class ClusterScheduler:
                  pk_cache_dir: Optional[str] = None,
                  max_backlog_batches: int = 8,
                  redispatch_limit: int = 2,
-                 tick_seconds: float = 0.01,
                  runtime: Optional[RuntimeTelemetry] = None):
-        if workers < 1:
-            raise ValueError("a cluster needs at least one worker")
+        if workers < 0:
+            raise ValueError("workers must be >= 0")
         self.workers = workers
         self.on_result = on_result
         self.on_shed = on_shed
         self.pk_cache_dir = pk_cache_dir
         self.max_backlog_batches = max_backlog_batches
         self.redispatch_limit = redispatch_limit
-        self.tick_seconds = tick_seconds
         self.metrics = metrics
         self.runtime = runtime if runtime is not None else RuntimeTelemetry()
-        self._ctx = _mp_context()
-        self._result_queue = self._ctx.Queue()
+        #: ``None`` for the in-process worker: no processes, and its
+        #: "result queue" settles each result on the worker's own thread.
+        self._ctx = _mp_context() if workers else None
+        self._result_queue = SimpleNamespace(put=self._collect) \
+            if self._ctx is None else self._ctx.Queue()
         self._handles: List[_WorkerHandle] = []
         self._backlog: Dict[str, Dict[str, deque]] = {}
         #: Per class, the model served last ('' sorts before every name).
@@ -157,17 +180,18 @@ class ClusterScheduler:
         if self._running:
             return self
         self._running = True
-        for worker_id in range(self.workers):
+        for worker_id in range(max(1, self.workers)):
             self._handles.append(self._spawn(worker_id))
         self._monitor = threading.Thread(target=self._monitor_loop,
                                          name="zkml-cluster-monitor",
                                          daemon=True)
-        self._collector = threading.Thread(target=self._collect_loop,
-                                           name="zkml-cluster-results",
-                                           daemon=True)
         self._monitor.start()
-        self._collector.start()
-        log.debug("cluster started", workers=self.workers,
+        if self._ctx is not None:
+            self._collector = threading.Thread(target=self._collect_loop,
+                                               name="zkml-cluster-results",
+                                               daemon=True)
+            self._collector.start()
+        log.debug("scheduler started", workers=self.workers,
                   pk_cache_dir=self.pk_cache_dir or "")
         return self
 
@@ -187,7 +211,7 @@ class ClusterScheduler:
         Without ``drain`` every queued batch is shed
         (``reason="shutdown"``) so its futures fail typed instead of
         hanging.  Workers get a ``STOP`` sentinel and a bounded join;
-        stragglers are terminated.
+        straggling processes are terminated.
         """
         with self._lock:
             if self._closed:
@@ -203,7 +227,7 @@ class ClusterScheduler:
                     break
                 if deadline is not None and time.monotonic() > deadline:
                     break
-                time.sleep(self.tick_seconds)
+                time.sleep(MONITOR_TICK_SECONDS)
         else:
             for job in self._drain_backlog():
                 self._count_shed(job, "shutdown")
@@ -215,16 +239,15 @@ class ClusterScheduler:
             except (OSError, ValueError):  # pragma: no cover - dead feeder
                 pass
         for handle in self._handles:
-            handle.process.join(timeout=5.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=2.0)
+            handle.join()
         self._running = False
         if self._monitor is not None:
             self._monitor.join(timeout=2.0)
         if self._collector is not None:
+            self._result_queue.put(STOP)
             self._collector.join(timeout=2.0)
-        self._result_queue.cancel_join_thread()
+        if self._ctx is not None:
+            self._result_queue.cancel_join_thread()
 
     def _drain_backlog(self) -> List[BatchJob]:
         out: List[BatchJob] = []
@@ -238,21 +261,17 @@ class ClusterScheduler:
 
     # -- intake --------------------------------------------------------------
 
-    def _backlog_total(self, model: Optional[str] = None) -> int:
-        if model is not None:
-            queues = self._backlog.get(model)
-            if queues is None:
-                return 0
-            return sum(len(queues[p]) for p in PRIORITIES)
+    def _backlog_total(self) -> int:
         return sum(len(q[p]) for q in self._backlog.values()
                    for p in PRIORITIES)
 
     def enqueue(self, job: BatchJob) -> bool:
         """Queue one batch for dispatch; ``False`` if it was shed.
 
-        Shedding (and the eviction of a queued bulk victim making room
-        for an interactive batch) invokes ``on_shed`` synchronously on
-        the caller's thread.
+        An accepted batch is handed to an idle worker, if there is one,
+        before this returns.  Shedding (and the eviction of a queued bulk
+        victim making room for an interactive batch) invokes ``on_shed``
+        synchronously on the caller's thread.
         """
         model = job.spec.name
         victim: Optional[BatchJob] = None
@@ -287,7 +306,9 @@ class ClusterScheduler:
             reason = "shutdown" if self._closed else "overload"
             self._count_shed(job, reason)
             self.on_shed(job, reason)
-        return accepted
+            return False
+        self._dispatch_ready()
+        return True
 
     def _count_shed(self, job: BatchJob, reason: str) -> None:
         self.metrics.counter(
@@ -320,8 +341,7 @@ class ClusterScheduler:
     def _monitor_loop(self) -> None:
         while self._running:
             self._reap_dead()
-            self._dispatch_ready()
-            time.sleep(self.tick_seconds)
+            time.sleep(MONITOR_TICK_SECONDS)
 
     def _next_job(self) -> Optional[BatchJob]:
         """The next batch to dispatch: interactive before bulk, and within
@@ -339,6 +359,7 @@ class ClusterScheduler:
         return None
 
     def _dispatch_ready(self) -> None:
+        """Hand queued batches to idle live workers until either runs out."""
         while True:
             with self._lock:
                 idle = next((h for h in self._handles
@@ -351,15 +372,14 @@ class ClusterScheduler:
                 idle.current = job
                 job.dispatched_pc = time.perf_counter()
                 self._update_backlog_gauges()
-            queue_seconds = job.dispatched_pc - job.enqueued_pc \
-                if job.enqueued_pc else 0.0
+            queue_seconds = job.dispatched_pc - job.enqueued_pc
             self.metrics.histogram(
                 "zkml_scheduler_dispatch_seconds",
                 "batch queue wait: enqueue to worker dispatch",
             ).observe(queue_seconds)
             self.metrics.counter(
                 "zkml_scheduler_dispatched_total",
-                "batches handed to a worker process",
+                "batches handed to a worker",
                 model=job.spec.name, priority=job.priority).inc()
             self.runtime.note("batch_dispatched", batch_id=job.batch_id,
                               worker=idle.worker_id, model=job.spec.name,
@@ -373,27 +393,31 @@ class ClusterScheduler:
                 return
 
     def _reap_dead(self) -> None:
+        """Replace every dead worker, re-queue its batch at the front of
+        its class (or fail it as poison past ``redispatch_limit``), then
+        dispatch to the replacements."""
         if self._stopping:
             return
         poisoned: List[BatchJob] = []
+        reaped = False
         with self._lock:
             for index, handle in enumerate(self._handles):
                 if handle.alive:
                     continue
+                reaped = True
                 job = handle.current
+                exitcode = getattr(handle.runner, "exitcode", None)
                 self.metrics.counter(
                     "serve_worker_restarts_total",
                     "prover worker processes replaced after a crash",
                 ).inc()
                 self.runtime.note("worker_respawned",
                                   worker=handle.worker_id,
-                                  pid=handle.process.pid,
-                                  exitcode=handle.process.exitcode,
+                                  pid=handle.pid, exitcode=exitcode,
                                   inflight=job.batch_id if job else "")
                 log.warning("worker died; respawning",
                             worker=handle.worker_id,
-                            pid=handle.process.pid,
-                            exitcode=handle.process.exitcode,
+                            pid=handle.pid, exitcode=exitcode,
                             inflight=job.batch_id if job else "")
                 self._handles[index] = self._spawn(handle.worker_id)
                 if job is None:
@@ -432,50 +456,55 @@ class ClusterScheduler:
                     "declared poison" % (job.redispatches,
                                          self.redispatch_limit),
                     model=job.spec.name, batch_id=job.batch_id)))
+        if reaped:
+            self._dispatch_ready()
 
     def _observe_class_slo(self, job: BatchJob, ok: bool) -> None:
         """Feed one finished batch into its priority class's SLO windows."""
-        if not job.enqueued_pc:
-            return
-        tracker = self.class_slo.get(job.priority)
-        if tracker is None:
-            return
-        tracker.observe(time.perf_counter() - job.enqueued_pc, ok=ok,
-                        occupancy=job.occupancy)
+        self.class_slo[job.priority].observe(
+            time.perf_counter() - job.enqueued_pc, ok=ok,
+            occupancy=job.occupancy)
 
     def _collect_loop(self) -> None:
-        while self._running:
+        # blocks until a result or shutdown's STOP: no idle wake-ups
+        while True:
             try:
-                result = self._result_queue.get(timeout=self.tick_seconds)
-            except (queue_mod.Empty, OSError, ValueError):
-                continue
-            job = None
-            with self._lock:
-                for handle in self._handles:
-                    current = handle.current
-                    if current is not None \
-                            and current.job_id == result.job_id:
-                        handle.current = None
-                        self._last[handle.worker_id] = {
-                            "last_batch_id": result.batch_id,
-                            "last_prove_seconds": result.proving_seconds,
-                            "pk_cache": dict(result.pk_cache),
-                        }
-                        job = current
-                        break
-            if job is not None:
-                self._observe_class_slo(job, ok=result.ok)
-            # else: a result from a worker already reaped (it shipped the
-            # result and then died); the re-dispatched duplicate is still
-            # queued — resolve with this one, the service's job table
-            # drops whichever lands second (and bills only the first)
-            self.on_result(result)
+                result = self._result_queue.get()
+            except (OSError, ValueError):  # the queue was closed under us
+                return
+            if result is STOP:
+                return
+            self._collect(result)
+
+    def _collect(self, result: BatchResult) -> None:
+        """Free ``result``'s worker, hand it the next batch, pass it on."""
+        job = None
+        with self._lock:
+            for handle in self._handles:
+                current = handle.current
+                if current is not None and current.job_id == result.job_id:
+                    handle.current = None
+                    self._last[handle.worker_id] = {
+                        "last_batch_id": result.batch_id,
+                        "last_prove_seconds": result.proving_seconds,
+                        "pk_cache": dict(result.pk_cache),
+                    }
+                    job = current
+                    break
+        if job is not None:
+            self._observe_class_slo(job, ok=result.ok)
+            self._dispatch_ready()
+        # else: a result from a worker already reaped (it shipped the
+        # result and then died); the re-dispatched duplicate is still
+        # queued — resolve with this one, the service's job table drops
+        # whichever lands second (and bills only the first)
+        self.on_result(result)
 
     # -- introspection -------------------------------------------------------
 
-    def worker_pids(self) -> List[int]:
+    def alive_workers(self) -> int:
         with self._lock:
-            return [h.process.pid for h in self._handles if h.process.pid]
+            return sum(1 for h in self._handles if h.alive)
 
     def _telemetry(self, worker_id: int, batches: int) -> Dict[str, Any]:
         """One worker's ``telemetry`` block, read from its series."""
@@ -518,7 +547,7 @@ class ClusterScheduler:
                 batches = self._worker_batches(handle.worker_id)
                 snap: Dict[str, object] = {
                     "id": handle.worker_id,
-                    "pid": handle.process.pid,
+                    "pid": handle.pid,
                     "alive": handle.alive,
                     "busy": handle.busy,
                     "batches_done": batches - handle.batches_before,

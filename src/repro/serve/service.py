@@ -26,12 +26,12 @@ request-serving loop.  The moving parts:
   instance, this request's slot, its outputs, and its verification
   status (every batch is strict-verified before any future resolves);
 - **one way to run a batch** — every flushed group is registered in
-  one job table, proved by :func:`~repro.serve.worker.prove_job` and
-  resolved from its :class:`~repro.serve.worker.BatchResult` by one
-  handler; the mode (``cluster_workers``) decides only *where*
-  ``prove_job`` runs — the service's own proving thread, in flush
-  order, or a :class:`~repro.serve.scheduler.ClusterScheduler` worker
-  process;
+  one job table, dispatched by the
+  :class:`~repro.serve.scheduler.ClusterScheduler`, proved by
+  :func:`~repro.serve.worker.prove_job` and resolved from its
+  :class:`~repro.serve.worker.BatchResult` by one handler;
+  ``cluster_workers`` decides only *where* the worker runs — one thread
+  of this process (``0``) or N worker processes;
 - **resilience** — a failed batch fails *only* its own requests, with
   the typed error as raised;
 - **graceful drain** — ``shutdown(drain=True)`` stops intake, flushes
@@ -66,14 +66,13 @@ Runtime telemetry (:mod:`repro.obs.runtime`) makes the running service
 
 from __future__ import annotations
 
-import functools
 import itertools
 import queue as queue_mod
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -93,7 +92,7 @@ from repro.resilience.errors import (
     ServiceShutdownError,
 )
 from repro.serve.scheduler import PRIORITIES, ClusterScheduler
-from repro.serve.worker import BatchJob, BatchResult, prove_job
+from repro.serve.worker import BatchJob, BatchResult
 
 __all__ = [
     "BatchKey",
@@ -120,23 +119,15 @@ FLUSH_FRACTION = 0.25
 #: Dispatcher poll interval (also bounds flush-deadline resolution).
 TICK_SECONDS = 0.002
 
-#: Threads proving flushed batches in the in-process mode: batches prove
-#: one at a time, in flush order.  Proving several at once is what
-#: ``cluster_workers`` processes are for.
-PROVING_THREADS = 1
-
 _STOP = object()
 
-#: ``stats()`` keys and the registry series each one totals; a cluster
-#: adds the scheduler's.
+#: ``stats()`` keys and the registry series each one totals.
 _STATS_SERIES = (
     ("requests", "serve_requests_total"),
     ("rejected", "serve_rejected_total"),
     ("batches", "serve_batches_total"),
     ("proofs", "serve_proofs_total"),
     ("failed_batches", "serve_failed_batches_total"),
-)
-_CLUSTER_STATS_SERIES = (
     ("worker_restarts", "serve_worker_restarts_total"),
     ("redispatched_batches", "serve_redispatched_batches_total"),
     ("shed_batches", "serve_shed_batches_total"),
@@ -180,21 +171,20 @@ class ServeConfig:
     #: overload storm).  ``None`` disables automatic dumps; the ring
     #: still records and can be dumped on demand.
     flight_path: Optional[str] = None
-    #: Prover worker *processes* (the cluster).  ``0`` is the in-process
-    #: mode: batches prove on the service's own proving thread.  ``N>=1``
-    #: spawns N worker processes fed by the cluster scheduler and no
-    #: proving thread is created.
+    #: Prover worker *processes* (the cluster).  ``0`` runs one
+    #: in-process worker thread under the same scheduler; ``N>=1``
+    #: spawns N worker processes.
     cluster_workers: int = 0
-    #: Directory of the shared disk-backed proving-key cache cluster
-    #: workers attach (:class:`~repro.perf.pkcache.DiskPKCache`): keygen
-    #: happens once per circuit cluster-wide and keys survive restarts.
-    #: ``None`` leaves each worker with only its in-memory cache.
+    #: Directory of the shared disk-backed proving-key cache the workers
+    #: attach (:class:`~repro.perf.pkcache.DiskPKCache`): keygen happens
+    #: once per circuit cluster-wide and keys survive restarts.  ``None``
+    #: leaves each worker with only its in-memory cache.
     pk_cache_dir: Optional[str] = None
     #: Per-model cap on batches queued for worker dispatch; beyond it the
     #: scheduler sheds (bulk first) with a typed overload error.
     max_backlog_batches: int = 8
-    #: Worker crashes one batch may survive before it is declared poison
-    #: and failed with :class:`~repro.resilience.errors.WorkerCrashError`.
+    #: Worker-process crashes one batch may survive before it is declared
+    #: poison (:class:`~repro.resilience.errors.WorkerCrashError`).
     redispatch_limit: int = 2
 
 
@@ -242,7 +232,7 @@ class ProofResponse:
     batch_size: int
     padded_size: int
     #: End-to-end latency minus ``BatchResult.batch_seconds``: all the
-    #: waiting — queue, flush, and for the proving thread or a worker.
+    #: waiting — queue, flush, and for a worker.
     queue_seconds: float
     #: Wall-clock of the *whole batch proof* this request rode in.
     prove_seconds: float
@@ -282,10 +272,17 @@ class ProvingService:
         self._started = False
         self._started_at: Optional[float] = None
         self._dispatcher: Optional[threading.Thread] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._scheduler: Optional[ClusterScheduler] = None
-        #: Where a launched job goes to be proved; chosen in start().
-        self._dispatch: Optional[Callable[[BatchJob], object]] = None
+        #: The only way a launched job reaches a prover.
+        self._scheduler = ClusterScheduler(
+            workers=self.config.cluster_workers,
+            on_result=self._on_result,
+            on_shed=self._on_shed,
+            metrics=self.metrics,
+            pk_cache_dir=self.config.pk_cache_dir,
+            max_backlog_batches=self.config.max_backlog_batches,
+            redispatch_limit=self.config.redispatch_limit,
+            runtime=self.runtime,
+        )
         self._job_ids = itertools.count(1)
         # the job table: job_id -> (group, job) for every launched,
         # unresolved batch.  Popped exactly once, so a crash-re-dispatch
@@ -306,40 +303,23 @@ class ProvingService:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "ProvingService":
-        """Spawn the dispatcher thread and the proving worker pool."""
+        """Start the scheduler's workers, then the dispatcher thread."""
         if self._started:
             return self
         self._started = True
         self._started_at = time.monotonic()
         events.add_listener(self._events_listener)
-        self.runtime.note("service_started", workers=PROVING_THREADS,
+        self.runtime.note("service_started",
                           cluster_workers=self.config.cluster_workers,
                           max_batch=self.config.max_batch,
                           max_queue=self.config.max_queue)
-        if self.config.cluster_workers > 0:
-            # fork the worker processes before any service thread exists
-            self._scheduler = ClusterScheduler(
-                workers=self.config.cluster_workers,
-                on_result=self._on_result,
-                on_shed=self._on_shed,
-                metrics=self.metrics,
-                pk_cache_dir=self.config.pk_cache_dir,
-                max_backlog_batches=self.config.max_backlog_batches,
-                redispatch_limit=self.config.redispatch_limit,
-                runtime=self.runtime,
-            ).start()
-            self._dispatch = self._scheduler.enqueue
-        else:
-            self._pool = ThreadPoolExecutor(
-                max_workers=PROVING_THREADS,
-                thread_name_prefix="zkml-serve")
-            self._dispatch = functools.partial(self._pool.submit,
-                                               self._prove_inline)
+        # any worker processes fork before the dispatcher thread exists
+        self._scheduler.start()
         self._dispatcher = threading.Thread(target=self._dispatch_loop,
                                             name="zkml-serve-dispatch",
                                             daemon=True)
         self._dispatcher.start()
-        log.debug("service started", workers=PROVING_THREADS,
+        log.debug("service started",
                   cluster_workers=self.config.cluster_workers,
                   max_batch=self.config.max_batch,
                   max_queue=self.config.max_queue)
@@ -372,10 +352,7 @@ class ProvingService:
         if not drain:
             self._fail_queued(ServiceShutdownError(
                 "service shut down without draining"))
-        if self._scheduler is not None:
-            self._scheduler.shutdown(drain=drain, timeout=timeout)
-        else:
-            self._pool.shutdown(wait=True)  # launched batches finish
+        self._scheduler.shutdown(drain=drain, timeout=timeout)
         # anything still tracked (worker terminated at the join
         # deadline, non-drain shutdown) fails typed, never hangs
         with self._lock:
@@ -422,7 +399,7 @@ class ProvingService:
         when the caller does not supply it (clients usually mint their
         own so their logs correlate with the server's).  ``priority``
         picks the dispatch class (``interactive`` beats ``bulk`` at the
-        cluster scheduler, and bulk is shed first under overload).
+        scheduler, and bulk is shed first under overload).
 
         Raises :class:`ServiceShutdownError` after shutdown and
         :class:`ServiceOverloadedError` when the queue is full (after
@@ -549,14 +526,12 @@ class ProvingService:
             padded_size=padded_size,
             priority=key.priority,
             trace=self.tracer.enabled,
-            # starts the serve:batch span recorded at resolve
-            enqueued_pc=time.perf_counter(),
         )
         with self._lock:
             self._jobs[job.job_id] = (group, job)
         # a job the scheduler sheds fires _on_shed synchronously, which
         # pops the entry back out and fails the group typed
-        self._dispatch(job)
+        self._scheduler.enqueue(job)
 
     # -- batch proving -------------------------------------------------------
 
@@ -579,19 +554,13 @@ class ProvingService:
                 padded_size - len(batch_inputs))
         return batch_inputs, padded_size
 
-    def _prove_inline(self, job: BatchJob) -> None:
-        """The in-process hand-off, run on the service's own proving
-        thread (worker ``0``): no backlog cap, shedding or priorities —
-        jobs prove one at a time, in flush order."""
-        job.dispatched_pc = time.perf_counter()
-        self._on_result(prove_job(job, worker_id=0))
-
     def _on_result(self, result: BatchResult) -> None:
         """Resolve or fail one batch from its result.
 
-        Runs on the proving thread, or on the scheduler's collector
-        thread.  The job-table pop is the at-most-once gate: a cluster
-        worker that shipped its result and then died gets re-dispatched,
+        Runs on the scheduler's collector thread, or the in-process
+        worker's (a poison batch's on the scheduler's monitor thread).
+        The job-table pop is the at-most-once gate: a worker process
+        that shipped its result and then died gets re-dispatched,
         and whichever of the two results lands second finds no entry and
         is dropped.
         """
@@ -749,26 +718,24 @@ class ProvingService:
 
     def health(self) -> Dict[str, object]:
         """A cheap liveness probe: reads in-memory counters and never
-        touches the prover.  ``ok`` means the service is accepting (and,
-        in a cluster, that a worker is alive); ``saturated`` warns that
-        backpressure is imminent."""
+        touches the prover.  ``ok`` means the service is accepting and a
+        worker is alive; ``saturated`` warns that backpressure is
+        imminent."""
         depth = self._queue.qsize()
         headroom = max(0, self.config.max_queue - depth)
         accepting = self._started and not self._closed
-        out = {
-            "ok": accepting,
+        inflight = len(self._jobs)
+        alive = self._scheduler.alive_workers()
+        return {
+            "ok": accepting and alive > 0,
             "accepting": accepting,
             "queue_depth": depth,
             "queue_headroom": headroom,
             "saturated": headroom == 0,
-            "inflight_batches": len(self._jobs),
+            "inflight_batches": inflight,
+            "workers_alive": alive,
+            "workers": self.config.cluster_workers,
         }
-        if self._scheduler is not None:
-            alive = self._scheduler.status()["alive"]
-            out["workers_alive"] = alive
-            out["workers"] = self._scheduler.workers
-            out["ok"] = accepting and alive > 0
-        return out
 
     def status(self) -> Dict[str, object]:
         """The full operator snapshot (the ``status`` op / ``zkml top``).
@@ -782,7 +749,7 @@ class ProvingService:
                 pending[key.model] = pending.get(key.model, 0) + len(group)
             inflight = len(self._jobs)
             outstanding = self._outstanding
-        out: Dict[str, object] = {
+        return {
             "schema": "zkml-serve-status/v2",
             "uptime_seconds": round(now - self._started_at, 3)
             if self._started_at is not None else 0.0,
@@ -801,19 +768,16 @@ class ProvingService:
                 "flush_deadline_seconds": round(self._flush_deadline(), 4),
                 "ema_prove_seconds": round(self._ema_prove_seconds, 4)
                 if self._ema_prove_seconds is not None else None,
-                "workers": PROVING_THREADS,
             },
             "counters": self.stats(),
             "pk_cache": GLOBAL_PK_CACHE.stats(),
             "field_kernel": {"lanes": native.lane_width()},
             "resilience": events.counts(),
-            "mode": "cluster" if self._scheduler is not None else "inline",
+            "mode": "cluster" if self.config.cluster_workers else "inline",
+            "cluster": self._scheduler.status(),
+            "slo": self.runtime.slo.snapshot(),
+            "flight_recorder": self.runtime.recorder_status(),
         }
-        if self._scheduler is not None:
-            out["cluster"] = self._scheduler.status()
-        out["slo"] = self.runtime.slo.snapshot()
-        out["flight_recorder"] = self.runtime.recorder_status()
-        return out
 
     def stats(self) -> Dict[str, float]:
         """A plain-dict snapshot (the smoke test's assertion surface),
@@ -827,7 +791,4 @@ class ProvingService:
                                  if occupancy and occupancy[1] else 0.0)
         if self._ema_prove_seconds is not None:
             out["ema_prove_seconds"] = round(self._ema_prove_seconds, 4)
-        if self._scheduler is not None:
-            out.update((key, int(total(series)))
-                       for key, series in _CLUSTER_STATS_SERIES)
         return out

@@ -3,11 +3,11 @@
 A flushed batch is a :class:`BatchJob`; :func:`prove_job` proves it with
 :func:`~repro.runtime.pipeline.prove_batch`, strict-verifies the proof,
 encodes the envelope and packages everything as a :class:`BatchResult`.
-The service decides only *where* that runs: on its own proving thread
-(worker ``0``) or in a cluster worker process running
-:func:`worker_main` — a loop that takes jobs off its private job queue
-and ships results back on the shared result queue.  Everything in a job
-or a result is a plain picklable dataclass — proof *bytes*, not live
+Every worker — one thread of the service's process with ``--workers
+0``, else N worker processes — runs it in :func:`worker_main`, a loop
+that takes jobs off its private job queue and puts each result on the
+scheduler's (for processes, the shared result queue).  Everything in a
+job or a result is a plain picklable dataclass — proof *bytes*, not live
 :class:`~repro.halo2.Proof` objects, and the typed error itself, not its
 name — so it reads the same on either side of a process boundary.
 
@@ -72,8 +72,8 @@ class BatchJob:
     #: Record the prove's span tree and ship it back in the result: set
     #: when the job is built, iff the service's tracer is enabled.
     trace: bool = False
-    #: ``time.perf_counter`` stamps: launch, and hand-off to whatever
-    #: runs :func:`prove_job` (0.0 = unset).  perf_counter is
+    #: ``time.perf_counter`` stamps the scheduler sets: enqueue, and
+    #: hand-off to a worker (0.0 = unset).  perf_counter is
     #: CLOCK_MONOTONIC on Linux, so these are directly comparable with
     #: worker-side span timestamps after a fork.
     enqueued_pc: float = 0.0
@@ -87,8 +87,8 @@ class BatchResult:
     job_id: int
     batch_id: str
     ok: bool
-    #: ``0`` on the service's own proving thread, the logical worker id
-    #: in a cluster, ``-1`` when no worker produced it (a poison batch).
+    #: The logical worker id (``0`` for the in-process worker), ``-1``
+    #: when no worker produced it (a poison batch).
     worker_id: int
     pid: int
     #: The typed failure, as raised (``None`` when ``ok``; ``ok`` means
@@ -160,7 +160,7 @@ def prove_job(job: BatchJob, worker_id: int) -> BatchResult:
                 phase_seconds=proved.phase_seconds)
         except ResilienceError as exc:
             result.error = exc
-        except Exception as exc:  # noqa: BLE001 — a crash must fail its batch, not the proving thread or the worker loop
+        except Exception as exc:  # noqa: BLE001 — a crash must fail its batch, not the worker loop
             result.error = ServiceError(
                 "batch proving crashed: %s: %s"
                 % (type(exc).__name__, str(exc)[:200]),
@@ -175,22 +175,27 @@ def prove_job(job: BatchJob, worker_id: int) -> BatchResult:
 
 def worker_main(worker_id: int, job_queue, result_queue,
                 pk_cache_dir: Optional[str] = None) -> None:
-    """Entry point of a prover worker process.
+    """Entry point of a prover worker (a process or a thread).
 
     Blocks on ``job_queue``; a ``STOP`` (``None``) sentinel ends the
-    loop.  SIGINT is ignored so a Ctrl-C at the operator's terminal
-    drains through the scheduler instead of killing workers mid-batch
-    (SIGTERM/SIGKILL still work — that is what the crash-recovery path
-    is for).
+    loop.  A worker process ignores SIGINT so a Ctrl-C at the operator's
+    terminal drains through the scheduler instead of killing workers
+    mid-batch (SIGTERM/SIGKILL still work — that is what the
+    crash-recovery path is for).  The disk cache is attached only while
+    the loop runs, so a thread leaves ``GLOBAL_PK_CACHE`` as it was.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
+    except (ValueError, OSError):  # not the main thread
         pass
+    previous_disk = GLOBAL_PK_CACHE.disk
     if pk_cache_dir:
         GLOBAL_PK_CACHE.attach_disk(pk_cache_dir)
-    while True:
-        job = job_queue.get()
-        if job is STOP:
-            return
-        result_queue.put(prove_job(job, worker_id))
+    try:
+        while True:
+            job = job_queue.get()
+            if job is STOP:
+                return
+            result_queue.put(prove_job(job, worker_id))
+    finally:
+        GLOBAL_PK_CACHE.attach_disk(previous_disk)

@@ -17,7 +17,13 @@ from typing import Any
 
 from repro.resilience import events
 
-__all__ = ["checksum16", "atomic_write"]
+__all__ = ["checksum16", "atomic_write", "WRITE_ATTEMPTS",
+           "WRITE_BACKOFF_SECONDS"]
+
+#: How many times the registry and the disk proving-key cache try a
+#: write, and the backoff before the first retry (doubling after).
+WRITE_ATTEMPTS = 3
+WRITE_BACKOFF_SECONDS = 0.05
 
 
 def checksum16(data: bytes) -> bytes:

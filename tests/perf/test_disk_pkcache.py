@@ -20,6 +20,7 @@ import pytest
 
 from repro.commit import scheme_by_name
 from repro.field import GOLDILOCKS
+from repro.perf import pkcache
 from repro.perf.pkcache import (
     DISK_MAGIC,
     DiskPKCache,
@@ -265,8 +266,9 @@ class TestWriteFailure:
     def test_persistent_write_failure_raises_and_cleans_tmp(
             self, tmp_path, circuit, scheme, monkeypatch):
         events.reset()
+        monkeypatch.setattr(pkcache, "WRITE_BACKOFF_SECONDS", 0.001)
         digest, pk, vk = _keys(circuit, scheme, tmp_path)
-        disk = DiskPKCache(str(tmp_path / "disk"), backoff_seconds=0.001)
+        disk = DiskPKCache(str(tmp_path / "disk"))
         failed = fail_replace(monkeypatch, 3)
         with pytest.raises(CacheCorruptionError):
             disk.store(digest, pk, vk)
@@ -279,8 +281,9 @@ class TestWriteFailure:
     def test_transient_write_failure_retries_through(
             self, tmp_path, circuit, scheme, monkeypatch):
         events.reset()
+        monkeypatch.setattr(pkcache, "WRITE_BACKOFF_SECONDS", 0.001)
         digest, pk, vk = _keys(circuit, scheme, tmp_path)
-        disk = DiskPKCache(str(tmp_path / "disk"), backoff_seconds=0.001)
+        disk = DiskPKCache(str(tmp_path / "disk"))
         failed = fail_replace(monkeypatch, 2)  # 2 failures, 3 attempts
         disk.store(digest, pk, vk)
         assert len(failed) == 2
@@ -318,3 +321,21 @@ class TestMemoryDiskLayering:
         loaded_pk, loaded_vk = disk.load(digest)
         assert pickle.dumps(loaded_pk) == pickle.dumps(pk)
         assert pickle.dumps(loaded_vk) == pickle.dumps(vk)
+
+    def test_a_disk_hit_unpickles_the_payload_once(
+            self, tmp_path, circuit, scheme, monkeypatch):
+        # the payload is the whole proving key: validating it must not
+        # cost a second unpickle
+        digest, pk, vk = _keys(circuit, scheme, tmp_path)
+        disk = DiskPKCache(str(tmp_path / "disk"))
+        disk.store(digest, pk, vk)
+        unpickled = []
+        loads = pickle.loads
+
+        def counting_loads(data, *args, **kwargs):
+            unpickled.append(len(data))
+            return loads(data, *args, **kwargs)
+
+        monkeypatch.setattr(pkcache.pickle, "loads", counting_loads)
+        assert disk.load(digest) is not None
+        assert len(unpickled) == 1

@@ -9,6 +9,8 @@ pure queue manipulation and need no processes.
 
 import os
 import signal
+import sys
+import threading
 import time
 from types import SimpleNamespace
 
@@ -23,8 +25,9 @@ from repro.resilience.errors import (
     WorkerCrashError,
 )
 from repro.serve import ProvingService, ServeConfig
+from repro.serve import worker as worker_module
 from repro.serve.scheduler import PRIORITIES, ClusterScheduler
-from repro.serve.worker import BatchJob
+from repro.serve.worker import BatchJob, BatchResult
 
 rng = np.random.default_rng(23)
 
@@ -250,3 +253,59 @@ class TestDispatchPolicy:
 
     def test_priorities_constant_matches_policy_order(self):
         assert PRIORITIES == ("interactive", "bulk")
+
+
+class TestConcurrentDispatch:
+    def test_racing_dispatchers_prove_every_batch_once(self, monkeypatch):
+        """Enqueues from four threads race the collector's dispatches over
+        four in-process workers (more than the cores), with the switch
+        interval cut to a microsecond: no batch is lost, shed or proved
+        twice."""
+        proved, results, misassigned = [], [], []
+
+        def prove(job, worker_id):
+            proved.append(job.job_id)
+            handle = next(h for h in scheduler._handles
+                          if h.worker_id == worker_id)
+            if handle.current is not job:  # claimed under the lock?
+                misassigned.append(job.job_id)
+            return BatchResult(job_id=job.job_id, batch_id=job.batch_id,
+                               ok=True, worker_id=worker_id, pid=0,
+                               slot_outputs=[{}])
+
+        monkeypatch.setattr(worker_module, "prove_job", prove)
+        scheduler, shed = _scheduler(workers=0, on_result=results.append,
+                                     max_backlog_batches=1000)
+        # three more thread workers beside the one start() adds
+        scheduler._handles = [scheduler._spawn(i) for i in (1, 2, 3)]
+        per_thread, threads = 50, 4
+
+        def submit(first):
+            for job_id in range(first, first + per_thread):
+                scheduler.enqueue(_job("abc"[job_id % 3],
+                                       PRIORITIES[job_id % 2], job_id))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            scheduler.start()
+            submitters = [threading.Thread(target=submit,
+                                           args=(t * per_thread,))
+                          for t in range(threads)]
+            for thread in submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            deadline = time.monotonic() + 60
+            while len(results) < per_thread * threads \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            sys.setswitchinterval(interval)
+            scheduler.shutdown(drain=True, timeout=60)
+        everything = list(range(per_thread * threads))
+        assert sorted(proved) == everything
+        assert sorted(r.job_id for r in results) == everything
+        assert shed == [] and misassigned == []
+        assert scheduler.status()["backlog_total"] == 0

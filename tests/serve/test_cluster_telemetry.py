@@ -125,9 +125,10 @@ class TestTraceStitching:
         service = ProvingService(_cluster_config(tmp_path,
                                                  cluster_workers=1))
         results = []
-        resolve = service._on_result
-        service._on_result = lambda result: (results.append(result),
-                                             resolve(result))
+        scheduler = service._scheduler
+        resolve = scheduler.on_result
+        scheduler.on_result = lambda result: (results.append(result),
+                                              resolve(result))
         with service:
             assert service.submit(spec, an_input(),
                                   scale_bits=6).result(timeout=300).verified
@@ -260,7 +261,7 @@ class TestDuplicateResult:
         table resolves the first and drops the second; the worker's
         ``telemetry.batches`` must count what its series counts."""
         service = ProvingService(ServeConfig(max_batch=1))  # never started
-        service._dispatch = lambda job: None
+        service._scheduler.enqueue = lambda job: None
         spec = SimpleNamespace(name="dup")
         request = ProofRequest(id=1, spec=spec, inputs={},
                                key=BatchKey("dup", "kzg", 4, 6, None),

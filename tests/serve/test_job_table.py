@@ -1,12 +1,12 @@
 """Model-based test of the service's job table (at-most-once resolution).
 
-A started :class:`ProvingService` whose hand-off is replaced by a fake
-executor: hypothesis interleaves launches, results (ok and failed),
+A started :class:`ProvingService` whose scheduler's ``enqueue`` is
+replaced by a fake: hypothesis interleaves launches, results (ok and failed),
 duplicate results (a crashed worker's re-dispatched twin), sheds (late
 and synchronous-at-enqueue), poison results and a non-draining shutdown,
 and after every step the real table must agree with a three-line model.
 No proving happens — ``_launch`` / ``_on_result`` / ``_on_shed`` are
-exactly the code both serving modes run.
+exactly the code every served batch runs.
 """
 
 import time
@@ -34,14 +34,14 @@ class JobTableMachine(RuleBasedStateMachine):
         super().__init__()
         self.service = ProvingService(
             ServeConfig(max_batch=4)).start()
-        self.service._dispatch = self.enqueue
+        self.service._scheduler.enqueue = self.enqueue
         self.shed_next = False
         self.open = {}        # job_id -> (job, group): launched, unsettled
         self.delivered = []   # results already handed to the service
         self.requests = []    # every request ever launched
         self.sequence = 0
 
-    # -- the fake executor ---------------------------------------------------
+    # -- the fake scheduler ------------------------------------------------
 
     def enqueue(self, job):
         if self.shed_next:  # the scheduler sheds on the caller's thread

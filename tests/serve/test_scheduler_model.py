@@ -1,9 +1,10 @@
-"""Model-based test of the cluster scheduler's queue policy.
+"""Model-based test of the scheduler's queue policy and reap path.
 
-Hypothesis drives an unstarted :class:`ClusterScheduler` (no worker
-processes: ``enqueue``, ``_next_job`` and a non-draining shutdown are
-pure queue manipulation) with random enqueues, dispatches and one
-shutdown, and checks it against a reference model after every step:
+Hypothesis drives an unstarted :class:`ClusterScheduler` whose workers
+are fake handles — no process or thread behind them: the machine flips
+their ``alive`` and reads their ``current`` — with random enqueues,
+dispatches, finished batches, kills, reaps and one shutdown, and checks
+it against a reference model after every step:
 
 - per-(model, class) deques, bounded per model;
 - an interactive batch meeting a full backlog evicts the model's newest
@@ -11,14 +12,25 @@ shutdown, and checks it against a reference model after every step:
 - dispatch takes interactive before bulk, and within a class takes the
   first model after the one served last, in sorted order (so a model
   that sorts earlier and appears mid-stream waits its turn);
+- dispatch is event-driven: an ``enqueue`` that finds an idle live
+  worker sets that worker's ``current`` before it returns, and a
+  finished batch hands its worker the next one, so an idle live worker
+  never coexists with a queued batch;
+- a reaped dead worker is replaced; its batch goes back to the *front*
+  of its class, or past ``redispatch_limit`` reaches ``on_result``
+  exactly once, failed with :class:`WorkerCrashError`;
 - a non-draining shutdown sheds the whole backlog, and every later
   enqueue is shed with reason ``shutdown``; every shed is counted.
 
-Besides the dispatch order and which batches were shed or evicted, the
-registry's ``serve_shed_batches_total`` and
-``zkml_scheduler_evicted_total`` must equal the model's counts.
+Besides the dispatch order, which batches were shed or evicted and what
+``on_result`` saw, the registry's ``serve_shed_batches_total``,
+``zkml_scheduler_evicted_total``, ``serve_worker_restarts_total``,
+``serve_redispatched_batches_total`` and ``zkml_scheduler_poisoned_total``
+must equal the model's counts.
 """
 
+import queue
+import time
 from collections import deque
 from types import SimpleNamespace
 
@@ -31,11 +43,14 @@ from hypothesis.stateful import (
 )
 
 from repro.obs.metrics import MetricsRegistry
+from repro.resilience.errors import WorkerCrashError
 from repro.serve.scheduler import PRIORITIES, ClusterScheduler
-from repro.serve.worker import BatchJob
+from repro.serve.worker import BatchJob, BatchResult
 
 MODELS = ("a", "b", "c")
 BACKLOG = 2
+WORKERS = 2
+REDISPATCH_LIMIT = 1
 
 
 def _job(job_id, model, priority="interactive"):
@@ -46,16 +61,42 @@ def _job(job_id, model, priority="interactive"):
         occupancy=1, padded_size=1, priority=priority)
 
 
+class FakeWorker:
+    """A worker handle with nothing behind it: ``alive`` is a plain
+    attribute the machine flips."""
+
+    def __init__(self, worker_id):
+        self.worker_id = worker_id
+        self.current = None
+        self.alive = True
+        self.pid = 0
+        self.runner = SimpleNamespace()  # no exitcode
+        self.batches_before = 0
+        self.started_at = time.monotonic()
+        self.job_queue = queue.SimpleQueue()
+
+    @property
+    def busy(self):
+        return self.current is not None
+
+    def join(self):
+        pass
+
+
 class SchedulerMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.metrics = MetricsRegistry()
         self.shed = []  # (job_id, reason), in on_shed order
+        self.results = []  # what on_result saw, in order
         self.scheduler = ClusterScheduler(
-            workers=1, on_result=lambda result: None,
+            workers=0, on_result=self.results.append,
             on_shed=lambda job, reason: self.shed.append(
                 (job.job_id, reason)),
-            metrics=self.metrics, max_backlog_batches=BACKLOG)
+            metrics=self.metrics, max_backlog_batches=BACKLOG,
+            redispatch_limit=REDISPATCH_LIMIT)
+        self.scheduler._handles = [FakeWorker(i) for i in range(WORKERS)]
+        self.scheduler._spawn = FakeWorker  # the reaper's replacements
         self.job_ids = 0
         # the reference model
         self.queues = {}  # model -> {priority: deque of job ids}
@@ -64,17 +105,43 @@ class SchedulerMachine(RuleBasedStateMachine):
         self.expected_shed = []
         self.counted = {"overload": 0, "shutdown": 0}
         self.evicted = 0
+        self.classes = {}  # job id -> (model, priority)
+        self.running = [None] * WORKERS  # job id per worker slot
+        self.alive = [True] * WORKERS
+        self.redispatches = {}  # job id -> workers it outlived
+        self.expected_results = []  # (job id, ok)
+        self.restarts = self.redispatched = self.poisoned = 0
 
     def _shed(self, job_id, reason):
         self.expected_shed.append((job_id, reason))
         self.counted[reason] += 1
+
+    def _idle_slot(self):
+        return next((slot for slot in range(WORKERS)
+                     if self.running[slot] is None and self.alive[slot]),
+                    None)
+
+    def _model_dispatch(self):
+        while True:
+            slot = self._idle_slot()
+            if slot is None:
+                return
+            job_id = self._model_next()
+            if job_id is None:
+                return
+            self.running[slot] = job_id
 
     @rule(model=st.sampled_from(MODELS),
           priority=st.sampled_from(PRIORITIES))
     def enqueue(self, model, priority):
         self.job_ids += 1
         job_id = self.job_ids
+        self.classes[job_id] = (model, priority)
+        idle = None if self.closed else self._idle_slot()
         accepted = self.scheduler.enqueue(_job(job_id, model, priority))
+        if idle is not None:
+            # handed over before enqueue returned
+            assert self.scheduler._handles[idle].current.job_id == job_id
         if self.closed:
             self._shed(job_id, "shutdown")
             assert not accepted
@@ -91,6 +158,7 @@ class SchedulerMachine(RuleBasedStateMachine):
                 return
         queues[priority].append(job_id)
         assert accepted
+        self._model_dispatch()
 
     @rule()
     def dispatch(self):
@@ -109,6 +177,57 @@ class SchedulerMachine(RuleBasedStateMachine):
             self.last_served[priority] = model
             return self.queues[model][priority].popleft()
         return None
+
+    @precondition(lambda self: any(self.running))
+    @rule(data=st.data())
+    def finish(self, data):
+        """A busy worker — live, or dead but not yet reaped — ships its
+        result."""
+        slot = data.draw(st.sampled_from(
+            [s for s in range(WORKERS) if self.running[s] is not None]))
+        job_id, self.running[slot] = self.running[slot], None
+        self.scheduler._collect(BatchResult(
+            job_id=job_id, batch_id="b%d" % job_id, ok=True,
+            worker_id=slot, pid=0))
+        self.expected_results.append((job_id, True))
+        self._model_dispatch()
+
+    @precondition(lambda self: any(self.alive))
+    @rule(data=st.data(), reap=st.booleans())
+    def kill(self, data, reap):
+        slot = data.draw(st.sampled_from(
+            [s for s in range(WORKERS) if self.alive[s]]))
+        self.scheduler._handles[slot].alive = False
+        self.alive[slot] = False
+        if reap:
+            self.reap()
+
+    @rule()
+    def reap(self):
+        self.scheduler._reap_dead()
+        if self.closed:  # a stopping scheduler reaps nothing
+            return
+        poisoned = []
+        for slot in range(WORKERS):
+            if self.alive[slot]:
+                continue
+            self.restarts += 1
+            self.alive[slot] = True
+            job_id, self.running[slot] = self.running[slot], None
+            if job_id is None:
+                continue
+            self.redispatches[job_id] = self.redispatches.get(job_id, 0) + 1
+            if self.redispatches[job_id] > REDISPATCH_LIMIT:
+                poisoned.append(job_id)
+                continue
+            self.redispatched += 1
+            model, priority = self.classes[job_id]
+            self.queues.setdefault(model, {p: deque() for p in PRIORITIES})[
+                priority].appendleft(job_id)
+        for job_id in poisoned:
+            self.poisoned += 1
+            self.expected_results.append((job_id, False))
+        self._model_dispatch()
 
     @precondition(lambda self: not self.closed)
     @rule()
@@ -135,9 +254,27 @@ class SchedulerMachine(RuleBasedStateMachine):
         assert status["backlog_total"] == sum(
             len(q) for queues in self.queues.values() for q in queues.values())
 
+    @invariant()
+    def workers_and_results_match_the_model(self):
+        handles = self.scheduler._handles
+        assert [h.current and h.current.job_id for h in handles] \
+            == self.running
+        assert [h.alive for h in handles] == self.alive
+        assert [(r.job_id, r.ok) for r in self.results] \
+            == self.expected_results
+        assert all(isinstance(r.error, WorkerCrashError)
+                   for r in self.results if not r.ok)
+        total = self.metrics.total
+        assert total("serve_worker_restarts_total") == self.restarts
+        assert total("serve_redispatched_batches_total") == self.redispatched
+        assert total("zkml_scheduler_poisoned_total") == self.poisoned
+        if self._idle_slot() is not None and not self.closed:
+            # work-conserving: an idle live worker means nothing queued
+            assert self.scheduler.status()["backlog_total"] == 0
+
 
 SchedulerMachine.TestCase.settings = settings(
-    max_examples=100, stateful_step_count=30, deadline=None)
+    max_examples=200, stateful_step_count=30, deadline=None)
 TestSchedulerModel = SchedulerMachine.TestCase
 
 
@@ -161,3 +298,36 @@ def test_a_model_that_appears_mid_stream_waits_its_turn():
                 break
             served.append(job.spec.name)
     assert served == ["b", "c", "a", "b"]
+
+
+def test_a_crashed_batch_goes_first_then_poisons_past_the_limit():
+    results = []
+    metrics = MetricsRegistry()
+    scheduler = ClusterScheduler(
+        workers=0, on_result=results.append,
+        on_shed=lambda job, reason: None, metrics=metrics,
+        max_backlog_batches=4, redispatch_limit=1)
+    scheduler._handles = [FakeWorker(0)]
+    scheduler._spawn = FakeWorker
+    jobs = [_job(job_id, "a") for job_id in (1, 2, 3)]
+    for job in jobs:
+        assert scheduler.enqueue(job)
+    assert scheduler._handles[0].current is jobs[0]
+
+    def crash():
+        scheduler._handles[0].alive = False
+        scheduler._reap_dead()
+        return scheduler._handles[0].current
+
+    # the replacement takes the crashed batch ahead of the queued ones
+    assert crash() is jobs[0]
+    assert results == []
+    # past the limit it is failed once, typed, and the queue moves on
+    assert crash() is jobs[1]
+    scheduler._reap_dead()
+    assert [(r.job_id, r.ok) for r in results] == [(1, False)]
+    assert isinstance(results[0].error, WorkerCrashError)
+    total = metrics.total
+    assert total("serve_worker_restarts_total") == 2
+    assert total("serve_redispatched_batches_total") == 1
+    assert total("zkml_scheduler_poisoned_total") == 1

@@ -1,15 +1,18 @@
 """Tests for the batch-aware proving service (queue → batcher → workers).
 
-There is one way to run a served batch, so the resolve / fail / metrics
-/ shutdown cases are written once and run once per mode (``workers``: 0
-proves on the service's own thread, 1 in a cluster worker process);
-cases that hang on in-process state (the pk cache) or on timing stay
-in-process.  The four cases that predate the single path keep their
-test ids for the in-process run (``workers=0`` default) and run again on
+There is one way to run a served batch — the scheduler hands it to a
+worker — so the resolve / fail / metrics / shutdown cases are written
+once and run once per mode (``workers``: 0 proves on the one in-process
+worker thread, 1 in a worker process); cases that hang on in-process
+state (the pk cache, a held worker) or on timing stay in-process.
+The four cases that predate the single path keep their test ids for
+the in-process run (``workers=0`` default) and run again on
 a one-worker cluster through ``test_case_on_a_one_worker_cluster``.
 """
 
+import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from repro.serve import ProvingService, ServeConfig
 from repro.serve.client import submit_request
 from repro.serve.http_server import HttpFrontEnd
 from repro.serve.server import PayloadProcessor
+from repro.serve import worker as worker_module
 
 MODES = pytest.mark.parametrize("workers", [0, 1])
 
@@ -271,8 +275,8 @@ class TestOneBatchPath:
 
     def test_catalog_is_the_same_in_both_modes(self):
         """The same four requests leave the same metric names with the
-        same label keys in the registry, wherever they were proved; only
-        the scheduler's own series are cluster-only."""
+        same label keys in the registry, wherever they were proved — the
+        scheduler's own series included."""
         spec = small_model("served-catalog")
         inputs = [an_input() for _ in range(4)]
 
@@ -289,16 +293,81 @@ class TestOneBatchPath:
                     for name, family in registry._families.items()}
 
         inline, cluster = catalog(0), catalog(1)
-        cluster_only = set(cluster) - set(inline)
-        assert set(inline) <= set(cluster)
-        assert all(name.startswith("zkml_scheduler_")
-                   for name in cluster_only), cluster_only
-        for name, label_keys in inline.items():
-            assert cluster[name] == label_keys, name
+        assert inline == cluster
         assert {"zkml_prover_runs_total", "zkml_phase_seconds",
                 "zkml_worker_ops_total", "zkml_worker_pk_cache",
-                "zkml_field_kernel"} <= set(inline)
+                "zkml_field_kernel", "zkml_scheduler_dispatch_seconds",
+                "zkml_scheduler_backlog"} <= set(inline)
         assert inline["zkml_field_kernel"] == {frozenset({"lanes"})}
+
+
+@pytest.fixture
+def held_worker(monkeypatch):
+    """The in-process worker, held on its first batch until released;
+    ``proved`` lists the priority of each batch it proves, in order."""
+    started, release, proved = threading.Event(), threading.Event(), []
+    prove_job = worker_module.prove_job
+
+    def held(job, worker_id):
+        started.set()
+        assert release.wait(timeout=120)
+        proved.append(job.priority)
+        return prove_job(job, worker_id)
+
+    monkeypatch.setattr(worker_module, "prove_job", held)
+    return SimpleNamespace(started=started, release=release, proved=proved)
+
+
+def _backlog_reaches(service, batches, deadline=30.0):
+    end = time.monotonic() + deadline
+    while service.status()["cluster"]["backlog_total"] < batches:
+        assert time.monotonic() < end, "batches never reached the backlog"
+        time.sleep(0.001)
+
+
+class TestSchedulerPolicyInProcess:
+    """``--workers 0`` dispatches through the same scheduler: its
+    priority classes and per-model backlog cap apply to the in-process
+    worker too."""
+
+    def test_interactive_proves_before_earlier_bulk(self, held_worker):
+        spec = small_model("served-prio")
+        config = ServeConfig(max_batch=1, max_flush_seconds=0.01)
+        with ProvingService(config) as service:
+            first = service.submit(spec, an_input(), scale_bits=6,
+                                   priority="bulk")
+            assert held_worker.started.wait(timeout=120)
+            bulk = service.submit(spec, an_input(), scale_bits=6,
+                                  priority="bulk")
+            _backlog_reaches(service, 1)
+            interactive = service.submit(spec, an_input(), scale_bits=6)
+            _backlog_reaches(service, 2)
+            held_worker.release.set()
+            for future in (first, bulk, interactive):
+                assert future.result(timeout=120).verified
+        assert held_worker.proved == ["bulk", "interactive", "bulk"]
+
+    def test_backlog_beyond_the_cap_is_shed(self, held_worker):
+        spec = small_model("served-shed")
+        registry = MetricsRegistry()
+        config = ServeConfig(max_batch=1, max_flush_seconds=0.01,
+                             max_backlog_batches=1)
+        with ProvingService(config, metrics=registry) as service:
+            first = service.submit(spec, an_input(), scale_bits=6)
+            assert held_worker.started.wait(timeout=120)
+            queued, *beyond = [
+                service.submit(spec, an_input(), scale_bits=6,
+                               priority="bulk") for _ in range(3)]
+            for future in beyond:
+                with pytest.raises(ServiceOverloadedError):
+                    future.result(timeout=120)
+            held_worker.release.set()
+            assert first.result(timeout=120).verified
+            assert queued.result(timeout=120).verified
+            stats = service.stats()
+        assert stats["shed_batches"] == 2
+        assert registry.value("serve_shed_batches_total",
+                              model="served-shed", reason="overload") == 2
 
 
 ON_A_CLUSTER = [

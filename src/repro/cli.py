@@ -541,7 +541,7 @@ def _serve_config(args):
         max_batch=args.max_batch,
         max_flush_seconds=args.flush_ms / 1000.0,
         cluster_workers=max(0, args.workers),
-        pk_cache_dir=args.pk_cache_dir,
+        registry_dir=args.registry,
         max_backlog_batches=args.max_backlog,
         flight_path=args.flight_recorder or None,
     )
@@ -946,10 +946,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="prover worker *processes* (cluster mode); "
                             "0 proves on one in-process worker thread "
                             "under the same scheduler (default)")
-    serve.add_argument("--pk-cache-dir", default=None, metavar="DIR",
-                       help="shared disk-backed proving-key cache the "
-                            "workers attach (keys survive "
-                            "restarts; keygen happens once cluster-wide)")
+    serve.add_argument("--registry", default=None, metavar="DIR",
+                       help="state directory: publish every served "
+                            "verifying key into this registry; workers "
+                            "share a disk proving-key cache there")
     serve.add_argument("--max-backlog", type=int, default=8,
                        help="per-model batches queued for worker dispatch "
                             "before load shedding (bulk is shed first)")

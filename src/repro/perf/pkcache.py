@@ -48,12 +48,7 @@ from repro.halo2.circuit import Assignment, ConstraintSystem
 from repro.halo2.keygen import ProvingKey, VerifyingKey, keygen
 from repro.resilience import events
 from repro.resilience.errors import CacheCorruptionError
-from repro.storage import WRITE_ATTEMPTS, WRITE_BACKOFF_SECONDS, atomic_write, checksum16
-
-try:  # advisory locking is POSIX-only; elsewhere the disk cache still
-    import fcntl  # works, it just may duplicate a keygen under a race
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
+from repro.storage import WRITE_ATTEMPTS, WRITE_BACKOFF_SECONDS, atomic_write, checksum16, file_lock
 
 
 def circuit_digest(
@@ -143,36 +138,11 @@ DISK_MAGIC = b"zkml-pk-cache/v7\n"
 _DISK_CHECKSUM_BYTES = 16
 
 
-class _DigestLock:
-    """An advisory exclusive lock on one digest's lock file.
-
-    ``flock`` locks are per-open-file and released on close, so a worker
-    that dies mid-keygen cannot wedge the cluster: the kernel drops its
-    lock and the next waiter proceeds.
-    """
-
-    def __init__(self, path: str):
-        self._path = path
-        self._fd: Optional[int] = None
-
-    def __enter__(self) -> "_DigestLock":
-        self._fd = os.open(self._path, os.O_RDWR | os.O_CREAT, 0o644)
-        if fcntl is not None:
-            fcntl.flock(self._fd, fcntl.LOCK_EX)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._fd is not None:
-            if fcntl is not None:
-                fcntl.flock(self._fd, fcntl.LOCK_UN)
-            os.close(self._fd)
-            self._fd = None
-
-
 class DiskPKCache:
     """Content-addressed, checksummed on-disk proving-key store.
 
-    Layout under ``root``::
+    Layout under ``root`` (``zkml serve --registry`` puts it beside the
+    verifying-key registry's ``vk/`` and ``index.json``)::
 
         pk/<circuit_digest>.pkl     checksummed pickled (pk, vk) pair
         locks/<circuit_digest>.lock advisory keygen lock (empty file)
@@ -200,11 +170,10 @@ class DiskPKCache:
     def path(self, digest: str) -> str:
         return os.path.join(self.root, "pk", "%s.pkl" % digest)
 
-    def lock(self, digest: str) -> _DigestLock:
+    def lock(self, digest: str):
         """An exclusive advisory lock for this digest's keygen critical
         section (hold it across the load-miss → keygen → store window)."""
-        return _DigestLock(os.path.join(self.root, "locks",
-                                        "%s.lock" % digest))
+        return file_lock(os.path.join(self.root, "locks", "%s.lock" % digest))
 
     def load(self, digest: str):
         """Return the stored ``(pk, vk)`` for ``digest`` or ``None``.

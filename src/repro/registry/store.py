@@ -3,6 +3,7 @@
 Layout under the registry root::
 
     index.json              {"schema": ..., "entries": {vk_hash_hex: {...}}}
+    index.lock              advisory lock held across each index update
     vk/<vk_hash_hex>.pkl    pickled VerifyingKey, one file per key
 
 The index entry records the lookup tuple (model, scheme, config digest)
@@ -24,8 +25,9 @@ from __future__ import annotations
 import json
 import os
 import pickle
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.resilience import events
 from repro.resilience.errors import (
@@ -33,7 +35,7 @@ from repro.resilience.errors import (
     UnknownVerifyingKeyError,
     VerificationFailure,
 )
-from repro.storage import WRITE_ATTEMPTS, WRITE_BACKOFF_SECONDS, atomic_write, checksum16
+from repro.storage import WRITE_ATTEMPTS, WRITE_BACKOFF_SECONDS, atomic_write, checksum16, file_lock
 
 __all__ = ["INDEX_SCHEMA", "RegistryEntry", "VKRegistry"]
 
@@ -112,6 +114,16 @@ class VKRegistry:
                            json.dumps(doc, indent=1, sort_keys=True).encode(),
                            what="index")
 
+    @contextmanager
+    def _index_lock(self) -> Iterator[None]:
+        """Hold ``index.lock`` across one read-modify-write of the index."""
+        try:
+            with file_lock(os.path.join(self.root, "index.lock")):
+                yield
+        except OSError as exc:
+            raise RegistryError("registry index update failed: %s" % exc,
+                                path=self.root) from exc
+
     def _atomic_write(self, path: str, data: bytes, what: str) -> None:
         try:
             atomic_write(path, data, attempts=WRITE_ATTEMPTS,
@@ -134,28 +146,29 @@ class VKRegistry:
         counted as a recovery.
         """
         vk_hash = vk.digest().hex()
-        entries = self._load_index()
-        existing = entries.get(vk_hash)
-        if existing is not None:
-            if self._read_artifact(existing)[0] is not None:
-                return RegistryEntry(**existing), False
-            events.recovered("vk_registry_rebuild", vk_hash=vk_hash[:16],
-                             model=model)
-        data = pickle.dumps(vk)
-        rel = os.path.join("vk", "%s.pkl" % vk_hash)
-        self._atomic_write(os.path.join(self.root, rel), data,
-                           what="vk artifact")
-        entry = RegistryEntry(
-            vk_hash=vk_hash,
-            model=model,
-            scheme=vk.scheme_name,
-            config_digest=config_digest.hex(),
-            checksum=_artifact_checksum(data),
-            file=rel,
-            size_bytes=len(data),
-        )
-        entries[vk_hash] = entry.as_dict()
-        self._store_index(entries)
+        with self._index_lock():
+            entries = self._load_index()
+            existing = entries.get(vk_hash)
+            if existing is not None:
+                if self._read_artifact(existing)[0] is not None:
+                    return RegistryEntry(**existing), False
+                events.recovered("vk_registry_rebuild", vk_hash=vk_hash[:16],
+                                 model=model)
+            data = pickle.dumps(vk)
+            rel = os.path.join("vk", "%s.pkl" % vk_hash)
+            self._atomic_write(os.path.join(self.root, rel), data,
+                               what="vk artifact")
+            entry = RegistryEntry(
+                vk_hash=vk_hash,
+                model=model,
+                scheme=vk.scheme_name,
+                config_digest=config_digest.hex(),
+                checksum=_artifact_checksum(data),
+                file=rel,
+                size_bytes=len(data),
+            )
+            entries[vk_hash] = entry.as_dict()
+            self._store_index(entries)
         return entry, True
 
     # -- read ----------------------------------------------------------------
@@ -217,20 +230,26 @@ class VKRegistry:
                     if stored_hash != vk_hash:
                         intact, cause = False, "digest_mismatch"
         if not intact:
-            self._evict(entries, vk_hash, cause)
+            self._evict(vk_hash, record, cause)
             raise RegistryError(
                 "verifying key %s failed integrity (%s); entry evicted — "
                 "re-publish to rebuild" % (vk_hash[:16], cause),
                 vk_hash=vk_hash, cause=cause)
         return vk, RegistryEntry(**record)
 
-    def _evict(self, entries: Dict[str, Dict], vk_hash: str,
-               cause: str) -> None:
-        record = entries.pop(vk_hash, None)
-        if record is not None:
-            path = os.path.join(self.root, record["file"])
+    def _evict(self, vk_hash: str, judged: Dict, cause: str) -> None:
+        """Drop the record ``judged`` corrupt and its artifact, unless a
+        publish rebuilt it since (another record, or it now reads intact)."""
+        with self._index_lock():
+            entries = self._load_index()
+            if entries.get(vk_hash) != judged:
+                return
+            if cause in ("missing_artifact", "checksum_mismatch") and \
+                    self._read_artifact(judged)[0] is not None:
+                return
+            del entries[vk_hash]
             try:
-                os.unlink(path)
+                os.unlink(os.path.join(self.root, judged["file"]))
             except OSError:
                 pass
             self._store_index(entries)
@@ -265,7 +284,8 @@ class VKRegistry:
                             "cause": cause})
         if repair and bad:
             for item in bad:
-                self._evict(entries, item["vk_hash"], item["cause"])
+                self._evict(item["vk_hash"], entries[item["vk_hash"]],
+                            item["cause"])
         return {
             "schema": "zkml-registry-check/v1",
             "root": self.root,

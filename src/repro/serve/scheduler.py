@@ -27,7 +27,7 @@ Responsibilities, the same for either kind of worker:
 - **crash recovery** — a worker process that dies (SIGKILL, OOM,
   segfault) is detected by liveness polling: its in-flight batch is
   re-queued at the *front* of its priority class and a replacement
-  worker is spawned.  A batch that out-lives ``redispatch_limit``
+  worker is spawned.  A batch that out-lives ``REDISPATCH_LIMIT``
   workers is declared poison and failed with a typed
   :class:`~repro.resilience.errors.WorkerCrashError` — one bad batch
   can never crash-loop the whole pool (a thread worker cannot crash);
@@ -39,8 +39,8 @@ Responsibilities, the same for either kind of worker:
 The scheduler prefers the ``fork`` start method (workers inherit the
 parent's warm imports; startup is milliseconds) and falls back to the
 platform default elsewhere.  Workers attach the shared
-:class:`~repro.perf.pkcache.DiskPKCache` so keygen happens once per
-circuit *cluster-wide*, not once per process.
+:class:`~repro.perf.pkcache.DiskPKCache` in the state directory
+(``registry_dir``), so keygen happens once per circuit *cluster-wide*.
 """
 
 from __future__ import annotations
@@ -72,6 +72,10 @@ log = obs_log.get_logger("serve")
 #: shutdown's wait granularity.  Dispatch does not wait on it.
 MONITOR_TICK_SECONDS = 0.01
 
+#: Worker-process crashes one batch may survive before it is declared
+#: poison (:class:`~repro.resilience.errors.WorkerCrashError`).
+REDISPATCH_LIMIT = 2
+
 
 def _mp_context():
     methods = mp.get_all_start_methods()
@@ -84,7 +88,7 @@ class _WorkerHandle:
     ``batches_before`` is its logical worker's batch count at spawn."""
 
     def __init__(self, worker_id: int, ctx, result_queue,
-                 pk_cache_dir: Optional[str], batches_before: int = 0):
+                 registry_dir: Optional[str], batches_before: int = 0):
         self.worker_id = worker_id
         self.in_process = ctx is None
         self.job_queue = queue_mod.Queue() if ctx is None else ctx.Queue()
@@ -93,7 +97,7 @@ class _WorkerHandle:
         self.started_at = time.monotonic()
         self.runner = (threading.Thread if ctx is None else ctx.Process)(
             target=worker_main,
-            args=(worker_id, self.job_queue, result_queue, pk_cache_dir),
+            args=(worker_id, self.job_queue, result_queue, registry_dir),
             name="zkml-prover-%d" % worker_id,
             daemon=True,
         )
@@ -138,18 +142,16 @@ class ClusterScheduler:
                  on_result: Callable[[BatchResult], None],
                  on_shed: Callable[[BatchJob, str], None],
                  metrics: MetricsRegistry,
-                 pk_cache_dir: Optional[str] = None,
+                 registry_dir: Optional[str] = None,
                  max_backlog_batches: int = 8,
-                 redispatch_limit: int = 2,
                  runtime: Optional[RuntimeTelemetry] = None):
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self.workers = workers
         self.on_result = on_result
         self.on_shed = on_shed
-        self.pk_cache_dir = pk_cache_dir
+        self.registry_dir = registry_dir
         self.max_backlog_batches = max_backlog_batches
-        self.redispatch_limit = redispatch_limit
         self.metrics = metrics
         self.runtime = runtime if runtime is not None else RuntimeTelemetry()
         #: ``None`` for the in-process worker: no processes, and its
@@ -192,12 +194,12 @@ class ClusterScheduler:
                                                daemon=True)
             self._collector.start()
         log.debug("scheduler started", workers=self.workers,
-                  pk_cache_dir=self.pk_cache_dir or "")
+                  registry=self.registry_dir or "")
         return self
 
     def _spawn(self, worker_id: int) -> _WorkerHandle:
         return _WorkerHandle(worker_id, self._ctx, self._result_queue,
-                             self.pk_cache_dir,
+                             self.registry_dir,
                              batches_before=self._worker_batches(worker_id))
 
     def _worker_batches(self, worker_id: int) -> int:
@@ -394,7 +396,7 @@ class ClusterScheduler:
 
     def _reap_dead(self) -> None:
         """Replace every dead worker, re-queue its batch at the front of
-        its class (or fail it as poison past ``redispatch_limit``), then
+        its class (or fail it as poison past ``REDISPATCH_LIMIT``), then
         dispatch to the replacements."""
         if self._stopping:
             return
@@ -423,7 +425,7 @@ class ClusterScheduler:
                 if job is None:
                     continue
                 job.redispatches += 1
-                if job.redispatches > self.redispatch_limit:
+                if job.redispatches > REDISPATCH_LIMIT:
                     poisoned.append(job)
                     continue
                 self.metrics.counter(
@@ -453,8 +455,7 @@ class ClusterScheduler:
                 job_id=job.job_id, batch_id=job.batch_id, ok=False,
                 worker_id=-1, pid=0, error=WorkerCrashError(
                     "batch killed %d workers (re-dispatch limit %d); "
-                    "declared poison" % (job.redispatches,
-                                         self.redispatch_limit),
+                    "declared poison" % (job.redispatches, REDISPATCH_LIMIT),
                     model=job.spec.name, batch_id=job.batch_id)))
         if reaped:
             self._dispatch_ready()
@@ -575,5 +576,5 @@ class ClusterScheduler:
                     priority: tracker.snapshot()
                     for priority, tracker in self.class_slo.items()
                 },
-                "pk_cache_dir": self.pk_cache_dir,
+                "registry": self.registry_dir,
             }

@@ -83,7 +83,8 @@ from repro.obs.cluster import fold_worker_result, stitch_batch
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import RuntimeTelemetry, new_batch_id, new_request_id
 from repro.obs.trace import get_tracer
-from repro.perf.pkcache import GLOBAL_PK_CACHE
+from repro.perf.pkcache import GLOBAL_PK_CACHE, DiskPKCache
+from repro.registry import VKRegistry
 from repro.resilience import events
 from repro.resilience.errors import (
     ResilienceError,
@@ -175,17 +176,14 @@ class ServeConfig:
     #: in-process worker thread under the same scheduler; ``N>=1``
     #: spawns N worker processes.
     cluster_workers: int = 0
-    #: Directory of the shared disk-backed proving-key cache the workers
-    #: attach (:class:`~repro.perf.pkcache.DiskPKCache`): keygen happens
-    #: once per circuit cluster-wide and keys survive restarts.  ``None``
-    #: leaves each worker with only its in-memory cache.
-    pk_cache_dir: Optional[str] = None
+    #: The state directory (``--registry``): the registry every served key
+    #: is published into, and the workers' shared disk pk cache
+    #: (:class:`~repro.perf.pkcache.DiskPKCache`).  ``None``: in-memory
+    #: keys only, nothing published.
+    registry_dir: Optional[str] = None
     #: Per-model cap on batches queued for worker dispatch; beyond it the
     #: scheduler sheds (bulk first) with a typed overload error.
     max_backlog_batches: int = 8
-    #: Worker-process crashes one batch may survive before it is declared
-    #: poison (:class:`~repro.resilience.errors.WorkerCrashError`).
-    redispatch_limit: int = 2
 
 
 @dataclass
@@ -278,9 +276,8 @@ class ProvingService:
             on_result=self._on_result,
             on_shed=self._on_shed,
             metrics=self.metrics,
-            pk_cache_dir=self.config.pk_cache_dir,
+            registry_dir=self.config.registry_dir,
             max_backlog_batches=self.config.max_backlog_batches,
-            redispatch_limit=self.config.redispatch_limit,
             runtime=self.runtime,
         )
         self._job_ids = itertools.count(1)
@@ -303,9 +300,17 @@ class ProvingService:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "ProvingService":
-        """Start the scheduler's workers, then the dispatcher thread."""
+        """Open the state directory, then start the workers and dispatcher."""
         if self._started:
             return self
+        root = self.config.registry_dir
+        if root:
+            try:
+                VKRegistry(root)
+                DiskPKCache(root)
+            except OSError as exc:
+                raise ServiceError("cannot open the state directory %s: %s"
+                                   % (root, exc), path=root) from exc
         self._started = True
         self._started_at = time.monotonic()
         events.add_listener(self._events_listener)

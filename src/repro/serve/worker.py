@@ -11,11 +11,12 @@ job or a result is a plain picklable dataclass — proof *bytes*, not live
 :class:`~repro.halo2.Proof` objects, and the typed error itself, not its
 name — so it reads the same on either side of a process boundary.
 
-Workers attach the shared :class:`~repro.perf.pkcache.DiskPKCache`
-under their in-process ``GLOBAL_PK_CACHE`` at startup: the first worker
-to see a circuit runs keygen under the digest's advisory file lock and
-persists the keys; every other worker (and every restarted worker)
-loads them from disk instead of re-deriving them.
+With a state directory (``zkml serve --registry DIR``), workers attach
+the shared :class:`~repro.perf.pkcache.DiskPKCache` there under their
+in-process ``GLOBAL_PK_CACHE``: the first worker to see a circuit runs
+keygen under the digest's advisory file lock and persists the keys;
+every other worker (and every restarted worker) loads them from disk,
+and each batch's key is published into the registry at the same root.
 
 A worker never *exits* on a proving failure — typed errors travel back
 inside ``BatchResult`` and fail only that batch's requests.  A worker
@@ -38,6 +39,7 @@ from repro.model.spec import ModelSpec
 from repro.obs.stats import STATS
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.perf.pkcache import GLOBAL_PK_CACHE
+from repro.registry import VKRegistry
 from repro.resilience.errors import ResilienceError, ServiceError
 from repro.runtime.pipeline import prove_batch
 
@@ -116,8 +118,13 @@ class BatchResult:
     pk_cache: Dict[str, Any] = dataclass_field(default_factory=dict)
 
 
-def prove_job(job: BatchJob, worker_id: int) -> BatchResult:
+def prove_job(job: BatchJob, worker_id: int,
+              registry: Optional[VKRegistry] = None) -> BatchResult:
     """Prove one batch job and package the outcome (never raises).
+
+    With a ``registry``, every batch publishes its key after the strict
+    verify (a present key costs ~0.3 ms; one a failed publish or an
+    eviction left out goes back in); a failed publish fails the batch.
 
     The proving pipeline underneath is deterministic, so the proof bytes
     do not depend on where this runs.  The result always carries the
@@ -146,10 +153,14 @@ def prove_job(job: BatchJob, worker_id: int) -> BatchResult:
             )
             # strict: raises on any malformation
             proved.verify(tracer=tracer)
+            envelope = proved.envelope()
+            if registry is not None:
+                registry.publish(proved.vk, envelope.model,
+                                 envelope.config_digest)
             result = replace(
                 result,
                 ok=True,
-                envelope_bytes=proved.envelope_bytes(),
+                envelope_bytes=envelope.encode(),
                 instance=proved.instance,
                 slot_outputs=proved.slot_outputs[:job.occupancy],
                 proving_seconds=proved.proving_seconds,
@@ -174,28 +185,30 @@ def prove_job(job: BatchJob, worker_id: int) -> BatchResult:
 
 
 def worker_main(worker_id: int, job_queue, result_queue,
-                pk_cache_dir: Optional[str] = None) -> None:
+                registry_dir: Optional[str] = None) -> None:
     """Entry point of a prover worker (a process or a thread).
 
     Blocks on ``job_queue``; a ``STOP`` (``None``) sentinel ends the
     loop.  A worker process ignores SIGINT so a Ctrl-C at the operator's
     terminal drains through the scheduler instead of killing workers
     mid-batch (SIGTERM/SIGKILL still work — that is what the
-    crash-recovery path is for).  The disk cache is attached only while
-    the loop runs, so a thread leaves ``GLOBAL_PK_CACHE`` as it was.
+    crash-recovery path is for).  The state directory's disk cache is
+    attached only while the loop runs, so a thread leaves
+    ``GLOBAL_PK_CACHE`` as it was.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # not the main thread
         pass
     previous_disk = GLOBAL_PK_CACHE.disk
-    if pk_cache_dir:
-        GLOBAL_PK_CACHE.attach_disk(pk_cache_dir)
+    registry = VKRegistry(registry_dir) if registry_dir else None
+    if registry_dir:
+        GLOBAL_PK_CACHE.attach_disk(registry_dir)
     try:
         while True:
             job = job_queue.get()
             if job is STOP:
                 return
-            result_queue.put(prove_job(job, worker_id))
+            result_queue.put(prove_job(job, worker_id, registry))
     finally:
         GLOBAL_PK_CACHE.attach_disk(previous_disk)

@@ -3,8 +3,9 @@
 The verifying-key registry, the disk proving-key cache and the flight
 recorder all persist "a blob, checksummed with blake2b-16, written so a
 reader never sees half of it".  This module is that idea once:
-:func:`checksum16` and :func:`atomic_write`.  Formats, schema tags and
-typed errors stay with each store.
+:func:`checksum16` and :func:`atomic_write`, plus the one cross-process
+lock, :func:`file_lock`.  Formats, schema tags and typed errors stay
+with each store.
 """
 
 from __future__ import annotations
@@ -13,11 +14,17 @@ import hashlib
 import os
 import threading
 import time
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from repro.resilience import events
 
-__all__ = ["checksum16", "atomic_write", "WRITE_ATTEMPTS",
+try:  # advisory locking is POSIX-only; elsewhere the stores still work,
+    import fcntl  # they just may race a keygen or an index update
+except ImportError:  # pragma: no cover - non-POSIX fallback
+    fcntl = None
+
+__all__ = ["checksum16", "atomic_write", "file_lock", "WRITE_ATTEMPTS",
            "WRITE_BACKOFF_SECONDS"]
 
 #: How many times the registry and the disk proving-key cache try a
@@ -61,3 +68,16 @@ def atomic_write(path: str, data: bytes, *, attempts: int,
             events.retried(retry_event, attempt, error=type(exc).__name__,
                            **event_fields)
             time.sleep(backoff_seconds * (2 ** (attempt - 1)))
+
+
+@contextmanager
+def file_lock(path: str) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on ``path`` (created if absent); the
+    kernel drops it if the holder dies, so a crash wedges no one."""
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        if fcntl is not None:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)

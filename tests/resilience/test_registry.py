@@ -6,6 +6,7 @@ corruption that *evicts* (counted as a recovery event) and surfaces a
 typed error — never served corrupt.
 """
 
+import multiprocessing as mp
 import os
 import pickle
 
@@ -225,3 +226,73 @@ class TestCheck:
         report = registry.check(repair=True)
         assert report["repaired"]
         assert registry.list_entries() == []
+
+
+class TestStaleEviction:
+    """A reader judges an entry corrupt, then a publish rebuilds it
+    before the reader takes the index lock: the eviction must not undo
+    the rebuild (a serving worker would not put the key back)."""
+
+    def test_a_rebuilt_artifact_is_not_evicted(self, registry, proven):
+        entry, _ = _publish(registry, proven)
+        os.unlink(os.path.join(registry.root, entry.file))
+        judged = registry.entry(entry.vk_hash).as_dict()
+        _publish(registry, proven)  # rebuilds the file in place
+        registry._evict(entry.vk_hash, judged, "missing_artifact")
+        assert registry.get(entry.vk_hash).digest() == proven.vk.digest()
+        assert not [k for k, v in events.counts().items()
+                    if "vk_registry_evict" in k and v]
+
+    def test_a_replaced_record_is_not_evicted(self, registry, proven):
+        entry, _ = _publish(registry, proven)
+        judged = dict(entry.as_dict(), checksum="0" * 32)
+        registry._evict(entry.vk_hash, judged, "checksum_mismatch")
+        assert registry.get(entry.vk_hash).digest() == proven.vk.digest()
+
+    def test_the_judged_record_is_evicted(self, registry, proven):
+        entry, _ = _publish(registry, proven)
+        os.unlink(os.path.join(registry.root, entry.file))
+        registry._evict(entry.vk_hash, entry.as_dict(), "missing_artifact")
+        assert registry.list_entries() == []
+
+
+class _Key:
+    """A stand-in verifying key: publish reads only its digest and
+    scheme, and pickles it."""
+
+    scheme_name = "kzg"
+
+    def __init__(self, index):
+        self._digest = bytes([index]) * 32
+
+    def digest(self):
+        return self._digest
+
+
+def _publish_at_barrier(root, index, barrier):
+    barrier.wait()
+    VKRegistry(root).publish(_Key(index), "m%d" % index, bytes(16))
+
+
+class TestConcurrentPublish:
+    @pytest.mark.parametrize("trial", range(3))
+    def test_processes_publishing_distinct_keys_lose_no_entry(
+            self, tmp_path, trial):
+        """Four processes released at once each publish their own key:
+        the index lock keeps every read-modify-write of ``index.json``
+        whole, so all four entries survive (without it the last writer's
+        index drops the others')."""
+        ctx = mp.get_context("spawn")
+        root = str(tmp_path / "reg")
+        barrier = ctx.Barrier(4)
+        procs = [ctx.Process(target=_publish_at_barrier,
+                             args=(root, index, barrier))
+                 for index in range(4)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+            assert proc.exitcode == 0
+        entries = VKRegistry(root).list_entries()
+        assert [e.model for e in entries] == ["m0", "m1", "m2", "m3"]
+        assert VKRegistry(root).check()["ok"]

@@ -25,6 +25,8 @@ from repro.resilience.errors import (
     WorkerCrashError,
 )
 from repro.serve import ProvingService, ServeConfig
+from repro.registry import VKRegistry
+from repro.serve import scheduler as scheduler_module
 from repro.serve import worker as worker_module
 from repro.serve.scheduler import PRIORITIES, ClusterScheduler
 from repro.serve.worker import BatchJob, BatchResult
@@ -49,7 +51,7 @@ def an_input(seed=None):
 def _cluster_config(tmp_path, **overrides):
     settings = dict(max_batch=4, max_flush_seconds=0.05,
                     cluster_workers=2,
-                    pk_cache_dir=str(tmp_path / "pkcache"))
+                    registry_dir=str(tmp_path / "state"))
     settings.update(overrides)
     return ServeConfig(**settings)
 
@@ -71,9 +73,12 @@ class TestClusterEndToEnd:
         assert len(cluster["workers"]) == 2
         assert cluster["restarts"] == 0
         assert stats["shed_batches"] == 0
-        # the shared disk cache persisted one artifact per circuit
-        pk_dir = os.path.join(str(tmp_path / "pkcache"), "pk")
+        # the shared disk cache persisted one artifact per circuit, and
+        # each circuit's verifying key was published beside it
+        pk_dir = os.path.join(str(tmp_path / "state"), "pk")
         assert len(os.listdir(pk_dir)) == 2
+        published = VKRegistry(str(tmp_path / "state")).list_entries()
+        assert sorted(e.model for e in published) == ["clu-a", "clu-b"]
 
     def test_single_worker_proofs_byte_identical_to_inline(self, tmp_path):
         spec = small_model("clu-parity")
@@ -134,11 +139,11 @@ class TestCrashRecovery:
         assert replacement["alive"] and replacement["pid"] != killed_pid
 
     def test_poison_batch_fails_typed_instead_of_crash_looping(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "REDISPATCH_LIMIT", 0)
         spec = small_model("clu-poison")
         config = _cluster_config(tmp_path, cluster_workers=1, max_batch=8,
-                                 max_flush_seconds=0.02,
-                                 redispatch_limit=0)
+                                 max_flush_seconds=0.02)
         with ProvingService(config) as service:
             futures = [service.submit(spec, an_input(), scale_bits=6)
                        for _ in range(8)]
@@ -263,7 +268,7 @@ class TestConcurrentDispatch:
         twice."""
         proved, results, misassigned = [], [], []
 
-        def prove(job, worker_id):
+        def prove(job, worker_id, registry):
             proved.append(job.job_id)
             handle = next(h for h in scheduler._handles
                           if h.worker_id == worker_id)

@@ -58,7 +58,7 @@ def an_input(seed=None):
 def _cluster_config(tmp_path, **overrides):
     settings = dict(max_batch=2, max_flush_seconds=0.02,
                     cluster_workers=2,
-                    pk_cache_dir=str(tmp_path / "pkcache"))
+                    registry_dir=str(tmp_path / "state"))
     settings.update(overrides)
     return ServeConfig(**settings)
 
@@ -147,7 +147,7 @@ class TestByteIdentity:
         def run(telemetry, sub):
             config = ServeConfig(
                 max_batch=1, max_flush_seconds=0.02, cluster_workers=1,
-                pk_cache_dir=str(tmp_path / sub))
+                registry_dir=str(tmp_path / sub))
             tracer = Tracer() if telemetry else None
             metrics = MetricsRegistry() if telemetry else None
             with ProvingService(config, tracer=tracer,

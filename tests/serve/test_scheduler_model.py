@@ -17,7 +17,7 @@ it against a reference model after every step:
   finished batch hands its worker the next one, so an idle live worker
   never coexists with a queued batch;
 - a reaped dead worker is replaced; its batch goes back to the *front*
-  of its class, or past ``redispatch_limit`` reaches ``on_result``
+  of its class, or past ``REDISPATCH_LIMIT`` reaches ``on_result``
   exactly once, failed with :class:`WorkerCrashError`;
 - a non-draining shutdown sheds the whole backlog, and every later
   enqueue is shed with reason ``shutdown``; every shed is counted.
@@ -44,6 +44,7 @@ from hypothesis.stateful import (
 
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.errors import WorkerCrashError
+from repro.serve import scheduler as scheduler_module
 from repro.serve.scheduler import PRIORITIES, ClusterScheduler
 from repro.serve.worker import BatchJob, BatchResult
 
@@ -93,8 +94,10 @@ class SchedulerMachine(RuleBasedStateMachine):
             workers=0, on_result=self.results.append,
             on_shed=lambda job, reason: self.shed.append(
                 (job.job_id, reason)),
-            metrics=self.metrics, max_backlog_batches=BACKLOG,
-            redispatch_limit=REDISPATCH_LIMIT)
+            metrics=self.metrics, max_backlog_batches=BACKLOG)
+        # the scheduler reads its module constant; teardown restores it
+        self._limit = scheduler_module.REDISPATCH_LIMIT
+        scheduler_module.REDISPATCH_LIMIT = REDISPATCH_LIMIT
         self.scheduler._handles = [FakeWorker(i) for i in range(WORKERS)]
         self.scheduler._spawn = FakeWorker  # the reaper's replacements
         self.job_ids = 0
@@ -111,6 +114,9 @@ class SchedulerMachine(RuleBasedStateMachine):
         self.redispatches = {}  # job id -> workers it outlived
         self.expected_results = []  # (job id, ok)
         self.restarts = self.redispatched = self.poisoned = 0
+
+    def teardown(self):
+        scheduler_module.REDISPATCH_LIMIT = self._limit
 
     def _shed(self, job_id, reason):
         self.expected_shed.append((job_id, reason))
@@ -300,13 +306,15 @@ def test_a_model_that_appears_mid_stream_waits_its_turn():
     assert served == ["b", "c", "a", "b"]
 
 
-def test_a_crashed_batch_goes_first_then_poisons_past_the_limit():
+def test_a_crashed_batch_goes_first_then_poisons_past_the_limit(
+        monkeypatch):
+    monkeypatch.setattr(scheduler_module, "REDISPATCH_LIMIT", 1)
     results = []
     metrics = MetricsRegistry()
     scheduler = ClusterScheduler(
         workers=0, on_result=results.append,
         on_shed=lambda job, reason: None, metrics=metrics,
-        max_backlog_batches=4, redispatch_limit=1)
+        max_backlog_batches=4)
     scheduler._handles = [FakeWorker(0)]
     scheduler._spawn = FakeWorker
     jobs = [_job(job_id, "a") for job_id in (1, 2, 3)]

@@ -10,7 +10,9 @@ the in-process run (``workers=0`` default) and run again on
 a one-worker cluster through ``test_case_on_a_one_worker_cluster``.
 """
 
-import threading
+import dataclasses
+import os
+import re
 import time
 from types import SimpleNamespace
 
@@ -20,15 +22,21 @@ import pytest
 from repro.model import GraphBuilder, get_model, run_fixed
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.pkcache import GLOBAL_PK_CACHE
+from repro.envelope import decode_envelope, verify_envelope
+from repro.registry import VKRegistry
 from repro.resilience.errors import (
     QuantizationRangeError,
+    RegistryError,
+    ServiceError,
     ServiceOverloadedError,
     ServiceShutdownError,
+    VerificationFailure,
 )
-from repro.serve import ProvingService, ServeConfig
+from repro.serve import ProvingService, ServeConfig, VerifyService
 from repro.serve.client import submit_request
 from repro.serve.http_server import HttpFrontEnd
 from repro.serve.server import PayloadProcessor
+from repro.serve import scheduler as scheduler_module
 from repro.serve import worker as worker_module
 
 MODES = pytest.mark.parametrize("workers", [0, 1])
@@ -254,24 +262,23 @@ class TestResilience:
 
 class TestOneBatchPath:
     @MODES
-    def test_inflight_batches_counts_launched_unresolved(self, workers):
+    def test_inflight_batches_counts_launched_unresolved(self, workers,
+                                                         held_worker):
         spec = small_model()
         config = ServeConfig(max_batch=1, max_flush_seconds=0.01,
                              cluster_workers=workers)
         with ProvingService(config) as service:
             assert service.health()["inflight_batches"] == 0
             future = service.submit(spec, an_input(), scale_bits=6)
-            seen = set()
-            while not future.done():
-                seen.add(service.health()["inflight_batches"])
-                seen.add(service.status()["inflight_batches"])
-                time.sleep(0.001)
+            # launched, and held unresolved in the worker
+            assert held_worker.started.wait(timeout=120)
+            assert service.health()["inflight_batches"] == 1
+            assert service.status()["inflight_batches"] == 1
+            held_worker.release.set()
             assert future.result(timeout=120).verified
             service.drain(timeout=30)
             assert service.health()["inflight_batches"] == 0
             assert service.status()["inflight_batches"] == 0
-        # one batch was launched and, for a while, unresolved
-        assert seen == {0, 1}
 
     def test_catalog_is_the_same_in_both_modes(self):
         """The same four requests leave the same metric names with the
@@ -303,16 +310,18 @@ class TestOneBatchPath:
 
 @pytest.fixture
 def held_worker(monkeypatch):
-    """The in-process worker, held on its first batch until released;
-    ``proved`` lists the priority of each batch it proves, in order."""
-    started, release, proved = threading.Event(), threading.Event(), []
+    """The worker — the in-process thread, or a process forked after this
+    — held on its first batch until released; ``proved`` lists the
+    priority of each batch an in-process worker proves, in order."""
+    ctx = scheduler_module._mp_context()
+    started, release, proved = ctx.Event(), ctx.Event(), []
     prove_job = worker_module.prove_job
 
-    def held(job, worker_id):
+    def held(job, worker_id, registry):
         started.set()
         assert release.wait(timeout=120)
         proved.append(job.priority)
-        return prove_job(job, worker_id)
+        return prove_job(job, worker_id, registry)
 
     monkeypatch.setattr(worker_module, "prove_job", held)
     return SimpleNamespace(started=started, release=release, proved=proved)
@@ -368,6 +377,122 @@ class TestSchedulerPolicyInProcess:
         assert stats["shed_batches"] == 2
         assert registry.value("serve_shed_batches_total",
                               model="served-shed", reason="overload") == 2
+
+
+class TestStateDirectory:
+    """``registry_dir`` is the service's one state directory: the key of
+    every served batch is published there, where verifiers look."""
+
+    def test_coalesced_envelope_verifies_against_the_published_key(
+            self, tmp_path):
+        spec = small_model("served-published")
+        root = str(tmp_path / "state")
+        service = ProvingService(ServeConfig(registry_dir=root, max_batch=4))
+        # queued before start, so the four coalesce into one batch
+        futures = [service.submit(spec, an_input(), scale_bits=6)
+                   for _ in range(4)]
+        with service.start():
+            responses = [f.result(timeout=120) for f in futures]
+        assert [r.batch_size for r in responses] == [4, 4, 4, 4]
+        data = responses[0].envelope_bytes
+        env = decode_envelope(data)
+        vk, entry = VKRegistry(root).resolve(env.vk_hash_hex)
+        entry.bind(env)
+        assert verify_envelope(env, vk)
+        # the last slot's first output, forged
+        instance = [list(column) for column in env.instance]
+        instance[-1][0] += 1
+        forged = dataclasses.replace(env, instance=instance)
+        with pytest.raises(VerificationFailure):
+            verify_envelope(forged, vk)
+        verifier = VerifyService(registry=VKRegistry(root))
+        try:
+            report = verifier.verify_batch([data, forged.encode()])
+        finally:
+            verifier.close()
+        assert report["accepted"] == 1 and report["rejected"] == 1
+        assert report["results"][1]["cause"] == "verify_failed"
+
+    def test_every_batch_publishes_and_a_present_key_is_a_no_op(
+            self, tmp_path, monkeypatch):
+        spec = small_model("served-disk-hit")
+        config = ServeConfig(registry_dir=str(tmp_path / "state"),
+                             max_batch=1, max_flush_seconds=0.01)
+        created = []
+        publish = VKRegistry.publish
+
+        def spy(registry, vk, model, config_digest):
+            entry, fresh = publish(registry, vk, model, config_digest)
+            created.append(fresh)
+            return entry, fresh
+
+        monkeypatch.setattr(VKRegistry, "publish", spy)
+        GLOBAL_PK_CACHE.clear()
+        with ProvingService(config) as service:
+            for _ in range(2):  # keygen, then a memory hit
+                assert service.submit(spec, an_input(), scale_bits=6).result(
+                    timeout=120).verified
+        assert created == [True, False]
+        GLOBAL_PK_CACHE.clear()  # the keys stay on disk
+        with ProvingService(config) as service:
+            response = service.submit(spec, an_input(), scale_bits=6).result(
+                timeout=120)
+        assert response.keygen_cache_hit  # loaded from disk
+        assert created == [True, False, False]
+
+    def test_no_batch_is_delivered_under_an_unpublished_key(
+            self, tmp_path, monkeypatch):
+        # the first publish fails; its key stays in the in-memory pk
+        # cache, so the next batch is a memory hit and must publish it
+        # before it is delivered.  An entry evicted while the service
+        # runs is put back the same way.
+        publish = VKRegistry.publish
+        refusals = []
+
+        def refuse_once(registry, vk, model, config_digest):
+            if not refusals:
+                refusals.append(model)
+                raise RegistryError("could not write registry index")
+            return publish(registry, vk, model, config_digest)
+
+        monkeypatch.setattr(VKRegistry, "publish", refuse_once)
+        GLOBAL_PK_CACHE.clear()
+        root = str(tmp_path / "state")
+        config = ServeConfig(registry_dir=root, max_batch=1,
+                             max_flush_seconds=0.01)
+        spec = small_model("served-unpublished")
+
+        def served_key():
+            response = service.submit(spec, an_input(), scale_bits=6).result(
+                timeout=120)
+            assert response.keygen_cache_hit  # the key was in memory
+            return decode_envelope(response.envelope_bytes).vk_hash_hex
+
+        with ProvingService(config) as service:
+            with pytest.raises(RegistryError):
+                service.submit(spec, an_input(), scale_bits=6).result(
+                    timeout=120)
+            vk_hash = served_key()
+            VKRegistry(root).resolve(vk_hash)
+            os.unlink(os.path.join(root, VKRegistry(root).entry(
+                vk_hash).file))
+            assert VKRegistry(root).check(repair=True)["repaired"]
+            assert served_key() == vk_hash
+            VKRegistry(root).resolve(vk_hash)
+
+    @MODES
+    def test_an_unusable_directory_fails_start_before_any_worker(
+            self, tmp_path, workers):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        root = str(blocker / "state")
+        service = ProvingService(ServeConfig(registry_dir=root,
+                                             cluster_workers=workers))
+        with pytest.raises(ServiceError, match=re.escape(root)):
+            service.start()
+        time.sleep(0.1)  # ten monitor ticks: a respawn loop would show
+        assert service.stats()["worker_restarts"] == 0
+        assert service.health()["workers_alive"] == 0
 
 
 ON_A_CLUSTER = [

@@ -116,7 +116,8 @@ def _describe_spec(spec, num_cols: int, scale_bits: int) -> None:
              "/".join(map(str, shape.round_widths)))
     log.info("proof bytes:     %s (shape from the count walk in %.3f s, "
              "no witness)", "{:,}".format(shape.proof_bytes), seconds)
-    log.info("field kernel:    %d lanes", native.lane_width())
+    log.info("field kernel:    %d lanes, %d threads", native.lane_width(),
+             native.thread_count())
 
 
 def _inspect_info(spec, scale: str, num_cols: int, scale_bits: int) -> dict:
@@ -129,7 +130,8 @@ def _inspect_info(spec, scale: str, num_cols: int, scale_bits: int) -> dict:
         "layers": len(spec.layers),
         "parameters": spec.param_count(),
         "flops": spec.flops(),
-        "field_kernel": {"lanes": native.lane_width()},
+        "field_kernel": {"lanes": native.lane_width(),
+                         "threads": native.thread_count()},
         "layout": {
             "k": layout.k,
             "num_cols": num_cols,

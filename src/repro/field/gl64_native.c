@@ -30,8 +30,18 @@
  * messages abreast.  There is no -march: the object may outlive the CPU it
  * was built on, so a constructor picks one build per process from
  * __builtin_cpu_supports (gl_lanes, 8 or 1).
+ *
+ * Threads.  The NTT, Merkle, column-digest, tape, weighted-sum, Horner
+ * and inversion entry points fork-join: a call splits its independent
+ * rows, leaves, row blocks or columns over up to gl_threads POSIX threads,
+ * runs one chunk on the calling thread and joins the rest before it
+ * returns (fork_join, below).  Each output is computed the way one thread
+ * computes it, so results do not depend on the thread count.
  */
 #ifndef LANES /* the first pass: everything but the lane kernels */
+#define _GNU_SOURCE /* sched_getcpu, pthread_attr_setaffinity_np */
+#include <pthread.h>
+#include <sched.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -308,38 +318,220 @@ __attribute__((constructor)) static void gl_pick_lanes(void) {
 #define ON_LANES(fn, ...) fn(__VA_ARGS__)
 #endif
 
+/* Fork-join.  A kernel call cuts its independent units (rows, leaves, row
+ * blocks, columns) into at most gl_threads chunks, starts a POSIX thread
+ * for every chunk but the first, runs the first on the calling thread and
+ * joins the others before it returns.  No thread outlives a call, so the
+ * process may fork between calls (zkml serve --workers N forks after its
+ * warm-up), and no thread spins waiting for work.  A call goes parallel
+ * only when every chunk gets CHUNK_WORK or more, a unit of work being
+ * about one field multiply (a thread costs tens of microseconds to start
+ * and join): below that, and at gl_threads 1, the whole call runs on the
+ * caller.  Chunk c runs on the c-th CPU after the caller's in the caller's
+ * affinity mask: a thread that lives a millisecond cannot wait for the
+ * scheduler to move it off the caller's CPU (on some Linux hosts two
+ * unpinned threads ran no faster than one).  A thread that cannot be
+ * started has its chunk run by the caller.
+ * gl_threads is set by repro/field/native.py from the CPUs the process may
+ * run on; gl_forks counts the calls that went parallel. */
+int gl_threads = 1;
+size_t gl_forks = 0;
+enum { MAX_THREADS = 64, CHUNK_WORK = 1 << 16 };
+
+/* run(ctx, c, lo, hi) does chunk c, units [lo, hi) */
+typedef void chunk_fn(void *ctx, size_t c, size_t lo, size_t hi);
+struct chunk {
+    chunk_fn *run;
+    void *ctx;
+    size_t c, lo, hi;
+};
+
+static void *chunk_main(void *arg) {
+    struct chunk *k = arg;
+    k->run(k->ctx, k->c, k->lo, k->hi);
+    return NULL;
+}
+
+/* start chunk c's thread, on its CPU where the platform lets us say so */
+static int start_chunk(pthread_t *tid, struct chunk *k, const int *cpus, size_t ncpus,
+                       size_t home) {
+    pthread_attr_t attr;
+    int failed;
+    if (pthread_attr_init(&attr)) return 0;
+#ifdef __linux__
+    if (ncpus) {
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpus[(home + k->c) % ncpus], &one);
+        pthread_attr_setaffinity_np(&attr, sizeof one, &one);
+    }
+#else
+    (void)cpus, (void)ncpus, (void)home;
+#endif
+    failed = pthread_create(tid, &attr, chunk_main, k);
+    pthread_attr_destroy(&attr);
+    return !failed;
+}
+
+/* run over [0, units) in chunks that start on multiples of grain, the
+ * call's total work being work; returns the number of chunks */
+static size_t fork_join(chunk_fn *run, void *ctx, size_t units, size_t grain,
+                        size_t work) {
+    size_t groups = (units + grain - 1) / grain, t = gl_threads > 1 ? gl_threads : 1;
+    if (t > MAX_THREADS) t = MAX_THREADS;
+    if (t > work / CHUNK_WORK) t = work / CHUNK_WORK;
+    if (t > groups) t = groups;
+    if (t <= 1) {
+        run(ctx, 0, 0, units);
+        return 1;
+    }
+    struct chunk k[MAX_THREADS];
+    pthread_t tid[MAX_THREADS];
+    int started[MAX_THREADS], cpus[MAX_THREADS];
+    size_t ncpus = 0, home = 0;
+#ifdef __linux__
+    cpu_set_t mask;
+    int here = sched_getcpu();
+    if (!sched_getaffinity(0, sizeof mask, &mask))
+        for (int cpu = 0; cpu < CPU_SETSIZE && ncpus < MAX_THREADS; cpu++)
+            if (CPU_ISSET(cpu, &mask)) {
+                if (cpu == here) home = ncpus;
+                cpus[ncpus++] = cpu;
+            }
+#endif
+    __atomic_add_fetch(&gl_forks, 1, __ATOMIC_RELAXED);
+    for (size_t c = 0; c < t; c++) {
+        size_t hi = groups * (c + 1) / t * grain;
+        k[c] = (struct chunk){run, ctx, c, groups * c / t * grain, hi < units ? hi : units};
+    }
+    for (size_t c = 1; c < t; c++) started[c] = start_chunk(&tid[c], &k[c], cpus, ncpus, home);
+    chunk_main(&k[0]);
+    for (size_t c = 1; c < t; c++)
+        if (started[c]) pthread_join(tid[c], NULL);
+        else chunk_main(&k[c]);
+    return t;
+}
+
+static size_t log2_of(size_t n) { return n ? (size_t)__builtin_ctzll(n) : 0; }
+
 /* m independent size-n radix-2 NTTs (ntt_rows, below), output row r at
- * out + r * ors.  A row shorter than two vectors, or one strided past 2^31
- * elements, takes the scalar build. */
+ * out + r * ors, a chunk of rows a thread.  A row shorter than two
+ * vectors, or one strided past 2^31 elements, takes the scalar build. */
+struct ntt_call {
+    u64 *out;
+    const u64 *src, *tw, *scale;
+    ptrdiff_t ors, srs, scs, sstride;
+    size_t n;
+    const int64_t *rev;
+};
+
+static void ntt_chunk(void *ctx, size_t c, size_t lo, size_t hi) {
+    const struct ntt_call *a = ctx;
+    u64 *out = a->out + (ptrdiff_t)lo * a->ors;
+    const u64 *src = a->src + (ptrdiff_t)lo * a->srs;
+    (void)c;
+    if (a->n >= 16 && a->scs == (int32_t)a->scs)
+        ON_LANES(ntt_rows, out, a->ors, src, a->srs, a->scs, hi - lo, a->n, a->rev,
+                 a->tw, a->scale, a->sstride);
+    else
+        ntt_rows(out, a->ors, src, a->srs, a->scs, hi - lo, a->n, a->rev, a->tw,
+                 a->scale, a->sstride);
+}
+
 void gl_ntt(u64 *out, ptrdiff_t ors, const u64 *src, ptrdiff_t srs, ptrdiff_t scs,
             size_t m, size_t n, const int64_t *rev, const u64 *tw,
             const u64 *scale, ptrdiff_t sstride) {
-    if (n >= 16 && scs == (int32_t)scs)
-        ON_LANES(ntt_rows, out, ors, src, srs, scs, m, n, rev, tw, scale, sstride);
-    else
-        ntt_rows(out, ors, src, srs, scs, m, n, rev, tw, scale, sstride);
+    struct ntt_call a = {out, src, tw, scale, ors, srs, scs, sstride, n, rev};
+    fork_join(ntt_chunk, &a, m, 1, m * n / 2 * log2_of(n));
+}
+
+/* Montgomery's trick (batch_inv, below) on a chunk of a thread, each with
+ * its own chains and its own exponentiation; chunks start on multiples of
+ * 32, a whole number of either build's chain groups, so only the last has
+ * a tail.  Returns the index of the first zero (out then holds no answer)
+ * or -1. */
+struct inv_call {
+    u64 *out;
+    const u64 *v;
+    ptrdiff_t zero[MAX_THREADS];
+};
+
+static void inv_chunk(void *ctx, size_t c, size_t lo, size_t hi) {
+    struct inv_call *a = ctx;
+    ptrdiff_t at = ON_LANES(batch_inv, a->out + lo, a->v + lo, hi - lo);
+    a->zero[c] = at < 0 ? -1 : at + (ptrdiff_t)lo;
 }
 
 ptrdiff_t gl_batch_inv(u64 *out, const u64 *v, size_t n) {
-    return ON_LANES(batch_inv, out, v, n);
+    struct inv_call a = {out, v, {0}};
+    size_t chunks = fork_join(inv_chunk, &a, n, 32, 3 * n);
+    for (size_t c = 0; c < chunks; c++)
+        if (a.zero[c] >= 0) return a.zero[c];
+    return -1;
 }
 
 /* the row kernels read m rows of `width` in place: row i of the call is
- * mat + (idx ? idx[i] : i) * rs */
+ * mat + (idx ? idx[i] : i) * rs.  A weighted sum splits its columns into
+ * chunks (of whole SUM_VECS vectors), Horner its rows (of HORNER_ROWS). */
+struct rows_call {
+    u64 *out;
+    const u64 *mat, *vec;
+    ptrdiff_t rs;
+    const int64_t *idx;
+    size_t m, width;
+};
+
+static void sum_chunk(void *ctx, size_t c, size_t lo, size_t hi) {
+    const struct rows_call *a = ctx;
+    (void)c;
+    ON_LANES(weighted_sum, a->out + lo, a->mat + lo, a->rs, a->idx, a->vec, a->m, hi - lo);
+}
+
 void gl_weighted_sum(u64 *out, const u64 *mat, ptrdiff_t rs, const int64_t *idx,
                      const u64 *w, size_t m, size_t width) {
-    ON_LANES(weighted_sum, out, mat, rs, idx, w, m, width);
+    struct rows_call a = {out, mat, w, rs, idx, m, width};
+    fork_join(sum_chunk, &a, width, SUM_VECS * 8, m * width);
+}
+
+static void horner_chunk(void *ctx, size_t c, size_t lo, size_t hi) {
+    const struct rows_call *a = ctx;
+    (void)c;
+    ON_LANES(poly_eval_rows, a->out + lo, a->idx ? a->mat : a->mat + (ptrdiff_t)lo * a->rs,
+             a->rs, a->idx ? a->idx + lo : NULL, a->vec + lo, hi - lo, a->width);
 }
 
 void gl_poly_eval_rows(u64 *out, const u64 *mat, ptrdiff_t rs, const int64_t *idx,
                        const u64 *points, size_t m, size_t width) {
-    ON_LANES(poly_eval_rows, out, mat, rs, idx, points, m, width);
+    struct rows_call a = {out, mat, points, rs, idx, m, width};
+    fork_join(horner_chunk, &a, m, HORNER_ROWS, m * width);
+}
+
+/* the tape (eval_tape, below) over its parts * ceil(n / TAPE_ROWS) row
+ * blocks, a chunk of blocks a thread, each with its own register file */
+struct tape_call {
+    u64 *out;
+    const u64 *const *cols;
+    size_t parts, n, ninstr, nregs;
+    const int32_t *code;
+    const u64 *scalars, *scale;
+    int failed;
+};
+
+static void tape_chunk(void *ctx, size_t c, size_t lo, size_t hi) {
+    struct tape_call *a = ctx;
+    (void)c;
+    if (ON_LANES(eval_tape, a->out, a->cols, a->parts, a->n, a->code, a->ninstr,
+                 a->nregs, a->scalars, a->scale, lo, hi))
+        __atomic_store_n(&a->failed, 1, __ATOMIC_RELAXED);
 }
 
 int gl_eval_tape(u64 *out, const u64 *const *cols, size_t parts, size_t n,
                  const int32_t *code, size_t ninstr, size_t nregs,
                  const u64 *scalars, const u64 *scale) {
-    return ON_LANES(eval_tape, out, cols, parts, n, code, ninstr, nregs, scalars, scale);
+    struct tape_call a = {out, cols, parts, n, ninstr, nregs, code, scalars, scale, 0};
+    fork_join(tape_chunk, &a, parts * ((n + TAPE_ROWS - 1) / TAPE_ROWS), 1,
+              parts * n * ninstr);
+    return a.failed ? -1 : 0;
 }
 
 /* blake2b-256 of count messages of len bytes back to back: eight abreast
@@ -365,52 +557,91 @@ static void hash_many(uint8_t *out, const u64 h0[8], const uint8_t *data,
  * abreast on the eight-lane build.  Then padded - count copies of the
  * empty leaf's digest, then every level upward, node j of a level the hash
  * under node_person of its two children (64 contiguous bytes of the level
- * below).  padded is a power of two >= count >= 1. */
+ * below).  padded is a power of two >= count >= 1.  The leaves, then each
+ * level, split into chunks of whole groups of eight, a chunk a thread; a
+ * compression counts as B2B_WORK units. */
+enum { B2B_WORK = 64 };
+
+struct tree_call {
+    uint8_t *out;
+    const uint8_t *level;
+    const u64 *lde;
+    size_t m, ext, n;
+    u64 h0[8];
+};
+
+static void leaf_chunk(void *ctx, size_t c, size_t lo, size_t hi) {
+    const struct tree_call *a = ctx;
+    const u64 *lde = a->lde, *msg[8];
+    size_t m = a->m, ext = a->ext, n = a->n, j = lo;
+    ptrdiff_t cs = (ptrdiff_t)(ext * n), hs = (ptrdiff_t)(n / 2);
+    (void)c;
+#if GL_LANE_BUILD
+    for (; gl_lanes == 8 && j + 8 <= hi; j += 8) {
+        for (size_t l = 0; l < 8; l++) msg[l] = lde + (j + l) % ext * n + (j + l) / ext;
+        b2b_gather_x8(a->out + 32 * j, a->h0, msg, 2 * m, m, cs, hs);
+    }
+#endif
+    for (; j < hi; j++) {
+        msg[0] = lde + j % ext * n + j / ext;
+        b2b_gather(a->out + 32 * j, a->h0, msg, 2 * m, m, cs, hs);
+    }
+}
+
+static void node_chunk(void *ctx, size_t c, size_t lo, size_t hi) {
+    const struct tree_call *a = ctx;
+    (void)c;
+    hash_many(a->out + 32 * lo, a->h0, a->level + 64 * lo, hi - lo, 64);
+}
+
 void gl_merkle_tree(uint8_t *out, const u64 *lde, size_t m, size_t ext, size_t n,
                     size_t padded, const uint8_t *leaf_person,
                     const uint8_t *node_person) {
-    u64 leaf0[8], node0[8];
-    const u64 *msg[8];
-    size_t count = ext * n / 2, j = 0;
-    ptrdiff_t cs = (ptrdiff_t)(ext * n), hs = (ptrdiff_t)(n / 2);
-    b2b_init(leaf0, leaf_person);
-    b2b_init(node0, node_person);
-#if GL_LANE_BUILD
-    for (; gl_lanes == 8 && j + 8 <= count; j += 8) {
-        for (size_t l = 0; l < 8; l++) msg[l] = lde + (j + l) % ext * n + (j + l) / ext;
-        b2b_gather_x8(out + 32 * j, leaf0, msg, 2 * m, m, cs, hs);
-    }
-#endif
-    for (; j < count; j++) {
-        msg[0] = lde + j % ext * n + j / ext;
-        b2b_gather(out + 32 * j, leaf0, msg, 2 * m, m, cs, hs);
-    }
+    size_t count = ext * n / 2;
+    struct tree_call a = {out, NULL, lde, m, ext, n, {0}};
+    b2b_init(a.h0, leaf_person);
+    fork_join(leaf_chunk, &a, count, 8, count * ((2 * m + 15) / 16) * B2B_WORK);
     if (padded > count) {
-        b2b_gather(out + 32 * count, leaf0, msg, 0, 1, 0, 0); /* the empty leaf */
+        const u64 *none[1] = {lde};
+        b2b_gather(out + 32 * count, a.h0, none, 0, 1, 0, 0); /* the empty leaf */
         for (size_t i = count + 1; i < padded; i++)
             memcpy(out + 32 * i, out + 32 * count, 32);
     }
-    const uint8_t *level = out;
+    b2b_init(a.h0, node_person);
+    a.level = out;
     for (size_t width = padded; width > 1; width >>= 1) {
-        uint8_t *next = (uint8_t *)level + 32 * width;
-        hash_many(next, node0, level, width / 2, 64);
-        level = next;
+        a.out = (uint8_t *)a.level + 32 * width;
+        fork_join(node_chunk, &a, width / 2, 8, width / 2 * B2B_WORK);
+        a.level = a.out;
     }
 }
 
 /* out[32i : 32i + 32] <- blake2b-256 (no key, no person) of the len
  * residues at cols[i], for i < count: eight columns abreast on the
- * eight-lane build */
+ * eight-lane build, a chunk of whole groups of eight a thread */
+struct columns_call {
+    uint8_t *out;
+    const u64 *const *cols;
+    size_t len;
+    u64 h0[8];
+};
+
+static void columns_chunk(void *ctx, size_t c, size_t lo, size_t hi) {
+    const struct columns_call *a = ctx;
+    size_t i = lo;
+    (void)c;
+#if GL_LANE_BUILD
+    for (; gl_lanes == 8 && i + 8 <= hi; i += 8)
+        b2b_gather_x8(a->out + 32 * i, a->h0, a->cols + i, a->len, a->len, 1, 0);
+#endif
+    for (; i < hi; i++) b2b_gather(a->out + 32 * i, a->h0, a->cols + i, a->len, a->len, 1, 0);
+}
+
 void gl_hash_columns(uint8_t *out, const u64 *const *cols, size_t count, size_t len) {
     static const uint8_t no_person[16];
-    u64 h0[8];
-    size_t i = 0;
-    b2b_init(h0, no_person);
-#if GL_LANE_BUILD
-    for (; gl_lanes == 8 && i + 8 <= count; i += 8)
-        b2b_gather_x8(out + 32 * i, h0, cols + i, len, len, 1, 0);
-#endif
-    for (; i < count; i++) b2b_gather(out + 32 * i, h0, cols + i, len, len, 1, 0);
+    struct columns_call a = {out, cols, len, {0}};
+    b2b_init(a.h0, no_person);
+    fork_join(columns_chunk, &a, count, 8, count * (len / 16 + 1) * B2B_WORK);
 }
 
 #else /* LANES: the lane kernels, compiled once per build */
@@ -597,12 +828,14 @@ LANE_FN static void poly_eval_rows(u64 *out, const u64 *mat, ptrdiff_t rs,
  * TAPE_ROWS at a time through the whole tape, so the register file is
  * nregs * TAPE_ROWS words at any n (and one block for a scaled STORE); a
  * LOAD that does not wrap points its register into the column instead of
- * copying.  Returns 0, or -1 when the register file cannot be allocated. */
+ * copying.  This runs blocks [lo, hi) of the parts * ceil(n / TAPE_ROWS),
+ * block b being rows from (b mod that) * TAPE_ROWS of part b / that.
+ * Returns 0, or -1 when the register file cannot be allocated. */
 LANE_FN static int eval_tape(u64 *out, const u64 *const *cols, size_t parts, size_t n,
                              const int32_t *code, size_t ninstr, size_t nregs,
-                             const u64 *scalars, const u64 *scale) {
+                             const u64 *scalars, const u64 *scale, size_t lo, size_t hi) {
     static const u64 zero = 0;
-    size_t rows = n < TAPE_ROWS ? n : TAPE_ROWS;
+    size_t rows = n < TAPE_ROWS ? n : TAPE_ROWS, blocks = (n + rows - 1) / rows;
     u64 *file = malloc((nregs + 1) * rows * sizeof *file);
     const u64 **reg = malloc((nregs + 1) * sizeof *reg);
     if (!file || !reg) {
@@ -610,51 +843,51 @@ LANE_FN static int eval_tape(u64 *out, const u64 *const *cols, size_t parts, siz
         free(reg);
         return -1;
     }
-    for (size_t r = 0; r < parts; r++)
-        for (size_t t0 = 0; t0 < n; t0 += rows) {
-            size_t len = n - t0 < rows ? n - t0 : rows;
-            for (const int32_t *ins = code; ins < code + 4 * ninstr; ins += 4) {
-                int op = ins[0];
-                if (op == TAPE_LOAD) {
-                    const u64 *col = cols[ins[2]] + r * n;
-                    size_t start = (t0 + (size_t)ins[3]) % n, head = n - start;
-                    u64 *o = file + (size_t)ins[1] * rows;
-                    if (len <= head) {
-                        reg[ins[1]] = col + start;
-                    } else {
-                        memcpy(o, col + start, head * sizeof *o);
-                        memcpy(o + head, col, (len - head) * sizeof *o);
-                        reg[ins[1]] = o;
-                    }
-                    continue;
-                }
-                /* as / bs: 1 for a register, 0 (a broadcast) for a scalar */
-                size_t as = ins[2] >= 0, bs = as;
-                const u64 *a = as ? reg[ins[2]] : scalars + (-1 - (ptrdiff_t)ins[2]), *b = a;
-                u64 *o = file + (op == TAPE_STORE ? nregs : (size_t)ins[1]) * rows;
-                if (op == TAPE_STORE) {
-                    u64 *dst = out + (size_t)ins[1] * n * parts + t0 * parts + r;
-                    if (scale) {
-                        b = scale + r, bs = 0;
-                        TAPE_BINARY(vmul, gl_mul1);
-                        a = o, as = 1;
-                    }
-                    if (parts == 1 && as) memcpy(dst, a, len * sizeof *dst);
-                    else for (size_t j = 0; j < len; j++) dst[j * parts] = a[j * as];
-                    continue;
-                }
-                if (op == TAPE_NEG) {
-                    a = &zero, as = 0;
+    for (size_t block = lo; block < hi; block++) {
+        size_t r = block / blocks, t0 = block % blocks * rows;
+        size_t len = n - t0 < rows ? n - t0 : rows;
+        for (const int32_t *ins = code; ins < code + 4 * ninstr; ins += 4) {
+            int op = ins[0];
+            if (op == TAPE_LOAD) {
+                const u64 *col = cols[ins[2]] + r * n;
+                size_t start = (t0 + (size_t)ins[3]) % n, head = n - start;
+                u64 *o = file + (size_t)ins[1] * rows;
+                if (len <= head) {
+                    reg[ins[1]] = col + start;
                 } else {
-                    bs = ins[3] >= 0;
-                    b = bs ? reg[ins[3]] : scalars + (-1 - (ptrdiff_t)ins[3]);
+                    memcpy(o, col + start, head * sizeof *o);
+                    memcpy(o + head, col, (len - head) * sizeof *o);
+                    reg[ins[1]] = o;
                 }
-                if (op == TAPE_ADD) TAPE_BINARY(vadd, gl_add1);
-                else if (op == TAPE_MUL) TAPE_BINARY(vmul, gl_mul1);
-                else TAPE_BINARY(vsub, gl_sub1);
-                reg[ins[1]] = o;
+                continue;
             }
+            /* as / bs: 1 for a register, 0 (a broadcast) for a scalar */
+            size_t as = ins[2] >= 0, bs = as;
+            const u64 *a = as ? reg[ins[2]] : scalars + (-1 - (ptrdiff_t)ins[2]), *b = a;
+            u64 *o = file + (op == TAPE_STORE ? nregs : (size_t)ins[1]) * rows;
+            if (op == TAPE_STORE) {
+                u64 *dst = out + (size_t)ins[1] * n * parts + t0 * parts + r;
+                if (scale) {
+                    b = scale + r, bs = 0;
+                    TAPE_BINARY(vmul, gl_mul1);
+                    a = o, as = 1;
+                }
+                if (parts == 1 && as) memcpy(dst, a, len * sizeof *dst);
+                else for (size_t j = 0; j < len; j++) dst[j * parts] = a[j * as];
+                continue;
+            }
+            if (op == TAPE_NEG) {
+                a = &zero, as = 0;
+            } else {
+                bs = ins[3] >= 0;
+                b = bs ? reg[ins[3]] : scalars + (-1 - (ptrdiff_t)ins[3]);
+            }
+            if (op == TAPE_ADD) TAPE_BINARY(vadd, gl_add1);
+            else if (op == TAPE_MUL) TAPE_BINARY(vmul, gl_mul1);
+            else TAPE_BINARY(vsub, gl_sub1);
+            reg[ins[1]] = o;
         }
+    }
     free(file);
     free(reg);
     return 0;

@@ -2,10 +2,10 @@
 
 ``gl64_native.c`` is compiled once with the local ``cc`` into
 ``_native/gl64-<key>.so`` (keyed by its source, the compiler's version
-banner and the machine: an edit or a new toolchain never loads a stale
-object), self-tested against Python-int arithmetic and handed to
-:mod:`repro.field.gl64` as a ``ctypes`` handle.  It is the only arithmetic
-path: if any step fails, :func:`library` raises
+banner, the compile command and the machine: an edit, a new toolchain or
+a new flag never loads a stale object), self-tested against Python-int
+arithmetic and handed to :mod:`repro.field.gl64` as a ``ctypes`` handle.
+It is the only arithmetic path: if any step fails, :func:`library` raises
 :class:`~repro.resilience.errors.KernelUnavailableError` saying why (``no
 C compiler``, ``build failed``, ``load failed`` or ``self-test failed``),
 and raises it again on every later call without another build, so proving
@@ -14,7 +14,10 @@ The NTT, inversion, weighted-sum, Horner, constraint-tape, Merkle and
 column-digest kernels have a scalar build and, on x86-64, an eight-lane
 AVX-512 one (eight residues a vector, multiplied with ``vpmuludq``); the
 object picks one per process from the CPU it runs on (:func:`lane_width`),
-and the self-test checks both.
+and the self-test checks both.  Those kernels also split a large call over
+threads (:func:`thread_count`, one per CPU this process may run on) and
+join them before returning; the self-test holds a threaded call to the
+serial answer.
 The object has the trust of the source tree it sits in (like a
 ``__pycache__`` entry); when the package directory is not writable it is
 built in a 0700 ``mkdtemp`` directory that is removed once loaded.
@@ -56,6 +59,9 @@ _SIGNATURES = {
 
 _UNSET = object()
 _LOCK = threading.Lock()
+#: The compiler's flags: ``-O3`` vectorizes, ``-pthread`` for the kernel
+#: threads.  They key the object's name with the source and the compiler.
+_CFLAGS = ("-O3", "-pthread", "-shared", "-fPIC")
 #: The loaded library, or the error saying why there is none; ``_UNSET``
 #: before first use.
 _handle = _UNSET
@@ -106,6 +112,63 @@ def _lanes(lib: ctypes.CDLL) -> ctypes.c_int:
     return ctypes.c_int.in_dll(lib, "gl_lanes")
 
 
+def cpu_count() -> int:
+    """The CPUs this process may run on (its affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def thread_count() -> int:
+    """The threads a large kernel call splits over in this process: one
+    per CPU of its affinity mask, unless :func:`set_threads` said
+    otherwise."""
+    return _threads(library()).value
+
+
+def set_threads(count: int) -> None:
+    """Split large kernel calls over ``count`` threads from now on (a
+    cluster worker takes its share of the CPUs; 1 runs every call on the
+    calling thread)."""
+    _threads(library()).value = max(1, int(count))
+
+
+@contextlib.contextmanager
+def threads(count: int):
+    """Run the kernels on ``count`` threads for the duration (a test hook)."""
+    saved = thread_count()
+    set_threads(count)
+    try:
+        yield
+    finally:
+        set_threads(saved)
+
+
+def serial():
+    """Run every kernel call on the calling thread for the duration (a
+    test hook, like :func:`scalar_build`)."""
+    return threads(1)
+
+
+def forks() -> int:
+    """Kernel calls of this process that went parallel so far."""
+    return ctypes.c_size_t.in_dll(library(), "gl_forks").value
+
+
+def _threads(lib: ctypes.CDLL) -> ctypes.c_int:
+    return ctypes.c_int.in_dll(lib, "gl_threads")
+
+
+def _object_name(cc: str, banner: bytes) -> str:
+    """``gl64-<key>.so``: the key hashes the source, the compiler's banner,
+    its command line and the machine."""
+    with open(_SOURCE, "rb") as fh:
+        key = hashlib.sha256(fh.read() + banner + platform.machine().encode())
+    key.update("\0".join((cc,) + _CFLAGS).encode())
+    return "gl64-%s.so" % key.hexdigest()[:16]
+
+
 def _load() -> ctypes.CDLL:
     cc = shutil.which("cc") or shutil.which("gcc") or "cc"
     try:
@@ -113,9 +176,7 @@ def _load() -> ctypes.CDLL:
                                 check=True, timeout=60).stdout
     except (OSError, subprocess.SubprocessError) as exc:
         raise KernelUnavailableError("no C compiler: %s" % exc) from exc
-    with open(_SOURCE, "rb") as fh:
-        key = hashlib.sha256(fh.read() + banner + platform.machine().encode())
-    name = "gl64-%s.so" % key.hexdigest()[:16]
+    name = _object_name(cc, banner)
     path, scratch = os.path.join(_BUILD_DIR, name), None
     try:
         if not os.path.exists(path):
@@ -140,6 +201,7 @@ def _load() -> ctypes.CDLL:
     finally:
         if scratch is not None:  # the mapping outlives the file
             shutil.rmtree(scratch, ignore_errors=True)
+    _threads(lib).value = cpu_count()
     _self_test(lib)
     return lib
 
@@ -154,7 +216,7 @@ def _compile(cc: str, path: str) -> None:
     tmp = "%s.tmp.%d.%d" % (path, os.getpid(), threading.get_ident())
     open(tmp, "wb").close()  # an unwritable directory is an OSError, not a cc error
     try:
-        subprocess.run([cc, "-O3", "-shared", "-fPIC", "-o", tmp, _SOURCE],
+        subprocess.run([cc, *_CFLAGS, "-o", tmp, _SOURCE],
                        capture_output=True, check=True, timeout=300)
         os.replace(tmp, path)
     except subprocess.SubprocessError as exc:
@@ -270,6 +332,29 @@ def _cases(lib: ctypes.CDLL) -> dict:
             ([sum(c * pow(x, j, p) for j, c in enumerate(row)) % p
               for row, x in zip(picked, xs[5:9])], None)),
     })
+    # one call above the work threshold, on two threads or more even where
+    # the process has one CPU: 2^16 inversions equal the serial call's, and
+    # of two zeros in later chunks the first is reported
+    big = 1 << 16
+
+    def threaded_inv():
+        values = (ctypes.c_uint64 * big)()
+        lib.gl_powers(values, 3, p - 2, big)
+        outs = [(ctypes.c_uint64 * big)() for _ in range(3)]
+        count, forks = _threads(lib), ctypes.c_size_t.in_dll(lib, "gl_forks")
+        saved = count.value
+        try:
+            count.value = 1
+            lib.gl_batch_inv(outs[0], values, big)
+            count.value, before = max(2, saved), forks.value
+            code = lib.gl_batch_inv(outs[1], values, big)
+            forked = forks.value > before
+            values[big - 5] = values[big // 2 + 3] = 0
+            zero = lib.gl_batch_inv(outs[2], values, big)
+        finally:
+            count.value = saved
+        return bytes(outs[0]) == bytes(outs[1]), code, forked, zero
+    cases["gl_batch_inv threaded"] = (threaded_inv, (True, -1, True, big // 2 + 3))
     for fn, op in (("gl_mul", int.__mul__), ("gl_add", int.__add__), ("gl_sub", int.__sub__)):
         cases[fn] = (call(fn, n, a, n, 1, b, n, 1, 1, n),
                      ([op(x, y) % p for x, y in zip(a, b)], None))

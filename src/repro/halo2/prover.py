@@ -43,11 +43,18 @@ blocks whatever the circuit's size.  The compiled and numpy kernel tiers
 produce byte-identical proofs (asserted by the equivalence tests, which
 also hold each vectorized kernel to a per-row reference).
 
-The prover is serial: one process, one thread per proof.  More cores are
-used by proving more batches at once (``zkml serve --workers N``), never
-by splitting one proof.  A :class:`~repro.perf.timer.PhaseTimer` may be
-passed to record the commit / helpers / quotient / openings phase
-breakdown.
+One proof runs in one process, and this module runs on one thread.  The
+cores come in inside a kernel call: a large NTT, Merkle tree, tape run,
+weighted sum, Horner or ``batch_inv`` call splits its rows, leaves, row
+blocks or columns over the process's kernel threads (one per CPU of its
+affinity mask, ``native.thread_count()``) and joins them before it
+returns, so no thread outlives a call and the process may fork between
+calls.  Every output is computed as one thread computes it: proofs and
+``STATS`` (counted here, in Python) do not depend on the thread count.
+``zkml serve --workers N`` proves N batches at once in worker processes,
+each taking ``cpus // N`` kernel threads; a proof is never split across
+processes.  A :class:`~repro.perf.timer.PhaseTimer` may be passed to
+record the commit / helpers / quotient / openings phase breakdown.
 """
 
 from __future__ import annotations
@@ -312,7 +319,6 @@ def create_proof(
             assignment_k=assignment.k, key_k=vk.k,
         )
     timer = timer if timer is not None else NULL_TIMER
-    backend = domain.backend
 
     transcript = Transcript(field)
     transcript.append_message(b"vk", vk.digest())
@@ -364,29 +370,34 @@ def create_proof(
                 [None if lk.selector is None else pk.fixed_evals[lk.selector]
                  for lk in helpers.arguments]))
         invs = _batched_inverses(vectors[lookup_rows:len(vectors) - h_rows])
-        # h = (q_i (alpha + f_j) + q_j (alpha + f_i)) / ((alpha + f_i)(alpha + f_j))
-        # for a pair, q / (alpha + f) for a lookup alone
-        h_vecs = iter(gl64.mul(invs[:h_rows], vectors[len(vectors) - h_rows:]))
-        invs = iter(invs[h_rows:])
+        tables = len(vk.lookups)
+        # rows [0, h_rows): h = (q_i (alpha + f_j) + q_j (alpha + f_i)) /
+        # ((alpha + f_i)(alpha + f_j)) for a pair, q / (alpha + f) for a
+        # lookup alone; then one m / (alpha + t) row per table
+        terms = np.empty((h_rows + tables, n), dtype=np.uint64)
+        gl64.mul_into(terms[:h_rows], invs[:h_rows], vectors[len(vectors) - h_rows:])
+        if tables:
+            gl64.mul_into(terms[h_rows:], np.stack(m_vecs),
+                          invs[h_rows:h_rows + tables])
 
         helper_evals: Dict[int, object] = {}
-        for helpers, m_vec in zip(vk.lookups, m_vecs):
-            # s accumulates sum h - m/(alpha + t)
-            total = backend.zeros(n)
-            for h_col in helpers.h_cols:
-                h_vec = next(h_vecs)
-                helper_evals[h_col.index] = h_vec
-                total = backend.add(total, h_vec)
-            total = backend.sub(total, backend.mul(m_vec, next(invs)))
+        first = 0
+        for t, (helpers, m_vec) in enumerate(zip(vk.lookups, m_vecs)):
+            # s accumulates sum h - m/(alpha + t): one weighted sum
+            rows = list(range(first, first + len(helpers.h_cols)))
+            for h_col, row in zip(helpers.h_cols, rows):
+                helper_evals[h_col.index] = terms[row]
+            total = gl64.weighted_sum(terms, [1] * len(rows) + [field.p - 1],
+                                      rows + [h_rows + t])
             helper_evals[helpers.m_col.index] = m_vec
             helper_evals[helpers.s_col.index] = _prefix_sum_vec(total)
+            first += len(rows)
         if perm is not None:
-            total = backend.zeros(n)
-            for h_col in perm.helper_cols:
-                inv_id, inv_sigma = next(invs), next(invs)
-                h_vec = backend.sub(inv_id, inv_sigma)
-                helper_evals[h_col.index] = h_vec
-                total = backend.add(total, h_vec)
+            # h_c = 1/(id denominator) - 1/(sigma denominator), pairs in turn
+            pairs = invs[h_rows + tables:]
+            for c, h_col in enumerate(perm.helper_cols):
+                helper_evals[h_col.index] = gl64.sub(pairs[2 * c], pairs[2 * c + 1])
+            total = gl64.weighted_sum(pairs, [1, field.p - 1] * len(perm.helper_cols))
             helper_evals[perm.sum_col.index] = _prefix_sum_vec(total)
 
         # helper columns are numbered contiguously after the user advice

@@ -373,8 +373,10 @@ def record_prover_run(registry: MetricsRegistry, model: str,
     slots = max(1, int(slots))
     registry.gauge("zkml_field_kernel",
                    "lanes abreast in the Goldilocks kernel this process "
-                   "proves on (8 or 1)",
-                   lanes=native.lane_width()).set(1)
+                   "proves on (8 or 1) and the threads a large kernel call "
+                   "splits over",
+                   lanes=native.lane_width(),
+                   threads=native.thread_count()).set(1)
     c("zkml_prover_slots_total",
       "inference slots proved (batch proves count each slot)",
       model=model).inc(slots)

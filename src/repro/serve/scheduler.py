@@ -55,6 +55,7 @@ from collections import deque
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.field import native
 from repro.obs import log as obs_log
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import RuntimeTelemetry, SloTracker
@@ -88,7 +89,8 @@ class _WorkerHandle:
     ``batches_before`` is its logical worker's batch count at spawn."""
 
     def __init__(self, worker_id: int, ctx, result_queue,
-                 registry_dir: Optional[str], batches_before: int = 0):
+                 registry_dir: Optional[str], batches_before: int = 0,
+                 kernel_threads: Optional[int] = None):
         self.worker_id = worker_id
         self.in_process = ctx is None
         self.job_queue = queue_mod.Queue() if ctx is None else ctx.Queue()
@@ -97,7 +99,8 @@ class _WorkerHandle:
         self.started_at = time.monotonic()
         self.runner = (threading.Thread if ctx is None else ctx.Process)(
             target=worker_main,
-            args=(worker_id, self.job_queue, result_queue, registry_dir),
+            args=(worker_id, self.job_queue, result_queue, registry_dir,
+                  kernel_threads),
             name="zkml-prover-%d" % worker_id,
             daemon=True,
         )
@@ -154,6 +157,10 @@ class ClusterScheduler:
         self.max_backlog_batches = max_backlog_batches
         self.metrics = metrics
         self.runtime = runtime if runtime is not None else RuntimeTelemetry()
+        #: Threads a worker process's kernel calls split over: the CPUs
+        #: shared out between the workers (``None`` in process: all of them).
+        self.kernel_threads = max(1, native.cpu_count() // workers) \
+            if workers else None
         #: ``None`` for the in-process worker: no processes, and its
         #: "result queue" settles each result on the worker's own thread.
         self._ctx = _mp_context() if workers else None
@@ -200,7 +207,8 @@ class ClusterScheduler:
     def _spawn(self, worker_id: int) -> _WorkerHandle:
         return _WorkerHandle(worker_id, self._ctx, self._result_queue,
                              self.registry_dir,
-                             batches_before=self._worker_batches(worker_id))
+                             batches_before=self._worker_batches(worker_id),
+                             kernel_threads=self.kernel_threads)
 
     def _worker_batches(self, worker_id: int) -> int:
         return int(self.metrics.total("zkml_worker_batches_total",

@@ -776,7 +776,11 @@ class ProvingService:
             },
             "counters": self.stats(),
             "pk_cache": GLOBAL_PK_CACHE.stats(),
-            "field_kernel": {"lanes": native.lane_width()},
+            "field_kernel": {
+                "lanes": native.lane_width(),
+                "threads": self._scheduler.kernel_threads
+                or native.thread_count(),
+            },
             "resilience": events.counts(),
             "mode": "cluster" if self.config.cluster_workers else "inline",
             "cluster": self._scheduler.status(),

@@ -35,12 +35,17 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.field import native
 from repro.model.spec import ModelSpec
 from repro.obs.stats import STATS
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.perf.pkcache import GLOBAL_PK_CACHE
 from repro.registry import VKRegistry
-from repro.resilience.errors import ResilienceError, ServiceError
+from repro.resilience.errors import (
+    KernelUnavailableError,
+    ResilienceError,
+    ServiceError,
+)
 from repro.runtime.pipeline import prove_batch
 
 __all__ = ["BatchJob", "BatchResult", "prove_job", "worker_main"]
@@ -185,7 +190,8 @@ def prove_job(job: BatchJob, worker_id: int,
 
 
 def worker_main(worker_id: int, job_queue, result_queue,
-                registry_dir: Optional[str] = None) -> None:
+                registry_dir: Optional[str] = None,
+                kernel_threads: Optional[int] = None) -> None:
     """Entry point of a prover worker (a process or a thread).
 
     Blocks on ``job_queue``; a ``STOP`` (``None``) sentinel ends the
@@ -194,12 +200,19 @@ def worker_main(worker_id: int, job_queue, result_queue,
     mid-batch (SIGTERM/SIGKILL still work — that is what the
     crash-recovery path is for).  The state directory's disk cache is
     attached only while the loop runs, so a thread leaves
-    ``GLOBAL_PK_CACHE`` as it was.
+    ``GLOBAL_PK_CACHE`` as it was.  A worker process splits its large
+    kernel calls over ``kernel_threads`` threads, its share of the CPUs;
+    the in-process worker passes ``None`` and keeps the process's count.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # not the main thread
         pass
+    if kernel_threads is not None:
+        try:
+            native.set_threads(kernel_threads)
+        except KernelUnavailableError:  # every batch fails with it, typed
+            pass
     previous_disk = GLOBAL_PK_CACHE.disk
     registry = VKRegistry(registry_dir) if registry_dir else None
     if registry_dir:

@@ -305,7 +305,7 @@ class TestOneBatchPath:
                 "zkml_worker_ops_total", "zkml_worker_pk_cache",
                 "zkml_field_kernel", "zkml_scheduler_dispatch_seconds",
                 "zkml_scheduler_backlog"} <= set(inline)
-        assert inline["zkml_field_kernel"] == {frozenset({"lanes"})}
+        assert inline["zkml_field_kernel"] == {frozenset({"lanes", "threads"})}
 
 
 @pytest.fixture
